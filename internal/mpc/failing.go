@@ -13,6 +13,10 @@ import (
 // round (the MPC's unit-time module service).
 func (m *Machine) Cost() uint64 { return m.round }
 
+// genChunk holds the repair generations of the 64 modules of one rbits word.
+// An entry is meaningful only while its module's rbits bit is set.
+type genChunk [64]uint64
+
 // faultState is one immutable snapshot of the failed-module set. Mutators
 // build a fresh snapshot and publish it atomically, so Round can load one
 // pointer and see a consistent set for the whole round.
@@ -24,16 +28,22 @@ func (m *Machine) Cost() uint64 { return m.round }
 // from read quorums until their repair epoch is certified, because their
 // store may be stale (in-process recovery) or reborn empty (a wiped
 // memserver restart).
+//
+// Snapshots share structure: a successor copies only the slices it writes
+// (see edit), and the generations sit in one chunk per rbits word behind a
+// pointer spine, so a mutation costs O(N/64) words plus one 64-entry chunk
+// per word it re-arms — never O(|repairing|).
 type faultState struct {
-	epoch uint64   // bumped on every effective Fail/Recover/RecoverPending/Certify
+	epoch uint64   // bumped once per effective mutator call
 	bits  []uint64 // bitmask of failed module ids
 	count int      // number of failed modules
-	// Repair state: a bitmask mirror for the hot read-gating lookup plus a
+	// Repair state: a bitmask for the hot read-gating lookup plus a
 	// generation per repairing module. Certification is fenced on the
 	// generation, so a module wiped again mid-repair (a second restart)
 	// cannot be certified by the sweep that started before the re-wipe.
-	rbits []uint64          // bitmask of repairing module ids
-	rgen  map[uint64]uint64 // repairing module -> repair generation (>0)
+	rbits  []uint64    // bitmask of repairing module ids
+	rcount int         // number of repairing modules
+	rgen   []*genChunk // generations (>0), one chunk per rbits word; nil where the word is empty
 }
 
 var healthyState = &faultState{}
@@ -48,13 +58,23 @@ func (s *faultState) repairing(mod int64) bool {
 	return w >= 0 && w < len(s.rbits) && s.rbits[w]>>(uint64(mod)&63)&1 == 1
 }
 
+// gen returns module m's repair generation, 0 when m is not repairing.
+func (s *faultState) gen(m uint64) uint64 {
+	if !s.repairing(int64(m)) {
+		return 0
+	}
+	return s.rgen[m>>6][m&63]
+}
+
 // FaultSet is a dynamic crash-fault model for memory modules: a set of
 // failed module ids that can be mutated at any time, including concurrently
 // with Failing.Round. Mutations are serialized by a mutex and published as
 // immutable epoch-stamped snapshots through an atomic pointer; a round loads
 // exactly one snapshot, so it observes a single consistent fault set (a
 // Fail landing mid-round takes effect at the next round, exactly like a bank
-// crashing between synchronous MPC steps).
+// crashing between synchronous MPC steps). The range and batch mutators
+// publish one snapshot and bump the epoch once however many modules they
+// move, so no round can observe a server's range half-applied.
 //
 // One FaultSet may be shared by many Failing machines — that is how a
 // sharded deployment models one physical bank failure hitting every shard's
@@ -87,75 +107,145 @@ const (
 	stRepairing
 )
 
-// clone copies cur into a fresh snapshot with room for bit w in both masks
-// and the epoch bumped.
-func (fs *FaultSet) clone(cur *faultState, w int) *faultState {
-	n, rn := len(cur.bits), len(cur.rbits)
-	if w >= n {
-		n = w + 1
-	}
-	if w >= rn {
-		rn = w + 1
-	}
-	next := &faultState{
-		epoch: cur.epoch + 1,
-		bits:  make([]uint64, n),
-		rbits: make([]uint64, rn),
-		count: cur.count,
-		rgen:  make(map[uint64]uint64, len(cur.rgen)),
-	}
-	copy(next.bits, cur.bits)
-	copy(next.rbits, cur.rbits)
-	for k, v := range cur.rgen {
-		next.rgen[k] = v
-	}
-	return next
+// edit is a successor snapshot under construction (under FaultSet.mu).
+// Every slice starts shared with the current snapshot and is copied the
+// first time the edit writes to it.
+type edit struct {
+	next                      faultState
+	ownBits, ownRbits, ownGen bool
 }
 
-// mutate installs a new snapshot moving module m to the target state,
-// returning whether the visible set changed. A transition to stRepairing
-// always takes effect (it re-arms the repair generation even when m is
-// already repairing).
-func (fs *FaultSet) mutate(m uint64, target moduleState) bool {
+// private returns s with room for index w, as a copy the edit owns.
+func private[T any](s []T, owned *bool, w int) []T {
+	if *owned && w < len(s) {
+		return s
+	}
+	c := make([]T, max(len(s), w+1))
+	copy(c, s)
+	*owned = true
+	return c
+}
+
+// fail marks word w's modules in mask failed and out of repair, returning
+// how many were not failed before.
+func (e *edit) fail(w int, mask uint64) int {
+	newly := mask
+	if w < len(e.next.bits) {
+		newly &^= e.next.bits[w]
+	}
+	if newly == 0 {
+		return 0 // failed modules are never repairing
+	}
+	e.next.bits = private(e.next.bits, &e.ownBits, w)
+	e.next.bits[w] |= newly
+	e.next.count += bits.OnesCount64(newly)
+	e.clearRepairing(w, mask)
+	return bits.OnesCount64(newly)
+}
+
+// clearFailed returns word w's modules in mask to service, returning how
+// many were failed.
+func (e *edit) clearFailed(w int, mask uint64) int {
+	if w >= len(e.next.bits) || e.next.bits[w]&mask == 0 {
+		return 0
+	}
+	clr := e.next.bits[w] & mask
+	e.next.bits = private(e.next.bits, &e.ownBits, w)
+	e.next.bits[w] &^= clr
+	e.next.count -= bits.OnesCount64(clr)
+	return bits.OnesCount64(clr)
+}
+
+// clearRepairing takes word w's modules in mask out of repair, returning
+// how many were repairing. An emptied word drops its generation chunk.
+func (e *edit) clearRepairing(w int, mask uint64) int {
+	if w >= len(e.next.rbits) || e.next.rbits[w]&mask == 0 {
+		return 0
+	}
+	clr := e.next.rbits[w] & mask
+	e.next.rbits = private(e.next.rbits, &e.ownRbits, w)
+	e.next.rbits[w] &^= clr
+	e.next.rcount -= bits.OnesCount64(clr)
+	if e.next.rbits[w] == 0 {
+		e.next.rgen = private(e.next.rgen, &e.ownGen, w)
+		e.next.rgen[w] = nil
+	}
+	return bits.OnesCount64(clr)
+}
+
+// arm moves word w's modules in mask into repair, minting each a fresh
+// generation from seq, and returns how many were not repairing before.
+// Each word is armed at most once per edit, so the chunk is always copied.
+func (e *edit) arm(seq *uint64, w int, mask uint64) int {
+	e.clearFailed(w, mask)
+	e.next.rbits = private(e.next.rbits, &e.ownRbits, w)
+	newly := mask &^ e.next.rbits[w]
+	e.next.rbits[w] |= mask
+	e.next.rcount += bits.OnesCount64(newly)
+	e.next.rgen = private(e.next.rgen, &e.ownGen, w)
+	chunk := new(genChunk)
+	if old := e.next.rgen[w]; old != nil {
+		*chunk = *old
+	}
+	e.next.rgen[w] = chunk
+	for b := mask; b != 0; b &= b - 1 {
+		*seq++
+		chunk[bits.TrailingZeros64(b)] = *seq
+	}
+	return bits.OnesCount64(newly)
+}
+
+// begin opens an edit of the current snapshot. The caller holds fs.mu.
+func (fs *FaultSet) begin() edit { return edit{next: *fs.snapshot()} }
+
+// publish installs the edit as the next snapshot, one epoch on.
+func (fs *FaultSet) publish(e *edit) {
+	next := e.next
+	next.epoch++
+	fs.state.Store(&next)
+}
+
+// wordMask returns the bits of bitmask word w that fall in [lo, hi); w must
+// be a word the range touches.
+func wordMask(w int, lo, hi uint64) uint64 {
+	base := uint64(w) << 6
+	mask := ^uint64(0)
+	if lo > base {
+		mask <<= lo - base
+	}
+	if hi < base+64 {
+		mask &= 1<<(hi-base) - 1
+	}
+	return mask
+}
+
+// mutateRange publishes one snapshot moving modules [lo, hi) to the target
+// state and returns how many changed visible state. A transition to
+// stRepairing always takes effect (it re-arms the repair generation even of
+// modules already repairing).
+func (fs *FaultSet) mutateRange(lo, hi uint64, target moduleState) int {
+	if lo >= hi {
+		return 0
+	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	cur := fs.state.Load()
-	if cur == nil {
-		cur = healthyState
-	}
-	w, b := int(m>>6), uint64(1)<<(m&63)
-	failed := w < len(cur.bits) && cur.bits[w]&b != 0
-	repairing := w < len(cur.rbits) && cur.rbits[w]&b != 0
-	switch target {
-	case stFailed:
-		if failed {
-			return false
-		}
-	case stLive:
-		if !failed && !repairing {
-			return false
+	e := fs.begin()
+	moved := 0
+	for w := int(lo >> 6); w <= int((hi-1)>>6); w++ {
+		mask := wordMask(w, lo, hi)
+		switch target {
+		case stFailed:
+			moved += e.fail(w, mask)
+		case stLive:
+			moved += e.clearFailed(w, mask) + e.clearRepairing(w, mask)
+		case stRepairing:
+			moved += e.arm(&fs.genSeq, w, mask)
 		}
 	}
-	next := fs.clone(cur, w)
-	if failed != (target == stFailed) {
-		if target == stFailed {
-			next.bits[w] |= b
-			next.count++
-		} else {
-			next.bits[w] &^= b
-			next.count--
-		}
+	if moved > 0 || target == stRepairing {
+		fs.publish(&e)
 	}
-	if target == stRepairing {
-		next.rbits[w] |= b
-		fs.genSeq++
-		next.rgen[m] = fs.genSeq
-	} else {
-		next.rbits[w] &^= b
-		delete(next.rgen, m)
-	}
-	fs.state.Store(next)
-	return !repairing || target != stRepairing
+	return moved
 }
 
 // Fail marks module m as crashed; bids addressed to it are dropped from the
@@ -163,7 +253,7 @@ func (fs *FaultSet) mutate(m uint64, target moduleState) bool {
 // in-flight repair sweep can no longer certify it). It reports whether the
 // set changed (false if m was already failed). Safe to call concurrently
 // with Round.
-func (fs *FaultSet) Fail(m uint64) bool { return fs.mutate(m, stFailed) }
+func (fs *FaultSet) Fail(m uint64) bool { return fs.mutateRange(m, m+1, stFailed) > 0 }
 
 // Recover marks module m as live again — immediately, with no repair gate.
 // This is the legacy transition for in-process recovery, where the module's
@@ -171,7 +261,7 @@ func (fs *FaultSet) Fail(m uint64) bool { return fs.mutate(m, stFailed) }
 // intersection rule, they just contribute no freshness. Deployments that
 // want the copies rebuilt use RecoverPending instead. It reports whether
 // the set changed. Safe to call concurrently with Round.
-func (fs *FaultSet) Recover(m uint64) bool { return fs.mutate(m, stLive) }
+func (fs *FaultSet) Recover(m uint64) bool { return fs.mutateRange(m, m+1, stLive) > 0 }
 
 // RecoverPending moves module m into the repairing state: it serves bids
 // again from the next round on (write quorums count it immediately), but
@@ -181,7 +271,23 @@ func (fs *FaultSet) Recover(m uint64) bool { return fs.mutate(m, stLive) }
 // transition a wiped server restarting twice mid-repair needs. It reports
 // whether m was newly moved into the repairing state (false on a re-arm).
 // Safe to call concurrently with Round.
-func (fs *FaultSet) RecoverPending(m uint64) bool { return fs.mutate(m, stRepairing) }
+func (fs *FaultSet) RecoverPending(m uint64) bool { return fs.mutateRange(m, m+1, stRepairing) > 0 }
+
+// FailRange is Fail over the contiguous modules [lo, hi) — a server's whole
+// range — as one snapshot and one epoch bump. It returns the number of
+// modules newly failed.
+func (fs *FaultSet) FailRange(lo, hi uint64) int { return fs.mutateRange(lo, hi, stFailed) }
+
+// RecoverRange is Recover over [lo, hi) as one snapshot. It returns the
+// number of modules that were failed or repairing.
+func (fs *FaultSet) RecoverRange(lo, hi uint64) int { return fs.mutateRange(lo, hi, stLive) }
+
+// RecoverPendingRange is RecoverPending over [lo, hi) as one snapshot: every
+// module of the range gets a fresh generation (re-arming those already
+// repairing). It returns the number of modules newly under repair.
+func (fs *FaultSet) RecoverPendingRange(lo, hi uint64) int {
+	return fs.mutateRange(lo, hi, stRepairing)
+}
 
 // Certify completes module m's repair: if m is still repairing with the
 // given generation, it becomes fully live (readable) again. A stale
@@ -190,21 +296,27 @@ func (fs *FaultSet) RecoverPending(m uint64) bool { return fs.mutate(m, stRepair
 // store the sweep did not actually rebuild. It reports whether m was
 // certified. Safe to call concurrently with Round.
 func (fs *FaultSet) Certify(m, gen uint64) bool {
+	return fs.CertifyBatch([]uint64{m}, []uint64{gen}) == 1
+}
+
+// CertifyBatch is Certify over a sweep's (mods[i], gens[i]) pairs as one
+// snapshot and one epoch bump: every module still repairing at its paired
+// generation becomes fully live, stale pairs are skipped. It returns the
+// number of modules certified. The slices must have equal length.
+func (fs *FaultSet) CertifyBatch(mods, gens []uint64) int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	cur := fs.state.Load()
-	if cur == nil {
-		cur = healthyState
+	e := fs.begin()
+	certified := 0
+	for i, m := range mods {
+		if g := e.next.gen(m); g != 0 && g == gens[i] {
+			certified += e.clearRepairing(int(m>>6), 1<<(m&63))
+		}
 	}
-	if cur.rgen[m] != gen || gen == 0 {
-		return false
+	if certified > 0 {
+		fs.publish(&e)
 	}
-	w, b := int(m>>6), uint64(1)<<(m&63)
-	next := fs.clone(cur, w)
-	next.rbits[w] &^= b
-	delete(next.rgen, m)
-	fs.state.Store(next)
-	return true
+	return certified
 }
 
 // Repairing reports whether module m is currently under repair.
@@ -212,10 +324,10 @@ func (fs *FaultSet) Repairing(m uint64) bool { return fs.snapshot().repairing(in
 
 // RepairGen returns module m's current repair generation, or 0 when m is
 // not repairing.
-func (fs *FaultSet) RepairGen(m uint64) uint64 { return fs.snapshot().rgen[m] }
+func (fs *FaultSet) RepairGen(m uint64) uint64 { return fs.snapshot().gen(m) }
 
 // RepairCount returns the number of modules currently under repair.
-func (fs *FaultSet) RepairCount() int { return len(fs.snapshot().rgen) }
+func (fs *FaultSet) RepairCount() int { return fs.snapshot().rcount }
 
 // AppendRepairing appends the currently repairing module ids to buf in
 // increasing order and returns the extended slice.
@@ -410,9 +522,9 @@ func (f *Failing) RepairCount() int { return f.faults.RepairCount() }
 // protocol.RepairView.
 func (f *Failing) AppendRepairing(buf []uint64) []uint64 { return f.faults.AppendRepairing(buf) }
 
-// CertifyRepair completes module m's repair if gen is still current. Part of
-// protocol.RepairView.
-func (f *Failing) CertifyRepair(m, gen uint64) bool { return f.faults.Certify(m, gen) }
+// CertifyRepairs completes the repairs of mods at their paired generations in
+// one fault-set mutation. Part of protocol.RepairView.
+func (f *Failing) CertifyRepairs(mods, gens []uint64) int { return f.faults.CertifyBatch(mods, gens) }
 
 // Round filters out requests to failed modules and runs the inner round.
 // The fault set is sampled once, so the whole round sees one consistent

@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -203,50 +204,143 @@ func TestFaultSetConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// FuzzFaultSet differentially checks the copy-on-write bitmask fault set
-// against a plain map model: membership, count, epoch movement, and the
-// round-level drop behaviour all have to agree for any fail/recover
-// sequence.
+// faultModel is FuzzFaultSet's reference: plain maps, one module at a time.
+type faultModel struct {
+	failed map[uint64]bool
+	gen    map[uint64]uint64 // repairing modules and their generations
+	seq    uint64            // mirrors FaultSet.genSeq: one mint per armed module, ascending
+}
+
+func (md *faultModel) fail(m uint64) bool {
+	was := md.failed[m]
+	md.failed[m] = true
+	delete(md.gen, m)
+	return !was
+}
+
+func (md *faultModel) recover(m uint64) bool {
+	_, rep := md.gen[m]
+	was := md.failed[m] || rep
+	delete(md.failed, m)
+	delete(md.gen, m)
+	return was
+}
+
+func (md *faultModel) recoverPending(m uint64) bool {
+	_, rep := md.gen[m]
+	delete(md.failed, m)
+	md.seq++
+	md.gen[m] = md.seq
+	return !rep
+}
+
+func (md *faultModel) certify(m, gen uint64) bool {
+	if g, ok := md.gen[m]; !ok || g != gen {
+		return false
+	}
+	delete(md.gen, m)
+	return true
+}
+
+// FuzzFaultSet differentially checks the copy-on-write fault set against a
+// plain map model over any sequence of per-module, range and batch ops:
+// every mutator's return value, the failed and repairing sets, the
+// generations (a stale one never certifies), the counts, the ascending
+// listings, exactly one epoch bump per effective call and none otherwise,
+// and finally the round-level drop behaviour.
 func FuzzFaultSet(f *testing.F) {
 	f.Add([]byte{0x01, 0x82, 0x01, 0x03})
 	f.Add([]byte{0xff, 0x7f, 0x00, 0x80})
+	f.Add([]byte{5, 10, 100, 7, 30, 90, 8, 0, 127, 6, 60, 70, 2, 64, 0, 3, 64, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		const modules = 64
+		const modules = 128 // two bitmask words, so ranges cross a word boundary
 		fs := NewFaultSet()
-		model := map[uint64]bool{}
-		epoch := fs.Epoch()
-		for _, op := range ops {
-			m := uint64(op & 0x3f)
-			fail := op&0x80 == 0
-			changed := false
-			if fail {
-				changed = fs.Fail(m)
-			} else {
-				changed = fs.Recover(m)
-			}
-			if changed != (model[m] != fail) {
-				t.Fatalf("op %#x: changed=%v disagrees with model", op, changed)
-			}
-			if fail {
-				model[m] = true
-			} else {
-				delete(model, m)
-			}
-			if changed {
-				if fs.Epoch() <= epoch {
-					t.Fatalf("epoch did not advance on an effective mutation")
+		md := &faultModel{failed: map[uint64]bool{}, gen: map[uint64]uint64{}}
+		for i := 0; i+2 < len(ops); i += 3 {
+			a, b := uint64(ops[i+1]%modules), uint64(ops[i+2]%modules)
+			lo, hi := min(a, b), max(a, b)+1
+			epoch := fs.Epoch()
+			var got, want int // modules the call moved, per the set and per the model
+			effective := false
+			// each applies a per-module model op over [lo, hi).
+			each := func(op func(uint64) bool) {
+				for m := lo; m < hi; m++ {
+					if op(m) {
+						want++
+					}
 				}
-				epoch = fs.Epoch()
-			} else if fs.Epoch() != epoch {
-				t.Fatalf("epoch moved on a no-op mutation")
 			}
-		}
-		if fs.Count() != len(model) {
-			t.Fatalf("count = %d, model has %d", fs.Count(), len(model))
-		}
-		for _, m := range fs.Modules() {
-			if !model[m] {
-				t.Fatalf("Modules() lists %d, not in model", m)
+			b2i := func(ok bool) int {
+				if ok {
+					return 1
+				}
+				return 0
+			}
+			switch kind := ops[i] % 9; kind {
+			case 0:
+				got, want = b2i(fs.Fail(a)), b2i(md.fail(a))
+			case 1:
+				got, want = b2i(fs.Recover(a)), b2i(md.recover(a))
+			case 2:
+				got, want = b2i(fs.RecoverPending(a)), b2i(md.recoverPending(a))
+				effective = true // a re-arm moves nothing and still mints a generation
+			case 3:
+				gen := md.gen[a] + b&1 // current, or stale when b is odd (0 when a is not repairing)
+				got, want = b2i(fs.Certify(a, gen)), b2i(md.certify(a, gen))
+			case 4:
+				got = fs.FailRange(lo, hi)
+				each(md.fail)
+			case 5:
+				got = fs.RecoverRange(lo, hi)
+				each(md.recover)
+			case 6:
+				got = fs.RecoverPendingRange(lo, hi)
+				each(md.recoverPending)
+				effective = true
+			default:
+				// A sweep's certification: the model's repairing modules in
+				// [lo, hi), every third with a stale generation, one twice.
+				var mods, gens []uint64
+				for m := lo; m < hi; m++ {
+					if g, ok := md.gen[m]; ok {
+						if len(mods)%3 == 2 {
+							g += uint64(kind) - 6 // 7 or 8: off by one or two
+						}
+						mods, gens = append(mods, m), append(gens, g)
+					}
+				}
+				if len(mods) > 0 {
+					mods, gens = append(mods, mods[0]), append(gens, gens[0])
+				}
+				got = fs.CertifyBatch(mods, gens)
+				for k, m := range mods {
+					want += b2i(md.certify(m, gens[k]))
+				}
+			}
+			if got != want {
+				t.Fatalf("op %d (kind %d, a=%d, b=%d): moved %d modules, model says %d", i/3, ops[i]%9, a, b, got, want)
+			}
+			if bumped := fs.Epoch() - epoch; bumped != uint64(b2i(effective || want > 0)) {
+				t.Fatalf("op %d (kind %d): epoch moved by %d after a call that moved %d modules", i/3, ops[i]%9, bumped, want)
+			}
+			if fs.Count() != len(md.failed) || fs.RepairCount() != len(md.gen) {
+				t.Fatalf("op %d: %d failed and %d repairing, model has %d and %d", i/3, fs.Count(), fs.RepairCount(), len(md.failed), len(md.gen))
+			}
+			var failed, repairing []uint64
+			for m := uint64(0); m < modules; m++ {
+				if fs.Failed(m) != md.failed[m] || fs.RepairGen(m) != md.gen[m] || fs.Repairing(m) != (md.gen[m] != 0) {
+					t.Fatalf("op %d: module %d failed=%v repairing=%v gen=%d, model failed=%v gen=%d",
+						i/3, m, fs.Failed(m), fs.Repairing(m), fs.RepairGen(m), md.failed[m], md.gen[m])
+				}
+				if md.failed[m] {
+					failed = append(failed, m)
+				}
+				if md.gen[m] != 0 {
+					repairing = append(repairing, m)
+				}
+			}
+			if !slices.Equal(fs.Modules(), failed) || !slices.Equal(fs.AppendRepairing(nil), repairing) {
+				t.Fatalf("op %d: listings %v / %v, model %v / %v", i/3, fs.Modules(), fs.AppendRepairing(nil), failed, repairing)
 			}
 		}
 		// One machine round: every bid to a failed module must be dropped,
@@ -257,13 +351,10 @@ func FuzzFaultSet(f *testing.F) {
 		}
 		defer mach.Close()
 		reqs := make([]int64, modules)
-		liveBids := 0
 		for p := range reqs {
-			reqs[p] = int64(p % modules)
-			if !model[uint64(p%modules)] {
-				liveBids++
-			}
+			reqs[p] = int64(p)
 		}
+		liveBids := modules - len(md.failed)
 		grant := make([]bool, modules)
 		served := mach.Round(reqs, grant)
 		if served != liveBids { // distinct modules: every live bid served
@@ -273,8 +364,8 @@ func FuzzFaultSet(f *testing.F) {
 			t.Fatalf("dropped %d, want %d", got, modules-liveBids)
 		}
 		for p, g := range grant {
-			if g && model[uint64(p%modules)] {
-				t.Fatalf("bid at failed module %d granted", p%modules)
+			if g && md.failed[uint64(p)] {
+				t.Fatalf("bid at failed module %d granted", p)
 			}
 		}
 	})

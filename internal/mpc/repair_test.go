@@ -169,11 +169,11 @@ func TestRepairingServesRounds(t *testing.T) {
 	}
 
 	gen := f.RepairGeneration(2)
-	if !f.CertifyRepair(2, gen) {
-		t.Fatalf("CertifyRepair failed")
+	if f.CertifyRepairs([]uint64{2}, []uint64{gen}) != 1 {
+		t.Fatalf("CertifyRepairs failed")
 	}
 	if f.ModuleRepairing(2) {
-		t.Fatalf("still repairing after CertifyRepair")
+		t.Fatalf("still repairing after CertifyRepairs")
 	}
 }
 
@@ -214,4 +214,132 @@ func TestRepairConcurrentChurn(t *testing.T) {
 	if n := fs.RepairCount(); n != 0 {
 		t.Fatalf("repair set not drained: %d left", n)
 	}
+}
+
+// TestFaultSetRangeMatchesLoop: a range mutator must leave exactly the state
+// the per-module loop leaves — sets, counts, generations — while publishing
+// one snapshot instead of one per module.
+func TestFaultSetRangeMatchesLoop(t *testing.T) {
+	const n = 16383
+	lo, hi := uint64(n/3), uint64(n/3+n/4) // neither end word-aligned
+	ranged, looped := NewFaultSet(5, 6, lo+1), NewFaultSet(5, 6, lo+1)
+	same := func(step string) {
+		t.Helper()
+		if ranged.Count() != looped.Count() || ranged.RepairCount() != looped.RepairCount() {
+			t.Fatalf("%s: %d failed, %d repairing; the loop leaves %d, %d",
+				step, ranged.Count(), ranged.RepairCount(), looped.Count(), looped.RepairCount())
+		}
+		for m := uint64(0); m < n; m++ {
+			if ranged.Failed(m) != looped.Failed(m) || ranged.RepairGen(m) != looped.RepairGen(m) {
+				t.Fatalf("%s: module %d failed=%v gen=%d; the loop leaves failed=%v gen=%d",
+					step, m, ranged.Failed(m), ranged.RepairGen(m), looped.Failed(m), looped.RepairGen(m))
+			}
+		}
+	}
+	for _, step := range []struct {
+		name string
+		rng  func(lo, hi uint64) int
+		one  func(m uint64) bool
+	}{
+		{"FailRange", ranged.FailRange, looped.Fail},
+		{"RecoverPendingRange", ranged.RecoverPendingRange, looped.RecoverPending},
+		{"RecoverPendingRange (re-arm)", ranged.RecoverPendingRange, looped.RecoverPending},
+		{"FailRange over repairing", ranged.FailRange, looped.Fail},
+		{"RecoverRange", ranged.RecoverRange, looped.Recover},
+	} {
+		before := ranged.Epoch()
+		moved := 0
+		for m := lo; m < hi; m++ {
+			if step.one(m) {
+				moved++
+			}
+		}
+		if got := step.rng(lo, hi); got != moved {
+			t.Fatalf("%s moved %d modules, the loop moved %d", step.name, got, moved)
+		}
+		if ranged.Epoch() != before+1 {
+			t.Fatalf("%s bumped the epoch by %d, want 1", step.name, ranged.Epoch()-before)
+		}
+		same(step.name)
+	}
+	if ranged.Count() != 2 || !ranged.Failed(5) || !ranged.Failed(6) {
+		t.Fatalf("modules outside the range were disturbed: failed = %v", ranged.Modules())
+	}
+}
+
+// TestFaultSnapshotsImmutable: snapshots share structure, so a mutation
+// must copy what it writes — a round still holding an older snapshot keeps
+// seeing the set as it was.
+func TestFaultSnapshotsImmutable(t *testing.T) {
+	fs := NewFaultSet()
+	fs.FailRange(0, 200)
+	fs.RecoverPendingRange(50, 150)
+	old := fs.snapshot()
+	gen := old.gen(100)
+	fs.RecoverPendingRange(90, 110) // re-arm inside old's chunks
+	fs.CertifyBatch([]uint64{60}, []uint64{fs.RepairGen(60)})
+	fs.FailRange(120, 130)
+	fs.RecoverRange(0, 50)
+	if old.count != 100 || old.rcount != 100 || old.gen(100) != gen || !old.repairing(60) ||
+		!old.repairing(125) || old.failed(125) || !old.failed(10) {
+		t.Fatalf("a published snapshot changed under later mutations: %d failed, %d repairing, gen(100) %d (was %d)",
+			old.count, old.rcount, old.gen(100), gen)
+	}
+}
+
+// TestRangeMutationIsAtomicToRounds: a range call is one snapshot, so a
+// round racing a server going down and coming back serves either all of the
+// range's modules or none of them, never a part. Run under -race this also
+// pins the range mutators' publication discipline.
+func TestRangeMutationIsAtomicToRounds(t *testing.T) {
+	const modules, lo, hi = 200, 30, 170 // spans three bitmask words, ends unaligned
+	f, err := NewFailing(Config{Procs: modules, Modules: modules}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fs := f.Faults()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var mods, gens []uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			fs.FailRange(lo, hi)
+			fs.RecoverPendingRange(lo, hi)
+			mods, gens = fs.AppendRepairing(mods[:0]), gens[:0]
+			for _, m := range mods {
+				gens = append(gens, fs.RepairGen(m))
+			}
+			fs.CertifyBatch(mods, gens)
+			fs.FailRange(lo, hi)
+			fs.RecoverRange(lo, hi)
+		}
+	}()
+	reqs := make([]int64, modules)
+	for p := range reqs {
+		reqs[p] = int64(p)
+	}
+	grant := make([]bool, modules)
+	for i := 0; i < 3000; i++ {
+		f.Round(reqs, grant)
+		served := 0
+		for m := lo; m < hi; m++ {
+			if grant[m] {
+				served++
+			}
+		}
+		if served != 0 && served != hi-lo {
+			t.Errorf("round %d served %d of the range's %d modules: it saw the range half-applied", i, served, hi-lo)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -107,8 +107,8 @@ func (c *Client) RepairCount() int { return c.t.fs.RepairCount() }
 // AppendRepairing implements protocol.RepairView.
 func (c *Client) AppendRepairing(buf []uint64) []uint64 { return c.t.fs.AppendRepairing(buf) }
 
-// CertifyRepair implements protocol.RepairView.
-func (c *Client) CertifyRepair(m, gen uint64) bool { return c.t.fs.Certify(m, gen) }
+// CertifyRepairs implements protocol.RepairView.
+func (c *Client) CertifyRepairs(mods, gens []uint64) int { return c.t.fs.CertifyBatch(mods, gens) }
 
 // Cost implements protocol.Machine: rounds executed so far.
 func (c *Client) Cost() uint64 { return c.round }

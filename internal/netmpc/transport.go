@@ -321,9 +321,7 @@ func (s *srv) markDown(conn net.Conn, cause error) {
 	}
 	if s.up.CompareAndSwap(true, false) {
 		s.t.logf("netmpc: server %d (%s) down: %v", s.idx, s.addr, cause)
-		for m := s.lo; m < s.hi; m++ {
-			s.t.fs.Fail(uint64(m))
-		}
+		s.t.fs.FailRange(uint64(s.lo), uint64(s.hi))
 	}
 	if !s.t.closed.Load() && s.reconn.CompareAndSwap(false, true) {
 		s.t.wg.Add(1)
@@ -385,14 +383,10 @@ func (s *srv) reconnectLoop() {
 		s.t.wg.Add(1)
 		go s.readLoop(conn)
 		if sameStore {
-			for m := s.lo; m < s.hi; m++ {
-				s.t.fs.Recover(uint64(m))
-			}
+			s.t.fs.RecoverRange(uint64(s.lo), uint64(s.hi))
 			s.t.logf("netmpc: server %d (%s) reconnected, store intact", s.idx, s.addr)
 		} else {
-			for m := s.lo; m < s.hi; m++ {
-				s.t.fs.RecoverPending(uint64(m))
-			}
+			s.t.fs.RecoverPendingRange(uint64(s.lo), uint64(s.hi))
 			s.t.logf("netmpc: server %d (%s) reconnected with a fresh store generation; range [%d,%d) queued for repair", s.idx, s.addr, s.lo, s.hi)
 		}
 		return

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"detshmem/internal/core"
+	"detshmem/internal/mpc"
 	"detshmem/internal/obs"
 )
 
@@ -165,5 +166,69 @@ func TestAccessMatchesAccessInto(t *testing.T) {
 		if resA.Values[i] != vals[i] || resB.Values[i] != vals[i] {
 			t.Fatalf("read %d: Access=%d AccessInto=%d want %d", i, resA.Values[i], resB.Values[i], vals[i])
 		}
+	}
+}
+
+// TestRepairStepSteadyStateAllocs pins the background sweep — chunk
+// resolution, wave task lists, MPC rounds — at zero allocations per step
+// once a first sweep has grown the scratch, on the table and on the computed
+// resolver. Each measured sweep gets its copies wiped first, so its waves
+// carry real reads and real writes, and the measured steps stop short of the
+// sweep's end (certification publishes a fault-set snapshot, which
+// allocates by design).
+func TestRepairStepSteadyStateAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"compiled", Config{Strategy: ResolverCompiled}},
+		{"computed", Config{Strategy: ResolverComputed}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, idx := sweepScheme(t)
+			fs := mpc.NewFaultSet()
+			tc.cfg.RepairBudget = 64
+			sys := sharedFaultSystem(t, s, idx, fs, tc.cfg)
+			defer sys.Close()
+			n := s.NumModules
+			vars, vals := make([]uint64, n), make([]uint64, n)
+			for i := range vars {
+				vars[i], vals[i] = uint64(i), uint64(i)+1
+			}
+			if _, err := sys.WriteBatch(vars, vals); err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := n/2, n/2+n/4
+			wipeAndReadmit := func() {
+				fs.FailRange(lo, hi)
+				for a := lo * uint64(s.ModuleSize); a < hi*uint64(s.ModuleSize); a++ {
+					sys.store.put(a, cell{})
+				}
+				fs.RecoverPendingRange(lo, hi)
+			}
+			wipeAndReadmit()
+			for sys.RepairBacklog() > 0 { // warm-up: one whole sweep
+				if !sys.RepairStep() {
+					t.Fatalf("repair stalled with backlog %d", sys.RepairBacklog())
+				}
+			}
+			wipeAndReadmit()
+			// One measured step per call (AllocsPerRun truncates the average
+			// of several, and a wave that re-grows its task list is one
+			// allocation); with its warm-up call that is two steps a round,
+			// and the written variables end at step 1023/64.
+			for i := 0; i < 6; i++ {
+				if n := testing.AllocsPerRun(1, func() {
+					if !sys.RepairStep() {
+						t.Fatal("repair step made no progress mid-sweep")
+					}
+				}); n != 0 {
+					t.Fatalf("RepairStep allocates %.0f times in a steady-state step, want 0", n)
+				}
+			}
+			if !sys.rep.active {
+				t.Fatal("the measured steps ran past the sweep's end")
+			}
+		})
 	}
 }

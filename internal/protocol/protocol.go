@@ -100,9 +100,9 @@ type Metrics struct {
 	// TotalRounds or IssuedBids — repair work is accounted through
 	// obs.RepairEvent so the round-trace crosscheck balances on both the
 	// per-batch and the idle-loop pump paths.
-	RepairedCopies int // target copies rebuilt by this batch's repair step
-	RepairSalvaged int // variables rebuilt without a sound source majority
-	RepairRounds   int // MPC rounds the repair step drove
+	RepairedCopies  int // target copies rebuilt by this batch's repair step
+	RepairSalvaged  int // variables rebuilt without a sound source majority
+	RepairRounds    int // MPC rounds the repair step drove
 	RepairCertified int // modules certified fully live by this batch's step
 }
 
@@ -265,6 +265,11 @@ type Config struct {
 	// HotCacheSlots sizes the private hybrid cache (rounded up to a power of
 	// two); 0 means DefaultHotCacheSlots. Ignored when HotCache is set.
 	HotCacheSlots int
+	// Owns, when non-nil, restricts the background repair sweep to the
+	// variables it reports true for. internal/shard sets it to the router's
+	// predicate, so each shard rebuilds only the variables it serves; nothing
+	// else should need it. nil sweeps every variable.
+	Owns func(v uint64) bool
 	//
 	// Deprecated: CacheAddresses memoized each variable's copy addresses in
 	// a per-System unbounded map that was neither shared across Systems nor
@@ -333,7 +338,7 @@ type System struct {
 	mreqs     []int64
 	grant     []bool
 	tasks     []taskRef
-	varsBuf   []uint64 // bulk path: the batch's variable vector
+	varsBuf   []uint64 // the batch's variable vector
 	bulkMods  []uint64 // bulk path: resolved modules, vars-major
 	bulkAddrs []uint64 // bulk path: resolved addresses, vars-major
 
@@ -870,48 +875,48 @@ func (sys *System) obtainMachine(procs int) (Machine, int, error) {
 	return machine, geo, nil
 }
 
-// resolveCopies computes the (module, address) of every copy of every
-// requested variable into the reused scratch buffer — from the compiled
-// table when a resolver is attached, through the hot-coset cache under the
-// hybrid strategy, and through the mapper's batched bulk contract otherwise.
+// resolveCopies resolves every copy of every requested variable into the
+// reused per-batch scratch.
 func (sys *System) resolveCopies(reqs []Request) []assignment {
+	vars := grow(sys.varsBuf, len(reqs))
+	sys.varsBuf = vars
+	for i := range reqs {
+		vars[i] = reqs[i].Var
+	}
+	sys.copies = sys.resolveVars(vars, sys.copies, true)
+	return sys.copies
+}
+
+// resolveVars is the System's one resolution path, shared by batches and the
+// repair sweep: it computes the (module, address) of every copy of every
+// variable in vars into out (vars-major, entry i·Copies+c with req = i and
+// cpy = c) — from the compiled table when a resolver is attached, through
+// the hot-coset cache under the hybrid strategy, and through the mapper's
+// batched bulk contract otherwise. useHot false skips the cache, so a linear
+// sweep resolves computed and cannot evict the rows hot traffic put there.
+// All buffers are reused, so the steady state is allocation-free.
+func (sys *System) resolveVars(vars []uint64, out []assignment, useHot bool) []assignment {
 	nCopies := sys.Mapper.Copies()
-	out := grow(sys.copies, len(reqs)*nCopies)
-	sys.copies = out
+	out = grow(out, len(vars)*nCopies)
 	switch {
 	case sys.resolver != nil:
-		for r := range reqs {
-			row := sys.resolver.row(reqs[r].Var)
-			base := r * nCopies
-			for c := 0; c < nCopies; c++ {
-				out[base+c] = assignment{req: int32(r), cpy: int16(c), module: row[c].module, addr: row[c].addr}
-			}
+		for r, v := range vars {
+			putRow(out[r*nCopies:][:nCopies], r, sys.resolver.row(v))
 		}
-	case sys.hot != nil:
-		for r := range reqs {
-			v := reqs[r].Var
+	case sys.hot != nil && useHot:
+		for r, v := range vars {
 			row := sys.hot.lookup(v)
 			if row == nil {
 				row = sys.hot.fill(sys.bulkSrc, v)
 			}
-			base := r * nCopies
-			for c := 0; c < nCopies; c++ {
-				out[base+c] = assignment{req: int32(r), cpy: int16(c), module: row[c].module, addr: row[c].addr}
-			}
+			putRow(out[r*nCopies:][:nCopies], r, row)
 		}
 	default:
-		// Live batched resolution: gather the variable vector, resolve it in
-		// one bulk call (vectorized kernels for BulkMappers), expand into
-		// assignments. All buffers are reused, so the steady state is
-		// allocation-free.
-		vars := grow(sys.varsBuf, len(reqs))
-		sys.varsBuf = vars
-		for i := range reqs {
-			vars[i] = reqs[i].Var
-		}
+		// Live batched resolution: one bulk call (vectorized kernels for
+		// BulkMappers), expanded into assignments.
 		mods, addrs := AppendCopyAddrs(sys.bulkSrc, sys.bulkMods[:0], sys.bulkAddrs[:0], vars, nCopies)
 		sys.bulkMods, sys.bulkAddrs = mods, addrs
-		for r := range reqs {
+		for r := range vars {
 			base := r * nCopies
 			for c := 0; c < nCopies; c++ {
 				out[base+c] = assignment{req: int32(r), cpy: int16(c), module: int64(mods[base+c]), addr: addrs[base+c]}
@@ -919,6 +924,13 @@ func (sys *System) resolveCopies(reqs []Request) []assignment {
 		}
 	}
 	return out
+}
+
+// putRow expands one resolved row into variable r's assignments.
+func putRow(dst []assignment, r int, row []packedAssignment) {
+	for c := range dst {
+		dst[c] = assignment{req: int32(r), cpy: int16(c), module: row[c].module, addr: row[c].addr}
+	}
 }
 
 // stageTasks hands each task's access payload to the remote store before a

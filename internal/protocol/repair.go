@@ -29,9 +29,12 @@ type RepairView interface {
 	RepairCount() int
 	// AppendRepairing appends the repairing module ids to buf.
 	AppendRepairing(buf []uint64) []uint64
-	// CertifyRepair completes m's repair if gen is still current, making the
-	// module readable again. Returns whether the certification took effect.
-	CertifyRepair(m, gen uint64) bool
+	// CertifyRepairs completes the repair of every mods[i] whose generation
+	// is still gens[i], making those modules readable again, as one
+	// fault-set mutation (one snapshot, one epoch bump), and returns how many
+	// took effect. A finished sweep certifies through it, so sibling systems
+	// sharing the fault set see one change rather than one per module.
+	CertifyRepairs(mods, gens []uint64) int
 }
 
 // DefaultRepairBudget is the number of variables one repair step scans when
@@ -54,9 +57,13 @@ type repairMetrics struct {
 	certified int // modules certified back to fully live
 }
 
+// repairChunkVars bounds the variables a sweep resolves at once, and so the
+// resolution scratch, whatever Config.RepairBudget is.
+const repairChunkVars = 1024
+
 // repairVar is one variable being rebuilt in the current wave.
 type repairVar struct {
-	v       uint64
+	row     int32 // the variable's index in the scanned chunk (see repairSweep.rows)
 	bestTS  uint64
 	bestVal uint64
 	reads   int32 // granted reads so far
@@ -73,9 +80,13 @@ type repairVar struct {
 // moved; everything else waits for the next sweep.
 type repairSweep struct {
 	active bool
-	gens   map[int64]uint64 // sweep set: module -> captured generation
-	dirty  map[int64]bool   // modules with an unsoundly rebuilt variable
-	cursor uint64           // next variable the sweep will scan
+	// The sweep set: mods ascending, gens[i] the generation captured for
+	// mods[i], and bitmasks over module ids for the per-copy tests — target
+	// marks the sweep set, dirty the modules with an unsoundly rebuilt
+	// variable.
+	mods, gens    []uint64
+	target, dirty []uint64
+	cursor        uint64 // next variable the sweep will scan
 	// certified records whether the current sweep certified anything; a
 	// completed sweep that certified nothing while modules remain repairing
 	// pauses the scheduler until the fault epoch moves, so an unrepairable
@@ -90,9 +101,16 @@ type repairSweep struct {
 	pauseEpoch uint64
 	startEpoch uint64
 
-	modBuf []uint64
-	vars   []repairVar
-	tasks  []taskRef
+	// Scratch, kept at its high-water size across waves and steps.
+	chunk []uint64     // the scanned chunk's variables (the owned ones)
+	rows  []assignment // their resolved copies, chunk-major
+	vars  []repairVar  // the chunk's variables with a copy in the sweep set
+	tasks []taskRef
+}
+
+// isTarget reports whether module m is in the sweep set.
+func (rep *repairSweep) isTarget(m int64) bool {
+	return rep.target[m>>6]>>(uint64(m)&63)&1 == 1
 }
 
 // RepairBacklog returns the number of modules awaiting repair certification
@@ -188,21 +206,27 @@ func (sys *System) repairStep(machine Machine, geo int, rm *repairMetrics) bool 
 		rep.paused = false
 	}
 	if !rep.active {
-		rep.modBuf = rv.AppendRepairing(rep.modBuf[:0])
-		if len(rep.modBuf) == 0 {
+		rep.mods = rv.AppendRepairing(rep.mods[:0])
+		if len(rep.mods) == 0 {
 			return false
 		}
-		if rep.gens == nil {
-			rep.gens = make(map[int64]uint64)
-			rep.dirty = make(map[int64]bool)
-		}
-		clear(rep.gens)
+		// The masks cover every module id, and any stray id the fault set
+		// holds beyond them (mods is ascending).
+		words := int(max(sys.Mapper.NumModules()-1, rep.mods[len(rep.mods)-1])>>6) + 1
+		rep.target, rep.dirty = grow(rep.target, words), grow(rep.dirty, words)
+		clear(rep.target)
 		clear(rep.dirty)
-		for _, m := range rep.modBuf {
+		rep.gens = rep.gens[:0]
+		n := 0
+		for _, m := range rep.mods {
 			if g := rv.RepairGeneration(m); g != 0 {
-				rep.gens[int64(m)] = g
+				rep.mods[n] = m
+				n++
+				rep.gens = append(rep.gens, g)
+				rep.target[m>>6] |= 1 << (m & 63)
 			}
 		}
+		rep.mods = rep.mods[:n]
 		rep.cursor = 0
 		rep.certified = false
 		rep.startEpoch = fv.FaultEpoch()
@@ -220,14 +244,16 @@ func (sys *System) repairStep(machine Machine, geo int, rm *repairMetrics) bool 
 	sys.scanRepairRange(machine, geo, rep.cursor, end, rm)
 	rep.cursor = end
 	if rep.cursor >= nv {
-		for m, gen := range rep.gens {
-			if rep.dirty[m] {
-				continue
+		n := 0
+		for i, m := range rep.mods {
+			if rep.dirty[m>>6]>>(m&63)&1 == 0 {
+				rep.mods[n], rep.gens[n] = m, rep.gens[i]
+				n++
 			}
-			if rv.CertifyRepair(uint64(m), gen) {
-				rm.certified++
-				rep.certified = true
-			}
+		}
+		if c := rv.CertifyRepairs(rep.mods[:n], rep.gens[:n]); c > 0 {
+			rm.certified += c
+			rep.certified = true
 		}
 		rep.active = false
 		if !rep.certified && rv.RepairCount() > 0 {
@@ -240,39 +266,42 @@ func (sys *System) repairStep(machine Machine, geo int, rm *repairMetrics) bool 
 	return true
 }
 
-// scanRepairRange scans variables [lo, hi), grouping those with a copy on a
-// sweep-set module into bounded waves.
+// scanRepairRange scans variables [lo, hi) a chunk at a time: the chunk's
+// owned variables are resolved once, in bulk, through the System's resolver,
+// and those with a copy on a sweep-set module are rebuilt in bounded waves
+// that index the resolved rows.
 func (sys *System) scanRepairRange(machine Machine, geo int, lo, hi uint64, rm *repairMetrics) {
 	rep := &sys.rep
-	m := sys.Mapper
-	nCopies := m.Copies()
-	group := geo / nCopies
-	if group < 1 {
-		group = 1
-	}
-	vars := rep.vars[:0]
-	for v := lo; v < hi; v++ {
-		hasTarget := false
-		for c := 0; c < nCopies; c++ {
-			mod, _ := m.CopyAddr(v, c)
-			if _, ok := rep.gens[int64(mod)]; ok {
-				hasTarget = true
-				break
+	nCopies := sys.Mapper.Copies()
+	group := max(geo/nCopies, 1)
+	owns := sys.cfg.Owns
+	for lo < hi {
+		end := min(lo+repairChunkVars, hi)
+		chunk := rep.chunk[:0]
+		for v := lo; v < end; v++ {
+			if owns == nil || owns(v) {
+				chunk = append(chunk, v)
 			}
 		}
-		if !hasTarget {
-			continue
+		lo = end
+		rep.chunk = chunk
+		rep.rows = sys.resolveVars(chunk, rep.rows, false)
+		vars := rep.vars[:0]
+		for i := range chunk {
+			for _, a := range rep.rows[i*nCopies:][:nCopies] {
+				if rep.isTarget(a.module) {
+					vars = append(vars, repairVar{row: int32(i)})
+					break
+				}
+			}
 		}
-		vars = append(vars, repairVar{v: v})
-		if len(vars) == group {
-			sys.repairWave(machine, geo, vars, rm)
-			vars = vars[:0]
+		rep.vars = vars
+		for len(vars) > 0 {
+			n := min(group, len(vars))
+			sys.repairWave(machine, geo, vars[:n], rm)
+			vars = vars[n:]
 		}
 	}
-	if len(vars) > 0 {
-		sys.repairWave(machine, geo, vars, rm)
-	}
-	rep.vars = vars[:0]
 }
 
 // repairWave rebuilds one group of variables: a read wave collecting the
@@ -297,6 +326,8 @@ func (sys *System) repairWave(machine Machine, geo int, vars []repairVar, rm *re
 	m := sys.Mapper
 	nCopies := m.Copies()
 	rq := int32(m.ReadQuorum())
+	// row is the variable's resolved copies in the chunk scratch.
+	row := func(w *repairVar) []assignment { return rep.rows[int(w.row)*nCopies:][:nCopies] }
 
 	mreqs := grow(sys.mreqs, geo)
 	grant := grow(sys.grant, geo)
@@ -316,12 +347,11 @@ func (sys *System) repairWave(machine Machine, geo int, vars []repairVar, rm *re
 		w := &vars[i]
 		w.need = rq
 		sources, failed := int32(0), 0
-		for c := 0; c < nCopies; c++ {
-			mod, _ := m.CopyAddr(w.v, c)
+		for _, a := range row(w) {
 			switch {
-			case fv.ModuleFailed(int64(mod)):
+			case fv.ModuleFailed(a.module):
 				failed++
-			case !rvw.ModuleRepairing(int64(mod)):
+			case !rvw.ModuleRepairing(a.module):
 				sources++
 			}
 		}
@@ -329,22 +359,22 @@ func (sys *System) repairWave(machine Machine, geo int, vars []repairVar, rm *re
 		if w.salvage && failed > 0 {
 			w.dirty = true
 		}
-		for c := 0; c < nCopies; c++ {
-			mod, addr := m.CopyAddr(w.v, c)
-			if fv.ModuleFailed(int64(mod)) {
+		for _, a := range row(w) {
+			if fv.ModuleFailed(a.module) {
 				continue
 			}
-			if !w.salvage && rvw.ModuleRepairing(int64(mod)) {
+			if !w.salvage && rvw.ModuleRepairing(a.module) {
 				continue
 			}
-			tasks = append(tasks, taskRef{proc: p, a: assignment{req: int32(i), cpy: int16(c), module: int64(mod), addr: addr}})
+			a.req = int32(i)
+			tasks = append(tasks, taskRef{proc: p, a: a})
 			p++
 		}
 	}
+	rep.tasks = tasks[:0] // keep the grown buffer: driveRepairRound returns a prefix
 
 	// Read wave.
-	tasks = sys.driveRepairRound(machine, tasks, vars, rm, maxIters, true)
-	for _, t := range tasks {
+	for _, t := range sys.driveRepairRound(machine, tasks, vars, rm, maxIters, true) {
 		vars[t.a.req].dirty = true
 	}
 	for i := range vars {
@@ -367,23 +397,20 @@ func (sys *System) repairWave(machine Machine, geo int, vars []repairVar, rm *re
 		if w.bestTS == 0 {
 			continue
 		}
-		for c := 0; c < nCopies; c++ {
-			mod, addr := m.CopyAddr(w.v, c)
-			if _, target := rep.gens[int64(mod)]; !target {
+		for _, a := range row(w) {
+			if !rep.isTarget(a.module) || fv.ModuleFailed(a.module) {
 				continue
 			}
-			if fv.ModuleFailed(int64(mod)) {
-				continue
-			}
-			if sys.rs == nil && sys.store.get(addr).ts >= w.bestTS {
+			if sys.rs == nil && sys.store.get(a.addr).ts >= w.bestTS {
 				continue // local store already fresh (in-process recovery)
 			}
-			tasks = append(tasks, taskRef{proc: p, a: assignment{req: int32(i), cpy: int16(c), module: int64(mod), addr: addr}})
+			a.req = int32(i)
+			tasks = append(tasks, taskRef{proc: p, a: a})
 			p++
 		}
 	}
-	tasks = sys.driveRepairRound(machine, tasks, vars, rm, maxIters, false)
-	for _, t := range tasks {
+	rep.tasks = tasks[:0]
+	for _, t := range sys.driveRepairRound(machine, tasks, vars, rm, maxIters, false) {
 		vars[t.a.req].dirty = true
 	}
 
@@ -396,14 +423,12 @@ func (sys *System) repairWave(machine Machine, geo int, vars []repairVar, rm *re
 		if !w.dirty {
 			continue
 		}
-		for c := 0; c < nCopies; c++ {
-			mod, _ := m.CopyAddr(w.v, c)
-			if _, ok := rep.gens[int64(mod)]; ok {
-				rep.dirty[int64(mod)] = true
+		for _, a := range row(w) {
+			if rep.isTarget(a.module) {
+				rep.dirty[a.module>>6] |= 1 << (uint64(a.module) & 63)
 			}
 		}
 	}
-	rep.tasks = tasks[:0]
 }
 
 // driveRepairRound drives one repair task list until every bid is granted,

@@ -202,6 +202,11 @@ func New(m protocol.Mapper, cfg Config) (*Service, error) {
 	}
 	for i := range s.shards {
 		scfg := pcfg
+		if shards := cfg.Shards; shards > 1 {
+			// Each shard's repair sweep rebuilds only the variables routed to
+			// it; the others never touch its store.
+			scfg.Owns = func(v uint64) bool { return route(v, shards) == i }
+		}
 		st := &shardState{}
 		if cfg.Observe {
 			st.col = obs.NewCollector()
@@ -255,13 +260,15 @@ func (s *Service) Shards() int { return len(s.shards) }
 // processes and runs, and trivially stable (same v, same shard) — reduced
 // mod S. Hashing rather than taking v mod S directly keeps structured
 // variable patterns (strides, hot prefixes) from piling onto one shard.
-func (s *Service) Route(v uint64) int {
+func (s *Service) Route(v uint64) int { return route(v, len(s.shards)) }
+
+func route(v uint64, shards int) int {
 	v ^= v >> 30
 	v *= 0xbf58476d1ce4e5b9
 	v ^= v >> 27
 	v *= 0x94d049bb133111eb
 	v ^= v >> 31
-	return int(v % uint64(len(s.shards)))
+	return int(v % uint64(shards))
 }
 
 // ReadAsync submits a read to the variable's shard.
