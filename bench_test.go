@@ -1224,3 +1224,44 @@ func BenchmarkRepairSweep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPendingCycle is the combining core's share of one flush with no
+// backend behind it: admit distinct variables (every fourth a write, each
+// preceded by the dispatchers' WriteConflicts probe), serialize the requests,
+// fan a result out and reset. 64 is a client window, 4096 a PRAM step.
+func BenchmarkPendingCycle(b *testing.B) {
+	for _, distinct := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("distinct=%d", distinct), func(b *testing.B) {
+			p := frontend.NewPending(distinct)
+			futs := make([]*frontend.Future, distinct)
+			for i := range futs {
+				futs[i] = frontend.NewFuture()
+			}
+			res := &protocol.Result{Values: make([]uint64, distinct)}
+			var reqs []protocol.Request
+			rng := rand.New(rand.NewSource(1))
+			vars := make([]uint64, distinct)
+			for i, v := range rng.Perm(349504)[:distinct] { // M at q=2, n=7
+				vars[i] = uint64(v)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k, v := range vars {
+					if k%4 == 3 {
+						if p.WriteConflicts(v) {
+							b.Fatal("distinct variables conflict")
+						}
+						p.Write(uint64(k), v, uint64(i), futs[k])
+					} else {
+						p.Read(uint64(k), v, futs[k])
+					}
+				}
+				reqs = p.Requests(reqs)
+				p.Complete(res, nil)
+				p.Reset()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(distinct), "ns/var")
+		})
+	}
+}

@@ -2,6 +2,8 @@ package frontend
 
 import (
 	"errors"
+	"math/bits"
+	"slices"
 
 	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
@@ -13,10 +15,13 @@ import (
 // of the coalescing rules, the result fan-out, and the stats accounting.
 // The rules themselves are documented on the package.
 
-// entry is a pending batch's state for one distinct variable.
+// entry is a pending batch's state for one distinct variable. Entries live
+// by value in Pending.entries, entry i being request i of the flush.
 type entry struct {
-	write     bool   // a protocol Write will be issued for this variable
+	v         uint64 // the variable
 	val       uint64 // latest coalesced write value
+	slot      uint32 // the index slot naming this entry
+	write     bool   // a protocol Write will be issued for this variable
 	readFuts  []*Future
 	writeFuts []*Future
 	fwd       []*Future // read-after-write forwarded reads
@@ -29,65 +34,123 @@ type entry struct {
 // goroutine, the shard dispatcher under its admission mutex) — that
 // serialization is what makes admission order the commit order.
 //
-// A Pending recycles its per-variable entries across Reset cycles, so a
-// dispatcher that reuses one (or a small pool) admits and flushes without
-// allocating in steady state.
+// Entries sit in one dense slice in admission order, so everything after
+// admission (Requests, Account, Audit, Complete, Reset) walks the slice and
+// never looks a variable up; only admission probes the index. Entries past
+// len(entries) keep their future slices' backing arrays, so a dispatcher
+// that reuses one Pending admits and flushes without allocating in steady
+// state.
 type Pending struct {
-	entries map[uint64]*entry
-	order   []uint64
-	ops     int      // operations admitted (≥ len(order) once combining bites)
-	free    []*entry // recycled entries
+	entries []entry
+	// index maps a variable to its entry: a power-of-two table of entry
+	// positions plus one (zero = empty slot), at most half full, addressed
+	// by multiplicative hash with linear probing.
+	index []uint32
+	shift uint // 64 − log2(len(index))
+	ops   int  // operations admitted (≥ len(entries) once combining bites)
+
+	// verdict holds a degraded batch's per-request errors (nil = committed),
+	// marked once per flush and shared by Audit and Complete; empty until
+	// then.
+	verdict []error
 }
 
-// NewPending returns an empty batch sized for about capacity distinct
-// variables.
+// NewPending returns an empty batch. capacity is the most distinct variables
+// the caller lets a batch reach; the tables start at no more than 64 of them
+// and grow to the largest batch actually seen, so a dispatcher whose limit is
+// the module count but whose batches hold a hundred variables keeps a
+// cache-sized index.
 func NewPending(capacity int) *Pending {
-	return &Pending{entries: make(map[uint64]*entry, capacity)}
+	size := 8
+	for size < 2*min(capacity, 64) {
+		size <<= 1
+	}
+	p := &Pending{}
+	p.setIndex(size)
+	return p
+}
+
+func (p *Pending) setIndex(size int) {
+	p.index = make([]uint32, size)
+	p.shift = uint(64 - bits.TrailingZeros(uint(size)))
 }
 
 // Distinct is the number of distinct variables in the batch — the size of
 // the protocol batch a flush would issue.
-func (p *Pending) Distinct() int { return len(p.order) }
+func (p *Pending) Distinct() int { return len(p.entries) }
 
 // Ops is the number of client operations admitted into the batch.
 func (p *Pending) Ops() int { return p.ops }
+
+// find probes the index for v. It returns v's entry position, or -1 when v
+// is not in the batch; slot is then the empty slot v would take.
+func (p *Pending) find(v uint64) (at int, slot uint32) {
+	mask := uint32(len(p.index) - 1)
+	slot = uint32(v * 0x9E3779B97F4A7C15 >> p.shift)
+	for {
+		i := p.index[slot]
+		if i == 0 {
+			return -1, slot
+		}
+		if p.entries[i-1].v == v {
+			return int(i - 1), slot
+		}
+		slot = (slot + 1) & mask
+	}
+}
 
 // WriteConflicts reports whether admitting a write to v would break the
 // batch's EREW shape: v already carries an issued read, so the write would
 // either reorder that read after itself or duplicate the variable. The
 // caller must flush the batch before admitting such a write.
 func (p *Pending) WriteConflicts(v uint64) bool {
-	e := p.entries[v]
-	return e != nil && !e.write
+	at, _ := p.find(v)
+	return at >= 0 && !p.entries[at].write
 }
 
-// newEntry installs a fresh (or recycled) entry for v.
-func (p *Pending) newEntry(v uint64) *entry {
-	var e *entry
-	if n := len(p.free); n > 0 {
-		e = p.free[n-1]
-		p.free = p.free[:n-1]
+// newEntry appends an entry for v, reusing the backing arrays a previous
+// batch left at that position, and names it in the index at slot.
+func (p *Pending) newEntry(v uint64, slot uint32) *entry {
+	n := len(p.entries)
+	if n < cap(p.entries) {
+		p.entries = p.entries[:n+1]
 	} else {
-		e = &entry{}
+		p.entries = append(p.entries, entry{})
 	}
-	p.entries[v] = e
-	p.order = append(p.order, v)
+	e := &p.entries[n]
+	e.v, e.slot = v, slot
+	p.index[slot] = uint32(n + 1)
+	if 2*(n+1) > len(p.index) {
+		p.rehash()
+	}
 	return e
+}
+
+// rehash doubles the index and re-inserts every entry.
+func (p *Pending) rehash() {
+	p.setIndex(2 * len(p.index))
+	for i := range p.entries {
+		e := &p.entries[i]
+		_, e.slot = p.find(e.v)
+		p.index[e.slot] = uint32(i + 1)
+	}
 }
 
 // Read admits one read with commit sequence seq, combining it with an
 // already-issued read or forwarding a pending write's value.
 func (p *Pending) Read(seq, v uint64, fut *Future) {
 	fut.seq = seq
-	e := p.entries[v]
-	switch {
-	case e == nil:
-		e = p.newEntry(v)
-		e.readFuts = append(e.readFuts, fut)
-	case e.write: // read after pending write: forward its value
+	at, slot := p.find(v)
+	var e *entry
+	if at < 0 {
+		e = p.newEntry(v, slot)
+	} else {
+		e = &p.entries[at]
+	}
+	if e.write { // read after pending write: forward its value
 		e.fwd = append(e.fwd, fut)
 		e.fwdVals = append(e.fwdVals, e.val)
-	default: // read joining an issued read
+	} else { // the variable's first read, or one joining an issued read
 		e.readFuts = append(e.readFuts, fut)
 	}
 	p.ops++
@@ -100,11 +163,12 @@ func (p *Pending) Read(seq, v uint64, fut *Future) {
 // is a dispatcher bug, not a client error.
 func (p *Pending) Write(seq, v, val uint64, fut *Future) {
 	fut.seq = seq
-	e := p.entries[v]
-	if e == nil {
-		e = p.newEntry(v)
+	at, slot := p.find(v)
+	var e *entry
+	if at < 0 {
+		e = p.newEntry(v, slot)
 		e.write = true
-	} else if !e.write {
+	} else if e = &p.entries[at]; !e.write {
 		panic("frontend: write admitted over an issued read; flush the batch first")
 	}
 	e.val = val
@@ -116,19 +180,42 @@ func (p *Pending) Write(seq, v, val uint64, fut *Future) {
 // reusing buf's backing array when it is large enough (the zero-alloc flush
 // path hands the same buffer back every flush).
 func (p *Pending) Requests(buf []protocol.Request) []protocol.Request {
-	if cap(buf) < len(p.order) {
-		buf = make([]protocol.Request, 0, len(p.order))
+	if cap(buf) < len(p.entries) {
+		buf = make([]protocol.Request, 0, len(p.entries))
 	}
 	buf = buf[:0]
-	for _, v := range p.order {
-		e := p.entries[v]
+	for i := range p.entries {
+		e := &p.entries[i]
 		if e.write {
-			buf = append(buf, protocol.Request{Var: v, Op: protocol.Write, Value: e.val})
+			buf = append(buf, protocol.Request{Var: e.v, Op: protocol.Write, Value: e.val})
 		} else {
-			buf = append(buf, protocol.Request{Var: v, Op: protocol.Read})
+			buf = append(buf, protocol.Request{Var: e.v, Op: protocol.Read})
 		}
 	}
 	return buf
+}
+
+// verdicts returns a degraded batch's per-request errors — nil for the
+// requests that committed, protocol.ErrQuorumUnreachable for the stranded
+// ones (live copies below quorum), protocol.ErrIncomplete for those that
+// merely exhausted the iteration budget — or nil when the batch is not
+// degraded (it committed whole, or failed whole with err). The first call of
+// a flush marks the reused slice; Audit and Complete share it until Reset.
+func (p *Pending) verdicts(res *protocol.Result, err error) []error {
+	if err == nil || res == nil || !errors.Is(err, protocol.ErrIncomplete) {
+		return nil
+	}
+	if len(p.verdict) == 0 {
+		p.verdict = slices.Grow(p.verdict[:0], len(p.entries))[:len(p.entries)]
+		clear(p.verdict)
+		for _, r := range res.Metrics.Unfinished {
+			p.verdict[r] = protocol.ErrIncomplete
+		}
+		for _, r := range res.Metrics.Stranded {
+			p.verdict[r] = protocol.ErrQuorumUnreachable
+		}
+	}
+	return p.verdict
 }
 
 // Complete fans the backend's result (or error) out to every combined
@@ -137,26 +224,14 @@ func (p *Pending) Requests(buf []protocol.Request) []protocol.Request {
 // An ErrIncomplete err with a non-nil res fails only the requests that
 // missed their quorum and completes the rest normally — degraded-mode
 // serving: a batch with some unreachable variables still commits its
-// healthy futures. Stranded requests (live copies below quorum) get
-// protocol.ErrQuorumUnreachable; requests that merely exhausted the
-// iteration budget get the batch's ErrIncomplete-class error.
+// healthy futures (see verdicts for the per-request errors).
 func (p *Pending) Complete(res *protocol.Result, err error) {
-	incomplete := err != nil && errors.Is(err, protocol.ErrIncomplete) && res != nil
-	var unfinished map[int]error // nil on the happy path; lookups on nil are fine
-	if incomplete {
-		unfinished = make(map[int]error, len(res.Metrics.Unfinished))
-		for _, r := range res.Metrics.Unfinished {
-			unfinished[r] = protocol.ErrIncomplete
-		}
-		for _, r := range res.Metrics.Stranded {
-			unfinished[r] = protocol.ErrQuorumUnreachable
-		}
-	}
-	for i, v := range p.order {
-		e := p.entries[v]
+	verdict := p.verdicts(res, err)
+	for i := range p.entries {
+		e := &p.entries[i]
 		reqErr := err
-		if incomplete {
-			reqErr = unfinished[i]
+		if verdict != nil {
+			reqErr = verdict[i]
 		}
 		switch {
 		case reqErr != nil:
@@ -209,43 +284,42 @@ type Auditor interface {
 // Complete's per-request error attribution: entries whose request failed
 // report AuditFailed, committed writes report their final coalesced value,
 // committed reads their returned value. Like Complete it must run before
-// Reset; dispatchers call it just before Complete so the audit stream is
-// exactly the commit-order entry stream. Allocation-free on the healthy
-// path (err == nil).
+// Reset, with the same res and err; dispatchers call it just before Complete
+// so the audit stream is exactly the commit-order entry stream.
+// Allocation-free once the verdict slice has reached the batch size.
 func (p *Pending) Audit(a Auditor, res *protocol.Result, err error) {
-	incomplete := err != nil && errors.Is(err, protocol.ErrIncomplete) && res != nil
-	var unfinished map[int]error
-	if incomplete {
-		unfinished = make(map[int]error, len(res.Metrics.Unfinished))
-		for _, r := range res.Metrics.Unfinished {
-			unfinished[r] = protocol.ErrIncomplete
-		}
-		for _, r := range res.Metrics.Stranded {
-			unfinished[r] = protocol.ErrQuorumUnreachable
-		}
-	}
-	for i, v := range p.order {
-		e := p.entries[v]
+	verdict := p.verdicts(res, err)
+	for i := range p.entries {
+		e := &p.entries[i]
 		reqErr := err
-		if incomplete {
-			reqErr = unfinished[i]
+		if verdict != nil {
+			reqErr = verdict[i]
 		}
 		switch {
 		case reqErr != nil:
-			a.AuditFailed(v, e.val, e.write)
+			a.AuditFailed(e.v, e.val, e.write)
 		case e.write:
-			a.AuditWrite(v, e.val)
+			a.AuditWrite(e.v, e.val)
 		default:
-			a.AuditRead(v, res.Values[i])
+			a.AuditRead(e.v, res.Values[i])
 		}
 	}
 }
 
-// Reset clears the batch for reuse, recycling its entries. Future
-// references are dropped so completed futures stay collectable.
+// indexSweepRatio is how many index slots per entry make Reset empty the
+// index entry by entry instead of with one clear: a clear moves 4 bytes per
+// slot at memset speed, an entry's slot is one scattered store.
+const indexSweepRatio = 8
+
+// Reset clears the batch for reuse. Future references are dropped so
+// completed futures stay collectable; the entries keep their backing arrays
+// for the next batch. A batch small against the index empties it slot by
+// slot, so a small batch after a large one does not pay for the large one's
+// table.
 func (p *Pending) Reset() {
-	for _, v := range p.order {
-		e := p.entries[v]
+	sweep := indexSweepRatio*len(p.entries) < len(p.index)
+	for i := range p.entries {
+		e := &p.entries[i]
 		clear(e.readFuts)
 		clear(e.writeFuts)
 		clear(e.fwd)
@@ -253,12 +327,17 @@ func (p *Pending) Reset() {
 		e.writeFuts = e.writeFuts[:0]
 		e.fwd = e.fwd[:0]
 		e.fwdVals = e.fwdVals[:0]
-		e.write = false
-		p.free = append(p.free, e)
-		delete(p.entries, v)
+		e.write, e.val = false, 0
+		if sweep {
+			p.index[e.slot] = 0
+		}
 	}
-	p.order = p.order[:0]
+	if !sweep {
+		clear(p.index)
+	}
+	p.entries = p.entries[:0]
 	p.ops = 0
+	p.verdict = p.verdict[:0]
 }
 
 // NewFuture returns an unresolved future for an external dispatcher to
@@ -299,8 +378,8 @@ func (s *Stats) Account(p *Pending, requestsOut int, res *protocol.Result, err e
 	s.Batches++
 	s.OpsIn += int64(p.ops)
 	s.RequestsOut += int64(requestsOut)
-	for _, v := range p.order {
-		e := p.entries[v]
+	for i := range p.entries {
+		e := &p.entries[i]
 		s.ForwardedReads += int64(len(e.fwd))
 		if !e.write && len(e.readFuts) > 1 {
 			s.CombinedReads += int64(len(e.readFuts) - 1)

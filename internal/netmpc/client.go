@@ -206,6 +206,7 @@ func (c *Client) Round(reqs []int64, grant []bool) int {
 				served++
 			}
 		}
+		s.recycle(reply)
 	}
 
 	if c.rec.Enabled() {
@@ -237,10 +238,12 @@ func (c *Client) await(s *srv, want uint64, deadline time.Time) (*RoundReply, bo
 			if r.Seq == want {
 				return r, true
 			}
-			if r.Seq > want {
+			ahead := r.Seq > want
+			s.recycle(r)
+			if ahead {
 				return nil, false // stream is ahead of us; our reply is lost
 			}
-			// Stale reply from an abandoned round: discard and keep waiting.
+			// Stale reply from an abandoned round: discarded, keep waiting.
 		case <-c.timer.C:
 			return nil, false
 		}

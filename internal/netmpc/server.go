@@ -1,6 +1,7 @@
 package netmpc
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -35,18 +36,13 @@ type ServerConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// cell is one remote memory cell: the stored value and the batch timestamp
-// of the write that produced it, mirroring the protocol layer's local store.
-type cell struct {
-	val, ts uint64
-}
-
-// store is one StoreID's namespace: a sparse cell map guarded by a mutex.
-// A client holds one connection per server, so contention is reconnects and
-// deliberately shared StoreIDs only.
-type store struct {
-	mu    sync.Mutex
-	cells map[uint64]cell
+// arbiter is one connection's arbitration scratch: win is indexed by module
+// offset within the server's range and holds the winning bid's index plus
+// one (zero = no bid yet this round); touched lists the offsets bid for, in
+// first-bid order, which is the order the grants leave in.
+type arbiter struct {
+	win     []int32
+	touched []uint32
 }
 
 // Server serves a contiguous module range to netmpc clients: it validates
@@ -196,7 +192,7 @@ func (s *Server) storeFor(id uint32) *store {
 	defer s.mu.Unlock()
 	st := s.stores[id]
 	if st == nil {
-		st = &store{cells: make(map[uint64]cell)}
+		st = newStore(s.cfg.AddrSpace)
 		s.stores[id] = st
 	}
 	return st
@@ -232,9 +228,12 @@ func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
 
+	// One buffered reader for the connection's whole life, so a frame's
+	// length prefix and body arrive in one read.
+	br := bufio.NewReaderSize(conn, readBufSize)
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	var hello Handshake
-	scratch, err := readMsg(conn, nil, &hello)
+	scratch, err := readMsg(br, nil, &hello)
 	if err != nil {
 		s.logf("netmpc: %s: handshake read: %v", conn.RemoteAddr(), err)
 		return
@@ -265,12 +264,12 @@ func (s *Server) handle(conn net.Conn) {
 	}
 
 	var (
-		frame   RoundFrame
-		reply   RoundReply
-		winners = make(map[uint64]int) // module -> index of min-claim bid
+		frame RoundFrame
+		reply RoundReply
+		arb   = s.newArbiter()
 	)
 	for !s.draining.Load() {
-		if scratch, err = readMsg(conn, scratch, &frame); err != nil {
+		if scratch, err = readMsg(br, scratch, &frame); err != nil {
 			if !isClosedOrEOF(err) && !s.draining.Load() {
 				s.logf("netmpc: %s: round frame: %v", conn.RemoteAddr(), err)
 			}
@@ -278,7 +277,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		reply.Seq = frame.Seq
 		reply.Grants = reply.Grants[:0]
-		if err := s.serveRound(st, &frame, &reply, winners); err != nil {
+		if err := s.serveRound(st, &frame, &reply, arb); err != nil {
 			s.logf("netmpc: %s: %v", conn.RemoteAddr(), err)
 			return
 		}
@@ -290,11 +289,26 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
+// newArbiter sizes a connection's scratch for the server's module range (an
+// empty range rejects every bid before win is indexed).
+func (s *Server) newArbiter() *arbiter {
+	arb := &arbiter{}
+	if s.cfg.RangeHi > s.cfg.RangeLo {
+		arb.win = make([]int32, s.cfg.RangeHi-s.cfg.RangeLo)
+	}
+	return arb
+}
+
 // serveRound arbitrates one frame (minimum packed claim per module, exactly
 // the in-process engines' rule) and applies each winner's staged operation
 // to the store, collecting the grant set into reply.
-func (s *Server) serveRound(st *store, frame *RoundFrame, reply *RoundReply, winners map[uint64]int) error {
-	clear(winners)
+func (s *Server) serveRound(st *store, frame *RoundFrame, reply *RoundReply, arb *arbiter) error {
+	// Undo the previous round's marks here, not after serving it, so a frame
+	// rejected halfway leaves nothing behind either.
+	for _, m := range arb.touched {
+		arb.win[m] = 0
+	}
+	arb.touched = arb.touched[:0]
 	for i := range frame.Bids {
 		b := &frame.Bids[i]
 		if b.Module < s.cfg.RangeLo || b.Module >= s.cfg.RangeHi {
@@ -306,25 +320,29 @@ func (s *Server) serveRound(st *store, frame *RoundFrame, reply *RoundReply, win
 		if b.Claim == 0 {
 			return fmt.Errorf("%w: zero claim", ErrCorruptFrame)
 		}
-		if w, ok := winners[b.Module]; !ok || b.Claim < frame.Bids[w].Claim {
-			winners[b.Module] = i
+		m := uint32(b.Module - s.cfg.RangeLo)
+		if w := arb.win[m]; w == 0 {
+			arb.win[m] = int32(i + 1)
+			arb.touched = append(arb.touched, m)
+		} else if b.Claim < frame.Bids[w-1].Claim {
+			arb.win[m] = int32(i + 1)
 		}
 	}
 	st.mu.Lock()
-	for _, i := range winners {
-		b := &frame.Bids[i]
+	for _, m := range arb.touched {
+		b := &frame.Bids[arb.win[m]-1]
 		g := Grant{Proc: b.Proc}
 		switch b.Op {
 		case 0: // protocol.Read
-			c := st.cells[b.Addr]
+			c := st.get(b.Addr)
 			g.Value, g.TS = c.val, c.ts
 		case 2: // repair-write: install only if strictly newer, so a rebuild
 			// never clobbers a concurrent normal write that already landed.
-			if c := st.cells[b.Addr]; b.TS > c.ts {
-				st.cells[b.Addr] = cell{val: b.Value, ts: b.TS}
+			if b.TS > st.get(b.Addr).ts {
+				st.put(b.Addr, cell{val: b.Value, ts: b.TS})
 			}
 		default: // protocol.Write
-			st.cells[b.Addr] = cell{val: b.Value, ts: b.TS}
+			st.put(b.Addr, cell{val: b.Value, ts: b.TS})
 		}
 		reply.Grants = append(reply.Grants, g)
 	}

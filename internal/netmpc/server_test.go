@@ -1,0 +1,260 @@
+package netmpc
+
+import (
+	"errors"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"detshmem/internal/core"
+	"detshmem/internal/mpc"
+)
+
+// roundServer builds a server over modules [lo, hi) of a space of hi
+// modules × 64 cells, with the per-connection scratch serveRound takes.
+func roundServer(lo, hi uint64) (*Server, *arbiter) {
+	sv := NewServer(ServerConfig{Modules: hi, AddrSpace: hi * 64, RangeLo: lo, RangeHi: hi})
+	return sv, sv.newArbiter()
+}
+
+// TestServeRoundMatchesReference: on random frames the dense arbitration
+// grants exactly what a min-claim-per-module map would, one grant per bid-for
+// module, in the order the modules were first bid for.
+func TestServeRoundMatchesReference(t *testing.T) {
+	const lo, hi = 100, 164
+	sv, arb := roundServer(lo, hi)
+	st := sv.storeFor(1)
+	rng := rand.New(rand.NewSource(7))
+	var reply RoundReply
+	for round := 0; round < 500; round++ {
+		frame := RoundFrame{Bids: make([]Bid, rng.Intn(200))}
+		best := map[uint64]int{} // module -> index of its min-claim bid (first wins ties)
+		var order []uint64       // modules in first-bid order
+		for i := range frame.Bids {
+			b := Bid{
+				Proc:   uint32(i),
+				Module: lo + uint64(rng.Intn(hi-lo)),
+				Claim:  1 + uint64(rng.Intn(50)),
+				Addr:   uint64(rng.Intn(hi * 64)),
+				Op:     uint8(rng.Intn(3)),
+				Value:  rng.Uint64(),
+				TS:     uint64(round + 1),
+			}
+			frame.Bids[i] = b
+			if w, ok := best[b.Module]; !ok {
+				best[b.Module] = i
+				order = append(order, b.Module)
+			} else if b.Claim < frame.Bids[w].Claim {
+				best[b.Module] = i
+			}
+		}
+		reply.Grants = reply.Grants[:0]
+		if err := sv.serveRound(st, &frame, &reply, arb); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if len(reply.Grants) != len(order) {
+			t.Fatalf("round %d: %d grants for %d bid-for modules", round, len(reply.Grants), len(order))
+		}
+		for k, m := range order {
+			if want := frame.Bids[best[m]].Proc; reply.Grants[k].Proc != want {
+				t.Fatalf("round %d: grant %d (module %d) went to proc %d, want %d", round, k, m, reply.Grants[k].Proc, want)
+			}
+		}
+	}
+}
+
+// TestServeRoundRejectedFrameLeavesNoMarks: a frame rejected halfway (its
+// early bids already arbitrated) must not leak winners into the next round.
+func TestServeRoundRejectedFrameLeavesNoMarks(t *testing.T) {
+	sv, arb := roundServer(0, 8)
+	st := sv.storeFor(1)
+	var reply RoundReply
+	bad := RoundFrame{Bids: []Bid{
+		{Proc: 1, Module: 3, Claim: 5, Addr: 1, Op: 1, Value: 9, TS: 1},
+		{Proc: 2, Module: 9, Claim: 5}, // outside [0, 8)
+	}}
+	if err := sv.serveRound(st, &bad, &reply, arb); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("out-of-range bid: err = %v, want ErrCorruptFrame", err)
+	}
+	if c := st.get(1); c != (cell{}) {
+		t.Fatalf("rejected frame wrote %+v", c)
+	}
+	good := RoundFrame{Bids: []Bid{{Proc: 7, Module: 4, Claim: 1, Addr: 2}}}
+	reply.Grants = reply.Grants[:0]
+	if err := sv.serveRound(st, &good, &reply, arb); err != nil {
+		t.Fatal(err)
+	}
+	if len(reply.Grants) != 1 || reply.Grants[0].Proc != 7 {
+		t.Fatalf("grants after a rejected frame: %+v, want one grant to proc 7", reply.Grants)
+	}
+	for _, f := range []RoundFrame{
+		{Bids: []Bid{{Module: 1, Claim: 1, Addr: 8 * 64}}}, // address outside the space
+		{Bids: []Bid{{Module: 1, Claim: 0}}},               // zero claim
+	} {
+		if err := sv.serveRound(st, &f, &reply, arb); !errors.Is(err, ErrCorruptFrame) {
+			t.Fatalf("frame %+v: err = %v, want ErrCorruptFrame", f.Bids[0], err)
+		}
+	}
+}
+
+// TestPagedStoreCells: cells on either side of a page boundary are distinct,
+// a cell of a page nobody wrote reads as (0, 0) without allocating the page,
+// and the last address of a space that ends mid-page is addressable.
+func TestPagedStoreCells(t *testing.T) {
+	const space = 3*pageCells + 17
+	st := newStore(space)
+	if len(st.pages) != 4 {
+		t.Fatalf("%d pages for %d cells, want 4", len(st.pages), space)
+	}
+	for _, a := range []uint64{0, pageCells - 1, pageCells, pageCells + 1, space - 1} {
+		if c := st.get(a); c != (cell{}) {
+			t.Fatalf("unwritten cell %d reads %+v", a, c)
+		}
+	}
+	for i, pg := range st.pages {
+		if pg != nil {
+			t.Fatalf("reading allocated page %d", i)
+		}
+	}
+	st.put(pageCells-1, cell{val: 1, ts: 1})
+	st.put(pageCells, cell{val: 2, ts: 2})
+	st.put(space-1, cell{val: 3, ts: 3})
+	for a, want := range map[uint64]cell{
+		pageCells - 2: {}, pageCells - 1: {1, 1}, pageCells: {2, 2}, pageCells + 1: {}, space - 1: {3, 3}, space - 2: {},
+	} {
+		if c := st.get(a); c != want {
+			t.Fatalf("cell %d reads %+v, want %+v", a, c, want)
+		}
+	}
+	if st.pages[2] != nil {
+		t.Fatal("page 2 was never written but is allocated")
+	}
+}
+
+// TestRepairWriteOnFreshPage: the put-if-newer rule holds when the target
+// page does not exist yet — the first repair-write installs, an older one
+// does not roll it back, and a stale one at timestamp zero allocates nothing.
+func TestRepairWriteOnFreshPage(t *testing.T) {
+	sv, arb := roundServer(0, 4*pageCells/64)
+	st := sv.storeFor(1)
+	var reply RoundReply
+	serve := func(b Bid) {
+		t.Helper()
+		b.Claim = 1
+		reply.Grants = reply.Grants[:0]
+		if err := sv.serveRound(st, &RoundFrame{Bids: []Bid{b}}, &reply, arb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addr := uint64(2*pageCells + 5)
+	serve(Bid{Addr: addr, Op: 2, Value: 7, TS: 0})
+	if st.pages[2] != nil {
+		t.Fatal("a repair-write at timestamp 0 allocated its page")
+	}
+	serve(Bid{Addr: addr, Op: 2, Value: 41, TS: 9})
+	serve(Bid{Addr: addr, Op: 2, Value: 13, TS: 4})
+	serve(Bid{Addr: addr, Op: 0})
+	if g := reply.Grants[0]; g.Value != 41 || g.TS != 9 {
+		t.Fatalf("read back (%d, %d), want (41, 9)", g.Value, g.TS)
+	}
+}
+
+// TestStoreIDsAreIsolated: two StoreIDs on one server are disjoint memories.
+func TestStoreIDsAreIsolated(t *testing.T) {
+	sv, arb := roundServer(0, 8)
+	a, b := sv.storeFor(1), sv.storeFor(2)
+	if a == b || sv.storeFor(1) != a {
+		t.Fatal("storeFor does not give each StoreID one store")
+	}
+	var reply RoundReply
+	w := RoundFrame{Bids: []Bid{{Module: 1, Claim: 1, Addr: 70, Op: 1, Value: 5, TS: 3}}}
+	if err := sv.serveRound(a, &w, &reply, arb); err != nil {
+		t.Fatal(err)
+	}
+	if c := a.get(70); c != (cell{5, 3}) {
+		t.Fatalf("store 1 holds %+v", c)
+	}
+	if c := b.get(70); c != (cell{}) {
+		t.Fatalf("store 2 sees store 1's write: %+v", c)
+	}
+}
+
+// TestRoundAllocFree: a steady-state Client.Round against a loopback server
+// allocates nothing — not in the client (frames, the gather timer), not in
+// its reader (replies are recycled), not in the server's frame loop, which
+// runs in this process and so counts too.
+func TestRoundAllocFree(t *testing.T) {
+	s := testScheme(t)
+	_, addrs := startCluster(t, s, 2)
+	tr, err := Dial(testDialConfig(s, addrs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	const procs = 48
+	m, err := tr.NewMachine(mpc.Config{Procs: procs, Modules: int(s.NumModules)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := m.(*Client)
+	reqs := make([]int64, procs)
+	grant := make([]bool, procs)
+	round := func() {
+		for p := range reqs {
+			// Two bidders per module, spread over both servers.
+			reqs[p] = int64(p/2) * int64(s.NumModules) / (procs / 2)
+			c.StageBid(int32(p), uint64(reqs[p])*uint64(s.ModuleSize), 1, uint64(p), c.Cost()+1)
+		}
+		if served := c.Round(reqs, grant); served != procs/2 {
+			t.Fatalf("served %d of %d modules", served, procs/2)
+		}
+	}
+	for i := 0; i < 20; i++ { // warm-up: buffers, store pages, reply free lists
+		round()
+	}
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Fatalf("steady-state TCP round allocates %.2f times", avg)
+	}
+}
+
+// BenchmarkServeRound is the server's share of one round: a 64-bid frame
+// (two bidders per module) arbitrated and applied against a warmed store.
+func BenchmarkServeRound(b *testing.B) {
+	s, err := core.New(1, 7) // the suite's tcp-loopback geometry
+	if err != nil {
+		b.Fatal(err)
+	}
+	sv := NewServer(serverConfigFor(s, 0, 2))
+	arb := sv.newArbiter()
+	st := sv.storeFor(1)
+	rng := rand.New(rand.NewSource(1))
+	frames := make([]RoundFrame, 256)
+	for f := range frames {
+		bids := make([]Bid, 64)
+		for i := range bids {
+			m := sv.cfg.RangeLo + uint64(rng.Intn(int(sv.cfg.RangeHi-sv.cfg.RangeLo)))
+			if i%2 == 1 {
+				m = bids[i-1].Module
+			}
+			bids[i] = Bid{Proc: uint32(i), Module: m, Claim: 1 + rng.Uint64()>>1, Addr: m*uint64(s.ModuleSize) + uint64(rng.Intn(int(s.ModuleSize))), Op: uint8(i / 2 % 2), Value: uint64(i), TS: uint64(f + 1)}
+		}
+		frames[f].Bids = bids
+	}
+	var reply RoundReply
+	for f := range frames { // warm the store's pages
+		if err := sv.serveRound(st, &frames[f], &reply, arb); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reply.Grants = reply.Grants[:0]
+		if err := sv.serveRound(st, &frames[i%len(frames)], &reply, arb); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if !slices.ContainsFunc(reply.Grants, func(g Grant) bool { return g.Proc < 64 }) {
+		b.Fatal("no grants")
+	}
+}

@@ -1,6 +1,7 @@
 package netmpc
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -84,6 +85,12 @@ func ServerFor(m, modules int64, nServers int) int {
 	}
 }
 
+// replyQueue bounds the replies a reader may run ahead of Round by. Rounds
+// are lock-step, so one slot is in use; the rest absorb the replies of rounds
+// abandoned at their timeout. The free list holds two more: the reply Round
+// is consuming and the one readLoop is filling.
+const replyQueue = 8
+
 // srv is the per-server connection state.
 type srv struct {
 	idx    int
@@ -103,6 +110,7 @@ type srv struct {
 	wbuf     []byte
 	seq      uint64           // last sequence number sent (rounds are serialized)
 	replies  chan *RoundReply // filled by the reader goroutine
+	free     chan *RoundReply // consumed and discarded replies, for readLoop to refill
 	lastErr  atomic.Value     // errBox; last failure, for Stats
 	frames   obs.Counter      // round frames sent
 	bids     obs.Counter      // bids sent
@@ -157,7 +165,7 @@ func Dial(cfg Config) (*Transport, error) {
 	t := &Transport{cfg: cfg, fs: mpc.NewFaultSet()}
 	for i, addr := range cfg.Servers {
 		lo, hi := Range(i, len(cfg.Servers), cfg.Modules)
-		s := &srv{idx: i, addr: addr, lo: lo, hi: hi, t: t, replies: make(chan *RoundReply, 8)}
+		s := &srv{idx: i, addr: addr, lo: lo, hi: hi, t: t, replies: make(chan *RoundReply, replyQueue), free: make(chan *RoundReply, replyQueue+2)}
 		conn, gen, err := t.dialServer(s)
 		if err != nil {
 			t.Close()
@@ -281,11 +289,17 @@ func ackError(ack *HandshakeAck) error {
 // the connection dies, then triggers degradation.
 func (s *srv) readLoop(conn net.Conn) {
 	defer s.t.wg.Done()
+	br := bufio.NewReaderSize(conn, readBufSize)
 	var scratch []byte
 	for {
-		reply := new(RoundReply)
+		var reply *RoundReply
+		select {
+		case reply = <-s.free:
+		default:
+			reply = new(RoundReply)
+		}
 		var err error
-		if scratch, err = readMsg(conn, scratch, reply); err != nil {
+		if scratch, err = readMsg(br, scratch, reply); err != nil {
 			s.markDown(conn, err)
 			return
 		}
@@ -295,11 +309,22 @@ func (s *srv) readLoop(conn net.Conn) {
 			// The consumer abandoned this stream (timeout path drained and
 			// gave up); drop the oldest to keep the newest visible.
 			select {
-			case <-s.replies:
+			case old := <-s.replies:
+				s.recycle(old)
 			default:
 			}
 			s.replies <- reply
 		}
+	}
+}
+
+// recycle hands a reply nobody will read again back to readLoop, which
+// decodes the next frame into it (Grants keeps its backing array). With the
+// free list full the reply is left to the collector.
+func (s *srv) recycle(r *RoundReply) {
+	select {
+	case s.free <- r:
+	default:
 	}
 }
 
@@ -368,7 +393,8 @@ func (s *srv) reconnectLoop() {
 		// doesn't mistake a stale sequence number for its own.
 		for {
 			select {
-			case <-s.replies:
+			case old := <-s.replies:
+				s.recycle(old)
 				continue
 			default:
 			}

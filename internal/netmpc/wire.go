@@ -52,6 +52,11 @@ const maxFrameSize = 1 << 24
 // headerSize is the frame envelope: a uint32 body length plus the type tag.
 const headerSize = 5
 
+// readBufSize is the buffered reader each side puts in front of a
+// connection, so that a frame's length prefix and body cost one read; frames
+// beyond it (a full PRAM step's bids) are read straight into the scratch.
+const readBufSize = 16 << 10
+
 // Wire-level typed errors. Every decode or handshake failure surfaces as
 // (or wraps) one of these, so callers branch with errors.Is.
 var (
@@ -357,11 +362,15 @@ func writeMsg(w io.Writer, scratch []byte, m message) ([]byte, error) {
 // caller's scratch buffer, returning the type tag and the payload slice
 // (valid until the next readFrame on the same buffer).
 func readFrame(r io.Reader, scratch []byte) (byte, []byte, []byte, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+	// The length prefix goes through scratch too: a local array would escape
+	// through the io.Reader and cost an allocation per frame.
+	if cap(scratch) < 4 {
+		scratch = make([]byte, 64)
+	}
+	if _, err := io.ReadFull(r, scratch[:4]); err != nil {
 		return 0, nil, scratch, err
 	}
-	size := int(binary.BigEndian.Uint32(hdr[:4]))
+	size := int(binary.BigEndian.Uint32(scratch[:4]))
 	if size < 1 {
 		return 0, nil, scratch, fmt.Errorf("%w: zero-length frame", ErrCorruptFrame)
 	}

@@ -202,7 +202,7 @@ func TestRepairStepSteadyStateAllocs(t *testing.T) {
 			wipeAndReadmit := func() {
 				fs.FailRange(lo, hi)
 				for a := lo * uint64(s.ModuleSize); a < hi*uint64(s.ModuleSize); a++ {
-					sys.store.put(a, cell{})
+					sys.cells().put(a, cell{})
 				}
 				fs.RecoverPendingRange(lo, hi)
 			}

@@ -290,7 +290,10 @@ type System struct {
 	Scheme *core.Scheme
 	Index  core.Indexer
 
-	cfg   Config
+	cfg Config
+	// store holds the copies' cells when the machine keeps them in process.
+	// It is allocated by the first use that needs it (a local machine, or
+	// CopyState), so a system over a RemoteStore never holds one.
 	store store
 	ts    uint64 // batch timestamp, incremented per Access
 
@@ -330,7 +333,7 @@ type System struct {
 
 	// Per-batch scratch, reused across Access calls so the iteration loop
 	// is allocation-free once the buffers reach their high-water sizes.
-	seen      map[uint64]struct{}
+	seen      varSet // the batch's variables, for the duplicate check
 	copies    []assignment
 	remaining []int32
 	bestTS    []uint64
@@ -448,11 +451,9 @@ func NewGenericSystem(m Mapper, cfg Config) (*System, error) {
 	sys := &System{
 		Mapper:   m,
 		cfg:      cfg,
-		store:    newStore(m.AddrSpace()),
 		resolver: resolver,
 		bulkSrc:  bulkSrc,
 		hot:      hot,
-		seen:     make(map[uint64]struct{}),
 	}
 	sys.ro, _ = cfg.Observer.(obs.RepairObserver)
 	sys.observeResolver()
@@ -546,15 +547,15 @@ func (sys *System) AccessInto(reqs []Request, res *Result) error {
 	if uint64(len(reqs)) > m.NumModules() {
 		return errorf(ErrBatchTooLarge, "protocol: batch of %d exceeds N = %d", len(reqs), m.NumModules())
 	}
-	clear(sys.seen)
+	numVars := m.NumVars()
+	sys.seen.begin(len(reqs))
 	for _, r := range reqs {
-		if r.Var >= m.NumVars() {
-			return errorf(ErrVarOutOfRange, "protocol: variable %d out of range [0,%d)", r.Var, m.NumVars())
+		if r.Var >= numVars {
+			return errorf(ErrVarOutOfRange, "protocol: variable %d out of range [0,%d)", r.Var, numVars)
 		}
-		if _, dup := sys.seen[r.Var]; dup {
+		if sys.seen.add(r.Var) {
 			return errorf(ErrDuplicateVar, "protocol: variable %d requested twice in one batch", r.Var)
 		}
-		sys.seen[r.Var] = struct{}{}
 	}
 	sys.ts++
 
@@ -730,11 +731,14 @@ func (sys *System) AccessInto(reqs []Request, res *Result) error {
 					sys.queueRetry(t.a.req)
 				}
 			} else {
-				seenReq := make(map[int32]bool)
+				// stalled is otherwise the fault layer's; here it marks the
+				// requests already reported (one may have several bids left).
+				sys.stalled = grow(sys.stalled, len(reqs))
+				clear(sys.stalled)
 				for _, t := range tasks {
-					if remaining[t.a.req] > 0 && !seenReq[t.a.req] {
-						seenReq[t.a.req] = true
-						res.Metrics.Unfinished = append(res.Metrics.Unfinished, int(t.a.req))
+					if r := t.a.req; remaining[r] > 0 && !sys.stalled[r] {
+						sys.stalled[r] = true
+						res.Metrics.Unfinished = append(res.Metrics.Unfinished, int(r))
 					}
 				}
 			}
@@ -871,8 +875,19 @@ func (sys *System) obtainMachine(procs int) (Machine, int, error) {
 	sys.fv, _ = machine.(FaultView)
 	sys.rs, _ = machine.(RemoteStore)
 	sys.rv, _ = machine.(RepairView)
+	if sys.rs == nil {
+		sys.cells()
+	}
 	sys.resetRepair()
 	return machine, geo, nil
+}
+
+// cells returns the local cell store, allocating it on first use.
+func (sys *System) cells() store {
+	if sys.store == nil {
+		sys.store = newStore(sys.Mapper.AddrSpace())
+	}
+	return sys.store
 }
 
 // resolveCopies resolves every copy of every requested variable into the
@@ -1024,7 +1039,7 @@ func (sys *System) CopyState(v uint64) []uint64 {
 	out := make([]uint64, sys.Mapper.Copies())
 	for c := range out {
 		_, addr := sys.Mapper.CopyAddr(v, c)
-		out[c] = sys.store.get(addr).ts
+		out[c] = sys.cells().get(addr).ts
 	}
 	return out
 }

@@ -100,7 +100,7 @@ func TestRepairDifferentialResolvers(t *testing.T) {
 			certified: col.RepairCertified.Load(),
 		}
 		for a := uint64(0); a < m.AddrSpace(); a++ {
-			out.cells = append(out.cells, sys.store.get(a))
+			out.cells = append(out.cells, sys.cells().get(a))
 		}
 		return out
 	}

@@ -76,7 +76,7 @@ func victimModules(sys *System, v uint64) []uint64 {
 func wipeCopies(sys *System, v uint64, copies ...int) {
 	for _, c := range copies {
 		_, addr := sys.Mapper.CopyAddr(v, c)
-		sys.store.put(addr, cell{})
+		sys.cells().put(addr, cell{})
 	}
 }
 

@@ -1,8 +1,11 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"detshmem/internal/mpc"
 )
 
 // TestStoreSelection: newStore picks dense below the threshold, sparse above.
@@ -70,7 +73,7 @@ func TestProtocolSparseStoreEquivalence(t *testing.T) {
 		return sys
 	}
 	a, b := mk(false), mk(true)
-	if _, ok := b.store.(sparseStore); !ok {
+	if _, ok := b.cells().(sparseStore); !ok {
 		t.Fatal("sparse system did not get a sparse store")
 	}
 	vars := []uint64{0, 5, 10, 100, 1000}
@@ -128,5 +131,77 @@ func TestReadIdempotence(t *testing.T) {
 	}
 	if m1.TotalRounds != m2.TotalRounds {
 		t.Fatalf("metrics differ across identical reads: %d vs %d", m1.TotalRounds, m2.TotalRounds)
+	}
+}
+
+// remoteMachine keeps the cells on its own side of the Machine interface,
+// the way netmpc.Client does: granted bids apply their staged operation here
+// and granted reads carry the cell back.
+type remoteMachine struct {
+	Machine
+	staged  []remoteBid
+	granted []cell
+	cells   map[uint64]cell
+}
+
+type remoteBid struct {
+	addr uint64
+	op   Op
+	c    cell
+}
+
+func (r *remoteMachine) StageBid(proc int32, addr uint64, op Op, value, ts uint64) {
+	r.staged[proc] = remoteBid{addr: addr, op: op, c: cell{val: value, ts: ts}}
+}
+
+func (r *remoteMachine) GrantData(proc int32) (uint64, uint64) {
+	return r.granted[proc].val, r.granted[proc].ts
+}
+
+func (r *remoteMachine) Round(reqs []int64, grant []bool) int {
+	n := r.Machine.Round(reqs, grant)
+	for p, ok := range grant {
+		if !ok {
+			continue
+		}
+		if b := r.staged[p]; b.op == Write {
+			r.cells[b.addr] = b.c
+		} else {
+			r.granted[p] = r.cells[b.addr]
+		}
+	}
+	return n
+}
+
+// TestRemoteSystemHoldsNoLocalStore: a system whose machine is a RemoteStore
+// never allocates the local cell array; a local system allocates it with its
+// first machine, and CopyState allocates it on demand.
+func TestRemoteSystemHoldsNoLocalStore(t *testing.T) {
+	remote := newSystem(t, 1, 5, Config{NewMachine: func(cfg mpc.Config) (Machine, error) {
+		m, err := mpc.New(cfg)
+		return &remoteMachine{Machine: m, staged: make([]remoteBid, cfg.Procs), granted: make([]cell, cfg.Procs), cells: map[uint64]cell{}}, err
+	}})
+	local := newSystem(t, 1, 5, Config{})
+	if remote.store != nil || local.store != nil {
+		t.Fatal("a system allocated its cell store before any use")
+	}
+	vars, vals := []uint64{0, 5, 10, 100, 1000}, []uint64{9, 8, 7, 6, 5}
+	for _, sys := range []*System{remote, local} {
+		if _, err := sys.WriteBatch(vars, vals); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := sys.ReadBatch(vars)
+		if err != nil || !slices.Equal(got, vals) {
+			t.Fatalf("read back %v, %v; want %v", got, err, vals)
+		}
+	}
+	if remote.store != nil {
+		t.Fatal("a system over a RemoteStore allocated a local cell store")
+	}
+	if local.store == nil {
+		t.Fatal("a local system ran batches without a cell store")
+	}
+	if ts := remote.CopyState(5); len(ts) != remote.Mapper.Copies() || remote.store == nil {
+		t.Fatalf("CopyState on a fresh store: %v (store allocated: %v)", ts, remote.store != nil)
 	}
 }
