@@ -163,10 +163,9 @@ func BenchmarkE5Recurrence(b *testing.B) {
 	b.ReportMetric(float64(phi), "phi")
 }
 
-// hotPathVariants enumerates the PR's hot-path ablation: live CopyAddr
-// resolution on the sequential engine (the old default), the compiled
-// resolver on the sequential engine, and the compiled resolver on the
-// persistent-worker-pool engine.
+// hotPathVariants enumerates the resolver ablation: live CopyAddr resolution
+// and the compiled table. The labels are the ones the bench-regression gate
+// matches against its base run.
 func hotPathVariants(b *testing.B, m, n int) []struct {
 	name string
 	cfg  protocol.Config
@@ -183,13 +182,12 @@ func hotPathVariants(b *testing.B, m, n int) []struct {
 	}{
 		{"live+seq", protocol.Config{}},
 		{"compiled+seq", protocol.Config{Resolver: res}},
-		{"compiled+par", protocol.Config{Resolver: res, Parallel: true}},
 	}
 }
 
 // BenchmarkE6ProtocolScaling measures full-batch access per degree; the
 // reported phi column is the Theorem 6 quantity. Variants cover the
-// resolver/engine ablation (see E16).
+// resolver ablation (see E16).
 func BenchmarkE6ProtocolScaling(b *testing.B) {
 	for _, n := range []int{3, 5, 7} {
 		for _, variant := range hotPathVariants(b, 1, n) {
@@ -407,27 +405,6 @@ func BenchmarkAblationCopyChoice(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEngine compares the sequential and goroutine MPC engines
-// (identical Φ by construction; wall-clock differs).
-func BenchmarkAblationEngine(b *testing.B) {
-	for name, par := range map[string]bool{"sequential": false, "parallel": true} {
-		par := par
-		b.Run(name, func(b *testing.B) {
-			sys := mustSystem(b, 1, 7, protocol.Config{Parallel: par})
-			N := int(sys.Scheme.NumModules)
-			rng := rand.New(rand.NewSource(11))
-			vars := workload.DistinctRandom(rng, sys.Index.M(), N)
-			vals := make([]uint64, N)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sys.WriteBatch(vars, vals); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationClusterSize shows the effect of decoupling cluster size
 // from the copy count (larger clusters = fewer concurrent variables,
 // more phases).
@@ -573,7 +550,7 @@ func BenchmarkE14Audit(b *testing.B) {
 // BenchmarkE15Frontend measures combining-frontend throughput: 8 concurrent
 // clients submitting asynchronous hot-spot traffic over the PP93 system,
 // reporting the fraction of ops that never became protocol requests.
-// Variants cover the resolver/engine ablation (see E16).
+// Variants cover the resolver ablation (see E16).
 func BenchmarkE15Frontend(b *testing.B) {
 	workloads := []struct {
 		name string
@@ -676,7 +653,7 @@ func BenchmarkE18ShardedFrontend(b *testing.B) {
 				svc, err := shard.New(mapper, shard.Config{
 					Shards:   cfg.shards,
 					Pipeline: cfg.pipeline,
-					Protocol: protocol.Config{Resolver: res, Parallel: true},
+					Protocol: protocol.Config{Resolver: res},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -761,7 +738,7 @@ func BenchmarkE21MulticoreScaling(b *testing.B) {
 				svc, err := shard.New(mapper, shard.Config{
 					Shards:   cfg.shards,
 					Pipeline: true,
-					Protocol: protocol.Config{Resolver: res, Parallel: true},
+					Protocol: protocol.Config{Resolver: res},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -914,7 +891,7 @@ func BenchmarkE22NetTransport(b *testing.B) {
 		cfg := shard.Config{
 			Shards:   1,
 			Pipeline: true,
-			Protocol: protocol.Config{Resolver: res, Parallel: true},
+			Protocol: protocol.Config{Resolver: res},
 		}
 		if tr != nil {
 			cfg.Transport = func(int) protocol.Transport { return tr }
@@ -1003,11 +980,10 @@ func BenchmarkE22NetTransport(b *testing.B) {
 // BenchmarkE23Resolver measures the address-resolution strategies behind E23
 // at CI scale (q=2, n=5): one 256-variable Zipf block resolved into full copy
 // rows per iteration, through the live per-op path, the batched computed
-// kernels, the compiled table and the hot-coset hybrid cache. Sub-benchmark
-// names carry "resolver=" so the bench-regression gate can require the
-// computed and hybrid variants; allocation counts pin the batched paths'
-// zero-steady-state-alloc property. E23 is the full-scale large-(q, n) sweep
-// behind BENCH_PR9.json.
+// kernels and the compiled table. Sub-benchmark names carry "resolver=" so
+// the bench-regression gate can require the computed and compiled variants;
+// allocation counts pin the batched path's zero-steady-state-alloc property.
+// E23 is the full-scale large-(q, n) sweep.
 func BenchmarkE23Resolver(b *testing.B) {
 	s, idx := mustScheme(b, 1, 5)
 	mp := protocol.NewCoreMapper(s, idx)
@@ -1035,25 +1011,13 @@ func BenchmarkE23Resolver(b *testing.B) {
 		}
 	})
 	b.Run("resolver=compiled", func(b *testing.B) {
-		res, err := protocol.CompileMapper(mp, protocol.CompileOptions{Eager: true})
+		res, err := protocol.CompileMapper(mp, protocol.CompileOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			bm, ba = protocol.AppendCopyAddrs(res, bm[:0], ba[:0], stream, copies)
-			sink += bm[0] + ba[len(ba)-1]
-		}
-	})
-	b.Run("resolver=hybrid", func(b *testing.B) {
-		hc := protocol.NewHotCache(mp, 0)
-		// Warm pass: steady state is what the strategy is for; the cold fill
-		// is E23's cold column.
-		bm, ba = hc.AppendCopyAddrs(mp, bm[:0], ba[:0], stream)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			bm, ba = hc.AppendCopyAddrs(mp, bm[:0], ba[:0], stream)
 			sink += bm[0] + ba[len(ba)-1]
 		}
 	})

@@ -6,12 +6,12 @@
 //
 //	mpcrun -q 2 -n 5 -batch 1023 -workload random|stride|gamma -op read|write \
 //	       [-scheme pp|mv|single|uw] [-arb lowest|rr|random] [-trace]
-//	       [-tracejson FILE] [-parallel]
+//	       [-tracejson FILE]
 //
 // -tracejson captures every MPC round through the obs tracer and writes the
 // machine-readable round trajectory (requests, grants, contention
-// histogram, barrier wait) plus its totals, cross-checked against the
-// batch's protocol metrics.
+// histogram) plus its totals, cross-checked against the batch's protocol
+// metrics.
 package main
 
 import (
@@ -40,7 +40,6 @@ func main() {
 		seed     = flag.Int64("seed", 1993, "workload seed")
 		trace    = flag.Bool("trace", false, "print per-iteration live counts")
 		traceOut = flag.String("tracejson", "", "write the per-round JSON trajectory here")
-		parallel = flag.Bool("parallel", false, "use the persistent-worker-pool MPC engine")
 	)
 	flag.Parse()
 
@@ -94,7 +93,7 @@ func main() {
 	}
 
 	var tracer *obs.Tracer
-	cfg := protocol.Config{Arb: arbiter, Seed: uint64(*seed), TraceLive: *trace, Parallel: *parallel}
+	cfg := protocol.Config{Arb: arbiter, Seed: uint64(*seed), TraceLive: *trace}
 	if *traceOut != "" {
 		tracer = obs.NewTracer(0)
 		cfg.Recorder = tracer

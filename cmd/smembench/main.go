@@ -8,7 +8,7 @@
 //	          [-maxprocs P1,P2,...] [-shards S] [-pipeline] [-faults F]
 //	          [-faultsched SCHED] [-trace FILE] [-tracecap N] [-pprof ADDR]
 //	          [-transport inproc|tcp] [-servers A1,A2,...]
-//	          [-resolver compiled|computed|hybrid]
+//	          [-resolver compiled|computed]
 //
 // -maxprocs sweeps GOMAXPROCS: the selected experiments run once per listed
 // value. With more than one value, each pass's JSON output gets a ".procsN"
@@ -29,10 +29,10 @@
 //
 // -trace attaches the obs ring-buffer tracer plus the cumulative collector
 // to every experiment system and dumps the per-round trajectory as JSON:
-// round index, live requests, granted copies, the per-module contention
-// histogram, and barrier wait time, alongside the collector's batch-level
-// totals. Sharded experiments add a per-shard section: each configuration's
-// queue-depth high-water mark and flush-cause breakdown, shard by shard.
+// round index, live requests, granted copies and the per-module contention
+// histogram, alongside the collector's batch-level totals. Sharded
+// experiments add a per-shard section: each configuration's queue-depth
+// high-water mark and flush-cause breakdown, shard by shard.
 // When the run includes E20, the dump also embeds the recorded per-client
 // consistency traces under "consistency" — value-carrying read/write streams
 // that cmd/consistencycheck can certify offline. The dump is
@@ -49,8 +49,9 @@
 // server. E22 also records consistency traces, so -trace dumps from a TCP
 // run certify the networked transport end to end.
 //
-// -resolver pins E23's strategy sweep to one address-resolution strategy
-// ("compiled", "computed" or "hybrid") plus the live per-op baseline.
+// -resolver pins E23's sweep to one address-resolution path ("compiled" or
+// "computed") plus the live per-op baseline; E23 rejects any other value with
+// the list of valid ones.
 package main
 
 import (
@@ -127,7 +128,7 @@ func newShardTrace(label string, st shard.Stats) shardTrace {
 
 func main() {
 	var (
-		expFlag  = flag.String("exp", "", "comma-separated experiment ids (e1..e23); empty = all")
+		expFlag  = flag.String("exp", "", "comma-separated experiment ids (e1..e24); empty = all")
 		maxprocs = flag.String("maxprocs", "", "comma-separated GOMAXPROCS values; the selected experiments run once per value (JSON outputs get a .procsN suffix)")
 		quick    = flag.Bool("quick", false, "shrink sweeps for a fast run")
 		seed     = flag.Int64("seed", 0, "workload RNG seed (0 = default)")
@@ -142,7 +143,7 @@ func main() {
 		pprofA   = flag.String("pprof", "", "serve pprof + expvar + Prometheus /metrics on this address (e.g. :6060)")
 		transp   = flag.String("transport", "", "restrict e22's cells to one MPC transport (\"inproc\" or \"tcp\"; empty = both)")
 		servers  = flag.String("servers", "", "comma-separated external memserver addresses for e22's TCP cells (empty = in-process loopback cluster)")
-		resolver = flag.String("resolver", "", "pin e23 to one resolution strategy (\"compiled\", \"computed\" or \"hybrid\"; empty = all)")
+		resolver = flag.String("resolver", "", "pin e23 to one resolution path (\"compiled\" or \"computed\"; empty = both)")
 	)
 	flag.Parse()
 

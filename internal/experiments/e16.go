@@ -16,9 +16,9 @@ import (
 
 // E16 measures the hot-path engineering of the batch pipeline: compiled
 // address resolution (protocol.CompileMapper — the Section 4 O(log N)
-// address computation precomputed into an O(1) table read) and the
-// persistent-worker-pool MPC engine, against the live-resolution sequential
-// baseline. Two views:
+// address computation precomputed into an O(1) table read) against the
+// live-resolution baseline (the row labels are those of the committed
+// BENCH_PR2.json). Two views:
 //
 //   - batch: full-N write batches through System.AccessInto (the protocol
 //     hot path in isolation), reporting ns/op, MPC rounds, and heap
@@ -53,7 +53,6 @@ func E16(w io.Writer, o Options) error {
 	}{
 		{"live+seq", protocol.Config{}},
 		{"compiled+seq", protocol.Config{Resolver: compiled}},
-		{"compiled+par", protocol.Config{Resolver: compiled, Parallel: true}},
 	}
 
 	type row struct {
@@ -82,7 +81,7 @@ func E16(w io.Writer, o Options) error {
 		Host:       Host(),
 	}
 
-	fprintf(w, "E16 Hot path: compiled resolution + persistent-pool engine (q=2, n=%d, N=%d, M=%d)\n",
+	fprintf(w, "E16 Hot path: compiled resolution (q=2, n=%d, N=%d, M=%d)\n",
 		n, inst.s.NumModules, inst.s.NumVariables)
 	fprintf(w, "full-batch writes (N distinct vars per batch, AccessInto):\n")
 	fprintf(w, "%-14s %12s %8s %11s %9s\n", "config", "ns/batch", "rounds", "allocs/bat", "speedup")

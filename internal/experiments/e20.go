@@ -30,11 +30,11 @@ import (
 //
 // Part B prices the always-on sampling audit: the pipelined sharded service
 // is driven with identical precomputed client streams at audit rates
-// {off, 1%, 100%} under both MPC engines, and the overhead column reports
-// the throughput cost relative to the unaudited baseline of the same
-// engine. The run self-checks: any audit violation fails the experiment.
+// {off, 1%, 100%}, and the overhead column reports the throughput cost
+// relative to the unaudited baseline. The run self-checks: any audit
+// violation fails the experiment.
 //
-// Part C records real client traces — both dispatchers, both MPC engines,
+// Part C records real client traces — both dispatchers,
 // S=1 (total-order contract) and S=4 (per-variable contract), plus a
 // degraded cell where a victim variable's modules fail mid-run and its
 // stranded operations are recorded as failed — and certifies every run with
@@ -93,7 +93,6 @@ type e20CheckerRow struct {
 }
 
 type e20SamplingRow struct {
-	Engine    string  `json:"engine"`
 	Rate      float64 `json:"rate"`
 	NsPerOp   float64 `json:"ns_per_op"`
 	Sampled   int64   `json:"sampled"`
@@ -204,96 +203,86 @@ func e20SamplingOverhead(w io.Writer, o Options, rep *e20Report) error {
 		streams[c] = workload.HotSpot(workload.ClientRNG(o.Seed+20, c), inst.s.NumVariables, opsPer, 16, 0.5)
 	}
 
-	engines := []struct {
-		name string
-		cfg  protocol.Config
-	}{
-		{"sequential", protocol.Config{Resolver: resolver}},
-		{"parallel", protocol.Config{Resolver: resolver, Parallel: true, Workers: 4}},
-	}
 	rates := []float64{0, 0.01, 1.0}
 
 	fprintf(w, "E20b Sampling-audit overhead (S=%d pipelined, %d clients, %d ops/run)\n", shards, clients, totalOps)
-	fprintf(w, "%-12s %8s %10s %10s %10s\n", "engine", "rate", "ns/op", "sampled", "overhead")
-	for _, eng := range engines {
-		// One service per rate, measured in round-robin repetitions: slow
-		// host drift (frequency scaling, container neighbors) hits every
-		// rate's sample set equally instead of biasing whichever rate ran
-		// last, and the median per rate discards the stragglers.
-		svcs := make([]*shard.Service, len(rates))
-		elapsedNs := make([][]int64, len(rates))
-		err = nil
-		for i, rate := range rates {
-			var svc *shard.Service
-			svc, err = shard.New(inst.pp, shard.Config{
-				Shards:   shards,
-				Pipeline: true,
-				Protocol: o.instrument(eng.cfg),
-				Audit:    consistency.AuditConfig{Rate: rate},
-			})
-			if err != nil {
-				break
-			}
-			svcs[i] = svc
-			if err = driveShards(svc, streams, 4, o.Seed+20); err != nil {
-				break
-			}
-		}
+	fprintf(w, "%8s %10s %10s %10s\n", "rate", "ns/op", "sampled", "overhead")
+	// One service per rate, measured in round-robin repetitions: slow
+	// host drift (frequency scaling, container neighbors) hits every
+	// rate's sample set equally instead of biasing whichever rate ran
+	// last, and the median per rate discards the stragglers.
+	svcs := make([]*shard.Service, len(rates))
+	elapsedNs := make([][]int64, len(rates))
+	for i, rate := range rates {
+		var svc *shard.Service
+		svc, err = shard.New(inst.pp, shard.Config{
+			Shards:   shards,
+			Pipeline: true,
+			Protocol: o.instrument(protocol.Config{Resolver: resolver}),
+			Audit:    consistency.AuditConfig{Rate: rate},
+		})
 		if err != nil {
-			for _, svc := range svcs {
-				if svc != nil {
-					_ = svc.Close()
-				}
-			}
-			return err
+			break
 		}
-		reps := 7
-		if o.Quick {
-			reps = 3
-		}
-		for r := 0; r < reps && err == nil; r++ {
-			for i := range rates {
-				runtime.GC()
-				start := time.Now()
-				err = driveShards(svcs[i], streams, 1, o.Seed+20)
-				if ferr := svcs[i].Flush(); err == nil {
-					err = ferr
-				}
-				if err != nil {
-					break
-				}
-				elapsedNs[i] = append(elapsedNs[i], time.Since(start).Nanoseconds())
-			}
-		}
-		var baseNs float64
-		for i, rate := range rates {
-			ast := svcs[i].AuditStats()
-			if cerr := svcs[i].Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return err
-			}
-			// Self-check: the service under measurement must never trip its
-			// own auditor.
-			if ast.Violations != 0 {
-				return fmt.Errorf("e20: sampling audit reported %d violations at rate %g (%s)", ast.Violations, rate, eng.name)
-			}
-			ns := elapsedNs[i]
-			sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
-			nsPerOp := float64(ns[len(ns)/2]) / float64(totalOps)
-			if rate == 0 {
-				baseNs = nsPerOp
-			}
-			overhead := 100 * (nsPerOp - baseNs) / baseNs
-			fprintf(w, "%-12s %8.2f %10.1f %10d %9.1f%%\n", eng.name, rate, nsPerOp, ast.Sampled, overhead)
-			rep.Sampling = append(rep.Sampling, e20SamplingRow{
-				Engine: eng.name, Rate: rate, NsPerOp: nsPerOp,
-				Sampled: ast.Sampled, Overhead: overhead, Violation: ast.Violations,
-			})
+		svcs[i] = svc
+		if err = driveShards(svc, streams, 4, o.Seed+20); err != nil {
+			break
 		}
 	}
-	fprintf(w, "  (overhead is vs the rate-0 baseline of the same engine; the audit\n")
+	if err != nil {
+		for _, svc := range svcs {
+			if svc != nil {
+				_ = svc.Close()
+			}
+		}
+		return err
+	}
+	reps := 7
+	if o.Quick {
+		reps = 3
+	}
+	for r := 0; r < reps && err == nil; r++ {
+		for i := range rates {
+			runtime.GC()
+			start := time.Now()
+			err = driveShards(svcs[i], streams, 1, o.Seed+20)
+			if ferr := svcs[i].Flush(); err == nil {
+				err = ferr
+			}
+			if err != nil {
+				break
+			}
+			elapsedNs[i] = append(elapsedNs[i], time.Since(start).Nanoseconds())
+		}
+	}
+	var baseNs float64
+	for i, rate := range rates {
+		ast := svcs[i].AuditStats()
+		if cerr := svcs[i].Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+		// Self-check: the service under measurement must never trip its
+		// own auditor.
+		if ast.Violations != 0 {
+			return fmt.Errorf("e20: sampling audit reported %d violations at rate %g", ast.Violations, rate)
+		}
+		ns := elapsedNs[i]
+		sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
+		nsPerOp := float64(ns[len(ns)/2]) / float64(totalOps)
+		if rate == 0 {
+			baseNs = nsPerOp
+		}
+		overhead := 100 * (nsPerOp - baseNs) / baseNs
+		fprintf(w, "%8.2f %10.1f %10d %9.1f%%\n", rate, nsPerOp, ast.Sampled, overhead)
+		rep.Sampling = append(rep.Sampling, e20SamplingRow{
+			Rate: rate, NsPerOp: nsPerOp,
+			Sampled: ast.Sampled, Overhead: overhead, Violation: ast.Violations,
+		})
+	}
+	fprintf(w, "  (overhead is vs the rate-0 baseline; the audit\n")
 	fprintf(w, "   runs on the flush path — a shadow-store probe per committed batch\n")
 	fprintf(w, "   entry on sampled variables, allocation-free. Negative overheads are\n")
 	fprintf(w, "   run-to-run noise.)\n\n")
@@ -375,7 +364,7 @@ func e20Drive(svc *shard.Service, rr *consistency.RunRecorder, clients, opsPerCl
 }
 
 // e20RecordedRuns is Part C: record real client traces across the
-// dispatcher × engine × contract matrix (plus a degraded cell with stranded
+// dispatcher × contract matrix (plus a degraded cell with stranded
 // operations) and certify each with the trace checker.
 func e20RecordedRuns(w io.Writer, o Options, rep *e20Report) error {
 	rec := o.Consistency
@@ -404,10 +393,10 @@ func e20RecordedRuns(w io.Writer, o Options, rep *e20Report) error {
 		cfg      shard.Config
 		contract consistency.Contract
 	}{
-		{"S=1/classic/sequential", shard.Config{Shards: 1, Protocol: protocol.Config{Resolver: resolver}}, consistency.ContractTotalOrder},
-		{"S=1/pipelined/parallel", shard.Config{Shards: 1, Pipeline: true, Protocol: protocol.Config{Resolver: resolver, Parallel: true, Workers: 2}}, consistency.ContractTotalOrder},
-		{"S=4/classic/parallel", shard.Config{Shards: 4, Protocol: protocol.Config{Resolver: resolver, Parallel: true, Workers: 2}}, consistency.ContractPerVariable},
-		{"S=4/pipelined/sequential", shard.Config{Shards: 4, Pipeline: true, Protocol: protocol.Config{Resolver: resolver}}, consistency.ContractPerVariable},
+		{"S=1/classic", shard.Config{Shards: 1}, consistency.ContractTotalOrder},
+		{"S=1/pipelined", shard.Config{Shards: 1, Pipeline: true}, consistency.ContractTotalOrder},
+		{"S=4/classic", shard.Config{Shards: 4}, consistency.ContractPerVariable},
+		{"S=4/pipelined", shard.Config{Shards: 4, Pipeline: true}, consistency.ContractPerVariable},
 	}
 
 	fprintf(w, "E20c Recorded traces, certified by the black-box checker\n")
@@ -436,7 +425,7 @@ func e20RecordedRuns(w io.Writer, o Options, rep *e20Report) error {
 		svc, err := shard.New(inst.pp, shard.Config{
 			Shards:   cell.cfg.Shards,
 			Pipeline: cell.cfg.Pipeline,
-			Protocol: o.instrument(cell.cfg.Protocol),
+			Protocol: o.instrument(protocol.Config{Resolver: resolver}),
 		})
 		if err != nil {
 			return err

@@ -14,25 +14,23 @@ import (
 	"detshmem/internal/workload"
 )
 
-// E23 measures the address-resolution frontier the ResolverStrategy knob
-// exposes, across the large-(q, n) ladder the batched Section 4 kernels
-// open: for each (q, n) cell every strategy resolves the same Zipf stream of
-// variables into full copy rows, against the live per-op CopyAddr baseline.
+// E23 measures the two address-resolution paths across the large-(q, n)
+// ladder the batched Section 4 kernels open: for each (q, n) cell each path
+// resolves the same Zipf stream of variables into full copy rows, against the
+// live per-op CopyAddr baseline.
 //
 //   - per-op: scalar CopyAddr per copy — the pre-batching hot path;
+//   - compiled: the dense table (skipped, with its hypothetical size
+//     reported, when protocol.TableFits says the table is too large —
+//     exactly the regime the computed path exists for);
 //   - computed: the vectorized bulk kernels (protocol.BulkMapper), zero
-//     resident table;
-//   - compiled: the eager table (skipped, with its hypothetical size
-//     reported, when entries = M·(q+1) exceed the lazy threshold — exactly
-//     the regime the computed strategy exists for);
-//   - hybrid: computed resolution behind the bounded hot-coset cache.
+//     resident table.
 //
-// Cold (first-pass) and steady-state costs are reported separately: cold is
-// where the hybrid cache fills and where a compiled table pays its build;
-// steady state is what a long-running service sees. The committed
-// BENCH_PR9.json records host metadata plus resident bytes per strategy, so
-// the table-memory vs recompute-cost vs cache-hit-rate tradeoff is a
-// measured table rather than a design argument.
+// Cold (first-pass) and steady-state costs are reported separately; steady
+// state is what a long-running service sees. The JSON output records host
+// metadata plus resident bytes per path, so the table-memory vs
+// recompute-cost tradeoff behind the size rule is a measured table rather
+// than a design argument.
 func E23(w io.Writer, o Options) error {
 	type cell struct {
 		m, n int
@@ -44,7 +42,7 @@ func E23(w io.Writer, o Options) error {
 		cells = []cell{{1, 5, false}, {2, 3, false}}
 		ops = 20_000
 	}
-	strategies := []string{"compiled", "computed", "hybrid"}
+	strategies := []string{"compiled", "computed"}
 	if o.Resolver != "" {
 		ok := false
 		for _, s := range strategies {
@@ -53,7 +51,7 @@ func E23(w io.Writer, o Options) error {
 			}
 		}
 		if !ok {
-			return fmt.Errorf("e23: unknown resolver strategy %q (want compiled, computed or hybrid)", o.Resolver)
+			return fmt.Errorf("e23: unknown resolver strategy %q (want compiled or computed)", o.Resolver)
 		}
 		strategies = []string{o.Resolver}
 	}
@@ -73,7 +71,6 @@ func E23(w io.Writer, o Options) error {
 		NsPerVar      float64 `json:"ns_per_var,omitempty"`
 		VarsPerSec    float64 `json:"vars_per_sec,omitempty"`
 		Speedup       float64 `json:"speedup_vs_per_op,omitempty"`
-		HitRate       float64 `json:"hit_rate,omitempty"`
 	}
 	report := struct {
 		Experiment string   `json:"experiment"`
@@ -85,8 +82,8 @@ func E23(w io.Writer, o Options) error {
 	}{Experiment: "e23-resolver-strategies", Quick: o.Quick, Host: Host(), Ops: ops, ZipfS: 1.1}
 
 	fprintf(w, "E23 Address resolution at large (q, n): strategy frontier (%d-var Zipf stream per cell, s=1.1)\n", ops)
-	fprintf(w, "%-10s %10s %11s %-9s %9s %12s %10s %10s %8s %7s\n",
-		"cell", "M", "entries", "strategy", "build ms", "resident B", "cold ns", "ns/var", "speedup", "hit%")
+	fprintf(w, "%-10s %10s %11s %-9s %9s %12s %10s %10s %8s\n",
+		"cell", "M", "entries", "strategy", "build ms", "resident B", "cold ns", "ns/var", "speedup")
 
 	const block = 256
 	var sink uint64
@@ -161,13 +158,13 @@ func E23(w io.Writer, o Options) error {
 			}
 			report.Rows = append(report.Rows, r)
 			if r.Skipped {
-				fprintf(w, "%-10s %10d %11d %-9s %9s %12d  (eager table would exceed the %d-entry lazy threshold)\n",
-					label, s.NumVariables, entries, r.Strategy, "-", r.ResidentBytes, int64(protocol.DefaultLazyThreshold))
+				fprintf(w, "%-10s %10d %11d %-9s %9s %12d  (table too large to hold: the size rule resolves this cell computed)\n",
+					label, s.NumVariables, entries, r.Strategy, "-", r.ResidentBytes)
 				return
 			}
-			fprintf(w, "%-10s %10d %11d %-9s %9.0f %12d %10.1f %10.1f %7.2fx %6.1f\n",
+			fprintf(w, "%-10s %10d %11d %-9s %9.0f %12d %10.1f %10.1f %7.2fx\n",
 				label, s.NumVariables, entries, r.Strategy, r.BuildMs, r.ResidentBytes,
-				r.ColdNsPerVar, r.NsPerVar, r.Speedup, 100*r.HitRate)
+				r.ColdNsPerVar, r.NsPerVar, r.Speedup)
 		}
 
 		// The live per-op baseline every strategy's speedup is against.
@@ -187,12 +184,12 @@ func E23(w io.Writer, o Options) error {
 				cold, ns := measure(bulkThrough(mp))
 				emit(row{Strategy: strat, ColdNsPerVar: cold, NsPerVar: ns, Speedup: perOpNs / ns})
 			case "compiled":
-				if entries > protocol.DefaultLazyThreshold {
+				if !protocol.TableFits(mp) {
 					emit(row{Strategy: strat, Skipped: true, ResidentBytes: entries * 16})
 					continue
 				}
 				buildStart := time.Now()
-				r, err := protocol.CompileMapper(mp, protocol.CompileOptions{Eager: true})
+				r, err := protocol.CompileMapper(mp, protocol.CompileOptions{})
 				if err != nil {
 					return err
 				}
@@ -200,25 +197,6 @@ func E23(w io.Writer, o Options) error {
 				cold, ns := measure(bulkThrough(r))
 				emit(row{Strategy: strat, BuildMs: buildMs, ResidentBytes: r.ResidentBytes(),
 					ColdNsPerVar: cold, NsPerVar: ns, Speedup: perOpNs / ns})
-			case "hybrid":
-				hc := protocol.NewHotCache(mp, 1<<15)
-				cold, ns := measure(func(vars []uint64) {
-					for base := 0; base < len(vars); base += block {
-						end := base + block
-						if end > len(vars) {
-							end = len(vars)
-						}
-						bm, ba = hc.AppendCopyAddrs(mp, bm[:0], ba[:0], vars[base:end])
-						sink += bm[0] + ba[len(ba)-1]
-					}
-				})
-				hits, misses := hc.Stats()
-				hitRate := 0.0
-				if hits+misses > 0 {
-					hitRate = float64(hits) / float64(hits+misses)
-				}
-				emit(row{Strategy: strat, ResidentBytes: hc.ResidentBytes(),
-					ColdNsPerVar: cold, NsPerVar: ns, Speedup: perOpNs / ns, HitRate: hitRate})
 			}
 		}
 
@@ -236,9 +214,8 @@ func E23(w io.Writer, o Options) error {
 	}
 	_ = sink
 	fprintf(w, "  (speedup is steady-state per-op ns over the strategy's ns per variable; cold is the\n")
-	fprintf(w, "   first pass — where the hybrid cache fills. Resident bytes exclude the per-cell\n")
-	fprintf(w, "   indexer, shown once per cell; a skipped compiled row reports the table the eager\n")
-	fprintf(w, "   strategy would have had to hold.)\n\n")
+	fprintf(w, "   first pass. Resident bytes exclude the per-cell indexer, shown once per cell; a\n")
+	fprintf(w, "   skipped compiled row reports the table that would have had to be held.)\n\n")
 
 	if path := o.jsonPath("BENCH_PR9.json"); path != "" {
 		blob, err := json.MarshalIndent(report, "", "  ")

@@ -72,9 +72,8 @@ type Options struct {
 	// servers the kill cell expects the harness (cmd/netcluster) to kill
 	// one server when the marker line appears (smembench -servers).
 	Servers []string
-	// Resolver pins E23 to one resolution strategy ("compiled", "computed"
-	// or "hybrid") plus the live per-op baseline; "" sweeps all of them
-	// (smembench -resolver).
+	// Resolver pins E23 to one resolution path ("compiled" or "computed")
+	// plus the live per-op baseline; "" sweeps both (smembench -resolver).
 	Resolver string
 	// Recorder, when non-nil, is installed on every protocol system built
 	// through the shared constructor, capturing one event per MPC round
@@ -160,14 +159,14 @@ func All() []Runner {
 		{"e13", "Extension: Θ(N^{1.5-ε}) vs Θ(N²) regime comparison", E13},
 		{"e14", "Extension: structural audit of every organization", E14},
 		{"e15", "Extension: combining frontend under concurrent clients", E15},
-		{"e16", "Hot path: compiled resolution + persistent-pool engine", E16},
+		{"e16", "Hot path: compiled vs live address resolution", E16},
 		{"e17", "Observability: round trajectory, contention, Theorem 6 shape", E17},
 		{"e18", "Scaling out: sharded, pipelined frontend throughput vs S", E18},
 		{"e19", "Fault tolerance: throughput and round inflation vs failed modules", E19},
 		{"e20", "Consistency auditing: trace-checker cost and sampling-audit overhead", E20},
 		{"e21", "Multi-core scaling: lock-free rings and the batch API vs GOMAXPROCS", E21},
 		{"e22", "Networked MPC: in-process vs loopback-TCP vs TCP with a killed server", E22},
-		{"e23", "Address resolution at large (q, n): compiled vs computed vs hybrid", E23},
+		{"e23", "Address resolution at large (q, n): compiled vs computed", E23},
 		{"e24", "Self-healing repair: churn with repair on/off, wipe-restart drill over TCP", E24},
 	}
 }

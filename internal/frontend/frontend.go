@@ -73,7 +73,8 @@ var ErrClosed = errors.New("frontend: closed")
 type Config struct {
 	// MaxBatch is the flush threshold in distinct variables. 0 defaults to
 	// the backend's module count N when the backend is a *protocol.System
-	// (the largest batch the protocol accepts); otherwise it must be set.
+	// (the largest batch the protocol accepts, so New rejects more);
+	// otherwise it must be set.
 	MaxBatch int
 	// QueueCap bounds the submission queue; submitters block (backpressure)
 	// when it is full. 0 defaults to 4×MaxBatch.
@@ -197,15 +198,18 @@ func New(b Backend, cfg Config) (*Frontend, error) {
 	if b == nil {
 		return nil, fmt.Errorf("frontend: nil backend")
 	}
+	sys, isSys := b.(*protocol.System)
 	if cfg.MaxBatch == 0 {
-		if sys, ok := b.(*protocol.System); ok {
-			cfg.MaxBatch = int(sys.Mapper.NumModules())
-		} else {
+		if !isSys {
 			return nil, fmt.Errorf("frontend: MaxBatch required for backend %T", b)
 		}
+		cfg.MaxBatch = int(sys.Mapper.NumModules())
 	}
 	if cfg.MaxBatch < 1 {
 		return nil, fmt.Errorf("frontend: MaxBatch %d must be positive", cfg.MaxBatch)
+	}
+	if isSys && uint64(cfg.MaxBatch) > sys.Mapper.NumModules() {
+		return nil, fmt.Errorf("frontend: MaxBatch %d exceeds the %d modules (N) one protocol batch can address", cfg.MaxBatch, sys.Mapper.NumModules())
 	}
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = 4 * cfg.MaxBatch

@@ -3,6 +3,7 @@ package frontend
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -300,6 +301,30 @@ func TestRealSystemRoundTrip(t *testing.T) {
 	if s.OpsIn != 41 || s.Batches == 0 || s.TotalRounds == 0 {
 		t.Fatalf("stats = %+v", s)
 	}
+}
+
+// TestMaxBatchBoundedByModules: over a protocol.System a flush threshold
+// above N is a construction error naming both numbers (it used to fail every
+// op of an over-full batch at run time); a backend of another type sets its
+// own limit.
+func TestMaxBatchBoundedByModules(t *testing.T) {
+	sys := newPP93System(t, 1, 3, protocol.Config{}) // N = 63
+	_, err := New(sys, Config{MaxBatch: 64})
+	if err == nil || !strings.Contains(err.Error(), "64") || !strings.Contains(err.Error(), "63") {
+		t.Fatalf("MaxBatch 64 over 63 modules: error %v, want one naming both", err)
+	}
+	for _, b := range []Backend{sys, newFakeBackend(false)} {
+		fe, err := New(b, Config{MaxBatch: 63})
+		if err != nil {
+			t.Fatalf("%T: MaxBatch 63 rejected: %v", b, err)
+		}
+		fe.Close()
+	}
+	fe, err := New(newFakeBackend(false), Config{MaxBatch: 64})
+	if err != nil {
+		t.Fatalf("fake backend: MaxBatch 64 rejected: %v", err)
+	}
+	fe.Close()
 }
 
 // TestTinyQueueBackpressure: a QueueCap of 1 still completes a concurrent

@@ -6,18 +6,16 @@ import (
 	"detshmem/internal/obs"
 )
 
-// allocRoundConfig builds a machine plus round slices sized for the guard
-// tests: enough processors and modules that claims genuinely contend. The
-// default no-op recorder is installed explicitly: the zero-allocation
-// guarantee must hold with the instrumentation layer wired in.
-func allocRoundMachine(t *testing.T, parallel bool) (*Machine, []int64, []bool) {
-	t.Helper()
+// TestRoundSteadyStateAllocsSequential pins a round's steady state at zero
+// allocations, with enough processors and modules that claims genuinely
+// contend. The default no-op recorder is installed explicitly: the guarantee
+// must hold with the instrumentation layer wired in.
+func TestRoundSteadyStateAllocsSequential(t *testing.T) {
 	const procs, modules = 96, 32
-	m, err := New(Config{Procs: procs, Modules: modules, Arb: ArbRandom, Seed: 7, Parallel: parallel, Workers: 4, Recorder: obs.Nop})
+	m, err := New(Config{Procs: procs, Modules: modules, Arb: ArbRandom, Seed: 7, Recorder: obs.Nop})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Close)
 	reqs := make([]int64, procs)
 	grant := make([]bool, procs)
 	for p := range reqs {
@@ -27,30 +25,10 @@ func allocRoundMachine(t *testing.T, parallel bool) (*Machine, []int64, []bool) 
 			reqs[p] = int64(p % modules)
 		}
 	}
-	return m, reqs, grant
-}
-
-// TestRoundStateStateAllocsSequential pins the sequential engine's steady
-// state at zero allocations per round.
-func TestRoundSteadyStateAllocsSequential(t *testing.T) {
-	m, reqs, grant := allocRoundMachine(t, false)
 	m.Round(reqs, grant) // warm-up: grows the touched scratch
 	if avg := testing.AllocsPerRun(100, func() {
 		m.Round(reqs, grant)
 	}); avg != 0 {
-		t.Fatalf("sequential Round allocates %.2f per call in steady state, want 0", avg)
-	}
-}
-
-// TestRoundSteadyStateAllocsParallel pins the worker-pool engine at zero
-// allocations per round: the pool and barrier are built once in New, and a
-// round is only barrier signalling plus atomic sweeps.
-func TestRoundSteadyStateAllocsParallel(t *testing.T) {
-	m, reqs, grant := allocRoundMachine(t, true)
-	m.Round(reqs, grant) // warm-up: first round parks/wakes the fresh workers
-	if avg := testing.AllocsPerRun(100, func() {
-		m.Round(reqs, grant)
-	}); avg != 0 {
-		t.Fatalf("parallel Round allocates %.2f per call in steady state, want 0", avg)
+		t.Fatalf("Round allocates %.2f per call in steady state, want 0", avg)
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-func benchRound(b *testing.B, parallel bool, procs, modules int) {
+func benchRound(b *testing.B, procs, modules int) {
 	b.Helper()
-	m, err := New(Config{Procs: procs, Modules: modules, Parallel: parallel})
+	m, err := New(Config{Procs: procs, Modules: modules})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -27,9 +27,8 @@ func benchRound(b *testing.B, parallel bool, procs, modules int) {
 	}
 }
 
-func BenchmarkRoundSequential(b *testing.B) { benchRound(b, false, 16383, 16383) }
-func BenchmarkRoundParallel(b *testing.B)   { benchRound(b, true, 16383, 16383) }
-func BenchmarkRoundSmall(b *testing.B)      { benchRound(b, false, 1023, 1023) }
+func BenchmarkRoundSequential(b *testing.B) { benchRound(b, 16383, 16383) }
+func BenchmarkRoundSmall(b *testing.B)      { benchRound(b, 1023, 1023) }
 func BenchmarkFailingWrapper(b *testing.B) {
 	f, err := NewFailing(Config{Procs: 1023, Modules: 1023}, []uint64{0, 1, 2})
 	if err != nil {

@@ -8,7 +8,7 @@ package mpc
 //
 // The function is exported for networked transports (internal/netmpc):
 // a remote module server that receives precomputed claims arbitrates
-// identically to the in-process engines without knowing the arbitration
+// identically to the in-process engine without knowing the arbitration
 // policy, the processor count, or the seed — those stay client-side, which
 // is what lets one server geometry serve machines of different shapes.
 func Claim(arb Arbiter, procs int, seed, round uint64, p int) uint64 {

@@ -549,6 +549,3 @@ func (f *Failing) Round(reqs []int64, grant []bool) int {
 
 // Cost delegates to the inner machine.
 func (f *Failing) Cost() uint64 { return f.inner.Cost() }
-
-// Close stops the inner machine's worker pool.
-func (f *Failing) Close() { f.inner.Close() }

@@ -16,7 +16,6 @@ func TestFailingDynamic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	reqs := []int64{0, 1, 2, Idle}
 	grant := make([]bool, 4)
 
@@ -72,7 +71,6 @@ func TestFailingBackwardCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	grant := make([]bool, 2)
 	if served := f.Round([]int64{0, 1}, grant); served != 1 || grant[0] {
 		t.Fatalf("seeded failure not honoured: served=%d grant=%v", served, grant)
@@ -110,12 +108,10 @@ func TestFaultSetShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
 	b, err := NewFailingShared(Config{Procs: 4, Modules: 4}, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
 	grant := make([]bool, 4)
 	for _, m := range []*Failing{a, b} {
 		if served := m.Round([]int64{2, 2, Idle, Idle}, grant); served != 0 {
@@ -144,7 +140,6 @@ func TestFailingDropAnnotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	grant := make([]bool, 4)
 	f.Round([]int64{0, 1, 2, 3}, grant)
 	f.Round([]int64{2, 3, Idle, Idle}, grant)
@@ -172,7 +167,6 @@ func TestFaultSetConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -349,7 +343,6 @@ func FuzzFaultSet(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer mach.Close()
 		reqs := make([]int64, modules)
 		for p := range reqs {
 			reqs[p] = int64(p)

@@ -6,20 +6,13 @@
 // of rounds, which is governed by the maximum per-module congestion — the
 // quantity the Pietracaprina–Preparata memory organization minimizes.
 //
-// Two engines implement identical round semantics: a sequential one and a
-// parallel one backed by a persistent worker pool (workers are spawned once
-// in New and reused for every round; the claim, grant and reset sweeps are
-// phases signalled through a reusable sense-reversing barrier, with workers
-// racing atomic min-priority claims per module). Both engines are
-// allocation-free in steady state. Tests assert they produce identical
-// grant vectors for every arbiter.
+// A round is three sequential sweeps over the processors — claim (each
+// module keeps its minimum packed claim), grant, reset — and allocates
+// nothing in steady state.
 package mpc
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
-	"time"
 
 	"detshmem/internal/obs"
 )
@@ -53,32 +46,24 @@ func (a Arbiter) String() string {
 
 // Config selects machine parameters.
 type Config struct {
-	Procs    int     // number of processors (P)
-	Modules  int     // number of memory modules (N)
-	Arb      Arbiter // arbitration policy
-	Seed     uint64  // seed for ArbRandom
-	Parallel bool    // use the persistent-worker-pool engine
-	Workers  int     // pool size (defaults to GOMAXPROCS)
-	// Recorder receives one obs.RoundEvent per executed round on either
-	// engine. Nil means no instrumentation (the default): Round then costs
-	// one disabled-recorder check and stays allocation-free. A recorder
-	// whose Enabled() reports true buys one extra O(P) contention sweep per
-	// round, still allocation-free in steady state.
+	Procs   int     // number of processors (P)
+	Modules int     // number of memory modules (N)
+	Arb     Arbiter // arbitration policy
+	Seed    uint64  // seed for ArbRandom
+	// Recorder receives one obs.RoundEvent per executed round. Nil means no
+	// instrumentation (the default): Round then costs one disabled-recorder
+	// check and stays allocation-free. A recorder whose Enabled() reports
+	// true buys one extra O(P) contention sweep per round, still
+	// allocation-free in steady state.
 	Recorder obs.Recorder
 }
 
-// Machine is a synchronous MPC. Methods are not safe for concurrent use by
-// multiple callers; the parallel engine's worker pool is internal.
-//
-// A parallel machine owns a pool of goroutines for its whole lifetime; call
-// Close when done with it. Leaked machines are closed by a GC finalizer, so
-// Close is an optimization, not a correctness requirement.
+// Machine is a synchronous MPC. Methods are not safe for concurrent use.
 type Machine struct {
 	cfg     Config
 	round   uint64 // rounds executed so far
 	winner  []uint64
-	touched []int64 // sequential engine scratch, reused across rounds
-	pool    *pool   // persistent parallel engine; nil when !cfg.Parallel
+	touched []int64 // modules claimed this round, reused across rounds
 
 	rec obs.Recorder // never nil; obs.Nop when no recorder configured
 	// Recorder scratch, sized on first enabled round and reused: per-module
@@ -87,18 +72,13 @@ type Machine struct {
 	recTouched []int64
 }
 
-// New builds a machine. Procs and Modules must be positive. When
-// cfg.Parallel is set the worker pool is spawned here, once, and serves
-// every subsequent Round.
+// New builds a machine. Procs and Modules must be positive.
 func New(cfg Config) (*Machine, error) {
 	if cfg.Procs <= 0 || cfg.Modules <= 0 {
 		return nil, fmt.Errorf("mpc: need positive Procs and Modules, got %d/%d", cfg.Procs, cfg.Modules)
 	}
 	if cfg.Procs >= 1<<24-1 {
 		return nil, fmt.Errorf("mpc: 2^24-1 or more processors unsupported by claim packing")
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	m := &Machine{
 		cfg:     cfg,
@@ -109,27 +89,7 @@ func New(cfg Config) (*Machine, error) {
 	if m.rec == nil {
 		m.rec = obs.Nop
 	}
-	if cfg.Parallel {
-		m.pool = newPool(cfg, m.winner)
-		// The pool's workers reference only the pool, never the Machine, so
-		// an unreachable Machine is collectable and the finalizer can stop
-		// the pool for callers that never call Close.
-		runtime.SetFinalizer(m, (*Machine).Close)
-	}
 	return m, nil
-}
-
-// Close stops the worker pool of a parallel machine. It is idempotent, must
-// not be called concurrently with Round, and after it returns Round panics.
-// Sequential machines have no resources; Close is a no-op for them.
-func (m *Machine) Close() {
-	if m.pool == nil {
-		return
-	}
-	m.pool.stop = true
-	m.pool.bar.await() // release the workers into the stop check
-	m.pool = nil
-	runtime.SetFinalizer(m, nil)
 }
 
 // Procs returns the processor count.
@@ -145,9 +105,9 @@ func (m *Machine) Rounds() uint64 { return m.round }
 func (m *Machine) ResetRounds() { m.round = 0 }
 
 // priority computes the arbitration rank of processor p in the given round;
-// lower wins. It is a pure function of its arguments so the sequential
-// engine and every pool worker arbitrate identically. Ranks are bounded to
-// 40 bits so a packed claim fits one word.
+// lower wins. It is a pure function of its arguments, so a remote module
+// server handed precomputed claims (see Claim) arbitrates identically. Ranks
+// are bounded to 40 bits so a packed claim fits one word.
 func priority(arb Arbiter, procs int, seed, round uint64, p int) uint64 {
 	switch arb {
 	case ArbRoundRobin:
@@ -159,7 +119,7 @@ func priority(arb Arbiter, procs int, seed, round uint64, p int) uint64 {
 	}
 }
 
-// pack encodes (priority, proc+1) into one nonzero claim word so atomic-min
+// pack encodes (priority, proc+1) into one nonzero claim word so min-claim
 // arbitration resolves priority first and processor id as tiebreak; zero is
 // reserved as the "no claim yet" sentinel.
 func pack(pri uint64, p int) uint64 { return pri<<24 | uint64(p+1) }
@@ -170,30 +130,14 @@ func unpackProc(w uint64) int { return int(w&(1<<24-1)) - 1 }
 // addresses this round, or Idle. grant[p] is set to true iff p's request was
 // the one its module served. It returns the number of requests served.
 // len(reqs) and len(grant) must equal Procs(). Steady-state rounds perform
-// no allocation on either engine.
+// no allocation.
 func (m *Machine) Round(reqs []int64, grant []bool) int {
 	if len(reqs) != m.cfg.Procs || len(grant) != m.cfg.Procs {
 		panic(fmt.Sprintf("mpc: round slices sized %d/%d, want %d", len(reqs), len(grant), m.cfg.Procs))
 	}
-	var served int
-	var barrierNs int64
-	traced := m.rec.Enabled()
-	if m.cfg.Parallel {
-		if m.pool == nil {
-			panic("mpc: Round on closed machine")
-		}
-		if traced {
-			t0 := time.Now()
-			served = m.pool.exec(reqs, grant, m.round)
-			barrierNs = time.Since(t0).Nanoseconds()
-		} else {
-			served = m.pool.exec(reqs, grant, m.round)
-		}
-	} else {
-		served = m.roundSequential(reqs, grant)
-	}
-	if traced {
-		m.record(reqs, served, barrierNs)
+	served := m.arbitrate(reqs, grant)
+	if m.rec.Enabled() {
+		m.record(reqs, served)
 	}
 	m.round++
 	return served
@@ -202,11 +146,11 @@ func (m *Machine) Round(reqs []int64, grant []bool) int {
 // record assembles the round's obs.RoundEvent: one sweep tallies per-module
 // loads into the reused scratch, a second sweep over the touched modules
 // builds the contention histogram and zeroes the tallies again.
-func (m *Machine) record(reqs []int64, served int, barrierNs int64) {
+func (m *Machine) record(reqs []int64, served int) {
 	if m.loads == nil {
 		m.loads = make([]int32, m.cfg.Modules)
 	}
-	ev := obs.RoundEvent{Round: m.round, Granted: served, BarrierNs: barrierNs}
+	ev := obs.RoundEvent{Round: m.round, Granted: served}
 	touched := m.recTouched[:0]
 	for _, mod := range reqs {
 		if mod == Idle {
@@ -230,7 +174,8 @@ func (m *Machine) record(reqs []int64, served int, barrierNs int64) {
 	m.rec.RecordRound(ev)
 }
 
-func (m *Machine) roundSequential(reqs []int64, grant []bool) int {
+// arbitrate runs the claim, grant and reset sweeps of one round.
+func (m *Machine) arbitrate(reqs []int64, grant []bool) int {
 	touched := m.touched[:0]
 	for p, mod := range reqs {
 		grant[p] = false
@@ -264,132 +209,6 @@ func (m *Machine) roundSequential(reqs []int64, grant []bool) int {
 	}
 	m.touched = touched
 	return served
-}
-
-// grantCount is one worker's served tally, padded to its own cache line so
-// workers on adjacent ids do not false-share while tallying.
-type grantCount struct {
-	n int64
-	_ [56]byte
-}
-
-// pool is the persistent parallel engine. Workers are spawned once and live
-// until stop; each round the coordinator publishes (reqs, grant, round) and
-// drives the claim → grant → reset sweeps through four barrier generations:
-//
-//	barrier 1  releases the workers into the claim sweep
-//	barrier 2  claims final; workers start the grant sweep
-//	barrier 3  grants final; workers start the reset sweep
-//	barrier 4  reset done; the coordinator may return and the caller may
-//	           reuse reqs/grant
-//
-// The pool deliberately does not reference its Machine so that machines can
-// be finalized (see New).
-type pool struct {
-	arb     Arbiter
-	seed    uint64
-	procs   int
-	workers int
-	chunk   int
-	winner  []uint64
-	counts  []grantCount
-	bar     barrier
-
-	// Per-round state, published by the coordinator before barrier 1 (the
-	// barrier's release establishes the happens-before edge to the workers).
-	reqs  []int64
-	grant []bool
-	gen   uint64
-	stop  bool
-}
-
-func newPool(cfg Config, winner []uint64) *pool {
-	pl := &pool{
-		arb:     cfg.Arb,
-		seed:    cfg.Seed,
-		procs:   cfg.Procs,
-		workers: cfg.Workers,
-		chunk:   (cfg.Procs + cfg.Workers - 1) / cfg.Workers,
-		winner:  winner,
-		counts:  make([]grantCount, cfg.Workers),
-	}
-	pl.bar.init(cfg.Workers + 1) // workers + the coordinator
-	for g := 0; g < cfg.Workers; g++ {
-		go pl.run(g)
-	}
-	return pl
-}
-
-// exec is the coordinator side of one parallel round.
-func (pl *pool) exec(reqs []int64, grant []bool, round uint64) int {
-	pl.reqs, pl.grant, pl.gen = reqs, grant, round
-	pl.bar.await() // 1: release claim sweep
-	pl.bar.await() // 2: claims final
-	pl.bar.await() // 3: grants final
-	pl.bar.await() // 4: reset done
-	served := 0
-	for i := range pl.counts {
-		served += int(pl.counts[i].n)
-	}
-	return served
-}
-
-// run is one pool worker, owning the processor range [id·chunk, (id+1)·chunk).
-func (pl *pool) run(id int) {
-	lo := id * pl.chunk
-	hi := lo + pl.chunk
-	if lo > pl.procs {
-		lo = pl.procs
-	}
-	if hi > pl.procs {
-		hi = pl.procs
-	}
-	for {
-		pl.bar.await() // round start (or shutdown)
-		if pl.stop {
-			return
-		}
-		reqs, grant := pl.reqs, pl.grant
-		// Claim sweep: race atomic-min on per-module claim words.
-		for p := lo; p < hi; p++ {
-			grant[p] = false
-			mod := reqs[p]
-			if mod == Idle {
-				continue
-			}
-			claim := pack(priority(pl.arb, pl.procs, pl.seed, pl.gen, p), p)
-			addr := &pl.winner[mod]
-			for {
-				cur := atomic.LoadUint64(addr)
-				if cur != 0 && cur <= claim {
-					break
-				}
-				if atomic.CompareAndSwapUint64(addr, cur, claim) {
-					break
-				}
-			}
-		}
-		pl.bar.await() // claims final
-		var local int64
-		for p := lo; p < hi; p++ {
-			mod := reqs[p]
-			if mod == Idle {
-				continue
-			}
-			if unpackProc(atomic.LoadUint64(&pl.winner[mod])) == p {
-				grant[p] = true
-				local++
-			}
-		}
-		pl.counts[id].n = local
-		pl.bar.await() // grants final
-		for p := lo; p < hi; p++ {
-			if mod := reqs[p]; mod != Idle {
-				atomic.StoreUint64(&pl.winner[mod], 0)
-			}
-		}
-		pl.bar.await() // reset done
-	}
 }
 
 // splitmix is SplitMix64, a fast deterministic 64-bit mixer.

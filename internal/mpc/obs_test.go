@@ -6,88 +6,72 @@ import (
 	"detshmem/internal/obs"
 )
 
-// TestRecorderEventsBothEngines drives identical request patterns through
-// both engines with a tracer attached and checks every recorded event
-// against independently computed ground truth: request counts, grants (==
-// touched modules), max load, and the contention histogram.
+// TestRecorderEventsBothEngines drives request patterns through a machine
+// with a tracer attached and checks every recorded event against
+// independently computed ground truth: request counts, grants (== touched
+// modules), max load, and the contention histogram. (The test and its one
+// subtest keep the ids the committed test floor lists.)
 func TestRecorderEventsBothEngines(t *testing.T) {
 	const procs, modules, rounds = 48, 16, 20
-	for _, parallel := range []bool{false, true} {
-		name := "sequential"
-		if parallel {
-			name = "parallel"
+	t.Run("sequential", func(t *testing.T) {
+		tracer := obs.NewTracer(rounds)
+		m, err := New(Config{Procs: procs, Modules: modules, Arb: ArbRandom, Seed: 11, Recorder: tracer})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			tracer := obs.NewTracer(rounds)
-			m, err := New(Config{
-				Procs: procs, Modules: modules, Arb: ArbRandom, Seed: 11,
-				Parallel: parallel, Workers: 4, Recorder: tracer,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m.Close()
 
-			reqs := make([]int64, procs)
-			grant := make([]bool, procs)
-			for r := 0; r < rounds; r++ {
-				loads := make(map[int64]int)
-				nreq := 0
-				for p := range reqs {
-					if (p+r)%7 == 0 {
-						reqs[p] = Idle
-						continue
-					}
-					mod := int64((p*(r+3) + r) % modules)
-					reqs[p] = mod
-					loads[mod]++
-					nreq++
+		reqs := make([]int64, procs)
+		grant := make([]bool, procs)
+		for r := 0; r < rounds; r++ {
+			loads := make(map[int64]int)
+			nreq := 0
+			for p := range reqs {
+				if (p+r)%7 == 0 {
+					reqs[p] = Idle
+					continue
 				}
-				served := m.Round(reqs, grant)
+				mod := int64((p*(r+3) + r) % modules)
+				reqs[p] = mod
+				loads[mod]++
+				nreq++
+			}
+			served := m.Round(reqs, grant)
 
-				evs := tracer.Events()
-				if len(evs) != r+1 {
-					t.Fatalf("round %d: %d events recorded, want %d", r, len(evs), r+1)
-				}
-				ev := evs[r]
-				if ev.Round != uint64(r) {
-					t.Fatalf("round %d: event carries round %d", r, ev.Round)
-				}
-				if ev.Requests != nreq {
-					t.Fatalf("round %d: event reports %d requests, want %d", r, ev.Requests, nreq)
-				}
-				if ev.Granted != served || ev.Granted != len(loads) {
-					t.Fatalf("round %d: granted=%d served=%d touched=%d must all agree",
-						r, ev.Granted, served, len(loads))
-				}
-				var wantHist obs.LoadHist
-				maxLoad := 0
-				for _, l := range loads {
-					wantHist.Observe(l)
-					if l > maxLoad {
-						maxLoad = l
-					}
-				}
-				if ev.MaxLoad != maxLoad {
-					t.Fatalf("round %d: max load %d, want %d", r, ev.MaxLoad, maxLoad)
-				}
-				if ev.Contention != wantHist {
-					t.Fatalf("round %d: contention %v, want %v", r, ev.Contention, wantHist)
-				}
-				if parallel {
-					if ev.BarrierNs <= 0 {
-						t.Fatalf("round %d: parallel engine must report barrier time, got %d", r, ev.BarrierNs)
-					}
-				} else if ev.BarrierNs != 0 {
-					t.Fatalf("round %d: sequential engine reports barrier time %d", r, ev.BarrierNs)
+			evs := tracer.Events()
+			if len(evs) != r+1 {
+				t.Fatalf("round %d: %d events recorded, want %d", r, len(evs), r+1)
+			}
+			ev := evs[r]
+			if ev.Round != uint64(r) {
+				t.Fatalf("round %d: event carries round %d", r, ev.Round)
+			}
+			if ev.Requests != nreq {
+				t.Fatalf("round %d: event reports %d requests, want %d", r, ev.Requests, nreq)
+			}
+			if ev.Granted != served || ev.Granted != len(loads) {
+				t.Fatalf("round %d: granted=%d served=%d touched=%d must all agree",
+					r, ev.Granted, served, len(loads))
+			}
+			var wantHist obs.LoadHist
+			maxLoad := 0
+			for _, l := range loads {
+				wantHist.Observe(l)
+				if l > maxLoad {
+					maxLoad = l
 				}
 			}
-			tot := tracer.Totals()
-			if tot.Rounds != rounds {
-				t.Fatalf("totals: %d rounds, want %d", tot.Rounds, rounds)
+			if ev.MaxLoad != maxLoad {
+				t.Fatalf("round %d: max load %d, want %d", r, ev.MaxLoad, maxLoad)
 			}
-		})
-	}
+			if ev.Contention != wantHist {
+				t.Fatalf("round %d: contention %v, want %v", r, ev.Contention, wantHist)
+			}
+		}
+		tot := tracer.Totals()
+		if tot.Rounds != rounds {
+			t.Fatalf("totals: %d rounds, want %d", tot.Rounds, rounds)
+		}
+	})
 }
 
 // TestRecorderDisabledSkipsAssembly checks that a disabled recorder (the
@@ -107,7 +91,6 @@ func TestRecorderDisabledSkipsAssembly(t *testing.T) {
 		reqs := []int64{0, 0, 1, 1, 2, 3, Idle, Idle}
 		grant := make([]bool, 8)
 		m.Round(reqs, grant)
-		m.Close()
 	}
 	if col.MPCRounds.Load() != 1 || col.MPCGranted.Load() != 4 || col.MPCRequests.Load() != 6 {
 		t.Fatalf("collector saw rounds=%d granted=%d requests=%d, want 1/4/6",
@@ -119,30 +102,23 @@ func TestRecorderDisabledSkipsAssembly(t *testing.T) {
 }
 
 // TestRecorderSteadyStateAllocs pins the ENABLED tracing path at zero
-// steady-state allocations per round on both engines: ring writes and the
-// load-count scratch are reused, so tracing production traffic does not
-// create garbage.
+// steady-state allocations per round: ring writes and the load-count scratch
+// are reused, so tracing production traffic does not create garbage.
 func TestRecorderSteadyStateAllocs(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		tracer := obs.NewTracer(64)
-		m, err := New(Config{
-			Procs: 96, Modules: 32, Arb: ArbRandom, Seed: 7,
-			Parallel: parallel, Workers: 4, Recorder: tracer,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reqs := make([]int64, 96)
-		grant := make([]bool, 96)
-		for p := range reqs {
-			reqs[p] = int64(p % 32)
-		}
-		m.Round(reqs, grant) // warm-up: sizes the recorder scratch
-		if avg := testing.AllocsPerRun(100, func() {
-			m.Round(reqs, grant)
-		}); avg != 0 {
-			t.Errorf("parallel=%v: traced Round allocates %.2f per call in steady state, want 0", parallel, avg)
-		}
-		m.Close()
+	tracer := obs.NewTracer(64)
+	m, err := New(Config{Procs: 96, Modules: 32, Arb: ArbRandom, Seed: 7, Recorder: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]int64, 96)
+	grant := make([]bool, 96)
+	for p := range reqs {
+		reqs[p] = int64(p % 32)
+	}
+	m.Round(reqs, grant) // warm-up: sizes the recorder scratch
+	if avg := testing.AllocsPerRun(100, func() {
+		m.Round(reqs, grant)
+	}); avg != 0 {
+		t.Errorf("traced Round allocates %.2f per call in steady state, want 0", avg)
 	}
 }

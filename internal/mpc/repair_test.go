@@ -147,7 +147,6 @@ func TestRepairingServesRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 
 	f.Faults().Fail(2)
 	grant := make([]bool, 4)
@@ -297,7 +296,6 @@ func TestRangeMutationIsAtomicToRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	fs := f.Faults()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -14,7 +14,7 @@ import (
 // servers), and protocol.RemoteStore (bids carry staged access payloads out
 // and granted reads carry cell data back).
 //
-// Round semantics match the in-process engines exactly: every bidding
+// Round semantics match the in-process engine exactly: every bidding
 // processor's claim is computed locally with mpc.Claim, each remote module
 // grants the minimum claim it received, and one round costs one unit. The
 // network adds only failure modes, and those degrade into the fault set
@@ -112,11 +112,6 @@ func (c *Client) CertifyRepairs(mods, gens []uint64) int { return c.t.fs.Certify
 
 // Cost implements protocol.Machine: rounds executed so far.
 func (c *Client) Cost() uint64 { return c.round }
-
-// Close implements the optional machine Close hook. It releases nothing:
-// the connections belong to the Transport, which outlives every machine
-// built over it.
-func (c *Client) Close() {}
 
 // Round executes one synchronous MPC round over the network: assemble one
 // frame per touched server, fan all frames out (pipelining — every send

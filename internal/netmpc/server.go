@@ -47,7 +47,7 @@ type arbiter struct {
 
 // Server serves a contiguous module range to netmpc clients: it validates
 // handshakes against its geometry, arbitrates each round frame by minimum
-// packed claim per module (identical to the in-process engines), applies the
+// packed claim per module (identical to the in-process engine), applies the
 // winning bid's operation to the per-StoreID store, and replies with the
 // grant set.
 type Server struct {
@@ -300,7 +300,7 @@ func (s *Server) newArbiter() *arbiter {
 }
 
 // serveRound arbitrates one frame (minimum packed claim per module, exactly
-// the in-process engines' rule) and applies each winner's staged operation
+// the in-process engine's rule) and applies each winner's staged operation
 // to the store, collecting the grant set into reply.
 func (s *Server) serveRound(st *store, frame *RoundFrame, reply *RoundReply, arb *arbiter) error {
 	// Undo the previous round's marks here, not after serving it, so a frame

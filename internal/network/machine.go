@@ -116,6 +116,3 @@ func (m *Machine) Round(reqs []int64, grant []bool) int {
 
 // Cost returns the cumulative routed link steps.
 func (m *Machine) Cost() uint64 { return m.cost }
-
-// Close stops the inner MPC's worker pool, if any.
-func (m *Machine) Close() { m.inner.Close() }

@@ -96,7 +96,7 @@ func (h *Histogram) Buckets() [HistBuckets]int64 {
 }
 
 // Collector aggregates cumulative observability from all three levels of
-// the stack. It implements Recorder (round level, fed by the MPC engines),
+// the stack. It implements Recorder (round level, fed by the MPC engine),
 // BatchObserver (batch level, fed by protocol.System), and exposes explicit
 // hooks for the frontend dispatcher (queue depth, flush causes). All
 // methods are safe for concurrent use and allocation-free, so a single
@@ -130,11 +130,10 @@ type Collector struct {
 	RepairCertified Counter // modules certified fully live
 	RepairBacklog   Gauge   // modules under repair after the latest step
 
-	// Round level (RecordRound, from the MPC engines).
+	// Round level (RecordRound, from the MPC engine).
 	MPCRounds     Counter   // rounds recorded
 	MPCRequests   Counter   // Σ per-round live requests
 	MPCGranted    Counter   // Σ per-round grants
-	BarrierNs     Counter   // Σ coordinator barrier wait (parallel engine)
 	MaxModuleLoad MaxGauge  // worst per-module congestion ever seen
 	ModuleLoad    Histogram // per-module per-round load distribution
 	Imbalance     Histogram // per-round max-load distribution
@@ -153,7 +152,7 @@ type Collector struct {
 
 	// Resolver residency (ObserveResolverResidency, from a compiled
 	// resolver whose System's Observer is this collector).
-	ResolverShards Gauge // compiled blocks resident (1 = eager table)
+	ResolverShards Gauge // compiled blocks resident (1 = the dense table)
 	ResolverBytes  Gauge // resident compiled-table bytes
 
 	// Consistency-audit level (ObserveAudit / ObserveAuditEviction, from
@@ -174,7 +173,6 @@ func (c *Collector) RecordRound(ev RoundEvent) {
 	c.MPCRounds.Inc()
 	c.MPCRequests.Add(int64(ev.Requests))
 	c.MPCGranted.Add(int64(ev.Granted))
-	c.BarrierNs.Add(ev.BarrierNs)
 	c.DroppedBids.Add(int64(ev.Dropped))
 	c.MaxModuleLoad.Observe(int64(ev.MaxLoad))
 	c.Imbalance.Observe(int64(ev.MaxLoad))
@@ -266,9 +264,8 @@ func (c *Collector) ObserveAudit(violation bool) {
 // variable (audit coverage loss, not a consistency problem).
 func (c *Collector) ObserveAuditEviction() { c.AuditEvictions.Inc() }
 
-// ObserveResolverResidency records a compiled resolver's current residency:
-// resident compiled blocks and table bytes. Published once at attachment and
-// again after every lazy shard materialization.
+// ObserveResolverResidency records a compiled resolver's residency: resident
+// compiled blocks and table bytes.
 func (c *Collector) ObserveResolverResidency(shards int, bytes uint64) {
 	c.ResolverShards.Set(int64(shards))
 	c.ResolverBytes.Set(int64(bytes))
@@ -309,7 +306,6 @@ func (c *Collector) SnapshotInto(label string, dst map[string]int64) {
 		"mpc_rounds_total":          c.MPCRounds.Load(),
 		"mpc_requests_total":        c.MPCRequests.Load(),
 		"mpc_granted_total":         c.MPCGranted.Load(),
-		"barrier_wait_ns_total":     c.BarrierNs.Load(),
 		"max_module_load":           c.MaxModuleLoad.Load(),
 		"module_load_count":         c.ModuleLoad.Count(),
 		"module_load_sum":           c.ModuleLoad.Sum(),
@@ -378,13 +374,12 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 		{"mpc_rounds_total", "MPC rounds recorded.", "counter", c.MPCRounds.Load()},
 		{"mpc_requests_total", "Live requests across recorded rounds.", "counter", c.MPCRequests.Load()},
 		{"mpc_granted_total", "Grants across recorded rounds.", "counter", c.MPCGranted.Load()},
-		{"barrier_wait_ns_total", "Coordinator barrier wait, nanoseconds (parallel engine).", "counter", c.BarrierNs.Load()},
 		{"max_module_load", "Worst per-module congestion observed in any round.", "gauge", c.MaxModuleLoad.Load()},
 		{"max_queue_depth", "Deepest frontend submission queue observed.", "gauge", c.MaxQueueDepth.Load()},
 		{"max_ring_depth", "Deepest shard admission-ring occupancy observed.", "gauge", c.MaxRingDepth.Load()},
 		{"flusher_parks_total", "Shard flusher parks on an idle admission ring.", "counter", c.FlusherParks.Load()},
 		{"flusher_wakes_total", "Producer kicks that un-parked a shard flusher.", "counter", c.FlusherWakes.Load()},
-		{"resolver_compiled_shards", "Compiled resolver blocks resident (1 = eager table).", "gauge", c.ResolverShards.Load()},
+		{"resolver_compiled_shards", "Compiled resolver blocks resident (1 = the dense table).", "gauge", c.ResolverShards.Load()},
 		{"resolver_resident_bytes", "Compiled resolver table bytes resident.", "gauge", c.ResolverBytes.Load()},
 		{"audit_sampled_total", "Operations audited by the sampling consistency audit.", "counter", c.AuditedOps.Load()},
 		{"audit_violations_total", "Audited reads contradicting the last known value.", "counter", c.AuditViolations.Load()},

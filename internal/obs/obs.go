@@ -1,9 +1,9 @@
 // Package obs is the observability layer: round-level tracing and
-// cumulative metrics for the MPC engines, the access protocol, and the
+// cumulative metrics for the MPC engine, the access protocol, and the
 // combining frontend.
 //
 // The design constraint is that instrumentation must cost nothing when it is
-// off: the hot paths (mpc.Machine.Round on both engines, the whole
+// off: the hot paths (mpc.Machine.Round, the whole
 // protocol.System.AccessInto batch loop) guard every event computation
 // behind Recorder.Enabled(), and the default no-op recorder reports false,
 // so the steady-state zero-allocation guarantees of PR 2 are preserved with
@@ -13,10 +13,9 @@
 //
 // Three pieces compose:
 //
-//   - Recorder / RoundEvent: the per-round hook the MPC engines call after
+//   - Recorder / RoundEvent: the per-round hook the MPC engine calls after
 //     every claim/grant/reset sweep, carrying the round index, live request
-//     count, granted copies, the per-module contention histogram, and the
-//     coordinator's barrier wait time (parallel engine).
+//     count, granted copies and the per-module contention histogram.
 //   - Tracer: a fixed-capacity ring buffer of RoundEvents with running
 //     totals that survive ring wrap-around, dumpable as a JSON trajectory
 //     (the Theorem 6 round-trajectory plot is made from this).
@@ -84,10 +83,6 @@ type RoundEvent struct {
 	MaxLoad int `json:"max_load"`
 	// Contention is the full per-module load histogram.
 	Contention LoadHist `json:"contention"`
-	// BarrierNs is the coordinator's wall-clock time for the round's
-	// barrier-synchronized claim/grant/reset sweeps on the parallel engine;
-	// 0 on the sequential engine.
-	BarrierNs int64 `json:"barrier_ns"`
 	// Dropped is the number of bids dropped before arbitration because they
 	// addressed a failed module (mpc.Failing annotates this); 0 on a
 	// healthy machine. Requests counts only the surviving bids, so
@@ -200,12 +195,12 @@ type RepairObserver interface {
 	ObserveRepair(ev RepairEvent)
 }
 
-// ResolverObserver receives compiled-resolver residency updates: how many
-// compiled blocks are resident (1 for an eager table, the materialized shard
-// count in lazy mode) and the resident table bytes. A protocol System whose
-// Observer implements this interface wires it into its resolver, so lazy
-// table growth shows up live on /debug/vars and the Prometheus endpoint.
-// Collector implements it.
+// ResolverObserver receives a compiled resolver's residency: how many
+// compiled blocks are resident (1 for the dense table) and the resident table
+// bytes. A protocol System built over a table reports it once, at
+// construction, to an Observer that implements this interface, so the table's
+// footprint shows up on /debug/vars and the Prometheus endpoint; a table-free
+// System reports nothing. Collector implements it.
 type ResolverObserver interface {
 	ObserveResolverResidency(shards int, bytes uint64)
 }

@@ -141,7 +141,7 @@ func TestTracerRingAndTotals(t *testing.T) {
 
 func TestTracerWriteJSONRoundTrips(t *testing.T) {
 	tr := NewTracer(8)
-	ev := RoundEvent{Round: 3, Requests: 5, Granted: 2, MaxLoad: 3, BarrierNs: 42}
+	ev := RoundEvent{Round: 3, Requests: 5, Granted: 2, MaxLoad: 3}
 	ev.Contention.Observe(3)
 	ev.Contention.Observe(1)
 	tr.RecordRound(ev)
@@ -198,7 +198,7 @@ func TestCollectorAggregation(t *testing.T) {
 	if !c.Enabled() {
 		t.Fatal("collector must be enabled")
 	}
-	ev := RoundEvent{Requests: 10, Granted: 4, MaxLoad: 5, BarrierNs: 100}
+	ev := RoundEvent{Requests: 10, Granted: 4, MaxLoad: 5}
 	ev.Contention.Observe(5)
 	ev.Contention.Observe(2)
 	ev.Contention.Observe(1)
@@ -209,8 +209,8 @@ func TestCollectorAggregation(t *testing.T) {
 		t.Fatalf("round counters wrong: rounds=%d req=%d granted=%d",
 			c.MPCRounds.Load(), c.MPCRequests.Load(), c.MPCGranted.Load())
 	}
-	if c.MaxModuleLoad.Load() != 5 || c.BarrierNs.Load() != 100 {
-		t.Fatalf("max load %d barrier %d", c.MaxModuleLoad.Load(), c.BarrierNs.Load())
+	if c.MaxModuleLoad.Load() != 5 {
+		t.Fatalf("max load %d", c.MaxModuleLoad.Load())
 	}
 	if c.ModuleLoad.Count() != 4 {
 		t.Fatalf("module-load hist merged %d modules, want 4", c.ModuleLoad.Count())
@@ -250,7 +250,7 @@ func TestFlushCauseStrings(t *testing.T) {
 
 // TestRecordRoundNoAlloc pins the enabled tracing path itself at zero
 // steady-state allocations: the ring and the collector's atomics never
-// allocate per event (the engines' own no-op guarantee is pinned in
+// allocate per event (the engine's own no-op guarantee is pinned in
 // internal/mpc and internal/protocol).
 func TestRecordRoundNoAlloc(t *testing.T) {
 	tr := NewTracer(64)

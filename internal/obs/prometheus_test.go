@@ -15,7 +15,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // metric family the writer emits.
 func goldenCollector() *Collector {
 	c := NewCollector()
-	ev := RoundEvent{Round: 0, Requests: 9, Granted: 4, MaxLoad: 4, BarrierNs: 1500}
+	ev := RoundEvent{Round: 0, Requests: 9, Granted: 4, MaxLoad: 4}
 	ev.Contention.Observe(4)
 	ev.Contention.Observe(2)
 	ev.Contention.Observe(2)

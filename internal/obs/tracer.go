@@ -15,11 +15,10 @@ const DefaultTraceCap = 1 << 16
 // protocol.Metrics: Rounds must equal the summed TotalRounds and Granted the
 // summed GrantedBids of the batches the traced machines executed.
 type TraceTotals struct {
-	Rounds    uint64 `json:"rounds"`     // events recorded (MPC rounds)
-	Requests  uint64 `json:"requests"`   // Σ per-round live requests
-	Granted   uint64 `json:"granted"`    // Σ per-round grants
-	BarrierNs int64  `json:"barrier_ns"` // Σ coordinator barrier time
-	MaxLoad   int    `json:"max_load"`   // max per-module load ever seen
+	Rounds   uint64 `json:"rounds"`   // events recorded (MPC rounds)
+	Requests uint64 `json:"requests"` // Σ per-round live requests
+	Granted  uint64 `json:"granted"`  // Σ per-round grants
+	MaxLoad  int    `json:"max_load"` // max per-module load ever seen
 	// DroppedBids is Σ per-round bids dropped at failed modules, so
 	// Requests+DroppedBids balances against the protocol's issued bids
 	// exactly even under faults. (Distinct from Tracer.Dropped, which
@@ -70,7 +69,6 @@ func (t *Tracer) RecordRound(ev RoundEvent) {
 	t.totals.Rounds++
 	t.totals.Requests += uint64(ev.Requests)
 	t.totals.Granted += uint64(ev.Granted)
-	t.totals.BarrierNs += ev.BarrierNs
 	t.totals.DroppedBids += uint64(ev.Dropped)
 	if ev.MaxLoad > t.totals.MaxLoad {
 		t.totals.MaxLoad = ev.MaxLoad

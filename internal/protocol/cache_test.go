@@ -7,11 +7,12 @@ import (
 	"detshmem/internal/workload"
 )
 
-// TestAddressCacheEquivalence: with and without the address cache, a long
-// mixed batch sequence produces identical values and identical metrics.
+// TestAddressCacheEquivalence: with and without the compiled address table,
+// a long mixed batch sequence produces identical values and identical
+// metrics.
 func TestAddressCacheEquivalence(t *testing.T) {
 	plain := newSystem(t, 1, 5, Config{})
-	cached := newSystem(t, 1, 5, Config{CacheAddresses: true})
+	cached := newSystem(t, 1, 5, Config{Resolver: compileTable(t, plain.Mapper)})
 	rng := rand.New(rand.NewSource(33))
 	M := plain.Mapper.NumVars()
 	for batch := 0; batch < 15; batch++ {

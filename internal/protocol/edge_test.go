@@ -11,7 +11,7 @@ import (
 
 // Edge cases the combining frontend leans on: batch-boundary behaviour,
 // typed admission errors, iteration-bound exhaustion, and the
-// CacheAddresses × PolicyFixedMajority interaction.
+// compiled table × PolicyFixedMajority interaction.
 
 func edgeSystem(t *testing.T, cfg Config) (*System, *core.Scheme) {
 	t.Helper()
@@ -159,12 +159,12 @@ func TestMaxIterationsExhaustion(t *testing.T) {
 	}
 }
 
-// TestCacheWithFixedMajority: CacheAddresses and PolicyFixedMajority
-// compose — repeated batches through the cached fixed-quorum system return
-// exactly what a fresh default system returns.
+// TestCacheWithFixedMajority: the compiled table and PolicyFixedMajority
+// compose — repeated batches through the table-backed fixed-quorum system
+// return exactly what a fresh default system returns.
 func TestCacheWithFixedMajority(t *testing.T) {
-	cached, s := edgeSystem(t, Config{CacheAddresses: true, Policy: PolicyFixedMajority})
-	plain, _ := edgeSystem(t, Config{})
+	plain, s := edgeSystem(t, Config{})
+	cached, _ := edgeSystem(t, Config{Resolver: compileTable(t, plain.Mapper), Policy: PolicyFixedMajority})
 	vars := make([]uint64, 0, 32)
 	for v := uint64(0); v < 32; v++ {
 		vars = append(vars, v%s.NumVariables)
@@ -174,7 +174,7 @@ func TestCacheWithFixedMajority(t *testing.T) {
 	for i := range vals {
 		vals[i] = uint64(i)*13 + 1
 	}
-	for round := 0; round < 3; round++ { // repeats hit the address cache
+	for round := 0; round < 3; round++ {
 		for i := range vals {
 			vals[i] += uint64(round) << 16
 		}

@@ -12,11 +12,13 @@
 // baselines (Mehlhorn–Vishkin write-all/read-one, single-copy hashing,
 // Upfal–Wigderson random graphs) run under the exact same MPC accounting.
 //
-// Two hot-path layers keep the executor fast: CompileMapper precomputes any
+// Copy addresses come from one of two places: CompileMapper precomputes any
 // Mapper's address map into a dense shared table (the paper's O(log N),
 // O(1)-space Section 4 computation, compiled down to an O(1) array read),
-// and AccessInto reuses all per-batch buffers so steady-state batches
-// allocate nothing.
+// and without a table every batch runs the vectorized Section 4 kernels
+// (BulkMapper). TableFits is the size rule between the two. AccessInto
+// reuses all per-batch buffers, so steady-state batches allocate nothing on
+// either path.
 //
 // The number of iterations a phase needs is the quantity Φ bounded by
 // Theorem 6: Φ ∈ O(N^{1/3} log* N) for constant q. Metrics expose the
@@ -125,37 +127,23 @@ const (
 	PolicyFixedMajority
 )
 
-// ResolverStrategy selects how a System turns variable indices into copy
-// addresses — the table-memory vs recompute-cost vs cache-hit-rate frontier:
-//
-//   - compiled: O(1) table reads, but the table is dense in M (lazy-sharded
-//     above DefaultLazyThreshold) — fastest when the table fits and stays
-//     warm;
-//   - computed: no table at all — every batch runs the vectorized Section 4
-//     kernels (BulkMapper), paying algebra per op but constant memory, the
-//     fit for thin netmpc clients and for large-(q, n) schemes whose table
-//     would not fit;
-//   - hybrid: computed resolution behind a bounded hot-coset cache — Zipf
-//     traffic resolves at table speed from a few-MiB cache regardless of M.
+// ResolverStrategy says whether a System may turn variable indices into copy
+// addresses through a compiled table. There are two resolution paths: O(1)
+// reads of the dense table (CompileMapper), fastest when the table fits, and
+// the vectorized Section 4 kernels (BulkMapper), which pay algebra per op but
+// hold no table — the fit for thin netmpc clients and for large-(q, n)
+// schemes. TableFits is the size rule between them.
 type ResolverStrategy uint8
 
 const (
-	// ResolverAuto (the zero value) keeps the historical behavior: use the
-	// configured resolver (or the mapper itself when already compiled, or a
-	// lazy private resolver under the deprecated CacheAddresses flag), and
-	// resolve live through the mapper's batched path otherwise.
+	// ResolverAuto (the zero value) resolves through the table when the
+	// System has one — Config.Resolver, or a Mapper that is itself a
+	// CompiledResolver — and through the bulk kernels otherwise.
 	ResolverAuto ResolverStrategy = iota
-	// ResolverCompiled requires a compiled table: the configured resolver if
-	// any, else CompileMapper with default options (eager below the lazy
-	// threshold, sharded-lazy above).
-	ResolverCompiled
 	// ResolverComputed forbids the table: every batch resolves live through
 	// the bulk mapper contract. A System whose Mapper is a CompiledResolver
 	// resolves through the underlying organization instead of the table.
 	ResolverComputed
-	// ResolverHybrid is computed resolution behind a HotCache (the
-	// configured shared one, or a private cache of HotCacheSlots slots).
-	ResolverHybrid
 )
 
 // String names the strategy as the benchmarks label it.
@@ -163,29 +151,10 @@ func (s ResolverStrategy) String() string {
 	switch s {
 	case ResolverAuto:
 		return "auto"
-	case ResolverCompiled:
-		return "compiled"
 	case ResolverComputed:
 		return "computed"
-	case ResolverHybrid:
-		return "hybrid"
 	}
 	return fmt.Sprintf("ResolverStrategy(%d)", uint8(s))
-}
-
-// ParseResolverStrategy maps the -resolver flag spellings to strategies.
-func ParseResolverStrategy(s string) (ResolverStrategy, error) {
-	switch s {
-	case "", "auto":
-		return ResolverAuto, nil
-	case "compiled":
-		return ResolverCompiled, nil
-	case "computed":
-		return ResolverComputed, nil
-	case "hybrid":
-		return ResolverHybrid, nil
-	}
-	return 0, fmt.Errorf("protocol: unknown resolver strategy %q (want auto, compiled, computed or hybrid)", s)
 }
 
 // Machine abstracts the interconnect executing one synchronous request
@@ -200,11 +169,9 @@ type Machine interface {
 
 // Config tunes the protocol run.
 type Config struct {
-	Arb      mpc.Arbiter // module arbitration policy
-	Seed     uint64      // seed for mpc.ArbRandom
-	Parallel bool        // use the persistent-worker-pool MPC engine
-	Workers  int         // pool size for the parallel engine
-	Policy   CopyPolicy
+	Arb    mpc.Arbiter // module arbitration policy
+	Seed   uint64      // seed for mpc.ArbRandom
+	Policy CopyPolicy
 	// ClusterSize overrides the default cluster size (= the copy count);
 	// 0 means default. It must be at least the larger quorum.
 	ClusterSize int
@@ -254,31 +221,14 @@ type Config struct {
 	// and frontends; it must have been compiled from a mapper with the
 	// same geometry as this system's.
 	Resolver *CompiledResolver
-	// Strategy selects the resolution path (see ResolverStrategy). The zero
-	// value keeps the historical resolver selection. ResolverComputed and
-	// ResolverHybrid reject a non-nil Resolver.
+	// Strategy selects the resolution path (see ResolverStrategy).
+	// ResolverComputed rejects a non-nil Resolver.
 	Strategy ResolverStrategy
-	// HotCache shares a bounded hot-coset cache across Systems under
-	// ResolverHybrid (geometry-checked); nil builds a private cache. Setting
-	// it with any other strategy is a configuration error.
-	HotCache *HotCache
-	// HotCacheSlots sizes the private hybrid cache (rounded up to a power of
-	// two); 0 means DefaultHotCacheSlots. Ignored when HotCache is set.
-	HotCacheSlots int
 	// Owns, when non-nil, restricts the background repair sweep to the
 	// variables it reports true for. internal/shard sets it to the router's
 	// predicate, so each shard rebuilds only the variables it serves; nothing
 	// else should need it. nil sweeps every variable.
 	Owns func(v uint64) bool
-	//
-	// Deprecated: CacheAddresses memoized each variable's copy addresses in
-	// a per-System unbounded map that was neither shared across Systems nor
-	// safe to share. It is superseded by the compiled resolver: set
-	// Resolver (or build the System directly over a CompiledResolver) to
-	// control compilation explicitly. The flag still works — it is now
-	// routed through a lazily compiled resolver private to the System, so
-	// memory grows shard-wise with the touched working set.
-	CacheAddresses bool
 }
 
 // System binds a memory organization (as a Mapper), copy storage and an MPC
@@ -298,14 +248,12 @@ type System struct {
 	ts    uint64 // batch timestamp, incremented per Access
 
 	// resolver serves compiled copy addresses; nil means live batched
-	// resolution through bulkSrc (behind hot when the strategy is hybrid).
+	// resolution through bulkSrc.
 	resolver *CompiledResolver
 	// bulkSrc is the mapper live resolution runs against: the Mapper itself,
 	// or the underlying organization when the Mapper is a compiled table the
 	// strategy refuses to use.
 	bulkSrc Mapper
-	// hot is the hybrid strategy's bounded row cache; nil otherwise.
-	hot *HotCache
 
 	// Machine reuse: rebuilding interconnect state per batch is wasteful
 	// when consecutive batches have the same processor count.
@@ -395,98 +343,45 @@ func NewGenericSystem(m Mapper, cfg Config) (*System, error) {
 		// can never complete an access.
 		return nil, fmt.Errorf("protocol: cluster size %d below quorum %d", cfg.ClusterSize, maxQ)
 	}
-	resolver := cfg.Resolver
-	switch {
-	case resolver != nil:
-		if err := resolver.compatibleWith(m); err != nil {
-			return nil, err
-		}
-	case isCompiled(m):
-		resolver = m.(*CompiledResolver)
-	case cfg.CacheAddresses:
-		// Deprecated flag, kept working: route it through a lazily compiled
-		// private resolver instead of the old unbounded per-System map.
-		var err error
-		resolver, err = CompileMapper(m, CompileOptions{Lazy: true})
-		if err != nil {
-			return nil, err
-		}
-	}
-	bulkSrc := m
-	var hot *HotCache
+	resolver, bulkSrc := cfg.Resolver, m
+	compiled, _ := m.(*CompiledResolver)
 	switch cfg.Strategy {
 	case ResolverAuto:
-		// Historical selection, already made above.
-	case ResolverCompiled:
 		if resolver == nil {
-			var err error
-			if resolver, err = CompileMapper(m, CompileOptions{}); err != nil {
-				return nil, err
-			}
+			resolver = compiled
+		} else if err := resolver.compatibleWith(m); err != nil {
+			return nil, err
 		}
-	case ResolverComputed, ResolverHybrid:
-		if cfg.Resolver != nil {
+	case ResolverComputed:
+		if resolver != nil {
 			return nil, fmt.Errorf("protocol: strategy %v conflicts with an attached compiled resolver", cfg.Strategy)
 		}
-		resolver = nil
-		if r, ok := m.(*CompiledResolver); ok {
+		if compiled != nil {
 			// The Mapper happens to be a compiled table: resolve through the
 			// organization it was compiled from instead of the table.
-			bulkSrc = r.Mapper()
-		}
-		if cfg.Strategy == ResolverHybrid {
-			hot = cfg.HotCache
-			if hot == nil {
-				hot = NewHotCache(bulkSrc, cfg.HotCacheSlots)
-			} else if err := hot.compatibleWith(m); err != nil {
-				return nil, err
-			}
+			bulkSrc = compiled.Mapper()
 		}
 	default:
 		return nil, fmt.Errorf("protocol: unknown resolver strategy %d", cfg.Strategy)
-	}
-	if cfg.HotCache != nil && cfg.Strategy != ResolverHybrid {
-		return nil, fmt.Errorf("protocol: HotCache requires Strategy ResolverHybrid, got %v", cfg.Strategy)
 	}
 	sys := &System{
 		Mapper:   m,
 		cfg:      cfg,
 		resolver: resolver,
 		bulkSrc:  bulkSrc,
-		hot:      hot,
 	}
 	sys.ro, _ = cfg.Observer.(obs.RepairObserver)
-	sys.observeResolver()
+	if o, ok := cfg.Observer.(obs.ResolverObserver); ok && resolver != nil {
+		// The table is immutable, so its residency is published once; every
+		// System sharing it reports the same figure to its own observer.
+		o.ObserveResolverResidency(1, resolver.ResidentBytes())
+	}
 	return sys, nil
 }
 
-// observeResolver wires the configured batch observer into the resolver's
-// residency gauges when both sides support it (obs.Collector implements
-// obs.ResolverObserver), so compiled-table growth is visible on
-// expvar/Prometheus alongside the batch metrics.
-func (sys *System) observeResolver() {
-	if sys.resolver == nil {
-		return
-	}
-	if o, ok := sys.cfg.Observer.(obs.ResolverObserver); ok {
-		sys.resolver.Observe(o)
-	}
-}
-
-func isCompiled(m Mapper) bool {
-	_, ok := m.(*CompiledResolver)
-	return ok
-}
-
-// Close releases the system's interconnect (the parallel MPC engine's
-// worker pool, when one is live). The system remains usable: the next
-// Access rebuilds the machine. Closing is optional — leaked machines are
-// finalized by the GC — but deterministic release keeps goroutine counts
-// flat in long-running services.
+// Close drops the system's interconnect machine. The system remains usable:
+// the next Access builds a fresh one.
 func (sys *System) Close() {
-	if c, ok := sys.machine.(interface{ Close() }); ok {
-		c.Close()
-	}
 	sys.machine = nil
 	sys.machineProcs = 0
 	sys.fv = nil
@@ -819,14 +714,12 @@ func (sys *System) observeBatch(reqs []Request, res *Result) {
 // enough: a batch smaller than the machine simply leaves the tail
 // processors idle. Variable-size batch streams — the frontend flushes a
 // different distinct-variable count every time — would otherwise rebuild
-// the machine (an O(N) winner table plus, for the parallel engine, a worker
-// pool) on every flush, which dominates the per-batch cost for small
-// batches. When the machine must grow, the geometry is rounded up to the
-// next power of two (capped at the full-batch maximum) so a stream of
-// creeping batch sizes settles after O(log N) rebuilds. Interconnect state —
-// round counters, network queues — carries over across reuse; per-batch
-// cost is taken as a delta against machineCost. A replaced machine is
-// closed so its worker pool, if any, is released deterministically.
+// the machine (an O(N) winner table) on every flush, which dominates the
+// per-batch cost for small batches. When the machine must grow, the geometry
+// is rounded up to the next power of two (capped at the full-batch maximum)
+// so a stream of creeping batch sizes settles after O(log N) rebuilds.
+// Interconnect state — round counters, network queues — carries over across
+// reuse; per-batch cost is taken as a delta against machineCost.
 func (sys *System) obtainMachine(procs int) (Machine, int, error) {
 	if sys.machine != nil && sys.machineProcs >= procs {
 		sys.machineCost = sys.machine.Cost()
@@ -849,8 +742,6 @@ func (sys *System) obtainMachine(procs int) (Machine, int, error) {
 		Modules:  int(sys.Mapper.NumModules()),
 		Arb:      sys.cfg.Arb,
 		Seed:     sys.cfg.Seed,
-		Parallel: sys.cfg.Parallel,
-		Workers:  sys.cfg.Workers,
 		Recorder: sys.cfg.Recorder,
 	}
 	var machine Machine
@@ -865,9 +756,6 @@ func (sys *System) obtainMachine(procs int) (Machine, int, error) {
 	}
 	if err != nil {
 		return nil, 0, err
-	}
-	if c, ok := sys.machine.(interface{ Close() }); ok {
-		c.Close()
 	}
 	sys.machine = machine
 	sys.machineProcs = geo
@@ -898,44 +786,33 @@ func (sys *System) resolveCopies(reqs []Request) []assignment {
 	for i := range reqs {
 		vars[i] = reqs[i].Var
 	}
-	sys.copies = sys.resolveVars(vars, sys.copies, true)
+	sys.copies = sys.resolveVars(vars, sys.copies)
 	return sys.copies
 }
 
 // resolveVars is the System's one resolution path, shared by batches and the
 // repair sweep: it computes the (module, address) of every copy of every
 // variable in vars into out (vars-major, entry i·Copies+c with req = i and
-// cpy = c) — from the compiled table when a resolver is attached, through
-// the hot-coset cache under the hybrid strategy, and through the mapper's
-// batched bulk contract otherwise. useHot false skips the cache, so a linear
-// sweep resolves computed and cannot evict the rows hot traffic put there.
-// All buffers are reused, so the steady state is allocation-free.
-func (sys *System) resolveVars(vars []uint64, out []assignment, useHot bool) []assignment {
+// cpy = c) — from the compiled table when a resolver is attached, and
+// through the mapper's batched bulk contract otherwise. All buffers are
+// reused, so the steady state is allocation-free.
+func (sys *System) resolveVars(vars []uint64, out []assignment) []assignment {
 	nCopies := sys.Mapper.Copies()
 	out = grow(out, len(vars)*nCopies)
-	switch {
-	case sys.resolver != nil:
+	if sys.resolver != nil {
 		for r, v := range vars {
 			putRow(out[r*nCopies:][:nCopies], r, sys.resolver.row(v))
 		}
-	case sys.hot != nil && useHot:
-		for r, v := range vars {
-			row := sys.hot.lookup(v)
-			if row == nil {
-				row = sys.hot.fill(sys.bulkSrc, v)
-			}
-			putRow(out[r*nCopies:][:nCopies], r, row)
-		}
-	default:
-		// Live batched resolution: one bulk call (vectorized kernels for
-		// BulkMappers), expanded into assignments.
-		mods, addrs := AppendCopyAddrs(sys.bulkSrc, sys.bulkMods[:0], sys.bulkAddrs[:0], vars, nCopies)
-		sys.bulkMods, sys.bulkAddrs = mods, addrs
-		for r := range vars {
-			base := r * nCopies
-			for c := 0; c < nCopies; c++ {
-				out[base+c] = assignment{req: int32(r), cpy: int16(c), module: int64(mods[base+c]), addr: addrs[base+c]}
-			}
+		return out
+	}
+	// Live batched resolution: one bulk call (vectorized kernels for
+	// BulkMappers), expanded into assignments.
+	mods, addrs := AppendCopyAddrs(sys.bulkSrc, sys.bulkMods[:0], sys.bulkAddrs[:0], vars, nCopies)
+	sys.bulkMods, sys.bulkAddrs = mods, addrs
+	for r := range vars {
+		base := r * nCopies
+		for c := 0; c < nCopies; c++ {
+			out[base+c] = assignment{req: int32(r), cpy: int16(c), module: int64(mods[base+c]), addr: addrs[base+c]}
 		}
 	}
 	return out

@@ -25,6 +25,16 @@ func newSystem(t testing.TB, m, n int, cfg Config) *System {
 	return sys
 }
 
+// compileTable compiles m's dense table.
+func compileTable(t testing.TB, m Mapper) *CompiledResolver {
+	t.Helper()
+	r, err := CompileMapper(m, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestWriteThenRead(t *testing.T) {
 	for _, c := range []struct{ m, n int }{{1, 3}, {1, 5}, {2, 3}} {
 		sys := newSystem(t, c.m, c.n, Config{})
@@ -197,50 +207,6 @@ func TestFullBatch(t *testing.T) {
 	for i := range got {
 		if got[i] != vals[i] {
 			t.Fatalf("full-batch readback mismatch at %d", i)
-		}
-	}
-}
-
-// TestEngineEquivalence: the goroutine MPC engine yields identical values
-// and iteration counts to the sequential one.
-func TestEngineEquivalence(t *testing.T) {
-	seqSys := newSystem(t, 1, 5, Config{})
-	parSys := newSystem(t, 1, 5, Config{Parallel: true, Workers: 5})
-	rng := rand.New(rand.NewSource(3))
-	M := seqSys.Index.M()
-	for batch := 0; batch < 10; batch++ {
-		k := 50 + rng.Intn(300)
-		chosen := make(map[uint64]bool)
-		var reqs []Request
-		for len(chosen) < k {
-			v := uint64(rng.Intn(int(M)))
-			if chosen[v] {
-				continue
-			}
-			chosen[v] = true
-			op := Read
-			if rng.Intn(2) == 0 {
-				op = Write
-			}
-			reqs = append(reqs, Request{Var: v, Op: op, Value: rng.Uint64()})
-		}
-		r1, err := seqSys.Access(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := parSys.Access(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range r1.Values {
-			if r1.Values[i] != r2.Values[i] {
-				t.Fatalf("batch %d: engines disagree on value %d", batch, i)
-			}
-		}
-		if r1.Metrics.TotalRounds != r2.Metrics.TotalRounds ||
-			r1.Metrics.MaxIterations != r2.Metrics.MaxIterations {
-			t.Fatalf("batch %d: engines disagree on metrics: %+v vs %+v",
-				batch, r1.Metrics, r2.Metrics)
 		}
 	}
 }

@@ -285,7 +285,7 @@ func (sys *System) scanRepairRange(machine Machine, geo int, lo, hi uint64, rm *
 		}
 		lo = end
 		rep.chunk = chunk
-		rep.rows = sys.resolveVars(chunk, rep.rows, false)
+		rep.rows = sys.resolveVars(chunk, rep.rows)
 		vars := rep.vars[:0]
 		for i := range chunk {
 			for _, a := range rep.rows[i*nCopies:][:nCopies] {

@@ -115,7 +115,6 @@ func TestRepairDifferentialResolvers(t *testing.T) {
 	}{
 		{"compiled", live, Config{Resolver: table}},
 		{"computed", table, Config{Strategy: ResolverComputed}},
-		{"hybrid", live, Config{Strategy: ResolverHybrid, HotCacheSlots: 64}},
 	} {
 		got := run(tc.m, tc.cfg)
 		if got.copies != want.copies || got.rounds != want.rounds || got.certified != want.certified {
@@ -130,29 +129,5 @@ func TestRepairDifferentialResolvers(t *testing.T) {
 	if wide.copies != want.copies || wide.certified != want.certified || !slices.Equal(wide.cells, want.cells) {
 		t.Errorf("budget of %d: repaired %d copies, certified %d (default budget: %d, %d), stores equal %v",
 			4*repairChunkVars, wide.copies, wide.certified, want.copies, want.certified, slices.Equal(wide.cells, want.cells))
-	}
-}
-
-// TestRepairSweepBypassesHotCache: under the hybrid strategy a sweep must not
-// pass through the hot-coset cache, or one linear pass over the variable
-// space would evict every row the traffic put there.
-func TestRepairSweepBypassesHotCache(t *testing.T) {
-	s, idx := sweepScheme(t)
-	fs := mpc.NewFaultSet()
-	sys := sharedFaultSystem(t, s, idx, fs, Config{Strategy: ResolverHybrid, HotCacheSlots: 64})
-	defer sys.Close()
-	if _, err := sys.WriteBatch([]uint64{1, 2, 3}, []uint64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := sys.hot.Stats()
-	fs.FailRange(0, 8)
-	fs.RecoverPendingRange(0, 8)
-	for sys.RepairBacklog() > 0 {
-		if !sys.RepairStep() {
-			t.Fatalf("repair stalled with backlog %d", sys.RepairBacklog())
-		}
-	}
-	if h, m := sys.hot.Stats(); h != hits || m != misses {
-		t.Fatalf("sweep went through the hot cache: hits %d -> %d, misses %d -> %d", hits, h, misses, m)
 	}
 }

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
-
-	"detshmem/internal/obs"
 )
 
 // packedAssignment is one compiled copy location: the module serving the
@@ -19,42 +16,24 @@ type packedAssignment struct {
 
 // CompileOptions tunes CompileMapper.
 type CompileOptions struct {
-	// Workers bounds the goroutines used to build the eager table;
-	// 0 means GOMAXPROCS.
+	// Workers bounds the goroutines used to build the table; 0 means
+	// GOMAXPROCS.
 	Workers int
-	// Lazy forces sharded lazy materialization: nothing is computed up
-	// front, and each shard of shardVars variables is compiled on first
-	// touch. Memory then grows with the touched working set, not with M.
-	Lazy bool
-	// Eager forces the full upfront table even above LazyThreshold.
-	Eager bool
-	// LazyThreshold is the table-entry count (NumVars·Copies) above which
-	// compilation defaults to lazy sharding; 0 means DefaultLazyThreshold.
-	LazyThreshold uint64
 }
 
-// DefaultLazyThreshold is the default eager/lazy cutover: 2^24 entries
-// (256 MiB of packed assignments) compiled up front at most.
-const DefaultLazyThreshold = 1 << 24
-
-const (
-	shardBits = 10 // variables per lazy shard: 1024
-	shardVars = 1 << shardBits
-)
-
-// resolverShard is one lazily compiled block of shardVars variables. The
-// table pointer is published atomically after a mutex-serialized build, so
-// readers never lock on the hot path.
-type resolverShard struct {
-	table atomic.Pointer[[]packedAssignment]
-	mu    sync.Mutex
+// TableFits is the size rule that picks between the two resolution paths: a
+// mapper whose dense table has at most 2^24 entries (NumVars·Copies; 256 MiB
+// of packed assignments) is worth compiling, a larger one resolves through
+// the computed bulk kernels instead. shard.New applies it under the
+// zero-value strategy.
+func TableFits(m Mapper) bool {
+	return m.NumVars()*uint64(m.Copies()) <= 1<<24
 }
 
 // CompiledResolver is a compiled address map for a Mapper: the (module,
 // address) of every copy of every variable, precomputed into a dense
-// immutable table (or compiled shard-by-shard on demand in lazy mode) so
-// the per-batch resolution sweep is an O(1) array read per copy instead of
-// the live O(log N) algebra of Mapper.CopyAddr.
+// immutable table so the per-batch resolution sweep is an O(1) array read per
+// copy instead of the live O(log N) algebra of Mapper.CopyAddr.
 //
 // A resolver is safe for concurrent use and is meant to be shared: any
 // number of Systems and frontends over the same memory organization can
@@ -65,19 +44,13 @@ type CompiledResolver struct {
 	inner  Mapper
 	vars   uint64
 	copies int
-
-	table  []packedAssignment // eager: len = vars·copies, immutable
-	shards []resolverShard    // lazy: one entry per shardVars variables
-
-	// observer, when set (Observe), receives a residency update at
-	// attachment and after every lazy shard materialization.
-	observer atomic.Pointer[obs.ResolverObserver]
+	table  []packedAssignment // len = vars·copies, immutable
 }
 
-// CompileMapper compiles m's address map. The eager table is built in
-// parallel across opts.Workers goroutines; lazy mode returns immediately
-// and compiles shards on first touch. Compiling an already compiled
-// resolver returns it unchanged.
+// CompileMapper compiles m's address map, building the table in parallel
+// across opts.Workers goroutines. It compiles whatever it is handed; callers
+// that must not hold an oversized table ask TableFits first. Compiling an
+// already compiled resolver returns it unchanged.
 func CompileMapper(m Mapper, opts CompileOptions) (*CompiledResolver, error) {
 	if m == nil {
 		return nil, fmt.Errorf("protocol: cannot compile nil mapper")
@@ -89,17 +62,7 @@ func CompileMapper(m Mapper, opts CompileOptions) (*CompiledResolver, error) {
 	if vars == 0 || copies < 1 {
 		return nil, fmt.Errorf("protocol: cannot compile %s with %d vars, %d copies", m.Name(), vars, copies)
 	}
-	entries := vars * uint64(copies)
-	threshold := opts.LazyThreshold
-	if threshold == 0 {
-		threshold = DefaultLazyThreshold
-	}
-	r := &CompiledResolver{inner: m, vars: vars, copies: copies}
-	if opts.Lazy || (!opts.Eager && entries > threshold) {
-		r.shards = make([]resolverShard, (vars+shardVars-1)/shardVars)
-		return r, nil
-	}
-	r.table = make([]packedAssignment, entries)
+	r := &CompiledResolver{inner: m, vars: vars, copies: copies, table: make([]packedAssignment, vars*uint64(copies))}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -139,104 +102,19 @@ func compileRange(m Mapper, table []packedAssignment, lo, hi uint64, copies int)
 	}
 }
 
-// row returns the compiled copies of v as one dense slice, materializing
-// v's shard on first touch in lazy mode. v must be below NumVars.
+// row returns the compiled copies of v as one dense slice. v must be below
+// NumVars.
 func (r *CompiledResolver) row(v uint64) []packedAssignment {
 	c := uint64(r.copies)
-	if r.table != nil {
-		return r.table[v*c : v*c+c]
-	}
-	sh := &r.shards[v>>shardBits]
-	t := sh.table.Load()
-	if t == nil {
-		t = r.materialize(sh, v>>shardBits)
-	}
-	off := (v & (shardVars - 1)) * c
-	return (*t)[off : off+c]
-}
-
-// materialize compiles one lazy shard, serializing concurrent first
-// touches; later readers take the atomic fast path in row.
-func (r *CompiledResolver) materialize(sh *resolverShard, shard uint64) *[]packedAssignment {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if t := sh.table.Load(); t != nil {
-		return t
-	}
-	lo := shard << shardBits
-	hi := lo + shardVars
-	if hi > r.vars {
-		hi = r.vars
-	}
-	t := make([]packedAssignment, (hi-lo)*uint64(r.copies))
-	for v := lo; v < hi; v++ {
-		base := (v - lo) * uint64(r.copies)
-		for c := 0; c < r.copies; c++ {
-			mod, addr := r.inner.CopyAddr(v, c)
-			t[base+uint64(c)] = packedAssignment{module: int64(mod), addr: addr}
-		}
-	}
-	sh.table.Store(&t)
-	r.publishResidency()
-	return &t
+	return r.table[v*c : v*c+c]
 }
 
 // Mapper returns the memory organization the resolver was compiled from.
 func (r *CompiledResolver) Mapper() Mapper { return r.inner }
 
-// Compiled reports how many variables have been compiled so far (all of
-// them for an eager resolver; the touched shards for a lazy one).
-func (r *CompiledResolver) Compiled() uint64 {
-	if r.table != nil {
-		return r.vars
-	}
-	var n uint64
-	for i := range r.shards {
-		if t := r.shards[i].table.Load(); t != nil {
-			n += uint64(len(*t)) / uint64(r.copies)
-		}
-	}
-	return n
-}
-
-// CompiledShards reports how many compiled blocks are resident: always 1
-// for an eager table, the materialized shard count in lazy mode.
-func (r *CompiledResolver) CompiledShards() int {
-	if r.table != nil {
-		return 1
-	}
-	n := 0
-	for i := range r.shards {
-		if r.shards[i].table.Load() != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// ResidentBytes reports the resolver's resident table memory: 16 bytes per
-// compiled copy entry (grows shard-wise with the touched working set in
-// lazy mode).
+// ResidentBytes reports the table's memory: 16 bytes per copy entry.
 func (r *CompiledResolver) ResidentBytes() uint64 {
-	return r.Compiled() * uint64(r.copies) * 16
-}
-
-// Observe attaches a residency observer (obs.Collector implements the
-// interface): the current residency is published immediately and again after
-// every lazy shard materialization, so lazy table growth is visible on
-// expvar/Prometheus without polling. Later calls replace the observer.
-func (r *CompiledResolver) Observe(o obs.ResolverObserver) {
-	r.observer.Store(&o)
-	r.publishResidency()
-}
-
-// publishResidency pushes the current shard count and byte footprint to the
-// attached observer, if any. Called off the read hot path (attachment and
-// shard materialization only); the residency scan is O(shards).
-func (r *CompiledResolver) publishResidency() {
-	if p := r.observer.Load(); p != nil {
-		(*p).ObserveResolverResidency(r.CompiledShards(), r.ResidentBytes())
-	}
+	return uint64(len(r.table)) * 16
 }
 
 // compatibleWith checks that m has the geometry the resolver was compiled

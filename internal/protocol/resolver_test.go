@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"detshmem/internal/baseline"
@@ -12,17 +11,16 @@ import (
 
 // TestCompiledResolverEquivalence proves the compiled table is byte-identical
 // to live CopyAddr resolution: for every mapper in the fuzz matrix, every
-// variable, every copy, eager and lazy compilation both return exactly the
-// (module, addr) the live algebra computes.
+// variable, every copy, the table returns exactly the (module, addr) the live
+// algebra computes, whatever the number of build workers.
 func TestCompiledResolverEquivalence(t *testing.T) {
 	for _, m := range mapperFuzzSetup(t) {
 		for _, mode := range []struct {
 			name string
 			opts CompileOptions
 		}{
-			{"eager", CompileOptions{Eager: true}},
-			{"eager-1worker", CompileOptions{Eager: true, Workers: 1}},
-			{"lazy", CompileOptions{Lazy: true}},
+			{"eager", CompileOptions{}},
+			{"eager-1worker", CompileOptions{Workers: 1}},
 		} {
 			t.Run(fmt.Sprintf("%s/%s", m.Name(), mode.name), func(t *testing.T) {
 				r, err := CompileMapper(m, mode.opts)
@@ -31,7 +29,7 @@ func TestCompiledResolverEquivalence(t *testing.T) {
 				}
 				// Sweep every variable on small mappers; stride large ones
 				// (the q=8 core scheme has 266k variables) so ~32k spread
-				// over every lazy shard are still checked.
+				// over every worker's range are still checked.
 				step := uint64(1)
 				if m.NumVars() > 1<<15 {
 					step = m.NumVars() >> 15
@@ -46,9 +44,6 @@ func TestCompiledResolverEquivalence(t *testing.T) {
 						}
 					}
 				}
-				if got := r.Compiled(); got != m.NumVars() {
-					t.Fatalf("%s: Compiled() = %d after full sweep, want %d", m.Name(), got, m.NumVars())
-				}
 			})
 		}
 	}
@@ -59,7 +54,7 @@ func TestCompiledResolverEquivalence(t *testing.T) {
 // mapper anywhere (reports, systems, frontends).
 func TestCompiledResolverMetadata(t *testing.T) {
 	for _, m := range mapperFuzzSetup(t) {
-		r, err := CompileMapper(m, CompileOptions{Lazy: true})
+		r, err := CompileMapper(m, CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +77,7 @@ func TestCompileMapperIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := CompileMapper(r1, CompileOptions{Lazy: true})
+	r2, err := CompileMapper(r1, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,61 +89,37 @@ func TestCompileMapperIdempotent(t *testing.T) {
 	}
 }
 
-// TestCompiledResolverLazyThreshold checks the eager/lazy cutover: small
-// mappers compile eagerly by default, and a threshold below the entry count
-// switches the default to lazy.
-func TestCompiledResolverLazyThreshold(t *testing.T) {
-	m := mapperFuzzSetup(t)[0]
-	eager, err := CompileMapper(m, CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eager.Compiled() != m.NumVars() {
-		t.Fatalf("default compile of %d-var mapper not eager", m.NumVars())
-	}
-	lazy, err := CompileMapper(m, CompileOptions{LazyThreshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lazy.Compiled() != 0 {
-		t.Fatalf("compile above threshold started with %d vars materialized, want 0", lazy.Compiled())
-	}
-	forced, err := CompileMapper(m, CompileOptions{Eager: true, LazyThreshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if forced.Compiled() != m.NumVars() {
-		t.Fatal("Eager did not override LazyThreshold")
-	}
+// sizedMapper is a stub geometry for the size rule: only NumVars and Copies
+// are ever asked.
+type sizedMapper struct {
+	Mapper
+	vars   uint64
+	copies int
 }
 
-// TestCompiledResolverConcurrentLazy hammers one shared lazy resolver from
-// many goroutines touching overlapping shards; run under -race this checks
-// the publish-once materialization is sound.
-func TestCompiledResolverConcurrentLazy(t *testing.T) {
-	m := mapperFuzzSetup(t)[2] // MV baseline: 4096 vars = several shards
-	r, err := CompileMapper(m, CompileOptions{Lazy: true})
-	if err != nil {
-		t.Fatal(err)
+func (m sizedMapper) NumVars() uint64 { return m.vars }
+func (m sizedMapper) Copies() int     { return m.copies }
+
+// TestTableFitsCutoff pins the size rule between the two resolvers at 2^24
+// table entries, inclusive.
+func TestTableFitsCutoff(t *testing.T) {
+	for _, tc := range []struct {
+		vars   uint64
+		copies int
+		fits   bool
+	}{
+		{1 << 24, 1, true},
+		{1<<24 + 1, 1, false},
+		{1 << 22, 4, true},
+		{1<<22 + 1, 4, false},
+		{5592405, 3, true},  // 2^24 - 1 entries
+		{5592406, 3, false}, // 2^24 + 2 entries
+	} {
+		if got := TableFits(sizedMapper{vars: tc.vars, copies: tc.copies}); got != tc.fits {
+			t.Errorf("TableFits(M=%d, copies=%d) = %v, want %v (%d entries)",
+				tc.vars, tc.copies, got, tc.fits, tc.vars*uint64(tc.copies))
+		}
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for v := uint64(0); v < m.NumVars(); v += uint64(1 + g%3) {
-				for c := 0; c < m.Copies(); c++ {
-					wantMod, wantAddr := m.CopyAddr(v, c)
-					gotMod, gotAddr := r.CopyAddr(v, c)
-					if gotMod != wantMod || gotAddr != wantAddr {
-						t.Errorf("goroutine %d: CopyAddr(%d,%d) mismatch", g, v, c)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 // TestResolverSharedAcrossSystems runs two systems over one shared eager
@@ -246,97 +217,48 @@ func TestResolverGeometryMismatch(t *testing.T) {
 	}
 }
 
-// TestResolverResidencyGauges checks CompiledShards/ResidentBytes and the
-// obs wiring: an attached collector sees the residency at attachment, every
-// lazy materialization pushes an update, and an eager table reports one
-// resident block of vars·copies·16 bytes.
+// TestResolverResidencyGauges checks the table reports vars·copies·16
+// resident bytes.
 func TestResolverResidencyGauges(t *testing.T) {
-	m := mapperFuzzSetup(t)[2] // MV baseline: 4096 vars = several lazy shards
-
-	eager, err := CompileMapper(m, CompileOptions{Eager: true})
+	m := mapperFuzzSetup(t)[2]
+	r, err := CompileMapper(m, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := eager.CompiledShards(); got != 1 {
-		t.Fatalf("eager CompiledShards() = %d, want 1", got)
-	}
-	wantBytes := m.NumVars() * uint64(m.Copies()) * 16
-	if got := eager.ResidentBytes(); got != wantBytes {
-		t.Fatalf("eager ResidentBytes() = %d, want %d", got, wantBytes)
-	}
-
-	lazy, err := CompileMapper(m, CompileOptions{Lazy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := obs.NewCollector()
-	lazy.Observe(c)
-	if c.ResolverShards.Load() != 0 || c.ResolverBytes.Load() != 0 {
-		t.Fatalf("fresh lazy resolver published shards=%d bytes=%d, want 0/0",
-			c.ResolverShards.Load(), c.ResolverBytes.Load())
-	}
-	lazy.CopyAddr(0, 0) // touch shard 0
-	if got := c.ResolverShards.Load(); got != 1 {
-		t.Fatalf("after one touch ResolverShards = %d, want 1", got)
-	}
-	if got, want := c.ResolverBytes.Load(), int64(shardVars*m.Copies()*16); got != want {
-		t.Fatalf("after one touch ResolverBytes = %d, want %d", got, want)
-	}
-	lazy.CopyAddr(shardVars, 0) // touch shard 1
-	if got := c.ResolverShards.Load(); got != 2 {
-		t.Fatalf("after second shard ResolverShards = %d, want 2", got)
-	}
-	if got := lazy.CompiledShards(); got != 2 {
-		t.Fatalf("CompiledShards() = %d, want 2", got)
+	if got, want := r.ResidentBytes(), m.NumVars()*uint64(m.Copies())*16; got != want {
+		t.Fatalf("ResidentBytes() = %d, want %d", got, want)
 	}
 }
 
-// TestSystemWiresResolverObserver checks NewGenericSystem attaches a
-// collector Observer to its resolver, so lazy growth during real batches
-// lands on the gauges without any explicit Observe call.
+// TestSystemWiresResolverObserver checks NewGenericSystem reports the table
+// it resolves through to a collector Observer — to each System's own
+// collector when several share one table — and reports nothing for a
+// table-free System.
 func TestSystemWiresResolverObserver(t *testing.T) {
 	mv, err := baseline.NewMV(64, 4096, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r, err := CompileMapper(mv, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		c := obs.NewCollector()
+		if _, err := NewGenericSystem(mv, Config{Resolver: r, Observer: c}); err != nil {
+			t.Fatal(err)
+		}
+		if c.ResolverShards.Load() != 1 || uint64(c.ResolverBytes.Load()) != r.ResidentBytes() {
+			t.Fatalf("system %d over the table: gauges shards=%d bytes=%d, want 1/%d",
+				i, c.ResolverShards.Load(), c.ResolverBytes.Load(), r.ResidentBytes())
+		}
+	}
 	c := obs.NewCollector()
-	sys, err := NewGenericSystem(mv, Config{CacheAddresses: true, Observer: c})
-	if err != nil {
+	if _, err := NewGenericSystem(r, Config{Strategy: ResolverComputed, Observer: c}); err != nil {
 		t.Fatal(err)
 	}
-	if c.ResolverShards.Load() != 0 {
-		t.Fatalf("gauge non-zero before any access: %d", c.ResolverShards.Load())
-	}
-	if _, err := sys.WriteBatch([]uint64{1, 2, 3}, []uint64{10, 20, 30}); err != nil {
-		t.Fatal(err)
-	}
-	if c.ResolverShards.Load() == 0 || c.ResolverBytes.Load() == 0 {
-		t.Fatalf("gauges not updated by lazy materialization: shards=%d bytes=%d",
+	if c.ResolverShards.Load() != 0 || c.ResolverBytes.Load() != 0 {
+		t.Fatalf("table-free system published shards=%d bytes=%d, want 0/0",
 			c.ResolverShards.Load(), c.ResolverBytes.Load())
-	}
-}
-
-// TestCacheAddressesRoutesThroughResolver checks the deprecated flag now
-// attaches a lazy private resolver rather than the removed address map.
-func TestCacheAddressesRoutesThroughResolver(t *testing.T) {
-	mv, err := baseline.NewMV(64, 4096, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := NewGenericSystem(mv, Config{CacheAddresses: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.resolver == nil {
-		t.Fatal("CacheAddresses did not attach a resolver")
-	}
-	if sys.resolver.Compiled() != 0 {
-		t.Fatal("CacheAddresses resolver not lazy")
-	}
-	if _, err := sys.WriteBatch([]uint64{1, 2, 3}, []uint64{10, 20, 30}); err != nil {
-		t.Fatal(err)
-	}
-	if sys.resolver.Compiled() == 0 {
-		t.Fatal("lazy resolver did not materialize after an access")
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestDifferentialStress cross-checks every protocol configuration axis
-// (policy × arbiter × engine × cluster size × interconnect) against a plain
+// (policy × arbiter × cluster size × resolver × interconnect) against a plain
 // reference model over long mixed batch sequences. All configurations must
 // produce identical *values* (metrics legitimately differ).
 func TestDifferentialStress(t *testing.T) {
@@ -32,9 +32,8 @@ func TestDifferentialStress(t *testing.T) {
 		{Policy: PolicyFixedMajority},
 		{Arb: mpc.ArbRoundRobin},
 		{Arb: mpc.ArbRandom, Seed: 17},
-		{Parallel: true, Workers: 3},
 		{ClusterSize: 5},
-		{CacheAddresses: true},
+		{Resolver: compileTable(t, NewCoreMapper(s, idx))},
 		{NewMachine: func(cfg mpc.Config) (Machine, error) {
 			return network.NewMachineTopology(cfg, network.TopoHypercube)
 		}},

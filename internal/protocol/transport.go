@@ -27,8 +27,8 @@ type Transport interface {
 	// Name identifies the transport in reports ("inproc", "tcp").
 	Name() string
 	// NewMachine builds an interconnect machine with the given geometry.
-	// The protocol closes a machine (when it implements io.Closer-style
-	// Close) before replacing it, but never closes the transport itself —
+	// Machines hold no resources of their own; the protocol drops one when
+	// it needs a larger geometry and never closes the transport itself —
 	// the caller that built the transport owns its lifetime.
 	NewMachine(cfg mpc.Config) (Machine, error)
 }

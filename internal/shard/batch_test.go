@@ -239,7 +239,7 @@ func TestAccessBatchErrorAttribution(t *testing.T) {
 // and the Batch header), admitting through the rings allocates nothing —
 // the partition scratch is pooled.
 func TestAccessBatchAllocs(t *testing.T) {
-	svc := newService(t, 3, Config{Shards: 4, Pipeline: true, MaxBatch: 64, RingCap: 4096})
+	svc := newService(t, 3, Config{Shards: 4, Pipeline: true, RingCap: 4096})
 	ops := make([]BatchOp, 64)
 	for i := range ops {
 		ops[i] = BatchOp{Write: true, Var: uint64(i), Val: 1}

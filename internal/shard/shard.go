@@ -2,8 +2,8 @@
 // ceiling. PP93's scheme is embarrassingly parallel across disjoint
 // variable sets — any partition of the M variables can be served by
 // independent MPC instances — so the Service partitions the variable space
-// over S independent protocol.System instances (each with its own
-// persistent-worker engine, all sharing one compiled resolver) behind a
+// over S independent protocol.System instances (each with its own MPC
+// machine, all sharing one compiled resolver when the table fits) behind a
 // stateless router: every operation on variable v goes to shard Route(v).
 //
 // # Consistency contract
@@ -60,7 +60,7 @@ type Config struct {
 	Pipeline bool
 	// MaxBatch is the per-shard flush threshold in distinct variables.
 	// 0 defaults to the mapper's module count N (the largest batch the
-	// protocol accepts).
+	// protocol accepts, so New rejects more).
 	MaxBatch int
 	// QueueCap bounds each shard's submission queue (channel dispatcher
 	// only). 0 defaults to frontend's 4×MaxBatch.
@@ -78,9 +78,11 @@ type Config struct {
 	// rings absorb burstier admission.
 	RingCap int
 	// Protocol is the template for every shard's system. If its Resolver is
-	// nil one compiled resolver is built from the mapper and shared by all
-	// shards; Observer/Recorder hooks are preserved (per-shard collectors
-	// are chained after them when Observe is set).
+	// nil and its Strategy the zero value, the mapper's size decides
+	// (protocol.TableFits): one table is compiled and shared by all shards
+	// when it fits, and the shards resolve through the computed kernels when
+	// it does not. Observer/Recorder hooks are preserved (per-shard
+	// collectors are chained after them when Observe is set).
 	Protocol protocol.Config
 	// Observe attaches a per-shard obs.Collector to each shard's dispatcher
 	// and system, exposed via Collector and Snapshot.
@@ -128,11 +130,11 @@ type shardState struct {
 }
 
 // New builds a sharded service over one memory organization. Every shard
-// gets its own protocol.System (own store, own MPC engine) over the same
-// mapper; with cfg.Protocol.Resolver nil, one resolver is compiled here and
-// shared by all shards, so the address table is built (and held) once.
-// Under Strategy ResolverComputed or ResolverHybrid no table is compiled at
-// all; hybrid shards share one hot-coset cache the same way.
+// gets its own protocol.System (own store, own MPC machine) over the same
+// mapper. With cfg.Protocol.Resolver nil and the zero-value Strategy, a
+// mapper whose table fits (protocol.TableFits) is compiled here once and the
+// table shared by all shards; a larger one, or Strategy ResolverComputed,
+// gets table-free systems.
 func New(m protocol.Mapper, cfg Config) (*Service, error) {
 	if m == nil {
 		return nil, fmt.Errorf("shard: nil mapper")
@@ -149,8 +151,11 @@ func New(m protocol.Mapper, cfg Config) (*Service, error) {
 	if cfg.MaxBatch < 1 {
 		return nil, fmt.Errorf("shard: MaxBatch %d must be positive", cfg.MaxBatch)
 	}
+	if uint64(cfg.MaxBatch) > m.NumModules() {
+		return nil, fmt.Errorf("shard: MaxBatch %d exceeds the %d modules (N) one protocol batch can address", cfg.MaxBatch, m.NumModules())
+	}
 	if cfg.MaxPending < 0 {
-		return nil, fmt.Errorf("shard: MaxPending %d must be positive", cfg.MaxPending)
+		return nil, fmt.Errorf("shard: MaxPending %d must not be negative", cfg.MaxPending)
 	}
 	if cfg.MaxPending == 0 {
 		cfg.MaxPending = 2
@@ -169,28 +174,12 @@ func New(m protocol.Mapper, cfg Config) (*Service, error) {
 		}
 	}
 	pcfg := cfg.Protocol
-	switch pcfg.Strategy {
-	case protocol.ResolverComputed, protocol.ResolverHybrid:
-		// Table-free strategies: never auto-compile. Under hybrid, one
-		// shared hot-coset cache serves every shard (unless the caller
-		// supplied their own), mirroring the single shared table below —
-		// resident cache memory stays bounded by the slot count rather than
-		// growing per shard.
-		if pcfg.Strategy == protocol.ResolverHybrid && pcfg.HotCache == nil {
-			pcfg.HotCache = protocol.NewHotCache(m, pcfg.HotCacheSlots)
+	if pcfg.Strategy == protocol.ResolverAuto && pcfg.Resolver == nil && protocol.TableFits(m) {
+		r, err := protocol.CompileMapper(m, protocol.CompileOptions{})
+		if err != nil {
+			return nil, fmt.Errorf("shard: compiling resolver: %w", err)
 		}
-	default:
-		if pcfg.Resolver == nil {
-			if r, ok := m.(*protocol.CompiledResolver); ok {
-				pcfg.Resolver = r
-			} else {
-				r, err := protocol.CompileMapper(m, protocol.CompileOptions{})
-				if err != nil {
-					return nil, fmt.Errorf("shard: compiling resolver: %w", err)
-				}
-				pcfg.Resolver = r
-			}
-		}
+		pcfg.Resolver = r
 	}
 	s := &Service{shards: make([]*shardState, cfg.Shards)}
 	fail := func(i int, err error) (*Service, error) {
@@ -313,7 +302,7 @@ func (s *Service) Flush() error {
 }
 
 // Close flushes pending work on every shard, stops the dispatchers, and
-// releases the shards' MPC engines. Later submissions fail with
+// drops the shards' MPC machines. Later submissions fail with
 // frontend.ErrClosed.
 func (s *Service) Close() error {
 	var first error

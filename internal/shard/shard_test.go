@@ -2,6 +2,9 @@ package shard
 
 import (
 	"errors"
+	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -330,49 +333,129 @@ func TestSharedResolver(t *testing.T) {
 	}
 }
 
-// TestResolverStrategies runs the sharded service table-free (computed) and
-// cache-backed (hybrid): round-trips must match the compiled default, no
-// shard may compile a table, and hybrid shards must share one hot cache.
+// TestResolverStrategies runs the sharded service table-free (computed):
+// round-trips must match the compiled default, and no shard may hold a
+// table.
 func TestResolverStrategies(t *testing.T) {
-	for _, strat := range []protocol.ResolverStrategy{protocol.ResolverComputed, protocol.ResolverHybrid} {
-		t.Run(strat.String(), func(t *testing.T) {
-			svc := newService(t, 3, Config{
-				Shards:   3,
-				Pipeline: true,
-				Protocol: protocol.Config{Strategy: strat, HotCacheSlots: 512},
-			})
-			for v := uint64(0); v < 40; v++ {
-				if err := svc.Write(v, v*13+3); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for v := uint64(0); v < 40; v++ {
-				got, err := svc.Read(v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != v*13+3 {
-					t.Fatalf("read %d = %d, want %d", v, got, v*13+3)
-				}
-			}
+	t.Run(protocol.ResolverComputed.String(), func(t *testing.T) {
+		svc := newService(t, 3, Config{
+			Shards:   3,
+			Pipeline: true,
+			Observe:  true,
+			Protocol: protocol.Config{Strategy: protocol.ResolverComputed},
 		})
+		for v := uint64(0); v < 40; v++ {
+			if err := svc.Write(v, v*13+3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for v := uint64(0); v < 40; v++ {
+			got, err := svc.Read(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != v*13+3 {
+				t.Fatalf("read %d = %d, want %d", v, got, v*13+3)
+			}
+		}
+		if got := tableBytes(t, svc); got != 0 {
+			t.Fatalf("computed shards report a %d-byte table", got)
+		}
+	})
+}
+
+// tableBytes returns the resident table bytes every shard of an observed
+// service reports, failing if they disagree.
+func tableBytes(t *testing.T, svc *Service) int64 {
+	t.Helper()
+	snap := svc.Snapshot()
+	first := snap["shard0_resolver_resident_bytes"]
+	for i := 1; i < svc.Shards(); i++ {
+		if got := snap[fmt.Sprintf("shard%d_resolver_resident_bytes", i)]; got != first {
+			t.Fatalf("shard %d reports %d resident table bytes, shard 0 reports %d", i, got, first)
+		}
 	}
-	// A caller-shared hybrid cache is accepted and actually used.
-	m := testMapper(t, 3)
-	hc := protocol.NewHotCache(m, 256)
-	svc, err := New(m, Config{Shards: 2, Protocol: protocol.Config{Strategy: protocol.ResolverHybrid, HotCache: hc}})
+	return first
+}
+
+// TestResolverSelectedBySize: under the zero-value strategy the mapper's size
+// alone picks the resolver (protocol.TableFits). At q=2 n=5 every shard
+// reports the one shared table; at q=2 n=9 — 67 M entries — no shard holds
+// one. The n=9 service issues no access: the first would allocate its 1 GiB
+// dense store.
+func TestResolverSelectedBySize(t *testing.T) {
+	small := testMapper(t, 5)
+	if !protocol.TableFits(small) {
+		t.Fatal("q=2 n=5 must sit on the table side of the size rule")
+	}
+	svc, err := New(small, Config{Shards: 3, Pipeline: true, Observe: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if err := svc.Write(7, 77); err != nil {
+	if got, want := tableBytes(t, svc), int64(small.NumVars())*int64(small.Copies())*16; got != want {
+		t.Fatalf("n=5 shards report %d resident table bytes, want the whole table's %d", got, want)
+	}
+
+	if testing.Short() {
+		t.Skip("building the q=2 n=9 scheme takes seconds")
+	}
+	s, err := core.New(1, 9)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := svc.Read(7); err != nil || got != 77 {
-		t.Fatalf("read = %d, %v", got, err)
+	large := protocol.NewCoreMapper(s, core.NewCompactIndexer(s))
+	if protocol.TableFits(large) {
+		t.Fatal("q=2 n=9 must sit on the computed side of the size rule")
 	}
-	if hits, misses := hc.Stats(); hits+misses == 0 {
-		t.Fatal("shared hot cache saw no traffic")
+	big, err := New(large, Config{Shards: 3, Pipeline: true, Observe: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer big.Close()
+	if got := tableBytes(t, big); got != 0 {
+		t.Fatalf("n=9 shards report a %d-byte table, want none", got)
+	}
+}
+
+// TestMaxBatchBoundedByModules: a flush threshold above N used to be
+// accepted and then failed every op of an over-full batch at run time
+// (protocol: batch of 126 exceeds N = 63); it is a construction error now,
+// on both dispatchers.
+func TestMaxBatchBoundedByModules(t *testing.T) {
+	m := testMapper(t, 3)
+	n := int(m.NumModules())
+	for _, pipe := range []bool{false, true} {
+		_, err := New(m, Config{Pipeline: pipe, MaxBatch: 4 * n})
+		if err == nil {
+			t.Fatalf("pipeline=%v: MaxBatch %d accepted over %d modules", pipe, 4*n, n)
+		}
+		for _, num := range []int{4 * n, n} {
+			if !strings.Contains(err.Error(), strconv.Itoa(num)) {
+				t.Errorf("pipeline=%v: error %q does not name %d", pipe, err, num)
+			}
+		}
+		svc, err := New(m, Config{Pipeline: pipe, MaxBatch: n})
+		if err != nil {
+			t.Fatalf("pipeline=%v: MaxBatch = N rejected: %v", pipe, err)
+		}
+		ops := make([]BatchOp, m.NumVars()) // 84 distinct variables: more than one batch of N = 63
+		for i := range ops {
+			ops[i] = BatchOp{Write: true, Var: uint64(i), Val: uint64(i) + 1}
+		}
+		b, err := svc.AccessBatch(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Wait(); err != nil {
+			t.Errorf("pipeline=%v: %d distinct writes at MaxBatch = N: %v", pipe, len(ops), err)
+		}
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := New(m, Config{MaxPending: -1}); err == nil || strings.Contains(err.Error(), "must be positive") {
+		t.Errorf("MaxPending -1: error %v, want one that does not ask for a positive value (0 is the default)", err)
 	}
 }
 
