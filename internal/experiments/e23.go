@@ -185,7 +185,7 @@ func E23(w io.Writer, o Options) error {
 				emit(row{Strategy: strat, ColdNsPerVar: cold, NsPerVar: ns, Speedup: perOpNs / ns})
 			case "compiled":
 				if !protocol.TableFits(mp) {
-					emit(row{Strategy: strat, Skipped: true, ResidentBytes: entries * 16})
+					emit(row{Strategy: strat, Skipped: true, ResidentBytes: entries * 8})
 					continue
 				}
 				buildStart := time.Now()

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"detshmem/internal/cellstore"
 )
 
 // handshakeTimeout bounds how long a freshly accepted connection may take to
@@ -34,6 +36,14 @@ type ServerConfig struct {
 	// Logf, when set, receives connection-level diagnostics (handshake
 	// rejections, corrupt frames). Nil silences them.
 	Logf func(format string, args ...any)
+}
+
+// store is one StoreID's namespace: the ABD server state, the shared paged
+// cell array behind a mutex. A client holds one connection per server, so the
+// mutex sees contention on reconnects and deliberately shared StoreIDs only.
+type store struct {
+	mu    sync.Mutex
+	cells *cellstore.Store
 }
 
 // arbiter is one connection's arbitration scratch: win is indexed by module
@@ -192,7 +202,7 @@ func (s *Server) storeFor(id uint32) *store {
 	defer s.mu.Unlock()
 	st := s.stores[id]
 	if st == nil {
-		st = newStore(s.cfg.AddrSpace)
+		st = &store{cells: cellstore.New(s.cfg.AddrSpace)}
 		s.stores[id] = st
 	}
 	return st
@@ -334,15 +344,13 @@ func (s *Server) serveRound(st *store, frame *RoundFrame, reply *RoundReply, arb
 		g := Grant{Proc: b.Proc}
 		switch b.Op {
 		case 0: // protocol.Read
-			c := st.get(b.Addr)
-			g.Value, g.TS = c.val, c.ts
+			c := st.cells.Get(b.Addr)
+			g.Value, g.TS = c.Val, c.TS
 		case 2: // repair-write: install only if strictly newer, so a rebuild
 			// never clobbers a concurrent normal write that already landed.
-			if b.TS > st.get(b.Addr).ts {
-				st.put(b.Addr, cell{val: b.Value, ts: b.TS})
-			}
+			st.cells.PutIfNewer(b.Addr, cellstore.Cell{Val: b.Value, TS: b.TS})
 		default: // protocol.Write
-			st.put(b.Addr, cell{val: b.Value, ts: b.TS})
+			st.cells.Put(b.Addr, cellstore.Cell{Val: b.Value, TS: b.TS})
 		}
 		reply.Grants = append(reply.Grants, g)
 	}

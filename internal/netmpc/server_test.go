@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"detshmem/internal/cellstore"
 	"detshmem/internal/core"
 	"detshmem/internal/mpc"
 )
@@ -76,7 +77,7 @@ func TestServeRoundRejectedFrameLeavesNoMarks(t *testing.T) {
 	if err := sv.serveRound(st, &bad, &reply, arb); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("out-of-range bid: err = %v, want ErrCorruptFrame", err)
 	}
-	if c := st.get(1); c != (cell{}) {
+	if c := st.cells.Get(1); c != (cellstore.Cell{}) {
 		t.Fatalf("rejected frame wrote %+v", c)
 	}
 	good := RoundFrame{Bids: []Bid{{Proc: 7, Module: 4, Claim: 1, Addr: 2}}}
@@ -97,45 +98,11 @@ func TestServeRoundRejectedFrameLeavesNoMarks(t *testing.T) {
 	}
 }
 
-// TestPagedStoreCells: cells on either side of a page boundary are distinct,
-// a cell of a page nobody wrote reads as (0, 0) without allocating the page,
-// and the last address of a space that ends mid-page is addressable.
-func TestPagedStoreCells(t *testing.T) {
-	const space = 3*pageCells + 17
-	st := newStore(space)
-	if len(st.pages) != 4 {
-		t.Fatalf("%d pages for %d cells, want 4", len(st.pages), space)
-	}
-	for _, a := range []uint64{0, pageCells - 1, pageCells, pageCells + 1, space - 1} {
-		if c := st.get(a); c != (cell{}) {
-			t.Fatalf("unwritten cell %d reads %+v", a, c)
-		}
-	}
-	for i, pg := range st.pages {
-		if pg != nil {
-			t.Fatalf("reading allocated page %d", i)
-		}
-	}
-	st.put(pageCells-1, cell{val: 1, ts: 1})
-	st.put(pageCells, cell{val: 2, ts: 2})
-	st.put(space-1, cell{val: 3, ts: 3})
-	for a, want := range map[uint64]cell{
-		pageCells - 2: {}, pageCells - 1: {1, 1}, pageCells: {2, 2}, pageCells + 1: {}, space - 1: {3, 3}, space - 2: {},
-	} {
-		if c := st.get(a); c != want {
-			t.Fatalf("cell %d reads %+v, want %+v", a, c, want)
-		}
-	}
-	if st.pages[2] != nil {
-		t.Fatal("page 2 was never written but is allocated")
-	}
-}
-
 // TestRepairWriteOnFreshPage: the put-if-newer rule holds when the target
 // page does not exist yet — the first repair-write installs, an older one
 // does not roll it back, and a stale one at timestamp zero allocates nothing.
 func TestRepairWriteOnFreshPage(t *testing.T) {
-	sv, arb := roundServer(0, 4*pageCells/64)
+	sv, arb := roundServer(0, 4*cellstore.PageCells/64)
 	st := sv.storeFor(1)
 	var reply RoundReply
 	serve := func(b Bid) {
@@ -146,9 +113,9 @@ func TestRepairWriteOnFreshPage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	addr := uint64(2*pageCells + 5)
+	addr := uint64(2*cellstore.PageCells + 5)
 	serve(Bid{Addr: addr, Op: 2, Value: 7, TS: 0})
-	if st.pages[2] != nil {
+	if st.cells.Pages() != 0 {
 		t.Fatal("a repair-write at timestamp 0 allocated its page")
 	}
 	serve(Bid{Addr: addr, Op: 2, Value: 41, TS: 9})
@@ -171,10 +138,10 @@ func TestStoreIDsAreIsolated(t *testing.T) {
 	if err := sv.serveRound(a, &w, &reply, arb); err != nil {
 		t.Fatal(err)
 	}
-	if c := a.get(70); c != (cell{5, 3}) {
+	if c := a.cells.Get(70); c != (cellstore.Cell{Val: 5, TS: 3}) {
 		t.Fatalf("store 1 holds %+v", c)
 	}
-	if c := b.get(70); c != (cell{}) {
+	if c := b.cells.Get(70); c != (cellstore.Cell{}) {
 		t.Fatalf("store 2 sees store 1's write: %+v", c)
 	}
 }

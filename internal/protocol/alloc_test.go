@@ -3,6 +3,7 @@ package protocol
 import (
 	"testing"
 
+	"detshmem/internal/cellstore"
 	"detshmem/internal/core"
 	"detshmem/internal/mpc"
 	"detshmem/internal/obs"
@@ -58,21 +59,34 @@ func allocSystem(t *testing.T, cfg Config) (*System, []Request) {
 // recorder on the round path and a live collector on the batch path (whose
 // ObserveBatch is atomics-only) must not cost an allocation.
 func TestAccessIntoSteadyStateAllocs(t *testing.T) {
-	// The subtest keeps the id the committed test floor lists.
-	t.Run("sequential", func(t *testing.T) {
-		sys, reqs := allocSystem(t, Config{Recorder: obs.Nop, Observer: obs.NewCollector()})
-		var res Result
-		if err := sys.AccessInto(reqs, &res); err != nil { // warm-up
-			t.Fatal(err)
-		}
-		if avg := testing.AllocsPerRun(50, func() {
-			if err := sys.AccessInto(reqs, &res); err != nil {
+	failing := func(cfg mpc.Config) (Machine, error) { return mpc.NewFailing(cfg, nil) }
+	for _, tc := range []struct {
+		name       string
+		newMachine func(mpc.Config) (Machine, error)
+	}{
+		// "sequential" keeps the id the committed test floor lists. The other
+		// two run the same round with its other bodies: the fault layer's
+		// per-grant bookkeeping (copy masks recovered from the packed rows),
+		// and staged bids with remote grant data instead of the cell lists.
+		{"sequential", nil},
+		{"fault-view", failing},
+		{"remote-store", newRemoteMachine},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, reqs := allocSystem(t, Config{Recorder: obs.Nop, Observer: obs.NewCollector(), NewMachine: tc.newMachine})
+			var res Result
+			if err := sys.AccessInto(reqs, &res); err != nil { // warm-up
 				t.Fatal(err)
 			}
-		}); avg != 0 {
-			t.Fatalf("AccessInto allocates %.2f per batch in steady state, want 0", avg)
-		}
-	})
+			if avg := testing.AllocsPerRun(50, func() {
+				if err := sys.AccessInto(reqs, &res); err != nil {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Fatalf("AccessInto allocates %.2f per batch in steady state, want 0", avg)
+			}
+		})
+	}
 }
 
 // TestBatchWrappersSteadyStateAllocs pins the ReadBatch/WriteBatch
@@ -189,7 +203,7 @@ func TestRepairStepSteadyStateAllocs(t *testing.T) {
 			wipeAndReadmit := func() {
 				fs.FailRange(lo, hi)
 				for a := lo * uint64(s.ModuleSize); a < hi*uint64(s.ModuleSize); a++ {
-					sys.cells().put(a, cell{})
+					sys.cells().Put(a, cellstore.Cell{})
 				}
 				fs.RecoverPendingRange(lo, hi)
 			}

@@ -1,6 +1,10 @@
 package protocol
 
-import "detshmem/internal/pgl"
+import (
+	"slices"
+
+	"detshmem/internal/pgl"
+)
 
 // BulkMapper is the optional batched extension of Mapper: resolving a whole
 // vector of variables at once lets an implementation amortize per-variable
@@ -103,14 +107,15 @@ func (m *coreMapper) AppendCopyAddrs(mods, addrs []uint64, vars []uint64, copies
 // copies), so callers that batch against an arbitrary Mapper get table reads
 // when the mapper happens to be compiled.
 func (r *CompiledResolver) AppendCopyAddrs(mods, addrs []uint64, vars []uint64, copies int) ([]uint64, []uint64) {
-	for _, v := range vars {
-		row := r.row(v)
-		for c := 0; c < copies; c++ {
-			mods = append(mods, uint64(row[c].module))
-			addrs = append(addrs, row[c].addr)
+	n := len(vars) * copies
+	mods, addrs = slices.Grow(mods, n), slices.Grow(addrs, n)
+	dm, da := mods[len(mods):][:n], addrs[len(addrs):][:n]
+	for i, v := range vars {
+		for c, cp := range r.row(v)[:copies] {
+			dm[i*copies+c], da[i*copies+c] = uint64(cp.module()), cp.addr()
 		}
 	}
-	return mods, addrs
+	return mods[:len(mods)+n], addrs[:len(addrs)+n]
 }
 
 var _ BulkMapper = (*coreMapper)(nil)

@@ -1,0 +1,246 @@
+package protocol
+
+import (
+	"errors"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math/rand"
+	"testing"
+
+	"detshmem/internal/mpc"
+)
+
+// The pinned-digest differential test: nothing a caller can observe of a
+// batch — read values, any Metrics field, the timestamps left on the copies —
+// may move when the batch path is rewritten. Every cell of
+//
+//	mapper matrix × copy policy × fault scenario × resolver
+//
+// runs the same seeded batch script and folds what it observed into one
+// FNV-1a digest. The constants in digestGolden were generated at commit
+// 7e384ba, before the batch path became staged passes over packed rows, and
+// have not been regenerated since; the table and the computed resolver must
+// both reproduce the one constant of their cell.
+
+// digestScenarios are the fault scenarios of the matrix.
+var digestScenarios = []string{"healthy", "static", "flip", "repairing"}
+
+// digestMaxBatch caps the script's batches, which otherwise scale with N
+// (37 449 modules on the q=8 scheme).
+const digestMaxBatch = 768
+
+// digester folds observations into an FNV-1a hash.
+type digester struct{ h hash.Hash64 }
+
+func (d digester) u64(xs ...uint64) {
+	var b [8]byte
+	for _, x := range xs {
+		for i := range b {
+			b[i] = byte(x >> (8 * i))
+		}
+		d.h.Write(b[:])
+	}
+}
+
+func (d digester) ints(xs []int) {
+	d.u64(uint64(len(xs)))
+	for _, x := range xs {
+		d.u64(uint64(x))
+	}
+}
+
+// batch folds one AccessInto outcome: the error's class (not its text), the
+// values and every Metrics field.
+func (d digester) batch(res *Result, err error) {
+	class := uint64(0)
+	switch {
+	case err == nil:
+	case errors.Is(err, ErrQuorumUnreachable):
+		class = 2
+	case errors.Is(err, ErrIncomplete):
+		class = 1
+	default:
+		class = 3
+	}
+	d.u64(class, uint64(len(res.Values)))
+	d.u64(res.Values...)
+	m := &res.Metrics
+	d.u64(uint64(m.Phases), uint64(m.MaxIterations), uint64(m.TotalRounds), uint64(m.CopyAccesses),
+		uint64(m.GrantedBids), m.InterconnectCost, uint64(m.IssuedBids), uint64(m.RetriedBids),
+		uint64(m.RetryRounds), uint64(m.RepairedCopies), uint64(m.RepairSalvaged),
+		uint64(m.RepairRounds), uint64(m.RepairCertified))
+	d.ints(m.PhaseIterations)
+	d.u64(uint64(len(m.LiveTrace)))
+	for _, live := range m.LiveTrace {
+		d.ints(live)
+	}
+	d.ints(m.Unfinished)
+	d.ints(m.Stranded)
+}
+
+// flipMachine applies a scripted fault-set mutation right before chosen
+// rounds, counted over every machine of the cell, so faults land mid-phase
+// at the same protocol step whatever the geometry.
+type flipMachine struct {
+	*mpc.Failing
+	round  *int
+	script map[int]func(*mpc.FaultSet)
+}
+
+func (m *flipMachine) Round(reqs []int64, grant []bool) int {
+	*m.round++
+	if f := m.script[*m.round]; f != nil {
+		f(m.Faults())
+	}
+	return m.Failing.Round(reqs, grant)
+}
+
+// digestBatch draws size distinct variables with ~40 % writes.
+func digestBatch(rng *rand.Rand, numVars uint64, size int, touched map[uint64]bool) []Request {
+	reqs := make([]Request, 0, size)
+	seen := make(map[uint64]bool, size)
+	for len(reqs) < size {
+		v := rng.Uint64() % numVars
+		if seen[v] {
+			continue
+		}
+		seen[v] = true
+		touched[v] = true
+		rq := Request{Var: v}
+		if rng.Intn(100) < 40 {
+			rq.Op, rq.Value = Write, rng.Uint64()|1
+		}
+		reqs = append(reqs, rq)
+	}
+	return reqs
+}
+
+// digestCell runs one cell's script and returns its digest.
+func digestCell(t *testing.T, m Mapper, policy CopyPolicy, scenario string, table *CompiledResolver) uint64 {
+	t.Helper()
+	rng := rand.New(rand.NewSource(20260930))
+	n, nv := int(m.NumModules()), m.NumVars()
+	copyMod := func(v uint64, c int) uint64 { mod, _ := m.CopyAddr(v, c); return mod }
+
+	// The script's batches are drawn up front, so the fault scripts can aim
+	// at the modules of variables the batches really touch.
+	// The first batch is a full one, so the machine has its final geometry
+	// before any fault lands: the size of a repair wave follows the machine's
+	// (geo/Copies variables), and how obtainMachine rounds a growing geometry
+	// is not what this test pins.
+	touched := map[uint64]bool{}
+	sizes := []int{n, 5, n / 3, 17, 40, 1, n / 2}
+	batches := make([][]Request, len(sizes))
+	for i, size := range sizes {
+		batches[i] = digestBatch(rng, nv, max(1, min(size, n, digestMaxBatch)), touched)
+	}
+	victim := batches[1][0].Var // loses every copy in the static scenario
+	gamma := make([]uint64, m.Copies())
+	for c := range gamma {
+		gamma[c] = copyMod(victim, c)
+	}
+
+	// Untouched variables hold nothing to rebuild; sweeping only the touched
+	// ones keeps the q=8 cells (266 304 variables) quick.
+	cfg := Config{Policy: policy, TraceLive: true, MaxIterationsPerPhase: 512,
+		Owns: func(v uint64) bool { return touched[v] }}
+	if table != nil {
+		cfg.Resolver = table
+	} else {
+		cfg.Strategy = ResolverComputed
+	}
+	fs := mpc.NewFaultSet()
+	round := 0
+	var script map[int]func(*mpc.FaultSet)
+	if scenario != "healthy" {
+		cfg.NewMachine = func(mcfg mpc.Config) (Machine, error) {
+			f, err := mpc.NewFailingShared(mcfg, fs)
+			if err != nil || script == nil {
+				return f, err
+			}
+			return &flipMachine{Failing: f, round: &round, script: script}, nil
+		}
+	}
+	lo, hi := uint64(n/2), uint64(n/2+max(1, n/4))
+	switch scenario {
+	case "static":
+		for _, mod := range gamma {
+			fs.Fail(mod)
+		}
+		fs.Fail(copyMod(batches[1][1].Var, 0))
+		fs.Fail(uint64(rng.Intn(n)))
+	case "flip":
+		a, b := copyMod(batches[0][0].Var, 0), copyMod(batches[1][2].Var, m.Copies()-1)
+		script = map[int]func(*mpc.FaultSet){
+			1:  func(fs *mpc.FaultSet) { fs.Fail(a) },
+			3:  func(fs *mpc.FaultSet) { fs.Fail(b); fs.FailRange(lo, hi) },
+			6:  func(fs *mpc.FaultSet) { fs.Recover(a) },
+			9:  func(fs *mpc.FaultSet) { fs.RecoverPendingRange(lo, hi) },
+			14: func(fs *mpc.FaultSet) { fs.Fail(gamma[0]); fs.Recover(b) },
+			23: func(fs *mpc.FaultSet) { fs.Recover(gamma[0]) },
+		}
+	}
+	sys, err := NewGenericSystem(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+
+	d := digester{h: fnv.New64a()}
+	var res Result
+	for i, reqs := range batches {
+		if scenario == "repairing" {
+			// Healthy, then a contiguous range fails under writes, then it
+			// comes back stale and is rebuilt under traffic.
+			switch i {
+			case 2:
+				fs.FailRange(lo, hi)
+			case 4:
+				fs.RecoverPendingRange(lo, hi)
+			}
+		}
+		err := sys.AccessInto(reqs, &res)
+		if err != nil && !errors.Is(err, ErrIncomplete) {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		d.batch(&res, err)
+	}
+	if scenario == "repairing" || scenario == "flip" {
+		steps := 0
+		for ; sys.RepairBacklog() > 0 && steps < 10_000 && sys.RepairStep(); steps++ {
+		}
+		d.u64(uint64(steps), uint64(sys.RepairBacklog()))
+		err := sys.AccessInto(batches[0], &res)
+		if err != nil && !errors.Is(err, ErrIncomplete) {
+			t.Fatal(err)
+		}
+		d.batch(&res, err)
+	}
+	// The copies' timestamps, in variable order.
+	for v := uint64(0); v < nv; v++ {
+		if touched[v] {
+			d.u64(v)
+			d.u64(sys.CopyState(v)...)
+		}
+	}
+	return d.h.Sum64()
+}
+
+func TestBatchDigestsPinned(t *testing.T) {
+	for mi, m := range mapperFuzzSetup(t) {
+		table := compileTable(t, m)
+		for _, policy := range []CopyPolicy{PolicyAllCancel, PolicyFixedMajority} {
+			for _, scenario := range digestScenarios {
+				key := fmt.Sprintf("%d-%s/policy=%d/%s", mi, m.Name(), policy, scenario)
+				want, pinned := digestGolden[key]
+				for _, resolver := range []*CompiledResolver{table, nil} {
+					got := digestCell(t, m, policy, scenario, resolver)
+					if !pinned || got != want {
+						t.Errorf("%q: 0x%016x, // compiled=%v; pinned 0x%016x", key, got, resolver != nil, want)
+					}
+				}
+			}
+		}
+	}
+}

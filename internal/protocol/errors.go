@@ -66,3 +66,47 @@ func (e wrappedError) Unwrap() error { return e.sentinel }
 func errorf(sentinel error, format string, args ...interface{}) error {
 	return wrappedError{sentinel: sentinel, msg: fmt.Sprintf(format, args...)}
 }
+
+// QuorumError is the batch-level ErrQuorumUnreachable, naming what stranded
+// the batch: the first stranded request's variable, the modules of its copy
+// set Γ(v), and which of those were failed or under repair when the batch
+// gave up. errors.Is(err, ErrQuorumUnreachable) (and ErrIncomplete) hold;
+// errors.As recovers the detail. It is built only on the failure path.
+type QuorumError struct {
+	Var       uint64   // variable of the first stranded request (Metrics.Stranded[0])
+	Modules   []uint64 // modules of the variable's copies, in copy order
+	Failed    []uint64 // the subset that was failed
+	Repairing []uint64 // the subset that was recovered but not yet rebuilt
+	// Batch-level counts: requests that could not reach a quorum, those
+	// provably below their live majority, and the batch size.
+	Unfinished, Stranded, Requests int
+}
+
+func (e *QuorumError) Error() string {
+	return fmt.Sprintf("%v: %d of %d requests could not reach a quorum (%d below their live majority); first: variable %d with copies on modules %v, failed %v, repairing %v",
+		ErrQuorumUnreachable, e.Unfinished, e.Requests, e.Stranded, e.Var, e.Modules, e.Failed, e.Repairing)
+}
+
+// Unwrap exposes the sentinel, and through it ErrIncomplete.
+func (e *QuorumError) Unwrap() error { return ErrQuorumUnreachable }
+
+// quorumError builds the batch's QuorumError from its first stranded request.
+func (sys *System) quorumError(b *batch) error {
+	met := &b.res.Metrics
+	r := met.Stranded[0]
+	e := &QuorumError{
+		Var:        b.reqs[r].Var,
+		Unfinished: len(met.Unfinished), Stranded: len(met.Stranded), Requests: len(b.reqs),
+	}
+	for _, cp := range sys.row(r) {
+		m := cp.module()
+		e.Modules = append(e.Modules, uint64(m))
+		switch {
+		case b.fv.ModuleFailed(m):
+			e.Failed = append(e.Failed, uint64(m))
+		case sys.rv != nil && sys.rv.ModuleRepairing(m):
+			e.Repairing = append(e.Repairing, uint64(m))
+		}
+	}
+	return e
+}

@@ -53,17 +53,17 @@ func (sys *System) barred(fv FaultView, op Op, m int64) bool {
 // pinned module is detected as unreachable up front rather than discovered
 // by burning the whole iteration budget. Requests that cannot reach their
 // quorum are queued for the post-phase retry pass and bid nothing now.
-func (sys *System) selectLive(fv FaultView, tasks []taskRef, reqs []Request, copies []assignment, nCopies, r, procBase, inFlight int) []taskRef {
+func (sys *System) selectLive(b *batch, tasks []task, r, procBase, inFlight int) []task {
 	sys.stalled[r] = false
 	sys.usedMask[r] = 0
 	sys.touchedC[r] = 0
 	sys.liveBids[r] = 0
-	base := r * nCopies
-	op := reqs[r].Op
+	row := sys.row(r)
+	op := b.reqs[r].Op
 	if sys.cfg.Policy == PolicyFixedMajority {
 		liveCnt := int32(0)
-		for j := 0; j < inFlight; j++ {
-			if !sys.barred(fv, op, copies[base+j].module) {
+		for _, cp := range row[:inFlight] {
+			if !sys.barred(b.fv, op, cp.module()) {
 				liveCnt++
 			}
 		}
@@ -71,8 +71,8 @@ func (sys *System) selectLive(fv FaultView, tasks []taskRef, reqs []Request, cop
 			sys.queueRetry(int32(r))
 			return tasks
 		}
-		for j := 0; j < inFlight; j++ {
-			tasks = append(tasks, taskRef{proc: int32(procBase + j), a: copies[base+j]})
+		for j, cp := range row[:inFlight] {
+			tasks = append(tasks, task{proc: int32(procBase + j), req: int32(r), cp: cp})
 			sys.usedMask[r] |= 1 << uint(j)
 		}
 		sys.liveBids[r] = int32(inFlight)
@@ -80,12 +80,14 @@ func (sys *System) selectLive(fv FaultView, tasks []taskRef, reqs []Request, cop
 	}
 	start := len(tasks)
 	assigned := 0
-	for c := 0; c < nCopies && assigned < inFlight; c++ {
-		a := copies[base+c]
-		if sys.barred(fv, op, a.module) {
+	for c, cp := range row {
+		if assigned == inFlight {
+			break
+		}
+		if sys.barred(b.fv, op, cp.module()) {
 			continue
 		}
-		tasks = append(tasks, taskRef{proc: int32(procBase + assigned), a: a})
+		tasks = append(tasks, task{proc: int32(procBase + assigned), req: int32(r), cp: cp})
 		sys.usedMask[r] |= 1 << uint(c)
 		assigned++
 	}
@@ -96,6 +98,18 @@ func (sys *System) selectLive(fv FaultView, tasks []taskRef, reqs []Request, cop
 	}
 	sys.liveBids[r] = int32(assigned)
 	return tasks
+}
+
+// copyIndex recovers the index of t's copy within its request's row — the
+// bit it owns in the fault layer's per-request copy masks. A variable's
+// copies are pairwise distinct cells, so the packed word identifies it.
+func (sys *System) copyIndex(t task) uint {
+	for c, cp := range sys.row(int(t.req)) {
+		if cp == t.cp {
+			return uint(c)
+		}
+	}
+	panic("protocol: in-flight bid is not a copy of its request's variable")
 }
 
 // queueRetry records request r for the post-phase retry pass, once.
@@ -113,29 +127,25 @@ func (sys *System) queueRetry(r int32) {
 // whose in-flight bids fell below their remaining quorum are shed to the
 // retry pass — their surviving bids would otherwise spin against the
 // iteration cap without ever completing.
-func (sys *System) refilterTasks(fv FaultView, tasks []taskRef, reqs []Request, copies []assignment, nCopies int, res *Result) []taskRef {
+func (sys *System) refilterTasks(b *batch, tasks []task) []task {
 	out := tasks[:0]
 	for _, t := range tasks {
-		r := t.a.req
-		if sys.remaining[r] <= 0 || !sys.barred(fv, reqs[r].Op, t.a.module) {
+		r := t.req
+		op := b.reqs[r].Op
+		if sys.remaining[r] <= 0 || !sys.barred(b.fv, op, t.cp.module()) {
 			out = append(out, t)
 			continue
 		}
 		sys.liveBids[r]--
 		if sys.cfg.Policy != PolicyFixedMajority {
-			base := int(r) * nCopies
-			for c := 0; c < nCopies; c++ {
-				if sys.usedMask[r]&(1<<uint(c)) != 0 {
-					continue
-				}
-				a := copies[base+c]
-				if sys.barred(fv, reqs[r].Op, a.module) {
+			for c, cp := range sys.row(int(r)) {
+				if sys.usedMask[r]&(1<<uint(c)) != 0 || sys.barred(b.fv, op, cp.module()) {
 					continue
 				}
 				sys.usedMask[r] |= 1 << uint(c)
 				sys.liveBids[r]++
-				res.Metrics.RetriedBids++
-				out = append(out, taskRef{proc: t.proc, a: a})
+				b.res.Metrics.RetriedBids++
+				out = append(out, task{proc: t.proc, req: r, cp: cp})
 				break
 			}
 		}
@@ -149,7 +159,7 @@ func (sys *System) refilterTasks(fv FaultView, tasks []taskRef, reqs []Request, 
 	}
 	n := 0
 	for _, t := range out {
-		r := t.a.req
+		r := t.req
 		if sys.remaining[r] > 0 && sys.liveBids[r] < sys.remaining[r] {
 			sys.queueRetry(r)
 			continue
@@ -169,13 +179,12 @@ func (sys *System) refilterTasks(fv FaultView, tasks []taskRef, reqs []Request, 
 // Requests still short after the budget are reported in Unfinished, with
 // the provably quorum-less subset in Stranded. This path runs only under
 // faults and may allocate.
-func (sys *System) retryStranded(fv FaultView, machine Machine, geo int, reqs []Request, res *Result, maxIters int) {
+func (sys *System) retryStranded(b *batch) {
 	attempts := sys.cfg.FaultAttempts
 	if attempts == 0 {
 		attempts = defaultFaultAttempts
 	}
-	nCopies := sys.Mapper.Copies()
-	copies := sys.copies
+	fv, reqs, res, geo := b.fv, b.reqs, b.res, sys.machineProcs
 	pinned := sys.cfg.Policy == PolicyFixedMajority
 
 	pending := sys.retry
@@ -186,7 +195,7 @@ func (sys *System) retryStranded(fv FaultView, machine Machine, geo int, reqs []
 		for idx < len(pending) {
 			// Pack one wave of re-selected bids into the machine's processor
 			// space; oversized retry sets run in several waves.
-			var tasks []taskRef
+			var tasks []task
 			wave = wave[:0]
 			p := 0
 			for ; idx < len(pending); idx++ {
@@ -194,17 +203,17 @@ func (sys *System) retryStranded(fv FaultView, machine Machine, geo int, reqs []
 				if sys.remaining[r] <= 0 {
 					continue
 				}
-				limit := nCopies
+				limit := sys.nCopies
 				if pinned {
 					limit = int(sys.quorum(reqs[r].Op))
 				}
-				base := int(r) * nCopies
+				row := sys.row(int(r))[:limit]
 				cnt := 0
-				for c := 0; c < limit && cnt < geo; c++ {
-					if sys.touchedC[r]&(1<<uint(c)) != 0 {
-						continue
+				for c, cp := range row {
+					if cnt == geo {
+						break
 					}
-					if !sys.barred(fv, reqs[r].Op, copies[base+c].module) {
+					if sys.touchedC[r]&(1<<uint(c)) == 0 && !sys.barred(fv, reqs[r].Op, cp.module()) {
 						cnt++
 					}
 				}
@@ -218,15 +227,14 @@ func (sys *System) retryStranded(fv FaultView, machine Machine, geo int, reqs []
 					break
 				}
 				sel := 0
-				for c := 0; c < limit && sel < cnt; c++ {
-					if sys.touchedC[r]&(1<<uint(c)) != 0 {
+				for c, cp := range row {
+					if sel == cnt {
+						break
+					}
+					if sys.touchedC[r]&(1<<uint(c)) != 0 || sys.barred(fv, reqs[r].Op, cp.module()) {
 						continue
 					}
-					a := copies[base+c]
-					if sys.barred(fv, reqs[r].Op, a.module) {
-						continue
-					}
-					tasks = append(tasks, taskRef{proc: int32(p), a: a})
+					tasks = append(tasks, task{proc: int32(p), req: r, cp: cp})
 					p++
 					sel++
 				}
@@ -236,12 +244,12 @@ func (sys *System) retryStranded(fv FaultView, machine Machine, geo int, reqs []
 				continue
 			}
 			res.Metrics.RetriedBids += len(tasks)
-			sys.driveRetryWave(fv, machine, tasks, reqs, res, maxIters)
+			sys.driveRetryWave(b, tasks)
 			for _, r := range wave {
 				if sys.remaining[r] > 0 {
 					next = append(next, r)
 				} else if reqs[r].Op == Read {
-					res.Values[r] = sys.bestVal[r]
+					res.Values[r] = sys.best[r].Val
 				}
 			}
 		}
@@ -253,7 +261,7 @@ func (sys *System) retryStranded(fv FaultView, machine Machine, geo int, reqs []
 			continue
 		}
 		res.Metrics.Unfinished = append(res.Metrics.Unfinished, int(r))
-		if sys.liveQuorumLost(fv, reqs, int(r), nCopies) {
+		if sys.liveQuorumLost(b, int(r)) {
 			res.Metrics.Stranded = append(res.Metrics.Stranded, int(r))
 		}
 	}
@@ -261,18 +269,17 @@ func (sys *System) retryStranded(fv FaultView, machine Machine, geo int, reqs []
 }
 
 // driveRetryWave runs one wave's task list to completion (or the iteration
-// cap), with the same grant processing as the phase loop plus the mid-wave
-// epoch check.
-func (sys *System) driveRetryWave(fv FaultView, machine Machine, tasks []taskRef, reqs []Request, res *Result, maxIters int) {
-	mreqs, grant := sys.mreqs, sys.grant
+// cap) through the same round as the phases, plus the mid-wave epoch check.
+func (sys *System) driveRetryWave(b *batch, tasks []task) {
+	fv := b.fv
 	epoch := fv.FaultEpoch()
 	iters := 0
-	for len(tasks) > 0 && iters < maxIters {
+	for len(tasks) > 0 && iters < b.maxIters {
 		if e := fv.FaultEpoch(); e != epoch {
 			epoch = e
 			n := 0
 			for _, t := range tasks {
-				if sys.remaining[t.a.req] > 0 && sys.barred(fv, reqs[t.a.req].Op, t.a.module) {
+				if sys.remaining[t.req] > 0 && sys.barred(fv, b.reqs[t.req].Op, t.cp.module()) {
 					continue // dropped; the next attempt re-selects
 				}
 				tasks[n] = t
@@ -283,41 +290,14 @@ func (sys *System) driveRetryWave(fv FaultView, machine Machine, tasks []taskRef
 				break
 			}
 		}
-		for _, t := range tasks {
-			mreqs[t.proc] = t.a.module
-		}
-		if sys.rs != nil {
-			sys.stageTasks(reqs, tasks)
-		}
-		machine.Round(mreqs, grant)
+		tasks = sys.round(b, tasks)
 		iters++
-		res.Metrics.IssuedBids += len(tasks)
-		next := tasks[:0]
-		for _, t := range tasks {
-			mreqs[t.proc] = mpc.Idle
-			r := t.a.req
-			if !grant[t.proc] {
-				if sys.remaining[r] > 0 {
-					next = append(next, t)
-				}
-				continue
-			}
-			res.Metrics.GrantedBids++
-			if sys.remaining[r] <= 0 {
-				continue
-			}
-			sys.touch(reqs[r], t, r, sys.bestTS, sys.bestVal)
-			res.Metrics.CopyAccesses++
-			sys.remaining[r]--
-			sys.touchedC[r] |= 1 << uint(t.a.cpy)
-		}
-		tasks = next
 	}
 	for _, t := range tasks {
-		mreqs[t.proc] = mpc.Idle
+		sys.mreqs[t.proc] = mpc.Idle
 	}
-	res.Metrics.RetryRounds += iters
-	res.Metrics.TotalRounds += iters
+	b.res.Metrics.RetryRounds += iters
+	b.res.Metrics.TotalRounds += iters
 }
 
 // liveQuorumLost reports whether request r's variable currently has fewer
@@ -327,17 +307,17 @@ func (sys *System) driveRetryWave(fv FaultView, machine Machine, tasks []taskRef
 // count as live here: a read blocked only by in-flight repair is transient
 // (the sweep will certify the copies), so it reports ErrIncomplete — retry
 // later — not the stranded verdict.
-func (sys *System) liveQuorumLost(fv FaultView, reqs []Request, r, nCopies int) bool {
-	limit := nCopies
+func (sys *System) liveQuorumLost(b *batch, r int) bool {
+	q := sys.quorum(b.reqs[r].Op)
+	limit := sys.nCopies
 	if sys.cfg.Policy == PolicyFixedMajority {
-		limit = int(sys.quorum(reqs[r].Op))
+		limit = int(q)
 	}
 	live := int32(0)
-	base := r * nCopies
-	for c := 0; c < limit; c++ {
-		if !fv.ModuleFailed(sys.copies[base+c].module) {
+	for _, cp := range sys.row(r)[:limit] {
+		if !b.fv.ModuleFailed(cp.module()) {
 			live++
 		}
 	}
-	return live < sys.quorum(reqs[r].Op)
+	return live < q
 }

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"detshmem/internal/core"
@@ -148,6 +149,64 @@ func TestQuorumLossReported(t *testing.T) {
 		if got[i] != want {
 			t.Fatalf("survivor %d read %d, want %d", i, got[i], want)
 		}
+	}
+}
+
+// TestQuorumErrorNamesTheVariable: with every module of Γ(v) dead for a chosen
+// v, the batch's error is ErrQuorumUnreachable and says exactly which
+// variable stranded it, where its copies live and what state those modules
+// were in — dead, or recovered but not yet rebuilt.
+func TestQuorumErrorNamesTheVariable(t *testing.T) {
+	s, idx := sweepScheme(t) // q=2 n=5: 3 copies, quorum 2
+	m := NewCoreMapper(s, idx)
+	const victim = uint64(1234)
+	gamma := make([]uint64, m.Copies())
+	for c := range gamma {
+		gamma[c], _ = m.CopyAddr(victim, c)
+	}
+	for _, tc := range []struct {
+		name              string
+		failed, repairing []uint64
+	}{
+		{"all failed", gamma, nil},
+		{"one repairing", gamma[:2], gamma[2:]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := mpc.NewFaultSet(gamma...)
+			for _, mod := range tc.repairing {
+				fs.RecoverPending(mod)
+			}
+			// No repair pump: the repairing module must still be repairing
+			// when the error is built.
+			sys := sharedFaultSystem(t, s, idx, fs, Config{RepairBudget: -1})
+			defer sys.Close()
+			// Any two variables share at most one module, so the bystanders
+			// keep their majority.
+			reqs := []Request{{Var: 7}, {Var: 99}, {Var: victim}, {Var: 4000}}
+			var res Result
+			err := sys.AccessInto(reqs, &res)
+			if !errors.Is(err, ErrQuorumUnreachable) || !errors.Is(err, ErrIncomplete) {
+				t.Fatalf("err = %v, want ErrQuorumUnreachable (and, through it, ErrIncomplete)", err)
+			}
+			var qe *QuorumError
+			if !errors.As(err, &qe) {
+				t.Fatalf("err %T does not carry a *QuorumError", err)
+			}
+			if qe.Var != victim {
+				t.Errorf("error names variable %d, want %d", qe.Var, victim)
+			}
+			if !slices.Equal(qe.Modules, gamma) || !slices.Equal(qe.Failed, tc.failed) || !slices.Equal(qe.Repairing, tc.repairing) {
+				t.Errorf("error names modules %v, failed %v, repairing %v; want %v, %v, %v",
+					qe.Modules, qe.Failed, qe.Repairing, gamma, tc.failed, tc.repairing)
+			}
+			if qe.Unfinished != 1 || qe.Stranded != 1 || qe.Requests != len(reqs) {
+				t.Errorf("error counts %d unfinished, %d stranded of %d; want 1, 1 of %d",
+					qe.Unfinished, qe.Stranded, qe.Requests, len(reqs))
+			}
+			if !slices.Equal(res.Metrics.Stranded, []int{2}) {
+				t.Errorf("Stranded = %v, want [2]", res.Metrics.Stranded)
+			}
+		})
 	}
 }
 

@@ -29,7 +29,9 @@ package protocol
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
+	"detshmem/internal/cellstore"
 	"detshmem/internal/core"
 	"detshmem/internal/mpc"
 	"detshmem/internal/obs"
@@ -241,10 +243,14 @@ type System struct {
 	Index  core.Indexer
 
 	cfg Config
+	// The mapper's replication factor and quorums, read once: the batch path
+	// asks for them per request.
+	nCopies       int
+	readQ, writeQ int32
 	// store holds the copies' cells when the machine keeps them in process.
 	// It is allocated by the first use that needs it (a local machine, or
 	// CopyState), so a system over a RemoteStore never holds one.
-	store store
+	store *cellstore.Store
 	ts    uint64 // batch timestamp, incremented per Access
 
 	// resolver serves compiled copy addresses; nil means live batched
@@ -281,17 +287,21 @@ type System struct {
 
 	// Per-batch scratch, reused across Access calls so the iteration loop
 	// is allocation-free once the buffers reach their high-water sizes.
-	seen      varSet // the batch's variables, for the duplicate check
-	copies    []assignment
-	remaining []int32
-	bestTS    []uint64
-	bestVal   []uint64
-	mreqs     []int64
-	grant     []bool
-	tasks     []taskRef
-	varsBuf   []uint64 // the batch's variable vector
-	bulkMods  []uint64 // bulk path: resolved modules, vars-major
-	bulkAddrs []uint64 // bulk path: resolved addresses, vars-major
+	seen      varSet           // the batch's variables, for the duplicate check
+	rows      []packedCopy     // the batch's resolved copies, request-major
+	remaining []int32          // copies each request still needs
+	best      []cellstore.Cell // newest (value, timestamp) each read has seen
+	tasks     []task           // the phase's in-flight bids
+	reads     []readRef        // the round's granted reads, cells not yet fetched
+	writes    []writeRef       // the round's granted writes, not yet applied
+	varsBuf   []uint64         // the batch's variable vector
+	bulkMods  []uint64         // bulk path: resolved modules, vars-major
+	bulkAddrs []uint64         // bulk path: resolved addresses, vars-major
+	// mreqs and grant are the machine's round vectors, sized to its geometry
+	// when it is built. Every mreqs slot is mpc.Idle between rounds: a round
+	// clears the slots it set.
+	mreqs []int64
+	grant []bool
 
 	// Fault-layer scratch, touched only when fv is non-nil (see fault.go).
 	liveBids []int32  // ungranted in-flight bids per request in the current phase
@@ -327,6 +337,9 @@ func NewGenericSystem(m Mapper, cfg Config) (*System, error) {
 	}
 	if r+w <= c {
 		return nil, fmt.Errorf("protocol: quorums (%d,%d) do not intersect over %d copies", r, w, c)
+	}
+	if err := checkPackable(m); err != nil {
+		return nil, err
 	}
 	if cfg.ClusterSize < 0 {
 		return nil, fmt.Errorf("protocol: negative cluster size")
@@ -367,6 +380,9 @@ func NewGenericSystem(m Mapper, cfg Config) (*System, error) {
 	sys := &System{
 		Mapper:   m,
 		cfg:      cfg,
+		nCopies:  c,
+		readQ:    int32(r),
+		writeQ:   int32(w),
 		resolver: resolver,
 		bulkSrc:  bulkSrc,
 	}
@@ -390,20 +406,59 @@ func (sys *System) Close() {
 	sys.resetRepair()
 }
 
-// assignment is one processor's job within a phase: one copy of one request.
-type assignment struct {
-	req    int32
-	cpy    int16 // copy index within the request's replica set
-	module int64
-	addr   uint64
+// task is one in-flight bid: processor proc bids for one copy of request req.
+// The copy's index within its row is not carried; the fault layer, the only
+// reader, recovers it from the row (copyIndex).
+type task struct {
+	proc int32
+	req  int32
+	cp   packedCopy
+}
+
+// readRef is a granted read whose cell is still to be fetched: from the local
+// store at addr, or from the remote module's reply to proc.
+type readRef struct {
+	addr uint64
+	proc int32
+	req  int32
+}
+
+// writeRef is a granted write still to be applied to the local store.
+type writeRef struct {
+	addr, val uint64
+}
+
+// batch is the state of one AccessInto call, handed from stage to stage.
+type batch struct {
+	reqs []Request
+	res  *Result
+	// fv is the machine's fault view, nil when it has none or when the copy
+	// bitmasks of the fault layer would not fit a word; every fault hook is
+	// gated on it, so healthy systems pay nothing.
+	fv       FaultView
+	epoch    uint64 // fault epoch the in-flight bids were selected under
+	maxIters int
+}
+
+// row returns the resolved copies of the batch's request r.
+func (sys *System) row(r int) []packedCopy {
+	return sys.rows[r*sys.nCopies:][:sys.nCopies]
 }
 
 // quorum returns the number of copies the request's operation must touch.
 func (sys *System) quorum(op Op) int32 {
 	if op == Write {
-		return int32(sys.Mapper.WriteQuorum())
+		return sys.writeQ
 	}
-	return int32(sys.Mapper.ReadQuorum())
+	return sys.readQ
+}
+
+// maxIters is the per-phase iteration bound.
+func (sys *System) maxIters() int {
+	if n := sys.cfg.MaxIterationsPerPhase; n != 0 {
+		return n
+	}
+	return 8*int(sys.Mapper.NumModules()) + 64
 }
 
 // grow returns s resized to n elements, reusing its backing array when the
@@ -437,7 +492,48 @@ func (sys *System) Access(reqs []Request) (*Result, error) {
 // steady-state calls perform no allocation (TraceLive and failure paths
 // excepted). res must not alias the request slice and is valid until the
 // next AccessInto on the same Result.
+//
+// The batch runs as stages — validate, resolve, then per phase select,
+// rounds and commit, then report — and each round inside a phase is itself
+// staged: bid, decide, commit cells (see round).
 func (sys *System) AccessInto(reqs []Request, res *Result) error {
+	if err := sys.validate(reqs); err != nil {
+		return err
+	}
+	sys.ts++
+	res.Values = grow(res.Values, len(reqs))
+	clear(res.Values)
+	res.Metrics = Metrics{
+		PhaseIterations: res.Metrics.PhaseIterations[:0],
+		LiveTrace:       res.Metrics.LiveTrace[:0],
+		Unfinished:      res.Metrics.Unfinished[:0],
+		Stranded:        res.Metrics.Stranded[:0],
+	}
+	clusterSize := sys.cfg.ClusterSize
+	numClusters := (len(reqs) + clusterSize - 1) / clusterSize
+	if numClusters == 0 {
+		sys.observeBatch(reqs, res)
+		return nil
+	}
+	if err := sys.obtainMachine(numClusters * clusterSize); err != nil {
+		return err
+	}
+	b := batch{reqs: reqs, res: res, maxIters: sys.maxIters()}
+	sys.resolveBatch(&b)
+	res.Metrics.Phases = clusterSize
+	for phase := 0; phase < clusterSize; phase++ {
+		left, iters := sys.runPhase(&b, phase, sys.selectPhase(&b, phase))
+		sys.commitPhase(&b, phase, left, iters)
+	}
+	if b.fv != nil && len(sys.retry) > 0 {
+		sys.retryStranded(&b)
+	}
+	return sys.report(&b)
+}
+
+// validate checks the batch against the admission rules: at most N requests,
+// every variable in range, no variable twice.
+func (sys *System) validate(reqs []Request) error {
 	m := sys.Mapper
 	if uint64(len(reqs)) > m.NumModules() {
 		return errorf(ErrBatchTooLarge, "protocol: batch of %d exceeds N = %d", len(reqs), m.NumModules())
@@ -452,235 +548,288 @@ func (sys *System) AccessInto(reqs []Request, res *Result) error {
 			return errorf(ErrDuplicateVar, "protocol: variable %d requested twice in one batch", r.Var)
 		}
 	}
-	sys.ts++
+	return nil
+}
 
-	res.Values = grow(res.Values, len(reqs))
-	for i := range res.Values {
-		res.Values[i] = 0
+// resolveBatch resolves every copy of every requested variable into sys.rows
+// (the per-processor O(log N) address computation of Section 4 — an O(1)
+// table read per copy when a compiled resolver is attached) and sizes the
+// per-request scratch, the fault layer's included.
+func (sys *System) resolveBatch(b *batch) {
+	n := len(b.reqs)
+	vars := grow(sys.varsBuf, n)
+	sys.varsBuf = vars
+	for i := range b.reqs {
+		vars[i] = b.reqs[i].Var
 	}
-	res.Metrics = Metrics{
-		PhaseIterations: res.Metrics.PhaseIterations[:0],
-		LiveTrace:       res.Metrics.LiveTrace[:0],
-		Unfinished:      res.Metrics.Unfinished[:0],
-		Stranded:        res.Metrics.Stranded[:0],
-	}
-
-	clusterSize := sys.cfg.ClusterSize
-	numClusters := (len(reqs) + clusterSize - 1) / clusterSize
-	if numClusters == 0 {
-		sys.observeBatch(reqs, res)
-		return nil
-	}
-	procs := numClusters * clusterSize
-
-	machine, geo, err := sys.obtainMachine(procs)
-	if err != nil {
-		return err
-	}
-	maxIters := sys.cfg.MaxIterationsPerPhase
-	if maxIters == 0 {
-		maxIters = 8*int(m.NumModules()) + 64
-	}
-
-	// Resolve every copy address up front (the per-processor O(log N)
-	// address computation of Section 4 — an O(1) table read per copy when a
-	// compiled resolver is attached).
-	copies := sys.resolveCopies(reqs)
-	nCopies := m.Copies()
-
-	remaining := grow(sys.remaining, len(reqs)) // copies still needed per request
-	bestTS := grow(sys.bestTS, len(reqs))
-	bestVal := grow(sys.bestVal, len(reqs))
-	sys.remaining, sys.bestTS, sys.bestVal = remaining, bestTS, bestVal
-
-	mreqs := grow(sys.mreqs, geo)
-	grant := grow(sys.grant, geo)
-	sys.mreqs, sys.grant = mreqs, grant
-	for p := range mreqs {
-		mreqs[p] = mpc.Idle
-	}
-
-	// Fault layer: fv is non-nil only when the interconnect exposes a fault
-	// view (mpc.Failing) and the copy bitmasks fit a word; every fault hook
-	// below is gated on it, so healthy systems pay nothing.
-	fv := sys.fv
-	if fv != nil && nCopies > 64 {
-		fv = nil
-	}
-	faultEpoch := uint64(0)
-	if fv != nil {
-		sys.liveBids = grow(sys.liveBids, len(reqs))
-		sys.usedMask = grow(sys.usedMask, len(reqs))
-		sys.touchedC = grow(sys.touchedC, len(reqs))
-		sys.stalled = grow(sys.stalled, len(reqs))
+	sys.rows = sys.resolveVars(vars, sys.rows)
+	sys.remaining = grow(sys.remaining, n)
+	sys.best = grow(sys.best, n)
+	if sys.fv != nil && sys.nCopies <= 64 {
+		b.fv = sys.fv
+		sys.liveBids = grow(sys.liveBids, n)
+		sys.usedMask = grow(sys.usedMask, n)
+		sys.touchedC = grow(sys.touchedC, n)
+		sys.stalled = grow(sys.stalled, n)
 		sys.retry = sys.retry[:0]
-		faultEpoch = fv.FaultEpoch()
+		b.epoch = b.fv.FaultEpoch()
 	}
+}
 
-	res.Metrics.Phases = clusterSize
-	tasks := sys.tasks
-	for phase := 0; phase < clusterSize; phase++ {
-		// Build the task list: cluster i serves request i*clusterSize+phase;
-		// member j bids for copy j (members beyond the in-flight copy count
-		// idle). Under a fault view, selection routes around failed modules
-		// (PolicyAllCancel) or detects unreachable quorums up front.
-		tasks = tasks[:0]
-		for i := 0; i < numClusters; i++ {
-			r := i*clusterSize + phase
-			if r >= len(reqs) {
-				continue
-			}
-			remaining[r] = sys.quorum(reqs[r].Op)
-			bestTS[r] = 0
-			bestVal[r] = 0
-			inFlight := nCopies
-			if sys.cfg.Policy == PolicyFixedMajority {
-				inFlight = int(remaining[r])
-			}
-			if inFlight > clusterSize {
-				inFlight = clusterSize
-			}
-			if fv != nil {
-				tasks = sys.selectLive(fv, tasks, reqs, copies, nCopies, r, i*clusterSize, inFlight)
-				continue
-			}
-			for j := 0; j < inFlight; j++ {
-				tasks = append(tasks, taskRef{proc: int32(i*clusterSize + j), a: copies[r*nCopies+j]})
+// resolveVars is the System's one resolution path, shared by batches and the
+// repair sweep: it gathers the packed (module, address) of every copy of
+// every variable in vars into out (vars-major, entry i·Copies+c) — straight
+// from the compiled table's rows when a resolver is attached, and through the
+// mapper's batched bulk contract otherwise. All buffers are reused, so the
+// steady state is allocation-free.
+func (sys *System) resolveVars(vars []uint64, out []packedCopy) []packedCopy {
+	nc := sys.nCopies
+	out = grow(out, len(vars)*nc)
+	if sys.resolver != nil {
+		// An indexed loop, not copy: rows are a few words, and without a call
+		// per row the table misses of neighbouring rows overlap.
+		table := sys.resolver.table
+		for i, v := range vars {
+			dst, src := out[i*nc:][:nc], table[v*uint64(nc):][:nc]
+			for c := range dst {
+				dst[c] = src[c]
 			}
 		}
-		iters := 0
-		var live []int
-		for len(tasks) > 0 && iters < maxIters {
-			if fv != nil {
-				if e := fv.FaultEpoch(); e != faultEpoch {
-					// The fault set changed mid-phase: drop bids at newly
-					// failed modules, re-select spare live copies, and shed
-					// requests that can no longer reach a quorum.
-					faultEpoch = e
-					tasks = sys.refilterTasks(fv, tasks, reqs, copies, nCopies, res)
-					if len(tasks) == 0 {
-						break
-					}
-				}
-			}
-			for _, t := range tasks {
-				mreqs[t.proc] = t.a.module
-			}
-			if sys.rs != nil {
-				sys.stageTasks(reqs, tasks)
-			}
-			machine.Round(mreqs, grant)
-			iters++
-			res.Metrics.IssuedBids += len(tasks)
-			next := tasks[:0]
-			for _, t := range tasks {
-				mreqs[t.proc] = mpc.Idle
-				r := t.a.req
-				if !grant[t.proc] {
-					if remaining[r] > 0 {
-						next = append(next, t)
-					}
-					continue
-				}
-				res.Metrics.GrantedBids++
-				if remaining[r] <= 0 {
-					// Granted after the quorum already completed; a
-					// cancelled bid whose result is unused.
-					continue
-				}
-				sys.touch(reqs[r], t, r, bestTS, bestVal)
-				res.Metrics.CopyAccesses++
-				remaining[r]--
-				if fv != nil {
-					sys.touchedC[r] |= 1 << uint(t.a.cpy)
-					// The granted bid left the task list: keep liveBids an
-					// exact in-flight count so refilterTasks' shed check
-					// (liveBids < remaining) stays tight for partially
-					// granted requests.
-					sys.liveBids[r]--
-				}
-			}
-			tasks = next
-			if sys.cfg.TraceLive {
-				cnt := 0
-				for i := 0; i < numClusters; i++ {
-					r := i*clusterSize + phase
-					if r < len(reqs) && remaining[r] > 0 {
-						cnt++
-					}
-				}
-				live = append(live, cnt)
-			}
+		return out
+	}
+	mods, addrs := AppendCopyAddrs(sys.bulkSrc, sys.bulkMods[:0], sys.bulkAddrs[:0], vars, nc)
+	sys.bulkMods, sys.bulkAddrs = mods, addrs
+	for i := range out {
+		out[i] = packCopy(mods[i], addrs[i])
+	}
+	return out
+}
+
+// selectPhase builds the phase's task list: cluster i serves request
+// i·clusterSize+phase, and member j bids for copy j (members beyond the
+// in-flight copy count idle). Under a fault view, selection routes around
+// failed modules (PolicyAllCancel) or detects unreachable quorums up front.
+func (sys *System) selectPhase(b *batch, phase int) []task {
+	clusterSize := sys.cfg.ClusterSize
+	pinned := sys.cfg.Policy == PolicyFixedMajority
+	tasks := sys.tasks[:0]
+	for r := phase; r < len(b.reqs); r += clusterSize {
+		q := sys.quorum(b.reqs[r].Op)
+		sys.remaining[r] = q
+		sys.best[r] = cellstore.Cell{}
+		inFlight := sys.nCopies
+		if pinned {
+			inFlight = int(q)
 		}
-		if len(tasks) > 0 {
-			// The iteration bound tripped: some variables could not reach
-			// their quorum (only possible when modules are failing). Clear
-			// the leftover request slots and record the casualties — queued
-			// for a retry pass when a fault view is available, reported as
-			// unfinished otherwise.
-			for _, t := range tasks {
-				mreqs[t.proc] = mpc.Idle
-			}
-			if fv != nil {
-				for _, t := range tasks {
-					sys.queueRetry(t.a.req)
-				}
-			} else {
-				// stalled is otherwise the fault layer's; here it marks the
-				// requests already reported (one may have several bids left).
-				sys.stalled = grow(sys.stalled, len(reqs))
-				clear(sys.stalled)
-				for _, t := range tasks {
-					if r := t.a.req; remaining[r] > 0 && !sys.stalled[r] {
-						sys.stalled[r] = true
-						res.Metrics.Unfinished = append(res.Metrics.Unfinished, int(r))
-					}
+		inFlight = min(inFlight, clusterSize)
+		procBase := r - phase
+		if b.fv != nil {
+			tasks = sys.selectLive(b, tasks, r, procBase, inFlight)
+			continue
+		}
+		for j, cp := range sys.row(r)[:inFlight] {
+			tasks = append(tasks, task{proc: int32(procBase + j), req: int32(r), cp: cp})
+		}
+	}
+	sys.tasks = tasks // keep the grown buffer; the rounds compact it in place
+	return tasks
+}
+
+// runPhase plays rounds until every bid of the phase is settled or the
+// iteration bound trips, and returns the bids left over and the rounds used.
+func (sys *System) runPhase(b *batch, phase int, tasks []task) ([]task, int) {
+	iters := 0
+	var live []int
+	for len(tasks) > 0 && iters < b.maxIters {
+		if b.fv != nil {
+			if e := b.fv.FaultEpoch(); e != b.epoch {
+				// The fault set changed mid-phase: drop bids at newly
+				// failed modules, re-select spare live copies, and shed
+				// requests that can no longer reach a quorum.
+				b.epoch = e
+				if tasks = sys.refilterTasks(b, tasks); len(tasks) == 0 {
+					break
 				}
 			}
 		}
-		// Commit read results for this phase.
-		for i := 0; i < numClusters; i++ {
-			r := i*clusterSize + phase
-			if r < len(reqs) && reqs[r].Op == Read && remaining[r] <= 0 {
-				res.Values[r] = bestVal[r]
-			}
-		}
-		res.Metrics.PhaseIterations = append(res.Metrics.PhaseIterations, iters)
-		if iters > res.Metrics.MaxIterations {
-			res.Metrics.MaxIterations = iters
-		}
-		res.Metrics.TotalRounds += iters
+		tasks = sys.round(b, tasks)
+		iters++
 		if sys.cfg.TraceLive {
-			res.Metrics.LiveTrace = append(res.Metrics.LiveTrace, live)
+			cnt := 0
+			for r := phase; r < len(b.reqs); r += sys.cfg.ClusterSize {
+				if sys.remaining[r] > 0 {
+					cnt++
+				}
+			}
+			live = append(live, cnt)
 		}
 	}
-	sys.tasks = tasks[:0]
-	if fv != nil && len(sys.retry) > 0 {
-		sys.retryStranded(fv, machine, geo, reqs, res, maxIters)
+	if sys.cfg.TraceLive {
+		b.res.Metrics.LiveTrace = append(b.res.Metrics.LiveTrace, live)
 	}
-	res.Metrics.InterconnectCost = machine.Cost() - sys.machineCost
-	sys.observeBatch(reqs, res)
+	return tasks, iters
+}
+
+// round plays one MPC round for the in-flight bids and returns those still in
+// flight afterwards. It is three passes, so that the cell accesses — the
+// cache misses of the batch — are issued back to back and overlap instead of
+// each waiting behind a request's bookkeeping: bid (and stage payloads, when
+// the cells are remote), decide what every grant means, then fetch and apply
+// the granted cells. Batching is free of semantics: a batch's variables are
+// pairwise distinct, so a round's granted copies are distinct addresses, and
+// the newest-timestamp rule does not depend on the order copies are read in.
+func (sys *System) round(b *batch, tasks []task) []task {
+	mreqs := sys.mreqs
+	for _, t := range tasks {
+		mreqs[t.proc] = t.cp.module()
+	}
+	if sys.rs != nil {
+		// The remote module applies the winning bid's operation itself, so
+		// the payload travels with the bid.
+		for _, t := range tasks {
+			rq := &b.reqs[t.req]
+			sys.rs.StageBid(t.proc, t.cp.addr(), rq.Op, rq.Value, sys.ts)
+		}
+	}
+	sys.machine.Round(mreqs, sys.grant)
+	b.res.Metrics.IssuedBids += len(tasks)
+	tasks = sys.decide(b, tasks)
+	sys.commitCells()
+	return tasks
+}
+
+// decide is the sequential bookkeeping of a round: it keeps the ungranted
+// bids of unfinished requests in flight, counts the grants, and queues the
+// cell access of every grant a quorum still needed onto sys.reads and
+// sys.writes (a grant to a request whose quorum already completed is a
+// cancelled bid whose result is unused).
+func (sys *System) decide(b *batch, tasks []task) []task {
+	mreqs, grant, remaining := sys.mreqs, sys.grant, sys.remaining
+	reads, writes := sys.reads[:0], sys.writes[:0]
+	next := tasks[:0]
+	granted := 0
+	for _, t := range tasks {
+		mreqs[t.proc] = mpc.Idle
+		r := t.req
+		if !grant[t.proc] {
+			if remaining[r] > 0 {
+				next = append(next, t)
+			}
+			continue
+		}
+		granted++
+		if remaining[r] <= 0 {
+			continue
+		}
+		remaining[r]--
+		if rq := &b.reqs[r]; rq.Op == Write {
+			writes = append(writes, writeRef{addr: t.cp.addr(), val: rq.Value})
+		} else {
+			reads = append(reads, readRef{addr: t.cp.addr(), proc: t.proc, req: r})
+		}
+		if b.fv != nil {
+			sys.touchedC[r] |= 1 << sys.copyIndex(t)
+			// The granted bid left the task list: keep liveBids an exact
+			// in-flight count so refilterTasks' shed check (liveBids <
+			// remaining) stays tight for partially granted requests.
+			sys.liveBids[r]--
+		}
+	}
+	sys.reads, sys.writes = reads, writes
+	b.res.Metrics.GrantedBids += granted
+	b.res.Metrics.CopyAccesses += len(reads) + len(writes)
+	return next
+}
+
+// commitCells performs the physical copy accesses decide queued: against the
+// local store, or by consuming the remote module's replies when the transport
+// keeps the cells on the far side (the remote already applied the writes).
+// Quorum rule: among the copies read, the one with the newest timestamp holds
+// the variable's current value; timestamps compare with >= so the
+// zero-initialized state is well-defined too.
+func (sys *System) commitCells() {
+	best := sys.best
+	if rs := sys.rs; rs != nil {
+		for _, g := range sys.reads {
+			if val, ts := rs.GrantData(g.proc); ts >= best[g.req].TS {
+				best[g.req] = cellstore.Cell{Val: val, TS: ts}
+			}
+		}
+		return
+	}
+	st := sys.store
+	for _, g := range sys.reads {
+		if c := st.Get(g.addr); c.TS >= best[g.req].TS {
+			best[g.req] = c
+		}
+	}
+	for _, w := range sys.writes {
+		st.Put(w.addr, cellstore.Cell{Val: w.val, TS: sys.ts})
+	}
+}
+
+// commitPhase closes a phase: bids left over by the iteration bound become
+// casualties, completed reads deliver their value, and the phase's rounds
+// enter the metrics.
+func (sys *System) commitPhase(b *batch, phase int, left []task, iters int) {
+	met := &b.res.Metrics
+	if len(left) > 0 {
+		// The iteration bound tripped: some variables could not reach their
+		// quorum (only possible when modules are failing). Clear the leftover
+		// request slots and record the casualties — queued for a retry pass
+		// when a fault view is available, reported as unfinished otherwise.
+		for _, t := range left {
+			sys.mreqs[t.proc] = mpc.Idle
+		}
+		if b.fv != nil {
+			for _, t := range left {
+				sys.queueRetry(t.req)
+			}
+		} else {
+			// stalled is otherwise the fault layer's; here it marks the
+			// requests already reported (one may have several bids left).
+			sys.stalled = grow(sys.stalled, len(b.reqs))
+			clear(sys.stalled)
+			for _, t := range left {
+				if r := t.req; sys.remaining[r] > 0 && !sys.stalled[r] {
+					sys.stalled[r] = true
+					met.Unfinished = append(met.Unfinished, int(r))
+				}
+			}
+		}
+	}
+	for r := phase; r < len(b.reqs); r += sys.cfg.ClusterSize {
+		if b.reqs[r].Op == Read && sys.remaining[r] <= 0 {
+			b.res.Values[r] = sys.best[r].Val
+		}
+	}
+	met.PhaseIterations = append(met.PhaseIterations, iters)
+	met.MaxIterations = max(met.MaxIterations, iters)
+	met.TotalRounds += iters
+}
+
+// report closes the batch: it takes the interconnect cost, tells the
+// observer, gives the background repair its per-batch step and turns
+// unfinished requests into the batch's error.
+func (sys *System) report(b *batch) error {
+	res := b.res
+	res.Metrics.InterconnectCost = sys.machine.Cost() - sys.machineCost
+	sys.observeBatch(b.reqs, res)
 	if sys.rv != nil && sys.cfg.RepairBudget >= 0 && sys.rv.RepairCount() > 0 {
 		// Per-flush repair budget: one bounded background-repair step rides
 		// on every batch, so sustained traffic still drains the backlog.
 		// Runs after InterconnectCost is taken — repair rounds are accounted
 		// through obs.RepairEvent, not the batch's books.
-		sys.pumpRepair(machine, geo, res)
+		sys.pumpRepair(sys.machine, sys.machineProcs, res)
 	}
 	if len(res.Metrics.Stranded) > 0 {
-		return fmt.Errorf("%w: %d of %d requests could not reach a quorum (%d below their live majority)",
-			ErrQuorumUnreachable, len(res.Metrics.Unfinished), len(reqs), len(res.Metrics.Stranded))
+		return sys.quorumError(b)
 	}
 	if len(res.Metrics.Unfinished) > 0 {
 		return fmt.Errorf("%w: %d of %d requests could not reach a quorum",
-			ErrIncomplete, len(res.Metrics.Unfinished), len(reqs))
+			ErrIncomplete, len(res.Metrics.Unfinished), len(b.reqs))
 	}
 	return nil
-}
-
-type taskRef struct {
-	proc int32
-	a    assignment
 }
 
 // observeBatch reports the finished batch to the configured observer, if
@@ -709,34 +858,30 @@ func (sys *System) observeBatch(reqs []Request, res *Result) {
 	})
 }
 
-// obtainMachine returns a machine with room for at least procs bidders,
-// reusing the previous batch's machine whenever its geometry is large
+// obtainMachine leaves in sys.machine a machine with room for at least procs
+// bidders (sys.machineProcs slots), reusing the previous batch's machine whenever its geometry is large
 // enough: a batch smaller than the machine simply leaves the tail
 // processors idle. Variable-size batch streams — the frontend flushes a
 // different distinct-variable count every time — would otherwise rebuild
 // the machine (an O(N) winner table) on every flush, which dominates the
 // per-batch cost for small batches. When the machine must grow, the geometry
-// is rounded up to the next power of two (capped at the full-batch maximum)
-// so a stream of creeping batch sizes settles after O(log N) rebuilds.
+// is rounded up to the next sixteenth of its power of two (4098 bidders get
+// 4608 slots, not 8192: every arbitration sweep walks all of them), capped
+// at the full-batch maximum. A stream of creeping batch sizes still settles
+// after O(log N) rebuilds — at most sixteen per doubling. Beyond the sweeps,
+// the geometry shows in two places: a repair wave carries geo/Copies
+// variables, and mpc.ArbRoundRobin rotates priority modulo it.
 // Interconnect state — round counters, network queues — carries over across
 // reuse; per-batch cost is taken as a delta against machineCost.
-func (sys *System) obtainMachine(procs int) (Machine, int, error) {
+func (sys *System) obtainMachine(procs int) error {
 	if sys.machine != nil && sys.machineProcs >= procs {
 		sys.machineCost = sys.machine.Cost()
-		return sys.machine, sys.machineProcs, nil
+		return nil
 	}
 	cluster := sys.cfg.ClusterSize
 	maxProcs := (int(sys.Mapper.NumModules()) + cluster - 1) / cluster * cluster
-	geo := 1
-	for geo < procs {
-		geo <<= 1
-	}
-	if geo > maxProcs {
-		geo = maxProcs
-	}
-	if geo < procs {
-		geo = procs
-	}
+	step := max(1<<bits.Len(uint(procs-1))>>4, 1)
+	geo := max(min((procs+step-1)/step*step, maxProcs), procs)
 	mcfg := mpc.Config{
 		Procs:    geo,
 		Modules:  int(sys.Mapper.NumModules()),
@@ -755,10 +900,14 @@ func (sys *System) obtainMachine(procs int) (Machine, int, error) {
 		machine, err = mpc.New(mcfg)
 	}
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	sys.machine = machine
 	sys.machineProcs = geo
+	sys.mreqs, sys.grant = grow(sys.mreqs, geo), grow(sys.grant, geo)
+	for p := range sys.mreqs {
+		sys.mreqs[p] = mpc.Idle
+	}
 	sys.machineCost = machine.Cost()
 	sys.fv, _ = machine.(FaultView)
 	sys.rs, _ = machine.(RemoteStore)
@@ -767,101 +916,15 @@ func (sys *System) obtainMachine(procs int) (Machine, int, error) {
 		sys.cells()
 	}
 	sys.resetRepair()
-	return machine, geo, nil
+	return nil
 }
 
 // cells returns the local cell store, allocating it on first use.
-func (sys *System) cells() store {
+func (sys *System) cells() *cellstore.Store {
 	if sys.store == nil {
-		sys.store = newStore(sys.Mapper.AddrSpace())
+		sys.store = cellstore.New(sys.Mapper.AddrSpace())
 	}
 	return sys.store
-}
-
-// resolveCopies resolves every copy of every requested variable into the
-// reused per-batch scratch.
-func (sys *System) resolveCopies(reqs []Request) []assignment {
-	vars := grow(sys.varsBuf, len(reqs))
-	sys.varsBuf = vars
-	for i := range reqs {
-		vars[i] = reqs[i].Var
-	}
-	sys.copies = sys.resolveVars(vars, sys.copies)
-	return sys.copies
-}
-
-// resolveVars is the System's one resolution path, shared by batches and the
-// repair sweep: it computes the (module, address) of every copy of every
-// variable in vars into out (vars-major, entry i·Copies+c with req = i and
-// cpy = c) — from the compiled table when a resolver is attached, and
-// through the mapper's batched bulk contract otherwise. All buffers are
-// reused, so the steady state is allocation-free.
-func (sys *System) resolveVars(vars []uint64, out []assignment) []assignment {
-	nCopies := sys.Mapper.Copies()
-	out = grow(out, len(vars)*nCopies)
-	if sys.resolver != nil {
-		for r, v := range vars {
-			putRow(out[r*nCopies:][:nCopies], r, sys.resolver.row(v))
-		}
-		return out
-	}
-	// Live batched resolution: one bulk call (vectorized kernels for
-	// BulkMappers), expanded into assignments.
-	mods, addrs := AppendCopyAddrs(sys.bulkSrc, sys.bulkMods[:0], sys.bulkAddrs[:0], vars, nCopies)
-	sys.bulkMods, sys.bulkAddrs = mods, addrs
-	for r := range vars {
-		base := r * nCopies
-		for c := 0; c < nCopies; c++ {
-			out[base+c] = assignment{req: int32(r), cpy: int16(c), module: int64(mods[base+c]), addr: addrs[base+c]}
-		}
-	}
-	return out
-}
-
-// putRow expands one resolved row into variable r's assignments.
-func putRow(dst []assignment, r int, row []packedAssignment) {
-	for c := range dst {
-		dst[c] = assignment{req: int32(r), cpy: int16(c), module: row[c].module, addr: row[c].addr}
-	}
-}
-
-// stageTasks hands each task's access payload to the remote store before a
-// round: the remote module applies the winning bid's operation itself, so
-// the payload must travel with the bid.
-func (sys *System) stageTasks(reqs []Request, tasks []taskRef) {
-	for _, t := range tasks {
-		req := reqs[t.a.req]
-		sys.rs.StageBid(t.proc, t.a.addr, req.Op, req.Value, sys.ts)
-	}
-}
-
-// touch performs the physical copy access for a granted bid — against the
-// local store, or by consuming the remote module's reply when the transport
-// keeps the cells on the far side (the remote already applied writes).
-func (sys *System) touch(req Request, t taskRef, r int32, bestTS, bestVal []uint64) {
-	if sys.rs != nil {
-		if req.Op == Read {
-			val, ts := sys.rs.GrantData(t.proc)
-			if ts >= bestTS[r] {
-				bestTS[r] = ts
-				bestVal[r] = val
-			}
-		}
-		return
-	}
-	switch req.Op {
-	case Write:
-		sys.store.put(t.a.addr, cell{val: req.Value, ts: sys.ts})
-	case Read:
-		c := sys.store.get(t.a.addr)
-		// Quorum rule: among the copies read, the one with the newest
-		// timestamp holds the variable's current value. ts is compared with
-		// >= so the zero-initialized state is well-defined too.
-		if c.ts >= bestTS[r] {
-			bestTS[r] = c.ts
-			bestVal[r] = c.val
-		}
-	}
 }
 
 // convert builds the wrapper scratch request slice for vars. vals is nil
@@ -916,7 +979,7 @@ func (sys *System) CopyState(v uint64) []uint64 {
 	out := make([]uint64, sys.Mapper.Copies())
 	for c := range out {
 		_, addr := sys.Mapper.CopyAddr(v, c)
-		out[c] = sys.cells().get(addr).ts
+		out[c] = sys.cells().Get(addr).TS
 	}
 	return out
 }

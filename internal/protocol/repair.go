@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"detshmem/internal/cellstore"
 	"detshmem/internal/mpc"
 	"detshmem/internal/obs"
 )
@@ -103,9 +104,9 @@ type repairSweep struct {
 
 	// Scratch, kept at its high-water size across waves and steps.
 	chunk []uint64     // the scanned chunk's variables (the owned ones)
-	rows  []assignment // their resolved copies, chunk-major
+	rows  []packedCopy // their resolved copies, chunk-major
 	vars  []repairVar  // the chunk's variables with a copy in the sweep set
-	tasks []taskRef
+	tasks []task       // req indexes the wave's variables
 }
 
 // isTarget reports whether module m is in the sweep set.
@@ -135,7 +136,7 @@ func (sys *System) RepairStep() bool {
 	if sys.rv == nil && sys.machine == nil {
 		// No machine yet (no batch has run): build one so a freshly started
 		// replica can repair before serving.
-		if _, _, err := sys.obtainMachine(sys.cfg.ClusterSize); err != nil {
+		if err := sys.obtainMachine(sys.cfg.ClusterSize); err != nil {
 			return false
 		}
 	}
@@ -272,7 +273,7 @@ func (sys *System) repairStep(machine Machine, geo int, rm *repairMetrics) bool 
 // that index the resolved rows.
 func (sys *System) scanRepairRange(machine Machine, geo int, lo, hi uint64, rm *repairMetrics) {
 	rep := &sys.rep
-	nCopies := sys.Mapper.Copies()
+	nCopies := sys.nCopies
 	group := max(geo/nCopies, 1)
 	owns := sys.cfg.Owns
 	for lo < hi {
@@ -288,8 +289,8 @@ func (sys *System) scanRepairRange(machine Machine, geo int, lo, hi uint64, rm *
 		rep.rows = sys.resolveVars(chunk, rep.rows)
 		vars := rep.vars[:0]
 		for i := range chunk {
-			for _, a := range rep.rows[i*nCopies:][:nCopies] {
-				if rep.isTarget(a.module) {
+			for _, cp := range rep.rows[i*nCopies:][:nCopies] {
+				if rep.isTarget(cp.module()) {
 					vars = append(vars, repairVar{row: int32(i)})
 					break
 				}
@@ -298,7 +299,7 @@ func (sys *System) scanRepairRange(machine Machine, geo int, lo, hi uint64, rm *
 		rep.vars = vars
 		for len(vars) > 0 {
 			n := min(group, len(vars))
-			sys.repairWave(machine, geo, vars[:n], rm)
+			sys.repairWave(machine, vars[:n], rm)
 			vars = vars[n:]
 		}
 	}
@@ -320,25 +321,13 @@ func (sys *System) scanRepairRange(machine Machine, geo int, lo, hi uint64, rm *
 // held a copy we could not read, the variable's freshest value may be
 // sitting in that crashed store, so the targets are marked dirty and their
 // modules stay uncertified until the fault set changes.
-func (sys *System) repairWave(machine Machine, geo int, vars []repairVar, rm *repairMetrics) {
+func (sys *System) repairWave(machine Machine, vars []repairVar, rm *repairMetrics) {
 	rep := &sys.rep
 	fv, rvw := sys.fv, sys.rv
-	m := sys.Mapper
-	nCopies := m.Copies()
-	rq := int32(m.ReadQuorum())
+	nCopies, rq := sys.nCopies, sys.readQ
 	// row is the variable's resolved copies in the chunk scratch.
-	row := func(w *repairVar) []assignment { return rep.rows[int(w.row)*nCopies:][:nCopies] }
-
-	mreqs := grow(sys.mreqs, geo)
-	grant := grow(sys.grant, geo)
-	sys.mreqs, sys.grant = mreqs, grant
-	for i := range mreqs {
-		mreqs[i] = mpc.Idle
-	}
-	maxIters := sys.cfg.MaxIterationsPerPhase
-	if maxIters == 0 {
-		maxIters = 8*int(m.NumModules()) + 64
-	}
+	row := func(w *repairVar) []packedCopy { return rep.rows[int(w.row)*nCopies:][:nCopies] }
+	maxIters := sys.maxIters()
 
 	// Classify copies and build the read task list.
 	tasks := rep.tasks[:0]
@@ -347,11 +336,11 @@ func (sys *System) repairWave(machine Machine, geo int, vars []repairVar, rm *re
 		w := &vars[i]
 		w.need = rq
 		sources, failed := int32(0), 0
-		for _, a := range row(w) {
+		for _, cp := range row(w) {
 			switch {
-			case fv.ModuleFailed(a.module):
+			case fv.ModuleFailed(cp.module()):
 				failed++
-			case !rvw.ModuleRepairing(a.module):
+			case !rvw.ModuleRepairing(cp.module()):
 				sources++
 			}
 		}
@@ -359,15 +348,14 @@ func (sys *System) repairWave(machine Machine, geo int, vars []repairVar, rm *re
 		if w.salvage && failed > 0 {
 			w.dirty = true
 		}
-		for _, a := range row(w) {
-			if fv.ModuleFailed(a.module) {
+		for _, cp := range row(w) {
+			if fv.ModuleFailed(cp.module()) {
 				continue
 			}
-			if !w.salvage && rvw.ModuleRepairing(a.module) {
+			if !w.salvage && rvw.ModuleRepairing(cp.module()) {
 				continue
 			}
-			a.req = int32(i)
-			tasks = append(tasks, taskRef{proc: p, a: a})
+			tasks = append(tasks, task{proc: p, req: int32(i), cp: cp})
 			p++
 		}
 	}
@@ -375,7 +363,7 @@ func (sys *System) repairWave(machine Machine, geo int, vars []repairVar, rm *re
 
 	// Read wave.
 	for _, t := range sys.driveRepairRound(machine, tasks, vars, rm, maxIters, true) {
-		vars[t.a.req].dirty = true
+		vars[t.req].dirty = true
 	}
 	for i := range vars {
 		w := &vars[i]
@@ -397,21 +385,20 @@ func (sys *System) repairWave(machine Machine, geo int, vars []repairVar, rm *re
 		if w.bestTS == 0 {
 			continue
 		}
-		for _, a := range row(w) {
-			if !rep.isTarget(a.module) || fv.ModuleFailed(a.module) {
+		for _, cp := range row(w) {
+			if !rep.isTarget(cp.module()) || fv.ModuleFailed(cp.module()) {
 				continue
 			}
-			if sys.rs == nil && sys.store.get(a.addr).ts >= w.bestTS {
+			if sys.rs == nil && sys.store.Get(cp.addr()).TS >= w.bestTS {
 				continue // local store already fresh (in-process recovery)
 			}
-			a.req = int32(i)
-			tasks = append(tasks, taskRef{proc: p, a: a})
+			tasks = append(tasks, task{proc: p, req: int32(i), cp: cp})
 			p++
 		}
 	}
 	rep.tasks = tasks[:0]
 	for _, t := range sys.driveRepairRound(machine, tasks, vars, rm, maxIters, false) {
-		vars[t.a.req].dirty = true
+		vars[t.req].dirty = true
 	}
 
 	// Account salvages and propagate dirt to the sweep set.
@@ -423,9 +410,9 @@ func (sys *System) repairWave(machine Machine, geo int, vars []repairVar, rm *re
 		if !w.dirty {
 			continue
 		}
-		for _, a := range row(w) {
-			if rep.isTarget(a.module) {
-				rep.dirty[a.module>>6] |= 1 << (uint64(a.module) & 63)
+		for _, cp := range row(w) {
+			if m := cp.module(); rep.isTarget(m) {
+				rep.dirty[m>>6] |= 1 << (uint64(m) & 63)
 			}
 		}
 	}
@@ -436,7 +423,7 @@ func (sys *System) repairWave(machine Machine, geo int, vars []repairVar, rm *re
 // returned for the caller to mark dirty. reads selects read semantics
 // (collect max-timestamp into the task's variable) vs repair-write semantics
 // (install the variable's best value if newer).
-func (sys *System) driveRepairRound(machine Machine, tasks []taskRef, vars []repairVar, rm *repairMetrics, maxIters int, reads bool) []taskRef {
+func (sys *System) driveRepairRound(machine Machine, tasks []task, vars []repairVar, rm *repairMetrics, maxIters int, reads bool) []task {
 	if len(tasks) == 0 {
 		return tasks
 	}
@@ -449,8 +436,8 @@ func (sys *System) driveRepairRound(machine Machine, tasks []taskRef, vars []rep
 			epoch = e
 			n := 0
 			for _, t := range tasks {
-				if fv.ModuleFailed(t.a.module) {
-					vars[t.a.req].dirty = true
+				if fv.ModuleFailed(t.cp.module()) {
+					vars[t.req].dirty = true
 					continue
 				}
 				tasks[n] = t
@@ -462,15 +449,15 @@ func (sys *System) driveRepairRound(machine Machine, tasks []taskRef, vars []rep
 			}
 		}
 		for _, t := range tasks {
-			mreqs[t.proc] = t.a.module
+			mreqs[t.proc] = t.cp.module()
 		}
 		if sys.rs != nil {
 			for _, t := range tasks {
 				if reads {
-					sys.rs.StageBid(t.proc, t.a.addr, Read, 0, 0)
+					sys.rs.StageBid(t.proc, t.cp.addr(), Read, 0, 0)
 				} else {
-					w := &vars[t.a.req]
-					sys.rs.StageBid(t.proc, t.a.addr, opRepair, w.bestVal, w.bestTS)
+					w := &vars[t.req]
+					sys.rs.StageBid(t.proc, t.cp.addr(), opRepair, w.bestVal, w.bestTS)
 				}
 			}
 		}
@@ -485,14 +472,14 @@ func (sys *System) driveRepairRound(machine Machine, tasks []taskRef, vars []rep
 				continue
 			}
 			rm.granted++
-			w := &vars[t.a.req]
+			w := &vars[t.req]
 			if reads {
 				var val, ts uint64
 				if sys.rs != nil {
 					val, ts = sys.rs.GrantData(t.proc)
 				} else {
-					c := sys.store.get(t.a.addr)
-					val, ts = c.val, c.ts
+					c := sys.store.Get(t.cp.addr())
+					val, ts = c.Val, c.TS
 				}
 				if ts >= w.bestTS {
 					w.bestTS, w.bestVal = ts, val
@@ -500,7 +487,7 @@ func (sys *System) driveRepairRound(machine Machine, tasks []taskRef, vars []rep
 				w.reads++
 			} else {
 				if sys.rs == nil {
-					putIfNewer(sys.store, t.a.addr, cell{val: w.bestVal, ts: w.bestTS})
+					sys.store.PutIfNewer(t.cp.addr(), cellstore.Cell{Val: w.bestVal, TS: w.bestTS})
 				}
 				rm.repaired++
 			}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"detshmem/internal/cellstore"
 	"detshmem/internal/core"
 	"detshmem/internal/mpc"
 	"detshmem/internal/obs"
@@ -79,7 +80,7 @@ func TestRepairDifferentialResolvers(t *testing.T) {
 		t.Fatal(err)
 	}
 	type outcome struct {
-		cells                     []cell
+		cells                     []cellstore.Cell
 		copies, rounds, certified int64
 	}
 	run := func(m Mapper, cfg Config) outcome {
@@ -100,7 +101,7 @@ func TestRepairDifferentialResolvers(t *testing.T) {
 			certified: col.RepairCertified.Load(),
 		}
 		for a := uint64(0); a < m.AddrSpace(); a++ {
-			out.cells = append(out.cells, sys.cells().get(a))
+			out.cells = append(out.cells, sys.cells().Get(a))
 		}
 		return out
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"detshmem/internal/cellstore"
 	"detshmem/internal/core"
 	"detshmem/internal/mpc"
 	"detshmem/internal/obs"
@@ -76,7 +77,7 @@ func victimModules(sys *System, v uint64) []uint64 {
 func wipeCopies(sys *System, v uint64, copies ...int) {
 	for _, c := range copies {
 		_, addr := sys.Mapper.CopyAddr(v, c)
-		sys.cells().put(addr, cell{})
+		sys.cells().Put(addr, cellstore.Cell{})
 	}
 }
 

@@ -6,12 +6,36 @@ import (
 	"sync"
 )
 
-// packedAssignment is one compiled copy location: the module serving the
-// copy and the copy's flat storage address, packed for cache-friendly
-// sequential scans by the protocol's per-batch resolution sweep.
-type packedAssignment struct {
-	module int64
-	addr   uint64
+// packedCopy is one copy location in one word — the module serving the copy
+// in the high 24 bits, the copy's flat storage address in the low 40. It is
+// the form a copy has everywhere on the batch path: a compiled table row is
+// Copies of them, a batch's resolved rows are gathered as they are, and an
+// in-flight bid carries one. Nothing expands them.
+type packedCopy uint64
+
+// The packing limits: a mapper must have at most 2^24 modules and an address
+// space of at most 2^40 cells (q=2 reaches neither before n=13).
+const (
+	packedAddrBits   = 40
+	maxPackedModules = 1 << (64 - packedAddrBits)
+	maxPackedAddrs   = 1 << packedAddrBits
+)
+
+func packCopy(module, addr uint64) packedCopy {
+	return packedCopy(module<<packedAddrBits | addr)
+}
+
+func (p packedCopy) module() int64 { return int64(p >> packedAddrBits) }
+func (p packedCopy) addr() uint64  { return uint64(p) & (maxPackedAddrs - 1) }
+
+// checkPackable refuses a mapper whose modules or addresses do not fit a
+// packedCopy.
+func checkPackable(m Mapper) error {
+	if m.NumModules() > maxPackedModules || m.AddrSpace() > maxPackedAddrs {
+		return fmt.Errorf("protocol: %s has %d modules over %d cells, beyond the packed-copy limits of 2^24 modules and 2^40 cells",
+			m.Name(), m.NumModules(), m.AddrSpace())
+	}
+	return nil
 }
 
 // CompileOptions tunes CompileMapper.
@@ -22,12 +46,12 @@ type CompileOptions struct {
 }
 
 // TableFits is the size rule that picks between the two resolution paths: a
-// mapper whose dense table has at most 2^24 entries (NumVars·Copies; 256 MiB
-// of packed assignments) is worth compiling, a larger one resolves through
-// the computed bulk kernels instead. shard.New applies it under the
-// zero-value strategy.
+// mapper whose dense table has at most 2^24 entries (NumVars·Copies; 128 MiB
+// of packed copies) is worth compiling, a larger one — or one whose modules
+// or addresses do not fit a packed copy — resolves through the computed bulk
+// kernels instead. shard.New applies it under the zero-value strategy.
 func TableFits(m Mapper) bool {
-	return m.NumVars()*uint64(m.Copies()) <= 1<<24
+	return m.NumVars()*uint64(m.Copies()) <= 1<<24 && checkPackable(m) == nil
 }
 
 // CompiledResolver is a compiled address map for a Mapper: the (module,
@@ -44,7 +68,7 @@ type CompiledResolver struct {
 	inner  Mapper
 	vars   uint64
 	copies int
-	table  []packedAssignment // len = vars·copies, immutable
+	table  []packedCopy // len = vars·copies, immutable
 }
 
 // CompileMapper compiles m's address map, building the table in parallel
@@ -62,7 +86,10 @@ func CompileMapper(m Mapper, opts CompileOptions) (*CompiledResolver, error) {
 	if vars == 0 || copies < 1 {
 		return nil, fmt.Errorf("protocol: cannot compile %s with %d vars, %d copies", m.Name(), vars, copies)
 	}
-	r := &CompiledResolver{inner: m, vars: vars, copies: copies, table: make([]packedAssignment, vars*uint64(copies))}
+	if err := checkPackable(m); err != nil {
+		return nil, err
+	}
+	r := &CompiledResolver{inner: m, vars: vars, copies: copies, table: make([]packedCopy, vars*uint64(copies))}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -92,19 +119,19 @@ func CompileMapper(m Mapper, opts CompileOptions) (*CompiledResolver, error) {
 }
 
 // compileRange fills table with the copies of variables [lo, hi).
-func compileRange(m Mapper, table []packedAssignment, lo, hi uint64, copies int) {
+func compileRange(m Mapper, table []packedCopy, lo, hi uint64, copies int) {
 	for v := lo; v < hi; v++ {
 		base := v * uint64(copies)
 		for c := 0; c < copies; c++ {
 			mod, addr := m.CopyAddr(v, c)
-			table[base+uint64(c)] = packedAssignment{module: int64(mod), addr: addr}
+			table[base+uint64(c)] = packCopy(mod, addr)
 		}
 	}
 }
 
 // row returns the compiled copies of v as one dense slice. v must be below
 // NumVars.
-func (r *CompiledResolver) row(v uint64) []packedAssignment {
+func (r *CompiledResolver) row(v uint64) []packedCopy {
 	c := uint64(r.copies)
 	return r.table[v*c : v*c+c]
 }
@@ -112,9 +139,9 @@ func (r *CompiledResolver) row(v uint64) []packedAssignment {
 // Mapper returns the memory organization the resolver was compiled from.
 func (r *CompiledResolver) Mapper() Mapper { return r.inner }
 
-// ResidentBytes reports the table's memory: 16 bytes per copy entry.
+// ResidentBytes reports the table's memory: 8 bytes per copy entry.
 func (r *CompiledResolver) ResidentBytes() uint64 {
-	return uint64(len(r.table)) * 16
+	return uint64(len(r.table)) * 8
 }
 
 // compatibleWith checks that m has the geometry the resolver was compiled
@@ -151,8 +178,8 @@ func (r *CompiledResolver) WriteQuorum() int { return r.inner.WriteQuorum() }
 
 // CopyAddr serves copy c of v from the compiled table.
 func (r *CompiledResolver) CopyAddr(v uint64, c int) (uint64, uint64) {
-	pa := r.row(v)[c]
-	return uint64(pa.module), pa.addr
+	cp := r.row(v)[c]
+	return uint64(cp.module()), cp.addr()
 }
 
 // AddrSpace returns the underlying address-space bound.

@@ -89,16 +89,19 @@ func TestCompileMapperIdempotent(t *testing.T) {
 	}
 }
 
-// sizedMapper is a stub geometry for the size rule: only NumVars and Copies
-// are ever asked.
+// sizedMapper is a stub geometry for the size and packing rules, which ask
+// only for these four numbers (and the name, to report a refusal).
 type sizedMapper struct {
 	Mapper
-	vars   uint64
-	copies int
+	vars, modules, space uint64
+	copies               int
 }
 
-func (m sizedMapper) NumVars() uint64 { return m.vars }
-func (m sizedMapper) Copies() int     { return m.copies }
+func (m sizedMapper) Name() string       { return "stub" }
+func (m sizedMapper) NumVars() uint64    { return m.vars }
+func (m sizedMapper) Copies() int        { return m.copies }
+func (m sizedMapper) NumModules() uint64 { return m.modules }
+func (m sizedMapper) AddrSpace() uint64  { return m.space }
 
 // TestTableFitsCutoff pins the size rule between the two resolvers at 2^24
 // table entries, inclusive.
@@ -115,10 +118,46 @@ func TestTableFitsCutoff(t *testing.T) {
 		{5592405, 3, true},  // 2^24 - 1 entries
 		{5592406, 3, false}, // 2^24 + 2 entries
 	} {
-		if got := TableFits(sizedMapper{vars: tc.vars, copies: tc.copies}); got != tc.fits {
+		if got := TableFits(sizedMapper{vars: tc.vars, copies: tc.copies, modules: 64, space: 1 << 20}); got != tc.fits {
 			t.Errorf("TableFits(M=%d, copies=%d) = %v, want %v (%d entries)",
 				tc.vars, tc.copies, got, tc.fits, tc.vars*uint64(tc.copies))
 		}
+	}
+}
+
+// TestPackingLimits pins the limits of the one-word copy: 2^24 modules and a
+// 2^40-cell address space fit, one more of either does not — TableFits says
+// no, CompileMapper and NewGenericSystem refuse — and the extreme module and
+// address survive a round trip through the packing.
+func TestPackingLimits(t *testing.T) {
+	for _, tc := range []struct {
+		modules, space uint64
+		fits           bool
+	}{
+		{1 << 24, 1 << 40, true},
+		{1<<24 + 1, 1 << 40, false},
+		{1 << 24, 1<<40 + 1, false},
+	} {
+		m := sizedMapper{vars: 4, copies: 1, modules: tc.modules, space: tc.space}
+		if got := TableFits(m); got != tc.fits {
+			t.Errorf("TableFits(N=%d, space=%d) = %v, want %v", tc.modules, tc.space, got, tc.fits)
+		}
+		if tc.fits {
+			continue // compiling would call the stub's CopyAddr
+		}
+		if _, err := CompileMapper(m, CompileOptions{}); err == nil {
+			t.Errorf("CompileMapper accepted N=%d, space=%d", tc.modules, tc.space)
+		}
+	}
+	// A System packs its rows on the computed path too, so it refuses as well.
+	real := mapperFuzzSetup(t)[0]
+	over := sizedMapper{Mapper: real, vars: real.NumVars(), copies: real.Copies(), modules: real.NumModules(), space: 1<<40 + 1}
+	if _, err := NewGenericSystem(over, Config{Strategy: ResolverComputed}); err == nil {
+		t.Error("NewGenericSystem accepted a 2^40+1-cell address space")
+	}
+	cp := packCopy(1<<24-1, 1<<40-1)
+	if cp.module() != 1<<24-1 || cp.addr() != 1<<40-1 {
+		t.Fatalf("packCopy round trip: module %d, addr %d", cp.module(), cp.addr())
 	}
 }
 
@@ -217,7 +256,7 @@ func TestResolverGeometryMismatch(t *testing.T) {
 	}
 }
 
-// TestResolverResidencyGauges checks the table reports vars·copies·16
+// TestResolverResidencyGauges checks the table reports vars·copies·8
 // resident bytes.
 func TestResolverResidencyGauges(t *testing.T) {
 	m := mapperFuzzSetup(t)[2]
@@ -225,7 +264,7 @@ func TestResolverResidencyGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := r.ResidentBytes(), m.NumVars()*uint64(m.Copies())*16; got != want {
+	if got, want := r.ResidentBytes(), m.NumVars()*uint64(m.Copies())*8; got != want {
 		t.Fatalf("ResidentBytes() = %d, want %d", got, want)
 	}
 }

@@ -3,104 +3,68 @@ package protocol
 import (
 	"slices"
 	"testing"
-	"testing/quick"
 
+	"detshmem/internal/cellstore"
 	"detshmem/internal/mpc"
 )
 
-// TestStoreSelection: newStore picks dense below the threshold, sparse above.
-func TestStoreSelection(t *testing.T) {
-	if _, ok := newStore(1024).(denseStore); !ok {
-		t.Error("small store not dense")
-	}
-	if _, ok := newStore(denseThreshold + 1).(sparseStore); !ok {
-		t.Error("huge store not sparse")
-	}
+// wideMapper reports an address space far beyond what a flat cell array could
+// hold (2^32 cells, 64 GiB) and spreads the wrapped mapper's addresses over
+// it, a page-sized stride apart.
+type wideMapper struct{ Mapper }
+
+const wideStride = 1 << 20
+
+func (w wideMapper) AddrSpace() uint64 { return 1 << 32 }
+
+func (w wideMapper) CopyAddr(v uint64, c int) (uint64, uint64) {
+	mod, addr := w.Mapper.CopyAddr(v, c)
+	return mod, addr * wideStride
 }
 
-// TestStoreEquivalenceQuick: dense and sparse stores behave identically
-// under random operation sequences.
-func TestStoreEquivalenceQuick(t *testing.T) {
-	const space = 512
-	prop := func(ops []struct {
-		Addr uint64
-		Val  uint64
-		Put  bool
-	}) bool {
-		d := denseStore(make([]cell, space))
-		s := sparseStore(make(map[uint64]cell))
-		for i, op := range ops {
-			addr := op.Addr % space
-			if op.Put {
-				c := cell{val: op.Val, ts: uint64(i)}
-				d.put(addr, c)
-				s.put(addr, c)
-			} else if d.get(addr) != s.get(addr) {
-				return false
-			}
-		}
-		for a := uint64(0); a < space; a++ {
-			if d.get(a) != s.get(a) {
-				return false
-			}
-		}
-		return true
+// TestLargeAddrSpaceHoldsOnlyWrittenPages: a system over more than 2^26 cells
+// runs on the same paged store as every other — a write/read round-trip
+// behaves exactly as over the dense space, and the store holds only the pages
+// the writes touched.
+func TestLargeAddrSpaceHoldsOnlyWrittenPages(t *testing.T) {
+	base := newSystem(t, 1, 3, Config{})
+	if base.Mapper.AddrSpace()*wideStride > 1<<32 {
+		t.Fatal("the wrapped scheme does not fit the wide space")
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+	wide, err := NewGenericSystem(wideMapper{base.Mapper}, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// sparseMapper wraps a Mapper reporting an address space beyond the dense
-// threshold, forcing the sparse store while keeping actual addresses small.
-type sparseMapper struct{ Mapper }
-
-func (s sparseMapper) AddrSpace() uint64 { return denseThreshold + 1 }
-
-// TestProtocolSparseStoreEquivalence: the same batch sequence produces the
-// same values and metrics under dense and sparse storage.
-func TestProtocolSparseStoreEquivalence(t *testing.T) {
-	mk := func(sparse bool) *System {
-		base := newSystem(t, 1, 5, Config{})
-		m := base.Mapper
-		if sparse {
-			m = sparseMapper{m}
-		}
-		sys, err := NewGenericSystem(m, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
-	a, b := mk(false), mk(true)
-	if _, ok := b.cells().(sparseStore); !ok {
-		t.Fatal("sparse system did not get a sparse store")
-	}
-	vars := []uint64{0, 5, 10, 100, 1000}
+	vars := []uint64{0, 5, 10, 40, 83}
 	vals := []uint64{9, 8, 7, 6, 5}
-	m1, err := a.WriteBatch(vars, vals)
+	m1, err := base.WriteBatch(vars, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := b.WriteBatch(vars, vals)
+	m2, err := wide.WriteBatch(vars, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m1.TotalRounds != m2.TotalRounds {
-		t.Fatalf("rounds differ: %d vs %d", m1.TotalRounds, m2.TotalRounds)
+	if m1.TotalRounds != m2.TotalRounds || m1.CopyAccesses != m2.CopyAccesses {
+		t.Fatalf("metrics differ: %+v vs %+v", m1, m2)
 	}
-	g1, _, err := a.ReadBatch(vars)
+	// Every written copy sits alone on its page of the wide space.
+	if got, want := wide.store.Pages(), m2.CopyAccesses; got != want {
+		t.Fatalf("the wide store holds %d pages after %d copy writes", got, want)
+	}
+	g1, _, err := base.ReadBatch(vars)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, _, err := b.ReadBatch(vars)
+	g2, _, err := wide.ReadBatch(vars)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range g1 {
-		if g1[i] != g2[i] || g1[i] != vals[i] {
-			t.Fatalf("value mismatch at %d: %d / %d / %d", i, g1[i], g2[i], vals[i])
-		}
+	if !slices.Equal(g1, vals) || !slices.Equal(g2, vals) {
+		t.Fatalf("read back %v / %v, want %v", g1, g2, vals)
+	}
+	if got := wide.store.Pages(); got != m2.CopyAccesses {
+		t.Fatalf("reading allocated pages: %d, want %d", got, m2.CopyAccesses)
 	}
 }
 
@@ -140,22 +104,29 @@ func TestReadIdempotence(t *testing.T) {
 type remoteMachine struct {
 	Machine
 	staged  []remoteBid
-	granted []cell
-	cells   map[uint64]cell
+	granted []cellstore.Cell
+	cells   map[uint64]cellstore.Cell
 }
 
 type remoteBid struct {
 	addr uint64
 	op   Op
-	c    cell
+	c    cellstore.Cell
+}
+
+// newRemoteMachine is a Config.NewMachine building a remoteMachine over the
+// plain MPC.
+func newRemoteMachine(cfg mpc.Config) (Machine, error) {
+	m, err := mpc.New(cfg)
+	return &remoteMachine{Machine: m, staged: make([]remoteBid, cfg.Procs), granted: make([]cellstore.Cell, cfg.Procs), cells: map[uint64]cellstore.Cell{}}, err
 }
 
 func (r *remoteMachine) StageBid(proc int32, addr uint64, op Op, value, ts uint64) {
-	r.staged[proc] = remoteBid{addr: addr, op: op, c: cell{val: value, ts: ts}}
+	r.staged[proc] = remoteBid{addr: addr, op: op, c: cellstore.Cell{Val: value, TS: ts}}
 }
 
 func (r *remoteMachine) GrantData(proc int32) (uint64, uint64) {
-	return r.granted[proc].val, r.granted[proc].ts
+	return r.granted[proc].Val, r.granted[proc].TS
 }
 
 func (r *remoteMachine) Round(reqs []int64, grant []bool) int {
@@ -177,10 +148,7 @@ func (r *remoteMachine) Round(reqs []int64, grant []bool) int {
 // never allocates the local cell array; a local system allocates it with its
 // first machine, and CopyState allocates it on demand.
 func TestRemoteSystemHoldsNoLocalStore(t *testing.T) {
-	remote := newSystem(t, 1, 5, Config{NewMachine: func(cfg mpc.Config) (Machine, error) {
-		m, err := mpc.New(cfg)
-		return &remoteMachine{Machine: m, staged: make([]remoteBid, cfg.Procs), granted: make([]cell, cfg.Procs), cells: map[uint64]cell{}}, err
-	}})
+	remote := newSystem(t, 1, 5, Config{NewMachine: newRemoteMachine})
 	local := newSystem(t, 1, 5, Config{})
 	if remote.store != nil || local.store != nil {
 		t.Fatal("a system allocated its cell store before any use")
