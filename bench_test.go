@@ -180,7 +180,9 @@ func hotPathVariants(b *testing.B, m, n int) []struct {
 		name string
 		cfg  protocol.Config
 	}{
-		{"live+seq", protocol.Config{}},
+		// Computed, not the zero value: shard.New compiles a table of its own
+		// for a mapper this size when the strategy leaves it the choice.
+		{"live+seq", protocol.Config{Strategy: protocol.ResolverComputed}},
 		{"compiled+seq", protocol.Config{Resolver: res}},
 	}
 }
@@ -547,11 +549,62 @@ func BenchmarkE14Audit(b *testing.B) {
 	}
 }
 
-// BenchmarkE15Frontend measures combining-frontend throughput: 8 concurrent
-// clients submitting asynchronous hot-spot traffic over the PP93 system,
-// reporting the fraction of ops that never became protocol requests.
+// benchClients is the client side of the serving-path benchmarks: 8
+// goroutines split b.N operations (every third a write) over HotSpot streams
+// seeded from seed — hotP is the probability of hitting the 16-variable hot
+// set — submitting asynchronously and waiting in windows of 64. It resets the
+// timer before the first submission.
+func benchClients(b *testing.B, svc *shard.Service, vars uint64, seed int64, hotP float64) {
+	const clients, window = 8, 64
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c) + seed))
+			stream := workload.HotSpot(rng, vars, (b.N+clients-1)/clients, 16, hotP)
+			pending := make([]*frontend.Future, 0, window)
+			drain := func() bool {
+				for _, fut := range pending {
+					if _, err := fut.Wait(); err != nil {
+						b.Error(err)
+						return false
+					}
+				}
+				pending = pending[:0]
+				return true
+			}
+			for i, v := range stream {
+				var fut *frontend.Future
+				var err error
+				if i%3 == 0 {
+					fut, err = svc.WriteAsync(v, uint64(i))
+				} else {
+					fut, err = svc.ReadAsync(v)
+				}
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				pending = append(pending, fut)
+				if len(pending) == window && !drain() {
+					return
+				}
+			}
+			drain()
+		}(c)
+	}
+	wg.Wait()
+}
+
+// BenchmarkE15Frontend measures request combining at a single shard: 8
+// concurrent clients submitting asynchronous hot-spot traffic over the PP93
+// system, reporting the fraction of ops that never became protocol requests.
 // Variants cover the resolver ablation (see E16).
 func BenchmarkE15Frontend(b *testing.B) {
+	s, idx := mustScheme(b, 1, 5)
+	mapper := protocol.NewCoreMapper(s, idx)
 	workloads := []struct {
 		name string
 		p    float64
@@ -563,55 +616,13 @@ func BenchmarkE15Frontend(b *testing.B) {
 		for _, wl := range workloads {
 			wl := wl
 			b.Run(variant.name+"/"+wl.name, func(b *testing.B) {
-				sys := mustSystem(b, 1, 5, variant.cfg)
-				defer sys.Close()
-				fe, err := frontend.New(sys, frontend.Config{})
+				svc, err := shard.New(mapper, shard.Config{Protocol: variant.cfg})
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer fe.Close()
-				const clients, window = 8, 64
-				m := sys.Mapper.NumVars()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						rng := rand.New(rand.NewSource(int64(c) + 42))
-						stream := workload.HotSpot(rng, m, (b.N+clients-1)/clients, 16, wl.p)
-						pending := make([]*frontend.Future, 0, window)
-						drain := func() {
-							for _, fut := range pending {
-								if _, err := fut.Wait(); err != nil {
-									b.Error(err)
-									return
-								}
-							}
-							pending = pending[:0]
-						}
-						for i, v := range stream {
-							var fut *frontend.Future
-							var err error
-							if i%3 == 0 {
-								fut, err = fe.WriteAsync(v, uint64(i))
-							} else {
-								fut, err = fe.ReadAsync(v)
-							}
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							pending = append(pending, fut)
-							if len(pending) == window {
-								drain()
-							}
-						}
-						drain()
-					}(c)
-				}
-				wg.Wait()
-				b.ReportMetric(fe.Stats().CombiningRate(), "combined/op")
+				defer svc.Close()
+				benchClients(b, svc, mapper.NumVars(), 42, wl.p)
+				b.ReportMetric(svc.Stats().Total.CombiningRate(), "combined/op")
 			})
 		}
 	}
@@ -620,24 +631,14 @@ func BenchmarkE15Frontend(b *testing.B) {
 // BenchmarkE18ShardedFrontend measures the sharded execution layer at CI
 // scale (n=5): concurrent clients drive async windows against the service
 // and every sub-benchmark name carries "sharded" so the bench-regression
-// gate can track the family. S=1/classic is the single-dispatcher baseline;
-// the pipelined variants are the PR's direct-admission path. E18 is the
-// full-scale (n=7) sweep behind BENCH_PR4.json.
+// gate can track the family. S=1 is the single-dispatcher baseline. E18 is
+// the full-scale (n=7) sweep behind BENCH_PR4.json.
 func BenchmarkE18ShardedFrontend(b *testing.B) {
 	s, idx := mustScheme(b, 1, 5)
 	mapper := protocol.NewCoreMapper(s, idx)
 	res, err := protocol.CompileMapper(mapper, protocol.CompileOptions{})
 	if err != nil {
 		b.Fatal(err)
-	}
-	configs := []struct {
-		name     string
-		shards   int
-		pipeline bool
-	}{
-		{"S=1/classic", 1, false},
-		{"S=1/pipelined", 1, true},
-		{"S=4/pipelined", 4, true},
 	}
 	workloads := []struct {
 		name string
@@ -646,60 +647,19 @@ func BenchmarkE18ShardedFrontend(b *testing.B) {
 		{"uniform", 0},
 		{"hot-spot", 0.85},
 	}
-	for _, cfg := range configs {
+	for _, shards := range []int{1, 4} {
 		for _, wl := range workloads {
-			cfg, wl := cfg, wl
-			b.Run(fmt.Sprintf("sharded/%s/%s", cfg.name, wl.name), func(b *testing.B) {
+			wl := wl
+			b.Run(fmt.Sprintf("sharded/S=%d/%s", shards, wl.name), func(b *testing.B) {
 				svc, err := shard.New(mapper, shard.Config{
-					Shards:   cfg.shards,
-					Pipeline: cfg.pipeline,
+					Shards:   shards,
 					Protocol: protocol.Config{Resolver: res},
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer svc.Close()
-				const clients, window = 8, 64
-				m := mapper.NumVars()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						rng := rand.New(rand.NewSource(int64(c) + 18))
-						stream := workload.HotSpot(rng, m, (b.N+clients-1)/clients, 16, wl.p)
-						pending := make([]*frontend.Future, 0, window)
-						drain := func() {
-							for _, fut := range pending {
-								if _, err := fut.Wait(); err != nil {
-									b.Error(err)
-									return
-								}
-							}
-							pending = pending[:0]
-						}
-						for i, v := range stream {
-							var fut *frontend.Future
-							var err error
-							if i%3 == 0 {
-								fut, err = svc.WriteAsync(v, uint64(i))
-							} else {
-								fut, err = svc.ReadAsync(v)
-							}
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							pending = append(pending, fut)
-							if len(pending) == window {
-								drain()
-							}
-						}
-						drain()
-					}(c)
-				}
-				wg.Wait()
+				benchClients(b, svc, mapper.NumVars(), 18, wl.p)
 				st := svc.Stats()
 				b.ReportMetric(st.Total.CombiningRate(), "combined/op")
 				b.ReportMetric(st.Imbalance(), "imbalance")
@@ -708,11 +668,55 @@ func BenchmarkE18ShardedFrontend(b *testing.B) {
 	}
 }
 
+// benchBatchedClients is benchClients through the cross-shard batch API:
+// each window is one AccessBatch call.
+func benchBatchedClients(b *testing.B, svc *shard.Service, vars uint64, seed int64) {
+	const clients, window = 8, 64
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c) + seed))
+			stream := workload.HotSpot(rng, vars, (b.N+clients-1)/clients, 16, 0)
+			ops := make([]shard.BatchOp, 0, window)
+			flush := func() bool {
+				if len(ops) == 0 {
+					return true
+				}
+				batch, err := svc.AccessBatch(ops)
+				if err == nil {
+					err = batch.Wait()
+				}
+				if err != nil {
+					b.Error(err)
+					return false
+				}
+				ops = ops[:0]
+				return true
+			}
+			for i, v := range stream {
+				if i%3 == 0 {
+					ops = append(ops, shard.BatchOp{Write: true, Var: v, Val: uint64(i)})
+				} else {
+					ops = append(ops, shard.BatchOp{Var: v})
+				}
+				if len(ops) == window && !flush() {
+					return
+				}
+			}
+			flush()
+		}(c)
+	}
+	wg.Wait()
+}
+
 // BenchmarkE21MulticoreScaling measures the lock-free execution layer under
-// an explicit GOMAXPROCS sweep at CI scale (n=5): the pipelined per-op path
-// and the cross-shard AccessBatch path, each at 1 and 4 procs. Sub-benchmark
-// names carry both "sharded" and "procs=" so the bench-regression gate's
-// family regex and the parallel-variant requirement match them. E21 is the
+// an explicit GOMAXPROCS sweep at CI scale (n=5): the per-op path and the
+// cross-shard AccessBatch path, each at 1 and 4 procs. Sub-benchmark names
+// carry both "sharded" and "procs=" so the bench-regression gate's family
+// regex and the parallel-variant requirement match them. E21 is the
 // full-scale (n=7) sweep behind BENCH_PR7.json.
 func BenchmarkE21MulticoreScaling(b *testing.B) {
 	s, idx := mustScheme(b, 1, 5)
@@ -726,7 +730,7 @@ func BenchmarkE21MulticoreScaling(b *testing.B) {
 		shards  int
 		batched bool
 	}{
-		{"S=4/pipelined", 4, false},
+		{"S=4", 4, false},
 		{"S=4/batched", 4, true},
 	}
 	for _, procs := range []int{1, 4} {
@@ -737,85 +741,17 @@ func BenchmarkE21MulticoreScaling(b *testing.B) {
 				defer runtime.GOMAXPROCS(prev)
 				svc, err := shard.New(mapper, shard.Config{
 					Shards:   cfg.shards,
-					Pipeline: true,
 					Protocol: protocol.Config{Resolver: res},
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer svc.Close()
-				const clients, window = 8, 64
-				m := mapper.NumVars()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						rng := rand.New(rand.NewSource(int64(c) + 21))
-						stream := workload.HotSpot(rng, m, (b.N+clients-1)/clients, 16, 0)
-						if cfg.batched {
-							ops := make([]shard.BatchOp, 0, window)
-							flush := func() bool {
-								if len(ops) == 0 {
-									return true
-								}
-								batch, err := svc.AccessBatch(ops)
-								if err == nil {
-									err = batch.Wait()
-								}
-								if err != nil {
-									b.Error(err)
-									return false
-								}
-								ops = ops[:0]
-								return true
-							}
-							for i, v := range stream {
-								if i%3 == 0 {
-									ops = append(ops, shard.BatchOp{Write: true, Var: v, Val: uint64(i)})
-								} else {
-									ops = append(ops, shard.BatchOp{Var: v})
-								}
-								if len(ops) == window && !flush() {
-									return
-								}
-							}
-							flush()
-							return
-						}
-						pending := make([]*frontend.Future, 0, window)
-						drain := func() bool {
-							for _, fut := range pending {
-								if _, err := fut.Wait(); err != nil {
-									b.Error(err)
-									return false
-								}
-							}
-							pending = pending[:0]
-							return true
-						}
-						for i, v := range stream {
-							var fut *frontend.Future
-							var err error
-							if i%3 == 0 {
-								fut, err = svc.WriteAsync(v, uint64(i))
-							} else {
-								fut, err = svc.ReadAsync(v)
-							}
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							pending = append(pending, fut)
-							if len(pending) == window && !drain() {
-								return
-							}
-						}
-						drain()
-					}(c)
+				if cfg.batched {
+					benchBatchedClients(b, svc, mapper.NumVars(), 21)
+				} else {
+					benchClients(b, svc, mapper.NumVars(), 21, 0)
 				}
-				wg.Wait()
 				st := svc.Stats()
 				b.ReportMetric(st.Total.CombiningRate(), "combined/op")
 				b.ReportMetric(float64(st.Total.MaxQueueDepth), "maxdepth")
@@ -889,8 +825,6 @@ func BenchmarkE22NetTransport(b *testing.B) {
 	}
 	run := func(b *testing.B, tr protocol.Transport) {
 		cfg := shard.Config{
-			Shards:   1,
-			Pipeline: true,
 			Protocol: protocol.Config{Resolver: res},
 		}
 		if tr != nil {
@@ -901,48 +835,7 @@ func BenchmarkE22NetTransport(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer svc.Close()
-		const clients, window = 8, 64
-		m := mapper.NumVars()
-		b.ResetTimer()
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(c) + 22))
-				stream := workload.HotSpot(rng, m, (b.N+clients-1)/clients, 16, 0)
-				pending := make([]*frontend.Future, 0, window)
-				drain := func() bool {
-					for _, fut := range pending {
-						if _, err := fut.Wait(); err != nil {
-							b.Error(err)
-							return false
-						}
-					}
-					pending = pending[:0]
-					return true
-				}
-				for i, v := range stream {
-					var fut *frontend.Future
-					var err error
-					if i%3 == 0 {
-						fut, err = svc.WriteAsync(v, uint64(i))
-					} else {
-						fut, err = svc.ReadAsync(v)
-					}
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					pending = append(pending, fut)
-					if len(pending) == window && !drain() {
-						return
-					}
-				}
-				drain()
-			}(c)
-		}
-		wg.Wait()
+		benchClients(b, svc, mapper.NumVars(), 22, 0)
 	}
 	b.Run("transport=inproc", func(b *testing.B) { run(b, nil) })
 	b.Run("transport=tcp", func(b *testing.B) {

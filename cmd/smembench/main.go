@@ -5,7 +5,7 @@
 // Usage:
 //
 //	smembench [-exp e1,e4,...] [-quick] [-seed N] [-json] [-jsonout FILE]
-//	          [-maxprocs P1,P2,...] [-shards S] [-pipeline] [-faults F]
+//	          [-maxprocs P1,P2,...] [-shards S] [-faults F]
 //	          [-faultsched SCHED] [-trace FILE] [-tracecap N] [-pprof ADDR]
 //	          [-transport inproc|tcp] [-servers A1,A2,...]
 //	          [-resolver compiled|computed]
@@ -19,9 +19,9 @@
 // path (E16 to BENCH_PR2.json, E18 to BENCH_PR4.json, E19 to
 // BENCH_PR5.json); -jsonout overrides the path for all of them.
 //
-// -shards and -pipeline pin E18's sharded sweep to a single configuration
-// (plus its S=1 classic baseline) instead of the full S sweep — the quick
-// way to profile one execution-layer shape.
+// -shards pins E18's sharded sweep to a single shard count (plus its S=1
+// baseline) instead of the full S sweep — the quick way to profile one
+// execution-layer shape.
 //
 // -faults pins E19's failed-module sweep to {0, F} instead of the full
 // ladder; -faultsched churn adds E19 cells with a rolling single-module
@@ -86,7 +86,7 @@ type traceDump struct {
 	Events     []obs.RoundEvent      `json:"events"`
 }
 
-// shardTrace is one sharded cell ("S=4/pipelined/zipf") from E18: the
+// shardTrace is one sharded cell ("S=4/zipf") from E18: the
 // service-wide imbalance plus each shard dispatcher's queue-depth high-water
 // mark and flush-cause breakdown.
 type shardTrace struct {
@@ -135,7 +135,6 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "write machine-readable results where supported (e16, e18, e19)")
 		jsonF    = flag.String("jsonout", "", "override the per-experiment -json output path")
 		shards   = flag.Int("shards", 0, "pin e18 to one shard count S (0 = full sweep)")
-		pipeline = flag.Bool("pipeline", false, "with -shards, use the pipelined dispatcher")
 		faults   = flag.Int("faults", 0, "pin e19's failed-module sweep to {0, F} (0 = full ladder)")
 		fsched   = flag.String("faultsched", "", "e19 dynamic fault schedule (\"churn\" = rolling single-module fail/recover)")
 		traceF   = flag.String("trace", "", "capture per-round MPC events and write the JSON trajectory here")
@@ -159,7 +158,6 @@ func main() {
 		JSON:       *jsonOut,
 		JSONPath:   *jsonF,
 		Shards:     *shards,
-		Pipeline:   *pipeline,
 		Faults:     *faults,
 		FaultSched: *fsched,
 		Transport:  *transp,

@@ -1,8 +1,8 @@
 // Example frontend: many asynchronous clients over the synchronous batch
-// protocol via the combining frontend. Eight goroutines hammer a small hot
-// set of shared counters; the frontend coalesces their operations into
-// EREW-legal batches (distinct variables only) and the combining statistics
-// show how many client ops never became protocol requests at all.
+// protocol via the single-shard combining service. Eight goroutines hammer a
+// small hot set of shared counters; the dispatcher coalesces their operations
+// into EREW-legal batches (distinct variables only) and the combining
+// statistics show how many client ops never became protocol requests at all.
 package main
 
 import (
@@ -14,6 +14,7 @@ import (
 	"detshmem/internal/core"
 	"detshmem/internal/frontend"
 	"detshmem/internal/protocol"
+	"detshmem/internal/shard"
 )
 
 func main() {
@@ -26,11 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := protocol.NewSystem(scheme, idx, protocol.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fe, err := frontend.New(sys, frontend.Config{})
+	svc, err := shard.New(protocol.NewCoreMapper(scheme, idx), shard.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,9 +57,9 @@ func main() {
 				var fut *frontend.Future
 				var err error
 				if i%2 == 0 {
-					fut, err = fe.WriteAsync(v, uint64(c)<<16|uint64(i))
+					fut, err = svc.WriteAsync(v, uint64(c)<<16|uint64(i))
 				} else {
-					fut, err = fe.ReadAsync(v)
+					fut, err = svc.ReadAsync(v)
 				}
 				if err != nil {
 					log.Fatal(err)
@@ -77,18 +74,18 @@ func main() {
 	wg.Wait()
 
 	for v := uint64(0); v < hotVars; v++ {
-		val, err := fe.Read(v)
+		val, err := svc.Read(v)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("var %d: last committed value %d (client %d, op %d)\n",
 			v, val, val>>16, val&0xffff)
 	}
-	if err := fe.Close(); err != nil {
+	if err := svc.Close(); err != nil {
 		log.Fatal(err)
 	}
 
-	s := fe.Stats()
+	s := svc.Stats().Total
 	fmt.Printf("\n%d client ops -> %d protocol requests in %d batches (combining rate %.1f%%)\n",
 		s.OpsIn, s.RequestsOut, s.Batches, 100*s.CombiningRate())
 	fmt.Printf("read sharing %d, write coalescing %d, read-after-write forwards %d\n",

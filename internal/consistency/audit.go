@@ -60,9 +60,9 @@ type auditSlot struct {
 const maxViolationSamples = 8
 
 // Auditor is the always-on sampling consistency audit. A dispatcher feeds
-// it every completed operation in commit order (frontend.Config.Auditor /
-// shard.Config.Audit); it shadows the store for a deterministic ~Rate
-// sample of the variable space and checks each audited read against the
+// it every completed operation in commit order (shard.Config.Audit); it
+// shadows the store for a deterministic ~Rate sample of the variable space
+// and checks each audited read against the
 // last value it saw committed there — the per-variable-linearizability
 // contract at full fidelity for the sampled variables.
 //

@@ -1,18 +1,15 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
-	"math/rand"
-	"sync"
 	"time"
 
-	"detshmem/internal/frontend"
 	"detshmem/internal/protocol"
+	"detshmem/internal/shard"
 	"detshmem/internal/workload"
 )
 
-// E15 measures the combining frontend: concurrent clients submit
+// E15 measures request combining at a single shard: concurrent clients submit
 // asynchronous read/write streams, the dispatcher coalesces them into
 // EREW-legal protocol batches, and the table reports how many protocol
 // requests actually reached the memory versus raw client operations
@@ -49,23 +46,24 @@ func E15(w io.Writer, o Options) error {
 	for _, m := range schemes {
 		for _, wl := range workloads {
 			for _, clients := range clientCounts {
-				sys, err := protocol.NewGenericSystem(m, protocol.Config{})
+				svc, err := shard.New(m, shard.Config{})
 				if err != nil {
 					return err
 				}
-				fe, err := frontend.New(sys, frontend.Config{})
-				if err != nil {
-					return err
+				streams := make([][]uint64, clients)
+				for c := range streams {
+					streams[c] = workload.HotSpotStream(o.Seed+15, c, m.NumVars(), totalOps/clients, 16, wl.p)
 				}
 				start := time.Now()
-				if err := driveFrontend(fe, m.NumVars(), clients, totalOps/clients, wl.p, o.Seed); err != nil {
-					return err
+				err = driveShards(svc, streams, 1, o.Seed+15)
+				if cerr := svc.Close(); err == nil {
+					err = cerr
 				}
-				if err := fe.Close(); err != nil {
+				if err != nil {
 					return err
 				}
 				elapsed := time.Since(start)
-				s := fe.Stats()
+				s := svc.Stats().Total
 				fprintf(w, "%-18s %-9s %8d %8d %9d %10.1f %7d %8d %12.0f\n",
 					m.Name(), wl.name, clients, s.OpsIn, s.RequestsOut,
 					100*s.CombiningRate(), s.MaxPhi, s.TotalRounds,
@@ -79,58 +77,5 @@ func E15(w io.Writer, o Options) error {
 	fprintf(w, "   op count — while uniform traffic stays protocol-bound. ops/sec is\n")
 	fprintf(w, "   wall-clock and machine-dependent; all other columns are deterministic\n")
 	fprintf(w, "   up to goroutine interleaving.)\n\n")
-	return nil
-}
-
-// driveFrontend runs clients goroutines, each submitting opsPer operations
-// (30% writes) in asynchronous windows so batches genuinely combine.
-func driveFrontend(fe *frontend.Frontend, vars uint64, clients, opsPer int, hotP float64, seed int64) error {
-	const window = 64
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + 1993 + int64(c)*104729))
-			stream := workload.HotSpot(rng, vars, opsPer, 16, hotP)
-			pending := make([]*frontend.Future, 0, window)
-			drain := func() bool {
-				for _, fut := range pending {
-					if _, err := fut.Wait(); err != nil {
-						errs <- err
-						return false
-					}
-				}
-				pending = pending[:0]
-				return true
-			}
-			for i, v := range stream {
-				var fut *frontend.Future
-				var err error
-				if rng.Intn(100) < 30 {
-					fut, err = fe.WriteAsync(v, uint64(c)<<32|uint64(i))
-				} else {
-					fut, err = fe.ReadAsync(v)
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-				pending = append(pending, fut)
-				if len(pending) == window && !drain() {
-					return
-				}
-			}
-			drain()
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return fmt.Errorf("frontend client: %w", err)
-		}
-	}
 	return nil
 }

@@ -9,8 +9,8 @@ import (
 	"runtime"
 	"time"
 
-	"detshmem/internal/frontend"
 	"detshmem/internal/protocol"
+	"detshmem/internal/shard"
 	"detshmem/internal/workload"
 )
 
@@ -51,7 +51,9 @@ func E16(w io.Writer, o Options) error {
 		name string
 		cfg  protocol.Config
 	}{
-		{"live+seq", protocol.Config{}},
+		// Computed, not the zero value: shard.New compiles a table of its own
+		// for a mapper this size when the strategy leaves it the choice.
+		{"live+seq", protocol.Config{Strategy: protocol.ResolverComputed}},
 		{"compiled+seq", protocol.Config{Resolver: compiled}},
 	}
 
@@ -129,40 +131,37 @@ func E16(w io.Writer, o Options) error {
 		{"hot-spot", 0.85},
 	} {
 		baseNs = 0
+		streams := make([][]uint64, clients)
+		for c := range streams {
+			streams[c] = workload.HotSpotStream(o.Seed+16, c, inst.s.NumVariables, totalOps/clients, 16, wl.p)
+		}
 		for _, variant := range variants {
-			sys, err := protocol.NewGenericSystem(inst.pp, variant.cfg)
+			svc, err := shard.New(inst.pp, shard.Config{Protocol: variant.cfg})
 			if err != nil {
-				return err
-			}
-			fe, err := frontend.New(sys, frontend.Config{})
-			if err != nil {
-				sys.Close()
 				return err
 			}
 			// Warm-up pass sizes the dispatcher's scratch and the system's
 			// machine; the GC fence keeps one variant's garbage from being
 			// collected on another variant's clock.
-			if err := driveFrontend(fe, inst.s.NumVariables, clients, totalOps/(4*clients), wl.p, o.Seed); err != nil {
-				_ = fe.Close() // the drive error is the one worth surfacing
-				sys.Close()
+			if err := driveShards(svc, streams, 4, o.Seed+16); err != nil {
+				_ = svc.Close() // the drive error is the one worth surfacing
 				return err
 			}
 			runtime.GC()
-			ops0 := fe.Stats().OpsIn
+			ops0 := svc.Stats().Total.OpsIn
 			var ms0, ms1 runtime.MemStats
 			runtime.ReadMemStats(&ms0)
 			start := time.Now()
-			err = driveFrontend(fe, inst.s.NumVariables, clients, totalOps/clients, wl.p, o.Seed)
+			err = driveShards(svc, streams, 1, o.Seed+16)
 			elapsed := time.Since(start)
 			runtime.ReadMemStats(&ms1)
-			if cerr := fe.Close(); err == nil {
+			if cerr := svc.Close(); err == nil {
 				err = cerr
 			}
-			sys.Close()
 			if err != nil {
 				return err
 			}
-			ops := float64(fe.Stats().OpsIn - ops0)
+			ops := float64(svc.Stats().Total.OpsIn - ops0)
 			nsPerOp := float64(elapsed.Nanoseconds()) / ops
 			allocs := float64(ms1.Mallocs-ms0.Mallocs) / ops
 			if variant.name == "live+seq" {

@@ -21,26 +21,19 @@ import (
 // partitioned over S independent protocol systems (one compiled resolver
 // shared by all of them) and each shard runs its own dispatcher, so
 // admission, coalescing, and backend flushing proceed per shard with no
-// shared serialization point. Two knobs are swept:
+// shared serialization point. The shard count S is swept from the single
+// dispatcher (S=1) through S=8.
 //
-//   - S, the shard count: single-dispatcher (S=1) through S=8;
-//   - the dispatcher: the classic channel-fed frontend loop versus the
-//     pipelined dispatcher, whose clients coalesce directly into the
-//     accumulating batch under the shard mutex while a flusher goroutine
-//     drains sealed batches behind them.
+// Each (S, workload) cell drives the same precomputed client streams, so
+// throughput differences are attributable to the execution layer alone. The
+// speedup column is against the S=1 cell of the same workload. On a
+// single-core host (gomaxprocs 1 in the JSON) more shards buy no parallel
+// protocol execution; multicore hosts add shard parallelism.
 //
-// Each (config, workload) cell drives the same precomputed client streams,
-// so throughput differences are attributable to the execution layer alone.
-// The speedup column is against the S=1 classic-dispatcher baseline of the
-// same workload. On a single-core host (gomaxprocs 1 in the JSON) the gains
-// come from eliminating per-op dispatch overhead — the channel hop and
-// dispatcher wakeup the classic loop pays — and from batch pipelining, not
-// from parallel protocol execution; multicore hosts add shard parallelism
-// on top.
-//
-// When JSON output is requested the table is written to BENCH_PR4.json (the
-// committed scaling curve), so CI and future PRs can diff the numbers
-// mechanically.
+// When JSON output is requested the table is written to BENCH_PR4.json, so
+// CI and future PRs can diff the numbers mechanically. (The committed
+// BENCH_PR4.json predates the deletion of the channel dispatcher and still
+// carries its S=1/classic baseline rows and a pipeline column.)
 func E18(w io.Writer, o Options) error {
 	n := 7
 	clients, totalOps := 16, 96000
@@ -59,25 +52,14 @@ func E18(w io.Writer, o Options) error {
 		return err
 	}
 
-	type shardCfg struct {
-		shards   int
-		pipeline bool
-	}
-	name := func(c shardCfg) string {
-		d := "classic"
-		if c.pipeline {
-			d = "pipelined"
-		}
-		return fmt.Sprintf("S=%d/%s", c.shards, d)
-	}
-	configs := []shardCfg{{1, false}, {1, true}, {2, true}, {4, true}, {8, true}}
+	shardCounts := []int{1, 2, 4, 8}
 	if o.Quick {
-		configs = configs[:4]
+		shardCounts = shardCounts[:3]
 	}
 	if o.Shards > 0 {
-		configs = []shardCfg{{1, false}}
-		if o.Shards != 1 || o.Pipeline {
-			configs = append(configs, shardCfg{o.Shards, o.Pipeline})
+		shardCounts = []int{1} // the speedup baseline always runs
+		if o.Shards != 1 {
+			shardCounts = append(shardCounts, o.Shards)
 		}
 	}
 
@@ -100,7 +82,6 @@ func E18(w io.Writer, o Options) error {
 		Config     string  `json:"config"`
 		Workload   string  `json:"workload"`
 		Shards     int     `json:"shards"`
-		Pipeline   bool    `json:"pipeline"`
 		NsPerOp    float64 `json:"ns_per_op"`
 		OpsPerSec  float64 `json:"ops_per_sec"`
 		CombinePct float64 `json:"combine_pct"`
@@ -130,7 +111,7 @@ func E18(w io.Writer, o Options) error {
 		OpsPerRun:  totalOps,
 	}
 
-	fprintf(w, "E18 Scaling out: sharded, pipelined frontend (q=2, n=%d, N=%d, M=%d, %d clients, %d ops/run, GOMAXPROCS=%d)\n",
+	fprintf(w, "E18 Scaling out: sharded frontend (q=2, n=%d, N=%d, M=%d, %d clients, %d ops/run, GOMAXPROCS=%d)\n",
 		n, inst.s.NumModules, inst.s.NumVariables, clients, totalOps, report.GoMaxProcs)
 	fprintf(w, "%-16s %-9s %10s %12s %10s %10s %9s\n",
 		"config", "workload", "ns/op", "ops/sec", "combine%", "imbalance", "speedup")
@@ -144,20 +125,19 @@ func E18(w io.Writer, o Options) error {
 			streams[c] = wl.stream(workload.ClientRNG(o.Seed+18, c))
 		}
 		var baseNs float64
-		for _, cfg := range configs {
+		for _, shards := range shardCounts {
+			label := fmt.Sprintf("S=%d", shards)
 			svc, err := shard.New(inst.pp, shard.Config{
-				Shards:   cfg.shards,
-				Pipeline: cfg.pipeline,
+				Shards:   shards,
 				Protocol: o.instrument(protocol.Config{Resolver: resolver}),
 			})
 			if err != nil {
 				return err
 			}
-			// Warm-up sizes every shard's scratch (and the pipelined
-			// dispatchers' batch pools); the GC fence keeps one config's
-			// garbage off another config's clock. Each cell is then measured
-			// over several repetitions and reported as the median, since a
-			// single ~tens-of-ms run is at the mercy of scheduler noise.
+			// Warm-up sizes every shard's scratch; the GC fence keeps one
+			// config's garbage off another config's clock. Each cell is then
+			// measured over several repetitions and reported as the median,
+			// since a single ~tens-of-ms run is at the mercy of scheduler noise.
 			if err := driveShards(svc, streams, 4, o.Seed+18); err != nil {
 				_ = svc.Close()
 				return err
@@ -184,35 +164,34 @@ func E18(w io.Writer, o Options) error {
 				return err
 			}
 			if o.ShardStats != nil {
-				o.ShardStats(name(cfg)+"/"+wl.name, st)
+				o.ShardStats(label+"/"+wl.name, st)
 			}
 			sort.Slice(elapsedNs, func(i, j int) bool { return elapsedNs[i] < elapsedNs[j] })
 			ops := float64(totalOps)
 			nsPerOp := float64(elapsedNs[len(elapsedNs)/2]) / ops
 			elapsed := time.Duration(elapsedNs[len(elapsedNs)/2])
-			if !cfg.pipeline && cfg.shards == 1 {
+			if shards == 1 {
 				baseNs = nsPerOp
 			}
 			speed := baseNs / nsPerOp
 			imb := st.Imbalance()
 			fprintf(w, "%-16s %-9s %10.1f %12.0f %10.1f %10.2f %8.2fx\n",
-				name(cfg), wl.name, nsPerOp, ops/elapsed.Seconds(),
+				label, wl.name, nsPerOp, ops/elapsed.Seconds(),
 				100*st.Total.CombiningRate(), imb, speed)
 			report.Rows = append(report.Rows, row{
-				Config: name(cfg), Workload: wl.name,
-				Shards: cfg.shards, Pipeline: cfg.pipeline,
+				Config: label, Workload: wl.name, Shards: shards,
 				NsPerOp: nsPerOp, OpsPerSec: ops / elapsed.Seconds(),
 				CombinePct: 100 * st.Total.CombiningRate(),
 				Imbalance:  imb, Speedup: speed,
 			})
 		}
 	}
-	fprintf(w, "  (speedup is against S=1/classic on the same workload. Routing is the\n")
+	fprintf(w, "  (speedup is against S=1 on the same workload. Routing is the\n")
 	fprintf(w, "   splitmix64 hash of the variable id, so all operations on a variable\n")
 	fprintf(w, "   hit the same shard: the service is linearizable per variable, with no\n")
 	fprintf(w, "   cross-variable order between shards. ops/sec is wall-clock and\n")
-	fprintf(w, "   machine-dependent; on GOMAXPROCS=1 hosts the scaling comes from\n")
-	fprintf(w, "   cutting per-op dispatch overhead, not from parallelism.)\n\n")
+	fprintf(w, "   machine-dependent; a GOMAXPROCS=1 host has no parallelism for the\n")
+	fprintf(w, "   shards to use.)\n\n")
 
 	if path := o.jsonPath("BENCH_PR4.json"); path != "" {
 		blob, err := json.MarshalIndent(report, "", "  ")

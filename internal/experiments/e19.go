@@ -83,12 +83,6 @@ func E19(w io.Writer, o Options) error {
 		return fmt.Errorf("e19: unknown fault schedule %q (want \"churn\")", o.FaultSched)
 	}
 
-	type engine struct {
-		name     string
-		pipeline bool
-	}
-	engines := []engine{{"classic", false}, {"pipelined", true}}
-
 	workloads := []struct {
 		name   string
 		stream func(rng *rand.Rand) []uint64
@@ -105,7 +99,6 @@ func E19(w io.Writer, o Options) error {
 	}
 
 	type row struct {
-		Engine        string  `json:"engine"`
 		Workload      string  `json:"workload"`
 		Faults        string  `json:"faults"`
 		FailedModules int     `json:"failed_modules"`
@@ -145,15 +138,13 @@ func E19(w io.Writer, o Options) error {
 
 	fprintf(w, "E19 Fault tolerance: runtime module failures (q=2, n=%d, N=%d, M=%d, quorum=%d, %d clients, %d ops/run)\n",
 		n, inst.s.NumModules, inst.s.NumVariables, inst.s.Majority, clients, totalOps)
-	fprintf(w, "%-10s %-9s %7s %10s %12s %9s %9s %9s %9s %8s %9s\n",
-		"engine", "workload", "faults", "ns/op", "ops/sec", "strandOp", "strandRq", "retried", "dropped", "rnd/bat", "inflate")
+	fprintf(w, "%-9s %7s %10s %12s %9s %9s %9s %9s %8s %9s\n",
+		"workload", "faults", "ns/op", "ops/sec", "strandOp", "strandRq", "retried", "dropped", "rnd/bat", "inflate")
 
 	// measure drives one cell: warm-up, then the median of reps timed runs.
-	measure := func(eng engine, streams [][]uint64, fs *mpc.FaultSet, churn bool) (row, error) {
+	measure := func(streams [][]uint64, fs *mpc.FaultSet, churn bool) (row, error) {
 		svc, err := shard.New(inst.pp, shard.Config{
-			Shards:   1,
-			Pipeline: eng.pipeline,
-			Observe:  true,
+			Observe: true,
 			Protocol: o.instrument(protocol.Config{
 				Resolver: resolver,
 				NewMachine: func(mcfg mpc.Config) (protocol.Machine, error) {
@@ -228,7 +219,6 @@ func E19(w io.Writer, o Options) error {
 			}
 		}
 		r := row{
-			Engine:       eng.name,
 			NsPerOp:      float64(med.Nanoseconds()) / ops,
 			OpsPerSec:    ops / med.Seconds(),
 			StrandedOps:  strandedOps / int64(reps),
@@ -243,8 +233,8 @@ func E19(w io.Writer, o Options) error {
 	}
 
 	emit := func(r row) {
-		fprintf(w, "%-10s %-9s %7s %10.1f %12.0f %9d %9d %9d %9d %8.2f %8.2fx\n",
-			r.Engine, r.Workload, r.Faults, r.NsPerOp, r.OpsPerSec,
+		fprintf(w, "%-9s %7s %10.1f %12.0f %9d %9d %9d %9d %8.2f %8.2fx\n",
+			r.Workload, r.Faults, r.NsPerOp, r.OpsPerSec,
 			r.StrandedOps, r.StrandedReqs, r.RetriedBids, r.DroppedBids,
 			r.RoundsPerBat, r.RoundInflate)
 		report.Rows = append(report.Rows, r)
@@ -255,41 +245,39 @@ func E19(w io.Writer, o Options) error {
 		for c := range streams {
 			streams[c] = wl.stream(workload.ClientRNG(o.Seed+19, c))
 		}
-		for _, eng := range engines {
-			var baseRounds float64
-			for _, f := range faultCounts {
-				// The fault set is drawn deterministically per fault count, so
-				// both engines (and reruns) see identical failed modules.
-				frng := rand.New(rand.NewSource(o.Seed + 19*int64(f) + 7))
-				fs := mpc.NewFaultSet(workload.RandomFaults(frng, inst.s.NumModules, f)...)
-				r, err := measure(eng, streams, fs, false)
-				if err != nil {
-					return err
-				}
-				r.Workload = wl.name
-				r.Faults = fmt.Sprintf("%d", f)
-				r.FailedModules = f
-				if f == 0 {
-					baseRounds = r.RoundsPerBat
-				}
-				if baseRounds > 0 {
-					r.RoundInflate = r.RoundsPerBat / baseRounds
-				}
-				emit(r)
+		var baseRounds float64
+		for _, f := range faultCounts {
+			// The fault set is drawn deterministically per fault count, so
+			// reruns see identical failed modules.
+			frng := rand.New(rand.NewSource(o.Seed + 19*int64(f) + 7))
+			fs := mpc.NewFaultSet(workload.RandomFaults(frng, inst.s.NumModules, f)...)
+			r, err := measure(streams, fs, false)
+			if err != nil {
+				return err
 			}
-			if o.FaultSched == "churn" {
-				r, err := measure(eng, streams, mpc.NewFaultSet(), true)
-				if err != nil {
-					return err
-				}
-				r.Workload = wl.name
-				r.Faults = "churn"
-				r.FailedModules = -1
-				if baseRounds > 0 {
-					r.RoundInflate = r.RoundsPerBat / baseRounds
-				}
-				emit(r)
+			r.Workload = wl.name
+			r.Faults = fmt.Sprintf("%d", f)
+			r.FailedModules = f
+			if f == 0 {
+				baseRounds = r.RoundsPerBat
 			}
+			if baseRounds > 0 {
+				r.RoundInflate = r.RoundsPerBat / baseRounds
+			}
+			emit(r)
+		}
+		if o.FaultSched == "churn" {
+			r, err := measure(streams, mpc.NewFaultSet(), true)
+			if err != nil {
+				return err
+			}
+			r.Workload = wl.name
+			r.Faults = "churn"
+			r.FailedModules = -1
+			if baseRounds > 0 {
+				r.RoundInflate = r.RoundsPerBat / baseRounds
+			}
+			emit(r)
 		}
 	}
 
@@ -297,7 +285,7 @@ func E19(w io.Writer, o Options) error {
 	fprintf(w, "   variable keeps a live majority commits, the rest fail per-request with\n")
 	fprintf(w, "   the quorum verdict and are counted as stranded. q/2 = %d failures are\n", inst.s.Copies/2)
 	fprintf(w, "   always maskable; beyond that stranding sets in. \"inflate\" is rounds\n")
-	fprintf(w, "   per batch against the same engine+workload at F=0: the round-level\n")
+	fprintf(w, "   per batch against the same workload at F=0: the round-level\n")
 	fprintf(w, "   price of re-selecting quorums around the failed modules.)\n\n")
 
 	if path := o.jsonPath("BENCH_PR5.json"); path != "" {

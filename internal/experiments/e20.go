@@ -28,16 +28,16 @@ import (
 // table shows how the constraint-graph closure scales with trace size —
 // the cost of auditing a smembench -trace dump offline.
 //
-// Part B prices the always-on sampling audit: the pipelined sharded service
-// is driven with identical precomputed client streams at audit rates
-// {off, 1%, 100%}, and the overhead column reports the throughput cost
-// relative to the unaudited baseline. The run self-checks: any audit
-// violation fails the experiment.
+// Part B prices the always-on sampling audit: the sharded service is driven
+// with identical precomputed client streams at audit rates {off, 1%, 100%},
+// and the overhead column reports the throughput cost relative to the
+// unaudited baseline. The run self-checks: any audit violation fails the
+// experiment.
 //
-// Part C records real client traces — both dispatchers,
-// S=1 (total-order contract) and S=4 (per-variable contract), plus a
-// degraded cell where a victim variable's modules fail mid-run and its
-// stranded operations are recorded as failed — and certifies every run with
+// Part C records real client traces — S=1 (total-order contract) and S=4
+// (per-variable contract), plus a degraded cell where a victim variable's
+// modules fail mid-run and its stranded operations are recorded as failed —
+// and certifies every run with
 // the trace checker under the contract's required modes. With smembench
 // -trace the recorded TraceSet is embedded in the dump for
 // cmd/consistencycheck to re-verify offline.
@@ -179,7 +179,7 @@ func e20CheckerCost(w io.Writer, o Options, rep *e20Report) error {
 }
 
 // e20SamplingOverhead is Part B: throughput cost of the always-on sampling
-// audit at rates {off, 1%, 100%} on the pipelined sharded service.
+// audit at rates {off, 1%, 100%} on the sharded service.
 func e20SamplingOverhead(w io.Writer, o Options, rep *e20Report) error {
 	n := 7
 	clients, totalOps := 8, 48000
@@ -205,7 +205,7 @@ func e20SamplingOverhead(w io.Writer, o Options, rep *e20Report) error {
 
 	rates := []float64{0, 0.01, 1.0}
 
-	fprintf(w, "E20b Sampling-audit overhead (S=%d pipelined, %d clients, %d ops/run)\n", shards, clients, totalOps)
+	fprintf(w, "E20b Sampling-audit overhead (S=%d, %d clients, %d ops/run)\n", shards, clients, totalOps)
 	fprintf(w, "%8s %10s %10s %10s\n", "rate", "ns/op", "sampled", "overhead")
 	// One service per rate, measured in round-robin repetitions: slow
 	// host drift (frequency scaling, container neighbors) hits every
@@ -217,7 +217,6 @@ func e20SamplingOverhead(w io.Writer, o Options, rep *e20Report) error {
 		var svc *shard.Service
 		svc, err = shard.New(inst.pp, shard.Config{
 			Shards:   shards,
-			Pipeline: true,
 			Protocol: o.instrument(protocol.Config{Resolver: resolver}),
 			Audit:    consistency.AuditConfig{Rate: rate},
 		})
@@ -390,13 +389,11 @@ func e20RecordedRuns(w io.Writer, o Options, rep *e20Report) error {
 
 	cells := []struct {
 		label    string
-		cfg      shard.Config
+		shards   int
 		contract consistency.Contract
 	}{
-		{"S=1/classic", shard.Config{Shards: 1}, consistency.ContractTotalOrder},
-		{"S=1/pipelined", shard.Config{Shards: 1, Pipeline: true}, consistency.ContractTotalOrder},
-		{"S=4/classic", shard.Config{Shards: 4}, consistency.ContractPerVariable},
-		{"S=4/pipelined", shard.Config{Shards: 4, Pipeline: true}, consistency.ContractPerVariable},
+		{"S=1", 1, consistency.ContractTotalOrder},
+		{"S=4", 4, consistency.ContractPerVariable},
 	}
 
 	fprintf(w, "E20c Recorded traces, certified by the black-box checker\n")
@@ -423,8 +420,7 @@ func e20RecordedRuns(w io.Writer, o Options, rep *e20Report) error {
 
 	for _, cell := range cells {
 		svc, err := shard.New(inst.pp, shard.Config{
-			Shards:   cell.cfg.Shards,
-			Pipeline: cell.cfg.Pipeline,
+			Shards:   cell.shards,
 			Protocol: o.instrument(protocol.Config{Resolver: resolver}),
 		})
 		if err != nil {
@@ -454,7 +450,6 @@ func e20RecordedRuns(w io.Writer, o Options, rep *e20Report) error {
 	fs := mpc.NewFaultSet()
 	svc, err := shard.New(inst.pp, shard.Config{
 		Shards:   2,
-		Pipeline: true,
 		MaxBatch: 16,
 		Protocol: o.instrument(protocol.Config{
 			Resolver: resolver,
@@ -490,7 +485,7 @@ func e20RecordedRuns(w io.Writer, o Options, rep *e20Report) error {
 			healthy = append(healthy, v)
 		}
 	}
-	rr := rec.Run("S=2/pipelined/degraded", consistency.ContractPerVariable, clients)
+	rr := rec.Run("S=2/degraded", consistency.ContractPerVariable, clients)
 	err = e20Drive(svc, rr, clients, opsPer/2, append([]uint64{victim}, healthy...), o.Seed+202)
 	if err == nil {
 		for _, m := range vmods {

@@ -26,12 +26,12 @@ import (
 //
 // Three comparisons matter:
 //
-//   - speedup_vs_baseline: against S=1/classic at the same GOMAXPROCS —
-//     what sharding + lock-free admission buys at a given core budget;
+//   - speedup_vs_baseline: against S=1 at the same GOMAXPROCS — what
+//     sharding buys at a given core budget;
 //   - scale_vs_p1: the same config against itself at GOMAXPROCS=1 — the
 //     parallel-scaling curve the ROADMAP asked for;
-//   - S=8/batched vs S=8/pipelined: what the cross-shard batch API saves
-//     by claiming k rings with k fetch-adds instead of 64 per-op hops.
+//   - S=8/batched vs S=8: what the cross-shard batch API saves by
+//     claiming k rings with k fetch-adds instead of 64 per-op hops.
 //
 // The committed BENCH_PR7.json records host metadata (NumCPU, CPU model):
 // on a 1-CPU container the scale_vs_p1 column is honestly flat — raising
@@ -61,22 +61,20 @@ func E21(w io.Writer, o Options) error {
 	type e21Cfg struct {
 		name    string
 		shards  int
-		pipe    bool
 		batched bool // drive through AccessBatch instead of per-op calls
 		faults  int  // static failed modules (E19 rider)
 	}
 	configs := []e21Cfg{
-		{"S=1/classic", 1, false, false, 0},
-		{"S=1/pipelined", 1, true, false, 0},
-		{"S=8/pipelined", 8, true, false, 0},
-		{"S=8/batched", 8, true, true, 0},
-		{fmt.Sprintf("S=8/pipelined/F=%d", int(N)/16), 8, true, false, int(N) / 16},
+		{"S=1", 1, false, 0},
+		{"S=8", 8, false, 0},
+		{"S=8/batched", 8, true, 0},
+		{fmt.Sprintf("S=8/F=%d", int(N)/16), 8, false, int(N) / 16},
 	}
 	if o.Quick {
 		configs = []e21Cfg{
-			{"S=1/classic", 1, false, false, 0},
-			{"S=2/pipelined", 2, true, false, 0},
-			{"S=2/batched", 2, true, true, 0},
+			{"S=1", 1, false, 0},
+			{"S=2", 2, false, 0},
+			{"S=2/batched", 2, true, 0},
 		}
 	}
 
@@ -103,7 +101,6 @@ func E21(w io.Writer, o Options) error {
 		Workload   string  `json:"workload"`
 		Procs      int     `json:"gomaxprocs"`
 		Shards     int     `json:"shards"`
-		Pipeline   bool    `json:"pipeline"`
 		Batched    bool    `json:"batched"`
 		Faults     int     `json:"faults,omitempty"`
 		NsPerOp    float64 `json:"ns_per_op"`
@@ -159,7 +156,6 @@ func E21(w io.Writer, o Options) error {
 			for _, cfg := range configs {
 				scfg := shard.Config{
 					Shards:   cfg.shards,
-					Pipeline: cfg.pipe,
 					Protocol: o.instrument(protocol.Config{Resolver: resolver}),
 				}
 				var fs *mpc.FaultSet
@@ -222,7 +218,7 @@ func E21(w io.Writer, o Options) error {
 				sort.Slice(elapsedNs, func(i, j int) bool { return elapsedNs[i] < elapsedNs[j] })
 				ops := float64(totalOps)
 				nsPerOp := float64(elapsedNs[len(elapsedNs)/2]) / ops
-				if !cfg.pipe && cfg.shards == 1 {
+				if cfg.shards == 1 {
 					baseNs = nsPerOp
 				}
 				key := cfg.name + "/" + wl.name
@@ -239,7 +235,7 @@ func E21(w io.Writer, o Options) error {
 					100*st.Total.CombiningRate(), speed, scaleP1)
 				report.Rows = append(report.Rows, row{
 					Config: cfg.name, Workload: wl.name, Procs: procs,
-					Shards: cfg.shards, Pipeline: cfg.pipe, Batched: cfg.batched,
+					Shards: cfg.shards, Batched: cfg.batched,
 					Faults: cfg.faults, NsPerOp: nsPerOp,
 					OpsPerSec:  ops * 1e9 / float64(elapsedNs[len(elapsedNs)/2]),
 					CombinePct: 100 * st.Total.CombiningRate(),
@@ -249,7 +245,7 @@ func E21(w io.Writer, o Options) error {
 			}
 		}
 	}
-	fprintf(w, "  (speedup is against S=1/classic at the same GOMAXPROCS and workload;\n")
+	fprintf(w, "  (speedup is against S=1 at the same GOMAXPROCS and workload;\n")
 	fprintf(w, "   scaleP1 is against the same config at GOMAXPROCS=%d. With GOMAXPROCS\n", procsList[0])
 	fprintf(w, "   above the host's NumCPU — see the JSON host header — scaleP1 measures\n")
 	fprintf(w, "   scheduler overhead, not parallelism.)\n\n")

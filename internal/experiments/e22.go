@@ -99,7 +99,6 @@ func E22(w io.Writer, o Options) error {
 	if runInproc {
 		svc, err := shard.New(inst.pp, shard.Config{
 			Shards:   1,
-			Pipeline: true,
 			Protocol: o.instrument(protocol.Config{Resolver: resolver}),
 		})
 		if err != nil {
@@ -145,7 +144,6 @@ func E22(w io.Writer, o Options) error {
 		}
 		svc, err := shard.New(inst.pp, shard.Config{
 			Shards:    1,
-			Pipeline:  true,
 			Protocol:  o.instrument(protocol.Config{Resolver: resolver}),
 			Transport: func(int) protocol.Transport { return tr },
 		})
@@ -405,7 +403,6 @@ func e22KillCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Inst
 	defer tr.Close()
 	svc, err := shard.New(inst.pp, shard.Config{
 		Shards:    1,
-		Pipeline:  true,
 		Protocol:  o.instrument(protocol.Config{Resolver: resolver}),
 		Transport: func(int) protocol.Transport { return tr },
 	})

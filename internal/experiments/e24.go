@@ -187,7 +187,7 @@ type e24Row struct {
 	ServerStats []netmpc.ServerStats `json:"server_stats,omitempty"`
 }
 
-// e24Service builds the one-shard pipelined service every in-process cell
+// e24Service builds the one-shard service every in-process cell
 // uses, with per-shard collectors on (repair accounting flows through them).
 func e24Service(o Options, inst *e7Instance, resolver *protocol.CompiledResolver, fs *mpc.FaultSet) (*shard.Service, error) {
 	pcfg := o.instrument(protocol.Config{Resolver: resolver})
@@ -200,7 +200,6 @@ func e24Service(o Options, inst *e7Instance, resolver *protocol.CompiledResolver
 	}
 	return shard.New(inst.pp, shard.Config{
 		Shards:   1,
-		Pipeline: true,
 		Observe:  true,
 		Protocol: pcfg,
 	})
@@ -624,7 +623,6 @@ func e24DrillCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Ins
 	defer tr.Close()
 	svc, err := shard.New(inst.pp, shard.Config{
 		Shards:    1,
-		Pipeline:  true,
 		Observe:   true,
 		Protocol:  o.instrument(protocol.Config{Resolver: resolver}),
 		Transport: func(int) protocol.Transport { return tr },

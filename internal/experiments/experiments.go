@@ -40,11 +40,9 @@ type Options struct {
 	// smembench -maxprocs sweep uses it so each GOMAXPROCS pass keeps its
 	// own output.
 	JSONSuffix string
-	// Shards and Pipeline, when Shards > 0, pin E18 to a single sharded
-	// configuration (plus its unsharded baseline) instead of the full sweep
-	// (smembench -shards / -pipeline).
-	Shards   int
-	Pipeline bool
+	// Shards, when > 0, pins E18 to a single shard count (plus its S=1
+	// baseline) instead of the full sweep (smembench -shards).
+	Shards int
 	// ShardStats, when non-nil, receives each measured sharded service's
 	// per-shard statistics, labelled "<config>/<workload>" (smembench -trace
 	// wires its dump here for queue-depth and flush-cause breakdowns).
@@ -161,7 +159,7 @@ func All() []Runner {
 		{"e15", "Extension: combining frontend under concurrent clients", E15},
 		{"e16", "Hot path: compiled vs live address resolution", E16},
 		{"e17", "Observability: round trajectory, contention, Theorem 6 shape", E17},
-		{"e18", "Scaling out: sharded, pipelined frontend throughput vs S", E18},
+		{"e18", "Scaling out: sharded frontend throughput vs S", E18},
 		{"e19", "Fault tolerance: throughput and round inflation vs failed modules", E19},
 		{"e20", "Consistency auditing: trace-checker cost and sampling-audit overhead", E20},
 		{"e21", "Multi-core scaling: lock-free rings and the batch API vs GOMAXPROCS", E21},

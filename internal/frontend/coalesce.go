@@ -9,11 +9,9 @@ import (
 	"detshmem/internal/protocol"
 )
 
-// This file is the combining core, factored out of the dispatcher loop so
-// alternative dispatchers — the channel loop below and the sharded
-// direct-admission dispatcher in internal/shard — share one implementation
-// of the coalescing rules, the result fan-out, and the stats accounting.
-// The rules themselves are documented on the package.
+// This file is the combining core: the coalescing rules, the result fan-out
+// and the stats accounting the dispatcher in internal/shard drives. The rules
+// themselves are documented on the package.
 
 // entry is a pending batch's state for one distinct variable. Entries live
 // by value in Pending.entries, entry i being request i of the flush.
@@ -30,9 +28,9 @@ type entry struct {
 
 // Pending is one batch under construction: the coalesced view of every
 // operation admitted since the last flush. It is not safe for concurrent
-// use; callers serialize admission (the Frontend through its dispatcher
-// goroutine, the shard dispatcher under its admission mutex) — that
-// serialization is what makes admission order the commit order.
+// use; the shard dispatcher's flusher goroutine, the admission ring's single
+// consumer, is the only caller — that serialization is what makes admission
+// order the commit order.
 //
 // Entries sit in one dense slice in admission order, so everything after
 // admission (Requests, Account, Audit, Complete, Reset) walks the slice and
@@ -158,9 +156,8 @@ func (p *Pending) Read(seq, v uint64, fut *Future) {
 
 // Write admits one write with commit sequence seq, coalescing with an
 // earlier write (last writer wins). Admitting a write that WriteConflicts
-// panics: the dispatcher must flush first, and the two dispatchers enforce
-// that at distinct spots (channel loop vs admission mutex), so a miss here
-// is a dispatcher bug, not a client error.
+// panics: the dispatcher must flush first, so a miss here is a dispatcher
+// bug, not a client error.
 func (p *Pending) Write(seq, v, val uint64, fut *Future) {
 	fut.seq = seq
 	at, slot := p.find(v)
@@ -263,8 +260,8 @@ func (p *Pending) Complete(res *protocol.Result, err error) {
 }
 
 // Auditor observes the committed operation stream in commit order — one
-// call per batch entry, in batch order, batches in flush order. The
-// dispatchers call it from their single flush goroutine between accounting
+// call per batch entry, in batch order, batches in flush order. A
+// dispatcher calls it from its single flush goroutine between accounting
 // and future fan-out, so implementations are fed by exactly one goroutine
 // per dispatcher and the calls must not block or allocate (they sit on the
 // flush hot path). internal/consistency's sampling Auditor is the
@@ -284,8 +281,8 @@ type Auditor interface {
 // Complete's per-request error attribution: entries whose request failed
 // report AuditFailed, committed writes report their final coalesced value,
 // committed reads their returned value. Like Complete it must run before
-// Reset, with the same res and err; dispatchers call it just before Complete
-// so the audit stream is exactly the commit-order entry stream.
+// Reset, with the same res and err; the dispatcher calls it just before
+// Complete so the audit stream is exactly the commit-order entry stream.
 // Allocation-free once the verdict slice has reached the batch size.
 func (p *Pending) Audit(a Auditor, res *protocol.Result, err error) {
 	verdict := p.verdicts(res, err)
@@ -340,9 +337,8 @@ func (p *Pending) Reset() {
 	p.verdict = p.verdict[:0]
 }
 
-// NewFuture returns an unresolved future for an external dispatcher to
-// admit into a Pending. The Frontend mints its own futures; only
-// alternative dispatchers (internal/shard) need this.
+// NewFuture returns an unresolved future for a dispatcher to admit into a
+// Pending.
 func NewFuture() *Future { return &Future{} }
 
 // Stats aggregates combining metrics over every flushed batch. They extend
@@ -359,7 +355,7 @@ type Stats struct {
 	IdleFlushes     int64 // batches flushed because the queue ran dry
 	ExplicitFlushes int64 // batches flushed by Flush or Close
 	ConflictFlushes int64 // batches flushed by a write-after-read conflict
-	MaxQueueDepth   int   // deepest submission queue observed at admission
+	MaxQueueDepth   int   // deepest admission ring observed at admission
 	TotalRounds     int64 // protocol MPC rounds consumed by flushed batches
 	CopyAccesses    int64 // protocol copy accesses across flushed batches
 	MaxPhi          int   // largest per-batch Φ (max phase iterations)
@@ -369,8 +365,8 @@ type Stats struct {
 	FailedBatches   int   // batches rejected by the backend outright
 }
 
-// Account folds one flushed batch into the stats. Dispatchers must call it
-// under the same lock their Stats snapshot takes, and before the batch's
+// Account folds one flushed batch into the stats. The dispatcher must call it
+// under the same lock its Stats snapshot takes, and before the batch's
 // futures complete: completing first opens a torn-read window where a
 // client whose Wait returned cannot find its own committed operation in a
 // snapshot (read-your-ops consistency).

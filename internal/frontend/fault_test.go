@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"detshmem/internal/core"
-	"detshmem/internal/mpc"
 	"detshmem/internal/protocol"
 )
 
@@ -43,114 +41,5 @@ func TestCompleteAttribution(t *testing.T) {
 	}
 	if _, err := fwdStranded.Wait(); !errors.Is(err, protocol.ErrQuorumUnreachable) {
 		t.Fatalf("forwarded read riding a stranded write: %v", err)
-	}
-}
-
-// TestFrontendDegradedServing is the classic channel dispatcher end to end
-// under a runtime quorum loss: after the victim variable's modules fail,
-// only the victim's futures error (with the quorum verdict) while every
-// other operation in the same stream commits normally, and the combining
-// stats count the stranding.
-func TestFrontendDegradedServing(t *testing.T) {
-	s, err := core.New(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := s.NewIndexer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := mpc.NewFaultSet()
-	sys, err := protocol.NewSystem(s, idx, protocol.Config{
-		MaxIterationsPerPhase: 2048,
-		NewMachine:            func(cfg mpc.Config) (protocol.Machine, error) { return mpc.NewFailingShared(cfg, fs) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe, err := New(sys, Config{MaxBatch: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe.Close()
-
-	victim := uint64(10)
-	vmods := s.VarModules(nil, idx.Mat(victim))
-	failed := map[uint64]bool{}
-	for _, m := range vmods {
-		failed[m] = true
-	}
-	// Companions with at most one copy in the victim's module set keep a
-	// live majority throughout.
-	var healthy []uint64
-	var scratch []uint64
-	for v := uint64(0); len(healthy) < 6; v++ {
-		if v == victim {
-			continue
-		}
-		live := 0
-		scratch = s.VarModules(scratch[:0], idx.Mat(v))
-		for _, m := range scratch {
-			if !failed[m] {
-				live++
-			}
-		}
-		if live >= s.Majority {
-			healthy = append(healthy, v)
-		}
-	}
-
-	for _, v := range append([]uint64{victim}, healthy...) {
-		if err := fe.Write(v, v+500); err != nil {
-			t.Fatalf("healthy write of %d: %v", v, err)
-		}
-	}
-	for _, m := range vmods {
-		fs.Fail(m)
-	}
-
-	vf, err := fe.ReadAsync(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hf := make([]*Future, len(healthy))
-	for i, v := range healthy {
-		if hf[i], err = fe.ReadAsync(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wf, err := fe.WriteAsync(victim, 9999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fe.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := vf.Wait(); !errors.Is(err, protocol.ErrQuorumUnreachable) {
-		t.Fatalf("victim read verdict: %v", err)
-	}
-	if _, err := wf.Wait(); !errors.Is(err, protocol.ErrQuorumUnreachable) {
-		t.Fatalf("victim write verdict: %v", err)
-	}
-	for i, f := range hf {
-		v, err := f.Wait()
-		if err != nil {
-			t.Fatalf("healthy read of %d in degraded stream: %v", healthy[i], err)
-		}
-		if v != healthy[i]+500 {
-			t.Fatalf("healthy read of %d = %d, want %d", healthy[i], v, healthy[i]+500)
-		}
-	}
-	if st := fe.Stats(); st.Stranded < 2 {
-		t.Fatalf("stats stranded = %d, want >= 2", st.Stranded)
-	}
-
-	// Recovery: the same frontend serves the victim again.
-	for _, m := range vmods {
-		fs.Recover(m)
-	}
-	if v, err := fe.Read(victim); err != nil || v != victim+500 {
-		t.Fatalf("victim after recovery: %d, %v", v, err)
 	}
 }

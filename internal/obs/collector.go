@@ -138,13 +138,11 @@ type Collector struct {
 	ModuleLoad    Histogram // per-module per-round load distribution
 	Imbalance     Histogram // per-round max-load distribution
 
-	// Frontend level (ObserveQueueDepth / ObserveFlush).
-	QueueDepth    Histogram // submission-queue depth sampled at admission
-	MaxQueueDepth MaxGauge  // deepest queue observed
-	Flushes       [numFlushCauses]Counter
+	// Dispatcher level (ObserveFlush).
+	Flushes [numFlushCauses]Counter
 
 	// Admission-ring level (ObserveRingDepth / ObserveFlusherPark /
-	// ObserveFlusherWake, from the lock-free pipelined shard dispatcher).
+	// ObserveFlusherWake, from the lock-free shard dispatcher).
 	RingDepth    Histogram // ring occupancy, sampled every 64th admission
 	MaxRingDepth MaxGauge  // deepest ring occupancy observed (exact)
 	FlusherParks Counter   // flusher parked on a genuinely idle ring
@@ -220,21 +218,14 @@ func (c *Collector) ObserveRepair(ev RepairEvent) {
 	c.GrantedBids.Add(int64(ev.Granted))
 }
 
-// ObserveQueueDepth samples the frontend submission-queue depth at
-// admission.
-func (c *Collector) ObserveQueueDepth(depth int) {
-	c.QueueDepth.Observe(int64(depth))
-	c.MaxQueueDepth.Observe(int64(depth))
-}
-
-// ObserveFlush counts one frontend batch flush by cause.
+// ObserveFlush counts one dispatcher batch flush by cause.
 func (c *Collector) ObserveFlush(cause FlushCause) {
 	if cause >= 0 && cause < numFlushCauses {
 		c.Flushes[cause].Inc()
 	}
 }
 
-// ObserveRingDepth samples the pipelined shard's admission-ring occupancy.
+// ObserveRingDepth samples the shard's admission-ring occupancy.
 // The caller samples (every 64th admission) rather than observing every op,
 // keeping the shared histogram cache lines off the lock-free hot path.
 func (c *Collector) ObserveRingDepth(depth int64) {
@@ -311,9 +302,6 @@ func (c *Collector) SnapshotInto(label string, dst map[string]int64) {
 		"module_load_sum":           c.ModuleLoad.Sum(),
 		"round_max_load_count":      c.Imbalance.Count(),
 		"round_max_load_sum":        c.Imbalance.Sum(),
-		"queue_depth_count":         c.QueueDepth.Count(),
-		"queue_depth_sum":           c.QueueDepth.Sum(),
-		"max_queue_depth":           c.MaxQueueDepth.Load(),
 		"ring_depth_count":          c.RingDepth.Count(),
 		"ring_depth_sum":            c.RingDepth.Sum(),
 		"max_ring_depth":            c.MaxRingDepth.Load(),
@@ -375,7 +363,6 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 		{"mpc_requests_total", "Live requests across recorded rounds.", "counter", c.MPCRequests.Load()},
 		{"mpc_granted_total", "Grants across recorded rounds.", "counter", c.MPCGranted.Load()},
 		{"max_module_load", "Worst per-module congestion observed in any round.", "gauge", c.MaxModuleLoad.Load()},
-		{"max_queue_depth", "Deepest frontend submission queue observed.", "gauge", c.MaxQueueDepth.Load()},
 		{"max_ring_depth", "Deepest shard admission-ring occupancy observed.", "gauge", c.MaxRingDepth.Load()},
 		{"flusher_parks_total", "Shard flusher parks on an idle admission ring.", "counter", c.FlusherParks.Load()},
 		{"flusher_wakes_total", "Producer kicks that un-parked a shard flusher.", "counter", c.FlusherWakes.Load()},
@@ -421,7 +408,6 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 		{"fault_rounds", "MPC rounds per batch while modules were failed (round inflation).", &c.FaultRounds},
 		{"module_load", "Per-module per-round request load (merged lower-bound sum).", &c.ModuleLoad},
 		{"round_max_load", "Per-round maximum module load (imbalance).", &c.Imbalance},
-		{"queue_depth", "Frontend submission-queue depth at admission.", &c.QueueDepth},
 		{"ring_depth", "Shard admission-ring occupancy (sampled every 64th admission).", &c.RingDepth},
 	}
 	for _, hs := range hists {

@@ -222,14 +222,14 @@ func TestCollectorAggregation(t *testing.T) {
 		t.Fatalf("batch counters wrong: %+v", c.Snapshot())
 	}
 
-	c.ObserveQueueDepth(7)
-	c.ObserveQueueDepth(3)
+	c.ObserveRingDepth(7)
+	c.ObserveRingDepth(3)
 	c.ObserveFlush(FlushSize)
 	c.ObserveFlush(FlushIdle)
 	c.ObserveFlush(FlushIdle)
 	snap := c.Snapshot()
-	if snap["max_queue_depth"] != 7 || snap["queue_depth_count"] != 2 {
-		t.Fatalf("queue metrics wrong: %+v", snap)
+	if snap["max_ring_depth"] != 7 || snap["ring_depth_count"] != 2 {
+		t.Fatalf("ring metrics wrong: %+v", snap)
 	}
 	if snap["flushes_size_total"] != 1 || snap["flushes_idle_total"] != 2 || snap["flushes_explicit_total"] != 0 {
 		t.Fatalf("flush counters wrong: %+v", snap)

@@ -23,8 +23,8 @@ func goldenCollector() *Collector {
 	c.RecordRound(ev)
 	c.RecordRound(RoundEvent{Round: 1, Requests: 3, Granted: 3, MaxLoad: 1})
 	c.ObserveBatch(BatchEvent{Requests: 12, Phases: 3, Rounds: 2, MaxPhi: 2, CopyAccesses: 7, GrantedBids: 7, Unfinished: 0})
-	c.ObserveQueueDepth(5)
-	c.ObserveQueueDepth(2)
+	c.ObserveRingDepth(5)
+	c.ObserveRingDepth(2)
 	c.ObserveFlush(FlushSize)
 	c.ObserveFlush(FlushIdle)
 	c.ObserveFlush(FlushExplicit)
@@ -104,8 +104,8 @@ func TestWritePrometheusWellFormed(t *testing.T) {
 	}
 	// Histogram invariant: the +Inf bucket equals the count.
 	out := buf.String()
-	if !strings.Contains(out, `detshmem_queue_depth_bucket{le="+Inf"} 2`) ||
-		!strings.Contains(out, "detshmem_queue_depth_count 2") {
-		t.Fatalf("queue_depth histogram +Inf/count mismatch:\n%s", out)
+	if !strings.Contains(out, `detshmem_ring_depth_bucket{le="+Inf"} 2`) ||
+		!strings.Contains(out, "detshmem_ring_depth_count 2") {
+		t.Fatalf("ring_depth histogram +Inf/count mismatch:\n%s", out)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"detshmem/internal/obs"
 )
 
-// TestShardFlushSteadyStateAllocs pins the pipelined dispatcher's flush
+// TestShardFlushSteadyStateAllocs pins the dispatcher's flush
 // path — Requests into the reused buffer, AccessInto on the shard's reused
 // Result, stats accounting, the obs flush/batch/round hooks, fan-out, and
 // batch Reset/recycling — at zero allocations per batch in steady state.
@@ -18,14 +18,10 @@ func TestShardFlushSteadyStateAllocs(t *testing.T) {
 	// The subtest keeps the id the committed test floor lists.
 	t.Run("sequential", func(t *testing.T) {
 		svc := newService(t, 3, Config{
-			Shards:   2,
-			Pipeline: true,
-			Observe:  true, // obs hooks installed: the guard covers the enabled path
+			Shards:  2,
+			Observe: true, // obs hooks installed: the guard covers the enabled path
 		})
-		d, ok := svc.shards[0].d.(*pipeDispatcher)
-		if !ok {
-			t.Fatal("pipelined shard did not build a pipeDispatcher")
-		}
+		d := svc.shards[0].d
 		// Stop the flusher so the measured code owns the dispatcher's
 		// scratch; the flush path below is byte-for-byte the one the
 		// flusher runs.

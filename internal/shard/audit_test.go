@@ -67,7 +67,7 @@ func driveAudited(t *testing.T, svc *Service, clients, opsPerClient int, vars ui
 }
 
 // TestAuditedServiceCleanTraffic runs the always-on sampling audit at Rate 1
-// over the dispatcher × shard matrix: legitimate traffic must never trip the
+// over the shard matrix: legitimate traffic must never trip the
 // auditor, every shard's ring must replay to a certified per-variable trace,
 // and the counters must surface through the per-shard collectors.
 func TestAuditedServiceCleanTraffic(t *testing.T) {
@@ -122,9 +122,8 @@ func TestAuditedServiceCleanTraffic(t *testing.T) {
 // space is audited, spread over the shards, still with zero violations.
 func TestAuditedServicePartialRate(t *testing.T) {
 	svc := newService(t, 3, Config{
-		Shards:   4,
-		Pipeline: true,
-		Audit:    consistency.AuditConfig{Rate: 0.25},
+		Shards: 4,
+		Audit:  consistency.AuditConfig{Rate: 0.25},
 	})
 	ops := driveAudited(t, svc, 4, 200, 80, 23)
 	if t.Failed() {
@@ -157,17 +156,13 @@ func TestAuditedServicePartialRate(t *testing.T) {
 // must still run at zero allocations per batch in steady state.
 func TestAuditedFlushSteadyStateAllocs(t *testing.T) {
 	svc := newService(t, 3, Config{
-		Shards:   2,
-		Pipeline: true,
-		Observe:  true,
-		Audit:    consistency.AuditConfig{Rate: 1},
+		Shards:  2,
+		Observe: true,
+		Audit:   consistency.AuditConfig{Rate: 1},
 	})
-	d, ok := svc.shards[0].d.(*pipeDispatcher)
-	if !ok {
-		t.Fatal("pipelined shard did not build a pipeDispatcher")
-	}
+	d := svc.shards[0].d
 	if d.aud == nil {
-		t.Fatal("audit config did not reach the pipelined dispatcher")
+		t.Fatal("audit config did not reach the dispatcher")
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -233,7 +228,6 @@ func auditFaultService(t testing.TB, shards int, fs *mpc.FaultSet, pcfg protocol
 	}
 	svc, err := New(protocol.NewCoreMapper(s, idx), Config{
 		Shards:   shards,
-		Pipeline: true,
 		MaxBatch: 16,
 		Protocol: pcfg,
 		Audit:    consistency.AuditConfig{Rate: 1},

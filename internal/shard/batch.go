@@ -82,12 +82,12 @@ func (p *partition) grow(nOps, nShards int) {
 // AccessBatch submits ops — which may touch any mix of variables across
 // all shards — with one synchronization per touched shard: the ops are
 // partitioned by Route in one counting-sort pass, each shard's sub-batch
-// is admitted into its ring with a single atomic claim (pipelined
-// dispatcher) or per-op submission (classic dispatcher, the measured
-// baseline), and the returned Batch completes every op through its own
-// future. Per-shard admission order follows ops order, so the per-variable
-// linearizability contract and Future.Seq semantics are exactly those of
-// the per-op API.
+// is admitted into its ring with a single atomic claim, and the returned
+// Batch completes every op through its own future. An op naming a variable
+// outside [0, NumVars) fails alone with protocol.ErrVarOutOfRange; the rest
+// of the batch is unaffected. Per-shard admission order follows ops order,
+// so the per-variable linearizability contract and Future.Seq semantics are
+// exactly those of the per-op API.
 //
 // On error (e.g. a closing service), ops already admitted to earlier
 // shards still execute; the caller should discard the Batch without
@@ -105,7 +105,7 @@ func (s *Service) AccessBatch(ops []BatchOp) (*Batch, error) {
 		b.futs[i] = &b.slab[i]
 	}
 	if len(s.shards) == 1 {
-		return b, s.shards[0].admitBatch(ops, nil, b.futs)
+		return b, s.shards[0].d.ring.enqueueBatch(ops, nil, b.futs)
 	}
 	p := partitionPool.Get().(*partition)
 	p.grow(len(ops), len(s.shards))
@@ -131,7 +131,7 @@ func (s *Service) AccessBatch(ops []BatchOp) (*Batch, error) {
 		if lo == hi {
 			continue
 		}
-		if aerr := s.shards[sh].admitBatch(ops, p.idx[lo:hi], b.futs); aerr != nil {
+		if aerr := s.shards[sh].d.ring.enqueueBatch(ops, p.idx[lo:hi], b.futs); aerr != nil {
 			err = aerr
 			break
 		}
@@ -141,43 +141,4 @@ func (s *Service) AccessBatch(ops []BatchOp) (*Batch, error) {
 		return nil, err
 	}
 	return b, nil
-}
-
-// admitBatch admits the selected ops (idx nil = all) into this shard.
-func (st *shardState) admitBatch(ops []BatchOp, idx []int32, futs []*frontend.Future) error {
-	if pd, ok := st.d.(*pipeDispatcher); ok {
-		return pd.ring.enqueueBatch(ops, idx, futs)
-	}
-	// Classic channel dispatcher: per-op admission — k synchronizations,
-	// the baseline AccessBatch exists to beat. The dispatcher mints its
-	// own futures, so the slab entries are replaced.
-	admit := func(i int32) error {
-		op := &ops[i]
-		var f *frontend.Future
-		var err error
-		if op.Write {
-			f, err = st.d.WriteAsync(op.Var, op.Val)
-		} else {
-			f, err = st.d.ReadAsync(op.Var)
-		}
-		if err != nil {
-			return err
-		}
-		futs[i] = f
-		return nil
-	}
-	if idx == nil {
-		for i := range ops {
-			if err := admit(int32(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, i := range idx {
-		if err := admit(i); err != nil {
-			return err
-		}
-	}
-	return nil
 }

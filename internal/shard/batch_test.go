@@ -10,8 +10,8 @@ import (
 	"detshmem/internal/protocol"
 )
 
-// TestAccessBatchRoundTrip runs the batch API through every dispatcher ×
-// shard-count combination: a write batch followed by a read batch of the
+// TestAccessBatchRoundTrip runs the batch API through every
+// shard-count cell: a write batch followed by a read batch of the
 // same variables must return the written values, and intra-batch
 // write→read on one variable must forward the pending write's value.
 func TestAccessBatchRoundTrip(t *testing.T) {
@@ -69,7 +69,7 @@ func TestAccessBatchRoundTrip(t *testing.T) {
 // TestAccessBatchMatchesPerOp is the differential check: the same operation
 // sequence through AccessBatch and through the per-op API must leave the
 // store in the same state and return the same read values (per-variable
-// linearizability is dispatcher-path independent).
+// linearizability is admission-path independent).
 func TestAccessBatchMatchesPerOp(t *testing.T) {
 	mkops := func() []BatchOp {
 		ops := make([]BatchOp, 0, 300)
@@ -85,7 +85,7 @@ func TestAccessBatchMatchesPerOp(t *testing.T) {
 	}
 
 	run := func(t *testing.T, batched bool) []uint64 {
-		svc := newService(t, 3, Config{Shards: 4, Pipeline: true, MaxBatch: 8})
+		svc := newService(t, 3, Config{Shards: 4, MaxBatch: 8})
 		ops := mkops()
 		vals := make([]uint64, len(ops))
 		if batched {
@@ -145,7 +145,7 @@ func TestAccessBatchMatchesPerOp(t *testing.T) {
 // client, and every read must observe some committed tag (zero included:
 // unwritten), never a torn or stale-uncommitted value.
 func TestAccessBatchConcurrent(t *testing.T) {
-	svc := newService(t, 3, Config{Shards: 4, Pipeline: true, MaxBatch: 16})
+	svc := newService(t, 3, Config{Shards: 4, MaxBatch: 16})
 	const clients, rounds, span = 8, 50, 24
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -177,24 +177,21 @@ func TestAccessBatchConcurrent(t *testing.T) {
 }
 
 // TestAccessBatchEmptyAndClosed covers the edges: an empty batch succeeds
-// immediately; a batch against a closed service fails with ErrClosed on
-// both dispatcher paths.
+// immediately; a batch against a closed service fails with ErrClosed.
 func TestAccessBatchEmptyAndClosed(t *testing.T) {
-	for _, cfg := range []Config{{Shards: 2, Pipeline: true}, {Shards: 2, Pipeline: false}} {
-		svc, err := New(testMapper(t, 3), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := svc.AccessBatch(nil)
-		if err != nil || b.Len() != 0 {
-			t.Fatalf("empty batch: %v, len %d", err, b.Len())
-		}
-		if err := svc.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := svc.AccessBatch([]BatchOp{{Var: 1}}); !errors.Is(err, frontend.ErrClosed) {
-			t.Fatalf("batch after close: %v, want ErrClosed", err)
-		}
+	svc, err := New(testMapper(t, 3), Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := svc.AccessBatch(nil)
+	if err != nil || b.Len() != 0 {
+		t.Fatalf("empty batch: %v, len %d", err, b.Len())
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.AccessBatch([]BatchOp{{Var: 1}}); !errors.Is(err, frontend.ErrClosed) {
+		t.Fatalf("batch after close: %v, want ErrClosed", err)
 	}
 }
 
@@ -234,12 +231,11 @@ func TestAccessBatchErrorAttribution(t *testing.T) {
 	}
 }
 
-// TestAccessBatchAllocs pins the batch admission cost on the pipelined
-// path: beyond the three documented allocations (futs slice, future slab,
+// TestAccessBatchAllocs pins the batch admission cost: beyond the three documented allocations (futs slice, future slab,
 // and the Batch header), admitting through the rings allocates nothing —
 // the partition scratch is pooled.
 func TestAccessBatchAllocs(t *testing.T) {
-	svc := newService(t, 3, Config{Shards: 4, Pipeline: true, RingCap: 4096})
+	svc := newService(t, 3, Config{Shards: 4})
 	ops := make([]BatchOp, 64)
 	for i := range ops {
 		ops[i] = BatchOp{Write: true, Var: uint64(i), Val: 1}

@@ -162,73 +162,69 @@ func oracleReplay(svc *Service, recs [][]xrec) string {
 	return ""
 }
 
-// TestCrossCheckTotalOrder: on a single shard both dispatchers honor the
-// total-order contract — the white-box oracle and the black-box checker
-// (under BOTH modes, per ModesFor) must certify the same concurrent runs.
+// TestCrossCheckTotalOrder: a single shard honors the total-order contract —
+// the white-box oracle and the black-box checker (under BOTH modes, per
+// ModesFor) must certify the same concurrent runs.
 func TestCrossCheckTotalOrder(t *testing.T) {
-	for _, pipe := range []bool{false, true} {
-		// parallel=false: the cell ids stay those the committed test floor lists.
-		name := map[bool]string{false: "classic", true: "pipelined"}[pipe] + "/parallel=false"
-		t.Run(name, func(t *testing.T) {
-			svc := newService(t, 3, Config{Shards: 1, Pipeline: pipe})
-			ops := 120
-			if testing.Short() {
-				ops = 50
+	// The subtest keeps the id the committed test floor lists.
+	const name = "pipelined/parallel=false"
+	t.Run(name, func(t *testing.T) {
+		svc := newService(t, 3, Config{Shards: 1})
+		ops := 120
+		if testing.Short() {
+			ops = 50
+		}
+		recs := driveRecorded(t, svc, 4, ops, 32, int64(len(name)), false)
+		if t.Failed() {
+			t.FailNow()
+		}
+		if err := svc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if msg := oracleReplay(svc, recs); msg != "" {
+			t.Fatalf("oracle diverged: %s", msg)
+		}
+		tr := traceOf(recs)
+		for _, mode := range consistency.ModesFor(consistency.ContractTotalOrder) {
+			rep := consistency.Check(tr, mode)
+			if !rep.OK {
+				t.Fatalf("checker rejected a run the oracle certified (%s): %+v", mode, rep.First())
 			}
-			recs := driveRecorded(t, svc, 4, ops, 32, int64(len(name)), false)
-			if t.Failed() {
-				t.FailNow()
+			if rep.OpsChecked != 4*ops {
+				t.Fatalf("%s checked %d ops, drove %d", mode, rep.OpsChecked, 4*ops)
 			}
-			if err := svc.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if msg := oracleReplay(svc, recs); msg != "" {
-				t.Fatalf("oracle diverged: %s", msg)
-			}
-			tr := traceOf(recs)
-			for _, mode := range consistency.ModesFor(consistency.ContractTotalOrder) {
-				rep := consistency.Check(tr, mode)
-				if !rep.OK {
-					t.Fatalf("checker rejected a run the oracle certified (%s): %+v", mode, rep.First())
-				}
-				if rep.OpsChecked != 4*ops {
-					t.Fatalf("%s checked %d ops, drove %d", mode, rep.OpsChecked, 4*ops)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestCrossCheckShardedPerVariable: with S > 1 there is no cross-shard
 // order; the service's contract is per-variable. Both verifiers must
-// certify under that contract on both dispatchers.
+// certify under that contract.
 func TestCrossCheckShardedPerVariable(t *testing.T) {
-	for _, pipe := range []bool{false, true} {
-		name := map[bool]string{false: "classic", true: "pipelined"}[pipe]
-		t.Run(name, func(t *testing.T) {
-			svc := newService(t, 3, Config{Shards: 4, Pipeline: pipe})
-			ops := 150
-			if testing.Short() {
-				ops = 60
+	// The subtest keeps the id the committed test floor lists.
+	t.Run("pipelined", func(t *testing.T) {
+		svc := newService(t, 3, Config{Shards: 4})
+		ops := 150
+		if testing.Short() {
+			ops = 60
+		}
+		recs := driveRecorded(t, svc, 4, ops, 80, 41, false)
+		if t.Failed() {
+			t.FailNow()
+		}
+		if err := svc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if msg := oracleReplay(svc, recs); msg != "" {
+			t.Fatalf("oracle diverged: %s", msg)
+		}
+		tr := traceOf(recs)
+		for _, mode := range consistency.ModesFor(consistency.ContractPerVariable) {
+			if rep := consistency.Check(tr, mode); !rep.OK {
+				t.Fatalf("checker rejected a run the oracle certified (%s): %+v", mode, rep.First())
 			}
-			recs := driveRecorded(t, svc, 4, ops, 80, 41, false)
-			if t.Failed() {
-				t.FailNow()
-			}
-			if err := svc.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if msg := oracleReplay(svc, recs); msg != "" {
-				t.Fatalf("oracle diverged: %s", msg)
-			}
-			tr := traceOf(recs)
-			for _, mode := range consistency.ModesFor(consistency.ContractPerVariable) {
-				if rep := consistency.Check(tr, mode); !rep.OK {
-					t.Fatalf("checker rejected a run the oracle certified (%s): %+v", mode, rep.First())
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestCrossCheckAgreeOnCorruption: the two verifiers must also agree on the
@@ -236,7 +232,7 @@ func TestCrossCheckShardedPerVariable(t *testing.T) {
 // write ever minted: the oracle replay diverges AND the checker reports a
 // phantom read on the same trace.
 func TestCrossCheckAgreeOnCorruption(t *testing.T) {
-	svc := newService(t, 3, Config{Shards: 1, Pipeline: true})
+	svc := newService(t, 3, Config{Shards: 1})
 	recs := driveRecorded(t, svc, 3, 80, 24, 17, false)
 	if t.Failed() {
 		t.FailNow()

@@ -5,7 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"detshmem/internal/baseline"
+	"detshmem/internal/core"
 	"detshmem/internal/frontend"
+	"detshmem/internal/protocol"
 	"detshmem/internal/workload"
 )
 
@@ -122,9 +125,35 @@ func checkShardOracle(t *testing.T, svc *Service, recs []record) {
 	}
 }
 
-// TestDifferentialOracle is the matrix: both dispatchers × shard counts ×
-// client counts, ≥1e5 ops at full scale (-short shrinks it for the race
-// detector, which runs this very test in CI).
+// otherMappers are the memory organizations besides PP93 q=2: at S=1 the
+// oracle runs over each, so combining is shown invisible to clients whatever
+// protocol.Mapper sits under the dispatcher.
+var otherMappers = []struct {
+	name  string
+	build func() (protocol.Mapper, error)
+}{
+	{"pp93-q4", func() (protocol.Mapper, error) {
+		s, err := core.New(2, 3)
+		if err != nil {
+			return nil, err
+		}
+		idx, err := s.NewIndexer()
+		if err != nil {
+			return nil, err
+		}
+		return protocol.NewCoreMapper(s, idx), nil
+	}},
+	{"mv-c2", func() (protocol.Mapper, error) { return baseline.NewMV(64, 4096, 2) }},
+	{"single", func() (protocol.Mapper, error) {
+		return baseline.NewSingleCopy(64, 4096, baseline.PlaceInterleaved, 0)
+	}},
+	{"uw-c2", func() (protocol.Mapper, error) { return baseline.NewUW(64, 4096, 2, 7) }},
+}
+
+// TestDifferentialOracle is the matrix: shard counts × client counts over
+// PP93 q=2 n=5, plus the S=1 cell over every other mapper; ≥1e5 ops at full
+// scale (-short shrinks it for the race detector, which runs this very test
+// in CI).
 func TestDifferentialOracle(t *testing.T) {
 	opsPer := 2000
 	clientCounts := []int{1, 8, 64}
@@ -132,19 +161,42 @@ func TestDifferentialOracle(t *testing.T) {
 		opsPer = 300
 		clientCounts = []int{1, 8}
 	}
+	type cell struct {
+		name   string
+		cfg    Config
+		mapper func(t testing.TB) protocol.Mapper
+	}
+	pp93 := func(t testing.TB) protocol.Mapper { return testMapper(t, 5) }
+	var cells []cell
 	for _, cfg := range []Config{
-		{Shards: 1, Pipeline: true},
-		{Shards: 4, Pipeline: true},
-		{Shards: 4, Pipeline: true, MaxBatch: 3, MaxPending: 1},
-		{Shards: 4, Pipeline: false},
-		{Shards: 7, Pipeline: true, Observe: true},
+		{Shards: 1},
+		{Shards: 4},
+		{Shards: 4, MaxBatch: 3},
+		{Shards: 7, Observe: true},
 	} {
-		cfg := cfg
+		cells = append(cells, cell{cfg.name(), cfg, pp93})
+	}
+	for _, m := range otherMappers {
+		cfg, build := Config{Shards: 1}, m.build
+		cells = append(cells, cell{cfg.name() + "/" + m.name, cfg, func(t testing.TB) protocol.Mapper {
+			m, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}})
+	}
+	for _, cell := range cells {
+		cell := cell
 		for _, clients := range clientCounts {
 			clients := clients
-			t.Run(cfg.name()+"/c"+string(rune('0'+clients/10))+string(rune('0'+clients%10)), func(t *testing.T) {
+			t.Run(cell.name+"/c"+string(rune('0'+clients/10))+string(rune('0'+clients%10)), func(t *testing.T) {
 				t.Parallel()
-				svc := newService(t, 5, cfg)
+				svc, err := New(cell.mapper(t), cell.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = svc.Close() })
 				recs := runShardClients(t, svc, clients, opsPer, int64(42+clients))
 				if err := svc.Flush(); err != nil {
 					t.Fatal(err)
@@ -156,6 +208,9 @@ func TestDifferentialOracle(t *testing.T) {
 				}
 				if st.Total.FailedBatches != 0 || st.Total.Unfinished != 0 {
 					t.Fatalf("failures during hammer: %+v", st.Total)
+				}
+				if clients >= 64 && st.Total.CombiningRate() <= 0 {
+					t.Fatalf("no combining under %d concurrent clients: %+v", clients, st.Total)
 				}
 			})
 		}

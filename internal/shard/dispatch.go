@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -10,23 +11,28 @@ import (
 	"detshmem/internal/protocol"
 )
 
-// pipeDispatcher is the pipelined per-shard dispatcher, built on the
-// lock-free MPSC admission ring (ring.go). Earlier revisions had clients
-// coalesce into the accumulating batch under a shard admission mutex; that
-// mutex was the multi-core ceiling BENCH_PR4 measured (S=8 pipelined
-// regressed to 0.86× at GOMAXPROCS=1, and every producer serialized on one
-// lock above it). Now admission is one atomic fetch-add plus one publishing
-// store: clients claim ring slots and return immediately with a future,
-// while the flusher goroutine — the ring's single consumer — drains whole
-// published windows per sweep, assigns commit sequence numbers in pop
-// order, folds the ops into the accumulating frontend.Pending, and drives
-// sealed batches through the backend's allocation-free AccessInto path.
+// backend is what the flusher drives: one interface call per batch, plus the
+// repair pump. *protocol.System is the implementation; the interface exists
+// so tests can substitute a gated fake and pin which ops land in which batch.
+type backend interface {
+	AccessInto(reqs []protocol.Request, res *protocol.Result) error
+	RepairBacklog() int
+	RepairStep() bool
+}
+
+// pipeDispatcher is the per-shard dispatcher — the serving path's one
+// serialization point — built on the lock-free MPSC admission ring
+// (ring.go). Admission is one atomic fetch-add plus one publishing store:
+// clients claim ring slots and return immediately with a future, while the
+// flusher goroutine — the ring's single consumer — drains whole published
+// windows per sweep, assigns commit sequence numbers in pop order, folds the
+// ops into the accumulating frontend.Pending, and drives sealed batches
+// through the backend's allocation-free AccessInto path.
 //
-// Linearizability per variable is preserved by construction: ring order is
+// Linearizability per variable holds by construction: ring order is
 // admission order (positions are claimed by one fetch-add and popped in
 // position order), the flusher assigns sequence numbers in ring order, and
-// batches flush FIFO — so admission order remains commit order shard-wide,
-// exactly the guarantee the mutex gave.
+// batches flush FIFO — so admission order is commit order shard-wide.
 //
 // Handoff: no per-flush wakeup. The flusher spins through published ops
 // and only parks (park-flag + one channel token) when the ring is truly
@@ -36,13 +42,13 @@ import (
 //
 // Backpressure: the ring is bounded. A producer whose claimed slot has not
 // been freed yet spins briefly and then sleeps until the consumer frees
-// it, bounding admitted-but-uncommitted memory the way the old maxPending
-// rule did.
+// it, bounding admitted-but-uncommitted memory.
 type pipeDispatcher struct {
-	sys *protocol.System
+	b   backend
 	col *obs.Collector   // nil when not observing
 	aud frontend.Auditor // nil when not auditing; flusher-goroutine only
 
+	numVars  uint64 // M: an op naming a variable at or past it is refused alone
 	maxBatch int
 	ring     *ring
 	done     chan struct{} // flusher exited
@@ -64,14 +70,15 @@ type pipeDispatcher struct {
 	stats   frontend.Stats
 }
 
-// newPipeDispatcher builds the dispatcher and starts its flusher. ringCap
-// is the admission-ring capacity in operations (rounded up to a power of
-// two by newRing).
-func newPipeDispatcher(sys *protocol.System, maxBatch, ringCap int, col *obs.Collector, aud frontend.Auditor) *pipeDispatcher {
+// newPipeDispatcher builds the dispatcher over a backend serving variables
+// [0, numVars) and starts its flusher. ringCap is the admission-ring
+// capacity in operations (rounded up to a power of two by newRing).
+func newPipeDispatcher(b backend, numVars uint64, maxBatch, ringCap int, col *obs.Collector, aud frontend.Auditor) *pipeDispatcher {
 	d := &pipeDispatcher{
-		sys:      sys,
+		b:        b,
 		col:      col,
 		aud:      aud,
+		numVars:  numVars,
 		maxBatch: maxBatch,
 		ring:     newRing(ringCap, col),
 		cur:      frontend.NewPending(maxBatch),
@@ -105,12 +112,12 @@ func (d *pipeDispatcher) WriteAsync(v, val uint64) (*frontend.Future, error) {
 func (d *pipeDispatcher) run() {
 	defer close(d.done)
 	var op ringOp
-	// yielded is the idle flush's one-shot backoff, carried over from the
-	// mutex dispatcher: when the ring runs dry with a partial batch, one
-	// scheduler yield lets every currently runnable submitter publish its
-	// window before the batch goes out — on a loaded host this turns
-	// per-client-window batches into all-runnable-clients batches —
-	// while costing nothing when no submitter is runnable.
+	// yielded is the idle flush's one-shot backoff: when the ring runs dry
+	// with a partial batch, one scheduler yield lets every currently
+	// runnable submitter publish its window before the batch goes out — on a
+	// loaded host this turns per-client-window batches into
+	// all-runnable-clients batches — while costing nothing when no submitter
+	// is runnable.
 	yielded := false
 	for {
 		if !d.ring.tryPop(&op) {
@@ -131,7 +138,7 @@ func (d *pipeDispatcher) run() {
 			// backlog draining on an otherwise quiet shard. Park only when
 			// repair is drained or stalled (RepairStep false ⇒ paused until
 			// the fault set changes, so spinning on it would burn a core).
-			if d.sys.RepairBacklog() > 0 && d.sys.RepairStep() {
+			if d.b.RepairBacklog() > 0 && d.b.RepairStep() {
 				continue
 			}
 			d.ring.park()
@@ -140,6 +147,14 @@ func (d *pipeDispatcher) run() {
 		yielded = false
 		switch op.kind {
 		case ringRead, ringWrite:
+			if op.v >= d.numVars {
+				// Refused alone, before it takes a sequence number or a place
+				// in the batch: the backend fails a whole batch on one bad
+				// variable, and every op coalesced with it would share the
+				// verdict.
+				op.fut.Fail(fmt.Errorf("shard: variable %d of %d: %w", op.v, d.numVars, protocol.ErrVarOutOfRange))
+				continue
+			}
 			d.seq++
 			if op.kind == ringWrite {
 				if d.cur.WriteConflicts(op.v) {
@@ -191,7 +206,7 @@ func (d *pipeDispatcher) flushCur(cause obs.FlushCause) {
 func (d *pipeDispatcher) flushOne(p *frontend.Pending, cause obs.FlushCause) {
 	d.reqs = p.Requests(d.reqs)
 	var res *protocol.Result
-	err := d.sys.AccessInto(d.reqs, &d.res)
+	err := d.b.AccessInto(d.reqs, &d.res)
 	if err == nil || errors.Is(err, protocol.ErrIncomplete) {
 		res = &d.res
 	}
@@ -236,8 +251,6 @@ func (d *pipeDispatcher) Stats() frontend.Stats {
 	d.statsMu.Lock()
 	s := d.stats
 	d.statsMu.Unlock()
-	if md := int(d.ring.maxDepth.Load()); md > s.MaxQueueDepth {
-		s.MaxQueueDepth = md
-	}
+	s.MaxQueueDepth = int(d.ring.maxDepth.Load())
 	return s
 }

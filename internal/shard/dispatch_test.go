@@ -1,0 +1,486 @@
+package shard
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"detshmem/internal/frontend"
+	"detshmem/internal/obs"
+	"detshmem/internal/protocol"
+)
+
+// These tests drive a pipeDispatcher directly over substituted backends, the
+// only way to pin down which ops land in which batch.
+
+// mapBackend applies batches to a plain map, or fails every batch with err.
+type mapBackend struct {
+	store map[uint64]uint64
+	err   error
+}
+
+func (b *mapBackend) AccessInto(reqs []protocol.Request, res *protocol.Result) error {
+	if b.err != nil {
+		return b.err
+	}
+	if b.store == nil {
+		b.store = make(map[uint64]uint64)
+	}
+	res.Values = make([]uint64, len(reqs))
+	for i, r := range reqs {
+		if r.Op == protocol.Write {
+			b.store[r.Var] = r.Value
+		} else {
+			res.Values[i] = b.store[r.Var]
+		}
+	}
+	return nil
+}
+
+func (*mapBackend) RepairBacklog() int { return 0 }
+func (*mapBackend) RepairStep() bool   { return false }
+
+// probe records every batch on its way to the wrapped backend. When gated,
+// every AccessInto call announces itself on entered and then blocks until
+// the test sends on gate, letting tests hold the flusher inside a flush while
+// they stage the admission ring.
+type probe struct {
+	backend
+	mu      sync.Mutex
+	batches [][]protocol.Request
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func newProbe(b backend, gated bool) *probe {
+	p := &probe{backend: b}
+	if gated {
+		p.entered = make(chan struct{})
+		p.gate = make(chan struct{})
+	}
+	return p
+}
+
+func (p *probe) AccessInto(reqs []protocol.Request, res *protocol.Result) error {
+	if p.gate != nil {
+		p.entered <- struct{}{}
+		<-p.gate
+	}
+	p.mu.Lock()
+	p.batches = append(p.batches, append([]protocol.Request(nil), reqs...))
+	p.mu.Unlock()
+	return p.backend.AccessInto(reqs, res)
+}
+
+// step waits for the flusher to enter its next AccessInto call and releases
+// it.
+func (p *probe) step() {
+	<-p.entered
+	p.gate <- struct{}{}
+}
+
+func (p *probe) recorded() [][]protocol.Request {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.batches
+}
+
+// prime submits one throwaway write of v and waits for the flusher to enter
+// its (idle-triggered) flush, so every op staged afterwards sits in the ring
+// until the primer batch is released and is then admitted in one
+// uninterrupted run.
+func prime(t *testing.T, d *pipeDispatcher, p *probe, v uint64) *frontend.Future {
+	t.Helper()
+	fut, err := d.WriteAsync(v, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-p.entered
+	return fut
+}
+
+func readSync(d *pipeDispatcher, v uint64) (uint64, error) {
+	fut, err := d.ReadAsync(v)
+	if err != nil {
+		return 0, err
+	}
+	return fut.Wait()
+}
+
+func writeSync(d *pipeDispatcher, v, val uint64) error {
+	fut, err := d.WriteAsync(v, val)
+	if err != nil {
+		return err
+	}
+	_, err = fut.Wait()
+	return err
+}
+
+// TestCombiningSemantics drives the full coalescing matrix deterministically:
+// forwarding, last-writer-wins, read combining, and the write-after-read
+// conflict flush.
+func TestCombiningSemantics(t *testing.T) {
+	p := newProbe(&mapBackend{}, true)
+	d := newPipeDispatcher(p, math.MaxUint64, 8, 64, nil, nil)
+	primer := prime(t, d, p, 1<<40)
+
+	// Staged while the flusher is stuck in the primer's flush.
+	w1, _ := d.WriteAsync(1, 10)
+	r1, _ := d.ReadAsync(1) // forwarded: 10
+	w2, _ := d.WriteAsync(1, 20)
+	r2, _ := d.ReadAsync(1)     // forwarded: 20
+	r3, _ := d.ReadAsync(2)     // issued read
+	r4, _ := d.ReadAsync(2)     // combined with r3
+	w3, _ := d.WriteAsync(2, 5) // conflicts with the issued read: flush
+
+	p.gate <- struct{}{} // release the primer batch (already entered)
+	p.step()             // the conflict-flushed combined batch
+	p.step()             // w3's own (idle-flushed) batch
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := primer.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range []struct {
+		fut  *frontend.Future
+		want uint64
+	}{{w1, 0}, {r1, 10}, {w2, 0}, {r2, 20}, {r3, 0}, {r4, 0}, {w3, 0}} {
+		got, err := tc.fut.Wait()
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		if got != tc.want {
+			t.Fatalf("op %d: got %d, want %d", i, got, tc.want)
+		}
+	}
+
+	batches := p.recorded()
+	if len(batches) != 3 {
+		t.Fatalf("got %d batches, want 3: %v", len(batches), batches)
+	}
+	want := []protocol.Request{
+		{Var: 1, Op: protocol.Write, Value: 20},
+		{Var: 2, Op: protocol.Read},
+	}
+	if fmt.Sprint(batches[1]) != fmt.Sprint(want) {
+		t.Fatalf("combined batch %v, want %v", batches[1], want)
+	}
+	if got := batches[2]; len(got) != 1 || got[0] != (protocol.Request{Var: 2, Op: protocol.Write, Value: 5}) {
+		t.Fatalf("post-conflict batch = %v", got)
+	}
+
+	s := d.Stats()
+	if s.ForwardedReads != 2 || s.CombinedReads != 1 || s.CoalescedWrites != 1 {
+		t.Fatalf("stats = %+v", s)
+	}
+	if s.ConflictFlushes != 1 {
+		t.Fatalf("conflict flushes = %d", s.ConflictFlushes)
+	}
+	// 7 staged ops + primer in, 4 requests out (primer, write 1, read 2, write 2).
+	if s.OpsIn != 8 || s.RequestsOut != 4 {
+		t.Fatalf("ops in/out = %d/%d", s.OpsIn, s.RequestsOut)
+	}
+	if s.CombiningRate() != 0.5 {
+		t.Fatalf("combining rate = %v", s.CombiningRate())
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSizeFlush checks the MaxBatch threshold splits a staged run of
+// distinct variables into full batches.
+func TestSizeFlush(t *testing.T) {
+	p := newProbe(&mapBackend{}, true)
+	d := newPipeDispatcher(p, math.MaxUint64, 4, 64, nil, nil)
+	prime(t, d, p, 1<<40)
+	futs := make([]*frontend.Future, 8)
+	for i := range futs {
+		var err error
+		if futs[i], err = d.WriteAsync(uint64(i), uint64(i)+100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.gate <- struct{}{} // release the primer batch (already entered)
+	p.step()             // first full batch of 4
+	p.step()             // second full batch of 4
+	for _, fut := range futs {
+		if _, err := fut.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sizes := []int{}
+	for _, batch := range p.recorded() {
+		sizes = append(sizes, len(batch))
+	}
+	if fmt.Sprint(sizes) != "[1 4 4]" {
+		t.Fatalf("batch sizes = %v, want [1 4 4]", sizes)
+	}
+	if s := d.Stats(); s.SizeFlushes != 2 {
+		t.Fatalf("size flushes = %d", s.SizeFlushes)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBackendErrorFansOut: a failing backend fails every waiter in the
+// batch with the backend's error.
+func TestBackendErrorFansOut(t *testing.T) {
+	boom := errors.New("boom")
+	d := newPipeDispatcher(&mapBackend{err: boom}, math.MaxUint64, 4, 64, nil, nil)
+	if _, err := readSync(d, 7); !errors.Is(err, boom) {
+		t.Fatalf("read error = %v, want boom", err)
+	}
+	if err := writeSync(d, 7, 1); !errors.Is(err, boom) {
+		t.Fatalf("write error = %v, want boom", err)
+	}
+	if s := d.Stats(); s.FailedBatches != 2 {
+		t.Fatalf("failed batches = %d", s.FailedBatches)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOutOfRangeOpFailsAlone: an op naming a variable the mapper does not
+// have is refused by itself. The protocol fails a whole batch on one bad
+// variable, so were the op admitted, every client whose op happened to
+// coalesce with it would fail with an error naming a variable it never sent,
+// and its writes would not be applied.
+func TestOutOfRangeOpFailsAlone(t *testing.T) {
+	t.Run("AccessBatch", func(t *testing.T) {
+		svc := newService(t, 3, Config{}) // S=1, M=84
+		b, err := svc.AccessBatch([]BatchOp{
+			{Write: true, Var: 1, Val: 11},
+			{Write: true, Var: 2, Val: 22},
+			{Var: 89},
+			{Write: true, Var: 3, Val: 33},
+			{Var: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < b.Len(); i++ {
+			got, err := b.Value(i)
+			switch {
+			case i == 2:
+				if !errors.Is(err, protocol.ErrVarOutOfRange) {
+					t.Errorf("op on variable 89: %v, want ErrVarOutOfRange", err)
+				}
+			case err != nil:
+				t.Errorf("op %d failed alongside the bad variable: %v", i, err)
+			case i == 4 && got != 11:
+				t.Errorf("read of 1 in the batch = %d, want 11", got)
+			}
+		}
+		if err := b.Wait(); !errors.Is(err, protocol.ErrVarOutOfRange) {
+			t.Errorf("batch Wait = %v, want the bad op's verdict", err)
+		}
+		for v, want := range map[uint64]uint64{1: 11, 2: 22, 3: 33} {
+			if got, err := svc.Read(v); err != nil || got != want {
+				t.Errorf("read back %d = %d, %v; want %d", v, got, err, want)
+			}
+		}
+	})
+
+	t.Run("two clients, one batch", func(t *testing.T) {
+		m := testMapper(t, 3)
+		sys, err := protocol.NewGenericSystem(m, protocol.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := newProbe(sys, true)
+		d := newPipeDispatcher(p, m.NumVars(), 8, 64, nil, nil)
+		prime(t, d, p, m.NumVars()-1)
+
+		// Both clients stage their windows while the flusher is held in the
+		// primer's flush, so all six ops coalesce into one batch.
+		type window struct{ write, bad, read *frontend.Future }
+		var wins [2]window
+		var wg sync.WaitGroup
+		for c := range wins {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				v := uint64(c + 1)
+				wins[c].write, _ = d.WriteAsync(v, v*10)
+				wins[c].bad, _ = d.ReadAsync(m.NumVars() + 5 + uint64(c))
+				wins[c].read, _ = d.ReadAsync(v)
+			}(c)
+		}
+		wg.Wait()
+		p.gate <- struct{}{} // release the primer batch (already entered)
+		p.step()             // the two clients' coalesced batch
+
+		for c, w := range wins {
+			if _, err := w.bad.Wait(); !errors.Is(err, protocol.ErrVarOutOfRange) {
+				t.Errorf("client %d bad op: %v, want ErrVarOutOfRange", c, err)
+			}
+			if _, err := w.write.Wait(); err != nil {
+				t.Errorf("client %d write failed alongside a bad variable: %v", c, err)
+			}
+			if got, err := w.read.Wait(); err != nil || got != uint64(c+1)*10 {
+				t.Errorf("client %d read = %d, %v; want %d", c, got, err, (c+1)*10)
+			}
+		}
+		batches := p.recorded()
+		if len(batches) != 2 || len(batches[1]) != 2 {
+			t.Fatalf("batches = %v, want the primer and one batch of the two writes", batches)
+		}
+		if s := d.Stats(); s.OpsIn != 5 || s.FailedBatches != 0 {
+			t.Errorf("stats = %+v, want 5 ops in (the refused ops take no place) and no failed batch", s)
+		}
+		for c := range wins {
+			fut, err := d.ReadAsync(uint64(c + 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.step()
+			if got, err := fut.Wait(); err != nil || got != uint64(c+1)*10 {
+				t.Errorf("read back %d = %d, %v", c+1, got, err)
+			}
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestTinyRingBackpressure: a two-slot ring still completes a concurrent
+// workload — submitters block on the full ring instead of failing — and
+// every client reads its own writes back.
+func TestTinyRingBackpressure(t *testing.T) {
+	m := testMapper(t, 3)
+	sys, err := protocol.NewGenericSystem(m, protocol.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newPipeDispatcher(sys, m.NumVars(), 8, 2, nil, nil)
+	defer d.Close()
+	var wg sync.WaitGroup
+	for c := uint64(0); c < 8; c++ {
+		wg.Add(1)
+		go func(c uint64) {
+			defer wg.Done()
+			for i := uint64(0); i < 50; i++ {
+				if err := writeSync(d, c, c<<8|i); err != nil {
+					t.Error(err)
+					return
+				}
+				if got, err := readSync(d, c); err != nil || got != c<<8|i {
+					t.Errorf("client %d read %d, %v; want %d", c, got, err, c<<8|i)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if s := d.Stats(); s.OpsIn != 800 {
+		t.Fatalf("ops in = %d, want 800", s.OpsIn)
+	}
+}
+
+// TestStatsReadYourOps pins the accounting order of flushOne: stats are
+// updated under statsMu BEFORE the flush completes any futures, so once a
+// synchronous write returns, Stats() must already include that operation.
+func TestStatsReadYourOps(t *testing.T) {
+	d := newPipeDispatcher(&mapBackend{}, math.MaxUint64, 4, 64, nil, nil)
+	defer d.Close()
+	for i := 1; i <= 50; i++ {
+		if err := writeSync(d, uint64(i), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Stats().OpsIn; got < int64(i) {
+			t.Fatalf("after write %d returned, Stats().OpsIn = %d: flush completed the future before accounting", i, got)
+		}
+	}
+}
+
+// TestStatsConcurrentWithFlushes hammers Stats from several goroutines
+// while writers drive a steady stream of flushes. Run under -race this
+// pins the snapshot path to the same lock the flusher's accounting takes;
+// the invariant checks catch torn or out-of-order snapshots even without the
+// race detector.
+func TestStatsConcurrentWithFlushes(t *testing.T) {
+	col := obs.NewCollector()
+	d := newPipeDispatcher(&mapBackend{}, math.MaxUint64, 8, 64, col, nil)
+
+	const writers, opsPerWriter, readers = 4, 300, 4
+	var stop atomic.Bool
+	var readersWG, writersWG sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		readersWG.Add(1)
+		go func() {
+			defer readersWG.Done()
+			var lastOps int64
+			for !stop.Load() {
+				s := d.Stats()
+				// Monotonicity: admitted ops never go backwards.
+				if s.OpsIn < lastOps {
+					t.Errorf("OpsIn went backwards: %d after %d", s.OpsIn, lastOps)
+					return
+				}
+				lastOps = s.OpsIn
+				// Every admitted op is exactly one of issued / combined /
+				// coalesced / forwarded — a torn snapshot breaks the sum.
+				if s.RequestsOut+s.CombinedReads+s.CoalescedWrites+s.ForwardedReads != s.OpsIn {
+					t.Errorf("torn snapshot: %d out + %d combined + %d coalesced + %d forwarded != %d in",
+						s.RequestsOut, s.CombinedReads, s.CoalescedWrites, s.ForwardedReads, s.OpsIn)
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		writersWG.Add(1)
+		go func(w int) {
+			defer writersWG.Done()
+			for i := 0; i < opsPerWriter; i++ {
+				v := uint64(w*opsPerWriter + i)
+				if err := writeSync(d, v, v); err != nil {
+					t.Errorf("write: %v", err)
+					return
+				}
+				if i%16 == 0 {
+					if _, err := readSync(d, v); err != nil {
+						t.Errorf("read: %v", err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	writersWG.Wait()
+	stop.Store(true)
+	readersWG.Wait()
+
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := d.Stats()
+	if s.OpsIn < int64(writers*opsPerWriter) {
+		t.Fatalf("final OpsIn %d < %d writes issued", s.OpsIn, writers*opsPerWriter)
+	}
+	if s.RequestsOut+s.CombinedReads+s.CoalescedWrites+s.ForwardedReads != s.OpsIn {
+		t.Fatalf("final stats identity broken: %+v", s)
+	}
+
+	// The collector's dispatcher-side counters must agree with Stats; its
+	// ring depth is sampled, so its high-water mark can only sit below the
+	// exact one.
+	snap := col.Snapshot()
+	flushes := snap["flushes_size_total"] + snap["flushes_idle_total"] +
+		snap["flushes_explicit_total"] + snap["flushes_conflict_total"]
+	if flushes != int64(s.Batches) {
+		t.Fatalf("collector counted %d flushes, Stats.Batches = %d", flushes, s.Batches)
+	}
+	if snap["max_ring_depth"] > int64(s.MaxQueueDepth) {
+		t.Fatalf("collector max ring depth %d above Stats %d", snap["max_ring_depth"], s.MaxQueueDepth)
+	}
+}

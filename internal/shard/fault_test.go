@@ -12,7 +12,7 @@ import (
 	"detshmem/internal/protocol"
 )
 
-// faultService builds a pipelined sharded service whose every shard's
+// faultService builds a sharded service whose every shard's
 // interconnect consults one shared runtime fault set.
 func faultService(t testing.TB, shards int, fs *mpc.FaultSet, pcfg protocol.Config) (*Service, *core.Scheme, core.Indexer) {
 	t.Helper()
@@ -30,7 +30,6 @@ func faultService(t testing.TB, shards int, fs *mpc.FaultSet, pcfg protocol.Conf
 	}
 	svc, err := New(protocol.NewCoreMapper(s, idx), Config{
 		Shards:   shards,
-		Pipeline: true,
 		MaxBatch: 16,
 		Protocol: pcfg,
 	})
@@ -40,11 +39,10 @@ func faultService(t testing.TB, shards int, fs *mpc.FaultSet, pcfg protocol.Conf
 	return svc, s, idx
 }
 
-// TestShardDegradedBatch pins degraded-mode serving on the pipelined
-// dispatcher: with the victim variable's modules failed, the victim's
-// future fails with the quorum verdict while healthy operations admitted
-// into the same shard's stream commit normally, and the aggregated stats
-// count the stranding.
+// TestShardDegradedBatch pins degraded-mode serving: with the victim
+// variable's modules failed, the victim's future fails with the quorum
+// verdict while healthy operations admitted into the same shard's stream
+// commit normally, and the aggregated stats count the stranding.
 func TestShardDegradedBatch(t *testing.T) {
 	fs := mpc.NewFaultSet()
 	svc, s, idx := faultService(t, 2, fs, protocol.Config{})
@@ -98,7 +96,7 @@ func TestShardDegradedBatch(t *testing.T) {
 	}
 
 	if _, err := vf.Wait(); !errors.Is(err, protocol.ErrQuorumUnreachable) {
-		t.Fatalf("victim verdict on pipelined dispatcher: %v", err)
+		t.Fatalf("victim verdict: %v", err)
 	}
 	for i, f := range hf {
 		v, err := f.Wait()

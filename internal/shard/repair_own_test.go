@@ -42,7 +42,6 @@ func ownedRepairCycle(t *testing.T, shards int) (copies, rounds, want int64) {
 	}
 	svc, err := New(protocol.NewCoreMapper(s, idx), Config{
 		Shards:    shards,
-		Pipeline:  true,
 		Observe:   true,
 		MaxBatch:  32, // small machines, so a sweep is many full waves
 		Transport: func(i int) protocol.Transport { return failingTransport{fsets[i]} },

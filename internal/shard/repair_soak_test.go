@@ -44,7 +44,6 @@ func TestChurnSoakRepair(t *testing.T) {
 	}
 	svc, err := New(protocol.NewCoreMapper(s, idx), Config{
 		Shards:   2,
-		Pipeline: true,
 		MaxBatch: 32,
 		Audit:    consistency.AuditConfig{Rate: 1},
 		Protocol: protocol.Config{

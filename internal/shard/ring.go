@@ -72,7 +72,7 @@ const unsafe_ringOpSize = 40
 //
 //   - Full ring (backpressure): the producer that claimed a not-yet-freed
 //     slot spins briefly, then sleeps on fullCond until the consumer frees
-//     its slot. Bounded memory, like the old maxPending rule.
+//     its slot. That bounds admitted-but-uncommitted memory.
 //   - Empty ring: the consumer sets parked and sleeps on the kick channel;
 //     the producer that publishes into an empty ring CASes parked down and
 //     sends one token. The parked store and the slot re-check in park(),

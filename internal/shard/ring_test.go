@@ -342,7 +342,7 @@ func FuzzRing(f *testing.F) {
 // TestRingDepthObservability checks the ring's high-water mark reaches
 // Stats().MaxQueueDepth and the collector's park/wake counters move.
 func TestRingDepthObservability(t *testing.T) {
-	svc := newService(t, 3, Config{Shards: 1, Pipeline: true, MaxBatch: 8, Observe: true})
+	svc := newService(t, 3, Config{Shards: 1, MaxBatch: 8, Observe: true})
 	for i := 0; i < 64; i++ {
 		if err := svc.Write(uint64(i), uint64(i)); err != nil {
 			t.Fatal(err)

@@ -1,37 +1,43 @@
-// Package shard scales the combining frontend past the single-dispatcher
-// ceiling. PP93's scheme is embarrassingly parallel across disjoint
-// variable sets — any partition of the M variables can be served by
-// independent MPC instances — so the Service partitions the variable space
-// over S independent protocol.System instances (each with its own MPC
-// machine, all sharing one compiled resolver when the table fits) behind a
-// stateless router: every operation on variable v goes to shard Route(v).
+// Package shard is the concurrent serving layer over the paper's batch
+// protocol: protocol.System.AccessInto serves one batch of pairwise-distinct
+// variables and is not safe for concurrent use, while real clients are many
+// goroutines issuing reads and writes whenever they like, often to the same
+// hot variables. A Service turns the one into the other. PP93's scheme is
+// embarrassingly parallel across disjoint variable sets — any partition of
+// the M variables can be served by independent MPC instances — so the
+// Service partitions the variable space over S independent protocol.System
+// instances (each with its own MPC machine, all sharing one compiled
+// resolver when the table fits) behind a stateless router: every operation
+// on variable v goes to shard Route(v). New(m, Config{}) is the single-shard
+// combining service.
 //
 // # Consistency contract
 //
 // The Service is linearizable per variable, not across variables. All
 // operations on one variable land on the same shard, whose dispatcher
-// serializes them — admission order is commit order, exactly as in
-// internal/frontend — so a read always observes the latest committed write
-// of the same variable, and Future.Seq orders operations within a shard.
-// Operations on different variables that route to different shards have no
-// mutual order: there is no cross-shard commit sequence, which is the price
-// of scaling. Programs needing a cross-variable happens-before must either
-// keep the variables on one shard (S=1) or synchronize externally. The
-// differential oracle test replays each shard's commit sequence
-// independently.
+// serializes them — admission order is commit order — so a read always
+// observes the latest committed write of the same variable, and Future.Seq
+// orders operations within a shard. At S=1 that is a total order over every
+// operation. Operations on different variables that route to different
+// shards have no mutual order: there is no cross-shard commit sequence,
+// which is the price of scaling. Programs needing a cross-variable
+// happens-before must either keep the variables on one shard (S=1) or
+// synchronize externally. The differential oracle test replays each shard's
+// commit sequence independently.
 //
-// # Pipelined dispatch
+// # Dispatch
 //
-// With Config.Pipeline, each shard runs the lock-free dispatcher
-// (dispatch.go): clients admit operations into a bounded MPSC ring
-// (ring.go) with one atomic fetch-add plus one publishing store — no
-// admission mutex — while the shard's flusher goroutine, the ring's single
-// consumer, drains whole published windows per sweep, coalesces them into
-// the accumulating batch, and drives sealed batches through the backend's
-// allocation-free AccessInto path. Batch k+1 admits while batch k is still
-// in the backend, and the per-op channel hop through a dispatcher
-// goroutine is gone. Without Pipeline, each shard wraps a classic
-// channel-dispatcher frontend.Frontend, kept as the measured baseline.
+// Each shard runs one lock-free dispatcher (dispatch.go): clients admit
+// operations into a bounded MPSC ring (ring.go) with one atomic fetch-add
+// plus one publishing store — no admission mutex, no per-op channel hop —
+// while the shard's flusher goroutine, the ring's single consumer, drains
+// whole published windows per sweep, coalesces them into the accumulating
+// batch by internal/frontend's combining rules, and drives sealed batches
+// through the backend's allocation-free AccessInto path. A batch is flushed
+// when it reaches MaxBatch distinct variables, when a write meets an issued
+// read of its variable, when the ring runs dry (so latency stays bounded
+// without timers), or on an explicit Flush. The ring is bounded: admission
+// blocks (briefly spins, then sleeps) while it is full.
 //
 // # Cross-shard batches
 //
@@ -55,28 +61,19 @@ type Config struct {
 	// Shards is S, the number of independent protocol systems. 0 defaults
 	// to 1.
 	Shards int
-	// Pipeline selects the direct-admission double-buffered dispatcher per
-	// shard; false wraps a classic frontend.Frontend per shard.
+	// Pipeline is never read.
+	//
+	// Deprecated: it used to choose between two dispatchers; the ring
+	// dispatcher it selected is the only one. The field is still declared
+	// because the frozen benchmark suite (bench/stack.go) sets it, and goes
+	// with the benchmark PR that drops that mention.
 	Pipeline bool
 	// MaxBatch is the per-shard flush threshold in distinct variables.
 	// 0 defaults to the mapper's module count N (the largest batch the
-	// protocol accepts, so New rejects more).
+	// protocol accepts, so New rejects more). The admission ring holds
+	// 3×MaxBatch operations — roughly one batch flushing, one sealed, one
+	// accumulating — clamped to [64, 4096] slots.
 	MaxBatch int
-	// QueueCap bounds each shard's submission queue (channel dispatcher
-	// only). 0 defaults to frontend's 4×MaxBatch.
-	QueueCap int
-	// MaxPending bounds admitted-but-unflushed work per shard (pipelined
-	// dispatcher only): it sizes the default admission-ring capacity at
-	// MaxBatch×(MaxPending+1) operations, clamped to [64, 4096] slots.
-	// Admission blocks (briefly spins, then sleeps) once the ring is full.
-	// 0 defaults to 2 — roughly one batch flushing, one sealed, one
-	// accumulating, as in the mutex-based dispatcher this replaced.
-	MaxPending int
-	// RingCap, when > 0, sets the pipelined admission-ring capacity in
-	// operations directly (rounded up to a power of two), overriding the
-	// MaxPending-derived default. Small rings sharpen backpressure; large
-	// rings absorb burstier admission.
-	RingCap int
 	// Protocol is the template for every shard's system. If its Resolver is
 	// nil and its Strategy the zero value, the mapper's size decides
 	// (protocol.TableFits): one table is compiled and shared by all shards
@@ -107,26 +104,17 @@ type Config struct {
 	Transport func(shard int) protocol.Transport
 }
 
-// Service is the sharded frontend. All methods are safe for concurrent use.
+// Service is the sharded combining service. All methods are safe for
+// concurrent use.
 type Service struct {
 	shards []*shardState
-}
-
-// dispatcher is the per-shard admission surface; *frontend.Frontend and
-// *pipeDispatcher both implement it.
-type dispatcher interface {
-	ReadAsync(v uint64) (*frontend.Future, error)
-	WriteAsync(v, val uint64) (*frontend.Future, error)
-	Flush() error
-	Close() error
-	Stats() frontend.Stats
 }
 
 type shardState struct {
 	sys *protocol.System
 	col *obs.Collector       // nil unless Config.Observe
 	aud *consistency.Auditor // nil unless Config.Audit.Rate > 0
-	d   dispatcher
+	d   *pipeDispatcher
 }
 
 // New builds a sharded service over one memory organization. Every shard
@@ -154,25 +142,9 @@ func New(m protocol.Mapper, cfg Config) (*Service, error) {
 	if uint64(cfg.MaxBatch) > m.NumModules() {
 		return nil, fmt.Errorf("shard: MaxBatch %d exceeds the %d modules (N) one protocol batch can address", cfg.MaxBatch, m.NumModules())
 	}
-	if cfg.MaxPending < 0 {
-		return nil, fmt.Errorf("shard: MaxPending %d must not be negative", cfg.MaxPending)
-	}
-	if cfg.MaxPending == 0 {
-		cfg.MaxPending = 2
-	}
-	if cfg.RingCap < 0 || cfg.RingCap > 1<<20 {
-		return nil, fmt.Errorf("shard: RingCap %d out of range [0, %d]", cfg.RingCap, 1<<20)
-	}
-	ringCap := cfg.RingCap
-	if ringCap == 0 {
-		ringCap = cfg.MaxBatch * (cfg.MaxPending + 1)
-		if ringCap < 64 {
-			ringCap = 64
-		}
-		if ringCap > 4096 {
-			ringCap = 4096
-		}
-	}
+	// Three batches' worth of operations: one flushing, one sealed, one
+	// accumulating.
+	ringCap := min(max(3*cfg.MaxBatch, 64), 4096)
 	pcfg := cfg.Protocol
 	if pcfg.Strategy == protocol.ResolverAuto && pcfg.Resolver == nil && protocol.TableFits(m) {
 		r, err := protocol.CompileMapper(m, protocol.CompileOptions{})
@@ -213,7 +185,7 @@ func New(m protocol.Mapper, cfg Config) (*Service, error) {
 		// One auditor per shard: the audited per-variable histories stay
 		// complete because routing pins every operation on a variable to
 		// one shard. The interface value is only set when auditing is on —
-		// a typed nil would defeat the dispatchers' nil checks.
+		// a typed nil would defeat the dispatcher's nil check.
 		var aud frontend.Auditor
 		if cfg.Audit.Rate > 0 {
 			acfg := cfg.Audit
@@ -221,21 +193,7 @@ func New(m protocol.Mapper, cfg Config) (*Service, error) {
 			st.aud = consistency.NewAuditor(acfg)
 			aud = st.aud
 		}
-		if cfg.Pipeline {
-			st.d = newPipeDispatcher(sys, cfg.MaxBatch, ringCap, st.col, aud)
-		} else {
-			fe, err := frontend.New(sys, frontend.Config{
-				MaxBatch:  cfg.MaxBatch,
-				QueueCap:  cfg.QueueCap,
-				Collector: st.col,
-				Auditor:   aud,
-			})
-			if err != nil {
-				sys.Close()
-				return fail(i, fmt.Errorf("shard %d: %w", i, err))
-			}
-			st.d = fe
-		}
+		st.d = newPipeDispatcher(sys, m.NumVars(), cfg.MaxBatch, ringCap, st.col, aud)
 		s.shards[i] = st
 	}
 	return s, nil
@@ -378,7 +336,8 @@ func (s *Service) AuditStats() consistency.AuditStats {
 // committed ops ("shardN_ops_committed"), the max/mean imbalance ratio
 // ×1000 ("shard_imbalance_milli"), and a histogram of the per-shard op
 // counts ("shard_ops_count"/"shard_ops_sum") so skew is visible without
-// Prometheus. Empty without Config.Observe.
+// Prometheus. Without Config.Observe there are no collectors, and the
+// snapshot holds the service-level aggregates alone.
 func (s *Service) Snapshot() map[string]int64 {
 	out := make(map[string]int64)
 	st := s.Stats()
@@ -389,9 +348,6 @@ func (s *Service) Snapshot() map[string]int64 {
 		}
 		out[fmt.Sprintf("shard%d_ops_committed", i)] = st.PerShard[i].OpsIn
 		hist.Observe(st.PerShard[i].OpsIn)
-	}
-	if len(out) == 0 {
-		return out
 	}
 	out["shard_imbalance_milli"] = int64(st.Imbalance() * 1000)
 	out["shard_ops_count"] = hist.Count()
