@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
-	"runtime"
-	"sync"
 	"testing"
 
 	"detshmem/internal/affine"
@@ -18,17 +15,19 @@ import (
 	"detshmem/internal/experiments"
 	"detshmem/internal/frontend"
 	"detshmem/internal/mpc"
-	"detshmem/internal/netmpc"
 	"detshmem/internal/network"
 	"detshmem/internal/pram"
 	"detshmem/internal/protocol"
-	"detshmem/internal/shard"
 	"detshmem/internal/workload"
 )
 
-// The benchmarks below regenerate the measured side of every experiment in
-// DESIGN.md's per-experiment index (E1–E15), plus the ablations. Each bench
-// reports domain metrics (MPC rounds, Φ) alongside ns/op.
+// The benchmarks below regenerate the measured side of the paper-reproduction
+// experiments in DESIGN.md's per-experiment index (E1–E14), plus the
+// ablations and the micro-loops of the serving path's hot structures. Each
+// bench reports domain metrics (MPC rounds, Φ) alongside ns/op. They are tools
+// to profile with, not a gate: the serving path end to end is measured — and
+// every PR judged — by the bench/ module (EXPERIMENTS.md E29 maps each
+// serving-path family that used to live here to its workload).
 
 func mustScheme(b *testing.B, m, n int) (*core.Scheme, core.Indexer) {
 	b.Helper()
@@ -164,8 +163,7 @@ func BenchmarkE5Recurrence(b *testing.B) {
 }
 
 // hotPathVariants enumerates the resolver ablation: live CopyAddr resolution
-// and the compiled table. The labels are the ones the bench-regression gate
-// matches against its base run.
+// and the compiled table, labelled as E16's rows are.
 func hotPathVariants(b *testing.B, m, n int) []struct {
 	name string
 	cfg  protocol.Config
@@ -180,8 +178,6 @@ func hotPathVariants(b *testing.B, m, n int) []struct {
 		name string
 		cfg  protocol.Config
 	}{
-		// Computed, not the zero value: shard.New compiles a table of its own
-		// for a mapper this size when the strategy leaves it the choice.
 		{"live+seq", protocol.Config{Strategy: protocol.ResolverComputed}},
 		{"compiled+seq", protocol.Config{Resolver: res}},
 	}
@@ -378,61 +374,6 @@ func BenchmarkAblationArbitration(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCopyChoice compares the paper's all-copies-with-
-// cancellation rule against fixed-quorum targeting.
-func BenchmarkAblationCopyChoice(b *testing.B) {
-	for name, pol := range map[string]protocol.CopyPolicy{
-		"all-cancel":     protocol.PolicyAllCancel,
-		"fixed-majority": protocol.PolicyFixedMajority,
-	} {
-		pol := pol
-		b.Run(name, func(b *testing.B) {
-			sys := mustSystem(b, 1, 5, protocol.Config{Policy: pol})
-			N := int(sys.Scheme.NumModules)
-			rng := rand.New(rand.NewSource(10))
-			vars := workload.DistinctRandom(rng, sys.Index.M(), N)
-			vals := make([]uint64, N)
-			var phi, rounds int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				met, err := sys.WriteBatch(vars, vals)
-				if err != nil {
-					b.Fatal(err)
-				}
-				phi, rounds = met.MaxIterations, met.TotalRounds
-			}
-			b.ReportMetric(float64(phi), "phi")
-			b.ReportMetric(float64(rounds), "rounds")
-		})
-	}
-}
-
-// BenchmarkAblationClusterSize shows the effect of decoupling cluster size
-// from the copy count (larger clusters = fewer concurrent variables,
-// more phases).
-func BenchmarkAblationClusterSize(b *testing.B) {
-	for _, cs := range []int{3, 6, 12} {
-		cs := cs
-		b.Run(fmt.Sprintf("cluster=%d", cs), func(b *testing.B) {
-			sys := mustSystem(b, 1, 5, protocol.Config{ClusterSize: cs})
-			N := int(sys.Scheme.NumModules)
-			rng := rand.New(rand.NewSource(12))
-			vars := workload.DistinctRandom(rng, sys.Index.M(), N)
-			vals := make([]uint64, N)
-			var rounds int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				met, err := sys.WriteBatch(vars, vals)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rounds = met.TotalRounds
-			}
-			b.ReportMetric(float64(rounds), "rounds")
-		})
-	}
-}
-
 // BenchmarkExperimentTables regenerates every E-table in quick mode (the
 // bench-driven path to the same outputs cmd/smembench prints).
 func BenchmarkExperimentTables(b *testing.B) {
@@ -549,217 +490,6 @@ func BenchmarkE14Audit(b *testing.B) {
 	}
 }
 
-// benchClients is the client side of the serving-path benchmarks: 8
-// goroutines split b.N operations (every third a write) over HotSpot streams
-// seeded from seed — hotP is the probability of hitting the 16-variable hot
-// set — submitting asynchronously and waiting in windows of 64. It resets the
-// timer before the first submission.
-func benchClients(b *testing.B, svc *shard.Service, vars uint64, seed int64, hotP float64) {
-	const clients, window = 8, 64
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(c) + seed))
-			stream := workload.HotSpot(rng, vars, (b.N+clients-1)/clients, 16, hotP)
-			pending := make([]*frontend.Future, 0, window)
-			drain := func() bool {
-				for _, fut := range pending {
-					if _, err := fut.Wait(); err != nil {
-						b.Error(err)
-						return false
-					}
-				}
-				pending = pending[:0]
-				return true
-			}
-			for i, v := range stream {
-				var fut *frontend.Future
-				var err error
-				if i%3 == 0 {
-					fut, err = svc.WriteAsync(v, uint64(i))
-				} else {
-					fut, err = svc.ReadAsync(v)
-				}
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				pending = append(pending, fut)
-				if len(pending) == window && !drain() {
-					return
-				}
-			}
-			drain()
-		}(c)
-	}
-	wg.Wait()
-}
-
-// BenchmarkE15Frontend measures request combining at a single shard: 8
-// concurrent clients submitting asynchronous hot-spot traffic over the PP93
-// system, reporting the fraction of ops that never became protocol requests.
-// Variants cover the resolver ablation (see E16).
-func BenchmarkE15Frontend(b *testing.B) {
-	s, idx := mustScheme(b, 1, 5)
-	mapper := protocol.NewCoreMapper(s, idx)
-	workloads := []struct {
-		name string
-		p    float64
-	}{
-		{"hot-spot", 0.85},
-		{"uniform", 0},
-	}
-	for _, variant := range hotPathVariants(b, 1, 5) {
-		for _, wl := range workloads {
-			wl := wl
-			b.Run(variant.name+"/"+wl.name, func(b *testing.B) {
-				svc, err := shard.New(mapper, shard.Config{Protocol: variant.cfg})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer svc.Close()
-				benchClients(b, svc, mapper.NumVars(), 42, wl.p)
-				b.ReportMetric(svc.Stats().Total.CombiningRate(), "combined/op")
-			})
-		}
-	}
-}
-
-// BenchmarkE18ShardedFrontend measures the sharded execution layer at CI
-// scale (n=5): concurrent clients drive async windows against the service
-// and every sub-benchmark name carries "sharded" so the bench-regression
-// gate can track the family. S=1 is the single-dispatcher baseline. E18 is
-// the full-scale (n=7) sweep behind BENCH_PR4.json.
-func BenchmarkE18ShardedFrontend(b *testing.B) {
-	s, idx := mustScheme(b, 1, 5)
-	mapper := protocol.NewCoreMapper(s, idx)
-	res, err := protocol.CompileMapper(mapper, protocol.CompileOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	workloads := []struct {
-		name string
-		p    float64
-	}{
-		{"uniform", 0},
-		{"hot-spot", 0.85},
-	}
-	for _, shards := range []int{1, 4} {
-		for _, wl := range workloads {
-			wl := wl
-			b.Run(fmt.Sprintf("sharded/S=%d/%s", shards, wl.name), func(b *testing.B) {
-				svc, err := shard.New(mapper, shard.Config{
-					Shards:   shards,
-					Protocol: protocol.Config{Resolver: res},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer svc.Close()
-				benchClients(b, svc, mapper.NumVars(), 18, wl.p)
-				st := svc.Stats()
-				b.ReportMetric(st.Total.CombiningRate(), "combined/op")
-				b.ReportMetric(st.Imbalance(), "imbalance")
-			})
-		}
-	}
-}
-
-// benchBatchedClients is benchClients through the cross-shard batch API:
-// each window is one AccessBatch call.
-func benchBatchedClients(b *testing.B, svc *shard.Service, vars uint64, seed int64) {
-	const clients, window = 8, 64
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(c) + seed))
-			stream := workload.HotSpot(rng, vars, (b.N+clients-1)/clients, 16, 0)
-			ops := make([]shard.BatchOp, 0, window)
-			flush := func() bool {
-				if len(ops) == 0 {
-					return true
-				}
-				batch, err := svc.AccessBatch(ops)
-				if err == nil {
-					err = batch.Wait()
-				}
-				if err != nil {
-					b.Error(err)
-					return false
-				}
-				ops = ops[:0]
-				return true
-			}
-			for i, v := range stream {
-				if i%3 == 0 {
-					ops = append(ops, shard.BatchOp{Write: true, Var: v, Val: uint64(i)})
-				} else {
-					ops = append(ops, shard.BatchOp{Var: v})
-				}
-				if len(ops) == window && !flush() {
-					return
-				}
-			}
-			flush()
-		}(c)
-	}
-	wg.Wait()
-}
-
-// BenchmarkE21MulticoreScaling measures the lock-free execution layer under
-// an explicit GOMAXPROCS sweep at CI scale (n=5): the per-op path and the
-// cross-shard AccessBatch path, each at 1 and 4 procs. Sub-benchmark names
-// carry both "sharded" and "procs=" so the bench-regression gate's family
-// regex and the parallel-variant requirement match them. E21 is the
-// full-scale (n=7) sweep behind BENCH_PR7.json.
-func BenchmarkE21MulticoreScaling(b *testing.B) {
-	s, idx := mustScheme(b, 1, 5)
-	mapper := protocol.NewCoreMapper(s, idx)
-	res, err := protocol.CompileMapper(mapper, protocol.CompileOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	configs := []struct {
-		name    string
-		shards  int
-		batched bool
-	}{
-		{"S=4", 4, false},
-		{"S=4/batched", 4, true},
-	}
-	for _, procs := range []int{1, 4} {
-		for _, cfg := range configs {
-			cfg := cfg
-			b.Run(fmt.Sprintf("sharded/%s/procs=%d", cfg.name, procs), func(b *testing.B) {
-				prev := runtime.GOMAXPROCS(procs)
-				defer runtime.GOMAXPROCS(prev)
-				svc, err := shard.New(mapper, shard.Config{
-					Shards:   cfg.shards,
-					Protocol: protocol.Config{Resolver: res},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer svc.Close()
-				if cfg.batched {
-					benchBatchedClients(b, svc, mapper.NumVars(), 21)
-				} else {
-					benchClients(b, svc, mapper.NumVars(), 21, 0)
-				}
-				st := svc.Stats()
-				b.ReportMetric(st.Total.CombiningRate(), "combined/op")
-				b.ReportMetric(float64(st.Total.MaxQueueDepth), "maxdepth")
-			})
-		}
-	}
-}
-
 // BenchmarkE11FailureMasking measures a full batch with one failed module
 // (the masked-failure fast path).
 func BenchmarkE11FailureMasking(b *testing.B) {
@@ -808,172 +538,6 @@ func BenchmarkPRAMBitonicSort(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkE22NetTransport measures the MPC transport boundary at CI scale
-// (n=5): the same windowed 8-client workload over the in-process machine
-// and over a 4-server loopback TCP cluster (internal/netmpc). Sub-benchmark
-// names carry "transport=" so the bench-regression gate can require both
-// variants; the tcp/inproc ratio is the round-trip cost of networking the
-// module servers. E22 is the full-scale (n=7) run behind BENCH_PR8.json.
-func BenchmarkE22NetTransport(b *testing.B) {
-	s, idx := mustScheme(b, 1, 5)
-	mapper := protocol.NewCoreMapper(s, idx)
-	res, err := protocol.CompileMapper(mapper, protocol.CompileOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, tr protocol.Transport) {
-		cfg := shard.Config{
-			Protocol: protocol.Config{Resolver: res},
-		}
-		if tr != nil {
-			cfg.Transport = func(int) protocol.Transport { return tr }
-		}
-		svc, err := shard.New(mapper, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer svc.Close()
-		benchClients(b, svc, mapper.NumVars(), 22, 0)
-	}
-	b.Run("transport=inproc", func(b *testing.B) { run(b, nil) })
-	b.Run("transport=tcp", func(b *testing.B) {
-		const nServers = 4
-		addrs := make([]string, nServers)
-		for i := 0; i < nServers; i++ {
-			lo, hi := netmpc.Range(i, nServers, int64(s.NumModules))
-			sv := netmpc.NewServer(netmpc.ServerConfig{
-				Q: s.Q, N: uint32(s.Deg), Modules: s.NumModules,
-				AddrSpace: s.NumModules * uint64(s.ModuleSize),
-				RangeLo:   uint64(lo), RangeHi: uint64(hi),
-			})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			go sv.Serve(ln)
-			defer sv.Close()
-			addrs[i] = ln.Addr().String()
-		}
-		tr, err := netmpc.Dial(netmpc.Config{
-			Servers: addrs, Q: s.Q, N: uint32(s.Deg),
-			Modules:   int64(s.NumModules),
-			AddrSpace: s.NumModules * uint64(s.ModuleSize),
-			StoreID:   7,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer tr.Close()
-		run(b, tr)
-	})
-}
-
-// BenchmarkE23Resolver measures the address-resolution strategies behind E23
-// at CI scale (q=2, n=5): one 256-variable Zipf block resolved into full copy
-// rows per iteration, through the live per-op path, the batched computed
-// kernels and the compiled table. Sub-benchmark names carry "resolver=" so
-// the bench-regression gate can require the computed and compiled variants;
-// allocation counts pin the batched path's zero-steady-state-alloc property.
-// E23 is the full-scale large-(q, n) sweep.
-func BenchmarkE23Resolver(b *testing.B) {
-	s, idx := mustScheme(b, 1, 5)
-	mp := protocol.NewCoreMapper(s, idx)
-	copies := mp.Copies()
-	const block = 256
-	stream := workload.Zipf(rand.New(rand.NewSource(23)), s.NumVariables, block, 1.1)
-	bm := make([]uint64, 0, block*copies)
-	ba := make([]uint64, 0, block*copies)
-	var sink uint64
-	b.Run("resolver=per-op", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, v := range stream {
-				for c := 0; c < copies; c++ {
-					mod, addr := mp.CopyAddr(v, c)
-					sink += mod + addr
-				}
-			}
-		}
-	})
-	b.Run("resolver=computed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bm, ba = protocol.AppendCopyAddrs(mp, bm[:0], ba[:0], stream, copies)
-			sink += bm[0] + ba[len(ba)-1]
-		}
-	})
-	b.Run("resolver=compiled", func(b *testing.B) {
-		res, err := protocol.CompileMapper(mp, protocol.CompileOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			bm, ba = protocol.AppendCopyAddrs(res, bm[:0], ba[:0], stream, copies)
-			sink += bm[0] + ba[len(ba)-1]
-		}
-	})
-	_ = sink
-}
-
-// BenchmarkE24Repair measures the self-healing repair cycle behind E24 at CI
-// scale (q=2, n=5): each iteration wipes one module, re-admits it, and runs
-// a fixed read/write block to completion. With repair=on the module comes
-// back through RecoverPending — barred from read quorums until the
-// background sweep has rebuilt and certified its copies, which the
-// iteration drains to empty — so ns/op carries the full rebuild cost. With
-// repair=off the module is legacy-Recovered straight to live and the same
-// block runs with no repair work: the delta is the price of never serving a
-// stale copy. Sub-benchmark names carry "repair=" for the bench-regression
-// gate.
-func BenchmarkE24Repair(b *testing.B) {
-	run := func(b *testing.B, repair bool) {
-		s, idx := mustScheme(b, 1, 5)
-		fs := mpc.NewFaultSet()
-		sys, err := protocol.NewSystem(s, idx, protocol.Config{
-			MaxIterationsPerPhase: 2048,
-			NewMachine: func(cfg mpc.Config) (protocol.Machine, error) {
-				return mpc.NewFailingShared(cfg, fs)
-			},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		const block = 64
-		vars := make([]uint64, block)
-		vals := make([]uint64, block)
-		for i := range vars {
-			vars[i] = uint64(i*7+3) % s.NumVariables
-			vals[i] = uint64(i + 1)
-		}
-		if _, err := sys.WriteBatch(vars, vals); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m := uint64(i) % s.NumModules
-			fs.Fail(m)
-			if repair {
-				fs.RecoverPending(m)
-			} else {
-				fs.Recover(m)
-			}
-			if _, err := sys.WriteBatch(vars, vals); err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := sys.ReadBatch(vars); err != nil {
-				b.Fatal(err)
-			}
-			for fs.RepairCount() > 0 {
-				if !sys.RepairStep() {
-					b.Fatalf("repair stalled with backlog %d", fs.RepairCount())
-				}
-			}
-		}
-	}
-	b.Run("repair=on", func(b *testing.B) { run(b, true) })
-	b.Run("repair=off", func(b *testing.B) { run(b, false) })
 }
 
 // BenchmarkFaultSetRange measures what taking a server's range down and

@@ -4,20 +4,19 @@
 //
 // Usage:
 //
-//	smembench [-exp e1,e4,...] [-quick] [-seed N] [-json] [-jsonout FILE]
-//	          [-maxprocs P1,P2,...] [-shards S] [-faults F]
-//	          [-faultsched SCHED] [-trace FILE] [-tracecap N] [-pprof ADDR]
+//	smembench [-exp e1,e4,...] [-quick] [-seed N] [-jsonout FILE]
+//	          [-shards S] [-faults F] [-faultsched SCHED]
+//	          [-trace FILE] [-tracecap N] [-pprof ADDR]
 //	          [-transport inproc|tcp] [-servers A1,A2,...]
 //	          [-resolver compiled|computed]
 //
-// -maxprocs sweeps GOMAXPROCS: the selected experiments run once per listed
-// value. With more than one value, each pass's JSON output gets a ".procsN"
-// suffix before the extension so sweep points do not overwrite each other.
-//
-// With no -exp it runs everything in order. -json makes JSON-capable
-// experiments also write machine-readable results, each to its own default
-// path (E16 to BENCH_PR2.json, E18 to BENCH_PR4.json, E19 to
-// BENCH_PR5.json); -jsonout overrides the path for all of them.
+// With no -exp it runs everything in order; an id that names no experiment is
+// an error before anything runs. The experiments' results are their printed
+// tables. The repository's benchmark — fixed workloads, one result schema,
+// the regression gate — is the bench/ module (go run -C bench .), not this
+// command. -jsonout makes E22 or E24 also write its rows as JSON, which
+// cmd/netcluster reads back to re-check their gates; each writes the whole
+// file, so the flag needs exactly one of the two selected.
 //
 // -shards pins E18's sharded sweep to a single shard count (plus its S=1
 // baseline) instead of the full S sweep — the quick way to profile one
@@ -61,8 +60,7 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
-	"runtime"
-	"strconv"
+	"sort"
 	"strings"
 	"time"
 
@@ -129,11 +127,9 @@ func newShardTrace(label string, st shard.Stats) shardTrace {
 func main() {
 	var (
 		expFlag  = flag.String("exp", "", "comma-separated experiment ids (e1..e24); empty = all")
-		maxprocs = flag.String("maxprocs", "", "comma-separated GOMAXPROCS values; the selected experiments run once per value (JSON outputs get a .procsN suffix)")
 		quick    = flag.Bool("quick", false, "shrink sweeps for a fast run")
 		seed     = flag.Int64("seed", 0, "workload RNG seed (0 = default)")
-		jsonOut  = flag.Bool("json", false, "write machine-readable results where supported (e16, e18, e19)")
-		jsonF    = flag.String("jsonout", "", "override the per-experiment -json output path")
+		jsonF    = flag.String("jsonout", "", "also write the rows of e22 or e24 (exactly one must be selected) to this JSON file")
 		shards   = flag.Int("shards", 0, "pin e18 to one shard count S (0 = full sweep)")
 		faults   = flag.Int("faults", 0, "pin e19's failed-module sweep to {0, F} (0 = full ladder)")
 		fsched   = flag.String("faultsched", "", "e19 dynamic fault schedule (\"churn\" = rolling single-module fail/recover)")
@@ -146,16 +142,14 @@ func main() {
 	)
 	flag.Parse()
 
-	want := map[string]bool{}
-	if *expFlag != "" {
-		for _, id := range strings.Split(*expFlag, ",") {
-			want[strings.TrimSpace(strings.ToLower(id))] = true
-		}
+	selected, err := selectExperiments(experiments.All(), *expFlag, *jsonF)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "smembench: %v\n", err)
+		os.Exit(2)
 	}
 	opts := experiments.Options{
 		Quick:      *quick,
 		Seed:       *seed,
-		JSON:       *jsonOut,
 		JSONPath:   *jsonF,
 		Shards:     *shards,
 		Faults:     *faults,
@@ -206,48 +200,14 @@ func main() {
 		fmt.Printf("serving pprof/expvar/metrics on %s\n\n", *pprofA)
 	}
 
-	procsList, err := parseMaxProcs(*maxprocs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "smembench: %v\n", err)
-		os.Exit(2)
-	}
-
-	ran := 0
-	for _, procs := range procsList {
-		o := opts
-		if procs > 0 {
-			runtime.GOMAXPROCS(procs)
-			fmt.Printf("### GOMAXPROCS=%d ###\n\n", procs)
-			if len(procsList) > 1 {
-				// One JSON per sweep point; a single pinned value keeps the
-				// plain path so scripts need not know about the suffix.
-				o.JSONSuffix = fmt.Sprintf(".procs%d", procs)
-			}
+	for _, r := range selected {
+		fmt.Printf("=== %s: %s ===\n", strings.ToUpper(r.ID), r.Title)
+		start := time.Now()
+		if err := r.Run(os.Stdout, opts); err != nil {
+			fmt.Fprintf(os.Stderr, "%s failed: %v\n", r.ID, err)
+			os.Exit(1)
 		}
-		for _, r := range experiments.All() {
-			if len(want) > 0 && !want[r.ID] {
-				continue
-			}
-			fmt.Printf("=== %s: %s ===\n", strings.ToUpper(r.ID), r.Title)
-			start := time.Now()
-			if err := r.Run(os.Stdout, o); err != nil {
-				fmt.Fprintf(os.Stderr, "%s failed: %v\n", r.ID, err)
-				os.Exit(1)
-			}
-			fmt.Printf("(%s completed in %v)\n\n", r.ID, time.Since(start).Round(time.Millisecond))
-			ran++
-		}
-	}
-	if len(procsList) > 1 {
-		ran /= len(procsList)
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matched %q; known ids:", *expFlag)
-		for _, r := range experiments.All() {
-			fmt.Fprintf(os.Stderr, " %s", r.ID)
-		}
-		fmt.Fprintln(os.Stderr)
-		os.Exit(2)
+		fmt.Printf("(%s completed in %v)\n\n", r.ID, time.Since(start).Round(time.Millisecond))
 	}
 
 	if tracer != nil {
@@ -258,6 +218,53 @@ func main() {
 	}
 }
 
+// selectExperiments resolves the -exp list against the known experiments, in
+// the experiments' own order; an empty list selects them all. Every listed id
+// must name an experiment: a typo is an error naming it, never a silently
+// shorter run. jsonOut is the -jsonout path: only e22 and e24 write one, and
+// each writes the whole file, so a path needs exactly one of them selected.
+func selectExperiments(all []experiments.Runner, exp, jsonOut string) ([]experiments.Runner, error) {
+	selected := all
+	if exp != "" {
+		want := map[string]bool{}
+		for _, id := range strings.Split(exp, ",") {
+			want[strings.TrimSpace(strings.ToLower(id))] = true
+		}
+		selected = nil
+		for _, r := range all {
+			if want[r.ID] {
+				selected = append(selected, r)
+				delete(want, r.ID)
+			}
+		}
+		if len(want) > 0 {
+			unknown := make([]string, 0, len(want))
+			for id := range want {
+				unknown = append(unknown, fmt.Sprintf("%q", id))
+			}
+			sort.Strings(unknown)
+			known := make([]string, len(all))
+			for i, r := range all {
+				known[i] = r.ID
+			}
+			return nil, fmt.Errorf("unknown experiment id %s; known ids: %s",
+				strings.Join(unknown, ", "), strings.Join(known, " "))
+		}
+	}
+	if jsonOut != "" {
+		writers := 0
+		for _, r := range selected {
+			if r.ID == "e22" || r.ID == "e24" {
+				writers++
+			}
+		}
+		if writers != 1 {
+			return nil, fmt.Errorf("-jsonout needs exactly one of e22, e24 selected (each writes the whole file), not %d", writers)
+		}
+	}
+	return selected, nil
+}
+
 // writeTrace dumps the captured trajectory and verifies it against the
 // collector's summed protocol metrics: every MPC round recorded by the
 // tracer must be a round some batch's Metrics.TotalRounds accounted for,
@@ -266,23 +273,6 @@ func main() {
 // Σ Requests + Σ DroppedBids == Σ IssuedBids, so the books balance exactly
 // even under failure injection (instrumented systems install tracer and
 // collector together, so the two views describe the same runs).
-// parseMaxProcs parses the -maxprocs sweep list. An empty flag yields the
-// single sentinel 0: one pass at the inherited GOMAXPROCS, untouched.
-func parseMaxProcs(s string) ([]int, error) {
-	if s == "" {
-		return []int{0}, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		p, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || p < 1 || p > 1024 {
-			return nil, fmt.Errorf("bad -maxprocs value %q (want integers in [1, 1024])", part)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 func writeTrace(path string, tracer *obs.Tracer, collector *obs.Collector, shards []shardTrace, rec *consistency.Recorder) error {
 	totals := tracer.Totals()
 	dump := traceDump{

@@ -1,0 +1,59 @@
+package main
+
+import (
+	"strings"
+	"testing"
+
+	"detshmem/internal/experiments"
+)
+
+func TestSelectExperiments(t *testing.T) {
+	var all []experiments.Runner
+	for _, id := range []string{"e1", "e6", "e18", "e22", "e24"} {
+		all = append(all, experiments.Runner{ID: id})
+	}
+	for _, tc := range []struct {
+		name, exp, jsonOut string
+		want               string // selected ids, space-separated
+		wantErr            string // substring of the error; "" = none
+	}{
+		{name: "empty selects all in order", want: "e1 e6 e18 e22 e24"},
+		{name: "one id", exp: "e6", want: "e6"},
+		{name: "list keeps the experiments' order", exp: "e22,e1", want: "e1 e22"},
+		{name: "ids are trimmed and case-folded", exp: " E6 , e18", want: "e6 e18"},
+		{name: "a repeated id runs once", exp: "e6,e6", want: "e6"},
+		{name: "typo beside a valid id is rejected by name", exp: "e6,e99", wantErr: `unknown experiment id "e99"`},
+		{name: "every typo is named", exp: "e98,e6,e99", wantErr: `"e98", "e99"`},
+		{name: "the error lists the known ids", exp: "nope", wantErr: "known ids: e1 e6 e18 e22 e24"},
+		{name: "a trailing comma is an unknown empty id", exp: "e6,", wantErr: `unknown experiment id ""`},
+		{name: "jsonout with e22", exp: "e22", jsonOut: "x.json", want: "e22"},
+		{name: "jsonout with e24 among others", exp: "e6,e24", jsonOut: "x.json", want: "e6 e24"},
+		{name: "jsonout with both writers would overwrite", exp: "e22,e24", jsonOut: "x.json", wantErr: "exactly one of e22, e24"},
+		{name: "jsonout with everything selects both writers", jsonOut: "x.json", wantErr: "not 2"},
+		{name: "jsonout with no writer", exp: "e6", jsonOut: "x.json", wantErr: "not 0"},
+		{name: "both writers without jsonout", exp: "e22,e24", want: "e22 e24"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := selectExperiments(all, tc.exp, tc.jsonOut)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error %v, want one containing %q", err, tc.wantErr)
+				}
+				if got != nil {
+					t.Fatalf("selected %d experiments beside the error", len(got))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := make([]string, len(got))
+			for i, r := range got {
+				ids[i] = r.ID
+			}
+			if s := strings.Join(ids, " "); s != tc.want {
+				t.Fatalf("selected %q, want %q", s, tc.want)
+			}
+		})
+	}
+}

@@ -6,7 +6,6 @@ import (
 
 	"detshmem/internal/protocol"
 	"detshmem/internal/shard"
-	"detshmem/internal/workload"
 )
 
 // E15 measures request combining at a single shard: concurrent clients submit
@@ -31,31 +30,22 @@ func E15(w io.Writer, o Options) error {
 		return err
 	}
 	schemes := []protocol.Mapper{inst.pp, inst.mv, inst.si}
-	workloads := []struct {
-		name string
-		p    float64 // probability of hitting the 16-variable hot set
-	}{
-		{"uniform", 0},
-		{"hot-spot", 0.85},
-	}
 
 	fprintf(w, "E15 Combining frontend: concurrent clients over the batch protocol (q=2, n=%d, N=%d, M=%d, %d ops/run)\n",
 		n, inst.s.NumModules, inst.s.NumVariables, totalOps)
 	fprintf(w, "%-18s %-9s %8s %8s %9s %10s %7s %8s %12s\n",
 		"scheme", "workload", "clients", "ops in", "reqs out", "combine%", "maxΦ", "rounds", "ops/sec")
 	for _, m := range schemes {
-		for _, wl := range workloads {
+		for _, wi := range []int{uniformWorkload, hotSpotWorkload} {
 			for _, clients := range clientCounts {
 				svc, err := shard.New(m, shard.Config{})
 				if err != nil {
 					return err
 				}
-				streams := make([][]uint64, clients)
-				for c := range streams {
-					streams[c] = workload.HotSpotStream(o.Seed+15, c, m.NumVars(), totalOps/clients, 16, wl.p)
-				}
+				wl := clientWorkloads(m.NumVars(), totalOps/clients)[wi]
+				ops := wl.ops(clients, o.Seed+15)
 				start := time.Now()
-				err = driveShards(svc, streams, 1, o.Seed+15)
+				_, err = driver{window: 64}.drive(svc, ops)
 				if cerr := svc.Close(); err == nil {
 					err = cerr
 				}

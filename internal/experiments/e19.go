@@ -1,19 +1,13 @@
 package experiments
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"detshmem/internal/frontend"
 	"detshmem/internal/mpc"
 	"detshmem/internal/protocol"
 	"detshmem/internal/shard"
@@ -23,7 +17,7 @@ import (
 // E19 measures live fault tolerance: the frontend keeps serving while
 // memory modules crash at runtime. A shared mpc.FaultSet is seeded with F
 // random failed modules and the full client harness of E18 (same streams,
-// same windowed async drivers) runs against it, for F swept from 0 through
+// same windowed closed loop) runs against it, for F swept from 0 through
 // q/2 (where the paper's quorum argument guarantees every variable keeps a
 // live majority) and beyond (where some variables provably lose their
 // quorum and their requests must fail with the per-request quorum verdict
@@ -38,9 +32,6 @@ import (
 // regime where every quorum always exists but the fault set changes under
 // the protocol's feet (mid-phase re-selection and retry passes, rather
 // than static avoidance).
-//
-// When JSON output is requested the table is written to BENCH_PR5.json
-// (the committed fault-tolerance curve).
 func E19(w io.Writer, o Options) error {
 	n := 7
 	clients, totalOps := 16, 24000
@@ -48,7 +39,6 @@ func E19(w io.Writer, o Options) error {
 		n = 5
 		clients, totalOps = 4, 3000
 	}
-	opsPer := totalOps / clients
 
 	inst, err := newE7Instance(n)
 	if err != nil {
@@ -83,57 +73,12 @@ func E19(w io.Writer, o Options) error {
 		return fmt.Errorf("e19: unknown fault schedule %q (want \"churn\")", o.FaultSched)
 	}
 
-	workloads := []struct {
-		name   string
-		stream func(rng *rand.Rand) []uint64
-	}{
-		{"uniform", func(rng *rand.Rand) []uint64 {
-			return workload.HotSpot(rng, inst.s.NumVariables, opsPer, 16, 0)
-		}},
-		{"zipf", func(rng *rand.Rand) []uint64 {
-			return workload.Zipf(rng, inst.s.NumVariables, opsPer, 1.1)
-		}},
-		{"hot-spot", func(rng *rand.Rand) []uint64 {
-			return workload.HotSpot(rng, inst.s.NumVariables, opsPer, 16, 0.85)
-		}},
-	}
-
 	type row struct {
-		Workload      string  `json:"workload"`
-		Faults        string  `json:"faults"`
-		FailedModules int     `json:"failed_modules"`
-		NsPerOp       float64 `json:"ns_per_op"`
-		OpsPerSec     float64 `json:"ops_per_sec"`
-		StrandedOps   int64   `json:"stranded_ops"`
-		StrandedReqs  int64   `json:"stranded_requests"`
-		RetriedBids   int64   `json:"retried_bids"`
-		DroppedBids   int64   `json:"dropped_bids"`
-		RoundsPerBat  float64 `json:"rounds_per_batch"`
-		RoundInflate  float64 `json:"round_inflation_vs_f0"`
-	}
-	report := struct {
-		Experiment string   `json:"experiment"`
-		Quick      bool     `json:"quick"`
-		Degree     int      `json:"degree_n"`
-		Modules    uint64   `json:"modules"`
-		Vars       uint64   `json:"vars"`
-		Quorum     int      `json:"quorum"`
-		GoMaxProcs int      `json:"gomaxprocs"`
-		Host       HostInfo `json:"host"`
-		Clients    int      `json:"clients"`
-		OpsPerRun  int      `json:"ops_per_run"`
-		Rows       []row    `json:"rows"`
-	}{
-		Experiment: "e19-fault-tolerance",
-		Quick:      o.Quick,
-		Degree:     n,
-		Modules:    inst.s.NumModules,
-		Vars:       inst.s.NumVariables,
-		Quorum:     inst.s.Majority,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Host:       Host(),
-		Clients:    clients,
-		OpsPerRun:  totalOps,
+		nsPerOp, opsPerSec       float64
+		strandedOps              int64 // refused client operations per run
+		strandedReqs             int64 // protocol requests without a quorum, all runs
+		retriedBids, droppedBids int64
+		roundsPerBatch           float64
 	}
 
 	fprintf(w, "E19 Fault tolerance: runtime module failures (q=2, n=%d, N=%d, M=%d, quorum=%d, %d clients, %d ops/run)\n",
@@ -141,8 +86,11 @@ func E19(w io.Writer, o Options) error {
 	fprintf(w, "%-9s %7s %10s %12s %9s %9s %9s %9s %8s %9s\n",
 		"workload", "faults", "ns/op", "ops/sec", "strandOp", "strandRq", "retried", "dropped", "rnd/bat", "inflate")
 
-	// measure drives one cell: warm-up, then the median of reps timed runs.
-	measure := func(streams [][]uint64, fs *mpc.FaultSet, churn bool) (row, error) {
+	// Degraded mode is the expected outcome here: operations refused with an
+	// ErrIncomplete-class verdict (quorum losses included) are counted as
+	// stranded and the stream continues.
+	d := driver{window: 64, tolerate: protocol.ErrIncomplete}
+	measure := func(ops [][]shard.BatchOp, fs *mpc.FaultSet, churn bool) (row, error) {
 		svc, err := shard.New(inst.pp, shard.Config{
 			Observe: true,
 			Protocol: o.instrument(protocol.Config{
@@ -177,41 +125,16 @@ func E19(w io.Writer, o Options) error {
 			}()
 			stopChurn = func() { close(stop); wg.Wait() }
 		}
-		if _, err := driveShardsFaulty(svc, streams, 4, o.Seed+19); err != nil {
-			stopChurn()
-			_ = svc.Close()
-			return row{}, err
-		}
-		runtime.GC()
-		reps := 3
-		if o.Quick {
-			reps = 2
-		}
-		elapsedNs := make([]int64, 0, reps)
-		var strandedOps int64
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			stranded, err := driveShardsFaulty(svc, streams, 1, o.Seed+19)
-			if ferr := svc.Flush(); err == nil {
-				err = ferr
-			}
-			if err != nil {
-				stopChurn()
-				_ = svc.Close()
-				return row{}, err
-			}
-			elapsedNs = append(elapsedNs, time.Since(start).Nanoseconds())
-			strandedOps += stranded
-		}
+		med, run, err := measureCell(svc, ops, d, o.Quick)
 		stopChurn()
 		st := svc.Stats()
 		snap := svc.Snapshot()
-		if err := svc.Close(); err != nil {
+		if cerr := svc.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return row{}, err
 		}
-		sort.Slice(elapsedNs, func(i, j int) bool { return elapsedNs[i] < elapsedNs[j] })
-		med := time.Duration(elapsedNs[len(elapsedNs)/2])
-		ops := float64(totalOps)
 		var dropped int64
 		for k, v := range snap {
 			if strings.HasSuffix(k, "_dropped_bids_total") {
@@ -219,65 +142,53 @@ func E19(w io.Writer, o Options) error {
 			}
 		}
 		r := row{
-			NsPerOp:      float64(med.Nanoseconds()) / ops,
-			OpsPerSec:    ops / med.Seconds(),
-			StrandedOps:  strandedOps / int64(reps),
-			StrandedReqs: st.Total.Stranded,
-			RetriedBids:  st.Total.RetriedBids,
-			DroppedBids:  dropped,
+			nsPerOp:      float64(med.Nanoseconds()) / float64(totalOps),
+			opsPerSec:    float64(totalOps) / med.Seconds(),
+			strandedOps:  run.stranded + run.blocked,
+			strandedReqs: st.Total.Stranded,
+			retriedBids:  st.Total.RetriedBids,
+			droppedBids:  dropped,
 		}
 		if st.Total.Batches > 0 {
-			r.RoundsPerBat = float64(st.Total.TotalRounds) / float64(st.Total.Batches)
+			r.roundsPerBatch = float64(st.Total.TotalRounds) / float64(st.Total.Batches)
 		}
 		return r, nil
 	}
 
-	emit := func(r row) {
+	emit := func(wl, faults string, r row, baseRounds float64) {
+		inflate := 0.0
+		if baseRounds > 0 {
+			inflate = r.roundsPerBatch / baseRounds
+		}
 		fprintf(w, "%-9s %7s %10.1f %12.0f %9d %9d %9d %9d %8.2f %8.2fx\n",
-			r.Workload, r.Faults, r.NsPerOp, r.OpsPerSec,
-			r.StrandedOps, r.StrandedReqs, r.RetriedBids, r.DroppedBids,
-			r.RoundsPerBat, r.RoundInflate)
-		report.Rows = append(report.Rows, r)
+			wl, faults, r.nsPerOp, r.opsPerSec,
+			r.strandedOps, r.strandedReqs, r.retriedBids, r.droppedBids,
+			r.roundsPerBatch, inflate)
 	}
 
-	for _, wl := range workloads {
-		streams := make([][]uint64, clients)
-		for c := range streams {
-			streams[c] = wl.stream(workload.ClientRNG(o.Seed+19, c))
-		}
+	for _, wl := range clientWorkloads(inst.s.NumVariables, totalOps/clients) {
+		ops := wl.ops(clients, o.Seed+19)
 		var baseRounds float64
 		for _, f := range faultCounts {
 			// The fault set is drawn deterministically per fault count, so
 			// reruns see identical failed modules.
 			frng := rand.New(rand.NewSource(o.Seed + 19*int64(f) + 7))
 			fs := mpc.NewFaultSet(workload.RandomFaults(frng, inst.s.NumModules, f)...)
-			r, err := measure(streams, fs, false)
+			r, err := measure(ops, fs, false)
 			if err != nil {
 				return err
 			}
-			r.Workload = wl.name
-			r.Faults = fmt.Sprintf("%d", f)
-			r.FailedModules = f
 			if f == 0 {
-				baseRounds = r.RoundsPerBat
+				baseRounds = r.roundsPerBatch
 			}
-			if baseRounds > 0 {
-				r.RoundInflate = r.RoundsPerBat / baseRounds
-			}
-			emit(r)
+			emit(wl.name, fmt.Sprintf("%d", f), r, baseRounds)
 		}
 		if o.FaultSched == "churn" {
-			r, err := measure(streams, mpc.NewFaultSet(), true)
+			r, err := measure(ops, mpc.NewFaultSet(), true)
 			if err != nil {
 				return err
 			}
-			r.Workload = wl.name
-			r.Faults = "churn"
-			r.FailedModules = -1
-			if baseRounds > 0 {
-				r.RoundInflate = r.RoundsPerBat / baseRounds
-			}
-			emit(r)
+			emit(wl.name, "churn", r, baseRounds)
 		}
 	}
 
@@ -287,81 +198,5 @@ func E19(w io.Writer, o Options) error {
 	fprintf(w, "   always maskable; beyond that stranding sets in. \"inflate\" is rounds\n")
 	fprintf(w, "   per batch against the same workload at F=0: the round-level\n")
 	fprintf(w, "   price of re-selecting quorums around the failed modules.)\n\n")
-
-	if path := o.jsonPath("BENCH_PR5.json"); path != "" {
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-			return fmt.Errorf("e19: writing %s: %w", path, err)
-		}
-		fprintf(w, "  (wrote %s)\n\n", path)
-	}
 	return nil
-}
-
-// driveShardsFaulty replays the client streams like driveShards, but
-// tolerates the degraded-mode outcome: futures failing with the
-// ErrIncomplete class (quorum losses included) are counted and the stream
-// continues — exactly how a fault-tolerant client consumes the service.
-// Any other error aborts. Returns the number of stranded operations.
-func driveShardsFaulty(svc *shard.Service, streams [][]uint64, div int, seed int64) (int64, error) {
-	const window = 64
-	var wg sync.WaitGroup
-	var stranded int64
-	var mu sync.Mutex
-	errs := make(chan error, len(streams))
-	for c := range streams {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := workload.ClientRNG(seed, c)
-			stream := streams[c][:len(streams[c])/div]
-			futs := make([]*frontend.Future, 0, window)
-			bad := int64(0)
-			drain := func() bool {
-				for _, fut := range futs {
-					if _, err := fut.Wait(); err != nil {
-						if !errors.Is(err, protocol.ErrIncomplete) {
-							errs <- err
-							return false
-						}
-						bad++
-					}
-				}
-				futs = futs[:0]
-				return true
-			}
-			for i, v := range stream {
-				var fut *frontend.Future
-				var err error
-				if rng.Intn(100) < 40 {
-					fut, err = svc.WriteAsync(v, uint64(c)<<32|uint64(i))
-				} else {
-					fut, err = svc.ReadAsync(v)
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-				futs = append(futs, fut)
-				if len(futs) == window && !drain() {
-					return
-				}
-			}
-			drain()
-			mu.Lock()
-			stranded += bad
-			mu.Unlock()
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return stranded, fmt.Errorf("shard client: %w", err)
-		}
-	}
-	return stranded, nil
 }

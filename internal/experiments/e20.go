@@ -1,19 +1,14 @@
 package experiments
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"detshmem/internal/consistency"
-	"detshmem/internal/frontend"
 	"detshmem/internal/mpc"
 	"detshmem/internal/protocol"
 	"detshmem/internal/shard"
@@ -41,71 +36,14 @@ import (
 // the trace checker under the contract's required modes. With smembench
 // -trace the recorded TraceSet is embedded in the dump for
 // cmd/consistencycheck to re-verify offline.
-//
-// When JSON output is requested the measurements are written to
-// BENCH_PR6.json.
 func E20(w io.Writer, o Options) error {
-	rep := e20Report{
-		Experiment: "e20-consistency-auditing",
-		Quick:      o.Quick,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Host:       Host(),
-	}
-	if err := e20CheckerCost(w, o, &rep); err != nil {
+	if err := e20CheckerCost(w, o); err != nil {
 		return err
 	}
-	if err := e20SamplingOverhead(w, o, &rep); err != nil {
+	if err := e20SamplingOverhead(w, o); err != nil {
 		return err
 	}
-	if err := e20RecordedRuns(w, o, &rep); err != nil {
-		return err
-	}
-	if path := o.jsonPath("BENCH_PR6.json"); path != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-			return fmt.Errorf("e20: writing %s: %w", path, err)
-		}
-		fprintf(w, "  (wrote %s)\n\n", path)
-	}
-	return nil
-}
-
-type e20Report struct {
-	Experiment string           `json:"experiment"`
-	Quick      bool             `json:"quick"`
-	GoMaxProcs int              `json:"gomaxprocs"`
-	Host       HostInfo         `json:"host"`
-	Checker    []e20CheckerRow  `json:"checker_rows"`
-	Sampling   []e20SamplingRow `json:"sampling_rows"`
-	Recorded   []e20RecordedRow `json:"recorded_rows"`
-}
-
-type e20CheckerRow struct {
-	Ops     int     `json:"ops"`
-	Clients int     `json:"clients"`
-	Vars    int     `json:"vars"`
-	Mode    string  `json:"mode"`
-	Millis  float64 `json:"millis"`
-	OpsPerS float64 `json:"ops_per_sec"`
-}
-
-type e20SamplingRow struct {
-	Rate      float64 `json:"rate"`
-	NsPerOp   float64 `json:"ns_per_op"`
-	Sampled   int64   `json:"sampled"`
-	Overhead  float64 `json:"overhead_pct"`
-	Violation int64   `json:"violations"`
-}
-
-type e20RecordedRow struct {
-	Label     string `json:"label"`
-	Contract  string `json:"contract"`
-	Ops       int    `json:"ops"`
-	Dropped   int    `json:"dropped_failed"`
-	Certified bool   `json:"certified"`
+	return e20RecordedRuns(w, o)
 }
 
 // e20SC generates a sequentially consistent trace the same way the package's
@@ -145,7 +83,7 @@ func e20SC(rng *rand.Rand, clients, opsPerClient, vars int) consistency.Trace {
 }
 
 // e20CheckerCost is Part A: offline checker cost vs trace length.
-func e20CheckerCost(w io.Writer, o Options, rep *e20Report) error {
+func e20CheckerCost(w io.Writer, o Options) error {
 	const clients, vars = 4, 64
 	lengths := []int{500, 2000, 8000}
 	if o.Quick {
@@ -166,10 +104,6 @@ func e20CheckerCost(w io.Writer, o Options, rep *e20Report) error {
 			ms := float64(elapsed.Nanoseconds()) / 1e6
 			ops := float64(tr.Ops())
 			fprintf(w, "%8d %-14s %10.2f %12.0f\n", tr.Ops(), mode, ms, ops/elapsed.Seconds())
-			rep.Checker = append(rep.Checker, e20CheckerRow{
-				Ops: tr.Ops(), Clients: clients, Vars: vars, Mode: mode.String(),
-				Millis: ms, OpsPerS: ops / elapsed.Seconds(),
-			})
 		}
 	}
 	fprintf(w, "  (constraint-graph closure with var-grouped bitset reachability;\n")
@@ -180,7 +114,7 @@ func e20CheckerCost(w io.Writer, o Options, rep *e20Report) error {
 
 // e20SamplingOverhead is Part B: throughput cost of the always-on sampling
 // audit at rates {off, 1%, 100%} on the sharded service.
-func e20SamplingOverhead(w io.Writer, o Options, rep *e20Report) error {
+func e20SamplingOverhead(w io.Writer, o Options) error {
 	n := 7
 	clients, totalOps := 8, 48000
 	shards := 4
@@ -198,10 +132,10 @@ func e20SamplingOverhead(w io.Writer, o Options, rep *e20Report) error {
 	if err != nil {
 		return err
 	}
-	streams := make([][]uint64, clients)
-	for c := range streams {
-		streams[c] = workload.HotSpot(workload.ClientRNG(o.Seed+20, c), inst.s.NumVariables, opsPer, 16, 0.5)
-	}
+	ops := clientWorkload{stream: func(rng *rand.Rand) []uint64 {
+		return workload.HotSpot(rng, inst.s.NumVariables, opsPer, 16, 0.5)
+	}}.ops(clients, o.Seed+20)
+	d := driver{window: 64}
 
 	rates := []float64{0, 0.01, 1.0}
 
@@ -224,7 +158,7 @@ func e20SamplingOverhead(w io.Writer, o Options, rep *e20Report) error {
 			break
 		}
 		svcs[i] = svc
-		if err = driveShards(svc, streams, 4, o.Seed+20); err != nil {
+		if _, err = d.drive(svc, warmup(ops)); err != nil {
 			break
 		}
 	}
@@ -244,7 +178,7 @@ func e20SamplingOverhead(w io.Writer, o Options, rep *e20Report) error {
 		for i := range rates {
 			runtime.GC()
 			start := time.Now()
-			err = driveShards(svcs[i], streams, 1, o.Seed+20)
+			_, err = d.drive(svcs[i], ops)
 			if ferr := svcs[i].Flush(); err == nil {
 				err = ferr
 			}
@@ -276,10 +210,6 @@ func e20SamplingOverhead(w io.Writer, o Options, rep *e20Report) error {
 		}
 		overhead := 100 * (nsPerOp - baseNs) / baseNs
 		fprintf(w, "%8.2f %10.1f %10d %9.1f%%\n", rate, nsPerOp, ast.Sampled, overhead)
-		rep.Sampling = append(rep.Sampling, e20SamplingRow{
-			Rate: rate, NsPerOp: nsPerOp,
-			Sampled: ast.Sampled, Overhead: overhead, Violation: ast.Violations,
-		})
 	}
 	fprintf(w, "  (overhead is vs the rate-0 baseline; the audit\n")
 	fprintf(w, "   runs on the flush path — a shadow-store probe per committed batch\n")
@@ -288,84 +218,10 @@ func e20SamplingOverhead(w io.Writer, o Options, rep *e20Report) error {
 	return nil
 }
 
-// e20Drive drives the service with windowed traffic from concurrent clients,
-// recording every operation in program order on its client's recorder.
-// Operations on faulty variables may resolve with ErrQuorumUnreachable;
-// those are recorded as failed. Any other error fails the drive.
-func e20Drive(svc *shard.Service, rr *consistency.RunRecorder, clients, opsPerClient int, vars []uint64, seed int64) error {
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cr := rr.Client(c)
-			rng := rand.New(rand.NewSource(seed + int64(c)*6151))
-			type slot struct {
-				fut   *frontend.Future
-				write bool
-				v     uint64
-				val   uint64
-			}
-			const window = 16
-			pending := make([]slot, 0, window)
-			drain := func() bool {
-				for _, s := range pending {
-					got, err := s.fut.Wait()
-					if err != nil {
-						if !errors.Is(err, protocol.ErrQuorumUnreachable) {
-							errs <- err
-							return false
-						}
-						cr.Record(s.write, s.v, s.val, true)
-						continue
-					}
-					if s.write {
-						cr.Record(true, s.v, s.val, false)
-					} else {
-						cr.Record(false, s.v, got, false)
-					}
-				}
-				pending = pending[:0]
-				return true
-			}
-			for i := 0; i < opsPerClient; i++ {
-				v := vars[rng.Intn(len(vars))]
-				var s slot
-				var err error
-				if rng.Intn(100) < 40 {
-					s = slot{write: true, v: v, val: cr.WriteValue()}
-					s.fut, err = svc.WriteAsync(v, s.val)
-				} else {
-					s = slot{v: v}
-					s.fut, err = svc.ReadAsync(v)
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-				pending = append(pending, s)
-				if len(pending) == window && !drain() {
-					return
-				}
-			}
-			drain()
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // e20RecordedRuns is Part C: record real client traces across the
 // dispatcher × contract matrix (plus a degraded cell with stranded
 // operations) and certify each with the trace checker.
-func e20RecordedRuns(w io.Writer, o Options, rep *e20Report) error {
+func e20RecordedRuns(w io.Writer, o Options) error {
 	rec := o.Consistency
 	if rec == nil {
 		rec = consistency.NewRecorder()
@@ -396,16 +252,21 @@ func e20RecordedRuns(w io.Writer, o Options, rep *e20Report) error {
 		{"S=4", 4, consistency.ContractPerVariable},
 	}
 
+	// record drives windowed traffic over vars, recording every operation in
+	// program order. Operations on the degraded cell's victim may be refused
+	// with ErrQuorumUnreachable and are recorded as failed; any other error
+	// fails the drive.
+	record := func(svc *shard.Service, rr *consistency.RunRecorder, opsPer int, vars []uint64, seed int64) error {
+		d := driver{window: 16, tolerate: protocol.ErrQuorumUnreachable, rec: rr}
+		_, err := d.drive(svc, sampledOps(rr, clients, opsPer, vars, seed, 6151))
+		return err
+	}
+
 	fprintf(w, "E20c Recorded traces, certified by the black-box checker\n")
 	fprintf(w, "%-28s %-14s %8s %8s %10s\n", "run", "contract", "ops", "dropped", "verdict")
 	verify := func(run consistency.Run) error {
 		for _, mode := range consistency.ModesFor(run.Contract) {
 			r := consistency.Check(run.Clients, mode)
-			row := e20RecordedRow{
-				Label: run.Label, Contract: string(run.Contract),
-				Ops: r.OpsChecked, Dropped: r.DroppedFailed, Certified: r.OK,
-			}
-			rep.Recorded = append(rep.Recorded, row)
 			verdict := "certified/" + mode.String()
 			if !r.OK {
 				verdict = "VIOLATED/" + mode.String()
@@ -427,7 +288,7 @@ func e20RecordedRuns(w io.Writer, o Options, rep *e20Report) error {
 			return err
 		}
 		rr := rec.Run(cell.label, cell.contract, clients)
-		err = e20Drive(svc, rr, clients, opsPer, vars, o.Seed+201)
+		err = record(svc, rr, opsPer, vars, o.Seed+201)
 		if ferr := svc.Flush(); err == nil {
 			err = ferr
 		}
@@ -486,12 +347,12 @@ func e20RecordedRuns(w io.Writer, o Options, rep *e20Report) error {
 		}
 	}
 	rr := rec.Run("S=2/degraded", consistency.ContractPerVariable, clients)
-	err = e20Drive(svc, rr, clients, opsPer/2, append([]uint64{victim}, healthy...), o.Seed+202)
+	err = record(svc, rr, opsPer/2, append([]uint64{victim}, healthy...), o.Seed+202)
 	if err == nil {
 		for _, m := range vmods {
 			fs.Fail(m)
 		}
-		err = e20Drive(svc, rr, clients, opsPer/2, append([]uint64{victim}, healthy...), o.Seed+203)
+		err = record(svc, rr, opsPer/2, append([]uint64{victim}, healthy...), o.Seed+203)
 	}
 	if ferr := svc.Flush(); err == nil {
 		err = ferr

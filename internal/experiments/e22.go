@@ -1,20 +1,14 @@
 package experiments
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net"
-	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"detshmem/internal/consistency"
-	"detshmem/internal/frontend"
 	"detshmem/internal/netmpc"
 	"detshmem/internal/protocol"
 	"detshmem/internal/shard"
@@ -49,109 +43,63 @@ const e22KillMarker = "e22: degraded phase armed -- kill one memserver now"
 //
 // With -servers the TCP cells run against external memservers and the kill
 // cell prints a marker line for the harness to kill one (cmd/netcluster
-// does; it then re-verifies the recorded trace with cmd/consistencycheck).
-// JSON output goes to BENCH_PR8.json.
+// does; it then re-verifies the recorded trace with cmd/consistencycheck and
+// re-checks the gates from the rows Options.JSONPath receives).
 func E22(w io.Writer, o Options) error {
-	n, clients, opsPer := 7, 8, 600
-	if o.Quick {
-		n, clients, opsPer = 5, 4, 250
-	}
-	const nServers = 4
-	inst, err := newE7Instance(n)
+	f, err := newE22Fixture(o)
 	if err != nil {
 		return err
-	}
-	resolver, err := protocol.CompileMapper(inst.pp, protocol.CompileOptions{})
-	if err != nil {
-		return err
-	}
-	nVars := 48
-	if !o.Quick {
-		nVars = 64
-	}
-	vars := make([]uint64, nVars)
-	for i := range vars {
-		vars[i] = uint64(i*7+3) % inst.s.NumVariables
-	}
-	rec := o.Consistency
-	if rec == nil {
-		rec = consistency.NewRecorder()
 	}
 	rep := e22Report{
 		Experiment: "e22-net-transport",
 		Quick:      o.Quick,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Host:       Host(),
-		Degree:     n,
-		Servers:    nServers,
-		Clients:    clients,
+		Degree:     f.inst.s.Deg,
+		Servers:    e22Servers,
+		Clients:    f.clients,
 		External:   len(o.Servers) > 0,
 	}
 
 	fprintf(w, "E22 Networked MPC: q=2 n=%d (%d modules), %d clients, window %d\n",
-		n, inst.s.NumModules, clients, e22Window)
+		f.inst.s.Deg, f.inst.s.NumModules, f.clients, e22Window)
 	fprintf(w, "%-12s %10s %10s %12s %10s %10s %s\n",
 		"cell", "ops", "failed", "ns/op", "ops/sec", "strandrate", "verdict")
 
-	runInproc := o.Transport == "" || o.Transport == "inproc"
-	runTCP := o.Transport == "" || o.Transport == "tcp"
-
-	if runInproc {
-		svc, err := shard.New(inst.pp, shard.Config{
-			Shards:   1,
-			Protocol: o.instrument(protocol.Config{Resolver: resolver}),
-		})
+	if o.Transport == "" || o.Transport == "inproc" {
+		svc, err := f.service(false, protocol.Config{}, nil)
 		if err != nil {
 			return err
 		}
-		row, err := e22Cell(w, o, rec, "inproc", svc, clients, opsPer, vars)
+		row, err := f.healthyCell(w, "inproc", svc)
 		if err != nil {
 			return err
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
 
-	if runTCP {
-		addrs := o.Servers
-		var local []*netmpc.Server
-		if len(addrs) == 0 {
-			local, addrs, err = e22Cluster(inst, nServers)
-			if err != nil {
-				return err
-			}
-			defer func() {
-				for _, sv := range local {
-					sv.Close()
-				}
-			}()
-		}
-		dial := func(storeID uint32) (*netmpc.Transport, error) {
-			return netmpc.Dial(netmpc.Config{
-				Servers:      addrs,
-				Q:            inst.s.Q,
-				N:            uint32(inst.s.Deg),
-				Modules:      int64(inst.s.NumModules),
-				AddrSpace:    inst.s.NumModules * uint64(inst.s.ModuleSize),
-				StoreID:      storeID,
-				RoundTimeout: 3 * time.Second,
-			})
-		}
-
-		// Healthy TCP cell.
-		tr, err := dial(1)
+	if o.Transport == "" || o.Transport == "tcp" {
+		local, addrs, err := f.cluster()
 		if err != nil {
 			return err
 		}
-		svc, err := shard.New(inst.pp, shard.Config{
-			Shards:    1,
-			Protocol:  o.instrument(protocol.Config{Resolver: resolver}),
-			Transport: func(int) protocol.Transport { return tr },
-		})
+		defer func() {
+			for _, sv := range local {
+				sv.Close()
+			}
+		}()
+
+		// Healthy TCP cell.
+		tr, err := f.dial(addrs, 1, 0, 0)
+		if err != nil {
+			return err
+		}
+		svc, err := f.service(false, protocol.Config{}, tr)
 		if err != nil {
 			tr.Close()
 			return err
 		}
-		row, err := e22Cell(w, o, rec, "tcp", svc, clients, opsPer, vars)
+		row, err := f.healthyCell(w, "tcp", svc)
 		tr.Close()
 		if err != nil {
 			return err
@@ -161,28 +109,135 @@ func E22(w io.Writer, o Options) error {
 
 		// Kill cell: healthy first half, one server killed, degraded second
 		// half gated against the exact stranding bound.
-		row, err = e22KillCell(w, o, rec, inst, resolver, dial, local, clients, opsPer, vars)
+		row, err = f.killCell(w, addrs, local)
 		if err != nil {
 			return err
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
 	fprintf(w, "\n")
-
-	if path := o.jsonPath("BENCH_PR8.json"); path != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-			return fmt.Errorf("e22: writing %s: %w", path, err)
-		}
-		fprintf(w, "  (wrote %s)\n\n", path)
-	}
-	return nil
+	return o.writeReport(w, rep)
 }
 
-const e22Window = 16
+const (
+	e22Window  = 16
+	e22Servers = 4
+)
+
+// e22Fixture is the set-up E22 and E24 share: the scheme and its compiled
+// table, the client shape, the workload's variable set, and the recorder every
+// cell's client trace goes to.
+type e22Fixture struct {
+	o               Options
+	inst            *e7Instance
+	resolver        *protocol.CompiledResolver
+	clients, opsPer int
+	vars            []uint64
+	rec             *consistency.Recorder
+}
+
+func newE22Fixture(o Options) (*e22Fixture, error) {
+	n, nVars := 7, 64
+	f := &e22Fixture{o: o, clients: 8, opsPer: 600, rec: o.Consistency}
+	if o.Quick {
+		n, nVars = 5, 48
+		f.clients, f.opsPer = 4, 250
+	}
+	var err error
+	if f.inst, err = newE7Instance(n); err != nil {
+		return nil, err
+	}
+	if f.resolver, err = protocol.CompileMapper(f.inst.pp, protocol.CompileOptions{}); err != nil {
+		return nil, err
+	}
+	f.vars = make([]uint64, nVars)
+	for i := range f.vars {
+		f.vars[i] = uint64(i*7+3) % f.inst.s.NumVariables
+	}
+	if f.rec == nil {
+		f.rec = consistency.NewRecorder()
+	}
+	return f, nil
+}
+
+// service builds a cell's one-shard service: the fixture's table and the
+// Options' hooks on top of pcfg, per-shard collectors when observe is set
+// (repair accounting flows through them), and rounds over tr unless it is nil.
+func (f *e22Fixture) service(observe bool, pcfg protocol.Config, tr *netmpc.Transport) (*shard.Service, error) {
+	pcfg.Resolver = f.resolver
+	cfg := shard.Config{Shards: 1, Observe: observe, Protocol: f.o.instrument(pcfg)}
+	if tr != nil {
+		cfg.Transport = func(int) protocol.Transport { return tr }
+	}
+	return shard.New(f.inst.pp, cfg)
+}
+
+// server builds memserver i of k over the fixture's scheme.
+func (f *e22Fixture) server(i, k int) *netmpc.Server {
+	s := f.inst.s
+	lo, hi := netmpc.Range(i, k, int64(s.NumModules))
+	return netmpc.NewServer(netmpc.ServerConfig{
+		Q:         s.Q,
+		N:         uint32(s.Deg),
+		Modules:   s.NumModules,
+		AddrSpace: s.NumModules * uint64(s.ModuleSize),
+		RangeLo:   uint64(lo),
+		RangeHi:   uint64(hi),
+	})
+}
+
+// cluster returns the memserver addresses the TCP cells dial: the external
+// ones of Options.Servers, or those of an in-process loopback cluster it
+// launches, whose servers are returned for the caller to kill and close.
+func (f *e22Fixture) cluster() ([]*netmpc.Server, []string, error) {
+	if len(f.o.Servers) > 0 {
+		return nil, f.o.Servers, nil
+	}
+	servers := make([]*netmpc.Server, 0, e22Servers)
+	addrs := make([]string, 0, e22Servers)
+	for i := 0; i < e22Servers; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			for _, s := range servers {
+				s.Close()
+			}
+			return nil, nil, err
+		}
+		sv := f.server(i, e22Servers)
+		go sv.Serve(ln)
+		servers = append(servers, sv)
+		addrs = append(addrs, ln.Addr().String())
+	}
+	return servers, addrs, nil
+}
+
+// dial connects a transport with its own store namespace to the cluster;
+// zero reconnect bounds leave netmpc's defaults.
+func (f *e22Fixture) dial(addrs []string, storeID uint32, reconnectMin, reconnectMax time.Duration) (*netmpc.Transport, error) {
+	s := f.inst.s
+	return netmpc.Dial(netmpc.Config{
+		Servers:      addrs,
+		Q:            s.Q,
+		N:            uint32(s.Deg),
+		Modules:      int64(s.NumModules),
+		AddrSpace:    s.NumModules * uint64(s.ModuleSize),
+		StoreID:      storeID,
+		RoundTimeout: 3 * time.Second,
+		ReconnectMin: reconnectMin,
+		ReconnectMax: reconnectMax,
+	})
+}
+
+// drive runs the cells' windowed closed loop over the workload's variables:
+// each client keeps a window of in-flight futures against the service, records
+// every committed operation, and records refused operations as failed so the
+// checker drops them. tolerate is the class of refusals the cell allows:
+// protocol.ErrQuorumUnreachable in E22, protocol.ErrIncomplete in E24, where
+// repair can hold a quorum up as well.
+func (f *e22Fixture) drive(svc *shard.Service, rr *consistency.RunRecorder, opsPer int, seed int64, tolerate error) (tally, error) {
+	d := driver{window: e22Window, tolerate: tolerate, rec: rr}
+	return d.drive(svc, sampledOps(rr, f.clients, opsPer, f.vars, f.o.Seed+seed, 7919))
+}
 
 type e22Report struct {
 	Experiment string   `json:"experiment"`
@@ -218,42 +273,13 @@ type e22Row struct {
 	ServerStats []netmpc.ServerStats `json:"server_stats,omitempty"`
 }
 
-// e22Cluster launches an in-process loopback memserver cluster.
-func e22Cluster(inst *e7Instance, k int) ([]*netmpc.Server, []string, error) {
-	servers := make([]*netmpc.Server, 0, k)
-	addrs := make([]string, 0, k)
-	for i := 0; i < k; i++ {
-		lo, hi := netmpc.Range(i, k, int64(inst.s.NumModules))
-		sv := netmpc.NewServer(netmpc.ServerConfig{
-			Q:         inst.s.Q,
-			N:         uint32(inst.s.Deg),
-			Modules:   inst.s.NumModules,
-			AddrSpace: inst.s.NumModules * uint64(inst.s.ModuleSize),
-			RangeLo:   uint64(lo),
-			RangeHi:   uint64(hi),
-		})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, s := range servers {
-				s.Close()
-			}
-			return nil, nil, err
-		}
-		go sv.Serve(ln)
-		servers = append(servers, sv)
-		addrs = append(addrs, ln.Addr().String())
-	}
-	return servers, addrs, nil
-}
-
-// e22Cell drives one service with the windowed multi-client workload,
-// certifies the recorded trace, and emits the table row. A non-nil failed
-// pointer receives the count of ErrQuorumUnreachable-stranded operations
-// (healthy cells must see zero).
-func e22Cell(w io.Writer, o Options, rec *consistency.Recorder, label string, svc *shard.Service, clients, opsPer int, vars []uint64) (e22Row, error) {
-	rr := rec.Run("e22/"+label, consistency.ContractTotalOrder, clients)
+// healthyCell drives one service with the windowed multi-client workload,
+// certifies the recorded trace, and emits the table row. It must strand
+// nothing.
+func (f *e22Fixture) healthyCell(w io.Writer, label string, svc *shard.Service) (e22Row, error) {
+	rr := f.rec.Run("e22/"+label, consistency.ContractTotalOrder, f.clients)
 	start := time.Now()
-	ops, failed, err := e22Drive(svc, rr, clients, opsPer, vars, o.Seed+801)
+	t, err := f.drive(svc, rr, f.opsPer, 801, protocol.ErrQuorumUnreachable)
 	if ferr := svc.Flush(); err == nil {
 		err = ferr
 	}
@@ -266,30 +292,27 @@ func e22Cell(w io.Writer, o Options, rec *consistency.Recorder, label string, sv
 	elapsed := time.Since(start)
 	row := e22Row{
 		Cell:        label,
-		Ops:         ops,
-		Failed:      failed,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
-		OpsPerSec:   float64(ops) / elapsed.Seconds(),
-		WithinBound: failed == 0,
+		Ops:         t.ops,
+		Failed:      t.stranded,
+		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(t.ops),
+		OpsPerSec:   float64(t.ops) / elapsed.Seconds(),
+		WithinBound: t.stranded == 0,
 	}
-	if failed > 0 {
-		return row, fmt.Errorf("e22: healthy cell %q stranded %d ops", label, failed)
+	if t.stranded > 0 {
+		return row, fmt.Errorf("e22: healthy cell %q stranded %d ops", label, t.stranded)
 	}
-	certified, err := e22Certify(rec, "e22/"+label)
-	if err != nil {
+	if row.Certified, err = f.certify("e22/" + label); err != nil {
 		return row, err
 	}
-	row.Certified = certified
 	fprintf(w, "%-12s %10d %10d %12.0f %10.0f %10.4f %s\n",
 		label, row.Ops, row.Failed, row.NsPerOp, row.OpsPerSec, 0.0, "certified")
 	return row, nil
 }
 
-// e22Certify checks the labelled run's recorded trace under every mode its
+// certify checks the labelled run's recorded trace under every mode its
 // contract requires, returning an error on violation.
-func e22Certify(rec *consistency.Recorder, label string) (bool, error) {
-	ts := rec.TraceSet()
-	for _, run := range ts.Runs {
+func (f *e22Fixture) certify(label string) (bool, error) {
+	for _, run := range f.rec.TraceSet().Runs {
 		if run.Label != label {
 			continue
 		}
@@ -303,109 +326,19 @@ func e22Certify(rec *consistency.Recorder, label string) (bool, error) {
 	return false, fmt.Errorf("e22: run %q not found in trace set", label)
 }
 
-// e22Drive is the windowed async client driver (the e20 pattern): each
-// client keeps a window of in-flight futures against the service, records
-// every committed operation, and records stranded operations
-// (ErrQuorumUnreachable) as failed so the checker drops them. Returns total
-// and failed op counts.
-func e22Drive(svc *shard.Service, rr *consistency.RunRecorder, clients, opsPerClient int, vars []uint64, seed int64) (int64, int64, error) {
-	var wg sync.WaitGroup
-	var total, failed int64
-	var mu sync.Mutex
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cr := rr.Client(c)
-			rng := rand.New(rand.NewSource(seed + int64(c)*7919))
-			type slot struct {
-				fut   *frontend.Future
-				write bool
-				v     uint64
-				val   uint64
-			}
-			pending := make([]slot, 0, e22Window)
-			var done, stranded int64
-			drain := func() bool {
-				for _, s := range pending {
-					got, err := s.fut.Wait()
-					done++
-					if err != nil {
-						if !errors.Is(err, protocol.ErrQuorumUnreachable) {
-							errs <- err
-							return false
-						}
-						stranded++
-						cr.Record(s.write, s.v, s.val, true)
-						continue
-					}
-					if s.write {
-						cr.Record(true, s.v, s.val, false)
-					} else {
-						cr.Record(false, s.v, got, false)
-					}
-				}
-				pending = pending[:0]
-				return true
-			}
-			flush := func() {
-				mu.Lock()
-				total += done
-				failed += stranded
-				mu.Unlock()
-			}
-			for i := 0; i < opsPerClient; i++ {
-				v := vars[rng.Intn(len(vars))]
-				var s slot
-				var err error
-				if rng.Intn(100) < 40 {
-					s = slot{write: true, v: v, val: cr.WriteValue()}
-					s.fut, err = svc.WriteAsync(v, s.val)
-				} else {
-					s = slot{v: v}
-					s.fut, err = svc.ReadAsync(v)
-				}
-				if err != nil {
-					errs <- err
-					flush()
-					return
-				}
-				pending = append(pending, s)
-				if len(pending) == e22Window && !drain() {
-					flush()
-					return
-				}
-			}
-			drain()
-			flush()
-		}(c)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return total, failed, err
-	default:
-	}
-	return total, failed, nil
-}
-
-// e22KillCell runs the degraded cell: half the workload healthy, then one
+// killCell runs the degraded cell: half the workload healthy, then one
 // server dies — killed directly for the in-process cluster, by the external
 // harness on the marker line otherwise — and the second half runs against
 // the survivors. The observed stranding rate is gated against the exact
 // post-kill bound.
-func e22KillCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Instance, resolver *protocol.CompiledResolver, dial func(uint32) (*netmpc.Transport, error), local []*netmpc.Server, clients, opsPer int, vars []uint64) (e22Row, error) {
-	tr, err := dial(2)
+func (f *e22Fixture) killCell(w io.Writer, addrs []string, local []*netmpc.Server) (e22Row, error) {
+	inst, opsPer := f.inst, f.opsPer
+	tr, err := f.dial(addrs, 2, 0, 0)
 	if err != nil {
 		return e22Row{}, err
 	}
 	defer tr.Close()
-	svc, err := shard.New(inst.pp, shard.Config{
-		Shards:    1,
-		Protocol:  o.instrument(protocol.Config{Resolver: resolver}),
-		Transport: func(int) protocol.Transport { return tr },
-	})
+	svc, err := f.service(false, protocol.Config{}, tr)
 	if err != nil {
 		return e22Row{}, err
 	}
@@ -416,17 +349,17 @@ func e22KillCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Inst
 		}
 	}()
 
-	rr := rec.Run("e22/tcp-kill1", consistency.ContractTotalOrder, clients)
+	rr := f.rec.Run("e22/tcp-kill1", consistency.ContractTotalOrder, f.clients)
 	start := time.Now()
-	ops1, failed1, err := e22Drive(svc, rr, clients, opsPer/2, vars, o.Seed+901)
+	t1, err := f.drive(svc, rr, opsPer/2, 901, protocol.ErrQuorumUnreachable)
 	if err != nil {
 		return e22Row{}, err
 	}
 	if err := svc.Flush(); err != nil {
 		return e22Row{}, err
 	}
-	if failed1 > 0 {
-		return e22Row{}, fmt.Errorf("e22: kill cell stranded %d ops before the kill", failed1)
+	if t1.stranded > 0 {
+		return e22Row{}, fmt.Errorf("e22: kill cell stranded %d ops before the kill", t1.stranded)
 	}
 
 	// Kill one server. In-process clusters kill their own victim; external
@@ -450,11 +383,10 @@ func e22KillCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Inst
 	// Exact expectation: the fraction of workload variables whose live
 	// copies fell below the majority, computed from the actual fault set
 	// through the scheme's Γ map.
-	exact := e22ExactStrandRate(inst, tr, vars)
-	f := float64(failedMods) / float64(inst.s.NumModules)
-	binom := e22BinomRate(inst.s.Copies, inst.s.Majority, f)
+	exact := exactStrandRate(inst, tr.FaultSet(), f.vars)
+	binom := e22BinomRate(inst.s.Copies, inst.s.Majority, float64(failedMods)/float64(inst.s.NumModules))
 
-	ops2, failed2, err := e22Drive(svc, rr, clients, opsPer-opsPer/2, vars, o.Seed+902)
+	t2, err := f.drive(svc, rr, opsPer-opsPer/2, 902, protocol.ErrQuorumUnreachable)
 	if err != nil {
 		return e22Row{}, err
 	}
@@ -467,21 +399,19 @@ func e22KillCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Inst
 	closed = true
 	elapsed := time.Since(start)
 
-	rate := float64(failed2) / float64(ops2)
-	// Bound: exact expectation + 6σ sampling noise + slack for the var-set
-	// dependence between ops (ops on one stranded variable all strand).
-	sigma := math.Sqrt(exact * (1 - exact) / float64(ops2))
-	bound := exact + 6*sigma + 0.03
+	rate := float64(t2.stranded) / float64(t2.ops)
+	bound := strandBound(exact, t2.ops)
 	within := rate <= bound
 
+	ops := t1.ops + t2.ops
 	row := e22Row{
 		Cell:        "tcp-kill1",
-		Ops:         ops1 + ops2,
-		Failed:      failed1 + failed2,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops1+ops2),
-		OpsPerSec:   float64(ops1+ops2) / elapsed.Seconds(),
-		DegradedOps: ops2,
-		Stranded:    failed2,
+		Ops:         ops,
+		Failed:      t2.stranded,
+		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
+		OpsPerSec:   float64(ops) / elapsed.Seconds(),
+		DegradedOps: t2.ops,
+		Stranded:    t2.stranded,
 		StrandRate:  rate,
 		ExactRate:   exact,
 		BinomRate:   binom,
@@ -490,12 +420,10 @@ func e22KillCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Inst
 		FailedMods:  failedMods,
 		ServerStats: tr.Stats(),
 	}
-	certified, err := e22Certify(rec, "e22/tcp-kill1")
-	if err != nil {
+	if row.Certified, err = f.certify("e22/tcp-kill1"); err != nil {
 		return row, err
 	}
-	row.Certified = certified
-	verdict := fmt.Sprintf("certified, %d/%d stranded <= bound %.4f (exact %.4f, binom %.4f)", failed2, ops2, bound, exact, binom)
+	verdict := fmt.Sprintf("certified, %d/%d stranded <= bound %.4f (exact %.4f, binom %.4f)", t2.stranded, t2.ops, bound, exact, binom)
 	if !within {
 		verdict = fmt.Sprintf("STRANDING ABOVE BOUND: %.4f > %.4f", rate, bound)
 	}
@@ -507,25 +435,13 @@ func e22KillCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Inst
 	return row, nil
 }
 
-// e22ExactStrandRate computes the fraction of workload variables whose live
-// copy count is below the majority under the transport's current fault set.
-func e22ExactStrandRate(inst *e7Instance, tr *netmpc.Transport, vars []uint64) float64 {
-	fs := tr.FaultSet()
-	strandedVars := 0
-	var buf []uint64
-	for _, v := range vars {
-		buf = inst.s.VarModules(buf[:0], inst.idx.Mat(v))
-		live := 0
-		for _, m := range buf {
-			if !fs.Failed(m) {
-				live++
-			}
-		}
-		if live < inst.s.Majority {
-			strandedVars++
-		}
-	}
-	return float64(strandedVars) / float64(len(vars))
+// strandBound is the stranding gate of E22's kill cell and E24's repair-off
+// cell: the exact Γ-map expectation plus 6σ sampling noise over ops operations
+// plus slack for the dependence between ops (operations on one stranded
+// variable all strand).
+func strandBound(exact float64, ops int64) float64 {
+	sigma := math.Sqrt(exact * (1 - exact) / float64(ops))
+	return exact + 6*sigma + 0.03
 }
 
 // e22BinomRate is E19's independent-fault reference: the probability that a

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -27,10 +25,9 @@ import (
 //     resident table.
 //
 // Cold (first-pass) and steady-state costs are reported separately; steady
-// state is what a long-running service sees. The JSON output records host
-// metadata plus resident bytes per path, so the table-memory vs
-// recompute-cost tradeoff behind the size rule is a measured table rather
-// than a design argument.
+// state is what a long-running service sees. Resident bytes are printed per
+// path, so the table-memory vs recompute-cost tradeoff behind the size rule
+// is a measured table rather than a design argument.
 func E23(w io.Writer, o Options) error {
 	type cell struct {
 		m, n int
@@ -57,29 +54,14 @@ func E23(w io.Writer, o Options) error {
 	}
 
 	type row struct {
-		Cell          string  `json:"cell"`
-		Q             uint32  `json:"q"`
-		N             int     `json:"n"`
-		Vars          uint64  `json:"vars"`
-		Entries       uint64  `json:"entries"`
-		Strategy      string  `json:"strategy"`
-		Skipped       bool    `json:"skipped,omitempty"`
-		BuildMs       float64 `json:"build_ms,omitempty"`
-		IndexerBytes  uint64  `json:"indexer_bytes"`
-		ResidentBytes uint64  `json:"resident_bytes"`
-		ColdNsPerVar  float64 `json:"cold_ns_per_var,omitempty"`
-		NsPerVar      float64 `json:"ns_per_var,omitempty"`
-		VarsPerSec    float64 `json:"vars_per_sec,omitempty"`
-		Speedup       float64 `json:"speedup_vs_per_op,omitempty"`
+		strategy      string
+		skipped       bool // table too large to hold; residentBytes is its would-be size
+		buildMs       float64
+		residentBytes uint64
+		coldNsPerVar  float64
+		nsPerVar      float64
+		speedup       float64 // against the per-op row
 	}
-	report := struct {
-		Experiment string   `json:"experiment"`
-		Quick      bool     `json:"quick"`
-		Host       HostInfo `json:"host"`
-		Ops        int      `json:"ops_per_pass"`
-		ZipfS      float64  `json:"zipf_s"`
-		Rows       []row    `json:"rows"`
-	}{Experiment: "e23-resolver-strategies", Quick: o.Quick, Host: Host(), Ops: ops, ZipfS: 1.1}
 
 	fprintf(w, "E23 Address resolution at large (q, n): strategy frontier (%d-var Zipf stream per cell, s=1.1)\n", ops)
 	fprintf(w, "%-10s %10s %11s %-9s %9s %12s %10s %10s %8s\n",
@@ -152,19 +134,14 @@ func E23(w io.Writer, o Options) error {
 			}
 		}
 		emit := func(r row) {
-			r.Cell, r.Q, r.N, r.Vars, r.Entries, r.IndexerBytes = label, s.Q, c.n, s.NumVariables, entries, idxBytes
-			if r.NsPerVar > 0 {
-				r.VarsPerSec = 1e9 / r.NsPerVar
-			}
-			report.Rows = append(report.Rows, r)
-			if r.Skipped {
+			if r.skipped {
 				fprintf(w, "%-10s %10d %11d %-9s %9s %12d  (table too large to hold: the size rule resolves this cell computed)\n",
-					label, s.NumVariables, entries, r.Strategy, "-", r.ResidentBytes)
+					label, s.NumVariables, entries, r.strategy, "-", r.residentBytes)
 				return
 			}
 			fprintf(w, "%-10s %10d %11d %-9s %9.0f %12d %10.1f %10.1f %7.2fx\n",
-				label, s.NumVariables, entries, r.Strategy, r.BuildMs, r.ResidentBytes,
-				r.ColdNsPerVar, r.NsPerVar, r.Speedup)
+				label, s.NumVariables, entries, r.strategy, r.buildMs, r.residentBytes,
+				r.coldNsPerVar, r.nsPerVar, r.speedup)
 		}
 
 		// The live per-op baseline every strategy's speedup is against.
@@ -176,16 +153,16 @@ func E23(w io.Writer, o Options) error {
 				}
 			}
 		})
-		emit(row{Strategy: "per-op", ColdNsPerVar: perOpCold, NsPerVar: perOpNs, Speedup: 1})
+		emit(row{strategy: "per-op", coldNsPerVar: perOpCold, nsPerVar: perOpNs, speedup: 1})
 
 		for _, strat := range strategies {
 			switch strat {
 			case "computed":
 				cold, ns := measure(bulkThrough(mp))
-				emit(row{Strategy: strat, ColdNsPerVar: cold, NsPerVar: ns, Speedup: perOpNs / ns})
+				emit(row{strategy: strat, coldNsPerVar: cold, nsPerVar: ns, speedup: perOpNs / ns})
 			case "compiled":
 				if !protocol.TableFits(mp) {
-					emit(row{Strategy: strat, Skipped: true, ResidentBytes: entries * 8})
+					emit(row{strategy: strat, skipped: true, residentBytes: entries * 8})
 					continue
 				}
 				buildStart := time.Now()
@@ -195,8 +172,8 @@ func E23(w io.Writer, o Options) error {
 				}
 				buildMs := float64(time.Since(buildStart).Nanoseconds()) / 1e6
 				cold, ns := measure(bulkThrough(r))
-				emit(row{Strategy: strat, BuildMs: buildMs, ResidentBytes: r.ResidentBytes(),
-					ColdNsPerVar: cold, NsPerVar: ns, Speedup: perOpNs / ns})
+				emit(row{strategy: strat, buildMs: buildMs, residentBytes: r.ResidentBytes(),
+					coldNsPerVar: cold, nsPerVar: ns, speedup: perOpNs / ns})
 			}
 		}
 
@@ -216,16 +193,5 @@ func E23(w io.Writer, o Options) error {
 	fprintf(w, "  (speedup is steady-state per-op ns over the strategy's ns per variable; cold is the\n")
 	fprintf(w, "   first pass. Resident bytes exclude the per-cell indexer, shown once per cell; a\n")
 	fprintf(w, "   skipped compiled row reports the table that would have had to be held.)\n\n")
-
-	if path := o.jsonPath("BENCH_PR9.json"); path != "" {
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-			return fmt.Errorf("e23: writing %s: %w", path, err)
-		}
-		fprintf(w, "  (wrote %s)\n\n", path)
-	}
 	return nil
 }

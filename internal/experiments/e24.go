@@ -1,20 +1,15 @@
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"math/rand"
 	"net"
-	"os"
 	"runtime"
 	"sync"
 	"time"
 
 	"detshmem/internal/consistency"
-	"detshmem/internal/frontend"
 	"detshmem/internal/mpc"
 	"detshmem/internal/netmpc"
 	"detshmem/internal/protocol"
@@ -58,93 +53,54 @@ const e24Cadence = 100 * time.Microsecond
 //	            committed value must read back exactly.
 //
 // Every cell's client trace is recorded and certified with the black-box
-// consistency checker. JSON output goes to BENCH_PR10.json.
+// consistency checker; Options.JSONPath receives the rows cmd/netcluster
+// re-checks.
 func E24(w io.Writer, o Options) error {
-	n, clients, opsPer := 7, 8, 600
-	if o.Quick {
-		n, clients, opsPer = 5, 4, 250
-	}
-	const nServers = 4
-	inst, err := newE7Instance(n)
+	f, err := newE22Fixture(o)
 	if err != nil {
 		return err
-	}
-	resolver, err := protocol.CompileMapper(inst.pp, protocol.CompileOptions{})
-	if err != nil {
-		return err
-	}
-	nVars := 48
-	if !o.Quick {
-		nVars = 64
-	}
-	vars := make([]uint64, nVars)
-	for i := range vars {
-		vars[i] = uint64(i*7+3) % inst.s.NumVariables
-	}
-	rec := o.Consistency
-	if rec == nil {
-		rec = consistency.NewRecorder()
 	}
 	rep := e24Report{
 		Experiment: "e24-self-healing-repair",
 		Quick:      o.Quick,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Host:       Host(),
-		Degree:     n,
-		Servers:    nServers,
-		Clients:    clients,
+		Degree:     f.inst.s.Deg,
+		Servers:    e22Servers,
+		Clients:    f.clients,
 		CadenceUS:  float64(e24Cadence) / float64(time.Microsecond),
 		External:   len(o.Servers) > 0,
 	}
 
 	fprintf(w, "E24 Self-healing repair: q=2 n=%d (%d modules), %d clients, churn cadence %v\n",
-		n, inst.s.NumModules, clients, e24Cadence)
+		f.inst.s.Deg, f.inst.s.NumModules, f.clients, e24Cadence)
 	fprintf(w, "%-12s %10s %9s %9s %10s %10s %s\n",
 		"cell", "ops", "stranded", "blocked", "rounds/op", "strandrate", "verdict")
 
-	runInproc := o.Transport == "" || o.Transport == "inproc"
-	runTCP := o.Transport == "" || o.Transport == "tcp"
-
-	if runInproc {
-		base, err := e24BaselineCell(w, o, rec, inst, resolver, clients, opsPer, vars)
+	if o.Transport == "" || o.Transport == "inproc" {
+		base, err := e24BaselineCell(w, f)
 		if err != nil {
 			return err
 		}
-		rep.Rows = append(rep.Rows, base)
-
-		on, err := e24ChurnCell(w, o, rec, inst, resolver, clients, opsPer, vars, base.RoundsPerOp)
+		on, err := e24ChurnCell(w, f, base.RoundsPerOp)
 		if err != nil {
 			return err
 		}
-		rep.Rows = append(rep.Rows, on)
-
-		off, err := e24AccumulateCell(w, o, rec, inst, resolver, clients, opsPer, vars)
+		off, err := e24AccumulateCell(w, f)
 		if err != nil {
 			return err
 		}
-		rep.Rows = append(rep.Rows, off)
+		rep.Rows = append(rep.Rows, base, on, off)
 	}
-
-	if runTCP {
-		row, err := e24DrillCell(w, o, rec, inst, resolver, nServers, vars)
+	if o.Transport == "" || o.Transport == "tcp" {
+		row, err := e24DrillCell(w, f)
 		if err != nil {
 			return err
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
 	fprintf(w, "\n")
-
-	if path := o.jsonPath("BENCH_PR10.json"); path != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-			return fmt.Errorf("e24: writing %s: %w", path, err)
-		}
-		fprintf(w, "  (wrote %s)\n\n", path)
-	}
-	return nil
+	return o.writeReport(w, rep)
 }
 
 type e24Report struct {
@@ -187,10 +143,10 @@ type e24Row struct {
 	ServerStats []netmpc.ServerStats `json:"server_stats,omitempty"`
 }
 
-// e24Service builds the one-shard service every in-process cell
-// uses, with per-shard collectors on (repair accounting flows through them).
-func e24Service(o Options, inst *e7Instance, resolver *protocol.CompiledResolver, fs *mpc.FaultSet) (*shard.Service, error) {
-	pcfg := o.instrument(protocol.Config{Resolver: resolver})
+// e24Service builds the one-shard service every in-process cell uses, over
+// the shared fault set when the cell has one.
+func e24Service(f *e22Fixture, fs *mpc.FaultSet) (*shard.Service, error) {
+	var pcfg protocol.Config
 	if fs != nil {
 		pcfg.NewMachine = func(mcfg mpc.Config) (protocol.Machine, error) {
 			return mpc.NewFailingShared(mcfg, fs)
@@ -198,101 +154,7 @@ func e24Service(o Options, inst *e7Instance, resolver *protocol.CompiledResolver
 		pcfg.FaultAttempts = 64
 		pcfg.MaxIterationsPerPhase = 2048
 	}
-	return shard.New(inst.pp, shard.Config{
-		Shards:   1,
-		Observe:  true,
-		Protocol: pcfg,
-	})
-}
-
-// e24Drive is e22's windowed async driver extended for the repair regime:
-// ErrQuorumUnreachable means stranded (live copies below quorum — with
-// repair on this must never happen), while a plain incomplete verdict means
-// blocked (the quorum was only unreachable because re-admitted modules were
-// still uncertified — the op failed cleanly and nothing was lost). Both are
-// recorded as failed operations so the consistency checker drops them.
-func e24Drive(svc *shard.Service, rr *consistency.RunRecorder, clients, opsPerClient int, vars []uint64, seed int64) (total, stranded, blocked int64, err error) {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cr := rr.Client(c)
-			rng := rand.New(rand.NewSource(seed + int64(c)*7919))
-			type slot struct {
-				fut   *frontend.Future
-				write bool
-				v     uint64
-				val   uint64
-			}
-			pending := make([]slot, 0, e22Window)
-			var done, lost, held int64
-			drain := func() bool {
-				for _, s := range pending {
-					got, werr := s.fut.Wait()
-					done++
-					if werr != nil {
-						if errors.Is(werr, protocol.ErrQuorumUnreachable) {
-							lost++
-						} else if errors.Is(werr, protocol.ErrIncomplete) {
-							held++
-						} else {
-							errs <- werr
-							return false
-						}
-						cr.Record(s.write, s.v, s.val, true)
-						continue
-					}
-					if s.write {
-						cr.Record(true, s.v, s.val, false)
-					} else {
-						cr.Record(false, s.v, got, false)
-					}
-				}
-				pending = pending[:0]
-				return true
-			}
-			flush := func() {
-				mu.Lock()
-				total += done
-				stranded += lost
-				blocked += held
-				mu.Unlock()
-			}
-			for i := 0; i < opsPerClient; i++ {
-				v := vars[rng.Intn(len(vars))]
-				var s slot
-				var serr error
-				if rng.Intn(100) < 40 {
-					s = slot{write: true, v: v, val: cr.WriteValue()}
-					s.fut, serr = svc.WriteAsync(v, s.val)
-				} else {
-					s = slot{v: v}
-					s.fut, serr = svc.ReadAsync(v)
-				}
-				if serr != nil {
-					errs <- serr
-					flush()
-					return
-				}
-				pending = append(pending, s)
-				if len(pending) == e22Window && !drain() {
-					flush()
-					return
-				}
-			}
-			drain()
-			flush()
-		}(c)
-	}
-	wg.Wait()
-	select {
-	case err = <-errs:
-	default:
-	}
-	return total, stranded, blocked, err
+	return f.service(true, pcfg, nil)
 }
 
 // e24DrainRepair drives light traffic until the fault set's repair backlog
@@ -326,14 +188,14 @@ func e24RepairCounters(svc *shard.Service) (rounds, certified int64) {
 
 // e24BaselineCell is the no-fault reference: its rounds-per-op anchors the
 // repair-on cell's inflation gate.
-func e24BaselineCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Instance, resolver *protocol.CompiledResolver, clients, opsPer int, vars []uint64) (e24Row, error) {
-	svc, err := e24Service(o, inst, resolver, nil)
+func e24BaselineCell(w io.Writer, f *e22Fixture) (e24Row, error) {
+	svc, err := e24Service(f, nil)
 	if err != nil {
 		return e24Row{}, err
 	}
-	rr := rec.Run("e24/baseline", consistency.ContractTotalOrder, clients)
+	rr := f.rec.Run("e24/baseline", consistency.ContractTotalOrder, f.clients)
 	start := time.Now()
-	ops, stranded, blocked, err := e24Drive(svc, rr, clients, opsPer, vars, o.Seed+1001)
+	t, err := f.drive(svc, rr, f.opsPer, 1001, protocol.ErrIncomplete)
 	if ferr := svc.Flush(); err == nil {
 		err = ferr
 	}
@@ -346,19 +208,19 @@ func e24BaselineCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7
 		return e24Row{}, cerr
 	}
 	elapsed := time.Since(start)
-	if stranded+blocked > 0 {
-		return e24Row{}, fmt.Errorf("e24: baseline cell failed %d ops", stranded+blocked)
+	if t.stranded+t.blocked > 0 {
+		return e24Row{}, fmt.Errorf("e24: baseline cell failed %d ops", t.stranded+t.blocked)
 	}
 	row := e24Row{
 		Cell:        "baseline",
-		Ops:         ops,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
-		OpsPerSec:   float64(ops) / elapsed.Seconds(),
+		Ops:         t.ops,
+		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(t.ops),
+		OpsPerSec:   float64(t.ops) / elapsed.Seconds(),
 		RoundsPerOp: float64(st.Total.TotalRounds) / float64(st.Total.OpsIn),
 		Inflation:   1,
 		WithinBound: true,
 	}
-	if row.Certified, err = e22Certify(rec, "e24/baseline"); err != nil {
+	if row.Certified, err = f.certify("e24/baseline"); err != nil {
 		return row, err
 	}
 	fprintf(w, "%-12s %10d %9d %9d %10.2f %10.4f %s\n",
@@ -370,9 +232,9 @@ func e24BaselineCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7
 // with the repair subsystem rebuilding every re-admitted module before it
 // rejoins read quorums. Nothing may strand, the backlog must drain once the
 // storm stops, and normal traffic must not pay more than 10% extra rounds.
-func e24ChurnCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Instance, resolver *protocol.CompiledResolver, clients, opsPer int, vars []uint64, baseRounds float64) (e24Row, error) {
+func e24ChurnCell(w io.Writer, f *e22Fixture, baseRounds float64) (e24Row, error) {
 	fs := mpc.NewFaultSet()
-	svc, err := e24Service(o, inst, resolver, fs)
+	svc, err := e24Service(f, fs)
 	if err != nil {
 		return e24Row{}, err
 	}
@@ -398,13 +260,14 @@ func e24ChurnCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Ins
 			fs.Fail(m)
 			time.Sleep(e24Cadence)
 			fs.RecoverPending(m)
-			m = (m + 13) % inst.s.NumModules
+			m = (m + 13) % f.inst.s.NumModules
 		}
 	}()
 
-	rr := rec.Run("e24/repair-on", consistency.ContractTotalOrder, clients)
+	rr := f.rec.Run("e24/repair-on", consistency.ContractTotalOrder, f.clients)
 	start := time.Now()
-	ops, stranded, blocked, err := e24Drive(svc, rr, clients, opsPer, vars, o.Seed+1002)
+	t, err := f.drive(svc, rr, f.opsPer, 1002, protocol.ErrIncomplete)
+	ops, stranded, blocked := t.ops, t.stranded, t.blocked
 	close(stop)
 	churn.Wait()
 	if ferr := svc.Flush(); err == nil {
@@ -417,7 +280,7 @@ func e24ChurnCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Ins
 	for _, m := range fs.Modules() {
 		fs.RecoverPending(m)
 	}
-	if err := e24DrainRepair(svc, fs, vars[0], 60*time.Second); err != nil {
+	if err := e24DrainRepair(svc, fs, f.vars[0], 60*time.Second); err != nil {
 		return e24Row{}, err
 	}
 	st := svc.Stats()
@@ -447,9 +310,9 @@ func e24ChurnCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Ins
 	// the scheduler: the inflation is reported there but gates only a
 	// full-scale run. The invariants — nothing stranded, backlog drained,
 	// trace certified — gate both.
-	inflated := row.Inflation > 1.10 && !o.Quick
+	inflated := row.Inflation > 1.10 && !f.o.Quick
 	row.WithinBound = stranded == 0 && !inflated
-	if row.Certified, err = e22Certify(rec, "e24/repair-on"); err != nil {
+	if row.Certified, err = f.certify("e24/repair-on"); err != nil {
 		return row, err
 	}
 	verdict := fmt.Sprintf("certified, repaired %d modules in %d rounds, inflation %.3fx", repairedMods, repairRounds, row.Inflation)
@@ -469,9 +332,10 @@ func e24ChurnCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Ins
 // e24AccumulateCell is the counterfactual: failures accumulate mid-run and
 // nothing repairs them, so stranding converges to the exact Γ-map rate —
 // the regime PR 10 exists to eliminate.
-func e24AccumulateCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Instance, resolver *protocol.CompiledResolver, clients, opsPer int, vars []uint64) (e24Row, error) {
+func e24AccumulateCell(w io.Writer, f *e22Fixture) (e24Row, error) {
+	inst, opsPer, vars := f.inst, f.opsPer, f.vars
 	fs := mpc.NewFaultSet()
-	svc, err := e24Service(o, inst, resolver, fs)
+	svc, err := e24Service(f, fs)
 	if err != nil {
 		return e24Row{}, err
 	}
@@ -482,17 +346,17 @@ func e24AccumulateCell(w io.Writer, o Options, rec *consistency.Recorder, inst *
 		}
 	}()
 
-	rr := rec.Run("e24/repair-off", consistency.ContractTotalOrder, clients)
+	rr := f.rec.Run("e24/repair-off", consistency.ContractTotalOrder, f.clients)
 	start := time.Now()
-	ops1, stranded1, blocked1, err := e24Drive(svc, rr, clients, opsPer/2, vars, o.Seed+1003)
+	t1, err := f.drive(svc, rr, opsPer/2, 1003, protocol.ErrIncomplete)
 	if err != nil {
 		return e24Row{}, err
 	}
 	if err := svc.Flush(); err != nil {
 		return e24Row{}, err
 	}
-	if stranded1+blocked1 > 0 {
-		return e24Row{}, fmt.Errorf("e24: repair-off cell failed %d ops before the faults", stranded1+blocked1)
+	if t1.stranded+t1.blocked > 0 {
+		return e24Row{}, fmt.Errorf("e24: repair-off cell failed %d ops before the faults", t1.stranded+t1.blocked)
 	}
 
 	// Kill a majority of the first few workload variables' copies and leave
@@ -508,10 +372,10 @@ func e24AccumulateCell(w io.Writer, o Options, rec *consistency.Recorder, inst *
 		}
 	}
 	failedMods := fs.Count()
-	exact := e24ExactStrandRate(inst, fs, vars)
+	exact := exactStrandRate(inst, fs, vars)
 	binom := e22BinomRate(inst.s.Copies, inst.s.Majority, float64(failedMods)/float64(inst.s.NumModules))
 
-	ops2, stranded2, blocked2, err := e24Drive(svc, rr, clients, opsPer-opsPer/2, vars, o.Seed+1004)
+	t2, err := f.drive(svc, rr, opsPer-opsPer/2, 1004, protocol.ErrIncomplete)
 	if err != nil {
 		return e24Row{}, err
 	}
@@ -525,16 +389,16 @@ func e24AccumulateCell(w io.Writer, o Options, rec *consistency.Recorder, inst *
 	closed = true
 	elapsed := time.Since(start)
 
-	rate := float64(stranded2) / float64(ops2)
-	sigma := math.Sqrt(exact * (1 - exact) / float64(ops2))
-	bound := exact + 6*sigma + 0.03
+	rate := float64(t2.stranded) / float64(t2.ops)
+	bound := strandBound(exact, t2.ops)
+	ops := t1.ops + t2.ops
 	row := e24Row{
 		Cell:        "repair-off",
-		Ops:         ops1 + ops2,
-		Stranded:    stranded2,
-		Blocked:     blocked1 + blocked2,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops1+ops2),
-		OpsPerSec:   float64(ops1+ops2) / elapsed.Seconds(),
+		Ops:         ops,
+		Stranded:    t2.stranded,
+		Blocked:     t2.blocked,
+		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
+		OpsPerSec:   float64(ops) / elapsed.Seconds(),
 		RoundsPerOp: float64(st.Total.TotalRounds) / float64(st.Total.OpsIn),
 		StrandRate:  rate,
 		ExactRate:   exact,
@@ -543,16 +407,16 @@ func e24AccumulateCell(w io.Writer, o Options, rec *consistency.Recorder, inst *
 		WithinBound: rate <= bound && exact > 0,
 		FailedMods:  failedMods,
 	}
-	if row.Certified, err = e22Certify(rec, "e24/repair-off"); err != nil {
+	if row.Certified, err = f.certify("e24/repair-off"); err != nil {
 		return row, err
 	}
 	verdict := fmt.Sprintf("certified, %d/%d stranded, rate %.4f <= bound %.4f (exact %.4f, binom %.4f)",
-		stranded2, ops2, rate, bound, exact, binom)
+		t2.stranded, t2.ops, rate, bound, exact, binom)
 	if rate > bound {
 		verdict = fmt.Sprintf("STRANDING ABOVE BOUND: %.4f > %.4f", rate, bound)
 	}
 	fprintf(w, "%-12s %10d %9d %9d %10.2f %10.4f %s\n",
-		row.Cell, row.Ops, stranded2, row.Blocked, row.RoundsPerOp, rate, verdict)
+		row.Cell, row.Ops, t2.stranded, row.Blocked, row.RoundsPerOp, rate, verdict)
 	if rate > bound {
 		return row, fmt.Errorf("e24: repair-off stranding %.4f exceeds bound %.4f", rate, bound)
 	}
@@ -562,71 +426,32 @@ func e24AccumulateCell(w io.Writer, o Options, rec *consistency.Recorder, inst *
 	return row, nil
 }
 
-// e24ExactStrandRate is e22's exact Γ-map rate over a raw fault set: the
-// fraction of workload variables whose live copies are below the majority.
-func e24ExactStrandRate(inst *e7Instance, fs *mpc.FaultSet, vars []uint64) float64 {
-	strandedVars := 0
-	var buf []uint64
-	for _, v := range vars {
-		buf = inst.s.VarModules(buf[:0], inst.idx.Mat(v))
-		live := 0
-		for _, m := range buf {
-			if !fs.Failed(m) {
-				live++
-			}
-		}
-		if live < inst.s.Majority {
-			strandedVars++
-		}
-	}
-	return float64(strandedVars) / float64(len(vars))
-}
-
 // e24DrillCell runs the wipe-restart drill over TCP: write committed values,
 // kill one memserver, restart it with an empty store on the same address,
 // and prove the generation-token handshake routes the range through repair —
 // the backlog appears, drains over the wire, and every committed value reads
 // back exactly. With external servers the kill and restart are the
 // harness's job (cmd/netcluster), signalled by the marker line.
-func e24DrillCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Instance, resolver *protocol.CompiledResolver, nServers int, vars []uint64) (e24Row, error) {
-	addrs := o.Servers
-	var local []*netmpc.Server
-	var err error
-	if len(addrs) == 0 {
-		local, addrs, err = e22Cluster(inst, nServers)
-		if err != nil {
-			return e24Row{}, err
-		}
-		defer func() {
-			for _, sv := range local {
-				sv.Close()
-			}
-		}()
+func e24DrillCell(w io.Writer, f *e22Fixture) (e24Row, error) {
+	inst := f.inst
+	local, addrs, err := f.cluster()
+	if err != nil {
+		return e24Row{}, err
 	}
+	defer func() {
+		for _, sv := range local {
+			sv.Close()
+		}
+	}()
 	k := len(addrs)
 	const victim = 1
 
-	tr, err := netmpc.Dial(netmpc.Config{
-		Servers:      addrs,
-		Q:            inst.s.Q,
-		N:            uint32(inst.s.Deg),
-		Modules:      int64(inst.s.NumModules),
-		AddrSpace:    inst.s.NumModules * uint64(inst.s.ModuleSize),
-		StoreID:      3,
-		RoundTimeout: 3 * time.Second,
-		ReconnectMin: 10 * time.Millisecond,
-		ReconnectMax: 200 * time.Millisecond,
-	})
+	tr, err := f.dial(addrs, 3, 10*time.Millisecond, 200*time.Millisecond)
 	if err != nil {
 		return e24Row{}, err
 	}
 	defer tr.Close()
-	svc, err := shard.New(inst.pp, shard.Config{
-		Shards:    1,
-		Observe:   true,
-		Protocol:  o.instrument(protocol.Config{Resolver: resolver}),
-		Transport: func(int) protocol.Transport { return tr },
-	})
+	svc, err := f.service(true, protocol.Config{}, tr)
 	if err != nil {
 		return e24Row{}, err
 	}
@@ -662,7 +487,7 @@ func e24DrillCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Ins
 		return e24Row{}, fmt.Errorf("e24: only %d variables have exactly one copy on server %d of %d", len(drill), victim, k)
 	}
 
-	rr := rec.Run("e24/tcp-drill", consistency.ContractTotalOrder, 1)
+	rr := f.rec.Run("e24/tcp-drill", consistency.ContractTotalOrder, 1)
 	cr := rr.Client(0)
 	model := make(map[uint64]uint64, len(drill))
 	start := time.Now()
@@ -697,15 +522,7 @@ func e24DrillCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Ins
 		if err != nil {
 			return e24Row{}, fmt.Errorf("e24: rebinding %s: %w", addrs[victim], err)
 		}
-		lo, hi := netmpc.Range(victim, k, int64(inst.s.NumModules))
-		sv := netmpc.NewServer(netmpc.ServerConfig{
-			Q:         inst.s.Q,
-			N:         uint32(inst.s.Deg),
-			Modules:   inst.s.NumModules,
-			AddrSpace: inst.s.NumModules * uint64(inst.s.ModuleSize),
-			RangeLo:   uint64(lo),
-			RangeHi:   uint64(hi),
-		})
+		sv := f.server(victim, k)
 		go sv.Serve(ln)
 		local[victim] = sv
 	}
@@ -761,7 +578,7 @@ func e24DrillCell(w io.Writer, o Options, rec *consistency.Recorder, inst *e7Ins
 		ServerStats:    tr.Stats(),
 	}
 	var err2 error
-	if row.Certified, err2 = e22Certify(rec, "e24/tcp-drill"); err2 != nil {
+	if row.Certified, err2 = f.certify("e24/tcp-drill"); err2 != nil {
 		return row, err2
 	}
 	verdict := fmt.Sprintf("certified, %d modules rebuilt over the wire in %d rounds, %d values intact",

@@ -6,15 +6,16 @@
 // recorded in EXPERIMENTS.md.
 //
 // Experiments print self-contained tables to an io.Writer so that both
-// cmd/smembench and the benchmark harness can drive them.
+// cmd/smembench and the benchmark harness can drive them. E15–E24 measure the
+// serving stack; their clients are one closed loop (drive.go).
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"path/filepath"
-	"strings"
+	"os"
 
 	"detshmem/internal/consistency"
 	"detshmem/internal/core"
@@ -27,19 +28,12 @@ import (
 type Options struct {
 	Quick bool  // shrink sweeps for fast runs
 	Seed  int64 // randomness seed (workloads only; schemes are deterministic)
-	// JSON makes experiments that support machine-readable output (E16, E18)
-	// write their results to their per-experiment default path
-	// (BENCH_PR2.json for E16, BENCH_PR4.json for E18).
-	JSON bool
-	// JSONPath overrides the default JSON path. Setting it implies JSON
-	// output for every JSON-capable experiment in the run, so select a
-	// single experiment when using an explicit path.
+	// JSONPath, when set, is where E22 and E24 also write their rows as JSON
+	// (smembench -jsonout): cmd/netcluster re-checks their gates from that
+	// file. Both write the whole file, so select one of them per run. Every
+	// other experiment's numbers are its printed table; the benchmark with a
+	// result schema is the bench/ module.
 	JSONPath string
-	// JSONSuffix is inserted before the JSON path's extension (e.g.
-	// ".procs4" turns BENCH_PR7.json into BENCH_PR7.procs4.json); the
-	// smembench -maxprocs sweep uses it so each GOMAXPROCS pass keeps its
-	// own output.
-	JSONSuffix string
 	// Shards, when > 0, pins E18 to a single shard count (plus its S=1
 	// baseline) instead of the full sweep (smembench -shards).
 	Shards int
@@ -94,25 +88,20 @@ func (o Options) instrument(cfg protocol.Config) protocol.Config {
 	return cfg
 }
 
-// jsonPath resolves where a JSON-capable experiment should write its
-// machine-readable results: the explicit override, the experiment's default
-// when JSON output was requested, or "" for no JSON.
-func (o Options) jsonPath(def string) string {
-	path := o.JSONPath
-	if path == "" {
-		if !o.JSON {
-			return ""
-		}
-		path = def
+// writeReport writes an experiment's rows to Options.JSONPath, if one is set.
+func (o Options) writeReport(w io.Writer, report any) error {
+	if o.JSONPath == "" {
+		return nil
 	}
-	if o.JSONSuffix != "" {
-		if ext := filepath.Ext(path); ext != "" {
-			path = strings.TrimSuffix(path, ext) + o.JSONSuffix + ext
-		} else {
-			path += o.JSONSuffix
-		}
+	blob, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
 	}
-	return path
+	if err := os.WriteFile(o.JSONPath, append(blob, '\n'), 0o644); err != nil {
+		return fmt.Errorf("writing %s: %w", o.JSONPath, err)
+	}
+	fprintf(w, "  (wrote %s)\n\n", o.JSONPath)
+	return nil
 }
 
 // Rng returns the experiment RNG.

@@ -114,11 +114,12 @@ func (c *Client) CertifyRepairs(mods, gens []uint64) int { return c.t.fs.Certify
 func (c *Client) Cost() uint64 { return c.round }
 
 // Round executes one synchronous MPC round over the network: assemble one
-// frame per touched server, fan all frames out (pipelining — every send
-// completes before the first reply is awaited), gather replies until
-// RoundTimeout, and mark unresponsive servers down. Bids directed at down
-// servers are dropped exactly like bids at failed modules (mpc.Failing),
-// and the books balance: surviving requests + dropped == issued.
+// frame per touched server, fan all frames out (every send completes before
+// the first reply is awaited, so the servers work in parallel), gather
+// replies until RoundTimeout, and mark unresponsive servers down. Bids
+// directed at down servers are dropped exactly like bids at failed modules
+// (mpc.Failing), and the books balance: surviving requests + dropped ==
+// issued.
 func (c *Client) Round(reqs []int64, grant []bool) int {
 	t := c.t
 	t.roundMu.Lock()

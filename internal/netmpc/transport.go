@@ -122,7 +122,8 @@ type srv struct {
 }
 
 // Transport is the TCP implementation of protocol.Transport: persistent
-// per-server connections, pipelined round fan-out, and degradation onto an
+// per-server connections, lock-step round fan-out (one frame per touched
+// server, all replies gathered before the next round), and degradation onto an
 // mpc.FaultSet so the protocol's quorum re-selection and retry machinery
 // (PR 5) treats a dead server exactly like a span of failed modules.
 //

@@ -8,64 +8,32 @@ var digestGolden = map[string]uint64{
 	"0-pp93/policy=0/static":                  0x7cdd3987fac06631,
 	"0-pp93/policy=0/flip":                    0x2174dd0ff5675891,
 	"0-pp93/policy=0/repairing":               0xf23a4605c24703fd,
-	"0-pp93/policy=1/healthy":                 0xfcf260dffbc814ec,
-	"0-pp93/policy=1/static":                  0x0d4a88ff42f709ad,
-	"0-pp93/policy=1/flip":                    0xd67e586593bca299,
-	"0-pp93/policy=1/repairing":               0x4d00267bf6b49399,
 	"1-pp93/policy=0/healthy":                 0xd4d3ab62b78933f7,
 	"1-pp93/policy=0/static":                  0x5cd39d8f56f915c8,
 	"1-pp93/policy=0/flip":                    0x7785fda060e303b2,
 	"1-pp93/policy=0/repairing":               0xb5285c1e52070088,
-	"1-pp93/policy=1/healthy":                 0x3b128d1c17076413,
-	"1-pp93/policy=1/static":                  0x4ca70717e151ad4f,
-	"1-pp93/policy=1/flip":                    0x21b8504b465b67a2,
-	"1-pp93/policy=1/repairing":               0x2b2146cfed758581,
 	"2-mv-c2/policy=0/healthy":                0xa2dbb64032359484,
 	"2-mv-c2/policy=0/static":                 0xd718fcdeeba6daa1,
 	"2-mv-c2/policy=0/flip":                   0xb73032e44bfe2418,
 	"2-mv-c2/policy=0/repairing":              0x458d13366005d820,
-	"2-mv-c2/policy=1/healthy":                0xaa3824ca3c07dd00,
-	"2-mv-c2/policy=1/static":                 0x2d81d3790f39f58f,
-	"2-mv-c2/policy=1/flip":                   0x57f4b96a43d55f64,
-	"2-mv-c2/policy=1/repairing":              0x1cb8219110af5630,
 	"3-single-interleaved/policy=0/healthy":   0xaad358a57bdc3c4f,
 	"3-single-interleaved/policy=0/static":    0xe48fe730c1ef3376,
 	"3-single-interleaved/policy=0/flip":      0xec3499de4b771e05,
 	"3-single-interleaved/policy=0/repairing": 0xfe9edf041364305c,
-	"3-single-interleaved/policy=1/healthy":   0xaad358a57bdc3c4f,
-	"3-single-interleaved/policy=1/static":    0xe48fe730c1ef3376,
-	"3-single-interleaved/policy=1/flip":      0xec3499de4b771e05,
-	"3-single-interleaved/policy=1/repairing": 0xfe9edf041364305c,
 	"4-single-hashed/policy=0/healthy":        0xf6d55195fa19d3d1,
 	"4-single-hashed/policy=0/static":         0xce640a31db17d5ea,
 	"4-single-hashed/policy=0/flip":           0xafaf4c7f72cc95e7,
 	"4-single-hashed/policy=0/repairing":      0xc0c30198278f569a,
-	"4-single-hashed/policy=1/healthy":        0xf6d55195fa19d3d1,
-	"4-single-hashed/policy=1/static":         0xce640a31db17d5ea,
-	"4-single-hashed/policy=1/flip":           0xafaf4c7f72cc95e7,
-	"4-single-hashed/policy=1/repairing":      0xc0c30198278f569a,
 	"5-uw-c3/policy=0/healthy":                0x8965d95a24a3b0a5,
 	"5-uw-c3/policy=0/static":                 0x7387432c140a6914,
 	"5-uw-c3/policy=0/flip":                   0x9dc8a306771b234a,
 	"5-uw-c3/policy=0/repairing":              0x36774c8660695f5f,
-	"5-uw-c3/policy=1/healthy":                0xb693353bdd3ed9b7,
-	"5-uw-c3/policy=1/static":                 0x118fc085b7f3a78a,
-	"5-uw-c3/policy=1/flip":                   0x3b85282db1b89c07,
-	"5-uw-c3/policy=1/repairing":              0xceecbefa84921dd4,
 	"6-pp93/policy=0/healthy":                 0x104cd441319eede3,
 	"6-pp93/policy=0/static":                  0x6fec8b22b88a314a,
 	"6-pp93/policy=0/flip":                    0xf8ef1b8730dcceea,
 	"6-pp93/policy=0/repairing":               0xb1d72e08e92d7b60,
-	"6-pp93/policy=1/healthy":                 0x43b9db6954b6d1bc,
-	"6-pp93/policy=1/static":                  0xa10aac4e75ec0ce1,
-	"6-pp93/policy=1/flip":                    0x42ff2713b0e41e58,
-	"6-pp93/policy=1/repairing":               0xcdeae049782e6f90,
 	"7-affine-p61-r3/policy=0/healthy":        0x23b2638718fb8095,
 	"7-affine-p61-r3/policy=0/static":         0x5b391d21588e1c01,
 	"7-affine-p61-r3/policy=0/flip":           0xcb804f84f334bd6b,
 	"7-affine-p61-r3/policy=0/repairing":      0x8ea0c4cd6c5e25c1,
-	"7-affine-p61-r3/policy=1/healthy":        0xcf18398274842bf9,
-	"7-affine-p61-r3/policy=1/static":         0x2a7018b1003fc3e2,
-	"7-affine-p61-r3/policy=1/flip":           0x2862b1d24644cf7b,
-	"7-affine-p61-r3/policy=1/repairing":      0xccd94c8f245d75a6,
 }

@@ -15,13 +15,15 @@ import (
 // batch — read values, any Metrics field, the timestamps left on the copies —
 // may move when the batch path is rewritten. Every cell of
 //
-//	mapper matrix × copy policy × fault scenario × resolver
+//	mapper matrix × fault scenario × resolver
 //
 // runs the same seeded batch script and folds what it observed into one
 // FNV-1a digest. The constants in digestGolden were generated at commit
 // 7e384ba, before the batch path became staged passes over packed rows, and
 // have not been regenerated since; the table and the computed resolver must
-// both reproduce the one constant of their cell.
+// both reproduce the one constant of their cell. The keys still say policy=0:
+// the matrix had a copy-policy axis until the fixed-majority ablation
+// (policy=1) was deleted, and the surviving digests are kept byte for byte.
 
 // digestScenarios are the fault scenarios of the matrix.
 var digestScenarios = []string{"healthy", "static", "flip", "repairing"}
@@ -117,7 +119,7 @@ func digestBatch(rng *rand.Rand, numVars uint64, size int, touched map[uint64]bo
 }
 
 // digestCell runs one cell's script and returns its digest.
-func digestCell(t *testing.T, m Mapper, policy CopyPolicy, scenario string, table *CompiledResolver) uint64 {
+func digestCell(t *testing.T, m Mapper, scenario string, table *CompiledResolver) uint64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(20260930))
 	n, nv := int(m.NumModules()), m.NumVars()
@@ -143,7 +145,7 @@ func digestCell(t *testing.T, m Mapper, policy CopyPolicy, scenario string, tabl
 
 	// Untouched variables hold nothing to rebuild; sweeping only the touched
 	// ones keeps the q=8 cells (266 304 variables) quick.
-	cfg := Config{Policy: policy, TraceLive: true, MaxIterationsPerPhase: 512,
+	cfg := Config{TraceLive: true, MaxIterationsPerPhase: 512,
 		Owns: func(v uint64) bool { return touched[v] }}
 	if table != nil {
 		cfg.Resolver = table
@@ -230,15 +232,13 @@ func digestCell(t *testing.T, m Mapper, policy CopyPolicy, scenario string, tabl
 func TestBatchDigestsPinned(t *testing.T) {
 	for mi, m := range mapperFuzzSetup(t) {
 		table := compileTable(t, m)
-		for _, policy := range []CopyPolicy{PolicyAllCancel, PolicyFixedMajority} {
-			for _, scenario := range digestScenarios {
-				key := fmt.Sprintf("%d-%s/policy=%d/%s", mi, m.Name(), policy, scenario)
-				want, pinned := digestGolden[key]
-				for _, resolver := range []*CompiledResolver{table, nil} {
-					got := digestCell(t, m, policy, scenario, resolver)
-					if !pinned || got != want {
-						t.Errorf("%q: 0x%016x, // compiled=%v; pinned 0x%016x", key, got, resolver != nil, want)
-					}
+		for _, scenario := range digestScenarios {
+			key := fmt.Sprintf("%d-%s/policy=0/%s", mi, m.Name(), scenario)
+			want, pinned := digestGolden[key]
+			for _, resolver := range []*CompiledResolver{table, nil} {
+				got := digestCell(t, m, scenario, resolver)
+				if !pinned || got != want {
+					t.Errorf("%q: 0x%016x, // compiled=%v; pinned 0x%016x", key, got, resolver != nil, want)
 				}
 			}
 		}

@@ -10,8 +10,7 @@ import (
 )
 
 // Edge cases the combining frontend leans on: batch-boundary behaviour,
-// typed admission errors, iteration-bound exhaustion, and the
-// compiled table × PolicyFixedMajority interaction.
+// typed admission errors and iteration-bound exhaustion.
 
 func edgeSystem(t *testing.T, cfg Config) (*System, *core.Scheme) {
 	t.Helper()
@@ -156,61 +155,5 @@ func TestMaxIterationsExhaustion(t *testing.T) {
 	}
 	if _, err := sys2.Access(reqs); err != nil {
 		t.Fatalf("unbounded run failed: %v", err)
-	}
-}
-
-// TestCacheWithFixedMajority: the compiled table and PolicyFixedMajority
-// compose — repeated batches through the table-backed fixed-quorum system
-// return exactly what a fresh default system returns.
-func TestCacheWithFixedMajority(t *testing.T) {
-	plain, s := edgeSystem(t, Config{})
-	cached, _ := edgeSystem(t, Config{Resolver: compileTable(t, plain.Mapper), Policy: PolicyFixedMajority})
-	vars := make([]uint64, 0, 32)
-	for v := uint64(0); v < 32; v++ {
-		vars = append(vars, v%s.NumVariables)
-	}
-	vars = vars[:20]
-	vals := make([]uint64, len(vars))
-	for i := range vals {
-		vals[i] = uint64(i)*13 + 1
-	}
-	for round := 0; round < 3; round++ {
-		for i := range vals {
-			vals[i] += uint64(round) << 16
-		}
-		if _, err := cached.WriteBatch(vars, vals); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := plain.WriteBatch(vars, vals); err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := cached.ReadBatch(vars)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := plain.ReadBatch(vars)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != want[i] || got[i] != vals[i] {
-				t.Fatalf("round %d var %d: cached=%d plain=%d want=%d",
-					round, vars[i], got[i], want[i], vals[i])
-			}
-		}
-	}
-	// The cached fixed-quorum run must touch exactly quorum-many copies per
-	// request: the remaining copies keep timestamp 0.
-	for _, v := range vars {
-		ts := cached.CopyState(v)
-		touched := 0
-		for _, x := range ts {
-			if x != 0 {
-				touched++
-			}
-		}
-		if touched != cached.Mapper.WriteQuorum() {
-			t.Fatalf("var %d: %d copies touched under fixed majority, want %d", v, touched, cached.Mapper.WriteQuorum())
-		}
 	}
 }

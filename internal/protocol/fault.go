@@ -46,44 +46,19 @@ func (sys *System) barred(fv FaultView, op Op, m int64) bool {
 }
 
 // selectLive builds the phase task list for request r with the fault set in
-// view. Under PolicyAllCancel, failed copies are skipped and later live
-// copies slide up into the cluster's processor slots (quorum re-selection
-// over survivors); under PolicyFixedMajority the pinned first-quorum copies
-// are kept verbatim — redundancy without routing freedom — so a failed
-// pinned module is detected as unreachable up front rather than discovered
-// by burning the whole iteration budget. Requests that cannot reach their
-// quorum are queued for the post-phase retry pass and bid nothing now.
-func (sys *System) selectLive(b *batch, tasks []task, r, procBase, inFlight int) []task {
+// view: failed copies are skipped and the live ones take the cluster's
+// processor slots in copy order (quorum re-selection over survivors).
+// Requests that cannot reach their quorum are queued for the post-phase retry
+// pass and bid nothing now.
+func (sys *System) selectLive(b *batch, tasks []task, r, procBase int) []task {
 	sys.stalled[r] = false
 	sys.usedMask[r] = 0
 	sys.touchedC[r] = 0
 	sys.liveBids[r] = 0
-	row := sys.row(r)
 	op := b.reqs[r].Op
-	if sys.cfg.Policy == PolicyFixedMajority {
-		liveCnt := int32(0)
-		for _, cp := range row[:inFlight] {
-			if !sys.barred(b.fv, op, cp.module()) {
-				liveCnt++
-			}
-		}
-		if liveCnt < sys.remaining[r] {
-			sys.queueRetry(int32(r))
-			return tasks
-		}
-		for j, cp := range row[:inFlight] {
-			tasks = append(tasks, task{proc: int32(procBase + j), req: int32(r), cp: cp})
-			sys.usedMask[r] |= 1 << uint(j)
-		}
-		sys.liveBids[r] = int32(inFlight)
-		return tasks
-	}
 	start := len(tasks)
 	assigned := 0
-	for c, cp := range row {
-		if assigned == inFlight {
-			break
-		}
+	for c, cp := range sys.row(r) {
 		if sys.barred(b.fv, op, cp.module()) {
 			continue
 		}
@@ -122,8 +97,8 @@ func (sys *System) queueRetry(r int32) {
 
 // refilterTasks runs when the fault epoch moved mid-phase: bids addressed
 // at newly failed modules (or, for reads, modules freshly entering repair)
-// are dropped and, under PolicyAllCancel, replaced by a spare live copy
-// never selected this phase (reusing the freed processor slot). Requests
+// are dropped and replaced by a spare live copy never selected this phase
+// (reusing the freed processor slot). Requests
 // whose in-flight bids fell below their remaining quorum are shed to the
 // retry pass — their surviving bids would otherwise spin against the
 // iteration cap without ever completing.
@@ -137,17 +112,15 @@ func (sys *System) refilterTasks(b *batch, tasks []task) []task {
 			continue
 		}
 		sys.liveBids[r]--
-		if sys.cfg.Policy != PolicyFixedMajority {
-			for c, cp := range sys.row(int(r)) {
-				if sys.usedMask[r]&(1<<uint(c)) != 0 || sys.barred(b.fv, op, cp.module()) {
-					continue
-				}
-				sys.usedMask[r] |= 1 << uint(c)
-				sys.liveBids[r]++
-				b.res.Metrics.RetriedBids++
-				out = append(out, task{proc: t.proc, req: r, cp: cp})
-				break
+		for c, cp := range sys.row(int(r)) {
+			if sys.usedMask[r]&(1<<uint(c)) != 0 || sys.barred(b.fv, op, cp.module()) {
+				continue
 			}
+			sys.usedMask[r] |= 1 << uint(c)
+			sys.liveBids[r]++
+			b.res.Metrics.RetriedBids++
+			out = append(out, task{proc: t.proc, req: r, cp: cp})
+			break
 		}
 		if sys.liveBids[r] < sys.remaining[r] {
 			// Shed here, not only in the surviving-task pass below: when
@@ -185,7 +158,6 @@ func (sys *System) retryStranded(b *batch) {
 		attempts = defaultFaultAttempts
 	}
 	fv, reqs, res, geo := b.fv, b.reqs, b.res, sys.machineProcs
-	pinned := sys.cfg.Policy == PolicyFixedMajority
 
 	pending := sys.retry
 	wave := sys.wave
@@ -203,11 +175,7 @@ func (sys *System) retryStranded(b *batch) {
 				if sys.remaining[r] <= 0 {
 					continue
 				}
-				limit := sys.nCopies
-				if pinned {
-					limit = int(sys.quorum(reqs[r].Op))
-				}
-				row := sys.row(int(r))[:limit]
+				row := sys.row(int(r))
 				cnt := 0
 				for c, cp := range row {
 					if cnt == geo {
@@ -301,20 +269,14 @@ func (sys *System) driveRetryWave(b *batch, tasks []task) {
 }
 
 // liveQuorumLost reports whether request r's variable currently has fewer
-// live copies than its quorum — the ErrQuorumUnreachable verdict. Under the
-// pinned-majority ablation only the pinned copies count (redundancy without
-// routing freedom is not fault tolerance). Repairing modules deliberately
-// count as live here: a read blocked only by in-flight repair is transient
-// (the sweep will certify the copies), so it reports ErrIncomplete — retry
-// later — not the stranded verdict.
+// live copies than its quorum — the ErrQuorumUnreachable verdict. Repairing
+// modules deliberately count as live here: a read blocked only by in-flight
+// repair is transient (the sweep will certify the copies), so it reports
+// ErrIncomplete — retry later — not the stranded verdict.
 func (sys *System) liveQuorumLost(b *batch, r int) bool {
 	q := sys.quorum(b.reqs[r].Op)
-	limit := sys.nCopies
-	if sys.cfg.Policy == PolicyFixedMajority {
-		limit = int(q)
-	}
 	live := int32(0)
-	for _, cp := range sys.row(r)[:limit] {
+	for _, cp := range sys.row(r) {
 		if !b.fv.ModuleFailed(cp.module()) {
 			live++
 		}

@@ -256,119 +256,93 @@ func (m *epochFailMachine) Round(reqs []int64, grant []bool) int {
 // completing silently with a zero value, while the rest of the batch
 // commits.
 func TestMidPhaseTotalBidLoss(t *testing.T) {
-	cases := []struct {
-		name   string
-		policy CopyPolicy
-	}{
-		{"all-cancel", PolicyAllCancel},
-		{"fixed-majority", PolicyFixedMajority},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s, err := core.New(1, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			idx, err := s.NewIndexer()
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := NewCoreMapper(s, idx)
+	t.Run("all-cancel", func(t *testing.T) {
+		s, err := core.New(1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := s.NewIndexer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewCoreMapper(s, idx)
 
-			// The victim's in-flight bids: all copies under PolicyAllCancel,
-			// only the pinned first quorum under PolicyFixedMajority. Failing
-			// exactly those modules mid-phase drops its every bid with no
-			// live spare.
-			victim := uint64(10)
-			limit := m.Copies()
-			if tc.policy == PolicyFixedMajority {
-				limit = m.ReadQuorum()
-			}
-			mods := make([]uint64, 0, limit)
-			failed := map[uint64]bool{}
-			for c := 0; c < limit; c++ {
-				mod, _ := m.CopyAddr(victim, c)
-				mods = append(mods, mod)
-				failed[mod] = true
-			}
+		// The victim bids for all its copies. Failing exactly those
+		// modules mid-phase drops its every bid with no live spare.
+		victim := uint64(10)
+		mods := make([]uint64, 0, m.Copies())
+		failed := map[uint64]bool{}
+		for c := 0; c < m.Copies(); c++ {
+			mod, _ := m.CopyAddr(victim, c)
+			mods = append(mods, mod)
+			failed[mod] = true
+		}
 
-			fs := mpc.NewFaultSet()
-			var wrap *epochFailMachine
-			sys, err := NewSystem(s, idx, Config{
-				Policy:                tc.policy,
-				MaxIterationsPerPhase: 256,
-				NewMachine: func(mcfg mpc.Config) (Machine, error) {
-					f, err := mpc.NewFailingShared(mcfg, fs)
-					if err != nil {
-						return nil, err
-					}
-					wrap = &epochFailMachine{Failing: f, mods: mods}
-					return wrap, nil
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sys.Close()
-
-			// Companions provably keep their quorum after the injected
-			// failure: under the pinned ablation every pinned copy must
-			// survive, under all-cancel a live majority suffices.
-			batch := []uint64{victim}
-			for v := uint64(0); v < m.NumVars() && len(batch) < 7; v++ {
-				if v == victim {
-					continue
+		fs := mpc.NewFaultSet()
+		var wrap *epochFailMachine
+		sys, err := NewSystem(s, idx, Config{
+			MaxIterationsPerPhase: 256,
+			NewMachine: func(mcfg mpc.Config) (Machine, error) {
+				f, err := mpc.NewFailingShared(mcfg, fs)
+				if err != nil {
+					return nil, err
 				}
-				livePinned, live := 0, 0
-				for c := 0; c < m.Copies(); c++ {
-					mod, _ := m.CopyAddr(v, c)
-					if failed[mod] {
-						continue
-					}
-					live++
-					if c < m.ReadQuorum() {
-						livePinned++
-					}
-				}
-				ok := live >= m.ReadQuorum()
-				if tc.policy == PolicyFixedMajority {
-					ok = livePinned == m.ReadQuorum()
-				}
-				if ok {
-					batch = append(batch, v)
-				}
-			}
-			vals := make([]uint64, len(batch))
-			for i := range batch {
-				vals[i] = batch[i] + 500
-			}
-			if _, err := sys.WriteBatch(batch, vals); err != nil {
-				t.Fatalf("healthy seed write: %v", err)
-			}
-
-			// Arm the wrapper: the next MPC round is the first round of the
-			// read batch's phase 0, after the victim's bids were selected
-			// under the healthy epoch — a genuinely mid-phase failure.
-			wrap.at = wrap.round + 1
-
-			got, met, err := sys.ReadBatch(batch)
-			if !errors.Is(err, ErrQuorumUnreachable) {
-				t.Fatalf("mid-phase total bid loss not reported: err=%v unfinished=%v stranded=%v",
-					err, met.Unfinished, met.Stranded)
-			}
-			if len(met.Unfinished) != 1 || met.Unfinished[0] != 0 {
-				t.Fatalf("unfinished set %v, want [0] (the victim)", met.Unfinished)
-			}
-			if len(met.Stranded) != 1 || met.Stranded[0] != 0 {
-				t.Fatalf("stranded set %v, want [0] (the victim)", met.Stranded)
-			}
-			for i := 1; i < len(batch); i++ {
-				if got[i] != vals[i] {
-					t.Fatalf("healthy companion %d read %d, want %d under mid-phase failure", batch[i], got[i], vals[i])
-				}
-			}
+				wrap = &epochFailMachine{Failing: f, mods: mods}
+				return wrap, nil
+			},
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+
+		// Companions provably keep their quorum after the injected
+		// failure: a live majority suffices.
+		batch := []uint64{victim}
+		for v := uint64(0); v < m.NumVars() && len(batch) < 7; v++ {
+			if v == victim {
+				continue
+			}
+			live := 0
+			for c := 0; c < m.Copies(); c++ {
+				if mod, _ := m.CopyAddr(v, c); !failed[mod] {
+					live++
+				}
+			}
+			if live >= m.ReadQuorum() {
+				batch = append(batch, v)
+			}
+		}
+		vals := make([]uint64, len(batch))
+		for i := range batch {
+			vals[i] = batch[i] + 500
+		}
+		if _, err := sys.WriteBatch(batch, vals); err != nil {
+			t.Fatalf("healthy seed write: %v", err)
+		}
+
+		// Arm the wrapper: the next MPC round is the first round of the
+		// read batch's phase 0, after the victim's bids were selected
+		// under the healthy epoch — a genuinely mid-phase failure.
+		wrap.at = wrap.round + 1
+
+		got, met, err := sys.ReadBatch(batch)
+		if !errors.Is(err, ErrQuorumUnreachable) {
+			t.Fatalf("mid-phase total bid loss not reported: err=%v unfinished=%v stranded=%v",
+				err, met.Unfinished, met.Stranded)
+		}
+		if len(met.Unfinished) != 1 || met.Unfinished[0] != 0 {
+			t.Fatalf("unfinished set %v, want [0] (the victim)", met.Unfinished)
+		}
+		if len(met.Stranded) != 1 || met.Stranded[0] != 0 {
+			t.Fatalf("stranded set %v, want [0] (the victim)", met.Stranded)
+		}
+		for i := 1; i < len(batch); i++ {
+			if got[i] != vals[i] {
+				t.Fatalf("healthy companion %d read %d, want %d under mid-phase failure", batch[i], got[i], vals[i])
+			}
+		}
+	})
 }
 
 // checkVerdicts asserts the per-request fault attribution for one batch:

@@ -117,18 +117,6 @@ type Result struct {
 	Metrics Metrics
 }
 
-// CopyPolicy selects how many copies a variable keeps in flight.
-type CopyPolicy int
-
-const (
-	// PolicyAllCancel is the paper's rule: all r copies bid, and the
-	// variable's outstanding bids are cancelled once its quorum succeeded.
-	PolicyAllCancel CopyPolicy = iota
-	// PolicyFixedMajority is an ablation: only the first quorum-many copies
-	// ever bid, with no slack copies to route around congestion.
-	PolicyFixedMajority
-)
-
 // ResolverStrategy says whether a System may turn variable indices into copy
 // addresses through a compiled table. There are two resolution paths: O(1)
 // reads of the dense table (CompileMapper), fastest when the table fits, and
@@ -171,12 +159,8 @@ type Machine interface {
 
 // Config tunes the protocol run.
 type Config struct {
-	Arb    mpc.Arbiter // module arbitration policy
-	Seed   uint64      // seed for mpc.ArbRandom
-	Policy CopyPolicy
-	// ClusterSize overrides the default cluster size (= the copy count);
-	// 0 means default. It must be at least the larger quorum.
-	ClusterSize int
+	Arb  mpc.Arbiter // module arbitration policy
+	Seed uint64      // seed for mpc.ArbRandom
 	// TraceLive records LiveTrace (costs one counter sweep per iteration
 	// and allocates for the trace itself).
 	TraceLive bool
@@ -244,7 +228,9 @@ type System struct {
 
 	cfg Config
 	// The mapper's replication factor and quorums, read once: the batch path
-	// asks for them per request.
+	// asks for them per request. nCopies is also the cluster size: cluster i
+	// of a batch is nCopies processors, one per copy of the request it serves
+	// in each of the batch's nCopies phases.
 	nCopies       int
 	readQ, writeQ int32
 	// store holds the copies' cells when the machine keeps them in process.
@@ -340,21 +326,6 @@ func NewGenericSystem(m Mapper, cfg Config) (*System, error) {
 	}
 	if err := checkPackable(m); err != nil {
 		return nil, err
-	}
-	if cfg.ClusterSize < 0 {
-		return nil, fmt.Errorf("protocol: negative cluster size")
-	}
-	if cfg.ClusterSize == 0 {
-		cfg.ClusterSize = c
-	}
-	maxQ := r
-	if w > maxQ {
-		maxQ = w
-	}
-	if cfg.ClusterSize < maxQ {
-		// With one copy per cluster member, fewer members than the quorum
-		// can never complete an access.
-		return nil, fmt.Errorf("protocol: cluster size %d below quorum %d", cfg.ClusterSize, maxQ)
 	}
 	resolver, bulkSrc := cfg.Resolver, m
 	compiled, _ := m.(*CompiledResolver)
@@ -509,7 +480,7 @@ func (sys *System) AccessInto(reqs []Request, res *Result) error {
 		Unfinished:      res.Metrics.Unfinished[:0],
 		Stranded:        res.Metrics.Stranded[:0],
 	}
-	clusterSize := sys.cfg.ClusterSize
+	clusterSize := sys.nCopies
 	numClusters := (len(reqs) + clusterSize - 1) / clusterSize
 	if numClusters == 0 {
 		sys.observeBatch(reqs, res)
@@ -606,28 +577,20 @@ func (sys *System) resolveVars(vars []uint64, out []packedCopy) []packedCopy {
 }
 
 // selectPhase builds the phase's task list: cluster i serves request
-// i·clusterSize+phase, and member j bids for copy j (members beyond the
-// in-flight copy count idle). Under a fault view, selection routes around
-// failed modules (PolicyAllCancel) or detects unreachable quorums up front.
+// i·Copies+phase, and member j bids for copy j — the paper's rule: all
+// copies bid, and a variable's outstanding bids are cancelled once its quorum
+// succeeded. Under a fault view, selection routes around failed modules.
 func (sys *System) selectPhase(b *batch, phase int) []task {
-	clusterSize := sys.cfg.ClusterSize
-	pinned := sys.cfg.Policy == PolicyFixedMajority
 	tasks := sys.tasks[:0]
-	for r := phase; r < len(b.reqs); r += clusterSize {
-		q := sys.quorum(b.reqs[r].Op)
-		sys.remaining[r] = q
+	for r := phase; r < len(b.reqs); r += sys.nCopies {
+		sys.remaining[r] = sys.quorum(b.reqs[r].Op)
 		sys.best[r] = cellstore.Cell{}
-		inFlight := sys.nCopies
-		if pinned {
-			inFlight = int(q)
-		}
-		inFlight = min(inFlight, clusterSize)
 		procBase := r - phase
 		if b.fv != nil {
-			tasks = sys.selectLive(b, tasks, r, procBase, inFlight)
+			tasks = sys.selectLive(b, tasks, r, procBase)
 			continue
 		}
-		for j, cp := range sys.row(r)[:inFlight] {
+		for j, cp := range sys.row(r) {
 			tasks = append(tasks, task{proc: int32(procBase + j), req: int32(r), cp: cp})
 		}
 	}
@@ -656,7 +619,7 @@ func (sys *System) runPhase(b *batch, phase int, tasks []task) ([]task, int) {
 		iters++
 		if sys.cfg.TraceLive {
 			cnt := 0
-			for r := phase; r < len(b.reqs); r += sys.cfg.ClusterSize {
+			for r := phase; r < len(b.reqs); r += sys.nCopies {
 				if sys.remaining[r] > 0 {
 					cnt++
 				}
@@ -798,7 +761,7 @@ func (sys *System) commitPhase(b *batch, phase int, left []task, iters int) {
 			}
 		}
 	}
-	for r := phase; r < len(b.reqs); r += sys.cfg.ClusterSize {
+	for r := phase; r < len(b.reqs); r += sys.nCopies {
 		if b.reqs[r].Op == Read && sys.remaining[r] <= 0 {
 			b.res.Values[r] = sys.best[r].Val
 		}
@@ -878,7 +841,7 @@ func (sys *System) obtainMachine(procs int) error {
 		sys.machineCost = sys.machine.Cost()
 		return nil
 	}
-	cluster := sys.cfg.ClusterSize
+	cluster := sys.nCopies
 	maxProcs := (int(sys.Mapper.NumModules()) + cluster - 1) / cluster * cluster
 	step := max(1<<bits.Len(uint(procs-1))>>4, 1)
 	geo := max(min((procs+step-1)/step*step, maxProcs), procs)

@@ -106,7 +106,6 @@ func TestMajorityInvariant(t *testing.T) {
 func TestReferenceModel(t *testing.T) {
 	for _, cfg := range []Config{
 		{},
-		{Policy: PolicyFixedMajority},
 		{Arb: mpc.ArbRandom, Seed: 5},
 		{Arb: mpc.ArbRoundRobin},
 	} {
@@ -239,42 +238,6 @@ func TestEmptyBatch(t *testing.T) {
 	}
 	if len(res.Values) != 0 {
 		t.Fatal("non-empty result for empty batch")
-	}
-}
-
-func TestClusterSizeValidation(t *testing.T) {
-	s, err := core.New(2, 3) // q=4: majority 3
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := s.NewIndexer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewSystem(s, idx, Config{ClusterSize: 2}); err == nil {
-		t.Error("cluster size below majority accepted")
-	}
-	if _, err := NewSystem(s, idx, Config{ClusterSize: -1}); err == nil {
-		t.Error("negative cluster size accepted")
-	}
-	// Majority-sized and oversized clusters are both legal.
-	for _, cs := range []int{3, 5, 8} {
-		sys, err := NewSystem(s, idx, Config{ClusterSize: cs})
-		if err != nil {
-			t.Fatalf("cluster size %d rejected: %v", cs, err)
-		}
-		if _, err := sys.WriteBatch([]uint64{1, 2, 3, 4, 5, 6, 7}, []uint64{1, 2, 3, 4, 5, 6, 7}); err != nil {
-			t.Fatalf("cluster size %d: %v", cs, err)
-		}
-		got, _, err := sys.ReadBatch([]uint64{1, 2, 3, 4, 5, 6, 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range got {
-			if v != uint64(i+1) {
-				t.Fatalf("cluster size %d: read %d = %d", cs, i+1, v)
-			}
-		}
 	}
 }
 

@@ -136,7 +136,7 @@ func (sys *System) RepairStep() bool {
 	if sys.rv == nil && sys.machine == nil {
 		// No machine yet (no batch has run): build one so a freshly started
 		// replica can repair before serving.
-		if err := sys.obtainMachine(sys.cfg.ClusterSize); err != nil {
+		if err := sys.obtainMachine(sys.nCopies); err != nil {
 			return false
 		}
 	}

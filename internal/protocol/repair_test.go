@@ -17,7 +17,7 @@ import (
 // live copies and the third stays at timestamp 0 — which is exactly why a
 // wiped module plus one crashed module can leave a read quorum with no
 // surviving timestamp.
-func repairSystem(t testing.TB, policy CopyPolicy, hook func(round int)) (*System, *mpc.FaultSet) {
+func repairSystem(t testing.TB, hook func(round int)) (*System, *mpc.FaultSet) {
 	t.Helper()
 	s, err := core.New(1, 3)
 	if err != nil {
@@ -29,7 +29,6 @@ func repairSystem(t testing.TB, policy CopyPolicy, hook func(round int)) (*Syste
 	}
 	fs := mpc.NewFaultSet()
 	sys, err := NewSystem(s, idx, Config{
-		Policy:                policy,
 		MaxIterationsPerPhase: 2048,
 		NewMachine: func(cfg mpc.Config) (Machine, error) {
 			f, err := mpc.NewFailingShared(cfg, fs)
@@ -109,7 +108,7 @@ func TestWipedRecoverReAdmissionBug(t *testing.T) {
 	const v, val = 7, uint64(42)
 
 	t.Run("pre-fix path serves the lost write as zero", func(t *testing.T) {
-		sys, fs := repairSystem(t, PolicyAllCancel, nil)
+		sys, fs := repairSystem(t, nil)
 		defer sys.Close()
 		if _, err := sys.WriteBatch([]uint64{v}, []uint64{val}); err != nil {
 			t.Fatal(err)
@@ -129,7 +128,7 @@ func TestWipedRecoverReAdmissionBug(t *testing.T) {
 	})
 
 	t.Run("RecoverPending repairs before serving reads", func(t *testing.T) {
-		sys, fs := repairSystem(t, PolicyAllCancel, nil)
+		sys, fs := repairSystem(t, nil)
 		defer sys.Close()
 		if _, err := sys.WriteBatch([]uint64{v}, []uint64{val}); err != nil {
 			t.Fatal(err)
@@ -184,86 +183,78 @@ func TestWipedRecoverReAdmissionBug(t *testing.T) {
 // TestRecoverMidWave pins the majority-intersection invariant against the
 // second PR 10 hazard: a module recovering mid-phase used to be re-selected
 // by the same batch's retry wave before any repair ran, so a retry quorum
-// could include its wiped, zero-timestamp copy. On both copy policies the
-// read must never complete against the uncertified wiped copy — it either
-// returns the true value or comes back incomplete until repair certifies.
+// could include its wiped, zero-timestamp copy. The read must never complete
+// against the uncertified wiped copy — it either returns the true value or
+// comes back incomplete until repair certifies.
 func TestRecoverMidWave(t *testing.T) {
-	for _, policy := range []struct {
-		name string
-		p    CopyPolicy
-	}{
-		{"all-cancel", PolicyAllCancel},
-		{"pinned-majority", PolicyFixedMajority},
-	} {
-		t.Run(policy.name, func(t *testing.T) {
-			const val = uint64(99)
-			var sys *System
-			var fs *mpc.FaultSet
-			var victim uint64
-			armed := false
-			hook := func(round int) {
-				if !armed {
-					return
-				}
-				armed = false
-				// Mid-phase: copy 0's module restarts with a wiped store.
-				// Pre-fix this was a plain Recover and the victim's retry
-				// wave would count the wiped copy toward its read quorum.
-				wipeCopies(sys, victim, 0)
-				fs.RecoverPending(victimModules(sys, victim)[0])
+	t.Run("all-cancel", func(t *testing.T) {
+		const val = uint64(99)
+		var sys *System
+		var fs *mpc.FaultSet
+		var victim uint64
+		armed := false
+		hook := func(round int) {
+			if !armed {
+				return
 			}
-			sys, fs = repairSystem(t, policy.p, hook)
-			defer sys.Close()
+			armed = false
+			// Mid-phase: copy 0's module restarts with a wiped store.
+			// Pre-fix this was a plain Recover and the victim's retry
+			// wave would count the wiped copy toward its read quorum.
+			wipeCopies(sys, victim, 0)
+			fs.RecoverPending(victimModules(sys, victim)[0])
+		}
+		sys, fs = repairSystem(t, hook)
+		defer sys.Close()
 
-			victim = 3
-			// Filler variables keep rounds running after the victim is
-			// queued for retry, so the hook fires genuinely mid-wave.
-			vars := []uint64{victim}
-			vals := []uint64{val}
-			for v := uint64(20); len(vars) < 24; v++ {
-				vars = append(vars, v)
-				vals = append(vals, v)
-			}
-			if _, err := sys.WriteBatch(vars, vals); err != nil {
-				t.Fatal(err)
-			}
-			mods := victimModules(sys, victim)
-			fs.Fail(mods[0])
-			fs.Fail(mods[1]) // holds the other fresh copy; stays down
-			armed = true
+		victim = 3
+		// Filler variables keep rounds running after the victim is
+		// queued for retry, so the hook fires genuinely mid-wave.
+		vars := []uint64{victim}
+		vals := []uint64{val}
+		for v := uint64(20); len(vars) < 24; v++ {
+			vars = append(vars, v)
+			vals = append(vals, v)
+		}
+		if _, err := sys.WriteBatch(vars, vals); err != nil {
+			t.Fatal(err)
+		}
+		mods := victimModules(sys, victim)
+		fs.Fail(mods[0])
+		fs.Fail(mods[1]) // holds the other fresh copy; stays down
+		armed = true
 
-			got, _, err := sys.ReadBatch(vars)
-			if armed {
-				t.Fatalf("hook never fired: the batch ran no rounds mid-wave")
+		got, _, err := sys.ReadBatch(vars)
+		if armed {
+			t.Fatalf("hook never fired: the batch ran no rounds mid-wave")
+		}
+		if err == nil {
+			// The whole batch completed; the victim's value must be the
+			// true one — the wiped copy never won a quorum.
+			if got[0] != val {
+				t.Fatalf("mid-wave read = %d, want %d", got[0], val)
 			}
-			if err == nil {
-				// The whole batch completed; the victim's value must be the
-				// true one — the wiped copy never won a quorum.
-				if got[0] != val {
-					t.Fatalf("mid-wave read = %d, want %d", got[0], val)
-				}
-			} else if !errors.Is(err, ErrIncomplete) {
-				t.Fatalf("mid-wave read: %v", err)
-			}
+		} else if !errors.Is(err, ErrIncomplete) {
+			t.Fatalf("mid-wave read: %v", err)
+		}
 
-			// The crashed module returns; repair rebuilds the wiped copy from
-			// the sound majority and certifies.
-			fs.Recover(mods[1])
-			drainRepair(t, sys)
-			got, _, err = sys.ReadBatch(vars)
-			if err != nil {
-				t.Fatalf("read after repair: %v", err)
+		// The crashed module returns; repair rebuilds the wiped copy from
+		// the sound majority and certifies.
+		fs.Recover(mods[1])
+		drainRepair(t, sys)
+		got, _, err = sys.ReadBatch(vars)
+		if err != nil {
+			t.Fatalf("read after repair: %v", err)
+		}
+		for i := range vars {
+			if got[i] != vals[i] {
+				t.Fatalf("var %d = %d, want %d", vars[i], got[i], vals[i])
 			}
-			for i := range vars {
-				if got[i] != vals[i] {
-					t.Fatalf("var %d = %d, want %d", vars[i], got[i], vals[i])
-				}
-			}
-			if ts := sys.CopyState(victim)[0]; ts == 0 {
-				t.Fatalf("wiped copy still at timestamp 0 after repair")
-			}
-		})
-	}
+		}
+		if ts := sys.CopyState(victim)[0]; ts == 0 {
+			t.Fatalf("wiped copy still at timestamp 0 after repair")
+		}
+	})
 }
 
 // TestRepairingCountsTowardWriteQuorum: the asymmetric gate. A module under
@@ -272,7 +263,7 @@ func TestRecoverMidWave(t *testing.T) {
 // certification.
 func TestRepairingCountsTowardWriteQuorum(t *testing.T) {
 	const v, val = 11, uint64(5)
-	sys, fs := repairSystem(t, PolicyAllCancel, nil)
+	sys, fs := repairSystem(t, nil)
 	defer sys.Close()
 	mods := victimModules(sys, v)
 
@@ -378,7 +369,7 @@ func TestRepairPumpRidesBatches(t *testing.T) {
 // value.
 func TestRepairSalvage(t *testing.T) {
 	const v, val = 19, uint64(77)
-	sys, fs := repairSystem(t, PolicyAllCancel, nil)
+	sys, fs := repairSystem(t, nil)
 	defer sys.Close()
 	if _, err := sys.WriteBatch([]uint64{v}, []uint64{val}); err != nil {
 		t.Fatal(err)

@@ -29,10 +29,8 @@ func TestDifferentialStress(t *testing.T) {
 	}
 	configs := []Config{
 		{},
-		{Policy: PolicyFixedMajority},
 		{Arb: mpc.ArbRoundRobin},
 		{Arb: mpc.ArbRandom, Seed: 17},
-		{ClusterSize: 5},
 		{Resolver: compileTable(t, NewCoreMapper(s, idx))},
 		{NewMachine: func(cfg mpc.Config) (Machine, error) {
 			return network.NewMachineTopology(cfg, network.TopoHypercube)
