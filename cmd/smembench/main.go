@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	smembench [-exp e1,e4,...] [-quick] [-seed N] [-jsonout FILE]
+//	smembench [-exp e1,e4,...] [-quick] [-seed N]
 //	          [-shards S] [-faults F] [-faultsched SCHED]
 //	          [-trace FILE] [-tracecap N] [-pprof ADDR]
 //	          [-transport inproc|tcp] [-servers A1,A2,...]
@@ -14,9 +14,8 @@
 // an error before anything runs. The experiments' results are their printed
 // tables. The repository's benchmark — fixed workloads, one result schema,
 // the regression gate — is the bench/ module (go run -C bench .), not this
-// command. -jsonout makes E22 or E24 also write its rows as JSON, which
-// cmd/netcluster reads back to re-check their gates; each writes the whole
-// file, so the flag needs exactly one of the two selected.
+// command. An experiment whose gate fails exits nonzero; that exit status is
+// all cmd/netcluster reads.
 //
 // -shards pins E18's sharded sweep to a single shard count (plus its S=1
 // baseline) instead of the full S sweep — the quick way to profile one
@@ -41,12 +40,14 @@
 // -pprof serves net/http/pprof, expvar (/debug/vars), and the Prometheus
 // text format (/metrics) on the given address for the duration of the run.
 //
-// -transport restricts E22's transport cells ("inproc" or "tcp"); -servers
-// points its TCP cells at external memserver processes instead of the
-// in-process loopback cluster. With external servers E22's kill cell prints
-// a marker line and waits for the harness (cmd/netcluster) to kill one
-// server. E22 also records consistency traces, so -trace dumps from a TCP
-// run certify the networked transport end to end.
+// -transport restricts the cells of E22 and E24 to one transport ("inproc" or
+// "tcp"; any other value is an error before anything runs); -servers points
+// their TCP cells at external memserver processes instead of the in-process
+// loopback cluster, and so cannot be combined with -transport inproc. With
+// external servers E22's kill cell and E24's drill cell print a marker line
+// and wait for the harness (cmd/netcluster) to kill one server. Both record
+// consistency traces, so -trace dumps from a TCP run certify the networked
+// transport end to end.
 //
 // -resolver pins E23's sweep to one address-resolution path ("compiled" or
 // "computed") plus the live per-op baseline; E23 rejects any other value with
@@ -129,20 +130,19 @@ func main() {
 		expFlag  = flag.String("exp", "", "comma-separated experiment ids (e1..e24); empty = all")
 		quick    = flag.Bool("quick", false, "shrink sweeps for a fast run")
 		seed     = flag.Int64("seed", 0, "workload RNG seed (0 = default)")
-		jsonF    = flag.String("jsonout", "", "also write the rows of e22 or e24 (exactly one must be selected) to this JSON file")
 		shards   = flag.Int("shards", 0, "pin e18 to one shard count S (0 = full sweep)")
 		faults   = flag.Int("faults", 0, "pin e19's failed-module sweep to {0, F} (0 = full ladder)")
 		fsched   = flag.String("faultsched", "", "e19 dynamic fault schedule (\"churn\" = rolling single-module fail/recover)")
 		traceF   = flag.String("trace", "", "capture per-round MPC events and write the JSON trajectory here")
 		traceCap = flag.Int("tracecap", obs.DefaultTraceCap, "ring capacity for -trace (oldest events drop beyond it)")
 		pprofA   = flag.String("pprof", "", "serve pprof + expvar + Prometheus /metrics on this address (e.g. :6060)")
-		transp   = flag.String("transport", "", "restrict e22's cells to one MPC transport (\"inproc\" or \"tcp\"; empty = both)")
-		servers  = flag.String("servers", "", "comma-separated external memserver addresses for e22's TCP cells (empty = in-process loopback cluster)")
+		transp   = flag.String("transport", "", "restrict the cells of e22 and e24 to one MPC transport (\"inproc\" or \"tcp\"; empty = both)")
+		servers  = flag.String("servers", "", "comma-separated external memserver addresses for the TCP cells of e22 and e24 (empty = in-process loopback cluster)")
 		resolver = flag.String("resolver", "", "pin e23 to one resolution path (\"compiled\" or \"computed\"; empty = both)")
 	)
 	flag.Parse()
 
-	selected, err := selectExperiments(experiments.All(), *expFlag, *jsonF)
+	selected, err := selectExperiments(experiments.All(), *expFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "smembench: %v\n", err)
 		os.Exit(2)
@@ -150,7 +150,6 @@ func main() {
 	opts := experiments.Options{
 		Quick:      *quick,
 		Seed:       *seed,
-		JSONPath:   *jsonF,
 		Shards:     *shards,
 		Faults:     *faults,
 		FaultSched: *fsched,
@@ -163,6 +162,10 @@ func main() {
 				opts.Servers = append(opts.Servers, a)
 			}
 		}
+	}
+	if err := opts.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "smembench: %v\n", err)
+		os.Exit(2)
 	}
 
 	collector := obs.NewCollector()
@@ -221,9 +224,8 @@ func main() {
 // selectExperiments resolves the -exp list against the known experiments, in
 // the experiments' own order; an empty list selects them all. Every listed id
 // must name an experiment: a typo is an error naming it, never a silently
-// shorter run. jsonOut is the -jsonout path: only e22 and e24 write one, and
-// each writes the whole file, so a path needs exactly one of them selected.
-func selectExperiments(all []experiments.Runner, exp, jsonOut string) ([]experiments.Runner, error) {
+// shorter run.
+func selectExperiments(all []experiments.Runner, exp string) ([]experiments.Runner, error) {
 	selected := all
 	if exp != "" {
 		want := map[string]bool{}
@@ -249,17 +251,6 @@ func selectExperiments(all []experiments.Runner, exp, jsonOut string) ([]experim
 			}
 			return nil, fmt.Errorf("unknown experiment id %s; known ids: %s",
 				strings.Join(unknown, ", "), strings.Join(known, " "))
-		}
-	}
-	if jsonOut != "" {
-		writers := 0
-		for _, r := range selected {
-			if r.ID == "e22" || r.ID == "e24" {
-				writers++
-			}
-		}
-		if writers != 1 {
-			return nil, fmt.Errorf("-jsonout needs exactly one of e22, e24 selected (each writes the whole file), not %d", writers)
 		}
 	}
 	return selected, nil

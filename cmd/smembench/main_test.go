@@ -13,9 +13,9 @@ func TestSelectExperiments(t *testing.T) {
 		all = append(all, experiments.Runner{ID: id})
 	}
 	for _, tc := range []struct {
-		name, exp, jsonOut string
-		want               string // selected ids, space-separated
-		wantErr            string // substring of the error; "" = none
+		name, exp string
+		want      string // selected ids, space-separated
+		wantErr   string // substring of the error; "" = none
 	}{
 		{name: "empty selects all in order", want: "e1 e6 e18 e22 e24"},
 		{name: "one id", exp: "e6", want: "e6"},
@@ -26,15 +26,9 @@ func TestSelectExperiments(t *testing.T) {
 		{name: "every typo is named", exp: "e98,e6,e99", wantErr: `"e98", "e99"`},
 		{name: "the error lists the known ids", exp: "nope", wantErr: "known ids: e1 e6 e18 e22 e24"},
 		{name: "a trailing comma is an unknown empty id", exp: "e6,", wantErr: `unknown experiment id ""`},
-		{name: "jsonout with e22", exp: "e22", jsonOut: "x.json", want: "e22"},
-		{name: "jsonout with e24 among others", exp: "e6,e24", jsonOut: "x.json", want: "e6 e24"},
-		{name: "jsonout with both writers would overwrite", exp: "e22,e24", jsonOut: "x.json", wantErr: "exactly one of e22, e24"},
-		{name: "jsonout with everything selects both writers", jsonOut: "x.json", wantErr: "not 2"},
-		{name: "jsonout with no writer", exp: "e6", jsonOut: "x.json", wantErr: "not 0"},
-		{name: "both writers without jsonout", exp: "e22,e24", want: "e22 e24"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := selectExperiments(all, tc.exp, tc.jsonOut)
+			got, err := selectExperiments(all, tc.exp)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("error %v, want one containing %q", err, tc.wantErr)

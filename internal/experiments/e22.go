@@ -1,14 +1,15 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
-	"runtime"
 	"time"
 
 	"detshmem/internal/consistency"
+	"detshmem/internal/mpc"
 	"detshmem/internal/netmpc"
 	"detshmem/internal/protocol"
 	"detshmem/internal/shard"
@@ -43,22 +44,12 @@ const e22KillMarker = "e22: degraded phase armed -- kill one memserver now"
 //
 // With -servers the TCP cells run against external memservers and the kill
 // cell prints a marker line for the harness to kill one (cmd/netcluster
-// does; it then re-verifies the recorded trace with cmd/consistencycheck and
-// re-checks the gates from the rows Options.JSONPath receives).
+// does; every gate fails this run, so the harness needs only its exit status,
+// and it re-verifies the recorded trace with cmd/consistencycheck).
 func E22(w io.Writer, o Options) error {
 	f, err := newE22Fixture(o)
 	if err != nil {
 		return err
-	}
-	rep := e22Report{
-		Experiment: "e22-net-transport",
-		Quick:      o.Quick,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Host:       Host(),
-		Degree:     f.inst.s.Deg,
-		Servers:    e22Servers,
-		Clients:    f.clients,
-		External:   len(o.Servers) > 0,
 	}
 
 	fprintf(w, "E22 Networked MPC: q=2 n=%d (%d modules), %d clients, window %d\n",
@@ -71,11 +62,9 @@ func E22(w io.Writer, o Options) error {
 		if err != nil {
 			return err
 		}
-		row, err := f.healthyCell(w, "inproc", svc)
-		if err != nil {
+		if err := f.healthyCell(w, "inproc", svc); err != nil {
 			return err
 		}
-		rep.Rows = append(rep.Rows, row)
 	}
 
 	if o.Transport == "" || o.Transport == "tcp" {
@@ -99,24 +88,20 @@ func E22(w io.Writer, o Options) error {
 			tr.Close()
 			return err
 		}
-		row, err := f.healthyCell(w, "tcp", svc)
+		err = f.healthyCell(w, "tcp", svc)
 		tr.Close()
 		if err != nil {
 			return err
 		}
-		row.ServerStats = tr.Stats()
-		rep.Rows = append(rep.Rows, row)
 
 		// Kill cell: healthy first half, one server killed, degraded second
 		// half gated against the exact stranding bound.
-		row, err = f.killCell(w, addrs, local)
-		if err != nil {
+		if err := f.killCell(w, addrs, local); err != nil {
 			return err
 		}
-		rep.Rows = append(rep.Rows, row)
 	}
 	fprintf(w, "\n")
-	return o.writeReport(w, rep)
+	return nil
 }
 
 const (
@@ -239,44 +224,10 @@ func (f *e22Fixture) drive(svc *shard.Service, rr *consistency.RunRecorder, opsP
 	return d.drive(svc, sampledOps(rr, f.clients, opsPer, f.vars, f.o.Seed+seed, 7919))
 }
 
-type e22Report struct {
-	Experiment string   `json:"experiment"`
-	Quick      bool     `json:"quick"`
-	GoMaxProcs int      `json:"gomaxprocs"`
-	Host       HostInfo `json:"host"`
-	Degree     int      `json:"degree"`
-	Servers    int      `json:"servers"`
-	Clients    int      `json:"clients"`
-	External   bool     `json:"external_servers"`
-	Rows       []e22Row `json:"rows"`
-}
-
-type e22Row struct {
-	Cell        string  `json:"cell"`
-	Ops         int64   `json:"ops"`
-	Failed      int64   `json:"failed"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	OpsPerSec   float64 `json:"ops_per_sec"`
-	Certified   bool    `json:"certified"`
-	DegradedOps int64   `json:"degraded_ops,omitempty"`
-	Stranded    int64   `json:"stranded,omitempty"`
-	StrandRate  float64 `json:"strand_rate"`
-	// ExactRate is the measured post-kill fraction of workload variables
-	// with a live majority lost (the enforced expectation); BinomRate is
-	// E19's independent-fault binomial reference at the same failed-module
-	// fraction.
-	ExactRate   float64              `json:"exact_rate,omitempty"`
-	BinomRate   float64              `json:"binom_rate,omitempty"`
-	Bound       float64              `json:"bound,omitempty"`
-	WithinBound bool                 `json:"within_bound"`
-	FailedMods  int                  `json:"failed_modules,omitempty"`
-	ServerStats []netmpc.ServerStats `json:"server_stats,omitempty"`
-}
-
 // healthyCell drives one service with the windowed multi-client workload,
 // certifies the recorded trace, and emits the table row. It must strand
 // nothing.
-func (f *e22Fixture) healthyCell(w io.Writer, label string, svc *shard.Service) (e22Row, error) {
+func (f *e22Fixture) healthyCell(w io.Writer, label string, svc *shard.Service) error {
 	rr := f.rec.Run("e22/"+label, consistency.ContractTotalOrder, f.clients)
 	start := time.Now()
 	t, err := f.drive(svc, rr, f.opsPer, 801, protocol.ErrQuorumUnreachable)
@@ -287,43 +238,35 @@ func (f *e22Fixture) healthyCell(w io.Writer, label string, svc *shard.Service) 
 		err = cerr
 	}
 	if err != nil {
-		return e22Row{}, err
+		return err
 	}
 	elapsed := time.Since(start)
-	row := e22Row{
-		Cell:        label,
-		Ops:         t.ops,
-		Failed:      t.stranded,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(t.ops),
-		OpsPerSec:   float64(t.ops) / elapsed.Seconds(),
-		WithinBound: t.stranded == 0,
-	}
 	if t.stranded > 0 {
-		return row, fmt.Errorf("e22: healthy cell %q stranded %d ops", label, t.stranded)
+		return fmt.Errorf("e22: healthy cell %q stranded %d ops", label, t.stranded)
 	}
-	if row.Certified, err = f.certify("e22/" + label); err != nil {
-		return row, err
+	if err := f.certify("e22/" + label); err != nil {
+		return err
 	}
 	fprintf(w, "%-12s %10d %10d %12.0f %10.0f %10.4f %s\n",
-		label, row.Ops, row.Failed, row.NsPerOp, row.OpsPerSec, 0.0, "certified")
-	return row, nil
+		label, t.ops, t.stranded, float64(elapsed.Nanoseconds())/float64(t.ops), float64(t.ops)/elapsed.Seconds(), 0.0, "certified")
+	return nil
 }
 
 // certify checks the labelled run's recorded trace under every mode its
 // contract requires, returning an error on violation.
-func (f *e22Fixture) certify(label string) (bool, error) {
+func (f *e22Fixture) certify(label string) error {
 	for _, run := range f.rec.TraceSet().Runs {
 		if run.Label != label {
 			continue
 		}
 		for _, mode := range consistency.ModesFor(run.Contract) {
 			if r := consistency.Check(run.Clients, mode); !r.OK {
-				return false, fmt.Errorf("e22: run %q violated %s: %s", run.Label, mode, r.First().Message)
+				return fmt.Errorf("e22: run %q violated %s: %s", run.Label, mode, r.First().Message)
 			}
 		}
-		return true, nil
+		return nil
 	}
-	return false, fmt.Errorf("e22: run %q not found in trace set", label)
+	return fmt.Errorf("e22: run %q not found in trace set", label)
 }
 
 // killCell runs the degraded cell: half the workload healthy, then one
@@ -331,16 +274,16 @@ func (f *e22Fixture) certify(label string) (bool, error) {
 // harness on the marker line otherwise — and the second half runs against
 // the survivors. The observed stranding rate is gated against the exact
 // post-kill bound.
-func (f *e22Fixture) killCell(w io.Writer, addrs []string, local []*netmpc.Server) (e22Row, error) {
+func (f *e22Fixture) killCell(w io.Writer, addrs []string, local []*netmpc.Server) error {
 	inst, opsPer := f.inst, f.opsPer
 	tr, err := f.dial(addrs, 2, 0, 0)
 	if err != nil {
-		return e22Row{}, err
+		return err
 	}
 	defer tr.Close()
 	svc, err := f.service(false, protocol.Config{}, tr)
 	if err != nil {
-		return e22Row{}, err
+		return err
 	}
 	closed := false
 	defer func() {
@@ -353,30 +296,25 @@ func (f *e22Fixture) killCell(w io.Writer, addrs []string, local []*netmpc.Serve
 	start := time.Now()
 	t1, err := f.drive(svc, rr, opsPer/2, 901, protocol.ErrQuorumUnreachable)
 	if err != nil {
-		return e22Row{}, err
+		return err
 	}
 	if err := svc.Flush(); err != nil {
-		return e22Row{}, err
+		return err
 	}
 	if t1.stranded > 0 {
-		return e22Row{}, fmt.Errorf("e22: kill cell stranded %d ops before the kill", t1.stranded)
+		return fmt.Errorf("e22: kill cell stranded %d ops before the kill", t1.stranded)
 	}
 
 	// Kill one server. In-process clusters kill their own victim; external
 	// clusters print the marker and let the harness do it.
+	healthy := tr.FaultSet().Epoch()
 	if len(local) > 0 {
 		local[1].Close()
 	} else {
 		fprintf(w, "%s\n", e22KillMarker)
 	}
-	killDeadline := time.Now().Add(60 * time.Second)
-	for tr.FaultSet().Count() == 0 {
-		if time.Now().After(killDeadline) {
-			return e22Row{}, fmt.Errorf("e22: no server death observed within 60s of the kill marker")
-		}
-		// Fault detection needs no traffic — the reader goroutine sees the
-		// EOF/RST as soon as the peer dies — but poll with a light touch.
-		time.Sleep(5 * time.Millisecond)
+	if err := f.probeUntilDeath(svc, tr.FaultSet(), healthy, f.vars, time.Now().Add(60*time.Second)); err != nil {
+		return err
 	}
 	failedMods := tr.FaultSet().Count()
 
@@ -388,13 +326,13 @@ func (f *e22Fixture) killCell(w io.Writer, addrs []string, local []*netmpc.Serve
 
 	t2, err := f.drive(svc, rr, opsPer-opsPer/2, 902, protocol.ErrQuorumUnreachable)
 	if err != nil {
-		return e22Row{}, err
+		return err
 	}
 	if err := svc.Flush(); err != nil {
-		return e22Row{}, err
+		return err
 	}
 	if cerr := svc.Close(); cerr != nil {
-		return e22Row{}, cerr
+		return cerr
 	}
 	closed = true
 	elapsed := time.Since(start)
@@ -402,37 +340,41 @@ func (f *e22Fixture) killCell(w io.Writer, addrs []string, local []*netmpc.Serve
 	rate := float64(t2.stranded) / float64(t2.ops)
 	bound := strandBound(exact, t2.ops)
 	within := rate <= bound
-
 	ops := t1.ops + t2.ops
-	row := e22Row{
-		Cell:        "tcp-kill1",
-		Ops:         ops,
-		Failed:      t2.stranded,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
-		OpsPerSec:   float64(ops) / elapsed.Seconds(),
-		DegradedOps: t2.ops,
-		Stranded:    t2.stranded,
-		StrandRate:  rate,
-		ExactRate:   exact,
-		BinomRate:   binom,
-		Bound:       bound,
-		WithinBound: within,
-		FailedMods:  failedMods,
-		ServerStats: tr.Stats(),
-	}
-	if row.Certified, err = f.certify("e22/tcp-kill1"); err != nil {
-		return row, err
+	if err := f.certify("e22/tcp-kill1"); err != nil {
+		return err
 	}
 	verdict := fmt.Sprintf("certified, %d/%d stranded <= bound %.4f (exact %.4f, binom %.4f)", t2.stranded, t2.ops, bound, exact, binom)
 	if !within {
 		verdict = fmt.Sprintf("STRANDING ABOVE BOUND: %.4f > %.4f", rate, bound)
 	}
 	fprintf(w, "%-12s %10d %10d %12.0f %10.0f %10.4f %s\n",
-		row.Cell, row.Ops, row.Failed, row.NsPerOp, row.OpsPerSec, rate, verdict)
+		"tcp-kill1", ops, t2.stranded, float64(elapsed.Nanoseconds())/float64(ops), float64(ops)/elapsed.Seconds(), rate, verdict)
 	if !within {
-		return row, fmt.Errorf("e22: stranding rate %.4f exceeds bound %.4f", rate, bound)
+		return fmt.Errorf("e22: stranding rate %.4f exceeds bound %.4f", rate, bound)
 	}
-	return row, nil
+	return nil
+}
+
+// probeUntilDeath waits for a server of the cluster to die — killed by the caller
+// or, on the marker line, by the external harness — by reading probe until the
+// fault set has moved on from the epoch taken before the kill: the transport
+// finds a death at the round that bids at the dead server, not while idle, so
+// probe needs a variable with a copy on the victim's range. The epoch, not
+// the failed count, is what is watched, because a victim the harness restarts
+// may be back before anyone looks. The reads are not recorded, and the ones
+// the death refuses are the expected outcome.
+func (f *e22Fixture) probeUntilDeath(svc *shard.Service, fs *mpc.FaultSet, healthy uint64, probe []uint64, deadline time.Time) error {
+	for i := 0; fs.Epoch() == healthy; i++ {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("probe reads of %d variables met no server death within the deadline", len(probe))
+		}
+		if _, err := svc.Read(probe[i%len(probe)]); err != nil && !errors.Is(err, protocol.ErrIncomplete) {
+			return err
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return nil
 }
 
 // strandBound is the stranding gate of E22's kill cell and E24's repair-off

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"time"
 
@@ -53,23 +52,12 @@ const e24Cadence = 100 * time.Microsecond
 //	            committed value must read back exactly.
 //
 // Every cell's client trace is recorded and certified with the black-box
-// consistency checker; Options.JSONPath receives the rows cmd/netcluster
-// re-checks.
+// consistency checker, and every gate fails the run: cmd/netcluster needs
+// only the exit status.
 func E24(w io.Writer, o Options) error {
 	f, err := newE22Fixture(o)
 	if err != nil {
 		return err
-	}
-	rep := e24Report{
-		Experiment: "e24-self-healing-repair",
-		Quick:      o.Quick,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Host:       Host(),
-		Degree:     f.inst.s.Deg,
-		Servers:    e22Servers,
-		Clients:    f.clients,
-		CadenceUS:  float64(e24Cadence) / float64(time.Microsecond),
-		External:   len(o.Servers) > 0,
 	}
 
 	fprintf(w, "E24 Self-healing repair: q=2 n=%d (%d modules), %d clients, churn cadence %v\n",
@@ -78,69 +66,24 @@ func E24(w io.Writer, o Options) error {
 		"cell", "ops", "stranded", "blocked", "rounds/op", "strandrate", "verdict")
 
 	if o.Transport == "" || o.Transport == "inproc" {
-		base, err := e24BaselineCell(w, f)
+		baseRounds, err := e24BaselineCell(w, f)
 		if err != nil {
 			return err
 		}
-		on, err := e24ChurnCell(w, f, base.RoundsPerOp)
-		if err != nil {
+		if err := e24ChurnCell(w, f, baseRounds); err != nil {
 			return err
 		}
-		off, err := e24AccumulateCell(w, f)
-		if err != nil {
+		if err := e24AccumulateCell(w, f); err != nil {
 			return err
 		}
-		rep.Rows = append(rep.Rows, base, on, off)
 	}
 	if o.Transport == "" || o.Transport == "tcp" {
-		row, err := e24DrillCell(w, f)
-		if err != nil {
+		if err := e24DrillCell(w, f); err != nil {
 			return err
 		}
-		rep.Rows = append(rep.Rows, row)
 	}
 	fprintf(w, "\n")
-	return o.writeReport(w, rep)
-}
-
-type e24Report struct {
-	Experiment string   `json:"experiment"`
-	Quick      bool     `json:"quick"`
-	GoMaxProcs int      `json:"gomaxprocs"`
-	Host       HostInfo `json:"host"`
-	Degree     int      `json:"degree"`
-	Servers    int      `json:"servers"`
-	Clients    int      `json:"clients"`
-	CadenceUS  float64  `json:"churn_cadence_us"`
-	External   bool     `json:"external_servers"`
-	Rows       []e24Row `json:"rows"`
-}
-
-type e24Row struct {
-	Cell      string  `json:"cell"`
-	Ops       int64   `json:"ops"`
-	Stranded  int64   `json:"stranded"`
-	Blocked   int64   `json:"blocked"`
-	NsPerOp   float64 `json:"ns_per_op"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	// RoundsPerOp is normal batch traffic only (repair rounds are kept out
-	// of the protocol's batch books); Inflation is this cell's RoundsPerOp
-	// over the baseline cell's.
-	RoundsPerOp float64 `json:"rounds_per_op,omitempty"`
-	Inflation   float64 `json:"round_inflation,omitempty"`
-	// Repair-side accounting, from the obs collectors.
-	RepairRounds   int64 `json:"repair_rounds,omitempty"`
-	RepairedMods   int64 `json:"repaired_modules,omitempty"`
-	BacklogDrained bool  `json:"backlog_drained,omitempty"`
-	// Stranding gate (repair-off cell): observed vs the exact Γ-map rate.
-	StrandRate  float64              `json:"strand_rate"`
-	ExactRate   float64              `json:"exact_rate,omitempty"`
-	BinomRate   float64              `json:"binom_rate,omitempty"`
-	Bound       float64              `json:"bound,omitempty"`
-	WithinBound bool                 `json:"within_bound"`
-	FailedMods  int                  `json:"failed_modules,omitempty"`
-	Certified   bool                 `json:"certified"`
-	ServerStats []netmpc.ServerStats `json:"server_stats,omitempty"`
+	return nil
 }
 
 // e24Service builds the one-shard service every in-process cell uses, over
@@ -186,57 +129,47 @@ func e24RepairCounters(svc *shard.Service) (rounds, certified int64) {
 	return rounds, certified
 }
 
-// e24BaselineCell is the no-fault reference: its rounds-per-op anchors the
-// repair-on cell's inflation gate.
-func e24BaselineCell(w io.Writer, f *e22Fixture) (e24Row, error) {
+// e24BaselineCell is the no-fault reference: the rounds-per-op it returns
+// anchors the repair-on cell's inflation gate.
+func e24BaselineCell(w io.Writer, f *e22Fixture) (float64, error) {
 	svc, err := e24Service(f, nil)
 	if err != nil {
-		return e24Row{}, err
+		return 0, err
 	}
 	rr := f.rec.Run("e24/baseline", consistency.ContractTotalOrder, f.clients)
-	start := time.Now()
 	t, err := f.drive(svc, rr, f.opsPer, 1001, protocol.ErrIncomplete)
 	if ferr := svc.Flush(); err == nil {
 		err = ferr
 	}
 	if err != nil {
 		svc.Close()
-		return e24Row{}, err
+		return 0, err
 	}
 	st := svc.Stats()
 	if cerr := svc.Close(); cerr != nil {
-		return e24Row{}, cerr
+		return 0, cerr
 	}
-	elapsed := time.Since(start)
 	if t.stranded+t.blocked > 0 {
-		return e24Row{}, fmt.Errorf("e24: baseline cell failed %d ops", t.stranded+t.blocked)
+		return 0, fmt.Errorf("e24: baseline cell failed %d ops", t.stranded+t.blocked)
 	}
-	row := e24Row{
-		Cell:        "baseline",
-		Ops:         t.ops,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(t.ops),
-		OpsPerSec:   float64(t.ops) / elapsed.Seconds(),
-		RoundsPerOp: float64(st.Total.TotalRounds) / float64(st.Total.OpsIn),
-		Inflation:   1,
-		WithinBound: true,
+	if err := f.certify("e24/baseline"); err != nil {
+		return 0, err
 	}
-	if row.Certified, err = f.certify("e24/baseline"); err != nil {
-		return row, err
-	}
+	roundsPerOp := float64(st.Total.TotalRounds) / float64(st.Total.OpsIn)
 	fprintf(w, "%-12s %10d %9d %9d %10.2f %10.4f %s\n",
-		row.Cell, row.Ops, int64(0), int64(0), row.RoundsPerOp, 0.0, "certified")
-	return row, nil
+		"baseline", t.ops, int64(0), int64(0), roundsPerOp, 0.0, "certified")
+	return roundsPerOp, nil
 }
 
 // e24ChurnCell is the tentpole cell: continuous Fail → RecoverPending churn
 // with the repair subsystem rebuilding every re-admitted module before it
 // rejoins read quorums. Nothing may strand, the backlog must drain once the
 // storm stops, and normal traffic must not pay more than 10% extra rounds.
-func e24ChurnCell(w io.Writer, f *e22Fixture, baseRounds float64) (e24Row, error) {
+func e24ChurnCell(w io.Writer, f *e22Fixture, baseRounds float64) error {
 	fs := mpc.NewFaultSet()
 	svc, err := e24Service(f, fs)
 	if err != nil {
-		return e24Row{}, err
+		return err
 	}
 	closed := false
 	defer func() {
@@ -265,7 +198,6 @@ func e24ChurnCell(w io.Writer, f *e22Fixture, baseRounds float64) (e24Row, error
 	}()
 
 	rr := f.rec.Run("e24/repair-on", consistency.ContractTotalOrder, f.clients)
-	start := time.Now()
 	t, err := f.drive(svc, rr, f.opsPer, 1002, protocol.ErrIncomplete)
 	ops, stranded, blocked := t.ops, t.stranded, t.blocked
 	close(stop)
@@ -274,70 +206,56 @@ func e24ChurnCell(w io.Writer, f *e22Fixture, baseRounds float64) (e24Row, error
 		err = ferr
 	}
 	if err != nil {
-		return e24Row{}, err
+		return err
 	}
 	// Storm over: re-admit anything still failed and drain the backlog.
 	for _, m := range fs.Modules() {
 		fs.RecoverPending(m)
 	}
 	if err := e24DrainRepair(svc, fs, f.vars[0], 60*time.Second); err != nil {
-		return e24Row{}, err
+		return err
 	}
 	st := svc.Stats()
 	repairRounds, repairedMods := e24RepairCounters(svc)
 	if cerr := svc.Close(); cerr != nil {
-		return e24Row{}, cerr
+		return cerr
 	}
 	closed = true
-	elapsed := time.Since(start)
 
-	row := e24Row{
-		Cell:           "repair-on",
-		Ops:            ops,
-		Stranded:       stranded,
-		Blocked:        blocked,
-		NsPerOp:        float64(elapsed.Nanoseconds()) / float64(ops),
-		OpsPerSec:      float64(ops) / elapsed.Seconds(),
-		RoundsPerOp:    float64(st.Total.TotalRounds) / float64(st.Total.OpsIn),
-		RepairRounds:   repairRounds,
-		RepairedMods:   repairedMods,
-		BacklogDrained: true,
-		StrandRate:     float64(stranded) / float64(ops),
-	}
-	row.Inflation = row.RoundsPerOp / baseRounds
+	roundsPerOp := float64(st.Total.TotalRounds) / float64(st.Total.OpsIn)
+	inflation := roundsPerOp / baseRounds
 	// The churn is paced by the wall clock, so at quick scale (a few
 	// thousand ops) how much of it lands inside the measured window is up to
 	// the scheduler: the inflation is reported there but gates only a
 	// full-scale run. The invariants — nothing stranded, backlog drained,
 	// trace certified — gate both.
-	inflated := row.Inflation > 1.10 && !f.o.Quick
-	row.WithinBound = stranded == 0 && !inflated
-	if row.Certified, err = f.certify("e24/repair-on"); err != nil {
-		return row, err
+	inflated := inflation > 1.10 && !f.o.Quick
+	if err := f.certify("e24/repair-on"); err != nil {
+		return err
 	}
-	verdict := fmt.Sprintf("certified, repaired %d modules in %d rounds, inflation %.3fx", repairedMods, repairRounds, row.Inflation)
+	verdict := fmt.Sprintf("certified, repaired %d modules in %d rounds, inflation %.3fx", repairedMods, repairRounds, inflation)
 	if stranded > 0 {
 		verdict = fmt.Sprintf("STRANDED %d OPS WITH REPAIR ON", stranded)
 	} else if inflated {
-		verdict = fmt.Sprintf("ROUND INFLATION %.3fx ABOVE 1.10x", row.Inflation)
+		verdict = fmt.Sprintf("ROUND INFLATION %.3fx ABOVE 1.10x", inflation)
 	}
 	fprintf(w, "%-12s %10d %9d %9d %10.2f %10.4f %s\n",
-		row.Cell, row.Ops, stranded, blocked, row.RoundsPerOp, row.StrandRate, verdict)
-	if !row.WithinBound {
-		return row, fmt.Errorf("e24: repair-on cell out of bounds: %s", verdict)
+		"repair-on", ops, stranded, blocked, roundsPerOp, float64(stranded)/float64(ops), verdict)
+	if stranded > 0 || inflated {
+		return fmt.Errorf("e24: repair-on cell out of bounds: %s", verdict)
 	}
-	return row, nil
+	return nil
 }
 
 // e24AccumulateCell is the counterfactual: failures accumulate mid-run and
 // nothing repairs them, so stranding converges to the exact Γ-map rate —
 // the regime PR 10 exists to eliminate.
-func e24AccumulateCell(w io.Writer, f *e22Fixture) (e24Row, error) {
+func e24AccumulateCell(w io.Writer, f *e22Fixture) error {
 	inst, opsPer, vars := f.inst, f.opsPer, f.vars
 	fs := mpc.NewFaultSet()
 	svc, err := e24Service(f, fs)
 	if err != nil {
-		return e24Row{}, err
+		return err
 	}
 	closed := false
 	defer func() {
@@ -347,16 +265,15 @@ func e24AccumulateCell(w io.Writer, f *e22Fixture) (e24Row, error) {
 	}()
 
 	rr := f.rec.Run("e24/repair-off", consistency.ContractTotalOrder, f.clients)
-	start := time.Now()
 	t1, err := f.drive(svc, rr, opsPer/2, 1003, protocol.ErrIncomplete)
 	if err != nil {
-		return e24Row{}, err
+		return err
 	}
 	if err := svc.Flush(); err != nil {
-		return e24Row{}, err
+		return err
 	}
 	if t1.stranded+t1.blocked > 0 {
-		return e24Row{}, fmt.Errorf("e24: repair-off cell failed %d ops before the faults", t1.stranded+t1.blocked)
+		return fmt.Errorf("e24: repair-off cell failed %d ops before the faults", t1.stranded+t1.blocked)
 	}
 
 	// Kill a majority of the first few workload variables' copies and leave
@@ -377,38 +294,21 @@ func e24AccumulateCell(w io.Writer, f *e22Fixture) (e24Row, error) {
 
 	t2, err := f.drive(svc, rr, opsPer-opsPer/2, 1004, protocol.ErrIncomplete)
 	if err != nil {
-		return e24Row{}, err
+		return err
 	}
 	if ferr := svc.Flush(); ferr != nil {
-		return e24Row{}, ferr
+		return ferr
 	}
 	st := svc.Stats()
 	if cerr := svc.Close(); cerr != nil {
-		return e24Row{}, cerr
+		return cerr
 	}
 	closed = true
-	elapsed := time.Since(start)
 
 	rate := float64(t2.stranded) / float64(t2.ops)
 	bound := strandBound(exact, t2.ops)
-	ops := t1.ops + t2.ops
-	row := e24Row{
-		Cell:        "repair-off",
-		Ops:         ops,
-		Stranded:    t2.stranded,
-		Blocked:     t2.blocked,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
-		OpsPerSec:   float64(ops) / elapsed.Seconds(),
-		RoundsPerOp: float64(st.Total.TotalRounds) / float64(st.Total.OpsIn),
-		StrandRate:  rate,
-		ExactRate:   exact,
-		BinomRate:   binom,
-		Bound:       bound,
-		WithinBound: rate <= bound && exact > 0,
-		FailedMods:  failedMods,
-	}
-	if row.Certified, err = f.certify("e24/repair-off"); err != nil {
-		return row, err
+	if err := f.certify("e24/repair-off"); err != nil {
+		return err
 	}
 	verdict := fmt.Sprintf("certified, %d/%d stranded, rate %.4f <= bound %.4f (exact %.4f, binom %.4f)",
 		t2.stranded, t2.ops, rate, bound, exact, binom)
@@ -416,14 +316,14 @@ func e24AccumulateCell(w io.Writer, f *e22Fixture) (e24Row, error) {
 		verdict = fmt.Sprintf("STRANDING ABOVE BOUND: %.4f > %.4f", rate, bound)
 	}
 	fprintf(w, "%-12s %10d %9d %9d %10.2f %10.4f %s\n",
-		row.Cell, row.Ops, t2.stranded, row.Blocked, row.RoundsPerOp, rate, verdict)
+		"repair-off", t1.ops+t2.ops, t2.stranded, t2.blocked, float64(st.Total.TotalRounds)/float64(st.Total.OpsIn), rate, verdict)
 	if rate > bound {
-		return row, fmt.Errorf("e24: repair-off stranding %.4f exceeds bound %.4f", rate, bound)
+		return fmt.Errorf("e24: repair-off stranding %.4f exceeds bound %.4f", rate, bound)
 	}
 	if exact == 0 {
-		return row, fmt.Errorf("e24: repair-off cell stranded no variables — the counterfactual shows nothing")
+		return fmt.Errorf("e24: repair-off cell stranded no variables — the counterfactual shows nothing")
 	}
-	return row, nil
+	return nil
 }
 
 // e24DrillCell runs the wipe-restart drill over TCP: write committed values,
@@ -432,11 +332,11 @@ func e24AccumulateCell(w io.Writer, f *e22Fixture) (e24Row, error) {
 // the backlog appears, drains over the wire, and every committed value reads
 // back exactly. With external servers the kill and restart are the
 // harness's job (cmd/netcluster), signalled by the marker line.
-func e24DrillCell(w io.Writer, f *e22Fixture) (e24Row, error) {
+func e24DrillCell(w io.Writer, f *e22Fixture) error {
 	inst := f.inst
 	local, addrs, err := f.cluster()
 	if err != nil {
-		return e24Row{}, err
+		return err
 	}
 	defer func() {
 		for _, sv := range local {
@@ -448,12 +348,12 @@ func e24DrillCell(w io.Writer, f *e22Fixture) (e24Row, error) {
 
 	tr, err := f.dial(addrs, 3, 10*time.Millisecond, 200*time.Millisecond)
 	if err != nil {
-		return e24Row{}, err
+		return err
 	}
 	defer tr.Close()
 	svc, err := f.service(true, protocol.Config{}, tr)
 	if err != nil {
-		return e24Row{}, err
+		return err
 	}
 	closed := false
 	defer func() {
@@ -484,43 +384,40 @@ func e24DrillCell(w io.Writer, f *e22Fixture) (e24Row, error) {
 		}
 	}
 	if len(drill) < 4 {
-		return e24Row{}, fmt.Errorf("e24: only %d variables have exactly one copy on server %d of %d", len(drill), victim, k)
+		return fmt.Errorf("e24: only %d variables have exactly one copy on server %d of %d", len(drill), victim, k)
 	}
 
 	rr := f.rec.Run("e24/tcp-drill", consistency.ContractTotalOrder, 1)
 	cr := rr.Client(0)
 	model := make(map[uint64]uint64, len(drill))
-	start := time.Now()
 	for _, v := range drill {
 		val := cr.WriteValue()
 		if err := svc.Write(v, val); err != nil {
-			return e24Row{}, fmt.Errorf("e24: model write %d: %w", v, err)
+			return fmt.Errorf("e24: model write %d: %w", v, err)
 		}
 		cr.Record(true, v, val, false)
 		model[v] = val
 	}
 	if err := svc.Flush(); err != nil {
-		return e24Row{}, err
+		return err
 	}
 
 	// Kill and wiped-restart the victim. In-process clusters do it
 	// themselves; external clusters print the marker for the harness.
+	healthy := fs.Epoch()
 	if len(local) > 0 {
 		local[victim].Close()
 	} else {
 		fprintf(w, "%s\n", e24DrillMarker)
 	}
 	deadline := time.Now().Add(60 * time.Second)
-	for fs.Count() == 0 {
-		if time.Now().After(deadline) {
-			return e24Row{}, fmt.Errorf("e24: no server death observed within 60s")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := f.probeUntilDeath(svc, fs, healthy, drill, deadline); err != nil {
+		return err
 	}
 	if len(local) > 0 {
 		ln, err := net.Listen("tcp", addrs[victim])
 		if err != nil {
-			return e24Row{}, fmt.Errorf("e24: rebinding %s: %w", addrs[victim], err)
+			return fmt.Errorf("e24: rebinding %s: %w", addrs[victim], err)
 		}
 		sv := f.server(victim, k)
 		go sv.Serve(ln)
@@ -528,7 +425,7 @@ func e24DrillCell(w io.Writer, f *e22Fixture) (e24Row, error) {
 	}
 	for fs.Count() > 0 {
 		if time.Now().After(deadline) {
-			return e24Row{}, fmt.Errorf("e24: wiped server did not reconnect within 60s")
+			return fmt.Errorf("e24: wiped server did not reconnect within 60s")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -536,11 +433,10 @@ func e24DrillCell(w io.Writer, f *e22Fixture) (e24Row, error) {
 	// be queued for repair — this is the line the old silent re-admission
 	// bug lived on.
 	if fs.RepairCount() == 0 {
-		return e24Row{}, fmt.Errorf("e24: wiped restart was re-admitted without entering repair")
+		return fmt.Errorf("e24: wiped restart was re-admitted without entering repair")
 	}
-	backlog := fs.RepairCount()
 	if err := e24DrainRepair(svc, fs, drill[0], 120*time.Second); err != nil {
-		return e24Row{}, err
+		return err
 	}
 
 	// Every committed value must read back exactly — no zero-timestamp
@@ -549,7 +445,7 @@ func e24DrillCell(w io.Writer, f *e22Fixture) (e24Row, error) {
 	for _, v := range drill {
 		got, err := svc.Read(v)
 		if err != nil {
-			return e24Row{}, fmt.Errorf("e24: post-repair read %d: %w", v, err)
+			return fmt.Errorf("e24: post-repair read %d: %w", v, err)
 		}
 		cr.Record(false, v, got, false)
 		if got != model[v] {
@@ -559,27 +455,12 @@ func e24DrillCell(w io.Writer, f *e22Fixture) (e24Row, error) {
 	}
 	repairRounds, repairedMods := e24RepairCounters(svc)
 	if cerr := svc.Close(); cerr != nil {
-		return e24Row{}, cerr
+		return cerr
 	}
 	closed = true
-	elapsed := time.Since(start)
 
-	ops := int64(2 * len(drill))
-	row := e24Row{
-		Cell:           "tcp-drill",
-		Ops:            ops,
-		NsPerOp:        float64(elapsed.Nanoseconds()) / float64(ops),
-		OpsPerSec:      float64(ops) / elapsed.Seconds(),
-		RepairRounds:   repairRounds,
-		RepairedMods:   repairedMods,
-		BacklogDrained: true,
-		WithinBound:    wrong == 0,
-		FailedMods:     backlog,
-		ServerStats:    tr.Stats(),
-	}
-	var err2 error
-	if row.Certified, err2 = f.certify("e24/tcp-drill"); err2 != nil {
-		return row, err2
+	if err := f.certify("e24/tcp-drill"); err != nil {
+		return err
 	}
 	verdict := fmt.Sprintf("certified, %d modules rebuilt over the wire in %d rounds, %d values intact",
 		repairedMods, repairRounds, len(drill))
@@ -587,9 +468,9 @@ func e24DrillCell(w io.Writer, f *e22Fixture) (e24Row, error) {
 		verdict = fmt.Sprintf("%d OF %d VALUES LOST ACROSS THE WIPE", wrong, len(drill))
 	}
 	fprintf(w, "%-12s %10d %9d %9d %10s %10.4f %s\n",
-		row.Cell, row.Ops, int64(0), int64(0), "-", 0.0, verdict)
+		"tcp-drill", 2*len(drill), 0, 0, "-", 0.0, verdict)
 	if wrong > 0 {
-		return row, fmt.Errorf("e24: %d committed values lost across the wipe-restart", wrong)
+		return fmt.Errorf("e24: %d committed values lost across the wipe-restart", wrong)
 	}
-	return row, nil
+	return nil
 }

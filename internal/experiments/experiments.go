@@ -11,11 +11,9 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 
 	"detshmem/internal/consistency"
 	"detshmem/internal/core"
@@ -28,12 +26,6 @@ import (
 type Options struct {
 	Quick bool  // shrink sweeps for fast runs
 	Seed  int64 // randomness seed (workloads only; schemes are deterministic)
-	// JSONPath, when set, is where E22 and E24 also write their rows as JSON
-	// (smembench -jsonout): cmd/netcluster re-checks their gates from that
-	// file. Both write the whole file, so select one of them per run. Every
-	// other experiment's numbers are its printed table; the benchmark with a
-	// result schema is the bench/ module.
-	JSONPath string
 	// Shards, when > 0, pins E18 to a single shard count (plus its S=1
 	// baseline) instead of the full sweep (smembench -shards).
 	Shards int
@@ -55,14 +47,15 @@ type Options struct {
 	// resulting TraceSet in its dump for cmd/consistencycheck).
 	Consistency *consistency.Recorder
 	// Transport selects the MPC transport for transport-aware experiments
-	// (E22): "" runs every cell (in-process and loopback TCP), "inproc"
+	// (E22, E24): "" runs every cell (in-process and loopback TCP), "inproc"
 	// restricts to the in-process cells, "tcp" to the networked cells
-	// (smembench -transport).
+	// (smembench -transport). Validate rejects anything else.
 	Transport string
-	// Servers lists external memserver addresses for the TCP cells; empty
-	// means E22 launches its own in-process loopback cluster. With external
-	// servers the kill cell expects the harness (cmd/netcluster) to kill
-	// one server when the marker line appears (smembench -servers).
+	// Servers lists external memserver addresses for the TCP cells of E22
+	// and E24; empty means they launch their own in-process loopback cluster.
+	// With external servers the kill and drill cells expect the harness
+	// (cmd/netcluster) to kill one server when the marker line appears
+	// (smembench -servers).
 	Servers []string
 	// Resolver pins E23 to one resolution path ("compiled" or "computed")
 	// plus the live per-op baseline; "" sweeps both (smembench -resolver).
@@ -88,19 +81,19 @@ func (o Options) instrument(cfg protocol.Config) protocol.Config {
 	return cfg
 }
 
-// writeReport writes an experiment's rows to Options.JSONPath, if one is set.
-func (o Options) writeReport(w io.Writer, report any) error {
-	if o.JSONPath == "" {
-		return nil
+// Validate rejects the option values that would otherwise select no cell at
+// all: E22 and E24 run the cells Transport names, so an unknown transport —
+// or external servers with the TCP cells switched off — is a run that prints
+// its headers, measures nothing and exits 0.
+func (o Options) Validate() error {
+	switch o.Transport {
+	case "", "inproc", "tcp":
+	default:
+		return fmt.Errorf("unknown transport %q; known transports: inproc, tcp", o.Transport)
 	}
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
+	if len(o.Servers) > 0 && o.Transport == "inproc" {
+		return fmt.Errorf("external servers %v serve the TCP cells, which transport %q switches off", o.Servers, o.Transport)
 	}
-	if err := os.WriteFile(o.JSONPath, append(blob, '\n'), 0o644); err != nil {
-		return fmt.Errorf("writing %s: %w", o.JSONPath, err)
-	}
-	fprintf(w, "  (wrote %s)\n\n", o.JSONPath)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package netmpc
 
 import (
+	"net"
 	"time"
 
 	"detshmem/internal/mpc"
@@ -19,6 +20,8 @@ import (
 // grants the minimum claim it received, and one round costs one unit. The
 // network adds only failure modes, and those degrade into the fault set
 // rather than surfacing as errors — Round never fails, it just grants less.
+// While a server is up, Round is the only code that writes to or reads from
+// its connection.
 //
 // A Client is not safe for concurrent Round calls, matching mpc.Machine;
 // distinct Clients over one Transport are serialized by the transport.
@@ -33,9 +36,8 @@ type Client struct {
 	staged  []stagedOp   // per-proc payload for the next round, from StageBid
 	granted []grantData  // per-proc data from the last round's grants
 	frames  []RoundFrame // per-server bid assembly, reused
-	sent    []int8       // per-server send state this round (0 none, 1 sent, 2 down)
+	sent    []net.Conn   // per-server connection this round's frame went out on, nil if none did
 	sendAt  []time.Time  // per-server send timestamp, for RTT
-	timer   *time.Timer  // reused gather timer
 	loads   map[int64]int
 }
 
@@ -59,16 +61,12 @@ func newClient(t *Transport, cfg mpc.Config) *Client {
 		staged:  make([]stagedOp, cfg.Procs),
 		granted: make([]grantData, cfg.Procs),
 		frames:  make([]RoundFrame, len(t.servers)),
-		sent:    make([]int8, len(t.servers)),
+		sent:    make([]net.Conn, len(t.servers)),
 		sendAt:  make([]time.Time, len(t.servers)),
 		loads:   make(map[int64]int),
 	}
 	if c.rec == nil {
 		c.rec = obs.Nop
-	}
-	c.timer = time.NewTimer(time.Hour)
-	if !c.timer.Stop() {
-		<-c.timer.C
 	}
 	return c
 }
@@ -115,8 +113,9 @@ func (c *Client) Cost() uint64 { return c.round }
 
 // Round executes one synchronous MPC round over the network: assemble one
 // frame per touched server, fan all frames out (every send completes before
-// the first reply is awaited, so the servers work in parallel), gather
-// replies until RoundTimeout, and mark unresponsive servers down. Bids
+// the first reply is read, so the servers work in parallel), read each sent
+// server's reply under one RoundTimeout deadline, and mark down the servers
+// whose reply is late, torn or not the one asked for. Bids
 // directed at down servers are dropped exactly like bids at failed modules
 // (mpc.Failing), and the books balance: surviving requests + dropped ==
 // issued.
@@ -130,7 +129,7 @@ func (c *Client) Round(reqs []int64, grant []bool) int {
 	}
 	for i := range c.frames {
 		c.frames[i].Bids = c.frames[i].Bids[:0]
-		c.sent[i] = 0
+		c.sent[i] = nil
 	}
 
 	nServers := len(t.servers)
@@ -156,44 +155,28 @@ func (c *Client) Round(reqs []int64, grant []bool) int {
 	// Fan-out: every frame goes on the wire before any reply is read.
 	for i, s := range t.servers {
 		f := &c.frames[i]
-		if len(f.Bids) == 0 {
-			continue
-		}
-		if !s.up.Load() {
-			c.sent[i] = 2
+		if len(f.Bids) == 0 || !s.up.Load() {
 			continue
 		}
 		s.seq++
 		f.Seq = s.seq
 		f.Round = c.round
 		c.sendAt[i] = time.Now()
-		if s.send(f) {
-			c.sent[i] = 1
-		} else {
-			c.sent[i] = 2
-		}
+		c.sent[i] = s.send(f)
 	}
 
 	// Gather, one shared deadline across servers.
 	deadline := time.Now().Add(t.cfg.RoundTimeout)
 	served := 0
 	for i, s := range t.servers {
-		if c.sent[i] != 1 {
+		if c.sent[i] == nil {
 			continue
 		}
-		reply, ok := c.await(s, s.seq, deadline)
-		if !ok {
-			s.timeouts.Inc()
-			s.writeMu.Lock()
-			conn := s.conn
-			s.writeMu.Unlock()
-			if conn != nil {
-				s.markDown(conn, ErrRoundTimeout)
-			}
-			c.sent[i] = 2
+		reply := s.recv(c.sent[i], deadline)
+		if reply == nil {
+			c.sent[i] = nil
 			continue
 		}
-		s.inFlight.Add(-1)
 		s.rtt.Observe(time.Since(c.sendAt[i]).Nanoseconds())
 		for _, g := range reply.Grants {
 			if int(g.Proc) < len(grant) {
@@ -202,7 +185,6 @@ func (c *Client) Round(reqs []int64, grant []bool) int {
 				served++
 			}
 		}
-		s.recycle(reply)
 	}
 
 	if c.rec.Enabled() {
@@ -210,40 +192,6 @@ func (c *Client) Round(reqs []int64, grant []bool) int {
 	}
 	c.round++
 	return served
-}
-
-// await pulls replies off the server's channel until the expected sequence
-// number arrives (stale replies from abandoned rounds are discarded) or the
-// deadline passes. The timer is the client's reused one; it is re-armed —
-// stopped, drained, reset — on every wait.
-func (c *Client) await(s *srv, want uint64, deadline time.Time) (*RoundReply, bool) {
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return nil, false
-		}
-		if !c.timer.Stop() {
-			select {
-			case <-c.timer.C:
-			default:
-			}
-		}
-		c.timer.Reset(remaining)
-		select {
-		case r := <-s.replies:
-			if r.Seq == want {
-				return r, true
-			}
-			ahead := r.Seq > want
-			s.recycle(r)
-			if ahead {
-				return nil, false // stream is ahead of us; our reply is lost
-			}
-			// Stale reply from an abandoned round: discarded, keep waiting.
-		case <-c.timer.C:
-			return nil, false
-		}
-	}
 }
 
 // record assembles the round's obs event: per-module contention over the
@@ -256,7 +204,7 @@ func (c *Client) record(issued, served int) {
 	maxLoad := 0
 	var hist obs.LoadHist
 	for i := range c.frames {
-		if c.sent[i] != 1 {
+		if c.sent[i] == nil {
 			continue
 		}
 		for j := range c.frames[i].Bids {

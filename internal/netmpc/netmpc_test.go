@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -297,10 +299,7 @@ func TestServerDeathDegradesLikeModuleFaults(t *testing.T) {
 			t.Fatalf("degraded read: %v", err)
 		}
 		if tr.FaultSet().Count() == int(hi-lo) {
-			unfinished := map[int]bool{}
-			for _, r := range res.Metrics.Unfinished {
-				unfinished[r] = true
-			}
+			unfinished := unfinishedSet(&res.Metrics)
 			for i, v := range vars {
 				if unfinished[i] {
 					continue
@@ -339,14 +338,7 @@ func TestReconnectRecoversRange(t *testing.T) {
 
 	for cycle := 0; cycle < 3; cycle++ {
 		servers[1].Close()
-		// Drive batches until the death is observed, tolerating stranding.
-		waitFor(t, 5*time.Second, func() bool {
-			_, _, err := sys.ReadBatch(vars)
-			if err != nil && !errors.Is(err, protocol.ErrIncomplete) {
-				t.Fatalf("cycle %d degraded read: %v", cycle, err)
-			}
-			return tr.FaultSet().Count() > 0
-		})
+		probeUntilDeath(t, tr, sys, vars)
 
 		// Restart on the same address; the reconnect loop should find it.
 		ln, err := net.Listen("tcp", addrs[1])
@@ -365,6 +357,15 @@ func TestReconnectRecoversRange(t *testing.T) {
 	if got := tr.Stats()[1].Reconnects; got < 3 {
 		t.Fatalf("reconnects = %d, want >= 3", got)
 	}
+}
+
+// unfinishedSet indexes the requests a degraded batch left unfinished.
+func unfinishedSet(m *protocol.Metrics) map[int]bool {
+	set := make(map[int]bool, len(m.Unfinished))
+	for _, r := range m.Unfinished {
+		set[r] = true
+	}
+	return set
 }
 
 func waitFor(t testing.TB, timeout time.Duration, cond func() bool) {
@@ -465,16 +466,53 @@ func fakeServer(t *testing.T, cfg ServerConfig, misbehave func(net.Conn)) string
 	return ln.Addr().String()
 }
 
+// fakeCluster dials a two-server deployment whose server 0 is a fakeServer
+// with the given misbehaviour and whose server 1 is real, so a batch can
+// mostly proceed once the fake is marked down.
+func fakeCluster(t *testing.T, s *core.Scheme, misbehave func(net.Conn)) (*Transport, *protocol.System) {
+	t.Helper()
+	fake := fakeServer(t, serverConfigFor(s, 0, 2), misbehave)
+	real := NewServer(serverConfigFor(s, 1, 2))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go real.Serve(ln)
+	t.Cleanup(real.Close)
+
+	cfg := testDialConfig(s, []string{fake, ln.Addr().String()})
+	cfg.RoundTimeout = 300 * time.Millisecond
+	tr, err := Dial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tr.Close)
+	return tr, newTCPSystem(t, s, tr)
+}
+
+// neverHangs runs batch and fails the test if it is still running after 10 s
+// or ends in anything but success or stranding.
+func neverHangs(t *testing.T, batch func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- batch() }()
+	select {
+	case err := <-done:
+		if err != nil && !errors.Is(err, protocol.ErrIncomplete) {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("batch hung")
+	}
+}
+
 // TestTornReplyNeverHangs covers the server-dies-mid-frame edge: the fake
 // server reads a round frame, writes a frame header promising a body it
-// never sends, and closes. The client must come back within the round
-// timeout with the server marked down and ErrCorruptFrame recorded — not
-// hang, not panic.
+// never sends, and closes. The client must come back at once with the server
+// marked down and ErrCorruptFrame recorded — not hang, not panic.
 func TestTornReplyNeverHangs(t *testing.T) {
 	s := testScheme(t)
-	k := 2
-	cfg0 := serverConfigFor(s, 0, k)
-	torn := fakeServer(t, cfg0, func(conn net.Conn) {
+	tr, sys := fakeCluster(t, s, func(conn net.Conn) {
 		var frame RoundFrame
 		if _, err := frame.ReadFrom(conn); err != nil {
 			conn.Close()
@@ -483,17 +521,77 @@ func TestTornReplyNeverHangs(t *testing.T) {
 		conn.Write([]byte{0, 0, 1, 0, frameRoundReply, 1, 2, 3}) // 256-byte body, 3 sent
 		conn.Close()
 	})
-	// A real server holds the other range so the batch can mostly proceed.
-	real := NewServer(serverConfigFor(s, 1, k))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	neverHangs(t, func() error {
+		_, err := sys.WriteBatch([]uint64{0, 1, 2, 3}, []uint64{9, 9, 9, 9})
+		return err
+	})
+	if st := tr.Stats()[0]; st.Up || st.Timeouts != 0 {
+		t.Fatalf("torn server: up=%v timeouts=%d, want down with no timeout", st.Up, st.Timeouts)
 	}
-	go real.Serve(ln)
-	t.Cleanup(real.Close)
+	if le := tr.servers[0].lastError(); !errors.Is(le, ErrCorruptFrame) {
+		t.Fatalf("last error = %v, want ErrCorruptFrame", le)
+	}
+}
 
-	cfg := testDialConfig(s, []string{torn, ln.Addr().String()})
-	cfg.RoundTimeout = 300 * time.Millisecond
+// TestWrongSeqReplyMarksDown: a lock-step connection carries the reply to the
+// frame just sent and nothing else, so a well-formed reply with any other
+// sequence number is a protocol violation — the server is marked down with
+// ErrCorruptFrame and none of the reply's grants is believed. The fake grants
+// every bid a value under a timestamp that would win any quorum.
+func TestWrongSeqReplyMarksDown(t *testing.T) {
+	s := testScheme(t)
+	const forged = 0xbad
+	tr, sys := fakeCluster(t, s, func(conn net.Conn) {
+		defer conn.Close()
+		var frame RoundFrame
+		for {
+			if _, err := frame.ReadFrom(conn); err != nil {
+				return
+			}
+			reply := RoundReply{Seq: frame.Seq + 1}
+			for _, b := range frame.Bids {
+				reply.Grants = append(reply.Grants, Grant{Proc: b.Proc, Value: forged, TS: 1 << 40})
+			}
+			if _, err := reply.WriteTo(conn); err != nil {
+				return
+			}
+		}
+	})
+	vars := make([]uint64, 0, 16)
+	for v := uint64(0); v < s.NumVariables && len(vars) < 16; v += 5 {
+		vars = append(vars, v)
+	}
+	neverHangs(t, func() error {
+		got, m, err := sys.ReadBatch(vars)
+		unfinished := unfinishedSet(m)
+		for i, v := range vars {
+			if !unfinished[i] && got[i] != 0 {
+				t.Errorf("var %d (never written) read %#x", v, got[i])
+			}
+		}
+		return err
+	})
+	st := tr.Stats()[0]
+	if st.Up || st.Frames != 1 || st.Timeouts != 0 {
+		t.Fatalf("forging server: up=%v frames=%d timeouts=%d, want down after one frame, no timeout", st.Up, st.Frames, st.Timeouts)
+	}
+	if le := tr.servers[0].lastError(); !errors.Is(le, ErrCorruptFrame) {
+		t.Fatalf("last error = %v, want ErrCorruptFrame", le)
+	}
+}
+
+// TestIdleDeathFoundByNextRound is the idle-death contract: nothing watches a
+// connection between rounds, so a server that dies with no round in flight is
+// found by the first batch that bids at it — at once, from the EOF the kernel
+// already holds, never by waiting out RoundTimeout — and that batch degrades
+// like any mid-round death: the whole range fails, values with a live
+// majority read back exactly.
+func TestIdleDeathFoundByNextRound(t *testing.T) {
+	s := testScheme(t)
+	const k, victim = 4, 1
+	servers, addrs := startCluster(t, s, k)
+	cfg := testDialConfig(s, addrs)
+	cfg.RoundTimeout = 10 * time.Second
 	tr, err := Dial(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -501,23 +599,121 @@ func TestTornReplyNeverHangs(t *testing.T) {
 	defer tr.Close()
 	sys := newTCPSystem(t, s, tr)
 
-	done := make(chan error, 1)
-	go func() {
-		_, err := sys.WriteBatch([]uint64{0, 1, 2, 3}, []uint64{9, 9, 9, 9})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil && !errors.Is(err, protocol.ErrIncomplete) {
-			t.Fatalf("torn reply: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("batch hung on torn reply")
+	var vars, vals []uint64
+	for v := uint64(0); v < s.NumVariables; v += 7 {
+		vars = append(vars, v)
+		vals = append(vals, 1000+v)
 	}
-	waitFor(t, 2*time.Second, func() bool { return !tr.Stats()[0].Up })
-	le := tr.servers[0].lastError()
-	if le == nil || !(errors.Is(le, ErrCorruptFrame) || errors.Is(le, ErrRoundTimeout)) {
-		t.Fatalf("last error = %v, want ErrCorruptFrame or ErrRoundTimeout", le)
+	if _, err := sys.WriteBatch(vars, vals); err != nil {
+		t.Fatalf("healthy write: %v", err)
+	}
+
+	servers[victim].Close()
+	if n := tr.FaultSet().Count(); n != 0 {
+		t.Fatalf("%d modules failed with no round run since the death", n)
+	}
+
+	start := time.Now()
+	got, m, err := sys.ReadBatch(vars)
+	if took := time.Since(start); took > cfg.RoundTimeout/5 {
+		t.Fatalf("first batch after an idle death took %v of a %v round timeout", took, cfg.RoundTimeout)
+	}
+	if err != nil && !errors.Is(err, protocol.ErrIncomplete) {
+		t.Fatalf("degraded read: %v", err)
+	}
+	unfinished := unfinishedSet(m)
+	for i, v := range vars {
+		if !unfinished[i] && got[i] != vals[i] {
+			t.Fatalf("var %d: read %d, want %d", v, got[i], vals[i])
+		}
+	}
+	lo, hi := Range(victim, k, int64(s.NumModules))
+	for mod := lo; mod < hi; mod++ {
+		if !tr.FaultSet().Failed(uint64(mod)) {
+			t.Fatalf("module %d of the dead server's range [%d,%d) is not in the fault set", mod, lo, hi)
+		}
+	}
+	if n := tr.FaultSet().Count(); n != int(hi-lo) {
+		t.Fatalf("%d modules failed, want the victim's %d", n, hi-lo)
+	}
+	st := tr.Stats()[victim]
+	if st.Up || st.Timeouts != 0 {
+		t.Fatalf("victim stats %+v, want down with no timeout", st)
+	}
+	if le := tr.servers[victim].lastError(); le == nil || errors.Is(le, ErrRoundTimeout) {
+		t.Fatalf("last error = %v, want the connection's own failure", le)
+	}
+}
+
+// clientGoroutines counts the goroutines running transport code on the client
+// side (the fake and real servers' handlers live in this process too).
+func clientGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "netmpc.(*srv).") || strings.Contains(g, "netmpc.(*Transport).") || strings.Contains(g, "netmpc.(*Client).") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestOnlyReconnectLoopsRun: a healthy transport starts no goroutine, a dead
+// server gets exactly one (its reconnect loop), and none is left after Close.
+func TestOnlyReconnectLoopsRun(t *testing.T) {
+	s := testScheme(t)
+	servers, addrs := startCluster(t, s, 2)
+	tr, err := Dial(testDialConfig(s, addrs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	sys := newTCPSystem(t, s, tr)
+	vars := []uint64{1, 5, 9, 13}
+	if _, err := sys.WriteBatch(vars, vars); err != nil {
+		t.Fatal(err)
+	}
+	if n := clientGoroutines(); n != 0 {
+		t.Fatalf("a healthy transport runs %d goroutines, want 0", n)
+	}
+
+	servers[1].Close()
+	probeUntilDeath(t, tr, sys, vars)
+	if n := clientGoroutines(); n != 1 {
+		t.Fatalf("%d transport goroutines with one server down, want its reconnect loop only", n)
+	}
+	tr.Close()
+	// Close has waited for the loop's wg.Done, which the goroutine may still
+	// be returning from.
+	waitFor(t, time.Second, func() bool { return clientGoroutines() == 0 })
+}
+
+// TestConfigDefaults pins Dial's normalisation: zero durations take the
+// defaults, and the backoff's maximum is never below its minimum — a caller
+// raising only ReconnectMin past the default maximum used to get a backoff
+// whose first doubling clamped below the configured minimum.
+func TestConfigDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		min, max         time.Duration
+		wantMin, wantMax time.Duration
+	}{
+		{"zero takes the defaults", 0, 0, defaultReconnectMin, defaultReconnectMax},
+		{"min alone, below the default max", time.Second, 0, time.Second, defaultReconnectMax},
+		{"min alone, above the default max", 5 * time.Second, 0, 5 * time.Second, 5 * time.Second},
+		{"max below min is raised to it", time.Second, 10 * time.Millisecond, time.Second, time.Second},
+		{"ordered bounds are kept", 10 * time.Millisecond, 200 * time.Millisecond, 10 * time.Millisecond, 200 * time.Millisecond},
+		{"max alone", 0, 10 * time.Millisecond, defaultReconnectMin, defaultReconnectMin},
+	} {
+		cfg := Config{ReconnectMin: tc.min, ReconnectMax: tc.max}
+		cfg.setDefaults()
+		if cfg.ReconnectMin != tc.wantMin || cfg.ReconnectMax != tc.wantMax {
+			t.Errorf("%s: backoff [%v, %v], want [%v, %v]", tc.name, cfg.ReconnectMin, cfg.ReconnectMax, tc.wantMin, tc.wantMax)
+		}
+		if cfg.DialTimeout != defaultDialTimeout || cfg.RoundTimeout != defaultRoundTimeout {
+			t.Errorf("%s: timeouts %v/%v, want the defaults", tc.name, cfg.DialTimeout, cfg.RoundTimeout)
+		}
 	}
 }
 

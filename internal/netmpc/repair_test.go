@@ -42,13 +42,12 @@ func copyServer(sys *protocol.System, s *core.Scheme, k int, v uint64, c int) in
 	return ServerFor(int64(mod), int64(s.NumModules), k)
 }
 
-// wipeRestart closes servers[i], waits until the client observes the death,
-// then rebinds a brand-new server (fresh in-memory store, fresh generation)
-// on the same address and waits for the reconnect to land.
-func wipeRestart(t *testing.T, s *core.Scheme, servers []*Server, addrs []string, i, k int, tr *Transport, sys *protocol.System, probe []uint64) {
+// probeUntilDeath reads probe — variables with a copy on the dead server's range —
+// until a round has bid at that server and failed its range: a death is
+// noticed by the round that meets it, not by anything watching idle
+// connections. Reads the death strands are tolerated.
+func probeUntilDeath(t *testing.T, tr *Transport, sys *protocol.System, probe []uint64) {
 	t.Helper()
-	oldGen := servers[i].Gen()
-	servers[i].Close()
 	waitFor(t, 5*time.Second, func() bool {
 		_, _, err := sys.ReadBatch(probe)
 		if err != nil && !errors.Is(err, protocol.ErrIncomplete) {
@@ -56,6 +55,16 @@ func wipeRestart(t *testing.T, s *core.Scheme, servers []*Server, addrs []string
 		}
 		return tr.FaultSet().Count() > 0
 	})
+}
+
+// wipeRestart closes servers[i], waits until the client observes the death,
+// then rebinds a brand-new server (fresh in-memory store, fresh generation)
+// on the same address and waits for the reconnect to land.
+func wipeRestart(t *testing.T, s *core.Scheme, servers []*Server, addrs []string, i, k int, tr *Transport, sys *protocol.System, probe []uint64) {
+	t.Helper()
+	oldGen := servers[i].Gen()
+	servers[i].Close()
+	probeUntilDeath(t, tr, sys, probe)
 	ln, err := net.Listen("tcp", addrs[i])
 	if err != nil {
 		t.Fatalf("rebind %s: %v", addrs[i], err)
@@ -180,7 +189,7 @@ func TestWipeRestartNeverServesZeroQuorum(t *testing.T) {
 	// "quorum" is the two reborn copies — pre-fix both zero-timestamp, and
 	// that quorum completed and served 0.
 	servers[0].Close()
-	waitFor(t, 5*time.Second, func() bool { return tr.FaultSet().Count() > 0 })
+	probeUntilDeath(t, tr, sys, victims[:1])
 
 	for try := 0; try < 20; try++ {
 		got, m, err := sys.ReadBatch(victims)
@@ -188,10 +197,7 @@ func TestWipeRestartNeverServesZeroQuorum(t *testing.T) {
 			if !errors.Is(err, protocol.ErrIncomplete) {
 				t.Fatalf("try %d: %v", try, err)
 			}
-			unfinished := map[int]bool{}
-			for _, r := range m.Unfinished {
-				unfinished[r] = true
-			}
+			unfinished := unfinishedSet(m)
 			for i, v := range victims {
 				if !unfinished[i] && got[i] != model[v] {
 					t.Fatalf("try %d: var %d completed with %d, want %d or unfinished", try, v, got[i], model[v])

@@ -77,10 +77,8 @@ type Server struct {
 	// the cells it wrote still exist.
 	gen uint64
 
-	// frames and grants count served round frames and granted bids, for
-	// tests and operational logging.
+	// frames counts served round frames, for tests and operational logging.
 	frames atomic.Uint64
-	grants atomic.Uint64
 }
 
 // genSeq disambiguates servers minted in the same clock tick (tests start
@@ -292,7 +290,6 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		s.frames.Add(1)
-		s.grants.Add(uint64(len(reply.Grants)))
 		if scratch, err = writeMsg(conn, scratch, &reply); err != nil {
 			return
 		}

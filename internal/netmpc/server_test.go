@@ -147,9 +147,9 @@ func TestStoreIDsAreIsolated(t *testing.T) {
 }
 
 // TestRoundAllocFree: a steady-state Client.Round against a loopback server
-// allocates nothing — not in the client (frames, the gather timer), not in
-// its reader (replies are recycled), not in the server's frame loop, which
-// runs in this process and so counts too.
+// allocates nothing — not in the client (frames and the one reply per server
+// are reused, the read deadline is set in place), not in the server's frame
+// loop, which runs in this process and so counts too.
 func TestRoundAllocFree(t *testing.T) {
 	s := testScheme(t)
 	_, addrs := startCluster(t, s, 2)
@@ -176,7 +176,7 @@ func TestRoundAllocFree(t *testing.T) {
 			t.Fatalf("served %d of %d modules", served, procs/2)
 		}
 	}
-	for i := 0; i < 20; i++ { // warm-up: buffers, store pages, reply free lists
+	for i := 0; i < 20; i++ { // warm-up: buffers, store pages
 		round()
 	}
 	if avg := testing.AllocsPerRun(200, round); avg != 0 {

@@ -53,7 +53,8 @@ type Config struct {
 	DialTimeout  time.Duration
 	RoundTimeout time.Duration
 	// ReconnectMin/Max bound the exponential backoff of the per-server
-	// reconnect loop that runs after a server is marked down.
+	// reconnect loop that runs after a server is marked down; a maximum below
+	// the minimum is raised to it.
 	ReconnectMin, ReconnectMax time.Duration
 	// Logf, when set, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
@@ -85,13 +86,10 @@ func ServerFor(m, modules int64, nServers int) int {
 	}
 }
 
-// replyQueue bounds the replies a reader may run ahead of Round by. Rounds
-// are lock-step, so one slot is in use; the rest absorb the replies of rounds
-// abandoned at their timeout. The free list holds two more: the reply Round
-// is consuming and the one readLoop is filling.
-const replyQueue = 8
-
-// srv is the per-server connection state.
+// srv is the per-server connection state. While the server is up, the round
+// in progress (serialized by Transport.roundMu) is the only code that writes
+// to or reads from conn; once markDown has cleared it, the reconnect loop owns
+// conn, br and gen until it publishes a new connection under writeMu.
 type srv struct {
 	idx    int
 	addr   string
@@ -105,20 +103,19 @@ type srv struct {
 	gen      uint64
 	up       atomic.Bool
 	reconn   atomic.Bool // a reconnect loop is running
-	writeMu  sync.Mutex  // guards conn swap + writes
+	writeMu  sync.Mutex  // guards conn and br swaps, and writes
 	conn     net.Conn
+	br       *bufio.Reader // over conn; a frame's prefix and body cost one read
 	wbuf     []byte
-	seq      uint64           // last sequence number sent (rounds are serialized)
-	replies  chan *RoundReply // filled by the reader goroutine
-	free     chan *RoundReply // consumed and discarded replies, for readLoop to refill
-	lastErr  atomic.Value     // errBox; last failure, for Stats
-	frames   obs.Counter      // round frames sent
-	bids     obs.Counter      // bids sent
-	recon    obs.Counter      // successful reconnects
-	timeouts obs.Counter      // rounds abandoned at RoundTimeout
-	rtt      obs.Histogram    // per-frame round-trip, nanoseconds
-	inFlight atomic.Int64     // frames sent, reply not yet consumed
-	maxInFl  obs.MaxGauge     // high-water in-flight frames
+	rbuf     []byte
+	reply    RoundReply    // the one reply decoded per round, reused
+	seq      uint64        // last sequence number sent (rounds are serialized)
+	lastErr  atomic.Value  // errBox; last failure, for Stats
+	frames   obs.Counter   // round frames sent
+	bids     obs.Counter   // bids sent
+	recon    obs.Counter   // successful reconnects
+	timeouts obs.Counter   // replies not begun by the round's deadline
+	rtt      obs.Histogram // per-frame round-trip, nanoseconds
 }
 
 // Transport is the TCP implementation of protocol.Transport: persistent
@@ -126,6 +123,12 @@ type srv struct {
 // server, all replies gathered before the next round), and degradation onto an
 // mpc.FaultSet so the protocol's quorum re-selection and retry machinery
 // (PR 5) treats a dead server exactly like a span of failed modules.
+//
+// A healthy Transport runs no goroutine of its own: the round that writes a
+// frame reads its reply. A server that dies between rounds is therefore found
+// by the next round that bids at it, from the EOF or reset the kernel already
+// holds — at once, at the cost of that round's bids to it — and only then
+// does a reconnect loop start for it.
 //
 // A Transport backs one protocol.System (one StoreID namespace). The caller
 // owns its lifetime: the System never closes it, machines built over it are
@@ -151,6 +154,27 @@ func Dial(cfg Config) (*Transport, error) {
 	if cfg.Modules <= 0 || cfg.AddrSpace == 0 {
 		return nil, fmt.Errorf("netmpc: need positive Modules and AddrSpace, got %d/%d", cfg.Modules, cfg.AddrSpace)
 	}
+	cfg.setDefaults()
+	t := &Transport{cfg: cfg, fs: mpc.NewFaultSet()}
+	for i, addr := range cfg.Servers {
+		lo, hi := Range(i, len(cfg.Servers), cfg.Modules)
+		s := &srv{idx: i, addr: addr, lo: lo, hi: hi, t: t}
+		conn, gen, err := t.dialServer(s)
+		if err != nil {
+			t.Close()
+			return nil, fmt.Errorf("netmpc: server %d (%s): %w", i, addr, err)
+		}
+		s.conn = conn
+		s.br = bufio.NewReaderSize(conn, readBufSize)
+		s.gen = gen
+		s.up.Store(true)
+		t.servers = append(t.servers, s)
+	}
+	return t, nil
+}
+
+// setDefaults fills the zero durations and keeps the backoff's bounds ordered.
+func (cfg *Config) setDefaults() {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = defaultDialTimeout
 	}
@@ -160,26 +184,10 @@ func Dial(cfg Config) (*Transport, error) {
 	if cfg.ReconnectMin <= 0 {
 		cfg.ReconnectMin = defaultReconnectMin
 	}
-	if cfg.ReconnectMax < cfg.ReconnectMin {
+	if cfg.ReconnectMax <= 0 {
 		cfg.ReconnectMax = defaultReconnectMax
 	}
-	t := &Transport{cfg: cfg, fs: mpc.NewFaultSet()}
-	for i, addr := range cfg.Servers {
-		lo, hi := Range(i, len(cfg.Servers), cfg.Modules)
-		s := &srv{idx: i, addr: addr, lo: lo, hi: hi, t: t, replies: make(chan *RoundReply, replyQueue), free: make(chan *RoundReply, replyQueue+2)}
-		conn, gen, err := t.dialServer(s)
-		if err != nil {
-			t.Close()
-			return nil, fmt.Errorf("netmpc: server %d (%s): %w", i, addr, err)
-		}
-		s.conn = conn
-		s.gen = gen
-		s.up.Store(true)
-		t.servers = append(t.servers, s)
-		t.wg.Add(1)
-		go s.readLoop(conn)
-	}
-	return t, nil
+	cfg.ReconnectMax = max(cfg.ReconnectMax, cfg.ReconnectMin)
 }
 
 // Name implements protocol.Transport.
@@ -206,9 +214,9 @@ func (t *Transport) NewMachine(cfg mpc.Config) (protocol.Machine, error) {
 	return newClient(t, cfg), nil
 }
 
-// Close tears down every connection and joins the reader and reconnect
-// goroutines. Machines built over the transport stop granting; the owning
-// System should be closed first.
+// Close tears down every connection and joins the reconnect loops. Machines
+// built over the transport stop granting; the owning System should be closed
+// first.
 func (t *Transport) Close() {
 	if !t.closed.CompareAndSwap(false, true) {
 		t.wg.Wait()
@@ -286,49 +294,6 @@ func ackError(ack *HandshakeAck) error {
 	}
 }
 
-// readLoop drains one connection's replies into the server's channel until
-// the connection dies, then triggers degradation.
-func (s *srv) readLoop(conn net.Conn) {
-	defer s.t.wg.Done()
-	br := bufio.NewReaderSize(conn, readBufSize)
-	var scratch []byte
-	for {
-		var reply *RoundReply
-		select {
-		case reply = <-s.free:
-		default:
-			reply = new(RoundReply)
-		}
-		var err error
-		if scratch, err = readMsg(br, scratch, reply); err != nil {
-			s.markDown(conn, err)
-			return
-		}
-		select {
-		case s.replies <- reply:
-		default:
-			// The consumer abandoned this stream (timeout path drained and
-			// gave up); drop the oldest to keep the newest visible.
-			select {
-			case old := <-s.replies:
-				s.recycle(old)
-			default:
-			}
-			s.replies <- reply
-		}
-	}
-}
-
-// recycle hands a reply nobody will read again back to readLoop, which
-// decodes the next frame into it (Grants keeps its backing array). With the
-// free list full the reply is left to the collector.
-func (s *srv) recycle(r *RoundReply) {
-	select {
-	case s.free <- r:
-	default:
-	}
-}
-
 // markDown transitions the server to failed if conn is still its current
 // connection: the connection closes, every module in the server's range
 // joins the fault set (the protocol layer re-selects quorums over the
@@ -368,7 +333,6 @@ func (s *srv) markDown(conn net.Conn, cause error) {
 // may be mid-redeploy, and the range stays failed until geometry agrees.
 func (s *srv) reconnectLoop() {
 	defer s.t.wg.Done()
-	defer s.reconn.Store(false)
 	backoff := s.t.cfg.ReconnectMin
 	for !s.t.closed.Load() {
 		time.Sleep(backoff)
@@ -390,77 +354,96 @@ func (s *srv) reconnectLoop() {
 			conn.Close()
 			return
 		}
-		// Drain replies stranded by the dead connection so the next round
-		// doesn't mistake a stale sequence number for its own.
-		for {
-			select {
-			case old := <-s.replies:
-				s.recycle(old)
-				continue
-			default:
-			}
-			break
+		// Publish the connection, mark the server up, re-admit the range and
+		// retire this loop in one critical section. A round reaches the new
+		// connection only through writeMu (send), so if it loses it at once,
+		// its markDown fails the range after this re-admission and finds no
+		// loop running; up goes first so that whoever sees the range
+		// re-admitted also finds the server up.
+		readmit, how := s.t.fs.RecoverRange, "store intact"
+		if gen != s.gen {
+			readmit, how = s.t.fs.RecoverPendingRange, "fresh store generation, range queued for repair"
 		}
 		s.conn = conn
-		sameStore := gen == s.gen
+		s.br.Reset(conn) // whatever the dead connection left buffered is gone
 		s.gen = gen
-		s.writeMu.Unlock()
 		s.up.Store(true)
 		s.recon.Inc()
-		s.t.wg.Add(1)
-		go s.readLoop(conn)
-		if sameStore {
-			s.t.fs.RecoverRange(uint64(s.lo), uint64(s.hi))
-			s.t.logf("netmpc: server %d (%s) reconnected, store intact", s.idx, s.addr)
-		} else {
-			s.t.fs.RecoverPendingRange(uint64(s.lo), uint64(s.hi))
-			s.t.logf("netmpc: server %d (%s) reconnected with a fresh store generation; range [%d,%d) queued for repair", s.idx, s.addr, s.lo, s.hi)
-		}
+		readmit(uint64(s.lo), uint64(s.hi))
+		s.reconn.Store(false)
+		s.writeMu.Unlock()
+		s.t.logf("netmpc: server %d (%s) reconnected over [%d,%d): %s", s.idx, s.addr, s.lo, s.hi, how)
 		return
 	}
 }
 
-// send writes one framed round to the server, returning false (and marking
-// the server down) on any failure.
-func (s *srv) send(frame *RoundFrame) bool {
+// send writes one framed round to the server and returns the connection it
+// went out on, or nil (with the server marked down) on any failure.
+func (s *srv) send(frame *RoundFrame) net.Conn {
 	s.writeMu.Lock()
 	conn := s.conn
 	if conn == nil {
 		s.writeMu.Unlock()
-		return false
+		return nil
 	}
 	buf, err := writeMsg(conn, s.wbuf, frame)
 	s.wbuf = buf
 	s.writeMu.Unlock()
 	if err != nil {
 		s.markDown(conn, err)
-		return false
+		return nil
 	}
 	s.frames.Inc()
 	s.bids.Add(int64(len(frame.Bids)))
-	infl := s.inFlight.Add(1)
-	s.maxInFl.Observe(infl)
-	return true
+	return conn
 }
 
-// ServerStats is one server's transport-health snapshot.
+// recv reads the reply to the frame send just wrote on conn, which must
+// arrive by deadline and carry the frame's sequence number — nothing else can
+// be on a lock-step connection. A dead peer fails the read at once; a silent
+// one fails it at the deadline. Either way the server is marked down and recv
+// returns nil.
+func (s *srv) recv(conn net.Conn, deadline time.Time) *RoundReply {
+	conn.SetReadDeadline(deadline)
+	var err error
+	s.rbuf, err = readMsg(s.br, s.rbuf, &s.reply)
+	if err == nil {
+		if s.reply.Seq == s.seq {
+			return &s.reply
+		}
+		err = fmt.Errorf("%w: reply to frame %d, want %d", ErrCorruptFrame, s.reply.Seq, s.seq)
+	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		s.timeouts.Inc()
+		err = ErrRoundTimeout
+	}
+	s.markDown(conn, err)
+	return nil
+}
+
+// ServerStats is one server's transport-health snapshot. Timeouts counts the
+// rounds in which the server's reply had not begun to arrive by RoundTimeout;
+// a connection lost any other way shows in LastErr and Reconnects only.
 type ServerStats struct {
-	Addr        string `json:"addr"`
-	Up          bool   `json:"up"`
-	Frames      int64  `json:"frames"`
-	Bids        int64  `json:"bids"`
-	Reconnects  int64  `json:"reconnects"`
-	Timeouts    int64  `json:"timeouts"`
-	RTTCount    int64  `json:"rtt_count"`
-	RTTSumNs    int64  `json:"rtt_sum_ns"`
-	RTTP99Ns    int64  `json:"rtt_p99_ns"`
-	MaxInFlight int64  `json:"max_in_flight"`
-	LastErr     string `json:"last_err,omitempty"`
+	Addr       string
+	Up         bool
+	Frames     int64
+	Bids       int64
+	Reconnects int64
+	Timeouts   int64
+	RTTCount   int64
+	RTTSumNs   int64
+	RTTP99Ns   int64
+	// MaxInFlight is the most frames the connection ever had outstanding.
+	// Rounds are lock-step, so that is 1 once a frame has been sent; the field
+	// stays for callers that report it.
+	MaxInFlight int64
+	LastErr     string
 }
 
 // Stats snapshots per-server transport health: liveness, frame and bid
-// counts, reconnects, timeouts, the RTT histogram's count/sum/p99, and the
-// in-flight high-water mark.
+// counts, reconnects, timeouts and the RTT histogram's count/sum/p99.
 func (t *Transport) Stats() []ServerStats {
 	out := make([]ServerStats, len(t.servers))
 	for i, s := range t.servers {
@@ -474,7 +457,7 @@ func (t *Transport) Stats() []ServerStats {
 			RTTCount:    s.rtt.Count(),
 			RTTSumNs:    s.rtt.Sum(),
 			RTTP99Ns:    histP99(&s.rtt),
-			MaxInFlight: s.maxInFl.Load(),
+			MaxInFlight: min(s.frames.Load(), 1),
 		}
 		if e := s.lastError(); e != nil {
 			st.LastErr = e.Error()

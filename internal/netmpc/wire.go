@@ -4,12 +4,14 @@
 // evaluates the compiled constructive map locally — the paper's whole point
 // is that O(1)-register address resolution needs no directory service — and
 // fans each synchronous round's bids out over persistent per-server TCP
-// connections. Rounds are lock-step: a round sends one frame to every server
-// it touches and waits for all their replies before the next round starts, so
-// a connection carries at most one outstanding frame (ServerStats.MaxInFlight
-// reads 1 in every committed run). The per-connection reader goroutine is
-// there as the idle failure detector — it sees a dead peer's EOF or reset with
-// no round in flight — not to overlap requests.
+// connections. Rounds are lock-step, like the paper's machine: a round sends
+// one frame to every server it touches and reads each one's reply itself
+// before the next round starts, so a connection carries at most one
+// outstanding frame and the client runs no goroutine while its servers are
+// up. Nothing watches an idle connection: a server that dies between rounds
+// is found by the next round that bids at it — at once, from the EOF or reset
+// the kernel already holds — and that round's bids to it drop and retry like
+// those of any mid-round death.
 //
 // The wire protocol is length-prefixed binary frames. Every wire type
 // carries the lattigo-style serialization triple — BinarySize, WriteTo,
@@ -151,10 +153,10 @@ type Bid struct {
 const bidSize = 4 + 8 + 8 + 8 + 1 + 8 + 8
 
 // RoundFrame carries every bid a client directs at one server in one
-// synchronous round. Seq matches the reply to its request, so a reply that
-// arrives after its round timed out is recognised as stale and dropped;
-// Round is the client machine's round counter (it salts ArbRandom claims
-// client-side and aids debugging server-side).
+// synchronous round. Seq numbers the connection's frames and the reply echoes
+// it: the client accepts the reply to the frame it just sent and treats any
+// other as a corrupt stream; Round is the client machine's round counter (it
+// salts ArbRandom claims client-side and aids debugging server-side).
 type RoundFrame struct {
 	Seq   uint64
 	Round uint64
