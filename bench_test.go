@@ -345,35 +345,6 @@ func BenchmarkE10PRAM(b *testing.B) {
 	b.ReportMetric(float64(rounds), "rounds")
 }
 
-// BenchmarkAblationArbitration compares module arbitration policies
-// (DESIGN.md §5: Φ should be insensitive).
-func BenchmarkAblationArbitration(b *testing.B) {
-	for name, arb := range map[string]mpc.Arbiter{
-		"lowest":      mpc.ArbLowest,
-		"round-robin": mpc.ArbRoundRobin,
-		"random":      mpc.ArbRandom,
-	} {
-		arb := arb
-		b.Run(name, func(b *testing.B) {
-			sys := mustSystem(b, 1, 5, protocol.Config{Arb: arb, Seed: 11})
-			N := int(sys.Scheme.NumModules)
-			rng := rand.New(rand.NewSource(9))
-			vars := workload.DistinctRandom(rng, sys.Index.M(), N)
-			vals := make([]uint64, N)
-			var phi int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				met, err := sys.WriteBatch(vars, vals)
-				if err != nil {
-					b.Fatal(err)
-				}
-				phi = met.MaxIterations
-			}
-			b.ReportMetric(float64(phi), "phi")
-		})
-	}
-}
-
 // BenchmarkExperimentTables regenerates every E-table in quick mode (the
 // bench-driven path to the same outputs cmd/smembench prints).
 func BenchmarkExperimentTables(b *testing.B) {

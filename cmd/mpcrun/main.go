@@ -5,7 +5,7 @@
 // Usage:
 //
 //	mpcrun -q 2 -n 5 -batch 1023 -workload random|stride|gamma -op read|write \
-//	       [-scheme pp|mv|single|uw] [-arb lowest|rr|random] [-trace]
+//	       [-scheme pp|mv|single|uw] [-trace]
 //	       [-tracejson FILE]
 //
 // -tracejson captures every MPC round through the obs tracer and writes the
@@ -23,7 +23,6 @@ import (
 
 	"detshmem/internal/baseline"
 	"detshmem/internal/core"
-	"detshmem/internal/mpc"
 	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
 	"detshmem/internal/workload"
@@ -36,7 +35,6 @@ func main() {
 		wl       = flag.String("workload", "random", "random | stride | gamma")
 		op       = flag.String("op", "write", "read | write")
 		scheme   = flag.String("scheme", "pp", "pp | mv | single | uw")
-		arb      = flag.String("arb", "lowest", "lowest | rr | random")
 		seed     = flag.Int64("seed", 1993, "workload seed")
 		trace    = flag.Bool("trace", false, "print per-iteration live counts")
 		traceOut = flag.String("tracejson", "", "write the per-round JSON trajectory here")
@@ -67,14 +65,6 @@ func main() {
 	}
 	fatal(err)
 
-	arbiter := mpc.ArbLowest
-	switch *arb {
-	case "rr":
-		arbiter = mpc.ArbRoundRobin
-	case "random":
-		arbiter = mpc.ArbRandom
-	}
-
 	size := *batch
 	if size == 0 || uint64(size) > s.NumModules {
 		size = int(s.NumModules)
@@ -93,7 +83,7 @@ func main() {
 	}
 
 	var tracer *obs.Tracer
-	cfg := protocol.Config{Arb: arbiter, Seed: uint64(*seed), TraceLive: *trace}
+	cfg := protocol.Config{TraceLive: *trace}
 	if *traceOut != "" {
 		tracer = obs.NewTracer(0)
 		cfg.Recorder = tracer

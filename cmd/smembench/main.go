@@ -1,14 +1,14 @@
-// Command smembench regenerates the experiment tables E1–E24 (the paper's
-// analytical claims as measurements, plus the extensions). See DESIGN.md for
-// the per-experiment index and EXPERIMENTS.md for recorded results.
+// Command smembench regenerates the experiment tables E1–E14, E17, E19, E20,
+// E22 and E24 (the paper's analytical claims as measurements, plus the fault,
+// consistency and cluster drills). See DESIGN.md for the per-experiment index
+// and EXPERIMENTS.md for recorded results.
 //
 // Usage:
 //
 //	smembench [-exp e1,e4,...] [-quick] [-seed N]
-//	          [-shards S] [-faults F] [-faultsched SCHED]
+//	          [-faults F] [-faultsched SCHED]
 //	          [-trace FILE] [-tracecap N] [-pprof ADDR]
 //	          [-transport inproc|tcp] [-servers A1,A2,...]
-//	          [-resolver compiled|computed]
 //
 // With no -exp it runs everything in order; an id that names no experiment is
 // an error before anything runs. The experiments' results are their printed
@@ -17,20 +17,15 @@
 // command. An experiment whose gate fails exits nonzero; that exit status is
 // all cmd/netcluster reads.
 //
-// -shards pins E18's sharded sweep to a single shard count (plus its S=1
-// baseline) instead of the full S sweep — the quick way to profile one
-// execution-layer shape.
-//
 // -faults pins E19's failed-module sweep to {0, F} instead of the full
 // ladder; -faultsched churn adds E19 cells with a rolling single-module
-// fail/recover schedule running in the background while clients stream.
+// fail/recover schedule running in the background while clients stream. A
+// negative F or any other schedule is an error before anything runs.
 //
 // -trace attaches the obs ring-buffer tracer plus the cumulative collector
 // to every experiment system and dumps the per-round trajectory as JSON:
 // round index, live requests, granted copies and the per-module contention
-// histogram, alongside the collector's batch-level totals. Sharded
-// experiments add a per-shard section: each configuration's queue-depth
-// high-water mark and flush-cause breakdown, shard by shard.
+// histogram, alongside the collector's batch-level totals.
 // When the run includes E20, the dump also embeds the recorded per-client
 // consistency traces under "consistency" — value-carrying read/write streams
 // that cmd/consistencycheck can certify offline. The dump is
@@ -48,10 +43,6 @@
 // and wait for the harness (cmd/netcluster) to kill one server. Both record
 // consistency traces, so -trace dumps from a TCP run certify the networked
 // transport end to end.
-//
-// -resolver pins E23's sweep to one address-resolution path ("compiled" or
-// "computed") plus the live per-op baseline; E23 rejects any other value with
-// the list of valid ones.
 package main
 
 import (
@@ -68,69 +59,25 @@ import (
 	"detshmem/internal/consistency"
 	"detshmem/internal/experiments"
 	"detshmem/internal/obs"
-	"detshmem/internal/shard"
 )
 
 // traceDump is the -trace output: the tracer's trajectory and exact totals,
-// the collector's batch-level view of the same run, the per-shard dispatcher
-// breakdown for any sharded experiment cells, and the consistency verdict
-// between tracer and collector.
+// the collector's batch-level view of the same run, and the consistency
+// verdict between tracer and collector.
 type traceDump struct {
 	Totals     obs.TraceTotals       `json:"totals"`
 	Dropped    uint64                `json:"dropped"`
 	Collector  map[string]int64      `json:"collector"`
-	Shards     []shardTrace          `json:"shards,omitempty"`
 	Consistent bool                  `json:"consistent"`
 	Consist    *consistency.TraceSet `json:"consistency,omitempty"`
 	Events     []obs.RoundEvent      `json:"events"`
 }
 
-// shardTrace is one sharded cell ("S=4/zipf") from E18: the
-// service-wide imbalance plus each shard dispatcher's queue-depth high-water
-// mark and flush-cause breakdown.
-type shardTrace struct {
-	Label     string     `json:"label"`
-	Imbalance float64    `json:"imbalance"`
-	PerShard  []shardRow `json:"per_shard"`
-}
-
-type shardRow struct {
-	Shard           int   `json:"shard"`
-	OpsIn           int64 `json:"ops_in"`
-	RequestsOut     int64 `json:"requests_out"`
-	Batches         int   `json:"batches"`
-	MaxQueueDepth   int   `json:"max_queue_depth"`
-	SizeFlushes     int64 `json:"size_flushes"`
-	IdleFlushes     int64 `json:"idle_flushes"`
-	ExplicitFlushes int64 `json:"explicit_flushes"`
-	ConflictFlushes int64 `json:"conflict_flushes"`
-}
-
-// newShardTrace flattens a shard.Stats snapshot into the trace row.
-func newShardTrace(label string, st shard.Stats) shardTrace {
-	tr := shardTrace{Label: label, Imbalance: st.Imbalance()}
-	for i, s := range st.PerShard {
-		tr.PerShard = append(tr.PerShard, shardRow{
-			Shard:           i,
-			OpsIn:           s.OpsIn,
-			RequestsOut:     s.RequestsOut,
-			Batches:         s.Batches,
-			MaxQueueDepth:   s.MaxQueueDepth,
-			SizeFlushes:     s.SizeFlushes,
-			IdleFlushes:     s.IdleFlushes,
-			ExplicitFlushes: s.ExplicitFlushes,
-			ConflictFlushes: s.ConflictFlushes,
-		})
-	}
-	return tr
-}
-
 func main() {
 	var (
-		expFlag  = flag.String("exp", "", "comma-separated experiment ids (e1..e24); empty = all")
+		expFlag  = flag.String("exp", "", "comma-separated experiment ids (e1..e14, e17, e19, e20, e22, e24); empty = all")
 		quick    = flag.Bool("quick", false, "shrink sweeps for a fast run")
 		seed     = flag.Int64("seed", 0, "workload RNG seed (0 = default)")
-		shards   = flag.Int("shards", 0, "pin e18 to one shard count S (0 = full sweep)")
 		faults   = flag.Int("faults", 0, "pin e19's failed-module sweep to {0, F} (0 = full ladder)")
 		fsched   = flag.String("faultsched", "", "e19 dynamic fault schedule (\"churn\" = rolling single-module fail/recover)")
 		traceF   = flag.String("trace", "", "capture per-round MPC events and write the JSON trajectory here")
@@ -138,7 +85,6 @@ func main() {
 		pprofA   = flag.String("pprof", "", "serve pprof + expvar + Prometheus /metrics on this address (e.g. :6060)")
 		transp   = flag.String("transport", "", "restrict the cells of e22 and e24 to one MPC transport (\"inproc\" or \"tcp\"; empty = both)")
 		servers  = flag.String("servers", "", "comma-separated external memserver addresses for the TCP cells of e22 and e24 (empty = in-process loopback cluster)")
-		resolver = flag.String("resolver", "", "pin e23 to one resolution path (\"compiled\" or \"computed\"; empty = both)")
 	)
 	flag.Parse()
 
@@ -150,11 +96,9 @@ func main() {
 	opts := experiments.Options{
 		Quick:      *quick,
 		Seed:       *seed,
-		Shards:     *shards,
 		Faults:     *faults,
 		FaultSched: *fsched,
 		Transport:  *transp,
-		Resolver:   *resolver,
 	}
 	if *servers != "" {
 		for _, a := range strings.Split(*servers, ",") {
@@ -170,14 +114,10 @@ func main() {
 
 	collector := obs.NewCollector()
 	var tracer *obs.Tracer
-	var shardTraces []shardTrace
 	if *traceF != "" {
 		tracer = obs.NewTracer(*traceCap)
 		opts.Recorder = obs.Multi(tracer, collector)
 		opts.Observer = collector
-		opts.ShardStats = func(label string, st shard.Stats) {
-			shardTraces = append(shardTraces, newShardTrace(label, st))
-		}
 		// E20 records per-client value-carrying traces here; the dump embeds
 		// them under "consistency" for cmd/consistencycheck to re-verify.
 		opts.Consistency = consistency.NewRecorder()
@@ -214,7 +154,7 @@ func main() {
 	}
 
 	if tracer != nil {
-		if err := writeTrace(*traceF, tracer, collector, shardTraces, opts.Consistency); err != nil {
+		if err := writeTrace(*traceF, tracer, collector, opts.Consistency); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -264,13 +204,12 @@ func selectExperiments(all []experiments.Runner, exp string) ([]experiments.Runn
 // Σ Requests + Σ DroppedBids == Σ IssuedBids, so the books balance exactly
 // even under failure injection (instrumented systems install tracer and
 // collector together, so the two views describe the same runs).
-func writeTrace(path string, tracer *obs.Tracer, collector *obs.Collector, shards []shardTrace, rec *consistency.Recorder) error {
+func writeTrace(path string, tracer *obs.Tracer, collector *obs.Collector, rec *consistency.Recorder) error {
 	totals := tracer.Totals()
 	dump := traceDump{
 		Totals:    totals,
 		Dropped:   tracer.Dropped(),
 		Collector: collector.Snapshot(),
-		Shards:    shards,
 		Consistent: totals.Rounds == uint64(collector.Rounds.Load()) &&
 			totals.Granted == uint64(collector.GrantedBids.Load()) &&
 			totals.Requests+totals.DroppedBids == uint64(collector.IssuedBids.Load()),

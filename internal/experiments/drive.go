@@ -17,7 +17,7 @@ import (
 	"detshmem/internal/workload"
 )
 
-// writePct is the write share of every client stream in E15–E24.
+// writePct is the write share of every client stream in E19–E24.
 const writePct = 40
 
 // replayOps turns per-client variable streams into operations. The
@@ -70,14 +70,11 @@ func warmup(ops [][]shard.BatchOp) [][]shard.BatchOp {
 	return out
 }
 
-// driver is the closed-loop client of E15–E24: each client goroutine submits
+// driver is the closed-loop client of E19–E24: each client goroutine submits
 // its operations window by window and waits for the whole window before the
 // next, so a slow service receives less load.
 type driver struct {
 	window int
-	// batched submits each window as one AccessBatch call (one ring claim per
-	// touched shard) instead of one async call per operation.
-	batched bool
 	// tolerate is the class of typed refusals the cell expects: an operation
 	// failing with an error of that class is tallied and the stream continues
 	// — how a fault-tolerant client consumes the service. It is nil (any error
@@ -137,36 +134,22 @@ func (d driver) client(svc *shard.Service, c int, ops []shard.BatchOp, out *tall
 	for len(ops) > 0 {
 		win := ops[:min(d.window, len(ops))]
 		ops = ops[len(win):]
-		var batch *shard.Batch
-		if d.batched {
+		futs = futs[:0]
+		for _, op := range win {
+			var fut *frontend.Future
 			var err error
-			if batch, err = svc.AccessBatch(win); err != nil {
+			if op.Write {
+				fut, err = svc.WriteAsync(op.Var, op.Val)
+			} else {
+				fut, err = svc.ReadAsync(op.Var)
+			}
+			if err != nil {
 				return err
 			}
-		} else {
-			futs = futs[:0]
-			for _, op := range win {
-				var fut *frontend.Future
-				var err error
-				if op.Write {
-					fut, err = svc.WriteAsync(op.Var, op.Val)
-				} else {
-					fut, err = svc.ReadAsync(op.Var)
-				}
-				if err != nil {
-					return err
-				}
-				futs = append(futs, fut)
-			}
+			futs = append(futs, fut)
 		}
 		for i, op := range win {
-			var got uint64
-			var err error
-			if d.batched {
-				got, err = batch.Value(i)
-			} else {
-				got, err = futs[i].Wait()
-			}
+			got, err := futs[i].Wait()
 			if err != nil && (d.tolerate == nil || !errors.Is(err, d.tolerate)) {
 				return err
 			}
@@ -190,12 +173,12 @@ func (d driver) client(svc *shard.Service, c int, ops []shard.BatchOp, out *tall
 	return nil
 }
 
-// measureCell is the measured cell of the sharded sweeps (E18, E19, E21): a
-// warm-up over the first quarter of every stream sizes each shard's scratch,
-// a GC fence keeps one cell's garbage off the next cell's clock, and the
-// cell's time is the median of a few timed drives (each including its
-// trailing Flush), since a single run of tens of milliseconds is at the mercy
-// of scheduler noise. The tally is the timed drives' mean.
+// measureCell is the measured cell of E19's fault sweep: a warm-up over the
+// first quarter of every stream sizes each shard's scratch, a GC fence keeps
+// one cell's garbage off the next cell's clock, and the cell's time is the
+// median of a few timed drives (each including its trailing Flush), since a
+// single run of tens of milliseconds is at the mercy of scheduler noise. The
+// tally is the timed drives' mean.
 func measureCell(svc *shard.Service, ops [][]shard.BatchOp, d driver, quick bool) (time.Duration, tally, error) {
 	if _, err := d.drive(svc, warmup(ops)); err != nil {
 		return 0, tally{}, err
@@ -231,15 +214,8 @@ type clientWorkload struct {
 	stream func(rng *rand.Rand) []uint64
 }
 
-// Indices into clientWorkloads.
-const (
-	uniformWorkload = iota
-	zipfWorkload
-	hotSpotWorkload
-)
-
-// clientWorkloads are the traffic shapes E18, E19 and E21 sweep; E15 and E16
-// run the uniform and the hot-spot one (16 hot variables hit with p = 0.85).
+// clientWorkloads are the traffic shapes E19 sweeps (hot-spot: 16 hot
+// variables hit with p = 0.85).
 func clientWorkloads(numVars uint64, opsPer int) []clientWorkload {
 	return []clientWorkload{
 		{"uniform", func(rng *rand.Rand) []uint64 { return workload.HotSpot(rng, numVars, opsPer, 16, 0) }},
@@ -257,76 +233,6 @@ func (wl clientWorkload) ops(clients int, seed int64) [][]shard.BatchOp {
 		streams[c] = wl.stream(workload.ClientRNG(seed, c))
 	}
 	return replayOps(streams, seed)
-}
-
-// shardedConfig is one execution-layer shape of the sharded matrix.
-type shardedConfig struct {
-	name    string
-	shards  int
-	batched bool          // drive through AccessBatch instead of per-op calls
-	faults  *mpc.FaultSet // static failed modules (the E19 rider of E21); nil = healthy
-}
-
-// shardedCell is one measured (config, workload) cell of the matrix.
-type shardedCell struct {
-	config, workload string
-	nsPerOp          float64
-	opsPerSec        float64
-	combinePct       float64
-	imbalance        float64
-	speedup          float64 // against the S=1 cell of the same workload
-}
-
-// shardedMatrix is the body E18 and E21 share: every workload × config cell
-// of the sharded service over one compiled resolver, each measured by
-// measureCell on the same operations and handed to emit in table order. The
-// configs must lead with the S=1 baseline the speedup column is against.
-// statsSuffix extends the "<config>/<workload>" label of Options.ShardStats.
-func shardedMatrix(o Options, inst *e7Instance, resolver *protocol.CompiledResolver, seed int64, clients int,
-	workloads []clientWorkload, configs []shardedConfig, statsSuffix string, emit func(shardedCell)) error {
-	for _, wl := range workloads {
-		ops := wl.ops(clients, seed)
-		var baseNs float64
-		for _, cfg := range configs {
-			scfg := shard.Config{
-				Shards:   cfg.shards,
-				Protocol: o.instrument(protocol.Config{Resolver: resolver}),
-			}
-			d := driver{window: 64, batched: cfg.batched}
-			if fs := cfg.faults; fs != nil {
-				scfg.Protocol.NewMachine = func(mcfg mpc.Config) (protocol.Machine, error) {
-					return mpc.NewFailingShared(mcfg, fs)
-				}
-				d.tolerate = protocol.ErrIncomplete
-			}
-			svc, err := shard.New(inst.pp, scfg)
-			if err != nil {
-				return err
-			}
-			median, run, err := measureCell(svc, ops, d, o.Quick)
-			st := svc.Stats()
-			if cerr := svc.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return err
-			}
-			if o.ShardStats != nil {
-				o.ShardStats(cfg.name+"/"+wl.name+statsSuffix, st)
-			}
-			nsPerOp := float64(median.Nanoseconds()) / float64(run.ops)
-			if cfg.shards == 1 {
-				baseNs = nsPerOp
-			}
-			emit(shardedCell{
-				config: cfg.name, workload: wl.name,
-				nsPerOp: nsPerOp, opsPerSec: float64(run.ops) / median.Seconds(),
-				combinePct: 100 * st.Total.CombiningRate(), imbalance: st.Imbalance(),
-				speedup: baseNs / nsPerOp,
-			})
-		}
-	}
-	return nil
 }
 
 // exactStrandRate is the stranding a static fault set must cause, through the

@@ -16,12 +16,12 @@ import (
 
 // E19 measures live fault tolerance: the frontend keeps serving while
 // memory modules crash at runtime. A shared mpc.FaultSet is seeded with F
-// random failed modules and the full client harness of E18 (same streams,
-// same windowed closed loop) runs against it, for F swept from 0 through
-// q/2 (where the paper's quorum argument guarantees every variable keeps a
-// live majority) and beyond (where some variables provably lose their
-// quorum and their requests must fail with the per-request quorum verdict
-// while the rest of the stream commits).
+// random failed modules and the windowed closed loop of drive.go runs
+// against it, for F swept from 0 through q/2 (where the paper's quorum
+// argument guarantees every variable keeps a live majority) and beyond
+// (where some variables provably lose their quorum and their requests must
+// fail with the per-request quorum verdict while the rest of the stream
+// commits).
 //
 // Reported per cell: throughput, the fraction of operations stranded, the
 // bids the interconnect dropped at failed modules, the bids the protocol
@@ -66,11 +66,6 @@ func E19(w io.Writer, o Options) error {
 		if uint64(f) >= inst.s.NumModules {
 			return fmt.Errorf("e19: %d faults with only %d modules", f, inst.s.NumModules)
 		}
-	}
-	switch o.FaultSched {
-	case "", "churn":
-	default:
-		return fmt.Errorf("e19: unknown fault schedule %q (want \"churn\")", o.FaultSched)
 	}
 
 	type row struct {

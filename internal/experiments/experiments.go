@@ -6,8 +6,11 @@
 // recorded in EXPERIMENTS.md.
 //
 // Experiments print self-contained tables to an io.Writer so that both
-// cmd/smembench and the benchmark harness can drive them. E15–E24 measure the
-// serving stack; their clients are one closed loop (drive.go).
+// cmd/smembench and the tests can drive them. Of the serving-stack
+// experiments, E17 gates the round trace against the protocol's metrics and
+// E19, E20, E22 and E24 are fault, consistency and cluster drills that gate on
+// correctness (one closed client loop, drive.go); what the serving stack
+// costs is timed by the bench/ suite alone.
 package experiments
 
 import (
@@ -19,27 +22,20 @@ import (
 	"detshmem/internal/core"
 	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
-	"detshmem/internal/shard"
 )
 
 // Options tunes experiment scale.
 type Options struct {
 	Quick bool  // shrink sweeps for fast runs
 	Seed  int64 // randomness seed (workloads only; schemes are deterministic)
-	// Shards, when > 0, pins E18 to a single shard count (plus its S=1
-	// baseline) instead of the full sweep (smembench -shards).
-	Shards int
-	// ShardStats, when non-nil, receives each measured sharded service's
-	// per-shard statistics, labelled "<config>/<workload>" (smembench -trace
-	// wires its dump here for queue-depth and flush-cause breakdowns).
-	ShardStats func(label string, st shard.Stats)
 	// Faults, when > 0, pins E19's failed-module sweep to {0, Faults}
-	// instead of the full fault-count ladder (smembench -faults).
+	// instead of the full fault-count ladder, which 0 runs (smembench
+	// -faults). Validate rejects negative values.
 	Faults int
 	// FaultSched selects E19's dynamic fault schedule: "" runs only the
 	// static fault sets; "churn" adds cells where one module at a time
 	// fails and recovers in the background while clients stream
-	// (smembench -faultsched).
+	// (smembench -faultsched). Validate rejects anything else.
 	FaultSched string
 	// Consistency, when non-nil, receives E20's recorded client traces —
 	// per-client streams of value-carrying operations, one Run per measured
@@ -57,9 +53,6 @@ type Options struct {
 	// (cmd/netcluster) to kill one server when the marker line appears
 	// (smembench -servers).
 	Servers []string
-	// Resolver pins E23 to one resolution path ("compiled" or "computed")
-	// plus the live per-op baseline; "" sweeps both (smembench -resolver).
-	Resolver string
 	// Recorder, when non-nil, is installed on every protocol system built
 	// through the shared constructor, capturing one event per MPC round
 	// (smembench -trace wires a ring-buffer tracer here).
@@ -84,8 +77,18 @@ func (o Options) instrument(cfg protocol.Config) protocol.Config {
 // Validate rejects the option values that would otherwise select no cell at
 // all: E22 and E24 run the cells Transport names, so an unknown transport —
 // or external servers with the TCP cells switched off — is a run that prints
-// its headers, measures nothing and exits 0.
+// its headers, measures nothing and exits 0. The same goes for E19's knobs:
+// a misspelt fault schedule adds no cell and a negative fault count pins
+// nothing, so both would pass for the default run.
 func (o Options) Validate() error {
+	switch o.FaultSched {
+	case "", "churn":
+	default:
+		return fmt.Errorf("unknown fault schedule %q; known schedules: churn", o.FaultSched)
+	}
+	if o.Faults < 0 {
+		return fmt.Errorf("negative fault count %d; 0 runs the full ladder", o.Faults)
+	}
 	switch o.Transport {
 	case "", "inproc", "tcp":
 	default:
@@ -138,15 +141,10 @@ func All() []Runner {
 		{"e12", "Extension: protocol over a butterfly network", E12},
 		{"e13", "Extension: Θ(N^{1.5-ε}) vs Θ(N²) regime comparison", E13},
 		{"e14", "Extension: structural audit of every organization", E14},
-		{"e15", "Extension: combining frontend under concurrent clients", E15},
-		{"e16", "Hot path: compiled vs live address resolution", E16},
 		{"e17", "Observability: round trajectory, contention, Theorem 6 shape", E17},
-		{"e18", "Scaling out: sharded frontend throughput vs S", E18},
 		{"e19", "Fault tolerance: throughput and round inflation vs failed modules", E19},
 		{"e20", "Consistency auditing: trace-checker cost and sampling-audit overhead", E20},
-		{"e21", "Multi-core scaling: lock-free rings and the batch API vs GOMAXPROCS", E21},
 		{"e22", "Networked MPC: in-process vs loopback-TCP vs TCP with a killed server", E22},
-		{"e23", "Address resolution at large (q, n): compiled vs computed", E23},
 		{"e24", "Self-healing repair: churn with repair on/off, wipe-restart drill over TCP", E24},
 	}
 }

@@ -12,7 +12,7 @@ import (
 // must hold with the instrumentation layer wired in.
 func TestRoundSteadyStateAllocsSequential(t *testing.T) {
 	const procs, modules = 96, 32
-	m, err := New(Config{Procs: procs, Modules: modules, Arb: ArbRandom, Seed: 7, Recorder: obs.Nop})
+	m, err := New(Config{Procs: procs, Modules: modules, Recorder: obs.Nop})
 	if err != nil {
 		t.Fatal(err)
 	}

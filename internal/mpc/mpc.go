@@ -6,9 +6,11 @@
 // of rounds, which is governed by the maximum per-module congestion — the
 // quantity the Pietracaprina–Preparata memory organization minimizes.
 //
-// A round is three sequential sweeps over the processors — claim (each
-// module keeps its minimum packed claim), grant, reset — and allocates
-// nothing in steady state.
+// A round is three sequential sweeps — claim (each module keeps its lowest
+// bidding processor), grant, reset — and allocates nothing in steady state.
+// Which bidder a module serves is not a parameter: the paper's round bounds
+// hold for any choice and the majority rule returns the same values under
+// any grant order, so the machine fixes the cheapest rule.
 package mpc
 
 import (
@@ -20,36 +22,10 @@ import (
 // Idle marks a processor that makes no request this round.
 const Idle int64 = -1
 
-// Arbiter selects which of a module's competing requests is served.
-type Arbiter int
-
-const (
-	// ArbLowest serves the requesting processor with the lowest id.
-	ArbLowest Arbiter = iota
-	// ArbRoundRobin rotates priority among processors by round number.
-	ArbRoundRobin
-	// ArbRandom uses a seeded per-round pseudorandom priority.
-	ArbRandom
-)
-
-func (a Arbiter) String() string {
-	switch a {
-	case ArbLowest:
-		return "lowest"
-	case ArbRoundRobin:
-		return "round-robin"
-	case ArbRandom:
-		return "random"
-	}
-	return fmt.Sprintf("arbiter(%d)", int(a))
-}
-
 // Config selects machine parameters.
 type Config struct {
-	Procs   int     // number of processors (P)
-	Modules int     // number of memory modules (N)
-	Arb     Arbiter // arbitration policy
-	Seed    uint64  // seed for ArbRandom
+	Procs   int // number of processors (P)
+	Modules int // number of memory modules (N)
 	// Recorder receives one obs.RoundEvent per executed round. Nil means no
 	// instrumentation (the default): Round then costs one disabled-recorder
 	// check and stays allocation-free. A recorder whose Enabled() reports
@@ -77,9 +53,6 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Procs <= 0 || cfg.Modules <= 0 {
 		return nil, fmt.Errorf("mpc: need positive Procs and Modules, got %d/%d", cfg.Procs, cfg.Modules)
 	}
-	if cfg.Procs >= 1<<24-1 {
-		return nil, fmt.Errorf("mpc: 2^24-1 or more processors unsupported by claim packing")
-	}
 	m := &Machine{
 		cfg:     cfg,
 		winner:  make([]uint64, cfg.Modules),
@@ -103,28 +76,6 @@ func (m *Machine) Rounds() uint64 { return m.round }
 
 // ResetRounds zeroes the round counter (metrics convenience).
 func (m *Machine) ResetRounds() { m.round = 0 }
-
-// priority computes the arbitration rank of processor p in the given round;
-// lower wins. It is a pure function of its arguments, so a remote module
-// server handed precomputed claims (see Claim) arbitrates identically. Ranks
-// are bounded to 40 bits so a packed claim fits one word.
-func priority(arb Arbiter, procs int, seed, round uint64, p int) uint64 {
-	switch arb {
-	case ArbRoundRobin:
-		return uint64((p + int(round)*7919) % procs)
-	case ArbRandom:
-		return splitmix(seed^round*0x9e3779b97f4a7c15^uint64(p)) & (1<<40 - 1)
-	default:
-		return uint64(p)
-	}
-}
-
-// pack encodes (priority, proc+1) into one nonzero claim word so min-claim
-// arbitration resolves priority first and processor id as tiebreak; zero is
-// reserved as the "no claim yet" sentinel.
-func pack(pri uint64, p int) uint64 { return pri<<24 | uint64(p+1) }
-
-func unpackProc(w uint64) int { return int(w&(1<<24-1)) - 1 }
 
 // Round executes one synchronous round. reqs[p] is the module processor p
 // addresses this round, or Idle. grant[p] is set to true iff p's request was
@@ -174,7 +125,10 @@ func (m *Machine) record(reqs []int64, served int) {
 	m.rec.RecordRound(ev)
 }
 
-// arbitrate runs the claim, grant and reset sweeps of one round.
+// arbitrate runs the claim, grant and reset sweeps of one round. A module
+// serves its lowest bidding processor: the claim sweep visits processors in
+// ascending order, so the first claim on a module is the winning one.
+// winner[mod] holds that processor + 1; zero means "no claim yet".
 func (m *Machine) arbitrate(reqs []int64, grant []bool) int {
 	touched := m.touched[:0]
 	for p, mod := range reqs {
@@ -185,13 +139,9 @@ func (m *Machine) arbitrate(reqs []int64, grant []bool) int {
 		if mod < 0 || mod >= int64(m.cfg.Modules) {
 			panic(fmt.Sprintf("mpc: processor %d addresses invalid module %d", p, mod))
 		}
-		claim := pack(priority(m.cfg.Arb, m.cfg.Procs, m.cfg.Seed, m.round, p), p)
-		switch cur := m.winner[mod]; {
-		case cur == 0:
+		if m.winner[mod] == 0 {
 			touched = append(touched, mod)
-			m.winner[mod] = claim
-		case claim < cur:
-			m.winner[mod] = claim
+			m.winner[mod] = uint64(p + 1)
 		}
 	}
 	served := 0
@@ -199,7 +149,7 @@ func (m *Machine) arbitrate(reqs []int64, grant []bool) int {
 		if mod == Idle {
 			continue
 		}
-		if unpackProc(m.winner[mod]) == p {
+		if m.winner[mod] == uint64(p+1) {
 			grant[p] = true
 			served++
 		}
@@ -209,12 +159,4 @@ func (m *Machine) arbitrate(reqs []int64, grant []bool) int {
 	}
 	m.touched = touched
 	return served
-}
-
-// splitmix is SplitMix64, a fast deterministic 64-bit mixer.
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
 }

@@ -15,7 +15,7 @@ func TestRecorderEventsBothEngines(t *testing.T) {
 	const procs, modules, rounds = 48, 16, 20
 	t.Run("sequential", func(t *testing.T) {
 		tracer := obs.NewTracer(rounds)
-		m, err := New(Config{Procs: procs, Modules: modules, Arb: ArbRandom, Seed: 11, Recorder: tracer})
+		m, err := New(Config{Procs: procs, Modules: modules, Recorder: tracer})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestRecorderDisabledSkipsAssembly(t *testing.T) {
 // are reused, so tracing production traffic does not create garbage.
 func TestRecorderSteadyStateAllocs(t *testing.T) {
 	tracer := obs.NewTracer(64)
-	m, err := New(Config{Procs: 96, Modules: 32, Arb: ArbRandom, Seed: 7, Recorder: tracer})
+	m, err := New(Config{Procs: 96, Modules: 32, Recorder: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}

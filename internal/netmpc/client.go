@@ -15,9 +15,8 @@ import (
 // servers), and protocol.RemoteStore (bids carry staged access payloads out
 // and granted reads carry cell data back).
 //
-// Round semantics match the in-process engine exactly: every bidding
-// processor's claim is computed locally with mpc.Claim, each remote module
-// grants the minimum claim it received, and one round costs one unit. The
+// Round semantics match the in-process engine exactly: each remote module
+// grants the lowest processor bidding at it, and one round costs one unit. The
 // network adds only failure modes, and those degrade into the fault set
 // rather than surfacing as errors — Round never fails, it just grants less.
 // While a server is up, Round is the only code that writes to or reads from
@@ -27,9 +26,6 @@ import (
 // distinct Clients over one Transport are serialized by the transport.
 type Client struct {
 	t     *Transport
-	procs int
-	arb   mpc.Arbiter
-	seed  uint64
 	rec   obs.Recorder
 	round uint64
 
@@ -54,9 +50,6 @@ type grantData struct {
 func newClient(t *Transport, cfg mpc.Config) *Client {
 	c := &Client{
 		t:       t,
-		procs:   cfg.Procs,
-		arb:     cfg.Arb,
-		seed:    cfg.Seed,
 		rec:     cfg.Recorder,
 		staged:  make([]stagedOp, cfg.Procs),
 		granted: make([]grantData, cfg.Procs),
@@ -144,7 +137,6 @@ func (c *Client) Round(reqs []int64, grant []bool) int {
 		c.frames[si].Bids = append(c.frames[si].Bids, Bid{
 			Proc:   uint32(p),
 			Module: uint64(m),
-			Claim:  mpc.Claim(c.arb, c.procs, c.seed, c.round, p),
 			Addr:   st.addr,
 			Op:     uint8(st.op),
 			Value:  st.value,
@@ -160,7 +152,6 @@ func (c *Client) Round(reqs []int64, grant []bool) int {
 		}
 		s.seq++
 		f.Seq = s.seq
-		f.Round = c.round
 		c.sendAt[i] = time.Now()
 		c.sent[i] = s.send(f)
 	}

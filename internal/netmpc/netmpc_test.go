@@ -401,31 +401,34 @@ func TestHandshakeMismatchesAreTyped(t *testing.T) {
 		t.Fatalf("range mismatch: got %v", err)
 	}
 
-	// Version mismatch: raw handshake with a bumped version.
-	conn, err := net.Dial("tcp", addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	// Version mismatch: raw handshakes from the previous wire version (v2
+	// clients send 45-byte bids carrying a claim word) and from a future one.
 	lo, hi := Range(0, 4, int64(s.NumModules))
-	hello := Handshake{
-		Version: Version + 1, Q: s.Q, N: uint32(s.Deg),
-		Modules: s.NumModules, AddrSpace: s.NumModules * uint64(s.ModuleSize),
-		RangeLo: uint64(lo), RangeHi: uint64(hi),
-	}
-	if _, err := hello.WriteTo(conn); err != nil {
-		t.Fatal(err)
-	}
-	var ack HandshakeAck
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := ack.ReadFrom(conn); err != nil {
-		t.Fatal(err)
-	}
-	if ack.Status != AckVersionMismatch {
-		t.Fatalf("ack status = %d, want AckVersionMismatch", ack.Status)
-	}
-	if err := ackError(&ack); !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("ackError = %v, want ErrVersionMismatch", err)
+	for _, v := range []uint16{2, Version + 1} {
+		conn, err := net.Dial("tcp", addrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		hello := Handshake{
+			Version: v, Q: s.Q, N: uint32(s.Deg),
+			Modules: s.NumModules, AddrSpace: s.NumModules * uint64(s.ModuleSize),
+			RangeLo: uint64(lo), RangeHi: uint64(hi),
+		}
+		if _, err := hello.WriteTo(conn); err != nil {
+			t.Fatal(err)
+		}
+		var ack HandshakeAck
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := ack.ReadFrom(conn); err != nil {
+			t.Fatal(err)
+		}
+		if ack.Status != AckVersionMismatch {
+			t.Fatalf("version %d: ack status = %d, want AckVersionMismatch", v, ack.Status)
+		}
+		if err := ackError(&ack); !errors.Is(err, ErrVersionMismatch) {
+			t.Fatalf("version %d: ackError = %v, want ErrVersionMismatch", v, err)
+		}
 	}
 }
 
@@ -739,7 +742,7 @@ func TestServerSurvivesTornRequest(t *testing.T) {
 	if _, err := ack.ReadFrom(conn); err != nil || ack.Status != AckOK {
 		t.Fatalf("handshake: %v status %d", err, ack.Status)
 	}
-	frame := (&RoundFrame{Seq: 1, Bids: []Bid{{Proc: 0, Module: 1, Claim: 1, Addr: 4}}}).append(nil)
+	frame := (&RoundFrame{Seq: 1, Bids: []Bid{{Proc: 0, Module: 1, Addr: 4}}}).append(nil)
 	conn.Write(frame[:len(frame)-3]) // torn mid-bid
 	conn.Close()
 

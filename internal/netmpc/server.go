@@ -306,9 +306,9 @@ func (s *Server) newArbiter() *arbiter {
 	return arb
 }
 
-// serveRound arbitrates one frame (minimum packed claim per module, exactly
-// the in-process engine's rule) and applies each winner's staged operation
-// to the store, collecting the grant set into reply.
+// serveRound arbitrates one frame (lowest bidding processor per module,
+// exactly the in-process engine's rule) and applies each winner's staged
+// operation to the store, collecting the grant set into reply.
 func (s *Server) serveRound(st *store, frame *RoundFrame, reply *RoundReply, arb *arbiter) error {
 	// Undo the previous round's marks here, not after serving it, so a frame
 	// rejected halfway leaves nothing behind either.
@@ -324,14 +324,11 @@ func (s *Server) serveRound(st *store, frame *RoundFrame, reply *RoundReply, arb
 		if b.Addr >= s.cfg.AddrSpace {
 			return fmt.Errorf("%w: bid address %d outside space %d", ErrCorruptFrame, b.Addr, s.cfg.AddrSpace)
 		}
-		if b.Claim == 0 {
-			return fmt.Errorf("%w: zero claim", ErrCorruptFrame)
-		}
 		m := uint32(b.Module - s.cfg.RangeLo)
 		if w := arb.win[m]; w == 0 {
 			arb.win[m] = int32(i + 1)
 			arb.touched = append(arb.touched, m)
-		} else if b.Claim < frame.Bids[w-1].Claim {
+		} else if b.Proc < frame.Bids[w-1].Proc {
 			arb.win[m] = int32(i + 1)
 		}
 	}

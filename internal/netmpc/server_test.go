@@ -18,9 +18,10 @@ func roundServer(lo, hi uint64) (*Server, *arbiter) {
 	return sv, sv.newArbiter()
 }
 
-// TestServeRoundMatchesReference: on random frames the dense arbitration
-// grants exactly what a min-claim-per-module map would, one grant per bid-for
-// module, in the order the modules were first bid for.
+// TestServeRoundMatchesReference: on random frames — processors in no
+// particular order — the dense arbitration grants exactly what a
+// lowest-Proc-per-module map would, one grant per bid-for module, in the
+// order the modules were first bid for.
 func TestServeRoundMatchesReference(t *testing.T) {
 	const lo, hi = 100, 164
 	sv, arb := roundServer(lo, hi)
@@ -28,25 +29,25 @@ func TestServeRoundMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var reply RoundReply
 	for round := 0; round < 500; round++ {
-		frame := RoundFrame{Bids: make([]Bid, rng.Intn(200))}
-		best := map[uint64]int{} // module -> index of its min-claim bid (first wins ties)
-		var order []uint64       // modules in first-bid order
-		for i := range frame.Bids {
+		procs := rng.Perm(rng.Intn(200))
+		frame := RoundFrame{Bids: make([]Bid, len(procs))}
+		lowest := map[uint64]uint32{} // module -> lowest bidding processor
+		var order []uint64            // modules in first-bid order
+		for i, p := range procs {
 			b := Bid{
-				Proc:   uint32(i),
+				Proc:   uint32(p),
 				Module: lo + uint64(rng.Intn(hi-lo)),
-				Claim:  1 + uint64(rng.Intn(50)),
 				Addr:   uint64(rng.Intn(hi * 64)),
 				Op:     uint8(rng.Intn(3)),
 				Value:  rng.Uint64(),
 				TS:     uint64(round + 1),
 			}
 			frame.Bids[i] = b
-			if w, ok := best[b.Module]; !ok {
-				best[b.Module] = i
+			if w, ok := lowest[b.Module]; !ok {
+				lowest[b.Module] = b.Proc
 				order = append(order, b.Module)
-			} else if b.Claim < frame.Bids[w].Claim {
-				best[b.Module] = i
+			} else if b.Proc < w {
+				lowest[b.Module] = b.Proc
 			}
 		}
 		reply.Grants = reply.Grants[:0]
@@ -57,7 +58,7 @@ func TestServeRoundMatchesReference(t *testing.T) {
 			t.Fatalf("round %d: %d grants for %d bid-for modules", round, len(reply.Grants), len(order))
 		}
 		for k, m := range order {
-			if want := frame.Bids[best[m]].Proc; reply.Grants[k].Proc != want {
+			if want := lowest[m]; reply.Grants[k].Proc != want {
 				t.Fatalf("round %d: grant %d (module %d) went to proc %d, want %d", round, k, m, reply.Grants[k].Proc, want)
 			}
 		}
@@ -71,8 +72,8 @@ func TestServeRoundRejectedFrameLeavesNoMarks(t *testing.T) {
 	st := sv.storeFor(1)
 	var reply RoundReply
 	bad := RoundFrame{Bids: []Bid{
-		{Proc: 1, Module: 3, Claim: 5, Addr: 1, Op: 1, Value: 9, TS: 1},
-		{Proc: 2, Module: 9, Claim: 5}, // outside [0, 8)
+		{Proc: 1, Module: 3, Addr: 1, Op: 1, Value: 9, TS: 1},
+		{Proc: 2, Module: 9}, // outside [0, 8)
 	}}
 	if err := sv.serveRound(st, &bad, &reply, arb); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("out-of-range bid: err = %v, want ErrCorruptFrame", err)
@@ -80,7 +81,7 @@ func TestServeRoundRejectedFrameLeavesNoMarks(t *testing.T) {
 	if c := st.cells.Get(1); c != (cellstore.Cell{}) {
 		t.Fatalf("rejected frame wrote %+v", c)
 	}
-	good := RoundFrame{Bids: []Bid{{Proc: 7, Module: 4, Claim: 1, Addr: 2}}}
+	good := RoundFrame{Bids: []Bid{{Proc: 7, Module: 4, Addr: 2}}}
 	reply.Grants = reply.Grants[:0]
 	if err := sv.serveRound(st, &good, &reply, arb); err != nil {
 		t.Fatal(err)
@@ -88,13 +89,9 @@ func TestServeRoundRejectedFrameLeavesNoMarks(t *testing.T) {
 	if len(reply.Grants) != 1 || reply.Grants[0].Proc != 7 {
 		t.Fatalf("grants after a rejected frame: %+v, want one grant to proc 7", reply.Grants)
 	}
-	for _, f := range []RoundFrame{
-		{Bids: []Bid{{Module: 1, Claim: 1, Addr: 8 * 64}}}, // address outside the space
-		{Bids: []Bid{{Module: 1, Claim: 0}}},               // zero claim
-	} {
-		if err := sv.serveRound(st, &f, &reply, arb); !errors.Is(err, ErrCorruptFrame) {
-			t.Fatalf("frame %+v: err = %v, want ErrCorruptFrame", f.Bids[0], err)
-		}
+	outside := RoundFrame{Bids: []Bid{{Module: 1, Addr: 8 * 64}}} // address outside the space
+	if err := sv.serveRound(st, &outside, &reply, arb); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("frame %+v: err = %v, want ErrCorruptFrame", outside.Bids[0], err)
 	}
 }
 
@@ -107,7 +104,6 @@ func TestRepairWriteOnFreshPage(t *testing.T) {
 	var reply RoundReply
 	serve := func(b Bid) {
 		t.Helper()
-		b.Claim = 1
 		reply.Grants = reply.Grants[:0]
 		if err := sv.serveRound(st, &RoundFrame{Bids: []Bid{b}}, &reply, arb); err != nil {
 			t.Fatal(err)
@@ -134,7 +130,7 @@ func TestStoreIDsAreIsolated(t *testing.T) {
 		t.Fatal("storeFor does not give each StoreID one store")
 	}
 	var reply RoundReply
-	w := RoundFrame{Bids: []Bid{{Module: 1, Claim: 1, Addr: 70, Op: 1, Value: 5, TS: 3}}}
+	w := RoundFrame{Bids: []Bid{{Module: 1, Addr: 70, Op: 1, Value: 5, TS: 3}}}
 	if err := sv.serveRound(a, &w, &reply, arb); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +199,7 @@ func BenchmarkServeRound(b *testing.B) {
 			if i%2 == 1 {
 				m = bids[i-1].Module
 			}
-			bids[i] = Bid{Proc: uint32(i), Module: m, Claim: 1 + rng.Uint64()>>1, Addr: m*uint64(s.ModuleSize) + uint64(rng.Intn(int(s.ModuleSize))), Op: uint8(i / 2 % 2), Value: uint64(i), TS: uint64(f + 1)}
+			bids[i] = Bid{Proc: uint32(i), Module: m, Addr: m*uint64(s.ModuleSize) + uint64(rng.Intn(int(s.ModuleSize))), Op: uint8(i / 2 % 2), Value: uint64(i), TS: uint64(f + 1)}
 		}
 		frames[f].Bids = bids
 	}

@@ -39,8 +39,10 @@ import (
 // Version is the wire-protocol version carried by the handshake. Bump it on
 // any frame-layout change; mismatched peers fail the handshake with
 // ErrVersionMismatch. Version 2 added HandshakeAck.Gen, the store-generation
-// token that gates re-admission after a reconnect.
-const Version uint16 = 2
+// token that gates re-admission after a reconnect; version 3 dropped the
+// per-bid arbitration claim and the frame's round counter (bids 45 → 37
+// bytes): servers arbitrate lowest-processor-wins from Bid.Proc.
+const Version uint16 = 3
 
 // Frame type tags.
 const (
@@ -135,14 +137,13 @@ type HandshakeAck struct {
 	Gen       uint64
 }
 
-// Bid is one processor's request in one round: the target module, the
-// packed arbitration claim (precomputed client-side with mpc.Claim, so the
-// server arbitrates by plain minimum without knowing the policy), and the
-// staged access payload the winning module applies.
+// Bid is one processor's request in one round: the bidding processor (a
+// module serves the lowest one bidding at it, the rule mpc.Machine applies
+// in process), the target module, and the staged access payload the winning
+// module applies.
 type Bid struct {
 	Proc   uint32
 	Module uint64
-	Claim  uint64
 	Addr   uint64
 	Op     uint8 // 0 read, 1 write, 2 repair-write (protocol.Op)
 	Value  uint64
@@ -150,17 +151,15 @@ type Bid struct {
 }
 
 // bidSize is the fixed encoding size of one Bid.
-const bidSize = 4 + 8 + 8 + 8 + 1 + 8 + 8
+const bidSize = 4 + 8 + 8 + 1 + 8 + 8
 
 // RoundFrame carries every bid a client directs at one server in one
 // synchronous round. Seq numbers the connection's frames and the reply echoes
 // it: the client accepts the reply to the frame it just sent and treats any
-// other as a corrupt stream; Round is the client machine's round counter (it
-// salts ArbRandom claims client-side and aids debugging server-side).
+// other as a corrupt stream.
 type RoundFrame struct {
-	Seq   uint64
-	Round uint64
-	Bids  []Bid
+	Seq  uint64
+	Bids []Bid
 }
 
 // Grant is one granted bid in a round reply: the winning processor and, for
@@ -190,7 +189,7 @@ func (h *Handshake) BinarySize() int { return headerSize + 2 + 4 + 4 + 8 + 8 + 4
 func (a *HandshakeAck) BinarySize() int { return headerSize + 2 + 1 + 4 + 4 + 8 + 8 + 8 + 8 + 8 }
 
 // BinarySize returns the number of bytes WriteTo emits.
-func (f *RoundFrame) BinarySize() int { return headerSize + 8 + 8 + 4 + len(f.Bids)*bidSize }
+func (f *RoundFrame) BinarySize() int { return headerSize + 8 + 4 + len(f.Bids)*bidSize }
 
 // BinarySize returns the number of bytes WriteTo emits.
 func (r *RoundReply) BinarySize() int { return headerSize + 8 + 4 + len(r.Grants)*grantSize }
@@ -261,13 +260,11 @@ func (a *HandshakeAck) decode(p []byte) error {
 func (f *RoundFrame) append(b []byte) []byte {
 	b = appendHeader(b, frameRound, f.BinarySize()-headerSize)
 	b = binary.BigEndian.AppendUint64(b, f.Seq)
-	b = binary.BigEndian.AppendUint64(b, f.Round)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(f.Bids)))
 	for i := range f.Bids {
 		bd := &f.Bids[i]
 		b = binary.BigEndian.AppendUint32(b, bd.Proc)
 		b = binary.BigEndian.AppendUint64(b, bd.Module)
-		b = binary.BigEndian.AppendUint64(b, bd.Claim)
 		b = binary.BigEndian.AppendUint64(b, bd.Addr)
 		b = append(b, bd.Op)
 		b = binary.BigEndian.AppendUint64(b, bd.Value)
@@ -277,29 +274,27 @@ func (f *RoundFrame) append(b []byte) []byte {
 }
 
 func (f *RoundFrame) decode(p []byte) error {
-	if len(p) < 20 {
-		return fmt.Errorf("%w: round frame body %d bytes, want >= 20", ErrCorruptFrame, len(p))
+	if len(p) < 12 {
+		return fmt.Errorf("%w: round frame body %d bytes, want >= 12", ErrCorruptFrame, len(p))
 	}
 	f.Seq = binary.BigEndian.Uint64(p[0:])
-	f.Round = binary.BigEndian.Uint64(p[8:])
-	n := int(binary.BigEndian.Uint32(p[16:]))
-	if len(p) != 20+n*bidSize {
+	n := int(binary.BigEndian.Uint32(p[8:]))
+	if len(p) != 12+n*bidSize {
 		return fmt.Errorf("%w: round frame declares %d bids in %d bytes", ErrCorruptFrame, n, len(p))
 	}
 	if cap(f.Bids) < n {
 		f.Bids = make([]Bid, n)
 	}
 	f.Bids = f.Bids[:n]
-	off := 20
+	off := 12
 	for i := 0; i < n; i++ {
 		bd := &f.Bids[i]
 		bd.Proc = binary.BigEndian.Uint32(p[off:])
 		bd.Module = binary.BigEndian.Uint64(p[off+4:])
-		bd.Claim = binary.BigEndian.Uint64(p[off+12:])
-		bd.Addr = binary.BigEndian.Uint64(p[off+20:])
-		bd.Op = p[off+28]
-		bd.Value = binary.BigEndian.Uint64(p[off+29:])
-		bd.TS = binary.BigEndian.Uint64(p[off+37:])
+		bd.Addr = binary.BigEndian.Uint64(p[off+12:])
+		bd.Op = p[off+20]
+		bd.Value = binary.BigEndian.Uint64(p[off+21:])
+		bd.TS = binary.BigEndian.Uint64(p[off+29:])
 		off += bidSize
 	}
 	return nil

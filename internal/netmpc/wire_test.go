@@ -12,12 +12,12 @@ func testMessages() []message {
 	return []message{
 		&Handshake{Version: Version, Q: 2, N: 7, Modules: 1023, AddrSpace: 16368, StoreID: 7, RangeLo: 0, RangeHi: 255},
 		&HandshakeAck{Version: Version, Status: AckOK, Q: 2, N: 7, Modules: 1023, AddrSpace: 16368, RangeLo: 0, RangeHi: 255},
-		&RoundFrame{Seq: 42, Round: 9, Bids: []Bid{
-			{Proc: 0, Module: 3, Claim: 1<<24 | 1, Addr: 55, Op: 1, Value: 0xdeadbeef, TS: 12},
-			{Proc: 5, Module: 3, Claim: 2<<24 | 6, Addr: 56, Op: 0, Value: 0, TS: 12},
-			{Proc: 9, Module: 200, Claim: 10, Addr: 3201, Op: 1, Value: ^uint64(0), TS: 13},
+		&RoundFrame{Seq: 42, Bids: []Bid{
+			{Proc: 0, Module: 3, Addr: 55, Op: 1, Value: 0xdeadbeef, TS: 12},
+			{Proc: 5, Module: 3, Addr: 56, Op: 0, Value: 0, TS: 12},
+			{Proc: 9, Module: 200, Addr: 3201, Op: 1, Value: ^uint64(0), TS: 13},
 		}},
-		&RoundFrame{Seq: 1, Round: 0, Bids: nil},
+		&RoundFrame{Seq: 1, Bids: nil},
 		&RoundReply{Seq: 42, Grants: []Grant{{Proc: 0, Value: 77, TS: 12}, {Proc: 9, Value: 0, TS: 0}}},
 		&RoundReply{Seq: 7, Grants: nil},
 	}
@@ -108,11 +108,11 @@ func TestWireRejectsOversizedFrame(t *testing.T) {
 func TestWireRejectsBadCounts(t *testing.T) {
 	// A round frame whose bid count disagrees with the payload length.
 	var f RoundFrame
-	f.Seq, f.Round = 1, 2
-	f.Bids = []Bid{{Proc: 1, Module: 2, Claim: 3}}
+	f.Seq = 1
+	f.Bids = []Bid{{Proc: 1, Module: 2}}
 	raw := f.append(nil)
 	// Inflate the declared count without adding bytes.
-	binary.BigEndian.PutUint32(raw[headerSize+16:], 7)
+	binary.BigEndian.PutUint32(raw[headerSize+8:], 7)
 	var got RoundFrame
 	if _, err := got.ReadFrom(bytes.NewReader(raw)); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("got %v, want ErrCorruptFrame", err)

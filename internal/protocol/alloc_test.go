@@ -188,8 +188,8 @@ func TestRepairStepSteadyStateAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := mpc.NewFaultSet()
-			tc.cfg.RepairBudget = 64
 			sys := sharedFaultSystem(t, s, idx, fs, tc.cfg)
+			sys.repairBudget = 64
 			defer sys.Close()
 			n := s.NumModules
 			vars, vals := make([]uint64, n), make([]uint64, n)

@@ -178,7 +178,8 @@ func TestQuorumErrorNamesTheVariable(t *testing.T) {
 			}
 			// No repair pump: the repairing module must still be repairing
 			// when the error is built.
-			sys := sharedFaultSystem(t, s, idx, fs, Config{RepairBudget: -1})
+			sys := sharedFaultSystem(t, s, idx, fs, Config{})
+			sys.repairBudget = -1
 			defer sys.Close()
 			// Any two variables share at most one module, so the bystanders
 			// keep their majority.

@@ -159,8 +159,6 @@ type Machine interface {
 
 // Config tunes the protocol run.
 type Config struct {
-	Arb  mpc.Arbiter // module arbitration policy
-	Seed uint64      // seed for mpc.ArbRandom
 	// TraceLive records LiveTrace (costs one counter sweep per iteration
 	// and allocates for the trace itself).
 	TraceLive bool
@@ -187,11 +185,6 @@ type Config struct {
 	// between attempts rescues the request. 0 means the default (2);
 	// negative disables retries.
 	FaultAttempts int
-	// RepairBudget bounds the variables one background-repair step scans
-	// (see RepairStep and the per-batch pump in AccessInto); 0 means
-	// DefaultRepairBudget, negative disables the per-batch pump (repair then
-	// runs only through explicit RepairStep calls).
-	RepairBudget int
 	// Recorder, when non-nil, is installed on every interconnect machine
 	// the system builds, capturing one obs.RoundEvent per MPC round (ring-
 	// buffer tracing, contention histograms). The default no-op recorder
@@ -270,6 +263,11 @@ type System struct {
 	ro obs.RepairObserver
 	// rep is the background repair scheduler's sweep state.
 	rep repairSweep
+	// repairBudget is DefaultRepairBudget. No caller outside this package's
+	// tests ever needed another value, so it is not configuration; those
+	// tests shrink it to land churn mid-sweep, or set it negative to switch
+	// the per-batch pump off.
+	repairBudget int
 
 	// Per-batch scratch, reused across Access calls so the iteration loop
 	// is allocation-free once the buffers reach their high-water sizes.
@@ -356,6 +354,8 @@ func NewGenericSystem(m Mapper, cfg Config) (*System, error) {
 		writeQ:   int32(w),
 		resolver: resolver,
 		bulkSrc:  bulkSrc,
+
+		repairBudget: DefaultRepairBudget,
 	}
 	sys.ro, _ = cfg.Observer.(obs.RepairObserver)
 	if o, ok := cfg.Observer.(obs.ResolverObserver); ok && resolver != nil {
@@ -778,7 +778,7 @@ func (sys *System) report(b *batch) error {
 	res := b.res
 	res.Metrics.InterconnectCost = sys.machine.Cost() - sys.machineCost
 	sys.observeBatch(b.reqs, res)
-	if sys.rv != nil && sys.cfg.RepairBudget >= 0 && sys.rv.RepairCount() > 0 {
+	if sys.rv != nil && sys.repairBudget >= 0 && sys.rv.RepairCount() > 0 {
 		// Per-flush repair budget: one bounded background-repair step rides
 		// on every batch, so sustained traffic still drains the backlog.
 		// Runs after InterconnectCost is taken — repair rounds are accounted
@@ -832,8 +832,8 @@ func (sys *System) observeBatch(reqs []Request, res *Result) {
 // 4608 slots, not 8192: every arbitration sweep walks all of them), capped
 // at the full-batch maximum. A stream of creeping batch sizes still settles
 // after O(log N) rebuilds — at most sixteen per doubling. Beyond the sweeps,
-// the geometry shows in two places: a repair wave carries geo/Copies
-// variables, and mpc.ArbRoundRobin rotates priority modulo it.
+// the geometry shows in one place: a repair wave carries geo/Copies
+// variables.
 // Interconnect state — round counters, network queues — carries over across
 // reuse; per-batch cost is taken as a delta against machineCost.
 func (sys *System) obtainMachine(procs int) error {
@@ -848,8 +848,6 @@ func (sys *System) obtainMachine(procs int) error {
 	mcfg := mpc.Config{
 		Procs:    geo,
 		Modules:  int(sys.Mapper.NumModules()),
-		Arb:      sys.cfg.Arb,
-		Seed:     sys.cfg.Seed,
 		Recorder: sys.cfg.Recorder,
 	}
 	var machine Machine

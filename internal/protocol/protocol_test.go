@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"detshmem/internal/core"
-	"detshmem/internal/mpc"
 )
 
 func newSystem(t testing.TB, m, n int, cfg Config) *System {
@@ -102,49 +101,65 @@ func TestMajorityInvariant(t *testing.T) {
 }
 
 // TestReferenceModel runs a long random sequence of mixed batches against a
-// plain map and checks every read.
+// plain map and checks every read — on the product machine and on one that
+// grants a random bidder per module (see randomGrant). Grant order may move
+// round counts, never an outcome: both systems commit every batch, return
+// the same values, and leave every variable's newest timestamp the same and
+// on a write quorum of its copies.
 func TestReferenceModel(t *testing.T) {
-	for _, cfg := range []Config{
-		{},
-		{Arb: mpc.ArbRandom, Seed: 5},
-		{Arb: mpc.ArbRoundRobin},
-	} {
-		sys := newSystem(t, 1, 5, cfg)
-		ref := make(map[uint64]uint64)
-		rng := rand.New(rand.NewSource(77))
-		M := sys.Index.M()
-		for batch := 0; batch < 40; batch++ {
-			k := 1 + rng.Intn(200)
-			chosen := make(map[uint64]bool, k)
-			var reqs []Request
-			for len(chosen) < k {
-				v := uint64(rng.Intn(int(M)))
-				if chosen[v] {
-					continue
-				}
-				chosen[v] = true
-				if rng.Intn(2) == 0 {
-					reqs = append(reqs, Request{Var: v, Op: Write, Value: rng.Uint64()})
-				} else {
-					reqs = append(reqs, Request{Var: v, Op: Read})
-				}
+	lowest := newSystem(t, 1, 5, Config{})
+	random := newSystem(t, 1, 5, Config{NewMachine: newRandomGrant(5)})
+	newest := func(sys *System, v uint64) (ts uint64, holders int) {
+		for _, c := range sys.CopyState(v) {
+			switch {
+			case c > ts:
+				ts, holders = c, 1
+			case c == ts:
+				holders++
 			}
+		}
+		return ts, holders
+	}
+	ref := make(map[uint64]uint64)
+	rng := rand.New(rand.NewSource(77))
+	M := lowest.Index.M()
+	for batch := 0; batch < 40; batch++ {
+		k := 1 + rng.Intn(200)
+		chosen := make(map[uint64]bool, k)
+		var reqs []Request
+		for len(chosen) < k {
+			v := uint64(rng.Intn(int(M)))
+			if chosen[v] {
+				continue
+			}
+			chosen[v] = true
+			if rng.Intn(2) == 0 {
+				reqs = append(reqs, Request{Var: v, Op: Write, Value: rng.Uint64()})
+			} else {
+				reqs = append(reqs, Request{Var: v, Op: Read})
+			}
+		}
+		for si, sys := range []*System{lowest, random} {
+			name := [...]string{"lowest", "random"}[si]
 			res, err := sys.Access(reqs)
-			if err != nil {
-				t.Fatal(err)
+			if err != nil || len(res.Metrics.Unfinished) != 0 {
+				t.Fatalf("%s batch %d: err %v, unfinished %v", name, batch, err, res.Metrics.Unfinished)
 			}
 			for i, r := range reqs {
-				if r.Op == Read {
-					if res.Values[i] != ref[r.Var] {
-						t.Fatalf("cfg=%+v batch %d: read %d = %d, want %d",
-							cfg, batch, r.Var, res.Values[i], ref[r.Var])
-					}
+				if r.Op == Read && res.Values[i] != ref[r.Var] {
+					t.Fatalf("%s batch %d: read %d = %d, want %d", name, batch, r.Var, res.Values[i], ref[r.Var])
 				}
 			}
-			for _, r := range reqs {
-				if r.Op == Write {
-					ref[r.Var] = r.Value
-				}
+		}
+		for _, r := range reqs {
+			if r.Op == Write {
+				ref[r.Var] = r.Value
+			}
+			wantTS, _ := newest(lowest, r.Var)
+			gotTS, holders := newest(random, r.Var)
+			if gotTS != wantTS || (gotTS > 0 && holders < random.Mapper.WriteQuorum()) {
+				t.Fatalf("batch %d var %d: random grants left timestamp %d on %d copies, lowest-wins left %d (write quorum %d)",
+					batch, r.Var, gotTS, holders, wantTS, random.Mapper.WriteQuorum())
 			}
 		}
 	}

@@ -38,10 +38,10 @@ type RepairView interface {
 	CertifyRepairs(mods, gens []uint64) int
 }
 
-// DefaultRepairBudget is the number of variables one repair step scans when
-// Config.RepairBudget is zero: large enough that a sweep over a typical test
-// address space finishes in a few steps, small enough that a step stays a
-// bounded slice of a flush.
+// DefaultRepairBudget is the number of variables one repair step scans (see
+// RepairStep and the per-batch pump in report): large enough that a sweep
+// over a typical test address space finishes in a few steps, small enough
+// that a step stays a bounded slice of a flush.
 const DefaultRepairBudget = 512
 
 // repairMetrics accumulates one step's repair work. The caller folds it
@@ -59,7 +59,7 @@ type repairMetrics struct {
 }
 
 // repairChunkVars bounds the variables a sweep resolves at once, and so the
-// resolution scratch, whatever Config.RepairBudget is.
+// resolution scratch, whatever the step budget is.
 const repairChunkVars = 1024
 
 // repairVar is one variable being rebuilt in the current wave.
@@ -126,7 +126,7 @@ func (sys *System) RepairBacklog() int {
 }
 
 // RepairStep performs one budget-bounded chunk of background repair outside
-// any batch: scanning up to Config.RepairBudget variables, rebuilding those
+// any batch: scanning up to DefaultRepairBudget variables, rebuilding those
 // with copies on repairing modules, and certifying modules when their sweep
 // completes. It reports whether it made progress; callers loop while true
 // and back off when false (the scheduler pauses itself when the remaining
@@ -233,12 +233,8 @@ func (sys *System) repairStep(machine Machine, geo int, rm *repairMetrics) bool 
 		rep.startEpoch = fv.FaultEpoch()
 		rep.active = true
 	}
-	budget := uint64(sys.cfg.RepairBudget)
-	if budget == 0 {
-		budget = DefaultRepairBudget
-	}
 	nv := sys.Mapper.NumVars()
-	end := rep.cursor + budget
+	end := rep.cursor + uint64(sys.repairBudget)
 	if end > nv || end < rep.cursor {
 		end = nv
 	}

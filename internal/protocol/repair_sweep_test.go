@@ -83,7 +83,7 @@ func TestRepairDifferentialResolvers(t *testing.T) {
 		cells                     []cellstore.Cell
 		copies, rounds, certified int64
 	}
-	run := func(m Mapper, cfg Config) outcome {
+	run := func(m Mapper, cfg Config, budget int) outcome {
 		fs := mpc.NewFaultSet()
 		col := obs.NewCollector()
 		cfg.Observer = col
@@ -94,6 +94,7 @@ func TestRepairDifferentialResolvers(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sys.Close()
+		sys.repairBudget = budget
 		repairCycle(t, sys, fs)
 		out := outcome{
 			copies:    col.RepairedCopies.Load(),
@@ -105,7 +106,7 @@ func TestRepairDifferentialResolvers(t *testing.T) {
 		}
 		return out
 	}
-	want := run(live, Config{})
+	want := run(live, Config{}, DefaultRepairBudget)
 	if want.copies == 0 || want.certified != int64(s.NumModules/4) {
 		t.Fatalf("live cycle rebuilt %d copies and certified %d modules; the script is not exercising repair", want.copies, want.certified)
 	}
@@ -117,7 +118,7 @@ func TestRepairDifferentialResolvers(t *testing.T) {
 		{"compiled", live, Config{Resolver: table}},
 		{"computed", table, Config{Strategy: ResolverComputed}},
 	} {
-		got := run(tc.m, tc.cfg)
+		got := run(tc.m, tc.cfg, DefaultRepairBudget)
 		if got.copies != want.copies || got.rounds != want.rounds || got.certified != want.certified {
 			t.Errorf("%s: repaired %d copies in %d rounds, certified %d; live did %d, %d, %d",
 				tc.name, got.copies, got.rounds, got.certified, want.copies, want.rounds, want.certified)
@@ -126,7 +127,7 @@ func TestRepairDifferentialResolvers(t *testing.T) {
 			t.Errorf("%s: store differs from the live resolver's after the cycle", tc.name)
 		}
 	}
-	wide := run(live, Config{Resolver: table, RepairBudget: 4 * repairChunkVars})
+	wide := run(live, Config{Resolver: table}, 4*repairChunkVars)
 	if wide.copies != want.copies || wide.certified != want.certified || !slices.Equal(wide.cells, want.cells) {
 		t.Errorf("budget of %d: repaired %d copies, certified %d (default budget: %d, %d), stores equal %v",
 			4*repairChunkVars, wide.copies, wide.certified, want.copies, want.certified, slices.Equal(wide.cells, want.cells))

@@ -433,9 +433,6 @@ func TestRepairPauseIgnoresStaleSweep(t *testing.T) {
 	fs := mpc.NewFaultSet()
 	sys, err := NewSystem(s, idx, Config{
 		MaxIterationsPerPhase: 2048,
-		// Small budget so one sweep spans several steps and the fault set
-		// can move while it is in flight.
-		RepairBudget: 8,
 		NewMachine: func(cfg mpc.Config) (Machine, error) {
 			return mpc.NewFailingShared(cfg, fs)
 		},
@@ -444,6 +441,10 @@ func TestRepairPauseIgnoresStaleSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Small budget so one sweep spans several steps and the fault set can
+	// move while it is in flight.
+	sys.repairBudget = 8
+
 	const victim = 5
 	fs.Fail(victim)
 	fs.RecoverPending(victim)
@@ -451,7 +452,7 @@ func TestRepairPauseIgnoresStaleSweep(t *testing.T) {
 		t.Fatal("first repair step made no progress")
 	}
 	if !sys.rep.active {
-		t.Fatal("sweep completed in one step; shrink RepairBudget so the churn lands mid-sweep")
+		t.Fatal("sweep completed in one step; shrink repairBudget so the churn lands mid-sweep")
 	}
 
 	// Mid-sweep churn: the module is wiped and re-admitted again. Its repair
