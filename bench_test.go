@@ -576,7 +576,6 @@ func BenchmarkRepairSweep(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			fs := mpc.NewFaultSet()
 			cfg := tc.cfg
-			cfg.MaxIterationsPerPhase = 2048
 			cfg.NewMachine = func(mcfg mpc.Config) (protocol.Machine, error) {
 				return mpc.NewFailingShared(mcfg, fs)
 			}

@@ -29,7 +29,6 @@ func main() {
 
 	newSys := func(failed []uint64) *protocol.System {
 		sys, err := protocol.NewSystem(scheme, idx, protocol.Config{
-			MaxIterationsPerPhase: 4096,
 			NewMachine: func(cfg mpc.Config) (protocol.Machine, error) {
 				return mpc.NewFailing(cfg, failed)
 			},

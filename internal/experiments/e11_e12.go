@@ -48,7 +48,6 @@ func E11(w io.Writer, o Options) error {
 				}
 			}
 			sys, err := protocol.NewSystem(s, idx, protocol.Config{
-				MaxIterationsPerPhase: 4096,
 				NewMachine: func(cfg mpc.Config) (protocol.Machine, error) {
 					return mpc.NewFailing(cfg, failed)
 				},

@@ -317,7 +317,6 @@ func e20RecordedRuns(w io.Writer, o Options) error {
 			NewMachine: func(mcfg mpc.Config) (protocol.Machine, error) {
 				return mpc.NewFailingShared(mcfg, fs)
 			},
-			MaxIterationsPerPhase: 2048,
 		}),
 	})
 	if err != nil {

@@ -95,7 +95,6 @@ func e24Service(f *e22Fixture, fs *mpc.FaultSet) (*shard.Service, error) {
 			return mpc.NewFailingShared(mcfg, fs)
 		}
 		pcfg.FaultAttempts = 64
-		pcfg.MaxIterationsPerPhase = 2048
 	}
 	return f.service(true, pcfg, nil)
 }

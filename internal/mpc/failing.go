@@ -78,7 +78,10 @@ func (s *faultState) gen(m uint64) uint64 {
 //
 // One FaultSet may be shared by many Failing machines — that is how a
 // sharded deployment models one physical bank failure hitting every shard's
-// view at once.
+// view at once. Its query methods (Failed, Epoch, Count; Repairing,
+// RepairGen, RepairCount, AppendRepairing, CertifyBatch) are the access
+// protocol's FaultView and RepairView, which the machines embedding a set
+// (Failing, netmpc.Client) hand the protocol as they are.
 type FaultSet struct {
 	mu    sync.Mutex
 	state atomic.Pointer[faultState]
@@ -384,17 +387,17 @@ func (fs *FaultSet) Modules() []uint64 {
 // variable).
 //
 // Unlike the construction-time wrapper it replaced, the fault set is
-// dynamic: Fail and Recover may be called at any time, from any goroutine,
+// dynamic: its mutators may be called at any time, from any goroutine,
 // concurrently with Round. Round snapshots the set once per round, so each
 // round sees one consistent failure pattern.
 //
-// Failing implements protocol.FaultView, which is what unlocks the access
-// protocol's quorum re-selection and retry behaviour.
+// Failing embeds its *FaultSet, whose query methods are protocol.FaultView
+// and protocol.RepairView — what unlocks the access protocol's quorum
+// re-selection, retry and repair behaviour.
 type Failing struct {
+	*FaultSet
 	inner   *Machine
-	faults  *FaultSet
 	scratch []int64
-	modules int
 
 	dropped atomic.Uint64 // cumulative bids dropped at failed modules
 	// roundDropped is the drop count of the round currently executing; the
@@ -422,7 +425,7 @@ func (d *dropAnnotator) RecordRound(ev obs.RoundEvent) {
 
 // NewFailing builds a failing wrapper over a fresh machine with its own
 // fault set, seeded with the given failed modules. The set remains mutable
-// through Fail/Recover/Faults.
+// through the embedded FaultSet.
 func NewFailing(cfg Config, failed []uint64) (*Failing, error) {
 	for _, j := range failed {
 		if j >= uint64(cfg.Modules) {
@@ -439,7 +442,7 @@ func NewFailingShared(cfg Config, fs *FaultSet) (*Failing, error) {
 	if fs == nil {
 		fs = NewFaultSet()
 	}
-	f := &Failing{faults: fs, modules: cfg.Modules}
+	f := &Failing{FaultSet: fs}
 	if cfg.Recorder != nil && cfg.Recorder != obs.Nop {
 		cfg.Recorder = &dropAnnotator{inner: cfg.Recorder, f: f}
 	}
@@ -452,85 +455,15 @@ func NewFailingShared(cfg Config, fs *FaultSet) (*Failing, error) {
 	return f, nil
 }
 
-// Fail marks module m as crashed, effective from the next round. It returns
-// an error if m is out of range for this machine.
-func (f *Failing) Fail(m uint64) error {
-	if m >= uint64(f.modules) {
-		return fmt.Errorf("mpc: failed module %d out of range [0,%d)", m, f.modules)
-	}
-	f.faults.Fail(m)
-	return nil
-}
-
-// Recover marks module m as live again, effective from the next round.
-func (f *Failing) Recover(m uint64) error {
-	if m >= uint64(f.modules) {
-		return fmt.Errorf("mpc: recovered module %d out of range [0,%d)", m, f.modules)
-	}
-	f.faults.Recover(m)
-	return nil
-}
-
-// Faults returns the machine's fault set, for callers that want to drive a
-// failure schedule directly (or share the set with other machines).
-func (f *Failing) Faults() *FaultSet { return f.faults }
-
 // DroppedBids returns the cumulative number of bids dropped because they
 // addressed a failed module.
 func (f *Failing) DroppedBids() uint64 { return f.dropped.Load() }
-
-// ModuleFailed reports whether module m is failed as of the latest
-// snapshot. Part of protocol.FaultView.
-func (f *Failing) ModuleFailed(m int64) bool {
-	return m >= 0 && f.faults.snapshot().failed(m)
-}
-
-// FaultEpoch returns the fault set's mutation epoch. Part of
-// protocol.FaultView.
-func (f *Failing) FaultEpoch() uint64 { return f.faults.Epoch() }
-
-// FaultCount returns the number of currently failed modules. Part of
-// protocol.FaultView.
-func (f *Failing) FaultCount() int { return f.faults.Count() }
-
-// RecoverPending marks module m as repairing (serving, write-countable,
-// read-barred) from the next round on, effective until the repair scheduler
-// certifies it. It returns an error if m is out of range.
-func (f *Failing) RecoverPending(m uint64) error {
-	if m >= uint64(f.modules) {
-		return fmt.Errorf("mpc: recovered module %d out of range [0,%d)", m, f.modules)
-	}
-	f.faults.RecoverPending(m)
-	return nil
-}
-
-// ModuleRepairing reports whether module m is under repair as of the latest
-// snapshot. Part of protocol.RepairView.
-func (f *Failing) ModuleRepairing(m int64) bool {
-	return m >= 0 && f.faults.snapshot().repairing(m)
-}
-
-// RepairGeneration returns module m's repair generation (0 when not
-// repairing). Part of protocol.RepairView.
-func (f *Failing) RepairGeneration(m uint64) uint64 { return f.faults.RepairGen(m) }
-
-// RepairCount returns the number of modules under repair. Part of
-// protocol.RepairView.
-func (f *Failing) RepairCount() int { return f.faults.RepairCount() }
-
-// AppendRepairing appends the repairing module ids to buf. Part of
-// protocol.RepairView.
-func (f *Failing) AppendRepairing(buf []uint64) []uint64 { return f.faults.AppendRepairing(buf) }
-
-// CertifyRepairs completes the repairs of mods at their paired generations in
-// one fault-set mutation. Part of protocol.RepairView.
-func (f *Failing) CertifyRepairs(mods, gens []uint64) int { return f.faults.CertifyBatch(mods, gens) }
 
 // Round filters out requests to failed modules and runs the inner round.
 // The fault set is sampled once, so the whole round sees one consistent
 // failure pattern even while Fail/Recover run concurrently.
 func (f *Failing) Round(reqs []int64, grant []bool) int {
-	st := f.faults.snapshot()
+	st := f.snapshot()
 	dropped := 0
 	for p, mod := range reqs {
 		if mod != Idle && st.failed(mod) {

@@ -9,8 +9,9 @@ import (
 )
 
 // TestFailingDynamic drives fail → drop → recover → serve through one
-// machine: a bid to a failed module is dropped (never granted), the drop is
-// counted, and the module serves again after Recover.
+// machine and the fault set it embeds: a bid to a failed module is dropped
+// (never granted), the drop is counted, and the module serves again after
+// Recover.
 func TestFailingDynamic(t *testing.T) {
 	f, err := NewFailing(Config{Procs: 4, Modules: 4}, nil)
 	if err != nil {
@@ -26,10 +27,10 @@ func TestFailingDynamic(t *testing.T) {
 		t.Fatalf("healthy round dropped %d bids", f.DroppedBids())
 	}
 
-	if err := f.Fail(1); err != nil {
-		t.Fatal(err)
+	if !f.Fail(1) {
+		t.Fatal("Fail(1) reported no change")
 	}
-	if !f.ModuleFailed(1) || f.ModuleFailed(0) {
+	if !f.Failed(1) || f.Failed(0) || f.Count() != 1 {
 		t.Fatalf("fault set wrong after Fail(1)")
 	}
 	if served := f.Round(reqs, grant); served != 2 {
@@ -42,21 +43,14 @@ func TestFailingDynamic(t *testing.T) {
 		t.Fatalf("dropped = %d, want 1", f.DroppedBids())
 	}
 
-	if err := f.Recover(1); err != nil {
-		t.Fatal(err)
+	if !f.Recover(1) {
+		t.Fatal("Recover(1) reported no change")
 	}
 	if served := f.Round(reqs, grant); served != 3 {
 		t.Fatalf("recovered round served %d, want 3", served)
 	}
 	if f.DroppedBids() != 1 {
 		t.Fatalf("dropped grew after recovery: %d", f.DroppedBids())
-	}
-
-	if err := f.Fail(99); err == nil {
-		t.Fatalf("Fail(99) out of range accepted")
-	}
-	if err := f.Recover(99); err == nil {
-		t.Fatalf("Recover(99) out of range accepted")
 	}
 }
 
@@ -180,8 +174,8 @@ func TestFaultSetConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				f.Faults().Fail(m)
-				f.Faults().Recover(m)
+				f.Fail(m)
+				f.Recover(m)
 			}
 		}(g)
 	}

@@ -148,31 +148,31 @@ func TestRepairingServesRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f.Faults().Fail(2)
+	f.Fail(2)
 	grant := make([]bool, 4)
 	f.Round([]int64{2, 2, 3, Idle}, grant)
 	if grant[0] || grant[1] {
 		t.Fatalf("failed module served a bid")
 	}
 
-	f.Faults().RecoverPending(2)
-	if !f.ModuleRepairing(2) {
-		t.Fatalf("ModuleRepairing(2) = false after RecoverPending")
+	f.RecoverPending(2)
+	if !f.Repairing(2) {
+		t.Fatalf("Repairing(2) = false after RecoverPending")
 	}
-	if f.ModuleFailed(2) {
-		t.Fatalf("ModuleFailed(2) = true while repairing")
+	if f.Failed(2) {
+		t.Fatalf("Failed(2) = true while repairing")
 	}
 	f.Round([]int64{2, Idle, Idle, Idle}, grant)
 	if !grant[0] {
 		t.Fatalf("repairing module did not serve a bid")
 	}
 
-	gen := f.RepairGeneration(2)
-	if f.CertifyRepairs([]uint64{2}, []uint64{gen}) != 1 {
-		t.Fatalf("CertifyRepairs failed")
+	gen := f.RepairGen(2)
+	if f.CertifyBatch([]uint64{2}, []uint64{gen}) != 1 {
+		t.Fatalf("CertifyBatch failed")
 	}
-	if f.ModuleRepairing(2) {
-		t.Fatalf("still repairing after CertifyRepairs")
+	if f.Repairing(2) {
+		t.Fatalf("still repairing after CertifyBatch")
 	}
 }
 
@@ -296,7 +296,7 @@ func TestRangeMutationIsAtomicToRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := f.Faults()
+	fs := f.FaultSet
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -10,10 +10,12 @@ import (
 )
 
 // Client is one machine-geometry view over a Transport: it implements
-// protocol.Machine (synchronous bid rounds), protocol.FaultView (delegating
-// to the transport's fault set, so quorum selection routes around dead
-// servers), and protocol.RemoteStore (bids carry staged access payloads out
-// and granted reads carry cell data back).
+// protocol.Machine (synchronous bid rounds), protocol.FaultView and
+// RepairView (it embeds the transport's fault set, so quorum selection
+// routes around dead servers and a range re-admitted after a
+// generation-mismatch reconnect stays barred from read quorums until the
+// repair sweep certifies it), and protocol.RemoteStore (bids carry staged
+// access payloads out and granted reads carry cell data back).
 //
 // Round semantics match the in-process engine exactly: each remote module
 // grants the lowest processor bidding at it, and one round costs one unit. The
@@ -25,16 +27,21 @@ import (
 // A Client is not safe for concurrent Round calls, matching mpc.Machine;
 // distinct Clients over one Transport are serialized by the transport.
 type Client struct {
+	*mpc.FaultSet
 	t     *Transport
 	rec   obs.Recorder
 	round uint64
 
-	staged  []stagedOp   // per-proc payload for the next round, from StageBid
-	granted []grantData  // per-proc data from the last round's grants
-	frames  []RoundFrame // per-server bid assembly, reused
-	sent    []net.Conn   // per-server connection this round's frame went out on, nil if none did
-	sendAt  []time.Time  // per-server send timestamp, for RTT
-	loads   map[int64]int
+	staged  []stagedOp  // per-proc payload for the next round, from StageBid
+	granted []grantData // per-proc data from the last round's grants
+	// bidAt is the server each proc bid at this round, -1 if none or once
+	// its grant is believed: recv accepts a grant only for a proc that bid
+	// at the replying server, and only once.
+	bidAt  []int32
+	frames []RoundFrame // per-server bid assembly, reused
+	sent   []net.Conn   // per-server connection this round's frame went out on, nil if none did
+	sendAt []time.Time  // per-server send timestamp, for RTT
+	loads  map[int64]int
 }
 
 type stagedOp struct {
@@ -49,14 +56,16 @@ type grantData struct {
 
 func newClient(t *Transport, cfg mpc.Config) *Client {
 	c := &Client{
-		t:       t,
-		rec:     cfg.Recorder,
-		staged:  make([]stagedOp, cfg.Procs),
-		granted: make([]grantData, cfg.Procs),
-		frames:  make([]RoundFrame, len(t.servers)),
-		sent:    make([]net.Conn, len(t.servers)),
-		sendAt:  make([]time.Time, len(t.servers)),
-		loads:   make(map[int64]int),
+		FaultSet: t.fs,
+		t:        t,
+		rec:      cfg.Recorder,
+		staged:   make([]stagedOp, cfg.Procs),
+		granted:  make([]grantData, cfg.Procs),
+		bidAt:    make([]int32, cfg.Procs),
+		frames:   make([]RoundFrame, len(t.servers)),
+		sent:     make([]net.Conn, len(t.servers)),
+		sendAt:   make([]time.Time, len(t.servers)),
+		loads:    make(map[int64]int),
 	}
 	if c.rec == nil {
 		c.rec = obs.Nop
@@ -75,32 +84,6 @@ func (c *Client) GrantData(proc int32) (value, ts uint64) {
 	return g.value, g.ts
 }
 
-// ModuleFailed implements protocol.FaultView.
-func (c *Client) ModuleFailed(m int64) bool { return c.t.fs.Failed(uint64(m)) }
-
-// FaultEpoch implements protocol.FaultView.
-func (c *Client) FaultEpoch() uint64 { return c.t.fs.Epoch() }
-
-// FaultCount implements protocol.FaultView.
-func (c *Client) FaultCount() int { return c.t.fs.Count() }
-
-// ModuleRepairing implements protocol.RepairView: a module range re-admitted
-// after a generation-mismatch reconnect (wiped store) stays barred from read
-// quorums until the repair sweep certifies it.
-func (c *Client) ModuleRepairing(m int64) bool { return c.t.fs.Repairing(uint64(m)) }
-
-// RepairGeneration implements protocol.RepairView.
-func (c *Client) RepairGeneration(m uint64) uint64 { return c.t.fs.RepairGen(m) }
-
-// RepairCount implements protocol.RepairView.
-func (c *Client) RepairCount() int { return c.t.fs.RepairCount() }
-
-// AppendRepairing implements protocol.RepairView.
-func (c *Client) AppendRepairing(buf []uint64) []uint64 { return c.t.fs.AppendRepairing(buf) }
-
-// CertifyRepairs implements protocol.RepairView.
-func (c *Client) CertifyRepairs(mods, gens []uint64) int { return c.t.fs.CertifyBatch(mods, gens) }
-
 // Cost implements protocol.Machine: rounds executed so far.
 func (c *Client) Cost() uint64 { return c.round }
 
@@ -108,7 +91,8 @@ func (c *Client) Cost() uint64 { return c.round }
 // frame per touched server, fan all frames out (every send completes before
 // the first reply is read, so the servers work in parallel), read each sent
 // server's reply under one RoundTimeout deadline, and mark down the servers
-// whose reply is late, torn or not the one asked for. Bids
+// whose reply is late, torn, not the one asked for, or grants a processor
+// that did not bid at that server (or grants one twice). Bids
 // directed at down servers are dropped exactly like bids at failed modules
 // (mpc.Failing), and the books balance: surviving requests + dropped ==
 // issued.
@@ -129,10 +113,12 @@ func (c *Client) Round(reqs []int64, grant []bool) int {
 	issued := 0
 	for p, m := range reqs {
 		if m == mpc.Idle || m < 0 {
+			c.bidAt[p] = -1
 			continue
 		}
 		issued++
 		si := ServerFor(m, t.cfg.Modules, nServers)
+		c.bidAt[p] = int32(si)
 		st := &c.staged[p]
 		c.frames[si].Bids = append(c.frames[si].Bids, Bid{
 			Proc:   uint32(p),
@@ -163,18 +149,16 @@ func (c *Client) Round(reqs []int64, grant []bool) int {
 		if c.sent[i] == nil {
 			continue
 		}
-		reply := s.recv(c.sent[i], deadline)
+		reply := s.recv(c.sent[i], deadline, c.bidAt)
 		if reply == nil {
 			c.sent[i] = nil
 			continue
 		}
 		s.rtt.Observe(time.Since(c.sendAt[i]).Nanoseconds())
 		for _, g := range reply.Grants {
-			if int(g.Proc) < len(grant) {
-				grant[g.Proc] = true
-				c.granted[g.Proc] = grantData{value: g.Value, ts: g.TS}
-				served++
-			}
+			grant[g.Proc] = true
+			c.granted[g.Proc] = grantData{value: g.Value, ts: g.TS}
+			served++
 		}
 	}
 

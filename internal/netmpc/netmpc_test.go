@@ -2,6 +2,7 @@ package netmpc
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"net"
 	"runtime"
@@ -583,6 +584,76 @@ func TestWrongSeqReplyMarksDown(t *testing.T) {
 	}
 }
 
+// TestForgedGrantsMarkDown: a reply with the right sequence number is still
+// believed only if every grant names a processor that bid at that server in
+// the frame it answers, at most once. The fake answers in step but forges:
+// it grants every processor id up to 64 (most bid at the real server or
+// nowhere), or each of its own bids twice, all under a timestamp that would
+// win any quorum. The client must refuse the whole reply — server down with
+// ErrCorruptFrame after one frame — and no never-written variable may read
+// the forged value.
+func TestForgedGrantsMarkDown(t *testing.T) {
+	const forged = 0xbad
+	for _, tc := range []struct {
+		name   string
+		grants func(frame *RoundFrame) []Grant
+	}{
+		{"processors that bid elsewhere", func(*RoundFrame) []Grant {
+			var gs []Grant
+			for p := uint32(0); p < 64; p++ {
+				gs = append(gs, Grant{Proc: p, Value: forged, TS: 1 << 40})
+			}
+			return gs
+		}},
+		{"a processor granted twice", func(frame *RoundFrame) []Grant {
+			var gs []Grant
+			for _, b := range frame.Bids {
+				g := Grant{Proc: b.Proc, Value: forged, TS: 1 << 40}
+				gs = append(gs, g, g)
+			}
+			return gs
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := testScheme(t)
+			tr, sys := fakeCluster(t, s, func(conn net.Conn) {
+				defer conn.Close()
+				var frame RoundFrame
+				for {
+					if _, err := frame.ReadFrom(conn); err != nil {
+						return
+					}
+					reply := RoundReply{Seq: frame.Seq, Grants: tc.grants(&frame)}
+					if _, err := reply.WriteTo(conn); err != nil {
+						return
+					}
+				}
+			})
+			vars := make([]uint64, 0, 16)
+			for v := uint64(0); v < s.NumVariables && len(vars) < 16; v += 5 {
+				vars = append(vars, v)
+			}
+			neverHangs(t, func() error {
+				got, m, err := sys.ReadBatch(vars)
+				unfinished := unfinishedSet(m)
+				for i, v := range vars {
+					if !unfinished[i] && got[i] != 0 {
+						t.Errorf("var %d (never written) read %#x", v, got[i])
+					}
+				}
+				return err
+			})
+			st := tr.Stats()[0]
+			if st.Up || st.Frames != 1 || st.Timeouts != 0 {
+				t.Fatalf("forging server: up=%v frames=%d timeouts=%d, want down after one frame, no timeout", st.Up, st.Frames, st.Timeouts)
+			}
+			if le := tr.servers[0].lastError(); !errors.Is(le, ErrCorruptFrame) {
+				t.Fatalf("last error = %v, want ErrCorruptFrame", le)
+			}
+		})
+	}
+}
+
 // TestIdleDeathFoundByNextRound is the idle-death contract: nothing watches a
 // connection between rounds, so a server that dies with no round in flight is
 // found by the first batch that bids at it — at once, from the EOF the kernel
@@ -809,5 +880,29 @@ func TestNewMachineValidatesGeometry(t *testing.T) {
 	}
 	if _, err := tr.NewMachine(mpc.Config{Procs: 8, Modules: int(s.NumModules)}); err != nil {
 		t.Fatalf("valid geometry refused: %v", err)
+	}
+}
+
+// TestNewMachineBoundsProcsByBidProc: the processor count is bounded by what
+// Bid.Proc carries, no tighter — the highest processor of the largest
+// machine a Client accepts round-trips through the wire, and one processor
+// more is refused before anything is allocated.
+func TestNewMachineBoundsProcsByBidProc(t *testing.T) {
+	s := testScheme(t)
+	_, addrs := startCluster(t, s, 1)
+	tr, err := Dial(testDialConfig(s, addrs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	for _, procs := range []int{0, -1, maxProcs + 1} {
+		if _, err := tr.NewMachine(mpc.Config{Procs: procs, Modules: int(s.NumModules)}); err == nil {
+			t.Errorf("NewMachine accepted %d processors", procs)
+		}
+	}
+	top := RoundFrame{Bids: []Bid{{Proc: maxProcs - 1}}}
+	var back RoundFrame
+	if err := back.decode(top.append(nil)[headerSize:]); err != nil || back.Bids[0].Proc != maxProcs-1 || maxProcs-1 != math.MaxUint32 {
+		t.Fatalf("processor %d does not round-trip as the top of Bid.Proc: %v, %+v", maxProcs-1, err, back.Bids)
 	}
 }

@@ -56,10 +56,10 @@ type arbiter struct {
 }
 
 // Server serves a contiguous module range to netmpc clients: it validates
-// handshakes against its geometry, arbitrates each round frame by minimum
-// packed claim per module (identical to the in-process engine), applies the
-// winning bid's operation to the per-StoreID store, and replies with the
-// grant set.
+// handshakes against its geometry, grants each module of a round frame to
+// the lowest processor bidding at it (identical to the in-process engine),
+// applies the winning bid's operation to the per-StoreID store, and replies
+// with the grant set.
 type Server struct {
 	cfg ServerConfig
 
@@ -324,6 +324,9 @@ func (s *Server) serveRound(st *store, frame *RoundFrame, reply *RoundReply, arb
 		if b.Addr >= s.cfg.AddrSpace {
 			return fmt.Errorf("%w: bid address %d outside space %d", ErrCorruptFrame, b.Addr, s.cfg.AddrSpace)
 		}
+		if b.Op > opRepair {
+			return fmt.Errorf("%w: bid op %d is not read, write or repair-write", ErrCorruptFrame, b.Op)
+		}
 		m := uint32(b.Module - s.cfg.RangeLo)
 		if w := arb.win[m]; w == 0 {
 			arb.win[m] = int32(i + 1)
@@ -337,14 +340,14 @@ func (s *Server) serveRound(st *store, frame *RoundFrame, reply *RoundReply, arb
 		b := &frame.Bids[arb.win[m]-1]
 		g := Grant{Proc: b.Proc}
 		switch b.Op {
-		case 0: // protocol.Read
+		case opRead:
 			c := st.cells.Get(b.Addr)
 			g.Value, g.TS = c.Val, c.TS
-		case 2: // repair-write: install only if strictly newer, so a rebuild
-			// never clobbers a concurrent normal write that already landed.
-			st.cells.PutIfNewer(b.Addr, cellstore.Cell{Val: b.Value, TS: b.TS})
-		default: // protocol.Write
+		case opWrite:
 			st.cells.Put(b.Addr, cellstore.Cell{Val: b.Value, TS: b.TS})
+		case opRepair: // install only if strictly newer, so a rebuild never
+			// clobbers a concurrent normal write that already landed.
+			st.cells.PutIfNewer(b.Addr, cellstore.Cell{Val: b.Value, TS: b.TS})
 		}
 		reply.Grants = append(reply.Grants, g)
 	}

@@ -95,6 +95,27 @@ func TestServeRoundRejectedFrameLeavesNoMarks(t *testing.T) {
 	}
 }
 
+// TestServeRoundRejectsUnknownOps: a bid whose op is not read, write or
+// repair-write is refused as a corrupt frame in the validation pass, before
+// any cell is touched — not executed as a write.
+func TestServeRoundRejectsUnknownOps(t *testing.T) {
+	for _, op := range []uint8{3, 255} {
+		sv, arb := roundServer(0, 8)
+		st := sv.storeFor(1)
+		var reply RoundReply
+		bad := RoundFrame{Bids: []Bid{
+			{Proc: 1, Module: 3, Addr: 1, Op: opWrite, Value: 9, TS: 1},
+			{Proc: 2, Module: 4, Addr: 2, Op: op, Value: 42, TS: 9},
+		}}
+		if err := sv.serveRound(st, &bad, &reply, arb); !errors.Is(err, ErrCorruptFrame) {
+			t.Fatalf("op %d: err = %v, want ErrCorruptFrame", op, err)
+		}
+		if st.cells.Pages() != 0 || len(reply.Grants) != 0 {
+			t.Fatalf("op %d: the refused frame touched the store (%d pages) or granted %+v", op, st.cells.Pages(), reply.Grants)
+		}
+	}
+}
+
 // TestRepairWriteOnFreshPage: the put-if-newer rule holds when the target
 // page does not exist yet — the first repair-write installs, an older one
 // does not roll it back, and a stale one at timestamp zero allocates nothing.

@@ -14,6 +14,10 @@ import (
 	"detshmem/internal/protocol"
 )
 
+// maxProcs is the largest machine a Client serves: processors 0..maxProcs-1,
+// every id a Bid.Proc (uint32) carries.
+const maxProcs = 1 << 32
+
 // Defaults for Config's zero durations.
 const (
 	defaultDialTimeout  = 3 * time.Second
@@ -190,9 +194,6 @@ func (cfg *Config) setDefaults() {
 	cfg.ReconnectMax = max(cfg.ReconnectMax, cfg.ReconnectMin)
 }
 
-// Name implements protocol.Transport.
-func (t *Transport) Name() string { return "tcp" }
-
 // FaultSet exposes the transport's fault set: server loss appears here as
 // the server's whole module range failing, and experiments can observe or
 // seed it.
@@ -200,7 +201,8 @@ func (t *Transport) FaultSet() *mpc.FaultSet { return t.fs }
 
 // NewMachine implements protocol.Transport: a lightweight Client view over
 // the shared connections. The geometry's module count must match the
-// deployment; the processor count is free (claims are computed client-side).
+// deployment; the processor count is bounded only by what Bid.Proc carries
+// (maxProcs).
 func (t *Transport) NewMachine(cfg mpc.Config) (protocol.Machine, error) {
 	if t.closed.Load() {
 		return nil, ErrClosed
@@ -208,7 +210,7 @@ func (t *Transport) NewMachine(cfg mpc.Config) (protocol.Machine, error) {
 	if int64(cfg.Modules) != t.cfg.Modules {
 		return nil, fmt.Errorf("%w: machine wants %d modules, deployment has %d", ErrSchemeMismatch, cfg.Modules, t.cfg.Modules)
 	}
-	if cfg.Procs <= 0 || cfg.Procs >= 1<<24-1 {
+	if cfg.Procs <= 0 || uint64(cfg.Procs) > maxProcs {
 		return nil, fmt.Errorf("netmpc: bad processor count %d", cfg.Procs)
 	}
 	return newClient(t, cfg), nil
@@ -399,19 +401,20 @@ func (s *srv) send(frame *RoundFrame) net.Conn {
 }
 
 // recv reads the reply to the frame send just wrote on conn, which must
-// arrive by deadline and carry the frame's sequence number — nothing else can
-// be on a lock-step connection. A dead peer fails the read at once; a silent
-// one fails it at the deadline. Either way the server is marked down and recv
-// returns nil.
-func (s *srv) recv(conn net.Conn, deadline time.Time) *RoundReply {
+// arrive by deadline, carry the frame's sequence number — nothing else can be
+// on a lock-step connection — and grant only processors that bid at this
+// server (bidAt[p] == s.idx), each once; the whole reply is checked before
+// any of it is believed. A dead peer fails the read at once; a silent one
+// fails it at the deadline; a reply that is not the one asked for is a
+// corrupt stream. Either way the server is marked down and recv returns nil.
+func (s *srv) recv(conn net.Conn, deadline time.Time, bidAt []int32) *RoundReply {
 	conn.SetReadDeadline(deadline)
 	var err error
 	s.rbuf, err = readMsg(s.br, s.rbuf, &s.reply)
 	if err == nil {
-		if s.reply.Seq == s.seq {
+		if err = s.reply.answers(s.seq, bidAt, s.idx); err == nil {
 			return &s.reply
 		}
-		err = fmt.Errorf("%w: reply to frame %d, want %d", ErrCorruptFrame, s.reply.Seq, s.seq)
 	}
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
@@ -419,6 +422,22 @@ func (s *srv) recv(conn net.Conn, deadline time.Time) *RoundReply {
 		err = ErrRoundTimeout
 	}
 	s.markDown(conn, err)
+	return nil
+}
+
+// answers checks that r is server si's reply to frame seq: the sequence
+// number echoes the frame's, and every grant names a processor that bid at
+// si, once (a believed grant's bidAt entry becomes -1).
+func (r *RoundReply) answers(seq uint64, bidAt []int32, si int) error {
+	if r.Seq != seq {
+		return fmt.Errorf("%w: reply to frame %d, want %d", ErrCorruptFrame, r.Seq, seq)
+	}
+	for _, g := range r.Grants {
+		if int(g.Proc) >= len(bidAt) || bidAt[g.Proc] != int32(si) {
+			return fmt.Errorf("%w: server %d granted processor %d, which did not bid there or was granted twice", ErrCorruptFrame, si, g.Proc)
+		}
+		bidAt[g.Proc] = -1
+	}
 	return nil
 }
 

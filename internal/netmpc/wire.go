@@ -145,10 +145,18 @@ type Bid struct {
 	Proc   uint32
 	Module uint64
 	Addr   uint64
-	Op     uint8 // 0 read, 1 write, 2 repair-write (protocol.Op)
+	Op     uint8 // opRead, opWrite or opRepair; a server refuses any other
 	Value  uint64
 	TS     uint64
 }
+
+// The wire ops: the values of protocol.Op that may reach a module. Read and
+// Write are the user's; a repair-write installs its cell only if newer.
+const (
+	opRead uint8 = iota
+	opWrite
+	opRepair
+)
 
 // bidSize is the fixed encoding size of one Bid.
 const bidSize = 4 + 8 + 8 + 1 + 8 + 8

@@ -93,7 +93,7 @@ type flipMachine struct {
 func (m *flipMachine) Round(reqs []int64, grant []bool) int {
 	*m.round++
 	if f := m.script[*m.round]; f != nil {
-		f(m.Faults())
+		f(m.FaultSet)
 	}
 	return m.Failing.Round(reqs, grant)
 }
@@ -145,8 +145,7 @@ func digestCell(t *testing.T, m Mapper, scenario string, table *CompiledResolver
 
 	// Untouched variables hold nothing to rebuild; sweeping only the touched
 	// ones keeps the q=8 cells (266 304 variables) quick.
-	cfg := Config{TraceLive: true, MaxIterationsPerPhase: 512,
-		Owns: func(v uint64) bool { return touched[v] }}
+	cfg := Config{TraceLive: true, Owns: func(v uint64) bool { return touched[v] }}
 	if table != nil {
 		cfg.Resolver = table
 	} else {
@@ -188,6 +187,7 @@ func digestCell(t *testing.T, m Mapper, scenario string, table *CompiledResolver
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	sys.maxIter = 512
 
 	d := digester{h: fnv.New64a()}
 	var res Result

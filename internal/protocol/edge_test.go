@@ -125,10 +125,11 @@ func TestMaxIterationsExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewGenericSystem(m, Config{MaxIterationsPerPhase: 1})
+	sys, err := NewGenericSystem(m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.maxIter = 1
 	batch := m.WorstBatch(16) // 16 variables, all in module 0
 	reqs := make([]Request, len(batch))
 	for i, v := range batch {

@@ -102,9 +102,9 @@ func (sys *System) quorumError(b *batch) error {
 		m := cp.module()
 		e.Modules = append(e.Modules, uint64(m))
 		switch {
-		case b.fv.ModuleFailed(m):
+		case b.fv.Failed(uint64(m)):
 			e.Failed = append(e.Failed, uint64(m))
-		case sys.rv != nil && sys.rv.ModuleRepairing(m):
+		case sys.rv != nil && sys.rv.Repairing(uint64(m)):
 			e.Repairing = append(e.Repairing, uint64(m))
 		}
 	}

@@ -1,26 +1,23 @@
 package protocol
 
-import (
-	"detshmem/internal/mpc"
-)
-
 // FaultView is the read side of a dynamic fault model: an interconnect that
-// can lose modules at runtime (mpc.Failing) exposes which modules are
-// currently failed so the access protocol can re-select quorums over the
-// survivors instead of bidding blindly at crashed banks. obtainMachine
-// type-asserts the machine against this interface; healthy interconnects
-// don't implement it and pay nothing.
+// can lose modules at runtime exposes which modules are currently failed so
+// the access protocol can re-select quorums over the survivors instead of
+// bidding blindly at crashed banks. The methods are *mpc.FaultSet's own, so
+// a machine embedding its set (mpc.Failing, netmpc.Client) implements it
+// with no code. obtainMachine type-asserts the machine against this
+// interface; healthy interconnects don't implement it and pay nothing.
 //
 // All three methods must be safe to call concurrently with mutation
 // (mpc.FaultSet publishes epoch-stamped atomic snapshots).
 type FaultView interface {
-	// ModuleFailed reports whether module m is failed right now.
-	ModuleFailed(m int64) bool
-	// FaultEpoch increases on every effective fail/recover, letting the
-	// batch loop detect mid-phase changes with one load per iteration.
-	FaultEpoch() uint64
-	// FaultCount returns the number of currently failed modules.
-	FaultCount() int
+	// Failed reports whether module m is failed right now.
+	Failed(m uint64) bool
+	// Epoch increases on every effective fail/recover, letting the round
+	// loop detect mid-phase changes with one load per iteration.
+	Epoch() uint64
+	// Count returns the number of currently failed modules.
+	Count() int
 }
 
 // defaultFaultAttempts is the post-phase retry budget when Config.
@@ -37,12 +34,14 @@ const defaultFaultAttempts = 2
 // could return a value older than the last committed write. Correctness is
 // preserved because a read quorum drawn from the non-repairing copies is
 // still a read quorum of the full copy set, so it intersects every write
-// quorum, and the intersecting copy is trustworthy.
+// quorum, and the intersecting copy is trustworthy. Only a user Read is
+// barred so: the repair sweep's reads and writes are barred by failure
+// alone.
 func (sys *System) barred(fv FaultView, op Op, m int64) bool {
-	if fv.ModuleFailed(m) {
+	if fv.Failed(uint64(m)) {
 		return true
 	}
-	return op == Read && sys.rv != nil && sys.rv.ModuleRepairing(m)
+	return op == Read && sys.rv != nil && sys.rv.Repairing(uint64(m))
 }
 
 // selectLive builds the phase task list for request r with the fault set in
@@ -158,6 +157,7 @@ func (sys *System) retryStranded(b *batch) {
 		attempts = defaultFaultAttempts
 	}
 	fv, reqs, res, geo := b.fv, b.reqs, b.res, sys.machineProcs
+	b.wave, b.afterRound = true, nil
 
 	pending := sys.retry
 	wave := sys.wave
@@ -167,7 +167,7 @@ func (sys *System) retryStranded(b *batch) {
 		for idx < len(pending) {
 			// Pack one wave of re-selected bids into the machine's processor
 			// space; oversized retry sets run in several waves.
-			var tasks []task
+			tasks := sys.tasks[:0]
 			wave = wave[:0]
 			p := 0
 			for ; idx < len(pending); idx++ {
@@ -208,11 +208,14 @@ func (sys *System) retryStranded(b *batch) {
 				}
 				wave = append(wave, r)
 			}
+			sys.tasks = tasks
 			if len(tasks) == 0 {
 				continue
 			}
 			res.Metrics.RetriedBids += len(tasks)
-			sys.driveRetryWave(b, tasks)
+			_, iters := sys.drive(b, tasks)
+			res.Metrics.RetryRounds += iters
+			res.Metrics.TotalRounds += iters
 			for _, r := range wave {
 				if sys.remaining[r] > 0 {
 					next = append(next, r)
@@ -236,36 +239,20 @@ func (sys *System) retryStranded(b *batch) {
 	sys.retry = sys.retry[:0]
 }
 
-// driveRetryWave runs one wave's task list to completion (or the iteration
-// cap) through the same round as the phases, plus the mid-wave epoch check.
-func (sys *System) driveRetryWave(b *batch, tasks []task) {
-	fv := b.fv
-	epoch := fv.FaultEpoch()
-	iters := 0
-	for len(tasks) > 0 && iters < b.maxIters {
-		if e := fv.FaultEpoch(); e != epoch {
-			epoch = e
-			n := 0
-			for _, t := range tasks {
-				if sys.remaining[t.req] > 0 && sys.barred(fv, b.reqs[t.req].Op, t.cp.module()) {
-					continue // dropped; the next attempt re-selects
-				}
-				tasks[n] = t
-				n++
-			}
-			tasks = tasks[:n]
-			if len(tasks) == 0 {
-				break
-			}
-		}
-		tasks = sys.round(b, tasks)
-		iters++
-	}
+// dropBarred is a wave's rebuild when the fault epoch moved: its bids at
+// modules now barred for their operation are dropped — a retry's next
+// attempt re-selects the request, a repair wave marks its variable dirty.
+// A sweep read is barred by failure alone, so a source re-armed mid-wave
+// keeps its bid.
+func (sys *System) dropBarred(b *batch, tasks []task) []task {
+	n := 0
 	for _, t := range tasks {
-		sys.mreqs[t.proc] = mpc.Idle
+		if !sys.barred(b.fv, b.reqs[t.req].Op, t.cp.module()) {
+			tasks[n] = t
+			n++
+		}
 	}
-	b.res.Metrics.RetryRounds += iters
-	b.res.Metrics.TotalRounds += iters
+	return tasks[:n]
 }
 
 // liveQuorumLost reports whether request r's variable currently has fewer
@@ -277,7 +264,7 @@ func (sys *System) liveQuorumLost(b *batch, r int) bool {
 	q := sys.quorum(b.reqs[r].Op)
 	live := int32(0)
 	for _, cp := range sys.row(r) {
-		if !b.fv.ModuleFailed(cp.module()) {
+		if !b.fv.Failed(uint64(cp.module())) {
 			live++
 		}
 	}

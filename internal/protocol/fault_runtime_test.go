@@ -17,9 +17,6 @@ import (
 func sharedFaultSystem(t testing.TB, s *core.Scheme, idx core.Indexer, fs *mpc.FaultSet, cfg Config) *System {
 	t.Helper()
 	cfg.NewMachine = func(mcfg mpc.Config) (Machine, error) { return mpc.NewFailingShared(mcfg, fs) }
-	if cfg.MaxIterationsPerPhase == 0 {
-		cfg.MaxIterationsPerPhase = 2048
-	}
 	sys, err := NewSystem(s, idx, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +176,6 @@ func TestFaultMatrix(t *testing.T) {
 					faults := workload.RandomFaults(rng, m.NumModules(), k)
 					fs := mpc.NewFaultSet(faults...)
 					cfg := Config{
-						MaxIterationsPerPhase: 2048,
 						NewMachine: func(mcfg mpc.Config) (Machine, error) {
 							return mpc.NewFailingShared(mcfg, fs)
 						},
@@ -242,7 +238,7 @@ func (m *epochFailMachine) Round(reqs []int64, grant []bool) int {
 	m.round++
 	if m.round == m.at {
 		for _, mod := range m.mods {
-			m.Faults().Fail(mod)
+			m.Fail(mod)
 		}
 	}
 	return m.Failing.Round(reqs, grant)
@@ -281,7 +277,6 @@ func TestMidPhaseTotalBidLoss(t *testing.T) {
 		fs := mpc.NewFaultSet()
 		var wrap *epochFailMachine
 		sys, err := NewSystem(s, idx, Config{
-			MaxIterationsPerPhase: 256,
 			NewMachine: func(mcfg mpc.Config) (Machine, error) {
 				f, err := mpc.NewFailingShared(mcfg, fs)
 				if err != nil {
@@ -295,6 +290,7 @@ func TestMidPhaseTotalBidLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sys.Close()
+		sys.maxIter = 256
 
 		// Companions provably keep their quorum after the injected
 		// failure: a live majority suffices.

@@ -23,7 +23,6 @@ func failingSystem(t testing.TB, m, n int, failed []uint64) *System {
 		t.Fatal(err)
 	}
 	sys, err := NewSystem(s, idx, Config{
-		MaxIterationsPerPhase: 2048,
 		NewMachine: func(cfg mpc.Config) (Machine, error) {
 			return mpc.NewFailing(cfg, failed)
 		},

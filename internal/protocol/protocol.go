@@ -46,11 +46,16 @@ const (
 	// Write replaces the variable's value.
 	Write
 	// opRepair is the internal repair-write operation: the module installs
-	// the carried (value, timestamp) pair only if the timestamp is newer
-	// than the cell's, so a rebuild can never clobber a concurrent normal
-	// write. It never appears in user Requests; the repair scheduler stages
-	// it directly (see repair.go).
+	// the request's best (value, timestamp) pair only if the timestamp is
+	// newer than the cell's, so a rebuild can never clobber a concurrent
+	// normal write. It never appears in user Requests; repair waves bid
+	// with it (see repair.go).
 	opRepair
+	// opSweep is the repair sweep's internal read: it collects the newest
+	// (value, timestamp) like Read, but only a failed module bars it — a
+	// salvage reads repairing copies on purpose. It reaches the machine as a
+	// plain Read.
+	opSweep
 )
 
 // Request is one processor's access request for a batch. Variables within a
@@ -172,12 +177,6 @@ type Config struct {
 	// through the transport but never closes it — the caller owns the
 	// transport's lifetime.
 	Transport Transport
-	// MaxIterationsPerPhase bounds a phase's iteration count; 0 means the
-	// generous default 8N+64. The bound can only trigger when requests are
-	// genuinely unservable (e.g. a variable lost a quorum of its copies to
-	// failed modules); such requests are reported in Metrics.Unfinished and
-	// Access returns ErrIncomplete.
-	MaxIterationsPerPhase int
 	// FaultAttempts bounds the post-phase retry passes the system runs for
 	// requests stranded by module failures, when the interconnect exposes a
 	// FaultView (mpc.Failing does). Each attempt re-selects a quorum over
@@ -268,6 +267,13 @@ type System struct {
 	// tests shrink it to land churn mid-sweep, or set it negative to switch
 	// the per-batch pump off.
 	repairBudget int
+	// maxIter bounds the rounds drive plays for one phase or wave: 8N+64,
+	// which only requests that are genuinely unservable (a variable lost a
+	// quorum of its copies to failed modules) ever reach — they are reported
+	// in Metrics.Unfinished and Access returns ErrIncomplete. Like
+	// repairBudget it is not configuration: no caller ever reached it, and
+	// only this package's tests lower it to make it trip.
+	maxIter int
 
 	// Per-batch scratch, reused across Access calls so the iteration loop
 	// is allocation-free once the buffers reach their high-water sizes.
@@ -275,9 +281,10 @@ type System struct {
 	rows      []packedCopy     // the batch's resolved copies, request-major
 	remaining []int32          // copies each request still needs
 	best      []cellstore.Cell // newest (value, timestamp) each read has seen
-	tasks     []task           // the phase's in-flight bids
+	tasks     []task           // the phase's or wave's in-flight bids
 	reads     []readRef        // the round's granted reads, cells not yet fetched
 	writes    []writeRef       // the round's granted writes, not yet applied
+	repairs   []readRef        // the round's granted repair writes: best[req] goes to addr
 	varsBuf   []uint64         // the batch's variable vector
 	bulkMods  []uint64         // bulk path: resolved modules, vars-major
 	bulkAddrs []uint64         // bulk path: resolved addresses, vars-major
@@ -356,6 +363,7 @@ func NewGenericSystem(m Mapper, cfg Config) (*System, error) {
 		bulkSrc:  bulkSrc,
 
 		repairBudget: DefaultRepairBudget,
+		maxIter:      8*int(m.NumModules()) + 64,
 	}
 	sys.ro, _ = cfg.Observer.(obs.RepairObserver)
 	if o, ok := cfg.Observer.(obs.ResolverObserver); ok && resolver != nil {
@@ -387,7 +395,8 @@ type task struct {
 }
 
 // readRef is a granted read whose cell is still to be fetched: from the local
-// store at addr, or from the remote module's reply to proc.
+// store at addr, or from the remote module's reply to proc. A granted repair
+// write reuses it to name the cell best[req] is installed at.
 type readRef struct {
 	addr uint64
 	proc int32
@@ -399,16 +408,24 @@ type writeRef struct {
 	addr, val uint64
 }
 
-// batch is the state of one AccessInto call, handed from stage to stage.
+// batch is the state of one AccessInto call, handed from stage to stage — or
+// of one repair wave, whose request i is swept variable i.
 type batch struct {
 	reqs []Request
 	res  *Result
 	// fv is the machine's fault view, nil when it has none or when the copy
-	// bitmasks of the fault layer would not fit a word; every fault hook is
-	// gated on it, so healthy systems pay nothing.
-	fv       FaultView
-	epoch    uint64 // fault epoch the in-flight bids were selected under
-	maxIters int
+	// bitmasks of the fault layer would not fit a word (a repair wave, which
+	// keeps no masks, always has it); every fault hook is gated on it, so
+	// healthy systems pay nothing.
+	fv    FaultView
+	epoch uint64 // fault epoch the in-flight bids were selected under
+	// wave marks a retry or repair wave: each drive starts from the epoch its
+	// bids were selected under, and when the epoch moves the bids at barred
+	// modules are dropped (dropBarred) rather than re-selected.
+	wave bool
+	// afterRound, when set, runs after every round drive plays (TraceLive's
+	// per-phase live counts).
+	afterRound func()
 }
 
 // row returns the resolved copies of the batch's request r.
@@ -422,14 +439,6 @@ func (sys *System) quorum(op Op) int32 {
 		return sys.writeQ
 	}
 	return sys.readQ
-}
-
-// maxIters is the per-phase iteration bound.
-func (sys *System) maxIters() int {
-	if n := sys.cfg.MaxIterationsPerPhase; n != 0 {
-		return n
-	}
-	return 8*int(sys.Mapper.NumModules()) + 64
 }
 
 // grow returns s resized to n elements, reusing its backing array when the
@@ -465,7 +474,7 @@ func (sys *System) Access(reqs []Request) (*Result, error) {
 // next AccessInto on the same Result.
 //
 // The batch runs as stages — validate, resolve, then per phase select,
-// rounds and commit, then report — and each round inside a phase is itself
+// drive and commit, then report — and each round drive plays is itself
 // staged: bid, decide, commit cells (see round).
 func (sys *System) AccessInto(reqs []Request, res *Result) error {
 	if err := sys.validate(reqs); err != nil {
@@ -489,11 +498,15 @@ func (sys *System) AccessInto(reqs []Request, res *Result) error {
 	if err := sys.obtainMachine(numClusters * clusterSize); err != nil {
 		return err
 	}
-	b := batch{reqs: reqs, res: res, maxIters: sys.maxIters()}
+	b := batch{reqs: reqs, res: res}
 	sys.resolveBatch(&b)
 	res.Metrics.Phases = clusterSize
 	for phase := 0; phase < clusterSize; phase++ {
-		left, iters := sys.runPhase(&b, phase, sys.selectPhase(&b, phase))
+		tasks := sys.selectPhase(&b, phase)
+		if sys.cfg.TraceLive {
+			b.afterRound = sys.traceLive(&b.res.Metrics, len(reqs), phase)
+		}
+		left, iters := sys.drive(&b, tasks)
 		sys.commitPhase(&b, phase, left, iters)
 	}
 	if b.fv != nil && len(sys.retry) > 0 {
@@ -543,7 +556,7 @@ func (sys *System) resolveBatch(b *batch) {
 		sys.touchedC = grow(sys.touchedC, n)
 		sys.stalled = grow(sys.stalled, n)
 		sys.retry = sys.retry[:0]
-		b.epoch = b.fv.FaultEpoch()
+		b.epoch = b.fv.Epoch()
 	}
 }
 
@@ -598,37 +611,55 @@ func (sys *System) selectPhase(b *batch, phase int) []task {
 	return tasks
 }
 
-// runPhase plays rounds until every bid of the phase is settled or the
-// iteration bound trips, and returns the bids left over and the rounds used.
-func (sys *System) runPhase(b *batch, phase int, tasks []task) ([]task, int) {
+// traceLive opens the phase's LiveTrace entry and returns the per-round
+// callback that fills it: the phase's requests (of n) still short of their
+// quorum after each round.
+func (sys *System) traceLive(met *Metrics, n, phase int) func() {
+	met.LiveTrace = append(met.LiveTrace, nil)
+	live := &met.LiveTrace[len(met.LiveTrace)-1]
+	return func() {
+		cnt := 0
+		for r := phase; r < n; r += sys.nCopies {
+			if sys.remaining[r] > 0 {
+				cnt++
+			}
+		}
+		*live = append(*live, cnt)
+	}
+}
+
+// drive plays rounds until every bid is settled or the iteration bound
+// trips, and returns the bids left over and the rounds played. It is round's
+// only caller: phases, retry waves and repair waves all cross the machine
+// boundary here. When the fault epoch moved since the bids were selected,
+// they are rebuilt before the next round — a phase drops bids at newly
+// barred modules, re-selects spare live copies and sheds requests that can
+// no longer reach a quorum (refilterTasks); a wave drops its barred bids
+// (dropBarred).
+func (sys *System) drive(b *batch, tasks []task) ([]task, int) {
+	if b.wave {
+		b.epoch = b.fv.Epoch()
+	}
 	iters := 0
-	var live []int
-	for len(tasks) > 0 && iters < b.maxIters {
+	for len(tasks) > 0 && iters < sys.maxIter {
 		if b.fv != nil {
-			if e := b.fv.FaultEpoch(); e != b.epoch {
-				// The fault set changed mid-phase: drop bids at newly
-				// failed modules, re-select spare live copies, and shed
-				// requests that can no longer reach a quorum.
+			if e := b.fv.Epoch(); e != b.epoch {
 				b.epoch = e
-				if tasks = sys.refilterTasks(b, tasks); len(tasks) == 0 {
+				if b.wave {
+					tasks = sys.dropBarred(b, tasks)
+				} else {
+					tasks = sys.refilterTasks(b, tasks)
+				}
+				if len(tasks) == 0 {
 					break
 				}
 			}
 		}
 		tasks = sys.round(b, tasks)
 		iters++
-		if sys.cfg.TraceLive {
-			cnt := 0
-			for r := phase; r < len(b.reqs); r += sys.nCopies {
-				if sys.remaining[r] > 0 {
-					cnt++
-				}
-			}
-			live = append(live, cnt)
+		if b.afterRound != nil {
+			b.afterRound()
 		}
-	}
-	if sys.cfg.TraceLive {
-		b.res.Metrics.LiveTrace = append(b.res.Metrics.LiveTrace, live)
 	}
 	return tasks, iters
 }
@@ -651,7 +682,14 @@ func (sys *System) round(b *batch, tasks []task) []task {
 		// the payload travels with the bid.
 		for _, t := range tasks {
 			rq := &b.reqs[t.req]
-			sys.rs.StageBid(t.proc, t.cp.addr(), rq.Op, rq.Value, sys.ts)
+			op, val, ts := rq.Op, rq.Value, sys.ts
+			switch op {
+			case opSweep:
+				op, val, ts = Read, 0, 0
+			case opRepair:
+				val, ts = sys.best[t.req].Val, sys.best[t.req].TS
+			}
+			sys.rs.StageBid(t.proc, t.cp.addr(), op, val, ts)
 		}
 	}
 	sys.machine.Round(mreqs, sys.grant)
@@ -661,14 +699,16 @@ func (sys *System) round(b *batch, tasks []task) []task {
 	return tasks
 }
 
-// decide is the sequential bookkeeping of a round: it keeps the ungranted
-// bids of unfinished requests in flight, counts the grants, and queues the
-// cell access of every grant a quorum still needed onto sys.reads and
-// sys.writes (a grant to a request whose quorum already completed is a
-// cancelled bid whose result is unused).
+// decide is the sequential bookkeeping of a round: it idles every slot the
+// round bid at, keeps the ungranted bids of unfinished requests in flight,
+// counts the grants, and queues the cell access of every grant a quorum still
+// needed onto sys.reads, sys.writes or sys.repairs (a grant to a request
+// whose quorum already completed is a cancelled bid whose result is unused).
+// A sweep read queues as a read; only user requests keep copy masks.
 func (sys *System) decide(b *batch, tasks []task) []task {
 	mreqs, grant, remaining := sys.mreqs, sys.grant, sys.remaining
 	reads, writes := sys.reads[:0], sys.writes[:0]
+	sys.repairs = sys.repairs[:0]
 	next := tasks[:0]
 	granted := 0
 	for _, t := range tasks {
@@ -685,12 +725,15 @@ func (sys *System) decide(b *batch, tasks []task) []task {
 			continue
 		}
 		remaining[r]--
-		if rq := &b.reqs[r]; rq.Op == Write {
+		rq := &b.reqs[r]
+		if rq.Op == Write {
 			writes = append(writes, writeRef{addr: t.cp.addr(), val: rq.Value})
+		} else if rq.Op == opRepair {
+			sys.repairs = append(sys.repairs, readRef{addr: t.cp.addr(), req: r})
 		} else {
 			reads = append(reads, readRef{addr: t.cp.addr(), proc: t.proc, req: r})
 		}
-		if b.fv != nil {
+		if b.fv != nil && rq.Op <= Write {
 			sys.touchedC[r] |= 1 << sys.copyIndex(t)
 			// The granted bid left the task list: keep liveBids an exact
 			// in-flight count so refilterTasks' shed check (liveBids <
@@ -700,16 +743,17 @@ func (sys *System) decide(b *batch, tasks []task) []task {
 	}
 	sys.reads, sys.writes = reads, writes
 	b.res.Metrics.GrantedBids += granted
-	b.res.Metrics.CopyAccesses += len(reads) + len(writes)
+	b.res.Metrics.CopyAccesses += len(reads) + len(writes) + len(sys.repairs)
 	return next
 }
 
 // commitCells performs the physical copy accesses decide queued: against the
 // local store, or by consuming the remote module's replies when the transport
-// keeps the cells on the far side (the remote already applied the writes).
-// Quorum rule: among the copies read, the one with the newest timestamp holds
-// the variable's current value; timestamps compare with >= so the
-// zero-initialized state is well-defined too.
+// keeps the cells on the far side (the remote already applied the writes and
+// repair writes). Quorum rule: among the copies read, the one with the newest
+// timestamp holds the variable's current value; timestamps compare with >= so
+// the zero-initialized state is well-defined too. A repair write installs its
+// request's best cell put-if-newer.
 func (sys *System) commitCells() {
 	best := sys.best
 	if rs := sys.rs; rs != nil {
@@ -729,6 +773,9 @@ func (sys *System) commitCells() {
 	for _, w := range sys.writes {
 		st.Put(w.addr, cellstore.Cell{Val: w.val, TS: sys.ts})
 	}
+	for _, g := range sys.repairs {
+		st.PutIfNewer(g.addr, best[g.req])
+	}
 }
 
 // commitPhase closes a phase: bids left over by the iteration bound become
@@ -738,12 +785,9 @@ func (sys *System) commitPhase(b *batch, phase int, left []task, iters int) {
 	met := &b.res.Metrics
 	if len(left) > 0 {
 		// The iteration bound tripped: some variables could not reach their
-		// quorum (only possible when modules are failing). Clear the leftover
-		// request slots and record the casualties — queued for a retry pass
-		// when a fault view is available, reported as unfinished otherwise.
-		for _, t := range left {
-			sys.mreqs[t.proc] = mpc.Idle
-		}
+		// quorum (only possible when modules are failing). Record the
+		// casualties — queued for a retry pass when a fault view is
+		// available, reported as unfinished otherwise.
 		if b.fv != nil {
 			for _, t := range left {
 				sys.queueRetry(t.req)
@@ -783,7 +827,7 @@ func (sys *System) report(b *batch) error {
 		// on every batch, so sustained traffic still drains the backlog.
 		// Runs after InterconnectCost is taken — repair rounds are accounted
 		// through obs.RepairEvent, not the batch's books.
-		sys.pumpRepair(sys.machine, sys.machineProcs, res)
+		sys.pumpRepair(res)
 	}
 	if len(res.Metrics.Stranded) > 0 {
 		return sys.quorumError(b)
@@ -804,7 +848,7 @@ func (sys *System) observeBatch(reqs []Request, res *Result) {
 	}
 	failed := 0
 	if sys.fv != nil {
-		failed = sys.fv.FaultCount()
+		failed = sys.fv.Count()
 	}
 	sys.cfg.Observer.ObserveBatch(obs.BatchEvent{
 		Requests:      len(reqs),

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"detshmem/internal/cellstore"
-	"detshmem/internal/mpc"
 	"detshmem/internal/obs"
 )
 
@@ -16,26 +15,27 @@ import (
 // certifies them back to fully live.
 //
 // obtainMachine type-asserts the machine against this interface, exactly
-// like FaultView; machines without a repair lifecycle don't implement it and
-// pay nothing. All methods must be safe to call concurrently with mutation.
+// like FaultView, whose methods are likewise *mpc.FaultSet's own; machines
+// without a repair lifecycle don't implement it and pay nothing. All methods
+// must be safe to call concurrently with mutation.
 type RepairView interface {
-	// ModuleRepairing reports whether module m is under repair right now.
-	ModuleRepairing(m int64) bool
-	// RepairGeneration returns m's current repair generation (0 when m is
-	// not repairing). A sweep captures the generation at its start;
+	// Repairing reports whether module m is under repair right now.
+	Repairing(m uint64) bool
+	// RepairGen returns m's current repair generation (0 when m is not
+	// repairing). A sweep captures the generation at its start;
 	// certification with a stale generation fails, which fences a sweep
 	// against a module wiped again while the sweep ran.
-	RepairGeneration(m uint64) uint64
+	RepairGen(m uint64) uint64
 	// RepairCount returns the number of modules under repair.
 	RepairCount() int
 	// AppendRepairing appends the repairing module ids to buf.
 	AppendRepairing(buf []uint64) []uint64
-	// CertifyRepairs completes the repair of every mods[i] whose generation
-	// is still gens[i], making those modules readable again, as one
-	// fault-set mutation (one snapshot, one epoch bump), and returns how many
-	// took effect. A finished sweep certifies through it, so sibling systems
+	// CertifyBatch completes the repair of every mods[i] whose generation is
+	// still gens[i], making those modules readable again, as one fault-set
+	// mutation (one snapshot, one epoch bump), and returns how many took
+	// effect. A finished sweep certifies through it, so sibling systems
 	// sharing the fault set see one change rather than one per module.
-	CertifyRepairs(mods, gens []uint64) int
+	CertifyBatch(mods, gens []uint64) int
 }
 
 // DefaultRepairBudget is the number of variables one repair step scans (see
@@ -62,14 +62,11 @@ type repairMetrics struct {
 // resolution scratch, whatever the step budget is.
 const repairChunkVars = 1024
 
-// repairVar is one variable being rebuilt in the current wave.
+// repairVar is one variable being rebuilt in the current wave; its newest
+// (value, timestamp) collects in sys.best at its index in the wave.
 type repairVar struct {
 	row     int32 // the variable's index in the scanned chunk (see repairSweep.rows)
-	bestTS  uint64
-	bestVal uint64
-	reads   int32 // granted reads so far
-	need    int32 // grants required for a sound rebuild (the read quorum)
-	salvage bool  // fewer than need live non-repairing sources exist
+	salvage bool  // fewer than a read quorum of live non-repairing sources exist
 	dirty   bool  // rebuild unsound or incomplete; blocks certification
 }
 
@@ -106,7 +103,8 @@ type repairSweep struct {
 	chunk []uint64     // the scanned chunk's variables (the owned ones)
 	rows  []packedCopy // their resolved copies, chunk-major
 	vars  []repairVar  // the chunk's variables with a copy in the sweep set
-	tasks []task       // req indexes the wave's variables
+	reqs  []Request    // the wave's requests, one per variable in vars
+	res   Result       // the wave's books, folded into repairMetrics
 }
 
 // isTarget reports whether module m is in the sweep set.
@@ -133,19 +131,15 @@ func (sys *System) RepairBacklog() int {
 // backlog is unrepairable until the fault set changes). Must be called from
 // the goroutine that owns the system (the same discipline as AccessInto).
 func (sys *System) RepairStep() bool {
-	if sys.rv == nil && sys.machine == nil {
+	if sys.machine == nil {
 		// No machine yet (no batch has run): build one so a freshly started
 		// replica can repair before serving.
 		if err := sys.obtainMachine(sys.nCopies); err != nil {
 			return false
 		}
 	}
-	machine, geo := sys.machine, sys.machineProcs
-	if machine == nil {
-		return false
-	}
 	var rm repairMetrics
-	did := sys.repairStep(machine, geo, &rm)
+	did := sys.repairStep(&rm)
 	sys.reportRepair(&rm)
 	return did
 }
@@ -154,9 +148,9 @@ func (sys *System) RepairStep() bool {
 // batch's own work (and after InterconnectCost is taken), so every flush
 // moves the backlog by one bounded step even under sustained traffic. The
 // step's work is folded into the batch's Repair* metrics.
-func (sys *System) pumpRepair(machine Machine, geo int, res *Result) {
+func (sys *System) pumpRepair(res *Result) {
 	var rm repairMetrics
-	sys.repairStep(machine, geo, &rm)
+	sys.repairStep(&rm)
 	res.Metrics.RepairedCopies += rm.repaired
 	res.Metrics.RepairSalvaged += rm.salvaged
 	res.Metrics.RepairRounds += rm.rounds
@@ -187,9 +181,9 @@ func (sys *System) resetRepair() {
 	sys.rep.paused = false
 }
 
-// repairStep runs one chunk of the sweep on the given machine. Returns
-// whether any work was attempted.
-func (sys *System) repairStep(machine Machine, geo int, rm *repairMetrics) bool {
+// repairStep runs one chunk of the sweep. Returns whether any work was
+// attempted.
+func (sys *System) repairStep(rm *repairMetrics) bool {
 	rv, fv := sys.rv, sys.fv
 	if rv == nil || fv == nil {
 		return false
@@ -201,7 +195,7 @@ func (sys *System) repairStep(machine Machine, geo int, rm *repairMetrics) bool 
 		return false
 	}
 	if rep.paused {
-		if fv.FaultEpoch() == rep.pauseEpoch {
+		if fv.Epoch() == rep.pauseEpoch {
 			return false
 		}
 		rep.paused = false
@@ -220,7 +214,7 @@ func (sys *System) repairStep(machine Machine, geo int, rm *repairMetrics) bool 
 		rep.gens = rep.gens[:0]
 		n := 0
 		for _, m := range rep.mods {
-			if g := rv.RepairGeneration(m); g != 0 {
+			if g := rv.RepairGen(m); g != 0 {
 				rep.mods[n] = m
 				n++
 				rep.gens = append(rep.gens, g)
@@ -230,7 +224,7 @@ func (sys *System) repairStep(machine Machine, geo int, rm *repairMetrics) bool 
 		rep.mods = rep.mods[:n]
 		rep.cursor = 0
 		rep.certified = false
-		rep.startEpoch = fv.FaultEpoch()
+		rep.startEpoch = fv.Epoch()
 		rep.active = true
 	}
 	nv := sys.Mapper.NumVars()
@@ -238,7 +232,7 @@ func (sys *System) repairStep(machine Machine, geo int, rm *repairMetrics) bool 
 	if end > nv || end < rep.cursor {
 		end = nv
 	}
-	sys.scanRepairRange(machine, geo, rep.cursor, end, rm)
+	sys.scanRepairRange(rep.cursor, end, rm)
 	rep.cursor = end
 	if rep.cursor >= nv {
 		n := 0
@@ -248,13 +242,13 @@ func (sys *System) repairStep(machine Machine, geo int, rm *repairMetrics) bool 
 				n++
 			}
 		}
-		if c := rv.CertifyRepairs(rep.mods[:n], rep.gens[:n]); c > 0 {
+		if c := rv.CertifyBatch(rep.mods[:n], rep.gens[:n]); c > 0 {
 			rm.certified += c
 			rep.certified = true
 		}
 		rep.active = false
 		if !rep.certified && rv.RepairCount() > 0 {
-			if e := fv.FaultEpoch(); e == rep.startEpoch {
+			if e := fv.Epoch(); e == rep.startEpoch {
 				rep.paused = true
 				rep.pauseEpoch = e
 			}
@@ -267,10 +261,10 @@ func (sys *System) repairStep(machine Machine, geo int, rm *repairMetrics) bool 
 // owned variables are resolved once, in bulk, through the System's resolver,
 // and those with a copy on a sweep-set module are rebuilt in bounded waves
 // that index the resolved rows.
-func (sys *System) scanRepairRange(machine Machine, geo int, lo, hi uint64, rm *repairMetrics) {
+func (sys *System) scanRepairRange(lo, hi uint64, rm *repairMetrics) {
 	rep := &sys.rep
 	nCopies := sys.nCopies
-	group := max(geo/nCopies, 1)
+	group := max(sys.machineProcs/nCopies, 1)
 	owns := sys.cfg.Owns
 	for lo < hi {
 		end := min(lo+repairChunkVars, hi)
@@ -295,16 +289,18 @@ func (sys *System) scanRepairRange(machine Machine, geo int, lo, hi uint64, rm *
 		rep.vars = vars
 		for len(vars) > 0 {
 			n := min(group, len(vars))
-			sys.repairWave(machine, vars[:n], rm)
+			sys.repairWave(vars[:n], rm)
 			vars = vars[n:]
 		}
 	}
 }
 
-// repairWave rebuilds one group of variables: a read wave collecting the
-// freshest surviving (value, timestamp) per variable, then a write wave
-// installing it onto the repairing copies with put-if-newer semantics (a
-// concurrent normal write with a newer timestamp always wins).
+// repairWave rebuilds one group of variables as a batch whose request i is
+// variable i: a read wave of sweep reads collecting the freshest surviving
+// (value, timestamp) per variable into sys.best, then a write wave of repair
+// writes installing it onto the repairing copies with put-if-newer semantics
+// (a concurrent normal write with a newer timestamp always wins). Both waves
+// are played by drive, the round loop of the phases.
 //
 // Soundness rule: a rebuild is sound when it read a full read quorum of live
 // non-repairing copies — any read quorum of the c copies intersects every
@@ -317,85 +313,75 @@ func (sys *System) scanRepairRange(machine Machine, geo int, lo, hi uint64, rm *
 // held a copy we could not read, the variable's freshest value may be
 // sitting in that crashed store, so the targets are marked dirty and their
 // modules stay uncertified until the fault set changes.
-func (sys *System) repairWave(machine Machine, vars []repairVar, rm *repairMetrics) {
+func (sys *System) repairWave(vars []repairVar, rm *repairMetrics) {
 	rep := &sys.rep
 	fv, rvw := sys.fv, sys.rv
-	nCopies, rq := sys.nCopies, sys.readQ
+	nCopies := sys.nCopies
 	// row is the variable's resolved copies in the chunk scratch.
 	row := func(w *repairVar) []packedCopy { return rep.rows[int(w.row)*nCopies:][:nCopies] }
-	maxIters := sys.maxIters()
+	reqs := grow(rep.reqs, len(vars))
+	rep.reqs = reqs
+	sys.remaining, sys.best = grow(sys.remaining, len(vars)), grow(sys.best, len(vars))
+	b := batch{reqs: reqs, res: &rep.res, fv: fv, wave: true}
 
-	// Classify copies and build the read task list.
-	tasks := rep.tasks[:0]
-	p := int32(0)
+	// Read wave: classify copies and bid for the sources. A rebuild needs a
+	// read quorum of sources granted, a salvage at least one copy; a
+	// variable bidding for fewer is dirty before a round is played.
+	tasks := sys.tasks[:0]
 	for i := range vars {
 		w := &vars[i]
-		w.need = rq
 		sources, failed := int32(0), 0
 		for _, cp := range row(w) {
-			switch {
-			case fv.ModuleFailed(cp.module()):
+			switch m := uint64(cp.module()); {
+			case fv.Failed(m):
 				failed++
-			case !rvw.ModuleRepairing(cp.module()):
+			case !rvw.Repairing(m):
 				sources++
 			}
 		}
-		w.salvage = sources < rq
-		if w.salvage && failed > 0 {
-			w.dirty = true
-		}
+		w.salvage = sources < sys.readQ
+		start := len(tasks)
 		for _, cp := range row(w) {
-			if fv.ModuleFailed(cp.module()) {
+			m := uint64(cp.module())
+			if fv.Failed(m) || !w.salvage && rvw.Repairing(m) {
 				continue
 			}
-			if !w.salvage && rvw.ModuleRepairing(cp.module()) {
-				continue
-			}
-			tasks = append(tasks, task{proc: p, req: int32(i), cp: cp})
-			p++
+			tasks = append(tasks, task{proc: int32(len(tasks)), req: int32(i), cp: cp})
 		}
-	}
-	rep.tasks = tasks[:0] // keep the grown buffer: driveRepairRound returns a prefix
-
-	// Read wave.
-	for _, t := range sys.driveRepairRound(machine, tasks, vars, rm, maxIters, true) {
-		vars[t.req].dirty = true
-	}
-	for i := range vars {
-		w := &vars[i]
-		if !w.salvage && w.reads < w.need {
-			w.dirty = true
+		bids, need := int32(len(tasks)-start), sys.readQ
+		if w.salvage {
+			need = 1
 		}
-		if w.salvage && w.reads == 0 {
-			w.dirty = true
-		}
+		w.dirty = w.salvage && failed > 0 || bids < need
+		reqs[i] = Request{Var: rep.chunk[w.row], Op: opSweep}
+		sys.remaining[i] = bids
+		sys.best[i] = cellstore.Cell{}
 	}
+	sys.tasks = tasks
+	sys.sweepWave(&b, tasks, vars, rm)
 
 	// Write wave: install the best value onto the repairing copies. A zero
 	// best timestamp means no surviving write — the logically zeroed state is
 	// already correct, nothing to install.
-	tasks = rep.tasks[:0]
-	p = 0
+	tasks = sys.tasks[:0]
 	for i := range vars {
-		w := &vars[i]
-		if w.bestTS == 0 {
-			continue
-		}
-		for _, cp := range row(w) {
-			if !rep.isTarget(cp.module()) || fv.ModuleFailed(cp.module()) {
-				continue
+		start := len(tasks)
+		if best := sys.best[i]; best.TS != 0 {
+			for _, cp := range row(&vars[i]) {
+				if !rep.isTarget(cp.module()) || fv.Failed(uint64(cp.module())) {
+					continue
+				}
+				if sys.rs == nil && sys.store.Get(cp.addr()).TS >= best.TS {
+					continue // local store already fresh (in-process recovery)
+				}
+				tasks = append(tasks, task{proc: int32(len(tasks)), req: int32(i), cp: cp})
 			}
-			if sys.rs == nil && sys.store.Get(cp.addr()).TS >= w.bestTS {
-				continue // local store already fresh (in-process recovery)
-			}
-			tasks = append(tasks, task{proc: p, req: int32(i), cp: cp})
-			p++
 		}
+		reqs[i].Op = opRepair
+		sys.remaining[i] = int32(len(tasks) - start)
 	}
-	rep.tasks = tasks[:0]
-	for _, t := range sys.driveRepairRound(machine, tasks, vars, rm, maxIters, false) {
-		vars[t.req].dirty = true
-	}
+	sys.tasks = tasks
+	rm.repaired += sys.sweepWave(&b, tasks, vars, rm)
 
 	// Account salvages and propagate dirt to the sweep set.
 	for i := range vars {
@@ -414,85 +400,21 @@ func (sys *System) repairWave(machine Machine, vars []repairVar, rm *repairMetri
 	}
 }
 
-// driveRepairRound drives one repair task list until every bid is granted,
-// the iteration cap trips, or the tasks' modules fail. Undelivered tasks are
-// returned for the caller to mark dirty. reads selects read semantics
-// (collect max-timestamp into the task's variable) vs repair-write semantics
-// (install the variable's best value if newer).
-func (sys *System) driveRepairRound(machine Machine, tasks []task, vars []repairVar, rm *repairMetrics, maxIters int, reads bool) []task {
-	if len(tasks) == 0 {
-		return tasks
-	}
-	fv := sys.fv
-	mreqs, grant := sys.mreqs, sys.grant
-	epoch := fv.FaultEpoch()
-	iters := 0
-	for len(tasks) > 0 && iters < maxIters {
-		if e := fv.FaultEpoch(); e != epoch {
-			epoch = e
-			n := 0
-			for _, t := range tasks {
-				if fv.ModuleFailed(t.cp.module()) {
-					vars[t.req].dirty = true
-					continue
-				}
-				tasks[n] = t
-				n++
-			}
-			tasks = tasks[:n]
-			if len(tasks) == 0 {
-				break
-			}
-		}
-		for _, t := range tasks {
-			mreqs[t.proc] = t.cp.module()
-		}
-		if sys.rs != nil {
-			for _, t := range tasks {
-				if reads {
-					sys.rs.StageBid(t.proc, t.cp.addr(), Read, 0, 0)
-				} else {
-					w := &vars[t.req]
-					sys.rs.StageBid(t.proc, t.cp.addr(), opRepair, w.bestVal, w.bestTS)
-				}
-			}
-		}
-		machine.Round(mreqs, grant)
-		iters++
-		rm.issued += len(tasks)
-		next := tasks[:0]
-		for _, t := range tasks {
-			mreqs[t.proc] = mpc.Idle
-			if !grant[t.proc] {
-				next = append(next, t)
-				continue
-			}
-			rm.granted++
-			w := &vars[t.req]
-			if reads {
-				var val, ts uint64
-				if sys.rs != nil {
-					val, ts = sys.rs.GrantData(t.proc)
-				} else {
-					c := sys.store.Get(t.cp.addr())
-					val, ts = c.Val, c.TS
-				}
-				if ts >= w.bestTS {
-					w.bestTS, w.bestVal = ts, val
-				}
-				w.reads++
-			} else {
-				if sys.rs == nil {
-					sys.store.PutIfNewer(t.cp.addr(), cellstore.Cell{Val: w.bestVal, TS: w.bestTS})
-				}
-				rm.repaired++
-			}
-		}
-		tasks = next
-	}
-	for _, t := range tasks {
-		mreqs[t.proc] = mpc.Idle
-	}
+// sweepWave plays one repair wave through drive and folds its rounds and
+// bids into rm — never into a batch's Metrics. A variable whose bids were
+// not all granted (dropped at a module that failed mid-wave, or left at the
+// iteration bound) is dirty. It returns the copies the wave accessed.
+func (sys *System) sweepWave(b *batch, tasks []task, vars []repairVar, rm *repairMetrics) int {
+	b.res.Metrics = Metrics{}
+	_, iters := sys.drive(b, tasks)
+	met := &b.res.Metrics
 	rm.rounds += iters
-	return tasks
+	rm.issued += met.IssuedBids
+	rm.granted += met.GrantedBids
+	for i := range vars {
+		if sys.remaining[i] > 0 {
+			vars[i].dirty = true
+		}
+	}
+	return met.CopyAccesses
 }

@@ -87,7 +87,6 @@ func TestRepairDifferentialResolvers(t *testing.T) {
 		fs := mpc.NewFaultSet()
 		col := obs.NewCollector()
 		cfg.Observer = col
-		cfg.MaxIterationsPerPhase = 2048
 		cfg.NewMachine = func(mcfg mpc.Config) (Machine, error) { return mpc.NewFailingShared(mcfg, fs) }
 		sys, err := NewGenericSystem(m, cfg)
 		if err != nil {

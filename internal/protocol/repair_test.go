@@ -17,7 +17,7 @@ import (
 // live copies and the third stays at timestamp 0 — which is exactly why a
 // wiped module plus one crashed module can leave a read quorum with no
 // surviving timestamp.
-func repairSystem(t testing.TB, hook func(round int)) (*System, *mpc.FaultSet) {
+func repairSystem(t testing.TB, hook func(reqs []int64, grant []bool)) (*System, *mpc.FaultSet) {
 	t.Helper()
 	s, err := core.New(1, 3)
 	if err != nil {
@@ -29,7 +29,6 @@ func repairSystem(t testing.TB, hook func(round int)) (*System, *mpc.FaultSet) {
 	}
 	fs := mpc.NewFaultSet()
 	sys, err := NewSystem(s, idx, Config{
-		MaxIterationsPerPhase: 2048,
 		NewMachine: func(cfg mpc.Config) (Machine, error) {
 			f, err := mpc.NewFailingShared(cfg, fs)
 			if err != nil {
@@ -47,18 +46,17 @@ func repairSystem(t testing.TB, hook func(round int)) (*System, *mpc.FaultSet) {
 	return sys, fs
 }
 
-// hookedMachine invokes a callback after every round, letting tests inject
-// fault-set mutations at a deterministic mid-phase point.
+// hookedMachine invokes a callback after every round with the round's bids
+// and grants, letting tests inject fault-set mutations at a deterministic
+// mid-phase point.
 type hookedMachine struct {
 	*mpc.Failing
-	round int
-	hook  func(round int)
+	hook func(reqs []int64, grant []bool)
 }
 
 func (h *hookedMachine) Round(reqs []int64, grant []bool) int {
 	n := h.Failing.Round(reqs, grant)
-	h.round++
-	h.hook(h.round)
+	h.hook(reqs, grant)
 	return n
 }
 
@@ -193,7 +191,7 @@ func TestRecoverMidWave(t *testing.T) {
 		var fs *mpc.FaultSet
 		var victim uint64
 		armed := false
-		hook := func(round int) {
+		hook := func([]int64, []bool) {
 			if !armed {
 				return
 			}
@@ -316,8 +314,7 @@ func TestRepairPumpRidesBatches(t *testing.T) {
 	fs := mpc.NewFaultSet()
 	col := obs.NewCollector()
 	sys, err := NewSystem(s, idx, Config{
-		MaxIterationsPerPhase: 2048,
-		Observer:              col,
+		Observer: col,
 		NewMachine: func(cfg mpc.Config) (Machine, error) {
 			return mpc.NewFailingShared(cfg, fs)
 		},
@@ -432,7 +429,6 @@ func TestRepairPauseIgnoresStaleSweep(t *testing.T) {
 	}
 	fs := mpc.NewFaultSet()
 	sys, err := NewSystem(s, idx, Config{
-		MaxIterationsPerPhase: 2048,
 		NewMachine: func(cfg mpc.Config) (Machine, error) {
 			return mpc.NewFailingShared(cfg, fs)
 		},
@@ -469,5 +465,104 @@ func TestRepairPauseIgnoresStaleSweep(t *testing.T) {
 			t.Fatalf("repair backlog stuck at %d after the churn stopped", fs.RepairCount())
 		}
 		sys.RepairStep()
+	}
+}
+
+// TestReArmMidWave pins the bar a merged round loop could quietly move: a
+// module entering repair mid-round bars a user Read only. The hook re-arms
+// (RecoverPending) the module of the first ungranted, still-needed bid at a
+// live, non-repairing module; the next round shows whether that bid
+// survived. During a sweep's read wave the bid is at a source, and it keeps
+// bidding — failure is the only bar for a sweep read (dropBarred). In a
+// phase the Read bid is dropped and its request re-selected over what
+// remains (refilterTasks). Either way every value reads back once repair
+// drains.
+func TestReArmMidWave(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sweep bool
+	}{{"sweep read keeps its bid", true}, {"phase read is dropped", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sys *System
+			var fs *mpc.FaultSet
+			// needed reports whether proc p's ungranted bid is still needed
+			// after the round: a sweep read always is (a repair wave cancels
+			// nothing); a phase-0 Read when its request — p - p%Copies, as a
+			// cluster bids from its own slots — is still short of its quorum.
+			needed := func(p int, grant []bool) bool {
+				if tc.sweep {
+					return true
+				}
+				r, granted := p-p%sys.nCopies, int32(0)
+				for q := r; q < r+sys.nCopies; q++ {
+					if grant[q] {
+						granted++
+					}
+				}
+				return sys.remaining[r] > granted
+			}
+			armed, proc := false, -1
+			var rearmed, after int64 = -1, -1
+			hook := func(reqs []int64, grant []bool) {
+				switch {
+				case !armed:
+				case proc >= 0:
+					armed, after = false, reqs[proc]
+				default:
+					for p, m := range reqs {
+						if m != mpc.Idle && !grant[p] && !fs.Failed(uint64(m)) && !fs.Repairing(uint64(m)) && needed(p, grant) {
+							proc, rearmed = p, m
+							fs.RecoverPending(uint64(m))
+							return
+						}
+					}
+				}
+			}
+			sys, fs = repairSystem(t, hook)
+			defer sys.Close()
+			n := int(sys.Mapper.NumModules())
+			vars, vals := make([]uint64, n), make([]uint64, n)
+			for i := range vars {
+				vars[i], vals[i] = uint64(i), uint64(1000+i)
+			}
+			// A full batch first, so a repair wave carries N/Copies variables;
+			// with 16 modules under repair its read waves contend at sources.
+			if _, err := sys.WriteBatch(vars, vals); err != nil {
+				t.Fatal(err)
+			}
+
+			armed = true
+			if tc.sweep {
+				for m := uint64(0); m < 16; m++ {
+					fs.Fail(m)
+					fs.RecoverPending(m)
+				}
+				for i := 0; armed && sys.RepairBacklog() > 0; i++ {
+					if !sys.RepairStep() || i > 1000 {
+						t.Fatalf("repair stopped after %d steps with the hook still armed", i)
+					}
+				}
+			} else if _, _, err := sys.ReadBatch(vars); err != nil {
+				t.Fatalf("read with a module re-armed mid-phase: %v", err)
+			}
+			if proc < 0 || armed {
+				t.Fatalf("hook never saw a needed ungranted source bid and the round after it (proc %d)", proc)
+			}
+			if kept := after == rearmed; kept != tc.sweep {
+				t.Fatalf("proc %d bid at module %d, re-armed mid-round; the next round it bid at %d (kept = %v, want %v)",
+					proc, rearmed, after, kept, tc.sweep)
+			}
+
+			drainRepair(t, sys)
+			got, _, err := sys.ReadBatch(vars)
+			if err != nil {
+				t.Fatalf("read after repair: %v", err)
+			}
+			for i := range vars {
+				if got[i] != vals[i] {
+					t.Fatalf("var %d = %d, want %d", vars[i], got[i], vals[i])
+				}
+			}
+		})
 	}
 }

@@ -118,7 +118,11 @@ type remoteBid struct {
 // plain MPC.
 func newRemoteMachine(cfg mpc.Config) (Machine, error) {
 	m, err := mpc.New(cfg)
-	return &remoteMachine{Machine: m, staged: make([]remoteBid, cfg.Procs), granted: make([]cellstore.Cell, cfg.Procs), cells: map[uint64]cellstore.Cell{}}, err
+	return remoteOver(m, cfg.Procs), err
+}
+
+func remoteOver(m Machine, procs int) *remoteMachine {
+	return &remoteMachine{Machine: m, staged: make([]remoteBid, procs), granted: make([]cellstore.Cell, procs), cells: map[uint64]cellstore.Cell{}}
 }
 
 func (r *remoteMachine) StageBid(proc int32, addr uint64, op Op, value, ts uint64) {
@@ -135,9 +139,14 @@ func (r *remoteMachine) Round(reqs []int64, grant []bool) int {
 		if !ok {
 			continue
 		}
-		if b := r.staged[p]; b.op == Write {
+		switch b := r.staged[p]; b.op {
+		case Write:
 			r.cells[b.addr] = b.c
-		} else {
+		case opRepair:
+			if b.c.TS > r.cells[b.addr].TS {
+				r.cells[b.addr] = b.c
+			}
+		default:
 			r.granted[p] = r.cells[b.addr]
 		}
 	}
@@ -171,5 +180,89 @@ func TestRemoteSystemHoldsNoLocalStore(t *testing.T) {
 	}
 	if ts := remote.CopyState(5); len(ts) != remote.Mapper.Copies() || remote.store == nil {
 		t.Fatalf("CopyState on a fresh store: %v (store allocated: %v)", ts, remote.store != nil)
+	}
+}
+
+// stagedLog is a remoteMachine over a failing MPC — the fault set gives it
+// the fault and repair views — that logs every bid the protocol stages.
+type stagedLog struct {
+	*remoteMachine
+	*mpc.FaultSet
+	log []remoteBid
+}
+
+func (s *stagedLog) StageBid(proc int32, addr uint64, op Op, value, ts uint64) {
+	s.log = append(s.log, remoteBid{addr: addr, op: op, c: cellstore.Cell{Val: value, TS: ts}})
+	s.remoteMachine.StageBid(proc, addr, op, value, ts)
+}
+
+// TestRemoteRepairStagesPlainOps: over a RemoteStore the repair waves reach
+// the machine only as ops a memory module knows — a sweep read stages a
+// plain Read (no payload), a repair write stages the rebuilt (value,
+// timestamp) — and the rebuild restores the wiped copies on the far side.
+func TestRemoteRepairStagesPlainOps(t *testing.T) {
+	fs := mpc.NewFaultSet()
+	var m *stagedLog
+	sys := newSystem(t, 1, 3, Config{NewMachine: func(cfg mpc.Config) (Machine, error) {
+		f, err := mpc.NewFailingShared(cfg, fs)
+		m = &stagedLog{remoteMachine: remoteOver(f, cfg.Procs), FaultSet: fs}
+		return m, err
+	}})
+	n := int(sys.Mapper.NumModules())
+	vars, vals := make([]uint64, n), make([]uint64, n)
+	for i := range vars {
+		vars[i], vals[i] = uint64(i), uint64(500+i)
+	}
+	if _, err := sys.WriteBatch(vars, vals); err != nil {
+		t.Fatal(err)
+	}
+	const ts = 1 // the system's first batch
+	// Module 5 restarts empty and comes back under repair.
+	const victim = 5
+	rebuilt := map[uint64]cellstore.Cell{} // wiped addr -> the cell repair must restore
+	for i, v := range vars {
+		for c := 0; c < sys.Mapper.Copies(); c++ {
+			if mod, addr := sys.Mapper.CopyAddr(v, c); mod == victim {
+				rebuilt[addr] = cellstore.Cell{Val: vals[i], TS: ts}
+				delete(m.cells, addr)
+			}
+		}
+	}
+	if len(rebuilt) == 0 {
+		t.Fatal("no written copy on the victim module")
+	}
+	fs.Fail(victim)
+	fs.RecoverPending(victim)
+	m.log = m.log[:0]
+	drainRepair(t, sys)
+
+	reads, repaired := 0, map[uint64]bool{} // a bid is staged again every round it waits
+	for _, b := range m.log {
+		switch b.op {
+		case Read:
+			reads++
+			if b.c != (cellstore.Cell{}) {
+				t.Fatalf("sweep read staged a payload %+v", b.c)
+			}
+		case opRepair:
+			repaired[b.addr] = true
+			if want, ok := rebuilt[b.addr]; !ok || b.c != want {
+				t.Fatalf("repair write at %d staged %+v, want the wiped copy's %+v", b.addr, b.c, want)
+			}
+		default:
+			t.Fatalf("repair staged op %d", b.op)
+		}
+	}
+	if reads == 0 || len(repaired) != len(rebuilt) {
+		t.Fatalf("%d sweep reads staged, repair writes at %d of %d wiped copies", reads, len(repaired), len(rebuilt))
+	}
+	for addr, want := range rebuilt {
+		if got := m.cells[addr]; got != want {
+			t.Fatalf("copy at %d rebuilt as %+v, want %+v", addr, got, want)
+		}
+	}
+	got, _, err := sys.ReadBatch(vars)
+	if err != nil || !slices.Equal(got, vals) {
+		t.Fatalf("read after repair: %v, %v; want %v", got, err, vals)
 	}
 }

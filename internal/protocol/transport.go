@@ -24,8 +24,6 @@ import (
 // default and the zero-regression path) and internal/netmpc's TCP transport,
 // where contiguous module ranges live on remote memserver processes.
 type Transport interface {
-	// Name identifies the transport in reports ("inproc", "tcp").
-	Name() string
 	// NewMachine builds an interconnect machine with the given geometry.
 	// Machines hold no resources of their own; the protocol drops one when
 	// it needs a larger geometry and never closes the transport itself —
@@ -35,8 +33,6 @@ type Transport interface {
 
 // inprocTransport is the default transport: the in-process MPC simulator.
 type inprocTransport struct{}
-
-func (inprocTransport) Name() string { return "inproc" }
 
 func (inprocTransport) NewMachine(cfg mpc.Config) (Machine, error) { return mpc.New(cfg) }
 

@@ -88,7 +88,8 @@ func TestDuplicateCheckAcrossEpochWrap(t *testing.T) {
 // healthy interconnect (no fault view), a request with several bids still in
 // flight is listed in Unfinished once.
 func TestIterationCapReportsEachRequestOnce(t *testing.T) {
-	sys := newSystem(t, 1, 3, Config{MaxIterationsPerPhase: 1})
+	sys := newSystem(t, 1, 3, Config{})
+	sys.maxIter = 1
 	reqs := dupBatch(int(sys.Mapper.NumModules()), sys.Mapper.NumVars(), false)
 	res, err := sys.Access(reqs)
 	if !errors.Is(err, ErrIncomplete) {

@@ -223,9 +223,6 @@ func auditFaultService(t testing.TB, shards int, fs *mpc.FaultSet, pcfg protocol
 		t.Fatal(err)
 	}
 	pcfg.NewMachine = func(mcfg mpc.Config) (protocol.Machine, error) { return mpc.NewFailingShared(mcfg, fs) }
-	if pcfg.MaxIterationsPerPhase == 0 {
-		pcfg.MaxIterationsPerPhase = 2048
-	}
 	svc, err := New(protocol.NewCoreMapper(s, idx), Config{
 		Shards:   shards,
 		MaxBatch: 16,

@@ -25,9 +25,6 @@ func faultService(t testing.TB, shards int, fs *mpc.FaultSet, pcfg protocol.Conf
 		t.Fatal(err)
 	}
 	pcfg.NewMachine = func(mcfg mpc.Config) (protocol.Machine, error) { return mpc.NewFailingShared(mcfg, fs) }
-	if pcfg.MaxIterationsPerPhase == 0 {
-		pcfg.MaxIterationsPerPhase = 2048
-	}
 	svc, err := New(protocol.NewCoreMapper(s, idx), Config{
 		Shards:   shards,
 		MaxBatch: 16,

@@ -15,8 +15,6 @@ import (
 // the repair books are a function of the script alone.
 type failingTransport struct{ fs *mpc.FaultSet }
 
-func (failingTransport) Name() string { return "failing" }
-
 func (tr failingTransport) NewMachine(cfg mpc.Config) (protocol.Machine, error) {
 	return mpc.NewFailingShared(cfg, tr.fs)
 }
@@ -45,7 +43,6 @@ func ownedRepairCycle(t *testing.T, shards int) (copies, rounds, want int64) {
 		Observe:   true,
 		MaxBatch:  32, // small machines, so a sweep is many full waves
 		Transport: func(i int) protocol.Transport { return failingTransport{fsets[i]} },
-		Protocol:  protocol.Config{MaxIterationsPerPhase: 2048},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -51,7 +51,6 @@ func TestChurnSoakRepair(t *testing.T) {
 			NewMachine: func(mcfg mpc.Config) (protocol.Machine, error) {
 				return mpc.NewFailingShared(mcfg, fs)
 			},
-			MaxIterationsPerPhase: 2048,
 		},
 	})
 	if err != nil {
