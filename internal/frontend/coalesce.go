@@ -355,7 +355,7 @@ type Stats struct {
 	IdleFlushes     int64 // batches flushed because the queue ran dry
 	ExplicitFlushes int64 // batches flushed by Flush or Close
 	ConflictFlushes int64 // batches flushed by a write-after-read conflict
-	MaxQueueDepth   int   // deepest admission ring observed at admission
+	MaxQueueDepth   int   // deepest admission ring observed at admission, in entries (an op or a sub-batch)
 	TotalRounds     int64 // protocol MPC rounds consumed by flushed batches
 	CopyAccesses    int64 // protocol copy accesses across flushed batches
 	MaxPhi          int   // largest per-batch Φ (max phase iterations)

@@ -44,19 +44,30 @@ var ErrClosed = errors.New("frontend: closed")
 // operation's batch has committed (or failed) and returns the read value
 // (zero for writes) and any error.
 //
-// The completion channel is created lazily, and only by a waiter that
-// arrives while the operation is still in flight. Windowed clients wait on
-// their futures after the whole window is submitted, so most futures
-// complete before anyone waits and never allocate a channel — on the hot
-// path that halves the allocations per operation.
+// Completion is one compare-and-swap: state moves from pending to complete
+// and nothing else happens, unless a waiter got there first. A waiter that
+// arrives while the operation is still in flight creates the completion
+// channel under the mutex and only then moves the state from pending to
+// waited; complete, finding waited, closes the channel. Windowed clients wait
+// on their futures after the whole window is submitted, so most futures
+// complete before anyone waits, never allocate a channel and never touch the
+// mutex.
 type Future struct {
-	state atomic.Uint32 // 0 = pending, 1 = complete
-	mu    sync.Mutex    // guards lazy done creation against complete
+	state atomic.Uint32 // futurePending, futureDone or futureWaited
+	mu    sync.Mutex    // serializes waiters creating done; complete never takes it
 	done  chan struct{}
 	val   uint64
 	err   error
 	seq   uint64
 }
+
+// Future states. The only moves are pending → done (complete, no waiter),
+// pending → waited (the first waiter to park) and waited → done (complete).
+const (
+	futurePending uint32 = iota
+	futureDone
+	futureWaited
+)
 
 // Wait blocks until the operation committed.
 func (f *Future) Wait() (uint64, error) {
@@ -73,11 +84,11 @@ func (f *Future) Seq() uint64 {
 }
 
 func (f *Future) wait() {
-	if f.state.Load() == 1 {
+	if f.state.Load() == futureDone {
 		return
 	}
 	f.mu.Lock()
-	if f.state.Load() == 1 {
+	if f.state.Load() == futureDone {
 		f.mu.Unlock()
 		return
 	}
@@ -85,21 +96,28 @@ func (f *Future) wait() {
 		f.done = make(chan struct{})
 	}
 	ch := f.done
+	// done is published before the state says waited, so a complete that
+	// finds waited finds the channel. The swap fails only when complete won
+	// the race (or another waiter already moved the state).
+	parked := f.state.CompareAndSwap(futurePending, futureWaited) || f.state.Load() == futureWaited
 	f.mu.Unlock()
-	<-ch
+	if parked {
+		<-ch
+	}
 }
 
 func (f *Future) complete(val uint64, err error) {
 	f.val, f.err = val, err
-	// The store is ordered after the payload writes; a waiter's fast-path
-	// Load therefore observes them. The mutex pairs the store with any
-	// concurrent lazy channel creation so no waiter parks unseen.
-	f.mu.Lock()
-	f.state.Store(1)
-	if f.done != nil {
+	// The payload writes are ordered before the state change, so a waiter
+	// that observes futureDone — or receives from the closed channel —
+	// observes them.
+	if f.state.CompareAndSwap(futurePending, futureDone) {
+		return
+	}
+	// A waiter parked, and published done before it moved the state.
+	if f.state.Swap(futureDone) == futureWaited {
 		close(f.done)
 	}
-	f.mu.Unlock()
 }
 
 // Fail completes an operation that never entered a batch with err. The

@@ -16,18 +16,16 @@ func TestRoundSteadyStateAllocsSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := make([]int64, procs)
-	grant := make([]bool, procs)
-	for p := range reqs {
-		if p%5 == 4 {
-			reqs[p] = Idle
-		} else {
-			reqs[p] = int64(p % modules)
+	var bids []int64
+	for p := 0; p < procs; p++ {
+		if p%5 != 4 {
+			bids = append(bids, Bid(p, int64(p%modules)))
 		}
 	}
-	m.Round(reqs, grant) // warm-up: grows the touched scratch
+	grant := make([]bool, len(bids))
+	m.Round(bids, grant)
 	if avg := testing.AllocsPerRun(100, func() {
-		m.Round(reqs, grant)
+		m.Round(bids, grant)
 	}); avg != 0 {
 		t.Fatalf("Round allocates %.2f per call in steady state, want 0", avg)
 	}

@@ -1,47 +1,80 @@
 package mpc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-func benchRound(b *testing.B, procs, modules int) {
-	b.Helper()
-	m, err := New(Config{Procs: procs, Modules: modules})
-	if err != nil {
-		b.Fatal(err)
+// The benchmark machine has pram-step's geometry: 4 608 processors (a
+// 4 096-variable window's clusters, rounded up to a sixteenth of the power of
+// two) over the 16 383 modules of q = 2, n = 7. A round lists only the live
+// bids — about 1 490 in an average pram-step round, 300 in a tail round — so
+// its cost follows the live count, not the processor count.
+const benchProcs, benchModules = 4608, 16383
+
+// benchLives are the two live-bid counts every round benchmark runs at.
+var benchLives = []int{1490, 300}
+
+// benchList draws live bids from distinct processors in ascending order, at
+// random modules.
+func benchList(seed int64, live int) []int64 {
+	rng := rand.New(rand.NewSource(seed))
+	procs := rng.Perm(benchProcs)[:live]
+	taken := make([]bool, benchProcs)
+	for _, p := range procs {
+		taken[p] = true
 	}
-	rng := rand.New(rand.NewSource(3))
-	reqs := make([]int64, procs)
-	grant := make([]bool, procs)
-	for p := range reqs {
-		if rng.Intn(4) == 0 {
-			reqs[p] = Idle
-		} else {
-			reqs[p] = int64(rng.Intn(modules))
+	bids := make([]int64, 0, live)
+	for p, ok := range taken {
+		if ok {
+			bids = append(bids, Bid(p, int64(rng.Intn(benchModules))))
 		}
 	}
+	return bids
+}
+
+func benchRound(b *testing.B, round func([]int64, []bool) int, live int) {
+	b.Helper()
+	bids := benchList(3, live)
+	grant := make([]bool, len(bids))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Round(reqs, grant)
+		round(bids, grant)
 	}
 }
 
-func BenchmarkRoundSequential(b *testing.B) { benchRound(b, 16383, 16383) }
-func BenchmarkRoundSmall(b *testing.B)      { benchRound(b, 1023, 1023) }
-func BenchmarkFailingWrapper(b *testing.B) {
-	f, err := NewFailing(Config{Procs: 1023, Modules: 1023}, []uint64{0, 1, 2})
+// BenchmarkRoundSequential is a round at an average pram-step round's live
+// count.
+func BenchmarkRoundSequential(b *testing.B) {
+	m, err := New(Config{Procs: benchProcs, Modules: benchModules})
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(4))
-	reqs := make([]int64, 1023)
-	grant := make([]bool, 1023)
-	for p := range reqs {
-		reqs[p] = int64(rng.Intn(1023))
+	benchRound(b, m.Round, benchLives[0])
+}
+
+// BenchmarkRoundSmall is a tail round's: fewer live bids on the same machine.
+func BenchmarkRoundSmall(b *testing.B) {
+	m, err := New(Config{Procs: benchProcs, Modules: benchModules})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Round(reqs, grant)
+	benchRound(b, m.Round, benchLives[1])
+}
+
+// BenchmarkFailingWrapper is both rounds through a Failing machine with a
+// server's worth of modules down (the first 256), so a round drops a few bids
+// and pays the copy that withdraws them.
+func BenchmarkFailingWrapper(b *testing.B) {
+	for _, live := range benchLives {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
+			f, err := NewFailing(Config{Procs: benchProcs, Modules: benchModules}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			f.FailRange(0, 256)
+			benchRound(b, f.Round, live)
+		})
 	}
 }

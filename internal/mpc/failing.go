@@ -378,7 +378,7 @@ func (fs *FaultSet) Modules() []uint64 {
 }
 
 // Failing wraps a machine so that failed modules never serve any request:
-// bids addressed to them are dropped (converted to Idle) before arbitration,
+// bids addressed to them are withdrawn (turned Idle) before arbitration,
 // and counted so instrumentation can balance issued bids against served-or-
 // dropped exactly. It models crash-faulty memory banks; the majority-quorum
 // protocol running above tolerates any failure pattern that leaves every
@@ -397,7 +397,7 @@ func (fs *FaultSet) Modules() []uint64 {
 type Failing struct {
 	*FaultSet
 	inner   *Machine
-	scratch []int64
+	scratch []int64 // the bid list with its dropped bids Idle, reused
 
 	dropped atomic.Uint64 // cumulative bids dropped at failed modules
 	// roundDropped is the drop count of the round currently executing; the
@@ -451,7 +451,6 @@ func NewFailingShared(cfg Config, fs *FaultSet) (*Failing, error) {
 		return nil, err
 	}
 	f.inner = inner
-	f.scratch = make([]int64, cfg.Procs)
 	return f, nil
 }
 
@@ -459,25 +458,33 @@ func NewFailingShared(cfg Config, fs *FaultSet) (*Failing, error) {
 // addressed a failed module.
 func (f *Failing) DroppedBids() uint64 { return f.dropped.Load() }
 
-// Round filters out requests to failed modules and runs the inner round.
-// The fault set is sampled once, so the whole round sees one consistent
-// failure pattern even while Fail/Recover run concurrently.
-func (f *Failing) Round(reqs []int64, grant []bool) int {
+// Round withdraws the bids at failed modules and runs the inner round. The
+// fault set is sampled once, so the whole round sees one consistent failure
+// pattern even while Fail/Recover run concurrently. A round that drops
+// nothing hands the caller's list through; otherwise the list is copied into
+// a scratch of its length with each dropped bid Idle in its place, so
+// grant[i] still answers bid i.
+func (f *Failing) Round(bids []int64, grant []bool) int {
 	st := f.snapshot()
-	dropped := 0
-	for p, mod := range reqs {
-		if mod != Idle && st.failed(mod) {
-			f.scratch[p] = Idle
+	out, dropped := bids, 0
+	if st.count != 0 {
+		for i, b := range bids {
+			if b == Idle || !st.failed(BidModule(b)) {
+				continue
+			}
+			if dropped == 0 {
+				f.scratch = append(f.scratch[:0], bids...)
+				out = f.scratch
+			}
+			out[i] = Idle
 			dropped++
-		} else {
-			f.scratch[p] = mod
+		}
+		if dropped != 0 {
+			f.dropped.Add(uint64(dropped))
 		}
 	}
 	f.roundDropped = dropped
-	if dropped != 0 {
-		f.dropped.Add(uint64(dropped))
-	}
-	return f.inner.Round(f.scratch, grant)
+	return f.inner.Round(out, grant)
 }
 
 // Cost delegates to the inner machine.

@@ -17,7 +17,7 @@ func TestFailingDynamic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := []int64{0, 1, 2, Idle}
+	reqs := dense(0, 1, 2, Idle)
 	grant := make([]bool, 4)
 
 	if served := f.Round(reqs, grant); served != 3 {
@@ -66,7 +66,7 @@ func TestFailingBackwardCompatible(t *testing.T) {
 		t.Fatal(err)
 	}
 	grant := make([]bool, 2)
-	if served := f.Round([]int64{0, 1}, grant); served != 1 || grant[0] {
+	if served := f.Round(dense(0, 1), grant); served != 1 || grant[0] {
 		t.Fatalf("seeded failure not honoured: served=%d grant=%v", served, grant)
 	}
 }
@@ -108,13 +108,13 @@ func TestFaultSetShared(t *testing.T) {
 	}
 	grant := make([]bool, 4)
 	for _, m := range []*Failing{a, b} {
-		if served := m.Round([]int64{2, 2, Idle, Idle}, grant); served != 0 {
+		if served := m.Round(dense(2, 2, Idle, Idle), grant); served != 0 {
 			t.Fatalf("shared failure not seen: served %d", served)
 		}
 	}
 	fs.Recover(2)
 	for _, m := range []*Failing{a, b} {
-		if served := m.Round([]int64{2, Idle, Idle, Idle}, grant); served != 1 {
+		if served := m.Round(dense(2, Idle, Idle, Idle), grant); served != 1 {
 			t.Fatalf("shared recovery not seen: served %d", served)
 		}
 	}
@@ -135,8 +135,8 @@ func TestFailingDropAnnotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	grant := make([]bool, 4)
-	f.Round([]int64{0, 1, 2, 3}, grant)
-	f.Round([]int64{2, 3, Idle, Idle}, grant)
+	f.Round(dense(0, 1, 2, 3), grant)
+	f.Round(dense(2, 3, Idle, Idle), grant)
 	if len(rec.evs) != 2 {
 		t.Fatalf("recorded %d rounds, want 2", len(rec.evs))
 	}
@@ -179,7 +179,7 @@ func TestFaultSetConcurrent(t *testing.T) {
 			}
 		}(g)
 	}
-	reqs := []int64{0, 1, 2, 3, 4, 5, 6, 7}
+	reqs := dense(0, 1, 2, 3, 4, 5, 6, 7)
 	grant := make([]bool, 8)
 	for i := 0; i < 2000; i++ {
 		f.Round(reqs, grant)
@@ -339,7 +339,7 @@ func FuzzFaultSet(f *testing.F) {
 		}
 		reqs := make([]int64, modules)
 		for p := range reqs {
-			reqs[p] = int64(p)
+			reqs[p] = Bid(p, int64(p))
 		}
 		liveBids := modules - len(md.failed)
 		grant := make([]bool, modules)

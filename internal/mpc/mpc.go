@@ -6,11 +6,14 @@
 // of rounds, which is governed by the maximum per-module congestion — the
 // quantity the Pietracaprina–Preparata memory organization minimizes.
 //
-// A round is three sequential sweeps — claim (each module keeps its lowest
-// bidding processor), grant, reset — and allocates nothing in steady state.
-// Which bidder a module serves is not a parameter: the paper's round bounds
-// hold for any choice and the majority rule returns the same values under
-// any grant order, so the machine fixes the cheapest rule.
+// A round is the list of the bids actually made, in ascending processor
+// order — a processor that makes no request is simply absent — so it costs
+// O(live bids), not O(processors), as Recurrence (2) and Φ charge it. The
+// machine arbitrates in one pass over that list (each module serves the
+// first, and so the lowest, processor bidding at it) and allocates nothing
+// in steady state. Which bidder a module serves is not a parameter: the
+// paper's round bounds hold for any choice and the majority rule returns the
+// same values under any grant order, so the machine fixes the cheapest rule.
 package mpc
 
 import (
@@ -19,8 +22,27 @@ import (
 	"detshmem/internal/obs"
 )
 
-// Idle marks a processor that makes no request this round.
+// Idle is a withdrawn bid: a list entry that bids at no module and is never
+// granted. Failing puts it in place of the bids it drops at failed modules.
 const Idle int64 = -1
+
+// maxProcs bounds a machine's processor count: a bid carries its processor
+// in the high word of a non-negative int64.
+const maxProcs = 1 << 31
+
+// maxModules bounds a machine's module count: a bid carries its module in
+// the low word.
+const maxModules = 1 << 32
+
+// Bid packs processor proc's request at module into one round-list entry.
+// proc must be in [0, 2³¹) and module in [0, 2³²).
+func Bid(proc int, module int64) int64 { return int64(proc)<<32 | module }
+
+// BidProc returns the processor a bid was made by.
+func BidProc(b int64) int { return int(b >> 32) }
+
+// BidModule returns the module a bid is addressed at.
+func BidModule(b int64) int64 { return b & (maxModules - 1) }
 
 // Config selects machine parameters.
 type Config struct {
@@ -29,17 +51,19 @@ type Config struct {
 	// Recorder receives one obs.RoundEvent per executed round. Nil means no
 	// instrumentation (the default): Round then costs one disabled-recorder
 	// check and stays allocation-free. A recorder whose Enabled() reports
-	// true buys one extra O(P) contention sweep per round, still
+	// true buys one extra O(live bids) contention sweep per round, still
 	// allocation-free in steady state.
 	Recorder obs.Recorder
 }
 
 // Machine is a synchronous MPC. Methods are not safe for concurrent use.
 type Machine struct {
-	cfg     Config
-	round   uint64 // rounds executed so far
-	winner  []uint64
-	touched []int64 // modules claimed this round, reused across rounds
+	cfg   Config
+	round uint64 // rounds executed so far
+	// claim[mod] == stamp marks a module already claimed this round; stamp
+	// moves on every round, so no reset pass is needed.
+	claim []uint32
+	stamp uint32
 
 	rec obs.Recorder // never nil; obs.Nop when no recorder configured
 	// Recorder scratch, sized on first enabled round and reused: per-module
@@ -48,16 +72,19 @@ type Machine struct {
 	recTouched []int64
 }
 
-// New builds a machine. Procs and Modules must be positive.
+// New builds a machine. Procs and Modules must be positive, Procs below 2³¹
+// and Modules at most 2³², the most a bid can carry.
 func New(cfg Config) (*Machine, error) {
 	if cfg.Procs <= 0 || cfg.Modules <= 0 {
 		return nil, fmt.Errorf("mpc: need positive Procs and Modules, got %d/%d", cfg.Procs, cfg.Modules)
 	}
+	if int64(cfg.Procs) >= maxProcs || uint64(cfg.Modules) > maxModules {
+		return nil, fmt.Errorf("mpc: %d processors and %d modules do not fit a bid (processors < 2^31, modules ≤ 2^32)", cfg.Procs, cfg.Modules)
+	}
 	m := &Machine{
-		cfg:     cfg,
-		winner:  make([]uint64, cfg.Modules),
-		touched: make([]int64, 0, 64),
-		rec:     cfg.Recorder,
+		cfg:   cfg,
+		claim: make([]uint32, cfg.Modules),
+		rec:   cfg.Recorder,
 	}
 	if m.rec == nil {
 		m.rec = obs.Nop
@@ -77,18 +104,20 @@ func (m *Machine) Rounds() uint64 { return m.round }
 // ResetRounds zeroes the round counter (metrics convenience).
 func (m *Machine) ResetRounds() { m.round = 0 }
 
-// Round executes one synchronous round. reqs[p] is the module processor p
-// addresses this round, or Idle. grant[p] is set to true iff p's request was
-// the one its module served. It returns the number of requests served.
-// len(reqs) and len(grant) must equal Procs(). Steady-state rounds perform
-// no allocation.
-func (m *Machine) Round(reqs []int64, grant []bool) int {
-	if len(reqs) != m.cfg.Procs || len(grant) != m.cfg.Procs {
-		panic(fmt.Sprintf("mpc: round slices sized %d/%d, want %d", len(reqs), len(grant), m.cfg.Procs))
+// Round executes one synchronous round over the round's bid list: bids[i] is
+// Bid(p, module) for processor p's request (or Idle), in strictly ascending
+// processor order, and grant[i] is set to true iff bid i was the one its
+// module served. It returns the number of requests served. len(grant) must
+// equal len(bids), which is at most Procs(). A list that is out of order, or
+// names a processor or module the machine does not have, panics. Steady-state
+// rounds perform no allocation.
+func (m *Machine) Round(bids []int64, grant []bool) int {
+	if len(grant) != len(bids) || len(bids) > m.cfg.Procs {
+		panic(fmt.Sprintf("mpc: round of %d bids and %d grants on %d processors", len(bids), len(grant), m.cfg.Procs))
 	}
-	served := m.arbitrate(reqs, grant)
+	served := m.arbitrate(bids, grant)
 	if m.rec.Enabled() {
-		m.record(reqs, served)
+		m.record(bids, served)
 	}
 	m.round++
 	return served
@@ -97,16 +126,17 @@ func (m *Machine) Round(reqs []int64, grant []bool) int {
 // record assembles the round's obs.RoundEvent: one sweep tallies per-module
 // loads into the reused scratch, a second sweep over the touched modules
 // builds the contention histogram and zeroes the tallies again.
-func (m *Machine) record(reqs []int64, served int) {
+func (m *Machine) record(bids []int64, served int) {
 	if m.loads == nil {
 		m.loads = make([]int32, m.cfg.Modules)
 	}
 	ev := obs.RoundEvent{Round: m.round, Granted: served}
 	touched := m.recTouched[:0]
-	for _, mod := range reqs {
-		if mod == Idle {
+	for _, b := range bids {
+		if b == Idle {
 			continue
 		}
+		mod := BidModule(b)
 		ev.Requests++
 		if m.loads[mod] == 0 {
 			touched = append(touched, mod)
@@ -125,38 +155,33 @@ func (m *Machine) record(reqs []int64, served int) {
 	m.rec.RecordRound(ev)
 }
 
-// arbitrate runs the claim, grant and reset sweeps of one round. A module
-// serves its lowest bidding processor: the claim sweep visits processors in
-// ascending order, so the first claim on a module is the winning one.
-// winner[mod] holds that processor + 1; zero means "no claim yet".
-func (m *Machine) arbitrate(reqs []int64, grant []bool) int {
-	touched := m.touched[:0]
-	for p, mod := range reqs {
-		grant[p] = false
-		if mod == Idle {
-			continue
-		}
-		if mod < 0 || mod >= int64(m.cfg.Modules) {
-			panic(fmt.Sprintf("mpc: processor %d addresses invalid module %d", p, mod))
-		}
-		if m.winner[mod] == 0 {
-			touched = append(touched, mod)
-			m.winner[mod] = uint64(p + 1)
-		}
+// arbitrate grants each module to the first bid claiming it. The list is in
+// ascending processor order, so the first claim is the lowest processor's:
+// one pass settles the round.
+func (m *Machine) arbitrate(bids []int64, grant []bool) int {
+	m.stamp++
+	if m.stamp == 0 { // wrapped: stale marks could read as this round's
+		clear(m.claim)
+		m.stamp = 1
 	}
-	served := 0
-	for p, mod := range reqs {
-		if mod == Idle {
+	stamp, claim := m.stamp, m.claim
+	served, prev := 0, -1
+	for i, b := range bids {
+		grant[i] = false
+		if b == Idle {
 			continue
 		}
-		if m.winner[mod] == uint64(p+1) {
-			grant[p] = true
+		p, mod := BidProc(b), BidModule(b)
+		if p <= prev || p >= m.cfg.Procs || mod >= int64(len(claim)) {
+			panic(fmt.Sprintf("mpc: bid %d (processor %d at module %d) after processor %d: want ascending processors below %d and modules below %d",
+				i, p, mod, prev, m.cfg.Procs, len(claim)))
+		}
+		prev = p
+		if claim[mod] != stamp {
+			claim[mod] = stamp
+			grant[i] = true
 			served++
 		}
 	}
-	for _, mod := range touched {
-		m.winner[mod] = 0
-	}
-	m.touched = touched
 	return served
 }

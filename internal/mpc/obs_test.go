@@ -20,22 +20,20 @@ func TestRecorderEventsBothEngines(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		reqs := make([]int64, procs)
-		grant := make([]bool, procs)
 		for r := 0; r < rounds; r++ {
 			loads := make(map[int64]int)
 			nreq := 0
-			for p := range reqs {
+			var bids []int64
+			for p := 0; p < procs; p++ {
 				if (p+r)%7 == 0 {
-					reqs[p] = Idle
 					continue
 				}
 				mod := int64((p*(r+3) + r) % modules)
-				reqs[p] = mod
+				bids = append(bids, Bid(p, mod))
 				loads[mod]++
 				nreq++
 			}
-			served := m.Round(reqs, grant)
+			served := m.Round(bids, make([]bool, len(bids)))
 
 			evs := tracer.Events()
 			if len(evs) != r+1 {
@@ -88,9 +86,7 @@ func TestRecorderDisabledSkipsAssembly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reqs := []int64{0, 0, 1, 1, 2, 3, Idle, Idle}
-		grant := make([]bool, 8)
-		m.Round(reqs, grant)
+		m.Round(dense(0, 0, 1, 1, 2, 3, Idle, Idle), make([]bool, 8))
 	}
 	if col.MPCRounds.Load() != 1 || col.MPCGranted.Load() != 4 || col.MPCRequests.Load() != 6 {
 		t.Fatalf("collector saw rounds=%d granted=%d requests=%d, want 1/4/6",
@@ -110,14 +106,14 @@ func TestRecorderSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := make([]int64, 96)
+	bids := make([]int64, 96)
 	grant := make([]bool, 96)
-	for p := range reqs {
-		reqs[p] = int64(p % 32)
+	for p := range bids {
+		bids[p] = Bid(p, int64(p%32))
 	}
-	m.Round(reqs, grant) // warm-up: sizes the recorder scratch
+	m.Round(bids, grant) // warm-up: sizes the recorder scratch
 	if avg := testing.AllocsPerRun(100, func() {
-		m.Round(reqs, grant)
+		m.Round(bids, grant)
 	}); avg != 0 {
 		t.Errorf("traced Round allocates %.2f per call in steady state, want 0", avg)
 	}

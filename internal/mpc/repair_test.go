@@ -150,7 +150,7 @@ func TestRepairingServesRounds(t *testing.T) {
 
 	f.Fail(2)
 	grant := make([]bool, 4)
-	f.Round([]int64{2, 2, 3, Idle}, grant)
+	f.Round(dense(2, 2, 3, Idle), grant)
 	if grant[0] || grant[1] {
 		t.Fatalf("failed module served a bid")
 	}
@@ -162,7 +162,7 @@ func TestRepairingServesRounds(t *testing.T) {
 	if f.Failed(2) {
 		t.Fatalf("Failed(2) = true while repairing")
 	}
-	f.Round([]int64{2, Idle, Idle, Idle}, grant)
+	f.Round(dense(2, Idle, Idle, Idle), grant)
 	if !grant[0] {
 		t.Fatalf("repairing module did not serve a bid")
 	}
@@ -322,7 +322,7 @@ func TestRangeMutationIsAtomicToRounds(t *testing.T) {
 	}()
 	reqs := make([]int64, modules)
 	for p := range reqs {
-		reqs[p] = int64(p)
+		reqs[p] = Bid(p, int64(p))
 	}
 	grant := make([]bool, modules)
 	for i := 0; i < 3000; i++ {

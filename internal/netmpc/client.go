@@ -32,16 +32,18 @@ type Client struct {
 	rec   obs.Recorder
 	round uint64
 
-	staged  []stagedOp  // per-proc payload for the next round, from StageBid
-	granted []grantData // per-proc data from the last round's grants
-	// bidAt is the server each proc bid at this round, -1 if none or once
-	// its grant is believed: recv accepts a grant only for a proc that bid
-	// at the replying server, and only once.
-	bidAt  []int32
-	frames []RoundFrame // per-server bid assembly, reused
-	sent   []net.Conn   // per-server connection this round's frame went out on, nil if none did
-	sendAt []time.Time  // per-server send timestamp, for RTT
-	loads  map[int64]int
+	// Per bid position, indexed like the round's list: staged is the payload
+	// for the next round, from StageBid; granted the data from the last
+	// round's grants; bidAt the server the bid went to this round, -1 once
+	// its grant is believed — recv accepts a grant only for a position of
+	// this round's list that bid at the replying server, and only once.
+	staged  []stagedOp
+	granted []grantData
+	bidAt   []int32
+	frames  []RoundFrame // per-server bid assembly, reused
+	sent    []net.Conn   // per-server connection this round's frame went out on, nil if none did
+	sendAt  []time.Time  // per-server send timestamp, for RTT
+	loads   map[int64]int
 }
 
 type stagedOp struct {
@@ -74,13 +76,13 @@ func newClient(t *Transport, cfg mpc.Config) *Client {
 }
 
 // StageBid implements protocol.RemoteStore.
-func (c *Client) StageBid(proc int32, addr uint64, op protocol.Op, value, ts uint64) {
-	c.staged[proc] = stagedOp{addr: addr, op: op, value: value, ts: ts}
+func (c *Client) StageBid(pos int32, addr uint64, op protocol.Op, value, ts uint64) {
+	c.staged[pos] = stagedOp{addr: addr, op: op, value: value, ts: ts}
 }
 
 // GrantData implements protocol.RemoteStore.
-func (c *Client) GrantData(proc int32) (value, ts uint64) {
-	g := c.granted[proc]
+func (c *Client) GrantData(pos int32) (value, ts uint64) {
+	g := c.granted[pos]
 	return g.value, g.ts
 }
 
@@ -91,12 +93,16 @@ func (c *Client) Cost() uint64 { return c.round }
 // frame per touched server, fan all frames out (every send completes before
 // the first reply is read, so the servers work in parallel), read each sent
 // server's reply under one RoundTimeout deadline, and mark down the servers
-// whose reply is late, torn, not the one asked for, or grants a processor
-// that did not bid at that server (or grants one twice). Bids
+// whose reply is late, torn, not the one asked for, or grants a bid that did
+// not go to that server in this round (or grants one twice). Bids
 // directed at down servers are dropped exactly like bids at failed modules
 // (mpc.Failing), and the books balance: surviving requests + dropped ==
 // issued.
-func (c *Client) Round(reqs []int64, grant []bool) int {
+//
+// A bid goes on the wire under its position in the round's list (Bid.Proc).
+// The list is in ascending processor order, so a server granting each module
+// to the lowest position grants the lowest processor, as mpc.Machine does.
+func (c *Client) Round(bids []int64, grant []bool) int {
 	t := c.t
 	t.roundMu.Lock()
 	defer t.roundMu.Unlock()
@@ -110,18 +116,20 @@ func (c *Client) Round(reqs []int64, grant []bool) int {
 	}
 
 	nServers := len(t.servers)
+	bidAt := c.bidAt[:len(bids)]
 	issued := 0
-	for p, m := range reqs {
-		if m == mpc.Idle || m < 0 {
-			c.bidAt[p] = -1
+	for i, b := range bids {
+		if b == mpc.Idle {
+			bidAt[i] = -1
 			continue
 		}
 		issued++
+		m := mpc.BidModule(b)
 		si := ServerFor(m, t.cfg.Modules, nServers)
-		c.bidAt[p] = int32(si)
-		st := &c.staged[p]
+		bidAt[i] = int32(si)
+		st := &c.staged[i]
 		c.frames[si].Bids = append(c.frames[si].Bids, Bid{
-			Proc:   uint32(p),
+			Proc:   uint32(i),
 			Module: uint64(m),
 			Addr:   st.addr,
 			Op:     uint8(st.op),
@@ -149,7 +157,7 @@ func (c *Client) Round(reqs []int64, grant []bool) int {
 		if c.sent[i] == nil {
 			continue
 		}
-		reply := s.recv(c.sent[i], deadline, c.bidAt)
+		reply := s.recv(c.sent[i], deadline, bidAt)
 		if reply == nil {
 			c.sent[i] = nil
 			continue

@@ -585,27 +585,32 @@ func TestWrongSeqReplyMarksDown(t *testing.T) {
 }
 
 // TestForgedGrantsMarkDown: a reply with the right sequence number is still
-// believed only if every grant names a processor that bid at that server in
-// the frame it answers, at most once. The fake answers in step but forges:
-// it grants every processor id up to 64 (most bid at the real server or
-// nowhere), or each of its own bids twice, all under a timestamp that would
-// win any quorum. The client must refuse the whole reply — server down with
-// ErrCorruptFrame after one frame — and no never-written variable may read
-// the forged value.
+// believed only if every grant names a bid of the round it answers that went
+// to that server, at most once. The fake answers in step but forges: it
+// grants every list position up to 64 (most bid at the real server or not at
+// all), or each of its own bids twice, all under a timestamp that would win
+// any quorum; or, reading variables whose every copy it holds, it answers the
+// first round honestly with one grant and then grants a position the first
+// round bid at it but the shorter second round's list does not reach — so a
+// check against what earlier rounds bid would let it through. The client must
+// refuse the whole reply — server down with ErrCorruptFrame at the forged
+// frame — and no never-written variable may read the forged value.
 func TestForgedGrantsMarkDown(t *testing.T) {
 	const forged = 0xbad
 	for _, tc := range []struct {
 		name   string
+		onFake bool // read only variables whose copies all live on the fake server
+		frames int64
 		grants func(frame *RoundFrame) []Grant
 	}{
-		{"processors that bid elsewhere", func(*RoundFrame) []Grant {
+		{"processors that bid elsewhere", false, 1, func(*RoundFrame) []Grant {
 			var gs []Grant
 			for p := uint32(0); p < 64; p++ {
 				gs = append(gs, Grant{Proc: p, Value: forged, TS: 1 << 40})
 			}
 			return gs
 		}},
-		{"a processor granted twice", func(frame *RoundFrame) []Grant {
+		{"a processor granted twice", false, 1, func(frame *RoundFrame) []Grant {
 			var gs []Grant
 			for _, b := range frame.Bids {
 				g := Grant{Proc: b.Proc, Value: forged, TS: 1 << 40}
@@ -613,6 +618,19 @@ func TestForgedGrantsMarkDown(t *testing.T) {
 			}
 			return gs
 		}},
+		{"a position beyond this round's list", true, 2, func() func(*RoundFrame) []Grant {
+			var last uint32 // the first round's last position; 0 until it is seen
+			return func(frame *RoundFrame) []Grant {
+				if last == 0 {
+					// Every bid of the round is here, at positions 0..n-1. Grant
+					// position 0 alone: its request still needs a copy, so the
+					// next round lists the other n-1 bids, at 0..n-2.
+					last = frame.Bids[len(frame.Bids)-1].Proc
+					return []Grant{{Proc: frame.Bids[0].Proc}}
+				}
+				return []Grant{{Proc: last, Value: forged, TS: 1 << 40}}
+			}
+		}()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := testScheme(t)
@@ -629,9 +647,25 @@ func TestForgedGrantsMarkDown(t *testing.T) {
 					}
 				}
 			})
+			_, fakeHi := Range(0, 2, int64(s.NumModules))
 			vars := make([]uint64, 0, 16)
-			for v := uint64(0); v < s.NumVariables && len(vars) < 16; v += 5 {
-				vars = append(vars, v)
+			for v := uint64(0); v < s.NumVariables && len(vars) < 16; v++ {
+				if tc.onFake {
+					on := true
+					for c := 0; c < sys.Mapper.Copies(); c++ {
+						if m, _ := sys.Mapper.CopyAddr(v, c); int64(m) >= fakeHi {
+							on = false
+						}
+					}
+					if on {
+						vars = append(vars, v)
+					}
+				} else if v%5 == 0 {
+					vars = append(vars, v)
+				}
+			}
+			if len(vars) == 0 {
+				t.Fatal("no variable has every copy on the fake server")
 			}
 			neverHangs(t, func() error {
 				got, m, err := sys.ReadBatch(vars)
@@ -644,8 +678,8 @@ func TestForgedGrantsMarkDown(t *testing.T) {
 				return err
 			})
 			st := tr.Stats()[0]
-			if st.Up || st.Frames != 1 || st.Timeouts != 0 {
-				t.Fatalf("forging server: up=%v frames=%d timeouts=%d, want down after one frame, no timeout", st.Up, st.Frames, st.Timeouts)
+			if st.Up || st.Frames != tc.frames || st.Timeouts != 0 {
+				t.Fatalf("forging server: up=%v frames=%d timeouts=%d, want down after %d frames, no timeout", st.Up, st.Frames, st.Timeouts, tc.frames)
 			}
 			if le := tr.servers[0].lastError(); !errors.Is(le, ErrCorruptFrame) {
 				t.Fatalf("last error = %v, want ErrCorruptFrame", le)

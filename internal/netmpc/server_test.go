@@ -181,15 +181,16 @@ func TestRoundAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := m.(*Client)
-	reqs := make([]int64, procs)
+	bids := make([]int64, procs)
 	grant := make([]bool, procs)
 	round := func() {
-		for p := range reqs {
+		for p := range bids {
 			// Two bidders per module, spread over both servers.
-			reqs[p] = int64(p/2) * int64(s.NumModules) / (procs / 2)
-			c.StageBid(int32(p), uint64(reqs[p])*uint64(s.ModuleSize), 1, uint64(p), c.Cost()+1)
+			mod := int64(p/2) * int64(s.NumModules) / (procs / 2)
+			bids[p] = mpc.Bid(p, mod)
+			c.StageBid(int32(p), uint64(mod)*uint64(s.ModuleSize), 1, uint64(p), c.Cost()+1)
 		}
-		if served := c.Round(reqs, grant); served != procs/2 {
+		if served := c.Round(bids, grant); served != procs/2 {
 			t.Fatalf("served %d of %d modules", served, procs/2)
 		}
 	}

@@ -14,8 +14,8 @@ import (
 	"detshmem/internal/protocol"
 )
 
-// maxProcs is the largest machine a Client serves: processors 0..maxProcs-1,
-// every id a Bid.Proc (uint32) carries.
+// maxProcs is the largest machine a Client serves: a round lists at most
+// that many bids, and Bid.Proc (uint32) carries every position 0..maxProcs-1.
 const maxProcs = 1 << 32
 
 // Defaults for Config's zero durations.
@@ -402,9 +402,9 @@ func (s *srv) send(frame *RoundFrame) net.Conn {
 
 // recv reads the reply to the frame send just wrote on conn, which must
 // arrive by deadline, carry the frame's sequence number — nothing else can be
-// on a lock-step connection — and grant only processors that bid at this
-// server (bidAt[p] == s.idx), each once; the whole reply is checked before
-// any of it is believed. A dead peer fails the read at once; a silent one
+// on a lock-step connection — and grant only bids of this round's list that
+// went to this server (bidAt[i] == s.idx, bidAt as long as the list), each
+// once; the whole reply is checked before any of it is believed. A dead peer fails the read at once; a silent one
 // fails it at the deadline; a reply that is not the one asked for is a
 // corrupt stream. Either way the server is marked down and recv returns nil.
 func (s *srv) recv(conn net.Conn, deadline time.Time, bidAt []int32) *RoundReply {
@@ -426,15 +426,17 @@ func (s *srv) recv(conn net.Conn, deadline time.Time, bidAt []int32) *RoundReply
 }
 
 // answers checks that r is server si's reply to frame seq: the sequence
-// number echoes the frame's, and every grant names a processor that bid at
-// si, once (a believed grant's bidAt entry becomes -1).
+// number echoes the frame's, and every grant names a position of the round's
+// list (bidAt, exactly as long as the list — a position beyond it may have
+// bid in an earlier, longer round) whose bid went to si, once (a believed
+// grant's bidAt entry becomes -1).
 func (r *RoundReply) answers(seq uint64, bidAt []int32, si int) error {
 	if r.Seq != seq {
 		return fmt.Errorf("%w: reply to frame %d, want %d", ErrCorruptFrame, r.Seq, seq)
 	}
 	for _, g := range r.Grants {
 		if int(g.Proc) >= len(bidAt) || bidAt[g.Proc] != int32(si) {
-			return fmt.Errorf("%w: server %d granted processor %d, which did not bid there or was granted twice", ErrCorruptFrame, si, g.Proc)
+			return fmt.Errorf("%w: server %d granted bid %d, which is not in this round's list, did not go there or was granted twice", ErrCorruptFrame, si, g.Proc)
 		}
 		bidAt[g.Proc] = -1
 	}

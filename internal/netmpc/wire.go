@@ -137,10 +137,11 @@ type HandshakeAck struct {
 	Gen       uint64
 }
 
-// Bid is one processor's request in one round: the bidding processor (a
-// module serves the lowest one bidding at it, the rule mpc.Machine applies
-// in process), the target module, and the staged access payload the winning
-// module applies.
+// Bid is one processor's request in one round: the bid's position in the
+// client's round list, which is in ascending processor order (a module serves
+// the lowest position bidding at it — the lowest processor, the rule
+// mpc.Machine applies in process), the target module, and the staged access
+// payload the winning module applies.
 type Bid struct {
 	Proc   uint32
 	Module uint64

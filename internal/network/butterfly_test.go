@@ -121,18 +121,11 @@ func TestMachineGrantsMatchMPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	reqs := make([]int64, 100)
-	g1 := make([]bool, 100)
-	g2 := make([]bool, 100)
 	for round := 0; round < 30; round++ {
-		for p := range reqs {
-			if rng.Intn(4) == 0 {
-				reqs[p] = mpc.Idle
-			} else {
-				reqs[p] = int64(rng.Intn(64))
-			}
-		}
-		if raw.Round(reqs, g1) != nm.Round(reqs, g2) {
+		bids := randomBids(rng, 100, 64, 4)
+		g1 := make([]bool, len(bids))
+		g2 := make([]bool, len(bids))
+		if raw.Round(bids, g1) != nm.Round(bids, g2) {
 			t.Fatal("served counts differ")
 		}
 		for p := range g1 {

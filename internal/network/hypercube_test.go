@@ -129,18 +129,11 @@ func TestTopologyMachinesAgreeOnGrants(t *testing.T) {
 		t.Error("unknown topology accepted")
 	}
 	rng := rand.New(rand.NewSource(3))
-	reqs := make([]int64, 80)
-	g1 := make([]bool, 80)
-	g2 := make([]bool, 80)
 	for round := 0; round < 25; round++ {
-		for p := range reqs {
-			if rng.Intn(3) == 0 {
-				reqs[p] = mpc.Idle
-			} else {
-				reqs[p] = int64(rng.Intn(40))
-			}
-		}
-		if bm.Round(reqs, g1) != hm.Round(reqs, g2) {
+		bids := randomBids(rng, 80, 40, 3)
+		g1 := make([]bool, len(bids))
+		g2 := make([]bool, len(bids))
+		if bm.Round(bids, g1) != hm.Round(bids, g2) {
 			t.Fatal("served counts differ")
 		}
 		for p := range g1 {

@@ -89,25 +89,27 @@ func NewMachineTopology(cfg mpc.Config, topo Topology) (*Machine, error) {
 // Dimension returns the network dimension d ≈ log₂ N (its diameter scale).
 func (m *Machine) Dimension() int { return m.dim }
 
-// Round arbitrates exactly like the MPC and charges the routed cost.
-func (m *Machine) Round(reqs []int64, grant []bool) int {
-	served := m.inner.Round(reqs, grant)
+// Round arbitrates exactly like the MPC and charges the routed cost. The
+// round is mpc.Machine.Round's bid list; a bid is routed from its processor's
+// endpoint (mpc.BidProc), wherever it sits in the list.
+func (m *Machine) Round(bids []int64, grant []bool) int {
+	served := m.inner.Round(bids, grant)
 	// Request sweep: every bidding processor sends one packet to its module.
 	m.src, m.dst = m.src[:0], m.dst[:0]
-	for p, mod := range reqs {
-		if mod != mpc.Idle {
-			m.src = append(m.src, int64(p))
-			m.dst = append(m.dst, mod)
+	for _, b := range bids {
+		if b != mpc.Idle {
+			m.src = append(m.src, int64(mpc.BidProc(b)))
+			m.dst = append(m.dst, mpc.BidModule(b))
 		}
 	}
 	m.cost += uint64(m.rt.RouteMakespan(m.src, m.dst))
 	// Reply sweep: each serving module answers its granted processor (at
 	// most one packet per source row, by the MPC's one-grant rule).
 	m.src, m.dst = m.src[:0], m.dst[:0]
-	for p, g := range grant {
+	for i, g := range grant {
 		if g {
-			m.src = append(m.src, reqs[p])
-			m.dst = append(m.dst, int64(p))
+			m.src = append(m.src, mpc.BidModule(bids[i]))
+			m.dst = append(m.dst, int64(mpc.BidProc(bids[i])))
 		}
 	}
 	m.cost += uint64(m.rt.RouteMakespan(m.src, m.dst))

@@ -90,12 +90,12 @@ type flipMachine struct {
 	script map[int]func(*mpc.FaultSet)
 }
 
-func (m *flipMachine) Round(reqs []int64, grant []bool) int {
+func (m *flipMachine) Round(bids []int64, grant []bool) int {
 	*m.round++
 	if f := m.script[*m.round]; f != nil {
 		f(m.FaultSet)
 	}
-	return m.Failing.Round(reqs, grant)
+	return m.Failing.Round(bids, grant)
 }
 
 // digestBatch draws size distinct variables with ~40 % writes.

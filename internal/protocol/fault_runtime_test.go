@@ -234,14 +234,14 @@ type epochFailMachine struct {
 	round int
 }
 
-func (m *epochFailMachine) Round(reqs []int64, grant []bool) int {
+func (m *epochFailMachine) Round(bids []int64, grant []bool) int {
 	m.round++
 	if m.round == m.at {
 		for _, mod := range m.mods {
 			m.Fail(mod)
 		}
 	}
-	return m.Failing.Round(reqs, grant)
+	return m.Failing.Round(bids, grant)
 }
 
 // TestMidPhaseTotalBidLoss pins the refilter shed hole: when every in-flight

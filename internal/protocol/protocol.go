@@ -153,12 +153,15 @@ func (s ResolverStrategy) String() string {
 }
 
 // Machine abstracts the interconnect executing one synchronous request
-// round: reqs[p] is the module processor p addresses (or mpc.Idle), grant[p]
-// reports whether p's request was the one its module served. Cost() is the
-// cumulative interconnect time in whatever unit the machine charges (rounds
-// for the plain MPC, link steps for a routed network).
+// round. bids is the round's live bid list: bids[i] = mpc.Bid(p, module) for
+// processor p's request, in strictly ascending processor order, and grant[i]
+// reports whether bid i was the one its module served; len(grant) ==
+// len(bids), at most the machine's processor count. A processor that makes no
+// request is absent, so a round costs what is live. Cost() is the cumulative
+// interconnect time in whatever unit the machine charges (rounds for the
+// plain MPC, link steps for a routed network).
 type Machine interface {
-	Round(reqs []int64, grant []bool) int
+	Round(bids []int64, grant []bool) int
 	Cost() uint64
 }
 
@@ -288,10 +291,9 @@ type System struct {
 	varsBuf   []uint64         // the batch's variable vector
 	bulkMods  []uint64         // bulk path: resolved modules, vars-major
 	bulkAddrs []uint64         // bulk path: resolved addresses, vars-major
-	// mreqs and grant are the machine's round vectors, sized to its geometry
-	// when it is built. Every mreqs slot is mpc.Idle between rounds: a round
-	// clears the slots it set.
-	mreqs []int64
+	// bids and grant are the round's bid list and its answers, sized to the
+	// machine's geometry when it is built; a round uses the first len(tasks).
+	bids  []int64
 	grant []bool
 
 	// Fault-layer scratch, touched only when fv is non-nil (see fault.go).
@@ -395,11 +397,11 @@ type task struct {
 }
 
 // readRef is a granted read whose cell is still to be fetched: from the local
-// store at addr, or from the remote module's reply to proc. A granted repair
-// write reuses it to name the cell best[req] is installed at.
+// store at addr, or from the remote module's reply to bid pos of the round. A
+// granted repair write reuses it to name the cell best[req] is installed at.
 type readRef struct {
 	addr uint64
-	proc int32
+	pos  int32
 	req  int32
 }
 
@@ -672,15 +674,21 @@ func (sys *System) drive(b *batch, tasks []task) ([]task, int) {
 // the granted cells. Batching is free of semantics: a batch's variables are
 // pairwise distinct, so a round's granted copies are distinct addresses, and
 // the newest-timestamp rule does not depend on the order copies are read in.
+//
+// The round's bid list is the task list itself: every task list is in
+// ascending processor order (a phase's clusters bid from their own slots in
+// copy order, a wave numbers its bids by position, a re-selected bid takes
+// the dropped one's place and processor, and decide compacts in order), so
+// bid i is task i and grant[i] answers it.
 func (sys *System) round(b *batch, tasks []task) []task {
-	mreqs := sys.mreqs
-	for _, t := range tasks {
-		mreqs[t.proc] = t.cp.module()
+	bids := sys.bids[:len(tasks)]
+	for i, t := range tasks {
+		bids[i] = mpc.Bid(int(t.proc), t.cp.module())
 	}
 	if sys.rs != nil {
 		// The remote module applies the winning bid's operation itself, so
 		// the payload travels with the bid.
-		for _, t := range tasks {
+		for i, t := range tasks {
 			rq := &b.reqs[t.req]
 			op, val, ts := rq.Op, rq.Value, sys.ts
 			switch op {
@@ -689,32 +697,31 @@ func (sys *System) round(b *batch, tasks []task) []task {
 			case opRepair:
 				val, ts = sys.best[t.req].Val, sys.best[t.req].TS
 			}
-			sys.rs.StageBid(t.proc, t.cp.addr(), op, val, ts)
+			sys.rs.StageBid(int32(i), t.cp.addr(), op, val, ts)
 		}
 	}
-	sys.machine.Round(mreqs, sys.grant)
+	sys.machine.Round(bids, sys.grant[:len(tasks)])
 	b.res.Metrics.IssuedBids += len(tasks)
 	tasks = sys.decide(b, tasks)
 	sys.commitCells()
 	return tasks
 }
 
-// decide is the sequential bookkeeping of a round: it idles every slot the
-// round bid at, keeps the ungranted bids of unfinished requests in flight,
-// counts the grants, and queues the cell access of every grant a quorum still
-// needed onto sys.reads, sys.writes or sys.repairs (a grant to a request
-// whose quorum already completed is a cancelled bid whose result is unused).
-// A sweep read queues as a read; only user requests keep copy masks.
+// decide is the sequential bookkeeping of a round: it keeps the ungranted
+// bids of unfinished requests in flight, counts the grants, and queues the
+// cell access of every grant a quorum still needed onto sys.reads,
+// sys.writes or sys.repairs (a grant to a request whose quorum already
+// completed is a cancelled bid whose result is unused). A sweep read queues
+// as a read; only user requests keep copy masks.
 func (sys *System) decide(b *batch, tasks []task) []task {
-	mreqs, grant, remaining := sys.mreqs, sys.grant, sys.remaining
+	grant, remaining := sys.grant[:len(tasks)], sys.remaining
 	reads, writes := sys.reads[:0], sys.writes[:0]
 	sys.repairs = sys.repairs[:0]
 	next := tasks[:0]
 	granted := 0
-	for _, t := range tasks {
-		mreqs[t.proc] = mpc.Idle
+	for i, t := range tasks {
 		r := t.req
-		if !grant[t.proc] {
+		if !grant[i] {
 			if remaining[r] > 0 {
 				next = append(next, t)
 			}
@@ -731,7 +738,7 @@ func (sys *System) decide(b *batch, tasks []task) []task {
 		} else if rq.Op == opRepair {
 			sys.repairs = append(sys.repairs, readRef{addr: t.cp.addr(), req: r})
 		} else {
-			reads = append(reads, readRef{addr: t.cp.addr(), proc: t.proc, req: r})
+			reads = append(reads, readRef{addr: t.cp.addr(), pos: int32(i), req: r})
 		}
 		if b.fv != nil && rq.Op <= Write {
 			sys.touchedC[r] |= 1 << sys.copyIndex(t)
@@ -758,7 +765,7 @@ func (sys *System) commitCells() {
 	best := sys.best
 	if rs := sys.rs; rs != nil {
 		for _, g := range sys.reads {
-			if val, ts := rs.GrantData(g.proc); ts >= best[g.req].TS {
+			if val, ts := rs.GrantData(g.pos); ts >= best[g.req].TS {
 				best[g.req] = cellstore.Cell{Val: val, TS: ts}
 			}
 		}
@@ -866,18 +873,18 @@ func (sys *System) observeBatch(reqs []Request, res *Result) {
 }
 
 // obtainMachine leaves in sys.machine a machine with room for at least procs
-// bidders (sys.machineProcs slots), reusing the previous batch's machine whenever its geometry is large
-// enough: a batch smaller than the machine simply leaves the tail
-// processors idle. Variable-size batch streams — the frontend flushes a
-// different distinct-variable count every time — would otherwise rebuild
-// the machine (an O(N) winner table) on every flush, which dominates the
-// per-batch cost for small batches. When the machine must grow, the geometry
-// is rounded up to the next sixteenth of its power of two (4098 bidders get
-// 4608 slots, not 8192: every arbitration sweep walks all of them), capped
-// at the full-batch maximum. A stream of creeping batch sizes still settles
-// after O(log N) rebuilds — at most sixteen per doubling. Beyond the sweeps,
-// the geometry shows in one place: a repair wave carries geo/Copies
-// variables.
+// bidders (sys.machineProcs processors), reusing the previous batch's machine
+// whenever its geometry is large enough: a batch smaller than the machine
+// simply bids from its first processors. Variable-size batch streams — the
+// frontend flushes a different distinct-variable count every time — would
+// otherwise rebuild the machine (an O(N) claim table) on every flush, which
+// dominates the per-batch cost for small batches. When the machine must grow,
+// the geometry is rounded up to the next sixteenth of its power of two (4098
+// bidders get 4608 processors, not 8192), capped at the full-batch maximum,
+// so a stream of creeping batch sizes still settles after O(log N) rebuilds —
+// at most sixteen per doubling. A round lists only its live bids, so the
+// geometry costs a round nothing; it shows in the round scratch and in one
+// more place: a repair wave carries geo/Copies variables.
 // Interconnect state — round counters, network queues — carries over across
 // reuse; per-batch cost is taken as a delta against machineCost.
 func (sys *System) obtainMachine(procs int) error {
@@ -909,10 +916,7 @@ func (sys *System) obtainMachine(procs int) error {
 	}
 	sys.machine = machine
 	sys.machineProcs = geo
-	sys.mreqs, sys.grant = grow(sys.mreqs, geo), grow(sys.grant, geo)
-	for p := range sys.mreqs {
-		sys.mreqs[p] = mpc.Idle
-	}
+	sys.bids, sys.grant = grow(sys.bids, geo), grow(sys.grant, geo)
 	sys.machineCost = machine.Cost()
 	sys.fv, _ = machine.(FaultView)
 	sys.rs, _ = machine.(RemoteStore)

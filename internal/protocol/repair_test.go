@@ -17,7 +17,7 @@ import (
 // live copies and the third stays at timestamp 0 — which is exactly why a
 // wiped module plus one crashed module can leave a read quorum with no
 // surviving timestamp.
-func repairSystem(t testing.TB, hook func(reqs []int64, grant []bool)) (*System, *mpc.FaultSet) {
+func repairSystem(t testing.TB, hook func(bids []int64, grant []bool)) (*System, *mpc.FaultSet) {
 	t.Helper()
 	s, err := core.New(1, 3)
 	if err != nil {
@@ -51,12 +51,12 @@ func repairSystem(t testing.TB, hook func(reqs []int64, grant []bool)) (*System,
 // mid-phase point.
 type hookedMachine struct {
 	*mpc.Failing
-	hook func(reqs []int64, grant []bool)
+	hook func(bids []int64, grant []bool)
 }
 
-func (h *hookedMachine) Round(reqs []int64, grant []bool) int {
-	n := h.Failing.Round(reqs, grant)
-	h.hook(reqs, grant)
+func (h *hookedMachine) Round(bids []int64, grant []bool) int {
+	n := h.Failing.Round(bids, grant)
+	h.hook(bids, grant)
 	return n
 }
 
@@ -485,17 +485,18 @@ func TestReArmMidWave(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var sys *System
 			var fs *mpc.FaultSet
-			// needed reports whether proc p's ungranted bid is still needed
-			// after the round: a sweep read always is (a repair wave cancels
-			// nothing); a phase-0 Read when its request — p - p%Copies, as a
-			// cluster bids from its own slots — is still short of its quorum.
-			needed := func(p int, grant []bool) bool {
+			// needed reports whether processor p's ungranted bid is still
+			// needed after the round: a sweep read always is (a repair wave
+			// cancels nothing); a phase-0 Read when its request — p - p%Copies,
+			// as a cluster bids from its own processors — is still short of its
+			// quorum.
+			needed := func(p int, bids []int64, grant []bool) bool {
 				if tc.sweep {
 					return true
 				}
 				r, granted := p-p%sys.nCopies, int32(0)
-				for q := r; q < r+sys.nCopies; q++ {
-					if grant[q] {
+				for i, b := range bids {
+					if q := mpc.BidProc(b); q >= r && q < r+sys.nCopies && grant[i] {
 						granted++
 					}
 				}
@@ -503,14 +504,20 @@ func TestReArmMidWave(t *testing.T) {
 			}
 			armed, proc := false, -1
 			var rearmed, after int64 = -1, -1
-			hook := func(reqs []int64, grant []bool) {
+			hook := func(bids []int64, grant []bool) {
 				switch {
 				case !armed:
 				case proc >= 0:
-					armed, after = false, reqs[proc]
+					armed, after = false, -1
+					for _, b := range bids {
+						if mpc.BidProc(b) == proc {
+							after = mpc.BidModule(b)
+						}
+					}
 				default:
-					for p, m := range reqs {
-						if m != mpc.Idle && !grant[p] && !fs.Failed(uint64(m)) && !fs.Repairing(uint64(m)) && needed(p, grant) {
+					for i, b := range bids {
+						p, m := mpc.BidProc(b), mpc.BidModule(b)
+						if !grant[i] && !fs.Failed(uint64(m)) && !fs.Repairing(uint64(m)) && needed(p, bids, grant) {
 							proc, rearmed = p, m
 							fs.RecoverPending(uint64(m))
 							return
@@ -549,7 +556,7 @@ func TestReArmMidWave(t *testing.T) {
 				t.Fatalf("hook never saw a needed ungranted source bid and the round after it (proc %d)", proc)
 			}
 			if kept := after == rearmed; kept != tc.sweep {
-				t.Fatalf("proc %d bid at module %d, re-armed mid-round; the next round it bid at %d (kept = %v, want %v)",
+				t.Fatalf("processor %d bid at module %d, re-armed mid-round; the next round it bid at %d (kept = %v, want %v)",
 					proc, rearmed, after, kept, tc.sweep)
 			}
 

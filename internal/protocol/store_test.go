@@ -100,7 +100,8 @@ func TestReadIdempotence(t *testing.T) {
 
 // remoteMachine keeps the cells on its own side of the Machine interface,
 // the way netmpc.Client does: granted bids apply their staged operation here
-// and granted reads carry the cell back.
+// and granted reads carry the cell back. Payloads and replies are indexed by
+// the bid's position in the round's list.
 type remoteMachine struct {
 	Machine
 	staged  []remoteBid
@@ -125,21 +126,21 @@ func remoteOver(m Machine, procs int) *remoteMachine {
 	return &remoteMachine{Machine: m, staged: make([]remoteBid, procs), granted: make([]cellstore.Cell, procs), cells: map[uint64]cellstore.Cell{}}
 }
 
-func (r *remoteMachine) StageBid(proc int32, addr uint64, op Op, value, ts uint64) {
-	r.staged[proc] = remoteBid{addr: addr, op: op, c: cellstore.Cell{Val: value, TS: ts}}
+func (r *remoteMachine) StageBid(pos int32, addr uint64, op Op, value, ts uint64) {
+	r.staged[pos] = remoteBid{addr: addr, op: op, c: cellstore.Cell{Val: value, TS: ts}}
 }
 
-func (r *remoteMachine) GrantData(proc int32) (uint64, uint64) {
-	return r.granted[proc].Val, r.granted[proc].TS
+func (r *remoteMachine) GrantData(pos int32) (uint64, uint64) {
+	return r.granted[pos].Val, r.granted[pos].TS
 }
 
-func (r *remoteMachine) Round(reqs []int64, grant []bool) int {
-	n := r.Machine.Round(reqs, grant)
-	for p, ok := range grant {
+func (r *remoteMachine) Round(bids []int64, grant []bool) int {
+	n := r.Machine.Round(bids, grant)
+	for i, ok := range grant {
 		if !ok {
 			continue
 		}
-		switch b := r.staged[p]; b.op {
+		switch b := r.staged[i]; b.op {
 		case Write:
 			r.cells[b.addr] = b.c
 		case opRepair:
@@ -147,7 +148,7 @@ func (r *remoteMachine) Round(reqs []int64, grant []bool) int {
 				r.cells[b.addr] = b.c
 			}
 		default:
-			r.granted[p] = r.cells[b.addr]
+			r.granted[i] = r.cells[b.addr]
 		}
 	}
 	return n

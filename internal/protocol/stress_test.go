@@ -19,7 +19,7 @@ import (
 // protocol from coming to depend on it. Round counts legitimately differ.
 type randomGrant struct {
 	rng     *rand.Rand
-	bidders [][]int // per module, this round's bidding processors
+	bidders [][]int // per module, the list positions of this round's bids
 	touched []int64
 	rounds  uint64
 }
@@ -32,17 +32,15 @@ func newRandomGrant(seed int64) func(mpc.Config) (Machine, error) {
 
 func (m *randomGrant) Cost() uint64 { return m.rounds }
 
-func (m *randomGrant) Round(reqs []int64, grant []bool) int {
+func (m *randomGrant) Round(bids []int64, grant []bool) int {
 	m.touched = m.touched[:0]
-	for p, mod := range reqs {
-		grant[p] = false
-		if mod == mpc.Idle {
-			continue
-		}
+	for i, b := range bids {
+		grant[i] = false
+		mod := mpc.BidModule(b)
 		if len(m.bidders[mod]) == 0 {
 			m.touched = append(m.touched, mod)
 		}
-		m.bidders[mod] = append(m.bidders[mod], p)
+		m.bidders[mod] = append(m.bidders[mod], i)
 	}
 	for _, mod := range m.touched {
 		grant[m.bidders[mod][m.rng.Intn(len(m.bidders[mod]))]] = true

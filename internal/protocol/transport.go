@@ -16,7 +16,7 @@ import (
 // The transport boundary deliberately sits at the MPC bid level, not the
 // protocol level: the paper's constructive map means a client can compute
 // every copy's module address with O(1) registers, so the only thing that
-// must cross the wire is a round of (module, claim, payload) bids — no
+// must cross the wire is a round of (module, processor, payload) bids — no
 // directory, no remote quorum logic, no coordination between servers.
 // DESIGN.md row 26 records the full argument.
 //
@@ -58,12 +58,12 @@ var Inproc Transport = inprocTransport{}
 // timestamp are harmless under the majority rule — reads take the newest
 // timestamp over any quorum — so the observable values are identical.
 type RemoteStore interface {
-	// StageBid records the access payload processor proc will bid with in
-	// the next Round call: the flat copy address, the operation, the value
-	// (writes), and the batch timestamp.
-	StageBid(proc int32, addr uint64, op Op, value, ts uint64)
+	// StageBid records the access payload of bid pos — the bid at that
+	// position of the next Round call's list: the flat copy address, the
+	// operation, the value (writes), and the batch timestamp.
+	StageBid(pos int32, addr uint64, op Op, value, ts uint64)
 	// GrantData returns the (value, timestamp) the remote module attached
-	// to proc's granted bid in the last Round. Valid only for procs whose
+	// to the last Round's granted bid pos. Valid only for positions whose
 	// grant flag was set, until the next Round.
-	GrantData(proc int32) (value, ts uint64)
+	GrantData(pos int32) (value, ts uint64)
 }

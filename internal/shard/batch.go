@@ -13,24 +13,42 @@ type BatchOp struct {
 	Val   uint64 // written value (writes only)
 }
 
-// Batch is the handle for one AccessBatch call: a future per operation,
-// all backed by one slab allocation. Results are read per op with Value,
-// or the whole batch awaited with Wait.
+// Batch is the handle for one AccessBatch call. It owns a copy of the
+// submitted operations, each beside its future, grouped by shard so that
+// every shard's sub-batch is one contiguous run — the ring entry names the
+// run, and the flusher reads the ops from here. Results are read per op with
+// Value, or the whole batch awaited with Wait.
 type Batch struct {
-	futs []*frontend.Future
-	slab []frontend.Future
+	ops []batchOp
+	// at[i] is the caller's op i's place in ops; nil when ops is in the
+	// caller's order (one shard took them all).
+	at []int32
+}
+
+// batchOp is one admitted operation of a Batch and its future.
+type batchOp struct {
+	fut frontend.Future
+	op  BatchOp
 }
 
 // Len returns the number of operations in the batch.
-func (b *Batch) Len() int { return len(b.futs) }
+func (b *Batch) Len() int { return len(b.ops) }
+
+// future returns the caller's op i's future.
+func (b *Batch) future(i int) *frontend.Future {
+	if b.at != nil {
+		i = int(b.at[i])
+	}
+	return &b.ops[i].fut
+}
 
 // Wait blocks until every operation has committed and returns the first
 // per-op error, if any (later errors are still retrievable per op with
 // Value, so one stranded request does not hide another's verdict).
 func (b *Batch) Wait() error {
 	var first error
-	for _, f := range b.futs {
-		if _, err := f.Wait(); err != nil && first == nil {
+	for i := range b.ops {
+		if _, err := b.future(i).Wait(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -40,20 +58,18 @@ func (b *Batch) Wait() error {
 // Value blocks until operation i has committed and returns its result: the
 // value read (reads), or the per-request error attribution from the fault
 // layer. For writes the value is 0 on success.
-func (b *Batch) Value(i int) (uint64, error) { return b.futs[i].Wait() }
+func (b *Batch) Value(i int) (uint64, error) { return b.future(i).Wait() }
 
 // Seq returns operation i's commit sequence number within its shard, valid
 // after the op completes. Sequence numbers order operations within one
 // shard only — there is no cross-shard commit order.
-func (b *Batch) Seq(i int) uint64 { return b.futs[i].Seq() }
+func (b *Batch) Seq(i int) uint64 { return b.future(i).Seq() }
 
 // partition is the pooled scratch for AccessBatch's counting sort: the
-// per-op shard route, the op indices grouped by shard, and the per-shard
-// group boundaries. Pooled so a steady-state caller partitions without
-// allocating.
+// per-op shard route and the per-shard group boundaries. Pooled so a
+// steady-state caller partitions without allocating.
 type partition struct {
 	shardOf []int32
-	idx     []int32
 	off     []int32
 	fill    []int32
 }
@@ -64,30 +80,31 @@ var partitionPool = sync.Pool{New: func() any { return new(partition) }}
 func (p *partition) grow(nOps, nShards int) {
 	if cap(p.shardOf) < nOps {
 		p.shardOf = make([]int32, nOps)
-		p.idx = make([]int32, nOps)
 	}
 	p.shardOf = p.shardOf[:nOps]
-	p.idx = p.idx[:nOps]
 	if cap(p.off) < nShards+1 {
 		p.off = make([]int32, nShards+1)
 		p.fill = make([]int32, nShards)
 	}
 	p.off = p.off[:nShards+1]
 	p.fill = p.fill[:nShards]
-	for i := range p.off {
-		p.off[i] = 0
-	}
+	clear(p.off)
 }
 
 // AccessBatch submits ops — which may touch any mix of variables across
-// all shards — with one synchronization per touched shard: the ops are
-// partitioned by Route in one counting-sort pass, each shard's sub-batch
-// is admitted into its ring with a single atomic claim, and the returned
+// all shards — with one synchronization and one ring entry per touched
+// shard: the ops are copied into the returned Batch, grouped by Route in one
+// counting-sort pass, and each shard's group is admitted into its ring as a
+// single entry, which the shard's flusher admits op by op in ops order. The
 // Batch completes every op through its own future. An op naming a variable
 // outside [0, NumVars) fails alone with protocol.ErrVarOutOfRange; the rest
 // of the batch is unaffected. Per-shard admission order follows ops order,
 // so the per-variable linearizability contract and Future.Seq semantics are
-// exactly those of the per-op API.
+// exactly those of the per-op API. The caller may reuse ops as soon as
+// AccessBatch returns.
+//
+// The allocations are the Batch, its ops and — when more than one shard is
+// touched — its order map: three, whatever the number of ops or shards.
 //
 // On error (e.g. a closing service), ops already admitted to earlier
 // shards still execute; the caller should discard the Batch without
@@ -97,15 +114,12 @@ func (s *Service) AccessBatch(ops []BatchOp) (*Batch, error) {
 	if len(ops) == 0 {
 		return b, nil
 	}
-	// One slab for all futures: AccessBatch's allocation cost is two
-	// slices + one slab, independent of the number of shards touched.
-	b.slab = make([]frontend.Future, len(ops))
-	b.futs = make([]*frontend.Future, len(ops))
-	for i := range b.slab {
-		b.futs[i] = &b.slab[i]
-	}
+	b.ops = make([]batchOp, len(ops))
 	if len(s.shards) == 1 {
-		return b, s.shards[0].d.ring.enqueueBatch(ops, nil, b.futs)
+		for i := range ops {
+			b.ops[i].op = ops[i]
+		}
+		return b, s.shards[0].d.ring.enqueueBatch(b, 0, int32(len(ops)))
 	}
 	p := partitionPool.Get().(*partition)
 	p.grow(len(ops), len(s.shards))
@@ -117,13 +131,16 @@ func (s *Service) AccessBatch(ops []BatchOp) (*Batch, error) {
 	for sh := 1; sh <= len(s.shards); sh++ {
 		p.off[sh] += p.off[sh-1]
 	}
-	// Scatter op indices into per-shard groups (stable: within a shard,
-	// idx preserves ops order, so per-shard admission order is ops order).
+	// Scatter the ops into per-shard groups (stable: within a shard, the
+	// group keeps ops order, so per-shard admission order is ops order).
+	b.at = make([]int32, len(ops))
 	copy(p.fill, p.off[:len(s.shards)])
 	for i := range ops {
 		sh := p.shardOf[i]
-		p.idx[p.fill[sh]] = int32(i)
+		j := p.fill[sh]
 		p.fill[sh]++
+		b.ops[j].op = ops[i]
+		b.at[i] = j
 	}
 	var err error
 	for sh := range s.shards {
@@ -131,7 +148,7 @@ func (s *Service) AccessBatch(ops []BatchOp) (*Batch, error) {
 		if lo == hi {
 			continue
 		}
-		if aerr := s.shards[sh].d.ring.enqueueBatch(ops, p.idx[lo:hi], b.futs); aerr != nil {
+		if aerr := s.shards[sh].d.ring.enqueueBatch(b, lo, hi); aerr != nil {
 			err = aerr
 			break
 		}

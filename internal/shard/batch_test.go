@@ -2,6 +2,8 @@ package shard
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -231,9 +233,11 @@ func TestAccessBatchErrorAttribution(t *testing.T) {
 	}
 }
 
-// TestAccessBatchAllocs pins the batch admission cost: beyond the three documented allocations (futs slice, future slab,
-// and the Batch header), admitting through the rings allocates nothing —
-// the partition scratch is pooled.
+// TestAccessBatchAllocs pins the batch admission cost: beyond the three
+// documented allocations (the Batch, its copy of the ops beside their
+// futures, and its order map), admitting through the rings allocates nothing
+// — the partition scratch is pooled, and each shard's sub-batch is one ring
+// entry pointing into the Batch.
 func TestAccessBatchAllocs(t *testing.T) {
 	svc := newService(t, 3, Config{Shards: 4})
 	ops := make([]BatchOp, 64)
@@ -260,10 +264,91 @@ func TestAccessBatchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// futs + slab + Batch header = 3, plus one Flush ack channel per shard
+	// Batch + ops + order map = 3, plus one Flush ack channel per shard
 	// (4): the budget is O(1) per call — 64 pending Waits would blow far
 	// past it.
 	if avg > 10 {
 		t.Fatalf("AccessBatch allocates %.1f per call, want <= 10 (must stay O(1) per call, not O(ops))", avg)
+	}
+}
+
+// heldService is a Service over gated in-memory backends: each shard's
+// flusher is held inside a primer batch until the test releases it, so
+// whatever AccessBatch admits meanwhile waits in the rings.
+func heldService(t *testing.T, shards int) (*Service, []*probe) {
+	t.Helper()
+	s := &Service{shards: make([]*shardState, shards)}
+	probes := make([]*probe, shards)
+	for i := range s.shards {
+		probes[i] = newProbe(&mapBackend{}, true)
+		d := newPipeDispatcher(probes[i], math.MaxUint64, 64, 64, nil, nil)
+		t.Cleanup(func() { d.Close() })
+		s.shards[i] = &shardState{d: d}
+	}
+	for i, st := range s.shards {
+		// A primer variable that routes to shard i, far from the test's.
+		v := uint64(1) << 40
+		for s.Route(v) != i {
+			v++
+		}
+		prime(t, st.d, probes[i], v)
+	}
+	return s, probes
+}
+
+// TestAccessBatchOwnsItsOps: the caller may reuse its ops slice the moment
+// AccessBatch returns. The flushers are held, so every op is still waiting in
+// a ring when the test overwrites the slice — variables, values and kinds —
+// and every result must still be that of the ops as submitted: each write
+// lands, each read sees the write before it in the window. An AccessBatch
+// that kept the caller's slice would serve the overwritten ops instead.
+func TestAccessBatchOwnsItsOps(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			svc, probes := heldService(t, shards)
+			const n = 24
+			ops := make([]BatchOp, 0, 2*n)
+			for v := uint64(0); v < n; v++ {
+				ops = append(ops, BatchOp{Write: true, Var: v, Val: 100 + v}, BatchOp{Var: v})
+			}
+			b, err := svc.AccessBatch(ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ops {
+				ops[i] = BatchOp{Write: i%2 == 1, Var: uint64(i) + 1000, Val: 7}
+			}
+			for _, p := range probes {
+				p.gate <- struct{}{} // release the primer batch (already entered)
+				p.step()             // the window's sub-batch, flushed when the ring runs dry
+			}
+			for i := 0; i < b.Len(); i++ {
+				val, err := b.Value(i)
+				if err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
+				if want := 100 + uint64(i/2); i%2 == 1 && val != want {
+					t.Errorf("read of variable %d = %d, want %d (the value written just before it)", i/2, val, want)
+				}
+			}
+			seen := map[uint64]uint64{}
+			for _, p := range probes {
+				for _, batch := range p.recorded()[1:] {
+					for _, rq := range batch {
+						if rq.Var >= 1000 {
+							t.Errorf("an overwritten op reached the backend: %+v", rq)
+						}
+						if rq.Op == protocol.Write {
+							seen[rq.Var] = rq.Value
+						}
+					}
+				}
+			}
+			for v := uint64(0); v < n; v++ {
+				if seen[v] != 100+v {
+					t.Errorf("variable %d: backend received write %d, want %d", v, seen[v], 100+v)
+				}
+			}
+		})
 	}
 }

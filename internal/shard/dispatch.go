@@ -22,17 +22,20 @@ type backend interface {
 
 // pipeDispatcher is the per-shard dispatcher — the serving path's one
 // serialization point — built on the lock-free MPSC admission ring
-// (ring.go). Admission is one atomic fetch-add plus one publishing store:
-// clients claim ring slots and return immediately with a future, while the
-// flusher goroutine — the ring's single consumer — drains whole published
-// windows per sweep, assigns commit sequence numbers in pop order, folds the
-// ops into the accumulating frontend.Pending, and drives sealed batches
-// through the backend's allocation-free AccessInto path.
+// (ring.go). Admission is one atomic fetch-add plus one publishing store per
+// entry — a single op, or a whole AccessBatch sub-batch: clients claim ring
+// slots and return immediately with futures, while the flusher goroutine —
+// the ring's single consumer — drains whole published windows per sweep,
+// admits each entry's ops in order (admit), assigning commit sequence
+// numbers and folding them into the accumulating frontend.Pending, and
+// drives sealed batches through the backend's allocation-free AccessInto
+// path.
 //
 // Linearizability per variable holds by construction: ring order is
 // admission order (positions are claimed by one fetch-add and popped in
-// position order), the flusher assigns sequence numbers in ring order, and
-// batches flush FIFO — so admission order is commit order shard-wide.
+// position order, and a sub-batch's ops are admitted in their order), the
+// flusher assigns sequence numbers in that order, and batches flush FIFO —
+// so admission order is commit order shard-wide.
 //
 // Handoff: no per-flush wakeup. The flusher spins through published ops
 // and only parks (park-flag + one channel token) when the ring is truly
@@ -40,9 +43,9 @@ type backend interface {
 // obs collector counts parks and wakes, so a workload that thrashes the
 // handoff is visible.
 //
-// Backpressure: the ring is bounded. A producer whose claimed slot has not
-// been freed yet spins briefly and then sleeps until the consumer frees
-// it, bounding admitted-but-uncommitted memory.
+// Backpressure: the ring is bounded in entries. A producer whose claimed
+// slot has not been freed yet spins briefly and then sleeps until the
+// consumer frees it, bounding admitted-but-uncommitted memory.
 type pipeDispatcher struct {
 	b   backend
 	col *obs.Collector   // nil when not observing
@@ -72,7 +75,7 @@ type pipeDispatcher struct {
 
 // newPipeDispatcher builds the dispatcher over a backend serving variables
 // [0, numVars) and starts its flusher. ringCap is the admission-ring
-// capacity in operations (rounded up to a power of two by newRing).
+// capacity in entries (rounded up to a power of two by newRing).
 func newPipeDispatcher(b backend, numVars uint64, maxBatch, ringCap int, col *obs.Collector, aud frontend.Auditor) *pipeDispatcher {
 	d := &pipeDispatcher{
 		b:        b,
@@ -91,7 +94,7 @@ func newPipeDispatcher(b backend, numVars uint64, maxBatch, ringCap int, col *ob
 // ReadAsync admits a read into the shard's ring.
 func (d *pipeDispatcher) ReadAsync(v uint64) (*frontend.Future, error) {
 	fut := frontend.NewFuture()
-	if err := d.ring.enqueue(ringRead, v, 0, fut, nil); err != nil {
+	if err := d.ring.enqueue(ringOp{kind: ringRead, v: v, fut: fut}); err != nil {
 		return nil, err
 	}
 	return fut, nil
@@ -100,15 +103,15 @@ func (d *pipeDispatcher) ReadAsync(v uint64) (*frontend.Future, error) {
 // WriteAsync admits a write into the shard's ring.
 func (d *pipeDispatcher) WriteAsync(v, val uint64) (*frontend.Future, error) {
 	fut := frontend.NewFuture()
-	if err := d.ring.enqueue(ringWrite, v, val, fut, nil); err != nil {
+	if err := d.ring.enqueue(ringOp{kind: ringWrite, v: v, val: val, fut: fut}); err != nil {
 		return nil, err
 	}
 	return fut, nil
 }
 
-// run is the flusher: pop published ops in ring order, coalesce into the
-// accumulating batch, flush on size/conflict, idle-flush when the ring
-// runs dry, park when there is nothing at all.
+// run is the flusher: pop published entries in ring order, admit their ops
+// into the accumulating batch (which flushes on size/conflict), idle-flush
+// when the ring runs dry, park when there is nothing at all.
 func (d *pipeDispatcher) run() {
 	defer close(d.done)
 	var op ringOp
@@ -147,27 +150,12 @@ func (d *pipeDispatcher) run() {
 		yielded = false
 		switch op.kind {
 		case ringRead, ringWrite:
-			if op.v >= d.numVars {
-				// Refused alone, before it takes a sequence number or a place
-				// in the batch: the backend fails a whole batch on one bad
-				// variable, and every op coalesced with it would share the
-				// verdict.
-				op.fut.Fail(fmt.Errorf("shard: variable %d of %d: %w", op.v, d.numVars, protocol.ErrVarOutOfRange))
-				continue
-			}
-			d.seq++
-			if op.kind == ringWrite {
-				if d.cur.WriteConflicts(op.v) {
-					// The variable carries an issued read: the batch goes
-					// out first, the write opens the next one.
-					d.flushCur(obs.FlushConflict)
-				}
-				d.cur.Write(d.seq, op.v, op.val, op.fut)
-			} else {
-				d.cur.Read(d.seq, op.v, op.fut)
-			}
-			if d.cur.Distinct() >= d.maxBatch {
-				d.flushCur(obs.FlushSize)
+			d.admit(op.kind == ringWrite, op.v, op.val, op.fut)
+		case ringBatch:
+			ops := op.batch.ops[op.lo:op.hi]
+			for i := range ops {
+				e := &ops[i]
+				d.admit(e.op.Write, e.op.Var, e.op.Val, &e.fut)
 			}
 		case ringFlush:
 			if d.cur.Ops() > 0 {
@@ -188,6 +176,34 @@ func (d *pipeDispatcher) run() {
 			}
 			return
 		}
+	}
+}
+
+// admit folds one operation into the accumulating batch, in admission
+// order: it takes the next commit sequence number, flushes first when a
+// write meets an issued read of its variable, and flushes after when the
+// batch reaches MaxBatch distinct variables.
+func (d *pipeDispatcher) admit(write bool, v, val uint64, fut *frontend.Future) {
+	if v >= d.numVars {
+		// Refused alone, before it takes a sequence number or a place in
+		// the batch: the backend fails a whole batch on one bad variable,
+		// and every op coalesced with it would share the verdict.
+		fut.Fail(fmt.Errorf("shard: variable %d of %d: %w", v, d.numVars, protocol.ErrVarOutOfRange))
+		return
+	}
+	d.seq++
+	if write {
+		if d.cur.WriteConflicts(v) {
+			// The variable carries an issued read: the batch goes out
+			// first, the write opens the next one.
+			d.flushCur(obs.FlushConflict)
+		}
+		d.cur.Write(d.seq, v, val, fut)
+	} else {
+		d.cur.Read(d.seq, v, fut)
+	}
+	if d.cur.Distinct() >= d.maxBatch {
+		d.flushCur(obs.FlushSize)
 	}
 }
 
@@ -227,7 +243,7 @@ func (d *pipeDispatcher) flushOne(p *frontend.Pending, cause obs.FlushCause) {
 // committed (ring FIFO order).
 func (d *pipeDispatcher) Flush() error {
 	ack := make(chan struct{})
-	if err := d.ring.enqueue(ringFlush, 0, 0, nil, ack); err != nil {
+	if err := d.ring.enqueue(ringOp{kind: ringFlush, ack: ack}); err != nil {
 		return err
 	}
 	<-ack

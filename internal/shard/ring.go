@@ -24,44 +24,52 @@ type ringKind uint8
 const (
 	ringRead  ringKind = iota
 	ringWrite          // val carries the written value
+	ringBatch          // batch.ops[lo:hi] is one AccessBatch sub-batch
 	ringFlush          // ack is closed once every prior op has committed
 	ringClose          // the flusher commits what it holds and exits
 )
 
-// ringOp is the payload of one ring slot.
+// ringOp is the payload of one ring slot: one operation (ReadAsync,
+// WriteAsync), one AccessBatch sub-batch — every op of the call routed to
+// this shard, however many — or a sentinel.
 type ringOp struct {
-	kind ringKind
-	v    uint64
-	val  uint64
-	fut  *frontend.Future
-	ack  chan struct{}
+	kind   ringKind
+	v      uint64
+	val    uint64
+	fut    *frontend.Future
+	ack    chan struct{}
+	batch  *Batch
+	lo, hi int32
 }
 
 // ringSlot is one cell of the ring. seq is the Vyukov-style generation
 // stamp: seq == pos means the slot is free for the producer that claimed
 // position pos; seq == pos+1 means the slot is published and waiting for
 // the consumer; the consumer frees it by storing pos+len(slots), which is
-// the claim value of the next lap. The trailing pad rounds the slot to a
-// whole cache line so adjacent slots — owned by different producers for
-// the publish window — never share one.
+// the claim value of the next lap. The pad rounds the slot to a whole cache
+// line so adjacent slots — owned by different producers for the publish
+// window — never share one. It sits mid-struct because a trailing
+// zero-length field would itself be padded.
 type ringSlot struct {
 	seq atomic.Uint64
+	_   [(cacheLine - (8+unsafe_ringOpSize)%cacheLine) % cacheLine]byte
 	op  ringOp
-	_   [cacheLine - (8+unsafe_ringOpSize)%cacheLine]byte
 }
 
 // unsafe_ringOpSize is ringOp's size on 64-bit targets (1 byte of kind
-// padded to 8, three uint64-sized words, one pointer, one channel). The
-// padding-audit test asserts unsafe.Sizeof(ringSlot{}) is a multiple of
-// cacheLine, which catches this constant going stale.
-const unsafe_ringOpSize = 40
+// padded to 8, three uint64-sized words, two pointers, one channel, two
+// int32s). The padding-audit test asserts unsafe.Sizeof(ringSlot{}) is a
+// multiple of cacheLine, which catches this constant going stale.
+const unsafe_ringOpSize = 56
 
-// ring is a bounded lock-free MPSC queue: any number of producers admit
-// operations by claiming positions from an atomic sequence counter; the
-// shard's flusher goroutine is the only consumer. It replaces the shard
-// admission mutex: an uncontended admit is one fetch-add plus one
-// publishing store, and the consumer drains a whole published window per
-// sweep without ever taking a lock.
+// ring is a bounded lock-free MPSC queue of entries — one operation, one
+// AccessBatch sub-batch, or a sentinel each: any number of producers admit
+// entries by claiming positions from an atomic sequence counter; the shard's
+// flusher goroutine is the only consumer. It replaces the shard admission
+// mutex: an uncontended admit is one fetch-add plus one publishing store,
+// whether it carries one operation or a client's whole window, and the
+// consumer drains a whole published window per sweep without ever taking a
+// lock.
 //
 // FIFO: positions are claimed in fetch-add order and the consumer pops
 // them in position order, so ring order is admission order — the property
@@ -72,7 +80,9 @@ const unsafe_ringOpSize = 40
 //
 //   - Full ring (backpressure): the producer that claimed a not-yet-freed
 //     slot spins briefly, then sleeps on fullCond until the consumer frees
-//     its slot. That bounds admitted-but-uncommitted memory.
+//     its slot. That bounds the admitted-but-uncommitted entries, and so the
+//     memory of the operations waiting behind them: a sub-batch is at most
+//     its caller's window.
 //   - Empty ring: the consumer sets parked and sleeps on the kick channel;
 //     the producer that publishes into an empty ring CASes parked down and
 //     sends one token. The parked store and the slot re-check in park(),
@@ -92,7 +102,7 @@ type ring struct {
 
 	closed   atomic.Bool
 	inflight atomic.Int64 // producers between their closed check and publish
-	maxDepth atomic.Int64 // high-water occupancy, for Stats.MaxQueueDepth
+	maxDepth atomic.Int64 // high-water occupancy in entries, for Stats.MaxQueueDepth
 
 	parked atomic.Bool
 	kick   chan struct{} // cap 1; wakes the parked consumer
@@ -104,8 +114,8 @@ type ring struct {
 	fullCond    *sync.Cond
 }
 
-// newRing builds a ring with at least the given capacity (rounded up to a
-// power of two, minimum 2).
+// newRing builds a ring with room for at least capacity entries (rounded up
+// to a power of two, minimum 2).
 func newRing(capacity int, col *obs.Collector) *ring {
 	n := 2
 	for n < capacity {
@@ -124,85 +134,50 @@ func newRing(capacity int, col *obs.Collector) *ring {
 	return r
 }
 
-// enqueue admits one operation: claim a position, publish the slot, wake
-// the consumer if it parked. Returns frontend.ErrClosed after close — the
+// enqueue admits one entry: claim a position, publish the slot, wake the
+// consumer if it parked. Returns frontend.ErrClosed after close — the
 // inflight counter brackets the closed check and the publish, so close()
 // can wait out every producer that passed the check before it claims the
-// close sentinel, guaranteeing no operation lands behind the sentinel.
-func (r *ring) enqueue(kind ringKind, v, val uint64, fut *frontend.Future, ack chan struct{}) error {
+// close sentinel, guaranteeing no entry lands behind the sentinel.
+func (r *ring) enqueue(op ringOp) error {
 	r.inflight.Add(1)
 	if r.closed.Load() {
 		r.inflight.Add(-1)
 		return frontend.ErrClosed
 	}
 	pos := r.tail.Add(1) - 1
-	r.publish(pos, kind, v, val, fut, ack)
+	r.publish(pos, op)
 	r.inflight.Add(-1)
 	r.noteDepth(pos)
 	r.wake()
 	return nil
 }
 
-// enqueueBatch admits a whole sub-batch with one synchronization: a single
-// fetch-add claims len(idx) consecutive positions, which are then published
-// in order. idx selects ops' entries routed to this shard (nil means all of
-// ops). futs[i] receives op i's future. This is what makes AccessBatch one
-// atomic RMW per touched shard instead of one per op.
-func (r *ring) enqueueBatch(ops []BatchOp, idx []int32, futs []*frontend.Future) error {
-	m := uint64(len(ops))
-	if idx != nil {
-		m = uint64(len(idx))
-	}
-	if m == 0 {
-		return nil
-	}
-	r.inflight.Add(1)
-	if r.closed.Load() {
-		r.inflight.Add(-1)
-		return frontend.ErrClosed
-	}
-	start := r.tail.Add(m) - m
-	for j := uint64(0); j < m; j++ {
-		i := int32(j)
-		if idx != nil {
-			i = idx[j]
-		}
-		op := &ops[i]
-		kind := ringRead
-		if op.Write {
-			kind = ringWrite
-		}
-		// publish wakes the consumer from its full-slot wait path, so a
-		// batch larger than the ring drains in ring-sized windows rather
-		// than deadlocking against a parked consumer.
-		r.publish(start+j, kind, op.Var, op.Val, futs[i], nil)
-		if j == 0 {
-			r.wake()
-		}
-	}
-	r.inflight.Add(-1)
-	r.noteDepth(start + m - 1)
-	r.wake()
-	return nil
+// enqueueBatch admits the sub-batch b.ops[lo:hi] as one entry: one claimed
+// position, however many operations it carries. This is what makes
+// AccessBatch one atomic RMW and one slot per touched shard instead of one
+// per op.
+func (r *ring) enqueueBatch(b *Batch, lo, hi int32) error {
+	return r.enqueue(ringOp{kind: ringBatch, batch: b, lo: lo, hi: hi})
 }
 
 // publish waits for the claimed slot to be free (previous-lap occupant
 // popped), writes the payload, and hands the slot to the consumer with the
 // seq store. Only the owner of pos calls this, so the wait is bounded by
 // the consumer's progress, not by other producers.
-func (r *ring) publish(pos uint64, kind ringKind, v, val uint64, fut *frontend.Future, ack chan struct{}) {
+func (r *ring) publish(pos uint64, op ringOp) {
 	s := &r.slots[pos&r.mask]
 	if s.seq.Load() != pos {
 		r.waitFree(s, pos)
 	}
-	s.op = ringOp{kind: kind, v: v, val: val, fut: fut, ack: ack}
+	s.op = op
 	s.seq.Store(pos + 1)
 }
 
 // waitFree is publish's full-ring slow path: spin briefly (the consumer
 // frees slots in batches, so the wait is usually a few sweeps), then sleep
-// on fullCond. The consumer cannot be parked while slots are owed — except
-// mid-batch-publish, so every pass kicks it awake before yielding.
+// on fullCond. Every pass kicks the consumer before yielding: a parked
+// consumer frees nothing, and a kick to one that is awake costs one load.
 func (r *ring) waitFree(s *ringSlot, want uint64) {
 	for spins := 0; spins < 64; spins++ {
 		r.wake()
@@ -221,7 +196,7 @@ func (r *ring) waitFree(s *ringSlot, want uint64) {
 	r.fullWaiters.Add(-1)
 }
 
-// tryPop pops the next published operation into out. Consumer-only. The
+// tryPop pops the next published entry into out. Consumer-only. The
 // freeing seq store is what un-blocks a producer waiting on this slot, and
 // the fullWaiters check pairs with waitFree's Add-then-check so a sleeping
 // producer is never missed.
@@ -232,7 +207,7 @@ func (r *ring) tryPop(out *ringOp) bool {
 		return false
 	}
 	*out = s.op
-	s.op = ringOp{} // drop future/ack references: completed ops stay collectable
+	s.op = ringOp{} // drop future/batch/ack references: completed ops stay collectable
 	s.seq.Store(pos + uint64(len(r.slots)))
 	r.head.Store(pos + 1)
 	if r.fullWaiters.Load() != 0 {
@@ -289,14 +264,14 @@ func (r *ring) close() bool {
 		runtime.Gosched()
 	}
 	pos := r.tail.Add(1) - 1
-	r.publish(pos, ringClose, 0, 0, nil, nil)
+	r.publish(pos, ringOp{kind: ringClose})
 	r.wake()
 	return true
 }
 
-// noteDepth tracks the high-water ring occupancy and samples it into the
-// collector every 64th admission (sampling keeps the shared histogram
-// lines off the admission hot path; the max is exact).
+// noteDepth tracks the high-water ring occupancy in entries and samples it
+// into the collector every 64th admission (sampling keeps the shared
+// histogram lines off the admission hot path; the max is exact).
 func (r *ring) noteDepth(pos uint64) {
 	d := int64(pos+1) - int64(r.head.Load())
 	if d <= 0 {

@@ -26,7 +26,7 @@ func TestRingFIFO(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
 				v := uint64(p)<<32 | uint64(i)
-				if err := r.enqueue(ringWrite, v, v, nil, nil); err != nil {
+				if err := r.enqueue(ringOp{kind: ringWrite, v: v, val: v}); err != nil {
 					t.Errorf("enqueue: %v", err)
 					return
 				}
@@ -76,7 +76,7 @@ func TestRingCloseCompleteness(t *testing.T) {
 						return
 					default:
 					}
-					if err := r.enqueue(ringRead, 1, 0, nil, nil); err != nil {
+					if err := r.enqueue(ringOp{kind: ringRead, v: 1}); err != nil {
 						if !errors.Is(err, frontend.ErrClosed) {
 							t.Errorf("enqueue: %v", err)
 						}
@@ -124,36 +124,34 @@ func TestRingCloseCompleteness(t *testing.T) {
 	}
 }
 
-// TestRingEnqueueBatchSpansCapacity admits batches larger than the ring
-// through the multi-slot claim while the consumer drains concurrently —
-// the claim is one fetch-add even when the batch must stream through the
-// ring in windows.
+// TestRingEnqueueBatchSpansCapacity: a window larger than the ring is one
+// entry. Admitting it claims one position and returns at once, with no
+// consumer running to free slots, and the one pop hands back the whole
+// window in order.
 func TestRingEnqueueBatchSpansCapacity(t *testing.T) {
 	r := newRing(16, nil)
 	const n = 1000
-	ops := make([]BatchOp, n)
-	futs := make([]*frontend.Future, n)
-	slab := make([]frontend.Future, n)
-	for i := range ops {
-		ops[i] = BatchOp{Write: true, Var: uint64(i), Val: uint64(i)}
-		futs[i] = &slab[i]
+	b := &Batch{ops: make([]batchOp, n)}
+	for i := range b.ops {
+		b.ops[i].op = BatchOp{Write: true, Var: uint64(i), Val: uint64(i)}
 	}
-	done := make(chan error, 1)
-	go func() { done <- r.enqueueBatch(ops, nil, futs) }()
-	var op ringOp
-	for i := 0; i < n; {
-		if !r.tryPop(&op) {
-			r.park()
-			continue
-		}
-		if op.v != uint64(i) {
-			t.Errorf("batch op %d popped out of order (got var %d)", i, op.v)
-			break
-		}
-		i++
-	}
-	if err := <-done; err != nil {
+	if err := r.enqueueBatch(b, 0, n); err != nil {
 		t.Fatalf("enqueueBatch: %v", err)
+	}
+	if got := r.tail.Load(); got != 1 {
+		t.Fatalf("a %d-op window claimed %d ring positions, want 1", n, got)
+	}
+	var op ringOp
+	if !r.tryPop(&op) || op.kind != ringBatch || op.batch != b || op.lo != 0 || op.hi != n {
+		t.Fatalf("popped %+v, want the window as one entry", op)
+	}
+	for i := op.lo; i < op.hi; i++ {
+		if v := op.batch.ops[i].op.Var; v != uint64(i) {
+			t.Fatalf("window op %d is variable %d", i, v)
+		}
+	}
+	if r.tryPop(&op) {
+		t.Fatalf("ring holds a second entry: %+v", op)
 	}
 }
 
@@ -242,7 +240,7 @@ func TestRingEnqueueAllocs(t *testing.T) {
 	fut := frontend.NewFuture()
 	var op ringOp
 	avg := testing.AllocsPerRun(1000, func() {
-		if err := r.enqueue(ringWrite, 7, 7, fut, nil); err != nil {
+		if err := r.enqueue(ringOp{kind: ringWrite, v: 7, val: 7, fut: fut}); err != nil {
 			t.Fatal(err)
 		}
 		if !r.tryPop(&op) {
@@ -255,10 +253,11 @@ func TestRingEnqueueAllocs(t *testing.T) {
 }
 
 // FuzzRing model-checks the slot claim/seal arithmetic single-threaded: a
-// byte script drives enqueues (single and batch) and pops against a plain
-// slice model, across fuzzer-chosen capacities, long enough to wrap the
-// generation stamps many times. Any divergence — wrong value, wrong order,
-// pop succeeding on an empty ring or failing on a non-empty one — fails.
+// byte script drives enqueues (single ops and sub-batch entries) and pops
+// against a plain slice model of entries, across fuzzer-chosen capacities,
+// long enough to wrap the generation stamps many times. Any divergence —
+// wrong entry, wrong order, pop succeeding on an empty ring or failing on a
+// non-empty one — fails.
 func FuzzRing(f *testing.F) {
 	f.Add(uint8(2), []byte{0, 1, 2, 0, 0, 1})
 	f.Add(uint8(4), []byte{3, 5, 1, 1, 1, 1, 1, 1, 0, 2})
@@ -267,19 +266,37 @@ func FuzzRing(f *testing.F) {
 		capacity := 1 << (capBits%4 + 1) // 2..16 slots
 		r := newRing(capacity, nil)
 		ringCap := len(r.slots)
-		var model []uint64
+		// An entry of the model: the first variable it carries and how many
+		// ops (0 for a single-op entry).
+		type entry struct{ first, n uint64 }
+		var model []entry
 		next := uint64(0)
 		var op ringOp
-		for pc := 0; pc < len(script); pc++ {
-			switch script[pc] % 4 {
-			case 0: // enqueue one (skip when full: single-threaded, publish would spin forever)
-				if len(model) >= ringCap {
-					continue
+		check := func() {
+			t.Helper()
+			want := model[0]
+			model = model[1:]
+			if want.n == 0 {
+				if op.kind != ringWrite || op.v != want.first {
+					t.Fatalf("popped %+v, model head is the single op on %d", op, want.first)
 				}
-				if err := r.enqueue(ringWrite, next, next, nil, nil); err != nil {
+				return
+			}
+			if op.kind != ringBatch || uint64(op.hi-op.lo) != want.n || op.batch.ops[op.lo].op.Var != want.first {
+				t.Fatalf("popped %+v, model head is the %d-op entry from %d", op, want.n, want.first)
+			}
+		}
+		for pc := 0; pc < len(script); pc++ {
+			cmd := script[pc] % 4
+			if (cmd == 0 || cmd == 3) && len(model) >= ringCap {
+				continue // single-threaded: publish into a full ring would spin forever
+			}
+			switch cmd {
+			case 0: // enqueue one op
+				if err := r.enqueue(ringOp{kind: ringWrite, v: next, val: next}); err != nil {
 					t.Fatalf("enqueue: %v", err)
 				}
-				model = append(model, next)
+				model = append(model, entry{first: next})
 				next++
 			case 1: // pop one
 				got := r.tryPop(&op)
@@ -287,51 +304,41 @@ func FuzzRing(f *testing.F) {
 					t.Fatalf("tryPop=%v with %d modeled entries", got, len(model))
 				}
 				if got {
-					if op.v != model[0] {
-						t.Fatalf("popped %d, model head %d", op.v, model[0])
-					}
-					model = model[1:]
+					check()
 				}
 			case 2: // drain fully
 				for r.tryPop(&op) {
 					if len(model) == 0 {
 						t.Fatal("popped from an empty model")
 					}
-					if op.v != model[0] {
-						t.Fatalf("popped %d, model head %d", op.v, model[0])
-					}
-					model = model[1:]
+					check()
 				}
 				if len(model) != 0 {
 					t.Fatalf("ring empty but model holds %d", len(model))
 				}
-			case 3: // batch enqueue of what fits
+			case 3: // a sub-batch of 1..256 ops: one entry, however many ops
 				pc++
 				if pc >= len(script) {
 					break
 				}
-				m := int(script[pc]) % (ringCap - len(model) + 1)
-				if m == 0 {
-					continue
+				n := int(script[pc]) + 1
+				b := &Batch{ops: make([]batchOp, n+1)} // ops[0] is not in the entry
+				for i := 1; i <= n; i++ {
+					b.ops[i].op = BatchOp{Write: true, Var: next + uint64(i-1), Val: 1}
 				}
-				ops := make([]BatchOp, m)
-				futs := make([]*frontend.Future, m)
-				for i := range ops {
-					ops[i] = BatchOp{Write: true, Var: next, Val: next}
-					model = append(model, next)
-					next++
-				}
-				if err := r.enqueueBatch(ops, nil, futs); err != nil {
+				if err := r.enqueueBatch(b, 1, int32(n+1)); err != nil {
 					t.Fatalf("enqueueBatch: %v", err)
 				}
+				model = append(model, entry{first: next, n: uint64(n)})
+				next += uint64(n)
 			}
 		}
-		// Final drain: the ring and the model must agree to the last op.
+		// Final drain: the ring and the model must agree to the last entry.
 		for r.tryPop(&op) {
-			if len(model) == 0 || op.v != model[0] {
-				t.Fatalf("final drain diverged (model %d left)", len(model))
+			if len(model) == 0 {
+				t.Fatal("final drain popped past the model")
 			}
-			model = model[1:]
+			check()
 		}
 		if len(model) != 0 {
 			t.Fatalf("%d modeled entries never popped", len(model))

@@ -28,23 +28,24 @@
 // # Dispatch
 //
 // Each shard runs one lock-free dispatcher (dispatch.go): clients admit
-// operations into a bounded MPSC ring (ring.go) with one atomic fetch-add
-// plus one publishing store — no admission mutex, no per-op channel hop —
-// while the shard's flusher goroutine, the ring's single consumer, drains
-// whole published windows per sweep, coalesces them into the accumulating
-// batch by internal/frontend's combining rules, and drives sealed batches
-// through the backend's allocation-free AccessInto path. A batch is flushed
-// when it reaches MaxBatch distinct variables, when a write meets an issued
-// read of its variable, when the ring runs dry (so latency stays bounded
-// without timers), or on an explicit Flush. The ring is bounded: admission
-// blocks (briefly spins, then sleeps) while it is full.
+// entries — one operation, or one AccessBatch sub-batch — into a bounded
+// MPSC ring (ring.go) with one atomic fetch-add plus one publishing store —
+// no admission mutex, no per-op channel hop — while the shard's flusher
+// goroutine, the ring's single consumer, drains whole published windows per
+// sweep, coalesces their operations into the accumulating batch by
+// internal/frontend's combining rules, and drives sealed batches through the
+// backend's allocation-free AccessInto path. A batch is flushed when it
+// reaches MaxBatch distinct variables, when a write meets an issued read of
+// its variable, when the ring runs dry (so latency stays bounded without
+// timers), or on an explicit Flush. The ring is bounded in entries:
+// admission blocks (briefly spins, then sleeps) while it is full.
 //
 // # Cross-shard batches
 //
 // AccessBatch (batch.go) submits one client batch spanning any number of
-// shards with one synchronization per touched shard: the ops are
-// partitioned by Route once, each shard's sub-batch claims its ring slots
-// with a single fetch-add, and the caller waits on one Batch handle.
+// shards with one synchronization per touched shard: the ops are copied and
+// partitioned by Route once, each shard's sub-batch is one ring entry
+// claimed with a single fetch-add, and the caller waits on one Batch handle.
 package shard
 
 import (
@@ -71,8 +72,9 @@ type Config struct {
 	// MaxBatch is the per-shard flush threshold in distinct variables.
 	// 0 defaults to the mapper's module count N (the largest batch the
 	// protocol accepts, so New rejects more). The admission ring holds
-	// 3×MaxBatch operations — roughly one batch flushing, one sealed, one
-	// accumulating — clamped to [64, 4096] slots.
+	// 3×MaxBatch entries, clamped to [64, 4096]; an entry is one operation
+	// or one AccessBatch sub-batch, so Stats.MaxQueueDepth counts entries
+	// too.
 	MaxBatch int
 	// Protocol is the template for every shard's system. If its Resolver is
 	// nil and its Strategy the zero value, the mapper's size decides
@@ -142,8 +144,8 @@ func New(m protocol.Mapper, cfg Config) (*Service, error) {
 	if uint64(cfg.MaxBatch) > m.NumModules() {
 		return nil, fmt.Errorf("shard: MaxBatch %d exceeds the %d modules (N) one protocol batch can address", cfg.MaxBatch, m.NumModules())
 	}
-	// Three batches' worth of operations: one flushing, one sealed, one
-	// accumulating.
+	// Three batches' worth of single-op entries: one flushing, one sealed,
+	// one accumulating.
 	ringCap := min(max(3*cfg.MaxBatch, 64), 4096)
 	pcfg := cfg.Protocol
 	if pcfg.Strategy == protocol.ResolverAuto && pcfg.Resolver == nil && protocol.TableFits(m) {
