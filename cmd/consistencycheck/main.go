@@ -6,10 +6,9 @@
 //
 //	consistencycheck [-mode auto|pram|per-variable|both] [-q] FILE...
 //
-// Each FILE is JSON in any of the shapes internal/consistency reads: a full
-// smembench -trace dump (runs nested under "consistency", as written by
-// smembench -exp e20 -trace FILE), a bare trace set ({"runs": [...]}), or a
-// single run. "-" reads stdin.
+// Each FILE is JSON in either shape internal/consistency reads: a trace set
+// ({"runs": [...]}, as cmd/netcluster's drills write it) or a single run.
+// "-" reads stdin.
 //
 // With -mode auto (the default) each run is checked under the modes its
 // recorded contract requires: total-order runs must satisfy both PRAM and

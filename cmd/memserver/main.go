@@ -1,8 +1,8 @@
 // memserver serves one contiguous module range of a PP93 deployment over
 // TCP (see internal/netmpc). A cluster of k memservers, one per range of
 // Range(i, k, NumModules), plus any number of thin constructive-map clients
-// (smembench -transport tcp, or any protocol.System over netmpc.Dial) forms
-// a networked MPC.
+// (any protocol.System over netmpc.Dial, such as cmd/netcluster's drills)
+// forms a networked MPC.
 //
 // Usage:
 //

@@ -1,48 +1,29 @@
-// Command smembench regenerates the experiment tables E1–E14, E17, E19, E20,
-// E22 and E24 (the paper's analytical claims as measurements, plus the fault,
-// consistency and cluster drills). See DESIGN.md for the per-experiment index
-// and EXPERIMENTS.md for recorded results.
+// Command smembench regenerates the experiment tables E1–E14 and E17 (the
+// paper's analytical claims as measurements, plus the round-trace
+// observability check). See DESIGN.md for the per-experiment index and
+// EXPERIMENTS.md for recorded results.
 //
 // Usage:
 //
 //	smembench [-exp e1,e4,...] [-quick] [-seed N]
-//	          [-faults F] [-faultsched SCHED]
 //	          [-trace FILE] [-tracecap N] [-pprof ADDR]
-//	          [-transport inproc|tcp] [-servers A1,A2,...]
 //
 // With no -exp it runs everything in order; an id that names no experiment is
 // an error before anything runs. The experiments' results are their printed
-// tables. The repository's benchmark — fixed workloads, one result schema,
-// the regression gate — is the bench/ module (go run -C bench .), not this
-// command. An experiment whose gate fails exits nonzero; that exit status is
-// all cmd/netcluster reads.
-//
-// -faults pins E19's failed-module sweep to {0, F} instead of the full
-// ladder; -faultsched churn adds E19 cells with a rolling single-module
-// fail/recover schedule running in the background while clients stream. A
-// negative F or any other schedule is an error before anything runs.
+// tables, and an experiment whose gate fails exits nonzero. The repository's
+// benchmark — fixed workloads, one result schema, the regression gate — is
+// the bench/ module (go run -C bench .), not this command, and the
+// process-level fault drills are cmd/netcluster's.
 //
 // -trace attaches the obs ring-buffer tracer plus the cumulative collector
 // to every experiment system and dumps the per-round trajectory as JSON:
 // round index, live requests, granted copies and the per-module contention
-// histogram, alongside the collector's batch-level totals.
-// When the run includes E20, the dump also embeds the recorded per-client
-// consistency traces under "consistency" — value-carrying read/write streams
-// that cmd/consistencycheck can certify offline. The dump is
+// histogram, alongside the collector's batch-level totals. The dump is
 // self-validating — smembench exits nonzero if the trace totals do not match
 // the summed protocol metrics.
 //
 // -pprof serves net/http/pprof, expvar (/debug/vars), and the Prometheus
 // text format (/metrics) on the given address for the duration of the run.
-//
-// -transport restricts the cells of E22 and E24 to one transport ("inproc" or
-// "tcp"; any other value is an error before anything runs); -servers points
-// their TCP cells at external memserver processes instead of the in-process
-// loopback cluster, and so cannot be combined with -transport inproc. With
-// external servers E22's kill cell and E24's drill cell print a marker line
-// and wait for the harness (cmd/netcluster) to kill one server. Both record
-// consistency traces, so -trace dumps from a TCP run certify the networked
-// transport end to end.
 package main
 
 import (
@@ -56,7 +37,6 @@ import (
 	"strings"
 	"time"
 
-	"detshmem/internal/consistency"
 	"detshmem/internal/experiments"
 	"detshmem/internal/obs"
 )
@@ -65,26 +45,21 @@ import (
 // the collector's batch-level view of the same run, and the consistency
 // verdict between tracer and collector.
 type traceDump struct {
-	Totals     obs.TraceTotals       `json:"totals"`
-	Dropped    uint64                `json:"dropped"`
-	Collector  map[string]int64      `json:"collector"`
-	Consistent bool                  `json:"consistent"`
-	Consist    *consistency.TraceSet `json:"consistency,omitempty"`
-	Events     []obs.RoundEvent      `json:"events"`
+	Totals     obs.TraceTotals  `json:"totals"`
+	Dropped    uint64           `json:"dropped"`
+	Collector  map[string]int64 `json:"collector"`
+	Consistent bool             `json:"consistent"`
+	Events     []obs.RoundEvent `json:"events"`
 }
 
 func main() {
 	var (
-		expFlag  = flag.String("exp", "", "comma-separated experiment ids (e1..e14, e17, e19, e20, e22, e24); empty = all")
+		expFlag  = flag.String("exp", "", "comma-separated experiment ids (e1..e14, e17); empty = all")
 		quick    = flag.Bool("quick", false, "shrink sweeps for a fast run")
 		seed     = flag.Int64("seed", 0, "workload RNG seed (0 = default)")
-		faults   = flag.Int("faults", 0, "pin e19's failed-module sweep to {0, F} (0 = full ladder)")
-		fsched   = flag.String("faultsched", "", "e19 dynamic fault schedule (\"churn\" = rolling single-module fail/recover)")
 		traceF   = flag.String("trace", "", "capture per-round MPC events and write the JSON trajectory here")
 		traceCap = flag.Int("tracecap", obs.DefaultTraceCap, "ring capacity for -trace (oldest events drop beyond it)")
 		pprofA   = flag.String("pprof", "", "serve pprof + expvar + Prometheus /metrics on this address (e.g. :6060)")
-		transp   = flag.String("transport", "", "restrict the cells of e22 and e24 to one MPC transport (\"inproc\" or \"tcp\"; empty = both)")
-		servers  = flag.String("servers", "", "comma-separated external memserver addresses for the TCP cells of e22 and e24 (empty = in-process loopback cluster)")
 	)
 	flag.Parse()
 
@@ -93,24 +68,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "smembench: %v\n", err)
 		os.Exit(2)
 	}
-	opts := experiments.Options{
-		Quick:      *quick,
-		Seed:       *seed,
-		Faults:     *faults,
-		FaultSched: *fsched,
-		Transport:  *transp,
-	}
-	if *servers != "" {
-		for _, a := range strings.Split(*servers, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				opts.Servers = append(opts.Servers, a)
-			}
-		}
-	}
-	if err := opts.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "smembench: %v\n", err)
-		os.Exit(2)
-	}
+	opts := experiments.Options{Quick: *quick, Seed: *seed}
 
 	collector := obs.NewCollector()
 	var tracer *obs.Tracer
@@ -118,9 +76,6 @@ func main() {
 		tracer = obs.NewTracer(*traceCap)
 		opts.Recorder = obs.Multi(tracer, collector)
 		opts.Observer = collector
-		// E20 records per-client value-carrying traces here; the dump embeds
-		// them under "consistency" for cmd/consistencycheck to re-verify.
-		opts.Consistency = consistency.NewRecorder()
 	}
 	if *pprofA != "" {
 		if opts.Observer == nil {
@@ -154,7 +109,7 @@ func main() {
 	}
 
 	if tracer != nil {
-		if err := writeTrace(*traceF, tracer, collector, opts.Consistency); err != nil {
+		if err := writeTrace(*traceF, tracer, collector); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -204,7 +159,7 @@ func selectExperiments(all []experiments.Runner, exp string) ([]experiments.Runn
 // Σ Requests + Σ DroppedBids == Σ IssuedBids, so the books balance exactly
 // even under failure injection (instrumented systems install tracer and
 // collector together, so the two views describe the same runs).
-func writeTrace(path string, tracer *obs.Tracer, collector *obs.Collector, rec *consistency.Recorder) error {
+func writeTrace(path string, tracer *obs.Tracer, collector *obs.Collector) error {
 	totals := tracer.Totals()
 	dump := traceDump{
 		Totals:    totals,
@@ -214,9 +169,6 @@ func writeTrace(path string, tracer *obs.Tracer, collector *obs.Collector, rec *
 			totals.Granted == uint64(collector.GrantedBids.Load()) &&
 			totals.Requests+totals.DroppedBids == uint64(collector.IssuedBids.Load()),
 		Events: tracer.Events(),
-	}
-	if rec != nil && rec.Ops() > 0 {
-		dump.Consist = rec.TraceSet()
 	}
 	f, err := os.Create(path)
 	if err != nil {

@@ -283,7 +283,7 @@ func TestRecorderMintsUniqueValues(t *testing.T) {
 	if len(ts.Runs) != 1 || len(ts.Runs[0].Clients) != 3 {
 		t.Fatalf("trace set shape: %d runs", len(ts.Runs))
 	}
-	if got := rec.Ops(); got != 600 {
+	if got := ts.Runs[0].Clients.Ops(); got != 600 {
 		t.Fatalf("recorded ops = %d, want 600", got)
 	}
 }

@@ -102,9 +102,10 @@ type Run struct {
 	Clients  Trace    `json:"clients"`
 }
 
-// TraceSet is the JSON artifact smembench dumps and cmd/consistencycheck
-// ingests: one Run per measured cell (warm-up and repetition drives against
-// one service instance belong to the same Run, since they share its store).
+// TraceSet is the JSON artifact cmd/netcluster's drills write and
+// cmd/consistencycheck ingests: one Run per recorded execution (every drive
+// against one service instance belongs to the same Run, since they share its
+// store).
 type TraceSet struct {
 	Runs []Run `json:"runs"`
 }
@@ -116,27 +117,22 @@ func (ts *TraceSet) WriteJSON(w io.Writer) error {
 	return enc.Encode(ts)
 }
 
-// ReadTraceSet parses a TraceSet from JSON. It accepts the three shapes in
-// the wild: a full smembench -trace dump (which nests the trace set under
-// "consistency"), a bare TraceSet ({"runs": [...]}), and a single Run
-// ({"label": ..., "clients": [...]}).
+// ReadTraceSet parses a TraceSet from JSON. It accepts a bare TraceSet
+// ({"runs": [...]}) and a single Run ({"label": ..., "clients": [...]}).
 func ReadTraceSet(r io.Reader) (*TraceSet, error) {
 	blob, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
 	var probe struct {
-		Runs        []Run     `json:"runs"`
-		Consistency *TraceSet `json:"consistency"`
-		Label       string    `json:"label"`
-		Clients     Trace     `json:"clients"`
+		Runs    []Run  `json:"runs"`
+		Label   string `json:"label"`
+		Clients Trace  `json:"clients"`
 	}
 	if err := json.Unmarshal(blob, &probe); err != nil {
 		return nil, fmt.Errorf("consistency: parsing trace: %w", err)
 	}
 	switch {
-	case probe.Consistency != nil && len(probe.Consistency.Runs) > 0:
-		return probe.Consistency, nil
 	case len(probe.Runs) > 0:
 		return &TraceSet{Runs: probe.Runs}, nil
 	case len(probe.Clients) > 0:
@@ -177,17 +173,6 @@ func (r *Recorder) TraceSet() *TraceSet {
 		ts.Runs = append(ts.Runs, Run{Label: rr.label, Contract: rr.contract, Clients: tr})
 	}
 	return ts
-}
-
-// Ops counts the operations recorded so far across all runs.
-func (r *Recorder) Ops() int {
-	n := 0
-	for _, rr := range r.runs {
-		for c := range rr.clients {
-			n += len(rr.clients[c].ops)
-		}
-	}
-	return n
 }
 
 // RunRecorder collects one run's per-client streams.

@@ -7,10 +7,9 @@
 //
 // Experiments print self-contained tables to an io.Writer so that both
 // cmd/smembench and the tests can drive them. Of the serving-stack
-// experiments, E17 gates the round trace against the protocol's metrics and
-// E19, E20, E22 and E24 are fault, consistency and cluster drills that gate on
-// correctness (one closed client loop, drive.go); what the serving stack
-// costs is timed by the bench/ suite alone.
+// experiments only E17 remains, gating the round trace against the
+// protocol's metrics; what the serving stack costs is timed by the bench/
+// suite alone, and the process-level fault drills are cmd/netcluster's.
 package experiments
 
 import (
@@ -18,7 +17,6 @@ import (
 	"io"
 	"math/rand"
 
-	"detshmem/internal/consistency"
 	"detshmem/internal/core"
 	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
@@ -28,31 +26,6 @@ import (
 type Options struct {
 	Quick bool  // shrink sweeps for fast runs
 	Seed  int64 // randomness seed (workloads only; schemes are deterministic)
-	// Faults, when > 0, pins E19's failed-module sweep to {0, Faults}
-	// instead of the full fault-count ladder, which 0 runs (smembench
-	// -faults). Validate rejects negative values.
-	Faults int
-	// FaultSched selects E19's dynamic fault schedule: "" runs only the
-	// static fault sets; "churn" adds cells where one module at a time
-	// fails and recovers in the background while clients stream
-	// (smembench -faultsched). Validate rejects anything else.
-	FaultSched string
-	// Consistency, when non-nil, receives E20's recorded client traces —
-	// per-client streams of value-carrying operations, one Run per measured
-	// cell with the service's declared contract (smembench -trace embeds the
-	// resulting TraceSet in its dump for cmd/consistencycheck).
-	Consistency *consistency.Recorder
-	// Transport selects the MPC transport for transport-aware experiments
-	// (E22, E24): "" runs every cell (in-process and loopback TCP), "inproc"
-	// restricts to the in-process cells, "tcp" to the networked cells
-	// (smembench -transport). Validate rejects anything else.
-	Transport string
-	// Servers lists external memserver addresses for the TCP cells of E22
-	// and E24; empty means they launch their own in-process loopback cluster.
-	// With external servers the kill and drill cells expect the harness
-	// (cmd/netcluster) to kill one server when the marker line appears
-	// (smembench -servers).
-	Servers []string
 	// Recorder, when non-nil, is installed on every protocol system built
 	// through the shared constructor, capturing one event per MPC round
 	// (smembench -trace wires a ring-buffer tracer here).
@@ -72,32 +45,6 @@ func (o Options) instrument(cfg protocol.Config) protocol.Config {
 		cfg.Observer = o.Observer
 	}
 	return cfg
-}
-
-// Validate rejects the option values that would otherwise select no cell at
-// all: E22 and E24 run the cells Transport names, so an unknown transport —
-// or external servers with the TCP cells switched off — is a run that prints
-// its headers, measures nothing and exits 0. The same goes for E19's knobs:
-// a misspelt fault schedule adds no cell and a negative fault count pins
-// nothing, so both would pass for the default run.
-func (o Options) Validate() error {
-	switch o.FaultSched {
-	case "", "churn":
-	default:
-		return fmt.Errorf("unknown fault schedule %q; known schedules: churn", o.FaultSched)
-	}
-	if o.Faults < 0 {
-		return fmt.Errorf("negative fault count %d; 0 runs the full ladder", o.Faults)
-	}
-	switch o.Transport {
-	case "", "inproc", "tcp":
-	default:
-		return fmt.Errorf("unknown transport %q; known transports: inproc, tcp", o.Transport)
-	}
-	if len(o.Servers) > 0 && o.Transport == "inproc" {
-		return fmt.Errorf("external servers %v serve the TCP cells, which transport %q switches off", o.Servers, o.Transport)
-	}
-	return nil
 }
 
 // Rng returns the experiment RNG.
@@ -142,10 +89,6 @@ func All() []Runner {
 		{"e13", "Extension: Θ(N^{1.5-ε}) vs Θ(N²) regime comparison", E13},
 		{"e14", "Extension: structural audit of every organization", E14},
 		{"e17", "Observability: round trajectory, contention, Theorem 6 shape", E17},
-		{"e19", "Fault tolerance: throughput and round inflation vs failed modules", E19},
-		{"e20", "Consistency auditing: trace-checker cost and sampling-audit overhead", E20},
-		{"e22", "Networked MPC: in-process vs loopback-TCP vs TCP with a killed server", E22},
-		{"e24", "Self-healing repair: churn with repair on/off, wipe-restart drill over TCP", E24},
 	}
 }
 

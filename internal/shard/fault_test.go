@@ -2,10 +2,12 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"detshmem/internal/consistency"
 	"detshmem/internal/core"
 	"detshmem/internal/frontend"
 	"detshmem/internal/mpc"
@@ -191,4 +193,88 @@ func TestFaultHammer(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	churn.Wait()
+}
+
+// TestStrandingMatchesMemoryMap pins PP93's fault tolerance as a property of
+// the memory map: under a static fault set an op is refused with
+// ErrQuorumUnreachable exactly when its variable keeps fewer live copies than
+// its quorum — counted here from CopyAddr alone, independent of the fault
+// layer — and every other op commits with the value the seq-ordered oracle
+// replays, while the recorded trace certifies under the service's contract.
+// Two fault shapes: a contiguous quarter of the modules, which is what a dead
+// memserver takes down, and a majority of two chosen variables' copies.
+func TestStrandingMatchesMemoryMap(t *testing.T) {
+	for _, shape := range []string{"range", "majority"} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/S=%d", shape, shards), func(t *testing.T) {
+				fs := mpc.NewFaultSet()
+				svc, s, idx := faultService(t, shards, fs, protocol.Config{})
+				defer svc.Close()
+				m := protocol.NewCoreMapper(s, idx)
+				quorum := max(m.ReadQuorum(), m.WriteQuorum())
+				failed := map[uint64]bool{}
+				switch shape {
+				case "range":
+					lo, hi := s.NumModules/4, s.NumModules/2
+					fs.FailRange(lo, hi)
+					for mod := lo; mod < hi; mod++ {
+						failed[mod] = true
+					}
+				case "majority":
+					for _, v := range []uint64{0, 5} {
+						for c := 0; c <= m.Copies()-quorum; c++ {
+							mod, _ := m.CopyAddr(v, c)
+							fs.Fail(mod)
+							failed[mod] = true
+						}
+					}
+				}
+				lost := func(v uint64) bool {
+					live := 0
+					for c := 0; c < m.Copies(); c++ {
+						if mod, _ := m.CopyAddr(v, c); !failed[mod] {
+							live++
+						}
+					}
+					return live < quorum
+				}
+
+				recs := driveRecorded(t, svc, 4, 120, 48, int64(len(shape)*10+shards), true)
+				if t.Failed() {
+					t.FailNow()
+				}
+				if err := svc.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				ops, refused := 0, 0
+				for c, stream := range recs {
+					for i, r := range stream {
+						if r.failed != lost(r.v) {
+							t.Fatalf("client %d op %d on variable %d: refused=%v, but the memory map says lost=%v", c, i, r.v, r.failed, lost(r.v))
+						}
+						ops++
+						if r.failed {
+							refused++
+						}
+					}
+				}
+				if refused == 0 || refused == ops {
+					t.Fatalf("%d of %d ops refused: the variable set must hold lost and surviving variables", refused, ops)
+				}
+				if msg := oracleReplay(svc, recs); msg != "" {
+					t.Fatalf("oracle diverged: %s", msg)
+				}
+				contract := consistency.ContractPerVariable
+				if shards == 1 {
+					contract = consistency.ContractTotalOrder
+				}
+				for _, mode := range consistency.ModesFor(contract) {
+					if rep := consistency.Check(traceOf(recs), mode); !rep.OK {
+						t.Fatalf("checker rejected the degraded run (%s): %+v", mode, rep.First())
+					}
+				}
+				t.Logf("%d of %d ops refused", refused, ops)
+			})
+		}
+	}
 }

@@ -104,8 +104,8 @@ func DistinctRandom(rng *rand.Rand, m uint64, k int) []uint64 {
 }
 
 // RandomFaults draws k distinct module ids uniformly from [0, n): the
-// random crash-fault sets the fault experiments (E19) and the fault-matrix
-// tests inject. It is DistinctRandom over the module space rather than the
+// random crash-fault sets the fault-matrix tests (protocol.TestFaultMatrix)
+// inject. It is DistinctRandom over the module space rather than the
 // variable space.
 func RandomFaults(rng *rand.Rand, n uint64, k int) []uint64 {
 	return DistinctRandom(rng, n, k)
