@@ -46,8 +46,8 @@ func E13(w io.Writer, o Options) error {
 	rows = append(rows, row{"affine (companion)", plane, nil})
 
 	fprintf(w, "E13 Regime comparison: Θ(N^{1.5-ε})@N'^{1/3} vs Θ(N²)@√N' (3 copies each)\n")
-	fprintf(w, "%-20s %10s %12s %8s %8s %14s %12s\n",
-		"scheme", "N", "M", "N'", "Φ", "Φ/(N')^{1/3}", "Φ/√N'")
+	fprintf(w, "%-20s %10s %12s %8s %7s %8s %14s %12s\n",
+		"scheme", "N", "M", "N'", "phases", "Φ", "Φ/(N')^{1/3}", "Φ/√N'")
 	rng := o.Rng()
 	for _, r := range rows {
 		gsys, err := protocol.NewGenericSystem(r.m, protocol.Config{})
@@ -62,8 +62,8 @@ func E13(w io.Writer, o Options) error {
 			if err != nil {
 				return err
 			}
-			fprintf(w, "%-20s %10d %12d %8d %8d %14.3f %12.3f\n",
-				r.name, r.m.NumModules(), r.m.NumVars(), np, met.MaxIterations,
+			fprintf(w, "%-20s %10d %12d %8d %7d %8d %14.3f %12.3f\n",
+				r.name, r.m.NumModules(), r.m.NumVars(), np, met.Phases, met.MaxIterations,
 				float64(met.MaxIterations)/math.Cbrt(float64(np)),
 				float64(met.MaxIterations)/math.Sqrt(float64(np)))
 		}

@@ -136,8 +136,9 @@ func E6(w io.Writer, o Options) error {
 		return err
 	}
 	N := int(sys.Scheme.NumModules)
-	fprintf(w, "\n    N' sweep at n=%d (N=%d): total time O((N')^{1/3}log*N' + log N)\n", nFix, N)
-	fprintf(w, "%10s %8s %8s %14s\n", "N'", "Φ", "rounds", "Φ/(N')^{1/3}")
+	fprintf(w, "\n    N' sweep at n=%d (N=%d): total time O((N')^{1/3}log*N' + log N); a batch\n", nFix, N)
+	fprintf(w, "    of N' ≤ N/(q+1)³ is one phase over all N' variables, the set Theorem 6 bounds\n")
+	fprintf(w, "%10s %7s %8s %8s %14s %16s\n", "N'", "phases", "Φ", "rounds", "Φ/(N')^{1/3}", "N'^{1/3}log*N'")
 	rng := o.Rng()
 	for np := 64; np <= N; np *= 4 {
 		vars := workload.DistinctRandom(rng, sys.Index.M(), np)
@@ -146,9 +147,10 @@ func E6(w io.Writer, o Options) error {
 		if err != nil {
 			return err
 		}
-		fprintf(w, "%10d %8d %8d %14.3f\n",
-			np, met.MaxIterations, met.TotalRounds,
-			float64(met.MaxIterations)/math.Cbrt(float64(np)))
+		fprintf(w, "%10d %7d %8d %8d %14.3f %16.1f\n",
+			np, met.Phases, met.MaxIterations, met.TotalRounds,
+			float64(met.MaxIterations)/math.Cbrt(float64(np)),
+			analysis.Theorem6Bound(uint64(np)))
 	}
 	fprintf(w, "\n")
 	return nil

@@ -153,7 +153,7 @@ func (m multiRecorder) RecordRound(ev RoundEvent) {
 // fields of protocol.Metrics that are meaningful cumulatively.
 type BatchEvent struct {
 	Requests     int // requests in the batch
-	Phases       int // phases executed (cluster size)
+	Phases       int // phases played: the fewest whose bids fit N/(q+1)² modules, at most q+1
 	Rounds       int // total MPC rounds (Σ phase iterations)
 	MaxPhi       int // Φ: max iterations over phases
 	CopyAccesses int // copies consumed by quorums

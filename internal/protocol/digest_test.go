@@ -18,12 +18,15 @@ import (
 //	mapper matrix × fault scenario × resolver
 //
 // runs the same seeded batch script and folds what it observed into one
-// FNV-1a digest. The constants in digestGolden were generated at commit
-// 7e384ba, before the batch path became staged passes over packed rows, and
-// have not been regenerated since; the table and the computed resolver must
+// FNV-1a digest; one more cell runs a script whose batches are all large
+// enough to play Copies phases. The constants in digestGolden were generated
+// at commit 7e384ba, before the batch path became staged passes over packed
+// rows, and regenerated once, when small batches began to play fewer than
+// Copies phases (phaseCount). The q+1-phases cell was generated before that
+// change and reproduced after it. The table and the computed resolver must
 // both reproduce the one constant of their cell. The keys still say policy=0:
 // the matrix had a copy-policy axis until the fixed-majority ablation
-// (policy=1) was deleted, and the surviving digests are kept byte for byte.
+// (policy=1) was deleted.
 
 // digestScenarios are the fault scenarios of the matrix.
 var digestScenarios = []string{"healthy", "static", "flip", "repairing"}
@@ -118,38 +121,23 @@ func digestBatch(rng *rand.Rand, numVars uint64, size int, touched map[uint64]bo
 	return reqs
 }
 
-// digestCell runs one cell's script and returns its digest.
-func digestCell(t *testing.T, m Mapper, scenario string, table *CompiledResolver) uint64 {
-	t.Helper()
-	rng := rand.New(rand.NewSource(20260930))
-	n, nv := int(m.NumModules()), m.NumVars()
-	copyMod := func(v uint64, c int) uint64 { mod, _ := m.CopyAddr(v, c); return mod }
-
-	// The script's batches are drawn up front, so the fault scripts can aim
-	// at the modules of variables the batches really touch.
-	// The first batch is a full one, so the machine has its final geometry
-	// before any fault lands: the size of a repair wave follows the machine's
-	// (geo/Copies variables), and how obtainMachine rounds a growing geometry
-	// is not what this test pins.
-	touched := map[uint64]bool{}
-	sizes := []int{n, 5, n / 3, 17, 40, 1, n / 2}
-	batches := make([][]Request, len(sizes))
-	for i, size := range sizes {
-		batches[i] = digestBatch(rng, nv, max(1, min(size, n, digestMaxBatch)), touched)
+// faultScript sets one of digestScenarios up on cfg for a script of batches
+// and returns the hook to run before batch i. The faults aim at the modules
+// of variables the batches really touch: static fails every copy of
+// batches[1][0] (its variable is stranded), one copy of batches[1][1] and one
+// random module before the first batch; flip fails and recovers modules and a
+// range of N/4 right before chosen rounds, so faults land mid-phase;
+// repairing fails that range before batch 2 and re-arms it for repair before
+// batch 4. An index past a batch's end wraps around.
+func faultScript(m Mapper, scenario string, batches [][]Request, rng *rand.Rand, cfg *Config) func(i int) {
+	n := int(m.NumModules())
+	copyMod := func(b, i, c int) uint64 {
+		mod, _ := m.CopyAddr(batches[b][i%len(batches[b])].Var, c)
+		return mod
 	}
-	victim := batches[1][0].Var // loses every copy in the static scenario
-	gamma := make([]uint64, m.Copies())
+	gamma := make([]uint64, m.Copies()) // the modules of the static victim
 	for c := range gamma {
-		gamma[c] = copyMod(victim, c)
-	}
-
-	// Untouched variables hold nothing to rebuild; sweeping only the touched
-	// ones keeps the q=8 cells (266 304 variables) quick.
-	cfg := Config{TraceLive: true, Owns: func(v uint64) bool { return touched[v] }}
-	if table != nil {
-		cfg.Resolver = table
-	} else {
-		cfg.Strategy = ResolverComputed
+		gamma[c] = copyMod(1, 0, c)
 	}
 	fs := mpc.NewFaultSet()
 	round := 0
@@ -169,10 +157,10 @@ func digestCell(t *testing.T, m Mapper, scenario string, table *CompiledResolver
 		for _, mod := range gamma {
 			fs.Fail(mod)
 		}
-		fs.Fail(copyMod(batches[1][1].Var, 0))
+		fs.Fail(copyMod(1, 1, 0))
 		fs.Fail(uint64(rng.Intn(n)))
 	case "flip":
-		a, b := copyMod(batches[0][0].Var, 0), copyMod(batches[1][2].Var, m.Copies()-1)
+		a, b := copyMod(0, 0, 0), copyMod(1, 2, m.Copies()-1)
 		script = map[int]func(*mpc.FaultSet){
 			1:  func(fs *mpc.FaultSet) { fs.Fail(a) },
 			3:  func(fs *mpc.FaultSet) { fs.Fail(b); fs.FailRange(lo, hi) },
@@ -182,16 +170,7 @@ func digestCell(t *testing.T, m Mapper, scenario string, table *CompiledResolver
 			23: func(fs *mpc.FaultSet) { fs.Recover(gamma[0]) },
 		}
 	}
-	sys, err := NewGenericSystem(m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	sys.maxIter = 512
-
-	d := digester{h: fnv.New64a()}
-	var res Result
-	for i, reqs := range batches {
+	return func(i int) {
 		if scenario == "repairing" {
 			// Healthy, then a contiguous range fails under writes, then it
 			// comes back stale and is rebuilt under traffic.
@@ -202,6 +181,54 @@ func digestCell(t *testing.T, m Mapper, scenario string, table *CompiledResolver
 				fs.RecoverPendingRange(lo, hi)
 			}
 		}
+	}
+}
+
+// digestSizes is the script every cell of the matrix runs. The first batch
+// is a full one, so the machine has its final geometry before any fault
+// lands: the size of a repair wave follows the machine's (geo/Copies
+// variables), and how obtainMachine rounds a growing geometry is not what
+// this test pins.
+func digestSizes(n int) []int { return []int{n, 5, n / 3, 17, 40, 1, n / 2} }
+
+// fullPhaseSizes is the script of the one cell whose batches all play
+// Copies phases: every size exceeds q·⌊N/(q+1)³⌋ (40 at q=4 n=3).
+func fullPhaseSizes(n int) []int { return []int{n, 41, n / 3, 97, 200, 64, n / 2} }
+
+// digestCell runs one cell's script and returns its digest.
+func digestCell(t *testing.T, m Mapper, scenario string, table *CompiledResolver, sizes []int) uint64 {
+	t.Helper()
+	rng := rand.New(rand.NewSource(20260930))
+	n, nv := int(m.NumModules()), m.NumVars()
+
+	// The script's batches are drawn up front, so the fault scripts can aim
+	// at the modules of variables the batches really touch.
+	touched := map[uint64]bool{}
+	batches := make([][]Request, len(sizes))
+	for i, size := range sizes {
+		batches[i] = digestBatch(rng, nv, max(1, min(size, n, digestMaxBatch)), touched)
+	}
+
+	// Untouched variables hold nothing to rebuild; sweeping only the touched
+	// ones keeps the q=8 cells (266 304 variables) quick.
+	cfg := Config{TraceLive: true, Owns: func(v uint64) bool { return touched[v] }}
+	if table != nil {
+		cfg.Resolver = table
+	} else {
+		cfg.Strategy = ResolverComputed
+	}
+	before := faultScript(m, scenario, batches, rng, &cfg)
+	sys, err := NewGenericSystem(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sys.maxIter = 512
+
+	d := digester{h: fnv.New64a()}
+	var res Result
+	for i, reqs := range batches {
+		before(i)
 		err := sys.AccessInto(reqs, &res)
 		if err != nil && !errors.Is(err, ErrIncomplete) {
 			t.Fatalf("batch %d: %v", i, err)
@@ -230,17 +257,24 @@ func digestCell(t *testing.T, m Mapper, scenario string, table *CompiledResolver
 }
 
 func TestBatchDigestsPinned(t *testing.T) {
-	for mi, m := range mapperFuzzSetup(t) {
-		table := compileTable(t, m)
-		for _, scenario := range digestScenarios {
-			key := fmt.Sprintf("%d-%s/policy=0/%s", mi, m.Name(), scenario)
-			want, pinned := digestGolden[key]
-			for _, resolver := range []*CompiledResolver{table, nil} {
-				got := digestCell(t, m, scenario, resolver)
-				if !pinned || got != want {
-					t.Errorf("%q: 0x%016x, // compiled=%v; pinned 0x%016x", key, got, resolver != nil, want)
-				}
+	check := func(key string, m Mapper, scenario string, table *CompiledResolver, sizes []int) {
+		want, pinned := digestGolden[key]
+		for _, resolver := range []*CompiledResolver{table, nil} {
+			got := digestCell(t, m, scenario, resolver, sizes)
+			if !pinned || got != want {
+				t.Errorf("%q: 0x%016x, // compiled=%v; pinned 0x%016x", key, got, resolver != nil, want)
 			}
 		}
 	}
+	mappers := mapperFuzzSetup(t)
+	for mi, m := range mappers {
+		table := compileTable(t, m)
+		for _, scenario := range digestScenarios {
+			check(fmt.Sprintf("%d-%s/policy=0/%s", mi, m.Name(), scenario), m, scenario, table, digestSizes(int(m.NumModules())))
+		}
+	}
+	// The q+1-phase cell: q=4 n=3 under the flip scenario, every batch above
+	// q·⌊N/(q+1)³⌋ requests.
+	m := mappers[1]
+	check("1-pp93/policy=0/flip/q+1-phases", m, "flip", compileTable(t, m), fullPhaseSizes(int(m.NumModules())))
 }

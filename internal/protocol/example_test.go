@@ -31,7 +31,12 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(vals, "in", met.Phases, "phases")
+	// Three requests fit in one phase; a batch of N would play q+1.
+	phases := "phases"
+	if met.Phases == 1 {
+		phases = "phase"
+	}
+	fmt.Println(vals, "in", met.Phases, phases)
 	// Output:
-	// [100 200 300] in 3 phases
+	// [100 200 300] in 1 phase
 }

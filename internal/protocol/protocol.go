@@ -1,9 +1,11 @@
 // Package protocol implements the Section 3 access protocol of
 // Pietracaprina–Preparata on top of the core memory organization and the MPC
 // simulator: processors are grouped into clusters of q+1, a batch of distinct
-// read/write requests is served in q+1 phases, and within a phase the cluster
-// members repeatedly bid for the q+1 copies of their cluster's current
-// variable until a quorum (q/2+1, the majority) of copies has been touched.
+// read/write requests is served in at most q+1 phases — the fewest whose bids
+// each fit in N/(q+1)² modules, so a full batch plays the paper's q+1 — and
+// within a phase the cluster members repeatedly bid for the q+1 copies of
+// their cluster's current variable until a quorum (q/2+1, the majority) of
+// copies has been touched.
 // Copies carry timestamps (the Upfal–Wigderson adaptation of Thomas'
 // majority-consensus rule), so a read that reaches any read quorum is
 // guaranteed to see the most recently written value.
@@ -68,7 +70,7 @@ type Request struct {
 
 // Metrics reports how the protocol performed on one batch.
 type Metrics struct {
-	Phases          int     // number of phases executed (cluster size)
+	Phases          int     // phases played: the fewest whose bids fit N/(q+1)² modules, at most q+1
 	PhaseIterations []int   // MPC iterations used by each phase
 	MaxIterations   int     // Φ: max over phases
 	TotalRounds     int     // Σ PhaseIterations — total MPC time for the batch
@@ -225,7 +227,7 @@ type System struct {
 	// The mapper's replication factor and quorums, read once: the batch path
 	// asks for them per request. nCopies is also the cluster size: cluster i
 	// of a batch is nCopies processors, one per copy of the request it serves
-	// in each of the batch's nCopies phases.
+	// in each of the batch's phases (at most nCopies of them, see phaseCount).
 	nCopies       int
 	readQ, writeQ int32
 	// store holds the copies' cells when the machine keeps them in process.
@@ -415,6 +417,9 @@ type writeRef struct {
 type batch struct {
 	reqs []Request
 	res  *Result
+	// phases is the number of phases the batch plays (phaseCount): request r
+	// is served in phase r % phases by cluster r / phases.
+	phases int
 	// fv is the machine's fault view, nil when it has none or when the copy
 	// bitmasks of the fault layer would not fit a word (a repair wave, which
 	// keeps no masks, always has it); every fault hook is gated on it, so
@@ -491,22 +496,22 @@ func (sys *System) AccessInto(reqs []Request, res *Result) error {
 		Unfinished:      res.Metrics.Unfinished[:0],
 		Stranded:        res.Metrics.Stranded[:0],
 	}
-	clusterSize := sys.nCopies
-	numClusters := (len(reqs) + clusterSize - 1) / clusterSize
-	if numClusters == 0 {
+	phases := sys.phaseCount(len(reqs))
+	if phases == 0 {
 		sys.observeBatch(reqs, res)
 		return nil
 	}
-	if err := sys.obtainMachine(numClusters * clusterSize); err != nil {
+	numClusters := (len(reqs) + phases - 1) / phases
+	if err := sys.obtainMachine(numClusters * sys.nCopies); err != nil {
 		return err
 	}
-	b := batch{reqs: reqs, res: res}
+	b := batch{reqs: reqs, res: res, phases: phases}
 	sys.resolveBatch(&b)
-	res.Metrics.Phases = clusterSize
-	for phase := 0; phase < clusterSize; phase++ {
+	res.Metrics.Phases = phases
+	for phase := 0; phase < phases; phase++ {
 		tasks := sys.selectPhase(&b, phase)
 		if sys.cfg.TraceLive {
-			b.afterRound = sys.traceLive(&b.res.Metrics, len(reqs), phase)
+			b.afterRound = sys.traceLive(&b.res.Metrics, len(reqs), phase, phases)
 		}
 		left, iters := sys.drive(&b, tasks)
 		sys.commitPhase(&b, phase, left, iters)
@@ -515,6 +520,19 @@ func (sys *System) AccessInto(reqs []Request, res *Result) error {
 		sys.retryStranded(&b)
 	}
 	return sys.report(&b)
+}
+
+// phaseCount returns the number of phases a batch of n requests plays: the
+// fewest whose bids — Copies per request — each fit in N/Copies² modules, and
+// at most Copies, the paper's count for a full batch of N. Theorem 6 bounds Φ
+// for any set of distinct variables, not only N/Copies of them, so a small
+// batch need not be spread over Copies phases. Larger phases cost more bids to
+// contention, and from about 2·N/Copies³ requests a phase the in-process cost
+// per request outgrows the rounds saved (EXPERIMENTS.md E35).
+func (sys *System) phaseCount(n int) int {
+	c := sys.nCopies
+	perPhase := max(int(sys.Mapper.NumModules())/(c*c*c), 1)
+	return min(c, (n+perPhase-1)/perPhase)
 }
 
 // validate checks the batch against the admission rules: at most N requests,
@@ -592,15 +610,15 @@ func (sys *System) resolveVars(vars []uint64, out []packedCopy) []packedCopy {
 }
 
 // selectPhase builds the phase's task list: cluster i serves request
-// i·Copies+phase, and member j bids for copy j — the paper's rule: all
-// copies bid, and a variable's outstanding bids are cancelled once its quorum
-// succeeded. Under a fault view, selection routes around failed modules.
+// i·phases+phase from processors i·Copies…i·Copies+Copies-1, and member j
+// bids for copy j — the paper's rule: all copies bid, and a variable's
+// outstanding bids are cancelled once its quorum succeeded. Under a fault
+// view, selection routes around failed modules.
 func (sys *System) selectPhase(b *batch, phase int) []task {
 	tasks := sys.tasks[:0]
-	for r := phase; r < len(b.reqs); r += sys.nCopies {
+	for r, procBase := phase, 0; r < len(b.reqs); r, procBase = r+b.phases, procBase+sys.nCopies {
 		sys.remaining[r] = sys.quorum(b.reqs[r].Op)
 		sys.best[r] = cellstore.Cell{}
-		procBase := r - phase
 		if b.fv != nil {
 			tasks = sys.selectLive(b, tasks, r, procBase)
 			continue
@@ -614,14 +632,14 @@ func (sys *System) selectPhase(b *batch, phase int) []task {
 }
 
 // traceLive opens the phase's LiveTrace entry and returns the per-round
-// callback that fills it: the phase's requests (of n) still short of their
-// quorum after each round.
-func (sys *System) traceLive(met *Metrics, n, phase int) func() {
+// callback that fills it: how many of the phase's requests (phase,
+// phase+phases, … below n) are still short of their quorum after each round.
+func (sys *System) traceLive(met *Metrics, n, phase, phases int) func() {
 	met.LiveTrace = append(met.LiveTrace, nil)
 	live := &met.LiveTrace[len(met.LiveTrace)-1]
 	return func() {
 		cnt := 0
-		for r := phase; r < n; r += sys.nCopies {
+		for r := phase; r < n; r += phases {
 			if sys.remaining[r] > 0 {
 				cnt++
 			}
@@ -812,7 +830,7 @@ func (sys *System) commitPhase(b *batch, phase int, left []task, iters int) {
 			}
 		}
 	}
-	for r := phase; r < len(b.reqs); r += sys.nCopies {
+	for r := phase; r < len(b.reqs); r += b.phases {
 		if b.reqs[r].Op == Read && sys.remaining[r] <= 0 {
 			b.res.Values[r] = sys.best[r].Val
 		}
