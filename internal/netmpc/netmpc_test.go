@@ -899,6 +899,109 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
+// TestQuorumCancelsOverWire pins cancel-at-quorum on the wire. Two variables
+// share exactly one module (Theorem 2 allows no more), and it holds copy 0 of
+// both. In a batch of the two, the first wins that module and the second
+// loses it, yet completes its majority on copies 1 and 2 in the same round:
+// its losing bid is cancelled there, so the batch costs one frame per touched
+// server and no second round. The second variable's copy 0 is then never
+// written, and every read quorum must still return the written values.
+func TestQuorumCancelsOverWire(t *testing.T) {
+	s := testScheme(t)
+	const k = 4
+	servers, addrs := startCluster(t, s, k)
+	tr, err := Dial(testDialConfig(s, addrs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	sys := newTCPSystem(t, s, tr)
+	copies := sys.Mapper.Copies()
+	mods := func(v uint64) []uint64 {
+		out := make([]uint64, copies)
+		for c := range out {
+			out[c], _ = sys.Mapper.CopyAddr(v, c)
+		}
+		return out
+	}
+	shared := func(a, b []uint64) int {
+		n := 0
+		for _, x := range a {
+			for _, y := range b {
+				if x == y {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	var pair []uint64
+	firstAt := map[uint64]uint64{} // copy-0 module -> first variable seen there
+	for v := uint64(0); v < s.NumVariables && pair == nil; v++ {
+		m0 := mods(v)[0]
+		if u, ok := firstAt[m0]; !ok {
+			firstAt[m0] = v
+		} else if shared(mods(u), mods(v)) == 1 {
+			pair = []uint64{u, v}
+		}
+	}
+	if pair == nil {
+		t.Fatal("no two variables share exactly their copy-0 module")
+	}
+	touched := make([]bool, k)
+	for _, v := range pair {
+		for _, m := range mods(v) {
+			touched[ServerFor(int64(m), int64(s.NumModules), k)] = true
+		}
+	}
+	oneFramePerServer := func(op string, batch func() (*protocol.Metrics, error)) {
+		t.Helper()
+		before := make([]uint64, k)
+		for i, sv := range servers {
+			before[i] = sv.FramesServed()
+		}
+		met, err := batch()
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		for i, sv := range servers {
+			want := uint64(0)
+			if touched[i] {
+				want = 1
+			}
+			if got := sv.FramesServed() - before[i]; got != want {
+				t.Fatalf("%s: server %d served %d frames, want %d", op, i, got, want)
+			}
+		}
+		if met.TotalRounds != 1 || met.IssuedBids != copies*len(pair) {
+			t.Fatalf("%s: %d rounds, %d bids; want 1 round, %d bids", op, met.TotalRounds, met.IssuedBids, copies*len(pair))
+		}
+	}
+	vals := []uint64{11, 22}
+	oneFramePerServer("write", func() (*protocol.Metrics, error) { return sys.WriteBatch(pair, vals) })
+	oneFramePerServer("read", func() (*protocol.Metrics, error) {
+		got, met, err := sys.ReadBatch(pair)
+		if err == nil && (got[0] != vals[0] || got[1] != vals[1]) {
+			t.Fatalf("read %v, wrote %v", got, vals)
+		}
+		return met, err
+	})
+
+	// Every read quorum: bar one copy's module at a time, so the read must be
+	// served by the others.
+	fs := tr.FaultSet()
+	for i, v := range pair {
+		for c, m := range mods(v) {
+			fs.Fail(m)
+			got, _, err := sys.ReadBatch([]uint64{v})
+			fs.Recover(m)
+			if err != nil || got[0] != vals[i] {
+				t.Fatalf("var %d without copy %d: read %v, err %v; want %d", v, c, got, err, vals[i])
+			}
+		}
+	}
+}
+
 // TestNewMachineValidatesGeometry pins the fail-fast on geometry drift
 // between the protocol layer and the deployment.
 func TestNewMachineValidatesGeometry(t *testing.T) {

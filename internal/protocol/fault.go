@@ -86,9 +86,10 @@ func (sys *System) copyIndex(t task) uint {
 	panic("protocol: in-flight bid is not a copy of its request's variable")
 }
 
-// queueRetry records request r for the post-phase retry pass, once.
+// queueRetry records request r, which is short of its quorum, for the
+// post-phase retry pass, once.
 func (sys *System) queueRetry(r int32) {
-	if sys.remaining[r] > 0 && !sys.stalled[r] {
+	if !sys.stalled[r] {
 		sys.stalled[r] = true
 		sys.retry = append(sys.retry, r)
 	}
@@ -106,7 +107,7 @@ func (sys *System) refilterTasks(b *batch, tasks []task) []task {
 	for _, t := range tasks {
 		r := t.req
 		op := b.reqs[r].Op
-		if sys.remaining[r] <= 0 || !sys.barred(b.fv, op, t.cp.module()) {
+		if !sys.barred(b.fv, op, t.cp.module()) {
 			out = append(out, t)
 			continue
 		}
@@ -132,7 +133,7 @@ func (sys *System) refilterTasks(b *batch, tasks []task) []task {
 	n := 0
 	for _, t := range out {
 		r := t.req
-		if sys.remaining[r] > 0 && sys.liveBids[r] < sys.remaining[r] {
+		if sys.liveBids[r] < sys.remaining[r] {
 			sys.queueRetry(r)
 			continue
 		}

@@ -77,8 +77,10 @@ type Metrics struct {
 	LiveTrace       [][]int // per phase: live (incomplete) variables after each iteration
 	CopyAccesses    int     // total copies touched (grants consumed by quorums)
 	// GrantedBids counts every module grant the batch's bids won, including
-	// grants to bids already cancelled by a completed quorum (those exceed
-	// CopyAccesses). It equals the MPC's summed served counts over the
+	// the grants a round gives a request beyond what its quorum still needed
+	// (those exceed CopyAccesses). A request's other bids are cancelled in
+	// the round its quorum completes, so no later round grants it anything.
+	// It equals the MPC's summed served counts over the
 	// batch's rounds, which is what lets a round-level trace (internal/obs)
 	// be cross-checked exactly against these metrics.
 	GrantedBids int
@@ -725,12 +727,19 @@ func (sys *System) round(b *batch, tasks []task) []task {
 	return tasks
 }
 
-// decide is the sequential bookkeeping of a round: it keeps the ungranted
-// bids of unfinished requests in flight, counts the grants, and queues the
-// cell access of every grant a quorum still needed onto sys.reads,
-// sys.writes or sys.repairs (a grant to a request whose quorum already
-// completed is a cancelled bid whose result is unused). A sweep read queues
-// as a read; only user requests keep copy masks.
+// decide is the sequential bookkeeping of a round: it counts the grants,
+// queues the cell access of every grant a quorum still needed onto
+// sys.reads, sys.writes or sys.repairs (a grant to a request whose quorum
+// already completed is a cancelled bid whose result is unused), and returns
+// the ungranted bids that stay in flight. A sweep read queues as a read; only
+// user requests keep copy masks.
+//
+// Invariant: a bid is in flight after a round only if its request is still
+// short of its quorum — the paper's cancel-at-quorum rule, applied per round.
+// A grant later in the pass may complete the request of a bid the pass has
+// already kept, so the ungranted bids are cancelled after the pass, once
+// every grant is counted. Everything downstream (refilterTasks, commitPhase)
+// relies on the invariant.
 func (sys *System) decide(b *batch, tasks []task) []task {
 	grant, remaining := sys.grant[:len(tasks)], sys.remaining
 	reads, writes := sys.reads[:0], sys.writes[:0]
@@ -740,9 +749,7 @@ func (sys *System) decide(b *batch, tasks []task) []task {
 	for i, t := range tasks {
 		r := t.req
 		if !grant[i] {
-			if remaining[r] > 0 {
-				next = append(next, t)
-			}
+			next = append(next, t)
 			continue
 		}
 		granted++
@@ -766,6 +773,17 @@ func (sys *System) decide(b *batch, tasks []task) []task {
 			sys.liveBids[r]--
 		}
 	}
+	kept := 0
+	for _, t := range next {
+		r := t.req
+		if remaining[r] > 0 {
+			next[kept] = t
+			kept++
+		} else if b.fv != nil && b.reqs[r].Op <= Write {
+			sys.liveBids[r]--
+		}
+	}
+	next = next[:kept]
 	sys.reads, sys.writes = reads, writes
 	b.res.Metrics.GrantedBids += granted
 	b.res.Metrics.CopyAccesses += len(reads) + len(writes) + len(sys.repairs)
@@ -823,7 +841,7 @@ func (sys *System) commitPhase(b *batch, phase int, left []task, iters int) {
 			sys.stalled = grow(sys.stalled, len(b.reqs))
 			clear(sys.stalled)
 			for _, t := range left {
-				if r := t.req; sys.remaining[r] > 0 && !sys.stalled[r] {
+				if r := t.req; !sys.stalled[r] {
 					sys.stalled[r] = true
 					met.Unfinished = append(met.Unfinished, int(r))
 				}

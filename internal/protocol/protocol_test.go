@@ -105,10 +105,12 @@ func TestMajorityInvariant(t *testing.T) {
 // grants a random bidder per module (see randomGrant). Grant order may move
 // round counts, never an outcome: both systems commit every batch, return
 // the same values, and leave every variable's newest timestamp the same and
-// on a write quorum of its copies.
+// on a write quorum of its copies. On both, no round may carry a bid for a
+// request whose quorum completed (checkInFlight).
 func TestReferenceModel(t *testing.T) {
-	lowest := newSystem(t, 1, 5, Config{})
-	random := newSystem(t, 1, 5, Config{NewMachine: newRandomGrant(5)})
+	var lowest, random *System
+	lowest = newSystem(t, 1, 5, checkInFlight(t, Config{}, &lowest))
+	random = newSystem(t, 1, 5, checkInFlight(t, Config{NewMachine: newRandomGrant(5)}, &random))
 	newest := func(sys *System, v uint64) (ts uint64, holders int) {
 		for _, c := range sys.CopyState(v) {
 			switch {

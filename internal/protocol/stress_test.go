@@ -53,9 +53,10 @@ func (m *randomGrant) Round(bids []int64, grant []bool) int {
 // TestDifferentialStress cross-checks every protocol configuration axis
 // (grant order × resolver × interconnect) against a plain reference model
 // over long mixed batch sequences. All configurations must produce identical
-// *values* (metrics legitimately differ). The two random-grant rows differ
-// in seed only: five rows keep the subtest ids the committed test floor
-// lists.
+// *values* (metrics legitimately differ), and no round may carry a bid for a
+// request whose quorum completed (checkInFlight). The two random-grant rows
+// differ in seed only: five rows keep the subtest ids the committed test
+// floor lists.
 func TestDifferentialStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
@@ -81,7 +82,8 @@ func TestDifferentialStress(t *testing.T) {
 		cfg := cfg
 		t.Run(fmt.Sprintf("cfg%d", ci), func(t *testing.T) {
 			t.Parallel()
-			sys, err := NewSystem(s, idx, cfg)
+			var sys *System
+			sys, err := NewSystem(s, idx, checkInFlight(t, cfg, &sys))
 			if err != nil {
 				t.Fatal(err)
 			}
