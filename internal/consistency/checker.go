@@ -15,12 +15,12 @@ const (
 	// program order and in which each of p's reads returns the latest
 	// preceding write to its variable (or the initial 0 if none precedes).
 	ModePRAM Mode = iota
-	// ModePerVariable checks per-variable linearizability without
-	// real-time constraints (per-variable sequential consistency): for
+	// ModePerVariable checks per-variable sequential consistency: for
 	// every variable there must exist one total order of all operations on
 	// it, shared by all clients, respecting program order, in which each
-	// read returns the latest preceding write. This is the contract
-	// internal/shard documents.
+	// read returns the latest preceding write. Real-time order is not
+	// checked, so this is weaker than the per-variable linearizability
+	// internal/shard documents (see the package doc).
 	ModePerVariable
 )
 

@@ -18,13 +18,15 @@
 //   - PRAM (FIFO) consistency plus read-your-writes: for every client there
 //     is a serialization of all writes and that client's reads respecting
 //     every client's program order, in which each read returns the latest
-//     preceding write. This is the contract of the single-dispatcher
-//     frontend (which is in fact linearizable, hence PRAM).
-//   - Per-variable linearizability (without real-time constraints, i.e.
-//     per-variable sequential consistency): for every variable there is a
+//     preceding write. A one-shard shard.Service totally orders its
+//     operations, so it must pass this check.
+//   - Per-variable sequential consistency: for every variable there is a
 //     single total order of all operations on it, respecting program order,
-//     in which each read returns the latest preceding write. This is
-//     exactly the contract internal/shard promises across shards.
+//     in which each read returns the latest preceding write. A sharded
+//     service must pass this check. It has no real-time order, so it is
+//     weaker than the per-variable linearizability internal/shard
+//     documents: a read that starts after a write to its variable completed
+//     may return an older value and still certify (ROADMAP item 2).
 //
 // Both checks require the "data uniqueness" condition of Wei et al.: no two
 // writes to the same variable store the same value, so every read has an
@@ -84,9 +86,9 @@ func (t Trace) Ops() int {
 type Contract string
 
 const (
-	// ContractTotalOrder: the service serializes all operations (the
-	// single-dispatcher frontend, or a sharded service with S=1). Both
-	// ModePRAM and ModePerVariable must certify.
+	// ContractTotalOrder: the service serializes all operations (a
+	// shard.Service with S=1). Both ModePRAM and ModePerVariable must
+	// certify.
 	ContractTotalOrder Contract = "total-order"
 	// ContractPerVariable: the service is linearizable per variable only
 	// (a sharded service with S>1 — no cross-variable order exists, so

@@ -33,7 +33,7 @@ type entry struct {
 // order the commit order.
 //
 // Entries sit in one dense slice in admission order, so everything after
-// admission (Requests, Account, Audit, Complete, Reset) walks the slice and
+// admission (Requests, Account, Complete, Reset) walks the slice and
 // never looks a variable up; only admission probes the index. Entries past
 // len(entries) keep their future slices' backing arrays, so a dispatcher
 // that reuses one Pending admits and flushes without allocating in steady
@@ -47,9 +47,8 @@ type Pending struct {
 	shift uint // 64 − log2(len(index))
 	ops   int  // operations admitted (≥ len(entries) once combining bites)
 
-	// verdict holds a degraded batch's per-request errors (nil = committed),
-	// marked once per flush and shared by Audit and Complete; empty until
-	// then.
+	// verdict is Complete's reused scratch for a degraded batch's
+	// per-request errors (nil = committed).
 	verdict []error
 }
 
@@ -196,21 +195,19 @@ func (p *Pending) Requests(buf []protocol.Request) []protocol.Request {
 // requests that committed, protocol.ErrQuorumUnreachable for the stranded
 // ones (live copies below quorum), protocol.ErrIncomplete for those that
 // merely exhausted the iteration budget — or nil when the batch is not
-// degraded (it committed whole, or failed whole with err). The first call of
-// a flush marks the reused slice; Audit and Complete share it until Reset.
+// degraded (it committed whole, or failed whole with err). The slice is
+// reused across flushes.
 func (p *Pending) verdicts(res *protocol.Result, err error) []error {
 	if err == nil || res == nil || !errors.Is(err, protocol.ErrIncomplete) {
 		return nil
 	}
-	if len(p.verdict) == 0 {
-		p.verdict = slices.Grow(p.verdict[:0], len(p.entries))[:len(p.entries)]
-		clear(p.verdict)
-		for _, r := range res.Metrics.Unfinished {
-			p.verdict[r] = protocol.ErrIncomplete
-		}
-		for _, r := range res.Metrics.Stranded {
-			p.verdict[r] = protocol.ErrQuorumUnreachable
-		}
+	p.verdict = slices.Grow(p.verdict[:0], len(p.entries))[:len(p.entries)]
+	clear(p.verdict)
+	for _, r := range res.Metrics.Unfinished {
+		p.verdict[r] = protocol.ErrIncomplete
+	}
+	for _, r := range res.Metrics.Stranded {
+		p.verdict[r] = protocol.ErrQuorumUnreachable
 	}
 	return p.verdict
 }
@@ -259,50 +256,6 @@ func (p *Pending) Complete(res *protocol.Result, err error) {
 	}
 }
 
-// Auditor observes the committed operation stream in commit order — one
-// call per batch entry, in batch order, batches in flush order. A
-// dispatcher calls it from its single flush goroutine between accounting
-// and future fan-out, so implementations are fed by exactly one goroutine
-// per dispatcher and the calls must not block or allocate (they sit on the
-// flush hot path). internal/consistency's sampling Auditor is the
-// production implementation.
-type Auditor interface {
-	// AuditRead: a committed read of v returned val.
-	AuditRead(v, val uint64)
-	// AuditWrite: a committed write left v holding val (after last-writer-
-	// wins coalescing, val is what the store now holds).
-	AuditWrite(v, val uint64)
-	// AuditFailed: the operation's request failed (whole-batch error or a
-	// per-request quorum verdict); val carries a failed write's value.
-	AuditFailed(v, val uint64, write bool)
-}
-
-// Audit feeds the batch's per-variable outcome to an auditor, mirroring
-// Complete's per-request error attribution: entries whose request failed
-// report AuditFailed, committed writes report their final coalesced value,
-// committed reads their returned value. Like Complete it must run before
-// Reset, with the same res and err; the dispatcher calls it just before
-// Complete so the audit stream is exactly the commit-order entry stream.
-// Allocation-free once the verdict slice has reached the batch size.
-func (p *Pending) Audit(a Auditor, res *protocol.Result, err error) {
-	verdict := p.verdicts(res, err)
-	for i := range p.entries {
-		e := &p.entries[i]
-		reqErr := err
-		if verdict != nil {
-			reqErr = verdict[i]
-		}
-		switch {
-		case reqErr != nil:
-			a.AuditFailed(e.v, e.val, e.write)
-		case e.write:
-			a.AuditWrite(e.v, e.val)
-		default:
-			a.AuditRead(e.v, res.Values[i])
-		}
-	}
-}
-
 // indexSweepRatio is how many index slots per entry make Reset empty the
 // index entry by entry instead of with one clear: a clear moves 4 bytes per
 // slot at memset speed, an entry's slot is one scattered store.
@@ -334,7 +287,6 @@ func (p *Pending) Reset() {
 	}
 	p.entries = p.entries[:0]
 	p.ops = 0
-	p.verdict = p.verdict[:0]
 }
 
 // NewFuture returns an unresolved future for a dispatcher to admit into a

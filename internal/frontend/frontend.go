@@ -24,11 +24,10 @@
 //
 // Complete fans a flushed batch's result out to every combined waiter's
 // Future, attributing a degraded batch's errors per request; Stats counts
-// what combining saved; an Auditor observes the committed stream in commit
-// order. Because one goroutine assigns commit sequence numbers and batches
-// are applied in order, combining is invisible to clients: shard's
-// differential oracle replays every operation in sequence order against a
-// plain map and demands identical read values.
+// what combining saved. Because one goroutine assigns commit sequence
+// numbers and batches are applied in order, combining is invisible to
+// clients: shard's differential oracle replays every operation in sequence
+// order against a plain map and demands identical read values.
 package frontend
 
 import (

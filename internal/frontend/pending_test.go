@@ -62,21 +62,6 @@ func (r *refPending) writeOp(v, val uint64, fut *Future) {
 	r.ops++
 }
 
-// auditRec is one Auditor call.
-type auditRec struct {
-	kind   byte // 'r', 'w' or 'f'
-	v, val uint64
-	write  bool
-}
-
-type recAuditor struct{ recs []auditRec }
-
-func (a *recAuditor) AuditRead(v, val uint64)  { a.recs = append(a.recs, auditRec{'r', v, val, false}) }
-func (a *recAuditor) AuditWrite(v, val uint64) { a.recs = append(a.recs, auditRec{'w', v, val, true}) }
-func (a *recAuditor) AuditFailed(v, val uint64, write bool) {
-	a.recs = append(a.recs, auditRec{'f', v, val, write})
-}
-
 // pendingHarness drives one Pending and the model through the same script.
 type pendingHarness struct {
 	t     *testing.T
@@ -99,7 +84,7 @@ const (
 
 var errBackend = errors.New("backend down")
 
-// flush checks Requests, Account, Audit, Complete and Reset against the
+// flush checks Requests, Account, Complete and Reset against the
 // model. In a degraded flush request i is unfinished when (i+salt)%3 == 0 and
 // stranded when (i+salt)%6 == 0.
 func (h *pendingHarness) flush(mode flushMode, salt int) {
@@ -185,23 +170,6 @@ func (h *pendingHarness) flush(mode flushMode, salt int) {
 	h.stats.Account(p, len(h.reqs), res, err, obs.FlushExplicit)
 	if h.stats != wantStats {
 		t.Fatalf("Stats = %+v\nmodel = %+v", h.stats, wantStats)
-	}
-
-	var aud recAuditor
-	p.Audit(&aud, res, err)
-	wantAud := make([]auditRec, len(want))
-	for i, rq := range want {
-		switch {
-		case verdict[i] != nil:
-			wantAud[i] = auditRec{'f', rq.Var, rq.Value, rq.Op == protocol.Write}
-		case rq.Op == protocol.Write:
-			wantAud[i] = auditRec{'w', rq.Var, rq.Value, true}
-		default:
-			wantAud[i] = auditRec{'r', rq.Var, res.Values[i], false}
-		}
-	}
-	if !slices.Equal(aud.recs, wantAud) {
-		t.Fatalf("Audit = %v\nmodel = %v", aud.recs, wantAud)
 	}
 
 	p.Complete(res, err)
@@ -334,9 +302,9 @@ func TestPendingSmallBatchAfterLarge(t *testing.T) {
 	}
 }
 
-// TestDegradedFlushAllocFree: a warmed-up degraded flush — verdicts marked
-// once, shared by Audit and Complete — allocates nothing (it used to build
-// one map per call).
+// TestDegradedFlushAllocFree: a warmed-up degraded flush — Complete marking
+// its verdicts in the reused slice — allocates nothing (it used to build one
+// map per call).
 func TestDegradedFlushAllocFree(t *testing.T) {
 	const batch, runs = 64, 50
 	p := NewPending(batch)
@@ -350,7 +318,6 @@ func TestDegradedFlushAllocFree(t *testing.T) {
 	err := fmt.Errorf("%w: degraded", protocol.ErrQuorumUnreachable)
 	futs := make([]Future, (runs+2)*2*batch)
 	var (
-		aud   recAuditor
 		stats Stats
 		reqs  []protocol.Request
 	)
@@ -366,8 +333,6 @@ func TestDegradedFlushAllocFree(t *testing.T) {
 		}
 		reqs = p.Requests(reqs)
 		stats.Account(p, len(reqs), res, err, obs.FlushSize)
-		aud.recs = aud.recs[:0]
-		p.Audit(&aud, res, err)
 		p.Complete(res, err)
 		p.Reset()
 	}

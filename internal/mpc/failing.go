@@ -364,19 +364,6 @@ func (fs *FaultSet) Epoch() uint64 { return fs.snapshot().epoch }
 // Count returns the number of currently failed modules.
 func (fs *FaultSet) Count() int { return fs.snapshot().count }
 
-// Modules returns the currently failed module ids in increasing order.
-func (fs *FaultSet) Modules() []uint64 {
-	s := fs.snapshot()
-	out := make([]uint64, 0, s.count)
-	for w, word := range s.bits {
-		for word != 0 {
-			out = append(out, uint64(w)<<6|uint64(bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-	}
-	return out
-}
-
 // Failing wraps a machine so that failed modules never serve any request:
 // bids addressed to them are withdrawn (turned Idle) before arbitration,
 // and counted so instrumentation can balance issued bids against served-or-

@@ -314,21 +314,18 @@ func FuzzFaultSet(f *testing.F) {
 			if fs.Count() != len(md.failed) || fs.RepairCount() != len(md.gen) {
 				t.Fatalf("op %d: %d failed and %d repairing, model has %d and %d", i/3, fs.Count(), fs.RepairCount(), len(md.failed), len(md.gen))
 			}
-			var failed, repairing []uint64
+			var repairing []uint64
 			for m := uint64(0); m < modules; m++ {
 				if fs.Failed(m) != md.failed[m] || fs.RepairGen(m) != md.gen[m] || fs.Repairing(m) != (md.gen[m] != 0) {
 					t.Fatalf("op %d: module %d failed=%v repairing=%v gen=%d, model failed=%v gen=%d",
 						i/3, m, fs.Failed(m), fs.Repairing(m), fs.RepairGen(m), md.failed[m], md.gen[m])
 				}
-				if md.failed[m] {
-					failed = append(failed, m)
-				}
 				if md.gen[m] != 0 {
 					repairing = append(repairing, m)
 				}
 			}
-			if !slices.Equal(fs.Modules(), failed) || !slices.Equal(fs.AppendRepairing(nil), repairing) {
-				t.Fatalf("op %d: listings %v / %v, model %v / %v", i/3, fs.Modules(), fs.AppendRepairing(nil), failed, repairing)
+			if !slices.Equal(fs.AppendRepairing(nil), repairing) {
+				t.Fatalf("op %d: repairing listing %v, model %v", i/3, fs.AppendRepairing(nil), repairing)
 			}
 		}
 		// One machine round: every bid to a failed module must be dropped,

@@ -152,12 +152,6 @@ type Collector struct {
 	// resolver whose System's Observer is this collector).
 	ResolverShards Gauge // compiled blocks resident (1 = the dense table)
 	ResolverBytes  Gauge // resident compiled-table bytes
-
-	// Consistency-audit level (ObserveAudit / ObserveAuditEviction, from
-	// the sampling auditor in internal/consistency).
-	AuditedOps      Counter // operations on sampled variables audited
-	AuditViolations Counter // audited reads contradicting the last known value
-	AuditEvictions  Counter // audit slots reclaimed for a different variable
 }
 
 // NewCollector returns a zeroed collector.
@@ -241,20 +235,6 @@ func (c *Collector) ObserveFlusherPark() { c.FlusherParks.Inc() }
 // re-check (the Dekker handshake's benign race).
 func (c *Collector) ObserveFlusherWake() { c.FlusherWakes.Inc() }
 
-// ObserveAudit counts one operation audited by the sampling consistency
-// audit; violation marks an audited read that contradicted the last value
-// the audit knew for its variable.
-func (c *Collector) ObserveAudit(violation bool) {
-	c.AuditedOps.Inc()
-	if violation {
-		c.AuditViolations.Inc()
-	}
-}
-
-// ObserveAuditEviction counts one audit slot reclaimed for a different
-// variable (audit coverage loss, not a consistency problem).
-func (c *Collector) ObserveAuditEviction() { c.AuditEvictions.Inc() }
-
 // ObserveResolverResidency records a compiled resolver's residency: resident
 // compiled blocks and table bytes.
 func (c *Collector) ObserveResolverResidency(shards int, bytes uint64) {
@@ -309,9 +289,6 @@ func (c *Collector) SnapshotInto(label string, dst map[string]int64) {
 		"flusher_wakes_total":       c.FlusherWakes.Load(),
 		"resolver_compiled_shards":  c.ResolverShards.Load(),
 		"resolver_resident_bytes":   c.ResolverBytes.Load(),
-		"audit_sampled_total":       c.AuditedOps.Load(),
-		"audit_violations_total":    c.AuditViolations.Load(),
-		"audit_evictions_total":     c.AuditEvictions.Load(),
 		"repaired_copies_total":     c.RepairedCopies.Load(),
 		"repair_salvaged_total":     c.RepairSalvaged.Load(),
 		"repair_rounds_total":       c.RepairRounds.Load(),
@@ -368,9 +345,6 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 		{"flusher_wakes_total", "Producer kicks that un-parked a shard flusher.", "counter", c.FlusherWakes.Load()},
 		{"resolver_compiled_shards", "Compiled resolver blocks resident (1 = the dense table).", "gauge", c.ResolverShards.Load()},
 		{"resolver_resident_bytes", "Compiled resolver table bytes resident.", "gauge", c.ResolverBytes.Load()},
-		{"audit_sampled_total", "Operations audited by the sampling consistency audit.", "counter", c.AuditedOps.Load()},
-		{"audit_violations_total", "Audited reads contradicting the last known value.", "counter", c.AuditViolations.Load()},
-		{"audit_evictions_total", "Audit slots reclaimed for a different variable.", "counter", c.AuditEvictions.Load()},
 		{"repaired_copies_total", "Copies rebuilt onto repairing modules by repair writes.", "counter", c.RepairedCopies.Load()},
 		{"repair_salvaged_total", "Variables rebuilt without a sound source majority.", "counter", c.RepairSalvaged.Load()},
 		{"repair_rounds_total", "MPC rounds spent on background repair waves.", "counter", c.RepairRounds.Load()},

@@ -30,10 +30,6 @@ func goldenCollector() *Collector {
 	c.ObserveFlush(FlushExplicit)
 	c.ObserveFlush(FlushConflict)
 	c.ObserveFlush(FlushIdle)
-	c.ObserveAudit(false)
-	c.ObserveAudit(false)
-	c.ObserveAudit(true)
-	c.ObserveAuditEviction()
 	c.ObserveResolverResidency(3, 49152)
 	c.ObserveRepair(RepairEvent{Copies: 6, Salvaged: 1, Rounds: 4, Issued: 9, Granted: 8, Certified: 2, Backlog: 1})
 	return c

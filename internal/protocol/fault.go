@@ -20,10 +20,9 @@ type FaultView interface {
 	Count() int
 }
 
-// defaultFaultAttempts is the post-phase retry budget when Config.
-// FaultAttempts is zero: one pass to mop up requests disturbed mid-phase,
-// one more in case a recovery lands between them.
-const defaultFaultAttempts = 2
+// faultAttempts is the post-phase retry budget: one pass to mop up requests
+// disturbed mid-phase, one more in case a recovery lands between them.
+const faultAttempts = 2
 
 // barred reports whether module m may not count toward a quorum for op.
 // Failed modules serve nothing. Repairing modules (recovered but not yet
@@ -144,7 +143,7 @@ func (sys *System) refilterTasks(b *batch, tasks []task) []task {
 }
 
 // retryStranded is the post-phase bounded retry pass: every request the
-// phase loop could not finish gets up to Config.FaultAttempts fresh quorum
+// phase loop could not finish gets up to faultAttempts fresh quorum
 // selections over the currently live, not-yet-touched copies. Copies already
 // granted stay counted (touchedC masks them out of re-selection, so a
 // quorum is always quorum-many distinct copies), and a module recovering
@@ -153,16 +152,12 @@ func (sys *System) refilterTasks(b *batch, tasks []task) []task {
 // the provably quorum-less subset in Stranded. This path runs only under
 // faults and may allocate.
 func (sys *System) retryStranded(b *batch) {
-	attempts := sys.cfg.FaultAttempts
-	if attempts == 0 {
-		attempts = defaultFaultAttempts
-	}
 	fv, reqs, res, geo := b.fv, b.reqs, b.res, sys.machineProcs
 	b.wave, b.afterRound = true, nil
 
 	pending := sys.retry
 	wave := sys.wave
-	for att := 0; att < attempts && len(pending) > 0; att++ {
+	for att := 0; att < faultAttempts && len(pending) > 0; att++ {
 		var next []int32
 		idx := 0
 		for idx < len(pending) {

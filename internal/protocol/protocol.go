@@ -184,13 +184,6 @@ type Config struct {
 	// through the transport but never closes it — the caller owns the
 	// transport's lifetime.
 	Transport Transport
-	// FaultAttempts bounds the post-phase retry passes the system runs for
-	// requests stranded by module failures, when the interconnect exposes a
-	// FaultView (mpc.Failing does). Each attempt re-selects a quorum over
-	// the currently live, not-yet-touched copies, so a module recovering
-	// between attempts rescues the request. 0 means the default (2);
-	// negative disables retries.
-	FaultAttempts int
 	// Recorder, when non-nil, is installed on every interconnect machine
 	// the system builds, capturing one obs.RoundEvent per MPC round (ring-
 	// buffer tracing, contention histograms). The default no-op recorder

@@ -203,7 +203,7 @@ func TestAccessBatchEmptyAndClosed(t *testing.T) {
 // batch path unchanged.
 func TestAccessBatchErrorAttribution(t *testing.T) {
 	fs := mpc.NewFaultSet()
-	svc, s, idx := faultService(t, 2, fs, protocol.Config{})
+	svc, s, idx := faultService(t, 2, fs)
 	defer svc.Close()
 
 	victim := uint64(10)
@@ -281,7 +281,7 @@ func heldService(t *testing.T, shards int) (*Service, []*probe) {
 	probes := make([]*probe, shards)
 	for i := range s.shards {
 		probes[i] = newProbe(&mapBackend{}, true)
-		d := newPipeDispatcher(probes[i], math.MaxUint64, 64, 64, nil, nil)
+		d := newPipeDispatcher(probes[i], math.MaxUint64, 64, 64, nil)
 		t.Cleanup(func() { d.Close() })
 		s.shards[i] = &shardState{d: d}
 	}

@@ -199,32 +199,40 @@ func TestCrossCheckTotalOrder(t *testing.T) {
 
 // TestCrossCheckShardedPerVariable: with S > 1 there is no cross-shard
 // order; the service's contract is per-variable. Both verifiers must
-// certify under that contract.
+// certify under that contract, at S=4 with full batches and at S=3 with
+// two-variable batches, where conflict flushes are frequent.
 func TestCrossCheckShardedPerVariable(t *testing.T) {
-	// The subtest keeps the id the committed test floor lists.
-	t.Run("pipelined", func(t *testing.T) {
-		svc := newService(t, 3, Config{Shards: 4})
-		ops := 150
-		if testing.Short() {
-			ops = 60
-		}
-		recs := driveRecorded(t, svc, 4, ops, 80, 41, false)
-		if t.Failed() {
-			t.FailNow()
-		}
-		if err := svc.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if msg := oracleReplay(svc, recs); msg != "" {
-			t.Fatalf("oracle diverged: %s", msg)
-		}
-		tr := traceOf(recs)
-		for _, mode := range consistency.ModesFor(consistency.ContractPerVariable) {
-			if rep := consistency.Check(tr, mode); !rep.OK {
-				t.Fatalf("checker rejected a run the oracle certified (%s): %+v", mode, rep.First())
+	for _, cell := range []struct {
+		name string // "pipelined" is the S=4 cell's long-standing id
+		cfg  Config
+	}{
+		{"pipelined", Config{Shards: 4}},
+		{"maxbatch=2", Config{Shards: 3, MaxBatch: 2}},
+	} {
+		t.Run(cell.name, func(t *testing.T) {
+			svc := newService(t, 3, cell.cfg)
+			ops := 150
+			if testing.Short() {
+				ops = 60
 			}
-		}
-	})
+			recs := driveRecorded(t, svc, 4, ops, 80, 41, false)
+			if t.Failed() {
+				t.FailNow()
+			}
+			if err := svc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if msg := oracleReplay(svc, recs); msg != "" {
+				t.Fatalf("oracle diverged: %s", msg)
+			}
+			tr := traceOf(recs)
+			for _, mode := range consistency.ModesFor(consistency.ContractPerVariable) {
+				if rep := consistency.Check(tr, mode); !rep.OK {
+					t.Fatalf("checker rejected a run the oracle certified (%s): %+v", mode, rep.First())
+				}
+			}
+		})
+	}
 }
 
 // TestCrossCheckAgreeOnCorruption: the two verifiers must also agree on the
@@ -278,7 +286,7 @@ func TestCrossCheckAgreeOnCorruption(t *testing.T) {
 // eventually commits. Both verifiers must certify the per-variable contract.
 func TestCrossCheckFaultHammer(t *testing.T) {
 	fs := mpc.NewFaultSet()
-	svc, s, _ := faultService(t, 2, fs, protocol.Config{FaultAttempts: 64})
+	svc, s, _ := faultService(t, 2, fs)
 	defer svc.Close()
 
 	stop := make(chan struct{})
@@ -328,7 +336,7 @@ func TestCrossCheckFaultHammer(t *testing.T) {
 // and the oracle replay over the committed remainder must match.
 func TestCrossCheckDegradedStranding(t *testing.T) {
 	fs := mpc.NewFaultSet()
-	svc, s, idx := faultService(t, 2, fs, protocol.Config{})
+	svc, s, idx := faultService(t, 2, fs)
 	defer svc.Close()
 
 	victim := uint64(10)

@@ -48,8 +48,7 @@ type backend interface {
 // consumer frees it, bounding admitted-but-uncommitted memory.
 type pipeDispatcher struct {
 	b   backend
-	col *obs.Collector   // nil when not observing
-	aud frontend.Auditor // nil when not auditing; flusher-goroutine only
+	col *obs.Collector // nil when not observing
 
 	numVars  uint64 // M: an op naming a variable at or past it is refused alone
 	maxBatch int
@@ -76,11 +75,10 @@ type pipeDispatcher struct {
 // newPipeDispatcher builds the dispatcher over a backend serving variables
 // [0, numVars) and starts its flusher. ringCap is the admission-ring
 // capacity in entries (rounded up to a power of two by newRing).
-func newPipeDispatcher(b backend, numVars uint64, maxBatch, ringCap int, col *obs.Collector, aud frontend.Auditor) *pipeDispatcher {
+func newPipeDispatcher(b backend, numVars uint64, maxBatch, ringCap int, col *obs.Collector) *pipeDispatcher {
 	d := &pipeDispatcher{
 		b:        b,
 		col:      col,
-		aud:      aud,
 		numVars:  numVars,
 		maxBatch: maxBatch,
 		ring:     newRing(ringCap, col),
@@ -231,9 +229,6 @@ func (d *pipeDispatcher) flushOne(p *frontend.Pending, cause obs.FlushCause) {
 	d.statsMu.Unlock()
 	if d.col != nil {
 		d.col.ObserveFlush(cause)
-	}
-	if d.aud != nil {
-		p.Audit(d.aud, res, err)
 	}
 	p.Complete(res, err)
 }

@@ -124,7 +124,7 @@ func writeSync(d *pipeDispatcher, v, val uint64) error {
 // conflict flush.
 func TestCombiningSemantics(t *testing.T) {
 	p := newProbe(&mapBackend{}, true)
-	d := newPipeDispatcher(p, math.MaxUint64, 8, 64, nil, nil)
+	d := newPipeDispatcher(p, math.MaxUint64, 8, 64, nil)
 	primer := prime(t, d, p, 1<<40)
 
 	// Staged while the flusher is stuck in the primer's flush.
@@ -197,7 +197,7 @@ func TestCombiningSemantics(t *testing.T) {
 // distinct variables into full batches.
 func TestSizeFlush(t *testing.T) {
 	p := newProbe(&mapBackend{}, true)
-	d := newPipeDispatcher(p, math.MaxUint64, 4, 64, nil, nil)
+	d := newPipeDispatcher(p, math.MaxUint64, 4, 64, nil)
 	prime(t, d, p, 1<<40)
 	futs := make([]*frontend.Future, 8)
 	for i := range futs {
@@ -233,7 +233,7 @@ func TestSizeFlush(t *testing.T) {
 // batch with the backend's error.
 func TestBackendErrorFansOut(t *testing.T) {
 	boom := errors.New("boom")
-	d := newPipeDispatcher(&mapBackend{err: boom}, math.MaxUint64, 4, 64, nil, nil)
+	d := newPipeDispatcher(&mapBackend{err: boom}, math.MaxUint64, 4, 64, nil)
 	if _, err := readSync(d, 7); !errors.Is(err, boom) {
 		t.Fatalf("read error = %v, want boom", err)
 	}
@@ -296,7 +296,7 @@ func TestOutOfRangeOpFailsAlone(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := newProbe(sys, true)
-		d := newPipeDispatcher(p, m.NumVars(), 8, 64, nil, nil)
+		d := newPipeDispatcher(p, m.NumVars(), 8, 64, nil)
 		prime(t, d, p, m.NumVars()-1)
 
 		// Both clients stage their windows while the flusher is held in the
@@ -361,7 +361,7 @@ func TestTinyRingBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := newPipeDispatcher(sys, m.NumVars(), 8, 2, nil, nil)
+	d := newPipeDispatcher(sys, m.NumVars(), 8, 2, nil)
 	defer d.Close()
 	var wg sync.WaitGroup
 	for c := uint64(0); c < 8; c++ {
@@ -390,7 +390,7 @@ func TestTinyRingBackpressure(t *testing.T) {
 // updated under statsMu BEFORE the flush completes any futures, so once a
 // synchronous write returns, Stats() must already include that operation.
 func TestStatsReadYourOps(t *testing.T) {
-	d := newPipeDispatcher(&mapBackend{}, math.MaxUint64, 4, 64, nil, nil)
+	d := newPipeDispatcher(&mapBackend{}, math.MaxUint64, 4, 64, nil)
 	defer d.Close()
 	for i := 1; i <= 50; i++ {
 		if err := writeSync(d, uint64(i), uint64(i)); err != nil {
@@ -409,7 +409,7 @@ func TestStatsReadYourOps(t *testing.T) {
 // race detector.
 func TestStatsConcurrentWithFlushes(t *testing.T) {
 	col := obs.NewCollector()
-	d := newPipeDispatcher(&mapBackend{}, math.MaxUint64, 8, 64, col, nil)
+	d := newPipeDispatcher(&mapBackend{}, math.MaxUint64, 8, 64, col)
 
 	const writers, opsPerWriter, readers = 4, 300, 4
 	var stop atomic.Bool

@@ -16,7 +16,7 @@ import (
 
 // faultService builds a sharded service whose every shard's
 // interconnect consults one shared runtime fault set.
-func faultService(t testing.TB, shards int, fs *mpc.FaultSet, pcfg protocol.Config) (*Service, *core.Scheme, core.Indexer) {
+func faultService(t testing.TB, shards int, fs *mpc.FaultSet) (*Service, *core.Scheme, core.Indexer) {
 	t.Helper()
 	s, err := core.New(1, 3)
 	if err != nil {
@@ -26,11 +26,12 @@ func faultService(t testing.TB, shards int, fs *mpc.FaultSet, pcfg protocol.Conf
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcfg.NewMachine = func(mcfg mpc.Config) (protocol.Machine, error) { return mpc.NewFailingShared(mcfg, fs) }
 	svc, err := New(protocol.NewCoreMapper(s, idx), Config{
 		Shards:   shards,
 		MaxBatch: 16,
-		Protocol: pcfg,
+		Protocol: protocol.Config{
+			NewMachine: func(mcfg mpc.Config) (protocol.Machine, error) { return mpc.NewFailingShared(mcfg, fs) },
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +45,7 @@ func faultService(t testing.TB, shards int, fs *mpc.FaultSet, pcfg protocol.Conf
 // commit normally, and the aggregated stats count the stranding.
 func TestShardDegradedBatch(t *testing.T) {
 	fs := mpc.NewFaultSet()
-	svc, s, idx := faultService(t, 2, fs, protocol.Config{})
+	svc, s, idx := faultService(t, 2, fs)
 	defer svc.Close()
 
 	victim := uint64(10)
@@ -126,7 +127,7 @@ func TestShardDegradedBatch(t *testing.T) {
 // the concurrency lane for the whole fault path.
 func TestFaultHammer(t *testing.T) {
 	fs := mpc.NewFaultSet()
-	svc, s, _ := faultService(t, 2, fs, protocol.Config{FaultAttempts: 64})
+	svc, s, _ := faultService(t, 2, fs)
 	defer svc.Close()
 
 	stop := make(chan struct{})
@@ -208,7 +209,7 @@ func TestStrandingMatchesMemoryMap(t *testing.T) {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/S=%d", shape, shards), func(t *testing.T) {
 				fs := mpc.NewFaultSet()
-				svc, s, idx := faultService(t, shards, fs, protocol.Config{})
+				svc, s, idx := faultService(t, shards, fs)
 				defer svc.Close()
 				m := protocol.NewCoreMapper(s, idx)
 				quorum := max(m.ReadQuorum(), m.WriteQuorum())

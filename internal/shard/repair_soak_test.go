@@ -7,22 +7,23 @@ import (
 	"time"
 
 	"detshmem/internal/consistency"
-	"detshmem/internal/core"
 	"detshmem/internal/frontend"
 	"detshmem/internal/mpc"
 	"detshmem/internal/protocol"
 )
 
-// TestChurnSoakRepair is the PR 10 compressed churn soak: continuous
+// TestChurnSoakRepair is the compressed churn soak: continuous
 // Fail → RecoverPending at 100µs cadence with self-healing repair enabled,
-// at least 1e5 client operations streamed through the pipelined sharded
-// service, under the full Rate-1 consistency audit. The invariants pinned:
+// at least 1e5 client operations streamed through the sharded service over
+// all M = 84 variables of q=2 n=3, every one recorded as its client saw it.
+// The invariants pinned:
 //
 //   - Stranding stays at zero. In-process faults never destroy store cells,
 //     and a read blocked on a repairing (uncertified) module is reported as
 //     plain incomplete, never stranded — there is provably nothing lost.
-//   - Every committed value certifies: zero audit violations during the
-//     storm, and each shard's commit-order ring replays clean afterwards.
+//   - The whole recorded history certifies under the per-variable contract
+//     (consistency.Check, ModePerVariable); a failed write that partly
+//     landed is covered by the checker's resurrection rule.
 //   - The repair backlog fully drains once the churn stops — the idle pump
 //     and the per-batch pump between them leave no module uncertified.
 //
@@ -34,28 +35,7 @@ func TestChurnSoakRepair(t *testing.T) {
 	}
 
 	fs := mpc.NewFaultSet()
-	s, err := core.New(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := s.NewIndexer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := New(protocol.NewCoreMapper(s, idx), Config{
-		Shards:   2,
-		MaxBatch: 32,
-		Audit:    consistency.AuditConfig{Rate: 1},
-		Protocol: protocol.Config{
-			FaultAttempts: 64,
-			NewMachine: func(mcfg mpc.Config) (protocol.Machine, error) {
-				return mpc.NewFailingShared(mcfg, fs)
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc, s, _ := faultService(t, 2, fs)
 	defer svc.Close()
 
 	// Churn: fail one module, hold it down for 100µs, then re-admit it
@@ -82,56 +62,66 @@ func TestChurnSoakRepair(t *testing.T) {
 		}
 	}()
 
+	// The checker's cost grows with the square of the operations per
+	// variable, so the traffic spreads over every variable the scheme has.
 	const (
 		clients = 4
 		ops     = 25000 // 4 × 25000 = 1e5 operations
-		vars    = 64
 		window  = 32
 	)
+	vars := s.NumVariables
+	recorder := consistency.NewRecorder()
+	run := recorder.Run("churn-soak", consistency.ContractPerVariable, clients)
 	var wg sync.WaitGroup
-	var incomplete int64
-	var incMu sync.Mutex
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			pending := make([]*frontend.Future, 0, window)
-			failed := int64(0)
+			rec := run.Client(c)
+			type slot struct {
+				fut   *frontend.Future
+				write bool
+				v     uint64
+				val   uint64
+			}
+			pending := make([]slot, 0, window)
 			drain := func() {
-				for _, f := range pending {
-					if _, err := f.Wait(); err != nil {
+				for _, p := range pending {
+					got, err := p.fut.Wait()
+					if err != nil {
 						// Quorum outages are legitimate while modules sit in
 						// repair; anything else is a bug.
 						if !errors.Is(err, protocol.ErrIncomplete) {
 							t.Errorf("client %d: non-quorum failure under churn: %v", c, err)
 						}
-						failed++
 					}
+					if p.write {
+						got = p.val
+					}
+					rec.Record(p.write, p.v, got, err != nil)
 				}
 				pending = pending[:0]
 			}
 			for i := 0; i < ops; i++ {
 				v := uint64(c*131+i*17) % vars
-				var f *frontend.Future
+				p := slot{write: i%3 == 0, v: v}
 				var err error
-				if i%3 == 0 {
-					f, err = svc.WriteAsync(v, uint64(c)<<32|uint64(i))
+				if p.write {
+					p.val = rec.WriteValue()
+					p.fut, err = svc.WriteAsync(v, p.val)
 				} else {
-					f, err = svc.ReadAsync(v)
+					p.fut, err = svc.ReadAsync(v)
 				}
 				if err != nil {
 					t.Errorf("client %d: submit: %v", c, err)
 					return
 				}
-				pending = append(pending, f)
+				pending = append(pending, p)
 				if len(pending) == window {
 					drain()
 				}
 			}
 			drain()
-			incMu.Lock()
-			incomplete += failed
-			incMu.Unlock()
 		}(c)
 	}
 	wg.Wait()
@@ -141,8 +131,10 @@ func TestChurnSoakRepair(t *testing.T) {
 	// Storm over: re-admit anything still failed, then drive traffic until
 	// the repair backlog fully drains (batches pump repair; Flush wakes any
 	// parked flusher).
-	for _, m := range fs.Modules() {
-		fs.RecoverPending(m)
+	for m := uint64(0); m < s.NumModules; m++ {
+		if fs.Failed(m) {
+			fs.RecoverPending(m)
+		}
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for fs.RepairCount() > 0 {
@@ -179,17 +171,13 @@ func TestChurnSoakRepair(t *testing.T) {
 	if st.Total.Stranded != 0 {
 		t.Fatalf("%d requests stranded under churn with repair enabled", st.Total.Stranded)
 	}
-	if ast := svc.AuditStats(); ast.Violations != 0 {
-		for i := 0; i < svc.Shards(); i++ {
-			t.Logf("shard %d samples: %+v", i, svc.Auditor(i).ViolationSamples())
-		}
-		t.Fatalf("churn traffic tripped the consistency audit: %+v", ast)
+	rep := consistency.Check(recorder.TraceSet().Runs[0].Clients, consistency.ModePerVariable)
+	if !rep.OK {
+		t.Fatalf("churn history rejected: %+v", rep.First())
 	}
-	for i := 0; i < svc.Shards(); i++ {
-		if rep := svc.Auditor(i).CheckNow(); !rep.OK {
-			t.Fatalf("shard %d commit trace rejected: %+v", i, rep.First())
-		}
+	if rep.OpsChecked+rep.DroppedFailed < clients*ops {
+		t.Fatalf("checker saw %d ops (+%d failed dropped), drove %d", rep.OpsChecked, rep.DroppedFailed, clients*ops)
 	}
-	t.Logf("soak: %d ops, %d incomplete (%.2f%%), backlog drained, 0 stranded, 0 violations",
-		st.Total.OpsIn, incomplete, 100*float64(incomplete)/float64(st.Total.OpsIn))
+	t.Logf("soak: %d ops over %d variables, %d incomplete (%d resurrected), backlog drained, 0 stranded, history certified",
+		st.Total.OpsIn, vars, rep.DroppedFailed+rep.Resurrected, rep.Resurrected)
 }

@@ -163,7 +163,7 @@ func TestRingEnqueueBatchSpansCapacity(t *testing.T) {
 // silent drops.
 func TestRingAdmissionFaultChurn(t *testing.T) {
 	fs := mpc.NewFaultSet()
-	svc, s, _ := faultService(t, 2, fs, protocol.Config{FaultAttempts: 4})
+	svc, s, _ := faultService(t, 2, fs)
 	N := s.NumModules
 
 	stop := make(chan struct{})

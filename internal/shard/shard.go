@@ -51,7 +51,6 @@ package shard
 import (
 	"fmt"
 
-	"detshmem/internal/consistency"
 	"detshmem/internal/frontend"
 	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
@@ -86,16 +85,6 @@ type Config struct {
 	// Observe attaches a per-shard obs.Collector to each shard's dispatcher
 	// and system, exposed via Collector and Snapshot.
 	Observe bool
-	// Audit, when Audit.Rate > 0, attaches a sampling consistency auditor
-	// to each shard's dispatcher (see consistency.AuditConfig): every
-	// committed operation on a deterministic ~Rate sample of the variable
-	// space is checked against the shard's per-variable-linearizability
-	// contract, in commit order, on the flush path. Because all operations
-	// on a variable land on one shard, each shard's auditor sees the
-	// complete history of its sampled variables. With Observe set the
-	// audit counters also flow into the shard's collector. Audit.Collector
-	// is ignored (the per-shard collector is used).
-	Audit consistency.AuditConfig
 	// Transport, when non-nil, supplies each shard's MPC transport: shard
 	// i's system is built over Transport(i), overriding Protocol.Transport.
 	// Every shard needs its own transport namespace (for netmpc, a distinct
@@ -114,8 +103,7 @@ type Service struct {
 
 type shardState struct {
 	sys *protocol.System
-	col *obs.Collector       // nil unless Config.Observe
-	aud *consistency.Auditor // nil unless Config.Audit.Rate > 0
+	col *obs.Collector // nil unless Config.Observe
 	d   *pipeDispatcher
 }
 
@@ -184,18 +172,7 @@ func New(m protocol.Mapper, cfg Config) (*Service, error) {
 			return fail(i, fmt.Errorf("shard %d: %w", i, err))
 		}
 		st.sys = sys
-		// One auditor per shard: the audited per-variable histories stay
-		// complete because routing pins every operation on a variable to
-		// one shard. The interface value is only set when auditing is on —
-		// a typed nil would defeat the dispatcher's nil check.
-		var aud frontend.Auditor
-		if cfg.Audit.Rate > 0 {
-			acfg := cfg.Audit
-			acfg.Collector = st.col
-			st.aud = consistency.NewAuditor(acfg)
-			aud = st.aud
-		}
-		st.d = newPipeDispatcher(sys, m.NumVars(), cfg.MaxBatch, ringCap, st.col, aud)
+		st.d = newPipeDispatcher(sys, m.NumVars(), cfg.MaxBatch, ringCap, st.col)
 		s.shards[i] = st
 	}
 	return s, nil
@@ -315,23 +292,6 @@ func (s *Service) System(i int) *protocol.System { return s.shards[i].sys }
 
 // Collector returns shard i's collector, nil unless Config.Observe.
 func (s *Service) Collector(i int) *obs.Collector { return s.shards[i].col }
-
-// Auditor returns shard i's sampling consistency auditor, nil unless
-// Config.Audit.Rate > 0.
-func (s *Service) Auditor(i int) *consistency.Auditor { return s.shards[i].aud }
-
-// AuditStats merges every shard's audit counters. Zero when auditing is
-// off.
-func (s *Service) AuditStats() consistency.AuditStats {
-	var out consistency.AuditStats
-	for _, st := range s.shards {
-		a := st.aud.Stats()
-		out.Sampled += a.Sampled
-		out.Violations += a.Violations
-		out.Evictions += a.Evictions
-	}
-	return out
-}
 
 // Snapshot merges every shard's collector into one labeled map
 // ("shard0_batches_total", …) plus service-level aggregates: per-shard
