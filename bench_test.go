@@ -626,7 +626,7 @@ func BenchmarkPendingCycle(b *testing.B) {
 			p := frontend.NewPending(distinct)
 			futs := make([]*frontend.Future, distinct)
 			for i := range futs {
-				futs[i] = frontend.NewFuture()
+				futs[i] = new(frontend.Future)
 			}
 			res := &protocol.Result{Values: make([]uint64, distinct)}
 			var reqs []protocol.Request

@@ -94,11 +94,14 @@ func runDrill(name string, n int, addrs []string, victim int, c cluster, w io.Wr
 }
 
 // connect dials the cluster and builds a one-shard service over it.
-func (d *drill) connect(cfg netmpc.Config) (*netmpc.Transport, *shard.Service, error) {
-	cfg.Servers = d.addrs
-	cfg.Q, cfg.N = d.s.Q, uint32(d.s.Deg)
-	cfg.Modules, cfg.AddrSpace = int64(d.s.NumModules), d.s.NumModules*uint64(d.s.ModuleSize)
-	tr, err := netmpc.Dial(cfg)
+func (d *drill) connect() (*netmpc.Transport, *shard.Service, error) {
+	tr, err := netmpc.Dial(netmpc.Config{
+		Servers:   d.addrs,
+		Q:         d.s.Q,
+		N:         uint32(d.s.Deg),
+		Modules:   int64(d.s.NumModules),
+		AddrSpace: d.s.NumModules * uint64(d.s.ModuleSize),
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -164,7 +167,7 @@ func (d *drill) kill() (*consistency.TraceSet, error) {
 	if len(probe) == 0 {
 		return nil, fmt.Errorf("none of the %d workload variables loses its majority with server %d's modules [%d,%d) dead", len(vars), d.victim, d.lo, d.hi)
 	}
-	tr, svc, err := d.connect(netmpc.Config{})
+	tr, svc, err := d.connect()
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +222,7 @@ func (d *drill) wipe() (*consistency.TraceSet, error) {
 	if len(vars) < 4 {
 		return nil, fmt.Errorf("only %d variables have exactly one copy on server %d", len(vars), d.victim)
 	}
-	tr, svc, err := d.connect(netmpc.Config{ReconnectMin: 10 * time.Millisecond, ReconnectMax: 200 * time.Millisecond})
+	tr, svc, err := d.connect()
 	if err != nil {
 		return nil, err
 	}

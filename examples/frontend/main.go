@@ -1,8 +1,9 @@
-// Example frontend: many asynchronous clients over the synchronous batch
+// Example frontend: many concurrent clients over the synchronous batch
 // protocol via the single-shard combining service. Eight goroutines hammer a
-// small hot set of shared counters; the dispatcher coalesces their operations
-// into EREW-legal batches (distinct variables only) and the combining
-// statistics show how many client ops never became protocol requests at all.
+// small hot set of shared counters in AccessBatch windows; the dispatcher
+// coalesces their operations into EREW-legal batches (distinct variables
+// only) and the combining statistics show how many client ops never became
+// protocol requests at all.
 package main
 
 import (
@@ -12,7 +13,6 @@ import (
 	"sync"
 
 	"detshmem/internal/core"
-	"detshmem/internal/frontend"
 	"detshmem/internal/protocol"
 	"detshmem/internal/shard"
 )
@@ -32,10 +32,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Each client pipelines a window of asynchronous operations — the
-	// submit-then-wait pattern that lets the dispatcher see concurrent ops
-	// and combine them (fully synchronous clients would serialize into
-	// one-op batches).
+	// Each client submits a window of operations as one AccessBatch and
+	// waits on it — the submit-then-wait pattern that lets the dispatcher
+	// see concurrent ops and combine them (fully synchronous clients would
+	// serialize into one-op batches).
 	const clients, opsPerClient, window, hotVars = 8, 500, 16, 4
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -43,28 +43,21 @@ func main() {
 		go func(c int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(c)))
-			pending := make([]*frontend.Future, 0, window)
+			ops := make([]shard.BatchOp, 0, window)
 			drain := func() {
-				for _, fut := range pending {
-					if _, err := fut.Wait(); err != nil {
-						log.Fatal(err)
-					}
-				}
-				pending = pending[:0]
-			}
-			for i := 0; i < opsPerClient; i++ {
-				v := uint64(rng.Intn(hotVars))
-				var fut *frontend.Future
-				var err error
-				if i%2 == 0 {
-					fut, err = svc.WriteAsync(v, uint64(c)<<16|uint64(i))
-				} else {
-					fut, err = svc.ReadAsync(v)
+				b, err := svc.AccessBatch(ops)
+				if err == nil {
+					err = b.Wait()
 				}
 				if err != nil {
 					log.Fatal(err)
 				}
-				if pending = append(pending, fut); len(pending) == window {
+				ops = ops[:0]
+			}
+			for i := 0; i < opsPerClient; i++ {
+				v := uint64(rng.Intn(hotVars))
+				ops = append(ops, shard.BatchOp{Write: i%2 == 0, Var: v, Val: uint64(c)<<16 | uint64(i)})
+				if len(ops) == window {
 					drain()
 				}
 			}

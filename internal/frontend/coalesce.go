@@ -289,10 +289,6 @@ func (p *Pending) Reset() {
 	p.ops = 0
 }
 
-// NewFuture returns an unresolved future for a dispatcher to admit into a
-// Pending.
-func NewFuture() *Future { return &Future{} }
-
 // Stats aggregates combining metrics over every flushed batch. They extend
 // the per-batch protocol.Metrics with the combining view: how many client
 // operations entered versus how many protocol requests left.

@@ -15,10 +15,10 @@ import (
 // failed write.
 func TestCompleteAttribution(t *testing.T) {
 	p := NewPending(8)
-	readOK := NewFuture()
-	readStuck := NewFuture()
-	writeStranded := NewFuture()
-	fwdStranded := NewFuture()
+	readOK := new(Future)
+	readStuck := new(Future)
+	writeStranded := new(Future)
+	fwdStranded := new(Future)
 	p.Read(1, 10, readOK)            // request 0: completes
 	p.Read(2, 11, readStuck)         // request 1: unfinished, budget verdict
 	p.Write(3, 12, 7, writeStranded) // request 2: stranded, quorum verdict

@@ -3,8 +3,10 @@
 // pairwise-distinct variables protocol.System.AccessInto serves, and the
 // futures and counters that go with them. It runs no goroutine and owns no
 // queue — the one dispatcher is internal/shard's ring flusher, which admits
-// operations into a Pending in ring order (admission order is commit order)
-// and flushes it through the protocol. The tradition is that of combining
+// the ops of each AccessBatch sub-batch into a Pending in ring order
+// (admission order is commit order) and flushes it through the protocol.
+// It mints no futures either: a zero-value Future is ready to use, and the
+// shard keeps each op's Future beside the op inside its Batch. The tradition is that of combining
 // networks, and of the CRCW read/write combining in internal/pram.
 //
 // A Pending coalesces the operations admitted since the last flush into an

@@ -25,7 +25,7 @@ func TestFutureCompletionRace(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				for n := 0; n < futures; n++ {
-					f := NewFuture()
+					f := new(Future)
 					f.seq = uint64(n) + 1
 					wantVal, wantErr := uint64(n)*7+1, error(nil)
 					resolve := func() { f.complete(wantVal, nil) }
@@ -87,7 +87,7 @@ func TestFutureCompletionRace(t *testing.T) {
 // channel is ever created, so the windowed client's common case allocates
 // nothing and takes no lock.
 func TestFutureCompletedBeforeWaitHasNoChannel(t *testing.T) {
-	f := NewFuture()
+	f := new(Future)
 	f.seq = 9
 	f.complete(42, nil)
 	if val, err := f.Wait(); val != 42 || err != nil {

@@ -211,7 +211,7 @@ func (h *pendingHarness) flush(mode flushMode, salt int) {
 
 func (h *pendingHarness) read(v uint64) {
 	h.seq++
-	fut := NewFuture()
+	fut := new(Future)
 	h.p.Read(h.seq, v, fut)
 	h.ref.read(v, fut)
 }
@@ -226,7 +226,7 @@ func (h *pendingHarness) write(v uint64) {
 		h.flush(flushOK, 0)
 	}
 	h.seq++
-	fut := NewFuture()
+	fut := new(Future)
 	h.p.Write(h.seq, v, h.seq*10, fut)
 	h.ref.writeOp(v, h.seq*10, fut)
 }

@@ -162,7 +162,10 @@ func (c *Client) Round(bids []int64, grant []bool) int {
 			c.sent[i] = nil
 			continue
 		}
-		s.rtt.Observe(time.Since(c.sendAt[i]).Nanoseconds())
+		// Microseconds: 16 power-of-two buckets of nanoseconds would clamp
+		// every round past 32 µs into the last one. The floor of 1 keeps a
+		// sub-microsecond round counted (Observe drops zeros).
+		s.rtt.Observe(max(time.Since(c.sendAt[i]).Microseconds(), 1))
 		for _, g := range reply.Grants {
 			grant[g.Proc] = true
 			c.granted[g.Proc] = grantData{value: g.Value, ts: g.TS}

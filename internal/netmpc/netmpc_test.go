@@ -67,10 +67,7 @@ func testDialConfig(s *core.Scheme, addrs []string) Config {
 		Modules:      int64(s.NumModules),
 		AddrSpace:    s.NumModules * uint64(s.ModuleSize),
 		StoreID:      1,
-		DialTimeout:  2 * time.Second,
 		RoundTimeout: time.Second,
-		ReconnectMin: 5 * time.Millisecond,
-		ReconnectMax: 50 * time.Millisecond,
 	}
 }
 
@@ -797,31 +794,61 @@ func TestOnlyReconnectLoopsRun(t *testing.T) {
 	waitFor(t, time.Second, func() bool { return clientGoroutines() == 0 })
 }
 
-// TestConfigDefaults pins Dial's normalisation: zero durations take the
-// defaults, and the backoff's maximum is never below its minimum — a caller
-// raising only ReconnectMin past the default maximum used to get a backoff
-// whose first doubling clamped below the configured minimum.
+// TestConfigDefaults pins Dial's normalisation: a zero RoundTimeout takes
+// the default, and a set one is kept.
 func TestConfigDefaults(t *testing.T) {
-	for _, tc := range []struct {
-		name             string
-		min, max         time.Duration
-		wantMin, wantMax time.Duration
-	}{
-		{"zero takes the defaults", 0, 0, defaultReconnectMin, defaultReconnectMax},
-		{"min alone, below the default max", time.Second, 0, time.Second, defaultReconnectMax},
-		{"min alone, above the default max", 5 * time.Second, 0, 5 * time.Second, 5 * time.Second},
-		{"max below min is raised to it", time.Second, 10 * time.Millisecond, time.Second, time.Second},
-		{"ordered bounds are kept", 10 * time.Millisecond, 200 * time.Millisecond, 10 * time.Millisecond, 200 * time.Millisecond},
-		{"max alone", 0, 10 * time.Millisecond, defaultReconnectMin, defaultReconnectMin},
-	} {
-		cfg := Config{ReconnectMin: tc.min, ReconnectMax: tc.max}
+	for set, want := range map[time.Duration]time.Duration{0: defaultRoundTimeout, time.Second: time.Second} {
+		cfg := Config{RoundTimeout: set}
 		cfg.setDefaults()
-		if cfg.ReconnectMin != tc.wantMin || cfg.ReconnectMax != tc.wantMax {
-			t.Errorf("%s: backoff [%v, %v], want [%v, %v]", tc.name, cfg.ReconnectMin, cfg.ReconnectMax, tc.wantMin, tc.wantMax)
+		if cfg.RoundTimeout != want {
+			t.Errorf("RoundTimeout %v normalised to %v, want %v", set, cfg.RoundTimeout, want)
 		}
-		if cfg.DialTimeout != defaultDialTimeout || cfg.RoundTimeout != defaultRoundTimeout {
-			t.Errorf("%s: timeouts %v/%v, want the defaults", tc.name, cfg.DialTimeout, cfg.RoundTimeout)
+	}
+}
+
+// slowListener's connections sleep before every write, so each reply a
+// server sends through one arrives at least that late.
+type slowListener struct{ net.Listener }
+
+type slowConn struct{ net.Conn }
+
+const slowDelay = 200 * time.Microsecond
+
+func (l slowListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	return slowConn{c}, err
+}
+
+func (c slowConn) Write(b []byte) (int, error) {
+	time.Sleep(slowDelay)
+	return c.Conn.Write(b)
+}
+
+// TestRTTP99CoversSlowRounds: a round trip slower than 32 µs must not be
+// clamped. Every reply is delayed by 200 µs, so every observed round trip
+// is at least that long, and the p99 must say so.
+func TestRTTP99CoversSlowRounds(t *testing.T) {
+	s := testScheme(t)
+	srv := NewServer(serverConfigFor(s, 0, 1))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(slowListener{ln})
+	t.Cleanup(srv.Close)
+	tr, err := Dial(testDialConfig(s, []string{ln.Addr().String()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tr.Close)
+	sys := newTCPSystem(t, s, tr)
+	for v := uint64(0); v < 20; v++ {
+		if _, _, err := sys.ReadBatch([]uint64{v}); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if st := tr.Stats()[0]; st.RTTCount == 0 || st.RTTP99Us < slowDelay.Microseconds() {
+		t.Fatalf("RTT p99 %d µs over %d rounds, want at least the %v every round took", st.RTTP99Us, st.RTTCount, slowDelay)
 	}
 }
 

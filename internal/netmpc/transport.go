@@ -18,12 +18,15 @@ import (
 // that many bids, and Bid.Proc (uint32) carries every position 0..maxProcs-1.
 const maxProcs = 1 << 32
 
-// Defaults for Config's zero durations.
 const (
-	defaultDialTimeout  = 3 * time.Second
+	// defaultRoundTimeout is Config.RoundTimeout's zero value.
 	defaultRoundTimeout = 2 * time.Second
-	defaultReconnectMin = 50 * time.Millisecond
-	defaultReconnectMax = 2 * time.Second
+	// dialTimeout bounds each connect+handshake.
+	dialTimeout = 3 * time.Second
+	// reconnectMin and reconnectMax bound the exponential backoff of the
+	// per-server reconnect loop that runs after a server is marked down.
+	reconnectMin = 10 * time.Millisecond
+	reconnectMax = 200 * time.Millisecond
 )
 
 // ErrNoServers is returned by Dial when Config.Servers is empty.
@@ -52,16 +55,9 @@ type Config struct {
 	// memories — one protocol.System per StoreID, exactly like two Systems
 	// each owning a local store.
 	StoreID uint32
-	// DialTimeout bounds each connect+handshake; RoundTimeout bounds one
-	// round's fan-out/gather before the slow servers are declared failed.
-	DialTimeout  time.Duration
+	// RoundTimeout bounds one round's fan-out/gather before the slow
+	// servers are declared failed.
 	RoundTimeout time.Duration
-	// ReconnectMin/Max bound the exponential backoff of the per-server
-	// reconnect loop that runs after a server is marked down; a maximum below
-	// the minimum is raised to it.
-	ReconnectMin, ReconnectMax time.Duration
-	// Logf, when set, receives connection lifecycle diagnostics.
-	Logf func(format string, args ...any)
 }
 
 // Range returns the contiguous module range [lo, hi) owned by server i of
@@ -119,7 +115,7 @@ type srv struct {
 	bids     obs.Counter   // bids sent
 	recon    obs.Counter   // successful reconnects
 	timeouts obs.Counter   // replies not begun by the round's deadline
-	rtt      obs.Histogram // per-frame round-trip, nanoseconds
+	rtt      obs.Histogram // per-frame round-trip, microseconds
 }
 
 // Transport is the TCP implementation of protocol.Transport: persistent
@@ -177,21 +173,11 @@ func Dial(cfg Config) (*Transport, error) {
 	return t, nil
 }
 
-// setDefaults fills the zero durations and keeps the backoff's bounds ordered.
+// setDefaults fills a zero RoundTimeout.
 func (cfg *Config) setDefaults() {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = defaultDialTimeout
-	}
 	if cfg.RoundTimeout <= 0 {
 		cfg.RoundTimeout = defaultRoundTimeout
 	}
-	if cfg.ReconnectMin <= 0 {
-		cfg.ReconnectMin = defaultReconnectMin
-	}
-	if cfg.ReconnectMax <= 0 {
-		cfg.ReconnectMax = defaultReconnectMax
-	}
-	cfg.ReconnectMax = max(cfg.ReconnectMax, cfg.ReconnectMin)
 }
 
 // FaultSet exposes the transport's fault set: server loss appears here as
@@ -234,23 +220,17 @@ func (t *Transport) Close() {
 	t.wg.Wait()
 }
 
-func (t *Transport) logf(format string, args ...any) {
-	if t.cfg.Logf != nil {
-		t.cfg.Logf(format, args...)
-	}
-}
-
 // dialServer opens and handshakes one connection, returning the server's
 // store generation and typed errors on parameter disagreement.
 func (t *Transport) dialServer(s *srv) (net.Conn, uint64, error) {
-	conn, err := net.DialTimeout("tcp", s.addr, t.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", s.addr, dialTimeout)
 	if err != nil {
 		return nil, 0, err
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	conn.SetDeadline(time.Now().Add(t.cfg.DialTimeout))
+	conn.SetDeadline(time.Now().Add(dialTimeout))
 	hello := Handshake{
 		Version:   Version,
 		Q:         t.cfg.Q,
@@ -313,7 +293,6 @@ func (s *srv) markDown(conn net.Conn, cause error) {
 		s.lastErr.Store(errBox{cause})
 	}
 	if s.up.CompareAndSwap(true, false) {
-		s.t.logf("netmpc: server %d (%s) down: %v", s.idx, s.addr, cause)
 		s.t.fs.FailRange(uint64(s.lo), uint64(s.hi))
 	}
 	if !s.t.closed.Load() && s.reconn.CompareAndSwap(false, true) {
@@ -335,7 +314,7 @@ func (s *srv) markDown(conn net.Conn, cause error) {
 // may be mid-redeploy, and the range stays failed until geometry agrees.
 func (s *srv) reconnectLoop() {
 	defer s.t.wg.Done()
-	backoff := s.t.cfg.ReconnectMin
+	backoff := reconnectMin
 	for !s.t.closed.Load() {
 		time.Sleep(backoff)
 		if s.t.closed.Load() {
@@ -344,10 +323,7 @@ func (s *srv) reconnectLoop() {
 		conn, gen, err := s.t.dialServer(s)
 		if err != nil {
 			s.lastErr.Store(errBox{err})
-			backoff *= 2
-			if backoff > s.t.cfg.ReconnectMax {
-				backoff = s.t.cfg.ReconnectMax
-			}
+			backoff = min(2*backoff, reconnectMax)
 			continue
 		}
 		s.writeMu.Lock()
@@ -362,9 +338,9 @@ func (s *srv) reconnectLoop() {
 		// its markDown fails the range after this re-admission and finds no
 		// loop running; up goes first so that whoever sees the range
 		// re-admitted also finds the server up.
-		readmit, how := s.t.fs.RecoverRange, "store intact"
+		readmit := s.t.fs.RecoverRange
 		if gen != s.gen {
-			readmit, how = s.t.fs.RecoverPendingRange, "fresh store generation, range queued for repair"
+			readmit = s.t.fs.RecoverPendingRange
 		}
 		s.conn = conn
 		s.br.Reset(conn) // whatever the dead connection left buffered is gone
@@ -374,7 +350,6 @@ func (s *srv) reconnectLoop() {
 		readmit(uint64(s.lo), uint64(s.hi))
 		s.reconn.Store(false)
 		s.writeMu.Unlock()
-		s.t.logf("netmpc: server %d (%s) reconnected over [%d,%d): %s", s.idx, s.addr, s.lo, s.hi, how)
 		return
 	}
 }
@@ -454,8 +429,8 @@ type ServerStats struct {
 	Reconnects int64
 	Timeouts   int64
 	RTTCount   int64
-	RTTSumNs   int64
-	RTTP99Ns   int64
+	RTTSumUs   int64
+	RTTP99Us   int64
 	// MaxInFlight is the most frames the connection ever had outstanding.
 	// Rounds are lock-step, so that is 1 once a frame has been sent; the field
 	// stays for callers that report it.
@@ -476,8 +451,8 @@ func (t *Transport) Stats() []ServerStats {
 			Reconnects:  s.recon.Load(),
 			Timeouts:    s.timeouts.Load(),
 			RTTCount:    s.rtt.Count(),
-			RTTSumNs:    s.rtt.Sum(),
-			RTTP99Ns:    histP99(&s.rtt),
+			RTTSumUs:    s.rtt.Sum(),
+			RTTP99Us:    histP99(&s.rtt),
 			MaxInFlight: min(s.frames.Load(), 1),
 		}
 		if e := s.lastError(); e != nil {

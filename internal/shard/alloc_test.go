@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"testing"
 
 	"detshmem/internal/frontend"
@@ -12,8 +13,8 @@ import (
 // Result, stats accounting, the obs flush/batch/round hooks, fan-out, and
 // batch Reset/recycling — at zero allocations per batch in steady state.
 // The only allocations on the sharded hot path are
-// the clients' futures, which are minted outside the measured region here
-// exactly as they are minted in client goroutines in production.
+// the clients' futures, which are made outside the measured region here
+// exactly as client goroutines make them (inside their Batch) in production.
 func TestShardFlushSteadyStateAllocs(t *testing.T) {
 	// The subtest keeps the id the committed test floor lists.
 	t.Run("sequential", func(t *testing.T) {
@@ -45,7 +46,7 @@ func TestShardFlushSteadyStateAllocs(t *testing.T) {
 		mint := func() []*frontend.Future {
 			futs := make([]*frontend.Future, opsPer)
 			for i := range futs {
-				futs[i] = frontend.NewFuture()
+				futs[i] = new(frontend.Future)
 			}
 			return futs
 		}
@@ -72,4 +73,29 @@ func TestShardFlushSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("sharded flush path allocates %.2f per batch in steady state, want 0", avg)
 		}
 	})
+}
+
+// TestReadWriteAllocs pins the blocking API's allocation budget: a Read or a
+// Write is one allocation for its one-op batch (the Batch and its op are one
+// object) plus, when the caller waits before the batch commits, the future's
+// wait channel — at most two per call, whatever the shard count.
+func TestReadWriteAllocs(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
+			svc := newService(t, 3, Config{Shards: shards})
+			v := uint64(0)
+			avg := testing.AllocsPerRun(200, func() {
+				v = (v + 1) % 84 // the n=3 scheme has 84 variables
+				if err := svc.Write(v, v); err != nil {
+					t.Fatal(err)
+				}
+				if got, err := svc.Read(v); err != nil || got != v {
+					t.Fatalf("read %d = %d, %v", v, got, err)
+				}
+			})
+			if perCall := avg / 2; perCall > 2 {
+				t.Fatalf("a blocking Read or Write allocates %.2f, want <= 2", perCall)
+			}
+		})
+	}
 }

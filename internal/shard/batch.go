@@ -99,9 +99,9 @@ func (p *partition) grow(nOps, nShards int) {
 // Batch completes every op through its own future. An op naming a variable
 // outside [0, NumVars) fails alone with protocol.ErrVarOutOfRange; the rest
 // of the batch is unaffected. Per-shard admission order follows ops order,
-// so the per-variable linearizability contract and Future.Seq semantics are
-// exactly those of the per-op API. The caller may reuse ops as soon as
-// AccessBatch returns.
+// so the per-variable linearizability contract and Batch.Seq semantics are
+// those of issuing the ops one blocking Read or Write at a time. The caller
+// may reuse ops as soon as AccessBatch returns.
 //
 // The allocations are the Batch, its ops and — when more than one shard is
 // touched — its order map: three, whatever the number of ops or shards.

@@ -69,9 +69,9 @@ func TestAccessBatchRoundTrip(t *testing.T) {
 }
 
 // TestAccessBatchMatchesPerOp is the differential check: the same operation
-// sequence through AccessBatch and through the per-op API must leave the
-// store in the same state and return the same read values (per-variable
-// linearizability is admission-path independent).
+// sequence through AccessBatch windows of 30 and through blocking Read and
+// Write — one-op batches — must return the same read values (per-variable
+// linearizability does not depend on how the ops are grouped into entries).
 func TestAccessBatchMatchesPerOp(t *testing.T) {
 	mkops := func() []BatchOp {
 		ops := make([]BatchOp, 0, 300)
@@ -108,26 +108,16 @@ func TestAccessBatchMatchesPerOp(t *testing.T) {
 			}
 			return vals
 		}
-		futs := make([]*frontend.Future, len(ops))
+		// One blocking Read or Write at a time: each a one-op batch.
 		for i, op := range ops {
 			var err error
 			if op.Write {
-				futs[i], err = svc.WriteAsync(op.Var, op.Val)
+				err = svc.Write(op.Var, op.Val)
 			} else {
-				futs[i], err = svc.ReadAsync(op.Var)
+				vals[i], err = svc.Read(op.Var)
 			}
 			if err != nil {
 				t.Fatal(err)
-			}
-			// Window of 30, mirroring the batched run's commit boundaries.
-			if (i+1)%30 == 0 {
-				for j := i - 29; j <= i; j++ {
-					v, err := futs[j].Wait()
-					if err != nil {
-						t.Fatal(err)
-					}
-					vals[j] = v
-				}
 			}
 		}
 		return vals

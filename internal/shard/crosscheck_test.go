@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"detshmem/internal/consistency"
-	"detshmem/internal/frontend"
 	"detshmem/internal/mpc"
 	"detshmem/internal/protocol"
 )
@@ -55,28 +54,27 @@ func driveRecorded(t *testing.T, svc *Service, clients, opsPerClient int, vars u
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(c)*7919))
 			recs := make([]xrec, 0, opsPerClient)
-			type slot struct {
-				fut   *frontend.Future
-				write bool
-				v     uint64
-				val   uint64
-			}
 			const window = 16
-			pending := make([]slot, 0, window)
+			pending := make([]BatchOp, 0, window)
 			drain := func() {
-				for _, s := range pending {
-					got, err := s.fut.Wait()
+				b, err := svc.AccessBatch(pending)
+				if err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+				for i, op := range pending {
+					got, err := b.Value(i)
 					if err != nil {
 						if !allowFail || !errors.Is(err, protocol.ErrQuorumUnreachable) {
 							t.Errorf("client %d: %v", c, err)
 							return
 						}
-						recs = append(recs, xrec{write: s.write, v: s.v, val: s.val, failed: true})
+						recs = append(recs, xrec{write: op.Write, v: op.Var, val: op.Val, failed: true})
 						continue
 					}
-					r := xrec{seq: s.fut.Seq(), write: s.write, v: s.v, val: got}
-					if s.write {
-						r.val = s.val
+					r := xrec{seq: b.Seq(i), write: op.Write, v: op.Var, val: got}
+					if op.Write {
+						r.val = op.Val
 					}
 					recs = append(recs, r)
 				}
@@ -91,19 +89,9 @@ func driveRecorded(t *testing.T, svc *Service, clients, opsPerClient int, vars u
 				if rng.Intn(100) < 40 {
 					mint++
 					val := uint64(c+1)<<40 | mint
-					fut, err := svc.WriteAsync(v, val)
-					if err != nil {
-						t.Errorf("client %d: %v", c, err)
-						return
-					}
-					pending = append(pending, slot{fut, true, v, val})
+					pending = append(pending, BatchOp{Write: true, Var: v, Val: val})
 				} else {
-					fut, err := svc.ReadAsync(v)
-					if err != nil {
-						t.Errorf("client %d: %v", c, err)
-						return
-					}
-					pending = append(pending, slot{fut, false, v, 0})
+					pending = append(pending, BatchOp{Var: v})
 				}
 				if len(pending) == window {
 					drain()
@@ -344,8 +332,12 @@ func TestCrossCheckDegradedStranding(t *testing.T) {
 
 	// Client 0's stream, recorded by hand around the fault window.
 	var stream []xrec
-	rec := func(f *frontend.Future, write bool, v, val uint64) {
-		got, err := f.Wait()
+	do := func(write bool, v, val uint64) {
+		b, err := svc.AccessBatch([]BatchOp{{Write: write, Var: v, Val: val}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Value(0)
 		if err != nil {
 			if !errors.Is(err, protocol.ErrQuorumUnreachable) {
 				t.Fatalf("unexpected verdict: %v", err)
@@ -353,27 +345,11 @@ func TestCrossCheckDegradedStranding(t *testing.T) {
 			stream = append(stream, xrec{write: write, v: v, val: val, failed: true})
 			return
 		}
-		r := xrec{seq: f.Seq(), write: write, v: v, val: got}
+		r := xrec{seq: b.Seq(0), write: write, v: v, val: got}
 		if write {
 			r.val = val
 		}
 		stream = append(stream, r)
-	}
-	do := func(write bool, v, val uint64) {
-		var f *frontend.Future
-		var err error
-		if write {
-			f, err = svc.WriteAsync(v, val)
-		} else {
-			f, err = svc.ReadAsync(v)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := svc.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		rec(f, write, v, val)
 	}
 
 	do(true, victim, 1<<40|1)

@@ -7,14 +7,13 @@ import (
 
 	"detshmem/internal/baseline"
 	"detshmem/internal/core"
-	"detshmem/internal/frontend"
 	"detshmem/internal/protocol"
 	"detshmem/internal/workload"
 )
 
 // The sharded differential oracle. The service promises per-variable
 // linearizability with a per-shard commit order: every operation's
-// Future.Seq orders it within its variable's shard, and there is no
+// Batch.Seq orders it within its variable's shard, and there is no
 // cross-shard order. So the oracle groups committed operations by
 // Route(v), sorts each shard's group by sequence number, replays each
 // group independently against a plain map, and demands identical read
@@ -30,7 +29,7 @@ type record struct {
 }
 
 // runShardClients hammers the service from `clients` goroutines with
-// windowed async hot-spot traffic (40% writes over a small hot set so
+// AccessBatch windows of hot-spot traffic (40% writes over a small hot set so
 // combining, coalescing, conflicts, and cross-shard interleaving all
 // trigger), then collects each op's committed sequence number and value.
 func runShardClients(t *testing.T, svc *Service, clients, opsPer int, seed int64) []record {
@@ -47,38 +46,34 @@ func runShardClients(t *testing.T, svc *Service, clients, opsPer int, seed int64
 			rng := workload.ClientRNG(seed, c)
 			stream := workload.HotSpot(rng, 64, opsPer, 8, 0.7)
 			recs := make([]record, 0, opsPer)
-			futs := make([]*frontend.Future, 0, window)
+			win := make([]BatchOp, 0, window)
 			drain := func() bool {
-				for i, fut := range futs {
-					k := len(recs) - len(futs) + i
-					got, err := fut.Wait()
-					if err != nil {
+				b, err := svc.AccessBatch(win)
+				if err != nil {
+					errs <- err
+					return false
+				}
+				for i := range win {
+					k := len(recs) - len(win) + i
+					if recs[k].got, err = b.Value(i); err != nil {
 						errs <- err
 						return false
 					}
-					recs[k].seq = fut.Seq()
-					recs[k].got = got
+					recs[k].seq = b.Seq(i)
 				}
-				futs = futs[:0]
+				win = win[:0]
 				return true
 			}
 			for i, v := range stream {
-				var fut *frontend.Future
-				var err error
 				if rng.Intn(100) < 40 {
 					val := uint64(c+1)<<32 | uint64(i)
 					recs = append(recs, record{v: v, val: val, write: true})
-					fut, err = svc.WriteAsync(v, val)
+					win = append(win, BatchOp{Write: true, Var: v, Val: val})
 				} else {
 					recs = append(recs, record{v: v})
-					fut, err = svc.ReadAsync(v)
+					win = append(win, BatchOp{Var: v})
 				}
-				if err != nil {
-					errs <- err
-					return
-				}
-				futs = append(futs, fut)
-				if len(futs) == window && !drain() {
+				if len(win) == window && !drain() {
 					return
 				}
 			}

@@ -23,13 +23,13 @@ type backend interface {
 // pipeDispatcher is the per-shard dispatcher — the serving path's one
 // serialization point — built on the lock-free MPSC admission ring
 // (ring.go). Admission is one atomic fetch-add plus one publishing store per
-// entry — a single op, or a whole AccessBatch sub-batch: clients claim ring
-// slots and return immediately with futures, while the flusher goroutine —
-// the ring's single consumer — drains whole published windows per sweep,
-// admits each entry's ops in order (admit), assigning commit sequence
-// numbers and folding them into the accumulating frontend.Pending, and
-// drives sealed batches through the backend's allocation-free AccessInto
-// path.
+// entry — one AccessBatch sub-batch, however many ops it carries: clients
+// claim ring slots and return immediately with a Batch, while the flusher
+// goroutine — the ring's single consumer — drains whole published windows
+// per sweep, admits each entry's ops in order (admit), assigning commit
+// sequence numbers and folding them into the accumulating frontend.Pending,
+// and drives sealed batches through the backend's allocation-free
+// AccessInto path.
 //
 // Linearizability per variable holds by construction: ring order is
 // admission order (positions are claimed by one fetch-add and popped in
@@ -89,24 +89,6 @@ func newPipeDispatcher(b backend, numVars uint64, maxBatch, ringCap int, col *ob
 	return d
 }
 
-// ReadAsync admits a read into the shard's ring.
-func (d *pipeDispatcher) ReadAsync(v uint64) (*frontend.Future, error) {
-	fut := frontend.NewFuture()
-	if err := d.ring.enqueue(ringOp{kind: ringRead, v: v, fut: fut}); err != nil {
-		return nil, err
-	}
-	return fut, nil
-}
-
-// WriteAsync admits a write into the shard's ring.
-func (d *pipeDispatcher) WriteAsync(v, val uint64) (*frontend.Future, error) {
-	fut := frontend.NewFuture()
-	if err := d.ring.enqueue(ringOp{kind: ringWrite, v: v, val: val, fut: fut}); err != nil {
-		return nil, err
-	}
-	return fut, nil
-}
-
 // run is the flusher: pop published entries in ring order, admit their ops
 // into the accumulating batch (which flushes on size/conflict), idle-flush
 // when the ring runs dry, park when there is nothing at all.
@@ -147,13 +129,10 @@ func (d *pipeDispatcher) run() {
 		}
 		yielded = false
 		switch op.kind {
-		case ringRead, ringWrite:
-			d.admit(op.kind == ringWrite, op.v, op.val, op.fut)
 		case ringBatch:
 			ops := op.batch.ops[op.lo:op.hi]
 			for i := range ops {
-				e := &ops[i]
-				d.admit(e.op.Write, e.op.Var, e.op.Val, &e.fut)
+				d.admit(&ops[i])
 			}
 		case ringFlush:
 			if d.cur.Ops() > 0 {
@@ -181,24 +160,25 @@ func (d *pipeDispatcher) run() {
 // order: it takes the next commit sequence number, flushes first when a
 // write meets an issued read of its variable, and flushes after when the
 // batch reaches MaxBatch distinct variables.
-func (d *pipeDispatcher) admit(write bool, v, val uint64, fut *frontend.Future) {
+func (d *pipeDispatcher) admit(e *batchOp) {
+	v := e.op.Var
 	if v >= d.numVars {
 		// Refused alone, before it takes a sequence number or a place in
 		// the batch: the backend fails a whole batch on one bad variable,
 		// and every op coalesced with it would share the verdict.
-		fut.Fail(fmt.Errorf("shard: variable %d of %d: %w", v, d.numVars, protocol.ErrVarOutOfRange))
+		e.fut.Fail(fmt.Errorf("shard: variable %d of %d: %w", v, d.numVars, protocol.ErrVarOutOfRange))
 		return
 	}
 	d.seq++
-	if write {
+	if e.op.Write {
 		if d.cur.WriteConflicts(v) {
 			// The variable carries an issued read: the batch goes out
 			// first, the write opens the next one.
 			d.flushCur(obs.FlushConflict)
 		}
-		d.cur.Write(d.seq, v, val, fut)
+		d.cur.Write(d.seq, v, e.op.Val, &e.fut)
 	} else {
-		d.cur.Read(d.seq, v, fut)
+		d.cur.Read(d.seq, v, &e.fut)
 	}
 	if d.cur.Distinct() >= d.maxBatch {
 		d.flushCur(obs.FlushSize)

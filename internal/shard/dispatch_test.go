@@ -88,13 +88,20 @@ func (p *probe) recorded() [][]protocol.Request {
 	return p.batches
 }
 
+// enqueue admits op into d's ring as a one-op AccessBatch entry — the entry
+// a blocking Read or Write admits — and returns its future.
+func enqueue(d *pipeDispatcher, op BatchOp) (*frontend.Future, error) {
+	b := &Batch{ops: []batchOp{{op: op}}}
+	return &b.ops[0].fut, d.ring.enqueueBatch(b, 0, 1)
+}
+
 // prime submits one throwaway write of v and waits for the flusher to enter
 // its (idle-triggered) flush, so every op staged afterwards sits in the ring
 // until the primer batch is released and is then admitted in one
 // uninterrupted run.
 func prime(t *testing.T, d *pipeDispatcher, p *probe, v uint64) *frontend.Future {
 	t.Helper()
-	fut, err := d.WriteAsync(v, 1)
+	fut, err := enqueue(d, BatchOp{Write: true, Var: v, Val: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,21 +109,13 @@ func prime(t *testing.T, d *pipeDispatcher, p *probe, v uint64) *frontend.Future
 	return fut
 }
 
-func readSync(d *pipeDispatcher, v uint64) (uint64, error) {
-	fut, err := d.ReadAsync(v)
+// access admits op and waits for it, as a blocking Read or Write does.
+func access(d *pipeDispatcher, op BatchOp) (uint64, error) {
+	fut, err := enqueue(d, op)
 	if err != nil {
 		return 0, err
 	}
 	return fut.Wait()
-}
-
-func writeSync(d *pipeDispatcher, v, val uint64) error {
-	fut, err := d.WriteAsync(v, val)
-	if err != nil {
-		return err
-	}
-	_, err = fut.Wait()
-	return err
 }
 
 // TestCombiningSemantics drives the full coalescing matrix deterministically:
@@ -128,13 +127,13 @@ func TestCombiningSemantics(t *testing.T) {
 	primer := prime(t, d, p, 1<<40)
 
 	// Staged while the flusher is stuck in the primer's flush.
-	w1, _ := d.WriteAsync(1, 10)
-	r1, _ := d.ReadAsync(1) // forwarded: 10
-	w2, _ := d.WriteAsync(1, 20)
-	r2, _ := d.ReadAsync(1)     // forwarded: 20
-	r3, _ := d.ReadAsync(2)     // issued read
-	r4, _ := d.ReadAsync(2)     // combined with r3
-	w3, _ := d.WriteAsync(2, 5) // conflicts with the issued read: flush
+	w1, _ := enqueue(d, BatchOp{Write: true, Var: 1, Val: 10})
+	r1, _ := enqueue(d, BatchOp{Var: 1}) // forwarded: 10
+	w2, _ := enqueue(d, BatchOp{Write: true, Var: 1, Val: 20})
+	r2, _ := enqueue(d, BatchOp{Var: 1})                      // forwarded: 20
+	r3, _ := enqueue(d, BatchOp{Var: 2})                      // issued read
+	r4, _ := enqueue(d, BatchOp{Var: 2})                      // combined with r3
+	w3, _ := enqueue(d, BatchOp{Write: true, Var: 2, Val: 5}) // conflicts with the issued read: flush
 
 	p.gate <- struct{}{} // release the primer batch (already entered)
 	p.step()             // the conflict-flushed combined batch
@@ -202,7 +201,7 @@ func TestSizeFlush(t *testing.T) {
 	futs := make([]*frontend.Future, 8)
 	for i := range futs {
 		var err error
-		if futs[i], err = d.WriteAsync(uint64(i), uint64(i)+100); err != nil {
+		if futs[i], err = enqueue(d, BatchOp{Write: true, Var: uint64(i), Val: uint64(i) + 100}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,10 +233,10 @@ func TestSizeFlush(t *testing.T) {
 func TestBackendErrorFansOut(t *testing.T) {
 	boom := errors.New("boom")
 	d := newPipeDispatcher(&mapBackend{err: boom}, math.MaxUint64, 4, 64, nil)
-	if _, err := readSync(d, 7); !errors.Is(err, boom) {
+	if _, err := access(d, BatchOp{Var: 7}); !errors.Is(err, boom) {
 		t.Fatalf("read error = %v, want boom", err)
 	}
-	if err := writeSync(d, 7, 1); !errors.Is(err, boom) {
+	if _, err := access(d, BatchOp{Write: true, Var: 7, Val: 1}); !errors.Is(err, boom) {
 		t.Fatalf("write error = %v, want boom", err)
 	}
 	if s := d.Stats(); s.FailedBatches != 2 {
@@ -309,9 +308,9 @@ func TestOutOfRangeOpFailsAlone(t *testing.T) {
 			go func(c int) {
 				defer wg.Done()
 				v := uint64(c + 1)
-				wins[c].write, _ = d.WriteAsync(v, v*10)
-				wins[c].bad, _ = d.ReadAsync(m.NumVars() + 5 + uint64(c))
-				wins[c].read, _ = d.ReadAsync(v)
+				wins[c].write, _ = enqueue(d, BatchOp{Write: true, Var: v, Val: v * 10})
+				wins[c].bad, _ = enqueue(d, BatchOp{Var: m.NumVars() + 5 + uint64(c)})
+				wins[c].read, _ = enqueue(d, BatchOp{Var: v})
 			}(c)
 		}
 		wg.Wait()
@@ -337,7 +336,7 @@ func TestOutOfRangeOpFailsAlone(t *testing.T) {
 			t.Errorf("stats = %+v, want 5 ops in (the refused ops take no place) and no failed batch", s)
 		}
 		for c := range wins {
-			fut, err := d.ReadAsync(uint64(c + 1))
+			fut, err := enqueue(d, BatchOp{Var: uint64(c + 1)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -369,11 +368,11 @@ func TestTinyRingBackpressure(t *testing.T) {
 		go func(c uint64) {
 			defer wg.Done()
 			for i := uint64(0); i < 50; i++ {
-				if err := writeSync(d, c, c<<8|i); err != nil {
+				if _, err := access(d, BatchOp{Write: true, Var: c, Val: c<<8 | i}); err != nil {
 					t.Error(err)
 					return
 				}
-				if got, err := readSync(d, c); err != nil || got != c<<8|i {
+				if got, err := access(d, BatchOp{Var: c}); err != nil || got != c<<8|i {
 					t.Errorf("client %d read %d, %v; want %d", c, got, err, c<<8|i)
 					return
 				}
@@ -393,7 +392,7 @@ func TestStatsReadYourOps(t *testing.T) {
 	d := newPipeDispatcher(&mapBackend{}, math.MaxUint64, 4, 64, nil)
 	defer d.Close()
 	for i := 1; i <= 50; i++ {
-		if err := writeSync(d, uint64(i), uint64(i)); err != nil {
+		if _, err := access(d, BatchOp{Write: true, Var: uint64(i), Val: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 		if got := d.Stats().OpsIn; got < int64(i) {
@@ -443,12 +442,12 @@ func TestStatsConcurrentWithFlushes(t *testing.T) {
 			defer writersWG.Done()
 			for i := 0; i < opsPerWriter; i++ {
 				v := uint64(w*opsPerWriter + i)
-				if err := writeSync(d, v, v); err != nil {
+				if _, err := access(d, BatchOp{Write: true, Var: v, Val: v}); err != nil {
 					t.Errorf("write: %v", err)
 					return
 				}
 				if i%16 == 0 {
-					if _, err := readSync(d, v); err != nil {
+					if _, err := access(d, BatchOp{Var: v}); err != nil {
 						t.Errorf("read: %v", err)
 						return
 					}

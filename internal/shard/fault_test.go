@@ -9,7 +9,6 @@ import (
 
 	"detshmem/internal/consistency"
 	"detshmem/internal/core"
-	"detshmem/internal/frontend"
 	"detshmem/internal/mpc"
 	"detshmem/internal/protocol"
 )
@@ -81,25 +80,19 @@ func TestShardDegradedBatch(t *testing.T) {
 		fs.Fail(m)
 	}
 
-	vf, err := svc.ReadAsync(victim)
+	reads := []BatchOp{{Var: victim}}
+	for _, v := range healthy {
+		reads = append(reads, BatchOp{Var: v})
+	}
+	b, err := svc.AccessBatch(reads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hf := make([]*frontend.Future, len(healthy))
-	for i, v := range healthy {
-		if hf[i], err = svc.ReadAsync(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := svc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := vf.Wait(); !errors.Is(err, protocol.ErrQuorumUnreachable) {
+	if _, err := b.Value(0); !errors.Is(err, protocol.ErrQuorumUnreachable) {
 		t.Fatalf("victim verdict: %v", err)
 	}
-	for i, f := range hf {
-		v, err := f.Wait()
+	for i := range healthy {
+		v, err := b.Value(i + 1)
 		if err != nil {
 			t.Fatalf("healthy read of %d in degraded shard stream: %v", healthy[i], err)
 		}
@@ -161,29 +154,19 @@ func TestFaultHammer(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			const window = 16
-			pending := make([]*frontend.Future, 0, window)
+			pending := make([]BatchOp, 0, window)
 			drain := func() {
-				for _, f := range pending {
-					if _, err := f.Wait(); err != nil {
-						t.Errorf("client %d: request failed under single-failure churn: %v", c, err)
-					}
+				b, err := svc.AccessBatch(pending)
+				if err != nil {
+					t.Errorf("client %d: submit: %v", c, err)
+				} else if err := b.Wait(); err != nil {
+					t.Errorf("client %d: request failed under single-failure churn: %v", c, err)
 				}
 				pending = pending[:0]
 			}
 			for i := 0; i < ops; i++ {
 				v := uint64((c*131 + i*17)) % vars
-				var f *frontend.Future
-				var err error
-				if i%3 == 0 {
-					f, err = svc.WriteAsync(v, uint64(c)<<32|uint64(i))
-				} else {
-					f, err = svc.ReadAsync(v)
-				}
-				if err != nil {
-					t.Errorf("client %d: submit: %v", c, err)
-					return
-				}
-				pending = append(pending, f)
+				pending = append(pending, BatchOp{Write: i%3 == 0, Var: v, Val: uint64(c)<<32 | uint64(i)})
 				if len(pending) == window {
 					drain()
 				}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"detshmem/internal/consistency"
-	"detshmem/internal/frontend"
 	"detshmem/internal/mpc"
 	"detshmem/internal/protocol"
 )
@@ -78,16 +77,15 @@ func TestChurnSoakRepair(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			rec := run.Client(c)
-			type slot struct {
-				fut   *frontend.Future
-				write bool
-				v     uint64
-				val   uint64
-			}
-			pending := make([]slot, 0, window)
+			pending := make([]BatchOp, 0, window)
 			drain := func() {
-				for _, p := range pending {
-					got, err := p.fut.Wait()
+				b, err := svc.AccessBatch(pending)
+				if err != nil {
+					t.Errorf("client %d: submit: %v", c, err)
+					return
+				}
+				for i, p := range pending {
+					got, err := b.Value(i)
 					if err != nil {
 						// Quorum outages are legitimate while modules sit in
 						// repair; anything else is a bug.
@@ -95,26 +93,17 @@ func TestChurnSoakRepair(t *testing.T) {
 							t.Errorf("client %d: non-quorum failure under churn: %v", c, err)
 						}
 					}
-					if p.write {
-						got = p.val
+					if p.Write {
+						got = p.Val
 					}
-					rec.Record(p.write, p.v, got, err != nil)
+					rec.Record(p.Write, p.Var, got, err != nil)
 				}
 				pending = pending[:0]
 			}
 			for i := 0; i < ops; i++ {
-				v := uint64(c*131+i*17) % vars
-				p := slot{write: i%3 == 0, v: v}
-				var err error
-				if p.write {
-					p.val = rec.WriteValue()
-					p.fut, err = svc.WriteAsync(v, p.val)
-				} else {
-					p.fut, err = svc.ReadAsync(v)
-				}
-				if err != nil {
-					t.Errorf("client %d: submit: %v", c, err)
-					return
+				p := BatchOp{Write: i%3 == 0, Var: uint64(c*131+i*17) % vars}
+				if p.Write {
+					p.Val = rec.WriteValue()
 				}
 				pending = append(pending, p)
 				if len(pending) == window {

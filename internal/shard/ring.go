@@ -22,21 +22,16 @@ type cpad [cacheLine]byte
 type ringKind uint8
 
 const (
-	ringRead  ringKind = iota
-	ringWrite          // val carries the written value
-	ringBatch          // batch.ops[lo:hi] is one AccessBatch sub-batch
-	ringFlush          // ack is closed once every prior op has committed
-	ringClose          // the flusher commits what it holds and exits
+	ringBatch ringKind = iota // batch.ops[lo:hi] is one AccessBatch sub-batch
+	ringFlush                 // ack is closed once every prior op has committed
+	ringClose                 // the flusher commits what it holds and exits
 )
 
-// ringOp is the payload of one ring slot: one operation (ReadAsync,
-// WriteAsync), one AccessBatch sub-batch — every op of the call routed to
-// this shard, however many — or a sentinel.
+// ringOp is the payload of one ring slot: one AccessBatch sub-batch — every
+// op of the call routed to this shard, however many; a blocking Read or
+// Write is a one-op batch — or a sentinel.
 type ringOp struct {
 	kind   ringKind
-	v      uint64
-	val    uint64
-	fut    *frontend.Future
 	ack    chan struct{}
 	batch  *Batch
 	lo, hi int32
@@ -57,15 +52,15 @@ type ringSlot struct {
 }
 
 // unsafe_ringOpSize is ringOp's size on 64-bit targets (1 byte of kind
-// padded to 8, three uint64-sized words, two pointers, one channel, two
-// int32s). The padding-audit test asserts unsafe.Sizeof(ringSlot{}) is a
-// multiple of cacheLine, which catches this constant going stale.
-const unsafe_ringOpSize = 56
+// padded to 8, one channel, one pointer, two int32s). The padding-audit test
+// asserts unsafe.Sizeof(ringSlot{}) is a multiple of cacheLine, which
+// catches this constant going stale.
+const unsafe_ringOpSize = 32
 
-// ring is a bounded lock-free MPSC queue of entries — one operation, one
-// AccessBatch sub-batch, or a sentinel each: any number of producers admit
-// entries by claiming positions from an atomic sequence counter; the shard's
-// flusher goroutine is the only consumer. It replaces the shard admission
+// ring is a bounded lock-free MPSC queue of entries — one AccessBatch
+// sub-batch or one sentinel each: any number of producers admit entries by
+// claiming positions from an atomic sequence counter; the shard's flusher
+// goroutine is the only consumer. It replaces the shard admission
 // mutex: an uncontended admit is one fetch-add plus one publishing store,
 // whether it carries one operation or a client's whole window, and the
 // consumer drains a whole published window per sweep without ever taking a
@@ -207,7 +202,7 @@ func (r *ring) tryPop(out *ringOp) bool {
 		return false
 	}
 	*out = s.op
-	s.op = ringOp{} // drop future/batch/ack references: completed ops stay collectable
+	s.op = ringOp{} // drop batch/ack references: completed ops stay collectable
 	s.seq.Store(pos + uint64(len(r.slots)))
 	r.head.Store(pos + 1)
 	if r.fullWaiters.Load() != 0 {

@@ -12,6 +12,12 @@ import (
 	"detshmem/internal/protocol"
 )
 
+// oneOp is a ring entry carrying a one-op batch: a write of v to v.
+func oneOp(v uint64) ringOp {
+	b := &Batch{ops: []batchOp{{op: BatchOp{Write: true, Var: v, Val: v}}}}
+	return ringOp{kind: ringBatch, batch: b, lo: 0, hi: 1}
+}
+
 // TestRingFIFO drives the ring with concurrent producers and one consumer
 // and checks the two properties the dispatcher's correctness rests on:
 // nothing is lost or duplicated, and each producer's operations arrive in
@@ -26,7 +32,7 @@ func TestRingFIFO(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
 				v := uint64(p)<<32 | uint64(i)
-				if err := r.enqueue(ringOp{kind: ringWrite, v: v, val: v}); err != nil {
+				if err := r.enqueue(oneOp(v)); err != nil {
 					t.Errorf("enqueue: %v", err)
 					return
 				}
@@ -41,8 +47,8 @@ func TestRingFIFO(t *testing.T) {
 			r.park()
 			continue
 		}
-		p := int(op.v >> 32)
-		i := int(op.v & 0xffffffff)
+		v := op.batch.ops[op.lo].op.Var
+		p, i := int(v>>32), int(v&0xffffffff)
 		if i != seen[p] {
 			t.Fatalf("producer %d: popped index %d, want %d (FIFO violated)", p, i, seen[p])
 		}
@@ -62,6 +68,7 @@ func TestRingFIFO(t *testing.T) {
 func TestRingCloseCompleteness(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		r := newRing(32, nil)
+		entry := oneOp(1)
 		const producers = 6
 		var accepted atomic.Int64
 		var wg sync.WaitGroup
@@ -76,7 +83,7 @@ func TestRingCloseCompleteness(t *testing.T) {
 						return
 					default:
 					}
-					if err := r.enqueue(ringOp{kind: ringRead, v: 1}); err != nil {
+					if err := r.enqueue(entry); err != nil {
 						if !errors.Is(err, frontend.ErrClosed) {
 							t.Errorf("enqueue: %v", err)
 						}
@@ -194,14 +201,11 @@ func TestRingAdmissionFaultChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < opsPer; i++ {
 				v := uint64((c*opsPer + i) % 80) // the n=3 scheme has 84 variables
-				fut, err := svc.WriteAsync(v, v)
-				if err != nil {
-					if !errors.Is(err, frontend.ErrClosed) {
+				if err := svc.Write(v, v); err != nil {
+					if errors.Is(err, frontend.ErrClosed) {
 						t.Errorf("client %d: admit: %v", c, err)
+						return
 					}
-					return
-				}
-				if _, err := fut.Wait(); err != nil {
 					if !errors.Is(err, protocol.ErrIncomplete) && !errors.Is(err, protocol.ErrQuorumUnreachable) {
 						t.Errorf("client %d: unexpected completion error: %v", c, err)
 					}
@@ -233,14 +237,14 @@ func TestRingAdmissionFaultChurn(t *testing.T) {
 }
 
 // TestRingEnqueueAllocs pins the admission path's allocation budget: an
-// enqueue/pop cycle through the ring itself is allocation-free (the future
-// is the caller's single allocation, minted outside the measured region).
+// enqueue/pop cycle through the ring itself is allocation-free (the Batch is
+// the caller's allocation, made outside the measured region).
 func TestRingEnqueueAllocs(t *testing.T) {
 	r := newRing(64, nil)
-	fut := frontend.NewFuture()
+	entry := oneOp(7)
 	var op ringOp
 	avg := testing.AllocsPerRun(1000, func() {
-		if err := r.enqueue(ringOp{kind: ringWrite, v: 7, val: 7, fut: fut}); err != nil {
+		if err := r.enqueue(entry); err != nil {
 			t.Fatal(err)
 		}
 		if !r.tryPop(&op) {
@@ -253,7 +257,7 @@ func TestRingEnqueueAllocs(t *testing.T) {
 }
 
 // FuzzRing model-checks the slot claim/seal arithmetic single-threaded: a
-// byte script drives enqueues (single ops and sub-batch entries) and pops
+// byte script drives enqueues (one-op and larger sub-batch entries) and pops
 // against a plain slice model of entries, across fuzzer-chosen capacities,
 // long enough to wrap the generation stamps many times. Any divergence —
 // wrong entry, wrong order, pop succeeding on an empty ring or failing on a
@@ -267,7 +271,7 @@ func FuzzRing(f *testing.F) {
 		r := newRing(capacity, nil)
 		ringCap := len(r.slots)
 		// An entry of the model: the first variable it carries and how many
-		// ops (0 for a single-op entry).
+		// ops.
 		type entry struct{ first, n uint64 }
 		var model []entry
 		next := uint64(0)
@@ -276,12 +280,6 @@ func FuzzRing(f *testing.F) {
 			t.Helper()
 			want := model[0]
 			model = model[1:]
-			if want.n == 0 {
-				if op.kind != ringWrite || op.v != want.first {
-					t.Fatalf("popped %+v, model head is the single op on %d", op, want.first)
-				}
-				return
-			}
 			if op.kind != ringBatch || uint64(op.hi-op.lo) != want.n || op.batch.ops[op.lo].op.Var != want.first {
 				t.Fatalf("popped %+v, model head is the %d-op entry from %d", op, want.n, want.first)
 			}
@@ -292,11 +290,11 @@ func FuzzRing(f *testing.F) {
 				continue // single-threaded: publish into a full ring would spin forever
 			}
 			switch cmd {
-			case 0: // enqueue one op
-				if err := r.enqueue(ringOp{kind: ringWrite, v: next, val: next}); err != nil {
+			case 0: // enqueue a one-op batch
+				if err := r.enqueue(oneOp(next)); err != nil {
 					t.Fatalf("enqueue: %v", err)
 				}
-				model = append(model, entry{first: next})
+				model = append(model, entry{first: next, n: 1})
 				next++
 			case 1: // pop one
 				got := r.tryPop(&op)

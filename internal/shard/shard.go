@@ -16,7 +16,7 @@
 // The Service is linearizable per variable, not across variables. All
 // operations on one variable land on the same shard, whose dispatcher
 // serializes them — admission order is commit order — so a read always
-// observes the latest committed write of the same variable, and Future.Seq
+// observes the latest committed write of the same variable, and Batch.Seq
 // orders operations within a shard. At S=1 that is a total order over every
 // operation. Operations on different variables that route to different
 // shards have no mutual order: there is no cross-shard commit sequence,
@@ -28,11 +28,11 @@
 // # Dispatch
 //
 // Each shard runs one lock-free dispatcher (dispatch.go): clients admit
-// entries — one operation, or one AccessBatch sub-batch — into a bounded
-// MPSC ring (ring.go) with one atomic fetch-add plus one publishing store —
-// no admission mutex, no per-op channel hop — while the shard's flusher
-// goroutine, the ring's single consumer, drains whole published windows per
-// sweep, coalesces their operations into the accumulating batch by
+// entries — one AccessBatch sub-batch each; Read and Write are one-op
+// batches — into a bounded MPSC ring (ring.go) with one atomic fetch-add
+// plus one publishing store — no admission mutex, no per-op channel hop —
+// while the shard's flusher goroutine, the ring's single consumer, drains
+// whole published windows per sweep, coalesces their operations into the accumulating batch by
 // internal/frontend's combining rules, and drives sealed batches through the
 // backend's allocation-free AccessInto path. A batch is flushed when it
 // reaches MaxBatch distinct variables, when a write meets an issued read of
@@ -71,9 +71,9 @@ type Config struct {
 	// MaxBatch is the per-shard flush threshold in distinct variables.
 	// 0 defaults to the mapper's module count N (the largest batch the
 	// protocol accepts, so New rejects more). The admission ring holds
-	// 3×MaxBatch entries, clamped to [64, 4096]; an entry is one operation
-	// or one AccessBatch sub-batch, so Stats.MaxQueueDepth counts entries
-	// too.
+	// 3×MaxBatch entries, clamped to [64, 4096]; an entry is one
+	// AccessBatch sub-batch (a blocking Read or Write is a one-op batch),
+	// so Stats.MaxQueueDepth counts entries too.
 	MaxBatch int
 	// Protocol is the template for every shard's system. If its Resolver is
 	// nil and its Strategy the zero value, the mapper's size decides
@@ -132,7 +132,7 @@ func New(m protocol.Mapper, cfg Config) (*Service, error) {
 	if uint64(cfg.MaxBatch) > m.NumModules() {
 		return nil, fmt.Errorf("shard: MaxBatch %d exceeds the %d modules (N) one protocol batch can address", cfg.MaxBatch, m.NumModules())
 	}
-	// Three batches' worth of single-op entries: one flushing, one sealed,
+	// Three batches' worth of one-op entries: one flushing, one sealed,
 	// one accumulating.
 	ringCap := min(max(3*cfg.MaxBatch, 64), 4096)
 	pcfg := cfg.Protocol
@@ -197,33 +197,31 @@ func route(v uint64, shards int) int {
 	return int(v % uint64(shards))
 }
 
-// ReadAsync submits a read to the variable's shard.
-func (s *Service) ReadAsync(v uint64) (*frontend.Future, error) {
-	return s.shards[s.Route(v)].d.ReadAsync(v)
-}
-
-// WriteAsync submits a write to the variable's shard.
-func (s *Service) WriteAsync(v, val uint64) (*frontend.Future, error) {
-	return s.shards[s.Route(v)].d.WriteAsync(v, val)
-}
-
-// Read submits a read and blocks until its batch commits.
+// Read submits a read and blocks until its batch commits. It is a one-op
+// AccessBatch: the same ring entry, the same admission order.
 func (s *Service) Read(v uint64) (uint64, error) {
-	fut, err := s.ReadAsync(v)
-	if err != nil {
-		return 0, err
-	}
-	return fut.Wait()
+	return s.one(BatchOp{Var: v})
 }
 
 // Write submits a write and blocks until its batch commits.
 func (s *Service) Write(v, val uint64) error {
-	fut, err := s.WriteAsync(v, val)
-	if err != nil {
-		return err
-	}
-	_, err = fut.Wait()
+	_, err := s.one(BatchOp{Write: true, Var: v, Val: val})
 	return err
+}
+
+// one admits op as a one-op batch on its variable's shard and waits for it.
+// The Batch and its one op are a single allocation.
+func (s *Service) one(op BatchOp) (uint64, error) {
+	o := &struct {
+		b   Batch
+		ops [1]batchOp
+	}{}
+	o.ops[0].op = op
+	o.b.ops = o.ops[:]
+	if err := s.shards[s.Route(op.Var)].d.ring.enqueueBatch(&o.b, 0, 1); err != nil {
+		return 0, err
+	}
+	return o.ops[0].fut.Wait()
 }
 
 // Flush forces every shard's pending batch out and blocks until all have

@@ -88,39 +88,41 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAsyncPipelining drives windowed async traffic so pipelined shards
-// genuinely overlap admission with flushing, then checks every future.
+// TestAsyncPipelining submits many AccessBatch windows before waiting on
+// any, so pipelined shards genuinely overlap admission with flushing, then
+// checks every op.
 func TestAsyncPipelining(t *testing.T) {
 	for _, cfg := range configs() {
 		cfg := cfg
 		t.Run(cfg.name(), func(t *testing.T) {
 			svc := newService(t, 3, cfg)
-			const ops = 400
-			futs := make([]*frontend.Future, 0, ops)
+			const ops, window = 400, 20
+			var batches []*Batch
 			last := map[uint64]uint64{}
+			win := make([]BatchOp, 0, window)
 			for i := 0; i < ops; i++ {
 				v := uint64(i % 17)
 				if i%3 == 0 {
-					fut, err := svc.WriteAsync(v, uint64(i)+1)
-					if err != nil {
-						t.Fatal(err)
-					}
+					win = append(win, BatchOp{Write: true, Var: v, Val: uint64(i) + 1})
 					last[v] = uint64(i) + 1
-					futs = append(futs, fut)
 				} else {
-					fut, err := svc.ReadAsync(v)
+					win = append(win, BatchOp{Var: v})
+				}
+				if len(win) == window {
+					b, err := svc.AccessBatch(win)
 					if err != nil {
 						t.Fatal(err)
 					}
-					futs = append(futs, fut)
+					batches = append(batches, b)
+					win = win[:0]
 				}
 			}
 			if err := svc.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			for i, fut := range futs {
-				if _, err := fut.Wait(); err != nil {
-					t.Fatalf("op %d: %v", i, err)
+			for i, b := range batches {
+				if err := b.Wait(); err != nil {
+					t.Fatalf("window %d: %v", i, err)
 				}
 			}
 			// Single submitter: the final read of every variable must see
@@ -148,14 +150,14 @@ func TestCloseSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fut, err := svc.WriteAsync(3, 33)
+			b, err := svc.AccessBatch([]BatchOp{{Write: true, Var: 3, Val: 33}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := svc.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := fut.Wait(); err != nil {
+			if err := b.Wait(); err != nil {
 				t.Fatalf("pending write not flushed by Close: %v", err)
 			}
 			if _, err := svc.Read(3); !errors.Is(err, frontend.ErrClosed) {
@@ -441,13 +443,17 @@ func TestMaxBatchBoundedByModules(t *testing.T) {
 // already be visible in the snapshot.
 func TestExplicitFlushWaits(t *testing.T) {
 	svc := newService(t, 3, Config{Shards: 2})
-	var futs []*frontend.Future
-	for i := 0; i < 200; i++ {
-		fut, err := svc.WriteAsync(uint64(i%9), uint64(i))
+	var batches []*Batch
+	for lo := 0; lo < 200; lo += 10 {
+		win := make([]BatchOp, 10)
+		for i := range win {
+			win[i] = BatchOp{Write: true, Var: uint64((lo + i) % 9), Val: uint64(lo + i)}
+		}
+		b, err := svc.AccessBatch(win)
 		if err != nil {
 			t.Fatal(err)
 		}
-		futs = append(futs, fut)
+		batches = append(batches, b)
 	}
 	if err := svc.Flush(); err != nil {
 		t.Fatal(err)
@@ -459,9 +465,9 @@ func TestExplicitFlushWaits(t *testing.T) {
 	if st.Total.ExplicitFlushes == 0 {
 		t.Fatal("no explicit flush recorded")
 	}
-	for i, fut := range futs {
-		if _, err := fut.Wait(); err != nil {
-			t.Fatalf("op %d: %v", i, err)
+	for i, b := range batches {
+		if err := b.Wait(); err != nil {
+			t.Fatalf("window %d: %v", i, err)
 		}
 	}
 }
