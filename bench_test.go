@@ -617,9 +617,10 @@ func BenchmarkRepairSweep(b *testing.B) {
 }
 
 // BenchmarkPendingCycle is the combining core's share of one flush with no
-// backend behind it: admit distinct variables (every fourth a write, each
-// preceded by the dispatchers' WriteConflicts probe), serialize the requests,
-// fan a result out and reset. 64 is a client window, 4096 a PRAM step.
+// backend behind it, as the shard flusher pays it: admit distinct variables
+// (every fourth a write, taking Write's verdict as the dispatcher does), hand
+// over the batch admission built, fan a result out and reset. 64 is a client
+// window, 4096 a PRAM step.
 func BenchmarkPendingCycle(b *testing.B) {
 	for _, distinct := range []int{64, 4096} {
 		b.Run(fmt.Sprintf("distinct=%d", distinct), func(b *testing.B) {
@@ -629,7 +630,6 @@ func BenchmarkPendingCycle(b *testing.B) {
 				futs[i] = new(frontend.Future)
 			}
 			res := &protocol.Result{Values: make([]uint64, distinct)}
-			var reqs []protocol.Request
 			rng := rand.New(rand.NewSource(1))
 			vars := make([]uint64, distinct)
 			for i, v := range rng.Perm(349504)[:distinct] { // M at q=2, n=7
@@ -640,15 +640,16 @@ func BenchmarkPendingCycle(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for k, v := range vars {
 					if k%4 == 3 {
-						if p.WriteConflicts(v) {
+						if !p.Write(uint64(k), v, uint64(i), futs[k]) {
 							b.Fatal("distinct variables conflict")
 						}
-						p.Write(uint64(k), v, uint64(i), futs[k])
 					} else {
 						p.Read(uint64(k), v, futs[k])
 					}
 				}
-				reqs = p.Requests(reqs)
+				if p.Batch().Len() != distinct {
+					b.Fatalf("batch of %d requests, want %d", p.Batch().Len(), distinct)
+				}
 				p.Complete(res, nil)
 				p.Reset()
 			}

@@ -2,7 +2,6 @@ package frontend
 
 import (
 	"errors"
-	"math/bits"
 	"slices"
 
 	"detshmem/internal/obs"
@@ -13,39 +12,26 @@ import (
 // and the stats accounting the dispatcher in internal/shard drives. The rules
 // themselves are documented on the package.
 
-// entry is a pending batch's state for one distinct variable. Entries live
-// by value in Pending.entries, entry i being request i of the flush.
-type entry struct {
-	v         uint64 // the variable
-	val       uint64 // latest coalesced write value
-	slot      uint32 // the index slot naming this entry
-	write     bool   // a protocol Write will be issued for this variable
-	readFuts  []*Future
-	writeFuts []*Future
-	fwd       []*Future // read-after-write forwarded reads
-	fwdVals   []uint64  // value each forwarded read observes
-}
-
 // Pending is one batch under construction: the coalesced view of every
 // operation admitted since the last flush. It is not safe for concurrent
 // use; the shard dispatcher's flusher goroutine, the admission ring's single
 // consumer, is the only caller — that serialization is what makes admission
 // order the commit order.
 //
-// Entries sit in one dense slice in admission order, so everything after
-// admission (Requests, Account, Complete, Reset) walks the slice and
-// never looks a variable up; only admission probes the index. Entries past
-// len(entries) keep their future slices' backing arrays, so a dispatcher
-// that reuses one Pending admits and flushes without allocating in steady
-// state.
+// The batch itself is a protocol.DistinctBatch: admission adds each op's
+// request to it, and the index that rejects a repeated variable is the
+// lookup that finds the request the op combines with. So the flush hands
+// the protocol the very list admission built (Batch), and waiters[i] is the
+// list of futures waiting on request i, threaded through Future.next — a
+// combined, coalesced or forwarded op costs its future's link and nothing
+// else. A dispatcher that reuses one Pending admits and flushes without
+// allocating in steady state.
 type Pending struct {
-	entries []entry
-	// index maps a variable to its entry: a power-of-two table of entry
-	// positions plus one (zero = empty slot), at most half full, addressed
-	// by multiplicative hash with linear probing.
-	index []uint32
-	shift uint // 64 − log2(len(index))
-	ops   int  // operations admitted (≥ len(entries) once combining bites)
+	batch   protocol.DistinctBatch
+	waiters []*Future
+	ops     int // operations admitted (≥ Distinct() once combining bites)
+	// What combining saved in this batch, counted at admission for Stats.
+	combined, coalesced, forwarded int
 
 	// verdict is Complete's reused scratch for a degraded batch's
 	// per-request errors (nil = committed).
@@ -53,142 +39,86 @@ type Pending struct {
 }
 
 // NewPending returns an empty batch. capacity is the most distinct variables
-// the caller lets a batch reach; the tables start at no more than 64 of them
-// and grow to the largest batch actually seen, so a dispatcher whose limit is
-// the module count but whose batches hold a hundred variables keeps a
-// cache-sized index.
+// the caller lets a batch reach; the batch starts with room for at most 64
+// of them and grows to the largest batch actually seen, so a dispatcher
+// whose limit is the module count but whose batches hold a hundred
+// variables keeps a cache-sized index.
 func NewPending(capacity int) *Pending {
-	size := 8
-	for size < 2*min(capacity, 64) {
-		size <<= 1
-	}
-	p := &Pending{}
-	p.setIndex(size)
-	return p
-}
-
-func (p *Pending) setIndex(size int) {
-	p.index = make([]uint32, size)
-	p.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	return &Pending{waiters: make([]*Future, 0, min(capacity, 64))}
 }
 
 // Distinct is the number of distinct variables in the batch — the size of
 // the protocol batch a flush would issue.
-func (p *Pending) Distinct() int { return len(p.entries) }
+func (p *Pending) Distinct() int { return p.batch.Len() }
 
 // Ops is the number of client operations admitted into the batch.
 func (p *Pending) Ops() int { return p.ops }
 
-// find probes the index for v. It returns v's entry position, or -1 when v
-// is not in the batch; slot is then the empty slot v would take.
-func (p *Pending) find(v uint64) (at int, slot uint32) {
-	mask := uint32(len(p.index) - 1)
-	slot = uint32(v * 0x9E3779B97F4A7C15 >> p.shift)
-	for {
-		i := p.index[slot]
-		if i == 0 {
-			return -1, slot
-		}
-		if p.entries[i-1].v == v {
-			return int(i - 1), slot
-		}
-		slot = (slot + 1) & mask
-	}
-}
+// Batch is the protocol batch admission built, for
+// protocol.System.AccessDistinctInto. It is valid until Reset.
+func (p *Pending) Batch() *protocol.DistinctBatch { return &p.batch }
 
 // WriteConflicts reports whether admitting a write to v would break the
 // batch's EREW shape: v already carries an issued read, so the write would
-// either reorder that read after itself or duplicate the variable. The
-// caller must flush the batch before admitting such a write.
+// either reorder that read after itself or duplicate the variable. Write
+// refuses such a write; the caller must flush the batch first.
 func (p *Pending) WriteConflicts(v uint64) bool {
-	at, _ := p.find(v)
-	return at >= 0 && !p.entries[at].write
+	pos, ok := p.batch.Lookup(v)
+	return ok && p.batch.Requests()[pos].Op == protocol.Read
 }
 
-// newEntry appends an entry for v, reusing the backing arrays a previous
-// batch left at that position, and names it in the index at slot.
-func (p *Pending) newEntry(v uint64, slot uint32) *entry {
-	n := len(p.entries)
-	if n < cap(p.entries) {
-		p.entries = p.entries[:n+1]
-	} else {
-		p.entries = append(p.entries, entry{})
+// wait links fut onto request pos's waiter list, opening the list when the
+// request is new.
+func (p *Pending) wait(pos int, added bool, fut *Future) {
+	if added {
+		p.waiters = append(p.waiters, nil)
 	}
-	e := &p.entries[n]
-	e.v, e.slot = v, slot
-	p.index[slot] = uint32(n + 1)
-	if 2*(n+1) > len(p.index) {
-		p.rehash()
-	}
-	return e
-}
-
-// rehash doubles the index and re-inserts every entry.
-func (p *Pending) rehash() {
-	p.setIndex(2 * len(p.index))
-	for i := range p.entries {
-		e := &p.entries[i]
-		_, e.slot = p.find(e.v)
-		p.index[e.slot] = uint32(i + 1)
-	}
+	fut.next = p.waiters[pos]
+	p.waiters[pos] = fut
+	p.ops++
 }
 
 // Read admits one read with commit sequence seq, combining it with an
 // already-issued read or forwarding a pending write's value.
 func (p *Pending) Read(seq, v uint64, fut *Future) {
 	fut.seq = seq
-	at, slot := p.find(v)
-	var e *entry
-	if at < 0 {
-		e = p.newEntry(v, slot)
-	} else {
-		e = &p.entries[at]
+	pos, added := p.batch.Add(protocol.Request{Var: v, Op: protocol.Read})
+	if !added {
+		if r := &p.batch.Requests()[pos]; r.Op == protocol.Write {
+			// Read after a pending write: its value is the write's, now.
+			fut.val = r.Value
+			p.forwarded++
+		} else {
+			p.combined++
+		}
 	}
-	if e.write { // read after pending write: forward its value
-		e.fwd = append(e.fwd, fut)
-		e.fwdVals = append(e.fwdVals, e.val)
-	} else { // the variable's first read, or one joining an issued read
-		e.readFuts = append(e.readFuts, fut)
-	}
-	p.ops++
+	p.wait(pos, added, fut)
 }
 
 // Write admits one write with commit sequence seq, coalescing with an
-// earlier write (last writer wins). Admitting a write that WriteConflicts
-// panics: the dispatcher must flush first, so a miss here is a dispatcher
-// bug, not a client error.
-func (p *Pending) Write(seq, v, val uint64, fut *Future) {
-	fut.seq = seq
-	at, slot := p.find(v)
-	var e *entry
-	if at < 0 {
-		e = p.newEntry(v, slot)
-		e.write = true
-	} else if e = &p.entries[at]; !e.write {
-		panic("frontend: write admitted over an issued read; flush the batch first")
+// earlier write (last writer wins). It refuses a write that WriteConflicts,
+// admitting nothing and returning false: the caller flushes and admits the
+// write again into the fresh batch.
+func (p *Pending) Write(seq, v, val uint64, fut *Future) bool {
+	pos, added := p.batch.Add(protocol.Request{Var: v, Op: protocol.Write, Value: val})
+	if !added {
+		r := &p.batch.Requests()[pos]
+		if r.Op != protocol.Write {
+			return false
+		}
+		r.Value = val
+		p.coalesced++
 	}
-	e.val = val
-	e.writeFuts = append(e.writeFuts, fut)
-	p.ops++
+	fut.seq, fut.val = seq, 0
+	p.wait(pos, added, fut)
+	return true
 }
 
-// Requests serializes the batch into protocol requests in admission order,
-// reusing buf's backing array when it is large enough (the zero-alloc flush
-// path hands the same buffer back every flush).
+// Requests copies the batch's protocol requests, in admission order, into
+// buf's backing array when it is large enough. A dispatcher that drives
+// AccessDistinctInto needs no copy: it hands over Batch.
 func (p *Pending) Requests(buf []protocol.Request) []protocol.Request {
-	if cap(buf) < len(p.entries) {
-		buf = make([]protocol.Request, 0, len(p.entries))
-	}
-	buf = buf[:0]
-	for i := range p.entries {
-		e := &p.entries[i]
-		if e.write {
-			buf = append(buf, protocol.Request{Var: e.v, Op: protocol.Write, Value: e.val})
-		} else {
-			buf = append(buf, protocol.Request{Var: e.v, Op: protocol.Read})
-		}
-	}
-	return buf
+	return append(buf[:0], p.batch.Requests()...)
 }
 
 // verdicts returns a degraded batch's per-request errors — nil for the
@@ -201,7 +131,8 @@ func (p *Pending) verdicts(res *protocol.Result, err error) []error {
 	if err == nil || res == nil || !errors.Is(err, protocol.ErrIncomplete) {
 		return nil
 	}
-	p.verdict = slices.Grow(p.verdict[:0], len(p.entries))[:len(p.entries)]
+	n := p.batch.Len()
+	p.verdict = slices.Grow(p.verdict[:0], n)[:n]
 	clear(p.verdict)
 	for _, r := range res.Metrics.Unfinished {
 		p.verdict[r] = protocol.ErrIncomplete
@@ -214,79 +145,50 @@ func (p *Pending) verdicts(res *protocol.Result, err error) []error {
 
 // Complete fans the backend's result (or error) out to every combined
 // waiter, attributing errors per request. res holds the values for the
-// request order Requests produced; on a whole-batch error res may be nil.
+// batch's request order; on a whole-batch error res may be nil.
 // An ErrIncomplete err with a non-nil res fails only the requests that
 // missed their quorum and completes the rest normally — degraded-mode
 // serving: a batch with some unreachable variables still commits its
 // healthy futures (see verdicts for the per-request errors).
 func (p *Pending) Complete(res *protocol.Result, err error) {
 	verdict := p.verdicts(res, err)
-	for i := range p.entries {
-		e := &p.entries[i]
+	reqs := p.batch.Requests()
+	for i, fut := range p.waiters {
 		reqErr := err
 		if verdict != nil {
 			reqErr = verdict[i]
 		}
-		switch {
-		case reqErr != nil:
-			// Whole-batch failure, or this request missed its quorum: every
-			// waiter on the variable (including forwarded reads riding a
-			// failed write) learns the error.
-			for _, fut := range e.readFuts {
+		read := reqErr == nil && reqs[i].Op == protocol.Read
+		for fut != nil {
+			// Unlink before completing: once complete's CAS lands, the
+			// client owns fut again and may reuse it.
+			next := fut.next
+			fut.next = nil
+			switch {
+			case reqErr != nil:
+				// Whole-batch failure, or this request missed its quorum:
+				// every waiter on the variable (forwarded reads riding a
+				// failed write included) learns the error.
 				fut.complete(0, reqErr)
-			}
-			for _, fut := range e.writeFuts {
-				fut.complete(0, reqErr)
-			}
-			for _, fut := range e.fwd {
-				fut.complete(0, reqErr)
-			}
-		case e.write:
-			for _, fut := range e.writeFuts {
-				fut.complete(0, nil)
-			}
-			for j, fut := range e.fwd {
-				fut.complete(e.fwdVals[j], nil)
-			}
-		default:
-			for _, fut := range e.readFuts {
+			case read:
 				fut.complete(res.Values[i], nil)
+			default:
+				// A write (val 0) or a read forwarded its value at admission.
+				fut.complete(fut.val, nil)
 			}
+			fut = next
 		}
 	}
 }
 
-// indexSweepRatio is how many index slots per entry make Reset empty the
-// index entry by entry instead of with one clear: a clear moves 4 bytes per
-// slot at memset speed, an entry's slot is one scattered store.
-const indexSweepRatio = 8
-
-// Reset clears the batch for reuse. Future references are dropped so
-// completed futures stay collectable; the entries keep their backing arrays
-// for the next batch. A batch small against the index empties it slot by
-// slot, so a small batch after a large one does not pay for the large one's
-// table.
+// Reset clears the batch for reuse in time proportional to the batch, not to
+// the largest one seen: the waiter lists' heads are dropped, so completed
+// futures stay collectable, and the protocol batch's index empties by epoch.
 func (p *Pending) Reset() {
-	sweep := indexSweepRatio*len(p.entries) < len(p.index)
-	for i := range p.entries {
-		e := &p.entries[i]
-		clear(e.readFuts)
-		clear(e.writeFuts)
-		clear(e.fwd)
-		e.readFuts = e.readFuts[:0]
-		e.writeFuts = e.writeFuts[:0]
-		e.fwd = e.fwd[:0]
-		e.fwdVals = e.fwdVals[:0]
-		e.write, e.val = false, 0
-		if sweep {
-			p.index[e.slot] = 0
-		}
-	}
-	if !sweep {
-		clear(p.index)
-	}
-	p.entries = p.entries[:0]
-	p.ops = 0
+	clear(p.waiters)
+	p.waiters = p.waiters[:0]
+	p.batch.Reset()
+	p.ops, p.combined, p.coalesced, p.forwarded = 0, 0, 0, 0
 }
 
 // Stats aggregates combining metrics over every flushed batch. They extend
@@ -303,7 +205,7 @@ type Stats struct {
 	IdleFlushes     int64 // batches flushed because the queue ran dry
 	ExplicitFlushes int64 // batches flushed by Flush or Close
 	ConflictFlushes int64 // batches flushed by a write-after-read conflict
-	MaxQueueDepth   int   // deepest admission ring observed at admission, in entries (an op or a sub-batch)
+	MaxQueueDepth   int   // deepest admission ring observed at admission, in entries (an AccessBatch sub-batch each)
 	TotalRounds     int64 // protocol MPC rounds consumed by flushed batches
 	CopyAccesses    int64 // protocol copy accesses across flushed batches
 	MaxPhi          int   // largest per-batch Φ (max phase iterations)
@@ -318,20 +220,13 @@ type Stats struct {
 // futures complete: completing first opens a torn-read window where a
 // client whose Wait returned cannot find its own committed operation in a
 // snapshot (read-your-ops consistency).
-func (s *Stats) Account(p *Pending, requestsOut int, res *protocol.Result, err error, cause obs.FlushCause) {
+func (s *Stats) Account(p *Pending, res *protocol.Result, err error, cause obs.FlushCause) {
 	s.Batches++
 	s.OpsIn += int64(p.ops)
-	s.RequestsOut += int64(requestsOut)
-	for i := range p.entries {
-		e := &p.entries[i]
-		s.ForwardedReads += int64(len(e.fwd))
-		if !e.write && len(e.readFuts) > 1 {
-			s.CombinedReads += int64(len(e.readFuts) - 1)
-		}
-		if e.write && len(e.writeFuts) > 1 {
-			s.CoalescedWrites += int64(len(e.writeFuts) - 1)
-		}
-	}
+	s.RequestsOut += int64(p.Distinct())
+	s.CombinedReads += int64(p.combined)
+	s.CoalescedWrites += int64(p.coalesced)
+	s.ForwardedReads += int64(p.forwarded)
 	switch cause {
 	case obs.FlushIdle:
 		s.IdleFlushes++

@@ -1,7 +1,7 @@
 // Package frontend is the combining library of the serving path: the rules
 // that turn a stream of concurrent client operations into the batches of
-// pairwise-distinct variables protocol.System.AccessInto serves, and the
-// futures and counters that go with them. It runs no goroutine and owns no
+// pairwise-distinct variables the protocol serves, and the futures and
+// counters that go with them. It runs no goroutine and owns no
 // queue — the one dispatcher is internal/shard's ring flusher, which admits
 // the ops of each AccessBatch sub-batch into a Pending in ring order
 // (admission order is commit order) and flushes it through the protocol.
@@ -20,16 +20,20 @@
 //     is served the pending write's value directly and consumes no protocol
 //     request at all (read-after-write forwarding);
 //   - a write admitted after an issued read of the same variable cannot
-//     join the batch (the variable would appear twice), so the dispatcher
-//     flushes first (WriteConflicts) — reads admitted earlier keep seeing
+//     join the batch (the variable would appear twice), so Write refuses it
+//     and the dispatcher flushes first — reads admitted earlier keep seeing
 //     the old value.
 //
-// Complete fans a flushed batch's result out to every combined waiter's
-// Future, attributing a degraded batch's errors per request; Stats counts
-// what combining saved. Because one goroutine assigns commit sequence
-// numbers and batches are applied in order, combining is invisible to
-// clients: shard's differential oracle replays every operation in sequence
-// order against a plain map and demands identical read values.
+// The batch a Pending builds is a protocol.DistinctBatch: the index that
+// finds the request an op combines with is the one that keeps the batch
+// distinct, so the flush hands it to protocol.System.AccessDistinctInto
+// as it stands. Complete fans a flushed batch's result out to every combined
+// waiter's Future, attributing a degraded batch's errors per request; Stats
+// counts what combining saved, as admission counted it. Because one
+// goroutine assigns commit sequence numbers and batches are applied in
+// order, combining is invisible to clients: shard's differential oracle
+// replays every operation in sequence order against a plain map and demands
+// identical read values.
 package frontend
 
 import (
@@ -60,6 +64,9 @@ type Future struct {
 	val   uint64
 	err   error
 	seq   uint64
+	// next links the futures waiting on one request of a Pending batch;
+	// only the flusher touches it, and it is nil again before complete.
+	next *Future
 }
 
 // Future states. The only moves are pending → done (complete, no waiter),

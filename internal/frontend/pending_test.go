@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"detshmem/internal/obs"
@@ -16,7 +17,7 @@ type refEntry struct {
 	write              bool
 	val                uint64
 	reads, writes, fwd []*Future
-	fwdVals            []uint64
+	fwdSeen            []uint64 // the value each forwarded read observed
 }
 
 type refPending struct {
@@ -45,7 +46,7 @@ func (r *refPending) read(v uint64, fut *Future) {
 	e, fresh := r.entry(v)
 	if !fresh && e.write {
 		e.fwd = append(e.fwd, fut)
-		e.fwdVals = append(e.fwdVals, e.val)
+		e.fwdSeen = append(e.fwdSeen, e.val)
 	} else {
 		e.reads = append(e.reads, fut)
 	}
@@ -93,6 +94,16 @@ func (h *pendingHarness) flush(mode flushMode, salt int) {
 		t.Fatalf("Distinct/Ops = %d/%d, model %d/%d", p.Distinct(), p.Ops(), len(ref.order), ref.ops)
 	}
 	h.reqs = p.Requests(h.reqs)
+	if !slices.Equal(h.reqs, p.Batch().Requests()) {
+		t.Fatalf("Requests = %v, Batch = %v", h.reqs, p.Batch().Requests())
+	}
+	distinct := make(map[uint64]bool, len(h.reqs))
+	for _, r := range h.reqs {
+		if distinct[r.Var] {
+			t.Fatalf("variable %d requested twice in one flushed batch %v", r.Var, h.reqs)
+		}
+		distinct[r.Var] = true
+	}
 	want := make([]protocol.Request, len(ref.order))
 	for i, v := range ref.order {
 		if e := ref.m[v]; e.write {
@@ -167,7 +178,7 @@ func (h *pendingHarness) flush(mode flushMode, salt int) {
 	} else {
 		wantStats.FailedBatches++
 	}
-	h.stats.Account(p, len(h.reqs), res, err, obs.FlushExplicit)
+	h.stats.Account(p, res, err, obs.FlushExplicit)
 	if h.stats != wantStats {
 		t.Fatalf("Stats = %+v\nmodel = %+v", h.stats, wantStats)
 	}
@@ -177,6 +188,9 @@ func (h *pendingHarness) flush(mode flushMode, salt int) {
 		t.Helper()
 		if fut.state.Load() != 1 {
 			t.Fatalf("%s of %d left incomplete", what, v)
+		}
+		if fut.next != nil {
+			t.Fatalf("%s of %d completed still linked to a waiter list", what, v)
 		}
 		if fut.err != wantErr || (wantErr == nil && fut.val != wantVal) {
 			t.Fatalf("%s of %d completed (%d, %v), model (%d, %v)", what, v, fut.val, fut.err, wantVal, wantErr)
@@ -195,7 +209,7 @@ func (h *pendingHarness) flush(mode flushMode, salt int) {
 			check("write", v, fut, 0, verdict[i])
 		}
 		for j, fut := range e.fwd {
-			check("forwarded read", v, fut, e.fwdVals[j], verdict[i])
+			check("forwarded read", v, fut, e.fwdSeen[j], verdict[i])
 		}
 	}
 
@@ -203,8 +217,10 @@ func (h *pendingHarness) flush(mode flushMode, salt int) {
 	if p.Distinct() != 0 || p.Ops() != 0 {
 		t.Fatalf("after Reset: Distinct/Ops = %d/%d", p.Distinct(), p.Ops())
 	}
-	if i := slices.IndexFunc(p.index, func(s uint32) bool { return s != 0 }); i >= 0 {
-		t.Fatalf("after Reset of %d entries: index slot %d of %d still set", len(want), i, len(p.index))
+	for _, r := range want {
+		if _, ok := p.Batch().Lookup(r.Var); ok {
+			t.Fatalf("after Reset of %d requests: variable %d still indexed", len(want), r.Var)
+		}
 	}
 	h.ref = refPending{m: map[uint64]*refEntry{}}
 }
@@ -216,18 +232,29 @@ func (h *pendingHarness) read(v uint64) {
 	h.ref.read(v, fut)
 }
 
-// write admits a write the way the dispatchers do: flush first on a conflict.
+// write admits a write the way the dispatcher does: a write Write refuses
+// flushes the batch and opens the next one. WriteConflicts must predict the
+// refusal, and a refused write must leave the batch untouched.
 func (h *pendingHarness) write(v uint64) {
 	c := h.p.WriteConflicts(v)
 	if c != h.ref.conflicts(v) {
 		h.t.Fatalf("WriteConflicts(%d) = %v, model %v", v, c, !c)
 	}
-	if c {
-		h.flush(flushOK, 0)
-	}
 	h.seq++
 	fut := new(Future)
-	h.p.Write(h.seq, v, h.seq*10, fut)
+	distinct, ops := h.p.Distinct(), h.p.Ops()
+	if admitted := h.p.Write(h.seq, v, h.seq*10, fut); admitted == c {
+		h.t.Fatalf("Write(%d) admitted = %v with WriteConflicts %v", v, admitted, c)
+	}
+	if c {
+		if h.p.Distinct() != distinct || h.p.Ops() != ops {
+			h.t.Fatalf("refused Write(%d) changed Distinct/Ops %d/%d → %d/%d", v, distinct, ops, h.p.Distinct(), h.p.Ops())
+		}
+		h.flush(flushOK, 0)
+		if !h.p.Write(h.seq, v, h.seq*10, fut) {
+			h.t.Fatalf("Write(%d) refused by a fresh batch", v)
+		}
+	}
 	h.ref.writeOp(v, h.seq*10, fut)
 }
 
@@ -235,7 +262,7 @@ func (h *pendingHarness) write(v uint64) {
 // argument. Variables of single operations come from a domain of 24, so
 // combining, coalescing, forwarding and write-after-read conflicts are
 // common; a burst admits up to 765 distinct variables at once, far past the
-// initial index (and past the sweep/clear switch in Reset).
+// batch index's initial table.
 func runPendingScript(t *testing.T, script []byte) {
 	h := &pendingHarness{t: t, p: NewPending(16), ref: refPending{m: map[uint64]*refEntry{}}, mem: map[uint64]uint64{}}
 	for i := 0; i+1 < len(script); i += 2 {
@@ -278,27 +305,36 @@ func FuzzPending(f *testing.F) {
 }
 
 // TestPendingSmallBatchAfterLarge: after a 4096-variable batch grew the
-// index, a 57-variable batch resets by sweeping its own 57 slots — the
-// model check in flush proves the index is empty either way; this pins that
-// the table did not shrink or get reallocated in between.
+// index, small batches are served by the model-checked harness (each flush
+// proves the index empty after Reset) and then cycle without allocating —
+// the grown table is reused, not replaced. Reset empties the table by epoch
+// whatever its size; protocol's TestDistinctBatchResetTouchesNoSlot pins that
+// it writes no slot.
 func TestPendingSmallBatchAfterLarge(t *testing.T) {
 	h := &pendingHarness{t: t, p: NewPending(4096), ref: refPending{m: map[uint64]*refEntry{}}, mem: map[uint64]uint64{}}
 	for v := uint64(0); v < 4096; v++ {
 		h.read(v * 31)
 	}
 	h.flush(flushOK, 0)
-	table := &h.p.index[0]
-	if len(h.p.index) < 2*4096 {
-		t.Fatalf("index of %d slots after a 4096-variable batch", len(h.p.index))
-	}
 	for round := 0; round < 3; round++ {
 		for v := uint64(0); v < 57; v++ {
 			h.read(v*131 + uint64(round))
 		}
 		h.flush(flushOK, round)
 	}
-	if &h.p.index[0] != table {
-		t.Fatal("small batches replaced the index")
+	p := h.p
+	res := &protocol.Result{Values: make([]uint64, 57)}
+	var futs [57]Future
+	round := uint64(3)
+	if avg := testing.AllocsPerRun(20, func() {
+		for v := range uint64(57) {
+			p.Read(v, v*131+round, &futs[v])
+		}
+		round++
+		p.Complete(res, nil)
+		p.Reset()
+	}); avg != 0 {
+		t.Fatalf("a 57-variable cycle after a 4096-variable batch allocates %.2f times, want 0", avg)
 	}
 }
 
@@ -317,10 +353,7 @@ func TestDegradedFlushAllocFree(t *testing.T) {
 	}
 	err := fmt.Errorf("%w: degraded", protocol.ErrQuorumUnreachable)
 	futs := make([]Future, (runs+2)*2*batch)
-	var (
-		stats Stats
-		reqs  []protocol.Request
-	)
+	var stats Stats
 	cycle := func() {
 		for v := uint64(0); v < batch; v++ {
 			if v%2 == 0 {
@@ -331,8 +364,7 @@ func TestDegradedFlushAllocFree(t *testing.T) {
 			p.Read(v, v, &futs[1]) // combined, or forwarded off the write
 			futs = futs[2:]
 		}
-		reqs = p.Requests(reqs)
-		stats.Account(p, len(reqs), res, err, obs.FlushSize)
+		stats.Account(p, res, err, obs.FlushSize)
 		p.Complete(res, err)
 		p.Reset()
 	}
@@ -342,5 +374,102 @@ func TestDegradedFlushAllocFree(t *testing.T) {
 	}
 	if stats.Stranded == 0 {
 		t.Fatalf("no stranding accounted: %+v", stats)
+	}
+}
+
+// TestCombiningFlushAllocFree: waiters ride their futures' links, so a
+// batch of combined reads, coalesced writes and forwarded reads allocates
+// nothing however many waiters a variable gathers — here one more each
+// batch, so a per-variable slice of waiters would have to keep growing.
+func TestCombiningFlushAllocFree(t *testing.T) {
+	const hot, runs = 8, 40
+	p := NewPending(2 * hot)
+	res := &protocol.Result{Values: make([]uint64, 2*hot)}
+	futs := make([]Future, 3*hot*(runs+2)) // per reaches runs+2, AllocsPerRun's warm-up included
+	var stats Stats
+	per := 1
+	cycle := func() {
+		k, seq := 0, uint64(0)
+		for v := range uint64(hot) {
+			for range per {
+				seq++
+				p.Read(seq, v, &futs[k]) // the first issues, the rest combine
+				k++
+				seq++
+				p.Write(seq, hot+v, seq, &futs[k]) // the first issues, the rest coalesce
+				k++
+				seq++
+				p.Read(seq, hot+v, &futs[k]) // forwarded off the pending write
+				k++
+			}
+		}
+		stats.Account(p, res, nil, obs.FlushSize)
+		p.Complete(res, nil)
+		p.Reset()
+		per++
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(runs, cycle); avg != 0 {
+		t.Fatalf("a combining flush allocates %.2f times per batch, want 0", avg)
+	}
+	if stats.CombinedReads == 0 || stats.CoalescedWrites == 0 || stats.ForwardedReads == 0 {
+		t.Fatalf("the batches did not combine, coalesce and forward: %+v", stats)
+	}
+}
+
+// TestWaiterListsCompletionRace has many clients wait on the futures of one
+// variable — combined reads in one batch, coalesced writes with forwarded
+// reads in the next — while the flusher admits and completes them. Every
+// waiter must see its own value and find its future unlinked; run under
+// -race it pins that admission and completion touch a future's link and
+// value only before completion hands the future back.
+func TestWaiterListsCompletionRace(t *testing.T) {
+	const waiters, rounds, v = 32, 50, 7
+	p := NewPending(4)
+	res := &protocol.Result{Values: make([]uint64, 1)}
+	for round := range uint64(rounds) {
+		futs := make([]Future, 2*waiters)
+		want := make([]uint64, len(futs))
+		var wg sync.WaitGroup
+		for i := range futs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f := &futs[i]
+				if val, err := f.Wait(); err != nil || val != want[i] {
+					t.Errorf("round %d waiter %d: Wait = %d, %v; want %d", round, i, val, err, want[i])
+				}
+				if f.next != nil {
+					t.Errorf("round %d waiter %d: future still linked after completion", round, i)
+				}
+			}()
+		}
+		// want is written before any future completes, so a waiter reads it
+		// after its Wait returns.
+		seq := uint64(0)
+		read := round*1000 + 1
+		for i := range waiters {
+			seq++
+			want[i] = read
+			p.Read(seq, v, &futs[i])
+		}
+		res.Values[0] = read
+		p.Complete(res, nil)
+		p.Reset()
+
+		last := uint64(0)
+		for i := waiters; i < len(futs); i++ {
+			seq++
+			if i%2 == 0 {
+				last = round*1000 + seq
+				p.Write(seq, v, last, &futs[i])
+			} else {
+				want[i] = last
+				p.Read(seq, v, &futs[i])
+			}
+		}
+		p.Complete(res, nil)
+		p.Reset()
+		wg.Wait()
 	}
 }

@@ -100,8 +100,9 @@ func (c *Client) Cost() uint64 { return c.round }
 // issued.
 //
 // A bid goes on the wire under its position in the round's list (Bid.Proc).
-// The list is in ascending processor order, so a server granting each module
-// to the lowest position grants the lowest processor, as mpc.Machine does.
+// The list is in ascending processor order, so each frame's positions
+// ascend and a server granting each module to its first claim grants the
+// lowest processor, as mpc.Machine does.
 func (c *Client) Round(bids []int64, grant []bool) int {
 	t := c.t
 	t.roundMu.Lock()

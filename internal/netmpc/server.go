@@ -306,9 +306,11 @@ func (s *Server) newArbiter() *arbiter {
 	return arb
 }
 
-// serveRound arbitrates one frame (lowest bidding processor per module,
-// exactly the in-process engine's rule) and applies each winner's staged
-// operation to the store, collecting the grant set into reply.
+// serveRound arbitrates one frame and applies each winner's staged
+// operation to the store, collecting the grant set into reply. A frame's bid
+// positions strictly ascend, so the first claim on a module is the lowest
+// processor bidding there — the in-process engine's rule, applied as
+// mpc.arbitrate does; a frame whose positions do not ascend is corrupt.
 func (s *Server) serveRound(st *store, frame *RoundFrame, reply *RoundReply, arb *arbiter) error {
 	// Undo the previous round's marks here, not after serving it, so a frame
 	// rejected halfway leaves nothing behind either.
@@ -327,12 +329,12 @@ func (s *Server) serveRound(st *store, frame *RoundFrame, reply *RoundReply, arb
 		if b.Op > opRepair {
 			return fmt.Errorf("%w: bid op %d is not read, write or repair-write", ErrCorruptFrame, b.Op)
 		}
-		m := uint32(b.Module - s.cfg.RangeLo)
-		if w := arb.win[m]; w == 0 {
+		if i > 0 && b.Proc <= frame.Bids[i-1].Proc {
+			return fmt.Errorf("%w: bid position %d follows %d; positions must ascend", ErrCorruptFrame, b.Proc, frame.Bids[i-1].Proc)
+		}
+		if m := uint32(b.Module - s.cfg.RangeLo); arb.win[m] == 0 {
 			arb.win[m] = int32(i + 1)
 			arb.touched = append(arb.touched, m)
-		} else if b.Proc < frame.Bids[w-1].Proc {
-			arb.win[m] = int32(i + 1)
 		}
 	}
 	st.mu.Lock()

@@ -18,10 +18,10 @@ func roundServer(lo, hi uint64) (*Server, *arbiter) {
 	return sv, sv.newArbiter()
 }
 
-// TestServeRoundMatchesReference: on random frames — processors in no
-// particular order — the dense arbitration grants exactly what a
-// lowest-Proc-per-module map would, one grant per bid-for module, in the
-// order the modules were first bid for.
+// TestServeRoundMatchesReference: on random frames — ascending positions
+// with random gaps, as a client's frame to one server has — the dense
+// arbitration grants exactly what a lowest-Proc-per-module map would, one
+// grant per bid-for module, in the order the modules were first bid for.
 func TestServeRoundMatchesReference(t *testing.T) {
 	const lo, hi = 100, 164
 	sv, arb := roundServer(lo, hi)
@@ -29,7 +29,8 @@ func TestServeRoundMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var reply RoundReply
 	for round := 0; round < 500; round++ {
-		procs := rng.Perm(rng.Intn(200))
+		procs := rng.Perm(400)[:rng.Intn(200)]
+		slices.Sort(procs)
 		frame := RoundFrame{Bids: make([]Bid, len(procs))}
 		lowest := map[uint64]uint32{} // module -> lowest bidding processor
 		var order []uint64            // modules in first-bid order
@@ -92,6 +93,35 @@ func TestServeRoundRejectedFrameLeavesNoMarks(t *testing.T) {
 	outside := RoundFrame{Bids: []Bid{{Module: 1, Addr: 8 * 64}}} // address outside the space
 	if err := sv.serveRound(st, &outside, &reply, arb); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("frame %+v: err = %v, want ErrCorruptFrame", outside.Bids[0], err)
+	}
+}
+
+// TestServeRoundRejectsUnsortedPositions: a frame whose bid positions do
+// not strictly ascend — one out of order, or one repeated — is refused as
+// corrupt before any cell is touched, and the next well-formed frame is
+// arbitrated on a clean slate.
+func TestServeRoundRejectsUnsortedPositions(t *testing.T) {
+	for _, second := range []uint32{0, 1} {
+		sv, arb := roundServer(0, 8)
+		st := sv.storeFor(1)
+		var reply RoundReply
+		bad := RoundFrame{Bids: []Bid{
+			{Proc: 1, Module: 3, Addr: 1, Op: opWrite, Value: 9, TS: 1},
+			{Proc: second, Module: 3, Addr: 2, Op: opWrite, Value: 42, TS: 1},
+		}}
+		if err := sv.serveRound(st, &bad, &reply, arb); !errors.Is(err, ErrCorruptFrame) {
+			t.Fatalf("positions 1, %d: err = %v, want ErrCorruptFrame", second, err)
+		}
+		if st.cells.Pages() != 0 || len(reply.Grants) != 0 {
+			t.Fatalf("positions 1, %d: the refused frame touched the store (%d pages) or granted %+v", second, st.cells.Pages(), reply.Grants)
+		}
+		good := RoundFrame{Bids: []Bid{{Proc: 4, Module: 3, Addr: 2}, {Proc: 6, Module: 3, Addr: 1}}}
+		if err := sv.serveRound(st, &good, &reply, arb); err != nil {
+			t.Fatal(err)
+		}
+		if len(reply.Grants) != 1 || reply.Grants[0].Proc != 4 {
+			t.Fatalf("grants %+v, want module 3 to its first claim, position 4", reply.Grants)
+		}
 	}
 }
 

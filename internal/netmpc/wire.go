@@ -138,10 +138,10 @@ type HandshakeAck struct {
 }
 
 // Bid is one processor's request in one round: the bid's position in the
-// client's round list, which is in ascending processor order (a module serves
-// the lowest position bidding at it — the lowest processor, the rule
-// mpc.Machine applies in process), the target module, and the staged access
-// payload the winning module applies.
+// client's round list, which is in ascending processor order (a frame's
+// positions strictly ascend, so a module serving the first bid at it serves
+// the lowest processor, the rule mpc.Machine applies in process), the target
+// module, and the staged access payload the winning module applies.
 type Bid struct {
 	Proc   uint32
 	Module uint64

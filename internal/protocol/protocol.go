@@ -277,7 +277,7 @@ type System struct {
 
 	// Per-batch scratch, reused across Access calls so the iteration loop
 	// is allocation-free once the buffers reach their high-water sizes.
-	seen      varSet           // the batch's variables, for the duplicate check
+	seen      DistinctBatch    // AccessInto's copy of its batch, for the duplicate check
 	rows      []packedCopy     // the batch's resolved copies, request-major
 	remaining []int32          // copies each request still needs
 	best      []cellstore.Cell // newest (value, timestamp) each read has seen
@@ -475,13 +475,61 @@ func (sys *System) Access(reqs []Request) (*Result, error) {
 // excepted). res must not alias the request slice and is valid until the
 // next AccessInto on the same Result.
 //
-// The batch runs as stages — validate, resolve, then per phase select,
-// drive and commit, then report — and each round drive plays is itself
-// staged: bid, decide, commit cells (see round).
+// AccessInto checks the batch by building it into the System's own
+// DistinctBatch, whose index rejects a repeated variable, and then serves it
+// as AccessDistinctInto does.
 func (sys *System) AccessInto(reqs []Request, res *Result) error {
-	if err := sys.validate(reqs); err != nil {
+	if err := sys.checkSize(len(reqs)); err != nil {
 		return err
 	}
+	numVars := sys.Mapper.NumVars()
+	b := &sys.seen
+	b.Reset()
+	for _, r := range reqs {
+		if r.Var >= numVars {
+			return errVarRange(r.Var, numVars)
+		}
+		if _, added := b.Add(r); !added {
+			return errorf(ErrDuplicateVar, "protocol: variable %d requested twice in one batch", r.Var)
+		}
+	}
+	return sys.access(b.Requests(), res)
+}
+
+// AccessDistinctInto is AccessInto for a batch built as a DistinctBatch,
+// distinct by construction: it checks the batch's size and variable range
+// and serves its requests in place, with no copy and no second index. res
+// is valid until the next access on the same Result.
+func (sys *System) AccessDistinctInto(b *DistinctBatch, res *Result) error {
+	if err := sys.checkSize(b.Len()); err != nil {
+		return err
+	}
+	numVars := sys.Mapper.NumVars()
+	for _, r := range b.Requests() {
+		if r.Var >= numVars {
+			return errVarRange(r.Var, numVars)
+		}
+	}
+	return sys.access(b.Requests(), res)
+}
+
+// checkSize enforces the admission rule that a batch holds at most N
+// requests.
+func (sys *System) checkSize(n int) error {
+	if modules := sys.Mapper.NumModules(); uint64(n) > modules {
+		return errorf(ErrBatchTooLarge, "protocol: batch of %d exceeds N = %d", n, modules)
+	}
+	return nil
+}
+
+func errVarRange(v, numVars uint64) error {
+	return errorf(ErrVarOutOfRange, "protocol: variable %d out of range [0,%d)", v, numVars)
+}
+
+// access serves a checked batch of distinct requests. It runs as stages —
+// resolve, then per phase select, drive and commit, then report — and each
+// round drive plays is itself staged: bid, decide, commit cells (see round).
+func (sys *System) access(reqs []Request, res *Result) error {
 	sys.ts++
 	res.Values = grow(res.Values, len(reqs))
 	clear(res.Values)
@@ -528,26 +576,6 @@ func (sys *System) phaseCount(n int) int {
 	c := sys.nCopies
 	perPhase := max(int(sys.Mapper.NumModules())/(c*c*c), 1)
 	return min(c, (n+perPhase-1)/perPhase)
-}
-
-// validate checks the batch against the admission rules: at most N requests,
-// every variable in range, no variable twice.
-func (sys *System) validate(reqs []Request) error {
-	m := sys.Mapper
-	if uint64(len(reqs)) > m.NumModules() {
-		return errorf(ErrBatchTooLarge, "protocol: batch of %d exceeds N = %d", len(reqs), m.NumModules())
-	}
-	numVars := m.NumVars()
-	sys.seen.begin(len(reqs))
-	for _, r := range reqs {
-		if r.Var >= numVars {
-			return errorf(ErrVarOutOfRange, "protocol: variable %d out of range [0,%d)", r.Var, numVars)
-		}
-		if sys.seen.add(r.Var) {
-			return errorf(ErrDuplicateVar, "protocol: variable %d requested twice in one batch", r.Var)
-		}
-	}
-	return nil
 }
 
 // resolveBatch resolves every copy of every requested variable into sys.rows

@@ -3,14 +3,15 @@ package shard
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"detshmem/internal/frontend"
 	"detshmem/internal/obs"
 )
 
 // TestShardFlushSteadyStateAllocs pins the dispatcher's flush
-// path — Requests into the reused buffer, AccessInto on the shard's reused
-// Result, stats accounting, the obs flush/batch/round hooks, fan-out, and
+// path — AccessDistinctInto on the batch admission built and the shard's
+// reused Result, stats accounting, the obs flush/batch/round hooks, fan-out, and
 // batch Reset/recycling — at zero allocations per batch in steady state.
 // The only allocations on the sharded hot path are
 // the clients' futures, which are made outside the measured region here
@@ -97,5 +98,17 @@ func TestReadWriteAllocs(t *testing.T) {
 				t.Fatalf("a blocking Read or Write allocates %.2f, want <= 2", perCall)
 			}
 		})
+	}
+}
+
+// TestPerOpSizes pins what one client op costs in memory: its Future (the
+// waiter-list link included) fits a cache line, and the batchOp an AccessBatch
+// allocates per op — future plus the op's copy — stays at 88 bytes.
+func TestPerOpSizes(t *testing.T) {
+	if size := unsafe.Sizeof(frontend.Future{}); size > 64 {
+		t.Errorf("frontend.Future is %d bytes, want <= 64", size)
+	}
+	if size := unsafe.Sizeof(batchOp{}); size > 88 {
+		t.Errorf("batchOp is %d bytes, want <= 88", size)
 	}
 }

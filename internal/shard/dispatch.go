@@ -15,7 +15,7 @@ import (
 // repair pump. *protocol.System is the implementation; the interface exists
 // so tests can substitute a gated fake and pin which ops land in which batch.
 type backend interface {
-	AccessInto(reqs []protocol.Request, res *protocol.Result) error
+	AccessDistinctInto(b *protocol.DistinctBatch, res *protocol.Result) error
 	RepairBacklog() int
 	RepairStep() bool
 }
@@ -28,8 +28,8 @@ type backend interface {
 // goroutine — the ring's single consumer — drains whole published windows
 // per sweep, admits each entry's ops in order (admit), assigning commit
 // sequence numbers and folding them into the accumulating frontend.Pending,
-// and drives sealed batches through the backend's allocation-free
-// AccessInto path.
+// and hands each sealed batch — the protocol.DistinctBatch admission built —
+// to the backend's allocation-free AccessDistinctInto.
 //
 // Linearizability per variable holds by construction: ring order is
 // admission order (positions are claimed by one fetch-add and popped in
@@ -57,11 +57,10 @@ type pipeDispatcher struct {
 
 	// Flusher-owned coalescing and flush scratch (single consumer, no
 	// lock): the accumulating batch, the commit sequence counter, and the
-	// zero-alloc AccessInto buffers.
-	cur  *frontend.Pending
-	seq  uint64
-	reqs []protocol.Request
-	res  protocol.Result
+	// reused Result.
+	cur *frontend.Pending
+	seq uint64
+	res protocol.Result
 
 	// statsMu guards stats for Stats() readers. Padded away from the
 	// flusher's scratch above: a Stats poller must not bounce the cache
@@ -117,8 +116,8 @@ func (d *pipeDispatcher) run() {
 			yielded = false
 			// Idle repair pump: with no client work queued, spend the slack
 			// rebuilding recovered modules instead of parking. Batch traffic
-			// already pumps repair inside AccessInto; this path keeps the
-			// backlog draining on an otherwise quiet shard. Park only when
+			// already pumps repair inside AccessDistinctInto; this path keeps
+			// the backlog draining on an otherwise quiet shard. Park only when
 			// repair is drained or stalled (RepairStep false ⇒ paused until
 			// the fault set changes, so spinning on it would burn a core).
 			if d.b.RepairBacklog() > 0 && d.b.RepairStep() {
@@ -171,12 +170,12 @@ func (d *pipeDispatcher) admit(e *batchOp) {
 	}
 	d.seq++
 	if e.op.Write {
-		if d.cur.WriteConflicts(v) {
+		if !d.cur.Write(d.seq, v, e.op.Val, &e.fut) {
 			// The variable carries an issued read: the batch goes out
 			// first, the write opens the next one.
 			d.flushCur(obs.FlushConflict)
+			d.cur.Write(d.seq, v, e.op.Val, &e.fut)
 		}
-		d.cur.Write(d.seq, v, e.op.Val, &e.fut)
 	} else {
 		d.cur.Read(d.seq, v, &e.fut)
 	}
@@ -196,16 +195,15 @@ func (d *pipeDispatcher) flushCur(cause obs.FlushCause) {
 // and fans the results out. An ErrIncomplete-class error keeps res, so the
 // committed requests complete normally and only the unfinished ones fail
 // with their per-request verdict (frontend.Pending.Complete). Runs on the
-// flusher goroutine only, so the reqs/res scratch needs no lock.
+// flusher goroutine only, so the res scratch needs no lock.
 func (d *pipeDispatcher) flushOne(p *frontend.Pending, cause obs.FlushCause) {
-	d.reqs = p.Requests(d.reqs)
 	var res *protocol.Result
-	err := d.b.AccessInto(d.reqs, &d.res)
+	err := d.b.AccessDistinctInto(p.Batch(), &d.res)
 	if err == nil || errors.Is(err, protocol.ErrIncomplete) {
 		res = &d.res
 	}
 	d.statsMu.Lock()
-	d.stats.Account(p, len(d.reqs), res, err, cause)
+	d.stats.Account(p, res, err, cause)
 	d.statsMu.Unlock()
 	if d.col != nil {
 		d.col.ObserveFlush(cause)

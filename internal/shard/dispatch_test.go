@@ -22,10 +22,11 @@ type mapBackend struct {
 	err   error
 }
 
-func (b *mapBackend) AccessInto(reqs []protocol.Request, res *protocol.Result) error {
+func (b *mapBackend) AccessDistinctInto(batch *protocol.DistinctBatch, res *protocol.Result) error {
 	if b.err != nil {
 		return b.err
 	}
+	reqs := batch.Requests()
 	if b.store == nil {
 		b.store = make(map[uint64]uint64)
 	}
@@ -44,7 +45,7 @@ func (*mapBackend) RepairBacklog() int { return 0 }
 func (*mapBackend) RepairStep() bool   { return false }
 
 // probe records every batch on its way to the wrapped backend. When gated,
-// every AccessInto call announces itself on entered and then blocks until
+// every AccessDistinctInto call announces itself on entered and then blocks until
 // the test sends on gate, letting tests hold the flusher inside a flush while
 // they stage the admission ring.
 type probe struct {
@@ -64,18 +65,18 @@ func newProbe(b backend, gated bool) *probe {
 	return p
 }
 
-func (p *probe) AccessInto(reqs []protocol.Request, res *protocol.Result) error {
+func (p *probe) AccessDistinctInto(b *protocol.DistinctBatch, res *protocol.Result) error {
 	if p.gate != nil {
 		p.entered <- struct{}{}
 		<-p.gate
 	}
 	p.mu.Lock()
-	p.batches = append(p.batches, append([]protocol.Request(nil), reqs...))
+	p.batches = append(p.batches, append([]protocol.Request(nil), b.Requests()...))
 	p.mu.Unlock()
-	return p.backend.AccessInto(reqs, res)
+	return p.backend.AccessDistinctInto(b, res)
 }
 
-// step waits for the flusher to enter its next AccessInto call and releases
+// step waits for the flusher to enter its next AccessDistinctInto call and releases
 // it.
 func (p *probe) step() {
 	<-p.entered

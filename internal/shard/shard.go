@@ -32,9 +32,11 @@
 // batches — into a bounded MPSC ring (ring.go) with one atomic fetch-add
 // plus one publishing store — no admission mutex, no per-op channel hop —
 // while the shard's flusher goroutine, the ring's single consumer, drains
-// whole published windows per sweep, coalesces their operations into the accumulating batch by
-// internal/frontend's combining rules, and drives sealed batches through the
-// backend's allocation-free AccessInto path. A batch is flushed when it
+// whole published windows per sweep, coalesces their operations into the
+// accumulating batch by internal/frontend's combining rules — straight into
+// the protocol.DistinctBatch whose index is both the combining lookup and
+// the duplicate check — and hands sealed batches to the backend's
+// allocation-free AccessDistinctInto. A batch is flushed when it
 // reaches MaxBatch distinct variables, when a write meets an issued read of
 // its variable, when the ring runs dry (so latency stays bounded without
 // timers), or on an explicit Flush. The ring is bounded in entries:
