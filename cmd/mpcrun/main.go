@@ -15,7 +15,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -122,9 +121,7 @@ func main() {
 		}
 		f, err := os.Create(*traceOut)
 		fatal(err)
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(obs.TraceDump{Totals: totals, Dropped: tracer.Dropped(), Events: tracer.Events()})
+		err = tracer.WriteJSON(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

@@ -11,6 +11,7 @@ import (
 	"detshmem/internal/consistency"
 	"detshmem/internal/core"
 	"detshmem/internal/netmpc"
+	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
 	"detshmem/internal/shard"
 )
@@ -93,8 +94,9 @@ func runDrill(name string, n int, addrs []string, victim int, c cluster, w io.Wr
 	return ts, nil
 }
 
-// connect dials the cluster and builds a one-shard service over it.
-func (d *drill) connect() (*netmpc.Transport, *shard.Service, error) {
+// connect dials the cluster and builds a one-shard service over it whose
+// system reports its protocol facts to o (nil for none).
+func (d *drill) connect(o obs.BatchObserver) (*netmpc.Transport, *shard.Service, error) {
 	tr, err := netmpc.Dial(netmpc.Config{
 		Servers:   d.addrs,
 		Q:         d.s.Q,
@@ -106,7 +108,7 @@ func (d *drill) connect() (*netmpc.Transport, *shard.Service, error) {
 		return nil, nil, err
 	}
 	svc, err := shard.New(d.m, shard.Config{
-		Observe:   true,
+		Protocol:  protocol.Config{Observer: o},
 		Transport: func(int) protocol.Transport { return tr },
 	})
 	if err != nil {
@@ -167,7 +169,7 @@ func (d *drill) kill() (*consistency.TraceSet, error) {
 	if len(probe) == 0 {
 		return nil, fmt.Errorf("none of the %d workload variables loses its majority with server %d's modules [%d,%d) dead", len(vars), d.victim, d.lo, d.hi)
 	}
-	tr, svc, err := d.connect()
+	tr, svc, err := d.connect(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +224,8 @@ func (d *drill) wipe() (*consistency.TraceSet, error) {
 	if len(vars) < 4 {
 		return nil, fmt.Errorf("only %d variables have exactly one copy on server %d", len(vars), d.victim)
 	}
-	tr, svc, err := d.connect()
+	col := obs.NewCollector()
+	tr, svc, err := d.connect(col)
 	if err != nil {
 		return nil, err
 	}
@@ -265,8 +268,7 @@ func (d *drill) wipe() (*consistency.TraceSet, error) {
 			return nil, err
 		}
 	}
-	col := svc.Collector(0).Snapshot()
-	rounds, certified := col["repair_rounds_total"], col["repair_certified_total"]
+	rounds, certified := col.RepairRounds.Load(), col.RepairCertified.Load()
 	if certified < int64(d.hi-d.lo) {
 		return nil, fmt.Errorf("the wiped server's %d modules were re-admitted with %d certified by repair", d.hi-d.lo, certified)
 	}

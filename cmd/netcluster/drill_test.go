@@ -114,3 +114,26 @@ func TestDrills(t *testing.T) {
 		}
 	}
 }
+
+// TestFlagErrors: a flag combination no drill can run is refused before any
+// process starts — main exits 2 on the error checkFlags returns.
+func TestFlagErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		servers, victim int
+		ok              bool
+	}{
+		{"kill", 4, 1, true},
+		{"wipe", 4, 3, true},
+		{"kill", 4, 7, false},
+		{"kill", 4, 4, false},
+		{"kill", 4, -1, false},
+		{"kill", 0, 0, false},
+		{"wipe", 0, 1, false},
+		{"e22", 4, 1, false},
+	} {
+		if err := checkFlags(tc.name, tc.servers, tc.victim); (err == nil) != tc.ok {
+			t.Errorf("-drill %s -servers %d -victim %d: error %v, want ok=%v", tc.name, tc.servers, tc.victim, err, tc.ok)
+		}
+	}
+}

@@ -20,7 +20,10 @@
 //	      the wire, and every committed value must read back exactly. The
 //	      restarted victim is then a survivor and must drain cleanly.
 //
-// Any failure exits nonzero. Usage (CI builds the binaries first):
+// A flag combination no drill can run (an unknown -drill, -servers below 1,
+// a -victim outside [0, servers)) is a usage error: exit 2, before any
+// process starts. Any other failure exits 1. Usage (CI builds the binaries
+// first):
 //
 //	go build -o bin/ ./cmd/...
 //	./bin/netcluster -bin ./bin -servers 4 -out /tmp/netcluster
@@ -56,8 +59,8 @@ func main() {
 		timeout = flag.Duration("timeout", 10*time.Minute, "overall watchdog")
 	)
 	flag.Parse()
-	if _, ok := drills[*name]; !ok {
-		fmt.Fprintf(os.Stderr, "netcluster: unknown -drill %q; known drills: kill, wipe\n", *name)
+	if err := checkFlags(*name, *servers, *victim); err != nil {
+		fmt.Fprintf(os.Stderr, "netcluster: %v\n", err)
 		os.Exit(2)
 	}
 	if err := run(*bin, *servers, *n, *victim, *out, *name, *timeout); err != nil {
@@ -67,10 +70,21 @@ func main() {
 	fmt.Println("netcluster: PASS")
 }
 
-func run(bin string, k, n, victim int, out, name string, timeout time.Duration) error {
-	if victim < 0 || victim >= k {
-		return fmt.Errorf("victim %d out of range [0,%d)", victim, k)
+// checkFlags refuses a flag combination no drill can run.
+func checkFlags(name string, servers, victim int) error {
+	if _, ok := drills[name]; !ok {
+		return fmt.Errorf("unknown -drill %q; known drills: kill, wipe", name)
 	}
+	if servers < 1 {
+		return fmt.Errorf("-servers %d: the cluster needs at least one memserver", servers)
+	}
+	if victim < 0 || victim >= servers {
+		return fmt.Errorf("-victim %d out of range [0,%d) for -servers %d", victim, servers, servers)
+	}
+	return nil
+}
+
+func run(bin string, k, n, victim int, out, name string, timeout time.Duration) error {
 	if out == "" {
 		dir, err := os.MkdirTemp("", "netcluster")
 		if err != nil {

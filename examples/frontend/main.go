@@ -3,7 +3,9 @@
 // small hot set of shared counters in AccessBatch windows; the dispatcher
 // coalesces their operations into EREW-legal batches (distinct variables
 // only) and the combining statistics show how many client ops never became
-// protocol requests at all.
+// protocol requests at all. The service's Stats count what the dispatcher
+// did; an obs.Collector set as the protocol's Observer counts what the
+// batches cost.
 package main
 
 import (
@@ -13,6 +15,7 @@ import (
 	"sync"
 
 	"detshmem/internal/core"
+	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
 	"detshmem/internal/shard"
 )
@@ -27,7 +30,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	svc, err := shard.New(protocol.NewCoreMapper(scheme, idx), shard.Config{})
+	col := obs.NewCollector()
+	svc, err := shard.New(protocol.NewCoreMapper(scheme, idx), shard.Config{
+		Protocol: protocol.Config{Observer: col},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,5 +90,5 @@ func main() {
 	fmt.Printf("read sharing %d, write coalescing %d, read-after-write forwards %d\n",
 		s.CombinedReads, s.CoalescedWrites, s.ForwardedReads)
 	fmt.Printf("protocol cost: %d MPC rounds total, max per-batch Φ = %d\n",
-		s.TotalRounds, s.MaxPhi)
+		col.Rounds.Load(), col.MaxPhi.Load())
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"slices"
 
-	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
 )
 
@@ -191,11 +190,14 @@ func (p *Pending) Reset() {
 	p.ops, p.combined, p.coalesced, p.forwarded = 0, 0, 0, 0
 }
 
-// Stats aggregates combining metrics over every flushed batch. They extend
-// the per-batch protocol.Metrics with the combining view: how many client
-// operations entered versus how many protocol requests left.
+// Stats is the serving path's one book of dispatcher facts, summed over
+// every flushed batch: what combining saved, why each batch was flushed, how
+// deep the admission ring grew and how often the flusher parked. Protocol
+// facts — rounds, Φ, copy accesses, retried bids, stranded and unfinished
+// requests — are not kept here: the Observer and Recorder set in
+// protocol.Config count them.
 type Stats struct {
-	Batches         int   // batches flushed
+	Batches         int   // batches flushed, those the backend refused included
 	OpsIn           int64 // client operations admitted into flushed batches
 	RequestsOut     int64 // protocol requests issued
 	CombinedReads   int64 // reads that shared an already-issued read
@@ -203,24 +205,62 @@ type Stats struct {
 	ForwardedReads  int64 // reads served from a pending write, no request
 	SizeFlushes     int64 // batches flushed at MaxBatch distinct variables
 	IdleFlushes     int64 // batches flushed because the queue ran dry
-	ExplicitFlushes int64 // batches flushed by Flush or Close
+	// ExplicitFlushes counts the Flush and Close sentinels that flushed a
+	// batch, and also every Flush sentinel that found nothing pending (a
+	// Close with nothing pending is not counted). So
+	// SizeFlushes+IdleFlushes+ConflictFlushes ≤ Batches ≤
+	// SizeFlushes+IdleFlushes+ConflictFlushes+ExplicitFlushes.
+	ExplicitFlushes int64
 	ConflictFlushes int64 // batches flushed by a write-after-read conflict
 	MaxQueueDepth   int   // deepest admission ring observed at admission, in entries (an AccessBatch sub-batch each)
-	TotalRounds     int64 // protocol MPC rounds consumed by flushed batches
-	CopyAccesses    int64 // protocol copy accesses across flushed batches
-	MaxPhi          int   // largest per-batch Φ (max phase iterations)
-	Unfinished      int64 // requests that missed their quorum (failures)
-	Stranded        int64 // requests whose live copies fell below quorum
-	RetriedBids     int64 // bids re-selected onto surviving copies
+	FlusherParks    int64 // times the flusher blocked on an empty admission ring
+	FlusherWakes    int64 // producer kicks that un-parked the flusher
 	FailedBatches   int   // batches rejected by the backend outright
+	// TotalRounds is the MPC rounds the flushed batches consumed.
+	//
+	// Deprecated: it is a protocol fact, which an obs.Collector set as
+	// protocol.Config.Observer counts (Rounds, repair rounds included). It
+	// is still declared because the frozen benchmark suite (bench/run.go's
+	// rounds_per_op) reads it, and goes with the benchmark change that
+	// reads rounds from its own observer.
+	TotalRounds int64
 }
 
-// Account folds one flushed batch into the stats. The dispatcher must call it
-// under the same lock its Stats snapshot takes, and before the batch's
-// futures complete: completing first opens a torn-read window where a
-// client whose Wait returned cannot find its own committed operation in a
-// snapshot (read-your-ops consistency).
-func (s *Stats) Account(p *Pending, res *protocol.Result, err error, cause obs.FlushCause) {
+// FlushCause labels why the dispatcher flushed a batch.
+type FlushCause int
+
+const (
+	// FlushSize: the batch reached MaxBatch distinct variables.
+	FlushSize FlushCause = iota
+	// FlushIdle: the submission queue ran dry.
+	FlushIdle
+	// FlushExplicit: an explicit Flush or Close.
+	FlushExplicit
+	// FlushConflict: a write-after-issued-read conflict.
+	FlushConflict
+)
+
+func (c FlushCause) String() string {
+	switch c {
+	case FlushSize:
+		return "size"
+	case FlushIdle:
+		return "idle"
+	case FlushExplicit:
+		return "explicit"
+	case FlushConflict:
+		return "conflict"
+	}
+	return "unknown"
+}
+
+// Account folds one flushed batch into the stats; res is nil when the
+// backend refused the batch outright (the convention Complete follows). The
+// dispatcher must call it under the same lock its Stats snapshot takes, and
+// before the batch's futures complete: completing first opens a torn-read
+// window where a client whose Wait returned cannot find its own committed
+// operation in a snapshot (read-your-ops consistency).
+func (s *Stats) Account(p *Pending, res *protocol.Result, cause FlushCause) {
 	s.Batches++
 	s.OpsIn += int64(p.ops)
 	s.RequestsOut += int64(p.Distinct())
@@ -228,28 +268,20 @@ func (s *Stats) Account(p *Pending, res *protocol.Result, err error, cause obs.F
 	s.CoalescedWrites += int64(p.coalesced)
 	s.ForwardedReads += int64(p.forwarded)
 	switch cause {
-	case obs.FlushIdle:
+	case FlushIdle:
 		s.IdleFlushes++
-	case obs.FlushExplicit:
+	case FlushExplicit:
 		s.ExplicitFlushes++
-	case obs.FlushConflict:
+	case FlushConflict:
 		s.ConflictFlushes++
 	default:
 		s.SizeFlushes++
 	}
-	if res != nil {
-		s.TotalRounds += int64(res.Metrics.TotalRounds)
-		s.CopyAccesses += int64(res.Metrics.CopyAccesses)
-		if res.Metrics.MaxIterations > s.MaxPhi {
-			s.MaxPhi = res.Metrics.MaxIterations
-		}
-		s.Unfinished += int64(len(res.Metrics.Unfinished))
-		s.Stranded += int64(len(res.Metrics.Stranded))
-		s.RetriedBids += int64(res.Metrics.RetriedBids)
-	}
-	if err != nil && !(errors.Is(err, protocol.ErrIncomplete) && res != nil) {
+	if res == nil {
 		s.FailedBatches++
+		return
 	}
+	s.TotalRounds += int64(res.Metrics.TotalRounds)
 }
 
 // Merge folds o into s: counters add, high-water marks take the max. The
@@ -269,15 +301,10 @@ func (s *Stats) Merge(o Stats) {
 	if o.MaxQueueDepth > s.MaxQueueDepth {
 		s.MaxQueueDepth = o.MaxQueueDepth
 	}
-	s.TotalRounds += o.TotalRounds
-	s.CopyAccesses += o.CopyAccesses
-	if o.MaxPhi > s.MaxPhi {
-		s.MaxPhi = o.MaxPhi
-	}
-	s.Unfinished += o.Unfinished
-	s.Stranded += o.Stranded
-	s.RetriedBids += o.RetriedBids
+	s.FlusherParks += o.FlusherParks
+	s.FlusherWakes += o.FlusherWakes
 	s.FailedBatches += o.FailedBatches
+	s.TotalRounds += o.TotalRounds
 }
 
 // CombiningRate is the fraction of operations that did not become protocol

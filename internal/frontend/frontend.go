@@ -29,7 +29,9 @@
 // distinct, so the flush hands it to protocol.System.AccessDistinctInto
 // as it stands. Complete fans a flushed batch's result out to every combined
 // waiter's Future, attributing a degraded batch's errors per request; Stats
-// counts what combining saved, as admission counted it. Because one
+// is the dispatcher's one book — what combining saved, as admission counted
+// it, why each batch was flushed, how deep the ring grew — while protocol
+// facts belong to the protocol's Observer and Recorder. Because one
 // goroutine assigns commit sequence numbers and batches are applied in
 // order, combining is invisible to clients: shard's differential oracle
 // replays every operation in sequence order against a plain map and demands

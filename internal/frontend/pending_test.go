@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
 )
 
@@ -129,7 +128,7 @@ func (h *pendingHarness) flush(mode flushMode, salt int) {
 		}
 	} else {
 		res = &protocol.Result{Values: make([]uint64, len(want))}
-		res.Metrics.TotalRounds, res.Metrics.CopyAccesses, res.Metrics.MaxIterations = 3, 2*len(want), 1+salt%5
+		res.Metrics.TotalRounds = 3 + salt%5
 		for i := range want {
 			if mode == flushDegraded && (i+salt)%3 == 0 {
 				res.Metrics.Unfinished = append(res.Metrics.Unfinished, i)
@@ -171,14 +170,10 @@ func (h *pendingHarness) flush(mode flushMode, salt int) {
 	}
 	if res != nil {
 		wantStats.TotalRounds += int64(res.Metrics.TotalRounds)
-		wantStats.CopyAccesses += int64(res.Metrics.CopyAccesses)
-		wantStats.MaxPhi = max(wantStats.MaxPhi, res.Metrics.MaxIterations)
-		wantStats.Unfinished += int64(len(res.Metrics.Unfinished))
-		wantStats.Stranded += int64(len(res.Metrics.Stranded))
 	} else {
 		wantStats.FailedBatches++
 	}
-	h.stats.Account(p, res, err, obs.FlushExplicit)
+	h.stats.Account(p, res, FlushExplicit)
 	if h.stats != wantStats {
 		t.Fatalf("Stats = %+v\nmodel = %+v", h.stats, wantStats)
 	}
@@ -352,7 +347,8 @@ func TestDegradedFlushAllocFree(t *testing.T) {
 		}
 	}
 	err := fmt.Errorf("%w: degraded", protocol.ErrQuorumUnreachable)
-	futs := make([]Future, (runs+2)*2*batch)
+	all := make([]Future, (runs+2)*2*batch)
+	futs := all
 	var stats Stats
 	cycle := func() {
 		for v := uint64(0); v < batch; v++ {
@@ -364,7 +360,7 @@ func TestDegradedFlushAllocFree(t *testing.T) {
 			p.Read(v, v, &futs[1]) // combined, or forwarded off the write
 			futs = futs[2:]
 		}
-		stats.Account(p, res, err, obs.FlushSize)
+		stats.Account(p, res, FlushSize)
 		p.Complete(res, err)
 		p.Reset()
 	}
@@ -372,8 +368,8 @@ func TestDegradedFlushAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(runs, cycle); avg != 0 {
 		t.Fatalf("degraded flush allocates %.2f times per batch, want 0", avg)
 	}
-	if stats.Stranded == 0 {
-		t.Fatalf("no stranding accounted: %+v", stats)
+	if _, werr := all[0].Wait(); !errors.Is(werr, protocol.ErrQuorumUnreachable) {
+		t.Fatalf("stranded request 0 completed with %v, want the quorum verdict", werr)
 	}
 }
 
@@ -403,7 +399,7 @@ func TestCombiningFlushAllocFree(t *testing.T) {
 				k++
 			}
 		}
-		stats.Account(p, res, nil, obs.FlushSize)
+		stats.Account(p, res, FlushSize)
 		p.Complete(res, nil)
 		p.Reset()
 		per++
@@ -471,5 +467,17 @@ func TestWaiterListsCompletionRace(t *testing.T) {
 		p.Complete(res, nil)
 		p.Reset()
 		wg.Wait()
+	}
+}
+
+func TestFlushCauseStrings(t *testing.T) {
+	want := map[FlushCause]string{
+		FlushSize: "size", FlushIdle: "idle", FlushExplicit: "explicit",
+		FlushConflict: "conflict", FlushConflict + 1: "unknown",
+	}
+	for c, s := range want {
+		if c.String() != s {
+			t.Fatalf("FlushCause(%d).String() = %q, want %q", c, c.String(), s)
+		}
 	}
 }

@@ -101,9 +101,6 @@ func (m *Machine) Modules() int { return m.cfg.Modules }
 // Rounds returns the number of rounds executed so far.
 func (m *Machine) Rounds() uint64 { return m.round }
 
-// ResetRounds zeroes the round counter (metrics convenience).
-func (m *Machine) ResetRounds() { m.round = 0 }
-
 // Round executes one synchronous round over the round's bid list: bids[i] is
 // Bid(p, module) for processor p's request (or Idle), in strictly ascending
 // processor order, and grant[i] is set to true iff bid i was the one its

@@ -150,10 +150,6 @@ func TestRoundsCounter(t *testing.T) {
 	if m.Rounds() != 5 {
 		t.Fatalf("Rounds() = %d", m.Rounds())
 	}
-	m.ResetRounds()
-	if m.Rounds() != 0 {
-		t.Fatal("ResetRounds failed")
-	}
 }
 
 // TestRoundPanicsOnBadSizes: a round whose lists disagree in length, or hold

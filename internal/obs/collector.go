@@ -4,7 +4,6 @@ import (
 	"expvar"
 	"fmt"
 	"io"
-	"sort"
 	"sync/atomic"
 )
 
@@ -95,12 +94,13 @@ func (h *Histogram) Buckets() [HistBuckets]int64 {
 	return out
 }
 
-// Collector aggregates cumulative observability from all three levels of
-// the stack. It implements Recorder (round level, fed by the MPC engine),
-// BatchObserver (batch level, fed by protocol.System), and exposes explicit
-// hooks for the frontend dispatcher (queue depth, flush causes). All
-// methods are safe for concurrent use and allocation-free, so a single
-// process-wide Collector can watch any number of systems and frontends.
+// Collector aggregates the protocol's cumulative observability. It
+// implements Recorder (round level, fed by the MPC engine), BatchObserver
+// and RepairObserver (batch and repair level, fed by protocol.System), and
+// ResolverObserver. All methods are safe for concurrent use and
+// allocation-free, so a single process-wide Collector can watch any number
+// of systems — every shard of a service through shard.Config.Protocol.
+// Dispatcher facts are not here: frontend.Stats owns them.
 type Collector struct {
 	// Batch level (ObserveBatch, from protocol.Metrics).
 	Batches        Counter   // protocol batches completed
@@ -138,20 +138,9 @@ type Collector struct {
 	ModuleLoad    Histogram // per-module per-round load distribution
 	Imbalance     Histogram // per-round max-load distribution
 
-	// Dispatcher level (ObserveFlush).
-	Flushes [numFlushCauses]Counter
-
-	// Admission-ring level (ObserveRingDepth / ObserveFlusherPark /
-	// ObserveFlusherWake, from the lock-free shard dispatcher).
-	RingDepth    Histogram // ring occupancy, sampled every 64th admission
-	MaxRingDepth MaxGauge  // deepest ring occupancy observed (exact)
-	FlusherParks Counter   // flusher parked on a genuinely idle ring
-	FlusherWakes Counter   // producer kicks that un-parked the flusher
-
 	// Resolver residency (ObserveResolverResidency, from a compiled
 	// resolver whose System's Observer is this collector).
-	ResolverShards Gauge // compiled blocks resident (1 = the dense table)
-	ResolverBytes  Gauge // resident compiled-table bytes
+	ResolverBytes Gauge // resident compiled-table bytes
 }
 
 // NewCollector returns a zeroed collector.
@@ -212,33 +201,9 @@ func (c *Collector) ObserveRepair(ev RepairEvent) {
 	c.GrantedBids.Add(int64(ev.Granted))
 }
 
-// ObserveFlush counts one dispatcher batch flush by cause.
-func (c *Collector) ObserveFlush(cause FlushCause) {
-	if cause >= 0 && cause < numFlushCauses {
-		c.Flushes[cause].Inc()
-	}
-}
-
-// ObserveRingDepth samples the shard's admission-ring occupancy.
-// The caller samples (every 64th admission) rather than observing every op,
-// keeping the shared histogram cache lines off the lock-free hot path.
-func (c *Collector) ObserveRingDepth(depth int64) {
-	c.RingDepth.Observe(depth)
-	c.MaxRingDepth.Observe(depth)
-}
-
-// ObserveFlusherPark counts the shard flusher blocking on an empty ring.
-func (c *Collector) ObserveFlusherPark() { c.FlusherParks.Inc() }
-
-// ObserveFlusherWake counts a producer kick that un-parked the flusher.
-// Parks without a matching wake were resolved by the flusher's own
-// re-check (the Dekker handshake's benign race).
-func (c *Collector) ObserveFlusherWake() { c.FlusherWakes.Inc() }
-
-// ObserveResolverResidency records a compiled resolver's residency: resident
-// compiled blocks and table bytes.
-func (c *Collector) ObserveResolverResidency(shards int, bytes uint64) {
-	c.ResolverShards.Set(int64(shards))
+// ObserveResolverResidency records a compiled resolver's resident table
+// bytes.
+func (c *Collector) ObserveResolverResidency(bytes uint64) {
 	c.ResolverBytes.Set(int64(bytes))
 }
 
@@ -246,17 +211,7 @@ func (c *Collector) ObserveResolverResidency(shards int, bytes uint64) {
 // count and sum). The map is freshly allocated; keys are stable and sorted
 // iteration gives a deterministic listing.
 func (c *Collector) Snapshot() map[string]int64 {
-	m := make(map[string]int64, 22+int(numFlushCauses))
-	c.SnapshotInto("", m)
-	return m
-}
-
-// SnapshotInto writes the Snapshot metrics into dst with every key prefixed
-// by label. The shard layer uses it to merge per-shard collectors into one
-// labeled map ("shard3_batches_total", …) without allocating a map per
-// shard.
-func (c *Collector) SnapshotInto(label string, dst map[string]int64) {
-	m := map[string]int64{
+	return map[string]int64{
 		"batches_total":             c.Batches.Load(),
 		"batch_requests_total":      c.Requests.Load(),
 		"batch_rounds_total":        c.Rounds.Load(),
@@ -282,24 +237,12 @@ func (c *Collector) SnapshotInto(label string, dst map[string]int64) {
 		"module_load_sum":           c.ModuleLoad.Sum(),
 		"round_max_load_count":      c.Imbalance.Count(),
 		"round_max_load_sum":        c.Imbalance.Sum(),
-		"ring_depth_count":          c.RingDepth.Count(),
-		"ring_depth_sum":            c.RingDepth.Sum(),
-		"max_ring_depth":            c.MaxRingDepth.Load(),
-		"flusher_parks_total":       c.FlusherParks.Load(),
-		"flusher_wakes_total":       c.FlusherWakes.Load(),
-		"resolver_compiled_shards":  c.ResolverShards.Load(),
 		"resolver_resident_bytes":   c.ResolverBytes.Load(),
 		"repaired_copies_total":     c.RepairedCopies.Load(),
 		"repair_salvaged_total":     c.RepairSalvaged.Load(),
 		"repair_rounds_total":       c.RepairRounds.Load(),
 		"repair_certified_total":    c.RepairCertified.Load(),
 		"repair_backlog":            c.RepairBacklog.Load(),
-	}
-	for cause := FlushCause(0); cause < numFlushCauses; cause++ {
-		m["flushes_"+cause.String()+"_total"] = c.Flushes[cause].Load()
-	}
-	for k, v := range m {
-		dst[label+k] = v
 	}
 }
 
@@ -340,10 +283,6 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 		{"mpc_requests_total", "Live requests across recorded rounds.", "counter", c.MPCRequests.Load()},
 		{"mpc_granted_total", "Grants across recorded rounds.", "counter", c.MPCGranted.Load()},
 		{"max_module_load", "Worst per-module congestion observed in any round.", "gauge", c.MaxModuleLoad.Load()},
-		{"max_ring_depth", "Deepest shard admission-ring occupancy observed.", "gauge", c.MaxRingDepth.Load()},
-		{"flusher_parks_total", "Shard flusher parks on an idle admission ring.", "counter", c.FlusherParks.Load()},
-		{"flusher_wakes_total", "Producer kicks that un-parked a shard flusher.", "counter", c.FlusherWakes.Load()},
-		{"resolver_compiled_shards", "Compiled resolver blocks resident (1 = the dense table).", "gauge", c.ResolverShards.Load()},
 		{"resolver_resident_bytes", "Compiled resolver table bytes resident.", "gauge", c.ResolverBytes.Load()},
 		{"repaired_copies_total", "Copies rebuilt onto repairing modules by repair writes.", "counter", c.RepairedCopies.Load()},
 		{"repair_salvaged_total", "Variables rebuilt without a sound source majority.", "counter", c.RepairSalvaged.Load()},
@@ -356,24 +295,6 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 			return err
 		}
 	}
-	type labeled struct {
-		label string
-		value int64
-	}
-	flushes := make([]labeled, 0, int(numFlushCauses))
-	for cause := FlushCause(0); cause < numFlushCauses; cause++ {
-		flushes = append(flushes, labeled{cause.String(), c.Flushes[cause].Load()})
-	}
-	sort.Slice(flushes, func(i, j int) bool { return flushes[i].label < flushes[j].label })
-	name := promNamespace + "_frontend_flushes_total"
-	if _, err := fmt.Fprintf(w, "# HELP %s Frontend batch flushes by cause.\n# TYPE %s counter\n", name, name); err != nil {
-		return err
-	}
-	for _, fl := range flushes {
-		if _, err := fmt.Fprintf(w, "%s{cause=%q} %d\n", name, fl.label, fl.value); err != nil {
-			return err
-		}
-	}
 	hists := []struct {
 		name, help string
 		h          *Histogram
@@ -382,7 +303,6 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 		{"fault_rounds", "MPC rounds per batch while modules were failed (round inflation).", &c.FaultRounds},
 		{"module_load", "Per-module per-round request load (merged lower-bound sum).", &c.ModuleLoad},
 		{"round_max_load", "Per-round maximum module load (imbalance).", &c.Imbalance},
-		{"ring_depth", "Shard admission-ring occupancy (sampled every 64th admission).", &c.RingDepth},
 	}
 	for _, hs := range hists {
 		if err := writeHistogram(w, hs.name, hs.help, hs.h); err != nil {

@@ -1,6 +1,8 @@
 // Package obs is the observability layer: round-level tracing and
-// cumulative metrics for the MPC engine, the access protocol, and the
-// combining frontend.
+// cumulative metrics for the MPC engine and the access protocol. It counts
+// protocol facts only; the serving path's dispatcher facts (combining, flush
+// causes, queue depth, flusher parks and wakes) have one owner,
+// frontend.Stats, which shard.Service.Stats snapshots.
 //
 // The design constraint is that instrumentation must cost nothing when it is
 // off: the hot paths (mpc.Machine.Round, the whole
@@ -20,8 +22,10 @@
 //     totals that survive ring wrap-around, dumpable as a JSON trajectory
 //     (the Theorem 6 round-trajectory plot is made from this).
 //   - Collector: cumulative atomic counters and power-of-two histograms fed
-//     from three levels (round events, per-batch protocol metrics, frontend
-//     dispatcher), exported via expvar and a Prometheus text-format writer.
+//     from two levels (round events and per-batch protocol metrics, repair
+//     steps included), exported via expvar and a Prometheus text-format
+//     writer. It is safe for concurrent use, so one collector may watch every
+//     shard of a service.
 package obs
 
 import "math/bits"
@@ -90,9 +94,10 @@ type RoundEvent struct {
 	Dropped int `json:"dropped,omitempty"`
 }
 
-// Recorder receives one event per executed MPC round. Implementations must
-// be safe for use from a single machine coordinator goroutine; Tracer and
-// Collector are additionally safe for concurrent readers.
+// Recorder receives one event per executed MPC round. A recorder installed
+// on one machine is called from that machine's coordinator goroutine; one
+// installed through shard.Config.Protocol is called from every shard's at
+// once. Tracer and Collector are safe for concurrent use.
 type Recorder interface {
 	// Enabled reports whether the caller should assemble events at all.
 	// Hot paths skip the contention sweep entirely when it returns false.
@@ -195,14 +200,13 @@ type RepairObserver interface {
 	ObserveRepair(ev RepairEvent)
 }
 
-// ResolverObserver receives a compiled resolver's residency: how many
-// compiled blocks are resident (1 for the dense table) and the resident table
-// bytes. A protocol System built over a table reports it once, at
+// ResolverObserver receives a compiled resolver's residency: the resident
+// table bytes. A protocol System built over a table reports it once, at
 // construction, to an Observer that implements this interface, so the table's
 // footprint shows up on /debug/vars and the Prometheus endpoint; a table-free
 // System reports nothing. Collector implements it.
 type ResolverObserver interface {
-	ObserveResolverResidency(shards int, bytes uint64)
+	ObserveResolverResidency(bytes uint64)
 }
 
 // MultiBatch fans batch events out to several observers, dropping nils. It
@@ -233,9 +237,9 @@ func (m multiBatch) ObserveBatch(ev BatchEvent) {
 }
 
 // ObserveRepair forwards repair-step events to every member that observes
-// them. Without this, chaining a per-shard collector after a configured
-// observer (shard.Config.Observe plus protocol.Config.Observer) would
-// silently sever the repair accounting for both: protocol.System discovers
+// them. Without this, fanning batch events out to several observers (a
+// collector beside a caller's own, as experiment E17 does) would silently
+// sever the repair accounting for all of them: protocol.System discovers
 // its RepairObserver by type-asserting the one configured Observer, and a
 // bare []BatchObserver fan-out would fail that assertion even though every
 // member implements it.
@@ -249,39 +253,10 @@ func (m multiBatch) ObserveRepair(ev RepairEvent) {
 
 // ObserveResolverResidency forwards resolver-residency updates the same
 // way, for the same reason.
-func (m multiBatch) ObserveResolverResidency(shards int, bytes uint64) {
+func (m multiBatch) ObserveResolverResidency(bytes uint64) {
 	for _, o := range m {
 		if ro, ok := o.(ResolverObserver); ok {
-			ro.ObserveResolverResidency(shards, bytes)
+			ro.ObserveResolverResidency(bytes)
 		}
 	}
-}
-
-// FlushCause labels why the frontend dispatcher flushed a batch.
-type FlushCause int
-
-const (
-	// FlushSize: the batch reached MaxBatch distinct variables.
-	FlushSize FlushCause = iota
-	// FlushIdle: the submission queue ran dry.
-	FlushIdle
-	// FlushExplicit: an explicit Flush or Close.
-	FlushExplicit
-	// FlushConflict: a write-after-issued-read conflict.
-	FlushConflict
-	numFlushCauses
-)
-
-func (c FlushCause) String() string {
-	switch c {
-	case FlushSize:
-		return "size"
-	case FlushIdle:
-		return "idle"
-	case FlushExplicit:
-		return "explicit"
-	case FlushConflict:
-		return "conflict"
-	}
-	return "unknown"
 }

@@ -23,14 +23,7 @@ func goldenCollector() *Collector {
 	c.RecordRound(ev)
 	c.RecordRound(RoundEvent{Round: 1, Requests: 3, Granted: 3, MaxLoad: 1})
 	c.ObserveBatch(BatchEvent{Requests: 12, Phases: 3, Rounds: 2, MaxPhi: 2, CopyAccesses: 7, GrantedBids: 7, Unfinished: 0})
-	c.ObserveRingDepth(5)
-	c.ObserveRingDepth(2)
-	c.ObserveFlush(FlushSize)
-	c.ObserveFlush(FlushIdle)
-	c.ObserveFlush(FlushExplicit)
-	c.ObserveFlush(FlushConflict)
-	c.ObserveFlush(FlushIdle)
-	c.ObserveResolverResidency(3, 49152)
+	c.ObserveResolverResidency(49152)
 	c.ObserveRepair(RepairEvent{Copies: 6, Salvaged: 1, Rounds: 4, Issued: 9, Granted: 8, Certified: 2, Backlog: 1})
 	return c
 }
@@ -100,8 +93,8 @@ func TestWritePrometheusWellFormed(t *testing.T) {
 	}
 	// Histogram invariant: the +Inf bucket equals the count.
 	out := buf.String()
-	if !strings.Contains(out, `detshmem_ring_depth_bucket{le="+Inf"} 2`) ||
-		!strings.Contains(out, "detshmem_ring_depth_count 2") {
-		t.Fatalf("ring_depth histogram +Inf/count mismatch:\n%s", out)
+	if !strings.Contains(out, `detshmem_module_load_bucket{le="+Inf"} 4`) ||
+		!strings.Contains(out, "detshmem_module_load_count 4") {
+		t.Fatalf("module_load histogram +Inf/count mismatch:\n%s", out)
 	}
 }

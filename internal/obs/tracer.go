@@ -29,8 +29,8 @@ type TraceTotals struct {
 // Tracer is a fixed-capacity ring buffer of RoundEvents. Recording is
 // allocation-free in steady state; when the ring is full the oldest event
 // is overwritten and counted in Dropped, while Totals stay exact. It is
-// safe for one writer (the machine coordinator) and any number of
-// concurrent readers.
+// safe for concurrent use: several machines (the shards of a service) may
+// record into one tracer while readers dump it.
 type Tracer struct {
 	mu      sync.Mutex
 	ring    []RoundEvent
@@ -104,14 +104,6 @@ func (t *Tracer) Dropped() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
-}
-
-// Reset clears the ring, totals, and drop counter.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	t.next, t.n, t.dropped = 0, 0, 0
-	t.totals = TraceTotals{}
-	t.mu.Unlock()
 }
 
 // TraceDump is the JSON shape WriteJSON emits: exact running totals, the

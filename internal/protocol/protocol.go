@@ -368,7 +368,7 @@ func NewGenericSystem(m Mapper, cfg Config) (*System, error) {
 	if o, ok := cfg.Observer.(obs.ResolverObserver); ok && resolver != nil {
 		// The table is immutable, so its residency is published once; every
 		// System sharing it reports the same figure to its own observer.
-		o.ObserveResolverResidency(1, resolver.ResidentBytes())
+		o.ObserveResolverResidency(resolver.ResidentBytes())
 	}
 	return sys, nil
 }

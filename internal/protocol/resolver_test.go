@@ -287,17 +287,16 @@ func TestSystemWiresResolverObserver(t *testing.T) {
 		if _, err := NewGenericSystem(mv, Config{Resolver: r, Observer: c}); err != nil {
 			t.Fatal(err)
 		}
-		if c.ResolverShards.Load() != 1 || uint64(c.ResolverBytes.Load()) != r.ResidentBytes() {
-			t.Fatalf("system %d over the table: gauges shards=%d bytes=%d, want 1/%d",
-				i, c.ResolverShards.Load(), c.ResolverBytes.Load(), r.ResidentBytes())
+		if uint64(c.ResolverBytes.Load()) != r.ResidentBytes() {
+			t.Fatalf("system %d over the table: gauge bytes=%d, want %d",
+				i, c.ResolverBytes.Load(), r.ResidentBytes())
 		}
 	}
 	c := obs.NewCollector()
 	if _, err := NewGenericSystem(r, Config{Strategy: ResolverComputed, Observer: c}); err != nil {
 		t.Fatal(err)
 	}
-	if c.ResolverShards.Load() != 0 || c.ResolverBytes.Load() != 0 {
-		t.Fatalf("table-free system published shards=%d bytes=%d, want 0/0",
-			c.ResolverShards.Load(), c.ResolverBytes.Load())
+	if c.ResolverBytes.Load() != 0 {
+		t.Fatalf("table-free system published bytes=%d, want 0", c.ResolverBytes.Load())
 	}
 }

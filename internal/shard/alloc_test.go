@@ -7,6 +7,7 @@ import (
 
 	"detshmem/internal/frontend"
 	"detshmem/internal/obs"
+	"detshmem/internal/protocol"
 )
 
 // TestShardFlushSteadyStateAllocs pins the dispatcher's flush
@@ -19,9 +20,11 @@ import (
 func TestShardFlushSteadyStateAllocs(t *testing.T) {
 	// The subtest keeps the id the committed test floor lists.
 	t.Run("sequential", func(t *testing.T) {
+		// obs hooks installed: the guard covers the enabled path.
+		col := obs.NewCollector()
 		svc := newService(t, 3, Config{
-			Shards:  2,
-			Observe: true, // obs hooks installed: the guard covers the enabled path
+			Shards:   2,
+			Protocol: protocol.Config{Observer: col, Recorder: col},
 		})
 		d := svc.shards[0].d
 		// Stop the flusher so the measured code owns the dispatcher's
@@ -55,7 +58,7 @@ func TestShardFlushSteadyStateAllocs(t *testing.T) {
 		// scratch, entry freelist).
 		for i := 0; i < 3; i++ {
 			admit(mint())
-			d.flushOne(p, obs.FlushSize)
+			d.flushOne(p, frontend.FlushSize)
 			p.Reset()
 		}
 
@@ -68,7 +71,7 @@ func TestShardFlushSteadyStateAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(runs, func() {
 			admit(pool[next])
 			next++
-			d.flushOne(p, obs.FlushSize)
+			d.flushOne(p, frontend.FlushSize)
 			p.Reset()
 		}); avg != 0 {
 			t.Fatalf("sharded flush path allocates %.2f per batch in steady state, want 0", avg)

@@ -274,7 +274,7 @@ func TestCrossCheckAgreeOnCorruption(t *testing.T) {
 // eventually commits. Both verifiers must certify the per-variable contract.
 func TestCrossCheckFaultHammer(t *testing.T) {
 	fs := mpc.NewFaultSet()
-	svc, s, _ := faultService(t, 2, fs)
+	svc, s, _, _ := faultService(t, 2, fs)
 	defer svc.Close()
 
 	stop := make(chan struct{})
@@ -324,7 +324,7 @@ func TestCrossCheckFaultHammer(t *testing.T) {
 // and the oracle replay over the committed remainder must match.
 func TestCrossCheckDegradedStranding(t *testing.T) {
 	fs := mpc.NewFaultSet()
-	svc, s, idx := faultService(t, 2, fs)
+	svc, s, idx, _ := faultService(t, 2, fs)
 	defer svc.Close()
 
 	victim := uint64(10)

@@ -7,6 +7,7 @@ import (
 
 	"detshmem/internal/baseline"
 	"detshmem/internal/core"
+	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
 	"detshmem/internal/workload"
 )
@@ -167,7 +168,7 @@ func TestDifferentialOracle(t *testing.T) {
 		{Shards: 1},
 		{Shards: 4},
 		{Shards: 4, MaxBatch: 3},
-		{Shards: 7, Observe: true},
+		{Shards: 7},
 	} {
 		cells = append(cells, cell{cfg.name(), cfg, pp93})
 	}
@@ -187,7 +188,12 @@ func TestDifferentialOracle(t *testing.T) {
 			clients := clients
 			t.Run(cell.name+"/c"+string(rune('0'+clients/10))+string(rune('0'+clients%10)), func(t *testing.T) {
 				t.Parallel()
-				svc, err := New(cell.mapper(t), cell.cfg)
+				// Every cell's protocol facts go to one collector
+				// shared by its shards.
+				col := obs.NewCollector()
+				cfg := cell.cfg
+				cfg.Protocol.Observer, cfg.Protocol.Recorder = col, col
+				svc, err := New(cell.mapper(t), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -201,8 +207,8 @@ func TestDifferentialOracle(t *testing.T) {
 				if st.Total.OpsIn != int64(clients*opsPer) {
 					t.Fatalf("ops in = %d, want %d", st.Total.OpsIn, clients*opsPer)
 				}
-				if st.Total.FailedBatches != 0 || st.Total.Unfinished != 0 {
-					t.Fatalf("failures during hammer: %+v", st.Total)
+				if st.Total.FailedBatches != 0 || col.Unfinished.Load() != 0 {
+					t.Fatalf("failures during hammer: %d unfinished requests, %+v", col.Unfinished.Load(), st.Total)
 				}
 				if clients >= 64 && st.Total.CombiningRate() <= 0 {
 					t.Fatalf("no combining under %d concurrent clients: %+v", clients, st.Total)

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"detshmem/internal/frontend"
-	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
 )
 
@@ -39,16 +38,15 @@ type backend interface {
 //
 // Handoff: no per-flush wakeup. The flusher spins through published ops
 // and only parks (park-flag + one channel token) when the ring is truly
-// empty; producers kick it only on the empty→non-empty transition. The
-// obs collector counts parks and wakes, so a workload that thrashes the
+// empty; producers kick it only on the empty→non-empty transition. Stats
+// reports the ring's park and wake counts, so a workload that thrashes the
 // handoff is visible.
 //
 // Backpressure: the ring is bounded in entries. A producer whose claimed
 // slot has not been freed yet spins briefly and then sleeps until the
 // consumer frees it, bounding admitted-but-uncommitted memory.
 type pipeDispatcher struct {
-	b   backend
-	col *obs.Collector // nil when not observing
+	b backend
 
 	numVars  uint64 // M: an op naming a variable at or past it is refused alone
 	maxBatch int
@@ -74,13 +72,12 @@ type pipeDispatcher struct {
 // newPipeDispatcher builds the dispatcher over a backend serving variables
 // [0, numVars) and starts its flusher. ringCap is the admission-ring
 // capacity in entries (rounded up to a power of two by newRing).
-func newPipeDispatcher(b backend, numVars uint64, maxBatch, ringCap int, col *obs.Collector) *pipeDispatcher {
+func newPipeDispatcher(b backend, numVars uint64, maxBatch, ringCap int) *pipeDispatcher {
 	d := &pipeDispatcher{
 		b:        b,
-		col:      col,
 		numVars:  numVars,
 		maxBatch: maxBatch,
-		ring:     newRing(ringCap, col),
+		ring:     newRing(ringCap),
 		cur:      frontend.NewPending(maxBatch),
 		done:     make(chan struct{}),
 	}
@@ -109,7 +106,7 @@ func (d *pipeDispatcher) run() {
 					runtime.Gosched()
 					continue
 				}
-				d.flushCur(obs.FlushIdle)
+				d.flushCur(frontend.FlushIdle)
 				yielded = false
 				continue
 			}
@@ -135,7 +132,7 @@ func (d *pipeDispatcher) run() {
 			}
 		case ringFlush:
 			if d.cur.Ops() > 0 {
-				d.flushCur(obs.FlushExplicit)
+				d.flushCur(frontend.FlushExplicit)
 			} else {
 				// Nothing accumulated (the idle flusher already drained
 				// everything ahead of the sentinel): the explicit flush is
@@ -148,7 +145,7 @@ func (d *pipeDispatcher) run() {
 			close(op.ack)
 		case ringClose:
 			if d.cur.Ops() > 0 {
-				d.flushCur(obs.FlushExplicit)
+				d.flushCur(frontend.FlushExplicit)
 			}
 			return
 		}
@@ -173,19 +170,19 @@ func (d *pipeDispatcher) admit(e *batchOp) {
 		if !d.cur.Write(d.seq, v, e.op.Val, &e.fut) {
 			// The variable carries an issued read: the batch goes out
 			// first, the write opens the next one.
-			d.flushCur(obs.FlushConflict)
+			d.flushCur(frontend.FlushConflict)
 			d.cur.Write(d.seq, v, e.op.Val, &e.fut)
 		}
 	} else {
 		d.cur.Read(d.seq, v, &e.fut)
 	}
 	if d.cur.Distinct() >= d.maxBatch {
-		d.flushCur(obs.FlushSize)
+		d.flushCur(frontend.FlushSize)
 	}
 }
 
 // flushCur flushes the accumulating batch and resets it for reuse.
-func (d *pipeDispatcher) flushCur(cause obs.FlushCause) {
+func (d *pipeDispatcher) flushCur(cause frontend.FlushCause) {
 	d.flushOne(d.cur, cause)
 	d.cur.Reset()
 }
@@ -196,18 +193,15 @@ func (d *pipeDispatcher) flushCur(cause obs.FlushCause) {
 // committed requests complete normally and only the unfinished ones fail
 // with their per-request verdict (frontend.Pending.Complete). Runs on the
 // flusher goroutine only, so the res scratch needs no lock.
-func (d *pipeDispatcher) flushOne(p *frontend.Pending, cause obs.FlushCause) {
+func (d *pipeDispatcher) flushOne(p *frontend.Pending, cause frontend.FlushCause) {
 	var res *protocol.Result
 	err := d.b.AccessDistinctInto(p.Batch(), &d.res)
 	if err == nil || errors.Is(err, protocol.ErrIncomplete) {
 		res = &d.res
 	}
 	d.statsMu.Lock()
-	d.stats.Account(p, res, err, cause)
+	d.stats.Account(p, res, cause)
 	d.statsMu.Unlock()
-	if d.col != nil {
-		d.col.ObserveFlush(cause)
-	}
 	p.Complete(res, err)
 }
 
@@ -235,11 +229,14 @@ func (d *pipeDispatcher) Close() error {
 	return nil
 }
 
-// Stats snapshots the dispatcher's cumulative combining metrics.
+// Stats snapshots the dispatcher's cumulative stats; the ring's own
+// counters (depth high-water mark, parks, wakes) are read beside them.
 func (d *pipeDispatcher) Stats() frontend.Stats {
 	d.statsMu.Lock()
 	s := d.stats
 	d.statsMu.Unlock()
 	s.MaxQueueDepth = int(d.ring.maxDepth.Load())
+	s.FlusherParks = d.ring.parks.Load()
+	s.FlusherWakes = d.ring.wakes.Load()
 	return s
 }

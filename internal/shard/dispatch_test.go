@@ -124,7 +124,7 @@ func access(d *pipeDispatcher, op BatchOp) (uint64, error) {
 // conflict flush.
 func TestCombiningSemantics(t *testing.T) {
 	p := newProbe(&mapBackend{}, true)
-	d := newPipeDispatcher(p, math.MaxUint64, 8, 64, nil)
+	d := newPipeDispatcher(p, math.MaxUint64, 8, 64)
 	primer := prime(t, d, p, 1<<40)
 
 	// Staged while the flusher is stuck in the primer's flush.
@@ -197,7 +197,7 @@ func TestCombiningSemantics(t *testing.T) {
 // distinct variables into full batches.
 func TestSizeFlush(t *testing.T) {
 	p := newProbe(&mapBackend{}, true)
-	d := newPipeDispatcher(p, math.MaxUint64, 4, 64, nil)
+	d := newPipeDispatcher(p, math.MaxUint64, 4, 64)
 	prime(t, d, p, 1<<40)
 	futs := make([]*frontend.Future, 8)
 	for i := range futs {
@@ -233,7 +233,7 @@ func TestSizeFlush(t *testing.T) {
 // batch with the backend's error.
 func TestBackendErrorFansOut(t *testing.T) {
 	boom := errors.New("boom")
-	d := newPipeDispatcher(&mapBackend{err: boom}, math.MaxUint64, 4, 64, nil)
+	d := newPipeDispatcher(&mapBackend{err: boom}, math.MaxUint64, 4, 64)
 	if _, err := access(d, BatchOp{Var: 7}); !errors.Is(err, boom) {
 		t.Fatalf("read error = %v, want boom", err)
 	}
@@ -296,7 +296,7 @@ func TestOutOfRangeOpFailsAlone(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := newProbe(sys, true)
-		d := newPipeDispatcher(p, m.NumVars(), 8, 64, nil)
+		d := newPipeDispatcher(p, m.NumVars(), 8, 64)
 		prime(t, d, p, m.NumVars()-1)
 
 		// Both clients stage their windows while the flusher is held in the
@@ -361,7 +361,7 @@ func TestTinyRingBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := newPipeDispatcher(sys, m.NumVars(), 8, 2, nil)
+	d := newPipeDispatcher(sys, m.NumVars(), 8, 2)
 	defer d.Close()
 	var wg sync.WaitGroup
 	for c := uint64(0); c < 8; c++ {
@@ -390,7 +390,7 @@ func TestTinyRingBackpressure(t *testing.T) {
 // updated under statsMu BEFORE the flush completes any futures, so once a
 // synchronous write returns, Stats() must already include that operation.
 func TestStatsReadYourOps(t *testing.T) {
-	d := newPipeDispatcher(&mapBackend{}, math.MaxUint64, 4, 64, nil)
+	d := newPipeDispatcher(&mapBackend{}, math.MaxUint64, 4, 64)
 	defer d.Close()
 	for i := 1; i <= 50; i++ {
 		if _, err := access(d, BatchOp{Write: true, Var: uint64(i), Val: uint64(i)}); err != nil {
@@ -408,8 +408,7 @@ func TestStatsReadYourOps(t *testing.T) {
 // the invariant checks catch torn or out-of-order snapshots even without the
 // race detector.
 func TestStatsConcurrentWithFlushes(t *testing.T) {
-	col := obs.NewCollector()
-	d := newPipeDispatcher(&mapBackend{}, math.MaxUint64, 8, 64, col)
+	d := newPipeDispatcher(&mapBackend{}, math.MaxUint64, 8, 64)
 
 	const writers, opsPerWriter, readers = 4, 300, 4
 	var stop atomic.Bool
@@ -471,16 +470,77 @@ func TestStatsConcurrentWithFlushes(t *testing.T) {
 		t.Fatalf("final stats identity broken: %+v", s)
 	}
 
-	// The collector's dispatcher-side counters must agree with Stats; its
-	// ring depth is sampled, so its high-water mark can only sit below the
-	// exact one.
-	snap := col.Snapshot()
-	flushes := snap["flushes_size_total"] + snap["flushes_idle_total"] +
-		snap["flushes_explicit_total"] + snap["flushes_conflict_total"]
-	if flushes != int64(s.Batches) {
-		t.Fatalf("collector counted %d flushes, Stats.Batches = %d", flushes, s.Batches)
+	checkFlushCauses(t, s)
+}
+
+// checkFlushCauses pins the flush-cause identity: every flushed batch has one
+// cause, and ExplicitFlushes also counts Flush sentinels that found nothing
+// pending, so Size+Idle+Conflict ≤ Batches ≤ Size+Idle+Conflict+Explicit.
+func checkFlushCauses(t *testing.T, s frontend.Stats) {
+	t.Helper()
+	caused := s.SizeFlushes + s.IdleFlushes + s.ConflictFlushes
+	if b := int64(s.Batches); b < caused || b > caused+s.ExplicitFlushes {
+		t.Fatalf("%d batches outside [%d, %d] by cause: %+v", b, caused, caused+s.ExplicitFlushes, s)
 	}
-	if snap["max_ring_depth"] > int64(s.MaxQueueDepth) {
-		t.Fatalf("collector max ring depth %d above Stats %d", snap["max_ring_depth"], s.MaxQueueDepth)
+}
+
+// TestStatsMatchObserver checks the service's two books against each other:
+// the dispatchers' Stats, which own the dispatcher facts, and the one
+// collector every shard reports its protocol facts to. Under hot-spot reads
+// and writes with explicit flushes racing them, every batch a dispatcher
+// handed the backend and the backend did not refuse is one batch the
+// observer saw, with the same requests and rounds.
+func TestStatsMatchObserver(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
+			col := obs.NewCollector()
+			svc := newService(t, 3, Config{
+				Shards:   shards,
+				MaxBatch: 8,
+				Protocol: protocol.Config{Observer: col, Recorder: col},
+			})
+			stop := make(chan struct{})
+			flushed := make(chan error, 1)
+			go func() {
+				for {
+					select {
+					case <-stop:
+						flushed <- nil
+						return
+					default:
+					}
+					if err := svc.Flush(); err != nil {
+						flushed <- err
+						return
+					}
+				}
+			}()
+			runShardClients(t, svc, 8, 400, int64(shards))
+			close(stop)
+			if err := <-flushed; err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+
+			st := svc.Stats()
+			for _, s := range st.PerShard {
+				checkFlushCauses(t, s)
+			}
+			tot := st.Total
+			if tot.CombinedReads+tot.CoalescedWrites+tot.ForwardedReads == 0 || tot.ExplicitFlushes == 0 {
+				t.Fatalf("the traffic must combine and meet explicit flushes: %+v", tot)
+			}
+			if got, want := col.Batches.Load(), int64(tot.Batches-tot.FailedBatches); got != want {
+				t.Fatalf("observer saw %d batches, dispatchers handed over %d", got, want)
+			}
+			if got := col.Requests.Load(); got != tot.RequestsOut {
+				t.Fatalf("observer saw %d requests, dispatchers issued %d", got, tot.RequestsOut)
+			}
+			if got := col.Rounds.Load(); got != tot.TotalRounds {
+				t.Fatalf("observer counted %d rounds, Stats.TotalRounds %d", got, tot.TotalRounds)
+			}
+		})
 	}
 }

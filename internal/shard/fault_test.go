@@ -10,12 +10,14 @@ import (
 	"detshmem/internal/consistency"
 	"detshmem/internal/core"
 	"detshmem/internal/mpc"
+	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
 )
 
 // faultService builds a sharded service whose every shard's
-// interconnect consults one shared runtime fault set.
-func faultService(t testing.TB, shards int, fs *mpc.FaultSet) (*Service, *core.Scheme, core.Indexer) {
+// interconnect consults one shared runtime fault set, and whose shards
+// report their protocol facts to the one collector it returns.
+func faultService(t testing.TB, shards int, fs *mpc.FaultSet) (*Service, *core.Scheme, core.Indexer, *obs.Collector) {
 	t.Helper()
 	s, err := core.New(1, 3)
 	if err != nil {
@@ -25,26 +27,28 @@ func faultService(t testing.TB, shards int, fs *mpc.FaultSet) (*Service, *core.S
 	if err != nil {
 		t.Fatal(err)
 	}
+	col := obs.NewCollector()
 	svc, err := New(protocol.NewCoreMapper(s, idx), Config{
 		Shards:   shards,
 		MaxBatch: 16,
 		Protocol: protocol.Config{
 			NewMachine: func(mcfg mpc.Config) (protocol.Machine, error) { return mpc.NewFailingShared(mcfg, fs) },
+			Observer:   col,
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return svc, s, idx
+	return svc, s, idx, col
 }
 
 // TestShardDegradedBatch pins degraded-mode serving: with the victim
 // variable's modules failed, the victim's future fails with the quorum
 // verdict while healthy operations admitted into the same shard's stream
-// commit normally, and the aggregated stats count the stranding.
+// commit normally, and the shards' shared observer counts the stranding.
 func TestShardDegradedBatch(t *testing.T) {
 	fs := mpc.NewFaultSet()
-	svc, s, idx := faultService(t, 2, fs)
+	svc, s, idx, col := faultService(t, 2, fs)
 	defer svc.Close()
 
 	victim := uint64(10)
@@ -100,8 +104,8 @@ func TestShardDegradedBatch(t *testing.T) {
 			t.Fatalf("healthy read of %d = %d, want %d", healthy[i], v, healthy[i]+900)
 		}
 	}
-	if st := svc.Stats(); st.Total.Stranded < 1 {
-		t.Fatalf("aggregated stranded = %d, want >= 1", st.Total.Stranded)
+	if n := col.StrandedRequests.Load(); n < 1 {
+		t.Fatalf("observed stranded = %d, want >= 1", n)
 	}
 
 	for _, m := range vmods {
@@ -120,7 +124,7 @@ func TestShardDegradedBatch(t *testing.T) {
 // the concurrency lane for the whole fault path.
 func TestFaultHammer(t *testing.T) {
 	fs := mpc.NewFaultSet()
-	svc, s, _ := faultService(t, 2, fs)
+	svc, s, _, _ := faultService(t, 2, fs)
 	defer svc.Close()
 
 	stop := make(chan struct{})
@@ -192,7 +196,7 @@ func TestStrandingMatchesMemoryMap(t *testing.T) {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/S=%d", shape, shards), func(t *testing.T) {
 				fs := mpc.NewFaultSet()
-				svc, s, idx := faultService(t, shards, fs)
+				svc, s, idx, _ := faultService(t, shards, fs)
 				defer svc.Close()
 				m := protocol.NewCoreMapper(s, idx)
 				quorum := max(m.ReadQuorum(), m.WriteQuorum())

@@ -7,6 +7,7 @@ import (
 
 	"detshmem/internal/core"
 	"detshmem/internal/mpc"
+	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
 )
 
@@ -22,8 +23,8 @@ func (tr failingTransport) NewMachine(cfg mpc.Config) (protocol.Machine, error) 
 // ownedRepairCycle scripts one fault cycle on an S-shard service — fail a
 // contiguous quarter of the modules, write every variable once, re-admit the
 // range through the repair queue, wait for every shard's sweep — and returns
-// the repair books summed over the shards plus the number of copies the
-// memory map says the sweeps had to rebuild.
+// the repair books of the collector every shard reports to plus the number of
+// copies the memory map says the sweeps had to rebuild.
 func ownedRepairCycle(t *testing.T, shards int) (copies, rounds, want int64) {
 	t.Helper()
 	s, err := core.New(1, 5)
@@ -38,9 +39,10 @@ func ownedRepairCycle(t *testing.T, shards int) (copies, rounds, want int64) {
 	for i := range fsets {
 		fsets[i] = mpc.NewFaultSet()
 	}
+	col := obs.NewCollector()
 	svc, err := New(protocol.NewCoreMapper(s, idx), Config{
 		Shards:    shards,
-		Observe:   true,
+		Protocol:  protocol.Config{Observer: col},
 		MaxBatch:  32, // small machines, so a sweep is many full waves
 		Transport: func(i int) protocol.Transport { return failingTransport{fsets[i]} },
 	})
@@ -96,11 +98,7 @@ func ownedRepairCycle(t *testing.T, shards int) (copies, rounds, want int64) {
 			t.Fatalf("repair backlog stuck at %d modules", backlog)
 		}
 	}
-	for i := 0; i < shards; i++ {
-		copies += svc.Collector(i).RepairedCopies.Load()
-		rounds += svc.Collector(i).RepairRounds.Load()
-	}
-	return copies, rounds, want
+	return col.RepairedCopies.Load(), col.RepairRounds.Load(), want
 }
 
 // TestRepairSweepsOwnVariablesOnly: the router gives each of S shards 1/S of

@@ -34,7 +34,7 @@ func TestChurnSoakRepair(t *testing.T) {
 	}
 
 	fs := mpc.NewFaultSet()
-	svc, s, _ := faultService(t, 2, fs)
+	svc, s, _, col := faultService(t, 2, fs)
 	defer svc.Close()
 
 	// Churn: fail one module, hold it down for 100µs, then re-admit it
@@ -157,8 +157,8 @@ func TestChurnSoakRepair(t *testing.T) {
 	}
 	// The tentpole invariant: repair means nothing is ever provably lost —
 	// requests may wait out an outage, but none may strand.
-	if st.Total.Stranded != 0 {
-		t.Fatalf("%d requests stranded under churn with repair enabled", st.Total.Stranded)
+	if n := col.StrandedRequests.Load(); n != 0 {
+		t.Fatalf("%d requests stranded under churn with repair enabled", n)
 	}
 	rep := consistency.Check(recorder.TraceSet().Runs[0].Clients, consistency.ModePerVariable)
 	if !rep.OK {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"detshmem/internal/frontend"
-	"detshmem/internal/obs"
 )
 
 // cacheLine is the assumed coherence-granule size. Hot fields written by
@@ -87,7 +86,6 @@ const unsafe_ringOpSize = 32
 type ring struct {
 	slots []ringSlot
 	mask  uint64
-	col   *obs.Collector // nil when not observing
 
 	_    cpad
 	tail atomic.Uint64 // next position to claim; producers fetch-add
@@ -101,8 +99,8 @@ type ring struct {
 
 	parked atomic.Bool
 	kick   chan struct{} // cap 1; wakes the parked consumer
-	parks  atomic.Int64  // times the consumer actually blocked
-	wakes  atomic.Int64  // producer kicks that un-parked the consumer
+	parks  atomic.Int64  // times the consumer actually blocked, for Stats.FlusherParks
+	wakes  atomic.Int64  // producer kicks that un-parked the consumer, for Stats.FlusherWakes
 
 	fullWaiters atomic.Int32 // producers asleep on a full ring
 	fullMu      sync.Mutex
@@ -111,7 +109,7 @@ type ring struct {
 
 // newRing builds a ring with room for at least capacity entries (rounded up
 // to a power of two, minimum 2).
-func newRing(capacity int, col *obs.Collector) *ring {
+func newRing(capacity int) *ring {
 	n := 2
 	for n < capacity {
 		n <<= 1
@@ -119,7 +117,6 @@ func newRing(capacity int, col *obs.Collector) *ring {
 	r := &ring{
 		slots: make([]ringSlot, n),
 		mask:  uint64(n) - 1,
-		col:   col,
 		kick:  make(chan struct{}, 1),
 	}
 	r.fullCond = sync.NewCond(&r.fullMu)
@@ -226,9 +223,6 @@ func (r *ring) park() {
 		return
 	}
 	r.parks.Add(1)
-	if r.col != nil {
-		r.col.ObserveFlusherPark()
-	}
 	<-r.kick
 	r.parked.Store(false)
 }
@@ -238,9 +232,6 @@ func (r *ring) park() {
 func (r *ring) wake() {
 	if r.parked.Load() && r.parked.CompareAndSwap(true, false) {
 		r.wakes.Add(1)
-		if r.col != nil {
-			r.col.ObserveFlusherWake()
-		}
 		select {
 		case r.kick <- struct{}{}:
 		default:
@@ -264,9 +255,7 @@ func (r *ring) close() bool {
 	return true
 }
 
-// noteDepth tracks the high-water ring occupancy in entries and samples it
-// into the collector every 64th admission (sampling keeps the shared
-// histogram lines off the admission hot path; the max is exact).
+// noteDepth tracks the high-water ring occupancy in entries.
 func (r *ring) noteDepth(pos uint64) {
 	d := int64(pos+1) - int64(r.head.Load())
 	if d <= 0 {
@@ -275,10 +264,7 @@ func (r *ring) noteDepth(pos uint64) {
 	for {
 		cur := r.maxDepth.Load()
 		if d <= cur || r.maxDepth.CompareAndSwap(cur, d) {
-			break
+			return
 		}
-	}
-	if r.col != nil && pos&63 == 0 {
-		r.col.ObserveRingDepth(d)
 	}
 }

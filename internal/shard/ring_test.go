@@ -24,7 +24,7 @@ func oneOp(v uint64) ringOp {
 // the order it enqueued them (claim order is pop order).
 func TestRingFIFO(t *testing.T) {
 	const producers, perProducer = 8, 5000
-	r := newRing(64, nil) // small: exercises wrap-around and the full path
+	r := newRing(64) // small: exercises wrap-around and the full path
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -67,7 +67,7 @@ func TestRingFIFO(t *testing.T) {
 // nothing may vanish.
 func TestRingCloseCompleteness(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		r := newRing(32, nil)
+		r := newRing(32)
 		entry := oneOp(1)
 		const producers = 6
 		var accepted atomic.Int64
@@ -136,7 +136,7 @@ func TestRingCloseCompleteness(t *testing.T) {
 // consumer running to free slots, and the one pop hands back the whole
 // window in order.
 func TestRingEnqueueBatchSpansCapacity(t *testing.T) {
-	r := newRing(16, nil)
+	r := newRing(16)
 	const n = 1000
 	b := &Batch{ops: make([]batchOp, n)}
 	for i := range b.ops {
@@ -170,7 +170,7 @@ func TestRingEnqueueBatchSpansCapacity(t *testing.T) {
 // silent drops.
 func TestRingAdmissionFaultChurn(t *testing.T) {
 	fs := mpc.NewFaultSet()
-	svc, s, _ := faultService(t, 2, fs)
+	svc, s, _, _ := faultService(t, 2, fs)
 	N := s.NumModules
 
 	stop := make(chan struct{})
@@ -240,7 +240,7 @@ func TestRingAdmissionFaultChurn(t *testing.T) {
 // enqueue/pop cycle through the ring itself is allocation-free (the Batch is
 // the caller's allocation, made outside the measured region).
 func TestRingEnqueueAllocs(t *testing.T) {
-	r := newRing(64, nil)
+	r := newRing(64)
 	entry := oneOp(7)
 	var op ringOp
 	avg := testing.AllocsPerRun(1000, func() {
@@ -268,7 +268,7 @@ func FuzzRing(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 0, 0, 1, 1, 1, 3, 7, 1, 1, 1, 1, 1, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, capBits uint8, script []byte) {
 		capacity := 1 << (capBits%4 + 1) // 2..16 slots
-		r := newRing(capacity, nil)
+		r := newRing(capacity)
 		ringCap := len(r.slots)
 		// An entry of the model: the first variable it carries and how many
 		// ops.
@@ -344,26 +344,23 @@ func FuzzRing(f *testing.F) {
 	})
 }
 
-// TestRingDepthObservability checks the ring's high-water mark reaches
-// Stats().MaxQueueDepth and the collector's park/wake counters move.
+// TestRingDepthObservability checks the ring's high-water mark and its
+// park/wake counters reach Stats.
 func TestRingDepthObservability(t *testing.T) {
-	svc := newService(t, 3, Config{Shards: 1, MaxBatch: 8, Observe: true})
+	svc := newService(t, 3, Config{Shards: 1, MaxBatch: 8})
 	for i := 0; i < 64; i++ {
 		if err := svc.Write(uint64(i), uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := svc.Stats(); st.Total.MaxQueueDepth < 1 {
-		t.Fatalf("MaxQueueDepth %d, want >= 1", st.Total.MaxQueueDepth)
+	st := svc.Stats().Total
+	if st.MaxQueueDepth < 1 {
+		t.Fatalf("MaxQueueDepth %d, want >= 1", st.MaxQueueDepth)
 	}
-	snap := svc.Snapshot()
-	if snap["shard0_flusher_parks_total"] == 0 {
-		t.Fatalf("flusher never parked across 64 synchronous writes: %v", snap)
+	if st.FlusherParks == 0 {
+		t.Fatalf("flusher never parked across 64 synchronous writes: %+v", st)
 	}
-	if snap["shard0_flusher_wakes_total"] == 0 {
-		t.Fatalf("no producer wake recorded: %v", snap)
-	}
-	if snap["shard0_max_ring_depth"] < 1 {
-		t.Fatalf("max_ring_depth %d, want >= 1", snap["shard0_max_ring_depth"])
+	if st.FlusherWakes == 0 {
+		t.Fatalf("no producer wake recorded: %+v", st)
 	}
 }

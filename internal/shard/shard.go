@@ -54,7 +54,6 @@ import (
 	"fmt"
 
 	"detshmem/internal/frontend"
-	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
 )
 
@@ -81,12 +80,12 @@ type Config struct {
 	// nil and its Strategy the zero value, the mapper's size decides
 	// (protocol.TableFits): one table is compiled and shared by all shards
 	// when it fits, and the shards resolve through the computed kernels when
-	// it does not. Observer/Recorder hooks are preserved (per-shard
-	// collectors are chained after them when Observe is set).
+	// it does not. Its Observer and Recorder are installed on every shard,
+	// so they are called from every shard's flusher at once and must be
+	// safe for concurrent use (obs.Collector and obs.Tracer are): they are
+	// the service's one book of protocol facts, while Service.Stats is its
+	// one book of dispatcher facts.
 	Protocol protocol.Config
-	// Observe attaches a per-shard obs.Collector to each shard's dispatcher
-	// and system, exposed via Collector and Snapshot.
-	Observe bool
 	// Transport, when non-nil, supplies each shard's MPC transport: shard
 	// i's system is built over Transport(i), overriding Protocol.Transport.
 	// Every shard needs its own transport namespace (for netmpc, a distinct
@@ -105,7 +104,6 @@ type Service struct {
 
 type shardState struct {
 	sys *protocol.System
-	col *obs.Collector // nil unless Config.Observe
 	d   *pipeDispatcher
 }
 
@@ -160,12 +158,6 @@ func New(m protocol.Mapper, cfg Config) (*Service, error) {
 			// it; the others never touch its store.
 			scfg.Owns = func(v uint64) bool { return route(v, shards) == i }
 		}
-		st := &shardState{}
-		if cfg.Observe {
-			st.col = obs.NewCollector()
-			scfg.Observer = obs.MultiBatch(pcfg.Observer, st.col)
-			scfg.Recorder = obs.Multi(pcfg.Recorder, st.col)
-		}
 		if cfg.Transport != nil {
 			scfg.Transport = cfg.Transport(i)
 		}
@@ -173,9 +165,7 @@ func New(m protocol.Mapper, cfg Config) (*Service, error) {
 		if err != nil {
 			return fail(i, fmt.Errorf("shard %d: %w", i, err))
 		}
-		st.sys = sys
-		st.d = newPipeDispatcher(sys, m.NumVars(), cfg.MaxBatch, ringCap, st.col)
-		s.shards[i] = st
+		s.shards[i] = &shardState{sys: sys, d: newPipeDispatcher(sys, m.NumVars(), cfg.MaxBatch, ringCap)}
 	}
 	return s, nil
 }
@@ -252,8 +242,9 @@ func (s *Service) Close() error {
 	return first
 }
 
-// Stats is the sharded service's combining view: each shard's dispatcher
-// stats plus their merge.
+// Stats is the service's book of dispatcher facts: each shard's
+// frontend.Stats plus their merge. Protocol facts are the Observer's and
+// Recorder's in Config.Protocol.
 type Stats struct {
 	PerShard []frontend.Stats
 	Total    frontend.Stats
@@ -289,30 +280,3 @@ func (s *Service) Stats() Stats {
 
 // System returns shard i's protocol system (for tests and tools).
 func (s *Service) System(i int) *protocol.System { return s.shards[i].sys }
-
-// Collector returns shard i's collector, nil unless Config.Observe.
-func (s *Service) Collector(i int) *obs.Collector { return s.shards[i].col }
-
-// Snapshot merges every shard's collector into one labeled map
-// ("shard0_batches_total", …) plus service-level aggregates: per-shard
-// committed ops ("shardN_ops_committed"), the max/mean imbalance ratio
-// ×1000 ("shard_imbalance_milli"), and a histogram of the per-shard op
-// counts ("shard_ops_count"/"shard_ops_sum") so skew is visible without
-// Prometheus. Without Config.Observe there are no collectors, and the
-// snapshot holds the service-level aggregates alone.
-func (s *Service) Snapshot() map[string]int64 {
-	out := make(map[string]int64)
-	st := s.Stats()
-	var hist obs.Histogram
-	for i, sh := range s.shards {
-		if sh.col != nil {
-			sh.col.SnapshotInto(fmt.Sprintf("shard%d_", i), out)
-		}
-		out[fmt.Sprintf("shard%d_ops_committed", i)] = st.PerShard[i].OpsIn
-		hist.Observe(st.PerShard[i].OpsIn)
-	}
-	out["shard_imbalance_milli"] = int64(st.Imbalance() * 1000)
-	out["shard_ops_count"] = hist.Count()
-	out["shard_ops_sum"] = hist.Sum()
-	return out
-}

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"errors"
-	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,6 +9,7 @@ import (
 
 	"detshmem/internal/core"
 	"detshmem/internal/frontend"
+	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
 )
 
@@ -248,10 +248,12 @@ func FuzzRoute(f *testing.F) {
 	})
 }
 
-// TestSnapshotAndImbalance: per-shard labeled metrics and the imbalance
-// ratio behave (Observe on, 2 shards, skewed traffic onto one variable).
+// TestSnapshotAndImbalance: the per-shard stats and the imbalance ratio
+// behave, and the shards' one observer saw every batch they flushed (2
+// shards, skewed traffic onto one variable).
 func TestSnapshotAndImbalance(t *testing.T) {
-	svc := newService(t, 3, Config{Shards: 2, Observe: true})
+	col := obs.NewCollector()
+	svc := newService(t, 3, Config{Shards: 2, Protocol: protocol.Config{Observer: col}})
 	hot := uint64(0)
 	hotShard := svc.Route(hot)
 	for i := 0; i < 50; i++ {
@@ -262,36 +264,18 @@ func TestSnapshotAndImbalance(t *testing.T) {
 	if err := svc.Write(1, 1); err != nil { // may or may not share the shard
 		t.Fatal(err)
 	}
-	snap := svc.Snapshot()
-	// The histogram drops empty shards (zero observations), so count is the
-	// number of shards that served traffic.
-	if c := snap["shard_ops_count"]; c < 1 || c > 2 {
-		t.Fatalf("shard_ops_count = %d, want 1 or 2", c)
-	}
-	if snap["shard_ops_sum"] != 51 {
-		t.Fatalf("shard_ops_sum = %d, want 51", snap["shard_ops_sum"])
-	}
-	if svc.Collector(hotShard) == nil {
-		t.Fatal("Observe did not attach a collector")
-	}
-	key := "shard0_batches_total"
-	if hotShard == 1 {
-		key = "shard1_batches_total"
-	}
-	if snap[key] == 0 {
-		t.Fatalf("hot shard recorded no batches: %v", snap)
-	}
 	st := svc.Stats()
+	if st.Total.OpsIn != 51 {
+		t.Fatalf("ops in = %d, want 51", st.Total.OpsIn)
+	}
+	if st.PerShard[hotShard].Batches == 0 {
+		t.Fatalf("hot shard recorded no batches: %+v", st.PerShard)
+	}
+	if got := col.Batches.Load(); got != int64(st.Total.Batches) {
+		t.Fatalf("observer saw %d batches, the shards flushed %d", got, st.Total.Batches)
+	}
 	if imb := st.Imbalance(); imb < 1 || imb > 2 {
 		t.Fatalf("imbalance = %v outside (1, 2]", imb)
-	}
-	// Without Observe the snapshot still carries the service-level view.
-	svc2 := newService(t, 3, Config{Shards: 2})
-	if err := svc2.Write(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if snap2 := svc2.Snapshot(); snap2["shard_ops_sum"] != 1 {
-		t.Fatalf("unobserved snapshot = %v", snap2)
 	}
 }
 
@@ -330,10 +314,10 @@ func TestSharedResolver(t *testing.T) {
 // table.
 func TestResolverStrategies(t *testing.T) {
 	t.Run(protocol.ResolverComputed.String(), func(t *testing.T) {
+		res := new(residency)
 		svc := newService(t, 3, Config{
 			Shards:   3,
-			Observe:  true,
-			Protocol: protocol.Config{Strategy: protocol.ResolverComputed},
+			Protocol: protocol.Config{Strategy: protocol.ResolverComputed, Observer: res},
 		})
 		for v := uint64(0); v < 40; v++ {
 			if err := svc.Write(v, v*13+3); err != nil {
@@ -349,24 +333,46 @@ func TestResolverStrategies(t *testing.T) {
 				t.Fatalf("read %d = %d, want %d", v, got, v*13+3)
 			}
 		}
-		if got := tableBytes(t, svc); got != 0 {
+		if got := res.tableBytes(t, svc.Shards()); got != 0 {
 			t.Fatalf("computed shards report a %d-byte table", got)
 		}
 	})
 }
 
-// tableBytes returns the resident table bytes every shard of an observed
-// service reports, failing if they disagree.
-func tableBytes(t *testing.T, svc *Service) int64 {
+// residency is a protocol observer that keeps every resolver-residency
+// report: each System built over a table makes one, at construction.
+type residency struct {
+	mu      sync.Mutex
+	reports []uint64
+}
+
+func (*residency) ObserveBatch(obs.BatchEvent) {}
+
+func (r *residency) ObserveResolverResidency(bytes uint64) {
+	r.mu.Lock()
+	r.reports = append(r.reports, bytes)
+	r.mu.Unlock()
+}
+
+// tableBytes returns the resident table bytes every one of the shards
+// reported, 0 when none holds a table, failing unless all of them or none
+// reported, and all the same figure.
+func (r *residency) tableBytes(t *testing.T, shards int) uint64 {
 	t.Helper()
-	snap := svc.Snapshot()
-	first := snap["shard0_resolver_resident_bytes"]
-	for i := 1; i < svc.Shards(); i++ {
-		if got := snap[fmt.Sprintf("shard%d_resolver_resident_bytes", i)]; got != first {
-			t.Fatalf("shard %d reports %d resident table bytes, shard 0 reports %d", i, got, first)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.reports) == 0 {
+		return 0
+	}
+	if len(r.reports) != shards {
+		t.Fatalf("%d of %d shards report a table: %v", len(r.reports), shards, r.reports)
+	}
+	for i, b := range r.reports {
+		if b != r.reports[0] {
+			t.Fatalf("report %d names %d resident table bytes, report 0 names %d", i, b, r.reports[0])
 		}
 	}
-	return first
+	return r.reports[0]
 }
 
 // TestResolverSelectedBySize: under the zero-value strategy the mapper's size
@@ -378,12 +384,13 @@ func TestResolverSelectedBySize(t *testing.T) {
 	if !protocol.TableFits(small) {
 		t.Fatal("q=2 n=5 must sit on the table side of the size rule")
 	}
-	svc, err := New(small, Config{Shards: 3, Observe: true})
+	res := new(residency)
+	svc, err := New(small, Config{Shards: 3, Protocol: protocol.Config{Observer: res}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if got, want := tableBytes(t, svc), int64(small.NumVars())*int64(small.Copies())*8; got != want {
+	if got, want := res.tableBytes(t, 3), small.NumVars()*uint64(small.Copies())*8; got != want {
 		t.Fatalf("n=5 shards report %d resident table bytes, want the whole table's %d", got, want)
 	}
 
@@ -398,12 +405,13 @@ func TestResolverSelectedBySize(t *testing.T) {
 	if protocol.TableFits(large) {
 		t.Fatal("q=2 n=9 must sit on the computed side of the size rule")
 	}
-	big, err := New(large, Config{Shards: 3, Observe: true})
+	bigRes := new(residency)
+	big, err := New(large, Config{Shards: 3, Protocol: protocol.Config{Observer: bigRes}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer big.Close()
-	if got := tableBytes(t, big); got != 0 {
+	if got := bigRes.tableBytes(t, 3); got != 0 {
 		t.Fatalf("n=9 shards report a %d-byte table, want none", got)
 	}
 }
