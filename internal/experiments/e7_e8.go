@@ -103,7 +103,7 @@ func E7(w io.Writer, o Options) error {
 		{"stride-N (interleave/digit collide)", protocol.Write, workload.Stride(s.NumVariables, collide, s.NumModules)},
 		{"hash-inverted", protocol.Read, inst.sh.WorstBatch(collide)},
 		{"digit-grid (MV read adversary)", protocol.Read, inst.mv.WorstReadBatch(size)},
-		{"Γ-concentrated (PP adversary)", protocol.Read, gamma},
+		{"Γ-concentrated", protocol.Read, gamma},
 	}
 
 	fprintf(w, "E7  Scheme comparison: total MPC rounds per batch (q=2, n=%d, N=%d, M=%d, |batch|≤%d)\n",

@@ -14,6 +14,11 @@
 // in steady state. Which bidder a module serves is not a parameter: the
 // paper's round bounds hold for any choice and the majority rule returns the
 // same values under any grant order, so the machine fixes the cheapest rule.
+//
+// A caller that makes its bids in processor order anyway can also play a
+// round in place (OpenRound, Claim, CloseRound) and learn each bid's grant as
+// it makes it, with no bid or grant list in between. Round is that loop over
+// its list, so there is one arbitration rule and one set of bid checks.
 package mpc
 
 import (
@@ -49,10 +54,11 @@ type Config struct {
 	Procs   int // number of processors (P)
 	Modules int // number of memory modules (N)
 	// Recorder receives one obs.RoundEvent per executed round. Nil means no
-	// instrumentation (the default): Round then costs one disabled-recorder
-	// check and stays allocation-free. A recorder whose Enabled() reports
-	// true buys one extra O(live bids) contention sweep per round, still
-	// allocation-free in steady state.
+	// instrumentation (the default): a round then costs one disabled-recorder
+	// check per bid and stays allocation-free. A recorder whose Enabled()
+	// reports true buys a list of the round's claimed modules and one
+	// O(live bids) contention sweep over it, still allocation-free in steady
+	// state.
 	Recorder obs.Recorder
 }
 
@@ -66,8 +72,12 @@ type Machine struct {
 	stamp uint32
 
 	rec obs.Recorder // never nil; obs.Nop when no recorder configured
-	// Recorder scratch, sized on first enabled round and reused: per-module
-	// load counts and the touched-module list for clearing them.
+	// recording is the recorder's Enabled(), read once per round. Its
+	// scratch is sized on the first enabled round and reused: the round's
+	// claimed modules, per-module load counts and the touched-module list for
+	// clearing them.
+	recording  bool
+	recMods    []int64
 	loads      []int32
 	recTouched []int64
 }
@@ -107,34 +117,99 @@ func (m *Machine) Rounds() uint64 { return m.round }
 // module served. It returns the number of requests served. len(grant) must
 // equal len(bids), which is at most Procs(). A list that is out of order, or
 // names a processor or module the machine does not have, panics. Steady-state
-// rounds perform no allocation.
+// rounds perform no allocation. Round plays its list through OpenRound, Claim
+// and CloseRound, so a round played in place arbitrates by the same rule.
 func (m *Machine) Round(bids []int64, grant []bool) int {
 	if len(grant) != len(bids) || len(bids) > m.cfg.Procs {
 		panic(fmt.Sprintf("mpc: round of %d bids and %d grants on %d processors", len(bids), len(grant), m.cfg.Procs))
 	}
-	served := m.arbitrate(bids, grant)
-	if m.rec.Enabled() {
-		m.record(bids, served)
-	}
-	m.round++
-	return served
-}
-
-// record assembles the round's obs.RoundEvent: one sweep tallies per-module
-// loads into the reused scratch, a second sweep over the touched modules
-// builds the contention histogram and zeroes the tallies again.
-func (m *Machine) record(bids []int64, served int) {
-	if m.loads == nil {
-		m.loads = make([]int32, m.cfg.Modules)
-	}
-	ev := obs.RoundEvent{Round: m.round, Granted: served}
-	touched := m.recTouched[:0]
-	for _, b := range bids {
+	m.OpenRound()
+	served, prev := 0, -1
+	for i, b := range bids {
+		grant[i] = false
 		if b == Idle {
 			continue
 		}
-		mod := BidModule(b)
-		ev.Requests++
+		p := BidProc(b)
+		if m.Claim(prev, p, BidModule(b)) {
+			grant[i] = true
+			served++
+		}
+		prev = p
+	}
+	m.CloseRound(served)
+	return served
+}
+
+// OpenRound starts a round played in place: the caller claims each bid's
+// module in ascending processor order, as it would list the bid, and learns
+// at once whether the bid was served — no bid list and no grant list are
+// built. CloseRound ends it; the machine plays no other round in between.
+func (m *Machine) OpenRound() {
+	m.stamp++
+	if m.stamp == 0 { // wrapped: stale marks could read as this round's
+		clear(m.claim)
+		m.stamp = 1
+	}
+	m.recording = m.rec.Enabled()
+	m.recMods = m.recMods[:0]
+}
+
+// Claim is processor proc's bid at module in the open round, made after
+// processor prev's (-1 for the round's first claim). It reports whether the
+// module serves it: a module serves its first claim, which in ascending
+// processor order is the lowest processor's, and a per-module round stamp
+// marks the claims, so there is no grant or reset sweep. A claim whose
+// processor does not exceed prev or reaches Procs(), or whose module reaches
+// Modules(), panics. The caller carries prev, so the loop's state stays in
+// its registers.
+func (m *Machine) Claim(prev, proc int, module int64) bool {
+	if proc <= prev || proc >= m.cfg.Procs || uint64(module) >= uint64(len(m.claim)) {
+		panic(badClaim{prev, proc, module, m.cfg.Procs, len(m.claim)})
+	}
+	if m.recording { // the one branch a claim pays for instrumentation
+		m.recMods = append(m.recMods, module)
+	}
+	if m.claim[module] == m.stamp {
+		return false
+	}
+	m.claim[module] = m.stamp
+	return true
+}
+
+// CloseRound ends the open round, in which served claims won, and hands the
+// recorder its obs.RoundEvent.
+func (m *Machine) CloseRound(served int) {
+	if m.recording {
+		m.record(m.recMods, served)
+	}
+	m.round++
+}
+
+// badClaim is the panic value of a claim out of order or out of range. It is
+// formatted only when printed, which keeps Claim small enough to inline.
+type badClaim struct {
+	prev, proc     int
+	module         int64
+	procs, modules int
+}
+
+func (e badClaim) Error() string {
+	return fmt.Sprintf("mpc: processor %d claims module %d after processor %d: want ascending processors below %d and modules below %d",
+		e.proc, e.module, e.prev, e.procs, e.modules)
+}
+
+// record assembles the round's obs.RoundEvent from its claimed modules: one
+// sweep tallies per-module loads into the reused scratch, a second sweep over
+// the touched modules builds the contention histogram and zeroes the tallies
+// again.
+func (m *Machine) record(mods []int64, served int) {
+	if m.loads == nil {
+		m.loads = make([]int32, m.cfg.Modules)
+	}
+	ev := obs.RoundEvent{Round: m.round, Requests: len(mods), Granted: served}
+	touched := m.recTouched[:0]
+	for _, mod := range mods {
 		if m.loads[mod] == 0 {
 			touched = append(touched, mod)
 		}
@@ -148,37 +223,6 @@ func (m *Machine) record(bids []int64, served int) {
 		}
 		m.loads[mod] = 0
 	}
-	m.recTouched = touched
+	m.recMods, m.recTouched = mods, touched
 	m.rec.RecordRound(ev)
-}
-
-// arbitrate grants each module to the first bid claiming it. The list is in
-// ascending processor order, so the first claim is the lowest processor's:
-// one pass settles the round.
-func (m *Machine) arbitrate(bids []int64, grant []bool) int {
-	m.stamp++
-	if m.stamp == 0 { // wrapped: stale marks could read as this round's
-		clear(m.claim)
-		m.stamp = 1
-	}
-	stamp, claim := m.stamp, m.claim
-	served, prev := 0, -1
-	for i, b := range bids {
-		grant[i] = false
-		if b == Idle {
-			continue
-		}
-		p, mod := BidProc(b), BidModule(b)
-		if p <= prev || p >= m.cfg.Procs || mod >= int64(len(claim)) {
-			panic(fmt.Sprintf("mpc: bid %d (processor %d at module %d) after processor %d: want ascending processors below %d and modules below %d",
-				i, p, mod, prev, m.cfg.Procs, len(claim)))
-		}
-		prev = p
-		if claim[mod] != stamp {
-			claim[mod] = stamp
-			grant[i] = true
-			served++
-		}
-	}
-	return served
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"detshmem/internal/obs"
 )
 
 func newMachine(t testing.TB, cfg Config) *Machine {
@@ -201,5 +203,50 @@ func TestRoundPanicsOnBadLists(t *testing.T) {
 	grant := make([]bool, 2)
 	if served := m.Round([]int64{Bid(0, 0), Bid(1, 1)}, grant); served != 2 || !grant[0] || !grant[1] {
 		t.Fatalf("round after the rejected lists served %d, grants %v", served, grant)
+	}
+}
+
+// TestClaimsInPlace: a round played in place through OpenRound, Claim and
+// CloseRound keeps Round's checks — a claim out of processor order, at a
+// processor ≥ Procs or at a module ≥ Modules panics — and a round abandoned by
+// such a panic leaves neither a claim nor a recorded module behind.
+func TestClaimsInPlace(t *testing.T) {
+	tracer := obs.NewTracer(8)
+	m := newMachine(t, Config{Procs: 4, Modules: 2, Recorder: tracer})
+	for name, c := range map[string]struct {
+		prev, proc int
+		module     int64
+	}{
+		"repeated":         {1, 1, 0},
+		"descending":       {2, 1, 0},
+		"processor beyond": {0, 4, 0},
+		"module beyond":    {0, 1, 2},
+		"negative module":  {0, 1, -1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: claim %+v accepted", name, c)
+				}
+			}()
+			m.OpenRound()
+			m.Claim(-1, 0, 1)
+			m.Claim(c.prev, c.proc, c.module)
+		}()
+	}
+	m.OpenRound()
+	served := 0
+	for p, mod := range []int64{0, 0, 1} {
+		if m.Claim(p-1, p, mod) != (p != 1) {
+			t.Fatalf("claim of processor %d at module %d: wrong grant", p, mod)
+		}
+		if p != 1 {
+			served++
+		}
+	}
+	m.CloseRound(served)
+	evs := tracer.Events()
+	if len(evs) != 1 || evs[0].Requests != 3 || evs[0].Granted != 2 || evs[0].MaxLoad != 2 || m.Rounds() != 1 {
+		t.Fatalf("after the rejected claims: events %+v, %d rounds; want one round of 3 requests, 2 granted, max load 2", evs, m.Rounds())
 	}
 }

@@ -310,7 +310,7 @@ func (s *Server) newArbiter() *arbiter {
 // operation to the store, collecting the grant set into reply. A frame's bid
 // positions strictly ascend, so the first claim on a module is the lowest
 // processor bidding there — the in-process engine's rule, applied as
-// mpc.arbitrate does; a frame whose positions do not ascend is corrupt.
+// mpc.Machine.Claim does; a frame whose positions do not ascend is corrupt.
 func (s *Server) serveRound(st *store, frame *RoundFrame, reply *RoundReply, arb *arbiter) error {
 	// Undo the previous round's marks here, not after serving it, so a frame
 	// rejected halfway leaves nothing behind either.

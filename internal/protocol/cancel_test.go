@@ -113,7 +113,9 @@ type inFlightCheck struct {
 
 // checkInFlight returns cfg with every machine it builds wrapped in an
 // inFlightCheck against *sys, which the caller sets to the System built from
-// the returned Config.
+// the returned Config. The wrapper hides the plain MPC, so a System built this
+// way plays every round, a phase's first included, on the generic path;
+// TestFusedRoundMatchesGeneric carries the check over to firstRound.
 func checkInFlight(t testing.TB, cfg Config, sys **System) Config {
 	build := cfg.NewMachine
 	if build == nil {

@@ -209,14 +209,12 @@ func (sys *System) retryStranded(b *batch) {
 				continue
 			}
 			res.Metrics.RetriedBids += len(tasks)
-			_, iters := sys.drive(b, tasks)
+			_, iters := sys.drive(b, tasks, 0)
 			res.Metrics.RetryRounds += iters
 			res.Metrics.TotalRounds += iters
 			for _, r := range wave {
 				if sys.remaining[r] > 0 {
 					next = append(next, r)
-				} else if reqs[r].Op == Read {
-					res.Values[r] = sys.best[r].Val
 				}
 			}
 		}

@@ -14,6 +14,12 @@
 // baselines (Mehlhorn–Vishkin write-all/read-one, single-copy hashing,
 // Upfal–Wigderson random graphs) run under the exact same MPC accounting.
 //
+// A phase's rounds cross the Machine interface, except that over the plain
+// in-process MPC its first round — every copy of every request bidding at
+// once, almost all of the phase's bids — is played in one pass against the
+// machine's claim table (mpc.Machine.Claim), with no task, bid or grant list
+// in between.
+//
 // Copy addresses come from one of two places: CompileMapper precomputes any
 // Mapper's address map into a dense shared table (the paper's O(log N),
 // O(1)-space Section 4 computation, compiled down to an O(1) array read),
@@ -257,6 +263,10 @@ type System struct {
 	// repairing modules are barred from read quorums and the background
 	// repair scheduler (repair.go) can run.
 	rv RepairView
+	// plain is the machine when it is the in-process MPC itself; nil behind
+	// any wrapper or transport. It lets a phase play its first round in place
+	// against the machine's claim table (firstRound).
+	plain *mpc.Machine
 	// ro receives repair-step events when the configured Observer also
 	// implements obs.RepairObserver (obs.Collector does).
 	ro obs.RepairObserver
@@ -381,6 +391,7 @@ func (sys *System) Close() {
 	sys.fv = nil
 	sys.rs = nil
 	sys.rv = nil
+	sys.plain = nil
 	sys.resetRepair()
 }
 
@@ -527,8 +538,11 @@ func errVarRange(v, numVars uint64) error {
 }
 
 // access serves a checked batch of distinct requests. It runs as stages —
-// resolve, then per phase select, drive and commit, then report — and each
-// round drive plays is itself staged: bid, decide, commit cells (see round).
+// resolve, then per phase select, drive and commit, then deliver the read
+// values and report — and each round drive plays is itself staged: bid,
+// decide, commit cells (see round). Over the plain in-process MPC a phase's
+// first round, which carries almost all of its bids, is played by firstRound
+// instead: select, bid and decide in one pass.
 func (sys *System) access(reqs []Request, res *Result) error {
 	sys.ts++
 	res.Values = grow(res.Values, len(reqs))
@@ -552,15 +566,31 @@ func (sys *System) access(reqs []Request, res *Result) error {
 	sys.resolveBatch(&b)
 	res.Metrics.Phases = phases
 	for phase := 0; phase < phases; phase++ {
-		tasks := sys.selectPhase(&b, phase)
 		if sys.cfg.TraceLive {
 			b.afterRound = sys.traceLive(&b.res.Metrics, len(reqs), phase, phases)
 		}
-		left, iters := sys.drive(&b, tasks)
-		sys.commitPhase(&b, phase, left, iters)
+		var tasks []task
+		iters := 0
+		if sys.plain != nil && sys.maxIter > 0 {
+			tasks, iters = sys.firstRound(&b, phase), 1
+			if b.afterRound != nil {
+				b.afterRound()
+			}
+		} else {
+			tasks = sys.selectPhase(&b, phase)
+		}
+		left, iters := sys.drive(&b, tasks, iters)
+		sys.commitPhase(&b, left, iters)
 	}
 	if b.fv != nil && len(sys.retry) > 0 {
 		sys.retryStranded(&b)
+	}
+	// Completed reads deliver their value in one pass over the batch, in
+	// order, rather than phase by phase in strides of phases.
+	for r := range reqs {
+		if reqs[r].Op == Read && sys.remaining[r] <= 0 {
+			res.Values[r] = sys.best[r].Val
+		}
 	}
 	return sys.report(&b)
 }
@@ -654,6 +684,66 @@ func (sys *System) selectPhase(b *batch, phase int) []task {
 	return tasks
 }
 
+// firstRound plays a phase's first round on the plain in-process machine in
+// one pass over the phase's resolved rows: each copy claims its module in the
+// machine's claim table (won marks a row's grants in one word, so the path is
+// kept to at most 64 copies), a granted copy the quorum still needs is queued
+// for commitCells, and only the ungranted bids of requests still short of
+// their quorum become tasks. It is selectPhase, round and decide fused, and
+// leaves the same books, since the phase's bids are its clusters' slots in
+// copy order: bid i is processor i, and a request's bids are consecutive, so
+// it is complete or not by the end of its row. The later rounds carry few
+// bids and stay on the generic path.
+func (sys *System) firstRound(b *batch, phase int) []task {
+	m := sys.plain
+	m.OpenRound()
+	tasks, reads, writes := sys.tasks[:0], sys.reads[:0], sys.writes[:0]
+	nc := sys.nCopies
+	granted, prev := 0, -1
+	r, procBase := phase, 0
+	for ; r < len(b.reqs); r, procBase = r+b.phases, procBase+nc {
+		// Claim the row's copies first; won marks the served ones.
+		row := sys.row(r)
+		var won uint64
+		for j, cp := range row {
+			if m.Claim(prev, procBase+j, cp.module()) {
+				won |= 1 << j
+			}
+			prev = procBase + j
+		}
+		granted += bits.OnesCount64(won)
+		rq := &b.reqs[r]
+		need := sys.quorum(rq.Op)
+		sys.best[r] = cellstore.Cell{}
+		// Queue the grants the quorum needs, in copy order.
+		for w := won; w != 0 && need > 0; w &= w - 1 {
+			j := bits.TrailingZeros64(w)
+			if rq.Op == Write {
+				writes = append(writes, writeRef{addr: row[j].addr(), val: rq.Value})
+			} else {
+				reads = append(reads, readRef{addr: row[j].addr(), pos: int32(procBase + j), req: int32(r)})
+			}
+			need--
+		}
+		sys.remaining[r] = need
+		if need == 0 {
+			continue // cancel-at-quorum: the request's losing bids go
+		}
+		for lost := ^won & (1<<nc - 1); lost != 0; lost &= lost - 1 {
+			j := bits.TrailingZeros64(lost)
+			tasks = append(tasks, task{proc: int32(procBase + j), req: int32(r), cp: row[j]})
+		}
+	}
+	m.CloseRound(granted)
+	sys.tasks, sys.reads, sys.writes, sys.repairs = tasks, reads, writes, sys.repairs[:0]
+	met := &b.res.Metrics
+	met.IssuedBids += procBase // every processor of the phase bid once
+	met.GrantedBids += granted
+	met.CopyAccesses += len(reads) + len(writes)
+	sys.commitCells()
+	return tasks
+}
+
 // traceLive opens the phase's LiveTrace entry and returns the per-round
 // callback that fills it: how many of the phase's requests (phase,
 // phase+phases, … below n) are still short of their quorum after each round.
@@ -672,18 +762,18 @@ func (sys *System) traceLive(met *Metrics, n, phase, phases int) func() {
 }
 
 // drive plays rounds until every bid is settled or the iteration bound
-// trips, and returns the bids left over and the rounds played. It is round's
-// only caller: phases, retry waves and repair waves all cross the machine
-// boundary here. When the fault epoch moved since the bids were selected,
-// they are rebuilt before the next round — a phase drops bids at newly
-// barred modules, re-selects spare live copies and sheds requests that can
-// no longer reach a quorum (refilterTasks); a wave drops its barred bids
+// trips, and returns the bids left over and the rounds played, counting the
+// iters already played (a phase's first round, when firstRound played it). It
+// is round's only caller: phases, retry waves and repair waves all cross the
+// machine boundary here. When the fault epoch moved since the bids were
+// selected, they are rebuilt before the next round — a phase drops bids at
+// newly barred modules, re-selects spare live copies and sheds requests that
+// can no longer reach a quorum (refilterTasks); a wave drops its barred bids
 // (dropBarred).
-func (sys *System) drive(b *batch, tasks []task) ([]task, int) {
+func (sys *System) drive(b *batch, tasks []task, iters int) ([]task, int) {
 	if b.wave {
 		b.epoch = b.fv.Epoch()
 	}
-	iters := 0
 	for len(tasks) > 0 && iters < sys.maxIter {
 		if b.fv != nil {
 			if e := b.fv.Epoch(); e != b.epoch {
@@ -719,8 +809,10 @@ func (sys *System) drive(b *batch, tasks []task) ([]task, int) {
 // The round's bid list is the task list itself: every task list is in
 // ascending processor order (a phase's clusters bid from their own slots in
 // copy order, a wave numbers its bids by position, a re-selected bid takes
-// the dropped one's place and processor, and decide compacts in order), so
-// bid i is task i and grant[i] answers it.
+// the dropped one's place and processor, and decide and firstRound compact in
+// order), so bid i is task i and grant[i] answers it. A phase's first round
+// played by firstRound builds no bid list, so there the invariant holds from
+// the phase's second round on.
 func (sys *System) round(b *batch, tasks []task) []task {
 	bids := sys.bids[:len(tasks)]
 	for i, t := range tasks {
@@ -843,9 +935,9 @@ func (sys *System) commitCells() {
 }
 
 // commitPhase closes a phase: bids left over by the iteration bound become
-// casualties, completed reads deliver their value, and the phase's rounds
-// enter the metrics.
-func (sys *System) commitPhase(b *batch, phase int, left []task, iters int) {
+// casualties, and the phase's rounds enter the metrics. Completed reads
+// deliver their value at the end of the batch (access).
+func (sys *System) commitPhase(b *batch, left []task, iters int) {
 	met := &b.res.Metrics
 	if len(left) > 0 {
 		// The iteration bound tripped: some variables could not reach their
@@ -867,11 +959,6 @@ func (sys *System) commitPhase(b *batch, phase int, left []task, iters int) {
 					met.Unfinished = append(met.Unfinished, int(r))
 				}
 			}
-		}
-	}
-	for r := phase; r < len(b.reqs); r += b.phases {
-		if b.reqs[r].Op == Read && sys.remaining[r] <= 0 {
-			b.res.Values[r] = sys.best[r].Val
 		}
 	}
 	met.PhaseIterations = append(met.PhaseIterations, iters)
@@ -978,6 +1065,9 @@ func (sys *System) obtainMachine(procs int) error {
 	sys.fv, _ = machine.(FaultView)
 	sys.rs, _ = machine.(RemoteStore)
 	sys.rv, _ = machine.(RepairView)
+	if sys.nCopies <= 64 { // firstRound marks a row's grants in one word
+		sys.plain, _ = machine.(*mpc.Machine)
+	}
 	if sys.rs == nil {
 		sys.cells()
 	}

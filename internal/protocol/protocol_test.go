@@ -106,11 +106,15 @@ func TestMajorityInvariant(t *testing.T) {
 // round counts, never an outcome: both systems commit every batch, return
 // the same values, and leave every variable's newest timestamp the same and
 // on a write quorum of its copies. On both, no round may carry a bid for a
-// request whose quorum completed (checkInFlight).
+// request whose quorum completed (checkInFlight). That check wraps the
+// machine, which sends every round down the generic path, so a third system
+// over the bare plain machine, whose phases open with firstRound, must match
+// the reference and leave the lowest-wins system's timestamps.
 func TestReferenceModel(t *testing.T) {
 	var lowest, random *System
 	lowest = newSystem(t, 1, 5, checkInFlight(t, Config{}, &lowest))
 	random = newSystem(t, 1, 5, checkInFlight(t, Config{NewMachine: newRandomGrant(5)}, &random))
+	fused := newSystem(t, 1, 5, Config{})
 	newest := func(sys *System, v uint64) (ts uint64, holders int) {
 		for _, c := range sys.CopyState(v) {
 			switch {
@@ -141,8 +145,8 @@ func TestReferenceModel(t *testing.T) {
 				reqs = append(reqs, Request{Var: v, Op: Read})
 			}
 		}
-		for si, sys := range []*System{lowest, random} {
-			name := [...]string{"lowest", "random"}[si]
+		for si, sys := range []*System{lowest, random, fused} {
+			name := [...]string{"lowest", "random", "fused"}[si]
 			res, err := sys.Access(reqs)
 			if err != nil || len(res.Metrics.Unfinished) != 0 {
 				t.Fatalf("%s batch %d: err %v, unfinished %v", name, batch, err, res.Metrics.Unfinished)
@@ -158,6 +162,9 @@ func TestReferenceModel(t *testing.T) {
 				ref[r.Var] = r.Value
 			}
 			wantTS, _ := newest(lowest, r.Var)
+			if fusedTS, _ := newest(fused, r.Var); fusedTS != wantTS {
+				t.Fatalf("batch %d var %d: fused round left timestamp %d, generic %d", batch, r.Var, fusedTS, wantTS)
+			}
 			gotTS, holders := newest(random, r.Var)
 			if gotTS != wantTS || (gotTS > 0 && holders < random.Mapper.WriteQuorum()) {
 				t.Fatalf("batch %d var %d: random grants left timestamp %d on %d copies, lowest-wins left %d (write quorum %d)",
