@@ -617,43 +617,63 @@ func BenchmarkRepairSweep(b *testing.B) {
 }
 
 // BenchmarkPendingCycle is the combining core's share of one flush with no
-// backend behind it, as the shard flusher pays it: admit distinct variables
-// (every fourth a write, taking Write's verdict as the dispatcher does), hand
-// over the batch admission built, fan a result out and reset. 64 is a client
-// window, 4096 a PRAM step.
+// backend behind it, as the shard flusher pays it: admit a window of ops
+// (taking Write's verdict as the dispatcher does, flushing first on a
+// write-after-read conflict), hand over the batch admission built, write a
+// result into every op's future and reset. distinct=64 is a client window
+// and distinct=4096 a PRAM step, every fourth op a write, timed per
+// variable; hotspot=64 is a client window over 16 hot variables at p=0.85
+// with 40 % writes, so many futures wait on each request, timed per op.
 func BenchmarkPendingCycle(b *testing.B) {
+	const m = 349504 // M at q=2, n=7
+	type op struct {
+		write bool
+		v     uint64
+	}
+	type shape struct {
+		name, unit string
+		ops        []op
+	}
+	rng := rand.New(rand.NewSource(1))
+	var shapes []shape
 	for _, distinct := range []int{64, 4096} {
-		b.Run(fmt.Sprintf("distinct=%d", distinct), func(b *testing.B) {
-			p := frontend.NewPending(distinct)
-			futs := make([]*frontend.Future, distinct)
+		sh := shape{name: fmt.Sprintf("distinct=%d", distinct), unit: "ns/var"}
+		for k, v := range rng.Perm(m)[:distinct] {
+			sh.ops = append(sh.ops, op{k%4 == 3, uint64(v)})
+		}
+		shapes = append(shapes, sh)
+	}
+	hot := shape{name: "hotspot=64", unit: "ns/client-op"}
+	for _, v := range workload.HotSpot(rng, m, 64, 16, 0.85) {
+		hot.ops = append(hot.ops, op{rng.Intn(10) < 4, v})
+	}
+	shapes = append(shapes, hot)
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			p := frontend.NewPending(len(sh.ops))
+			futs := make([]*frontend.Future, len(sh.ops))
 			for i := range futs {
 				futs[i] = new(frontend.Future)
 			}
-			res := &protocol.Result{Values: make([]uint64, distinct)}
-			rng := rand.New(rand.NewSource(1))
-			vars := make([]uint64, distinct)
-			for i, v := range rng.Perm(349504)[:distinct] { // M at q=2, n=7
-				vars[i] = uint64(v)
+			res := &protocol.Result{Values: make([]uint64, len(sh.ops))}
+			flush := func() {
+				p.Complete(res, nil)
+				p.Reset()
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for k, v := range vars {
-					if k%4 == 3 {
-						if !p.Write(uint64(k), v, uint64(i), futs[k]) {
-							b.Fatal("distinct variables conflict")
-						}
-					} else {
-						p.Read(uint64(k), v, futs[k])
+				for k, o := range sh.ops {
+					if !o.write {
+						p.Read(uint64(k), o.v, futs[k])
+					} else if !p.Write(uint64(k), o.v, uint64(i), futs[k]) {
+						flush()
+						p.Write(uint64(k), o.v, uint64(i), futs[k])
 					}
 				}
-				if p.Batch().Len() != distinct {
-					b.Fatalf("batch of %d requests, want %d", p.Batch().Len(), distinct)
-				}
-				p.Complete(res, nil)
-				p.Reset()
+				flush()
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(distinct), "ns/var")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(sh.ops)), sh.unit)
 		})
 	}
 }

@@ -20,15 +20,14 @@ import (
 // The batch itself is a protocol.DistinctBatch: admission adds each op's
 // request to it, and the index that rejects a repeated variable is the
 // lookup that finds the request the op combines with. So the flush hands
-// the protocol the very list admission built (Batch), and waiters[i] is the
-// list of futures waiting on request i, threaded through Future.next — a
-// combined, coalesced or forwarded op costs its future's link and nothing
-// else. A dispatcher that reuses one Pending admits and flushes without
-// allocating in steady state.
+// the protocol the very list admission built (Batch), and waiters is every
+// admitted op's future beside its request's position, in admission order — a
+// combined, coalesced or forwarded op costs one entry and nothing else. A
+// dispatcher that reuses one Pending admits and flushes without allocating
+// in steady state.
 type Pending struct {
 	batch   protocol.DistinctBatch
-	waiters []*Future
-	ops     int // operations admitted (≥ Distinct() once combining bites)
+	waiters []waiter // one per admitted op, so len(waiters) is Ops()
 	// What combining saved in this batch, counted at admission for Stats.
 	combined, coalesced, forwarded int
 
@@ -43,7 +42,13 @@ type Pending struct {
 // whose limit is the module count but whose batches hold a hundred
 // variables keeps a cache-sized index.
 func NewPending(capacity int) *Pending {
-	return &Pending{waiters: make([]*Future, 0, min(capacity, 64))}
+	return &Pending{waiters: make([]waiter, 0, min(capacity, 64))}
+}
+
+// waiter is one admitted op: its future and its request's position.
+type waiter struct {
+	fut *Future
+	req int
 }
 
 // Distinct is the number of distinct variables in the batch — the size of
@@ -51,7 +56,7 @@ func NewPending(capacity int) *Pending {
 func (p *Pending) Distinct() int { return p.batch.Len() }
 
 // Ops is the number of client operations admitted into the batch.
-func (p *Pending) Ops() int { return p.ops }
+func (p *Pending) Ops() int { return len(p.waiters) }
 
 // Batch is the protocol batch admission built, for
 // protocol.System.AccessDistinctInto. It is valid until Reset.
@@ -64,17 +69,6 @@ func (p *Pending) Batch() *protocol.DistinctBatch { return &p.batch }
 func (p *Pending) WriteConflicts(v uint64) bool {
 	pos, ok := p.batch.Lookup(v)
 	return ok && p.batch.Requests()[pos].Op == protocol.Read
-}
-
-// wait links fut onto request pos's waiter list, opening the list when the
-// request is new.
-func (p *Pending) wait(pos int, added bool, fut *Future) {
-	if added {
-		p.waiters = append(p.waiters, nil)
-	}
-	fut.next = p.waiters[pos]
-	p.waiters[pos] = fut
-	p.ops++
 }
 
 // Read admits one read with commit sequence seq, combining it with an
@@ -91,7 +85,7 @@ func (p *Pending) Read(seq, v uint64, fut *Future) {
 			p.combined++
 		}
 	}
-	p.wait(pos, added, fut)
+	p.waiters = append(p.waiters, waiter{fut, pos})
 }
 
 // Write admits one write with commit sequence seq, coalescing with an
@@ -109,7 +103,7 @@ func (p *Pending) Write(seq, v, val uint64, fut *Future) bool {
 		p.coalesced++
 	}
 	fut.seq, fut.val = seq, 0
-	p.wait(pos, added, fut)
+	p.waiters = append(p.waiters, waiter{fut, pos})
 	return true
 }
 
@@ -142,9 +136,9 @@ func (p *Pending) verdicts(res *protocol.Result, err error) []error {
 	return p.verdict
 }
 
-// Complete fans the backend's result (or error) out to every combined
-// waiter, attributing errors per request. res holds the values for the
-// batch's request order; on a whole-batch error res may be nil.
+// Complete writes the backend's result (or error) into every admitted op's
+// future in one pass, attributing errors per request. res holds the values
+// for the batch's request order; on a whole-batch error res may be nil.
 // An ErrIncomplete err with a non-nil res fails only the requests that
 // missed their quorum and completes the rest normally — degraded-mode
 // serving: a batch with some unreachable variables still commits its
@@ -152,42 +146,34 @@ func (p *Pending) verdicts(res *protocol.Result, err error) []error {
 func (p *Pending) Complete(res *protocol.Result, err error) {
 	verdict := p.verdicts(res, err)
 	reqs := p.batch.Requests()
-	for i, fut := range p.waiters {
+	for _, w := range p.waiters {
 		reqErr := err
 		if verdict != nil {
-			reqErr = verdict[i]
+			reqErr = verdict[w.req]
 		}
-		read := reqErr == nil && reqs[i].Op == protocol.Read
-		for fut != nil {
-			// Unlink before completing: once complete's CAS lands, the
-			// client owns fut again and may reuse it.
-			next := fut.next
-			fut.next = nil
-			switch {
-			case reqErr != nil:
-				// Whole-batch failure, or this request missed its quorum:
-				// every waiter on the variable (forwarded reads riding a
-				// failed write included) learns the error.
-				fut.complete(0, reqErr)
-			case read:
-				fut.complete(res.Values[i], nil)
-			default:
-				// A write (val 0) or a read forwarded its value at admission.
-				fut.complete(fut.val, nil)
-			}
-			fut = next
+		switch {
+		case reqErr != nil:
+			// Whole-batch failure, or this request missed its quorum: every
+			// waiter on the variable (forwarded reads riding a failed write
+			// included) learns the error.
+			w.fut.complete(0, reqErr)
+		case reqs[w.req].Op == protocol.Read:
+			w.fut.complete(res.Values[w.req], nil)
+		default:
+			// A write (val 0) or a read forwarded its value at admission.
+			w.fut.complete(w.fut.val, nil)
 		}
 	}
 }
 
 // Reset clears the batch for reuse in time proportional to the batch, not to
-// the largest one seen: the waiter lists' heads are dropped, so completed
-// futures stay collectable, and the protocol batch's index empties by epoch.
+// the largest one seen: the waiters are dropped, so completed futures stay
+// collectable, and the protocol batch's index empties by epoch.
 func (p *Pending) Reset() {
 	clear(p.waiters)
 	p.waiters = p.waiters[:0]
 	p.batch.Reset()
-	p.ops, p.combined, p.coalesced, p.forwarded = 0, 0, 0, 0
+	p.combined, p.coalesced, p.forwarded = 0, 0, 0
 }
 
 // Stats is the serving path's one book of dispatcher facts, summed over
@@ -257,12 +243,12 @@ func (c FlushCause) String() string {
 // Account folds one flushed batch into the stats; res is nil when the
 // backend refused the batch outright (the convention Complete follows). The
 // dispatcher must call it under the same lock its Stats snapshot takes, and
-// before the batch's futures complete: completing first opens a torn-read
-// window where a client whose Wait returned cannot find its own committed
-// operation in a snapshot (read-your-ops consistency).
+// before it publishes the batch's completion: publishing first opens a
+// torn-read window where a client whose Wait returned cannot find its own
+// committed operation in a snapshot (read-your-ops consistency).
 func (s *Stats) Account(p *Pending, res *protocol.Result, cause FlushCause) {
 	s.Batches++
-	s.OpsIn += int64(p.ops)
+	s.OpsIn += int64(p.Ops())
 	s.RequestsOut += int64(p.Distinct())
 	s.CombinedReads += int64(p.combined)
 	s.CoalescedWrites += int64(p.coalesced)

@@ -30,16 +30,16 @@ func TestCompleteAttribution(t *testing.T) {
 	batchErr := protocol.ErrQuorumUnreachable
 	p.Complete(res, batchErr)
 
-	if v, err := readOK.Wait(); err != nil || v != 42 {
+	if v, err := readOK.Result(); err != nil || v != 42 {
 		t.Fatalf("healthy read in degraded batch: %d, %v", v, err)
 	}
-	if _, err := readStuck.Wait(); !errors.Is(err, protocol.ErrIncomplete) || errors.Is(err, protocol.ErrQuorumUnreachable) {
+	if _, err := readStuck.Result(); !errors.Is(err, protocol.ErrIncomplete) || errors.Is(err, protocol.ErrQuorumUnreachable) {
 		t.Fatalf("budget casualty verdict: %v", err)
 	}
-	if _, err := writeStranded.Wait(); !errors.Is(err, protocol.ErrQuorumUnreachable) {
+	if _, err := writeStranded.Result(); !errors.Is(err, protocol.ErrQuorumUnreachable) {
 		t.Fatalf("stranded write verdict: %v", err)
 	}
-	if _, err := fwdStranded.Wait(); !errors.Is(err, protocol.ErrQuorumUnreachable) {
+	if _, err := fwdStranded.Result(); !errors.Is(err, protocol.ErrQuorumUnreachable) {
 		t.Fatalf("forwarded read riding a stranded write: %v", err)
 	}
 }

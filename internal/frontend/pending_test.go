@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"testing"
 
 	"detshmem/internal/protocol"
@@ -83,6 +82,14 @@ const (
 )
 
 var errBackend = errors.New("backend down")
+
+// A future is admitted holding a sentinel result, so one Complete leaves
+// unwritten shows as the sentinel.
+const unwrittenVal = 0xdeadbeef
+
+var errUnwritten = errors.New("future never completed")
+
+func newSentinelFuture() *Future { return &Future{val: unwrittenVal, err: errUnwritten} }
 
 // flush checks Requests, Account, Complete and Reset against the
 // model. In a degraded flush request i is unfinished when (i+salt)%3 == 0 and
@@ -178,14 +185,27 @@ func (h *pendingHarness) flush(mode flushMode, salt int) {
 		t.Fatalf("Stats = %+v\nmodel = %+v", h.stats, wantStats)
 	}
 
+	// Complete writes every admitted future exactly once: each waits in the
+	// batch once, on its variable's request, and ends holding the model's
+	// result rather than its sentinel.
+	waitsOn := make(map[*Future]int, len(p.waiters))
+	for _, w := range p.waiters {
+		if _, twice := waitsOn[w.fut]; twice {
+			t.Fatalf("a future of request %d waits twice in one batch", w.req)
+		}
+		waitsOn[w.fut] = w.req
+	}
+	if len(waitsOn) != ref.ops {
+		t.Fatalf("%d futures wait on the batch, model %d", len(waitsOn), ref.ops)
+	}
 	p.Complete(res, err)
 	check := func(what string, v uint64, fut *Future, wantVal uint64, wantErr error) {
 		t.Helper()
-		if fut.state.Load() != 1 {
-			t.Fatalf("%s of %d left incomplete", what, v)
+		if req, ok := waitsOn[fut]; !ok || ref.order[req] != v {
+			t.Fatalf("%s of %d does not wait on its variable's request", what, v)
 		}
-		if fut.next != nil {
-			t.Fatalf("%s of %d completed still linked to a waiter list", what, v)
+		if fut.err == errUnwritten {
+			t.Fatalf("%s of %d left unwritten", what, v)
 		}
 		if fut.err != wantErr || (wantErr == nil && fut.val != wantVal) {
 			t.Fatalf("%s of %d completed (%d, %v), model (%d, %v)", what, v, fut.val, fut.err, wantVal, wantErr)
@@ -222,7 +242,7 @@ func (h *pendingHarness) flush(mode flushMode, salt int) {
 
 func (h *pendingHarness) read(v uint64) {
 	h.seq++
-	fut := new(Future)
+	fut := newSentinelFuture()
 	h.p.Read(h.seq, v, fut)
 	h.ref.read(v, fut)
 }
@@ -236,7 +256,7 @@ func (h *pendingHarness) write(v uint64) {
 		h.t.Fatalf("WriteConflicts(%d) = %v, model %v", v, c, !c)
 	}
 	h.seq++
-	fut := new(Future)
+	fut := newSentinelFuture()
 	distinct, ops := h.p.Distinct(), h.p.Ops()
 	if admitted := h.p.Write(h.seq, v, h.seq*10, fut); admitted == c {
 		h.t.Fatalf("Write(%d) admitted = %v with WriteConflicts %v", v, admitted, c)
@@ -368,22 +388,25 @@ func TestDegradedFlushAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(runs, cycle); avg != 0 {
 		t.Fatalf("degraded flush allocates %.2f times per batch, want 0", avg)
 	}
-	if _, werr := all[0].Wait(); !errors.Is(werr, protocol.ErrQuorumUnreachable) {
+	if _, werr := all[0].Result(); !errors.Is(werr, protocol.ErrQuorumUnreachable) {
 		t.Fatalf("stranded request 0 completed with %v, want the quorum verdict", werr)
 	}
 }
 
-// TestCombiningFlushAllocFree: waiters ride their futures' links, so a
+// TestCombiningFlushAllocFree: a batch's waiters are one flat array in
+// admission order, so once a Pending has held a batch of as many ops, a
 // batch of combined reads, coalesced writes and forwarded reads allocates
-// nothing however many waiters a variable gathers — here one more each
-// batch, so a per-variable slice of waiters would have to keep growing.
+// nothing however its waiters crowd onto variables — here each measured
+// batch piles one more waiter onto every variable than the last, so a
+// per-variable slice of waiters would have to keep growing, after a first
+// batch as large as the largest of them.
 func TestCombiningFlushAllocFree(t *testing.T) {
 	const hot, runs = 8, 40
 	p := NewPending(2 * hot)
 	res := &protocol.Result{Values: make([]uint64, 2*hot)}
-	futs := make([]Future, 3*hot*(runs+2)) // per reaches runs+2, AllocsPerRun's warm-up included
+	futs := make([]Future, 3*hot*(runs+2))
 	var stats Stats
-	per := 1
+	per := runs + 2
 	cycle := func() {
 		k, seq := 0, uint64(0)
 		for v := range uint64(hot) {
@@ -405,68 +428,12 @@ func TestCombiningFlushAllocFree(t *testing.T) {
 		per++
 	}
 	cycle()
+	per = 1 // reaches runs+1, AllocsPerRun's warm-up included
 	if avg := testing.AllocsPerRun(runs, cycle); avg != 0 {
 		t.Fatalf("a combining flush allocates %.2f times per batch, want 0", avg)
 	}
 	if stats.CombinedReads == 0 || stats.CoalescedWrites == 0 || stats.ForwardedReads == 0 {
 		t.Fatalf("the batches did not combine, coalesce and forward: %+v", stats)
-	}
-}
-
-// TestWaiterListsCompletionRace has many clients wait on the futures of one
-// variable — combined reads in one batch, coalesced writes with forwarded
-// reads in the next — while the flusher admits and completes them. Every
-// waiter must see its own value and find its future unlinked; run under
-// -race it pins that admission and completion touch a future's link and
-// value only before completion hands the future back.
-func TestWaiterListsCompletionRace(t *testing.T) {
-	const waiters, rounds, v = 32, 50, 7
-	p := NewPending(4)
-	res := &protocol.Result{Values: make([]uint64, 1)}
-	for round := range uint64(rounds) {
-		futs := make([]Future, 2*waiters)
-		want := make([]uint64, len(futs))
-		var wg sync.WaitGroup
-		for i := range futs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				f := &futs[i]
-				if val, err := f.Wait(); err != nil || val != want[i] {
-					t.Errorf("round %d waiter %d: Wait = %d, %v; want %d", round, i, val, err, want[i])
-				}
-				if f.next != nil {
-					t.Errorf("round %d waiter %d: future still linked after completion", round, i)
-				}
-			}()
-		}
-		// want is written before any future completes, so a waiter reads it
-		// after its Wait returns.
-		seq := uint64(0)
-		read := round*1000 + 1
-		for i := range waiters {
-			seq++
-			want[i] = read
-			p.Read(seq, v, &futs[i])
-		}
-		res.Values[0] = read
-		p.Complete(res, nil)
-		p.Reset()
-
-		last := uint64(0)
-		for i := waiters; i < len(futs); i++ {
-			seq++
-			if i%2 == 0 {
-				last = round*1000 + seq
-				p.Write(seq, v, last, &futs[i])
-			} else {
-				want[i] = last
-				p.Read(seq, v, &futs[i])
-			}
-		}
-		p.Complete(res, nil)
-		p.Reset()
-		wg.Wait()
 	}
 }
 

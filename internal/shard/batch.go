@@ -14,18 +14,23 @@ type BatchOp struct {
 }
 
 // Batch is the handle for one AccessBatch call. It owns a copy of the
-// submitted operations, each beside its future, grouped by shard so that
-// every shard's sub-batch is one contiguous run — the ring entry names the
-// run, and the flusher reads the ops from here. Results are read per op with
-// Value, or the whole batch awaited with Wait.
+// submitted operations, each beside its result cell, grouped by shard so
+// that every shard's sub-batch is one contiguous run — the ring entry names
+// the run, and the flusher reads the ops from here. The batch completes as a
+// whole: each touched shard's flusher marks its sub-batch done once, after
+// the flush that commits the sub-batch's last op, and Wait, Value and Seq
+// all wait for every sub-batch — so Value(i) returns once the whole batch
+// has committed, not only op i.
 type Batch struct {
 	ops []batchOp
 	// at[i] is the caller's op i's place in ops; nil when ops is in the
 	// caller's order (one shard took them all).
 	at []int32
+	// done counts the sub-batches not yet completed.
+	done sync.WaitGroup
 }
 
-// batchOp is one admitted operation of a Batch and its future.
+// batchOp is one admitted operation of a Batch and its result cell.
 type batchOp struct {
 	fut frontend.Future
 	op  BatchOp
@@ -43,27 +48,34 @@ func (b *Batch) future(i int) *frontend.Future {
 }
 
 // Wait blocks until every operation has committed and returns the first
-// per-op error, if any (later errors are still retrievable per op with
-// Value, so one stranded request does not hide another's verdict).
+// per-op error in the caller's op order, if any (later errors are still
+// retrievable per op with Value, so one stranded request does not hide
+// another's verdict).
 func (b *Batch) Wait() error {
-	var first error
+	b.done.Wait()
 	for i := range b.ops {
-		if _, err := b.future(i).Wait(); err != nil && first == nil {
-			first = err
+		if _, err := b.future(i).Result(); err != nil {
+			return err
 		}
 	}
-	return first
+	return nil
 }
 
-// Value blocks until operation i has committed and returns its result: the
-// value read (reads), or the per-request error attribution from the fault
-// layer. For writes the value is 0 on success.
-func (b *Batch) Value(i int) (uint64, error) { return b.future(i).Wait() }
+// Value blocks until the batch has committed and returns operation i's
+// result: the value read (reads), or the per-request error attribution from
+// the fault layer. For writes the value is 0 on success.
+func (b *Batch) Value(i int) (uint64, error) {
+	b.done.Wait()
+	return b.future(i).Result()
+}
 
-// Seq returns operation i's commit sequence number within its shard, valid
-// after the op completes. Sequence numbers order operations within one
-// shard only — there is no cross-shard commit order.
-func (b *Batch) Seq(i int) uint64 { return b.future(i).Seq() }
+// Seq blocks until the batch has committed and returns operation i's commit
+// sequence number within its shard. Sequence numbers order operations within
+// one shard only — there is no cross-shard commit order.
+func (b *Batch) Seq(i int) uint64 {
+	b.done.Wait()
+	return b.future(i).Seq()
+}
 
 // partition is the pooled scratch for AccessBatch's counting sort: the
 // per-op shard route and the per-shard group boundaries. Pooled so a
@@ -96,9 +108,9 @@ func (p *partition) grow(nOps, nShards int) {
 // shard: the ops are copied into the returned Batch, grouped by Route in one
 // counting-sort pass, and each shard's group is admitted into its ring as a
 // single entry, which the shard's flusher admits op by op in ops order. The
-// Batch completes every op through its own future. An op naming a variable
-// outside [0, NumVars) fails alone with protocol.ErrVarOutOfRange; the rest
-// of the batch is unaffected. Per-shard admission order follows ops order,
+// Batch completes once every touched shard has committed its sub-batch. An
+// op naming a variable outside [0, NumVars) fails alone with
+// protocol.ErrVarOutOfRange; the rest of the batch is unaffected. Per-shard admission order follows ops order,
 // so the per-variable linearizability contract and Batch.Seq semantics are
 // those of issuing the ops one blocking Read or Write at a time. The caller
 // may reuse ops as soon as AccessBatch returns.
@@ -106,9 +118,8 @@ func (p *partition) grow(nOps, nShards int) {
 // The allocations are the Batch, its ops and — when more than one shard is
 // touched — its order map: three, whatever the number of ops or shards.
 //
-// On error (e.g. a closing service), ops already admitted to earlier
-// shards still execute; the caller should discard the Batch without
-// waiting on it.
+// On error (e.g. a closing service) it returns no Batch; ops already
+// admitted to earlier shards still execute.
 func (s *Service) AccessBatch(ops []BatchOp) (*Batch, error) {
 	b := &Batch{}
 	if len(ops) == 0 {
@@ -119,7 +130,11 @@ func (s *Service) AccessBatch(ops []BatchOp) (*Batch, error) {
 		for i := range ops {
 			b.ops[i].op = ops[i]
 		}
-		return b, s.shards[0].d.ring.enqueueBatch(b, 0, int32(len(ops)))
+		b.done.Add(1)
+		if err := s.shards[0].d.ring.enqueueBatch(b, 0, int32(len(ops))); err != nil {
+			return nil, err
+		}
+		return b, nil
 	}
 	p := partitionPool.Get().(*partition)
 	p.grow(len(ops), len(s.shards))
@@ -128,7 +143,11 @@ func (s *Service) AccessBatch(ops []BatchOp) (*Batch, error) {
 		p.shardOf[i] = sh
 		p.off[sh+1]++
 	}
+	touched := 0
 	for sh := 1; sh <= len(s.shards); sh++ {
+		if p.off[sh] != 0 {
+			touched++
+		}
 		p.off[sh] += p.off[sh-1]
 	}
 	// Scatter the ops into per-shard groups (stable: within a shard, the
@@ -142,6 +161,7 @@ func (s *Service) AccessBatch(ops []BatchOp) (*Batch, error) {
 		b.ops[j].op = ops[i]
 		b.at[i] = j
 	}
+	b.done.Add(touched)
 	var err error
 	for sh := range s.shards {
 		lo, hi := p.off[sh], p.off[sh+1]

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -169,21 +171,27 @@ func TestAccessBatchConcurrent(t *testing.T) {
 }
 
 // TestAccessBatchEmptyAndClosed covers the edges: an empty batch succeeds
-// immediately; a batch against a closed service fails with ErrClosed.
+// immediately; a batch against a closed service fails with ErrClosed and
+// returns no Batch — one that was never admitted would never complete.
 func TestAccessBatchEmptyAndClosed(t *testing.T) {
-	svc, err := New(testMapper(t, 3), Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := svc.AccessBatch(nil)
-	if err != nil || b.Len() != 0 {
-		t.Fatalf("empty batch: %v, len %d", err, b.Len())
-	}
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.AccessBatch([]BatchOp{{Var: 1}}); !errors.Is(err, frontend.ErrClosed) {
-		t.Fatalf("batch after close: %v, want ErrClosed", err)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
+			svc, err := New(testMapper(t, 3), Config{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := svc.AccessBatch(nil)
+			if err != nil || b.Len() != 0 || b.Wait() != nil {
+				t.Fatalf("empty batch: %v, len %d", err, b.Len())
+			}
+			if err := svc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			b, err = svc.AccessBatch([]BatchOp{{Var: 1}, {Var: 2}, {Var: 3}})
+			if !errors.Is(err, frontend.ErrClosed) || b != nil {
+				t.Fatalf("batch after close: %v, %v; want nil, ErrClosed", b, err)
+			}
+		})
 	}
 }
 
@@ -245,8 +253,8 @@ func TestAccessBatchAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Flush completes every admitted future (sentinel semantics), so
-		// the Wait sweep below never mints a lazy done channel per op.
+		// Flush commits every admitted op (sentinel semantics), so Wait
+		// finds the batch complete and reads its cells without parking.
 		if err := svc.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -255,8 +263,7 @@ func TestAccessBatchAllocs(t *testing.T) {
 		}
 	})
 	// Batch + ops + order map = 3, plus one Flush ack channel per shard
-	// (4): the budget is O(1) per call — 64 pending Waits would blow far
-	// past it.
+	// (4): the budget is O(1) per call, not O(ops).
 	if avg > 10 {
 		t.Fatalf("AccessBatch allocates %.1f per call, want <= 10 (must stay O(1) per call, not O(ops))", avg)
 	}
@@ -340,5 +347,201 @@ func TestAccessBatchOwnsItsOps(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// latch is a backend whose flushes all wait until the test closes open;
+// entered reports that the first flush has arrived.
+type latch struct {
+	backend
+	entered chan struct{}
+	open    chan struct{}
+}
+
+func (l *latch) AccessDistinctInto(b *protocol.DistinctBatch, res *protocol.Result) error {
+	select {
+	case l.entered <- struct{}{}:
+	default:
+	}
+	<-l.open
+	return l.backend.AccessDistinctInto(b, res)
+}
+
+// latchedService is a Service over in-memory backends serving [0, numVars),
+// where variable 500+x holds 7000+x for x < 4, whose flushers are each held
+// inside a primer batch — the write of the largest variable routed to the
+// shard, seq 1 — until open is called, so whatever AccessBatch admits
+// meanwhile waits in the rings.
+func latchedService(t *testing.T, shards, maxBatch int, numVars uint64) (svc *Service, open func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	var once sync.Once
+	open = func() { once.Do(func() { close(gate) }) }
+	svc = &Service{shards: make([]*shardState, shards)}
+	for i := range svc.shards {
+		store := map[uint64]uint64{500: 7000, 501: 7001, 502: 7002, 503: 7003}
+		l := &latch{backend: &mapBackend{store: store}, entered: make(chan struct{}, 1), open: gate}
+		d := newPipeDispatcher(l, numVars, maxBatch, 64)
+		t.Cleanup(func() { open(); d.Close() })
+		svc.shards[i] = &shardState{d: d}
+		v := numVars - 1
+		for svc.Route(v) != i {
+			v--
+		}
+		if _, err := enqueue(d, BatchOp{Write: true, Var: v, Val: 1}); err != nil {
+			t.Fatal(err)
+		}
+		<-l.entered
+	}
+	return svc, open
+}
+
+// TestBatchCompletionRace runs K goroutines — each opening with Wait,
+// Value or Seq — against one Batch while its completion lands before any of
+// them starts, between two halves of them, or after all of them are running
+// (and, when the scheduler lets them, parked). Every one must see every op's
+// final value, error and sequence number, and Wait the first error in the
+// caller's op order. The "split" batch mixes forwarded reads, coalesced
+// writes, combined reads and two refused ops, and MaxBatch 4 splits each
+// shard's sub-batch across size flushes; in the "refused" batch every entry's
+// ops are all out of range, so no flush completes it. A batch completed
+// before anyone waits answers Wait, Value and Seq without allocating. Run
+// under -race it pins completion: the flusher's plain stores into the cells,
+// published by one WaitGroup Done per sub-batch.
+func TestBatchCompletionRace(t *testing.T) {
+	const waiters, rounds, maxBatch, numVars = 6, 30, 4, 1 << 20
+	for _, shards := range []int{1, 3} {
+		// Two refused variables, the first in the caller's order routed to
+		// the last shard and the second to the first, so at S=3 the order
+		// the Batch stores them in is not the caller's.
+		bad1 := uint64(numVars)
+		for route(bad1, shards) != shards-1 {
+			bad1++
+		}
+		bad2 := bad1 + 1
+		for route(bad2, shards) != 0 {
+			bad2++
+		}
+		shapes := map[string][]BatchOp{}
+		for v := uint64(0); v < 12; v++ {
+			shapes["split"] = append(shapes["split"],
+				BatchOp{Write: true, Var: v, Val: 100 + v},
+				BatchOp{Var: v}, // forwarded 100+v, or read back after a size flush
+				BatchOp{Var: 500 + v%4},
+				BatchOp{Write: true, Var: v, Val: 200 + v})
+			if v == 2 {
+				shapes["split"] = append(shapes["split"], BatchOp{Var: bad1})
+			} else if v == 5 {
+				shapes["split"] = append(shapes["split"], BatchOp{Write: true, Var: bad2, Val: 1})
+			}
+		}
+		for i := range 6 {
+			shapes["refused"] = append(shapes["refused"], BatchOp{Write: i%2 == 0, Var: []uint64{bad1, bad2}[i%2]})
+		}
+		for _, shape := range []string{"split", "refused"} {
+			ops := shapes[shape]
+			// The model: reads of v see 100+v, reads of 500+x see 7000+x;
+			// refused ops fail with seq 0; each shard numbers its admitted
+			// ops in the caller's order after its primer's 1.
+			type result struct {
+				val, seq uint64
+				refused  bool
+			}
+			want := make([]result, len(ops))
+			next := make([]uint64, shards)
+			for i, op := range ops {
+				if op.Var >= numVars {
+					want[i].refused = true
+					continue
+				}
+				sh := route(op.Var, shards)
+				next[sh]++
+				want[i].seq = next[sh] + 1
+				switch {
+				case op.Write:
+				case op.Var < 500:
+					want[i].val = 100 + op.Var
+				default:
+					want[i].val = 6500 + op.Var
+				}
+			}
+			firstErr := fmt.Sprintf("variable %d of", bad1)
+			for _, land := range []string{"before", "between", "after"} {
+				t.Run(fmt.Sprintf("S=%d/%s/%s", shards, shape, land), func(t *testing.T) {
+					for round := range rounds {
+						svc, open := latchedService(t, shards, maxBatch, numVars)
+						b, err := svc.AccessBatch(ops)
+						if err != nil {
+							t.Fatal(err)
+						}
+						verify := func(k int) {
+							switch k % 3 { // what the goroutine waits with
+							case 0:
+								b.Wait()
+							case 1:
+								b.Value(len(ops) - 1)
+							case 2:
+								b.Seq(0)
+							}
+							if err := b.Wait(); err == nil || !strings.Contains(err.Error(), firstErr) {
+								t.Errorf("round %d: Wait = %v, want the error of %d, the caller's first refused op", round, err, bad1)
+							}
+							for i, w := range want {
+								val, err := b.Value(i)
+								if w.refused != errors.Is(err, protocol.ErrVarOutOfRange) || (!w.refused && err != nil) {
+									t.Errorf("round %d op %d: error %v, refused %v", round, i, err, w.refused)
+								}
+								if val != w.val {
+									t.Errorf("round %d op %d: value %d, want %d", round, i, val, w.val)
+								}
+								if seq := b.Seq(i); seq != w.seq {
+									t.Errorf("round %d op %d: seq %d, want %d", round, i, seq, w.seq)
+								}
+							}
+						}
+						var wg sync.WaitGroup
+						start := func(from, to int) {
+							for k := from; k < to; k++ {
+								wg.Add(1)
+								go func() {
+									defer wg.Done()
+									verify(k)
+								}()
+							}
+						}
+						switch land {
+						case "before":
+							open()
+							if err := svc.Flush(); err != nil {
+								t.Fatal(err)
+							}
+							if avg := testing.AllocsPerRun(20, func() {
+								b.Wait()
+								b.Value(0)
+								b.Seq(0)
+							}); avg != 0 {
+								t.Fatalf("Wait, Value and Seq on a completed batch allocate %.1f", avg)
+							}
+							start(0, waiters)
+						case "between":
+							start(0, waiters/2)
+							runtime.Gosched()
+							open()
+							start(waiters/2, waiters)
+						case "after":
+							start(0, waiters)
+							for range 20 {
+								runtime.Gosched()
+							}
+							open()
+						}
+						wg.Wait()
+						if s := svc.Stats().Total; shape == "split" && s.SizeFlushes == 0 {
+							t.Fatalf("round %d: no size flush split the batch: %+v", round, s)
+						}
+					}
+				})
+			}
+		}
 	}
 }

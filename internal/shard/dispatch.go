@@ -27,8 +27,10 @@ type backend interface {
 // goroutine — the ring's single consumer — drains whole published windows
 // per sweep, admits each entry's ops in order (admit), assigning commit
 // sequence numbers and folding them into the accumulating frontend.Pending,
-// and hands each sealed batch — the protocol.DistinctBatch admission built —
-// to the backend's allocation-free AccessDistinctInto.
+// and hands each flushed batch — the protocol.DistinctBatch admission built —
+// to the backend's allocation-free AccessDistinctInto. A Batch completes
+// once per entry: the flusher counts its WaitGroup down after the flush that
+// commits the entry's last op.
 //
 // Linearizability per variable holds by construction: ring order is
 // admission order (positions are claimed by one fetch-add and popped in
@@ -54,11 +56,12 @@ type pipeDispatcher struct {
 	done     chan struct{} // flusher exited
 
 	// Flusher-owned coalescing and flush scratch (single consumer, no
-	// lock): the accumulating batch, the commit sequence counter, and the
-	// reused Result.
-	cur *frontend.Pending
-	seq uint64
-	res protocol.Result
+	// lock): the accumulating batch, the Batches whose sub-batches it holds
+	// the last ops of, the commit sequence counter, and the reused Result.
+	cur    *frontend.Pending
+	sealed []*Batch
+	seq    uint64
+	res    protocol.Result
 
 	// statsMu guards stats for Stats() readers. Padded away from the
 	// flusher's scratch above: a Stats poller must not bounce the cache
@@ -130,6 +133,15 @@ func (d *pipeDispatcher) run() {
 			for i := range ops {
 				d.admit(&ops[i])
 			}
+			// Ring order is admission order and flushes are FIFO, so the
+			// flush that takes this sub-batch's last op is the last to
+			// touch it: the sub-batch is done then, or now if that flush
+			// already ran.
+			if d.cur.Ops() == 0 {
+				op.batch.done.Done()
+			} else {
+				d.sealed = append(d.sealed, op.batch)
+			}
 		case ringFlush:
 			if d.cur.Ops() > 0 {
 				d.flushCur(frontend.FlushExplicit)
@@ -181,18 +193,25 @@ func (d *pipeDispatcher) admit(e *batchOp) {
 	}
 }
 
-// flushCur flushes the accumulating batch and resets it for reuse.
+// flushCur flushes the accumulating batch, resets it for reuse, and marks
+// done every sub-batch whose last op it carried.
 func (d *pipeDispatcher) flushCur(cause frontend.FlushCause) {
 	d.flushOne(d.cur, cause)
 	d.cur.Reset()
+	for _, b := range d.sealed {
+		b.done.Done()
+	}
+	clear(d.sealed)
+	d.sealed = d.sealed[:0]
 }
 
 // flushOne drives one batch through the backend's allocation-free path,
-// accounts it (before any future completes — see frontend.Stats.Account),
-// and fans the results out. An ErrIncomplete-class error keeps res, so the
-// committed requests complete normally and only the unfinished ones fail
-// with their per-request verdict (frontend.Pending.Complete). Runs on the
-// flusher goroutine only, so the res scratch needs no lock.
+// accounts it (before any Batch completes — see frontend.Stats.Account),
+// and writes the results into the ops' futures. An ErrIncomplete-class
+// error keeps res, so the committed requests complete normally and only the
+// unfinished ones fail with their per-request verdict
+// (frontend.Pending.Complete). Runs on the flusher goroutine only, so the
+// res scratch needs no lock.
 func (d *pipeDispatcher) flushOne(p *frontend.Pending, cause frontend.FlushCause) {
 	var res *protocol.Result
 	err := d.b.AccessDistinctInto(p.Batch(), &d.res)

@@ -90,33 +90,37 @@ func (p *probe) recorded() [][]protocol.Request {
 }
 
 // enqueue admits op into d's ring as a one-op AccessBatch entry — the entry
-// a blocking Read or Write admits — and returns its future.
-func enqueue(d *pipeDispatcher, op BatchOp) (*frontend.Future, error) {
+// a blocking Read or Write admits — and returns its Batch.
+func enqueue(d *pipeDispatcher, op BatchOp) (*Batch, error) {
 	b := &Batch{ops: []batchOp{{op: op}}}
-	return &b.ops[0].fut, d.ring.enqueueBatch(b, 0, 1)
+	b.done.Add(1)
+	if err := d.ring.enqueueBatch(b, 0, 1); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // prime submits one throwaway write of v and waits for the flusher to enter
 // its (idle-triggered) flush, so every op staged afterwards sits in the ring
 // until the primer batch is released and is then admitted in one
 // uninterrupted run.
-func prime(t *testing.T, d *pipeDispatcher, p *probe, v uint64) *frontend.Future {
+func prime(t *testing.T, d *pipeDispatcher, p *probe, v uint64) *Batch {
 	t.Helper()
-	fut, err := enqueue(d, BatchOp{Write: true, Var: v, Val: 1})
+	b, err := enqueue(d, BatchOp{Write: true, Var: v, Val: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-p.entered
-	return fut
+	return b
 }
 
 // access admits op and waits for it, as a blocking Read or Write does.
 func access(d *pipeDispatcher, op BatchOp) (uint64, error) {
-	fut, err := enqueue(d, op)
+	b, err := enqueue(d, op)
 	if err != nil {
 		return 0, err
 	}
-	return fut.Wait()
+	return b.Value(0)
 }
 
 // TestCombiningSemantics drives the full coalescing matrix deterministically:
@@ -143,14 +147,14 @@ func TestCombiningSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := primer.Wait(); err != nil {
+	if err := primer.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	for i, tc := range []struct {
-		fut  *frontend.Future
+		b    *Batch
 		want uint64
 	}{{w1, 0}, {r1, 10}, {w2, 0}, {r2, 20}, {r3, 0}, {r4, 0}, {w3, 0}} {
-		got, err := tc.fut.Wait()
+		got, err := tc.b.Value(0)
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
@@ -199,18 +203,18 @@ func TestSizeFlush(t *testing.T) {
 	p := newProbe(&mapBackend{}, true)
 	d := newPipeDispatcher(p, math.MaxUint64, 4, 64)
 	prime(t, d, p, 1<<40)
-	futs := make([]*frontend.Future, 8)
-	for i := range futs {
+	bs := make([]*Batch, 8)
+	for i := range bs {
 		var err error
-		if futs[i], err = enqueue(d, BatchOp{Write: true, Var: uint64(i), Val: uint64(i) + 100}); err != nil {
+		if bs[i], err = enqueue(d, BatchOp{Write: true, Var: uint64(i), Val: uint64(i) + 100}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p.gate <- struct{}{} // release the primer batch (already entered)
 	p.step()             // first full batch of 4
 	p.step()             // second full batch of 4
-	for _, fut := range futs {
-		if _, err := fut.Wait(); err != nil {
+	for _, b := range bs {
+		if err := b.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -301,7 +305,7 @@ func TestOutOfRangeOpFailsAlone(t *testing.T) {
 
 		// Both clients stage their windows while the flusher is held in the
 		// primer's flush, so all six ops coalesce into one batch.
-		type window struct{ write, bad, read *frontend.Future }
+		type window struct{ write, bad, read *Batch }
 		var wins [2]window
 		var wg sync.WaitGroup
 		for c := range wins {
@@ -319,13 +323,13 @@ func TestOutOfRangeOpFailsAlone(t *testing.T) {
 		p.step()             // the two clients' coalesced batch
 
 		for c, w := range wins {
-			if _, err := w.bad.Wait(); !errors.Is(err, protocol.ErrVarOutOfRange) {
+			if err := w.bad.Wait(); !errors.Is(err, protocol.ErrVarOutOfRange) {
 				t.Errorf("client %d bad op: %v, want ErrVarOutOfRange", c, err)
 			}
-			if _, err := w.write.Wait(); err != nil {
+			if err := w.write.Wait(); err != nil {
 				t.Errorf("client %d write failed alongside a bad variable: %v", c, err)
 			}
-			if got, err := w.read.Wait(); err != nil || got != uint64(c+1)*10 {
+			if got, err := w.read.Value(0); err != nil || got != uint64(c+1)*10 {
 				t.Errorf("client %d read = %d, %v; want %d", c, got, err, (c+1)*10)
 			}
 		}
@@ -337,12 +341,12 @@ func TestOutOfRangeOpFailsAlone(t *testing.T) {
 			t.Errorf("stats = %+v, want 5 ops in (the refused ops take no place) and no failed batch", s)
 		}
 		for c := range wins {
-			fut, err := enqueue(d, BatchOp{Var: uint64(c + 1)})
+			b, err := enqueue(d, BatchOp{Var: uint64(c + 1)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			p.step()
-			if got, err := fut.Wait(); err != nil || got != uint64(c+1)*10 {
+			if got, err := b.Value(0); err != nil || got != uint64(c+1)*10 {
 				t.Errorf("read back %d = %d, %v", c+1, got, err)
 			}
 		}

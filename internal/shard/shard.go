@@ -210,10 +210,11 @@ func (s *Service) one(op BatchOp) (uint64, error) {
 	}{}
 	o.ops[0].op = op
 	o.b.ops = o.ops[:]
+	o.b.done.Add(1)
 	if err := s.shards[s.Route(op.Var)].d.ring.enqueueBatch(&o.b, 0, 1); err != nil {
 		return 0, err
 	}
-	return o.ops[0].fut.Wait()
+	return o.b.Value(0)
 }
 
 // Flush forces every shard's pending batch out and blocks until all have
