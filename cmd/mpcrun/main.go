@@ -4,9 +4,13 @@
 //
 // Usage:
 //
-//	mpcrun -q 2 -n 5 -batch 1023 -workload random|stride|gamma -op read|write \
-//	       [-scheme pp|mv|single|uw] [-trace]
-//	       [-tracejson FILE]
+//	mpcrun -n 5 -batch 1023 -workload random|stride|gamma -op read|write \
+//	       [-scheme pp|mv|single|uw] [-seed S] [-trace] [-tracejson FILE]
+//
+// The scheme is always q=2; -n is its extension degree, and -batch is at most
+// N = 4^n − 1 (0 means N). An out-of-range -n or -batch, or an unknown
+// -workload, -op or -scheme, is a usage error: mpcrun exits 2 before it
+// builds anything.
 //
 // -tracejson captures every MPC round through the obs tracer and writes the
 // machine-readable round trajectory (requests, grants, contention
@@ -19,9 +23,12 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
+	"strings"
 
 	"detshmem/internal/baseline"
 	"detshmem/internal/core"
+	"detshmem/internal/gf"
 	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
 	"detshmem/internal/workload"
@@ -39,6 +46,10 @@ func main() {
 		traceOut = flag.String("tracejson", "", "write the per-round JSON trajectory here")
 	)
 	flag.Parse()
+	if err := checkFlags(*nFlag, *batch, *wl, *op, *scheme); err != nil {
+		fmt.Fprintf(os.Stderr, "mpcrun: %v\n", err)
+		os.Exit(2)
+	}
 
 	s, err := core.New(1, *nFlag)
 	fatal(err)
@@ -59,13 +70,11 @@ func main() {
 			c++
 		}
 		mapper, err = baseline.NewUW(s.NumModules, s.NumVariables, c, 7)
-	default:
-		fatal(fmt.Errorf("unknown scheme %q", *scheme))
 	}
 	fatal(err)
 
 	size := *batch
-	if size == 0 || uint64(size) > s.NumModules {
+	if size == 0 {
 		size = int(s.NumModules)
 	}
 	var vars []uint64
@@ -77,8 +86,6 @@ func main() {
 	case "gamma":
 		vars, err = workload.GammaConcentrated(s, idx, 0, size)
 		fatal(err)
-	default:
-		fatal(fmt.Errorf("unknown workload %q", *wl))
 	}
 
 	var tracer *obs.Tracer
@@ -129,6 +136,31 @@ func main() {
 		fmt.Printf("trace: %d rounds -> %s (consistent with batch metrics: granted=%d)\n",
 			totals.Rounds, *traceOut, totals.Granted)
 	}
+}
+
+// checkFlags refuses a flag combination mpcrun would otherwise run as
+// something else: an unknown scheme, workload or op, or a batch outside
+// [0, N] for the q=2 scheme of degree n.
+func checkFlags(n, batch int, wl, op, scheme string) error {
+	if n < 3 || n > gf.MaxBits {
+		return fmt.Errorf("-n %d out of range [3,%d]", n, gf.MaxBits)
+	}
+	if modules := uint64(1)<<(2*n) - 1; batch < 0 || uint64(batch) > modules {
+		return fmt.Errorf("-batch %d out of range [0,%d] for -n %d (0 means N)", batch, modules, n)
+	}
+	for _, f := range []struct {
+		name, val string
+		known     []string
+	}{
+		{"workload", wl, []string{"random", "stride", "gamma"}},
+		{"op", op, []string{"read", "write"}},
+		{"scheme", scheme, []string{"pp", "mv", "single", "uw"}},
+	} {
+		if !slices.Contains(f.known, f.val) {
+			return fmt.Errorf("unknown -%s %q; known: %s", f.name, f.val, strings.Join(f.known, ", "))
+		}
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -51,6 +51,18 @@ func BenchmarkNewExt(b *testing.B) {
 	}
 }
 
+// BenchmarkNewQuad is large-zipf's field set-up: NewQuad(9) searches the
+// degree-2 moduli over GF(2^9) and builds the 2^18-entry tables of the
+// accepted one.
+func BenchmarkNewQuad(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewQuad(9); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkQuadPairUnpair(b *testing.B) {
 	q, err := NewQuad(9)
 	if err != nil {

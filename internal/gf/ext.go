@@ -64,8 +64,8 @@ func NewExt(m, n int) (*Ext, error) {
 		for i := 0; i <= n; i++ {
 			e.Modulus[i] = (p >> uint(i)) & 1
 		}
-		if err := e.buildTables(); err != nil {
-			return nil, err
+		if !e.buildTables(make([]uint32, 2)) {
+			return nil, fmt.Errorf("gf: tabled polynomial %#x of degree %d is not primitive", p, n)
 		}
 		return e, nil
 	}
@@ -78,70 +78,91 @@ func NewExt(m, n int) (*Ext, error) {
 // searchModulus scans monic degree-n polynomials over F_q until one is
 // primitive. Primitivity is established as a byproduct of table building:
 // the polynomial is primitive iff repeated multiplication by γ enumerates
-// all q^n − 1 nonzero elements before returning to 1.
+// all q^n − 1 nonzero elements before returning to 1. A rejected candidate
+// costs the orbit it walked (buildTables undoes only that), so the search is
+// not a full-table fill per candidate. The scan order is fixed: the first
+// primitive candidate wins, and TestModulusSearchPinned pins the result.
 func (e *Ext) searchModulus() error {
 	n := e.N
 	// Iterate lower coefficients (a_0 … a_{n-1}) as a packed integer. The
 	// constant term must be nonzero for irreducibility, and primitive
 	// polynomials are dense, so this terminates quickly in practice.
 	total := uint64(1) << uint(int(e.bits)*n)
+	red := make([]uint32, e.Q)
+	e.Modulus = make([]uint32, n+1)
+	e.Modulus[n] = 1
 	for c := uint64(1); c < total; c++ {
 		if uint32(c)&e.mask == 0 {
 			continue // zero constant term: divisible by γ
 		}
-		mod := make([]uint32, n+1)
 		for i := 0; i < n; i++ {
-			mod[i] = uint32(c>>(uint(i)*e.bits)) & e.mask
+			e.Modulus[i] = uint32(c>>(uint(i)*e.bits)) & e.mask
 		}
-		mod[n] = 1
-		e.Modulus = mod
-		if err := e.buildTables(); err == nil {
+		if e.buildTables(red) {
 			return nil
 		}
 	}
 	return fmt.Errorf("gf: no primitive degree-%d polynomial found over GF(%d)", n, e.Q)
 }
 
-// mulGamma multiplies a packed element by γ (shift coefficients up one slot,
-// then reduce by the modulus using base-field arithmetic).
-func (e *Ext) mulGamma(a uint32) uint32 {
-	carry := a >> (uint(e.N-1) * e.bits) & e.mask // coefficient of γ^{n-1}
-	shifted := (a << e.bits) & (e.Order - 1)
-	if carry == 0 {
-		return shifted
-	}
-	// Subtract carry · (modulus − γ^n); in characteristic 2 subtraction is XOR.
-	for i := 0; i < e.N; i++ {
-		if e.Modulus[i] != 0 {
-			shifted ^= e.Base.Mul(carry, e.Modulus[i]) << (uint(i) * e.bits)
-		}
-	}
-	return shifted
-}
-
-func (e *Ext) buildTables() error {
+// buildTables walks the powers of γ under the current modulus, filling the
+// exp and log tables, and reports whether the modulus is primitive (γ of
+// order q^n − 1). The log table is filled with −1 once, at allocation; a
+// rejected candidate resets only the entries its own orbit wrote, so the
+// search pays per candidate for the orbit it walked, not for the whole
+// field. red is scratch of at least q entries.
+func (e *Ext) buildTables(red []uint32) bool {
 	n := int(e.Order) - 1
 	if e.exp == nil {
 		e.exp = make([]uint32, 2*n)
 		e.log = make([]int32, e.Order)
+		for i := range e.log {
+			e.log[i] = -1
+		}
 	}
-	for i := range e.log {
-		e.log[i] = -1
+	// Multiplying by γ shifts the coefficients up one slot and folds the
+	// carried-out coefficient c of γ^n back in as c·(modulus − γ^n) — in
+	// characteristic 2, c times the modulus's lower coefficients — read from
+	// red[c]. The fold is GF(2)-linear in c, so only the m single-bit
+	// entries are multiplied out; every other entry XORs two earlier ones.
+	red = red[:e.Q]
+	red[0] = 0
+	for c := uint32(1); c < e.Q; c++ {
+		low := c & -c
+		if c != low {
+			red[c] = red[low] ^ red[c^low]
+			continue
+		}
+		red[c] = 0
+		for i, mi := range e.Modulus[:e.N] {
+			red[c] ^= e.Base.Mul(c, mi) << (uint(i) * e.bits)
+		}
 	}
+	top := uint(e.N-1) * e.bits
 	a := uint32(1)
 	for i := 0; i < n; i++ {
 		if e.log[a] != -1 {
-			return fmt.Errorf("gf: modulus not primitive (γ has order %d < %d)", i, n)
+			e.clearOrbit(i) // γ^i repeats an earlier power: order i < q^n − 1
+			return false
 		}
 		e.exp[i] = a
-		e.exp[i+n] = a
 		e.log[a] = int32(i)
-		a = e.mulGamma(a)
+		a = (a<<e.bits)&(e.Order-1) ^ red[a>>top]
 	}
 	if a != 1 {
-		return fmt.Errorf("gf: modulus not primitive (γ^%d = %#x)", n, a)
+		e.clearOrbit(n)
+		return false
 	}
-	return nil
+	copy(e.exp[n:], e.exp[:n])
+	return true
+}
+
+// clearOrbit resets the log entries of γ^0 … γ^{k-1}, the ones a rejected
+// candidate wrote, so the log table is all −1 again for the next candidate.
+func (e *Ext) clearOrbit(k int) {
+	for _, a := range e.exp[:k] {
+		e.log[a] = -1
+	}
 }
 
 // Add returns a+b.

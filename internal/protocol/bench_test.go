@@ -3,6 +3,8 @@ package protocol
 import (
 	"math/rand"
 	"testing"
+
+	"detshmem/internal/core"
 )
 
 // BenchmarkAccessInto is the protocol layer alone at two shapes of the core
@@ -68,6 +70,27 @@ func BenchmarkAccessInto(b *testing.B) {
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shape.size), "ns/req")
 			})
+		}
+	}
+}
+
+// BenchmarkCompileMapper is the compiled table's build at the serving scheme,
+// q=2 n=7 (349 504 variables, 1 048 512 packed copies, 8.4 MB): the set-up
+// cost of every workload that resolves through the table.
+func BenchmarkCompileMapper(b *testing.B) {
+	s, err := core.New(1, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := s.NewIndexer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := NewCoreMapper(s, idx)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := CompileMapper(m, CompileOptions{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -38,12 +38,10 @@ func checkPackable(m Mapper) error {
 	return nil
 }
 
-// CompileOptions tunes CompileMapper.
-type CompileOptions struct {
-	// Workers bounds the goroutines used to build the table; 0 means
-	// GOMAXPROCS.
-	Workers int
-}
+// CompileOptions is CompileMapper's options struct. It has no fields:
+// compilation always runs GOMAXPROCS workers. It stays declared because
+// callers outside this package name CompileOptions{}.
+type CompileOptions struct{}
 
 // TableFits is the size rule that picks between the two resolution paths: a
 // mapper whose dense table has at most 2^24 entries (NumVars·Copies; 128 MiB
@@ -71,11 +69,16 @@ type CompiledResolver struct {
 	table  []packedCopy // len = vars·copies, immutable
 }
 
-// CompileMapper compiles m's address map, building the table in parallel
-// across opts.Workers goroutines. It compiles whatever it is handed; callers
-// that must not hold an oversized table ask TableFits first. Compiling an
-// already compiled resolver returns it unchanged.
-func CompileMapper(m Mapper, opts CompileOptions) (*CompiledResolver, error) {
+// CompileMapper compiles m's address map. GOMAXPROCS workers each fill a
+// contiguous range of the table in blocks of compileBlock variables: a block
+// resolves through AppendCopyAddrs — the batched Section 4 kernels for the
+// constructive scheme, which decode each variable once and serve all q+1
+// copies from one determinant log (and panic, as CopyLocation does, on a copy
+// Lemma 1 does not place), per-op CopyAddr for a mapper without a bulk path —
+// and is packed into its rows in place. It compiles whatever it is handed;
+// callers that must not hold an oversized table ask TableFits first.
+// Compiling an already compiled resolver returns it unchanged.
+func CompileMapper(m Mapper, _ CompileOptions) (*CompiledResolver, error) {
 	if m == nil {
 		return nil, fmt.Errorf("protocol: cannot compile nil mapper")
 	}
@@ -90,41 +93,41 @@ func CompileMapper(m Mapper, opts CompileOptions) (*CompiledResolver, error) {
 		return nil, err
 	}
 	r := &CompiledResolver{inner: m, vars: vars, copies: copies, table: make([]packedCopy, vars*uint64(copies))}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if uint64(workers) > vars {
-		workers = int(vars)
-	}
-	chunk := (vars + uint64(workers) - 1) / uint64(workers)
+	workers := uint64(runtime.GOMAXPROCS(0))
+	chunk := (vars + workers - 1) / workers
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := uint64(w) * chunk
-		hi := lo + chunk
-		if hi > vars {
-			hi = vars
-		}
-		if lo >= hi {
-			continue
-		}
+	for lo := uint64(0); lo < vars; lo += chunk {
+		hi := min(lo+chunk, vars)
 		wg.Add(1)
-		go func(lo, hi uint64) {
+		go func() {
 			defer wg.Done()
 			compileRange(m, r.table, lo, hi, copies)
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
 	return r, nil
 }
 
-// compileRange fills table with the copies of variables [lo, hi).
+// compileBlock is the number of variables a compile worker resolves per
+// AppendCopyAddrs call; its scratch is two words per copy of a block.
+const compileBlock = 1024
+
+// compileRange fills table with the copies of variables [lo, hi), one block
+// of consecutive variables at a time.
 func compileRange(m Mapper, table []packedCopy, lo, hi uint64, copies int) {
-	for v := lo; v < hi; v++ {
-		base := v * uint64(copies)
-		for c := 0; c < copies; c++ {
-			mod, addr := m.CopyAddr(v, c)
-			table[base+uint64(c)] = packCopy(mod, addr)
+	c := uint64(copies)
+	vars := make([]uint64, 0, compileBlock)
+	mods := make([]uint64, 0, compileBlock*copies)
+	addrs := make([]uint64, 0, compileBlock*copies)
+	for base := lo; base < hi; base += compileBlock {
+		vars = vars[:0]
+		for v := base; v < min(base+compileBlock, hi); v++ {
+			vars = append(vars, v)
+		}
+		mods, addrs = AppendCopyAddrs(m, mods[:0], addrs[:0], vars, copies)
+		rows := table[base*c : (base+uint64(len(vars)))*c]
+		for i := range rows {
+			rows[i] = packCopy(mods[i], addrs[i])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"detshmem/internal/baseline"
@@ -12,40 +13,70 @@ import (
 // TestCompiledResolverEquivalence proves the compiled table is byte-identical
 // to live CopyAddr resolution: for every mapper in the fuzz matrix, every
 // variable, every copy, the table returns exactly the (module, addr) the live
-// algebra computes, whatever the number of build workers.
+// algebra computes, whatever the number of build workers. Compilation runs
+// GOMAXPROCS workers, so eager-1worker sets GOMAXPROCS to 1. The matrix's
+// q=2 scheme has 84 variables — one block of one worker — so the serving
+// scheme, q=2 n=7 (349 504 variables), is swept whole at 1 and 3 workers:
+// that crosses compile-block edges inside a worker's range and range edges
+// between workers that do not fall on a block edge.
 func TestCompiledResolverEquivalence(t *testing.T) {
+	check := func(t *testing.T, m Mapper, procs int, step uint64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r, err := CompileMapper(m, CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := uint64(0); v < m.NumVars(); v += step {
+			for c := 0; c < m.Copies(); c++ {
+				wantMod, wantAddr := m.CopyAddr(v, c)
+				gotMod, gotAddr := r.CopyAddr(v, c)
+				if gotMod != wantMod || gotAddr != wantAddr {
+					t.Fatalf("%s: compiled CopyAddr(%d,%d) = (%d,%d), live = (%d,%d)",
+						m.Name(), v, c, gotMod, gotAddr, wantMod, wantAddr)
+				}
+			}
+		}
+	}
 	for _, m := range mapperFuzzSetup(t) {
+		// Sweep every variable on small mappers; stride large ones (the q=8
+		// core scheme has 266k variables) so ~32k spread over every worker's
+		// range are still checked.
+		step := uint64(1)
+		if m.NumVars() > 1<<15 {
+			step = m.NumVars() >> 15
+		}
 		for _, mode := range []struct {
-			name string
-			opts CompileOptions
-		}{
-			{"eager", CompileOptions{}},
-			{"eager-1worker", CompileOptions{Workers: 1}},
-		} {
+			name  string
+			procs int
+		}{{"eager", runtime.GOMAXPROCS(0)}, {"eager-1worker", 1}} {
 			t.Run(fmt.Sprintf("%s/%s", m.Name(), mode.name), func(t *testing.T) {
-				r, err := CompileMapper(m, mode.opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Sweep every variable on small mappers; stride large ones
-				// (the q=8 core scheme has 266k variables) so ~32k spread
-				// over every worker's range are still checked.
-				step := uint64(1)
-				if m.NumVars() > 1<<15 {
-					step = m.NumVars() >> 15
-				}
-				for v := uint64(0); v < m.NumVars(); v += step {
-					for c := 0; c < m.Copies(); c++ {
-						wantMod, wantAddr := m.CopyAddr(v, c)
-						gotMod, gotAddr := r.CopyAddr(v, c)
-						if gotMod != wantMod || gotAddr != wantAddr {
-							t.Fatalf("%s: compiled CopyAddr(%d,%d) = (%d,%d), live = (%d,%d)",
-								m.Name(), v, c, gotMod, gotAddr, wantMod, wantAddr)
-						}
-					}
-				}
+				check(t, m, mode.procs, step)
 			})
 		}
+	}
+	s, err := core.New(1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := s.NewIndexer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	serving := NewCoreMapper(s, idx)
+	// -short (the race lanes, where live CopyAddr is slow) checks every 17th
+	// variable; 17 is prime to the block size, so the checked rows still fall
+	// at every offset within a block.
+	step := uint64(1)
+	if testing.Short() {
+		step = 17
+	}
+	for _, mode := range []struct {
+		name  string
+		procs int
+	}{{"eager-1worker", 1}, {"eager-3workers", 3}} {
+		t.Run("serving-q2n7/"+mode.name, func(t *testing.T) {
+			check(t, serving, mode.procs, step)
+		})
 	}
 }
 
