@@ -617,10 +617,10 @@ func BenchmarkRepairSweep(b *testing.B) {
 }
 
 // BenchmarkPendingCycle is the combining core's share of one flush with no
-// backend behind it, as the shard flusher pays it: admit a window of ops
-// (taking Write's verdict as the dispatcher does, flushing first on a
-// write-after-read conflict), hand over the batch admission built, write a
-// result into every op's future and reset. distinct=64 is a client window
+// backend behind it, as the shard flusher pays it: admit a window of ops (a
+// write after a read of its variable joins it as one read-write request),
+// hand over the batch admission built, write a result into every op's future
+// and reset. distinct=64 is a client window
 // and distinct=4096 a PRAM step, every fourth op a write, timed per
 // variable; hotspot=64 is a client window over 16 hot variables at p=0.85
 // with 40 % writes, so many futures wait on each request, timed per op.
@@ -664,11 +664,10 @@ func BenchmarkPendingCycle(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for k, o := range sh.ops {
-					if !o.write {
-						p.Read(uint64(k), o.v, futs[k])
-					} else if !p.Write(uint64(k), o.v, uint64(i), futs[k]) {
-						flush()
+					if o.write {
 						p.Write(uint64(k), o.v, uint64(i), futs[k])
+					} else {
+						p.Read(uint64(k), o.v, futs[k])
 					}
 				}
 				flush()

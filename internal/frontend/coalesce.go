@@ -22,18 +22,26 @@ import (
 // lookup that finds the request the op combines with. So the flush hands
 // the protocol the very list admission built (Batch), and waiters is every
 // admitted op's future beside its request's position, in admission order — a
-// combined, coalesced or forwarded op costs one entry and nothing else. A
-// dispatcher that reuses one Pending admits and flushes without allocating
-// in steady state.
+// combined, coalesced, forwarded or upgrading op costs one entry and nothing
+// else. A dispatcher that reuses one Pending admits and flushes without
+// allocating in steady state.
 type Pending struct {
 	batch   protocol.DistinctBatch
 	waiters []waiter // one per admitted op, so len(waiters) is Ops()
 	// What combining saved in this batch, counted at admission for Stats.
-	combined, coalesced, forwarded int
+	combined, coalesced, forwarded, upgraded int
 
 	// verdict is Complete's reused scratch for a degraded batch's
-	// per-request errors (nil = committed).
-	verdict []error
+	// per-request verdicts.
+	verdict []verdict
+}
+
+// verdict is one request's outcome in a degraded batch: err is nil when it
+// committed, and wrote marks a ReadWrite whose write committed although its
+// read was refused (protocol.Metrics.ReadRefused).
+type verdict struct {
+	err   error
+	wrote bool
 }
 
 // NewPending returns an empty batch. capacity is the most distinct variables
@@ -45,10 +53,14 @@ func NewPending(capacity int) *Pending {
 	return &Pending{waiters: make([]waiter, 0, min(capacity, 64))}
 }
 
-// waiter is one admitted op: its future and its request's position.
+// waiter is one admitted op: its future, its request's position, and
+// whether it takes the value the request reads — a read admitted before any
+// write to its variable — rather than its future's own (a write's zero, or
+// a forwarded read's value).
 type waiter struct {
-	fut *Future
-	req int
+	fut  *Future
+	req  int32
+	read bool
 }
 
 // Distinct is the number of distinct variables in the batch — the size of
@@ -62,49 +74,52 @@ func (p *Pending) Ops() int { return len(p.waiters) }
 // protocol.System.AccessDistinctInto. It is valid until Reset.
 func (p *Pending) Batch() *protocol.DistinctBatch { return &p.batch }
 
-// WriteConflicts reports whether admitting a write to v would break the
-// batch's EREW shape: v already carries an issued read, so the write would
-// either reorder that read after itself or duplicate the variable. Write
-// refuses such a write; the caller must flush the batch first.
-func (p *Pending) WriteConflicts(v uint64) bool {
-	pos, ok := p.batch.Lookup(v)
-	return ok && p.batch.Requests()[pos].Op == protocol.Read
-}
+// WriteConflicts reports false: every write joins the batch.
+//
+// Deprecated: a write after an issued read of its variable upgrades the read
+// to one protocol.ReadWrite request instead of conflicting with it. It is
+// still declared because the frozen benchmark suite (bench/replay.go) calls
+// it, and goes with the next change to that suite.
+func (p *Pending) WriteConflicts(v uint64) bool { return false }
 
 // Read admits one read with commit sequence seq, combining it with an
 // already-issued read or forwarding a pending write's value.
 func (p *Pending) Read(seq, v uint64, fut *Future) {
 	fut.seq = seq
 	pos, added := p.batch.Add(protocol.Request{Var: v, Op: protocol.Read})
+	read := true
 	if !added {
-		if r := &p.batch.Requests()[pos]; r.Op == protocol.Write {
+		if r := &p.batch.Requests()[pos]; r.Op != protocol.Read {
 			// Read after a pending write: its value is the write's, now.
 			fut.val = r.Value
+			read = false
 			p.forwarded++
 		} else {
 			p.combined++
 		}
 	}
-	p.waiters = append(p.waiters, waiter{fut, pos})
+	p.waiters = append(p.waiters, waiter{fut, int32(pos), read})
 }
 
-// Write admits one write with commit sequence seq, coalescing with an
-// earlier write (last writer wins). It refuses a write that WriteConflicts,
-// admitting nothing and returning false: the caller flushes and admits the
-// write again into the fresh batch.
-func (p *Pending) Write(seq, v, val uint64, fut *Future) bool {
+// Write admits one write with commit sequence seq. It coalesces with an
+// earlier write (last writer wins), and turns an issued read of its variable
+// into one protocol.ReadWrite request: the reads admitted before it take the
+// value the variable held before the batch, those after it are forwarded
+// its value.
+func (p *Pending) Write(seq, v, val uint64, fut *Future) {
 	pos, added := p.batch.Add(protocol.Request{Var: v, Op: protocol.Write, Value: val})
 	if !added {
 		r := &p.batch.Requests()[pos]
-		if r.Op != protocol.Write {
-			return false
+		if r.Op == protocol.Read {
+			r.Op = protocol.ReadWrite
+			p.upgraded++
+		} else {
+			p.coalesced++
 		}
 		r.Value = val
-		p.coalesced++
 	}
 	fut.seq, fut.val = seq, 0
-	p.waiters = append(p.waiters, waiter{fut, pos})
-	return true
+	p.waiters = append(p.waiters, waiter{fut, int32(pos), false})
 }
 
 // Requests copies the batch's protocol requests, in admission order, into
@@ -114,13 +129,13 @@ func (p *Pending) Requests(buf []protocol.Request) []protocol.Request {
 	return append(buf[:0], p.batch.Requests()...)
 }
 
-// verdicts returns a degraded batch's per-request errors — nil for the
-// requests that committed, protocol.ErrQuorumUnreachable for the stranded
-// ones (live copies below quorum), protocol.ErrIncomplete for those that
-// merely exhausted the iteration budget — or nil when the batch is not
-// degraded (it committed whole, or failed whole with err). The slice is
-// reused across flushes.
-func (p *Pending) verdicts(res *protocol.Result, err error) []error {
+// verdicts returns a degraded batch's per-request verdicts — no error for
+// the requests that committed, protocol.ErrQuorumUnreachable for the
+// stranded ones (live copies below quorum), protocol.ErrIncomplete for those
+// that merely exhausted the iteration budget or whose read waits for repair
+// — or nil when the batch is not degraded (it committed whole, or failed
+// whole with err). The slice is reused across flushes.
+func (p *Pending) verdicts(res *protocol.Result, err error) []verdict {
 	if err == nil || res == nil || !errors.Is(err, protocol.ErrIncomplete) {
 		return nil
 	}
@@ -128,10 +143,13 @@ func (p *Pending) verdicts(res *protocol.Result, err error) []error {
 	p.verdict = slices.Grow(p.verdict[:0], n)[:n]
 	clear(p.verdict)
 	for _, r := range res.Metrics.Unfinished {
-		p.verdict[r] = protocol.ErrIncomplete
+		p.verdict[r].err = protocol.ErrIncomplete
 	}
 	for _, r := range res.Metrics.Stranded {
-		p.verdict[r] = protocol.ErrQuorumUnreachable
+		p.verdict[r].err = protocol.ErrQuorumUnreachable
+	}
+	for _, r := range res.Metrics.ReadRefused {
+		p.verdict[r].wrote = true
 	}
 	return p.verdict
 }
@@ -142,22 +160,28 @@ func (p *Pending) verdicts(res *protocol.Result, err error) []error {
 // An ErrIncomplete err with a non-nil res fails only the requests that
 // missed their quorum and completes the rest normally — degraded-mode
 // serving: a batch with some unreachable variables still commits its
-// healthy futures (see verdicts for the per-request errors).
+// healthy futures (see verdicts for the per-request errors). A ReadWrite
+// whose read was refused fails only the reads admitted before its first
+// write; its writes and the reads forwarded their values commit.
 func (p *Pending) Complete(res *protocol.Result, err error) {
 	verdict := p.verdicts(res, err)
-	reqs := p.batch.Requests()
 	for _, w := range p.waiters {
 		reqErr := err
 		if verdict != nil {
-			reqErr = verdict[w.req]
+			v := verdict[w.req]
+			reqErr = v.err
+			if v.wrote && !w.read {
+				reqErr = nil
+			}
 		}
 		switch {
 		case reqErr != nil:
 			// Whole-batch failure, or this request missed its quorum: every
-			// waiter on the variable (forwarded reads riding a failed write
-			// included) learns the error.
+			// waiter on the variable (forwarded reads riding a failed write,
+			// and the reads a failed read-write carried, included) learns
+			// the error.
 			w.fut.complete(0, reqErr)
-		case reqs[w.req].Op == protocol.Read:
+		case w.read:
 			w.fut.complete(res.Values[w.req], nil)
 		default:
 			// A write (val 0) or a read forwarded its value at admission.
@@ -173,7 +197,7 @@ func (p *Pending) Reset() {
 	clear(p.waiters)
 	p.waiters = p.waiters[:0]
 	p.batch.Reset()
-	p.combined, p.coalesced, p.forwarded = 0, 0, 0
+	p.combined, p.coalesced, p.forwarded, p.upgraded = 0, 0, 0, 0
 }
 
 // Stats is the serving path's one book of dispatcher facts, summed over
@@ -189,15 +213,25 @@ type Stats struct {
 	CombinedReads   int64 // reads that shared an already-issued read
 	CoalescedWrites int64 // writes absorbed by a later write to the same var
 	ForwardedReads  int64 // reads served from a pending write, no request
-	SizeFlushes     int64 // batches flushed at MaxBatch distinct variables
-	IdleFlushes     int64 // batches flushed because the queue ran dry
+	// UpgradedWrites counts writes that joined an issued read of their
+	// variable, making it one ReadWrite request. So OpsIn = RequestsOut +
+	// CombinedReads + CoalescedWrites + ForwardedReads + UpgradedWrites.
+	UpgradedWrites int64
+	SizeFlushes    int64 // batches flushed at MaxBatch distinct variables
+	IdleFlushes    int64 // batches flushed because the queue ran dry
 	// ExplicitFlushes counts the Flush and Close sentinels that flushed a
 	// batch, and also every Flush sentinel that found nothing pending (a
 	// Close with nothing pending is not counted). So
-	// SizeFlushes+IdleFlushes+ConflictFlushes ≤ Batches ≤
-	// SizeFlushes+IdleFlushes+ConflictFlushes+ExplicitFlushes.
+	// SizeFlushes+IdleFlushes ≤ Batches ≤
+	// SizeFlushes+IdleFlushes+ExplicitFlushes.
 	ExplicitFlushes int64
-	ConflictFlushes int64 // batches flushed by a write-after-read conflict
+	// ConflictFlushes is always zero.
+	//
+	// Deprecated: a write after an issued read upgrades the read to a
+	// ReadWrite request (UpgradedWrites) instead of flushing the batch. It
+	// is still declared because the frozen benchmark suite (bench/layers.go)
+	// reads it, and goes with the next change to that suite.
+	ConflictFlushes int64
 	MaxQueueDepth   int   // deepest admission ring observed at admission, in entries (an AccessBatch sub-batch each)
 	FlusherParks    int64 // times the flusher blocked on an empty admission ring
 	FlusherWakes    int64 // producer kicks that un-parked the flusher
@@ -222,8 +256,6 @@ const (
 	FlushIdle
 	// FlushExplicit: an explicit Flush or Close.
 	FlushExplicit
-	// FlushConflict: a write-after-issued-read conflict.
-	FlushConflict
 )
 
 func (c FlushCause) String() string {
@@ -234,8 +266,6 @@ func (c FlushCause) String() string {
 		return "idle"
 	case FlushExplicit:
 		return "explicit"
-	case FlushConflict:
-		return "conflict"
 	}
 	return "unknown"
 }
@@ -253,13 +283,12 @@ func (s *Stats) Account(p *Pending, res *protocol.Result, cause FlushCause) {
 	s.CombinedReads += int64(p.combined)
 	s.CoalescedWrites += int64(p.coalesced)
 	s.ForwardedReads += int64(p.forwarded)
+	s.UpgradedWrites += int64(p.upgraded)
 	switch cause {
 	case FlushIdle:
 		s.IdleFlushes++
 	case FlushExplicit:
 		s.ExplicitFlushes++
-	case FlushConflict:
-		s.ConflictFlushes++
 	default:
 		s.SizeFlushes++
 	}
@@ -280,10 +309,10 @@ func (s *Stats) Merge(o Stats) {
 	s.CombinedReads += o.CombinedReads
 	s.CoalescedWrites += o.CoalescedWrites
 	s.ForwardedReads += o.ForwardedReads
+	s.UpgradedWrites += o.UpgradedWrites
 	s.SizeFlushes += o.SizeFlushes
 	s.IdleFlushes += o.IdleFlushes
 	s.ExplicitFlushes += o.ExplicitFlushes
-	s.ConflictFlushes += o.ConflictFlushes
 	if o.MaxQueueDepth > s.MaxQueueDepth {
 		s.MaxQueueDepth = o.MaxQueueDepth
 	}

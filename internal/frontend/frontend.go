@@ -20,10 +20,15 @@
 //   - a read admitted after a write to the same variable in the same batch
 //     is served the pending write's value directly and consumes no protocol
 //     request at all (read-after-write forwarding);
-//   - a write admitted after an issued read of the same variable cannot
-//     join the batch (the variable would appear twice), so Write refuses it
-//     and the dispatcher flushes first — reads admitted earlier keep seeing
-//     the old value.
+//   - a write admitted after an issued read of the same variable turns that
+//     read into one protocol.ReadWrite request (write-after-read upgrade):
+//     the protocol reads a quorum of copies and overwrites the same quorum
+//     at the batch's timestamp, so the reads admitted before the write get
+//     the value from before the batch, and the write's value is forwarded to
+//     the reads after it, as above. A read-write that fails fails every op
+//     on its variable, the reads it carried included; one whose read alone
+//     was refused (protocol.Metrics.ReadRefused, a repairing copy barred it)
+//     fails only the reads admitted before the write.
 //
 // The batch a Pending builds is a protocol.DistinctBatch: the index that
 // finds the request an op combines with is the one that keeps the batch

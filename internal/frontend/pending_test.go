@@ -5,28 +5,26 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"detshmem/internal/protocol"
 )
 
 // refEntry and refPending are the reference model FuzzPending holds Pending
-// against: the combining rules over a plain Go map, nothing reused.
+// against: the combining rules over a plain Go map, nothing reused. An
+// entry's request is a Read until a write joins it, a Write when a write
+// opened it, and a ReadWrite when a write joined its reads.
 type refEntry struct {
-	write              bool
+	op                 protocol.Op
 	val                uint64
-	reads, writes, fwd []*Future
-	fwdSeen            []uint64 // the value each forwarded read observed
+	reads, writes, fwd []*Future // reads: admitted before any write
+	fwdSeen            []uint64  // the value each forwarded read observed
 }
 
 type refPending struct {
 	m     map[uint64]*refEntry
 	order []uint64
 	ops   int
-}
-
-func (r *refPending) conflicts(v uint64) bool {
-	e := r.m[v]
-	return e != nil && !e.write
 }
 
 func (r *refPending) entry(v uint64) (*refEntry, bool) {
@@ -41,8 +39,8 @@ func (r *refPending) entry(v uint64) (*refEntry, bool) {
 }
 
 func (r *refPending) read(v uint64, fut *Future) {
-	e, fresh := r.entry(v)
-	if !fresh && e.write {
+	e, _ := r.entry(v)
+	if len(e.writes) > 0 {
 		e.fwd = append(e.fwd, fut)
 		e.fwdSeen = append(e.fwdSeen, e.val)
 	} else {
@@ -53,8 +51,11 @@ func (r *refPending) read(v uint64, fut *Future) {
 
 func (r *refPending) writeOp(v, val uint64, fut *Future) {
 	e, fresh := r.entry(v)
-	if fresh {
-		e.write = true
+	switch {
+	case fresh:
+		e.op = protocol.Write
+	case e.op == protocol.Read:
+		e.op = protocol.ReadWrite
 	}
 	e.val = val
 	e.writes = append(e.writes, fut)
@@ -93,7 +94,8 @@ func newSentinelFuture() *Future { return &Future{val: unwrittenVal, err: errUnw
 
 // flush checks Requests, Account, Complete and Reset against the
 // model. In a degraded flush request i is unfinished when (i+salt)%3 == 0 and
-// stranded when (i+salt)%6 == 0.
+// stranded when (i+salt)%6 == 0; an unfinished ReadWrite had only its read
+// refused — its write committed — when (i+salt)%9 == 0.
 func (h *pendingHarness) flush(mode flushMode, salt int) {
 	t, p, ref := h.t, h.p, &h.ref
 	if p.Distinct() != len(ref.order) || p.Ops() != ref.ops {
@@ -112,10 +114,10 @@ func (h *pendingHarness) flush(mode flushMode, salt int) {
 	}
 	want := make([]protocol.Request, len(ref.order))
 	for i, v := range ref.order {
-		if e := ref.m[v]; e.write {
-			want[i] = protocol.Request{Var: v, Op: protocol.Write, Value: e.val}
-		} else {
-			want[i] = protocol.Request{Var: v, Op: protocol.Read}
+		e := ref.m[v]
+		want[i] = protocol.Request{Var: v, Op: e.op}
+		if e.op != protocol.Read {
+			want[i].Value = e.val
 		}
 	}
 	if !slices.Equal(h.reqs, want) {
@@ -127,6 +129,7 @@ func (h *pendingHarness) flush(mode flushMode, salt int) {
 		res     *protocol.Result
 		err     error
 		verdict = make([]error, len(want))
+		wrote   = make([]bool, len(want)) // the read was refused, the write committed
 	)
 	if mode == flushFailed {
 		err = errBackend
@@ -144,18 +147,21 @@ func (h *pendingHarness) flush(mode flushMode, salt int) {
 					res.Metrics.Stranded = append(res.Metrics.Stranded, i)
 					verdict[i] = protocol.ErrQuorumUnreachable
 				}
+				if want[i].Op == protocol.ReadWrite && (i+salt)%9 == 0 {
+					res.Metrics.ReadRefused = append(res.Metrics.ReadRefused, i)
+					wrote[i] = true
+				}
 			}
 		}
 		if len(res.Metrics.Unfinished) > 0 {
 			err = fmt.Errorf("%w: degraded", protocol.ErrIncomplete)
 		}
 		for i, rq := range want {
-			switch {
-			case verdict[i] != nil:
-			case rq.Op == protocol.Write:
-				h.mem[rq.Var] = rq.Value
-			default:
+			if verdict[i] == nil && rq.Op != protocol.Write {
 				res.Values[i] = h.mem[rq.Var]
+			}
+			if (verdict[i] == nil || wrote[i]) && rq.Op != protocol.Read {
+				h.mem[rq.Var] = rq.Value
 			}
 		}
 	}
@@ -169,9 +175,12 @@ func (h *pendingHarness) flush(mode flushMode, salt int) {
 	for _, v := range ref.order {
 		e := ref.m[v]
 		wantStats.ForwardedReads += int64(len(e.fwd))
-		if !e.write {
-			wantStats.CombinedReads += int64(len(e.reads) - 1)
-		} else {
+		wantStats.CombinedReads += int64(max(len(e.reads)-1, 0))
+		switch e.op {
+		case protocol.Write:
+			wantStats.CoalescedWrites += int64(len(e.writes) - 1)
+		case protocol.ReadWrite:
+			wantStats.UpgradedWrites++
 			wantStats.CoalescedWrites += int64(len(e.writes) - 1)
 		}
 	}
@@ -193,7 +202,7 @@ func (h *pendingHarness) flush(mode flushMode, salt int) {
 		if _, twice := waitsOn[w.fut]; twice {
 			t.Fatalf("a future of request %d waits twice in one batch", w.req)
 		}
-		waitsOn[w.fut] = w.req
+		waitsOn[w.fut] = int(w.req)
 	}
 	if len(waitsOn) != ref.ops {
 		t.Fatalf("%d futures wait on the batch, model %d", len(waitsOn), ref.ops)
@@ -220,11 +229,16 @@ func (h *pendingHarness) flush(mode flushMode, salt int) {
 			}
 			check("read", v, fut, val, verdict[i])
 		}
+		// A refused read fails only the reads admitted before the write.
+		writeErr := verdict[i]
+		if wrote[i] {
+			writeErr = nil
+		}
 		for _, fut := range e.writes {
-			check("write", v, fut, 0, verdict[i])
+			check("write", v, fut, 0, writeErr)
 		}
 		for j, fut := range e.fwd {
-			check("forwarded read", v, fut, e.fwdSeen[j], verdict[i])
+			check("forwarded read", v, fut, e.fwdSeen[j], writeErr)
 		}
 	}
 
@@ -247,35 +261,21 @@ func (h *pendingHarness) read(v uint64) {
 	h.ref.read(v, fut)
 }
 
-// write admits a write the way the dispatcher does: a write Write refuses
-// flushes the batch and opens the next one. WriteConflicts must predict the
-// refusal, and a refused write must leave the batch untouched.
+// write admits a write the way the dispatcher does: every write joins the
+// batch, and the deprecated WriteConflicts never asks for a flush.
 func (h *pendingHarness) write(v uint64) {
-	c := h.p.WriteConflicts(v)
-	if c != h.ref.conflicts(v) {
-		h.t.Fatalf("WriteConflicts(%d) = %v, model %v", v, c, !c)
+	if h.p.WriteConflicts(v) {
+		h.t.Fatalf("WriteConflicts(%d) = true", v)
 	}
 	h.seq++
 	fut := newSentinelFuture()
-	distinct, ops := h.p.Distinct(), h.p.Ops()
-	if admitted := h.p.Write(h.seq, v, h.seq*10, fut); admitted == c {
-		h.t.Fatalf("Write(%d) admitted = %v with WriteConflicts %v", v, admitted, c)
-	}
-	if c {
-		if h.p.Distinct() != distinct || h.p.Ops() != ops {
-			h.t.Fatalf("refused Write(%d) changed Distinct/Ops %d/%d → %d/%d", v, distinct, ops, h.p.Distinct(), h.p.Ops())
-		}
-		h.flush(flushOK, 0)
-		if !h.p.Write(h.seq, v, h.seq*10, fut) {
-			h.t.Fatalf("Write(%d) refused by a fresh batch", v)
-		}
-	}
+	h.p.Write(h.seq, v, h.seq*10, fut)
 	h.ref.writeOp(v, h.seq*10, fut)
 }
 
 // runPendingScript interprets script two bytes at a time: an opcode and an
 // argument. Variables of single operations come from a domain of 24, so
-// combining, coalescing, forwarding and write-after-read conflicts are
+// combining, coalescing, forwarding and write-after-read upgrades are
 // common; a burst admits up to 765 distinct variables at once, far past the
 // batch index's initial table.
 func runPendingScript(t *testing.T, script []byte) {
@@ -311,11 +311,12 @@ func runPendingScript(t *testing.T, script []byte) {
 // FuzzPending holds Pending against the plain-map model on random
 // admit/flush scripts. The seeds run under plain go test.
 func FuzzPending(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 1, 3, 2, 0, 2, 3, 1, 6, 0})                // combine, forward, write-after-read conflict
+	f.Add([]byte{0, 1, 0, 1, 3, 2, 0, 2, 3, 1, 0, 1, 6, 0})          // combine, forward, write-after-read upgrade, forward off it
 	f.Add([]byte{3, 5, 3, 5, 0, 5, 0, 5, 7, 1, 0, 5, 7, 0, 3, 5})    // coalesce + forward, degraded, then failed
 	f.Add([]byte{5, 255, 6, 0, 0, 1, 3, 2, 6, 1, 0, 3, 7, 3, 5, 40}) // a large batch, then small ones
 	f.Add([]byte{5, 11, 5, 11, 6, 2, 5, 22, 7, 5, 5, 23, 7, 4})      // growth at the 32/64-entry boundaries
 	f.Add([]byte{0, 0, 5, 90, 3, 0, 7, 9, 6, 6})
+	f.Add([]byte{0, 5, 3, 5, 0, 5, 7, 9, 0, 3, 0, 5, 3, 5, 0, 5, 7, 17}) // read refused, its write committed; then also stranded
 	f.Fuzz(runPendingScript)
 }
 
@@ -440,11 +441,20 @@ func TestCombiningFlushAllocFree(t *testing.T) {
 func TestFlushCauseStrings(t *testing.T) {
 	want := map[FlushCause]string{
 		FlushSize: "size", FlushIdle: "idle", FlushExplicit: "explicit",
-		FlushConflict: "conflict", FlushConflict + 1: "unknown",
+		FlushExplicit + 1: "unknown",
 	}
 	for c, s := range want {
 		if c.String() != s {
 			t.Fatalf("FlushCause(%d).String() = %q, want %q", c, c.String(), s)
 		}
+	}
+}
+
+// TestWaiterSize: an admitted op costs Pending one 16-byte waiter — its
+// future, its request's position and whether it takes the request's read —
+// however it combined.
+func TestWaiterSize(t *testing.T) {
+	if size := unsafe.Sizeof(waiter{}); size != 16 {
+		t.Fatalf("waiter is %d bytes, want 16", size)
 	}
 }

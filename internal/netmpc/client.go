@@ -1,6 +1,7 @@
 package netmpc
 
 import (
+	"fmt"
 	"net"
 	"time"
 
@@ -48,7 +49,7 @@ type Client struct {
 
 type stagedOp struct {
 	addr      uint64
-	op        protocol.Op
+	op        uint8 // the wire op
 	value, ts uint64
 }
 
@@ -77,7 +78,22 @@ func newClient(t *Transport, cfg mpc.Config) *Client {
 
 // StageBid implements protocol.RemoteStore.
 func (c *Client) StageBid(pos int32, addr uint64, op protocol.Op, value, ts uint64) {
-	c.staged[pos] = stagedOp{addr: addr, op: op, value: value, ts: ts}
+	c.staged[pos] = stagedOp{addr: addr, op: wireOp(op), value: value, ts: ts}
+}
+
+// wireOp returns the wire op a bid staged with protocol op op travels as.
+func wireOp(op protocol.Op) uint8 {
+	switch op {
+	case protocol.Read:
+		return opRead
+	case protocol.Write:
+		return opWrite
+	case protocol.RepairWrite:
+		return opRepair
+	case protocol.ReadWrite:
+		return opReadWrite
+	}
+	panic(fmt.Sprintf("netmpc: protocol op %d has no wire op", op))
 }
 
 // GrantData implements protocol.RemoteStore.
@@ -133,7 +149,7 @@ func (c *Client) Round(bids []int64, grant []bool) int {
 			Proc:   uint32(i),
 			Module: uint64(m),
 			Addr:   st.addr,
-			Op:     uint8(st.op),
+			Op:     st.op,
 			Value:  st.value,
 			TS:     st.ts,
 		})

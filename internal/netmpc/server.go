@@ -326,8 +326,8 @@ func (s *Server) serveRound(st *store, frame *RoundFrame, reply *RoundReply, arb
 		if b.Addr >= s.cfg.AddrSpace {
 			return fmt.Errorf("%w: bid address %d outside space %d", ErrCorruptFrame, b.Addr, s.cfg.AddrSpace)
 		}
-		if b.Op > opRepair {
-			return fmt.Errorf("%w: bid op %d is not read, write or repair-write", ErrCorruptFrame, b.Op)
+		if b.Op > opReadWrite {
+			return fmt.Errorf("%w: bid op %d is not read, write, repair-write or read-write", ErrCorruptFrame, b.Op)
 		}
 		if i > 0 && b.Proc <= frame.Bids[i-1].Proc {
 			return fmt.Errorf("%w: bid position %d follows %d; positions must ascend", ErrCorruptFrame, b.Proc, frame.Bids[i-1].Proc)
@@ -350,6 +350,10 @@ func (s *Server) serveRound(st *store, frame *RoundFrame, reply *RoundReply, arb
 		case opRepair: // install only if strictly newer, so a rebuild never
 			// clobbers a concurrent normal write that already landed.
 			st.cells.PutIfNewer(b.Addr, cellstore.Cell{Val: b.Value, TS: b.TS})
+		case opReadWrite:
+			c := st.cells.Get(b.Addr)
+			g.Value, g.TS = c.Val, c.TS
+			st.cells.Put(b.Addr, cellstore.Cell{Val: b.Value, TS: b.TS})
 		}
 		reply.Grants = append(reply.Grants, g)
 	}

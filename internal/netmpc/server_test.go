@@ -19,36 +19,41 @@ func roundServer(lo, hi uint64) (*Server, *arbiter) {
 }
 
 // TestServeRoundMatchesReference: on random frames — ascending positions
-// with random gaps, as a client's frame to one server has — the dense
-// arbitration grants exactly what a lowest-Proc-per-module map would, one
-// grant per bid-for module, in the order the modules were first bid for.
+// with random gaps, as a client's frame to one server has, every wire op
+// mixed in — the dense arbitration grants exactly what a lowest-Proc-per-
+// module map would, one grant per bid-for module, in the order the modules
+// were first bid for, and each winner's op meets a plain-map store the way
+// the op says: a read's grant carries the cell, a write overwrites it, a
+// repair-write installs only a newer cell, and a read-write's grant carries
+// the cell as it was before its write.
 func TestServeRoundMatchesReference(t *testing.T) {
 	const lo, hi = 100, 164
 	sv, arb := roundServer(lo, hi)
 	st := sv.storeFor(1)
 	rng := rand.New(rand.NewSource(7))
+	ref := map[uint64]cellstore.Cell{} // the reference store
 	var reply RoundReply
 	for round := 0; round < 500; round++ {
 		procs := rng.Perm(400)[:rng.Intn(200)]
 		slices.Sort(procs)
 		frame := RoundFrame{Bids: make([]Bid, len(procs))}
-		lowest := map[uint64]uint32{} // module -> lowest bidding processor
-		var order []uint64            // modules in first-bid order
+		lowest := map[uint64]int{} // module -> index of its lowest bidding processor's bid
+		var order []uint64         // modules in first-bid order
 		for i, p := range procs {
 			b := Bid{
 				Proc:   uint32(p),
 				Module: lo + uint64(rng.Intn(hi-lo)),
 				Addr:   uint64(rng.Intn(hi * 64)),
-				Op:     uint8(rng.Intn(3)),
+				Op:     uint8(rng.Intn(4)),
 				Value:  rng.Uint64(),
-				TS:     uint64(round + 1),
+				TS:     uint64(rng.Intn(2*round + 2)),
 			}
 			frame.Bids[i] = b
 			if w, ok := lowest[b.Module]; !ok {
-				lowest[b.Module] = b.Proc
+				lowest[b.Module] = i
 				order = append(order, b.Module)
-			} else if b.Proc < w {
-				lowest[b.Module] = b.Proc
+			} else if b.Proc < frame.Bids[w].Proc {
+				lowest[b.Module] = i
 			}
 		}
 		reply.Grants = reply.Grants[:0]
@@ -59,9 +64,34 @@ func TestServeRoundMatchesReference(t *testing.T) {
 			t.Fatalf("round %d: %d grants for %d bid-for modules", round, len(reply.Grants), len(order))
 		}
 		for k, m := range order {
-			if want := lowest[m]; reply.Grants[k].Proc != want {
-				t.Fatalf("round %d: grant %d (module %d) went to proc %d, want %d", round, k, m, reply.Grants[k].Proc, want)
+			b := frame.Bids[lowest[m]]
+			g := reply.Grants[k]
+			if g.Proc != b.Proc {
+				t.Fatalf("round %d: grant %d (module %d) went to proc %d, want %d", round, k, m, g.Proc, b.Proc)
 			}
+			var want Grant
+			old, in := ref[b.Addr], cellstore.Cell{Val: b.Value, TS: b.TS}
+			switch b.Op {
+			case opRead:
+				want = Grant{Proc: b.Proc, Value: old.Val, TS: old.TS}
+			case opWrite:
+				want, ref[b.Addr] = Grant{Proc: b.Proc}, in
+			case opRepair:
+				want = Grant{Proc: b.Proc}
+				if in.TS > old.TS {
+					ref[b.Addr] = in
+				}
+			case opReadWrite:
+				want, ref[b.Addr] = Grant{Proc: b.Proc, Value: old.Val, TS: old.TS}, in
+			}
+			if g != want {
+				t.Fatalf("round %d: op %d at %d granted %+v, want %+v", round, b.Op, b.Addr, g, want)
+			}
+		}
+	}
+	for addr, c := range ref {
+		if got := st.cells.Get(addr); got != c {
+			t.Fatalf("cell %d = %+v, reference %+v", addr, got, c)
 		}
 	}
 }
@@ -125,11 +155,11 @@ func TestServeRoundRejectsUnsortedPositions(t *testing.T) {
 	}
 }
 
-// TestServeRoundRejectsUnknownOps: a bid whose op is not read, write or
-// repair-write is refused as a corrupt frame in the validation pass, before
-// any cell is touched — not executed as a write.
+// TestServeRoundRejectsUnknownOps: a bid whose op is not read, write,
+// repair-write or read-write is refused as a corrupt frame in the validation
+// pass, before any cell is touched — not executed as a write.
 func TestServeRoundRejectsUnknownOps(t *testing.T) {
-	for _, op := range []uint8{3, 255} {
+	for _, op := range []uint8{4, 255} {
 		sv, arb := roundServer(0, 8)
 		st := sv.storeFor(1)
 		var reply RoundReply
@@ -161,12 +191,12 @@ func TestRepairWriteOnFreshPage(t *testing.T) {
 		}
 	}
 	addr := uint64(2*cellstore.PageCells + 5)
-	serve(Bid{Addr: addr, Op: 2, Value: 7, TS: 0})
+	serve(Bid{Addr: addr, Op: opRepair, Value: 7, TS: 0})
 	if st.cells.Pages() != 0 {
 		t.Fatal("a repair-write at timestamp 0 allocated its page")
 	}
-	serve(Bid{Addr: addr, Op: 2, Value: 41, TS: 9})
-	serve(Bid{Addr: addr, Op: 2, Value: 13, TS: 4})
+	serve(Bid{Addr: addr, Op: opRepair, Value: 41, TS: 9})
+	serve(Bid{Addr: addr, Op: opRepair, Value: 13, TS: 4})
 	serve(Bid{Addr: addr, Op: 0})
 	if g := reply.Grants[0]; g.Value != 41 || g.TS != 9 {
 		t.Fatalf("read back (%d, %d), want (41, 9)", g.Value, g.TS)

@@ -41,8 +41,10 @@ import (
 // ErrVersionMismatch. Version 2 added HandshakeAck.Gen, the store-generation
 // token that gates re-admission after a reconnect; version 3 dropped the
 // per-bid arbitration claim and the frame's round counter (bids 45 → 37
-// bytes): servers arbitrate lowest-processor-wins from Bid.Proc.
-const Version uint16 = 3
+// bytes): servers arbitrate lowest-processor-wins from Bid.Proc; version 4
+// added bid op 3, read-write, whose grant carries the cell as it was before
+// the write.
+const Version uint16 = 4
 
 // Frame type tags.
 const (
@@ -146,17 +148,20 @@ type Bid struct {
 	Proc   uint32
 	Module uint64
 	Addr   uint64
-	Op     uint8 // opRead, opWrite or opRepair; a server refuses any other
+	Op     uint8 // opRead, opWrite, opRepair or opReadWrite; a server refuses any other
 	Value  uint64
 	TS     uint64
 }
 
-// The wire ops: the values of protocol.Op that may reach a module. Read and
-// Write are the user's; a repair-write installs its cell only if newer.
+// The wire ops, one per protocol.Op that may reach a module (the client's
+// wireOp maps them). Read, Write and ReadWrite are the user's — a read-write reads the
+// cell and then overwrites it, and its grant carries the cell it read; a
+// repair-write installs its cell only if newer.
 const (
 	opRead uint8 = iota
 	opWrite
 	opRepair
+	opReadWrite
 )
 
 // bidSize is the fixed encoding size of one Bid.

@@ -16,6 +16,8 @@ func testMessages() []message {
 			{Proc: 0, Module: 3, Addr: 55, Op: 1, Value: 0xdeadbeef, TS: 12},
 			{Proc: 5, Module: 3, Addr: 56, Op: 0, Value: 0, TS: 12},
 			{Proc: 9, Module: 200, Addr: 3201, Op: 1, Value: ^uint64(0), TS: 13},
+			{Proc: 11, Module: 201, Addr: 3216, Op: opRepair, Value: 5, TS: 11},
+			{Proc: 12, Module: 202, Addr: 3232, Op: opReadWrite, Value: 6, TS: 13},
 		}},
 		&RoundFrame{Seq: 1, Bids: nil},
 		&RoundReply{Seq: 42, Grants: []Grant{{Proc: 0, Value: 77, TS: 12}, {Proc: 9, Value: 0, TS: 0}}},

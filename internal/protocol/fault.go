@@ -33,14 +33,14 @@ const faultAttempts = 2
 // could return a value older than the last committed write. Correctness is
 // preserved because a read quorum drawn from the non-repairing copies is
 // still a read quorum of the full copy set, so it intersects every write
-// quorum, and the intersecting copy is trustworthy. Only a user Read is
-// barred so: the repair sweep's reads and writes are barred by failure
-// alone.
+// quorum, and the intersecting copy is trustworthy. Only a user Read or
+// ReadWrite is barred so: the repair sweep's reads and writes are barred by
+// failure alone.
 func (sys *System) barred(fv FaultView, op Op, m int64) bool {
 	if fv.Failed(uint64(m)) {
 		return true
 	}
-	return op == Read && sys.rv != nil && sys.rv.Repairing(uint64(m))
+	return (op == Read || op == ReadWrite) && sys.rv != nil && sys.rv.Repairing(uint64(m))
 }
 
 // selectLive builds the phase task list for request r with the fault set in
@@ -65,12 +65,56 @@ func (sys *System) selectLive(b *batch, tasks []task, r, procBase int) []task {
 		assigned++
 	}
 	if int32(assigned) < sys.remaining[r] {
+		if op == ReadWrite && sys.demote(b, r) {
+			return sys.selectLive(b, tasks[:start], r, procBase)
+		}
 		sys.usedMask[r] = 0
 		sys.queueRetry(int32(r))
 		return tasks[:start]
 	}
 	sys.liveBids[r] = int32(assigned)
 	return tasks
+}
+
+// demote serves ReadWrite request r as a plain Write when its read cannot
+// reach the quorum: it rewrites the request's Op, keeps the copies already
+// granted counted toward the write quorum, and records r for refuseReads.
+// It refuses — and r stays a ReadWrite, to be retried whole — when the
+// untouched live copies cannot make up the write quorum either.
+func (sys *System) demote(b *batch, r int) bool {
+	need := sys.remaining[r] - (sys.quorum(ReadWrite) - sys.writeQ)
+	live := int32(0)
+	for c, cp := range sys.row(r) {
+		if sys.touchedC[r]&(1<<uint(c)) == 0 && !b.fv.Failed(uint64(cp.module())) {
+			live++
+		}
+	}
+	if live < need {
+		return false
+	}
+	b.reqs[r].Op = Write
+	sys.remaining[r] = need
+	sys.demoted = append(sys.demoted, int32(r))
+	return true
+}
+
+// refuseReads closes a batch's demoted requests: each one whose write
+// committed is reported in Unfinished and ReadRefused — and in Stranded when
+// its variable has fewer live copies than a read quorum. A demoted request
+// whose write did not commit was reported by the retry pass like any Write.
+func (sys *System) refuseReads(b *batch) {
+	met := &b.res.Metrics
+	for _, r := range sys.demoted {
+		if sys.remaining[r] > 0 {
+			continue
+		}
+		met.Unfinished = append(met.Unfinished, int(r))
+		met.ReadRefused = append(met.ReadRefused, int(r))
+		if sys.liveQuorumLost(b, int(r), sys.readQ) {
+			met.Stranded = append(met.Stranded, int(r))
+		}
+	}
+	sys.demoted = sys.demoted[:0]
 }
 
 // copyIndex recovers the index of t's copy within its request's row — the
@@ -172,14 +216,12 @@ func (sys *System) retryStranded(b *batch) {
 					continue
 				}
 				row := sys.row(int(r))
-				cnt := 0
-				for c, cp := range row {
-					if cnt == geo {
-						break
+				cnt := sys.selectable(b, r, geo)
+				if int32(cnt) < sys.remaining[r] && reqs[r].Op == ReadWrite && sys.demote(b, int(r)) {
+					if sys.remaining[r] <= 0 {
+						continue // the granted copies already made the write quorum
 					}
-					if sys.touchedC[r]&(1<<uint(c)) == 0 && !sys.barred(fv, reqs[r].Op, cp.module()) {
-						cnt++
-					}
+					cnt = sys.selectable(b, r, geo)
 				}
 				if int32(cnt) < sys.remaining[r] {
 					// Short of a quorum right now; a recovery before the
@@ -226,11 +268,26 @@ func (sys *System) retryStranded(b *batch) {
 			continue
 		}
 		res.Metrics.Unfinished = append(res.Metrics.Unfinished, int(r))
-		if sys.liveQuorumLost(b, int(r)) {
+		if sys.liveQuorumLost(b, int(r), sys.quorum(reqs[r].Op)) {
 			res.Metrics.Stranded = append(res.Metrics.Stranded, int(r))
 		}
 	}
 	sys.retry = sys.retry[:0]
+}
+
+// selectable counts request r's untouched copies that its operation may bid
+// for now, up to geo.
+func (sys *System) selectable(b *batch, r int32, geo int) int {
+	cnt := 0
+	for c, cp := range sys.row(int(r)) {
+		if cnt == geo {
+			break
+		}
+		if sys.touchedC[r]&(1<<uint(c)) == 0 && !sys.barred(b.fv, b.reqs[r].Op, cp.module()) {
+			cnt++
+		}
+	}
+	return cnt
 }
 
 // dropBarred is a wave's rebuild when the fault epoch moved: its bids at
@@ -250,12 +307,11 @@ func (sys *System) dropBarred(b *batch, tasks []task) []task {
 }
 
 // liveQuorumLost reports whether request r's variable currently has fewer
-// live copies than its quorum — the ErrQuorumUnreachable verdict. Repairing
+// live copies than quorum q — the ErrQuorumUnreachable verdict. Repairing
 // modules deliberately count as live here: a read blocked only by in-flight
 // repair is transient (the sweep will certify the copies), so it reports
 // ErrIncomplete — retry later — not the stranded verdict.
-func (sys *System) liveQuorumLost(b *batch, r int) bool {
-	q := sys.quorum(b.reqs[r].Op)
+func (sys *System) liveQuorumLost(b *batch, r int, q int32) bool {
 	live := int32(0)
 	for _, cp := range sys.row(r) {
 		if !b.fv.Failed(uint64(cp.module())) {

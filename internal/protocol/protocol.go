@@ -53,12 +53,21 @@ const (
 	Read Op = iota
 	// Write replaces the variable's value.
 	Write
-	// opRepair is the internal repair-write operation: the module installs
-	// the request's best (value, timestamp) pair only if the timestamp is
-	// newer than the cell's, so a rebuild can never clobber a concurrent
-	// normal write. It never appears in user Requests; repair waves bid
-	// with it (see repair.go).
-	opRepair
+	// ReadWrite reads the variable's value and replaces it in one request:
+	// every copy its quorum, max(ReadQuorum, WriteQuorum), touches is read
+	// and then overwritten at the batch's timestamp, so the value returned is
+	// the one the variable held before the batch — ABD's read-then-write-back
+	// over one quorum. Its read is barred from repairing copies as a Read's
+	// is; when the read cannot reach the quorum but a Write still can, the
+	// request is served as a Write and listed in Metrics.ReadRefused.
+	ReadWrite
+	// RepairWrite is the repair sweep's write: the module installs the
+	// request's best (value, timestamp) pair only if the timestamp is newer
+	// than the cell's, so a rebuild can never clobber a concurrent normal
+	// write. It is not a user operation — a Request carries Read, Write or
+	// ReadWrite — and is named only for transports, which stage it
+	// (RemoteStore.StageBid).
+	RepairWrite
 	// opSweep is the repair sweep's internal read: it collects the newest
 	// (value, timestamp) like Read, but only a failed module bars it — a
 	// salvage reads repairing copies on purpose. It reaches the machine as a
@@ -70,8 +79,8 @@ const (
 // batch must be pairwise distinct (the paper's EREW-style assumption).
 type Request struct {
 	Var   uint64 // variable index under the system's Mapper
-	Op    Op
-	Value uint64 // payload for Write; ignored for Read
+	Op    Op     // Read, Write or ReadWrite
+	Value uint64 // payload for Write and ReadWrite; ignored for Read
 }
 
 // Metrics reports how the protocol performed on one batch.
@@ -100,13 +109,19 @@ type Metrics struct {
 	// Σ RoundEvent.Requests + Σ RoundEvent.Dropped == Σ IssuedBids.
 	IssuedBids int
 	// Unfinished lists request indices whose quorum could not be met within
-	// the iteration bound (only possible under failure injection).
+	// the iteration bound (only possible under failure injection), and the
+	// ReadRefused requests, whose read was not served.
 	Unfinished []int
 	// Stranded lists the subset of Unfinished whose variable provably had
 	// fewer live copies than its quorum when the batch gave up — the
 	// requests no retry can serve until a module recovers. Aligned with the
-	// ErrQuorumUnreachable verdict.
+	// ErrQuorumUnreachable verdict. A ReadRefused request is stranded when its
+	// variable has fewer live copies than a read quorum.
 	Stranded []int
+	// ReadRefused lists the subset of Unfinished whose write committed: the
+	// ReadWrite requests whose read could not reach its quorum, served as a
+	// Write instead. Their Values entry is zero.
+	ReadRefused []int
 	// RetriedBids counts bids re-selected onto surviving copies after the
 	// fault layer dropped or rerouted their original target.
 	RetriedBids int
@@ -310,6 +325,7 @@ type System struct {
 	stalled  []bool   // request already queued for retry
 	retry    []int32  // requests awaiting a post-phase retry pass
 	wave     []int32  // requests issued in the current retry wave
+	demoted  []int32  // ReadWrite requests served as Writes (demote)
 
 	// Convenience-wrapper scratch (ReadBatch/WriteBatch), reused across
 	// calls so the wrappers stay allocation-free too.
@@ -448,8 +464,11 @@ func (sys *System) row(r int) []packedCopy {
 
 // quorum returns the number of copies the request's operation must touch.
 func (sys *System) quorum(op Op) int32 {
-	if op == Write {
+	switch op {
+	case Write:
 		return sys.writeQ
+	case ReadWrite:
+		return max(sys.readQ, sys.writeQ)
 	}
 	return sys.readQ
 }
@@ -509,8 +528,9 @@ func (sys *System) AccessInto(reqs []Request, res *Result) error {
 
 // AccessDistinctInto is AccessInto for a batch built as a DistinctBatch,
 // distinct by construction: it checks the batch's size and variable range
-// and serves its requests in place, with no copy and no second index. res
-// is valid until the next access on the same Result.
+// and serves its requests in place, with no copy and no second index — so a
+// ReadWrite served as a Write (Metrics.ReadRefused) is left with Op Write.
+// res is valid until the next access on the same Result.
 func (sys *System) AccessDistinctInto(b *DistinctBatch, res *Result) error {
 	if err := sys.checkSize(b.Len()); err != nil {
 		return err
@@ -552,6 +572,7 @@ func (sys *System) access(reqs []Request, res *Result) error {
 		LiveTrace:       res.Metrics.LiveTrace[:0],
 		Unfinished:      res.Metrics.Unfinished[:0],
 		Stranded:        res.Metrics.Stranded[:0],
+		ReadRefused:     res.Metrics.ReadRefused[:0],
 	}
 	phases := sys.phaseCount(len(reqs))
 	if phases == 0 {
@@ -582,13 +603,17 @@ func (sys *System) access(reqs []Request, res *Result) error {
 		left, iters := sys.drive(&b, tasks, iters)
 		sys.commitPhase(&b, left, iters)
 	}
-	if b.fv != nil && len(sys.retry) > 0 {
-		sys.retryStranded(&b)
+	if b.fv != nil {
+		if len(sys.retry) > 0 {
+			sys.retryStranded(&b)
+		}
+		sys.refuseReads(&b)
 	}
 	// Completed reads deliver their value in one pass over the batch, in
-	// order, rather than phase by phase in strides of phases.
+	// order, rather than phase by phase in strides of phases. A ReadWrite
+	// served as a Write carries Op Write by now, so it delivers nothing.
 	for r := range reqs {
-		if reqs[r].Op == Read && sys.remaining[r] <= 0 {
+		if reqs[r].Op != Write && sys.remaining[r] <= 0 {
 			res.Values[r] = sys.best[r].Val
 		}
 	}
@@ -629,6 +654,7 @@ func (sys *System) resolveBatch(b *batch) {
 		sys.touchedC = grow(sys.touchedC, n)
 		sys.stalled = grow(sys.stalled, n)
 		sys.retry = sys.retry[:0]
+		sys.demoted = sys.demoted[:0]
 		b.epoch = b.fv.Epoch()
 	}
 }
@@ -699,7 +725,7 @@ func (sys *System) firstRound(b *batch, phase int) []task {
 	m.OpenRound()
 	tasks, reads, writes := sys.tasks[:0], sys.reads[:0], sys.writes[:0]
 	nc := sys.nCopies
-	granted, prev := 0, -1
+	granted, consumed, prev := 0, 0, -1
 	r, procBase := phase, 0
 	for ; r < len(b.reqs); r, procBase = r+b.phases, procBase+nc {
 		// Claim the row's copies first; won marks the served ones.
@@ -715,15 +741,18 @@ func (sys *System) firstRound(b *batch, phase int) []task {
 		rq := &b.reqs[r]
 		need := sys.quorum(rq.Op)
 		sys.best[r] = cellstore.Cell{}
-		// Queue the grants the quorum needs, in copy order.
+		// Queue the grants the quorum needs, in copy order: a ReadWrite's
+		// copy is read and then written (commitCells reads first).
 		for w := won; w != 0 && need > 0; w &= w - 1 {
 			j := bits.TrailingZeros64(w)
-			if rq.Op == Write {
+			if rq.Op != Read {
 				writes = append(writes, writeRef{addr: row[j].addr(), val: rq.Value})
-			} else {
+			}
+			if rq.Op != Write {
 				reads = append(reads, readRef{addr: row[j].addr(), pos: int32(procBase + j), req: int32(r)})
 			}
 			need--
+			consumed++
 		}
 		sys.remaining[r] = need
 		if need == 0 {
@@ -739,7 +768,7 @@ func (sys *System) firstRound(b *batch, phase int) []task {
 	met := &b.res.Metrics
 	met.IssuedBids += procBase // every processor of the phase bid once
 	met.GrantedBids += granted
-	met.CopyAccesses += len(reads) + len(writes)
+	met.CopyAccesses += consumed
 	sys.commitCells()
 	return tasks
 }
@@ -827,7 +856,7 @@ func (sys *System) round(b *batch, tasks []task) []task {
 			switch op {
 			case opSweep:
 				op, val, ts = Read, 0, 0
-			case opRepair:
+			case RepairWrite:
 				val, ts = sys.best[t.req].Val, sys.best[t.req].TS
 			}
 			sys.rs.StageBid(int32(i), t.cp.addr(), op, val, ts)
@@ -842,10 +871,11 @@ func (sys *System) round(b *batch, tasks []task) []task {
 
 // decide is the sequential bookkeeping of a round: it counts the grants,
 // queues the cell access of every grant a quorum still needed onto
-// sys.reads, sys.writes or sys.repairs (a grant to a request whose quorum
-// already completed is a cancelled bid whose result is unused), and returns
-// the ungranted bids that stay in flight. A sweep read queues as a read; only
-// user requests keep copy masks.
+// sys.reads, sys.writes or sys.repairs — both of the first two for a
+// ReadWrite (a grant to a request whose quorum already completed is a
+// cancelled bid whose result is unused), and returns the ungranted bids that
+// stay in flight. A sweep read queues as a read; only user requests keep copy
+// masks.
 //
 // Invariant: a bid is in flight after a round only if its request is still
 // short of its quorum — the paper's cancel-at-quorum rule, applied per round.
@@ -858,7 +888,7 @@ func (sys *System) decide(b *batch, tasks []task) []task {
 	reads, writes := sys.reads[:0], sys.writes[:0]
 	sys.repairs = sys.repairs[:0]
 	next := tasks[:0]
-	granted := 0
+	granted, consumed := 0, 0
 	for i, t := range tasks {
 		r := t.req
 		if !grant[i] {
@@ -870,15 +900,20 @@ func (sys *System) decide(b *batch, tasks []task) []task {
 			continue
 		}
 		remaining[r]--
+		consumed++
 		rq := &b.reqs[r]
-		if rq.Op == Write {
+		switch rq.Op {
+		case Write:
 			writes = append(writes, writeRef{addr: t.cp.addr(), val: rq.Value})
-		} else if rq.Op == opRepair {
+		case RepairWrite:
 			sys.repairs = append(sys.repairs, readRef{addr: t.cp.addr(), req: r})
-		} else {
+		case ReadWrite:
+			writes = append(writes, writeRef{addr: t.cp.addr(), val: rq.Value})
+			fallthrough
+		default:
 			reads = append(reads, readRef{addr: t.cp.addr(), pos: int32(i), req: r})
 		}
-		if b.fv != nil && rq.Op <= Write {
+		if b.fv != nil && rq.Op <= ReadWrite {
 			sys.touchedC[r] |= 1 << sys.copyIndex(t)
 			// The granted bid left the task list: keep liveBids an exact
 			// in-flight count so refilterTasks' shed check (liveBids <
@@ -892,24 +927,26 @@ func (sys *System) decide(b *batch, tasks []task) []task {
 		if remaining[r] > 0 {
 			next[kept] = t
 			kept++
-		} else if b.fv != nil && b.reqs[r].Op <= Write {
+		} else if b.fv != nil && b.reqs[r].Op <= ReadWrite {
 			sys.liveBids[r]--
 		}
 	}
 	next = next[:kept]
 	sys.reads, sys.writes = reads, writes
 	b.res.Metrics.GrantedBids += granted
-	b.res.Metrics.CopyAccesses += len(reads) + len(writes) + len(sys.repairs)
+	b.res.Metrics.CopyAccesses += consumed
 	return next
 }
 
 // commitCells performs the physical copy accesses decide queued: against the
 // local store, or by consuming the remote module's replies when the transport
 // keeps the cells on the far side (the remote already applied the writes and
-// repair writes). Quorum rule: among the copies read, the one with the newest
-// timestamp holds the variable's current value; timestamps compare with >= so
-// the zero-initialized state is well-defined too. A repair write installs its
-// request's best cell put-if-newer.
+// repair writes, a read-write's after reading the cell). Quorum rule: among
+// the copies read, the one with the newest timestamp holds the variable's
+// current value; timestamps compare with >= so the zero-initialized state is
+// well-defined too. Reads go before writes, so a ReadWrite reads its copy's
+// value from before the batch. A repair write installs its request's best
+// cell put-if-newer.
 func (sys *System) commitCells() {
 	best := sys.best
 	if rs := sys.rs; rs != nil {

@@ -133,8 +133,11 @@ func (sys *System) RepairBacklog() int {
 func (sys *System) RepairStep() bool {
 	if sys.machine == nil {
 		// No machine yet (no batch has run): build one so a freshly started
-		// replica can repair before serving.
-		if err := sys.obtainMachine(sys.nCopies); err != nil {
+		// replica can repair before serving — with room for a full wave, a
+		// chunk of variables or N/Copies of them, or the sweep would play
+		// one variable per wave.
+		wave := max(min(repairChunkVars, int(sys.Mapper.NumModules())/sys.nCopies), 1)
+		if err := sys.obtainMachine(wave * sys.nCopies); err != nil {
 			return false
 		}
 	}
@@ -377,7 +380,7 @@ func (sys *System) repairWave(vars []repairVar, rm *repairMetrics) {
 				tasks = append(tasks, task{proc: int32(len(tasks)), req: int32(i), cp: cp})
 			}
 		}
-		reqs[i].Op = opRepair
+		reqs[i].Op = RepairWrite
 		sys.remaining[i] = int32(len(tasks) - start)
 	}
 	sys.tasks = tasks

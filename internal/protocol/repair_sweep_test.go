@@ -132,3 +132,49 @@ func TestRepairDifferentialResolvers(t *testing.T) {
 			4*repairChunkVars, wide.copies, wide.certified, want.copies, want.certified, slices.Equal(wide.cells, want.cells))
 	}
 }
+
+// TestColdRepairSweepPlaysFullWaves: a sweep on a System that has served no
+// batch builds its machine with room for a full wave, so it plays about the
+// rounds the same sweep plays after a 512-request batch sized the machine,
+// not one variable per wave. The scheme is q=2 n=5 with a quarter of the
+// modules re-admitted through repair.
+func TestColdRepairSweepPlaysFullWaves(t *testing.T) {
+	s, idx := sweepScheme(t)
+	m := NewCoreMapper(s, idx)
+	sweep := func(warm bool) int64 {
+		fs := mpc.NewFaultSet()
+		col := obs.NewCollector()
+		sys, err := NewGenericSystem(m, Config{
+			Observer:   col,
+			NewMachine: func(mcfg mpc.Config) (Machine, error) { return mpc.NewFailingShared(mcfg, fs) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		if warm {
+			vars := make([]uint64, 512)
+			for i := range vars {
+				vars[i] = uint64(i) * 7
+			}
+			if _, _, err := sys.ReadBatch(vars); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := m.NumModules()
+		fs.FailRange(n/2, n/2+n/4)
+		fs.RecoverPendingRange(n/2, n/2+n/4)
+		// A cold System has no machine, so its RepairBacklog reads 0 until
+		// the first step builds one.
+		for i := 0; i == 0 || sys.RepairBacklog() > 0; i++ {
+			if !sys.RepairStep() || i > 1_000_000 {
+				t.Fatalf("repair stalled with backlog %d after %d steps", sys.RepairBacklog(), i)
+			}
+		}
+		return col.RepairRounds.Load()
+	}
+	warm, cold := sweep(true), sweep(false)
+	if warm == 0 || 2*cold > 3*warm {
+		t.Fatalf("the cold sweep played %d repair rounds, the warmed one %d; want at most 1.5×", cold, warm)
+	}
+}

@@ -143,7 +143,7 @@ func (r *remoteMachine) Round(bids []int64, grant []bool) int {
 		switch b := r.staged[i]; b.op {
 		case Write:
 			r.cells[b.addr] = b.c
-		case opRepair:
+		case RepairWrite:
 			if b.c.TS > r.cells[b.addr].TS {
 				r.cells[b.addr] = b.c
 			}
@@ -245,7 +245,7 @@ func TestRemoteRepairStagesPlainOps(t *testing.T) {
 			if b.c != (cellstore.Cell{}) {
 				t.Fatalf("sweep read staged a payload %+v", b.c)
 			}
-		case opRepair:
+		case RepairWrite:
 			repaired[b.addr] = true
 			if want, ok := rebuilt[b.addr]; !ok || b.c != want {
 				t.Fatalf("repair write at %d staged %+v, want the wiped copy's %+v", b.addr, b.c, want)

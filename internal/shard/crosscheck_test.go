@@ -188,7 +188,8 @@ func TestCrossCheckTotalOrder(t *testing.T) {
 // TestCrossCheckShardedPerVariable: with S > 1 there is no cross-shard
 // order; the service's contract is per-variable. Both verifiers must
 // certify under that contract, at S=4 with full batches and at S=3 with
-// two-variable batches, where conflict flushes are frequent.
+// two-variable batches, where reads and writes of one variable often share
+// a batch as one read-write request.
 func TestCrossCheckShardedPerVariable(t *testing.T) {
 	for _, cell := range []struct {
 		name string // "pipelined" is the S=4 cell's long-standing id

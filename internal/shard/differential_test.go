@@ -31,7 +31,7 @@ type record struct {
 
 // runShardClients hammers the service from `clients` goroutines with
 // AccessBatch windows of hot-spot traffic (40% writes over a small hot set so
-// combining, coalescing, conflicts, and cross-shard interleaving all
+// combining, coalescing, read-write upgrades and cross-shard interleaving all
 // trigger), then collects each op's committed sequence number and value.
 func runShardClients(t *testing.T, svc *Service, clients, opsPer int, seed int64) []record {
 	t.Helper()

@@ -89,7 +89,7 @@ func newPipeDispatcher(b backend, numVars uint64, maxBatch, ringCap int) *pipeDi
 }
 
 // run is the flusher: pop published entries in ring order, admit their ops
-// into the accumulating batch (which flushes on size/conflict), idle-flush
+// into the accumulating batch (which flushes on size), idle-flush
 // when the ring runs dry, park when there is nothing at all.
 func (d *pipeDispatcher) run() {
 	defer close(d.done)
@@ -165,9 +165,8 @@ func (d *pipeDispatcher) run() {
 }
 
 // admit folds one operation into the accumulating batch, in admission
-// order: it takes the next commit sequence number, flushes first when a
-// write meets an issued read of its variable, and flushes after when the
-// batch reaches MaxBatch distinct variables.
+// order: it takes the next commit sequence number, and flushes after when
+// the batch reaches MaxBatch distinct variables.
 func (d *pipeDispatcher) admit(e *batchOp) {
 	v := e.op.Var
 	if v >= d.numVars {
@@ -179,12 +178,7 @@ func (d *pipeDispatcher) admit(e *batchOp) {
 	}
 	d.seq++
 	if e.op.Write {
-		if !d.cur.Write(d.seq, v, e.op.Val, &e.fut) {
-			// The variable carries an issued read: the batch goes out
-			// first, the write opens the next one.
-			d.flushCur(frontend.FlushConflict)
-			d.cur.Write(d.seq, v, e.op.Val, &e.fut)
-		}
+		d.cur.Write(d.seq, v, e.op.Val, &e.fut)
 	} else {
 		d.cur.Read(d.seq, v, &e.fut)
 	}

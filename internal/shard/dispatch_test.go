@@ -32,10 +32,11 @@ func (b *mapBackend) AccessDistinctInto(batch *protocol.DistinctBatch, res *prot
 	}
 	res.Values = make([]uint64, len(reqs))
 	for i, r := range reqs {
-		if r.Op == protocol.Write {
-			b.store[r.Var] = r.Value
-		} else {
+		if r.Op != protocol.Write {
 			res.Values[i] = b.store[r.Var]
+		}
+		if r.Op != protocol.Read {
+			b.store[r.Var] = r.Value
 		}
 	}
 	return nil
@@ -124,10 +125,10 @@ func access(d *pipeDispatcher, op BatchOp) (uint64, error) {
 }
 
 // TestCombiningSemantics drives the full coalescing matrix deterministically:
-// forwarding, last-writer-wins, read combining, and the write-after-read
-// conflict flush.
+// forwarding, last-writer-wins, read combining, and a write after an issued
+// read joining it as one ReadWrite request — no flush between them.
 func TestCombiningSemantics(t *testing.T) {
-	p := newProbe(&mapBackend{}, true)
+	p := newProbe(&mapBackend{store: map[uint64]uint64{2: 7}}, true)
 	d := newPipeDispatcher(p, math.MaxUint64, 8, 64)
 	primer := prime(t, d, p, 1<<40)
 
@@ -138,14 +139,16 @@ func TestCombiningSemantics(t *testing.T) {
 	r2, _ := enqueue(d, BatchOp{Var: 1})                      // forwarded: 20
 	r3, _ := enqueue(d, BatchOp{Var: 2})                      // issued read
 	r4, _ := enqueue(d, BatchOp{Var: 2})                      // combined with r3
-	w3, _ := enqueue(d, BatchOp{Write: true, Var: 2, Val: 5}) // conflicts with the issued read: flush
+	w3, _ := enqueue(d, BatchOp{Write: true, Var: 2, Val: 5}) // joins the read: one ReadWrite
+	r5, _ := enqueue(d, BatchOp{Var: 2})                      // forwarded: 5
 
 	p.gate <- struct{}{} // release the primer batch (already entered)
-	p.step()             // the conflict-flushed combined batch
-	p.step()             // w3's own (idle-flushed) batch
+	p.step()             // the combined batch, flushed when the ring runs dry
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	r6, _ := enqueue(d, BatchOp{Var: 2}) // a later batch reads the write
+	p.step()
 
 	if err := primer.Wait(); err != nil {
 		t.Fatal(err)
@@ -153,7 +156,7 @@ func TestCombiningSemantics(t *testing.T) {
 	for i, tc := range []struct {
 		b    *Batch
 		want uint64
-	}{{w1, 0}, {r1, 10}, {w2, 0}, {r2, 20}, {r3, 0}, {r4, 0}, {w3, 0}} {
+	}{{w1, 0}, {r1, 10}, {w2, 0}, {r2, 20}, {r3, 7}, {r4, 7}, {w3, 0}, {r5, 5}, {r6, 5}} {
 		got, err := tc.b.Value(0)
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)
@@ -165,31 +168,29 @@ func TestCombiningSemantics(t *testing.T) {
 
 	batches := p.recorded()
 	if len(batches) != 3 {
-		t.Fatalf("got %d batches, want 3: %v", len(batches), batches)
+		t.Fatalf("got %d batches, want 3 (primer, combined, later read): %v", len(batches), batches)
 	}
 	want := []protocol.Request{
 		{Var: 1, Op: protocol.Write, Value: 20},
-		{Var: 2, Op: protocol.Read},
+		{Var: 2, Op: protocol.ReadWrite, Value: 5},
 	}
 	if fmt.Sprint(batches[1]) != fmt.Sprint(want) {
 		t.Fatalf("combined batch %v, want %v", batches[1], want)
 	}
-	if got := batches[2]; len(got) != 1 || got[0] != (protocol.Request{Var: 2, Op: protocol.Write, Value: 5}) {
-		t.Fatalf("post-conflict batch = %v", got)
-	}
 
 	s := d.Stats()
-	if s.ForwardedReads != 2 || s.CombinedReads != 1 || s.CoalescedWrites != 1 {
+	if s.ForwardedReads != 3 || s.CombinedReads != 1 || s.CoalescedWrites != 1 || s.UpgradedWrites != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if s.ConflictFlushes != 1 {
-		t.Fatalf("conflict flushes = %d", s.ConflictFlushes)
+	if s.ConflictFlushes != 0 || s.Batches != 3 {
+		t.Fatalf("batches = %d with %d conflict flushes, want 3 and 0", s.Batches, s.ConflictFlushes)
 	}
-	// 7 staged ops + primer in, 4 requests out (primer, write 1, read 2, write 2).
-	if s.OpsIn != 8 || s.RequestsOut != 4 {
+	// 8 staged ops, the primer and the later read in; 4 requests out
+	// (primer, write 1, read-write 2, read 2).
+	if s.OpsIn != 10 || s.RequestsOut != 4 {
 		t.Fatalf("ops in/out = %d/%d", s.OpsIn, s.RequestsOut)
 	}
-	if s.CombiningRate() != 0.5 {
+	if s.CombiningRate() != 0.6 {
 		t.Fatalf("combining rate = %v", s.CombiningRate())
 	}
 	if err := d.Close(); err != nil {
@@ -431,10 +432,11 @@ func TestStatsConcurrentWithFlushes(t *testing.T) {
 				}
 				lastOps = s.OpsIn
 				// Every admitted op is exactly one of issued / combined /
-				// coalesced / forwarded — a torn snapshot breaks the sum.
-				if s.RequestsOut+s.CombinedReads+s.CoalescedWrites+s.ForwardedReads != s.OpsIn {
-					t.Errorf("torn snapshot: %d out + %d combined + %d coalesced + %d forwarded != %d in",
-						s.RequestsOut, s.CombinedReads, s.CoalescedWrites, s.ForwardedReads, s.OpsIn)
+				// coalesced / forwarded / upgrading — a torn snapshot
+				// breaks the sum.
+				if s.RequestsOut+s.CombinedReads+s.CoalescedWrites+s.ForwardedReads+s.UpgradedWrites != s.OpsIn {
+					t.Errorf("torn snapshot: %d out + %d combined + %d coalesced + %d forwarded + %d upgraded != %d in",
+						s.RequestsOut, s.CombinedReads, s.CoalescedWrites, s.ForwardedReads, s.UpgradedWrites, s.OpsIn)
 					return
 				}
 			}
@@ -470,7 +472,7 @@ func TestStatsConcurrentWithFlushes(t *testing.T) {
 	if s.OpsIn < int64(writers*opsPerWriter) {
 		t.Fatalf("final OpsIn %d < %d writes issued", s.OpsIn, writers*opsPerWriter)
 	}
-	if s.RequestsOut+s.CombinedReads+s.CoalescedWrites+s.ForwardedReads != s.OpsIn {
+	if s.RequestsOut+s.CombinedReads+s.CoalescedWrites+s.ForwardedReads+s.UpgradedWrites != s.OpsIn {
 		t.Fatalf("final stats identity broken: %+v", s)
 	}
 
@@ -479,10 +481,10 @@ func TestStatsConcurrentWithFlushes(t *testing.T) {
 
 // checkFlushCauses pins the flush-cause identity: every flushed batch has one
 // cause, and ExplicitFlushes also counts Flush sentinels that found nothing
-// pending, so Size+Idle+Conflict ≤ Batches ≤ Size+Idle+Conflict+Explicit.
+// pending, so Size+Idle ≤ Batches ≤ Size+Idle+Explicit.
 func checkFlushCauses(t *testing.T, s frontend.Stats) {
 	t.Helper()
-	caused := s.SizeFlushes + s.IdleFlushes + s.ConflictFlushes
+	caused := s.SizeFlushes + s.IdleFlushes
 	if b := int64(s.Batches); b < caused || b > caused+s.ExplicitFlushes {
 		t.Fatalf("%d batches outside [%d, %d] by cause: %+v", b, caused, caused+s.ExplicitFlushes, s)
 	}
