@@ -48,22 +48,60 @@ type faultState struct {
 
 var healthyState = &faultState{}
 
-func (s *faultState) failed(mod int64) bool {
-	w := int(mod >> 6)
-	return w >= 0 && w < len(s.bits) && s.bits[w]>>(uint64(mod)&63)&1 == 1
+func (s *faultState) failed(m uint64) bool {
+	return m>>6 < uint64(len(s.bits)) && s.bits[m>>6]>>(m&63)&1 == 1
 }
 
-func (s *faultState) repairing(mod int64) bool {
-	w := int(mod >> 6)
-	return w >= 0 && w < len(s.rbits) && s.rbits[w]>>(uint64(mod)&63)&1 == 1
+func (s *faultState) repairing(m uint64) bool {
+	return m>>6 < uint64(len(s.rbits)) && s.rbits[m>>6]>>(m&63)&1 == 1
 }
 
 // gen returns module m's repair generation, 0 when m is not repairing.
 func (s *faultState) gen(m uint64) uint64 {
-	if !s.repairing(int64(m)) {
+	if !s.repairing(m) {
 		return 0
 	}
 	return s.rgen[m>>6][m&63]
+}
+
+// FaultSnapshot is one published state of a FaultSet — its failed and
+// repairing modules, their repair generations and its epoch — immutable once
+// published. A caller that classifies many modules at once (the access
+// protocol selecting a phase's quorums, a repair sweep sorting a chunk's
+// copies) takes one snapshot and tests each module with an inlined bit test
+// instead of loading the set once per query, and every test sees the same
+// set. A snapshot is one pointer, cheap to copy. It comes from
+// FaultSet.Snapshot; the zero value is not a snapshot.
+type FaultSnapshot struct{ s *faultState }
+
+// Failed reports whether module m is failed in the snapshot.
+func (f FaultSnapshot) Failed(m uint64) bool { return f.s.failed(m) }
+
+// Repairing reports whether module m is under repair in the snapshot.
+func (f FaultSnapshot) Repairing(m uint64) bool { return f.s.repairing(m) }
+
+// Epoch returns the mutation epoch the snapshot was published at.
+func (f FaultSnapshot) Epoch() uint64 { return f.s.epoch }
+
+// Count returns the number of failed modules.
+func (f FaultSnapshot) Count() int { return f.s.count }
+
+// RepairCount returns the number of modules under repair.
+func (f FaultSnapshot) RepairCount() int { return f.s.rcount }
+
+// RepairGen returns module m's repair generation, 0 when m is not repairing.
+func (f FaultSnapshot) RepairGen(m uint64) uint64 { return f.s.gen(m) }
+
+// AppendRepairing appends the modules under repair to buf in increasing
+// order and returns the extended slice.
+func (f FaultSnapshot) AppendRepairing(buf []uint64) []uint64 {
+	for w, word := range f.s.rbits {
+		for word != 0 {
+			buf = append(buf, uint64(w)<<6|uint64(bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
+	return buf
 }
 
 // FaultSet is a dynamic crash-fault model for memory modules: a set of
@@ -78,10 +116,11 @@ func (s *faultState) gen(m uint64) uint64 {
 //
 // One FaultSet may be shared by many Failing machines — that is how a
 // sharded deployment models one physical bank failure hitting every shard's
-// view at once. Its query methods (Failed, Epoch, Count; Repairing,
-// RepairGen, RepairCount, AppendRepairing, CertifyBatch) are the access
-// protocol's FaultView and RepairView, which the machines embedding a set
-// (Failing, netmpc.Client) hand the protocol as they are.
+// view at once. Snapshot and CertifyBatch are the access protocol's
+// FaultView and RepairView, which the machines embedding a set (Failing,
+// netmpc.Client) hand the protocol as they are; the protocol classifies a
+// pass's copies against one snapshot. The per-module queries (Failed,
+// Repairing, RepairGen, …) each read the current snapshot.
 type FaultSet struct {
 	mu    sync.Mutex
 	state atomic.Pointer[faultState]
@@ -323,7 +362,7 @@ func (fs *FaultSet) CertifyBatch(mods, gens []uint64) int {
 }
 
 // Repairing reports whether module m is currently under repair.
-func (fs *FaultSet) Repairing(m uint64) bool { return fs.snapshot().repairing(int64(m)) }
+func (fs *FaultSet) Repairing(m uint64) bool { return fs.snapshot().repairing(m) }
 
 // RepairGen returns module m's current repair generation, or 0 when m is
 // not repairing.
@@ -335,15 +374,12 @@ func (fs *FaultSet) RepairCount() int { return fs.snapshot().rcount }
 // AppendRepairing appends the currently repairing module ids to buf in
 // increasing order and returns the extended slice.
 func (fs *FaultSet) AppendRepairing(buf []uint64) []uint64 {
-	s := fs.snapshot()
-	for w, word := range s.rbits {
-		for word != 0 {
-			buf = append(buf, uint64(w)<<6|uint64(bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-	}
-	return buf
+	return fs.Snapshot().AppendRepairing(buf)
 }
+
+// Snapshot returns the set's current published state. Later mutations
+// publish new snapshots and leave this one as it is.
+func (fs *FaultSet) Snapshot() FaultSnapshot { return FaultSnapshot{fs.snapshot()} }
 
 // snapshot returns the current immutable state (never nil).
 func (fs *FaultSet) snapshot() *faultState {
@@ -354,7 +390,7 @@ func (fs *FaultSet) snapshot() *faultState {
 }
 
 // Failed reports whether module m is currently failed.
-func (fs *FaultSet) Failed(m uint64) bool { return fs.snapshot().failed(int64(m)) }
+func (fs *FaultSet) Failed(m uint64) bool { return fs.snapshot().failed(m) }
 
 // Epoch returns the mutation epoch: it increases on every effective Fail or
 // Recover, so a caller can cheaply detect "the fault set changed since I
@@ -378,9 +414,11 @@ func (fs *FaultSet) Count() int { return fs.snapshot().count }
 // concurrently with Round. Round snapshots the set once per round, so each
 // round sees one consistent failure pattern.
 //
-// Failing embeds its *FaultSet, whose query methods are protocol.FaultView
-// and protocol.RepairView — what unlocks the access protocol's quorum
-// re-selection, retry and repair behaviour.
+// Failing embeds its *FaultSet, whose Snapshot and CertifyBatch are
+// protocol.FaultView and protocol.RepairView — what unlocks the access
+// protocol's quorum re-selection, retry and repair behaviour. A caller that
+// selects its bids against a snapshot may also play a round in place on the
+// inner machine (InPlace).
 type Failing struct {
 	*FaultSet
 	inner   *Machine
@@ -456,7 +494,7 @@ func (f *Failing) Round(bids []int64, grant []bool) int {
 	out, dropped := bids, 0
 	if st.count != 0 {
 		for i, b := range bids {
-			if b == Idle || !st.failed(BidModule(b)) {
+			if b == Idle || !st.failed(uint64(BidModule(b))) {
 				continue
 			}
 			if dropped == 0 {
@@ -472,6 +510,17 @@ func (f *Failing) Round(bids []int64, grant []bool) int {
 	}
 	f.roundDropped = dropped
 	return f.inner.Round(out, grant)
+}
+
+// InPlace lends the inner machine for one round played in place (OpenRound,
+// Claim, CloseRound) by a caller that has kept its claims off the modules
+// failed in a snapshot it took (Snapshot). The round sees that snapshot's
+// fault set, as Round sees the one it loads, and drops nothing: its
+// obs.RoundEvent carries Dropped 0, so a trace still balances issued bids
+// against served and dropped ones.
+func (f *Failing) InPlace() *Machine {
+	f.roundDropped = 0
+	return f.inner
 }
 
 // Cost delegates to the inner machine.

@@ -94,6 +94,29 @@ func TestFaultSetEpoch(t *testing.T) {
 	}
 }
 
+// TestFaultSnapshotHoldsStill: a snapshot keeps the state it was taken at
+// while the set moves on, and a fresh one reads what the set's own queries
+// read.
+func TestFaultSnapshotHoldsStill(t *testing.T) {
+	fs := NewFaultSet(3)
+	old := fs.Snapshot()
+	fs.Fail(70)
+	fs.RecoverPending(3)
+	if !old.Failed(3) || old.Failed(70) || old.Repairing(3) || old.Count() != 1 || old.RepairCount() != 0 || old.Epoch() == fs.Epoch() {
+		t.Fatalf("the old snapshot moved with the set")
+	}
+	now := fs.Snapshot()
+	for _, m := range []uint64{3, 70, 71, 1 << 40} {
+		if now.Failed(m) != fs.Failed(m) || now.Repairing(m) != fs.Repairing(m) || now.RepairGen(m) != fs.RepairGen(m) {
+			t.Fatalf("module %d: the snapshot and the set disagree", m)
+		}
+	}
+	if now.Epoch() != fs.Epoch() || now.Count() != 1 || now.RepairCount() != 1 || now.RepairGen(3) == 0 ||
+		!slices.Equal(now.AppendRepairing(nil), []uint64{3}) {
+		t.Fatalf("snapshot epoch %d count %d repairing %v, set epoch %d", now.Epoch(), now.Count(), now.AppendRepairing(nil), fs.Epoch())
+	}
+}
+
 // TestFaultSetShared verifies two machines sharing a set see the same
 // failure pattern.
 func TestFaultSetShared(t *testing.T) {
@@ -127,7 +150,8 @@ func (c *captureRecorder) Enabled() bool                 { return true }
 func (c *captureRecorder) RecordRound(ev obs.RoundEvent) { c.evs = append(c.evs, ev) }
 
 // TestFailingDropAnnotation checks the recorder sees per-round dropped-bid
-// counts, so trace totals balance issued = requests + dropped exactly.
+// counts, so trace totals balance issued = requests + dropped exactly — also
+// for a round played in place (InPlace) right after one that dropped bids.
 func TestFailingDropAnnotation(t *testing.T) {
 	rec := &captureRecorder{}
 	f, err := NewFailing(Config{Procs: 4, Modules: 4, Recorder: rec}, []uint64{0, 1})
@@ -136,15 +160,22 @@ func TestFailingDropAnnotation(t *testing.T) {
 	}
 	grant := make([]bool, 4)
 	f.Round(dense(0, 1, 2, 3), grant)
+	m := f.InPlace()
+	m.OpenRound()
+	m.Claim(-1, 0, 2)
+	m.Claim(0, 1, 3)
+	m.CloseRound(2)
 	f.Round(dense(2, 3, Idle, Idle), grant)
-	if len(rec.evs) != 2 {
-		t.Fatalf("recorded %d rounds, want 2", len(rec.evs))
+	if len(rec.evs) != 3 {
+		t.Fatalf("recorded %d rounds, want 3", len(rec.evs))
 	}
 	if rec.evs[0].Dropped != 2 || rec.evs[0].Requests != 2 {
 		t.Fatalf("round 0: dropped=%d requests=%d, want 2/2", rec.evs[0].Dropped, rec.evs[0].Requests)
 	}
-	if rec.evs[1].Dropped != 0 || rec.evs[1].Requests != 2 {
-		t.Fatalf("round 1: dropped=%d requests=%d, want 0/2", rec.evs[1].Dropped, rec.evs[1].Requests)
+	for i, ev := range rec.evs[1:] {
+		if ev.Dropped != 0 || ev.Requests != 2 {
+			t.Fatalf("round %d: dropped=%d requests=%d, want 0/2", i+1, ev.Dropped, ev.Requests)
+		}
 	}
 	if f.DroppedBids() != 2 {
 		t.Fatalf("cumulative dropped = %d, want 2", f.DroppedBids())

@@ -19,6 +19,13 @@
 // round in place (OpenRound, Claim, CloseRound) and learn each bid's grant as
 // it makes it, with no bid or grant list in between. Round is that loop over
 // its list, so there is one arbitration rule and one set of bid checks.
+//
+// Failing adds crash faults: a FaultSet of failed and repairing modules,
+// published as immutable snapshots (FaultSnapshot) that a round — or a caller
+// classifying a pass's modules — reads once. Its Round withdraws the bids at
+// failed modules; a caller that has already kept its bids off them under one
+// snapshot plays the round in place on the inner machine instead
+// (Failing.InPlace), which drops nothing.
 package mpc
 
 import (
@@ -144,7 +151,9 @@ func (m *Machine) Round(bids []int64, grant []bool) int {
 // OpenRound starts a round played in place: the caller claims each bid's
 // module in ascending processor order, as it would list the bid, and learns
 // at once whether the bid was served — no bid list and no grant list are
-// built. CloseRound ends it; the machine plays no other round in between.
+// built. CloseRound ends it; the machine plays no other round in between. A
+// round in which nothing was claimed may instead be left open: it was not
+// played, and the next OpenRound starts afresh.
 func (m *Machine) OpenRound() {
 	m.stamp++
 	if m.stamp == 0 { // wrapped: stale marks could read as this round's

@@ -59,24 +59,61 @@ func allocSystem(t *testing.T, cfg Config) (*System, []Request) {
 // recorder on the round path and a live collector on the batch path (whose
 // ObserveBatch is atomics-only) must not cost an allocation.
 func TestAccessIntoSteadyStateAllocs(t *testing.T) {
-	failing := func(cfg mpc.Config) (Machine, error) { return mpc.NewFailing(cfg, nil) }
+	// failing builds a bare mpc.Failing, so a phase's first round is
+	// firstRoundLive's, over a fault set set up by state. Modules 5 and 40
+	// hold no two copies of one variable of the batch, so failing them, or
+	// holding them in repair, strands nothing: a stranded request's
+	// QuorumError allocates by design.
+	failing := func(state func(*mpc.FaultSet)) func(mpc.Config) (Machine, error) {
+		return func(cfg mpc.Config) (Machine, error) {
+			f, err := mpc.NewFailing(cfg, nil)
+			if err == nil {
+				state(f.FaultSet)
+			}
+			return f, err
+		}
+	}
+	healthy := func(*mpc.FaultSet) {}
+	degraded := func(fs *mpc.FaultSet) { fs.Fail(5); fs.Fail(40) }
+	repairing := func(fs *mpc.FaultSet) {
+		fs.RecoverPending(5)
+		fs.RecoverPending(40)
+	}
 	for _, tc := range []struct {
 		name       string
 		newMachine func(mpc.Config) (Machine, error)
+		// maxIter, when set, lowers the iteration bound, so the phases'
+		// leftovers go through the retry pass.
+		maxIter int
 	}{
 		// "sequential" keeps the id the committed test floor lists. The other
 		// two run the same round with its other bodies: the fault layer's
 		// per-grant bookkeeping (copy masks recovered from the packed rows),
 		// and staged bids with remote grant data instead of the cell lists.
-		{"sequential", nil},
-		{"fault-view", failing},
-		{"remote-store", newRemoteMachine},
+		// "fault-view" is the healthy fault set; the failing cells hold
+		// modules failed, with the retry pass serving leftovers, or in repair,
+		// where reads are barred from them.
+		{"sequential", nil, 0},
+		{"fault-view", failing(healthy), 0},
+		{"failing-degraded", failing(degraded), 1},
+		{"failing-repairing", failing(repairing), 0},
+		{"remote-store", newRemoteMachine, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, reqs := allocSystem(t, Config{Recorder: obs.Nop, Observer: obs.NewCollector(), NewMachine: tc.newMachine})
+			sys.repairBudget = -1 // the repair state holds still: certifying publishes a snapshot
+			if tc.maxIter > 0 {
+				sys.maxIter = tc.maxIter
+			}
 			var res Result
 			if err := sys.AccessInto(reqs, &res); err != nil { // warm-up
 				t.Fatal(err)
+			}
+			if tc.maxIter > 0 && res.Metrics.RetryRounds == 0 {
+				t.Fatal("no retry pass: the cell no longer pins its lists")
+			}
+			if f, ok := sys.machine.(*mpc.Failing); ok && sys.failing != f {
+				t.Fatal("the bare Failing was not found")
 			}
 			if avg := testing.AllocsPerRun(50, func() {
 				if err := sys.AccessInto(reqs, &res); err != nil {

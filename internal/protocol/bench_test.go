@@ -1,10 +1,12 @@
 package protocol
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"detshmem/internal/core"
+	"detshmem/internal/mpc"
 )
 
 // BenchmarkAccessInto is the protocol layer alone at two shapes of the core
@@ -12,15 +14,32 @@ import (
 // over the compiled table, 40 % writes, and fresh variables in every batch so
 // the table rows and the cells miss the caches as they do under the suite's
 // traffic. pram-step issues windows of 4096 distinct variables; small-uniform
-// flushes batches of about 100. Each shape runs twice: over the plain MPC,
-// where a phase's first round is played in place against the machine's claim
-// table (firstRound), and as <shape>-generic over the same machine wrapped so
-// the protocol does not find it, where every round takes the generic path.
-// The suite's traced runs wrap the machine too, so this pair is where the
-// fused round's share is measured.
+// flushes batches of about 100. Each shape runs over the plain MPC, where a
+// phase's first round is played in place against the machine's claim table
+// (firstRound), and over mpc.Failing in fault-repair's three states: healthy,
+// degraded (a contiguous quarter of the modules failed) and repairing (that
+// quarter back but barred from reads; the per-batch repair step is off, so
+// the state holds — BenchmarkRepairSweep times the sweep), where the first
+// round is firstRoundLive's. Each of the four also runs as <name>-generic
+// over the same machine wrapped so the protocol does not find it, where every
+// round takes the generic path. The suite's traced runs wrap the machine too,
+// so these pairs are where the fused rounds' share is measured. A degraded or
+// repairing batch may leave requests unserved; that is not an error here.
 func BenchmarkAccessInto(b *testing.B) {
 	base := newSystem(b, 1, 7, Config{})
 	table := compileTable(b, base.Mapper)
+	n := base.Mapper.NumModules()
+	lo, hi := n/2, n/2+n/4
+	type machineVariant struct {
+		name  string
+		state func(*mpc.FaultSet) // nil: the plain MPC
+	}
+	variants := []machineVariant{
+		{"", nil},
+		{"-failing-healthy", func(*mpc.FaultSet) {}},
+		{"-failing-degraded", func(fs *mpc.FaultSet) { fs.FailRange(lo, hi) }},
+		{"-failing-repairing", func(fs *mpc.FaultSet) { fs.FailRange(lo, hi); fs.RecoverPendingRange(lo, hi) }},
+	}
 	for _, shape := range []struct {
 		name string
 		size int
@@ -45,32 +64,128 @@ func BenchmarkAccessInto(b *testing.B) {
 				batches[i] = append(batches[i], rq)
 			}
 		}
-		for _, variant := range []struct {
-			suffix string
-			cfg    Config
-		}{{"", Config{Resolver: table}}, {"-generic", Config{Resolver: table, NewMachine: genericMachine}}} {
-			b.Run(shape.name+variant.suffix, func(b *testing.B) {
-				sys, err := NewGenericSystem(base.Mapper, variant.cfg)
-				if err != nil {
+		for _, variant := range variants {
+			for _, wrapped := range []bool{false, true} {
+				name := shape.name + variant.name
+				if wrapped {
+					name += "-generic"
+				}
+				b.Run(name, func(b *testing.B) {
+					var fs *mpc.FaultSet
+					if variant.state != nil {
+						fs = mpc.NewFaultSet()
+						variant.state(fs)
+					}
+					sys, err := NewGenericSystem(base.Mapper, Config{Resolver: table, NewMachine: benchMachine(fs, wrapped)})
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer sys.Close()
+					sys.repairBudget = -1
+					var res Result
+					access := func(reqs []Request) {
+						if err := sys.AccessInto(reqs, &res); err != nil && !errors.Is(err, ErrIncomplete) {
+							b.Fatal(err)
+						}
+					}
+					for _, reqs := range batches { // warm the scratch and fault the store in
+						access(reqs)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						access(batches[i%len(batches)])
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shape.size), "ns/req")
+				})
+			}
+		}
+	}
+}
+
+// benchMachine builds the plain MPC (fs nil) or a Failing over fs, and wraps
+// either so the protocol does not find it when wrapped is set.
+func benchMachine(fs *mpc.FaultSet, wrapped bool) func(mpc.Config) (Machine, error) {
+	if fs == nil {
+		if wrapped {
+			return genericMachine
+		}
+		return nil
+	}
+	return func(cfg mpc.Config) (Machine, error) {
+		f, err := mpc.NewFailingShared(cfg, fs)
+		if err != nil || !wrapped {
+			return f, err
+		}
+		return hideFailing{f}, nil
+	}
+}
+
+// BenchmarkRepairSweep is one whole background sweep at the suite's
+// fault-repair scale — q=2 n=7 over the compiled table, a contiguous quarter
+// of the 16 383 modules failed under writes and re-admitted for repair —
+// reported per rebuilt variable: each of the ~58 % of variables with a copy
+// in the range is read from its sources, and the copies the writes left
+// stale are rewritten. One iteration is the sweep alone; the fault set's
+// mutations and the writes that leave copies stale run off the clock (no
+// sweep rides on the writes: the range is failed then, not repairing). It
+// runs over the bare Failing and wrapped; the sweep's waves take the generic
+// path on both, so the pair differs by the wrapper's calls alone.
+func BenchmarkRepairSweep(b *testing.B) {
+	base := newSystem(b, 1, 7, Config{})
+	table := compileTable(b, base.Mapper)
+	m := base.Mapper
+	n := m.NumModules()
+	lo, hi := n/2, n/2+n/4
+	rebuilt := 0
+	for v := uint64(0); v < m.NumVars(); v++ {
+		for c := 0; c < m.Copies(); c++ {
+			if mod, _ := table.CopyAddr(v, c); mod >= lo && mod < hi {
+				rebuilt++
+				break
+			}
+		}
+	}
+	// Every 16th variable is written each iteration while the range is down.
+	const block = 4096
+	vars := make([]uint64, block)
+	vals := make([]uint64, block)
+	for i := range vars {
+		vars[i] = uint64(i) * 16 % m.NumVars()
+	}
+	for _, wrapped := range []bool{false, true} {
+		name := "failing"
+		if wrapped {
+			name += "-generic"
+		}
+		b.Run(name, func(b *testing.B) {
+			fs := mpc.NewFaultSet()
+			sys, err := NewGenericSystem(m, Config{Resolver: table, NewMachine: benchMachine(fs, wrapped)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sys.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fs.FailRange(lo, hi)
+				for k := range vals {
+					vals[k] = uint64(i*block + k + 1)
+				}
+				if _, err := sys.WriteBatch(vars, vals); err != nil && !errors.Is(err, ErrIncomplete) {
 					b.Fatal(err)
 				}
-				defer sys.Close()
-				var res Result
-				for _, reqs := range batches { // warm the scratch and fault the store in
-					if err := sys.AccessInto(reqs, &res); err != nil {
-						b.Fatal(err)
+				fs.RecoverPendingRange(lo, hi)
+				b.StartTimer()
+				for fs.RepairCount() > 0 {
+					if !sys.RepairStep() {
+						b.Fatalf("repair stalled with backlog %d", fs.RepairCount())
 					}
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := sys.AccessInto(batches[i%len(batches)], &res); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shape.size), "ns/req")
-			})
-		}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rebuilt), "ns/var")
+		})
 	}
 }
 

@@ -98,13 +98,14 @@ func (sys *System) quorumError(b *batch) error {
 		Var:        b.reqs[r].Var,
 		Unfinished: len(met.Unfinished), Stranded: len(met.Stranded), Requests: len(b.reqs),
 	}
+	st := b.fv.Snapshot()
 	for _, cp := range sys.row(r) {
 		m := cp.module()
 		e.Modules = append(e.Modules, uint64(m))
 		switch {
-		case b.fv.Failed(uint64(m)):
+		case st.Failed(uint64(m)):
 			e.Failed = append(e.Failed, uint64(m))
-		case sys.rv != nil && sys.rv.Repairing(uint64(m)):
+		case sys.rv != nil && st.Repairing(uint64(m)):
 			e.Repairing = append(e.Repairing, uint64(m))
 		}
 	}

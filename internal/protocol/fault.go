@@ -1,23 +1,30 @@
 package protocol
 
+import (
+	"math/bits"
+
+	"detshmem/internal/cellstore"
+	"detshmem/internal/mpc"
+)
+
 // FaultView is the read side of a dynamic fault model: an interconnect that
 // can lose modules at runtime exposes which modules are currently failed so
 // the access protocol can re-select quorums over the survivors instead of
-// bidding blindly at crashed banks. The methods are *mpc.FaultSet's own, so
-// a machine embedding its set (mpc.Failing, netmpc.Client) implements it
-// with no code. obtainMachine type-asserts the machine against this
-// interface; healthy interconnects don't implement it and pay nothing.
+// bidding blindly at crashed banks. Its method is *mpc.FaultSet's own, so a
+// machine embedding its set (mpc.Failing, netmpc.Client) implements it with
+// no code. obtainMachine type-asserts the machine against this interface;
+// healthy interconnects don't implement it and pay nothing.
 //
-// All three methods must be safe to call concurrently with mutation
-// (mpc.FaultSet publishes epoch-stamped atomic snapshots).
+// The protocol reads the set once per pass — a phase's selection, a
+// refilter, a retry wave, a repair wave — and classifies every copy of the
+// pass against that one snapshot. Snapshot must be safe to call
+// concurrently with mutation (mpc.FaultSet publishes epoch-stamped atomic
+// snapshots).
 type FaultView interface {
-	// Failed reports whether module m is failed right now.
-	Failed(m uint64) bool
-	// Epoch increases on every effective fail/recover, letting the round
-	// loop detect mid-phase changes with one load per iteration.
-	Epoch() uint64
-	// Count returns the number of currently failed modules.
-	Count() int
+	// Snapshot returns the fault set's current state. Its epoch increases
+	// on every effective fail/recover, letting the round loop detect
+	// mid-phase changes with one load per iteration.
+	Snapshot() mpc.FaultSnapshot
 }
 
 // faultAttempts is the post-phase retry budget: one pass to mop up requests
@@ -36,44 +43,152 @@ const faultAttempts = 2
 // quorum, and the intersecting copy is trustworthy. Only a user Read or
 // ReadWrite is barred so: the repair sweep's reads and writes are barred by
 // failure alone.
-func (sys *System) barred(fv FaultView, op Op, m int64) bool {
-	if fv.Failed(uint64(m)) {
-		return true
+func (sys *System) barred(st mpc.FaultSnapshot, op Op, m int64) bool {
+	return st.Failed(uint64(m)) || (op == Read || op == ReadWrite) && sys.rv != nil && st.Repairing(uint64(m))
+}
+
+// liveCopies returns the mask of the row's copies op may bid for under st.
+func (sys *System) liveCopies(st mpc.FaultSnapshot, op Op, row []packedCopy) uint64 {
+	var live uint64
+	for c, cp := range row {
+		if !sys.barred(st, op, cp.module()) {
+			live |= 1 << c
+		}
 	}
-	return (op == Read || op == ReadWrite) && sys.rv != nil && sys.rv.Repairing(uint64(m))
+	return live
 }
 
 // selectLive builds the phase task list for request r with the fault set in
-// view: failed copies are skipped and the live ones take the cluster's
+// view: barred copies are skipped and the live ones take the cluster's
 // processor slots in copy order (quorum re-selection over survivors).
 // Requests that cannot reach their quorum are queued for the post-phase retry
 // pass and bid nothing now.
-func (sys *System) selectLive(b *batch, tasks []task, r, procBase int) []task {
+func (sys *System) selectLive(b *batch, st mpc.FaultSnapshot, tasks []task, r, procBase int) []task {
 	sys.stalled[r] = false
-	sys.usedMask[r] = 0
 	sys.touchedC[r] = 0
-	sys.liveBids[r] = 0
-	op := b.reqs[r].Op
-	start := len(tasks)
-	assigned := 0
-	for c, cp := range sys.row(r) {
-		if sys.barred(b.fv, op, cp.module()) {
-			continue
-		}
-		tasks = append(tasks, task{proc: int32(procBase + assigned), req: int32(r), cp: cp})
-		sys.usedMask[r] |= 1 << uint(c)
-		assigned++
+	row := sys.row(r)
+	live := sys.liveCopies(st, b.reqs[r].Op, row)
+	if !sys.reachable(b, st, r, &live) {
+		return tasks
 	}
-	if int32(assigned) < sys.remaining[r] {
-		if op == ReadWrite && sys.demote(b, r) {
-			return sys.selectLive(b, tasks[:start], r, procBase)
-		}
-		sys.usedMask[r] = 0
-		sys.queueRetry(int32(r))
-		return tasks[:start]
+	sys.usedMask[r] = live
+	sys.liveBids[r] = int32(bits.OnesCount64(live))
+	for p := procBase; live != 0; live &= live - 1 {
+		tasks = append(tasks, task{proc: int32(p), req: int32(r), cp: row[bits.TrailingZeros64(live)]})
+		p++
 	}
-	sys.liveBids[r] = int32(assigned)
 	return tasks
+}
+
+// reachable decides, at the start of a phase, whether request r can reach its
+// quorum over its live copies: a ReadWrite short of its quorum is demoted to
+// a Write when that can (live is re-selected for the Write), and a request
+// that still cannot is queued for the retry pass with nothing in flight.
+func (sys *System) reachable(b *batch, st mpc.FaultSnapshot, r int, live *uint64) bool {
+	if int32(bits.OnesCount64(*live)) >= sys.remaining[r] {
+		return true
+	}
+	if b.reqs[r].Op == ReadWrite && sys.demote(b, st, r) {
+		*live = sys.liveCopies(st, Write, sys.row(r))
+		return true
+	}
+	sys.usedMask[r] = 0
+	sys.liveBids[r] = 0
+	sys.queueRetry(int32(r))
+	return false
+}
+
+// firstRoundLive is firstRound over a bare mpc.Failing: selectLive, round and
+// decide fused into one pass under one snapshot of the fault set, played in
+// place on the inner machine (Failing.InPlace). A request's live copies take
+// its cluster's slots in copy order, as selectLive gives them, so the claims
+// are the bids the generic path would list, in the same order, and the books
+// later rounds read — tasks, copy masks, the in-flight requests' liveBids,
+// queued grants, retries and demotions — come out the same. The batch epoch becomes the snapshot's, so a mutation after
+// the round still makes drive refilter. It reports whether the phase bid at
+// all: a phase none of whose requests can reach a quorum plays no round.
+func (sys *System) firstRoundLive(b *batch, phase int) ([]task, bool) {
+	st := sys.failing.Snapshot()
+	b.epoch = st.Epoch()
+	m := sys.failing.InPlace()
+	m.OpenRound()
+	tasks, reads, writes := sys.tasks[:0], sys.reads[:0], sys.writes[:0]
+	nc := sys.nCopies
+	// With nothing failed or repairing, every copy is live and every quorum
+	// reachable.
+	clean := st.Count() == 0 && st.RepairCount() == 0
+	all := ^uint64(0) >> (64 - nc)
+	issued, granted, consumed, prev := 0, 0, 0, -1
+	for r, procBase := phase, 0; r < len(b.reqs); r, procBase = r+b.phases, procBase+nc {
+		row := sys.row(r)
+		rq := &b.reqs[r]
+		sys.remaining[r] = sys.quorum(rq.Op)
+		sys.best[r] = cellstore.Cell{}
+		sys.stalled[r] = false
+		sys.touchedC[r] = 0
+		live := all
+		if !clean {
+			live = sys.liveCopies(st, rq.Op, row)
+			if !sys.reachable(b, st, r, &live) {
+				continue
+			}
+		}
+		sys.usedMask[r] = live
+		// Claim the live copies from the cluster's slots; won marks the
+		// served ones by copy index.
+		var won uint64
+		p := procBase
+		for l := live; l != 0; l &= l - 1 {
+			j := bits.TrailingZeros64(l)
+			if m.Claim(prev, p, row[j].module()) {
+				won |= 1 << j
+			}
+			prev = p
+			p++
+		}
+		granted += bits.OnesCount64(won)
+		// Queue the grants the quorum needs, in copy order; pos is the bid's
+		// place in the list the generic round would have played.
+		need := sys.remaining[r]
+		for w := won; w != 0 && need > 0; w &= w - 1 {
+			j := bits.TrailingZeros64(w)
+			if rq.Op != Read {
+				writes = append(writes, writeRef{addr: row[j].addr(), val: rq.Value})
+			}
+			if rq.Op != Write {
+				pos := issued + bits.OnesCount64(live&(1<<j-1))
+				reads = append(reads, readRef{addr: row[j].addr(), pos: int32(pos), req: int32(r)})
+			}
+			sys.touchedC[r] |= 1 << j
+			need--
+			consumed++
+		}
+		issued += p - procBase
+		sys.remaining[r] = need
+		start := len(tasks)
+		if need > 0 { // cancel-at-quorum: a complete request's losing bids go
+			p = procBase
+			for l := live; l != 0; l &= l - 1 {
+				if j := bits.TrailingZeros64(l); won&(1<<j) == 0 {
+					tasks = append(tasks, task{proc: int32(p), req: int32(r), cp: row[j]})
+				}
+				p++
+			}
+		}
+		sys.liveBids[r] = int32(len(tasks) - start)
+	}
+	sys.tasks = tasks
+	if issued == 0 {
+		return tasks, false // the open round claimed nothing: leave it unplayed
+	}
+	m.CloseRound(granted)
+	sys.reads, sys.writes, sys.repairs = reads, writes, sys.repairs[:0]
+	met := &b.res.Metrics
+	met.IssuedBids += issued
+	met.GrantedBids += granted
+	met.CopyAccesses += consumed
+	sys.commitCells()
+	return tasks, true
 }
 
 // demote serves ReadWrite request r as a plain Write when its read cannot
@@ -81,11 +196,11 @@ func (sys *System) selectLive(b *batch, tasks []task, r, procBase int) []task {
 // granted counted toward the write quorum, and records r for refuseReads.
 // It refuses — and r stays a ReadWrite, to be retried whole — when the
 // untouched live copies cannot make up the write quorum either.
-func (sys *System) demote(b *batch, r int) bool {
+func (sys *System) demote(b *batch, st mpc.FaultSnapshot, r int) bool {
 	need := sys.remaining[r] - (sys.quorum(ReadWrite) - sys.writeQ)
 	live := int32(0)
 	for c, cp := range sys.row(r) {
-		if sys.touchedC[r]&(1<<uint(c)) == 0 && !b.fv.Failed(uint64(cp.module())) {
+		if sys.touchedC[r]&(1<<uint(c)) == 0 && !st.Failed(uint64(cp.module())) {
 			live++
 		}
 	}
@@ -110,7 +225,7 @@ func (sys *System) refuseReads(b *batch) {
 		}
 		met.Unfinished = append(met.Unfinished, int(r))
 		met.ReadRefused = append(met.ReadRefused, int(r))
-		if sys.liveQuorumLost(b, int(r), sys.readQ) {
+		if sys.liveQuorumLost(b.fv.Snapshot(), int(r), sys.readQ) {
 			met.Stranded = append(met.Stranded, int(r))
 		}
 	}
@@ -145,18 +260,18 @@ func (sys *System) queueRetry(r int32) {
 // whose in-flight bids fell below their remaining quorum are shed to the
 // retry pass — their surviving bids would otherwise spin against the
 // iteration cap without ever completing.
-func (sys *System) refilterTasks(b *batch, tasks []task) []task {
+func (sys *System) refilterTasks(b *batch, st mpc.FaultSnapshot, tasks []task) []task {
 	out := tasks[:0]
 	for _, t := range tasks {
 		r := t.req
 		op := b.reqs[r].Op
-		if !sys.barred(b.fv, op, t.cp.module()) {
+		if !sys.barred(st, op, t.cp.module()) {
 			out = append(out, t)
 			continue
 		}
 		sys.liveBids[r]--
 		for c, cp := range sys.row(int(r)) {
-			if sys.usedMask[r]&(1<<uint(c)) != 0 || sys.barred(b.fv, op, cp.module()) {
+			if sys.usedMask[r]&(1<<uint(c)) != 0 || sys.barred(st, op, cp.module()) {
 				continue
 			}
 			sys.usedMask[r] |= 1 << uint(c)
@@ -193,20 +308,24 @@ func (sys *System) refilterTasks(b *batch, tasks []task) []task {
 // quorum is always quorum-many distinct copies), and a module recovering
 // between attempts rescues requests that were stranded when the phase ran.
 // Requests still short after the budget are reported in Unfinished, with
-// the provably quorum-less subset in Stranded. This path runs only under
-// faults and may allocate.
+// the provably quorum-less subset in Stranded. Its lists live in System
+// buffers, so a steady stream of degraded batches allocates nothing here.
 func (sys *System) retryStranded(b *batch) {
-	fv, reqs, res, geo := b.fv, b.reqs, b.res, sys.machineProcs
+	reqs, res, geo := b.reqs, b.res, sys.machineProcs
 	b.wave, b.afterRound = true, nil
 
-	pending := sys.retry
+	// pending and next are the attempt's requests and the ones it leaves for
+	// the next attempt; the two buffers swap roles each attempt.
+	pending, next := sys.retry, sys.retryNext
 	wave := sys.wave
 	for att := 0; att < faultAttempts && len(pending) > 0; att++ {
-		var next []int32
+		next = next[:0]
 		idx := 0
 		for idx < len(pending) {
 			// Pack one wave of re-selected bids into the machine's processor
-			// space; oversized retry sets run in several waves.
+			// space; oversized retry sets run in several waves, each selected
+			// against its own snapshot of the fault set.
+			st := b.fv.Snapshot()
 			tasks := sys.tasks[:0]
 			wave = wave[:0]
 			p := 0
@@ -216,12 +335,12 @@ func (sys *System) retryStranded(b *batch) {
 					continue
 				}
 				row := sys.row(int(r))
-				cnt := sys.selectable(b, r, geo)
-				if int32(cnt) < sys.remaining[r] && reqs[r].Op == ReadWrite && sys.demote(b, int(r)) {
+				cnt := sys.selectable(b, st, r, geo)
+				if int32(cnt) < sys.remaining[r] && reqs[r].Op == ReadWrite && sys.demote(b, st, int(r)) {
 					if sys.remaining[r] <= 0 {
 						continue // the granted copies already made the write quorum
 					}
-					cnt = sys.selectable(b, r, geo)
+					cnt = sys.selectable(b, st, r, geo)
 				}
 				if int32(cnt) < sys.remaining[r] {
 					// Short of a quorum right now; a recovery before the
@@ -237,7 +356,7 @@ func (sys *System) retryStranded(b *batch) {
 					if sel == cnt {
 						break
 					}
-					if sys.touchedC[r]&(1<<uint(c)) != 0 || sys.barred(fv, reqs[r].Op, cp.module()) {
+					if sys.touchedC[r]&(1<<uint(c)) != 0 || sys.barred(st, reqs[r].Op, cp.module()) {
 						continue
 					}
 					tasks = append(tasks, task{proc: int32(p), req: r, cp: cp})
@@ -251,6 +370,7 @@ func (sys *System) retryStranded(b *batch) {
 				continue
 			}
 			res.Metrics.RetriedBids += len(tasks)
+			b.epoch = st.Epoch()
 			_, iters := sys.drive(b, tasks, 0)
 			res.Metrics.RetryRounds += iters
 			res.Metrics.TotalRounds += iters
@@ -260,30 +380,31 @@ func (sys *System) retryStranded(b *batch) {
 				}
 			}
 		}
-		pending = next
+		pending, next = next, pending
 	}
 	sys.wave = wave[:0]
+	st := b.fv.Snapshot()
 	for _, r := range pending {
 		if sys.remaining[r] <= 0 {
 			continue
 		}
 		res.Metrics.Unfinished = append(res.Metrics.Unfinished, int(r))
-		if sys.liveQuorumLost(b, int(r), sys.quorum(reqs[r].Op)) {
+		if sys.liveQuorumLost(st, int(r), sys.quorum(reqs[r].Op)) {
 			res.Metrics.Stranded = append(res.Metrics.Stranded, int(r))
 		}
 	}
-	sys.retry = sys.retry[:0]
+	sys.retry, sys.retryNext = pending[:0], next[:0]
 }
 
 // selectable counts request r's untouched copies that its operation may bid
-// for now, up to geo.
-func (sys *System) selectable(b *batch, r int32, geo int) int {
+// for under st, up to geo.
+func (sys *System) selectable(b *batch, st mpc.FaultSnapshot, r int32, geo int) int {
 	cnt := 0
 	for c, cp := range sys.row(int(r)) {
 		if cnt == geo {
 			break
 		}
-		if sys.touchedC[r]&(1<<uint(c)) == 0 && !sys.barred(b.fv, b.reqs[r].Op, cp.module()) {
+		if sys.touchedC[r]&(1<<uint(c)) == 0 && !sys.barred(st, b.reqs[r].Op, cp.module()) {
 			cnt++
 		}
 	}
@@ -295,10 +416,10 @@ func (sys *System) selectable(b *batch, r int32, geo int) int {
 // attempt re-selects the request, a repair wave marks its variable dirty.
 // A sweep read is barred by failure alone, so a source re-armed mid-wave
 // keeps its bid.
-func (sys *System) dropBarred(b *batch, tasks []task) []task {
+func (sys *System) dropBarred(b *batch, st mpc.FaultSnapshot, tasks []task) []task {
 	n := 0
 	for _, t := range tasks {
-		if !sys.barred(b.fv, b.reqs[t.req].Op, t.cp.module()) {
+		if !sys.barred(st, b.reqs[t.req].Op, t.cp.module()) {
 			tasks[n] = t
 			n++
 		}
@@ -311,10 +432,10 @@ func (sys *System) dropBarred(b *batch, tasks []task) []task {
 // modules deliberately count as live here: a read blocked only by in-flight
 // repair is transient (the sweep will certify the copies), so it reports
 // ErrIncomplete — retry later — not the stranded verdict.
-func (sys *System) liveQuorumLost(b *batch, r int, q int32) bool {
+func (sys *System) liveQuorumLost(st mpc.FaultSnapshot, r int, q int32) bool {
 	live := int32(0)
 	for _, cp := range sys.row(r) {
-		if !b.fv.Failed(uint64(cp.module())) {
+		if !st.Failed(uint64(cp.module())) {
 			live++
 		}
 	}

@@ -18,7 +18,8 @@
 // in-process MPC its first round — every copy of every request bidding at
 // once, almost all of the phase's bids — is played in one pass against the
 // machine's claim table (mpc.Machine.Claim), with no task, bid or grant list
-// in between.
+// in between. Over a bare mpc.Failing the same pass first skips the copies
+// barred in one snapshot of the fault set and plays on the machine it wraps.
 //
 // Copy addresses come from one of two places: CompileMapper precomputes any
 // Mapper's address map into a dense shared table (the paper's O(log N),
@@ -278,10 +279,12 @@ type System struct {
 	// repairing modules are barred from read quorums and the background
 	// repair scheduler (repair.go) can run.
 	rv RepairView
-	// plain is the machine when it is the in-process MPC itself; nil behind
-	// any wrapper or transport. It lets a phase play its first round in place
-	// against the machine's claim table (firstRound).
-	plain *mpc.Machine
+	// plain is the machine when it is the in-process MPC itself, and failing
+	// when it is that MPC behind mpc.Failing; both are nil behind any other
+	// wrapper or transport. They let a phase play its first round in place
+	// against the machine's claim table (firstRound, firstRoundLive).
+	plain   *mpc.Machine
+	failing *mpc.Failing
 	// ro receives repair-step events when the configured Observer also
 	// implements obs.RepairObserver (obs.Collector does).
 	ro obs.RepairObserver
@@ -319,13 +322,14 @@ type System struct {
 	grant []bool
 
 	// Fault-layer scratch, touched only when fv is non-nil (see fault.go).
-	liveBids []int32  // ungranted in-flight bids per request in the current phase
-	usedMask []uint64 // copies already selected this phase (bitmask)
-	touchedC []uint64 // copies granted so far for the request (bitmask)
-	stalled  []bool   // request already queued for retry
-	retry    []int32  // requests awaiting a post-phase retry pass
-	wave     []int32  // requests issued in the current retry wave
-	demoted  []int32  // ReadWrite requests served as Writes (demote)
+	liveBids  []int32  // ungranted in-flight bids per request in the current phase
+	usedMask  []uint64 // copies already selected this phase (bitmask)
+	touchedC  []uint64 // copies granted so far for the request (bitmask)
+	stalled   []bool   // request already queued for retry
+	retry     []int32  // requests awaiting a post-phase retry pass
+	retryNext []int32  // requests a retry attempt leaves for the next one
+	wave      []int32  // requests issued in the current retry wave
+	demoted   []int32  // ReadWrite requests served as Writes (demote)
 
 	// Convenience-wrapper scratch (ReadBatch/WriteBatch), reused across
 	// calls so the wrappers stay allocation-free too.
@@ -408,6 +412,7 @@ func (sys *System) Close() {
 	sys.rs = nil
 	sys.rv = nil
 	sys.plain = nil
+	sys.failing = nil
 	sys.resetRepair()
 }
 
@@ -446,11 +451,12 @@ type batch struct {
 	// bitmasks of the fault layer would not fit a word (a repair wave, which
 	// keeps no masks, always has it); every fault hook is gated on it, so
 	// healthy systems pay nothing.
-	fv    FaultView
-	epoch uint64 // fault epoch the in-flight bids were selected under
-	// wave marks a retry or repair wave: each drive starts from the epoch its
-	// bids were selected under, and when the epoch moves the bids at barred
-	// modules are dropped (dropBarred) rather than re-selected.
+	fv FaultView
+	// epoch is the epoch of the fault snapshot the in-flight bids were
+	// selected under; whoever selects them sets it.
+	epoch uint64
+	// wave marks a retry or repair wave: when the epoch moves, the bids at
+	// barred modules are dropped (dropBarred) rather than re-selected.
 	wave bool
 	// afterRound, when set, runs after every round drive plays (TraceLive's
 	// per-phase live counts).
@@ -562,7 +568,8 @@ func errVarRange(v, numVars uint64) error {
 // values and report — and each round drive plays is itself staged: bid,
 // decide, commit cells (see round). Over the plain in-process MPC a phase's
 // first round, which carries almost all of its bids, is played by firstRound
-// instead: select, bid and decide in one pass.
+// instead: select, bid and decide in one pass; over a bare mpc.Failing by
+// firstRoundLive, the same pass under one fault snapshot.
 func (sys *System) access(reqs []Request, res *Result) error {
 	sys.ts++
 	res.Values = grow(res.Values, len(reqs))
@@ -592,13 +599,19 @@ func (sys *System) access(reqs []Request, res *Result) error {
 		}
 		var tasks []task
 		iters := 0
-		if sys.plain != nil && sys.maxIter > 0 {
+		switch {
+		case sys.plain != nil && sys.maxIter > 0:
 			tasks, iters = sys.firstRound(&b, phase), 1
-			if b.afterRound != nil {
-				b.afterRound()
+		case sys.failing != nil && b.fv != nil && sys.maxIter > 0:
+			var played bool
+			if tasks, played = sys.firstRoundLive(&b, phase); played {
+				iters = 1
 			}
-		} else {
+		default:
 			tasks = sys.selectPhase(&b, phase)
+		}
+		if iters > 0 && b.afterRound != nil {
+			b.afterRound()
 		}
 		left, iters := sys.drive(&b, tasks, iters)
 		sys.commitPhase(&b, left, iters)
@@ -655,7 +668,6 @@ func (sys *System) resolveBatch(b *batch) {
 		sys.stalled = grow(sys.stalled, n)
 		sys.retry = sys.retry[:0]
 		sys.demoted = sys.demoted[:0]
-		b.epoch = b.fv.Epoch()
 	}
 }
 
@@ -692,14 +704,19 @@ func (sys *System) resolveVars(vars []uint64, out []packedCopy) []packedCopy {
 // i·phases+phase from processors i·Copies…i·Copies+Copies-1, and member j
 // bids for copy j — the paper's rule: all copies bid, and a variable's
 // outstanding bids are cancelled once its quorum succeeded. Under a fault
-// view, selection routes around failed modules.
+// view, selection routes around the modules barred in one snapshot.
 func (sys *System) selectPhase(b *batch, phase int) []task {
 	tasks := sys.tasks[:0]
+	var st mpc.FaultSnapshot
+	if b.fv != nil {
+		st = b.fv.Snapshot()
+		b.epoch = st.Epoch()
+	}
 	for r, procBase := phase, 0; r < len(b.reqs); r, procBase = r+b.phases, procBase+sys.nCopies {
 		sys.remaining[r] = sys.quorum(b.reqs[r].Op)
 		sys.best[r] = cellstore.Cell{}
 		if b.fv != nil {
-			tasks = sys.selectLive(b, tasks, r, procBase)
+			tasks = sys.selectLive(b, st, tasks, r, procBase)
 			continue
 		}
 		for j, cp := range sys.row(r) {
@@ -798,19 +815,17 @@ func (sys *System) traceLive(met *Metrics, n, phase, phases int) func() {
 // selected, they are rebuilt before the next round — a phase drops bids at
 // newly barred modules, re-selects spare live copies and sheds requests that
 // can no longer reach a quorum (refilterTasks); a wave drops its barred bids
-// (dropBarred).
+// (dropBarred). Either rebuild classifies against the snapshot whose epoch
+// it noticed.
 func (sys *System) drive(b *batch, tasks []task, iters int) ([]task, int) {
-	if b.wave {
-		b.epoch = b.fv.Epoch()
-	}
 	for len(tasks) > 0 && iters < sys.maxIter {
 		if b.fv != nil {
-			if e := b.fv.Epoch(); e != b.epoch {
-				b.epoch = e
+			if st := b.fv.Snapshot(); st.Epoch() != b.epoch {
+				b.epoch = st.Epoch()
 				if b.wave {
-					tasks = sys.dropBarred(b, tasks)
+					tasks = sys.dropBarred(b, st, tasks)
 				} else {
-					tasks = sys.refilterTasks(b, tasks)
+					tasks = sys.refilterTasks(b, st, tasks)
 				}
 				if len(tasks) == 0 {
 					break
@@ -1010,7 +1025,7 @@ func (sys *System) report(b *batch) error {
 	res := b.res
 	res.Metrics.InterconnectCost = sys.machine.Cost() - sys.machineCost
 	sys.observeBatch(b.reqs, res)
-	if sys.rv != nil && sys.repairBudget >= 0 && sys.rv.RepairCount() > 0 {
+	if sys.rv != nil && sys.repairBudget >= 0 && sys.fv.Snapshot().RepairCount() > 0 {
 		// Per-flush repair budget: one bounded background-repair step rides
 		// on every batch, so sustained traffic still drains the backlog.
 		// Runs after InterconnectCost is taken — repair rounds are accounted
@@ -1036,7 +1051,7 @@ func (sys *System) observeBatch(reqs []Request, res *Result) {
 	}
 	failed := 0
 	if sys.fv != nil {
-		failed = sys.fv.Count()
+		failed = sys.fv.Snapshot().Count()
 	}
 	sys.cfg.Observer.ObserveBatch(obs.BatchEvent{
 		Requests:      len(reqs),
@@ -1102,8 +1117,9 @@ func (sys *System) obtainMachine(procs int) error {
 	sys.fv, _ = machine.(FaultView)
 	sys.rs, _ = machine.(RemoteStore)
 	sys.rv, _ = machine.(RepairView)
-	if sys.nCopies <= 64 { // firstRound marks a row's grants in one word
+	if sys.nCopies <= 64 { // the first-round passes mark a row's copies in one word
 		sys.plain, _ = machine.(*mpc.Machine)
+		sys.failing, _ = machine.(*mpc.Failing)
 	}
 	if sys.rs == nil {
 		sys.cells()

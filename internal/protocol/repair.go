@@ -12,24 +12,16 @@ import (
 // repairing modules from read quorums — their stores may be stale or reborn
 // empty — while still counting them toward write quorums, and (b) drive the
 // background sweep that rebuilds their copies from surviving majorities and
-// certifies them back to fully live.
+// certifies them back to fully live. The repairing set and its generations
+// are read from the FaultView's snapshot; a sweep captures each module's
+// generation at its start, and certification with a stale generation fails,
+// which fences a sweep against a module wiped again while the sweep ran.
 //
 // obtainMachine type-asserts the machine against this interface, exactly
-// like FaultView, whose methods are likewise *mpc.FaultSet's own; machines
-// without a repair lifecycle don't implement it and pay nothing. All methods
-// must be safe to call concurrently with mutation.
+// like FaultView, whose method is likewise *mpc.FaultSet's own; machines
+// without a repair lifecycle don't implement it and pay nothing. It must be
+// safe to call concurrently with mutation.
 type RepairView interface {
-	// Repairing reports whether module m is under repair right now.
-	Repairing(m uint64) bool
-	// RepairGen returns m's current repair generation (0 when m is not
-	// repairing). A sweep captures the generation at its start;
-	// certification with a stale generation fails, which fences a sweep
-	// against a module wiped again while the sweep ran.
-	RepairGen(m uint64) uint64
-	// RepairCount returns the number of modules under repair.
-	RepairCount() int
-	// AppendRepairing appends the repairing module ids to buf.
-	AppendRepairing(buf []uint64) []uint64
 	// CertifyBatch completes the repair of every mods[i] whose generation is
 	// still gens[i], making those modules readable again, as one fault-set
 	// mutation (one snapshot, one epoch bump), and returns how many took
@@ -117,10 +109,10 @@ func (rep *repairSweep) isTarget(m int64) bool {
 // lifecycle). Shard dispatchers poll it to decide whether idle cycles
 // should pump RepairStep.
 func (sys *System) RepairBacklog() int {
-	if sys.rv == nil {
+	if sys.rv == nil || sys.fv == nil {
 		return 0
 	}
-	return sys.rv.RepairCount()
+	return sys.fv.Snapshot().RepairCount()
 }
 
 // RepairStep performs one budget-bounded chunk of background repair outside
@@ -173,7 +165,7 @@ func (sys *System) reportRepair(rm *repairMetrics) {
 		Issued:    rm.issued,
 		Granted:   rm.granted,
 		Certified: rm.certified,
-		Backlog:   sys.rv.RepairCount(),
+		Backlog:   sys.fv.Snapshot().RepairCount(),
 	})
 }
 
@@ -192,22 +184,22 @@ func (sys *System) repairStep(rm *repairMetrics) bool {
 		return false
 	}
 	rep := &sys.rep
-	if rv.RepairCount() == 0 {
+	st := fv.Snapshot()
+	if st.RepairCount() == 0 {
 		rep.active = false
 		rep.paused = false
 		return false
 	}
 	if rep.paused {
-		if fv.Epoch() == rep.pauseEpoch {
+		if st.Epoch() == rep.pauseEpoch {
 			return false
 		}
 		rep.paused = false
 	}
 	if !rep.active {
-		rep.mods = rv.AppendRepairing(rep.mods[:0])
-		if len(rep.mods) == 0 {
-			return false
-		}
+		// The sweep set and its generations come from one snapshot, so every
+		// module listed has its generation.
+		rep.mods = st.AppendRepairing(rep.mods[:0])
 		// The masks cover every module id, and any stray id the fault set
 		// holds beyond them (mods is ascending).
 		words := int(max(sys.Mapper.NumModules()-1, rep.mods[len(rep.mods)-1])>>6) + 1
@@ -215,19 +207,13 @@ func (sys *System) repairStep(rm *repairMetrics) bool {
 		clear(rep.target)
 		clear(rep.dirty)
 		rep.gens = rep.gens[:0]
-		n := 0
 		for _, m := range rep.mods {
-			if g := rv.RepairGen(m); g != 0 {
-				rep.mods[n] = m
-				n++
-				rep.gens = append(rep.gens, g)
-				rep.target[m>>6] |= 1 << (m & 63)
-			}
+			rep.gens = append(rep.gens, st.RepairGen(m))
+			rep.target[m>>6] |= 1 << (m & 63)
 		}
-		rep.mods = rep.mods[:n]
 		rep.cursor = 0
 		rep.certified = false
-		rep.startEpoch = fv.Epoch()
+		rep.startEpoch = st.Epoch()
 		rep.active = true
 	}
 	nv := sys.Mapper.NumVars()
@@ -250,11 +236,9 @@ func (sys *System) repairStep(rm *repairMetrics) bool {
 			rep.certified = true
 		}
 		rep.active = false
-		if !rep.certified && rv.RepairCount() > 0 {
-			if e := fv.Epoch(); e == rep.startEpoch {
-				rep.paused = true
-				rep.pauseEpoch = e
-			}
+		if st := fv.Snapshot(); !rep.certified && st.RepairCount() > 0 && st.Epoch() == rep.startEpoch {
+			rep.paused = true
+			rep.pauseEpoch = st.Epoch()
 		}
 	}
 	return true
@@ -318,7 +302,7 @@ func (sys *System) scanRepairRange(lo, hi uint64, rm *repairMetrics) {
 // modules stay uncertified until the fault set changes.
 func (sys *System) repairWave(vars []repairVar, rm *repairMetrics) {
 	rep := &sys.rep
-	fv, rvw := sys.fv, sys.rv
+	fv := sys.fv
 	nCopies := sys.nCopies
 	// row is the variable's resolved copies in the chunk scratch.
 	row := func(w *repairVar) []packedCopy { return rep.rows[int(w.row)*nCopies:][:nCopies] }
@@ -327,18 +311,21 @@ func (sys *System) repairWave(vars []repairVar, rm *repairMetrics) {
 	sys.remaining, sys.best = grow(sys.remaining, len(vars)), grow(sys.best, len(vars))
 	b := batch{reqs: reqs, res: &rep.res, fv: fv, wave: true}
 
-	// Read wave: classify copies and bid for the sources. A rebuild needs a
-	// read quorum of sources granted, a salvage at least one copy; a
-	// variable bidding for fewer is dirty before a round is played.
+	// Read wave: classify copies against one snapshot and bid for the
+	// sources. A rebuild needs a read quorum of sources granted, a salvage at
+	// least one copy; a variable bidding for fewer is dirty before a round is
+	// played.
+	st := fv.Snapshot()
+	b.epoch = st.Epoch()
 	tasks := sys.tasks[:0]
 	for i := range vars {
 		w := &vars[i]
 		sources, failed := int32(0), 0
 		for _, cp := range row(w) {
 			switch m := uint64(cp.module()); {
-			case fv.Failed(m):
+			case st.Failed(m):
 				failed++
-			case !rvw.Repairing(m):
+			case !st.Repairing(m):
 				sources++
 			}
 		}
@@ -346,7 +333,7 @@ func (sys *System) repairWave(vars []repairVar, rm *repairMetrics) {
 		start := len(tasks)
 		for _, cp := range row(w) {
 			m := uint64(cp.module())
-			if fv.Failed(m) || !w.salvage && rvw.Repairing(m) {
+			if st.Failed(m) || !w.salvage && st.Repairing(m) {
 				continue
 			}
 			tasks = append(tasks, task{proc: int32(len(tasks)), req: int32(i), cp: cp})
@@ -363,15 +350,17 @@ func (sys *System) repairWave(vars []repairVar, rm *repairMetrics) {
 	sys.tasks = tasks
 	sys.sweepWave(&b, tasks, vars, rm)
 
-	// Write wave: install the best value onto the repairing copies. A zero
-	// best timestamp means no surviving write — the logically zeroed state is
-	// already correct, nothing to install.
+	// Write wave: install the best value onto the repairing copies, against
+	// a fresh snapshot. A zero best timestamp means no surviving write — the
+	// logically zeroed state is already correct, nothing to install.
+	st = fv.Snapshot()
+	b.epoch = st.Epoch()
 	tasks = sys.tasks[:0]
 	for i := range vars {
 		start := len(tasks)
 		if best := sys.best[i]; best.TS != 0 {
 			for _, cp := range row(&vars[i]) {
-				if !rep.isTarget(cp.module()) || fv.Failed(uint64(cp.module())) {
+				if !rep.isTarget(cp.module()) || st.Failed(uint64(cp.module())) {
 					continue
 				}
 				if sys.rs == nil && sys.store.Get(cp.addr()).TS >= best.TS {

@@ -17,10 +17,13 @@ import (
 // batches over mpc.Failing with a static fault set — one variable stranded,
 // another re-selected — plus one module failed at the first round of a later
 // batch, and the books must still balance: every issued bid is a traced live
-// request or a bid the fault layer dropped.
+// request or a bid the fault layer dropped. The static cell runs the same
+// static fault set over the bare mpc.Failing, whose phases play their first
+// rounds in place (firstRoundLive): they drop nothing, and the books balance
+// with zero dropped bids.
 func TestTraceReplayMatchesMetrics(t *testing.T) {
 	// "sequential" keeps the id the committed test floor lists.
-	for _, cell := range []string{"sequential", "faulted"} {
+	for _, cell := range []string{"sequential", "faulted", "static"} {
 		t.Run(cell, func(t *testing.T) {
 			tracer := obs.NewTracer(0)
 			col := obs.NewCollector()
@@ -29,16 +32,19 @@ func TestTraceReplayMatchesMetrics(t *testing.T) {
 			var failing *mpc.Failing
 			round := 0
 			script := map[int]func(*mpc.FaultSet){}
-			if cell == "faulted" {
+			if cell != "sequential" {
 				cfg.NewMachine = func(mcfg mpc.Config) (Machine, error) {
 					f, err := mpc.NewFailingShared(mcfg, fs)
 					failing = f
+					if cell == "static" {
+						return f, err
+					}
 					return &flipMachine{Failing: f, round: &round, script: script}, err
 				}
 			}
 			sys, reqs := allocSystem(t, cfg)
 			copyMod := func(r, c int) uint64 { mod, _ := sys.Mapper.CopyAddr(reqs[r].Var, c); return mod }
-			if cell == "faulted" {
+			if cell != "sequential" {
 				for c := 0; c < sys.Mapper.Copies(); c++ {
 					fs.Fail(copyMod(0, c))
 				}
@@ -63,7 +69,7 @@ func TestTraceReplayMatchesMetrics(t *testing.T) {
 					mod := copyMod(2, 0)
 					script[round+1] = func(fs *mpc.FaultSet) { fs.Fail(mod) }
 				}
-				if err := sys.AccessInto(reqs, &res); err != nil && (cell != "faulted" || !errors.Is(err, ErrIncomplete)) {
+				if err := sys.AccessInto(reqs, &res); err != nil && (cell == "sequential" || !errors.Is(err, ErrIncomplete)) {
 					t.Fatal(err)
 				}
 				sumRounds += res.Metrics.TotalRounds
@@ -132,14 +138,20 @@ func TestTraceReplayMatchesMetrics(t *testing.T) {
 				t.Errorf("collector saw %d requests, want %d", got, sumReqs)
 			}
 
-			if cell == "faulted" {
+			switch cell {
+			case "faulted":
 				if failing == nil || totals.DroppedBids == 0 || totals.DroppedBids != failing.DroppedBids() {
 					t.Errorf("the mid-batch failure dropped %d traced bids, the fault layer counted %v", totals.DroppedBids, failing.DroppedBids())
 				}
-				if sumStranded != batches {
-					t.Errorf("%d stranded requests over %d batches, want the one dead variable's each batch", sumStranded, batches)
+			case "static":
+				if sys.failing == nil || totals.DroppedBids != 0 || failing.DroppedBids() != 0 {
+					t.Errorf("bare Failing found: %v; %d traced and %d counted dropped bids, want none",
+						sys.failing != nil, totals.DroppedBids, failing.DroppedBids())
 				}
-			} else if totals.DroppedBids != 0 || sumStranded != 0 {
+			}
+			if cell != "sequential" && sumStranded != batches {
+				t.Errorf("%d stranded requests over %d batches, want the one dead variable's each batch", sumStranded, batches)
+			} else if cell == "sequential" && (totals.DroppedBids != 0 || sumStranded != 0) {
 				t.Errorf("healthy run dropped %d bids and stranded %d requests", totals.DroppedBids, sumStranded)
 			}
 		})
