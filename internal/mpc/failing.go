@@ -409,26 +409,26 @@ func (fs *FaultSet) Count() int { return fs.snapshot().count }
 // Theorem 2 implies any two failed modules can disable at most one
 // variable).
 //
-// Unlike the construction-time wrapper it replaced, the fault set is
-// dynamic: its mutators may be called at any time, from any goroutine,
-// concurrently with Round. Round snapshots the set once per round, so each
-// round sees one consistent failure pattern.
+// The fault set is dynamic: its mutators may be called at any time, from
+// any goroutine, concurrently with Round. Round snapshots the set once per
+// round, so each round sees one consistent failure pattern.
 //
 // Failing embeds its *FaultSet, whose Snapshot and CertifyBatch are
 // protocol.FaultView and protocol.RepairView — what unlocks the access
 // protocol's quorum re-selection, retry and repair behaviour. A caller that
-// selects its bids against a snapshot may also play a round in place on the
-// inner machine (InPlace).
+// selects its bids against a snapshot may also play rounds in place on the
+// inner machine (InPlace), as the access protocol does for a phase's first
+// round.
 type Failing struct {
 	*FaultSet
 	inner   *Machine
 	scratch []int64 // the bid list with its dropped bids Idle, reused
 
 	dropped atomic.Uint64 // cumulative bids dropped at failed modules
-	// roundDropped is the drop count of the round currently executing; the
-	// drop annotator copies it into the round's obs event. Written by Round
-	// and read by the recorder callback on the same goroutine (recorders run
-	// synchronously inside inner.Round).
+	// roundDropped is the drop count of the round Round is executing, 0
+	// outside it; the drop annotator copies it into the round's obs event.
+	// Written by Round and read by the recorder callback on the same
+	// goroutine (recorders run synchronously inside inner.Round).
 	roundDropped int
 }
 
@@ -509,19 +509,19 @@ func (f *Failing) Round(bids []int64, grant []bool) int {
 		}
 	}
 	f.roundDropped = dropped
-	return f.inner.Round(out, grant)
+	served := f.inner.Round(out, grant)
+	f.roundDropped = 0
+	return served
 }
 
-// InPlace lends the inner machine for one round played in place (OpenRound,
+// InPlace returns the inner machine, for rounds played in place (OpenRound,
 // Claim, CloseRound) by a caller that has kept its claims off the modules
-// failed in a snapshot it took (Snapshot). The round sees that snapshot's
+// failed in a snapshot it took (Snapshot). Such a round sees that snapshot's
 // fault set, as Round sees the one it loads, and drops nothing: its
 // obs.RoundEvent carries Dropped 0, so a trace still balances issued bids
-// against served and dropped ones.
-func (f *Failing) InPlace() *Machine {
-	f.roundDropped = 0
-	return f.inner
-}
+// against served and dropped ones. The machine may be kept and reused
+// across rounds, Round's among them.
+func (f *Failing) InPlace() *Machine { return f.inner }
 
 // Cost delegates to the inner machine.
 func (f *Failing) Cost() uint64 { return f.inner.Cost() }

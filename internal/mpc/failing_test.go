@@ -151,7 +151,8 @@ func (c *captureRecorder) RecordRound(ev obs.RoundEvent) { c.evs = append(c.evs,
 
 // TestFailingDropAnnotation checks the recorder sees per-round dropped-bid
 // counts, so trace totals balance issued = requests + dropped exactly — also
-// for a round played in place (InPlace) right after one that dropped bids.
+// for a round played in place right after one that dropped bids, on the
+// machine InPlace returned once before it, as the access protocol keeps it.
 func TestFailingDropAnnotation(t *testing.T) {
 	rec := &captureRecorder{}
 	f, err := NewFailing(Config{Procs: 4, Modules: 4, Recorder: rec}, []uint64{0, 1})
@@ -159,8 +160,8 @@ func TestFailingDropAnnotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	grant := make([]bool, 4)
-	f.Round(dense(0, 1, 2, 3), grant)
 	m := f.InPlace()
+	f.Round(dense(0, 1, 2, 3), grant)
 	m.OpenRound()
 	m.Claim(-1, 0, 2)
 	m.Claim(0, 1, 3)

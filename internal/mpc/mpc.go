@@ -24,7 +24,7 @@
 // published as immutable snapshots (FaultSnapshot) that a round — or a caller
 // classifying a pass's modules — reads once. Its Round withdraws the bids at
 // failed modules; a caller that has already kept its bids off them under one
-// snapshot plays the round in place on the inner machine instead
+// snapshot plays its rounds in place on the inner machine instead
 // (Failing.InPlace), which drops nothing.
 package mpc
 

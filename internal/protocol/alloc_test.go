@@ -60,7 +60,7 @@ func allocSystem(t *testing.T, cfg Config) (*System, []Request) {
 // ObserveBatch is atomics-only) must not cost an allocation.
 func TestAccessIntoSteadyStateAllocs(t *testing.T) {
 	// failing builds a bare mpc.Failing, so a phase's first round is
-	// firstRoundLive's, over a fault set set up by state. Modules 5 and 40
+	// firstRound's in place, over a fault set set up by state. Modules 5 and 40
 	// hold no two copies of one variable of the batch, so failing them, or
 	// holding them in repair, strands nothing: a stranded request's
 	// QuorumError allocates by design.
@@ -112,7 +112,7 @@ func TestAccessIntoSteadyStateAllocs(t *testing.T) {
 			if tc.maxIter > 0 && res.Metrics.RetryRounds == 0 {
 				t.Fatal("no retry pass: the cell no longer pins its lists")
 			}
-			if f, ok := sys.machine.(*mpc.Failing); ok && sys.failing != f {
+			if f, ok := sys.machine.(*mpc.Failing); ok && sys.inPlace != f.InPlace() {
 				t.Fatal("the bare Failing was not found")
 			}
 			if avg := testing.AllocsPerRun(50, func() {

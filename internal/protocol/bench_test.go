@@ -14,13 +14,13 @@ import (
 // over the compiled table, 40 % writes, and fresh variables in every batch so
 // the table rows and the cells miss the caches as they do under the suite's
 // traffic. pram-step issues windows of 4096 distinct variables; small-uniform
-// flushes batches of about 100. Each shape runs over the plain MPC, where a
-// phase's first round is played in place against the machine's claim table
-// (firstRound), and over mpc.Failing in fault-repair's three states: healthy,
-// degraded (a contiguous quarter of the modules failed) and repairing (that
-// quarter back but barred from reads; the per-batch repair step is off, so
-// the state holds — BenchmarkRepairSweep times the sweep), where the first
-// round is firstRoundLive's. Each of the four also runs as <name>-generic
+// flushes batches of about 100. Each shape runs over the plain MPC and over
+// mpc.Failing in fault-repair's three states: healthy, degraded (a
+// contiguous quarter of the modules failed) and repairing (that quarter back
+// but barred from reads; the per-batch repair step is off, so the state
+// holds — BenchmarkRepairSweep times the sweep). Over all four a phase's
+// first round is played in place against the machine's claim table
+// (firstRound). Each of the four also runs as <name>-generic
 // over the same machine wrapped so the protocol does not find it, where every
 // round takes the generic path. The suite's traced runs wrap the machine too,
 // so these pairs are where the fused rounds' share is measured. A degraded or

@@ -3,7 +3,6 @@ package protocol
 import (
 	"math/bits"
 
-	"detshmem/internal/cellstore"
 	"detshmem/internal/mpc"
 )
 
@@ -58,137 +57,30 @@ func (sys *System) liveCopies(st mpc.FaultSnapshot, op Op, row []packedCopy) uin
 	return live
 }
 
-// selectLive builds the phase task list for request r with the fault set in
-// view: barred copies are skipped and the live ones take the cluster's
-// processor slots in copy order (quorum re-selection over survivors).
-// Requests that cannot reach their quorum are queued for the post-phase retry
-// pass and bid nothing now.
-func (sys *System) selectLive(b *batch, st mpc.FaultSnapshot, tasks []task, r, procBase int) []task {
+// openRequest opens request r's phase under the fault view: it clears r's
+// copy masks and returns the copies r bids for: those its operation may use
+// under st (quorum re-selection over survivors). Member j of r's cluster
+// bids for copy j, so a barred copy's member sits the phase out. A ReadWrite
+// short of its quorum is demoted to a Write when that can reach it, and its
+// copies are re-selected for the Write; a request that still cannot is
+// queued for the post-phase retry pass with nothing in flight, and
+// openRequest reports false.
+func (sys *System) openRequest(b *batch, st mpc.FaultSnapshot, r int) (uint64, bool) {
 	sys.stalled[r] = false
 	sys.touchedC[r] = 0
 	row := sys.row(r)
 	live := sys.liveCopies(st, b.reqs[r].Op, row)
-	if !sys.reachable(b, st, r, &live) {
-		return tasks
+	if int32(bits.OnesCount64(live)) < sys.remaining[r] {
+		if b.reqs[r].Op != ReadWrite || !sys.demote(b, st, r) {
+			sys.usedMask[r] = 0
+			sys.liveBids[r] = 0
+			sys.queueRetry(int32(r))
+			return 0, false
+		}
+		live = sys.liveCopies(st, Write, row)
 	}
 	sys.usedMask[r] = live
-	sys.liveBids[r] = int32(bits.OnesCount64(live))
-	for p := procBase; live != 0; live &= live - 1 {
-		tasks = append(tasks, task{proc: int32(p), req: int32(r), cp: row[bits.TrailingZeros64(live)]})
-		p++
-	}
-	return tasks
-}
-
-// reachable decides, at the start of a phase, whether request r can reach its
-// quorum over its live copies: a ReadWrite short of its quorum is demoted to
-// a Write when that can (live is re-selected for the Write), and a request
-// that still cannot is queued for the retry pass with nothing in flight.
-func (sys *System) reachable(b *batch, st mpc.FaultSnapshot, r int, live *uint64) bool {
-	if int32(bits.OnesCount64(*live)) >= sys.remaining[r] {
-		return true
-	}
-	if b.reqs[r].Op == ReadWrite && sys.demote(b, st, r) {
-		*live = sys.liveCopies(st, Write, sys.row(r))
-		return true
-	}
-	sys.usedMask[r] = 0
-	sys.liveBids[r] = 0
-	sys.queueRetry(int32(r))
-	return false
-}
-
-// firstRoundLive is firstRound over a bare mpc.Failing: selectLive, round and
-// decide fused into one pass under one snapshot of the fault set, played in
-// place on the inner machine (Failing.InPlace). A request's live copies take
-// its cluster's slots in copy order, as selectLive gives them, so the claims
-// are the bids the generic path would list, in the same order, and the books
-// later rounds read — tasks, copy masks, the in-flight requests' liveBids,
-// queued grants, retries and demotions — come out the same. The batch epoch becomes the snapshot's, so a mutation after
-// the round still makes drive refilter. It reports whether the phase bid at
-// all: a phase none of whose requests can reach a quorum plays no round.
-func (sys *System) firstRoundLive(b *batch, phase int) ([]task, bool) {
-	st := sys.failing.Snapshot()
-	b.epoch = st.Epoch()
-	m := sys.failing.InPlace()
-	m.OpenRound()
-	tasks, reads, writes := sys.tasks[:0], sys.reads[:0], sys.writes[:0]
-	nc := sys.nCopies
-	// With nothing failed or repairing, every copy is live and every quorum
-	// reachable.
-	clean := st.Count() == 0 && st.RepairCount() == 0
-	all := ^uint64(0) >> (64 - nc)
-	issued, granted, consumed, prev := 0, 0, 0, -1
-	for r, procBase := phase, 0; r < len(b.reqs); r, procBase = r+b.phases, procBase+nc {
-		row := sys.row(r)
-		rq := &b.reqs[r]
-		sys.remaining[r] = sys.quorum(rq.Op)
-		sys.best[r] = cellstore.Cell{}
-		sys.stalled[r] = false
-		sys.touchedC[r] = 0
-		live := all
-		if !clean {
-			live = sys.liveCopies(st, rq.Op, row)
-			if !sys.reachable(b, st, r, &live) {
-				continue
-			}
-		}
-		sys.usedMask[r] = live
-		// Claim the live copies from the cluster's slots; won marks the
-		// served ones by copy index.
-		var won uint64
-		p := procBase
-		for l := live; l != 0; l &= l - 1 {
-			j := bits.TrailingZeros64(l)
-			if m.Claim(prev, p, row[j].module()) {
-				won |= 1 << j
-			}
-			prev = p
-			p++
-		}
-		granted += bits.OnesCount64(won)
-		// Queue the grants the quorum needs, in copy order; pos is the bid's
-		// place in the list the generic round would have played.
-		need := sys.remaining[r]
-		for w := won; w != 0 && need > 0; w &= w - 1 {
-			j := bits.TrailingZeros64(w)
-			if rq.Op != Read {
-				writes = append(writes, writeRef{addr: row[j].addr(), val: rq.Value})
-			}
-			if rq.Op != Write {
-				pos := issued + bits.OnesCount64(live&(1<<j-1))
-				reads = append(reads, readRef{addr: row[j].addr(), pos: int32(pos), req: int32(r)})
-			}
-			sys.touchedC[r] |= 1 << j
-			need--
-			consumed++
-		}
-		issued += p - procBase
-		sys.remaining[r] = need
-		start := len(tasks)
-		if need > 0 { // cancel-at-quorum: a complete request's losing bids go
-			p = procBase
-			for l := live; l != 0; l &= l - 1 {
-				if j := bits.TrailingZeros64(l); won&(1<<j) == 0 {
-					tasks = append(tasks, task{proc: int32(p), req: int32(r), cp: row[j]})
-				}
-				p++
-			}
-		}
-		sys.liveBids[r] = int32(len(tasks) - start)
-	}
-	sys.tasks = tasks
-	if issued == 0 {
-		return tasks, false // the open round claimed nothing: leave it unplayed
-	}
-	m.CloseRound(granted)
-	sys.reads, sys.writes, sys.repairs = reads, writes, sys.repairs[:0]
-	met := &b.res.Metrics
-	met.IssuedBids += issued
-	met.GrantedBids += granted
-	met.CopyAccesses += consumed
-	sys.commitCells()
-	return tasks, true
+	return live, true
 }
 
 // demote serves ReadWrite request r as a plain Write when its read cannot
@@ -218,14 +110,17 @@ func (sys *System) demote(b *batch, st mpc.FaultSnapshot, r int) bool {
 // its variable has fewer live copies than a read quorum. A demoted request
 // whose write did not commit was reported by the retry pass like any Write.
 func (sys *System) refuseReads(b *batch) {
-	met := &b.res.Metrics
+	if len(sys.demoted) == 0 {
+		return
+	}
+	met, st := &b.res.Metrics, b.fv.Snapshot()
 	for _, r := range sys.demoted {
 		if sys.remaining[r] > 0 {
 			continue
 		}
 		met.Unfinished = append(met.Unfinished, int(r))
 		met.ReadRefused = append(met.ReadRefused, int(r))
-		if sys.liveQuorumLost(b.fv.Snapshot(), int(r), sys.readQ) {
+		if sys.liveQuorumLost(st, int(r), sys.readQ) {
 			met.Stranded = append(met.Stranded, int(r))
 		}
 	}

@@ -38,7 +38,8 @@ func genericMachine(cfg mpc.Config) (Machine, error) {
 // and the computed resolver, and the batch sizes around the phase rule; each
 // cell also runs with TraceLive and with the iteration bound lowered to one
 // and two rounds, so the fused round is counted against it. The failing/
-// cells play the same differential over mpc.Failing (fusedFailingMatrix).
+// cells play the same differential over mpc.Failing, whose phases open with
+// the same firstRound under a fault view (fusedFailingMatrix).
 func TestFusedRoundMatchesGeneric(t *testing.T) {
 	schemes := [][2]int{{1, 5}, {1, 7}, {2, 3}}
 	if testing.Short() {
@@ -73,8 +74,8 @@ func TestFusedRoundMatchesGeneric(t *testing.T) {
 					cfg.NewMachine = genericMachine
 					genericSys, genericTrace := fusedPairSystem(t, mapper, cfg, mode.maxIter)
 					compareFusedStream(t, fusedSys, genericSys)
-					if fusedSys.plain == nil || genericSys.plain != nil {
-						t.Fatalf("plain machine found: fused %v, generic %v", fusedSys.plain != nil, genericSys.plain != nil)
+					if fusedSys.inPlace == nil || genericSys.inPlace != nil {
+						t.Fatalf("in-place machine found: fused %v, generic %v", fusedSys.inPlace != nil, genericSys.inPlace != nil)
 					}
 					if fusedTrace.Dropped() > 0 || genericTrace.Dropped() > 0 {
 						t.Fatal("trace ring overflowed; raise its capacity")
@@ -203,9 +204,9 @@ func failingScenario(m Mapper, scenario string, victims []uint64, fs *mpc.FaultS
 }
 
 // fusedFailingMatrix is TestFusedRoundMatchesGeneric's differential over
-// mpc.Failing: a bare one, where a phase's first round is firstRoundLive's
-// one pass under a fault snapshot, against the same machine wrapped
-// (hideFailing), where selectLive, round and decide play it. Both run the same
+// mpc.Failing: a bare one, where a phase's first round is firstRound's one
+// pass under a fault snapshot, against the same machine wrapped
+// (hideFailing), where selectPhase, round and decide play it. Both run the same
 // seeded stream of Read, Write and ReadWrite batches, each over its own fault
 // set driven by the same scenario, and must agree batch by batch on values,
 // metrics, errors and interconnect cost, and at the end on every round's
@@ -341,8 +342,8 @@ func compareFailingStream(t *testing.T, m Mapper, table *CompiledResolver, scena
 		scenario == "flip" && (fused.fs.Epoch() == 0 || stranded+refused+retried == 0) {
 		t.Fatalf("%s: %d stranded, %d read-refused, %d retried bids", scenario, stranded, refused, retried)
 	}
-	if fused.sys.failing == nil || generic.sys.failing != nil {
-		t.Fatalf("bare Failing found: fused %v, generic %v", fused.sys.failing != nil, generic.sys.failing != nil)
+	if f, _ := fused.sys.machine.(*mpc.Failing); f == nil || fused.sys.inPlace != f.InPlace() || generic.sys.inPlace != nil {
+		t.Fatalf("bare Failing found: fused %v, generic %v", fused.sys.inPlace != nil, generic.sys.inPlace != nil)
 	}
 	if fused.rec.Dropped() > 0 || generic.rec.Dropped() > 0 {
 		t.Fatal("trace ring overflowed; raise its capacity")

@@ -14,12 +14,12 @@
 // baselines (Mehlhorn–Vishkin write-all/read-one, single-copy hashing,
 // Upfal–Wigderson random graphs) run under the exact same MPC accounting.
 //
-// A phase's rounds cross the Machine interface, except that over the plain
-// in-process MPC its first round — every copy of every request bidding at
-// once, almost all of the phase's bids — is played in one pass against the
-// machine's claim table (mpc.Machine.Claim), with no task, bid or grant list
-// in between. Over a bare mpc.Failing the same pass first skips the copies
-// barred in one snapshot of the fault set and plays on the machine it wraps.
+// A phase's rounds cross the Machine interface, except that over the
+// in-process MPC, plain or behind a bare mpc.Failing, its first round — every
+// live copy of every request bidding at once, almost all of the phase's bids
+// — is played in one pass against the machine's claim table
+// (mpc.Machine.Claim), with no task, bid or grant list in between. Under a
+// fault view the pass skips the copies barred in one snapshot of the set.
 //
 // Copy addresses come from one of two places: CompileMapper precomputes any
 // Mapper's address map into a dense shared table (the paper's O(log N),
@@ -279,12 +279,11 @@ type System struct {
 	// repairing modules are barred from read quorums and the background
 	// repair scheduler (repair.go) can run.
 	rv RepairView
-	// plain is the machine when it is the in-process MPC itself, and failing
-	// when it is that MPC behind mpc.Failing; both are nil behind any other
-	// wrapper or transport. They let a phase play its first round in place
-	// against the machine's claim table (firstRound, firstRoundLive).
-	plain   *mpc.Machine
-	failing *mpc.Failing
+	// inPlace is the in-process MPC when the machine is that MPC itself or
+	// a bare mpc.Failing over it (Failing.InPlace), nil behind any other
+	// wrapper or transport. It lets a phase play its first round in place
+	// against the machine's claim table (firstRound).
+	inPlace *mpc.Machine
 	// ro receives repair-step events when the configured Observer also
 	// implements obs.RepairObserver (obs.Collector does).
 	ro obs.RepairObserver
@@ -411,8 +410,7 @@ func (sys *System) Close() {
 	sys.fv = nil
 	sys.rs = nil
 	sys.rv = nil
-	sys.plain = nil
-	sys.failing = nil
+	sys.inPlace = nil
 	sys.resetRepair()
 }
 
@@ -566,10 +564,9 @@ func errVarRange(v, numVars uint64) error {
 // access serves a checked batch of distinct requests. It runs as stages —
 // resolve, then per phase select, drive and commit, then deliver the read
 // values and report — and each round drive plays is itself staged: bid,
-// decide, commit cells (see round). Over the plain in-process MPC a phase's
-// first round, which carries almost all of its bids, is played by firstRound
-// instead: select, bid and decide in one pass; over a bare mpc.Failing by
-// firstRoundLive, the same pass under one fault snapshot.
+// decide, commit cells (see round). Over the in-process MPC, plain or behind
+// a bare mpc.Failing, a phase's first round, which carries almost all of its
+// bids, is played by firstRound instead: select, bid and decide in one pass.
 func (sys *System) access(reqs []Request, res *Result) error {
 	sys.ts++
 	res.Values = grow(res.Values, len(reqs))
@@ -599,15 +596,12 @@ func (sys *System) access(reqs []Request, res *Result) error {
 		}
 		var tasks []task
 		iters := 0
-		switch {
-		case sys.plain != nil && sys.maxIter > 0:
-			tasks, iters = sys.firstRound(&b, phase), 1
-		case sys.failing != nil && b.fv != nil && sys.maxIter > 0:
+		if sys.inPlace != nil && sys.maxIter > 0 {
 			var played bool
-			if tasks, played = sys.firstRoundLive(&b, phase); played {
+			if tasks, played = sys.firstRound(&b, phase); played {
 				iters = 1
 			}
-		default:
+		} else {
 			tasks = sys.selectPhase(&b, phase)
 		}
 		if iters > 0 && b.afterRound != nil {
@@ -704,7 +698,8 @@ func (sys *System) resolveVars(vars []uint64, out []packedCopy) []packedCopy {
 // i·phases+phase from processors i·Copies…i·Copies+Copies-1, and member j
 // bids for copy j — the paper's rule: all copies bid, and a variable's
 // outstanding bids are cancelled once its quorum succeeded. Under a fault
-// view, selection routes around the modules barred in one snapshot.
+// view, selection routes around the modules barred in one snapshot
+// (openRequest): the members whose copies are barred sit the phase out.
 func (sys *System) selectPhase(b *batch, phase int) []task {
 	tasks := sys.tasks[:0]
 	var st mpc.FaultSnapshot
@@ -715,79 +710,130 @@ func (sys *System) selectPhase(b *batch, phase int) []task {
 	for r, procBase := phase, 0; r < len(b.reqs); r, procBase = r+b.phases, procBase+sys.nCopies {
 		sys.remaining[r] = sys.quorum(b.reqs[r].Op)
 		sys.best[r] = cellstore.Cell{}
-		if b.fv != nil {
-			tasks = sys.selectLive(b, st, tasks, r, procBase)
+		row := sys.row(r)
+		if b.fv == nil { // no copy masks: any number of copies
+			for j, cp := range row {
+				tasks = append(tasks, task{proc: int32(procBase + j), req: int32(r), cp: cp})
+			}
 			continue
 		}
-		for j, cp := range sys.row(r) {
-			tasks = append(tasks, task{proc: int32(procBase + j), req: int32(r), cp: cp})
+		live, ok := sys.openRequest(b, st, r)
+		if !ok {
+			continue
+		}
+		sys.liveBids[r] = int32(bits.OnesCount64(live))
+		for ; live != 0; live &= live - 1 {
+			j := bits.TrailingZeros64(live)
+			tasks = append(tasks, task{proc: int32(procBase + j), req: int32(r), cp: row[j]})
 		}
 	}
 	sys.tasks = tasks // keep the grown buffer; the rounds compact it in place
 	return tasks
 }
 
-// firstRound plays a phase's first round on the plain in-process machine in
-// one pass over the phase's resolved rows: each copy claims its module in the
-// machine's claim table (won marks a row's grants in one word, so the path is
-// kept to at most 64 copies), a granted copy the quorum still needs is queued
-// for commitCells, and only the ungranted bids of requests still short of
-// their quorum become tasks. It is selectPhase, round and decide fused, and
-// leaves the same books, since the phase's bids are its clusters' slots in
-// copy order: bid i is processor i, and a request's bids are consecutive, so
-// it is complete or not by the end of its row. The later rounds carry few
-// bids and stay on the generic path.
-func (sys *System) firstRound(b *batch, phase int) []task {
-	m := sys.plain
+// firstRound plays a phase's first round in place on the in-process machine
+// (sys.inPlace) in one pass over the phase's resolved rows. Under a fault
+// view it reads one snapshot and, unless nothing is failed or repairing in
+// it, opens each request against it (openRequest); otherwise every copy is
+// live. Each live copy claims its module in the machine's claim table from
+// its member's slot (won marks a row's grants in one word, so the path is
+// kept to at most 64 copies), a granted copy the quorum still needs is
+// queued for commitCells, and only the ungranted bids of requests still
+// short of their quorum become tasks. It is selectPhase, round and decide
+// fused, and leaves the same books — tasks, the fault layer's copy masks and
+// liveBids, queued grants, retries and demotions — since its claims are the
+// bids selectPhase would list, in the same order, and a request's bids are
+// consecutive, so it is complete or not by the end of its row. The later
+// rounds carry few bids and stay on the generic path. The batch epoch
+// becomes the snapshot's, so a mutation after the round still makes drive
+// refilter. It reports whether the phase bid at all: a phase none of whose
+// requests can reach a quorum plays no round.
+func (sys *System) firstRound(b *batch, phase int) ([]task, bool) {
+	var st mpc.FaultSnapshot
+	clean := true // nothing failed or repairing: every copy is live
+	if b.fv != nil {
+		st = b.fv.Snapshot()
+		b.epoch = st.Epoch()
+		clean = st.Count() == 0 && st.RepairCount() == 0
+	}
+	m := sys.inPlace
 	m.OpenRound()
 	tasks, reads, writes := sys.tasks[:0], sys.reads[:0], sys.writes[:0]
 	nc := sys.nCopies
-	granted, consumed, prev := 0, 0, -1
+	all := uint64(1)<<uint(nc) - 1
+	granted, consumed, barred, prev := 0, 0, 0, -1
 	r, procBase := phase, 0
 	for ; r < len(b.reqs); r, procBase = r+b.phases, procBase+nc {
-		// Claim the row's copies first; won marks the served ones.
 		row := sys.row(r)
+		live := all
+		if !clean {
+			sys.remaining[r] = sys.quorum(b.reqs[r].Op)
+			var ok bool
+			live, ok = sys.openRequest(b, st, r)
+			barred += nc - bits.OnesCount64(live)
+			if !ok {
+				sys.best[r] = cellstore.Cell{}
+				continue
+			}
+		}
+		// Claim the live copies first; won marks the served ones.
 		var won uint64
-		for j, cp := range row {
-			if m.Claim(prev, procBase+j, cp.module()) {
+		for l := live; l != 0; l &= l - 1 {
+			j := bits.TrailingZeros64(l)
+			if m.Claim(prev, procBase+j, row[j].module()) {
 				won |= 1 << j
 			}
 			prev = procBase + j
 		}
 		granted += bits.OnesCount64(won)
 		rq := &b.reqs[r]
-		need := sys.quorum(rq.Op)
+		need := sys.quorum(rq.Op) // a demoted ReadWrite's Op is Write by now
 		sys.best[r] = cellstore.Cell{}
 		// Queue the grants the quorum needs, in copy order: a ReadWrite's
-		// copy is read and then written (commitCells reads first).
-		for w := won; w != 0 && need > 0; w &= w - 1 {
+		// copy is read and then written (commitCells reads first). A read
+		// has no pos: only a remote machine's replies are read by position.
+		w := won
+		for ; w != 0 && need > 0; w &= w - 1 {
 			j := bits.TrailingZeros64(w)
 			if rq.Op != Read {
 				writes = append(writes, writeRef{addr: row[j].addr(), val: rq.Value})
 			}
 			if rq.Op != Write {
-				reads = append(reads, readRef{addr: row[j].addr(), pos: int32(procBase + j), req: int32(r)})
+				reads = append(reads, readRef{addr: row[j].addr(), req: int32(r)})
 			}
 			need--
 			consumed++
 		}
 		sys.remaining[r] = need
+		lost := live &^ won
 		if need == 0 {
-			continue // cancel-at-quorum: the request's losing bids go
+			lost = 0 // cancel-at-quorum: a complete request's losing bids go
 		}
-		for lost := ^won & (1<<nc - 1); lost != 0; lost &= lost - 1 {
-			j := bits.TrailingZeros64(lost)
+		for l := lost; l != 0; l &= l - 1 {
+			j := bits.TrailingZeros64(l)
 			tasks = append(tasks, task{proc: int32(procBase + j), req: int32(r), cp: row[j]})
 		}
+		if b.fv != nil {
+			if clean { // openRequest opened the others
+				sys.stalled[r], sys.usedMask[r] = false, live
+			}
+			sys.touchedC[r] = won &^ w // the grants taken
+			sys.liveBids[r] = int32(bits.OnesCount64(lost))
+		}
+	}
+	sys.tasks = tasks
+	issued := procBase - barred // the phase's processors, less the barred copies' members
+	if issued == 0 {
+		return tasks, false // the open round claimed nothing: leave it unplayed
 	}
 	m.CloseRound(granted)
-	sys.tasks, sys.reads, sys.writes, sys.repairs = tasks, reads, writes, sys.repairs[:0]
+	sys.reads, sys.writes, sys.repairs = reads, writes, sys.repairs[:0]
 	met := &b.res.Metrics
-	met.IssuedBids += procBase // every processor of the phase bid once
+	met.IssuedBids += issued
 	met.GrantedBids += granted
 	met.CopyAccesses += consumed
 	sys.commitCells()
-	return tasks
+	return tasks, true
 }
 
 // traceLive opens the phase's LiveTrace entry and returns the per-round
@@ -1117,9 +1163,14 @@ func (sys *System) obtainMachine(procs int) error {
 	sys.fv, _ = machine.(FaultView)
 	sys.rs, _ = machine.(RemoteStore)
 	sys.rv, _ = machine.(RepairView)
-	if sys.nCopies <= 64 { // the first-round passes mark a row's copies in one word
-		sys.plain, _ = machine.(*mpc.Machine)
-		sys.failing, _ = machine.(*mpc.Failing)
+	sys.inPlace = nil
+	if sys.nCopies <= 64 { // firstRound marks a row's copies in one word
+		switch m := machine.(type) {
+		case *mpc.Machine:
+			sys.inPlace = m
+		case *mpc.Failing:
+			sys.inPlace = m.InPlace()
+		}
 	}
 	if sys.rs == nil {
 		sys.cells()

@@ -19,7 +19,7 @@ import (
 // batch, and the books must still balance: every issued bid is a traced live
 // request or a bid the fault layer dropped. The static cell runs the same
 // static fault set over the bare mpc.Failing, whose phases play their first
-// rounds in place (firstRoundLive): they drop nothing, and the books balance
+// rounds in place (firstRound): they drop nothing, and the books balance
 // with zero dropped bids.
 func TestTraceReplayMatchesMetrics(t *testing.T) {
 	// "sequential" keeps the id the committed test floor lists.
@@ -144,9 +144,9 @@ func TestTraceReplayMatchesMetrics(t *testing.T) {
 					t.Errorf("the mid-batch failure dropped %d traced bids, the fault layer counted %v", totals.DroppedBids, failing.DroppedBids())
 				}
 			case "static":
-				if sys.failing == nil || totals.DroppedBids != 0 || failing.DroppedBids() != 0 {
+				if sys.inPlace != failing.InPlace() || totals.DroppedBids != 0 || failing.DroppedBids() != 0 {
 					t.Errorf("bare Failing found: %v; %d traced and %d counted dropped bids, want none",
-						sys.failing != nil, totals.DroppedBids, failing.DroppedBids())
+						sys.inPlace != nil, totals.DroppedBids, failing.DroppedBids())
 				}
 			}
 			if cell != "sequential" && sumStranded != batches {
