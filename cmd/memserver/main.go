@@ -17,11 +17,11 @@
 //
 // The stores are in-memory, so a restarted memserver is a wiped memserver.
 // Every process mints a fresh store generation (logged at startup and
-// carried in each handshake ack); a client that reconnects and sees the
-// generation change re-admits the range through its repair queue — the
-// modules serve writes immediately but count toward read quorums only after
-// the self-healing sweep has rebuilt and certified them — instead of
-// silently trusting the empty store.
+// carried in each handshake ack). A client that reconnects re-admits the
+// range through its repair queue whatever the generation — the modules serve
+// writes immediately but count toward read quorums only after the
+// self-healing sweep has rebuilt and certified them — so neither an empty
+// store nor one that missed writes during a partition is trusted as it is.
 package main
 
 import (

@@ -211,8 +211,8 @@ func (d *drill) kill() (*consistency.TraceSet, error) {
 
 // wipe is the self-healing drill: committed values on variables with exactly
 // one copy on the victim, the victim killed and restarted with an empty
-// store, and the store-generation handshake must route its range through the
-// repair queue: the sweep rebuilds and certifies every module of the range
+// store, and the reconnect must route its range through the repair queue:
+// the sweep rebuilds and certifies every module of the range
 // over the wire, and every committed value reads back exactly.
 func (d *drill) wipe() (*consistency.TraceSet, error) {
 	var vars []uint64

@@ -15,8 +15,8 @@
 //	      majority to the victim's module range, by the memory map;
 //	wipe  commit values on variables with exactly one copy on the victim,
 //	      SIGKILL it and restart it on the same address with an empty store:
-//	      the reborn server's generation token must route its range through
-//	      the repair queue, the sweep must rebuild every module of it over
+//	      the reconnect must route its range through the repair queue, as
+//	      every reconnect does, the sweep must rebuild every module of it over
 //	      the wire, and every committed value must read back exactly. The
 //	      restarted victim is then a survivor and must drain cleanly.
 //

@@ -144,8 +144,7 @@ func NewFaultSet(failed ...uint64) *FaultSet {
 type moduleState uint8
 
 const (
-	stLive moduleState = iota
-	stFailed
+	stFailed moduleState = iota
 	stRepairing
 )
 
@@ -278,8 +277,6 @@ func (fs *FaultSet) mutateRange(lo, hi uint64, target moduleState) int {
 		switch target {
 		case stFailed:
 			moved += e.fail(w, mask)
-		case stLive:
-			moved += e.clearFailed(w, mask) + e.clearRepairing(w, mask)
 		case stRepairing:
 			moved += e.arm(&fs.genSeq, w, mask)
 		}
@@ -297,14 +294,6 @@ func (fs *FaultSet) mutateRange(lo, hi uint64, target moduleState) int {
 // with Round.
 func (fs *FaultSet) Fail(m uint64) bool { return fs.mutateRange(m, m+1, stFailed) > 0 }
 
-// Recover marks module m as live again — immediately, with no repair gate.
-// This is the legacy transition for in-process recovery, where the module's
-// store survived the outage: stale copies are value-safe under the quorum
-// intersection rule, they just contribute no freshness. Deployments that
-// want the copies rebuilt use RecoverPending instead. It reports whether
-// the set changed. Safe to call concurrently with Round.
-func (fs *FaultSet) Recover(m uint64) bool { return fs.mutateRange(m, m+1, stLive) > 0 }
-
 // RecoverPending moves module m into the repairing state: it serves bids
 // again from the next round on (write quorums count it immediately), but
 // stays barred from read quorums until the repair scheduler rebuilds its
@@ -319,10 +308,6 @@ func (fs *FaultSet) RecoverPending(m uint64) bool { return fs.mutateRange(m, m+1
 // range — as one snapshot and one epoch bump. It returns the number of
 // modules newly failed.
 func (fs *FaultSet) FailRange(lo, hi uint64) int { return fs.mutateRange(lo, hi, stFailed) }
-
-// RecoverRange is Recover over [lo, hi) as one snapshot. It returns the
-// number of modules that were failed or repairing.
-func (fs *FaultSet) RecoverRange(lo, hi uint64) int { return fs.mutateRange(lo, hi, stLive) }
 
 // RecoverPendingRange is RecoverPending over [lo, hi) as one snapshot: every
 // module of the range gets a fresh generation (re-arming those already
@@ -392,9 +377,9 @@ func (fs *FaultSet) snapshot() *faultState {
 // Failed reports whether module m is currently failed.
 func (fs *FaultSet) Failed(m uint64) bool { return fs.snapshot().failed(m) }
 
-// Epoch returns the mutation epoch: it increases on every effective Fail or
-// Recover, so a caller can cheaply detect "the fault set changed since I
-// last looked" without comparing sets.
+// Epoch returns the mutation epoch: it increases on every effective Fail,
+// RecoverPending or Certify, so a caller can cheaply detect "the fault set
+// changed since I last looked" without comparing sets.
 func (fs *FaultSet) Epoch() uint64 { return fs.snapshot().epoch }
 
 // Count returns the number of currently failed modules.
@@ -485,7 +470,7 @@ func (f *Failing) DroppedBids() uint64 { return f.dropped.Load() }
 
 // Round withdraws the bids at failed modules and runs the inner round. The
 // fault set is sampled once, so the whole round sees one consistent failure
-// pattern even while Fail/Recover run concurrently. A round that drops
+// pattern even while the set's mutators run concurrently. A round that drops
 // nothing hands the caller's list through; otherwise the list is copied into
 // a scratch of its length with each dropped bid Idle in its place, so
 // grant[i] still answers bid i.

@@ -11,7 +11,7 @@ import (
 // TestFailingDynamic drives fail → drop → recover → serve through one
 // machine and the fault set it embeds: a bid to a failed module is dropped
 // (never granted), the drop is counted, and the module serves again after
-// Recover.
+// RecoverPending, before its repair is certified.
 func TestFailingDynamic(t *testing.T) {
 	f, err := NewFailing(Config{Procs: 4, Modules: 4}, nil)
 	if err != nil {
@@ -43,8 +43,8 @@ func TestFailingDynamic(t *testing.T) {
 		t.Fatalf("dropped = %d, want 1", f.DroppedBids())
 	}
 
-	if !f.Recover(1) {
-		t.Fatal("Recover(1) reported no change")
+	if !f.RecoverPending(1) {
+		t.Fatal("RecoverPending(1) reported no change")
 	}
 	if served := f.Round(reqs, grant); served != 3 {
 		t.Fatalf("recovered round served %d, want 3", served)
@@ -83,14 +83,19 @@ func TestFaultSetEpoch(t *testing.T) {
 	if fs.Fail(3) || fs.Epoch() != e1 {
 		t.Fatalf("repeated Fail(3) advanced the epoch")
 	}
-	if !fs.Recover(3) || fs.Epoch() == e1 {
-		t.Fatalf("Recover(3) did not advance the epoch")
+	if !fs.RecoverPending(3) || fs.Epoch() == e1 {
+		t.Fatalf("RecoverPending(3) did not advance the epoch")
 	}
-	if fs.Recover(3) {
-		t.Fatalf("repeated Recover(3) reported a change")
+	e2 := fs.Epoch()
+	if !fs.Certify(3, fs.RepairGen(3)) || fs.Epoch() == e2 {
+		t.Fatalf("Certify(3) did not advance the epoch")
 	}
-	if fs.Count() != 0 {
-		t.Fatalf("count = %d after symmetric fail/recover", fs.Count())
+	e3 := fs.Epoch()
+	if fs.Certify(3, 1) || fs.Epoch() != e3 {
+		t.Fatalf("certifying a live module reported a change")
+	}
+	if fs.Count() != 0 || fs.RepairCount() != 0 {
+		t.Fatalf("%d failed, %d repairing after fail, re-admission and certification", fs.Count(), fs.RepairCount())
 	}
 }
 
@@ -135,7 +140,7 @@ func TestFaultSetShared(t *testing.T) {
 			t.Fatalf("shared failure not seen: served %d", served)
 		}
 	}
-	fs.Recover(2)
+	fs.RecoverPending(2)
 	for _, m := range []*Failing{a, b} {
 		if served := m.Round(dense(2, Idle, Idle, Idle), grant); served != 1 {
 			t.Fatalf("shared recovery not seen: served %d", served)
@@ -183,11 +188,11 @@ func TestFailingDropAnnotation(t *testing.T) {
 	}
 }
 
-// TestFaultSetConcurrent hammers Fail/Recover from several goroutines while
-// a machine runs rounds; run under -race this pins the snapshot publication
-// protocol. Invariant checked: a round's grants never include a module that
-// was failed for the whole round (here: module 0 is failed permanently
-// before the rounds start, so it must never serve).
+// TestFaultSetConcurrent hammers Fail/RecoverPending from several
+// goroutines while a machine runs rounds; run under -race this pins the
+// snapshot publication protocol. Invariant checked: a round's grants never
+// include a module that was failed for the whole round (here: module 0 is
+// failed permanently before the rounds start, so it must never serve).
 func TestFaultSetConcurrent(t *testing.T) {
 	f, err := NewFailing(Config{Procs: 8, Modules: 8}, []uint64{0})
 	if err != nil {
@@ -207,7 +212,7 @@ func TestFaultSetConcurrent(t *testing.T) {
 				default:
 				}
 				f.Fail(m)
-				f.Recover(m)
+				f.RecoverPending(m)
 			}
 		}(g)
 	}
@@ -238,14 +243,6 @@ func (md *faultModel) fail(m uint64) bool {
 	return !was
 }
 
-func (md *faultModel) recover(m uint64) bool {
-	_, rep := md.gen[m]
-	was := md.failed[m] || rep
-	delete(md.failed, m)
-	delete(md.gen, m)
-	return was
-}
-
 func (md *faultModel) recoverPending(m uint64) bool {
 	_, rep := md.gen[m]
 	delete(md.failed, m)
@@ -271,7 +268,7 @@ func (md *faultModel) certify(m, gen uint64) bool {
 func FuzzFaultSet(f *testing.F) {
 	f.Add([]byte{0x01, 0x82, 0x01, 0x03})
 	f.Add([]byte{0xff, 0x7f, 0x00, 0x80})
-	f.Add([]byte{5, 10, 100, 7, 30, 90, 8, 0, 127, 6, 60, 70, 2, 64, 0, 3, 64, 0})
+	f.Add([]byte{3, 10, 100, 4, 30, 90, 1, 0, 127, 5, 60, 70, 2, 64, 0, 6, 64, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const modules = 128 // two bitmask words, so ranges cross a word boundary
 		fs := NewFaultSet()
@@ -296,24 +293,19 @@ func FuzzFaultSet(f *testing.F) {
 				}
 				return 0
 			}
-			switch kind := ops[i] % 9; kind {
+			switch kind := ops[i] % 7; kind {
 			case 0:
 				got, want = b2i(fs.Fail(a)), b2i(md.fail(a))
 			case 1:
-				got, want = b2i(fs.Recover(a)), b2i(md.recover(a))
-			case 2:
 				got, want = b2i(fs.RecoverPending(a)), b2i(md.recoverPending(a))
 				effective = true // a re-arm moves nothing and still mints a generation
-			case 3:
+			case 2:
 				gen := md.gen[a] + b&1 // current, or stale when b is odd (0 when a is not repairing)
 				got, want = b2i(fs.Certify(a, gen)), b2i(md.certify(a, gen))
-			case 4:
+			case 3:
 				got = fs.FailRange(lo, hi)
 				each(md.fail)
-			case 5:
-				got = fs.RecoverRange(lo, hi)
-				each(md.recover)
-			case 6:
+			case 4:
 				got = fs.RecoverPendingRange(lo, hi)
 				each(md.recoverPending)
 				effective = true
@@ -324,7 +316,7 @@ func FuzzFaultSet(f *testing.F) {
 				for m := lo; m < hi; m++ {
 					if g, ok := md.gen[m]; ok {
 						if len(mods)%3 == 2 {
-							g += uint64(kind) - 6 // 7 or 8: off by one or two
+							g += uint64(kind) - 4 // 5 or 6: off by one or two
 						}
 						mods, gens = append(mods, m), append(gens, g)
 					}
@@ -338,10 +330,10 @@ func FuzzFaultSet(f *testing.F) {
 				}
 			}
 			if got != want {
-				t.Fatalf("op %d (kind %d, a=%d, b=%d): moved %d modules, model says %d", i/3, ops[i]%9, a, b, got, want)
+				t.Fatalf("op %d (kind %d, a=%d, b=%d): moved %d modules, model says %d", i/3, ops[i]%7, a, b, got, want)
 			}
 			if bumped := fs.Epoch() - epoch; bumped != uint64(b2i(effective || want > 0)) {
-				t.Fatalf("op %d (kind %d): epoch moved by %d after a call that moved %d modules", i/3, ops[i]%9, bumped, want)
+				t.Fatalf("op %d (kind %d): epoch moved by %d after a call that moved %d modules", i/3, ops[i]%7, bumped, want)
 			}
 			if fs.Count() != len(md.failed) || fs.RepairCount() != len(md.gen) {
 				t.Fatalf("op %d: %d failed and %d repairing, model has %d and %d", i/3, fs.Count(), fs.RepairCount(), len(md.failed), len(md.gen))

@@ -25,7 +25,12 @@
 // classifying a pass's modules — reads once. Its Round withdraws the bids at
 // failed modules; a caller that has already kept its bids off them under one
 // snapshot plays its rounds in place on the inner machine instead
-// (Failing.InPlace), which drops nothing.
+// (Failing.InPlace), which drops nothing. A failed module has one way back:
+// RecoverPending, which lets it serve bids but keeps it out of read quorums,
+// then a Certify at the repair generation the sweep that rebuilt its copies
+// captured. Nothing trusts a returning module's copies as they are: they may
+// have missed a write that stranded on other copies and was then read, and
+// a quorum of them would hide that write again.
 package mpc
 
 import (

@@ -109,16 +109,6 @@ func TestRepairFailClearsRepairing(t *testing.T) {
 	if fs.Failed(m) == false {
 		t.Errorf("certification attempt resurrected a failed module")
 	}
-
-	// Plain Recover from repairing state also clears it (legacy path).
-	fs.RecoverPending(m)
-	if !fs.Recover(m) {
-		t.Fatalf("Recover on repairing module = false")
-	}
-	if fs.Repairing(m) || fs.Failed(m) {
-		t.Errorf("Recover left repair/fail state: repairing=%v failed=%v",
-			fs.Repairing(m), fs.Failed(m))
-	}
 }
 
 // TestRepairEpochAdvances: every repair transition must bump the epoch so
@@ -244,7 +234,6 @@ func TestFaultSetRangeMatchesLoop(t *testing.T) {
 		{"RecoverPendingRange", ranged.RecoverPendingRange, looped.RecoverPending},
 		{"RecoverPendingRange (re-arm)", ranged.RecoverPendingRange, looped.RecoverPending},
 		{"FailRange over repairing", ranged.FailRange, looped.Fail},
-		{"RecoverRange", ranged.RecoverRange, looped.Recover},
 	} {
 		before := ranged.Epoch()
 		moved := 0
@@ -261,8 +250,8 @@ func TestFaultSetRangeMatchesLoop(t *testing.T) {
 		}
 		same(step.name)
 	}
-	if ranged.Count() != 2 || !ranged.Failed(5) || !ranged.Failed(6) {
-		t.Fatalf("modules outside the range were disturbed: %d failed, want 5 and 6 only", ranged.Count())
+	if ranged.Count() != int(hi-lo)+2 || !ranged.Failed(5) || !ranged.Failed(6) {
+		t.Fatalf("modules outside the range were disturbed: %d failed, want the range plus 5 and 6", ranged.Count())
 	}
 }
 
@@ -278,7 +267,7 @@ func TestFaultSnapshotsImmutable(t *testing.T) {
 	fs.RecoverPendingRange(90, 110) // re-arm inside old's chunks
 	fs.CertifyBatch([]uint64{60}, []uint64{fs.RepairGen(60)})
 	fs.FailRange(120, 130)
-	fs.RecoverRange(0, 50)
+	fs.RecoverPendingRange(0, 50)
 	if old.count != 100 || old.rcount != 100 || old.gen(100) != gen || !old.repairing(60) ||
 		!old.repairing(125) || old.failed(125) || !old.failed(10) {
 		t.Fatalf("a published snapshot changed under later mutations: %d failed, %d repairing, gen(100) %d (was %d)",
@@ -316,8 +305,6 @@ func TestRangeMutationIsAtomicToRounds(t *testing.T) {
 				gens = append(gens, fs.RepairGen(m))
 			}
 			fs.CertifyBatch(mods, gens)
-			fs.FailRange(lo, hi)
-			fs.RecoverRange(lo, hi)
 		}
 	}()
 	reqs := make([]int64, modules)

@@ -1021,7 +1021,8 @@ func TestQuorumCancelsOverWire(t *testing.T) {
 		for c, m := range mods(v) {
 			fs.Fail(m)
 			got, _, err := sys.ReadBatch([]uint64{v})
-			fs.Recover(m)
+			fs.RecoverPending(m)
+			drainRepair(t, sys)
 			if err != nil || got[0] != vals[i] {
 				t.Fatalf("var %d without copy %d: read %v, err %v; want %d", v, c, got, err, vals[i])
 			}

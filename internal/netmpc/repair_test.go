@@ -2,7 +2,9 @@ package netmpc
 
 import (
 	"errors"
+	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -78,10 +80,23 @@ func wipeRestart(t *testing.T, s *core.Scheme, servers []*Server, addrs []string
 	waitFor(t, 5*time.Second, func() bool { return tr.FaultSet().Count() == 0 })
 }
 
+// drainRepair pumps the repair sweep until the backlog is empty, as a shard
+// dispatcher's idle loop does (batch traffic pumps it too), for at most ten
+// seconds.
+func drainRepair(t *testing.T, sys *protocol.System) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for sys.RepairBacklog() > 0 {
+		if !sys.RepairStep() && time.Now().After(deadline) {
+			t.Fatalf("repair backlog stuck at %d", sys.RepairBacklog())
+		}
+	}
+}
+
 // TestWipeRestartRepairsOverWire is the happy self-healing path over a real
-// cluster: one server is killed and restarted with an empty store. The
-// generation token in the handshake tells the client the store is reborn, so
-// the range is re-admitted through RecoverPending, the repair sweep rebuilds
+// cluster: one server is killed and restarted with an empty store. Its range
+// is re-admitted through RecoverPending, as every reconnect is; the repair
+// sweep rebuilds
 // every lost copy over the wire from surviving read majorities (repair
 // writes use put-if-newer, wire op 2), and after certification every read
 // returns the committed value.
@@ -115,14 +130,7 @@ func TestWipeRestartRepairsOverWire(t *testing.T) {
 		t.Fatalf("wiped restart was re-admitted without entering repair")
 	}
 
-	// Drain the repair backlog explicitly (shard dispatchers do this from
-	// their idle loop; batch traffic pumps it too).
-	deadline := time.Now().Add(10 * time.Second)
-	for sys.RepairBacklog() > 0 {
-		if !sys.RepairStep() && time.Now().After(deadline) {
-			t.Fatalf("repair backlog stuck at %d", sys.RepairBacklog())
-		}
-	}
+	drainRepair(t, sys)
 
 	got, _, err := sys.ReadBatch(vars)
 	if err != nil {
@@ -219,5 +227,180 @@ func TestWipeRestartNeverServesZeroQuorum(t *testing.T) {
 	}
 	if sys.RepairBacklog() == 0 {
 		t.Fatalf("repair certified the wiped range while its source majority was down")
+	}
+}
+
+// partitionProxy forwards TCP connections to one server. Cut severs every
+// forwarded connection and refuses new ones, as a network partition would,
+// while the server and its store keep running; healing lets connections
+// through again.
+type partitionProxy struct {
+	ln      net.Listener
+	backend string
+	wg      sync.WaitGroup // serve and the forwarding goroutines
+	mu      sync.Mutex
+	cut     bool
+	conns   []net.Conn
+}
+
+func startProxy(t *testing.T, backend string) *partitionProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &partitionProxy{ln: ln, backend: backend}
+	p.wg.Add(1)
+	go p.serve()
+	t.Cleanup(func() {
+		ln.Close()
+		p.setCut(true)
+		p.wg.Wait()
+	})
+	return p
+}
+
+func (p *partitionProxy) serve() {
+	defer p.wg.Done()
+	for {
+		c, err := p.ln.Accept()
+		if err != nil {
+			return
+		}
+		p.mu.Lock()
+		var b net.Conn
+		if !p.cut {
+			b, _ = net.Dial("tcp", p.backend)
+		}
+		if b == nil {
+			p.mu.Unlock()
+			c.Close()
+			continue
+		}
+		p.conns = append(p.conns, c, b)
+		p.mu.Unlock()
+		p.wg.Add(2)
+		go p.forward(c, b)
+		go p.forward(b, c)
+	}
+}
+
+func (p *partitionProxy) forward(dst, src net.Conn) {
+	defer p.wg.Done()
+	io.Copy(dst, src)
+	dst.Close()
+	src.Close()
+}
+
+// setCut starts (true) or heals (false) the partition.
+func (p *partitionProxy) setCut(cut bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.cut = cut
+	if cut {
+		for _, c := range p.conns {
+			c.Close()
+		}
+		p.conns = nil
+	}
+}
+
+// TestReconnectHealedPartitionRepairs: a partition that heals re-admits the
+// server's range through repair, as a restart does. A proxy in front of
+// server 1 cuts the client's connection while the server and its store keep
+// running, so the server's generation stays the same. Writes commit on the
+// survivors meanwhile, and the proxy heals. Right after the reconnect the
+// whole range is under repair; after the sweep every committed value reads
+// back. The test logs the refused-read window from the reconnect to
+// certification.
+func TestReconnectHealedPartitionRepairs(t *testing.T) {
+	s := testScheme(t)
+	const k, victim = 2, 1
+	_, addrs := startCluster(t, s, k)
+	px := startProxy(t, addrs[victim])
+	dial := append([]string(nil), addrs...)
+	dial[victim] = px.ln.Addr().String()
+	tr, err := Dial(testDialConfig(s, dial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	sys := newTCPSystem(t, s, tr)
+
+	// Variables whose writes commit during the partition have at most one
+	// copy on the victim; the others lose their read quorum while its range
+	// is under repair.
+	var vars, writable []uint64
+	doubled := 0
+	for v := uint64(0); len(vars) < 48; v++ {
+		on := 0
+		for c := 0; c < sys.Mapper.Copies(); c++ {
+			if copyServer(sys, s, k, v, c) == victim {
+				on++
+			}
+		}
+		vars = append(vars, v)
+		if on <= 1 {
+			writable = append(writable, v)
+		} else {
+			doubled++
+		}
+	}
+	if doubled == 0 || len(writable) == 0 {
+		t.Fatalf("%d of %d variables have two copies on server %d; the shape shows no refused-read window", doubled, len(vars), victim)
+	}
+	model := make(map[uint64]uint64, len(vars))
+	vals := make([]uint64, len(vars))
+	for i, v := range vars {
+		vals[i] = 1000 + v
+		model[v] = vals[i]
+	}
+	if _, err := sys.WriteBatch(vars, vals); err != nil {
+		t.Fatal(err)
+	}
+
+	px.setCut(true)
+	probeUntilDeath(t, tr, sys, vars)
+	vals = vals[:len(writable)]
+	for i, v := range writable {
+		vals[i] = 2000 + v
+		model[v] = vals[i]
+	}
+	if _, err := sys.WriteBatch(writable, vals); err != nil {
+		t.Fatalf("write during the partition: %v", err)
+	}
+
+	px.setCut(false)
+	waitFor(t, 5*time.Second, func() bool { return tr.FaultSet().Count() == 0 })
+	healed := time.Now()
+	lo, hi := Range(victim, k, int64(s.NumModules))
+	if got := tr.FaultSet().RepairCount(); got != int(hi-lo) {
+		t.Fatalf("healed range re-admitted with %d of its %d modules under repair", got, hi-lo)
+	}
+
+	// Reads pump the sweep, one step per batch, until it certifies.
+	batches, refused := 0, 0
+	for tr.FaultSet().RepairCount() > 0 {
+		if time.Since(healed) > 10*time.Second {
+			t.Fatalf("repair did not certify the healed range: %d modules left", tr.FaultSet().RepairCount())
+		}
+		_, m, err := sys.ReadBatch(vars)
+		if err != nil && !errors.Is(err, protocol.ErrIncomplete) {
+			t.Fatalf("read during repair: %v", err)
+		}
+		batches++
+		refused += len(m.Unfinished)
+	}
+	t.Logf("refused-read window: %d reads refused in %d batches of %d over %v, reconnect to certification",
+		refused, batches, len(vars), time.Since(healed))
+
+	got, _, err := sys.ReadBatch(vars)
+	if err != nil {
+		t.Fatalf("read after repair: %v", err)
+	}
+	for i, v := range vars {
+		if got[i] != model[v] {
+			t.Fatalf("var %d = %d after repair, want %d", v, got[i], model[v])
+		}
 	}
 }

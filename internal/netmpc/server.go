@@ -72,9 +72,8 @@ type Server struct {
 	draining atomic.Bool
 
 	// gen is the store generation: minted once per server lifetime, carried
-	// in every handshake ack. The stores are in-memory, so a restart IS a
-	// wipe — a client comparing generations across a reconnect learns whether
-	// the cells it wrote still exist.
+	// in every handshake ack and printed by memserver. The stores are
+	// in-memory, so a restart is a wipe and mints a new generation.
 	gen uint64
 
 	// frames counts served round frames, for tests and operational logging.

@@ -89,18 +89,12 @@ func ServerFor(m, modules int64, nServers int) int {
 // srv is the per-server connection state. While the server is up, the round
 // in progress (serialized by Transport.roundMu) is the only code that writes
 // to or reads from conn; once markDown has cleared it, the reconnect loop owns
-// conn, br and gen until it publishes a new connection under writeMu.
+// conn and br until it publishes a new connection under writeMu.
 type srv struct {
-	idx    int
-	addr   string
-	lo, hi int64 // owned module range, [lo, hi)
-	t      *Transport
-	// gen is the store generation the server reported at the last accepted
-	// handshake. A reconnect whose ack carries a different generation means
-	// the store died with the old process: the module range is re-admitted
-	// through RecoverPending (repair before read quorums) instead of
-	// Recover. Written under writeMu.
-	gen      uint64
+	idx      int
+	addr     string
+	lo, hi   int64 // owned module range, [lo, hi)
+	t        *Transport
 	up       atomic.Bool
 	reconn   atomic.Bool // a reconnect loop is running
 	writeMu  sync.Mutex  // guards conn and br swaps, and writes
@@ -159,14 +153,13 @@ func Dial(cfg Config) (*Transport, error) {
 	for i, addr := range cfg.Servers {
 		lo, hi := Range(i, len(cfg.Servers), cfg.Modules)
 		s := &srv{idx: i, addr: addr, lo: lo, hi: hi, t: t}
-		conn, gen, err := t.dialServer(s)
+		conn, err := t.dialServer(s)
 		if err != nil {
 			t.Close()
 			return nil, fmt.Errorf("netmpc: server %d (%s): %w", i, addr, err)
 		}
 		s.conn = conn
 		s.br = bufio.NewReaderSize(conn, readBufSize)
-		s.gen = gen
 		s.up.Store(true)
 		t.servers = append(t.servers, s)
 	}
@@ -220,12 +213,12 @@ func (t *Transport) Close() {
 	t.wg.Wait()
 }
 
-// dialServer opens and handshakes one connection, returning the server's
-// store generation and typed errors on parameter disagreement.
-func (t *Transport) dialServer(s *srv) (net.Conn, uint64, error) {
+// dialServer opens and handshakes one connection, returning typed errors on
+// parameter disagreement.
+func (t *Transport) dialServer(s *srv) (net.Conn, error) {
 	conn, err := net.DialTimeout("tcp", s.addr, dialTimeout)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
@@ -243,19 +236,19 @@ func (t *Transport) dialServer(s *srv) (net.Conn, uint64, error) {
 	}
 	if _, err := hello.WriteTo(conn); err != nil {
 		conn.Close()
-		return nil, 0, err
+		return nil, err
 	}
 	var ack HandshakeAck
 	if _, err := ack.ReadFrom(conn); err != nil {
 		conn.Close()
-		return nil, 0, err
+		return nil, err
 	}
 	if err := ackError(&ack); err != nil {
 		conn.Close()
-		return nil, 0, err
+		return nil, err
 	}
 	conn.SetDeadline(time.Time{})
-	return conn, ack.Gen, nil
+	return conn, nil
 }
 
 // ackError maps a handshake ack onto the typed error taxonomy.
@@ -302,14 +295,13 @@ func (s *srv) markDown(conn net.Conn, cause error) {
 }
 
 // reconnectLoop redials with exponential backoff until the server answers a
-// valid handshake again, then re-admits its module range into the fault
-// set. Re-admission is gated on the store generation the ack carries: the
-// generation the client remembers means the store survived (a network
-// partition) and the range goes straight to Recover; a new generation means
-// the server restarted with an empty store — Recover here is exactly the
-// pre-PR-10 bug where a quorum of reborn zero-timestamp cells could outvote
-// the last committed write — so the range enters RecoverPending and serves
-// read quorums only after the repair sweep certifies it.
+// valid handshake again, then re-admits its module range through
+// RecoverPendingRange: the range serves write quorums at once and read
+// quorums only after the repair sweep has rebuilt and certified it. That
+// holds whether the server restarted with an empty store or kept its store
+// through a partition: a kept store has missed the writes made while it was
+// down, and read quorums leaning on its copies could hide again a stranded
+// write that a reader has already seen.
 // Parameter-mismatch rejections keep retrying at max backoff: an operator
 // may be mid-redeploy, and the range stays failed until geometry agrees.
 func (s *srv) reconnectLoop() {
@@ -320,7 +312,7 @@ func (s *srv) reconnectLoop() {
 		if s.t.closed.Load() {
 			return
 		}
-		conn, gen, err := s.t.dialServer(s)
+		conn, err := s.t.dialServer(s)
 		if err != nil {
 			s.lastErr.Store(errBox{err})
 			backoff = min(2*backoff, reconnectMax)
@@ -338,16 +330,11 @@ func (s *srv) reconnectLoop() {
 		// its markDown fails the range after this re-admission and finds no
 		// loop running; up goes first so that whoever sees the range
 		// re-admitted also finds the server up.
-		readmit := s.t.fs.RecoverRange
-		if gen != s.gen {
-			readmit = s.t.fs.RecoverPendingRange
-		}
 		s.conn = conn
 		s.br.Reset(conn) // whatever the dead connection left buffered is gone
-		s.gen = gen
 		s.up.Store(true)
 		s.recon.Inc()
-		readmit(uint64(s.lo), uint64(s.hi))
+		s.t.fs.RecoverPendingRange(uint64(s.lo), uint64(s.hi))
 		s.reconn.Store(false)
 		s.writeMu.Unlock()
 		return

@@ -38,10 +38,10 @@ import (
 
 // Version is the wire-protocol version carried by the handshake. Bump it on
 // any frame-layout change; mismatched peers fail the handshake with
-// ErrVersionMismatch. Version 2 added HandshakeAck.Gen, the store-generation
-// token that gates re-admission after a reconnect; version 3 dropped the
-// per-bid arbitration claim and the frame's round counter (bids 45 → 37
-// bytes): servers arbitrate lowest-processor-wins from Bid.Proc; version 4
+// ErrVersionMismatch. Version 2 added HandshakeAck.Gen, a store-generation
+// token that no client reads any more; version 3 dropped the per-bid
+// arbitration claim and the frame's round counter (bids 45 → 37 bytes):
+// servers arbitrate lowest-processor-wins from Bid.Proc; version 4
 // added bid op 3, read-write, whose grant carries the cell as it was before
 // the write.
 const Version uint16 = 4
@@ -121,13 +121,10 @@ const (
 // the ack, and the client maps the code to the matching typed error.
 //
 // Gen is the server's store generation: a token minted once per store
-// lifetime (process start, or explicit wipe). A client that reconnects and
-// sees the generation it remembers knows the store survived — a transient
-// network partition — and may re-admit the module range as-is. A different
-// generation means the server restarted with a fresh (empty) store: the
-// range must go through copy repair before it serves read quorums, or a
-// quorum of reborn zero-timestamp cells could outvote the last committed
-// write.
+// lifetime (process start, or explicit wipe). The client does not read it: a
+// reconnected range goes through copy repair before it serves read quorums
+// whether its store survived or not. The field stays so that the layout of
+// version 4 does not change; the next version bump can reuse its slot.
 type HandshakeAck struct {
 	Version   uint16
 	Status    uint8

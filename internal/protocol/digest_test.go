@@ -166,10 +166,10 @@ func faultScript(m Mapper, scenario string, batches [][]Request, rng *rand.Rand,
 		script = map[int]func(*mpc.FaultSet){
 			1:  func(fs *mpc.FaultSet) { fs.Fail(a) },
 			3:  func(fs *mpc.FaultSet) { fs.Fail(b); fs.FailRange(lo, hi) },
-			6:  func(fs *mpc.FaultSet) { fs.Recover(a) },
+			6:  func(fs *mpc.FaultSet) { readmitUnrebuilt(fs, a) },
 			9:  func(fs *mpc.FaultSet) { fs.RecoverPendingRange(lo, hi) },
-			14: func(fs *mpc.FaultSet) { fs.Fail(gamma[0]); fs.Recover(b) },
-			23: func(fs *mpc.FaultSet) { fs.Recover(gamma[0]) },
+			14: func(fs *mpc.FaultSet) { fs.Fail(gamma[0]); readmitUnrebuilt(fs, b) },
+			23: func(fs *mpc.FaultSet) { readmitUnrebuilt(fs, gamma[0]) },
 		}
 	}
 	return func(i int) {
@@ -184,6 +184,15 @@ func faultScript(m Mapper, scenario string, batches [][]Request, rng *rand.Rand,
 			}
 		}
 	}
+}
+
+// readmitUnrebuilt re-admits module m and certifies it at once, as a repair
+// sweep that found nothing to rebuild would. It keeps the flip script's
+// pinned digests; every other test re-admits through RecoverPending and a
+// sweep that runs.
+func readmitUnrebuilt(fs *mpc.FaultSet, m uint64) {
+	fs.RecoverPending(m)
+	fs.Certify(m, fs.Snapshot().RepairGen(m))
 }
 
 // digestSizes is the script every cell of the matrix runs. The first batch

@@ -112,10 +112,12 @@ func TestDynamicFaultLifecycle(t *testing.T) {
 		}
 	}
 
-	// Recovery heals the next batch on the same System.
+	// Recovery, once the repair sweep has certified it, heals the next batch
+	// on the same System.
 	for _, m := range vmods {
-		fs.Recover(m)
+		fs.RecoverPending(m)
 	}
+	drainRepair(t, sys)
 	got, _, err = sys.ReadBatch(batch)
 	if err != nil {
 		t.Fatalf("read after recovery: %v", err)

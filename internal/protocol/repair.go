@@ -8,7 +8,7 @@ import (
 // RepairView is the repair side of a dynamic fault model. An interconnect
 // whose fault set distinguishes "recovered but not yet rebuilt" from "live"
 // (mpc.Failing over a FaultSet with RecoverPending, netmpc.Client after a
-// generation-mismatch reconnect) exposes it so the protocol can (a) bar
+// reconnect) exposes it so the protocol can (a) bar
 // repairing modules from read quorums — their stores may be stale or reborn
 // empty — while still counting them toward write quorums, and (b) drive the
 // background sweep that rebuilds their copies from surviving majorities and

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"detshmem/internal/cellstore"
@@ -91,39 +92,17 @@ func drainRepair(t *testing.T, sys *System) {
 	}
 }
 
-// TestWipedRecoverReAdmissionBug is the regression at the heart of PR 10.
-// The scenario: a write lands on copies 0 and 1 (the quorum), copy 2 stays
-// at timestamp 0. Copy 0's module crashes and restarts with a wiped store;
-// copy 1's module crashes and stays down. Pre-fix, plain Recover re-admits
-// the wiped module immediately, and the read quorum {copy0, copy2} — both
-// at timestamp 0 — silently returns the zero value while the crashed module
-// still holds the freshest write. The first subtest documents that failure
-// mode; the second pins the fix: RecoverPending bars the wiped module from
-// read quorums, the repair sweep refuses to certify while the fresh copy is
+// TestWipedRecoverReAdmissionBug: a write lands on copies 0 and 1 (the
+// quorum), copy 2 stays at timestamp 0. Copy 0's module crashes and restarts
+// with a wiped store; copy 1's module crashes and stays down. Re-admitted as
+// it is, the wiped module would make {copy0, copy2} — both at timestamp 0 —
+// a read quorum that returns the zero value while the crashed module holds
+// the freshest write. RecoverPending bars the wiped module from read
+// quorums, the repair sweep refuses to certify while the fresh copy is
 // unreadable, and once the crashed module returns the sweep rebuilds the
-// wiped copy from a sound majority.
+// wiped copy.
 func TestWipedRecoverReAdmissionBug(t *testing.T) {
 	const v, val = 7, uint64(42)
-
-	t.Run("pre-fix path serves the lost write as zero", func(t *testing.T) {
-		sys, fs := repairSystem(t, nil)
-		defer sys.Close()
-		if _, err := sys.WriteBatch([]uint64{v}, []uint64{val}); err != nil {
-			t.Fatal(err)
-		}
-		mods := victimModules(sys, v)
-		fs.Fail(mods[0])
-		fs.Fail(mods[1])
-		wipeCopies(sys, v, 0)
-		fs.Recover(mods[0]) // straight to live: the pre-fix re-admission
-		got, _, err := sys.ReadBatch([]uint64{v})
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		if got[0] == val {
-			t.Fatalf("pre-fix read returned the correct value %d; the regression this PR fixes no longer reproduces, so the fixed path below is not actually exercising the bug", val)
-		}
-	})
 
 	t.Run("RecoverPending repairs before serving reads", func(t *testing.T) {
 		sys, fs := repairSystem(t, nil)
@@ -156,9 +135,9 @@ func TestWipedRecoverReAdmissionBug(t *testing.T) {
 			t.Fatalf("sweep certified the wiped module while the fresh copy was unreadable")
 		}
 
-		// The crashed module returns (its store intact); now a sound source
-		// majority exists and the sweep rebuilds the wiped copy.
-		fs.Recover(mods[1])
+		// The crashed module returns (its store intact), also under repair;
+		// now no copy is unreadable and the sweep rebuilds the wiped one.
+		fs.RecoverPending(mods[1])
 		drainRepair(t, sys)
 		if fs.RepairCount() != 0 {
 			t.Fatalf("repair count %d after drain", fs.RepairCount())
@@ -197,8 +176,8 @@ func TestRecoverMidWave(t *testing.T) {
 			}
 			armed = false
 			// Mid-phase: copy 0's module restarts with a wiped store.
-			// Pre-fix this was a plain Recover and the victim's retry
-			// wave would count the wiped copy toward its read quorum.
+			// Re-admitted without repair, it would count toward the
+			// victim's retry wave's read quorum.
 			wipeCopies(sys, victim, 0)
 			fs.RecoverPending(victimModules(sys, victim)[0])
 		}
@@ -236,9 +215,9 @@ func TestRecoverMidWave(t *testing.T) {
 			t.Fatalf("mid-wave read: %v", err)
 		}
 
-		// The crashed module returns; repair rebuilds the wiped copy from
-		// the sound majority and certifies.
-		fs.Recover(mods[1])
+		// The crashed module returns under repair; the sweep rebuilds the
+		// wiped copy and certifies both.
+		fs.RecoverPending(mods[1])
 		drainRepair(t, sys)
 		got, _, err = sys.ReadBatch(vars)
 		if err != nil {
@@ -287,7 +266,7 @@ func TestRepairingCountsTowardWriteQuorum(t *testing.T) {
 
 	// Once the second module returns, the sweep certifies and reads see the
 	// write that went through while the module was still repairing.
-	fs.Recover(mods[1])
+	fs.RecoverPending(mods[1])
 	drainRepair(t, sys)
 	got, _, err := sys.ReadBatch([]uint64{v})
 	if err != nil {
@@ -390,11 +369,12 @@ func TestRepairSalvage(t *testing.T) {
 		t.Fatalf("scheduler did not pause on an unrepairable backlog")
 	}
 
-	// The crashed module returns. Its copy was never written (timestamp 0),
-	// so there is still no sound majority — but now nothing unread remains:
-	// salvage reads all three copies, finds the survivor on the repairing
-	// module itself, rebuilds the wiped copy from it, and certifies.
-	fs.Recover(mods[2])
+	// The crashed module returns, under repair like the others. Its copy was
+	// never written (timestamp 0), so there is still no sound majority — but
+	// now nothing unread remains: salvage reads all three copies, finds the
+	// survivor on a repairing module, rebuilds the wiped copy from it, and
+	// certifies.
+	fs.RecoverPending(mods[2])
 	drainRepair(t, sys)
 	got, _, err := sys.ReadBatch([]uint64{v})
 	if err != nil {
@@ -571,5 +551,93 @@ func TestReArmMidWave(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReadmissionNeverUnTakesAWrite: a write that strands after reaching one
+// copy may take effect later or never, but once a read has returned it, no
+// later read may return the value it overwrote. q=2 n=3, one variable: W(1)
+// commits on copies 0 and 1; copy 1's module fails, and copy 2's fails after
+// W(2) has selected its copies and before its first round, so W(2) reaches
+// copy 0 alone and strands. Copies 1 and 2 come back one at a time, each
+// through RecoverPending and the sweep, and copy 0 then fails. A re-admission
+// that trusted the returning copies as they are would read 2, 2, 1: the
+// returning copies form a quorum without copy 0 and hide W(2) again. Through
+// repair the reads are refused, 2, 2.
+func TestReadmissionNeverUnTakesAWrite(t *testing.T) {
+	const v = 7
+	s, err := core.New(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := s.NewIndexer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := mpc.NewFaultSet()
+	round := 0
+	script := map[int]func(*mpc.FaultSet){}
+	sys, err := NewSystem(s, idx, Config{
+		NewMachine: func(cfg mpc.Config) (Machine, error) {
+			f, err := mpc.NewFailingShared(cfg, fs)
+			if err != nil {
+				return nil, err
+			}
+			return &flipMachine{Failing: f, round: &round, script: script}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	mods := victimModules(sys, v)
+
+	if _, err := sys.WriteBatch([]uint64{v}, []uint64{1}); err != nil {
+		t.Fatalf("W(1): %v", err)
+	}
+	if ts := sys.CopyState(v); ts[0] == 0 || ts[1] == 0 || ts[2] != 0 {
+		t.Fatalf("W(1) left copy timestamps %v, want copies 0 and 1 written", ts)
+	}
+	fs.Fail(mods[1])
+	script[round+1] = func(fs *mpc.FaultSet) { fs.Fail(mods[2]) }
+	if _, err := sys.WriteBatch([]uint64{v}, []uint64{2}); !errors.Is(err, ErrIncomplete) {
+		t.Fatalf("W(2) with one copy reachable: %v, want it stranded", err)
+	}
+	if ts := sys.CopyState(v); ts[0] <= ts[1] {
+		t.Fatalf("copy timestamps %v: W(2) did not reach copy 0", ts)
+	}
+
+	var reads []string
+	seen2 := false
+	read := func(step string) {
+		t.Helper()
+		got, _, err := sys.ReadBatch([]uint64{v})
+		switch {
+		case err != nil && !errors.Is(err, ErrIncomplete):
+			t.Fatalf("read %s: %v", step, err)
+		case err != nil:
+			reads = append(reads, "refused")
+		default:
+			reads = append(reads, fmt.Sprint(got[0]))
+			if seen2 && got[0] != 2 {
+				t.Fatalf("read %s returned %d after an earlier read returned 2 (reads %v)", step, got[0], reads)
+			}
+			seen2 = seen2 || got[0] == 2
+		}
+	}
+	// A sweep over copy 1 alone finds copy 2's module failed and W(2)'s
+	// value on one copy; it pauses without certifying.
+	fs.RecoverPending(mods[1])
+	for i := 0; i < 4 && sys.RepairStep(); i++ {
+	}
+	read("after copy 1 returns")
+	fs.RecoverPending(mods[2])
+	drainRepair(t, sys)
+	read("after copy 2 returns")
+	fs.Fail(mods[0])
+	read("after copy 0 fails")
+	t.Logf("reads: %v", reads)
+	if last := reads[len(reads)-1]; last != "2" {
+		t.Fatalf("reads %v: the last read did not return 2", reads)
 	}
 }

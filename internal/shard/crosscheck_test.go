@@ -292,7 +292,10 @@ func TestCrossCheckFaultHammer(t *testing.T) {
 			}
 			fs.Fail(m)
 			time.Sleep(100 * time.Microsecond)
-			fs.Recover(m)
+			fs.RecoverPending(m)
+			if !awaitRepaired(svc, fs, stop) {
+				return
+			}
 			m = (m + 7) % s.NumModules
 		}
 	}()
@@ -360,9 +363,7 @@ func TestCrossCheckDegradedStranding(t *testing.T) {
 	}
 	do(false, victim, 0)      // stranded read
 	do(true, victim, 1<<40|2) // stranded write
-	for _, m := range vmods {
-		fs.Recover(m)
-	}
+	readmit(t, svc, fs, vmods...)
 	do(false, victim, 0) // post-recovery read
 
 	failed := 0

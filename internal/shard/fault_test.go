@@ -42,6 +42,39 @@ func faultService(t testing.TB, shards int, fs *mpc.FaultSet) (*Service, *core.S
 	return svc, s, idx, col
 }
 
+// awaitRepaired waits until fs has no module under repair, the shards'
+// idle pumps having rebuilt and certified what came back, and reports true;
+// it reports false at once when stop closes. A Flush wakes a parked
+// dispatcher, so an idle service starts its sweep.
+func awaitRepaired(svc *Service, fs *mpc.FaultSet, stop <-chan struct{}) bool {
+	if fs.RepairCount() > 0 {
+		svc.Flush() // only a wake-up: on a closed service stop ends the wait
+	}
+	for fs.RepairCount() > 0 {
+		select {
+		case <-stop:
+			return false
+		case <-time.After(20 * time.Microsecond):
+		}
+	}
+	return true
+}
+
+// readmit re-admits mods through RecoverPending and waits, at most ten
+// seconds, for the repair sweep to certify them.
+func readmit(t *testing.T, svc *Service, fs *mpc.FaultSet, mods ...uint64) {
+	t.Helper()
+	for _, m := range mods {
+		fs.RecoverPending(m)
+	}
+	stop := make(chan struct{})
+	timer := time.AfterFunc(10*time.Second, func() { close(stop) })
+	defer timer.Stop()
+	if !awaitRepaired(svc, fs, stop) {
+		t.Fatalf("repair did not certify %v: %d modules still repairing", mods, fs.RepairCount())
+	}
+}
+
 // TestShardDegradedBatch pins degraded-mode serving: with the victim
 // variable's modules failed, the victim's future fails with the quorum
 // verdict while healthy operations admitted into the same shard's stream
@@ -108,20 +141,20 @@ func TestShardDegradedBatch(t *testing.T) {
 		t.Fatalf("observed stranded = %d, want >= 1", n)
 	}
 
-	for _, m := range vmods {
-		fs.Recover(m)
-	}
+	readmit(t, svc, fs, vmods...)
 	if v, err := svc.Read(victim); err != nil || v != victim+900 {
 		t.Fatalf("victim after recovery: %d, %v", v, err)
 	}
 }
 
-// TestFaultHammer churns Fail/Recover in the background — never more than
-// one module failed at any instant, so every variable keeps a live majority
-// at all times — while client goroutines stream operations through the
-// pipelined sharded service. Every request must succeed: the retry passes
-// re-select quorums over survivors until one lands. Run under -race this is
-// the concurrency lane for the whole fault path.
+// TestFaultHammer churns Fail/RecoverPending in the background, failing the
+// next module only once the last one's repair is certified — never more
+// than one module unreadable at any instant, so every variable keeps a
+// readable majority at all times — while client goroutines stream
+// operations through the pipelined sharded service. Every request must
+// succeed: the retry passes re-select quorums over survivors until one
+// lands. Run under -race this is the concurrency lane for the whole fault
+// path.
 func TestFaultHammer(t *testing.T) {
 	fs := mpc.NewFaultSet()
 	svc, s, _, _ := faultService(t, 2, fs)
@@ -141,7 +174,10 @@ func TestFaultHammer(t *testing.T) {
 			}
 			fs.Fail(m)
 			time.Sleep(100 * time.Microsecond)
-			fs.Recover(m)
+			fs.RecoverPending(m)
+			if !awaitRepaired(svc, fs, stop) {
+				return
+			}
 			m = (m + 7) % s.NumModules
 		}
 	}()

@@ -187,7 +187,10 @@ func TestRingAdmissionFaultChurn(t *testing.T) {
 			}
 			fs.Fail(m)
 			time.Sleep(100 * time.Microsecond)
-			fs.Recover(m)
+			fs.RecoverPending(m)
+			if !awaitRepaired(svc, fs, stop) {
+				return
+			}
 			m = (m + 7) % N
 		}
 	}()
