@@ -531,8 +531,9 @@ func BenchmarkFaultSetRange(b *testing.B) {
 			for m := lo; m < hi; m++ {
 				fs.RecoverPending(m)
 			}
+			snap := fs.Snapshot()
 			for m := lo; m < hi; m++ {
-				fs.Certify(m, fs.RepairGen(m))
+				fs.Certify(m, snap.RepairGen(m))
 			}
 		}
 	})
@@ -542,9 +543,10 @@ func BenchmarkFaultSetRange(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			fs.FailRange(lo, hi)
 			fs.RecoverPendingRange(lo, hi)
-			mods, gens = fs.AppendRepairing(mods[:0]), gens[:0]
+			snap := fs.Snapshot()
+			mods, gens = snap.AppendRepairing(mods[:0]), gens[:0]
 			for _, m := range mods {
-				gens = append(gens, fs.RepairGen(m))
+				gens = append(gens, snap.RepairGen(m))
 			}
 			if got := fs.CertifyBatch(mods, gens); got != len(mods) {
 				b.Fatalf("certified %d of %d", got, len(mods))

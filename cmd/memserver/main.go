@@ -1,8 +1,9 @@
 // memserver serves one contiguous module range of a PP93 deployment over
 // TCP (see internal/netmpc). A cluster of k memservers, one per range of
 // Range(i, k, NumModules), plus any number of thin constructive-map clients
-// (any protocol.System over netmpc.Dial, such as cmd/netcluster's drills)
-// forms a networked MPC.
+// (a stack.Open over the servers' addresses, as cmd/netcluster's drills
+// build) forms a networked MPC. Its geometry comes from netmpc.Geometry,
+// the derivation every client uses too.
 //
 // Usage:
 //
@@ -57,15 +58,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "memserver: %v\n", err)
 		os.Exit(2)
 	}
-	lo, hi := netmpc.Range(*index, *servers, int64(s.NumModules))
-	cfg := netmpc.ServerConfig{
-		Q:         s.Q,
-		N:         uint32(s.Deg),
-		Modules:   s.NumModules,
-		AddrSpace: s.NumModules * uint64(s.ModuleSize),
-		RangeLo:   uint64(lo),
-		RangeHi:   uint64(hi),
-	}
+	_, cfg := netmpc.Geometry(s, *index, *servers)
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -81,7 +74,7 @@ func main() {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	fmt.Printf("memserver: ready on %s serving modules [%d,%d) of %d (q=%d n=%d) gen %#x\n",
-		ln.Addr(), lo, hi, s.NumModules, s.Q, s.Deg, sv.Gen())
+		ln.Addr(), cfg.RangeLo, cfg.RangeHi, s.NumModules, s.Q, s.Deg, sv.Gen())
 	if err := serve(sv, ln, sigc, *grace); err != nil {
 		fmt.Fprintf(os.Stderr, "memserver: %v\n", err)
 		os.Exit(1)

@@ -9,11 +9,11 @@ import (
 	"time"
 
 	"detshmem/internal/consistency"
-	"detshmem/internal/core"
 	"detshmem/internal/netmpc"
 	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
 	"detshmem/internal/shard"
+	"detshmem/internal/stack"
 )
 
 // Drill shape: the kill drill's clients each run windows of ops per phase
@@ -44,12 +44,12 @@ var drills = map[string]func(*drill) (*consistency.TraceSet, error){
 	"wipe": (*drill).wipe,
 }
 
-// drill is one run against a cluster: the scheme built from -n, the servers'
-// addresses in range order, and the victim with the module range it owns.
+// drill is one run against a cluster: the one-shard stack dialed to its
+// servers, whose protocol facts go to col, and the victim with the module
+// range it owns.
 type drill struct {
-	s        *core.Scheme
-	m        protocol.Mapper
-	addrs    []string
+	*stack.Stack
+	col      *obs.Collector
 	victim   int
 	lo, hi   uint64
 	c        cluster
@@ -65,21 +65,21 @@ func runDrill(name string, n int, addrs []string, victim int, c cluster, w io.Wr
 	if !ok {
 		return nil, fmt.Errorf("unknown drill %q; known drills: kill, wipe", name)
 	}
-	s, err := core.New(1, n)
+	col := obs.NewCollector()
+	st, err := stack.Open(stack.Spec{Degree: n, Remote: addrs, Observer: col})
 	if err != nil {
 		return nil, err
 	}
-	idx, err := s.NewIndexer()
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := netmpc.Range(victim, len(addrs), int64(s.NumModules))
+	lo, hi := netmpc.Range(victim, len(addrs), int64(st.Scheme.NumModules))
 	d := &drill{
-		s: s, m: protocol.NewCoreMapper(s, idx), addrs: addrs,
+		Stack: st, col: col,
 		victim: victim, lo: uint64(lo), hi: uint64(hi),
 		c: c, w: w, deadline: deadline,
 	}
 	ts, err := drive(d)
+	if cerr := st.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -94,36 +94,12 @@ func runDrill(name string, n int, addrs []string, victim int, c cluster, w io.Wr
 	return ts, nil
 }
 
-// connect dials the cluster and builds a one-shard service over it whose
-// system reports its protocol facts to o (nil for none).
-func (d *drill) connect(o obs.BatchObserver) (*netmpc.Transport, *shard.Service, error) {
-	tr, err := netmpc.Dial(netmpc.Config{
-		Servers:   d.addrs,
-		Q:         d.s.Q,
-		N:         uint32(d.s.Deg),
-		Modules:   int64(d.s.NumModules),
-		AddrSpace: d.s.NumModules * uint64(d.s.ModuleSize),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	svc, err := shard.New(d.m, shard.Config{
-		Protocol:  protocol.Config{Observer: o},
-		Transport: func(int) protocol.Transport { return tr },
-	})
-	if err != nil {
-		tr.Close()
-		return nil, nil, err
-	}
-	return tr, svc, nil
-}
-
 // onVictim counts v's copies in the victim's module range. It reads the
 // memory map only, so it is an oracle independent of the fault layer.
 func (d *drill) onVictim(v uint64) int {
 	n := 0
-	for c := 0; c < d.m.Copies(); c++ {
-		if mod, _ := d.m.CopyAddr(v, c); mod >= d.lo && mod < d.hi {
+	for c := 0; c < d.Mapper.Copies(); c++ {
+		if mod, _ := d.Mapper.CopyAddr(v, c); mod >= d.lo && mod < d.hi {
 			n++
 		}
 	}
@@ -133,20 +109,20 @@ func (d *drill) onVictim(v uint64) int {
 // lost reports whether v keeps fewer live copies than its quorum once the
 // victim's range is dead.
 func (d *drill) lost(v uint64) bool {
-	return d.m.Copies()-d.onVictim(v) < max(d.m.ReadQuorum(), d.m.WriteQuorum())
+	return d.Mapper.Copies()-d.onVictim(v) < max(d.Mapper.ReadQuorum(), d.Mapper.WriteQuorum())
 }
 
 // awaitEpoch reads probe until the fault set has moved on from epoch. The
 // transport finds a dead server at the first round that bids at it, so every
 // probe variable needs a copy on the victim; the reads are not recorded, and
 // the ones the death refuses are expected.
-func (d *drill) awaitEpoch(svc *shard.Service, tr *netmpc.Transport, epoch uint64, probe []uint64) (int, error) {
+func (d *drill) awaitEpoch(epoch uint64, probe []uint64) (int, error) {
 	reads := 0
-	for ; tr.FaultSet().Epoch() == epoch; reads++ {
+	for ; d.Faults.Epoch() == epoch; reads++ {
 		if time.Now().After(d.deadline) {
 			return reads, fmt.Errorf("%d probe reads met no change in the fault set", reads)
 		}
-		if _, err := svc.Read(probe[reads%len(probe)]); err != nil && !errors.Is(err, protocol.ErrIncomplete) {
+		if _, err := d.Service.Read(probe[reads%len(probe)]); err != nil && !errors.Is(err, protocol.ErrIncomplete) {
 			return reads, err
 		}
 	}
@@ -161,7 +137,7 @@ func (d *drill) kill() (*consistency.TraceSet, error) {
 	vars := make([]uint64, workloadVars)
 	var probe []uint64
 	for i := range vars {
-		vars[i] = uint64(i*7+3) % d.m.NumVars()
+		vars[i] = uint64(i*7+3) % d.Mapper.NumVars()
 		if d.lost(vars[i]) {
 			probe = append(probe, vars[i])
 		}
@@ -169,32 +145,25 @@ func (d *drill) kill() (*consistency.TraceSet, error) {
 	if len(probe) == 0 {
 		return nil, fmt.Errorf("none of the %d workload variables loses its majority with server %d's modules [%d,%d) dead", len(vars), d.victim, d.lo, d.hi)
 	}
-	tr, svc, err := d.connect(nil)
-	if err != nil {
-		return nil, err
-	}
-	defer tr.Close()
-	defer svc.Close()
-
 	rec := consistency.NewRecorder()
 	rr := rec.Run("kill", consistency.ContractTotalOrder, clients)
-	t, err := traffic(svc, rr, vars, nil, 1)
+	t, err := traffic(d.Service, rr, vars, nil, 1)
 	if err != nil {
 		return nil, fmt.Errorf("healthy phase: %w", err)
 	}
 	fmt.Fprintf(d.w, "netcluster: healthy phase: %d ops committed\n", t.ops)
 
-	epoch := tr.FaultSet().Epoch()
+	epoch := d.Faults.Epoch()
 	if err := d.c.kill(d.victim); err != nil {
 		return nil, err
 	}
-	reads, err := d.awaitEpoch(svc, tr, epoch, probe)
+	reads, err := d.awaitEpoch(epoch, probe)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(d.w, "netcluster: server %d's death seen by probe read %d: %d modules failed\n", d.victim, reads, tr.FaultSet().Count())
+	fmt.Fprintf(d.w, "netcluster: server %d's death seen by probe read %d: %d modules failed\n", d.victim, reads, d.Faults.Count())
 
-	t, err = traffic(svc, rr, vars, d.lost, 2)
+	t, err = traffic(d.Service, rr, vars, d.lost, 2)
 	if err != nil {
 		return nil, fmt.Errorf("degraded phase: %w", err)
 	}
@@ -203,9 +172,6 @@ func (d *drill) kill() (*consistency.TraceSet, error) {
 	}
 	fmt.Fprintf(d.w, "netcluster: degraded phase: %d ops, refused %d == lost %d (the ops on the %d of %d variables without a majority outside [%d,%d)), the rest committed\n",
 		t.ops, t.refused, t.lost, len(probe), len(vars), d.lo, d.hi)
-	if err := svc.Close(); err != nil {
-		return nil, err
-	}
 	return rec.TraceSet(), nil
 }
 
@@ -216,7 +182,7 @@ func (d *drill) kill() (*consistency.TraceSet, error) {
 // over the wire, and every committed value reads back exactly.
 func (d *drill) wipe() (*consistency.TraceSet, error) {
 	var vars []uint64
-	for v := uint64(0); v < d.m.NumVars() && len(vars) < wipeVars; v++ {
+	for v := uint64(0); v < d.Mapper.NumVars() && len(vars) < wipeVars; v++ {
 		if d.onVictim(v) == 1 {
 			vars = append(vars, v)
 		}
@@ -224,31 +190,23 @@ func (d *drill) wipe() (*consistency.TraceSet, error) {
 	if len(vars) < 4 {
 		return nil, fmt.Errorf("only %d variables have exactly one copy on server %d", len(vars), d.victim)
 	}
-	col := obs.NewCollector()
-	tr, svc, err := d.connect(col)
-	if err != nil {
-		return nil, err
-	}
-	defer tr.Close()
-	defer svc.Close()
-
 	rec := consistency.NewRecorder()
 	cr := rec.Run("wipe", consistency.ContractTotalOrder, 1).Client(0)
 	ops := make([]shard.BatchOp, len(vars))
 	for i, v := range vars {
 		ops[i] = shard.BatchOp{Write: true, Var: v, Val: cr.WriteValue()}
 	}
-	written, _, err := access(svc, cr, ops, nil)
+	written, _, err := access(d.Service, cr, ops, nil)
 	if err != nil {
 		return nil, fmt.Errorf("writing the drill variables: %w", err)
 	}
 
-	fs := tr.FaultSet()
+	fs := d.Faults
 	epoch := fs.Epoch()
 	if err := d.c.kill(d.victim); err != nil {
 		return nil, err
 	}
-	if _, err := d.awaitEpoch(svc, tr, epoch, vars); err != nil {
+	if _, err := d.awaitEpoch(epoch, vars); err != nil {
 		return nil, err
 	}
 	if err := d.c.restart(d.victim); err != nil {
@@ -261,14 +219,14 @@ func (d *drill) wipe() (*consistency.TraceSet, error) {
 		if time.Now().After(d.deadline) {
 			return nil, fmt.Errorf("range still has %d failed and %d repairing modules", fs.Count(), fs.RepairCount())
 		}
-		if _, err := svc.Read(vars[i%len(vars)]); err != nil && !errors.Is(err, protocol.ErrIncomplete) {
+		if _, err := d.Service.Read(vars[i%len(vars)]); err != nil && !errors.Is(err, protocol.ErrIncomplete) {
 			return nil, err
 		}
-		if err := svc.Flush(); err != nil {
+		if err := d.Service.Flush(); err != nil {
 			return nil, err
 		}
 	}
-	rounds, certified := col.RepairRounds.Load(), col.RepairCertified.Load()
+	rounds, certified := d.col.RepairRounds.Load(), d.col.RepairCertified.Load()
 	if certified < int64(d.hi-d.lo) {
 		return nil, fmt.Errorf("the wiped server's %d modules were re-admitted with %d certified by repair", d.hi-d.lo, certified)
 	}
@@ -276,7 +234,7 @@ func (d *drill) wipe() (*consistency.TraceSet, error) {
 	for i, v := range vars {
 		ops[i] = shard.BatchOp{Var: v}
 	}
-	read, _, err := access(svc, cr, ops, nil)
+	read, _, err := access(d.Service, cr, ops, nil)
 	if err != nil {
 		return nil, fmt.Errorf("reading back: %w", err)
 	}
@@ -287,9 +245,6 @@ func (d *drill) wipe() (*consistency.TraceSet, error) {
 	}
 	fmt.Fprintf(d.w, "netcluster: server %d wiped: %d modules rebuilt over the wire in %d repair rounds, %d committed values read back\n",
 		d.victim, certified, rounds, len(vars))
-	if err := svc.Close(); err != nil {
-		return nil, err
-	}
 	return rec.TraceSet(), nil
 }
 

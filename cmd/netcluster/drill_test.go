@@ -48,12 +48,8 @@ func (c *memCluster) serve(i int, addr string) error {
 	if err != nil {
 		return err
 	}
-	lo, hi := netmpc.Range(i, len(c.addrs), int64(c.s.NumModules))
-	sv := netmpc.NewServer(netmpc.ServerConfig{
-		Q: c.s.Q, N: uint32(c.s.Deg),
-		Modules: c.s.NumModules, AddrSpace: c.s.NumModules * uint64(c.s.ModuleSize),
-		RangeLo: uint64(lo), RangeHi: uint64(hi),
-	})
+	_, cfg := netmpc.Geometry(c.s, i, len(c.addrs))
+	sv := netmpc.NewServer(cfg)
 	go sv.Serve(ln)
 	c.addrs[i], c.svs[i] = ln.Addr().String(), sv
 	return nil

@@ -1,5 +1,5 @@
 // Example frontend: many concurrent clients over the synchronous batch
-// protocol via the single-shard combining service. Eight goroutines hammer a
+// protocol via the single-shard combining service that stack.Open builds. Eight goroutines hammer a
 // small hot set of shared counters in AccessBatch windows; the dispatcher
 // coalesces their operations into EREW-legal batches (distinct variables
 // only) and the combining statistics show how many client ops never became
@@ -14,29 +14,19 @@ import (
 	"math/rand"
 	"sync"
 
-	"detshmem/internal/core"
 	"detshmem/internal/obs"
-	"detshmem/internal/protocol"
 	"detshmem/internal/shard"
+	"detshmem/internal/stack"
 )
 
 func main() {
 	// q=2, n=3: N=63 modules, M=84 variables, 3 copies, majority 2.
-	scheme, err := core.New(1, 3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	idx, err := scheme.NewIndexer()
-	if err != nil {
-		log.Fatal(err)
-	}
 	col := obs.NewCollector()
-	svc, err := shard.New(protocol.NewCoreMapper(scheme, idx), shard.Config{
-		Protocol: protocol.Config{Observer: col},
-	})
+	st, err := stack.Open(stack.Spec{Degree: 3, Observer: col})
 	if err != nil {
 		log.Fatal(err)
 	}
+	svc := st.Service
 
 	// Each client submits a window of operations as one AccessBatch and
 	// waits on it — the submit-then-wait pattern that lets the dispatcher
@@ -80,7 +70,7 @@ func main() {
 		fmt.Printf("var %d: last committed value %d (client %d, op %d)\n",
 			v, val, val>>16, val&0xffff)
 	}
-	if err := svc.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		log.Fatal(err)
 	}
 

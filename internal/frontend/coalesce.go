@@ -217,7 +217,7 @@ type Stats struct {
 	// variable, making it one ReadWrite request. So OpsIn = RequestsOut +
 	// CombinedReads + CoalescedWrites + ForwardedReads + UpgradedWrites.
 	UpgradedWrites int64
-	SizeFlushes    int64 // batches flushed at MaxBatch distinct variables
+	SizeFlushes    int64 // batches flushed at the size threshold (N distinct variables)
 	IdleFlushes    int64 // batches flushed because the queue ran dry
 	// ExplicitFlushes counts the Flush and Close sentinels that flushed a
 	// batch, and also every Flush sentinel that found nothing pending (a
@@ -250,7 +250,7 @@ type Stats struct {
 type FlushCause int
 
 const (
-	// FlushSize: the batch reached MaxBatch distinct variables.
+	// FlushSize: the batch reached the size threshold (N distinct variables).
 	FlushSize FlushCause = iota
 	// FlushIdle: the submission queue ran dry.
 	FlushIdle

@@ -119,8 +119,9 @@ func (f FaultSnapshot) AppendRepairing(buf []uint64) []uint64 {
 // view at once. Snapshot and CertifyBatch are the access protocol's
 // FaultView and RepairView, which the machines embedding a set (Failing,
 // netmpc.Client) hand the protocol as they are; the protocol classifies a
-// pass's copies against one snapshot. The per-module queries (Failed,
-// Repairing, RepairGen, …) each read the current snapshot.
+// pass's copies against one snapshot. Every per-module read goes through a
+// Snapshot too, so two reads of one snapshot never straddle a mutation;
+// Epoch, Count and RepairCount each read one value of the current one.
 type FaultSet struct {
 	mu    sync.Mutex
 	state atomic.Pointer[faultState]
@@ -346,21 +347,8 @@ func (fs *FaultSet) CertifyBatch(mods, gens []uint64) int {
 	return certified
 }
 
-// Repairing reports whether module m is currently under repair.
-func (fs *FaultSet) Repairing(m uint64) bool { return fs.snapshot().repairing(m) }
-
-// RepairGen returns module m's current repair generation, or 0 when m is
-// not repairing.
-func (fs *FaultSet) RepairGen(m uint64) uint64 { return fs.snapshot().gen(m) }
-
 // RepairCount returns the number of modules currently under repair.
 func (fs *FaultSet) RepairCount() int { return fs.snapshot().rcount }
-
-// AppendRepairing appends the currently repairing module ids to buf in
-// increasing order and returns the extended slice.
-func (fs *FaultSet) AppendRepairing(buf []uint64) []uint64 {
-	return fs.Snapshot().AppendRepairing(buf)
-}
 
 // Snapshot returns the set's current published state. Later mutations
 // publish new snapshots and leave this one as it is.
@@ -373,9 +361,6 @@ func (fs *FaultSet) snapshot() *faultState {
 	}
 	return healthyState
 }
-
-// Failed reports whether module m is currently failed.
-func (fs *FaultSet) Failed(m uint64) bool { return fs.snapshot().failed(m) }
 
 // Epoch returns the mutation epoch: it increases on every effective Fail,
 // RecoverPending or Certify, so a caller can cheaply detect "the fault set
@@ -447,7 +432,11 @@ func NewFailing(cfg Config, failed []uint64) (*Failing, error) {
 
 // NewFailingShared builds a failing wrapper over a fresh machine that
 // consults the caller's fault set — share one set across machines to model
-// one failure pattern seen by several shards.
+// one failure pattern seen by several shards. A shared set has one repair
+// state: a module re-admitted through RecoverPending is certified by
+// whichever system's sweep finishes first, though a shard's sweep rebuilds
+// only the variables that shard owns, so the other shards' copies on it may
+// be certified unrebuilt (ROADMAP 10(d)).
 func NewFailingShared(cfg Config, fs *FaultSet) (*Failing, error) {
 	if fs == nil {
 		fs = NewFaultSet()

@@ -30,7 +30,7 @@ func TestFailingDynamic(t *testing.T) {
 	if !f.Fail(1) {
 		t.Fatal("Fail(1) reported no change")
 	}
-	if !f.Failed(1) || f.Failed(0) || f.Count() != 1 {
+	if st := f.Snapshot(); !st.Failed(1) || st.Failed(0) || st.Count() != 1 {
 		t.Fatalf("fault set wrong after Fail(1)")
 	}
 	if served := f.Round(reqs, grant); served != 2 {
@@ -87,7 +87,7 @@ func TestFaultSetEpoch(t *testing.T) {
 		t.Fatalf("RecoverPending(3) did not advance the epoch")
 	}
 	e2 := fs.Epoch()
-	if !fs.Certify(3, fs.RepairGen(3)) || fs.Epoch() == e2 {
+	if !fs.Certify(3, fs.Snapshot().RepairGen(3)) || fs.Epoch() == e2 {
 		t.Fatalf("Certify(3) did not advance the epoch")
 	}
 	e3 := fs.Epoch()
@@ -100,8 +100,7 @@ func TestFaultSetEpoch(t *testing.T) {
 }
 
 // TestFaultSnapshotHoldsStill: a snapshot keeps the state it was taken at
-// while the set moves on, and a fresh one reads what the set's own queries
-// read.
+// while the set moves on, and a fresh one reads the set's new state.
 func TestFaultSnapshotHoldsStill(t *testing.T) {
 	fs := NewFaultSet(3)
 	old := fs.Snapshot()
@@ -112,8 +111,8 @@ func TestFaultSnapshotHoldsStill(t *testing.T) {
 	}
 	now := fs.Snapshot()
 	for _, m := range []uint64{3, 70, 71, 1 << 40} {
-		if now.Failed(m) != fs.Failed(m) || now.Repairing(m) != fs.Repairing(m) || now.RepairGen(m) != fs.RepairGen(m) {
-			t.Fatalf("module %d: the snapshot and the set disagree", m)
+		if now.Failed(m) != (m == 70) || now.Repairing(m) != (m == 3) || (now.RepairGen(m) != 0) != (m == 3) {
+			t.Fatalf("module %d: failed=%v repairing=%v gen=%d in the new snapshot", m, now.Failed(m), now.Repairing(m), now.RepairGen(m))
 		}
 	}
 	if now.Epoch() != fs.Epoch() || now.Count() != 1 || now.RepairCount() != 1 || now.RepairGen(3) == 0 ||
@@ -338,18 +337,23 @@ func FuzzFaultSet(f *testing.F) {
 			if fs.Count() != len(md.failed) || fs.RepairCount() != len(md.gen) {
 				t.Fatalf("op %d: %d failed and %d repairing, model has %d and %d", i/3, fs.Count(), fs.RepairCount(), len(md.failed), len(md.gen))
 			}
+			snap := fs.Snapshot()
+			if snap.Epoch() != fs.Epoch() || snap.Count() != len(md.failed) || snap.RepairCount() != len(md.gen) {
+				t.Fatalf("op %d: snapshot epoch %d with %d failed and %d repairing, set epoch %d, model %d and %d",
+					i/3, snap.Epoch(), snap.Count(), snap.RepairCount(), fs.Epoch(), len(md.failed), len(md.gen))
+			}
 			var repairing []uint64
 			for m := uint64(0); m < modules; m++ {
-				if fs.Failed(m) != md.failed[m] || fs.RepairGen(m) != md.gen[m] || fs.Repairing(m) != (md.gen[m] != 0) {
+				if snap.Failed(m) != md.failed[m] || snap.RepairGen(m) != md.gen[m] || snap.Repairing(m) != (md.gen[m] != 0) {
 					t.Fatalf("op %d: module %d failed=%v repairing=%v gen=%d, model failed=%v gen=%d",
-						i/3, m, fs.Failed(m), fs.Repairing(m), fs.RepairGen(m), md.failed[m], md.gen[m])
+						i/3, m, snap.Failed(m), snap.Repairing(m), snap.RepairGen(m), md.failed[m], md.gen[m])
 				}
 				if md.gen[m] != 0 {
 					repairing = append(repairing, m)
 				}
 			}
-			if !slices.Equal(fs.AppendRepairing(nil), repairing) {
-				t.Fatalf("op %d: repairing listing %v, model %v", i/3, fs.AppendRepairing(nil), repairing)
+			if got := snap.AppendRepairing(nil); !slices.Equal(got, repairing) {
+				t.Fatalf("op %d: repairing listing %v, model %v", i/3, got, repairing)
 			}
 		}
 		// One machine round: every bid to a failed module must be dropped,

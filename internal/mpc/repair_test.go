@@ -11,7 +11,7 @@ func TestRepairLifecycle(t *testing.T) {
 	fs := NewFaultSet()
 	const m = 7
 
-	if fs.Repairing(m) || fs.RepairCount() != 0 || fs.RepairGen(m) != 0 {
+	if st := fs.Snapshot(); st.Repairing(m) || st.RepairCount() != 0 || st.RepairGen(m) != 0 {
 		t.Fatalf("fresh set has repair state")
 	}
 
@@ -21,20 +21,21 @@ func TestRepairLifecycle(t *testing.T) {
 	if !fs.RecoverPending(m) {
 		t.Fatalf("RecoverPending(%d) = false on failed module", m)
 	}
-	if fs.Failed(m) {
+	st := fs.Snapshot()
+	if st.Failed(m) {
 		t.Errorf("module %d still failed after RecoverPending", m)
 	}
-	if !fs.Repairing(m) {
+	if !st.Repairing(m) {
 		t.Errorf("module %d not repairing after RecoverPending", m)
 	}
-	if fs.RepairCount() != 1 {
-		t.Errorf("RepairCount = %d, want 1", fs.RepairCount())
+	if st.RepairCount() != 1 {
+		t.Errorf("RepairCount = %d, want 1", st.RepairCount())
 	}
-	gen := fs.RepairGen(m)
+	gen := st.RepairGen(m)
 	if gen == 0 {
 		t.Fatalf("RepairGen(%d) = 0 while repairing", m)
 	}
-	if got := fs.AppendRepairing(nil); len(got) != 1 || got[0] != m {
+	if got := st.AppendRepairing(nil); len(got) != 1 || got[0] != m {
 		t.Errorf("AppendRepairing = %v, want [%d]", got, m)
 	}
 
@@ -47,7 +48,7 @@ func TestRepairLifecycle(t *testing.T) {
 	if !fs.Certify(m, gen) {
 		t.Fatalf("Certify(%d, %d) = false", m, gen)
 	}
-	if fs.Repairing(m) || fs.Failed(m) || fs.RepairCount() != 0 {
+	if st := fs.Snapshot(); st.Repairing(m) || st.Failed(m) || st.RepairCount() != 0 {
 		t.Errorf("module %d not fully live after certification", m)
 	}
 	if fs.Certify(m, gen) {
@@ -63,21 +64,21 @@ func TestRepairReArmFencesCertification(t *testing.T) {
 	const m = 3
 	fs.Fail(m)
 	fs.RecoverPending(m)
-	first := fs.RepairGen(m)
+	first := fs.Snapshot().RepairGen(m)
 
 	// Second restart mid-repair: re-arm. Reports false (not newly
 	// repairing) but must mint a fresh generation.
 	if fs.RecoverPending(m) {
 		t.Errorf("re-arm RecoverPending reported newly-repairing")
 	}
-	second := fs.RepairGen(m)
+	second := fs.Snapshot().RepairGen(m)
 	if second == first {
 		t.Fatalf("re-arm did not advance generation (%d)", first)
 	}
 	if fs.Certify(m, first) {
 		t.Fatalf("stale-generation certification succeeded after re-arm")
 	}
-	if !fs.Repairing(m) {
+	if !fs.Snapshot().Repairing(m) {
 		t.Fatalf("module left repairing state on stale certification")
 	}
 	if !fs.Certify(m, second) {
@@ -92,21 +93,18 @@ func TestRepairFailClearsRepairing(t *testing.T) {
 	const m = 11
 	fs.Fail(m)
 	fs.RecoverPending(m)
-	gen := fs.RepairGen(m)
+	gen := fs.Snapshot().RepairGen(m)
 
 	if !fs.Fail(m) {
 		t.Fatalf("Fail on repairing module = false")
 	}
-	if fs.Repairing(m) {
-		t.Errorf("failed module still repairing")
-	}
-	if !fs.Failed(m) {
-		t.Errorf("module not failed")
+	if st := fs.Snapshot(); st.Repairing(m) || !st.Failed(m) {
+		t.Errorf("module %d repairing=%v failed=%v after failing mid-repair, want failed only", m, st.Repairing(m), st.Failed(m))
 	}
 	if fs.Certify(m, gen) {
 		t.Errorf("certified a module that failed mid-repair")
 	}
-	if fs.Failed(m) == false {
+	if !fs.Snapshot().Failed(m) {
 		t.Errorf("certification attempt resurrected a failed module")
 	}
 }
@@ -123,7 +121,7 @@ func TestRepairEpochAdvances(t *testing.T) {
 	e2 := fs.Epoch()
 	fs.RecoverPending(m) // re-arm
 	e3 := fs.Epoch()
-	fs.Certify(m, fs.RepairGen(m))
+	fs.Certify(m, fs.Snapshot().RepairGen(m))
 	e4 := fs.Epoch()
 	if !(e0 < e1 && e1 < e2 && e2 < e3 && e3 < e4) {
 		t.Fatalf("epochs not strictly increasing: %d %d %d %d %d", e0, e1, e2, e3, e4)
@@ -146,10 +144,11 @@ func TestRepairingServesRounds(t *testing.T) {
 	}
 
 	f.RecoverPending(2)
-	if !f.Repairing(2) {
+	st := f.Snapshot()
+	if !st.Repairing(2) {
 		t.Fatalf("Repairing(2) = false after RecoverPending")
 	}
-	if f.Failed(2) {
+	if st.Failed(2) {
 		t.Fatalf("Failed(2) = true while repairing")
 	}
 	f.Round(dense(2, Idle, Idle, Idle), grant)
@@ -157,11 +156,10 @@ func TestRepairingServesRounds(t *testing.T) {
 		t.Fatalf("repairing module did not serve a bid")
 	}
 
-	gen := f.RepairGen(2)
-	if f.CertifyBatch([]uint64{2}, []uint64{gen}) != 1 {
+	if f.CertifyBatch([]uint64{2}, []uint64{st.RepairGen(2)}) != 1 {
 		t.Fatalf("CertifyBatch failed")
 	}
-	if f.Repairing(2) {
+	if f.Snapshot().Repairing(2) {
 		t.Fatalf("still repairing after CertifyBatch")
 	}
 }
@@ -179,7 +177,7 @@ func TestRepairConcurrentChurn(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				fs.Fail(m + uint64(i%16))
 				fs.RecoverPending(m + uint64(i%16))
-				if gen := fs.RepairGen(m + uint64(i%16)); gen != 0 {
+				if gen := fs.Snapshot().RepairGen(m + uint64(i%16)); gen != 0 {
 					fs.Certify(m+uint64(i%16), gen)
 				}
 			}
@@ -190,15 +188,16 @@ func TestRepairConcurrentChurn(t *testing.T) {
 		defer wg.Done()
 		buf := make([]uint64, 0, 64)
 		for i := 0; i < 2000; i++ {
-			buf = fs.AppendRepairing(buf[:0])
+			buf = fs.Snapshot().AppendRepairing(buf[:0])
 			_ = fs.RepairCount()
 			_ = fs.Epoch()
 		}
 	}()
 	wg.Wait()
 	// Drain: certify everything left.
-	for _, m := range fs.AppendRepairing(nil) {
-		fs.Certify(m, fs.RepairGen(m))
+	st := fs.Snapshot()
+	for _, m := range st.AppendRepairing(nil) {
+		fs.Certify(m, st.RepairGen(m))
 	}
 	if n := fs.RepairCount(); n != 0 {
 		t.Fatalf("repair set not drained: %d left", n)
@@ -218,10 +217,11 @@ func TestFaultSetRangeMatchesLoop(t *testing.T) {
 			t.Fatalf("%s: %d failed, %d repairing; the loop leaves %d, %d",
 				step, ranged.Count(), ranged.RepairCount(), looped.Count(), looped.RepairCount())
 		}
+		rs, ls := ranged.Snapshot(), looped.Snapshot()
 		for m := uint64(0); m < n; m++ {
-			if ranged.Failed(m) != looped.Failed(m) || ranged.RepairGen(m) != looped.RepairGen(m) {
+			if rs.Failed(m) != ls.Failed(m) || rs.RepairGen(m) != ls.RepairGen(m) {
 				t.Fatalf("%s: module %d failed=%v gen=%d; the loop leaves failed=%v gen=%d",
-					step, m, ranged.Failed(m), ranged.RepairGen(m), looped.Failed(m), looped.RepairGen(m))
+					step, m, rs.Failed(m), rs.RepairGen(m), ls.Failed(m), ls.RepairGen(m))
 			}
 		}
 	}
@@ -250,7 +250,7 @@ func TestFaultSetRangeMatchesLoop(t *testing.T) {
 		}
 		same(step.name)
 	}
-	if ranged.Count() != int(hi-lo)+2 || !ranged.Failed(5) || !ranged.Failed(6) {
+	if rs := ranged.Snapshot(); rs.Count() != int(hi-lo)+2 || !rs.Failed(5) || !rs.Failed(6) {
 		t.Fatalf("modules outside the range were disturbed: %d failed, want the range plus 5 and 6", ranged.Count())
 	}
 }
@@ -265,7 +265,7 @@ func TestFaultSnapshotsImmutable(t *testing.T) {
 	old := fs.snapshot()
 	gen := old.gen(100)
 	fs.RecoverPendingRange(90, 110) // re-arm inside old's chunks
-	fs.CertifyBatch([]uint64{60}, []uint64{fs.RepairGen(60)})
+	fs.CertifyBatch([]uint64{60}, []uint64{fs.Snapshot().RepairGen(60)})
 	fs.FailRange(120, 130)
 	fs.RecoverPendingRange(0, 50)
 	if old.count != 100 || old.rcount != 100 || old.gen(100) != gen || !old.repairing(60) ||
@@ -300,9 +300,10 @@ func TestRangeMutationIsAtomicToRounds(t *testing.T) {
 			}
 			fs.FailRange(lo, hi)
 			fs.RecoverPendingRange(lo, hi)
-			mods, gens = fs.AppendRepairing(mods[:0]), gens[:0]
+			st := fs.Snapshot()
+			mods, gens = st.AppendRepairing(mods[:0]), gens[:0]
 			for _, m := range mods {
-				gens = append(gens, fs.RepairGen(m))
+				gens = append(gens, st.RepairGen(m))
 			}
 			fs.CertifyBatch(mods, gens)
 		}

@@ -27,18 +27,6 @@ func testScheme(t testing.TB) *core.Scheme {
 	return s
 }
 
-func serverConfigFor(s *core.Scheme, i, k int) ServerConfig {
-	lo, hi := Range(i, k, int64(s.NumModules))
-	return ServerConfig{
-		Q:         s.Q,
-		N:         uint32(s.Deg),
-		Modules:   s.NumModules,
-		AddrSpace: s.NumModules * uint64(s.ModuleSize),
-		RangeLo:   uint64(lo),
-		RangeHi:   uint64(hi),
-	}
-}
-
 // startCluster launches k in-process servers covering the scheme's modules
 // and returns them with their addresses. Servers are torn down at test end.
 func startCluster(t testing.TB, s *core.Scheme, k int) ([]*Server, []string) {
@@ -50,7 +38,7 @@ func startCluster(t testing.TB, s *core.Scheme, k int) ([]*Server, []string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sv := NewServer(serverConfigFor(s, i, k))
+		sv := newServer(s, i, k)
 		go sv.Serve(ln)
 		servers[i] = sv
 		addrs[i] = ln.Addr().String()
@@ -59,16 +47,29 @@ func startCluster(t testing.TB, s *core.Scheme, k int) ([]*Server, []string) {
 	return servers, addrs
 }
 
-func testDialConfig(s *core.Scheme, addrs []string) Config {
-	return Config{
-		Servers:      addrs,
-		Q:            s.Q,
-		N:            uint32(s.Deg),
-		Modules:      int64(s.NumModules),
-		AddrSpace:    s.NumModules * uint64(s.ModuleSize),
-		StoreID:      1,
-		RoundTimeout: time.Second,
+// newServer builds server i of a k-server cluster over s, not yet serving.
+func newServer(s *core.Scheme, i, k int) *Server {
+	_, cfg := Geometry(s, i, k)
+	return NewServer(cfg)
+}
+
+// dialConfig is the client Config for the cluster at addrs over s, with a
+// one-second round timeout.
+func dialConfig(s *core.Scheme, addrs []string) Config {
+	cfg, _ := Geometry(s, 0, len(addrs))
+	cfg.Servers, cfg.RoundTimeout = addrs, time.Second
+	return cfg
+}
+
+// dial connects a client to the cluster at addrs over s, closed at test end.
+func dial(t testing.TB, s *core.Scheme, addrs []string) *Transport {
+	t.Helper()
+	tr, err := Dial(dialConfig(s, addrs))
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(tr.Close)
+	return tr
 }
 
 func newTCPSystem(t testing.TB, s *core.Scheme, tr *Transport) *protocol.System {
@@ -125,11 +126,7 @@ func TestEquivalenceWithInproc(t *testing.T) {
 	defer local.Close()
 
 	_, addrs := startCluster(t, s, 2)
-	tr, err := Dial(testDialConfig(s, addrs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dial(t, s, addrs)
 	remote := newTCPSystem(t, s, tr)
 
 	rng := rand.New(rand.NewSource(7))
@@ -198,11 +195,7 @@ func TestThinClientComputedStrategy(t *testing.T) {
 	defer local.Close()
 
 	_, addrs := startCluster(t, s, 2)
-	tr, err := Dial(testDialConfig(s, addrs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dial(t, s, addrs)
 	thin, err := protocol.NewSystem(s, idx, protocol.Config{Transport: tr, Strategy: protocol.ResolverComputed})
 	if err != nil {
 		t.Fatal(err)
@@ -259,11 +252,7 @@ func TestThinClientComputedStrategy(t *testing.T) {
 func TestServerDeathDegradesLikeModuleFaults(t *testing.T) {
 	s := testScheme(t)
 	servers, addrs := startCluster(t, s, 4)
-	tr, err := Dial(testDialConfig(s, addrs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dial(t, s, addrs)
 	sys := newTCPSystem(t, s, tr)
 
 	nv := int(s.NumVariables)
@@ -321,11 +310,7 @@ func TestServerDeathDegradesLikeModuleFaults(t *testing.T) {
 func TestReconnectRecoversRange(t *testing.T) {
 	s := testScheme(t)
 	servers, addrs := startCluster(t, s, 2)
-	tr, err := Dial(testDialConfig(s, addrs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dial(t, s, addrs)
 	sys := newTCPSystem(t, s, tr)
 
 	vars := []uint64{1, 5, 9, 13}
@@ -343,7 +328,7 @@ func TestReconnectRecoversRange(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cycle %d rebind: %v", cycle, err)
 		}
-		servers[1] = NewServer(serverConfigFor(s, 1, 2))
+		servers[1] = newServer(s, 1, 2)
 		go servers[1].Serve(ln)
 		waitFor(t, 5*time.Second, func() bool { return tr.FaultSet().Count() == 0 })
 
@@ -385,7 +370,7 @@ func TestHandshakeMismatchesAreTyped(t *testing.T) {
 	_, addrs := startCluster(t, s, 4)
 
 	// Scheme mismatch: client believes a different module count.
-	cfg := testDialConfig(s, addrs)
+	cfg := dialConfig(s, addrs)
 	cfg.Modules++
 	cfg.AddrSpace += uint64(s.ModuleSize)
 	if _, err := Dial(cfg); !errors.Is(err, ErrSchemeMismatch) {
@@ -394,14 +379,14 @@ func TestHandshakeMismatchesAreTyped(t *testing.T) {
 
 	// Range mismatch: client splits 63 modules over 2 servers, servers were
 	// configured for a 4-way split.
-	cfg = testDialConfig(s, addrs[:2])
+	cfg = dialConfig(s, addrs[:2])
 	if _, err := Dial(cfg); !errors.Is(err, ErrRangeMismatch) {
 		t.Fatalf("range mismatch: got %v", err)
 	}
 
 	// Version mismatch: raw handshakes from the previous wire version (v2
 	// clients send 45-byte bids carrying a claim word) and from a future one.
-	lo, hi := Range(0, 4, int64(s.NumModules))
+	_, g := Geometry(s, 0, 4)
 	for _, v := range []uint16{2, Version + 1} {
 		conn, err := net.Dial("tcp", addrs[0])
 		if err != nil {
@@ -409,9 +394,8 @@ func TestHandshakeMismatchesAreTyped(t *testing.T) {
 		}
 		defer conn.Close()
 		hello := Handshake{
-			Version: v, Q: s.Q, N: uint32(s.Deg),
-			Modules: s.NumModules, AddrSpace: s.NumModules * uint64(s.ModuleSize),
-			RangeLo: uint64(lo), RangeHi: uint64(hi),
+			Version: v, Q: g.Q, N: g.N, Modules: g.Modules, AddrSpace: g.AddrSpace,
+			RangeLo: g.RangeLo, RangeHi: g.RangeHi,
 		}
 		if _, err := hello.WriteTo(conn); err != nil {
 			t.Fatal(err)
@@ -472,8 +456,9 @@ func fakeServer(t *testing.T, cfg ServerConfig, misbehave func(net.Conn)) string
 // mostly proceed once the fake is marked down.
 func fakeCluster(t *testing.T, s *core.Scheme, misbehave func(net.Conn)) (*Transport, *protocol.System) {
 	t.Helper()
-	fake := fakeServer(t, serverConfigFor(s, 0, 2), misbehave)
-	real := NewServer(serverConfigFor(s, 1, 2))
+	_, fcfg := Geometry(s, 0, 2)
+	fake := fakeServer(t, fcfg, misbehave)
+	real := newServer(s, 1, 2)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -481,7 +466,7 @@ func fakeCluster(t *testing.T, s *core.Scheme, misbehave func(net.Conn)) (*Trans
 	go real.Serve(ln)
 	t.Cleanup(real.Close)
 
-	cfg := testDialConfig(s, []string{fake, ln.Addr().String()})
+	cfg := dialConfig(s, []string{fake, ln.Addr().String()})
 	cfg.RoundTimeout = 300 * time.Millisecond
 	tr, err := Dial(cfg)
 	if err != nil {
@@ -695,7 +680,7 @@ func TestIdleDeathFoundByNextRound(t *testing.T) {
 	s := testScheme(t)
 	const k, victim = 4, 1
 	servers, addrs := startCluster(t, s, k)
-	cfg := testDialConfig(s, addrs)
+	cfg := dialConfig(s, addrs)
 	cfg.RoundTimeout = 10 * time.Second
 	tr, err := Dial(cfg)
 	if err != nil {
@@ -733,8 +718,9 @@ func TestIdleDeathFoundByNextRound(t *testing.T) {
 		}
 	}
 	lo, hi := Range(victim, k, int64(s.NumModules))
+	snap := tr.FaultSet().Snapshot()
 	for mod := lo; mod < hi; mod++ {
-		if !tr.FaultSet().Failed(uint64(mod)) {
+		if !snap.Failed(uint64(mod)) {
 			t.Fatalf("module %d of the dead server's range [%d,%d) is not in the fault set", mod, lo, hi)
 		}
 	}
@@ -769,11 +755,7 @@ func clientGoroutines() int {
 func TestOnlyReconnectLoopsRun(t *testing.T) {
 	s := testScheme(t)
 	servers, addrs := startCluster(t, s, 2)
-	tr, err := Dial(testDialConfig(s, addrs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dial(t, s, addrs)
 	sys := newTCPSystem(t, s, tr)
 	vars := []uint64{1, 5, 9, 13}
 	if _, err := sys.WriteBatch(vars, vars); err != nil {
@@ -829,18 +811,14 @@ func (c slowConn) Write(b []byte) (int, error) {
 // is at least that long, and the p99 must say so.
 func TestRTTP99CoversSlowRounds(t *testing.T) {
 	s := testScheme(t)
-	srv := NewServer(serverConfigFor(s, 0, 1))
+	srv := newServer(s, 0, 1)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go srv.Serve(slowListener{ln})
 	t.Cleanup(srv.Close)
-	tr, err := Dial(testDialConfig(s, []string{ln.Addr().String()}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tr.Close)
+	tr := dial(t, s, []string{ln.Addr().String()})
 	sys := newTCPSystem(t, s, tr)
 	for v := uint64(0); v < 20; v++ {
 		if _, _, err := sys.ReadBatch([]uint64{v}); err != nil {
@@ -862,10 +840,10 @@ func TestServerSurvivesTornRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, g := Geometry(s, 0, 1)
 	hello := Handshake{
-		Version: Version, Q: s.Q, N: uint32(s.Deg),
-		Modules: s.NumModules, AddrSpace: s.NumModules * uint64(s.ModuleSize),
-		RangeLo: 0, RangeHi: s.NumModules,
+		Version: Version, Q: g.Q, N: g.N, Modules: g.Modules, AddrSpace: g.AddrSpace,
+		RangeLo: g.RangeLo, RangeHi: g.RangeHi,
 	}
 	if _, err := hello.WriteTo(conn); err != nil {
 		t.Fatal(err)
@@ -879,11 +857,7 @@ func TestServerSurvivesTornRequest(t *testing.T) {
 	conn.Close()
 
 	// The server must still accept and serve a healthy client.
-	tr, err := Dial(testDialConfig(s, addrs))
-	if err != nil {
-		t.Fatalf("dial after torn request: %v", err)
-	}
-	defer tr.Close()
+	tr := dial(t, s, addrs)
 	sys := newTCPSystem(t, s, tr)
 	if _, err := sys.WriteBatch([]uint64{3}, []uint64{33}); err != nil {
 		t.Fatal(err)
@@ -900,11 +874,7 @@ func TestServerSurvivesTornRequest(t *testing.T) {
 func TestGracefulShutdownDrains(t *testing.T) {
 	s := testScheme(t)
 	servers, addrs := startCluster(t, s, 1)
-	tr, err := Dial(testDialConfig(s, addrs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dial(t, s, addrs)
 	sys := newTCPSystem(t, s, tr)
 	if _, err := sys.WriteBatch([]uint64{0, 1}, []uint64{5, 6}); err != nil {
 		t.Fatal(err)
@@ -918,7 +888,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if _, err := Dial(testDialConfig(s, addrs)); err == nil {
+	if _, err := Dial(dialConfig(s, addrs)); err == nil {
 		t.Fatal("dial succeeded against a shut-down server")
 	}
 	if served := servers[0].FramesServed(); served == 0 {
@@ -937,11 +907,7 @@ func TestQuorumCancelsOverWire(t *testing.T) {
 	s := testScheme(t)
 	const k = 4
 	servers, addrs := startCluster(t, s, k)
-	tr, err := Dial(testDialConfig(s, addrs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dial(t, s, addrs)
 	sys := newTCPSystem(t, s, tr)
 	copies := sys.Mapper.Copies()
 	mods := func(v uint64) []uint64 {
@@ -1035,11 +1001,7 @@ func TestQuorumCancelsOverWire(t *testing.T) {
 func TestNewMachineValidatesGeometry(t *testing.T) {
 	s := testScheme(t)
 	_, addrs := startCluster(t, s, 2)
-	tr, err := Dial(testDialConfig(s, addrs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dial(t, s, addrs)
 	if _, err := tr.NewMachine(mpc.Config{Procs: 8, Modules: int(s.NumModules) + 1}); !errors.Is(err, ErrSchemeMismatch) {
 		t.Fatalf("got %v, want ErrSchemeMismatch", err)
 	}
@@ -1055,11 +1017,7 @@ func TestNewMachineValidatesGeometry(t *testing.T) {
 func TestNewMachineBoundsProcsByBidProc(t *testing.T) {
 	s := testScheme(t)
 	_, addrs := startCluster(t, s, 1)
-	tr, err := Dial(testDialConfig(s, addrs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dial(t, s, addrs)
 	for _, procs := range []int{0, -1, maxProcs + 1} {
 		if _, err := tr.NewMachine(mpc.Config{Procs: procs, Modules: int(s.NumModules)}); err == nil {
 			t.Errorf("NewMachine accepted %d processors", procs)

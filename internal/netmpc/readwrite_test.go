@@ -33,11 +33,7 @@ func TestReadWriteMatchesInproc(t *testing.T) {
 	}
 	defer local.Close()
 	_, addrs := startCluster(t, s, 4)
-	tr, err := Dial(testDialConfig(s, addrs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dial(t, s, addrs)
 	remote := newTCPSystem(t, s, tr)
 	fsRemote := tr.FaultSet()
 

@@ -71,7 +71,7 @@ func wipeRestart(t *testing.T, s *core.Scheme, servers []*Server, addrs []string
 	if err != nil {
 		t.Fatalf("rebind %s: %v", addrs[i], err)
 	}
-	servers[i] = NewServer(serverConfigFor(s, i, k))
+	servers[i] = newServer(s, i, k)
 	if servers[i].Gen() == oldGen {
 		t.Fatalf("restarted server minted the same generation %d", oldGen)
 	}
@@ -104,11 +104,7 @@ func TestWipeRestartRepairsOverWire(t *testing.T) {
 	s := testScheme(t)
 	const k = 3
 	servers, addrs := startCluster(t, s, k)
-	tr, err := Dial(testDialConfig(s, addrs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dial(t, s, addrs)
 	sys := newTCPSystem(t, s, tr)
 
 	vars := spreadVars(sys, s, k)
@@ -158,11 +154,7 @@ func TestWipeRestartNeverServesZeroQuorum(t *testing.T) {
 	s := testScheme(t)
 	const k = 3
 	servers, addrs := startCluster(t, s, k)
-	tr, err := Dial(testDialConfig(s, addrs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dial(t, s, addrs)
 	sys := newTCPSystem(t, s, tr)
 
 	// Victims: fully spread variables whose copy 0 lives on server 0; their
@@ -318,13 +310,9 @@ func TestReconnectHealedPartitionRepairs(t *testing.T) {
 	const k, victim = 2, 1
 	_, addrs := startCluster(t, s, k)
 	px := startProxy(t, addrs[victim])
-	dial := append([]string(nil), addrs...)
-	dial[victim] = px.ln.Addr().String()
-	tr, err := Dial(testDialConfig(s, dial))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	via := append([]string(nil), addrs...)
+	via[victim] = px.ln.Addr().String()
+	tr := dial(t, s, via)
 	sys := newTCPSystem(t, s, tr)
 
 	// Variables whose writes commit during the partition have at most one

@@ -100,9 +100,15 @@ func (s *Server) Gen() uint64 { return s.gen }
 
 // Serve accepts connections on ln until the listener closes, blocking the
 // caller. It returns nil after a Shutdown/Close-initiated stop and the
-// accept error otherwise.
+// accept error otherwise. On a server already stopped it closes ln and
+// returns nil, so a Close that runs before Serve starts still stops it.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
+	if s.draining.Load() {
+		s.mu.Unlock()
+		ln.Close()
+		return nil
+	}
 	s.ln = ln
 	s.mu.Unlock()
 	for {

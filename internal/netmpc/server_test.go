@@ -3,6 +3,7 @@ package netmpc
 import (
 	"errors"
 	"math/rand"
+	"net"
 	"slices"
 	"testing"
 
@@ -203,6 +204,25 @@ func TestRepairWriteOnFreshPage(t *testing.T) {
 	}
 }
 
+// TestServeAfterClose: a server closed before Serve runs stops at once, and
+// the listener it was handed is closed, so an owner that closes a server
+// whose Serve goroutine has not started yet neither hangs nor leaks it.
+func TestServeAfterClose(t *testing.T) {
+	sv := newServer(testScheme(t), 0, 1)
+	sv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.Serve(ln); err != nil {
+		t.Fatalf("Serve after Close: %v", err)
+	}
+	if c, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+		c.Close()
+		t.Fatal("the listener accepts connections after Serve returned")
+	}
+}
+
 // TestStoreIDsAreIsolated: two StoreIDs on one server are disjoint memories.
 func TestStoreIDsAreIsolated(t *testing.T) {
 	sv, arb := roundServer(0, 8)
@@ -230,11 +250,7 @@ func TestStoreIDsAreIsolated(t *testing.T) {
 func TestRoundAllocFree(t *testing.T) {
 	s := testScheme(t)
 	_, addrs := startCluster(t, s, 2)
-	tr, err := Dial(testDialConfig(s, addrs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := dial(t, s, addrs)
 	const procs = 48
 	m, err := tr.NewMachine(mpc.Config{Procs: procs, Modules: int(s.NumModules)})
 	if err != nil {
@@ -269,7 +285,7 @@ func BenchmarkServeRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sv := NewServer(serverConfigFor(s, 0, 2))
+	sv := newServer(s, 0, 2)
 	arb := sv.newArbiter()
 	st := sv.storeFor(1)
 	rng := rand.New(rand.NewSource(1))

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"detshmem/internal/core"
 	"detshmem/internal/mpc"
 	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
@@ -58,6 +59,20 @@ type Config struct {
 	// RoundTimeout bounds one round's fan-out/gather before the slow
 	// servers are declared failed.
 	RoundTimeout time.Duration
+}
+
+// Geometry is the one place a PP93 scheme becomes wire geometry. It returns
+// the client Config for a cluster of k servers over s, whose Servers,
+// StoreID and RoundTimeout are the caller's, and the ServerConfig of server
+// i of them, which owns Range(i, k, NumModules).
+func Geometry(s *core.Scheme, i, k int) (Config, ServerConfig) {
+	space := s.NumModules * uint64(s.ModuleSize)
+	lo, hi := Range(i, k, int64(s.NumModules))
+	return Config{Q: s.Q, N: uint32(s.Deg), Modules: int64(s.NumModules), AddrSpace: space},
+		ServerConfig{
+			Q: s.Q, N: uint32(s.Deg), Modules: s.NumModules, AddrSpace: space,
+			RangeLo: uint64(lo), RangeHi: uint64(hi),
+		}
 }
 
 // Range returns the contiguous module range [lo, hi) owned by server i of

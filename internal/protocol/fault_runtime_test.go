@@ -199,7 +199,7 @@ func TestFaultMatrix(t *testing.T) {
 						live := 0
 						for c := 0; c < m.Copies(); c++ {
 							mod, _ := m.CopyAddr(v, c)
-							if !fs.Failed(mod) {
+							if !fs.Snapshot().Failed(mod) {
 								live++
 							}
 						}

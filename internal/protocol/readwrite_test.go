@@ -170,7 +170,7 @@ func readWriteScript(t *testing.T, m Mapper, cond string) {
 	planted := map[uint64]cellstore.Cell{}
 	for _, v := range vars {
 		for j := 0; j < c; j++ {
-			if mod, addr := m.CopyAddr(v, j); rw.fs.Repairing(mod) {
+			if mod, addr := m.CopyAddr(v, j); rw.fs.Snapshot().Repairing(mod) {
 				planted[addr] = rw.sys.cells().Get(addr)
 				rw.sys.cells().Put(addr, rwPoison)
 			}
@@ -219,9 +219,9 @@ func readWriteScript(t *testing.T, m Mapper, cond string) {
 			if rw.sys.cells().Get(addr) == (cellstore.Cell{Val: after[i], TS: ts}) {
 				fresh++
 			}
-			if !rw.fs.Failed(mod) {
+			if st := rw.fs.Snapshot(); !st.Failed(mod) {
 				live++
-				if !rw.fs.Repairing(mod) {
+				if !st.Repairing(mod) {
 					eligible++
 				}
 			}
@@ -278,7 +278,7 @@ func readWriteScript(t *testing.T, m Mapper, cond string) {
 	}
 	readBack("same faults", cond == "healthy")
 	for _, mod := range victims {
-		if rw.fs.Failed(mod) {
+		if rw.fs.Snapshot().Failed(mod) {
 			rw.fs.RecoverPending(mod)
 		}
 	}

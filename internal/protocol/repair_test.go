@@ -497,7 +497,7 @@ func TestReArmMidWave(t *testing.T) {
 				default:
 					for i, b := range bids {
 						p, m := mpc.BidProc(b), mpc.BidModule(b)
-						if !grant[i] && !fs.Failed(uint64(m)) && !fs.Repairing(uint64(m)) && needed(p, bids, grant) {
+						if st := fs.Snapshot(); !grant[i] && !st.Failed(uint64(m)) && !st.Repairing(uint64(m)) && needed(p, bids, grant) {
 							proc, rearmed = p, m
 							fs.RecoverPending(uint64(m))
 							return

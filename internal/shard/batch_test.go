@@ -89,7 +89,7 @@ func TestAccessBatchMatchesPerOp(t *testing.T) {
 	}
 
 	run := func(t *testing.T, batched bool) []uint64 {
-		svc := newService(t, 3, Config{Shards: 4, MaxBatch: 8})
+		svc := newService(t, 3, Config{Shards: 4, maxBatch: 8})
 		ops := mkops()
 		vals := make([]uint64, len(ops))
 		if batched {
@@ -139,7 +139,7 @@ func TestAccessBatchMatchesPerOp(t *testing.T) {
 // client, and every read must observe some committed tag (zero included:
 // unwritten), never a torn or stale-uncommitted value.
 func TestAccessBatchConcurrent(t *testing.T) {
-	svc := newService(t, 3, Config{Shards: 4, MaxBatch: 16})
+	svc := newService(t, 3, Config{Shards: 4, maxBatch: 16})
 	const clients, rounds, span = 8, 50, 24
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -402,7 +402,7 @@ func latchedService(t *testing.T, shards, maxBatch int, numVars uint64) (svc *Se
 // (and, when the scheduler lets them, parked). Every one must see every op's
 // final value, error and sequence number, and Wait the first error in the
 // caller's op order. The "split" batch mixes forwarded reads, coalesced
-// writes, combined reads and two refused ops, and MaxBatch 4 splits each
+// writes, combined reads and two refused ops, and maxBatch 4 splits each
 // shard's sub-batch across size flushes; in the "refused" batch every entry's
 // ops are all out of range, so no flush completes it. A batch completed
 // before anyone waits answers Wait, Value and Seq without allocating. Run

@@ -196,7 +196,7 @@ func TestCrossCheckShardedPerVariable(t *testing.T) {
 		cfg  Config
 	}{
 		{"pipelined", Config{Shards: 4}},
-		{"maxbatch=2", Config{Shards: 3, MaxBatch: 2}},
+		{"maxbatch=2", Config{Shards: 3, maxBatch: 2}},
 	} {
 		t.Run(cell.name, func(t *testing.T) {
 			svc := newService(t, 3, cell.cfg)

@@ -167,7 +167,7 @@ func TestDifferentialOracle(t *testing.T) {
 	for _, cfg := range []Config{
 		{Shards: 1},
 		{Shards: 4},
-		{Shards: 4, MaxBatch: 3},
+		{Shards: 4, maxBatch: 3},
 		{Shards: 7},
 	} {
 		cells = append(cells, cell{cfg.name(), cfg, pp93})

@@ -166,7 +166,7 @@ func (d *pipeDispatcher) run() {
 
 // admit folds one operation into the accumulating batch, in admission
 // order: it takes the next commit sequence number, and flushes after when
-// the batch reaches MaxBatch distinct variables.
+// the batch reaches maxBatch distinct variables.
 func (d *pipeDispatcher) admit(e *batchOp) {
 	v := e.op.Var
 	if v >= d.numVars {

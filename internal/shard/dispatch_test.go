@@ -198,7 +198,7 @@ func TestCombiningSemantics(t *testing.T) {
 	}
 }
 
-// TestSizeFlush checks the MaxBatch threshold splits a staged run of
+// TestSizeFlush checks the maxBatch threshold splits a staged run of
 // distinct variables into full batches.
 func TestSizeFlush(t *testing.T) {
 	p := newProbe(&mapBackend{}, true)
@@ -502,7 +502,7 @@ func TestStatsMatchObserver(t *testing.T) {
 			col := obs.NewCollector()
 			svc := newService(t, 3, Config{
 				Shards:   shards,
-				MaxBatch: 8,
+				maxBatch: 8,
 				Protocol: protocol.Config{Observer: col, Recorder: col},
 			})
 			stop := make(chan struct{})

@@ -30,7 +30,7 @@ func faultService(t testing.TB, shards int, fs *mpc.FaultSet) (*Service, *core.S
 	col := obs.NewCollector()
 	svc, err := New(protocol.NewCoreMapper(s, idx), Config{
 		Shards:   shards,
-		MaxBatch: 16,
+		maxBatch: 16,
 		Protocol: protocol.Config{
 			NewMachine: func(mcfg mpc.Config) (protocol.Machine, error) { return mpc.NewFailingShared(mcfg, fs) },
 			Observer:   col,

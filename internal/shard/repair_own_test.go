@@ -43,7 +43,7 @@ func ownedRepairCycle(t *testing.T, shards int) (copies, rounds, want int64) {
 	svc, err := New(protocol.NewCoreMapper(s, idx), Config{
 		Shards:    shards,
 		Protocol:  protocol.Config{Observer: col},
-		MaxBatch:  32, // small machines, so a sweep is many full waves
+		maxBatch:  32, // small machines, so a sweep is many full waves
 		Transport: func(i int) protocol.Transport { return failingTransport{fsets[i]} },
 	})
 	if err != nil {

@@ -120,8 +120,9 @@ func TestChurnSoakRepair(t *testing.T) {
 	// Storm over: re-admit anything still failed, then drive traffic until
 	// the repair backlog fully drains (batches pump repair; Flush wakes any
 	// parked flusher).
+	snap := fs.Snapshot()
 	for m := uint64(0); m < s.NumModules; m++ {
-		if fs.Failed(m) {
+		if snap.Failed(m) {
 			fs.RecoverPending(m)
 		}
 	}

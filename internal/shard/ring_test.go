@@ -350,7 +350,7 @@ func FuzzRing(f *testing.F) {
 // TestRingDepthObservability checks the ring's high-water mark and its
 // park/wake counters reach Stats.
 func TestRingDepthObservability(t *testing.T) {
-	svc := newService(t, 3, Config{Shards: 1, MaxBatch: 8})
+	svc := newService(t, 3, Config{Shards: 1, maxBatch: 8})
 	for i := 0; i < 64; i++ {
 		if err := svc.Write(uint64(i), uint64(i)); err != nil {
 			t.Fatal(err)

@@ -37,7 +37,7 @@
 // the protocol.DistinctBatch whose index is both the combining lookup and
 // the duplicate check — and hands sealed batches to the backend's
 // allocation-free AccessDistinctInto. A batch is flushed when it
-// reaches MaxBatch distinct variables, when a write meets an issued read of
+// reaches N distinct variables, when a write meets an issued read of
 // its variable, when the ring runs dry (so latency stays bounded without
 // timers), or on an explicit Flush. The ring is bounded in entries:
 // admission blocks (briefly spins, then sleeps) while it is full.
@@ -69,13 +69,6 @@ type Config struct {
 	// because the frozen benchmark suite (bench/stack.go) sets it, and goes
 	// with the benchmark PR that drops that mention.
 	Pipeline bool
-	// MaxBatch is the per-shard flush threshold in distinct variables.
-	// 0 defaults to the mapper's module count N (the largest batch the
-	// protocol accepts, so New rejects more). The admission ring holds
-	// 3×MaxBatch entries, clamped to [64, 4096]; an entry is one
-	// AccessBatch sub-batch (a blocking Read or Write is a one-op batch),
-	// so Stats.MaxQueueDepth counts entries too.
-	MaxBatch int
 	// Protocol is the template for every shard's system. If its Resolver is
 	// nil and its Strategy the zero value, the mapper's size decides
 	// (protocol.TableFits): one table is compiled and shared by all shards
@@ -87,13 +80,21 @@ type Config struct {
 	// one book of dispatcher facts.
 	Protocol protocol.Config
 	// Transport, when non-nil, supplies each shard's MPC transport: shard
-	// i's system is built over Transport(i), overriding Protocol.Transport.
-	// Every shard needs its own transport namespace (for netmpc, a distinct
-	// StoreID per shard) because shards are independent systems with
-	// independent timestamp streams sharing one server cluster's address
-	// space. The caller owns the returned transports' lifetimes — close
-	// them after the service.
+	// i's system is built over Transport(i), overriding Protocol.Transport;
+	// internal/stack sets it only to wrap each shard's transport for timing.
+	// Shards are independent systems with independent timestamp streams, so
+	// shards sharing one server cluster would each need their own namespace
+	// on it (for netmpc, a distinct StoreID); internal/stack therefore runs
+	// a netmpc transport under one shard only. The caller owns the returned
+	// transports' lifetimes — close them after the service.
 	Transport func(shard int) protocol.Transport
+
+	// maxBatch is the per-shard flush threshold in distinct variables: the
+	// mapper's module count N, the largest batch the protocol accepts. Only
+	// tests lower it. The admission ring holds 3×maxBatch entries, clamped
+	// to [64, 4096]; an entry is one AccessBatch sub-batch (a blocking Read
+	// or Write is a one-op batch), so Stats.MaxQueueDepth counts entries too.
+	maxBatch int
 }
 
 // Service is the sharded combining service. All methods are safe for
@@ -123,18 +124,18 @@ func New(m protocol.Mapper, cfg Config) (*Service, error) {
 	if cfg.Shards < 1 || cfg.Shards > 4096 {
 		return nil, fmt.Errorf("shard: Shards %d out of range [1, 4096]", cfg.Shards)
 	}
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = int(m.NumModules())
+	if cfg.maxBatch == 0 {
+		cfg.maxBatch = int(m.NumModules())
 	}
-	if cfg.MaxBatch < 1 {
-		return nil, fmt.Errorf("shard: MaxBatch %d must be positive", cfg.MaxBatch)
+	if cfg.maxBatch < 1 {
+		return nil, fmt.Errorf("shard: maxBatch %d must be positive", cfg.maxBatch)
 	}
-	if uint64(cfg.MaxBatch) > m.NumModules() {
-		return nil, fmt.Errorf("shard: MaxBatch %d exceeds the %d modules (N) one protocol batch can address", cfg.MaxBatch, m.NumModules())
+	if uint64(cfg.maxBatch) > m.NumModules() {
+		return nil, fmt.Errorf("shard: maxBatch %d exceeds the %d modules (N) one protocol batch can address", cfg.maxBatch, m.NumModules())
 	}
 	// Three batches' worth of one-op entries: one flushing, one sealed,
 	// one accumulating.
-	ringCap := min(max(3*cfg.MaxBatch, 64), 4096)
+	ringCap := min(max(3*cfg.maxBatch, 64), 4096)
 	pcfg := cfg.Protocol
 	if pcfg.Strategy == protocol.ResolverAuto && pcfg.Resolver == nil && protocol.TableFits(m) {
 		r, err := protocol.CompileMapper(m, protocol.CompileOptions{})
@@ -165,7 +166,7 @@ func New(m protocol.Mapper, cfg Config) (*Service, error) {
 		if err != nil {
 			return fail(i, fmt.Errorf("shard %d: %w", i, err))
 		}
-		s.shards[i] = &shardState{sys: sys, d: newPipeDispatcher(sys, m.NumVars(), cfg.MaxBatch, ringCap)}
+		s.shards[i] = &shardState{sys: sys, d: newPipeDispatcher(sys, m.NumVars(), cfg.maxBatch, ringCap)}
 	}
 	return s, nil
 }

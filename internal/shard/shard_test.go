@@ -43,7 +43,7 @@ func configs() []Config {
 	return []Config{
 		{Shards: 1},
 		{Shards: 4},
-		{Shards: 3, MaxBatch: 2},
+		{Shards: 3, maxBatch: 2},
 	}
 }
 
@@ -422,16 +422,16 @@ func TestResolverSelectedBySize(t *testing.T) {
 func TestMaxBatchBoundedByModules(t *testing.T) {
 	m := testMapper(t, 3)
 	n := int(m.NumModules())
-	_, err := New(m, Config{MaxBatch: 4 * n})
+	_, err := New(m, Config{maxBatch: 4 * n})
 	if err == nil {
-		t.Fatalf("MaxBatch %d accepted over %d modules", 4*n, n)
+		t.Fatalf("maxBatch %d accepted over %d modules", 4*n, n)
 	}
 	for _, num := range []int{4 * n, n} {
 		if !strings.Contains(err.Error(), strconv.Itoa(num)) {
 			t.Errorf("error %q does not name %d", err, num)
 		}
 	}
-	svc := newService(t, 3, Config{MaxBatch: n})
+	svc := newService(t, 3, Config{maxBatch: n})
 	ops := make([]BatchOp, m.NumVars()) // 84 distinct variables: more than one batch of N = 63
 	for i := range ops {
 		ops[i] = BatchOp{Write: true, Var: uint64(i), Val: uint64(i) + 1}
@@ -441,7 +441,7 @@ func TestMaxBatchBoundedByModules(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := b.Wait(); err != nil {
-		t.Errorf("%d distinct writes at MaxBatch = N: %v", len(ops), err)
+		t.Errorf("%d distinct writes at maxBatch = N: %v", len(ops), err)
 	}
 }
 
@@ -480,11 +480,11 @@ func TestExplicitFlushWaits(t *testing.T) {
 	}
 }
 
-// TestBackpressure: a tiny MaxBatch on the smallest derived ring (64 slots)
+// TestBackpressure: a tiny maxBatch on the smallest derived ring (64 slots)
 // still completes a hammering workload (submitters block rather than fail or
 // deadlock). TestTinyRingBackpressure wraps a 2-slot ring.
 func TestBackpressure(t *testing.T) {
-	svc := newService(t, 3, Config{Shards: 2, MaxBatch: 2})
+	svc := newService(t, 3, Config{Shards: 2, maxBatch: 2})
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for c := 0; c < 8; c++ {
