@@ -26,7 +26,7 @@
 //     service must pass this check. It has no real-time order, so it is
 //     weaker than the per-variable linearizability internal/shard
 //     documents: a read that starts after a write to its variable completed
-//     may return an older value and still certify (ROADMAP item 2).
+//     may return an older value and still certify (ROADMAP item 5).
 //
 // Both checks require the "data uniqueness" condition of Wei et al.: no two
 // writes to the same variable store the same value, so every read has an

@@ -436,7 +436,7 @@ func NewFailing(cfg Config, failed []uint64) (*Failing, error) {
 // state: a module re-admitted through RecoverPending is certified by
 // whichever system's sweep finishes first, though a shard's sweep rebuilds
 // only the variables that shard owns, so the other shards' copies on it may
-// be certified unrebuilt (ROADMAP 10(d)).
+// be certified unrebuilt (ROADMAP item 14).
 func NewFailingShared(cfg Config, fs *FaultSet) (*Failing, error) {
 	if fs == nil {
 		fs = NewFaultSet()

@@ -630,8 +630,16 @@ func TestForgedGrantsMarkDown(t *testing.T) {
 				}
 			})
 			_, fakeHi := Range(0, 2, int64(s.NumModules))
-			vars := make([]uint64, 0, 16)
-			for v := uint64(0); v < s.NumVariables && len(vars) < 16; v++ {
+			// The variables on the fake are one phase's worth, ⌊N/(q+1)³⌋:
+			// a batch of more plays several phases, whose second round
+			// carries the first's leftovers into the next phase's bids and so
+			// is not the shorter list the forgery needs.
+			size := 16
+			if tc.onFake {
+				size = int(s.NumModules) / (s.Copies * s.Copies * s.Copies)
+			}
+			vars := make([]uint64, 0, size)
+			for v := uint64(0); v < s.NumVariables && len(vars) < size; v++ {
 				if tc.onFake {
 					on := true
 					for c := 0; c < sys.Mapper.Copies(); c++ {

@@ -25,6 +25,9 @@ import (
 // round takes the generic path. The suite's traced runs wrap the machine too,
 // so these pairs are where the fused rounds' share is measured. A degraded or
 // repairing batch may leave requests unserved; that is not an error here.
+// Beside ns/req each run reports the model cost, rounds/batch and bids/req
+// (Metrics.TotalRounds and IssuedBids): those repeat exactly from run to run,
+// so they resolve a change that the timing of one host cannot.
 func BenchmarkAccessInto(b *testing.B) {
 	base := newSystem(b, 1, 7, Config{})
 	table := compileTable(b, base.Mapper)
@@ -93,10 +96,15 @@ func BenchmarkAccessInto(b *testing.B) {
 					}
 					b.ReportAllocs()
 					b.ResetTimer()
+					rounds, bids := 0, 0
 					for i := 0; i < b.N; i++ {
 						access(batches[i%len(batches)])
+						rounds += res.Metrics.TotalRounds
+						bids += res.Metrics.IssuedBids
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shape.size), "ns/req")
+					b.ReportMetric(float64(rounds)/float64(b.N), "rounds/batch")
+					b.ReportMetric(float64(bids)/float64(b.N*shape.size), "bids/req")
 				})
 			}
 		}

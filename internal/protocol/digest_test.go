@@ -21,11 +21,13 @@ import (
 // FNV-1a digest; one more cell runs a script whose batches are all large
 // enough to play Copies phases. The constants in digestGolden were generated
 // at commit 7e384ba, before the batch path became staged passes over packed
-// rows, and regenerated twice: when small batches began to play fewer than
-// Copies phases (phaseCount) — the q+1-phases cell was generated before that
-// change and reproduced after it — and when decide began to cancel a
+// rows, and regenerated three times: when small batches began to play fewer
+// than Copies phases (phaseCount) — the q+1-phases cell was generated before
+// that change and reproduced after it — when decide began to cancel a
 // request's losing bids in the round its quorum completes, which left the
-// single-copy cells unchanged. The table and the computed resolver must
+// single-copy cells unchanged, and when the phases began to overlap, which
+// moved only cells whose script plays a multi-phase batch (see
+// digestGolden). The table and the computed resolver must
 // both reproduce the one constant of their cell. The keys still say policy=0:
 // the matrix had a copy-policy axis until the fixed-majority ablation
 // (policy=1) was deleted.

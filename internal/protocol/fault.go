@@ -207,7 +207,7 @@ func (sys *System) refilterTasks(b *batch, st mpc.FaultSnapshot, tasks []task) [
 // buffers, so a steady stream of degraded batches allocates nothing here.
 func (sys *System) retryStranded(b *batch) {
 	reqs, res, geo := b.reqs, b.res, sys.machineProcs
-	b.wave, b.afterRound = true, nil
+	b.wave = true
 
 	// pending and next are the attempt's requests and the ones it leaves for
 	// the next attempt; the two buffers swap roles each attempt.
@@ -266,7 +266,7 @@ func (sys *System) retryStranded(b *batch) {
 			}
 			res.Metrics.RetriedBids += len(tasks)
 			b.epoch = st.Epoch()
-			_, iters := sys.drive(b, tasks, 0)
+			_, iters := sys.drive(b, tasks, 0, 0)
 			res.Metrics.RetryRounds += iters
 			res.Metrics.TotalRounds += iters
 			for _, r := range wave {

@@ -4,16 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"detshmem/internal/core"
+	"detshmem/internal/mpc"
+	"detshmem/internal/obs"
 )
 
 // TestPhaseCount pins the phase rule: a batch of n requests plays the fewest
 // phases whose bids each fit in N/(q+1)² modules — ⌈n / ⌊N/(q+1)³⌋⌉ — and at
 // most q+1. Each size runs a write/read script under every fault scenario of
-// the digest matrix, and every request a quorum served must agree with an
-// oracle map.
+// the digest matrix and the carried one (carriedScript), and every request a
+// quorum served must agree with an oracle map.
 func TestPhaseCount(t *testing.T) {
 	for _, sc := range []struct{ m, n int }{{1, 5}, {1, 7}, {2, 3}} {
 		s, err := core.New(sc.m, sc.n)
@@ -30,7 +33,7 @@ func TestPhaseCount(t *testing.T) {
 		for _, c := range []struct{ size, want int }{
 			{1, 1}, {d, 1}, {d + 1, 2}, {q * d, q}, {q*d + 1, q + 1}, {N, q + 1},
 		} {
-			for _, scenario := range digestScenarios {
+			for _, scenario := range append(slices.Clip(digestScenarios), "carried") {
 				t.Run(fmt.Sprintf("q=%d,n=%d/size=%d/%s", q, sc.n, c.size, scenario), func(t *testing.T) {
 					phaseScript(t, m, scenario, c.size, c.want)
 				})
@@ -38,6 +41,46 @@ func TestPhaseCount(t *testing.T) {
 		}
 	}
 }
+
+// carriedScript sets the carried scenario up on cfg: over a bare mpc.Failing,
+// whose phases open in place (firstRound), a contiguous range of N/4 modules
+// and the module of one bid still in flight fail right after the stream's
+// first round — the first batch's phase 0, so when that batch plays several
+// phases the failure lands between phase 0 and phase 1, while phase 0's
+// stragglers are being carried into phase 1 — and come back for repair before
+// batch 2. *sys is the System the config is for.
+func carriedScript(m Mapper, cfg *Config, sys **System) func(i int) {
+	n := m.NumModules()
+	lo, hi := n/2, n/2+max(1, n/4)
+	fs := mpc.NewFaultSet()
+	hit, carried := uint64(0), false
+	rounds := 0
+	cfg.Recorder = recordFunc(func() {
+		if rounds++; rounds != 1 {
+			return
+		}
+		fs.FailRange(lo, hi)
+		if tasks := (*sys).tasks; len(tasks) > 0 {
+			hit, carried = uint64(tasks[0].cp.module()), true
+			fs.Fail(hit)
+		}
+	})
+	cfg.NewMachine = func(mcfg mpc.Config) (Machine, error) { return mpc.NewFailingShared(mcfg, fs) }
+	return func(i int) {
+		if i == 2 {
+			fs.RecoverPendingRange(lo, hi)
+			if carried {
+				fs.RecoverPending(hit)
+			}
+		}
+	}
+}
+
+// recordFunc is an obs.Recorder that calls itself after every round.
+type recordFunc func()
+
+func (f recordFunc) Enabled() bool              { return true }
+func (f recordFunc) RecordRound(obs.RoundEvent) { f() }
 
 // phaseScript writes fresh values to size distinct variables and reads them
 // back, three times over, under one fault scenario; then it lets repair drain
@@ -65,7 +108,13 @@ func phaseScript(t *testing.T, m Mapper, scenario string, size, want int) {
 		}
 	}
 	cfg := Config{TraceLive: true, Owns: func(v uint64) bool { return owned[v] }}
-	before := faultScript(m, scenario, batches, rng, &cfg)
+	var sys *System
+	var before func(int)
+	if scenario == "carried" {
+		before = carriedScript(m, &cfg, &sys)
+	} else {
+		before = faultScript(m, scenario, batches, rng, &cfg)
+	}
 	sys, err := NewGenericSystem(m, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,10 @@
 // each fit in N/(q+1)² modules, so a full batch plays the paper's q+1 — and
 // within a phase the cluster members repeatedly bid for the q+1 copies of
 // their cluster's current variable until a quorum (q/2+1, the majority) of
-// copies has been touched.
+// copies has been touched. The phases overlap: the bids a phase has left after
+// its first round ride in the next phase's first round, on the processors
+// below that phase's clusters, so the lowest-processor rule serves them
+// first, and only the last phase drives its rounds to completion.
 // Copies carry timestamps (the Upfal–Wigderson adaptation of Thomas'
 // majority-consensus rule), so a read that reaches any read quorum is
 // guaranteed to see the most recently written value.
@@ -39,6 +42,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
+	"sort"
 
 	"detshmem/internal/cellstore"
 	"detshmem/internal/core"
@@ -86,12 +91,23 @@ type Request struct {
 
 // Metrics reports how the protocol performed on one batch.
 type Metrics struct {
-	Phases          int     // phases played: the fewest whose bids fit N/(q+1)² modules, at most q+1
-	PhaseIterations []int   // MPC iterations used by each phase
-	MaxIterations   int     // Φ: max over phases
-	TotalRounds     int     // Σ PhaseIterations — total MPC time for the batch
-	LiveTrace       [][]int // per phase: live (incomplete) variables after each iteration
-	CopyAccesses    int     // total copies touched (grants consumed by quorums)
+	Phases int // phases played: the fewest whose bids fit N/(q+1)² modules, at most q+1
+	// PhaseIterations[p] is the number of rounds in which phase p's requests
+	// were in flight: its first round, and every later round that still
+	// carried one of its bids — into the next phases' first rounds, or the
+	// rounds the last phase drives.
+	PhaseIterations []int
+	// MaxIterations is Φ, the largest PhaseIterations.
+	MaxIterations int
+	// TotalRounds is the number of MPC rounds the batch actually played,
+	// retry rounds included. Phases overlap, so a round can count in two
+	// phases' PhaseIterations: TotalRounds - RetryRounds ≤ Σ PhaseIterations.
+	TotalRounds int
+	// LiveTrace (with Config.TraceLive) has one entry per phase, and in it
+	// one entry per round counted in PhaseIterations: how many of the
+	// phase's requests were still short of their quorum after that round.
+	LiveTrace    [][]int
+	CopyAccesses int // total copies touched (grants consumed by quorums)
 	// GrantedBids counts every module grant the batch's bids won, including
 	// the grants a round gives a request beyond what its quorum still needed
 	// (those exceed CopyAccesses). A request's other bids are cancelled in
@@ -294,7 +310,7 @@ type System struct {
 	// tests shrink it to land churn mid-sweep, or set it negative to switch
 	// the per-batch pump off.
 	repairBudget int
-	// maxIter bounds the rounds drive plays for one phase or wave: 8N+64,
+	// maxIter bounds the rounds one drive plays for a phase or wave: 8N+64,
 	// which only requests that are genuinely unservable (a variable lost a
 	// quorum of its copies to failed modules) ever reach — they are reported
 	// in Metrics.Unfinished and Access returns ErrIncomplete. Like
@@ -309,6 +325,7 @@ type System struct {
 	remaining []int32          // copies each request still needs
 	best      []cellstore.Cell // newest (value, timestamp) each read has seen
 	tasks     []task           // the phase's or wave's in-flight bids
+	flight    []int            // the phases with a bid in the current round
 	reads     []readRef        // the round's granted reads, cells not yet fetched
 	writes    []writeRef       // the round's granted writes, not yet applied
 	repairs   []readRef        // the round's granted repair writes: best[req] goes to addr
@@ -456,9 +473,6 @@ type batch struct {
 	// wave marks a retry or repair wave: when the epoch moves, the bids at
 	// barred modules are dropped (dropBarred) rather than re-selected.
 	wave bool
-	// afterRound, when set, runs after every round drive plays (TraceLive's
-	// per-phase live counts).
-	afterRound func()
 }
 
 // row returns the resolved copies of the batch's request r.
@@ -562,11 +576,19 @@ func errVarRange(v, numVars uint64) error {
 }
 
 // access serves a checked batch of distinct requests. It runs as stages —
-// resolve, then per phase select, drive and commit, then deliver the read
-// values and report — and each round drive plays is itself staged: bid,
-// decide, commit cells (see round). Over the in-process MPC, plain or behind
-// a bare mpc.Failing, a phase's first round, which carries almost all of its
-// bids, is played by firstRound instead: select, bid and decide in one pass.
+// resolve, then per phase select and drive, then deliver the read values and
+// report — and each round drive plays is itself staged: bid, decide, commit
+// cells (see round). Over the in-process MPC, plain or behind a bare
+// mpc.Failing, a phase's first round, which carries almost all of its bids,
+// is played by firstRound instead: select, bid and decide in one pass.
+//
+// The phases overlap. A phase plays its first round and then only as many
+// more as it takes for its bids still in flight to fit the processors the
+// next phase's clusters leave spare — usually none: the leftovers become the
+// first bids of the next phase's first round (carryOver), on its lowest
+// processors, so no round bids from more than the machine's processors. The
+// last phase drives to completion. A multi-phase batch therefore gets a
+// machine of the full batch's processor count (fullProcs), N.
 func (sys *System) access(reqs []Request, res *Result) error {
 	sys.ts++
 	res.Values = grow(res.Values, len(reqs))
@@ -583,33 +605,51 @@ func (sys *System) access(reqs []Request, res *Result) error {
 		sys.observeBatch(reqs, res)
 		return nil
 	}
-	numClusters := (len(reqs) + phases - 1) / phases
-	if err := sys.obtainMachine(numClusters * sys.nCopies); err != nil {
+	procs := (len(reqs) + phases - 1) / phases * sys.nCopies
+	if phases > 1 {
+		// A phase's unfinished bids ride in the next phase's first round on
+		// the processors its clusters leave spare: the machine has all N.
+		procs = sys.fullProcs()
+	}
+	if err := sys.obtainMachine(procs); err != nil {
 		return err
 	}
 	b := batch{reqs: reqs, res: res, phases: phases}
 	sys.resolveBatch(&b)
-	res.Metrics.Phases = phases
+	met := &res.Metrics
+	met.Phases = phases
+	carry := sys.tasks[:0] // the previous phase's bids still in flight
 	for phase := 0; phase < phases; phase++ {
+		met.PhaseIterations = append(met.PhaseIterations, 0)
 		if sys.cfg.TraceLive {
-			b.afterRound = sys.traceLive(&b.res.Metrics, len(reqs), phase, phases)
+			met.LiveTrace = append(met.LiveTrace, nil)
+		}
+		// room is how many bids the phase may leave in flight for the next
+		// one: the processors the next phase's clusters leave spare. The
+		// last phase drives to completion.
+		room := 0
+		if next := phase + 1; next < phases {
+			room = sys.machineProcs - (len(reqs)-next+phases-1)/phases*sys.nCopies
 		}
 		var tasks []task
-		iters := 0
+		played := 0
 		if sys.inPlace != nil && sys.maxIter > 0 {
-			var played bool
-			if tasks, played = sys.firstRound(&b, phase); played {
-				iters = 1
+			var ok bool
+			if tasks, ok = sys.firstRound(&b, phase, carry); ok {
+				played = 1
 			}
 		} else {
-			tasks = sys.selectPhase(&b, phase)
+			tasks = sys.selectPhase(&b, phase, carry)
 		}
-		if iters > 0 && b.afterRound != nil {
-			b.afterRound()
+		left, rounds := sys.drive(&b, tasks, played, room)
+		met.TotalRounds += rounds
+		if len(left) > room { // the iteration bound tripped
+			sys.abandon(&b, left)
+			left = left[:0]
 		}
-		left, iters := sys.drive(&b, tasks, iters)
-		sys.commitPhase(&b, left, iters)
+		carry = left
 	}
+	met.MaxIterations = slices.Max(met.PhaseIterations)
 	if b.fv != nil {
 		if len(sys.retry) > 0 {
 			sys.retryStranded(&b)
@@ -694,20 +734,20 @@ func (sys *System) resolveVars(vars []uint64, out []packedCopy) []packedCopy {
 	return out
 }
 
-// selectPhase builds the phase's task list: cluster i serves request
-// i·phases+phase from processors i·Copies…i·Copies+Copies-1, and member j
-// bids for copy j — the paper's rule: all copies bid, and a variable's
+// selectPhase builds the phase's task list: the bids carried from the
+// previous phase first, on the lowest processors (carryOver), then cluster i
+// serving request i·phases+phase from the next Copies processors, member j
+// bidding for copy j — the paper's rule: all copies bid, and a variable's
 // outstanding bids are cancelled once its quorum succeeded. Under a fault
 // view, selection routes around the modules barred in one snapshot
 // (openRequest): the members whose copies are barred sit the phase out.
-func (sys *System) selectPhase(b *batch, phase int) []task {
-	tasks := sys.tasks[:0]
+func (sys *System) selectPhase(b *batch, phase int, carry []task) []task {
 	var st mpc.FaultSnapshot
 	if b.fv != nil {
 		st = b.fv.Snapshot()
-		b.epoch = st.Epoch()
 	}
-	for r, procBase := phase, 0; r < len(b.reqs); r, procBase = r+b.phases, procBase+sys.nCopies {
+	tasks := sys.carryOver(b, st, carry)
+	for r, procBase := phase, len(tasks); r < len(b.reqs); r, procBase = r+b.phases, procBase+sys.nCopies {
 		sys.remaining[r] = sys.quorum(b.reqs[r].Op)
 		sys.best[r] = cellstore.Cell{}
 		row := sys.row(r)
@@ -731,38 +771,70 @@ func (sys *System) selectPhase(b *batch, phase int) []task {
 	return tasks
 }
 
+// carryOver readies the bids the previous phase left in flight to open this
+// phase's first round. When the fault epoch moved since they were selected,
+// they are refiltered against st by drive's rule (refilterTasks); then they
+// are renumbered onto processors 0…k-1, below the phase's clusters, so the
+// lowest-processor rule serves them first. The batch epoch becomes st's.
+func (sys *System) carryOver(b *batch, st mpc.FaultSnapshot, carry []task) []task {
+	if b.fv != nil {
+		if len(carry) > 0 && st.Epoch() != b.epoch {
+			carry = sys.refilterTasks(b, st, carry)
+		}
+		b.epoch = st.Epoch()
+	}
+	for i := range carry {
+		carry[i].proc = int32(i)
+	}
+	return carry
+}
+
 // firstRound plays a phase's first round in place on the in-process machine
-// (sys.inPlace) in one pass over the phase's resolved rows. Under a fault
-// view it reads one snapshot and, unless nothing is failed or repairing in
-// it, opens each request against it (openRequest); otherwise every copy is
-// live. Each live copy claims its module in the machine's claim table from
-// its member's slot (won marks a row's grants in one word, so the path is
-// kept to at most 64 copies), a granted copy the quorum still needs is
-// queued for commitCells, and only the ungranted bids of requests still
-// short of their quorum become tasks. It is selectPhase, round and decide
-// fused, and leaves the same books — tasks, the fault layer's copy masks and
-// liveBids, queued grants, retries and demotions — since its claims are the
-// bids selectPhase would list, in the same order, and a request's bids are
-// consecutive, so it is complete or not by the end of its row. The later
-// rounds carry few bids and stay on the generic path. The batch epoch
-// becomes the snapshot's, so a mutation after the round still makes drive
-// refilter. It reports whether the phase bid at all: a phase none of whose
-// requests can reach a quorum plays no round.
-func (sys *System) firstRound(b *batch, phase int) ([]task, bool) {
+// (sys.inPlace): the bids carried from the previous phase (carryOver) claim
+// first, then one pass over the phase's resolved rows. Under a fault view it
+// reads one snapshot and, unless nothing is failed or repairing in it, opens
+// each request against it (openRequest); otherwise every copy is live. Each
+// live copy claims its module in the machine's claim table from its member's
+// slot (won marks a row's grants in one word, so the path is kept to at most
+// 64 copies), a granted copy the quorum still needs is queued for
+// commitCells, and only the ungranted bids of requests still short of their
+// quorum stay tasks. It is selectPhase, round and decide fused — the carried
+// bids' grants go through decide itself — and leaves the same books (tasks,
+// the fault layer's copy masks and liveBids, queued grants, retries and
+// demotions), since its claims are the bids selectPhase would list, in the
+// same order, and a request's bids are consecutive, so it is complete or not
+// by the end of its row. The later rounds carry few bids and stay on the
+// generic path. The batch epoch becomes the snapshot's, so a mutation after
+// the round still makes drive refilter. It reports whether the round was
+// played: one with no carried bid and no request able to reach a quorum is
+// not.
+func (sys *System) firstRound(b *batch, phase int, carry []task) ([]task, bool) {
 	var st mpc.FaultSnapshot
 	clean := true // nothing failed or repairing: every copy is live
 	if b.fv != nil {
 		st = b.fv.Snapshot()
-		b.epoch = st.Epoch()
 		clean = st.Count() == 0 && st.RepairCount() == 0
 	}
+	carry = sys.carryOver(b, st, carry)
+	flight := b.inFlight(carry, sys.flight[:0])
 	m := sys.inPlace
 	m.OpenRound()
-	tasks, reads, writes := sys.tasks[:0], sys.reads[:0], sys.writes[:0]
+	carried, prev := 0, -1 // the carried bids' grants
+	grant := sys.grant[:len(carry)]
+	for i, t := range carry {
+		grant[i] = m.Claim(prev, i, t.cp.module())
+		if grant[i] {
+			carried++
+		}
+		prev = i
+	}
+	tasks := sys.decide(b, carry) // books the carried grants and resets the queues
+	reads, writes := sys.reads, sys.writes
 	nc := sys.nCopies
 	all := uint64(1)<<uint(nc) - 1
-	granted, consumed, barred, prev := 0, 0, 0, -1
-	r, procBase := phase, 0
+	granted, consumed, barred := 0, 0, 0
+	first := len(carry) // the phase's first processor
+	r, procBase := phase, first
 	for ; r < len(b.reqs); r, procBase = r+b.phases, procBase+nc {
 		row := sys.row(r)
 		live := all
@@ -822,49 +894,75 @@ func (sys *System) firstRound(b *batch, phase int) ([]task, bool) {
 		}
 	}
 	sys.tasks = tasks
-	issued := procBase - barred // the phase's processors, less the barred copies' members
-	if issued == 0 {
+	own := procBase - first - barred // the phase's processors, less the barred copies' members
+	if first+own == 0 {
 		return tasks, false // the open round claimed nothing: leave it unplayed
 	}
-	m.CloseRound(granted)
-	sys.reads, sys.writes, sys.repairs = reads, writes, sys.repairs[:0]
+	if own > 0 {
+		flight = append(flight, phase)
+	}
+	m.CloseRound(carried + granted)
+	sys.reads, sys.writes = reads, writes
 	met := &b.res.Metrics
-	met.IssuedBids += issued
+	met.IssuedBids += first + own
 	met.GrantedBids += granted
 	met.CopyAccesses += consumed
 	sys.commitCells()
+	sys.flight = flight
+	sys.bookRound(b, flight)
 	return tasks, true
 }
 
-// traceLive opens the phase's LiveTrace entry and returns the per-round
-// callback that fills it: how many of the phase's requests (phase,
-// phase+phases, … below n) are still short of their quorum after each round.
-func (sys *System) traceLive(met *Metrics, n, phase, phases int) func() {
-	met.LiveTrace = append(met.LiveTrace, nil)
-	live := &met.LiveTrace[len(met.LiveTrace)-1]
-	return func() {
+// inFlight appends to dst the phases with a bid in tasks, a task list of the
+// phase loop. Such a list is ordered by phase — the bids a phase carries sit
+// below the next phase's clusters, and every round keeps the order — so each
+// phase's bids are one run, and the runs are found by binary search.
+func (b *batch) inFlight(tasks []task, dst []int) []int {
+	for len(tasks) > 0 {
+		ph := int(tasks[0].req) % b.phases
+		dst = append(dst, ph)
+		tasks = tasks[sort.Search(len(tasks), func(i int) bool { return int(tasks[i].req)%b.phases > ph }):]
+	}
+	return dst
+}
+
+// bookRound counts a played round against each phase in flight in it (its
+// PhaseIterations) and, with TraceLive, appends to each such phase's
+// LiveTrace how many of its requests (phase, phase+phases, …) are still
+// short of their quorum.
+func (sys *System) bookRound(b *batch, flight []int) {
+	met := &b.res.Metrics
+	for _, ph := range flight {
+		met.PhaseIterations[ph]++
+		if !sys.cfg.TraceLive {
+			continue
+		}
 		cnt := 0
-		for r := phase; r < n; r += phases {
+		for r := ph; r < len(b.reqs); r += b.phases {
 			if sys.remaining[r] > 0 {
 				cnt++
 			}
 		}
-		*live = append(*live, cnt)
+		met.LiveTrace[ph] = append(met.LiveTrace[ph], cnt)
 	}
 }
 
-// drive plays rounds until every bid is settled or the iteration bound
-// trips, and returns the bids left over and the rounds played, counting the
-// iters already played (a phase's first round, when firstRound played it). It
+// drive plays rounds until at most room bids are left in flight, or the
+// iteration bound trips, and returns the bids left over and the rounds
+// played, counting the iters already played (a phase's first round, when
+// firstRound played it). A phase that has not yet played a round plays one
+// whatever room is. Room is the spare processors of the next phase, which
+// the leftovers ride in (access); the last phase and every wave have none. It
 // is round's only caller: phases, retry waves and repair waves all cross the
-// machine boundary here. When the fault epoch moved since the bids were
-// selected, they are rebuilt before the next round — a phase drops bids at
-// newly barred modules, re-selects spare live copies and sheds requests that
-// can no longer reach a quorum (refilterTasks); a wave drops its barred bids
-// (dropBarred). Either rebuild classifies against the snapshot whose epoch
-// it noticed.
-func (sys *System) drive(b *batch, tasks []task, iters int) ([]task, int) {
-	for len(tasks) > 0 && iters < sys.maxIter {
+// machine boundary here, and a phase's rounds are booked against the phases
+// in flight in them (bookRound). When the fault epoch moved since the bids
+// were selected, they are rebuilt before the next round — a phase drops bids
+// at newly barred modules, re-selects spare live copies and sheds requests
+// that can no longer reach a quorum (refilterTasks); a wave drops its barred
+// bids (dropBarred). Either rebuild classifies against the snapshot whose
+// epoch it noticed.
+func (sys *System) drive(b *batch, tasks []task, iters, room int) ([]task, int) {
+	for len(tasks) > 0 && (len(tasks) > room || iters == 0) && iters < sys.maxIter {
 		if b.fv != nil {
 			if st := b.fv.Snapshot(); st.Epoch() != b.epoch {
 				b.epoch = st.Epoch()
@@ -878,11 +976,14 @@ func (sys *System) drive(b *batch, tasks []task, iters int) ([]task, int) {
 				}
 			}
 		}
-		tasks = sys.round(b, tasks)
-		iters++
-		if b.afterRound != nil {
-			b.afterRound()
+		if b.wave {
+			tasks = sys.round(b, tasks)
+		} else {
+			sys.flight = b.inFlight(tasks, sys.flight[:0])
+			tasks = sys.round(b, tasks)
+			sys.bookRound(b, sys.flight)
 		}
+		iters++
 	}
 	return tasks, iters
 }
@@ -897,10 +998,11 @@ func (sys *System) drive(b *batch, tasks []task, iters int) ([]task, int) {
 // the newest-timestamp rule does not depend on the order copies are read in.
 //
 // The round's bid list is the task list itself: every task list is in
-// ascending processor order (a phase's clusters bid from their own slots in
-// copy order, a wave numbers its bids by position, a re-selected bid takes
-// the dropped one's place and processor, and decide and firstRound compact in
-// order), so bid i is task i and grant[i] answers it. A phase's first round
+// ascending processor order (carried bids are numbered from 0, a phase's
+// clusters bid from their own slots above them in copy order, a wave numbers
+// its bids by position, a re-selected bid takes the dropped one's place and
+// processor, and decide and firstRound compact in order), so bid i is task i
+// and grant[i] answers it. A phase's first round
 // played by firstRound builds no bid list, so there the invariant holds from
 // the phase's second round on.
 func (sys *System) round(b *batch, tasks []task) []task {
@@ -942,7 +1044,7 @@ func (sys *System) round(b *batch, tasks []task) []task {
 // short of its quorum — the paper's cancel-at-quorum rule, applied per round.
 // A grant later in the pass may complete the request of a bid the pass has
 // already kept, so the ungranted bids are cancelled after the pass, once
-// every grant is counted. Everything downstream (refilterTasks, commitPhase)
+// every grant is counted. Everything downstream (refilterTasks, abandon)
 // relies on the invariant.
 func (sys *System) decide(b *batch, tasks []task) []task {
 	grant, remaining := sys.grant[:len(tasks)], sys.remaining
@@ -1032,36 +1134,28 @@ func (sys *System) commitCells() {
 	}
 }
 
-// commitPhase closes a phase: bids left over by the iteration bound become
-// casualties, and the phase's rounds enter the metrics. Completed reads
+// abandon turns bids the iteration bound left over into casualties (only
+// possible when modules are failing): queued for a retry pass when a fault
+// view is available, reported as unfinished otherwise. Completed reads
 // deliver their value at the end of the batch (access).
-func (sys *System) commitPhase(b *batch, left []task, iters int) {
+func (sys *System) abandon(b *batch, left []task) {
+	if b.fv != nil {
+		for _, t := range left {
+			sys.queueRetry(t.req)
+		}
+		return
+	}
+	// stalled is otherwise the fault layer's; here it marks the requests
+	// already reported (one may have several bids left).
 	met := &b.res.Metrics
-	if len(left) > 0 {
-		// The iteration bound tripped: some variables could not reach their
-		// quorum (only possible when modules are failing). Record the
-		// casualties — queued for a retry pass when a fault view is
-		// available, reported as unfinished otherwise.
-		if b.fv != nil {
-			for _, t := range left {
-				sys.queueRetry(t.req)
-			}
-		} else {
-			// stalled is otherwise the fault layer's; here it marks the
-			// requests already reported (one may have several bids left).
-			sys.stalled = grow(sys.stalled, len(b.reqs))
-			clear(sys.stalled)
-			for _, t := range left {
-				if r := t.req; !sys.stalled[r] {
-					sys.stalled[r] = true
-					met.Unfinished = append(met.Unfinished, int(r))
-				}
-			}
+	sys.stalled = grow(sys.stalled, len(b.reqs))
+	clear(sys.stalled)
+	for _, t := range left {
+		if r := t.req; !sys.stalled[r] {
+			sys.stalled[r] = true
+			met.Unfinished = append(met.Unfinished, int(r))
 		}
 	}
-	met.PhaseIterations = append(met.PhaseIterations, iters)
-	met.MaxIterations = max(met.MaxIterations, iters)
-	met.TotalRounds += iters
 }
 
 // report closes the batch: it takes the interconnect cost, tells the
@@ -1134,10 +1228,8 @@ func (sys *System) obtainMachine(procs int) error {
 		sys.machineCost = sys.machine.Cost()
 		return nil
 	}
-	cluster := sys.nCopies
-	maxProcs := (int(sys.Mapper.NumModules()) + cluster - 1) / cluster * cluster
 	step := max(1<<bits.Len(uint(procs-1))>>4, 1)
-	geo := max(min((procs+step-1)/step*step, maxProcs), procs)
+	geo := max(min((procs+step-1)/step*step, sys.fullProcs()), procs)
 	mcfg := mpc.Config{
 		Procs:    geo,
 		Modules:  int(sys.Mapper.NumModules()),
@@ -1177,6 +1269,13 @@ func (sys *System) obtainMachine(procs int) error {
 	}
 	sys.resetRepair()
 	return nil
+}
+
+// fullProcs is the processor count of a full batch's phase: N requests over
+// Copies phases, Copies processors each — N rounded up to whole clusters.
+func (sys *System) fullProcs() int {
+	c := sys.nCopies
+	return (int(sys.Mapper.NumModules()) + c - 1) / c * c
 }
 
 // cells returns the local cell store, allocating it on first use.

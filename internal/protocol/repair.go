@@ -398,7 +398,7 @@ func (sys *System) repairWave(vars []repairVar, rm *repairMetrics) {
 // iteration bound) is dirty. It returns the copies the wave accessed.
 func (sys *System) sweepWave(b *batch, tasks []task, vars []repairVar, rm *repairMetrics) int {
 	b.res.Metrics = Metrics{}
-	_, iters := sys.drive(b, tasks, 0)
+	_, iters := sys.drive(b, tasks, 0, 0)
 	met := &b.res.Metrics
 	rm.rounds += iters
 	rm.issued += met.IssuedBids

@@ -47,7 +47,7 @@ type Spec struct {
 	// Faults runs every shard over mpc.Failing machines that consult one
 	// fault set, Stack.Faults. Shared by S > 1 shards, a module re-admitted
 	// through repair is certified by whichever shard's sweep finishes first,
-	// though each shard rebuilds only the variables it owns (ROADMAP 10(d)).
+	// though each shard rebuilds only the variables it owns (ROADMAP item 14).
 	Faults bool
 	// Loopback starts that many netmpc servers on 127.0.0.1, each owning
 	// its netmpc.Range of the modules, and dials them.
