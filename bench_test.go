@@ -191,7 +191,6 @@ func BenchmarkE6ProtocolScaling(b *testing.B) {
 		for _, variant := range hotPathVariants(b, 1, n) {
 			b.Run(fmt.Sprintf("n=%d/%s", n, variant.name), func(b *testing.B) {
 				sys := mustSystem(b, 1, n, variant.cfg)
-				defer sys.Close()
 				N := int(sys.Scheme.NumModules)
 				rng := rand.New(rand.NewSource(5))
 				vars := workload.DistinctRandom(rng, sys.Index.M(), N)
@@ -585,7 +584,6 @@ func BenchmarkRepairSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer sys.Close()
 			// Every 16th variable is written each iteration while the range
 			// is down, so each sweep has stale copies to rebuild.
 			const block = 4096

@@ -96,7 +96,6 @@ func main() {
 	}
 	sys, err := protocol.NewGenericSystem(mapper, cfg)
 	fatal(err)
-	defer sys.Close()
 
 	reqs := make([]protocol.Request, len(vars))
 	theOp := protocol.Write

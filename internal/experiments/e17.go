@@ -39,7 +39,6 @@ func E17(w io.Writer, o Options) error {
 	vars := workload.DistinctRandom(o.Rng(), sys.Index.M(), N)
 	vals := make([]uint64, N)
 	met, err := sys.WriteBatch(vars, vals)
-	sys.Close()
 	if err != nil {
 		return err
 	}

@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// The benchmark machine has pram-step's geometry: 4 608 processors (a
-// 4 096-variable window's clusters, rounded up to a sixteenth of the power of
-// two) over the 16 383 modules of q = 2, n = 7. A round lists only the live
-// bids — about 1 490 in an average pram-step round, 300 in a tail round — so
-// its cost follows the live count, not the processor count.
-const benchProcs, benchModules = 4608, 16383
+// The benchmark machine has pram-step's geometry: the N = 16 383 processors
+// and modules of q = 2, n = 7, the machine every System there is built with.
+// A round lists only the live bids — about 1 490 in an average pram-step
+// round, 300 in a tail round — so its cost follows the live count, not the
+// processor count.
+const benchProcs, benchModules = 16383, 16383
 
 // benchLives are the two live-bid counts every round benchmark runs at.
 var benchLives = []int{1490, 300}

@@ -38,6 +38,8 @@ type Client struct {
 	// round's grants; bidAt the server the bid went to this round, -1 once
 	// its grant is believed — recv accepts a grant only for a position of
 	// this round's list that bid at the replying server, and only once.
+	// They grow with the longest round carried (StageBid, Round), not with
+	// the machine's processor count.
 	staged  []stagedOp
 	granted []grantData
 	bidAt   []int32
@@ -62,9 +64,6 @@ func newClient(t *Transport, cfg mpc.Config) *Client {
 		FaultSet: t.fs,
 		t:        t,
 		rec:      cfg.Recorder,
-		staged:   make([]stagedOp, cfg.Procs),
-		granted:  make([]grantData, cfg.Procs),
-		bidAt:    make([]int32, cfg.Procs),
 		frames:   make([]RoundFrame, len(t.servers)),
 		sent:     make([]net.Conn, len(t.servers)),
 		sendAt:   make([]time.Time, len(t.servers)),
@@ -78,6 +77,7 @@ func newClient(t *Transport, cfg mpc.Config) *Client {
 
 // StageBid implements protocol.RemoteStore.
 func (c *Client) StageBid(pos int32, addr uint64, op protocol.Op, value, ts uint64) {
+	c.staged = growTo(c.staged, int(pos)+1)
 	c.staged[pos] = stagedOp{addr: addr, op: wireOp(op), value: value, ts: ts}
 }
 
@@ -100,6 +100,15 @@ func wireOp(op protocol.Op) uint8 {
 func (c *Client) GrantData(pos int32) (value, ts uint64) {
 	g := c.granted[pos]
 	return g.value, g.ts
+}
+
+// growTo returns s lengthened to at least n elements, keeping its contents,
+// with append's amortized growth.
+func growTo[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:cap(s)]
 }
 
 // Cost implements protocol.Machine: rounds executed so far.
@@ -132,6 +141,8 @@ func (c *Client) Round(bids []int64, grant []bool) int {
 		c.sent[i] = nil
 	}
 
+	c.staged, c.granted = growTo(c.staged, len(bids)), growTo(c.granted, len(bids))
+	c.bidAt = growTo(c.bidAt, len(bids))
 	nServers := len(t.servers)
 	bidAt := c.bidAt[:len(bids)]
 	issued := 0

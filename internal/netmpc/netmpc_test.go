@@ -82,7 +82,6 @@ func newTCPSystem(t testing.TB, s *core.Scheme, tr *Transport) *protocol.System 
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sys.Close)
 	return sys
 }
 

@@ -29,7 +29,6 @@ func allocSystem(t *testing.T, cfg Config) (*System, []Request) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sys.Close)
 	n := int(r.NumModules())
 	reqs := make([]Request, n)
 	for i := range reqs {
@@ -227,7 +226,6 @@ func TestRepairStepSteadyStateAllocs(t *testing.T) {
 			fs := mpc.NewFaultSet()
 			sys := sharedFaultSystem(t, s, idx, fs, tc.cfg)
 			sys.repairBudget = 64
-			defer sys.Close()
 			n := s.NumModules
 			vars, vals := make([]uint64, n), make([]uint64, n)
 			for i := range vars {

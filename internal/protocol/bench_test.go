@@ -83,7 +83,6 @@ func BenchmarkAccessInto(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					defer sys.Close()
 					sys.repairBudget = -1
 					var res Result
 					access := func(reqs []Request) {
@@ -172,7 +171,6 @@ func BenchmarkRepairSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer sys.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -89,7 +89,6 @@ func strategySystem(t *testing.T, cfg Config) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sys.Close)
 	return sys
 }
 

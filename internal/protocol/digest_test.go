@@ -197,11 +197,10 @@ func readmitUnrebuilt(fs *mpc.FaultSet, m uint64) {
 	fs.Certify(m, fs.Snapshot().RepairGen(m))
 }
 
-// digestSizes is the script every cell of the matrix runs. The first batch
-// is a full one, so the machine has its final geometry before any fault
-// lands: the size of a repair wave follows the machine's (geo/Copies
-// variables), and how obtainMachine rounds a growing geometry is not what
-// this test pins.
+// digestSizes is the script every cell of the matrix runs: a full batch
+// first, then sizes that shrink and grow again, all on the one N-processor
+// machine the System was built with, whose repair waves carry N/Copies
+// variables.
 func digestSizes(n int) []int { return []int{n, 5, n / 3, 17, 40, 1, n / 2} }
 
 // fullPhaseSizes is the script of the one cell whose batches all play
@@ -235,7 +234,6 @@ func digestCell(t *testing.T, m Mapper, scenario string, table *CompiledResolver
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
 	sys.maxIter = 512
 
 	d := digester{h: fnv.New64a()}

@@ -11,7 +11,7 @@ import (
 // the access protocol can re-select quorums over the survivors instead of
 // bidding blindly at crashed banks. Its method is *mpc.FaultSet's own, so a
 // machine embedding its set (mpc.Failing, netmpc.Client) implements it with
-// no code. obtainMachine type-asserts the machine against this interface;
+// no code. NewGenericSystem type-asserts the machine against this interface;
 // healthy interconnects don't implement it and pay nothing.
 //
 // The protocol reads the set once per pass — a phase's selection, a

@@ -189,7 +189,6 @@ func TestFaultMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer sys.Close()
 
 					vars := workload.DistinctRandom(rng, m.NumVars(), batchSize)
 					vals := make([]uint64, len(vars))
@@ -291,7 +290,6 @@ func TestMidPhaseTotalBidLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sys.Close()
 		sys.maxIter = 256
 
 		// Companions provably keep their quorum after the injected

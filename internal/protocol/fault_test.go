@@ -179,7 +179,6 @@ func TestQuorumErrorNamesTheVariable(t *testing.T) {
 			// when the error is built.
 			sys := sharedFaultSystem(t, s, idx, fs, Config{})
 			sys.repairBudget = -1
-			defer sys.Close()
 			// Any two variables share at most one module, so the bystanders
 			// keep their majority.
 			reqs := []Request{{Var: 7}, {Var: 99}, {Var: victim}, {Var: 4000}}

@@ -13,7 +13,7 @@ import (
 	"detshmem/internal/obs"
 )
 
-// hidePlain wraps the plain MPC so that obtainMachine does not find it: every
+// hidePlain wraps the plain MPC so that NewGenericSystem does not find it: every
 // round of a System over it, a phase's first included, takes the generic
 // selectPhase → round → Machine.Round path.
 type hidePlain struct{ Machine }
@@ -106,7 +106,6 @@ func fusedPairSystem(t *testing.T, m Mapper, cfg Config, maxIter int) (*System, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sys.Close)
 	if maxIter > 0 {
 		sys.maxIter = maxIter
 	}
@@ -136,7 +135,7 @@ func compareFusedStream(t *testing.T, fused, generic *System) {
 	}
 }
 
-// hideFailing wraps mpc.Failing so that obtainMachine does not find it while
+// hideFailing wraps mpc.Failing so that NewGenericSystem does not find it while
 // its fault and repair views still pass through: a System over it plays every
 // round, a phase's first included, on the generic path.
 type hideFailing struct{ *mpc.Failing }
@@ -274,7 +273,6 @@ func newFailingSide(t *testing.T, m Mapper, table *CompiledResolver, scenario st
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sys.Close)
 	if maxIter > 0 {
 		sys.maxIter = maxIter
 	}

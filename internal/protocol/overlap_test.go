@@ -23,7 +23,7 @@ var overlapBefore = map[string]struct{ rounds, phi []int }{
 }
 
 // bidBound wraps a machine and fails the test if a round lists more bids, or
-// bids from a higher processor, than the full batch's phase has (fullProcs).
+// bids from a higher processor, than the System's N-processor machine has.
 type bidBound struct {
 	Machine
 	t     testing.TB
@@ -107,7 +107,6 @@ func overlapCell(t *testing.T, m Mapper, size int, cfg Config) []overlapOutcome 
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
 	rng := rand.New(rand.NewSource(int64(size)))
 	oracle := map[uint64]uint64{}
 	var out []overlapOutcome

@@ -119,7 +119,6 @@ func phaseScript(t *testing.T, m Mapper, scenario string, size, want int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
 
 	oracle := make(map[uint64]uint64, size) // committed value of every checked variable
 	for _, v := range vars {

@@ -264,8 +264,8 @@ type System struct {
 	nCopies       int
 	readQ, writeQ int32
 	// store holds the copies' cells when the machine keeps them in process.
-	// It is allocated by the first use that needs it (a local machine, or
-	// CopyState), so a system over a RemoteStore never holds one.
+	// A local system allocates it with its machine; a system over a
+	// RemoteStore holds none unless CopyState asks for it.
 	store *cellstore.Store
 	ts    uint64 // batch timestamp, incremented per Access
 
@@ -277,8 +277,9 @@ type System struct {
 	// strategy refuses to use.
 	bulkSrc Mapper
 
-	// Machine reuse: rebuilding interconnect state per batch is wasteful
-	// when consecutive batches have the same processor count.
+	// machine is the paper's MPC, built once with the System and kept for
+	// its lifetime: machineProcs = N processors (N rounded up to whole
+	// clusters), enough for any batch's phases and any repair wave.
 	machine      Machine
 	machineProcs int
 	machineCost  uint64 // machine.Cost() at the start of the current batch
@@ -332,8 +333,8 @@ type System struct {
 	varsBuf   []uint64         // the batch's variable vector
 	bulkMods  []uint64         // bulk path: resolved modules, vars-major
 	bulkAddrs []uint64         // bulk path: resolved addresses, vars-major
-	// bids and grant are the round's bid list and its answers, sized to the
-	// machine's geometry when it is built; a round uses the first len(tasks).
+	// bids and grant are the round's bid list and its answers; they grow
+	// with the longest list played.
 	bids  []int64
 	grant []bool
 
@@ -409,6 +410,10 @@ func NewGenericSystem(m Mapper, cfg Config) (*System, error) {
 
 		repairBudget: DefaultRepairBudget,
 		maxIter:      8*int(m.NumModules()) + 64,
+		machineProcs: (int(m.NumModules()) + c - 1) / c * c,
+	}
+	if err := sys.buildMachine(); err != nil {
+		return nil, err
 	}
 	sys.ro, _ = cfg.Observer.(obs.RepairObserver)
 	if o, ok := cfg.Observer.(obs.ResolverObserver); ok && resolver != nil {
@@ -419,17 +424,11 @@ func NewGenericSystem(m Mapper, cfg Config) (*System, error) {
 	return sys, nil
 }
 
-// Close drops the system's interconnect machine. The system remains usable:
-// the next Access builds a fresh one.
-func (sys *System) Close() {
-	sys.machine = nil
-	sys.machineProcs = 0
-	sys.fv = nil
-	sys.rs = nil
-	sys.rv = nil
-	sys.inPlace = nil
-	sys.resetRepair()
-}
+// Close does nothing. The System's machine lives as long as the System and
+// holds nothing to release; the transport belongs to the caller.
+//
+// Deprecated: a System needs no closing.
+func (sys *System) Close() {}
 
 // task is one in-flight bid: processor proc bids for one copy of request req.
 // The copy's index within its row is not carried; the fault layer, the only
@@ -587,8 +586,8 @@ func errVarRange(v, numVars uint64) error {
 // next phase's clusters leave spare — usually none: the leftovers become the
 // first bids of the next phase's first round (carryOver), on its lowest
 // processors, so no round bids from more than the machine's processors. The
-// last phase drives to completion. A multi-phase batch therefore gets a
-// machine of the full batch's processor count (fullProcs), N.
+// last phase drives to completion. The machine has N processors, so the
+// leftovers always fit beside the next phase's clusters.
 func (sys *System) access(reqs []Request, res *Result) error {
 	sys.ts++
 	res.Values = grow(res.Values, len(reqs))
@@ -605,15 +604,7 @@ func (sys *System) access(reqs []Request, res *Result) error {
 		sys.observeBatch(reqs, res)
 		return nil
 	}
-	procs := (len(reqs) + phases - 1) / phases * sys.nCopies
-	if phases > 1 {
-		// A phase's unfinished bids ride in the next phase's first round on
-		// the processors its clusters leave spare: the machine has all N.
-		procs = sys.fullProcs()
-	}
-	if err := sys.obtainMachine(procs); err != nil {
-		return err
-	}
+	sys.machineCost = sys.machine.Cost()
 	b := batch{reqs: reqs, res: res, phases: phases}
 	sys.resolveBatch(&b)
 	met := &res.Metrics
@@ -820,7 +811,8 @@ func (sys *System) firstRound(b *batch, phase int, carry []task) ([]task, bool) 
 	m := sys.inPlace
 	m.OpenRound()
 	carried, prev := 0, -1 // the carried bids' grants
-	grant := sys.grant[:len(carry)]
+	sys.grant = grow(sys.grant, len(carry))
+	grant := sys.grant
 	for i, t := range carry {
 		grant[i] = m.Claim(prev, i, t.cp.module())
 		if grant[i] {
@@ -1006,7 +998,8 @@ func (sys *System) drive(b *batch, tasks []task, iters, room int) ([]task, int) 
 // played by firstRound builds no bid list, so there the invariant holds from
 // the phase's second round on.
 func (sys *System) round(b *batch, tasks []task) []task {
-	bids := sys.bids[:len(tasks)]
+	sys.bids, sys.grant = grow(sys.bids, len(tasks)), grow(sys.grant, len(tasks))
+	bids := sys.bids
 	for i, t := range tasks {
 		bids[i] = mpc.Bid(int(t.proc), t.cp.module())
 	}
@@ -1025,7 +1018,7 @@ func (sys *System) round(b *batch, tasks []task) []task {
 			sys.rs.StageBid(int32(i), t.cp.addr(), op, val, ts)
 		}
 	}
-	sys.machine.Round(bids, sys.grant[:len(tasks)])
+	sys.machine.Round(bids, sys.grant)
 	b.res.Metrics.IssuedBids += len(tasks)
 	tasks = sys.decide(b, tasks)
 	sys.commitCells()
@@ -1208,30 +1201,14 @@ func (sys *System) observeBatch(reqs []Request, res *Result) {
 	})
 }
 
-// obtainMachine leaves in sys.machine a machine with room for at least procs
-// bidders (sys.machineProcs processors), reusing the previous batch's machine
-// whenever its geometry is large enough: a batch smaller than the machine
-// simply bids from its first processors. Variable-size batch streams — the
-// frontend flushes a different distinct-variable count every time — would
-// otherwise rebuild the machine (an O(N) claim table) on every flush, which
-// dominates the per-batch cost for small batches. When the machine must grow,
-// the geometry is rounded up to the next sixteenth of its power of two (4098
-// bidders get 4608 processors, not 8192), capped at the full-batch maximum,
-// so a stream of creeping batch sizes still settles after O(log N) rebuilds —
-// at most sixteen per doubling. A round lists only its live bids, so the
-// geometry costs a round nothing; it shows in the round scratch and in one
-// more place: a repair wave carries geo/Copies variables.
-// Interconnect state — round counters, network queues — carries over across
-// reuse; per-batch cost is taken as a delta against machineCost.
-func (sys *System) obtainMachine(procs int) error {
-	if sys.machine != nil && sys.machineProcs >= procs {
-		sys.machineCost = sys.machine.Cost()
-		return nil
-	}
-	step := max(1<<bits.Len(uint(procs-1))>>4, 1)
-	geo := max(min((procs+step-1)/step*step, sys.fullProcs()), procs)
+// buildMachine builds the System's one machine — the configured NewMachine or
+// Transport, or the plain MPC — with machineProcs processors and N modules,
+// and reads off the views it offers: fault, repair, remote store, and the
+// in-process MPC firstRound plays on. A local machine gets its cell store
+// with it.
+func (sys *System) buildMachine() error {
 	mcfg := mpc.Config{
-		Procs:    geo,
+		Procs:    sys.machineProcs,
 		Modules:  int(sys.Mapper.NumModules()),
 		Recorder: sys.cfg.Recorder,
 	}
@@ -1249,13 +1226,9 @@ func (sys *System) obtainMachine(procs int) error {
 		return err
 	}
 	sys.machine = machine
-	sys.machineProcs = geo
-	sys.bids, sys.grant = grow(sys.bids, geo), grow(sys.grant, geo)
-	sys.machineCost = machine.Cost()
 	sys.fv, _ = machine.(FaultView)
 	sys.rs, _ = machine.(RemoteStore)
 	sys.rv, _ = machine.(RepairView)
-	sys.inPlace = nil
 	if sys.nCopies <= 64 { // firstRound marks a row's copies in one word
 		switch m := machine.(type) {
 		case *mpc.Machine:
@@ -1267,15 +1240,7 @@ func (sys *System) obtainMachine(procs int) error {
 	if sys.rs == nil {
 		sys.cells()
 	}
-	sys.resetRepair()
 	return nil
-}
-
-// fullProcs is the processor count of a full batch's phase: N requests over
-// Copies phases, Copies processors each — N rounded up to whole clusters.
-func (sys *System) fullProcs() int {
-	c := sys.nCopies
-	return (int(sys.Mapper.NumModules()) + c - 1) / c * c
 }
 
 // cells returns the local cell store, allocating it on first use.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"detshmem/internal/core"
+	"detshmem/internal/mpc"
 )
 
 func newSystem(t testing.TB, m, n int, cfg Config) *System {
@@ -281,5 +282,54 @@ func TestOverwriteSequence(t *testing.T) {
 		if got[0] != uint64(round*11) {
 			t.Fatalf("round %d: read %d", round, got[0])
 		}
+	}
+}
+
+// countingTransport builds failing machines over one fault set and counts
+// the machines it builds.
+type countingTransport struct {
+	fs    *mpc.FaultSet
+	built int
+}
+
+func (tr *countingTransport) NewMachine(cfg mpc.Config) (Machine, error) {
+	tr.built++
+	return mpc.NewFailingShared(cfg, tr.fs)
+}
+
+// TestOneMachinePerSystem: a System builds its machine once, when it is
+// built, and keeps it whatever the batch sizes, repair steps and Close calls
+// that follow.
+func TestOneMachinePerSystem(t *testing.T) {
+	tr := &countingTransport{fs: mpc.NewFaultSet()}
+	sys := newSystem(t, 1, 5, Config{Transport: tr})
+	if tr.built != 1 {
+		t.Fatalf("NewGenericSystem built %d machines, want 1", tr.built)
+	}
+	n := int(sys.Mapper.NumModules())
+	batch := func(size int) {
+		t.Helper()
+		vars := make([]uint64, size)
+		for i := range vars {
+			vars[i] = uint64(i) * 5
+		}
+		if _, _, err := sys.ReadBatch(vars); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, size := range []int{1, 5, 100, n / 3, n} {
+		batch(size)
+	}
+	tr.fs.FailRange(0, 4)
+	tr.fs.RecoverPendingRange(0, 4)
+	for i := 0; sys.RepairBacklog() > 0; i++ {
+		if !sys.RepairStep() || i > 1_000_000 {
+			t.Fatalf("repair stalled with backlog %d after %d steps", sys.RepairBacklog(), i)
+		}
+	}
+	sys.Close()
+	batch(7)
+	if tr.built != 1 {
+		t.Fatalf("the System built %d machines over its lifetime, want 1", tr.built)
 	}
 }

@@ -133,8 +133,6 @@ func readWriteScript(t *testing.T, m Mapper, cond string) {
 	}
 
 	rw, plain := newRWTwin(t, m), newRWTwin(t, m)
-	defer rw.sys.Close()
-	defer plain.sys.Close()
 	batch := func(op Op, vals []uint64) []Request {
 		reqs := make([]Request, n)
 		for i, v := range vars {

@@ -17,7 +17,7 @@ import (
 // generation at its start, and certification with a stale generation fails,
 // which fences a sweep against a module wiped again while the sweep ran.
 //
-// obtainMachine type-asserts the machine against this interface, exactly
+// NewGenericSystem type-asserts the machine against this interface, exactly
 // like FaultView, whose method is likewise *mpc.FaultSet's own; machines
 // without a repair lifecycle don't implement it and pay nothing. It must be
 // safe to call concurrently with mutation.
@@ -123,16 +123,6 @@ func (sys *System) RepairBacklog() int {
 // backlog is unrepairable until the fault set changes). Must be called from
 // the goroutine that owns the system (the same discipline as AccessInto).
 func (sys *System) RepairStep() bool {
-	if sys.machine == nil {
-		// No machine yet (no batch has run): build one so a freshly started
-		// replica can repair before serving — with room for a full wave, a
-		// chunk of variables or N/Copies of them, or the sweep would play
-		// one variable per wave.
-		wave := max(min(repairChunkVars, int(sys.Mapper.NumModules())/sys.nCopies), 1)
-		if err := sys.obtainMachine(wave * sys.nCopies); err != nil {
-			return false
-		}
-	}
 	var rm repairMetrics
 	did := sys.repairStep(&rm)
 	sys.reportRepair(&rm)
@@ -167,13 +157,6 @@ func (sys *System) reportRepair(rm *repairMetrics) {
 		Certified: rm.certified,
 		Backlog:   sys.fv.Snapshot().RepairCount(),
 	})
-}
-
-// resetRepair drops all sweep state; called when the machine is replaced
-// (the captured views would be stale).
-func (sys *System) resetRepair() {
-	sys.rep.active = false
-	sys.rep.paused = false
 }
 
 // repairStep runs one chunk of the sweep. Returns whether any work was

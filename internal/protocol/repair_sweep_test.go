@@ -92,7 +92,6 @@ func TestRepairDifferentialResolvers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sys.Close()
 		sys.repairBudget = budget
 		repairCycle(t, sys, fs)
 		out := outcome{
@@ -133,11 +132,11 @@ func TestRepairDifferentialResolvers(t *testing.T) {
 	}
 }
 
-// TestColdRepairSweepPlaysFullWaves: a sweep on a System that has served no
-// batch builds its machine with room for a full wave, so it plays about the
-// rounds the same sweep plays after a 512-request batch sized the machine,
-// not one variable per wave. The scheme is q=2 n=5 with a quarter of the
-// modules re-admitted through repair.
+// TestColdRepairSweepPlaysFullWaves: a System that has served no batch sees
+// its fault set's repair backlog, and its sweep plays full waves on the
+// machine it was built with, so it plays about the rounds the same sweep
+// plays after a 512-request batch, not one variable per wave. The scheme is
+// q=2 n=5 with a quarter of the modules re-admitted through repair.
 func TestColdRepairSweepPlaysFullWaves(t *testing.T) {
 	s, idx := sweepScheme(t)
 	m := NewCoreMapper(s, idx)
@@ -151,7 +150,6 @@ func TestColdRepairSweepPlaysFullWaves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sys.Close()
 		if warm {
 			vars := make([]uint64, 512)
 			for i := range vars {
@@ -164,9 +162,10 @@ func TestColdRepairSweepPlaysFullWaves(t *testing.T) {
 		n := m.NumModules()
 		fs.FailRange(n/2, n/2+n/4)
 		fs.RecoverPendingRange(n/2, n/2+n/4)
-		// A cold System has no machine, so its RepairBacklog reads 0 until
-		// the first step builds one.
-		for i := 0; i == 0 || sys.RepairBacklog() > 0; i++ {
+		if got, want := sys.RepairBacklog(), fs.RepairCount(); got != want {
+			t.Fatalf("warm %v: RepairBacklog reads %d; the fault set has %d modules repairing", warm, got, want)
+		}
+		for i := 0; sys.RepairBacklog() > 0; i++ {
 			if !sys.RepairStep() || i > 1_000_000 {
 				t.Fatalf("repair stalled with backlog %d after %d steps", sys.RepairBacklog(), i)
 			}

@@ -106,7 +106,6 @@ func TestWipedRecoverReAdmissionBug(t *testing.T) {
 
 	t.Run("RecoverPending repairs before serving reads", func(t *testing.T) {
 		sys, fs := repairSystem(t, nil)
-		defer sys.Close()
 		if _, err := sys.WriteBatch([]uint64{v}, []uint64{val}); err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +181,6 @@ func TestRecoverMidWave(t *testing.T) {
 			fs.RecoverPending(victimModules(sys, victim)[0])
 		}
 		sys, fs = repairSystem(t, hook)
-		defer sys.Close()
 
 		victim = 3
 		// Filler variables keep rounds running after the victim is
@@ -241,7 +239,6 @@ func TestRecoverMidWave(t *testing.T) {
 func TestRepairingCountsTowardWriteQuorum(t *testing.T) {
 	const v, val = 11, uint64(5)
 	sys, fs := repairSystem(t, nil)
-	defer sys.Close()
 	mods := victimModules(sys, v)
 
 	// Two of three modules down: no write quorum, the request strands.
@@ -301,7 +298,6 @@ func TestRepairPumpRidesBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
 
 	vars := []uint64{2, 3, 5, 8, 13}
 	vals := []uint64{1, 2, 3, 4, 5}
@@ -346,7 +342,6 @@ func TestRepairPumpRidesBatches(t *testing.T) {
 func TestRepairSalvage(t *testing.T) {
 	const v, val = 19, uint64(77)
 	sys, fs := repairSystem(t, nil)
-	defer sys.Close()
 	if _, err := sys.WriteBatch([]uint64{v}, []uint64{val}); err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +501,6 @@ func TestReArmMidWave(t *testing.T) {
 				}
 			}
 			sys, fs = repairSystem(t, hook)
-			defer sys.Close()
 			n := int(sys.Mapper.NumModules())
 			vars, vals := make([]uint64, n), make([]uint64, n)
 			for i := range vars {
@@ -589,7 +583,6 @@ func TestReadmissionNeverUnTakesAWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
 	mods := victimModules(sys, v)
 
 	if _, err := sys.WriteBatch([]uint64{v}, []uint64{1}); err != nil {

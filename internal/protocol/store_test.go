@@ -156,12 +156,15 @@ func (r *remoteMachine) Round(bids []int64, grant []bool) int {
 
 // TestRemoteSystemHoldsNoLocalStore: a system whose machine is a RemoteStore
 // never allocates the local cell array; a local system allocates it with its
-// first machine, and CopyState allocates it on demand.
+// machine, at construction, and CopyState allocates it on demand.
 func TestRemoteSystemHoldsNoLocalStore(t *testing.T) {
 	remote := newSystem(t, 1, 5, Config{NewMachine: newRemoteMachine})
 	local := newSystem(t, 1, 5, Config{})
-	if remote.store != nil || local.store != nil {
-		t.Fatal("a system allocated its cell store before any use")
+	if remote.store != nil {
+		t.Fatal("a system over a RemoteStore allocated its cell store at construction")
+	}
+	if local.store == nil {
+		t.Fatal("a local system was built without its cell store")
 	}
 	vars, vals := []uint64{0, 5, 10, 100, 1000}, []uint64{9, 8, 7, 6, 5}
 	for _, sys := range []*System{remote, local} {
@@ -175,9 +178,6 @@ func TestRemoteSystemHoldsNoLocalStore(t *testing.T) {
 	}
 	if remote.store != nil {
 		t.Fatal("a system over a RemoteStore allocated a local cell store")
-	}
-	if local.store == nil {
-		t.Fatal("a local system ran batches without a cell store")
 	}
 	if ts := remote.CopyState(5); len(ts) != remote.Mapper.Copies() || remote.store == nil {
 		t.Fatalf("CopyState on a fresh store: %v (store allocated: %v)", ts, remote.store != nil)

@@ -7,10 +7,10 @@ import (
 // Transport abstracts how the access protocol's synchronous bid rounds reach
 // the memory modules — the boundary between the protocol layer (quorum
 // selection, phases, retries) and the Module Parallel Computer that executes
-// them. A transport builds Machine instances on demand; the protocol may
-// build several machines over one transport as batch geometry grows
-// (obtainMachine), so transports must treat NewMachine as cheap and let the
-// machines share whatever persistent state (connections, stores) the
+// them. A transport builds Machine instances on demand: each System calls
+// NewMachine once, when it is built, for an N-processor machine it keeps for
+// its lifetime. Many Systems (a service's shards) may build machines over one
+// transport, which share whatever persistent state (connections, stores) the
 // transport owns.
 //
 // The transport boundary deliberately sits at the MPC bid level, not the
@@ -25,9 +25,9 @@ import (
 // where contiguous module ranges live on remote memserver processes.
 type Transport interface {
 	// NewMachine builds an interconnect machine with the given geometry.
-	// Machines hold no resources of their own; the protocol drops one when
-	// it needs a larger geometry and never closes the transport itself —
-	// the caller that built the transport owns its lifetime.
+	// Machines hold no resources of their own; the protocol never closes
+	// the transport itself — the caller that built the transport owns its
+	// lifetime.
 	NewMachine(cfg mpc.Config) (Machine, error)
 }
 
@@ -47,7 +47,7 @@ var Inproc Transport = inprocTransport{}
 // applies the winning bid's operation to its own store, and granted reads
 // carry the (value, timestamp) pair back in the round reply.
 //
-// obtainMachine type-asserts the machine against this interface, exactly
+// NewGenericSystem type-asserts the machine against this interface, exactly
 // like FaultView: in-process machines don't implement it, the System keeps
 // using its local store, and the hot path pays one nil check per round.
 //

@@ -23,9 +23,10 @@ func (tr failingTransport) NewMachine(cfg mpc.Config) (protocol.Machine, error) 
 // ownedRepairCycle scripts one fault cycle on an S-shard service — fail a
 // contiguous quarter of the modules, write every variable once, re-admit the
 // range through the repair queue, wait for every shard's sweep — and returns
-// the repair books of the collector every shard reports to plus the number of
-// copies the memory map says the sweeps had to rebuild.
-func ownedRepairCycle(t *testing.T, shards int) (copies, rounds, want int64) {
+// the copies the sweeps rebuilt and the bids they issued, from the collector
+// every shard reports to, plus the number of copies the memory map says they
+// had to rebuild.
+func ownedRepairCycle(t *testing.T, shards int) (copies, bids, want int64) {
 	t.Helper()
 	s, err := core.New(1, 5)
 	if err != nil {
@@ -43,7 +44,6 @@ func ownedRepairCycle(t *testing.T, shards int) (copies, rounds, want int64) {
 	svc, err := New(protocol.NewCoreMapper(s, idx), Config{
 		Shards:    shards,
 		Protocol:  protocol.Config{Observer: col},
-		maxBatch:  32, // small machines, so a sweep is many full waves
 		Transport: func(i int) protocol.Transport { return failingTransport{fsets[i]} },
 	})
 	if err != nil {
@@ -80,6 +80,9 @@ func ownedRepairCycle(t *testing.T, shards int) (copies, rounds, want int64) {
 	if err := b.Wait(); err != nil && !errors.Is(err, protocol.ErrQuorumUnreachable) {
 		t.Fatal(err)
 	}
+	// No batch runs from here on: every bid the collector counts is a
+	// repair bid.
+	issued := col.IssuedBids.Load()
 	for _, fs := range fsets {
 		fs.RecoverPendingRange(lo, hi)
 	}
@@ -98,22 +101,58 @@ func ownedRepairCycle(t *testing.T, shards int) (copies, rounds, want int64) {
 			t.Fatalf("repair backlog stuck at %d modules", backlog)
 		}
 	}
-	return col.RepairedCopies.Load(), col.RepairRounds.Load(), want
+	return col.RepairedCopies.Load(), col.IssuedBids.Load() - issued, want
 }
 
 // TestRepairSweepsOwnVariablesOnly: the router gives each of S shards 1/S of
 // the variables, and a shard's sweep must skip the rest — they never touch
-// its store, yet scanning them costs a read wave each. Two shards must
-// rebuild exactly the copies one shard does, in about the same total rounds
+// its store, yet sweeping them costs their read bids. Two shards must rebuild
+// exactly the copies one shard does, with about the same total repair bids
 // (sweeping foreign variables too roughly doubles them).
 func TestRepairSweepsOwnVariablesOnly(t *testing.T) {
-	c1, r1, want := ownedRepairCycle(t, 1)
-	c2, r2, _ := ownedRepairCycle(t, 2)
+	c1, b1, want := ownedRepairCycle(t, 1)
+	c2, b2, _ := ownedRepairCycle(t, 2)
 	if want == 0 || c1 != want || c2 != want {
 		t.Fatalf("rebuilt %d copies at S=1 and %d at S=2; the memory map says %d", c1, c2, want)
 	}
-	if r2 > r1*5/4 {
-		t.Fatalf("two shards drove %d repair rounds against %d for one: they are sweeping each other's variables", r2, r1)
+	if b2 > b1*5/4 {
+		t.Fatalf("two shards issued %d repair bids against %d for one: they are sweeping each other's variables", b2, b1)
 	}
-	t.Logf("rebuilt %d copies: %d repair rounds at S=1, %d summed over S=2", want, r1, r2)
+	t.Logf("rebuilt %d copies: %d repair bids at S=1, %d summed over S=2", want, b1, b2)
+}
+
+// TestIdleSweepBeforeFirstBatch: a service whose fault set has a range failed
+// and re-admitted through the repair queue before any op must rebuild it with
+// no traffic at all — the idle dispatcher's pump sees the backlog from the
+// start, not from the first batch.
+func TestIdleSweepBeforeFirstBatch(t *testing.T) {
+	s, err := core.New(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := s.NewIndexer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := mpc.NewFaultSet()
+	svc, err := New(protocol.NewCoreMapper(s, idx), Config{
+		Transport: func(int) protocol.Transport { return failingTransport{fs} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	fs.FailRange(0, 8)
+	fs.RecoverPendingRange(0, 8)
+	deadline := time.Now().Add(10 * time.Second)
+	for fs.RepairCount() > 0 {
+		// Flush wakes the parked dispatcher, whose idle loop pumps the sweep.
+		if err := svc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(200 * time.Microsecond)
+		if time.Now().After(deadline) {
+			t.Fatalf("repair backlog stuck at %d modules with no op submitted", fs.RepairCount())
+		}
+	}
 }

@@ -145,13 +145,6 @@ func New(m protocol.Mapper, cfg Config) (*Service, error) {
 		pcfg.Resolver = r
 	}
 	s := &Service{shards: make([]*shardState, cfg.Shards)}
-	fail := func(i int, err error) (*Service, error) {
-		for j := 0; j < i; j++ {
-			_ = s.shards[j].d.Close()
-			s.shards[j].sys.Close()
-		}
-		return nil, err
-	}
 	for i := range s.shards {
 		scfg := pcfg
 		if shards := cfg.Shards; shards > 1 {
@@ -164,7 +157,10 @@ func New(m protocol.Mapper, cfg Config) (*Service, error) {
 		}
 		sys, err := protocol.NewGenericSystem(m, scfg)
 		if err != nil {
-			return fail(i, fmt.Errorf("shard %d: %w", i, err))
+			for _, st := range s.shards[:i] {
+				_ = st.d.Close()
+			}
+			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		s.shards[i] = &shardState{sys: sys, d: newPipeDispatcher(sys, m.NumVars(), cfg.maxBatch, ringCap)}
 	}
@@ -230,16 +226,14 @@ func (s *Service) Flush() error {
 	return first
 }
 
-// Close flushes pending work on every shard, stops the dispatchers, and
-// drops the shards' MPC machines. Later submissions fail with
-// frontend.ErrClosed.
+// Close flushes pending work on every shard and stops the dispatchers. Later
+// submissions fail with frontend.ErrClosed.
 func (s *Service) Close() error {
 	var first error
 	for _, st := range s.shards {
 		if err := st.d.Close(); err != nil && first == nil {
 			first = err
 		}
-		st.sys.Close()
 	}
 	return first
 }

@@ -34,17 +34,6 @@ func ClientRNG(base int64, client int) *rand.Rand {
 	return rand.New(rand.NewSource(ClientSeed(base, client)))
 }
 
-// HotSpotStream is HotSpot drawn from the client's own seeded RNG: client
-// streams are mutually independent and individually reproducible.
-func HotSpotStream(base int64, client int, m uint64, k int, hot uint64, p float64) []uint64 {
-	return HotSpot(ClientRNG(base, client), m, k, hot, p)
-}
-
-// ZipfStream is Zipf drawn from the client's own seeded RNG.
-func ZipfStream(base int64, client int, m uint64, k int, s float64) []uint64 {
-	return Zipf(ClientRNG(base, client), m, k, s)
-}
-
 // HotSpot draws k variable indices (repeats allowed, unlike the distinct
 // batch generators above) where each draw falls into a small hot set
 // {0, …, hot−1} with probability p and is uniform over [0, m) otherwise.

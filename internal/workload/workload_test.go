@@ -86,14 +86,14 @@ func TestZipf(t *testing.T) {
 }
 
 // TestClientStreams pins the per-client seeding contract: same (base,
-// client) replays the identical stream, different clients diverge, and both
-// stream helpers respect the draw bounds.
+// client) replays the identical ClientRNG stream, different clients diverge,
+// and both skewed draws over it respect the draw bounds.
 func TestClientStreams(t *testing.T) {
 	const m, k = 5000, 4000
-	a := HotSpotStream(7, 3, m, k, 16, 0.8)
-	b := HotSpotStream(7, 3, m, k, 16, 0.8)
-	c := HotSpotStream(7, 4, m, k, 16, 0.8)
-	d := HotSpotStream(8, 3, m, k, 16, 0.8)
+	a := HotSpot(ClientRNG(7, 3), m, k, 16, 0.8)
+	b := HotSpot(ClientRNG(7, 3), m, k, 16, 0.8)
+	c := HotSpot(ClientRNG(7, 4), m, k, 16, 0.8)
+	d := HotSpot(ClientRNG(8, 3), m, k, 16, 0.8)
 	same := func(x, y []uint64) bool {
 		for i := range x {
 			if x[i] != y[i] {
@@ -114,7 +114,7 @@ func TestClientStreams(t *testing.T) {
 	if ClientSeed(7, 3) == ClientSeed(7, 4) || ClientSeed(7, 3) == ClientSeed(8, 3) {
 		t.Fatal("ClientSeed collides on adjacent inputs")
 	}
-	for _, v := range ZipfStream(7, 3, m, k, 1.2) {
+	for _, v := range Zipf(ClientRNG(7, 3), m, k, 1.2) {
 		if v >= m {
 			t.Fatalf("zipf stream draw %d out of range", v)
 		}
@@ -128,7 +128,7 @@ func TestDistributionBounds(t *testing.T) {
 	const k = 30000
 	for _, m := range []uint64{16, 1000, 1 << 20} {
 		for client, s := range []float64{1.01, 1.5, 3} {
-			for _, v := range ZipfStream(11, client, m, k, s) {
+			for _, v := range Zipf(ClientRNG(11, client), m, k, s) {
 				if v >= m {
 					t.Fatalf("zipf(m=%d, s=%v) drew %d", m, s, v)
 				}
@@ -140,7 +140,7 @@ func TestDistributionBounds(t *testing.T) {
 				hot = m
 			}
 			inHot := 0
-			for _, v := range HotSpotStream(11, client, m, k, hot, p) {
+			for _, v := range HotSpot(ClientRNG(11, client), m, k, hot, p) {
 				if v >= m {
 					t.Fatalf("hotspot(m=%d, p=%v) drew %d", m, p, v)
 				}
