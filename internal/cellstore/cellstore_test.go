@@ -1,6 +1,7 @@
 package cellstore
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -24,7 +25,7 @@ func TestPagedStoreCells(t *testing.T) {
 		t.Fatalf("reading allocated %d pages", n)
 	}
 	st.Put(PageCells-1, Cell{Val: 1, TS: 1})
-	if n := st.Pages(); n != 1 || st.pages[0] == nil {
+	if n := st.Pages(); n != 1 || st.pages[0].Load() == nil {
 		t.Fatalf("the first write left %d pages allocated, want exactly page 0", n)
 	}
 	st.Put(PageCells, Cell{Val: 2, TS: 2})
@@ -36,7 +37,7 @@ func TestPagedStoreCells(t *testing.T) {
 			t.Fatalf("cell %d reads %+v, want %+v", a, c, want)
 		}
 	}
-	if st.pages[2] != nil || st.Pages() != 3 {
+	if st.pages[2].Load() != nil || st.Pages() != 3 {
 		t.Fatalf("page 2 was never written; %d pages allocated, want 3", st.Pages())
 	}
 }
@@ -59,31 +60,46 @@ func TestPutIfNewer(t *testing.T) {
 }
 
 // TestStoreEquivalenceQuick: under random operation sequences the paged
-// store behaves like a map from address to cell.
+// store behaves like a map from address to cell, and TryPut stores exactly
+// when an earlier write installed the page.
 func TestStoreEquivalenceQuick(t *testing.T) {
 	const space = 2*PageCells + 100
 	prop := func(ops []struct {
-		Addr  uint64
-		Val   uint64
-		TS    uint8
-		Newer bool
+		Addr       uint64
+		Val        uint64
+		TS         uint8
+		Newer, Try bool
 	}) bool {
 		st := New(space)
 		ref := map[uint64]Cell{}
+		installed := map[uint64]bool{} // pages a write has installed
 		for _, op := range ops {
 			addr, c := op.Addr%space, Cell{Val: op.Val, TS: uint64(op.TS)}
 			if st.Get(addr) != ref[addr] {
 				return false
 			}
-			if !op.Newer {
-				st.Put(addr, c)
-				ref[addr] = c
-			} else {
-				st.PutIfNewer(addr, c)
-				if c.TS > ref[addr].TS {
+			switch pg := addr / PageCells; {
+			case op.Try:
+				if st.TryPut(addr, c) != installed[pg] {
+					return false
+				}
+				if installed[pg] {
 					ref[addr] = c
 				}
+			case !op.Newer:
+				st.Put(addr, c)
+				ref[addr] = c
+				installed[pg] = true
+			case c.TS > ref[addr].TS:
+				st.PutIfNewer(addr, c)
+				ref[addr] = c
+				installed[pg] = true
+			default:
+				st.PutIfNewer(addr, c)
 			}
+		}
+		if st.Pages() != len(installed) {
+			return false
 		}
 		for a := uint64(0); a < space; a++ {
 			if st.Get(a) != ref[a] {
@@ -94,5 +110,48 @@ func TestStoreEquivalenceQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestConcurrentDisjointCells: writers that share a Store but touch disjoint
+// cells need no lock. Several goroutines write interleaved cells of the same
+// fresh pages — writer w owns every address ≡ w mod writers — so they race to
+// install every page, and each page must be installed once: a writer whose
+// page was replaced by another's would lose its cells. Run it under -race.
+func TestConcurrentDisjointCells(t *testing.T) {
+	const (
+		writers = 4
+		pages   = 8
+		space   = pages * PageCells
+	)
+	for rep := 0; rep < 20; rep++ {
+		st := New(space)
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for w := range writers {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				start.Wait()
+				// Stride across the pages first, so every writer's first
+				// write into each page lands while the page is still fresh.
+				for off := uint64(w); off < PageCells; off += writers {
+					for pg := uint64(0); pg < pages; pg++ {
+						a := pg*PageCells + off
+						st.Put(a, Cell{Val: a, TS: uint64(w) + 1})
+					}
+				}
+			}()
+		}
+		start.Done()
+		done.Wait()
+		if n := st.Pages(); n != pages {
+			t.Fatalf("%d pages installed, want %d", n, pages)
+		}
+		for a := uint64(0); a < space; a++ {
+			if c, want := st.Get(a), (Cell{Val: a, TS: a%writers + 1}); c != want {
+				t.Fatalf("rep %d: cell %d reads %+v, want %+v: a racing page install lost the write", rep, a, c, want)
+			}
+		}
 	}
 }

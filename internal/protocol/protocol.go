@@ -237,6 +237,14 @@ type Config struct {
 	// and frontends; it must have been compiled from a mapper with the
 	// same geometry as this system's.
 	Resolver *CompiledResolver
+	// Cells supplies the store the System keeps its in-process cells in; nil
+	// allocates the System's own. It must span the mapper's AddrSpace. One
+	// store may be shared by any number of Systems over the same mapper as
+	// long as they serve disjoint variables, so that no two touch the same
+	// cell: internal/shard hands one to every shard of a service. A System
+	// whose machine keeps the cells on the far side (RemoteStore) reads it
+	// only in CopyState.
+	Cells *cellstore.Store
 	// Strategy selects the resolution path (see ResolverStrategy).
 	// ResolverComputed rejects a non-nil Resolver.
 	Strategy ResolverStrategy
@@ -263,9 +271,9 @@ type System struct {
 	// in each of the batch's phases (at most nCopies of them, see phaseCount).
 	nCopies       int
 	readQ, writeQ int32
-	// store holds the copies' cells when the machine keeps them in process.
-	// A local system allocates it with its machine; a system over a
-	// RemoteStore holds none unless CopyState asks for it.
+	// store holds the copies' cells when the machine keeps them in process:
+	// Config.Cells, or one the System allocates with its machine. A system
+	// over a RemoteStore holds none unless CopyState asks for it.
 	store *cellstore.Store
 	ts    uint64 // batch timestamp, incremented per Access
 
@@ -377,6 +385,9 @@ func NewGenericSystem(m Mapper, cfg Config) (*System, error) {
 	}
 	if err := checkPackable(m); err != nil {
 		return nil, err
+	}
+	if cfg.Cells != nil && cfg.Cells.Cap() < m.AddrSpace() {
+		return nil, fmt.Errorf("protocol: the cell store holds %d cells, below the mapper's address space of %d", cfg.Cells.Cap(), m.AddrSpace())
 	}
 	resolver, bulkSrc := cfg.Resolver, m
 	compiled, _ := m.(*CompiledResolver)
@@ -1120,7 +1131,9 @@ func (sys *System) commitCells() {
 		}
 	}
 	for _, w := range sys.writes {
-		st.Put(w.addr, cellstore.Cell{Val: w.val, TS: sys.ts})
+		if c := (cellstore.Cell{Val: w.val, TS: sys.ts}); !st.TryPut(w.addr, c) {
+			st.Put(w.addr, c)
+		}
 	}
 	for _, g := range sys.repairs {
 		st.PutIfNewer(g.addr, best[g.req])
@@ -1243,8 +1256,12 @@ func (sys *System) buildMachine() error {
 	return nil
 }
 
-// cells returns the local cell store, allocating it on first use.
+// cells returns the local cell store — Config.Cells, or one allocated on
+// first use.
 func (sys *System) cells() *cellstore.Store {
+	if sys.store == nil {
+		sys.store = sys.cfg.Cells
+	}
 	if sys.store == nil {
 		sys.store = cellstore.New(sys.Mapper.AddrSpace())
 	}
@@ -1296,6 +1313,11 @@ func (sys *System) WriteBatch(vars []uint64, vals []uint64) (*Metrics, error) {
 	}
 	return &sys.convRes.Metrics, err
 }
+
+// Cells returns the store the System keeps its in-process cells in:
+// Config.Cells when it was set. A System over a RemoteStore allocates an
+// empty one on first use.
+func (sys *System) Cells() *cellstore.Store { return sys.cells() }
 
 // CopyState reports, for invariant tests, the timestamps of all copies of a
 // variable.

@@ -184,6 +184,47 @@ func TestRemoteSystemHoldsNoLocalStore(t *testing.T) {
 	}
 }
 
+// TestSharedCellStore: Systems handed one Config.Cells keep their cells in
+// it, so two Systems serving disjoint variables hold one copy of the module
+// memory between them and each reads back its own writes; a store smaller than
+// the mapper's address space is refused.
+func TestSharedCellStore(t *testing.T) {
+	base := newSystem(t, 1, 5, Config{})
+	cells := cellstore.New(base.Mapper.AddrSpace())
+	var systems [2]*System
+	for i := range systems {
+		sys, err := NewGenericSystem(base.Mapper, Config{Cells: cells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.Cells() != cells {
+			t.Fatal("a System handed Config.Cells allocated its own store")
+		}
+		systems[i] = sys
+	}
+	// System i serves the variables ≡ i mod 2.
+	vars := [2][]uint64{{0, 10, 100, 1000}, {5, 11, 101, 1001}}
+	vals := [2][]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}}
+	for i, sys := range systems {
+		if _, err := sys.WriteBatch(vars[i], vals[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, sys := range systems {
+		got, _, err := sys.ReadBatch(vars[i])
+		if err != nil || !slices.Equal(got, vals[i]) {
+			t.Fatalf("System %d read back %v, %v; want %v", i, got, err, vals[i])
+		}
+		// The other System's CopyState reads the same cells.
+		if !slices.ContainsFunc(systems[1-i].CopyState(vars[i][0]), func(ts uint64) bool { return ts != 0 }) {
+			t.Fatalf("System %d's writes are not in the shared store", i)
+		}
+	}
+	if _, err := NewGenericSystem(base.Mapper, Config{Cells: cellstore.New(base.Mapper.AddrSpace() - 2*cellstore.PageCells)}); err == nil {
+		t.Fatal("a store below the mapper's address space was accepted")
+	}
+}
+
 // stagedLog is a remoteMachine over a failing MPC — the fault set gives it
 // the fault and repair views — that logs every bid the protocol stages.
 type stagedLog struct {

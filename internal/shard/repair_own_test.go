@@ -105,8 +105,9 @@ func ownedRepairCycle(t *testing.T, shards int) (copies, bids, want int64) {
 }
 
 // TestRepairSweepsOwnVariablesOnly: the router gives each of S shards 1/S of
-// the variables, and a shard's sweep must skip the rest — they never touch
-// its store, yet sweeping them costs their read bids. Two shards must rebuild
+// the variables, and a shard's sweep must skip the rest — their cells are
+// the other shards' to write, though all share one store, and sweeping them
+// costs their read bids. Two shards must rebuild
 // exactly the copies one shard does, with about the same total repair bids
 // (sweeping foreign variables too roughly doubles them).
 func TestRepairSweepsOwnVariablesOnly(t *testing.T) {

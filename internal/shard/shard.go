@@ -6,10 +6,10 @@
 // embarrassingly parallel across disjoint variable sets — any partition of
 // the M variables can be served by independent MPC instances — so the
 // Service partitions the variable space over S independent protocol.System
-// instances (each with its own MPC machine, all sharing one compiled
-// resolver when the table fits) behind a stateless router: every operation
-// on variable v goes to shard Route(v). New(m, Config{}) is the single-shard
-// combining service.
+// instances (each with its own MPC machine, all sharing one cell store and,
+// when the table fits, one compiled resolver) behind a stateless router:
+// every operation on variable v goes to shard Route(v). New(m, Config{}) is
+// the single-shard combining service.
 //
 // # Consistency contract
 //
@@ -53,6 +53,7 @@ package shard
 import (
 	"fmt"
 
+	"detshmem/internal/cellstore"
 	"detshmem/internal/frontend"
 	"detshmem/internal/protocol"
 )
@@ -109,11 +110,15 @@ type shardState struct {
 }
 
 // New builds a sharded service over one memory organization. Every shard
-// gets its own protocol.System (own store, own MPC machine) over the same
-// mapper. With cfg.Protocol.Resolver nil and the zero-value Strategy, a
-// mapper whose table fits (protocol.TableFits) is compiled here once and the
-// table shared by all shards; a larger one, or Strategy ResolverComputed,
-// gets table-free systems.
+// gets its own protocol.System (own MPC machine, own timestamps) over the
+// same mapper, and all of them keep their cells in one store: the paper's N
+// memory modules, which hold each copy once. The router keeps the shards'
+// cells disjoint — a cell is one copy of one variable, and each variable has
+// one shard — so they share the store without a lock (package cellstore).
+// With cfg.Protocol.Resolver nil and the zero-value Strategy, a mapper whose
+// table fits (protocol.TableFits) is compiled here once and the table shared
+// by all shards; a larger one, or Strategy ResolverComputed, gets table-free
+// systems.
 func New(m protocol.Mapper, cfg Config) (*Service, error) {
 	if m == nil {
 		return nil, fmt.Errorf("shard: nil mapper")
@@ -144,12 +149,15 @@ func New(m protocol.Mapper, cfg Config) (*Service, error) {
 		}
 		pcfg.Resolver = r
 	}
+	if pcfg.Cells == nil {
+		pcfg.Cells = cellstore.New(m.AddrSpace())
+	}
 	s := &Service{shards: make([]*shardState, cfg.Shards)}
 	for i := range s.shards {
 		scfg := pcfg
 		if shards := cfg.Shards; shards > 1 {
 			// Each shard's repair sweep rebuilds only the variables routed to
-			// it; the others never touch its store.
+			// it; the others never touch their cells.
 			scfg.Owns = func(v uint64) bool { return route(v, shards) == i }
 		}
 		if cfg.Transport != nil {

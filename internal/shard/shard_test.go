@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"detshmem/internal/cellstore"
 	"detshmem/internal/core"
 	"detshmem/internal/frontend"
 	"detshmem/internal/obs"
@@ -280,8 +281,10 @@ func TestSnapshotAndImbalance(t *testing.T) {
 }
 
 // TestSharedResolver: all shards must share one compiled resolver (the
-// point of Config.Resolver); spot-check by writing through one shard and
-// confirming the others see independent stores (partitioned, not shared).
+// point of Config.Resolver) and one cell store; spot-check by writing through
+// one shard and confirming the other served nothing — the router never sends
+// one variable to two shards — while both Systems read the written copies
+// from the same store.
 func TestSharedResolver(t *testing.T) {
 	m := testMapper(t, 3)
 	r, err := protocol.CompileMapper(m, protocol.CompileOptions{})
@@ -293,19 +296,67 @@ func TestSharedResolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	// Each shard owns a full System over the same mapper; stores are
-	// disjoint because the router never sends one variable to two shards.
 	v := uint64(5)
 	if err := svc.Write(v, 99); err != nil {
 		t.Fatal(err)
 	}
+	owner := svc.Route(v)
+	other := 1 - owner
+	if st := svc.Stats().PerShard; st[other].Batches != 0 || st[owner].Batches == 0 {
+		t.Fatalf("shard %d owns var %d, yet the shards served %d and %d batches", owner, v, st[0].Batches, st[1].Batches)
+	}
+	if svc.System(0).Cells() != svc.System(1).Cells() {
+		t.Fatal("the two shards keep their cells in different stores")
+	}
 	// CopyState only reads the store: running a batch on the other shard's
 	// System from here would race its dispatcher, which owns it.
-	other := 1 - svc.Route(v)
-	for c, ts := range svc.System(other).CopyState(v) {
+	written := 0
+	for _, ts := range svc.System(other).CopyState(v) {
 		if ts != 0 {
-			t.Fatalf("other shard's store holds copy %d of var %d at timestamp %d; partition leaked", c, v, ts)
+			written++
 		}
+	}
+	if written < r.WriteQuorum() {
+		t.Fatalf("the other shard's System sees %d written copies of var %d, want a write quorum of %d", written, v, r.WriteQuorum())
+	}
+}
+
+// TestShardsShareOneStore: a service holds the module memory once, whatever
+// S. S=1 and S=4 services take the same write stream and must end with the
+// same number of allocated pages summed over the distinct stores of their
+// shards — with a store per shard, S=4 holds about four times as many, since
+// every shard's variables have copies in every page.
+func TestShardsShareOneStore(t *testing.T) {
+	pages := func(shards int) int {
+		svc := newService(t, 5, Config{Shards: shards})
+		nv := svc.System(0).Mapper.NumVars()
+		ops := make([]BatchOp, 0, 64)
+		for v := range nv {
+			ops = append(ops, BatchOp{Write: true, Var: v, Val: v + 1})
+			if len(ops) == cap(ops) || v+1 == nv {
+				b, err := svc.AccessBatch(ops)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := b.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				ops = ops[:0]
+			}
+		}
+		stores := map[*cellstore.Store]bool{}
+		n := 0
+		for i := range shards {
+			if st := svc.System(i).Cells(); !stores[st] {
+				stores[st] = true
+				n += st.Pages()
+			}
+		}
+		return n
+	}
+	one, four := pages(1), pages(4)
+	if one == 0 || four != one {
+		t.Fatalf("the write stream left %d pages at S=1 and %d at S=4, want the same", one, four)
 	}
 }
 
