@@ -46,10 +46,6 @@ func New(addrSpace uint64) *Store {
 	return &Store{pages: make([]atomic.Pointer[[PageCells]Cell], (addrSpace+PageCells-1)>>pageShift)}
 }
 
-// Cap returns the number of addressable cells: the address space New was
-// given, rounded up to whole pages.
-func (s *Store) Cap() uint64 { return uint64(len(s.pages)) << pageShift }
-
 // Get returns the cell at addr, which must be below the address space.
 func (s *Store) Get(addr uint64) Cell {
 	if pg := s.pages[addr>>pageShift].Load(); pg != nil {
@@ -70,18 +66,6 @@ func (s *Store) Put(addr uint64, c Cell) {
 		}
 	}
 	pg[addr&(PageCells-1)] = c
-}
-
-// TryPut stores c at addr, which must be below the address space, if addr's
-// page is installed, and reports whether it was. It is Put's fast path, small
-// enough to inline into a caller's loop, which calls Put only when it fails:
-// Put, which may install the page, is a call.
-func (s *Store) TryPut(addr uint64, c Cell) bool {
-	pg := s.pages[addr>>pageShift].Load()
-	if pg != nil {
-		pg[addr&(PageCells-1)] = c
-	}
-	return pg != nil
 }
 
 // PutIfNewer installs c only when its timestamp beats the resident cell's —

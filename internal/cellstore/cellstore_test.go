@@ -60,46 +60,31 @@ func TestPutIfNewer(t *testing.T) {
 }
 
 // TestStoreEquivalenceQuick: under random operation sequences the paged
-// store behaves like a map from address to cell, and TryPut stores exactly
-// when an earlier write installed the page.
+// store behaves like a map from address to cell.
 func TestStoreEquivalenceQuick(t *testing.T) {
 	const space = 2*PageCells + 100
 	prop := func(ops []struct {
-		Addr       uint64
-		Val        uint64
-		TS         uint8
-		Newer, Try bool
+		Addr  uint64
+		Val   uint64
+		TS    uint8
+		Newer bool
 	}) bool {
 		st := New(space)
 		ref := map[uint64]Cell{}
-		installed := map[uint64]bool{} // pages a write has installed
 		for _, op := range ops {
 			addr, c := op.Addr%space, Cell{Val: op.Val, TS: uint64(op.TS)}
 			if st.Get(addr) != ref[addr] {
 				return false
 			}
-			switch pg := addr / PageCells; {
-			case op.Try:
-				if st.TryPut(addr, c) != installed[pg] {
-					return false
-				}
-				if installed[pg] {
-					ref[addr] = c
-				}
-			case !op.Newer:
+			if !op.Newer {
 				st.Put(addr, c)
 				ref[addr] = c
-				installed[pg] = true
-			case c.TS > ref[addr].TS:
+			} else {
 				st.PutIfNewer(addr, c)
-				ref[addr] = c
-				installed[pg] = true
-			default:
-				st.PutIfNewer(addr, c)
+				if c.TS > ref[addr].TS {
+					ref[addr] = c
+				}
 			}
-		}
-		if st.Pages() != len(installed) {
-			return false
 		}
 		for a := uint64(0); a < space; a++ {
 			if st.Get(a) != ref[a] {

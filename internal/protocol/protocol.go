@@ -242,8 +242,7 @@ type Config struct {
 	// store may be shared by any number of Systems over the same mapper as
 	// long as they serve disjoint variables, so that no two touch the same
 	// cell: internal/shard hands one to every shard of a service. A System
-	// whose machine keeps the cells on the far side (RemoteStore) reads it
-	// only in CopyState.
+	// whose machine keeps the cells on the far side (RemoteStore) ignores it.
 	Cells *cellstore.Store
 	// Strategy selects the resolution path (see ResolverStrategy).
 	// ResolverComputed rejects a non-nil Resolver.
@@ -273,7 +272,8 @@ type System struct {
 	readQ, writeQ int32
 	// store holds the copies' cells when the machine keeps them in process:
 	// Config.Cells, or one the System allocates with its machine. A system
-	// over a RemoteStore holds none unless CopyState asks for it.
+	// over a RemoteStore holds none, whatever Config.Cells, unless CopyState
+	// asks for one.
 	store *cellstore.Store
 	ts    uint64 // batch timestamp, incremented per Access
 
@@ -385,9 +385,6 @@ func NewGenericSystem(m Mapper, cfg Config) (*System, error) {
 	}
 	if err := checkPackable(m); err != nil {
 		return nil, err
-	}
-	if cfg.Cells != nil && cfg.Cells.Cap() < m.AddrSpace() {
-		return nil, fmt.Errorf("protocol: the cell store holds %d cells, below the mapper's address space of %d", cfg.Cells.Cap(), m.AddrSpace())
 	}
 	resolver, bulkSrc := cfg.Resolver, m
 	compiled, _ := m.(*CompiledResolver)
@@ -1131,9 +1128,7 @@ func (sys *System) commitCells() {
 		}
 	}
 	for _, w := range sys.writes {
-		if c := (cellstore.Cell{Val: w.val, TS: sys.ts}); !st.TryPut(w.addr, c) {
-			st.Put(w.addr, c)
-		}
+		st.Put(w.addr, cellstore.Cell{Val: w.val, TS: sys.ts})
 	}
 	for _, g := range sys.repairs {
 		st.PutIfNewer(g.addr, best[g.req])
@@ -1251,17 +1246,14 @@ func (sys *System) buildMachine() error {
 		}
 	}
 	if sys.rs == nil {
+		sys.store = sys.cfg.Cells // nil: cells allocates the System's own
 		sys.cells()
 	}
 	return nil
 }
 
-// cells returns the local cell store — Config.Cells, or one allocated on
-// first use.
+// cells returns the local cell store, allocating it on first use.
 func (sys *System) cells() *cellstore.Store {
-	if sys.store == nil {
-		sys.store = sys.cfg.Cells
-	}
 	if sys.store == nil {
 		sys.store = cellstore.New(sys.Mapper.AddrSpace())
 	}
@@ -1315,8 +1307,8 @@ func (sys *System) WriteBatch(vars []uint64, vals []uint64) (*Metrics, error) {
 }
 
 // Cells returns the store the System keeps its in-process cells in:
-// Config.Cells when it was set. A System over a RemoteStore allocates an
-// empty one on first use.
+// Config.Cells when it was set and the machine is local. A System over a
+// RemoteStore allocates an empty one of its own on first use.
 func (sys *System) Cells() *cellstore.Store { return sys.cells() }
 
 // CopyState reports, for invariant tests, the timestamps of all copies of a
