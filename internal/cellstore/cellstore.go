@@ -54,6 +54,17 @@ func (s *Store) Get(addr uint64) Cell {
 	return Cell{}
 }
 
+// TryPut stores c at addr when addr's page is already installed and reports
+// whether it did. It is the write fast path, small enough to inline: a caller
+// falls back to Put only for a page's first write.
+func (s *Store) TryPut(addr uint64, c Cell) bool {
+	if pg := s.pages[addr>>pageShift].Load(); pg != nil {
+		pg[addr&(PageCells-1)] = c
+		return true
+	}
+	return false
+}
+
 // Put stores c at addr, which must be below the address space. Of writers
 // racing into a fresh page, the first compare-and-swap installs its page and
 // the others write into that one.

@@ -42,6 +42,23 @@ func TestPagedStoreCells(t *testing.T) {
 	}
 }
 
+// TestTryPut: the write fast path stores into an installed page only — into
+// a page nobody wrote it reports false and allocates nothing, so the caller's
+// Put installs the page — and stores there what Put would.
+func TestTryPut(t *testing.T) {
+	st := New(2 * PageCells)
+	if st.TryPut(PageCells+3, Cell{Val: 1, TS: 1}) || st.Pages() != 0 {
+		t.Fatalf("TryPut into an uninstalled page reported a write or allocated (%d pages)", st.Pages())
+	}
+	st.Put(PageCells, Cell{Val: 2, TS: 2})
+	if !st.TryPut(PageCells+3, Cell{Val: 3, TS: 3}) {
+		t.Fatal("TryPut into an installed page reported no write")
+	}
+	if c := st.Get(PageCells + 3); c != (Cell{3, 3}) || st.Pages() != 1 {
+		t.Fatalf("cell reads %+v with %d pages, want {3 3} with 1", c, st.Pages())
+	}
+}
+
 // TestPutIfNewer: a repair-write installs only a strictly newer timestamp,
 // never rolls one back, and a stale one allocates no page.
 func TestPutIfNewer(t *testing.T) {
@@ -102,7 +119,9 @@ func TestStoreEquivalenceQuick(t *testing.T) {
 // cells need no lock. Several goroutines write interleaved cells of the same
 // fresh pages — writer w owns every address ≡ w mod writers — so they race to
 // install every page, and each page must be installed once: a writer whose
-// page was replaced by another's would lose its cells. Run it under -race.
+// page was replaced by another's would lose its cells. The even writers write
+// as protocol.System does, TryPut first and Put only when the page is not yet
+// installed; the odd ones call Put alone. Run it under -race.
 func TestConcurrentDisjointCells(t *testing.T) {
 	const (
 		writers = 4
@@ -123,7 +142,9 @@ func TestConcurrentDisjointCells(t *testing.T) {
 				for off := uint64(w); off < PageCells; off += writers {
 					for pg := uint64(0); pg < pages; pg++ {
 						a := pg*PageCells + off
-						st.Put(a, Cell{Val: a, TS: uint64(w) + 1})
+						if c := (Cell{Val: a, TS: uint64(w) + 1}); w%2 == 1 || !st.TryPut(a, c) {
+							st.Put(a, c)
+						}
 					}
 				}
 			}()

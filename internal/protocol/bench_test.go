@@ -196,7 +196,7 @@ func BenchmarkRepairSweep(b *testing.B) {
 }
 
 // BenchmarkCompileMapper is the compiled table's build at the serving scheme,
-// q=2 n=7 (349 504 variables, 1 048 512 packed copies, 8.4 MB): the set-up
+// q=2 n=7 (349 504 variables, 1 048 512 flat addresses, 4.2 MB): the set-up
 // cost of every workload that resolves through the table.
 func BenchmarkCompileMapper(b *testing.B) {
 	s, err := core.New(1, 7)

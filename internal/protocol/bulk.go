@@ -111,8 +111,8 @@ func (r *CompiledResolver) AppendCopyAddrs(mods, addrs []uint64, vars []uint64, 
 	mods, addrs = slices.Grow(mods, n), slices.Grow(addrs, n)
 	dm, da := mods[len(mods):][:n], addrs[len(addrs):][:n]
 	for i, v := range vars {
-		for c, cp := range r.row(v)[:copies] {
-			dm[i*copies+c], da[i*copies+c] = uint64(cp.module()), cp.addr()
+		for c, a := range r.row(v)[:copies] {
+			dm[i*copies+c], da[i*copies+c] = uint64(a>>r.shift), uint64(a)
 		}
 	}
 	return mods[:len(mods)+n], addrs[:len(addrs)+n]

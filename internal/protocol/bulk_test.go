@@ -3,7 +3,6 @@ package protocol
 import (
 	"testing"
 
-	"detshmem/internal/baseline"
 	"detshmem/internal/core"
 	"detshmem/internal/obs"
 )
@@ -147,11 +146,8 @@ func TestResolverStrategyEquivalence(t *testing.T) {
 // a compiled table but whose strategy forbids it resolves through the
 // underlying organization, not the table.
 func TestComputedStrategyUnwrapsCompiledMapper(t *testing.T) {
-	mv, err := baseline.NewMV(64, 4096, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := CompileMapper(mv, CompileOptions{})
+	m := mapperFuzzSetup(t)[0]
+	r, err := CompileMapper(m, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +155,7 @@ func TestComputedStrategyUnwrapsCompiledMapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.resolver != nil || sys.bulkSrc != Mapper(mv) {
+	if sys.resolver != nil || sys.bulkSrc != m {
 		t.Fatal("computed strategy did not unwrap the compiled mapper")
 	}
 	if _, err := sys.WriteBatch([]uint64{1, 2, 3}, []uint64{1, 2, 3}); err != nil {

@@ -183,7 +183,9 @@ func TestFaultMatrix(t *testing.T) {
 						},
 					}
 					if compiled {
-						cfg.Resolver = compileTable(t, m)
+						// A baseline has no table: its compiled=true cell
+						// resolves live on its own seed, as shard.New serves it.
+						cfg.Resolver = tableOrNil(t, m)
 					}
 					sys, err := NewGenericSystem(m, cfg)
 					if err != nil {

@@ -242,7 +242,7 @@ func fusedFailingMatrix(t *testing.T) {
 		mappers = append(mappers[:1], mappers[2:]...)
 	}
 	for _, mc := range mappers {
-		table := compileTable(t, mc.m)
+		table := tableOrNil(t, mc.m) // nil for Mehlhorn–Vishkin: it resolves live
 		for _, scenario := range []string{"healthy", "static", "repairing", "flip"} {
 			for _, mode := range []struct {
 				name    string

@@ -57,6 +57,9 @@ func (m *coreMapper) Copies() int        { return m.s.Copies }
 func (m *coreMapper) ReadQuorum() int    { return m.s.Majority }
 func (m *coreMapper) WriteQuorum() int   { return m.s.Majority }
 
+// CopyAddr returns the copy's module and its flat address mod·q^{n−1}+off,
+// which is module-major: the compiled table stores the address alone and
+// recovers the module with a shift (tableShift).
 func (m *coreMapper) CopyAddr(v uint64, c int) (uint64, uint64) {
 	mod, off := m.s.CopyLocation(m.idx.Mat(v), c)
 	return mod, mod*uint64(m.s.ModuleSize) + uint64(off)

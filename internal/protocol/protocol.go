@@ -24,10 +24,11 @@
 // (mpc.Machine.Claim), with no task, bid or grant list in between. Under a
 // fault view the pass skips the copies barred in one snapshot of the set.
 //
-// Copy addresses come from one of two places: CompileMapper precomputes any
-// Mapper's address map into a dense shared table (the paper's O(log N),
-// O(1)-space Section 4 computation, compiled down to an O(1) array read),
-// and without a table every batch runs the vectorized Section 4 kernels
+// Copy addresses come from one of two places: CompileMapper precomputes the
+// PP93 mapper's address map into a dense shared table of 32-bit flat
+// addresses (the paper's O(log N), O(1)-space Section 4 computation,
+// compiled down to an O(1) array read and a shift), and without a table —
+// always for the baselines — every batch runs the vectorized kernels
 // (BulkMapper). TableFits is the size rule between the two. AccessInto
 // reuses all per-batch buffers, so steady-state batches allocate nothing on
 // either path.
@@ -706,21 +707,22 @@ func (sys *System) resolveBatch(b *batch) {
 
 // resolveVars is the System's one resolution path, shared by batches and the
 // repair sweep: it gathers the packed (module, address) of every copy of
-// every variable in vars into out (vars-major, entry i·Copies+c) — straight
-// from the compiled table's rows when a resolver is attached, and through the
-// mapper's batched bulk contract otherwise. All buffers are reused, so the
-// steady state is allocation-free.
+// every variable in vars into out (vars-major, entry i·Copies+c) — from the
+// compiled table's rows when a resolver is attached, each flat address
+// widened with its module (flatCopy), and through the mapper's batched bulk
+// contract otherwise. All buffers are reused, so the steady state is
+// allocation-free.
 func (sys *System) resolveVars(vars []uint64, out []packedCopy) []packedCopy {
 	nc := sys.nCopies
 	out = grow(out, len(vars)*nc)
 	if sys.resolver != nil {
-		// An indexed loop, not copy: rows are a few words, and without a call
-		// per row the table misses of neighbouring rows overlap.
-		table := sys.resolver.table
+		// One indexed loop over the rows: without a call per row the table
+		// misses of neighbouring rows overlap.
+		table, shift := sys.resolver.table, sys.resolver.shift
 		for i, v := range vars {
 			dst, src := out[i*nc:][:nc], table[v*uint64(nc):][:nc]
 			for c := range dst {
-				dst[c] = src[c]
+				dst[c] = flatCopy(src[c], shift)
 			}
 		}
 		return out
@@ -1128,7 +1130,9 @@ func (sys *System) commitCells() {
 		}
 	}
 	for _, w := range sys.writes {
-		st.Put(w.addr, cellstore.Cell{Val: w.val, TS: sys.ts})
+		if c := (cellstore.Cell{Val: w.val, TS: sys.ts}); !st.TryPut(w.addr, c) {
+			st.Put(w.addr, c)
+		}
 	}
 	for _, g := range sys.repairs {
 		st.PutIfNewer(g.addr, best[g.req])

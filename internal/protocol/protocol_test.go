@@ -35,6 +35,16 @@ func compileTable(t testing.TB, m Mapper) *CompiledResolver {
 	return r
 }
 
+// tableOrNil compiles m's table when m has one — only the PP93 mapper does —
+// and returns nil for a baseline, which resolves live.
+func tableOrNil(t testing.TB, m Mapper) *CompiledResolver {
+	t.Helper()
+	if _, ok := m.(*coreMapper); !ok {
+		return nil
+	}
+	return compileTable(t, m)
+}
+
 func TestWriteThenRead(t *testing.T) {
 	for _, c := range []struct{ m, n int }{{1, 3}, {1, 5}, {2, 3}} {
 		sys := newSystem(t, c.m, c.n, Config{})

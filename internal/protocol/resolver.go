@@ -2,15 +2,17 @@ package protocol
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 )
 
 // packedCopy is one copy location in one word — the module serving the copy
 // in the high 24 bits, the copy's flat storage address in the low 40. It is
-// the form a copy has everywhere on the batch path: a compiled table row is
-// Copies of them, a batch's resolved rows are gathered as they are, and an
-// in-flight bid carries one. Nothing expands them.
+// the form a copy has everywhere on the batch path past resolution: a batch's
+// resolved rows, its tasks and bids and the repair sweep's rows hold them. The
+// compiled table keeps only the 32-bit flat address, from which resolution
+// rebuilds the packed copy with one shift (flatCopy).
 type packedCopy uint64
 
 // The packing limits: a mapper must have at most 2^24 modules and an address
@@ -28,6 +30,12 @@ func packCopy(module, addr uint64) packedCopy {
 func (p packedCopy) module() int64 { return int64(p >> packedAddrBits) }
 func (p packedCopy) addr() uint64  { return uint64(p) & (maxPackedAddrs - 1) }
 
+// flatCopy rebuilds the packed copy of a compiled table entry: the flat
+// address module·q^{n−1}+k names its module in its high bits, addr >> shift.
+func flatCopy(addr uint32, shift uint8) packedCopy {
+	return packCopy(uint64(addr>>(shift&31)), uint64(addr))
+}
+
 // checkPackable refuses a mapper whose modules or addresses do not fit a
 // packedCopy.
 func checkPackable(m Mapper) error {
@@ -38,24 +46,52 @@ func checkPackable(m Mapper) error {
 	return nil
 }
 
+// maxTableAddrs bounds the address space of a compiled table, whose entries
+// are 32-bit flat addresses.
+const maxTableAddrs = 1 << 32
+
+// tableShift returns log2 of m's module size — the shift that recovers a
+// copy's module from its flat address — or why m has no compiled table. Only
+// the PP93 mapper compiles: its address module·q^{n−1}+k is module-major over
+// modules of q^{n−1} cells, a power of two (Section 4, bijections 2–3). The
+// baselines place a copy at slot v·c+j on a hashed or computed module, so no
+// one word holds both; they resolve live, in O(1) per copy already.
+func tableShift(m Mapper) (uint8, error) {
+	cm, ok := m.(*coreMapper)
+	if !ok {
+		return 0, fmt.Errorf("protocol: %s has no compiled table: only pp93's flat address names its module, so %s resolves live",
+			m.Name(), m.Name())
+	}
+	if msz := cm.s.ModuleSize; msz == 0 || msz&(msz-1) != 0 || m.AddrSpace() > maxTableAddrs {
+		return 0, fmt.Errorf("protocol: %s with %d-cell modules over %d cells does not fit a table of 32-bit flat addresses",
+			m.Name(), msz, m.AddrSpace())
+	}
+	return uint8(bits.TrailingZeros32(cm.s.ModuleSize)), nil
+}
+
 // CompileOptions is CompileMapper's options struct. It has no fields:
 // compilation always runs GOMAXPROCS workers. It stays declared because
 // callers outside this package name CompileOptions{}.
 type CompileOptions struct{}
 
 // TableFits is the size rule that picks between the two resolution paths: a
-// mapper whose dense table has at most 2^24 entries (NumVars·Copies; 128 MiB
-// of packed copies) is worth compiling, a larger one — or one whose modules
-// or addresses do not fit a packed copy — resolves through the computed bulk
-// kernels instead. shard.New applies it under the zero-value strategy.
+// PP93 mapper whose dense table has at most 2^24 entries (NumVars·Copies; 64
+// MiB of 32-bit addresses) is worth compiling; a larger one, or any other
+// mapper (tableShift), resolves through the computed bulk kernels instead.
+// shard.New applies it under the zero-value strategy.
 func TableFits(m Mapper) bool {
-	return m.NumVars()*uint64(m.Copies()) <= 1<<24 && checkPackable(m) == nil
+	if r, ok := m.(*CompiledResolver); ok {
+		m = r.inner
+	}
+	_, err := tableShift(m)
+	return err == nil && m.NumVars()*uint64(m.Copies()) <= 1<<24
 }
 
-// CompiledResolver is a compiled address map for a Mapper: the (module,
-// address) of every copy of every variable, precomputed into a dense
-// immutable table so the per-batch resolution sweep is an O(1) array read per
-// copy instead of the live O(log N) algebra of Mapper.CopyAddr.
+// CompiledResolver is a compiled address map for a PP93 Mapper: the flat
+// address of every copy of every variable, one uint32 per copy in a dense
+// immutable table, so the per-batch resolution sweep is an O(1) array read
+// and a shift per copy instead of the live O(log N) algebra of
+// Mapper.CopyAddr. At q=2 n=7 the table is 1 048 512 entries, 4 194 048 B.
 //
 // A resolver is safe for concurrent use and is meant to be shared: any
 // number of Systems and frontends over the same memory organization can
@@ -66,18 +102,19 @@ type CompiledResolver struct {
 	inner  Mapper
 	vars   uint64
 	copies int
-	table  []packedCopy // len = vars·copies, immutable
+	shift  uint8    // log2 of the module size: a copy's module is addr >> shift
+	table  []uint32 // len = vars·copies, each copy's flat address, immutable
 }
 
 // CompileMapper compiles m's address map. GOMAXPROCS workers each fill a
 // contiguous range of the table in blocks of compileBlock variables: a block
-// resolves through AppendCopyAddrs — the batched Section 4 kernels for the
-// constructive scheme, which decode each variable once and serve all q+1
-// copies from one determinant log (and panic, as CopyLocation does, on a copy
-// Lemma 1 does not place), per-op CopyAddr for a mapper without a bulk path —
-// and is packed into its rows in place. It compiles whatever it is handed;
-// callers that must not hold an oversized table ask TableFits first.
-// Compiling an already compiled resolver returns it unchanged.
+// resolves through the batched Section 4 kernels (AppendCopyAddrs), which
+// decode each variable once and serve all q+1 copies from one determinant log
+// (and panic, as CopyLocation does, on a copy Lemma 1 does not place), and
+// its addresses are stored in its rows in place. It refuses a mapper other
+// than PP93's (tableShift) and compiles any PP93 mapper it is handed; callers
+// that must not hold an oversized table ask TableFits first. Compiling an
+// already compiled resolver returns it unchanged.
 func CompileMapper(m Mapper, _ CompileOptions) (*CompiledResolver, error) {
 	if m == nil {
 		return nil, fmt.Errorf("protocol: cannot compile nil mapper")
@@ -89,10 +126,11 @@ func CompileMapper(m Mapper, _ CompileOptions) (*CompiledResolver, error) {
 	if vars == 0 || copies < 1 {
 		return nil, fmt.Errorf("protocol: cannot compile %s with %d vars, %d copies", m.Name(), vars, copies)
 	}
-	if err := checkPackable(m); err != nil {
+	shift, err := tableShift(m)
+	if err != nil {
 		return nil, err
 	}
-	r := &CompiledResolver{inner: m, vars: vars, copies: copies, table: make([]packedCopy, vars*uint64(copies))}
+	r := &CompiledResolver{inner: m, vars: vars, copies: copies, shift: shift, table: make([]uint32, vars*uint64(copies))}
 	workers := uint64(runtime.GOMAXPROCS(0))
 	chunk := (vars + workers - 1) / workers
 	var wg sync.WaitGroup
@@ -114,7 +152,7 @@ const compileBlock = 1024
 
 // compileRange fills table with the copies of variables [lo, hi), one block
 // of consecutive variables at a time.
-func compileRange(m Mapper, table []packedCopy, lo, hi uint64, copies int) {
+func compileRange(m Mapper, table []uint32, lo, hi uint64, copies int) {
 	c := uint64(copies)
 	vars := make([]uint64, 0, compileBlock)
 	mods := make([]uint64, 0, compileBlock*copies)
@@ -127,14 +165,14 @@ func compileRange(m Mapper, table []packedCopy, lo, hi uint64, copies int) {
 		mods, addrs = AppendCopyAddrs(m, mods[:0], addrs[:0], vars, copies)
 		rows := table[base*c : (base+uint64(len(vars)))*c]
 		for i := range rows {
-			rows[i] = packCopy(mods[i], addrs[i])
+			rows[i] = uint32(addrs[i])
 		}
 	}
 }
 
 // row returns the compiled copies of v as one dense slice. v must be below
 // NumVars.
-func (r *CompiledResolver) row(v uint64) []packedCopy {
+func (r *CompiledResolver) row(v uint64) []uint32 {
 	c := uint64(r.copies)
 	return r.table[v*c : v*c+c]
 }
@@ -142,9 +180,9 @@ func (r *CompiledResolver) row(v uint64) []packedCopy {
 // Mapper returns the memory organization the resolver was compiled from.
 func (r *CompiledResolver) Mapper() Mapper { return r.inner }
 
-// ResidentBytes reports the table's memory: 8 bytes per copy entry.
+// ResidentBytes reports the table's memory: 4 bytes per copy entry.
 func (r *CompiledResolver) ResidentBytes() uint64 {
-	return uint64(len(r.table)) * 8
+	return uint64(len(r.table)) * 4
 }
 
 // compatibleWith checks that m has the geometry the resolver was compiled
@@ -181,8 +219,8 @@ func (r *CompiledResolver) WriteQuorum() int { return r.inner.WriteQuorum() }
 
 // CopyAddr serves copy c of v from the compiled table.
 func (r *CompiledResolver) CopyAddr(v uint64, c int) (uint64, uint64) {
-	cp := r.row(v)[c]
-	return uint64(cp.module()), cp.addr()
+	a := r.row(v)[c]
+	return uint64(a >> r.shift), uint64(a)
 }
 
 // AddrSpace returns the underlying address-space bound.

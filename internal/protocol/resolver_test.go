@@ -3,26 +3,34 @@ package protocol
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
-	"detshmem/internal/baseline"
 	"detshmem/internal/core"
 	"detshmem/internal/obs"
+	"detshmem/internal/pgl"
 )
 
 // TestCompiledResolverEquivalence proves the compiled table is byte-identical
-// to live CopyAddr resolution: for every mapper in the fuzz matrix, every
+// to live CopyAddr resolution: for every PP93 mapper in the fuzz matrix, every
 // variable, every copy, the table returns exactly the (module, addr) the live
 // algebra computes, whatever the number of build workers. Compilation runs
 // GOMAXPROCS workers, so eager-1worker sets GOMAXPROCS to 1. The matrix's
-// q=2 scheme has 84 variables — one block of one worker — so the serving
-// scheme, q=2 n=7 (349 504 variables), is swept whole at 1 and 3 workers:
-// that crosses compile-block edges inside a worker's range and range edges
-// between workers that do not fall on a block edge.
+// baselines have no table: each of their cells checks that CompileMapper
+// refuses the mapper by name and that a System over it resolves live, row
+// for row as CopyAddr does. The matrix's q=2 scheme has 84 variables — one
+// block of one worker — so the serving scheme, q=2 n=7 (349 504 variables),
+// is swept whole at 1 and 3 workers: that crosses compile-block edges inside
+// a worker's range and range edges between workers that do not fall on a
+// block edge.
 func TestCompiledResolverEquivalence(t *testing.T) {
 	check := func(t *testing.T, m Mapper, procs int, step uint64) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		r, err := CompileMapper(m, CompileOptions{})
+		if _, pp93 := m.(*coreMapper); !pp93 {
+			checkResolvesLive(t, m, err, step)
+			return
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,15 +62,7 @@ func TestCompiledResolverEquivalence(t *testing.T) {
 			})
 		}
 	}
-	s, err := core.New(1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := s.NewIndexer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serving := NewCoreMapper(s, idx)
+	serving := servingMapper(t)
 	// -short (the race lanes, where live CopyAddr is slow) checks every 17th
 	// variable; 17 is prime to the block size, so the checked rows still fall
 	// at every offset within a block.
@@ -80,11 +80,71 @@ func TestCompiledResolverEquivalence(t *testing.T) {
 	}
 }
 
+// checkResolvesLive checks a mapper without a table: compileErr, what
+// CompileMapper returned for it, names the mapper, and a System over it
+// attaches no resolver and resolves every step-th variable exactly as
+// CopyAddr does.
+func checkResolvesLive(t *testing.T, m Mapper, compileErr error, step uint64) {
+	t.Helper()
+	if compileErr == nil || !strings.Contains(compileErr.Error(), m.Name()) {
+		t.Fatalf("%s: CompileMapper error %v, want a refusal naming the mapper", m.Name(), compileErr)
+	}
+	if TableFits(m) {
+		t.Fatalf("%s: TableFits says a mapper without a table fits", m.Name())
+	}
+	sys, err := NewGenericSystem(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.resolver != nil {
+		t.Fatalf("%s: a System attached a resolver", m.Name())
+	}
+	var vars []uint64
+	for v := uint64(0); v < m.NumVars(); v += step {
+		vars = append(vars, v)
+	}
+	rows := sys.resolveVars(vars, nil)
+	for i, v := range vars {
+		for c := 0; c < m.Copies(); c++ {
+			wantMod, wantAddr := m.CopyAddr(v, c)
+			if cp := rows[i*m.Copies()+c]; uint64(cp.module()) != wantMod || cp.addr() != wantAddr {
+				t.Fatalf("%s: resolved copy %d of %d = (%d,%d), live = (%d,%d)",
+					m.Name(), c, v, cp.module(), cp.addr(), wantMod, wantAddr)
+			}
+		}
+	}
+}
+
+// servingMapper is the PP93 mapper at the serving scheme, q=2 n=7.
+func servingMapper(t testing.TB) Mapper {
+	t.Helper()
+	s, err := core.New(1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := s.NewIndexer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewCoreMapper(s, idx)
+}
+
+// pp93Mappers returns the fuzz matrix's PP93 mappers: q=2, 4 and 8 at n=3.
+func pp93Mappers(t testing.TB) []Mapper {
+	var out []Mapper
+	for _, m := range mapperFuzzSetup(t) {
+		if _, ok := m.(*coreMapper); ok {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
 // TestCompiledResolverMetadata checks the Mapper view of a resolver matches
 // the underlying organization exactly, so a resolver can stand in for its
 // mapper anywhere (reports, systems, frontends).
 func TestCompiledResolverMetadata(t *testing.T) {
-	for _, m := range mapperFuzzSetup(t) {
+	for _, m := range pp93Mappers(t) {
 		r, err := CompileMapper(m, CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -115,80 +175,101 @@ func TestCompileMapperIdempotent(t *testing.T) {
 	if r1 != r2 {
 		t.Fatal("recompiling a CompiledResolver built a new one")
 	}
+	if !TableFits(r1) {
+		t.Fatal("TableFits refused a compiled table")
+	}
 	if _, err := CompileMapper(nil, CompileOptions{}); err == nil {
 		t.Fatal("CompileMapper(nil) did not error")
 	}
 }
 
-// sizedMapper is a stub geometry for the size and packing rules, which ask
-// only for these four numbers (and the name, to report a refusal).
-type sizedMapper struct {
-	Mapper
-	vars, modules, space uint64
-	copies               int
-}
+// countIndexer claims n variables and resolves none: it lets a real scheme's
+// mapper stand at any size for the size rule, which asks only for counts.
+type countIndexer uint64
 
-func (m sizedMapper) Name() string       { return "stub" }
-func (m sizedMapper) NumVars() uint64    { return m.vars }
-func (m sizedMapper) Copies() int        { return m.copies }
-func (m sizedMapper) NumModules() uint64 { return m.modules }
-func (m sizedMapper) AddrSpace() uint64  { return m.space }
+func (n countIndexer) M() uint64        { return uint64(n) }
+func (countIndexer) Mat(uint64) pgl.Mat { panic("countIndexer resolves no variable") }
+
+// resized returns a copy of the PP93 mapper m with its variable count, module
+// count and module size replaced, for the size and table rules. Compiling or
+// resolving through it panics.
+func resized(m Mapper, vars, modules uint64, moduleSize uint32) *coreMapper {
+	s := *m.(*coreMapper).s
+	s.NumModules, s.ModuleSize = modules, moduleSize
+	return &coreMapper{s: &s, idx: countIndexer(vars)}
+}
 
 // TestTableFitsCutoff pins the size rule between the two resolvers at 2^24
-// table entries, inclusive.
+// table entries. A PP93 row has q+1 entries, an odd number, so no PP93 table
+// has exactly 2^24; the cells sit on either side of it at q=2 and q=4.
 func TestTableFitsCutoff(t *testing.T) {
+	mappers := pp93Mappers(t)
 	for _, tc := range []struct {
-		vars   uint64
-		copies int
-		fits   bool
+		m    Mapper
+		vars uint64
+		fits bool
 	}{
-		{1 << 24, 1, true},
-		{1<<24 + 1, 1, false},
-		{1 << 22, 4, true},
-		{1<<22 + 1, 4, false},
-		{5592405, 3, true},  // 2^24 - 1 entries
-		{5592406, 3, false}, // 2^24 + 2 entries
+		{mappers[0], 5592405, true},  // 2^24 - 1 entries
+		{mappers[0], 5592406, false}, // 2^24 + 2 entries
+		{mappers[1], 3355443, true},  // 2^24 - 1 entries
+		{mappers[1], 3355444, false}, // 2^24 + 4 entries
 	} {
-		if got := TableFits(sizedMapper{vars: tc.vars, copies: tc.copies, modules: 64, space: 1 << 20}); got != tc.fits {
+		real := tc.m.(*coreMapper)
+		m := resized(real, tc.vars, real.s.NumModules, real.s.ModuleSize)
+		if got := TableFits(m); got != tc.fits {
 			t.Errorf("TableFits(M=%d, copies=%d) = %v, want %v (%d entries)",
-				tc.vars, tc.copies, got, tc.fits, tc.vars*uint64(tc.copies))
+				tc.vars, m.Copies(), got, tc.fits, tc.vars*uint64(m.Copies()))
 		}
 	}
 }
 
-// TestPackingLimits pins the limits of the one-word copy: 2^24 modules and a
-// 2^40-cell address space fit, one more of either does not — TableFits says
-// no, CompileMapper and NewGenericSystem refuse — and the extreme module and
-// address survive a round trip through the packing.
+// TestPackingLimits pins the limits of the two copy forms. A table entry is
+// a 32-bit flat address whose high bits name the module: an address space of
+// 2^32 cells in modules of a power-of-two size fits, one more module or a
+// module size that is no power of two does not — TableFits says no and
+// CompileMapper refuses. A batch row's packed copy holds at most 2^24 modules
+// and a 2^40-cell address space, so NewGenericSystem refuses a mapper beyond
+// either, and the extreme module and address survive a round trip through
+// the packing.
 func TestPackingLimits(t *testing.T) {
+	small := mapperFuzzSetup(t)[0]
 	for _, tc := range []struct {
-		modules, space uint64
-		fits           bool
+		modules    uint64
+		moduleSize uint32
+		fits       bool
 	}{
-		{1 << 24, 1 << 40, true},
-		{1<<24 + 1, 1 << 40, false},
-		{1 << 24, 1<<40 + 1, false},
+		{1 << 16, 1 << 16, true},
+		{1<<16 + 1, 1 << 16, false},
+		{1 << 10, 3 << 10, false},
 	} {
-		m := sizedMapper{vars: 4, copies: 1, modules: tc.modules, space: tc.space}
+		m := resized(small, 4, tc.modules, tc.moduleSize)
 		if got := TableFits(m); got != tc.fits {
-			t.Errorf("TableFits(N=%d, space=%d) = %v, want %v", tc.modules, tc.space, got, tc.fits)
+			t.Errorf("TableFits(N=%d, module size %d) = %v, want %v", tc.modules, tc.moduleSize, got, tc.fits)
 		}
 		if tc.fits {
-			continue // compiling would call the stub's CopyAddr
+			continue // compiling would resolve through the stub indexer
 		}
 		if _, err := CompileMapper(m, CompileOptions{}); err == nil {
-			t.Errorf("CompileMapper accepted N=%d, space=%d", tc.modules, tc.space)
+			t.Errorf("CompileMapper accepted N=%d, module size %d", tc.modules, tc.moduleSize)
 		}
 	}
-	// A System packs its rows on the computed path too, so it refuses as well.
-	real := mapperFuzzSetup(t)[0]
-	over := sizedMapper{Mapper: real, vars: real.NumVars(), copies: real.Copies(), modules: real.NumModules(), space: 1<<40 + 1}
-	if _, err := NewGenericSystem(over, Config{Strategy: ResolverComputed}); err == nil {
-		t.Error("NewGenericSystem accepted a 2^40+1-cell address space")
+	// A System packs its rows on the computed path too, so it refuses a
+	// mapper beyond the packing limits as well.
+	for _, over := range []*coreMapper{
+		resized(small, small.NumVars(), 1<<24+1, 1),
+		resized(small, small.NumVars(), 1<<24, 1<<17),
+	} {
+		if _, err := NewGenericSystem(over, Config{Strategy: ResolverComputed}); err == nil {
+			t.Errorf("NewGenericSystem accepted N=%d over %d cells", over.NumModules(), over.AddrSpace())
+		}
 	}
 	cp := packCopy(1<<24-1, 1<<40-1)
 	if cp.module() != 1<<24-1 || cp.addr() != 1<<40-1 {
 		t.Fatalf("packCopy round trip: module %d, addr %d", cp.module(), cp.addr())
+	}
+	// The widest table entry widens to its module and address unchanged.
+	if cp := flatCopy(1<<32-1, 16); cp.module() != 1<<16-1 || cp.addr() != 1<<32-1 {
+		t.Fatalf("flatCopy: module %d, addr %d", cp.module(), cp.addr())
 	}
 }
 
@@ -270,33 +351,39 @@ func TestResolverSharedAcrossSystems(t *testing.T) {
 // TestResolverGeometryMismatch checks Config.Resolver rejects a resolver
 // compiled for a different organization.
 func TestResolverGeometryMismatch(t *testing.T) {
-	mv, err := baseline.NewMV(64, 4096, 2)
+	mappers := pp93Mappers(t)
+	r, err := CompileMapper(mappers[1], CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := baseline.NewMV(64, 2048, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := CompileMapper(other, CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewGenericSystem(mv, Config{Resolver: r}); err == nil {
+	if _, err := NewGenericSystem(mappers[0], Config{Resolver: r}); err == nil {
 		t.Fatal("mismatched resolver accepted")
 	}
 }
 
-// TestResolverResidencyGauges checks the table reports vars·copies·8
-// resident bytes.
+// TestResolverResidencyGauges checks the table reports vars·copies·4
+// resident bytes, and that a System over the serving scheme's table, q=2
+// n=7, publishes its 4 194 048 bytes to the resolver_resident_bytes gauge.
 func TestResolverResidencyGauges(t *testing.T) {
-	m := mapperFuzzSetup(t)[2]
+	m := mapperFuzzSetup(t)[0]
 	r, err := CompileMapper(m, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := r.ResidentBytes(), m.NumVars()*uint64(m.Copies())*8; got != want {
+	if got, want := r.ResidentBytes(), m.NumVars()*uint64(m.Copies())*4; got != want {
 		t.Fatalf("ResidentBytes() = %d, want %d", got, want)
+	}
+	serving := servingMapper(t)
+	table, err := CompileMapper(serving, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := obs.NewCollector()
+	if _, err := NewGenericSystem(serving, Config{Resolver: table, Observer: c}); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.ResolverBytes.Load(); got != 4_194_048 {
+		t.Fatalf("q=2 n=7: resolver_resident_bytes = %d, want 4194048", got)
 	}
 }
 
@@ -305,17 +392,14 @@ func TestResolverResidencyGauges(t *testing.T) {
 // collector when several share one table — and reports nothing for a
 // table-free System.
 func TestSystemWiresResolverObserver(t *testing.T) {
-	mv, err := baseline.NewMV(64, 4096, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := CompileMapper(mv, CompileOptions{})
+	m := mapperFuzzSetup(t)[0]
+	r, err := CompileMapper(m, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
 		c := obs.NewCollector()
-		if _, err := NewGenericSystem(mv, Config{Resolver: r, Observer: c}); err != nil {
+		if _, err := NewGenericSystem(m, Config{Resolver: r, Observer: c}); err != nil {
 			t.Fatal(err)
 		}
 		if uint64(c.ResolverBytes.Load()) != r.ResidentBytes() {

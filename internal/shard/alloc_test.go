@@ -107,12 +107,12 @@ func TestReadWriteAllocs(t *testing.T) {
 // TestPerOpSizes pins what one client op costs in memory: its Future is a
 // bare result cell — value, error and sequence number, no synchronization —
 // and the batchOp an AccessBatch allocates per op — result cell plus the
-// op's copy — stays at 56 bytes.
+// op's copy, its write flag in the variable word — stays at 48 bytes.
 func TestPerOpSizes(t *testing.T) {
 	if size := unsafe.Sizeof(frontend.Future{}); size > 32 {
 		t.Errorf("frontend.Future is %d bytes, want <= 32", size)
 	}
-	if size := unsafe.Sizeof(batchOp{}); size > 56 {
-		t.Errorf("batchOp is %d bytes, want <= 56", size)
+	if size := unsafe.Sizeof(batchOp{}); size > 48 {
+		t.Errorf("batchOp is %d bytes, want <= 48", size)
 	}
 }

@@ -168,7 +168,8 @@ func (d *pipeDispatcher) run() {
 // order: it takes the next commit sequence number, and flushes after when
 // the batch reaches maxBatch distinct variables.
 func (d *pipeDispatcher) admit(e *batchOp) {
-	v := e.op.Var
+	op := e.get()
+	v := op.Var
 	if v >= d.numVars {
 		// Refused alone, before it takes a sequence number or a place in
 		// the batch: the backend fails a whole batch on one bad variable,
@@ -177,8 +178,8 @@ func (d *pipeDispatcher) admit(e *batchOp) {
 		return
 	}
 	d.seq++
-	if e.op.Write {
-		d.cur.Write(d.seq, v, e.op.Val, &e.fut)
+	if op.Write {
+		d.cur.Write(d.seq, v, op.Val, &e.fut)
 	} else {
 		d.cur.Read(d.seq, v, &e.fut)
 	}

@@ -93,7 +93,8 @@ func (p *probe) recorded() [][]protocol.Request {
 // enqueue admits op into d's ring as a one-op AccessBatch entry — the entry
 // a blocking Read or Write admits — and returns its Batch.
 func enqueue(d *pipeDispatcher, op BatchOp) (*Batch, error) {
-	b := &Batch{ops: []batchOp{{op: op}}}
+	b := &Batch{ops: make([]batchOp, 1)}
+	b.ops[0].set(op)
 	b.done.Add(1)
 	if err := d.ring.enqueueBatch(b, 0, 1); err != nil {
 		return nil, err

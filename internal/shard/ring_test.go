@@ -14,7 +14,8 @@ import (
 
 // oneOp is a ring entry carrying a one-op batch: a write of v to v.
 func oneOp(v uint64) ringOp {
-	b := &Batch{ops: []batchOp{{op: BatchOp{Write: true, Var: v, Val: v}}}}
+	b := &Batch{ops: make([]batchOp, 1)}
+	b.ops[0].set(BatchOp{Write: true, Var: v, Val: v})
 	return ringOp{kind: ringBatch, batch: b, lo: 0, hi: 1}
 }
 
@@ -47,7 +48,7 @@ func TestRingFIFO(t *testing.T) {
 			r.park()
 			continue
 		}
-		v := op.batch.ops[op.lo].op.Var
+		v := op.batch.ops[op.lo].get().Var
 		p, i := int(v>>32), int(v&0xffffffff)
 		if i != seen[p] {
 			t.Fatalf("producer %d: popped index %d, want %d (FIFO violated)", p, i, seen[p])
@@ -140,7 +141,7 @@ func TestRingEnqueueBatchSpansCapacity(t *testing.T) {
 	const n = 1000
 	b := &Batch{ops: make([]batchOp, n)}
 	for i := range b.ops {
-		b.ops[i].op = BatchOp{Write: true, Var: uint64(i), Val: uint64(i)}
+		b.ops[i].set(BatchOp{Write: true, Var: uint64(i), Val: uint64(i)})
 	}
 	if err := r.enqueueBatch(b, 0, n); err != nil {
 		t.Fatalf("enqueueBatch: %v", err)
@@ -153,7 +154,7 @@ func TestRingEnqueueBatchSpansCapacity(t *testing.T) {
 		t.Fatalf("popped %+v, want the window as one entry", op)
 	}
 	for i := op.lo; i < op.hi; i++ {
-		if v := op.batch.ops[i].op.Var; v != uint64(i) {
+		if v := op.batch.ops[i].get().Var; v != uint64(i) {
 			t.Fatalf("window op %d is variable %d", i, v)
 		}
 	}
@@ -283,7 +284,7 @@ func FuzzRing(f *testing.F) {
 			t.Helper()
 			want := model[0]
 			model = model[1:]
-			if op.kind != ringBatch || uint64(op.hi-op.lo) != want.n || op.batch.ops[op.lo].op.Var != want.first {
+			if op.kind != ringBatch || uint64(op.hi-op.lo) != want.n || op.batch.ops[op.lo].get().Var != want.first {
 				t.Fatalf("popped %+v, model head is the %d-op entry from %d", op, want.n, want.first)
 			}
 		}
@@ -325,7 +326,7 @@ func FuzzRing(f *testing.F) {
 				n := int(script[pc]) + 1
 				b := &Batch{ops: make([]batchOp, n+1)} // ops[0] is not in the entry
 				for i := 1; i <= n; i++ {
-					b.ops[i].op = BatchOp{Write: true, Var: next + uint64(i-1), Val: 1}
+					b.ops[i].set(BatchOp{Write: true, Var: next + uint64(i-1), Val: 1})
 				}
 				if err := r.enqueueBatch(b, 1, int32(n+1)); err != nil {
 					t.Fatalf("enqueueBatch: %v", err)

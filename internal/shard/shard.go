@@ -117,8 +117,8 @@ type shardState struct {
 // one shard — so they share the store without a lock (package cellstore).
 // With cfg.Protocol.Resolver nil and the zero-value Strategy, a mapper whose
 // table fits (protocol.TableFits) is compiled here once and the table shared
-// by all shards; a larger one, or Strategy ResolverComputed, gets table-free
-// systems.
+// by all shards; a larger one, a baseline mapper (which has no table), or
+// Strategy ResolverComputed gets table-free systems.
 func New(m protocol.Mapper, cfg Config) (*Service, error) {
 	if m == nil {
 		return nil, fmt.Errorf("shard: nil mapper")
@@ -213,7 +213,7 @@ func (s *Service) one(op BatchOp) (uint64, error) {
 		b   Batch
 		ops [1]batchOp
 	}{}
-	o.ops[0].op = op
+	o.ops[0].set(op)
 	o.b.ops = o.ops[:]
 	o.b.done.Add(1)
 	if err := s.shards[s.Route(op.Var)].d.ring.enqueueBatch(&o.b, 0, 1); err != nil {

@@ -2,11 +2,14 @@ package shard
 
 import (
 	"errors"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"detshmem/internal/affine"
+	"detshmem/internal/baseline"
 	"detshmem/internal/cellstore"
 	"detshmem/internal/core"
 	"detshmem/internal/frontend"
@@ -180,6 +183,19 @@ func TestTypedErrorsSurface(t *testing.T) {
 		m := testMapper(t, 3)
 		if _, err := svc.Read(m.NumVars() + 5); !errors.Is(err, protocol.ErrVarOutOfRange) {
 			t.Fatalf("error = %v, want ErrVarOutOfRange", err)
+		}
+		// An id with the top bit set, where an admitted op keeps its write
+		// flag, is refused too, never taken for variable 1.
+		for _, v := range []uint64{1<<63 | 1, math.MaxUint64} {
+			if err := svc.Write(v, 99); !errors.Is(err, protocol.ErrVarOutOfRange) {
+				t.Fatalf("write of variable %d: %v, want ErrVarOutOfRange", v, err)
+			}
+			if _, err := svc.Read(v); !errors.Is(err, protocol.ErrVarOutOfRange) {
+				t.Fatalf("read of variable %d: %v, want ErrVarOutOfRange", v, err)
+			}
+		}
+		if got, err := svc.Read(1); err != nil || got != 0 {
+			t.Fatalf("variable 1 reads %d, %v after refused ops, want 0", got, err)
 		}
 		// The shard stays usable after the refused op.
 		if err := svc.Write(1, 11); err != nil {
@@ -441,7 +457,7 @@ func TestResolverSelectedBySize(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if got, want := res.tableBytes(t, 3), small.NumVars()*uint64(small.Copies())*8; got != want {
+	if got, want := res.tableBytes(t, 3), small.NumVars()*uint64(small.Copies())*4; got != want {
 		t.Fatalf("n=5 shards report %d resident table bytes, want the whole table's %d", got, want)
 	}
 
@@ -464,6 +480,54 @@ func TestResolverSelectedBySize(t *testing.T) {
 	defer big.Close()
 	if got := bigRes.tableBytes(t, 3); got != 0 {
 		t.Fatalf("n=9 shards report a %d-byte table, want none", got)
+	}
+}
+
+// TestBaselinesResolveLive: only the PP93 mapper has a compiled table, so
+// protocol.TableFits and protocol.CompileMapper refuse every baseline of the
+// protocol package's mapper matrix — CompileMapper with an error that names
+// the mapper — and a service over Mehlhorn–Vishkin holds no table: its
+// shards resolve live and serve reads and writes.
+func TestBaselinesResolveLive(t *testing.T) {
+	var baselines []protocol.Mapper
+	add := func(m protocol.Mapper, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		baselines = append(baselines, m)
+	}
+	add(baseline.NewMV(64, 4096, 2))
+	add(baseline.NewSingleCopy(64, 4096, baseline.PlaceInterleaved, 0))
+	add(baseline.NewSingleCopy(64, 4096, baseline.PlaceHashed, 12345))
+	add(baseline.NewUW(64, 4096, 3, 999))
+	add(affine.New(61, 3))
+	for _, m := range baselines {
+		if protocol.TableFits(m) {
+			t.Errorf("%s: TableFits says a baseline's table fits", m.Name())
+		}
+		if _, err := protocol.CompileMapper(m, protocol.CompileOptions{}); err == nil || !strings.Contains(err.Error(), m.Name()) {
+			t.Errorf("%s: CompileMapper error %v, want a refusal naming the mapper", m.Name(), err)
+		}
+	}
+
+	res := new(residency)
+	svc, err := New(baselines[0], Config{Shards: 2, Protocol: protocol.Config{Observer: res}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if got := res.tableBytes(t, 2); got != 0 {
+		t.Fatalf("mv shards report a %d-byte table, want none", got)
+	}
+	for v := uint64(0); v < 64; v++ {
+		if err := svc.Write(v*61, v+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v := uint64(0); v < 64; v++ {
+		if got, err := svc.Read(v * 61); err != nil || got != v+1 {
+			t.Fatalf("read var %d = %d, %v; want %d", v*61, got, err, v+1)
+		}
 	}
 }
 
