@@ -13,7 +13,7 @@ import (
 
 // Pending is one batch under construction: the coalesced view of every
 // operation admitted since the last flush. It is not safe for concurrent
-// use; the shard dispatcher's flusher goroutine, the admission ring's single
+// use; the shard dispatcher's flusher goroutine, the admission queue's single
 // consumer, is the only caller — that serialization is what makes admission
 // order the commit order.
 //
@@ -202,7 +202,7 @@ func (p *Pending) Reset() {
 
 // Stats is the serving path's one book of dispatcher facts, summed over
 // every flushed batch: what combining saved, why each batch was flushed, how
-// deep the admission ring grew and how often the flusher parked. Protocol
+// deep the admission queue grew and how often the flusher parked. Protocol
 // facts — rounds, Φ, copy accesses, retried bids, stranded and unfinished
 // requests — are not kept here: the Observer and Recorder set in
 // protocol.Config count them.
@@ -232,9 +232,9 @@ type Stats struct {
 	// is still declared because the frozen benchmark suite (bench/layers.go)
 	// reads it, and goes with the next change to that suite.
 	ConflictFlushes int64
-	MaxQueueDepth   int   // deepest admission ring observed at admission, in entries (an AccessBatch sub-batch each)
-	FlusherParks    int64 // times the flusher blocked on an empty admission ring
-	FlusherWakes    int64 // producer kicks that un-parked the flusher
+	MaxQueueDepth   int   // deepest admission queue observed at admission, in entries (an AccessBatch sub-batch each)
+	FlusherParks    int64 // times the flusher blocked on an empty admission queue
+	FlusherWakes    int64 // admissions that woke the blocked flusher
 	FailedBatches   int   // batches rejected by the backend outright
 	// TotalRounds is the MPC rounds the flushed batches consumed.
 	//

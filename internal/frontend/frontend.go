@@ -2,9 +2,9 @@
 // that turn a stream of concurrent client operations into the batches of
 // pairwise-distinct variables the protocol serves, and the result cells and
 // counters that go with them. It runs no goroutine, owns no queue and
-// publishes no completion — the one dispatcher is internal/shard's ring
+// publishes no completion — the one dispatcher is internal/shard's queue
 // flusher, which admits the ops of each AccessBatch sub-batch into a Pending
-// in ring order (admission order is commit order), flushes it through the
+// in queue order (admission order is commit order), flushes it through the
 // protocol, and only then tells the waiting Batch, once per sub-batch. A
 // zero-value Future is ready to use, and the shard keeps each op's Future
 // beside the op inside its Batch. The tradition is that of combining
@@ -36,7 +36,7 @@
 // as it stands. Complete writes a flushed batch's result into every
 // admitted op's Future, attributing a degraded batch's errors per request; Stats
 // is the dispatcher's one book — what combining saved, as admission counted
-// it, why each batch was flushed, how deep the ring grew — while protocol
+// it, why each batch was flushed, how deep the queue grew — while protocol
 // facts belong to the protocol's Observer and Recorder. Because one
 // goroutine assigns commit sequence numbers and batches are applied in
 // order, combining is invisible to clients: shard's differential oracle

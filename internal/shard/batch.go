@@ -15,7 +15,7 @@ type BatchOp struct {
 
 // Batch is the handle for one AccessBatch call. It owns a copy of the
 // submitted operations, each beside its result cell, grouped by shard so
-// that every shard's sub-batch is one contiguous run — the ring entry names
+// that every shard's sub-batch is one contiguous run — the queue entry names
 // the run, and the flusher reads the ops from here. The batch completes as a
 // whole: each touched shard's flusher marks its sub-batch done once, after
 // the flush that commits the sub-batch's last op, and Wait, Value and Seq
@@ -127,9 +127,9 @@ func (p *partition) grow(nOps, nShards int) {
 }
 
 // AccessBatch submits ops — which may touch any mix of variables across
-// all shards — with one synchronization and one ring entry per touched
+// all shards — with one synchronization and one queue entry per touched
 // shard: the ops are copied into the returned Batch, grouped by Route in one
-// counting-sort pass, and each shard's group is admitted into its ring as a
+// counting-sort pass, and each shard's group is admitted into its queue as a
 // single entry, which the shard's flusher admits op by op in ops order. The
 // Batch completes once every touched shard has committed its sub-batch. An
 // op naming a variable outside [0, NumVars) fails alone with
@@ -154,7 +154,7 @@ func (s *Service) AccessBatch(ops []BatchOp) (*Batch, error) {
 			b.ops[i].set(ops[i])
 		}
 		b.done.Add(1)
-		if err := s.shards[0].d.ring.enqueueBatch(b, 0, int32(len(ops))); err != nil {
+		if err := s.shards[0].d.queue.enqueueBatch(b, 0, int32(len(ops))); err != nil {
 			return nil, err
 		}
 		return b, nil
@@ -191,7 +191,7 @@ func (s *Service) AccessBatch(ops []BatchOp) (*Batch, error) {
 		if lo == hi {
 			continue
 		}
-		if aerr := s.shards[sh].d.ring.enqueueBatch(b, lo, hi); aerr != nil {
+		if aerr := s.shards[sh].d.queue.enqueueBatch(b, lo, hi); aerr != nil {
 			err = aerr
 			break
 		}

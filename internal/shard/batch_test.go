@@ -233,8 +233,8 @@ func TestAccessBatchErrorAttribution(t *testing.T) {
 
 // TestAccessBatchAllocs pins the batch admission cost: beyond the three
 // documented allocations (the Batch, its copy of the ops beside their
-// futures, and its order map), admitting through the rings allocates nothing
-// — the partition scratch is pooled, and each shard's sub-batch is one ring
+// futures, and its order map), admitting through the queues allocates nothing
+// — the partition scratch is pooled, and each shard's sub-batch is one queue
 // entry pointing into the Batch.
 func TestAccessBatchAllocs(t *testing.T) {
 	svc := newService(t, 3, Config{Shards: 4})
@@ -295,7 +295,7 @@ func heldService(t *testing.T, shards int) (*Service, []*probe) {
 
 // TestAccessBatchOwnsItsOps: the caller may reuse its ops slice the moment
 // AccessBatch returns. The flushers are held, so every op is still waiting in
-// a ring when the test overwrites the slice — variables, values and kinds —
+// a queue when the test overwrites the slice — variables, values and kinds —
 // and every result must still be that of the ops as submitted: each write
 // lands, each read sees the write before it in the window. An AccessBatch
 // that kept the caller's slice would serve the overwritten ops instead.
@@ -317,7 +317,7 @@ func TestAccessBatchOwnsItsOps(t *testing.T) {
 			}
 			for _, p := range probes {
 				p.gate <- struct{}{} // release the primer batch (already entered)
-				p.step()             // the window's sub-batch, flushed when the ring runs dry
+				p.step()             // the window's sub-batch, flushed when the queue runs dry
 			}
 			for i := 0; i < b.Len(); i++ {
 				val, err := b.Value(i)

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"detshmem/internal/consistency"
 	"detshmem/internal/mpc"
@@ -291,7 +290,12 @@ func TestCrossCheckFaultHammer(t *testing.T) {
 			default:
 			}
 			fs.Fail(m)
-			time.Sleep(100 * time.Microsecond)
+			// Down across one Flush: every batch admitted before it
+			// commits while m is failed.
+			if err := svc.Flush(); err != nil {
+				t.Errorf("flush while module %d is down: %v", m, err)
+				return
+			}
 			fs.RecoverPending(m)
 			if !awaitRepaired(svc, fs, stop) {
 				return

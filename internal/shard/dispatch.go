@@ -10,6 +10,15 @@ import (
 	"detshmem/internal/protocol"
 )
 
+// cacheLine is the assumed coherence-granule size. Hot fields written by
+// different goroutines are kept at least this far apart so one side's
+// stores do not invalidate the other side's line (pad_test.go audits the
+// layout with unsafe.Offsetof).
+const cacheLine = 64
+
+// cpad is one cache line of padding between hot field groups.
+type cpad [cacheLine]byte
+
 // backend is what the flusher drives: one interface call per batch, plus the
 // repair pump. *protocol.System is the implementation; the interface exists
 // so tests can substitute a gated fake and pin which ops land in which batch.
@@ -20,39 +29,38 @@ type backend interface {
 }
 
 // pipeDispatcher is the per-shard dispatcher — the serving path's one
-// serialization point — built on the lock-free MPSC admission ring
-// (ring.go). Admission is one atomic fetch-add plus one publishing store per
-// entry — one AccessBatch sub-batch, however many ops it carries: clients
-// claim ring slots and return immediately with a Batch, while the flusher
-// goroutine — the ring's single consumer — drains whole published windows
-// per sweep, admits each entry's ops in order (admit), assigning commit
-// sequence numbers and folding them into the accumulating frontend.Pending,
-// and hands each flushed batch — the protocol.DistinctBatch admission built —
-// to the backend's allocation-free AccessDistinctInto. A Batch completes
-// once per entry: the flusher counts its WaitGroup down after the flush that
-// commits the entry's last op.
+// serialization point — built on the bounded admission queue (queue.go).
+// Admission is one locked append per entry — one AccessBatch sub-batch,
+// however many ops it carries: clients append and return immediately with a
+// Batch, while the flusher goroutine — the queue's single consumer — takes
+// the whole queue per sweep, admits each entry's ops in order (admit),
+// assigning commit sequence numbers and folding them into the accumulating
+// frontend.Pending, and hands each flushed batch — the
+// protocol.DistinctBatch admission built — to the backend's allocation-free
+// AccessDistinctInto. A Batch completes once per entry: the flusher counts
+// its WaitGroup down after the flush that commits the entry's last op.
 //
-// Linearizability per variable holds by construction: ring order is
-// admission order (positions are claimed by one fetch-add and popped in
-// position order, and a sub-batch's ops are admitted in their order), the
-// flusher assigns sequence numbers in that order, and batches flush FIFO —
-// so admission order is commit order shard-wide.
+// Linearizability per variable holds by construction: queue order is
+// admission order (entries are appended under one lock and popped in that
+// order, and a sub-batch's ops are admitted in their order), the flusher
+// assigns sequence numbers in that order, and batches flush FIFO — so
+// admission order is commit order shard-wide.
 //
-// Handoff: no per-flush wakeup. The flusher spins through published ops
-// and only parks (park-flag + one channel token) when the ring is truly
-// empty; producers kick it only on the empty→non-empty transition. Stats
-// reports the ring's park and wake counts, so a workload that thrashes the
-// handoff is visible.
+// Handoff: no per-flush wakeup. The flusher works through every entry it
+// took and parks on the queue's notEmpty condition only when the queue is
+// empty; a producer signals it only when it appends while the flusher is
+// parked. Stats reports the queue's park and wake counts, so a workload that
+// thrashes the handoff is visible.
 //
-// Backpressure: the ring is bounded in entries. A producer whose claimed
-// slot has not been freed yet spins briefly and then sleeps until the
-// consumer frees it, bounding admitted-but-uncommitted memory.
+// Backpressure: the queue is bounded in entries. A producer that finds it
+// full waits on the notFull condition until the flusher takes the queue,
+// bounding admitted-but-uncommitted memory.
 type pipeDispatcher struct {
 	b backend
 
 	numVars  uint64 // M: an op naming a variable at or past it is refused alone
 	maxBatch int
-	ring     *ring
+	queue    *queue
 	done     chan struct{} // flusher exited
 
 	// Flusher-owned coalescing and flush scratch (single consumer, no
@@ -73,14 +81,14 @@ type pipeDispatcher struct {
 }
 
 // newPipeDispatcher builds the dispatcher over a backend serving variables
-// [0, numVars) and starts its flusher. ringCap is the admission-ring
-// capacity in entries (rounded up to a power of two by newRing).
-func newPipeDispatcher(b backend, numVars uint64, maxBatch, ringCap int) *pipeDispatcher {
+// [0, numVars) and starts its flusher. queueCap is the admission queue's
+// capacity in entries.
+func newPipeDispatcher(b backend, numVars uint64, maxBatch, queueCap int) *pipeDispatcher {
 	d := &pipeDispatcher{
 		b:        b,
 		numVars:  numVars,
 		maxBatch: maxBatch,
-		ring:     newRing(ringCap),
+		queue:    newQueue(queueCap),
 		cur:      frontend.NewPending(maxBatch),
 		done:     make(chan struct{}),
 	}
@@ -88,21 +96,21 @@ func newPipeDispatcher(b backend, numVars uint64, maxBatch, ringCap int) *pipeDi
 	return d
 }
 
-// run is the flusher: pop published entries in ring order, admit their ops
-// into the accumulating batch (which flushes on size), idle-flush
-// when the ring runs dry, park when there is nothing at all.
+// run is the flusher: pop entries in queue order, admit their ops into the
+// accumulating batch (which flushes on size), idle-flush when the queue runs
+// dry, park when there is nothing at all.
 func (d *pipeDispatcher) run() {
 	defer close(d.done)
-	var op ringOp
-	// yielded is the idle flush's one-shot backoff: when the ring runs dry
+	var op entry
+	// yielded is the idle flush's one-shot backoff: when the queue runs dry
 	// with a partial batch, one scheduler yield lets every currently
-	// runnable submitter publish its window before the batch goes out — on a
+	// runnable submitter admit its window before the batch goes out — on a
 	// loaded host this turns per-client-window batches into
 	// all-runnable-clients batches — while costing nothing when no submitter
 	// is runnable.
 	yielded := false
 	for {
-		if !d.ring.tryPop(&op) {
+		if !d.queue.tryPop(&op) {
 			if d.cur.Ops() > 0 {
 				if !yielded {
 					yielded = true
@@ -123,17 +131,17 @@ func (d *pipeDispatcher) run() {
 			if d.b.RepairBacklog() > 0 && d.b.RepairStep() {
 				continue
 			}
-			d.ring.park()
+			d.queue.park()
 			continue
 		}
 		yielded = false
 		switch op.kind {
-		case ringBatch:
+		case entryBatch:
 			ops := op.batch.ops[op.lo:op.hi]
 			for i := range ops {
 				d.admit(&ops[i])
 			}
-			// Ring order is admission order and flushes are FIFO, so the
+			// Queue order is admission order and flushes are FIFO, so the
 			// flush that takes this sub-batch's last op is the last to
 			// touch it: the sub-batch is done then, or now if that flush
 			// already ran.
@@ -142,7 +150,7 @@ func (d *pipeDispatcher) run() {
 			} else {
 				d.sealed = append(d.sealed, op.batch)
 			}
-		case ringFlush:
+		case entryFlush:
 			if d.cur.Ops() > 0 {
 				d.flushCur(frontend.FlushExplicit)
 			} else {
@@ -155,7 +163,7 @@ func (d *pipeDispatcher) run() {
 				d.statsMu.Unlock()
 			}
 			close(op.ack)
-		case ringClose:
+		case entryClose:
 			if d.cur.Ops() > 0 {
 				d.flushCur(frontend.FlushExplicit)
 			}
@@ -221,10 +229,10 @@ func (d *pipeDispatcher) flushOne(p *frontend.Pending, cause frontend.FlushCause
 
 // Flush enqueues a flush sentinel and blocks until the flusher has passed
 // it — at which point every operation admitted before the Flush call has
-// committed (ring FIFO order).
+// committed (queue FIFO order).
 func (d *pipeDispatcher) Flush() error {
 	ack := make(chan struct{})
-	if err := d.ring.enqueue(ringOp{kind: ringFlush, ack: ack}); err != nil {
+	if err := d.queue.enqueue(entry{kind: entryFlush, ack: ack}); err != nil {
 		return err
 	}
 	<-ack
@@ -232,25 +240,25 @@ func (d *pipeDispatcher) Flush() error {
 }
 
 // Close flushes pending work, stops the flusher, and fails later
-// submissions with frontend.ErrClosed. The ring's close protocol
-// guarantees no operation is admitted behind the close sentinel, so
-// nothing is ever silently dropped.
+// submissions with frontend.ErrClosed. The queue appends the close sentinel
+// under the lock every admission takes, so no operation is admitted behind
+// it and nothing is ever silently dropped.
 func (d *pipeDispatcher) Close() error {
-	if !d.ring.close() {
+	if !d.queue.close() {
 		return frontend.ErrClosed
 	}
 	<-d.done
 	return nil
 }
 
-// Stats snapshots the dispatcher's cumulative stats; the ring's own
+// Stats snapshots the dispatcher's cumulative stats; the queue's own
 // counters (depth high-water mark, parks, wakes) are read beside them.
 func (d *pipeDispatcher) Stats() frontend.Stats {
 	d.statsMu.Lock()
 	s := d.stats
 	d.statsMu.Unlock()
-	s.MaxQueueDepth = int(d.ring.maxDepth.Load())
-	s.FlusherParks = d.ring.parks.Load()
-	s.FlusherWakes = d.ring.wakes.Load()
+	s.MaxQueueDepth = int(d.queue.maxDepth.Load())
+	s.FlusherParks = d.queue.parks.Load()
+	s.FlusherWakes = d.queue.wakes.Load()
 	return s
 }

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"detshmem/internal/frontend"
 	"detshmem/internal/obs"
@@ -48,7 +50,7 @@ func (*mapBackend) RepairStep() bool   { return false }
 // probe records every batch on its way to the wrapped backend. When gated,
 // every AccessDistinctInto call announces itself on entered and then blocks until
 // the test sends on gate, letting tests hold the flusher inside a flush while
-// they stage the admission ring.
+// they stage the admission queue.
 type probe struct {
 	backend
 	mu      sync.Mutex
@@ -90,20 +92,20 @@ func (p *probe) recorded() [][]protocol.Request {
 	return p.batches
 }
 
-// enqueue admits op into d's ring as a one-op AccessBatch entry — the entry
+// enqueue admits op into d's queue as a one-op AccessBatch entry — the entry
 // a blocking Read or Write admits — and returns its Batch.
 func enqueue(d *pipeDispatcher, op BatchOp) (*Batch, error) {
 	b := &Batch{ops: make([]batchOp, 1)}
 	b.ops[0].set(op)
 	b.done.Add(1)
-	if err := d.ring.enqueueBatch(b, 0, 1); err != nil {
+	if err := d.queue.enqueueBatch(b, 0, 1); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
 // prime submits one throwaway write of v and waits for the flusher to enter
-// its (idle-triggered) flush, so every op staged afterwards sits in the ring
+// its (idle-triggered) flush, so every op staged afterwards sits in the queue
 // until the primer batch is released and is then admitted in one
 // uninterrupted run.
 func prime(t *testing.T, d *pipeDispatcher, p *probe, v uint64) *Batch {
@@ -144,7 +146,7 @@ func TestCombiningSemantics(t *testing.T) {
 	r5, _ := enqueue(d, BatchOp{Var: 2})                      // forwarded: 5
 
 	p.gate <- struct{}{} // release the primer batch (already entered)
-	p.step()             // the combined batch, flushed when the ring runs dry
+	p.step()             // the combined batch, flushed when the queue runs dry
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -358,8 +360,8 @@ func TestOutOfRangeOpFailsAlone(t *testing.T) {
 	})
 }
 
-// TestTinyRingBackpressure: a two-slot ring still completes a concurrent
-// workload — submitters block on the full ring instead of failing — and
+// TestTinyRingBackpressure: a two-entry queue still completes a concurrent
+// workload — submitters block on the full queue instead of failing — and
 // every client reads its own writes back.
 func TestTinyRingBackpressure(t *testing.T) {
 	m := testMapper(t, 3)
@@ -389,6 +391,98 @@ func TestTinyRingBackpressure(t *testing.T) {
 	wg.Wait()
 	if s := d.Stats(); s.OpsIn != 800 {
 		t.Fatalf("ops in = %d, want 800", s.OpsIn)
+	}
+}
+
+// TestCloseWithProducersBlocked: Close while producers wait on a full
+// queue. The flusher is held inside the primer's flush, two entries fill a
+// 2-entry queue and the other producers wait behind them; Close runs from
+// another goroutine. The waiting producers get ErrClosed while the flusher is
+// still held; once the gate opens, the two queued entries commit, Close
+// returns, and the close sentinel is the last entry the flusher popped.
+func TestCloseWithProducersBlocked(t *testing.T) {
+	p := newProbe(&mapBackend{}, true)
+	d := newPipeDispatcher(p, math.MaxUint64, 8, 2)
+	primer := prime(t, d, p, 1<<40)
+
+	const producers, queued = 6, 2
+	var started atomic.Int32
+	results := make(chan error, producers)
+	for i := 0; i < producers; i++ {
+		go func(v uint64) {
+			started.Add(1)
+			b, err := enqueue(d, BatchOp{Write: true, Var: v, Val: v})
+			if err == nil {
+				err = b.Wait()
+			}
+			results <- err
+		}(uint64(i))
+	}
+	locked := func(f func(q *queue) bool) bool {
+		d.queue.mu.Lock()
+		defer d.queue.mu.Unlock()
+		return f(d.queue)
+	}
+	for started.Load() < producers || !locked(func(q *queue) bool { return len(q.items) == q.cap }) {
+		runtime.Gosched()
+	}
+	for i := 0; i < 100; i++ {
+		runtime.Gosched() // let the rest reach the full queue's wait
+	}
+	next := func() error {
+		t.Helper()
+		select {
+		case err := <-results:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatal("a producer never returned")
+			return nil
+		}
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- d.Close() }()
+	for i := 0; i < producers-queued; i++ {
+		if err := next(); !errors.Is(err, frontend.ErrClosed) {
+			t.Fatalf("producer behind the full queue: %v, want ErrClosed before the flusher moves", err)
+		}
+	}
+
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		p.gate <- struct{}{} // the primer's flush, already entered
+		for {
+			select {
+			case <-p.entered:
+				p.gate <- struct{}{}
+			case <-stop:
+				return
+			}
+		}
+	}()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	for i := 0; i < queued; i++ {
+		if err := next(); err != nil {
+			t.Fatalf("queued producer: %v, want its write committed", err)
+		}
+	}
+	if err := primer.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.queue.items) != 0 || d.queue.next != len(d.queue.taken) {
+		t.Fatalf("entries left behind the close sentinel: %d queued, %d taken and unpopped",
+			len(d.queue.items), len(d.queue.taken)-d.queue.next)
+	}
+	if s := d.Stats(); s.OpsIn != 1+queued {
+		t.Fatalf("ops in = %d, want the primer and the %d queued writes", s.OpsIn, queued)
 	}
 }
 

@@ -5,31 +5,6 @@ import (
 	"unsafe"
 )
 
-// TestRingFieldPadding audits the admission ring's hot-field layout: the
-// producer-side claim counter (tail), the consumer-side cursor (head), and
-// the coordination flags must not share cache lines, or every claim
-// invalidates the consumer's line and vice versa — exactly the false
-// sharing this layout exists to kill. unsafe.Offsetof makes the audit a
-// compile-coupled test: reorder the struct and this fails, not a benchmark
-// three PRs later.
-func TestRingFieldPadding(t *testing.T) {
-	var r ring
-	tail := unsafe.Offsetof(r.tail)
-	head := unsafe.Offsetof(r.head)
-	closed := unsafe.Offsetof(r.closed)
-	if head-tail < cacheLine {
-		t.Errorf("tail (offset %d) and head (offset %d) share a cache line", tail, head)
-	}
-	if closed-head < cacheLine {
-		t.Errorf("head (offset %d) and the flag group (offset %d) share a cache line", head, closed)
-	}
-	// The slot array: each slot must occupy whole cache lines, or two
-	// producers publishing adjacent positions ping-pong one line.
-	if sz := unsafe.Sizeof(ringSlot{}); sz%cacheLine != 0 {
-		t.Errorf("ringSlot size %d is not a multiple of the %d-byte cache line", sz, cacheLine)
-	}
-}
-
 // TestDispatcherStatsPadding is the satellite bugfix audit: statsMu (taken
 // by Stats() pollers on arbitrary goroutines) must not share a cache line
 // with the flusher's per-batch scratch — previously a Stats poll bounced

@@ -12,9 +12,10 @@ import (
 )
 
 // TestChurnSoakRepair is the compressed churn soak: continuous
-// Fail → RecoverPending at 100µs cadence with self-healing repair enabled,
-// at least 1e5 client operations streamed through the sharded service over
-// all M = 84 variables of q=2 n=3, every one recorded as its client saw it.
+// Fail → RecoverPending, each module down across one Flush, with
+// self-healing repair enabled, at least 1e5 client operations streamed
+// through the sharded service over all M = 84 variables of q=2 n=3, every
+// one recorded as its client saw it.
 // The invariants pinned:
 //
 //   - Stranding stays at zero. In-process faults never destroy store cells,
@@ -37,8 +38,8 @@ func TestChurnSoakRepair(t *testing.T) {
 	svc, s, _, col := faultService(t, 2, fs)
 	defer svc.Close()
 
-	// Churn: fail one module, hold it down for 100µs, then re-admit it
-	// through the repair path. Stepping by 13 (coprime to 63) walks the
+	// Churn: fail one module, hold it down across one Flush, then re-admit
+	// it through the repair path. Stepping by 13 (coprime to 63) walks the
 	// whole module space; at any instant at most one module is failed while
 	// earlier victims may still be repairing (barred from read quorums
 	// until a sweep certifies them).
@@ -55,7 +56,12 @@ func TestChurnSoakRepair(t *testing.T) {
 			default:
 			}
 			fs.Fail(m)
-			time.Sleep(100 * time.Microsecond)
+			// Down across one Flush: every batch admitted before it
+			// commits while m is failed.
+			if err := svc.Flush(); err != nil {
+				t.Errorf("flush while module %d is down: %v", m, err)
+				return
+			}
 			fs.RecoverPending(m)
 			m = (m + 13) % s.NumModules
 		}

@@ -27,27 +27,29 @@
 //
 // # Dispatch
 //
-// Each shard runs one lock-free dispatcher (dispatch.go): clients admit
-// entries — one AccessBatch sub-batch each; Read and Write are one-op
-// batches — into a bounded MPSC ring (ring.go) with one atomic fetch-add
-// plus one publishing store — no admission mutex, no per-op channel hop —
-// while the shard's flusher goroutine, the ring's single consumer, drains
-// whole published windows per sweep, coalesces their operations into the
+// Each shard runs one dispatcher (dispatch.go): clients admit entries — one
+// AccessBatch sub-batch each; Read and Write are one-op batches — into a
+// bounded FIFO queue (queue.go) with one locked append — no per-op channel
+// hop — while the shard's flusher goroutine, the queue's single consumer,
+// takes the whole queue per sweep, coalesces its operations into the
 // accumulating batch by internal/frontend's combining rules — straight into
 // the protocol.DistinctBatch whose index is both the combining lookup and
 // the duplicate check — and hands sealed batches to the backend's
-// allocation-free AccessDistinctInto. A batch is flushed when it
-// reaches N distinct variables, when a write meets an issued read of
-// its variable, when the ring runs dry (so latency stays bounded without
-// timers), or on an explicit Flush. The ring is bounded in entries:
-// admission blocks (briefly spins, then sleeps) while it is full.
+// allocation-free AccessDistinctInto. A batch is flushed when it reaches N
+// distinct variables (FlushSize), when the queue runs dry (FlushIdle, so
+// latency stays bounded without timers), or on an explicit Flush or Close
+// (FlushExplicit). A write that meets an issued read of its variable joins
+// the read as one ReadWrite request, so it flushes nothing. The queue is
+// bounded in entries: admission waits on a condition variable while it is
+// full.
 //
 // # Cross-shard batches
 //
 // AccessBatch (batch.go) submits one client batch spanning any number of
 // shards with one synchronization per touched shard: the ops are copied and
-// partitioned by Route once, each shard's sub-batch is one ring entry
-// claimed with a single fetch-add, and the caller waits on one Batch handle.
+// partitioned by Route once, each shard's sub-batch is one queue entry
+// admitted with a single locked append, and the caller waits on one Batch
+// handle.
 package shard
 
 import (
@@ -65,10 +67,10 @@ type Config struct {
 	Shards int
 	// Pipeline is never read.
 	//
-	// Deprecated: it used to choose between two dispatchers; the ring
-	// dispatcher it selected is the only one. The field is still declared
-	// because the frozen benchmark suite (bench/stack.go) sets it, and goes
-	// with the benchmark PR that drops that mention.
+	// Deprecated: it used to choose between two dispatchers; the one it
+	// selected is the only one. The field is still declared because the
+	// frozen benchmark suite (bench/stack.go) sets it, and goes with the
+	// benchmark PR that drops that mention.
 	Pipeline bool
 	// Protocol is the template for every shard's system. If its Resolver is
 	// nil and its Strategy the zero value, the mapper's size decides
@@ -92,7 +94,7 @@ type Config struct {
 
 	// maxBatch is the per-shard flush threshold in distinct variables: the
 	// mapper's module count N, the largest batch the protocol accepts. Only
-	// tests lower it. The admission ring holds 3×maxBatch entries, clamped
+	// tests lower it. The admission queue holds 3×maxBatch entries, clamped
 	// to [64, 4096]; an entry is one AccessBatch sub-batch (a blocking Read
 	// or Write is a one-op batch), so Stats.MaxQueueDepth counts entries too.
 	maxBatch int
@@ -140,7 +142,7 @@ func New(m protocol.Mapper, cfg Config) (*Service, error) {
 	}
 	// Three batches' worth of one-op entries: one flushing, one sealed,
 	// one accumulating.
-	ringCap := min(max(3*cfg.maxBatch, 64), 4096)
+	queueCap := min(max(3*cfg.maxBatch, 64), 4096)
 	pcfg := cfg.Protocol
 	if pcfg.Strategy == protocol.ResolverAuto && pcfg.Resolver == nil && protocol.TableFits(m) {
 		r, err := protocol.CompileMapper(m, protocol.CompileOptions{})
@@ -170,7 +172,7 @@ func New(m protocol.Mapper, cfg Config) (*Service, error) {
 			}
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		s.shards[i] = &shardState{sys: sys, d: newPipeDispatcher(sys, m.NumVars(), cfg.maxBatch, ringCap)}
+		s.shards[i] = &shardState{sys: sys, d: newPipeDispatcher(sys, m.NumVars(), cfg.maxBatch, queueCap)}
 	}
 	return s, nil
 }
@@ -195,7 +197,7 @@ func route(v uint64, shards int) int {
 }
 
 // Read submits a read and blocks until its batch commits. It is a one-op
-// AccessBatch: the same ring entry, the same admission order.
+// AccessBatch: the same queue entry, the same admission order.
 func (s *Service) Read(v uint64) (uint64, error) {
 	return s.one(BatchOp{Var: v})
 }
@@ -216,7 +218,7 @@ func (s *Service) one(op BatchOp) (uint64, error) {
 	o.ops[0].set(op)
 	o.b.ops = o.ops[:]
 	o.b.done.Add(1)
-	if err := s.shards[s.Route(op.Var)].d.ring.enqueueBatch(&o.b, 0, 1); err != nil {
+	if err := s.shards[s.Route(op.Var)].d.queue.enqueueBatch(&o.b, 0, 1); err != nil {
 		return 0, err
 	}
 	return o.b.Value(0)

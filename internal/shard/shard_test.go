@@ -595,9 +595,9 @@ func TestExplicitFlushWaits(t *testing.T) {
 	}
 }
 
-// TestBackpressure: a tiny maxBatch on the smallest derived ring (64 slots)
+// TestBackpressure: a tiny maxBatch on the smallest derived queue (64 entries)
 // still completes a hammering workload (submitters block rather than fail or
-// deadlock). TestTinyRingBackpressure wraps a 2-slot ring.
+// deadlock). TestTinyRingBackpressure fills a 2-entry queue.
 func TestBackpressure(t *testing.T) {
 	svc := newService(t, 3, Config{Shards: 2, maxBatch: 2})
 	var wg sync.WaitGroup
