@@ -80,7 +80,7 @@ func (e *ExplicitIndexer) classify(m pgl.Mat) (uint64, bool) {
 	}
 	rank := (s-1)*e.c4s + e.validS4Count(ks0, j, i) - 1
 	for jj := uint64(0); jj < j; jj++ {
-		rank += e.validS4Count(ks0, jj, e.rho-1)
+		rank += e.s4[s-1][jj].count
 	}
 	return e.c1 + 2*e.c2 + rank, true
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"detshmem/internal/pgl"
@@ -128,5 +129,38 @@ func TestNewIndexerSelection(t *testing.T) {
 	}
 	if _, ok := idx4.(*CompactIndexer); !ok {
 		t.Errorf("q=4: expected compact indexer, got %T", idx4)
+	}
+}
+
+// benchMat keeps BenchmarkExplicitMat's result live.
+var benchMat pgl.Mat
+
+// BenchmarkExplicitMat is the Theorem 8 decode alone at q=2 n=9
+// (M = 22 369 536): one Mat per op over 4 096 pre-drawn ids, uniform over
+// [0, M) — almost all in S₄ — or Zipf 1.1, as large-zipf draws them, whose
+// small ids fall in S₁–S₃.
+func BenchmarkExplicitMat(b *testing.B) {
+	s := newScheme(b, 1, 9)
+	ex, err := NewExplicitIndexer(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const k = 4096
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 1, ex.M()-1)
+	var uniform, skewed [k]uint64
+	for i := range uniform {
+		uniform[i] = uint64(rng.Int63n(int64(ex.M())))
+		skewed[i] = zipf.Uint64()
+	}
+	for _, c := range []struct {
+		name string
+		ids  *[k]uint64
+	}{{"uniform", &uniform}, {"zipf1.1", &skewed}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				benchMat = ex.Mat(c.ids[i%k])
+			}
+		})
 	}
 }

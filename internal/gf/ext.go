@@ -181,8 +181,9 @@ func (e *Ext) Inv(a uint32) uint32 {
 	if a == 0 {
 		panic("gf: inverse of zero in extension field")
 	}
-	n := int32(e.Order) - 1
-	return e.exp[(n-e.log[a])%n]
+	// With n = Order−1 and log a ∈ [0, n), the index n − log a is in [1, n],
+	// inside the doubled table: no reduction.
+	return e.exp[int32(e.Order)-1-e.log[a]]
 }
 
 // Div returns a/b.
@@ -193,8 +194,9 @@ func (e *Ext) Div(a, b uint32) uint32 {
 	if a == 0 {
 		return 0
 	}
-	n := int32(e.Order) - 1
-	return e.exp[(e.log[a]-e.log[b]+n)%n]
+	// With n = Order−1, the index log a − log b + n is in [1, 2n−1], inside
+	// the doubled table: no reduction.
+	return e.exp[e.log[a]-e.log[b]+int32(e.Order)-1]
 }
 
 // Pow returns a^k for k >= 0 (with 0^0 = 1).

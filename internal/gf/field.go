@@ -96,8 +96,9 @@ func (f *Field) Inv(a uint32) uint32 {
 	if a == 0 {
 		panic("gf: inverse of zero in base field")
 	}
-	n := int32(f.Order) - 1
-	return f.exp[(n-f.log[a])%n]
+	// With n = Order−1 and log a ∈ [0, n), the index n − log a is in [1, n],
+	// inside the doubled table: no reduction.
+	return f.exp[int32(f.Order)-1-f.log[a]]
 }
 
 // Div returns a/b.
@@ -108,8 +109,9 @@ func (f *Field) Div(a, b uint32) uint32 {
 	if a == 0 {
 		return 0
 	}
-	n := int32(f.Order) - 1
-	return f.exp[(f.log[a]-f.log[b]+n)%n]
+	// With n = Order−1, the index log a − log b + n is in [1, 2n−1], inside
+	// the doubled table: no reduction.
+	return f.exp[f.log[a]-f.log[b]+int32(f.Order)-1]
 }
 
 // Pow returns a^k for k >= 0 (with 0^0 = 1).

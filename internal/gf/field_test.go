@@ -172,3 +172,51 @@ func assertPanics(t *testing.T, name string, fn func()) {
 	}()
 	fn()
 }
+
+// TestInvDivExhaustive checks Inv over every a ≠ 0 and Div over every pair
+// with b ≠ 0 in GF(2^6) and in F_{2^6} built as Ext(1, 6), against the
+// log-domain definitions reduced mod n = 2^6 − 1 and against Mul. Inv reads
+// the doubled exp table at n − log a and Div at log a − log b + n, so a = 1
+// (log 0, the index n itself) and every wrap past n are covered.
+func TestInvDivExhaustive(t *testing.T) {
+	f, err := NewField(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewExt(1, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type field interface {
+		Mul(a, b uint32) uint32
+		Inv(a uint32) uint32
+		Div(a, b uint32) uint32
+		Exp(i int) uint32
+		Log(a uint32) int
+	}
+	for _, c := range []struct {
+		name  string
+		f     field
+		order uint32
+	}{{"Field(6)", f, f.Order}, {"Ext(1,6)", e, e.Order}} {
+		n := int(c.order) - 1
+		for a := uint32(1); a < c.order; a++ {
+			inv := c.f.Inv(a)
+			if want := c.f.Exp((n - c.f.Log(a)) % n); inv != want || c.f.Mul(a, inv) != 1 {
+				t.Fatalf("%s: Inv(%d) = %d, want %d", c.name, a, inv, want)
+			}
+		}
+		for a := uint32(0); a < c.order; a++ {
+			for b := uint32(1); b < c.order; b++ {
+				q := c.f.Div(a, b)
+				want := uint32(0)
+				if a != 0 {
+					want = c.f.Exp((c.f.Log(a) - c.f.Log(b) + n) % n)
+				}
+				if q != want || c.f.Mul(q, b) != a {
+					t.Fatalf("%s: Div(%d, %d) = %d, want %d", c.name, a, b, q, want)
+				}
+			}
+		}
+	}
+}

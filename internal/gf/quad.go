@@ -81,9 +81,6 @@ func (q *Quad) Unpair(alpha uint32) (x, y uint32) {
 	return x, y
 }
 
-// Lambda returns λ^i.
-func (q *Quad) Lambda(i int) uint32 { return q.Ext2.Exp(i) }
-
 // InSubfield reports whether α lies in F_{2^n}. In the (1, λ) packing the
 // λ-coefficient of x·w + y is x·w1 with w1 ≠ 0, so α is in the subfield
 // exactly when that coefficient vanishes.

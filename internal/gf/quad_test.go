@@ -62,7 +62,7 @@ func TestQuadSubfieldViaSigma(t *testing.T) {
 	}
 	seen := make(map[uint32]bool)
 	for i := uint32(0); i < (1<<5)-1; i++ {
-		v := q.Lambda(int(i * q.Sigma))
+		v := q.Ext2.Exp(int(i * q.Sigma))
 		if !q.InSubfield(v) {
 			t.Fatalf("λ^{%dσ} = %#x not in subfield", i, v)
 		}

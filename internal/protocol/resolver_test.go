@@ -1,6 +1,9 @@
 package protocol
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"strings"
@@ -180,6 +183,28 @@ func TestCompileMapperIdempotent(t *testing.T) {
 	}
 	if _, err := CompileMapper(nil, CompileOptions{}); err == nil {
 		t.Fatal("CompileMapper(nil) did not error")
+	}
+}
+
+// TestCompiledTablePinned pins the SHA-256 of the serving scheme's compiled
+// table (q=2 n=7, every copy's 32-bit flat address, little-endian). The
+// round-trip and equivalence tests accept any bijection the live map agrees
+// with; this one fails if the variable decode, and with it the address map,
+// is reordered. A mismatch is a change of the memory map: never regenerate it
+// casually.
+func TestCompiledTablePinned(t *testing.T) {
+	const want = "95ca3f7335dd243358868f9436d1dddae7022913984d97b8c194a19c5acb2067"
+	r, err := CompileMapper(servingMapper(t), CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4*len(r.table))
+	for i, a := range r.table {
+		binary.LittleEndian.PutUint32(buf[4*i:], a)
+	}
+	if sum := sha256.Sum256(buf); hex.EncodeToString(sum[:]) != want {
+		got := hex.EncodeToString(sum[:])
+		t.Fatalf("q=2 n=7 compiled table hash %s, pinned %s", got, want)
 	}
 }
 

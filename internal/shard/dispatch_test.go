@@ -534,6 +534,10 @@ func TestStatsConcurrentWithFlushes(t *testing.T) {
 						s.RequestsOut, s.CombinedReads, s.CoalescedWrites, s.ForwardedReads, s.UpgradedWrites, s.OpsIn)
 					return
 				}
+				// Yield between polls: at GOMAXPROCS=1 a poller that spins
+				// holds the only P for its whole preemption slice, and every
+				// write's hand-off to the flusher waits it out.
+				runtime.Gosched()
 			}
 		}()
 	}
