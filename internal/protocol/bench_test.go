@@ -198,9 +198,13 @@ func BenchmarkRepairSweep(b *testing.B) {
 // BenchmarkCompileMapper is the compiled table's build at the serving scheme,
 // q=2 n=7 (349 504 variables, 1 048 512 flat addresses, 4.2 MB): the set-up
 // cost of every workload that resolves through the table. At GOMAXPROCS=1 on
-// a 2-vCPU shared Xeon (go1.24.0) it reads a median 49 ms over 10 runs, 66 ms
-// with the division-based variable decode (EXPERIMENTS.md, E54); the decode
-// is about a quarter of the build, core's batched copy resolution the rest.
+// a 2-vCPU shared Xeon (go1.24.0) it reads a median 6.9 ms over 10 runs,
+// against 54 ms in alternating runs when every row went through the batched
+// kernels (EXPERIMENTS.md, E55). 6.8 % of the rows are seeds resolved
+// through the kernels; every other row is derived from the row one torus
+// period earlier, and the bijection check reads the whole table once. Its
+// allocations are the table, the resolver, the seed scratch, the orbits,
+// π_g and the bitmap.
 func BenchmarkCompileMapper(b *testing.B) {
 	s, err := core.New(1, 7)
 	if err != nil {

@@ -3,8 +3,9 @@ package protocol
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
+	"slices"
+
+	"detshmem/internal/core"
 )
 
 // packedCopy is one copy location in one word — the module serving the copy
@@ -70,8 +71,8 @@ func tableShift(m Mapper) (uint8, error) {
 }
 
 // CompileOptions is CompileMapper's options struct. It has no fields:
-// compilation always runs GOMAXPROCS workers. It stays declared because
-// callers outside this package name CompileOptions{}.
+// compilation has one path. It stays declared because callers outside this
+// package name CompileOptions{}.
 type CompileOptions struct{}
 
 // TableFits is the size rule that picks between the two resolution paths: a
@@ -106,15 +107,19 @@ type CompiledResolver struct {
 	table  []uint32 // len = vars·copies, each copy's flat address, immutable
 }
 
-// CompileMapper compiles m's address map. GOMAXPROCS workers each fill a
-// contiguous range of the table in blocks of compileBlock variables: a block
-// resolves through the batched Section 4 kernels (AppendCopyAddrs), which
-// decode each variable once and serve all q+1 copies from one determinant log
-// (and panic, as CopyLocation does, on a copy Lemma 1 does not place), and
-// its addresses are stored in its rows in place. It refuses a mapper other
-// than PP93's (tableShift) and compiles any PP93 mapper it is handed; callers
-// that must not hold an oversized table ask TableFits first. Compiling an
-// already compiled resolver returns it unchanged.
+// CompileMapper compiles m's address map in three steps. It resolves the
+// seed rows through the batched Section 4 kernels (AppendCopyAddrs), which
+// decode each variable once, serve all q+1 copies from one determinant log
+// and panic, as CopyLocation does, on a copy Lemma 1 does not place. The
+// seed rows are the first period of each torus orbit (core.Orbit) and
+// every row outside one: S₂ and S₃, and every row of an indexer without
+// orbits. It fills every other row from the row one period earlier through
+// the module permutation π_g, keeping each offset (core's torus action). It
+// then checks that the table is a bijection onto [0, AddrSpace), Lemma 2,
+// which any wrong entry breaks by using one address twice. It refuses a
+// mapper other than PP93's (tableShift) and compiles any PP93 mapper it is
+// handed; callers that must not hold an oversized table ask TableFits
+// first. Compiling an already compiled resolver returns it unchanged.
 func CompileMapper(m Mapper, _ CompileOptions) (*CompiledResolver, error) {
 	if m == nil {
 		return nil, fmt.Errorf("protocol: cannot compile nil mapper")
@@ -130,44 +135,124 @@ func CompileMapper(m Mapper, _ CompileOptions) (*CompiledResolver, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &CompiledResolver{inner: m, vars: vars, copies: copies, shift: shift, table: make([]uint32, vars*uint64(copies))}
-	workers := uint64(runtime.GOMAXPROCS(0))
-	chunk := (vars + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := uint64(0); lo < vars; lo += chunk {
-		hi := min(lo+chunk, vars)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			compileRange(m, r.table, lo, hi, copies)
-		}()
+	var tor torus
+	cm := m.(*coreMapper) // tableShift admits PP93's mapper only
+	if o, ok := cm.idx.(orbiter); ok {
+		tor = torus{orbits: o.Orbits(), perm: cm.s.TorusPerm(o.Torus())}
 	}
-	wg.Wait()
+	return compile(m, shift, tor)
+}
+
+// orbiter is the torus structure of an indexer that has one
+// (core.ExplicitIndexer): the scalar μ of g = diag(1, μ) and the index runs
+// g shifts.
+type orbiter interface {
+	Torus() uint32
+	Orbits() []core.Orbit
+}
+
+// torus is the structure compile derives rows by: the orbits, ascending, and
+// π_g over the modules. The zero torus derives nothing.
+type torus struct {
+	orbits []core.Orbit
+	perm   []uint32
+}
+
+// compile builds and checks the table of m under tor.
+func compile(m Mapper, shift uint8, tor torus) (*CompiledResolver, error) {
+	vars, copies := m.NumVars(), m.Copies()
+	r := &CompiledResolver{inner: m, vars: vars, copies: copies, shift: shift, table: make([]uint32, vars*uint64(copies))}
+	sc := newSeedScratch(copies)
+	next := uint64(0)
+	for _, o := range tor.orbits {
+		seedEnd := o.First + min(o.Period, o.Count)
+		sc.resolve(m, r.table, next, seedEnd)
+		r.derive(tor.perm, seedEnd, o.First+o.Count, o.Period)
+		next = o.First + o.Count
+	}
+	sc.resolve(m, r.table, next, vars)
+	if err := r.checkBijection(); err != nil {
+		return nil, err
+	}
 	return r, nil
 }
 
-// compileBlock is the number of variables a compile worker resolves per
-// AppendCopyAddrs call; its scratch is two words per copy of a block.
+// compileBlock is the number of variables resolved per AppendCopyAddrs call.
 const compileBlock = 1024
 
-// compileRange fills table with the copies of variables [lo, hi), one block
-// of consecutive variables at a time.
-func compileRange(m Mapper, table []uint32, lo, hi uint64, copies int) {
+// seedScratch is the scratch of the seed resolution, two words per copy of
+// a block, allocated once per compile.
+type seedScratch struct {
+	vars, mods, addrs []uint64
+}
+
+func newSeedScratch(copies int) seedScratch {
+	return seedScratch{
+		vars:  make([]uint64, 0, compileBlock),
+		mods:  make([]uint64, 0, compileBlock*copies),
+		addrs: make([]uint64, 0, compileBlock*copies),
+	}
+}
+
+// resolve fills table with the copies of variables [lo, hi), one block of
+// consecutive variables at a time.
+func (sc *seedScratch) resolve(m Mapper, table []uint32, lo, hi uint64) {
+	copies := m.Copies()
 	c := uint64(copies)
-	vars := make([]uint64, 0, compileBlock)
-	mods := make([]uint64, 0, compileBlock*copies)
-	addrs := make([]uint64, 0, compileBlock*copies)
 	for base := lo; base < hi; base += compileBlock {
-		vars = vars[:0]
+		sc.vars = sc.vars[:0]
 		for v := base; v < min(base+compileBlock, hi); v++ {
-			vars = append(vars, v)
+			sc.vars = append(sc.vars, v)
 		}
-		mods, addrs = AppendCopyAddrs(m, mods[:0], addrs[:0], vars, copies)
-		rows := table[base*c : (base+uint64(len(vars)))*c]
+		sc.mods, sc.addrs = AppendCopyAddrs(m, sc.mods[:0], sc.addrs[:0], sc.vars, copies)
+		rows := table[base*c : (base+uint64(len(sc.vars)))*c]
 		for i := range rows {
-			rows[i] = uint32(addrs[i])
+			rows[i] = uint32(sc.addrs[i])
 		}
 	}
+}
+
+// derive fills rows [lo, hi) of an orbit of the given period, each from the
+// row one period earlier: every copy's module goes through perm and its
+// offset, the low shift bits, stays. Rows are filled in ascending order, so
+// a row more than one period past the seeds reads a row derived before it.
+func (r *CompiledResolver) derive(perm []uint32, lo, hi, period uint64) {
+	if lo >= hi {
+		return
+	}
+	c := uint64(r.copies)
+	shift, mask := r.shift&31, uint32(1)<<(r.shift&31)-1
+	dst := r.table[lo*c : hi*c]
+	src := r.table[(lo-period)*c:][:len(dst)]
+	for i := range dst {
+		a := src[i]
+		dst[i] = perm[a>>shift]<<shift | a&mask
+	}
+}
+
+// checkBijection checks that the table uses every address of [0, AddrSpace)
+// exactly once (Lemma 2: the M·(q+1) copies fill the N modules of q^{n−1}
+// cells). It names the first address found twice, with both variables.
+func (r *CompiledResolver) checkBijection() error {
+	space := r.inner.AddrSpace()
+	if uint64(len(r.table)) != space {
+		return fmt.Errorf("protocol: compiled table of %s has %d entries for %d addresses", r.Name(), len(r.table), space)
+	}
+	seen := make([]uint64, (space+63)/64)
+	for i, a := range r.table {
+		if uint64(a) >= space {
+			return fmt.Errorf("protocol: compiled table of %s places copy %d of variable %d at address %d, beyond %d",
+				r.Name(), i%r.copies, i/r.copies, a, space)
+		}
+		w, bit := &seen[a>>6], uint64(1)<<(a&63)
+		if *w&bit != 0 {
+			first := slices.Index(r.table, a)
+			return fmt.Errorf("protocol: compiled table of %s is not a bijection: address %d holds copy %d of variable %d and copy %d of variable %d",
+				r.Name(), a, first%r.copies, first/r.copies, i%r.copies, i/r.copies)
+		}
+		*w |= bit
+	}
+	return nil
 }
 
 // row returns the compiled copies of v as one dense slice. v must be below

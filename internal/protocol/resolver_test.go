@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,27 +18,27 @@ import (
 // TestCompiledResolverEquivalence proves the compiled table is byte-identical
 // to live CopyAddr resolution: for every PP93 mapper in the fuzz matrix, every
 // variable, every copy, the table returns exactly the (module, addr) the live
-// algebra computes, whatever the number of build workers. Compilation runs
-// GOMAXPROCS workers, so eager-1worker sets GOMAXPROCS to 1. The matrix's
-// baselines have no table: each of their cells checks that CompileMapper
-// refuses the mapper by name and that a System over it resolves live, row
-// for row as CopyAddr does. The matrix's q=2 scheme has 84 variables — one
-// block of one worker — so the serving scheme, q=2 n=7 (349 504 variables),
-// is swept whole at 1 and 3 workers: that crosses compile-block edges inside
-// a worker's range and range edges between workers that do not fall on a
-// block edge.
+// algebra computes, whatever GOMAXPROCS is (eager-1worker sets it to 1). The
+// matrix's baselines have no table: each of their cells checks that
+// CompileMapper refuses the mapper by name and that a System over it
+// resolves live, row for row as CopyAddr does. The matrix's q=4 and q=8
+// schemes have no torus orbits, so every row of theirs resolves directly.
+// The orbit cells, q=2 n=5 and n=7, cross every edge between seed and
+// derived rows: each S₄ class start and the end of its first period, the
+// end of S₁ and the edges of S₂/S₃. n=5 is swept whole, n=7 whole too
+// (every 17th variable under -short) plus every edge row.
 func TestCompiledResolverEquivalence(t *testing.T) {
-	check := func(t *testing.T, m Mapper, procs int, step uint64) {
+	check := func(t *testing.T, m Mapper, procs int, vars []uint64) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		r, err := CompileMapper(m, CompileOptions{})
 		if _, pp93 := m.(*coreMapper); !pp93 {
-			checkResolvesLive(t, m, err, step)
+			checkResolvesLive(t, m, err, vars)
 			return
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v := uint64(0); v < m.NumVars(); v += step {
+		for _, v := range vars {
 			for c := 0; c < m.Copies(); c++ {
 				wantMod, wantAddr := m.CopyAddr(v, c)
 				gotMod, gotAddr := r.CopyAddr(v, c)
@@ -50,8 +51,7 @@ func TestCompiledResolverEquivalence(t *testing.T) {
 	}
 	for _, m := range mapperFuzzSetup(t) {
 		// Sweep every variable on small mappers; stride large ones (the q=8
-		// core scheme has 266k variables) so ~32k spread over every worker's
-		// range are still checked.
+		// core scheme has 266k variables) so ~32k are still checked.
 		step := uint64(1)
 		if m.NumVars() > 1<<15 {
 			step = m.NumVars() >> 15
@@ -61,33 +61,105 @@ func TestCompiledResolverEquivalence(t *testing.T) {
 			procs int
 		}{{"eager", runtime.GOMAXPROCS(0)}, {"eager-1worker", 1}} {
 			t.Run(fmt.Sprintf("%s/%s", m.Name(), mode.name), func(t *testing.T) {
-				check(t, m, mode.procs, step)
+				check(t, m, mode.procs, strided(m.NumVars(), step))
 			})
 		}
 	}
-	serving := servingMapper(t)
-	// -short (the race lanes, where live CopyAddr is slow) checks every 17th
-	// variable; 17 is prime to the block size, so the checked rows still fall
-	// at every offset within a block.
-	step := uint64(1)
-	if testing.Short() {
-		step = 17
-	}
-	for _, mode := range []struct {
-		name  string
-		procs int
-	}{{"eager-1worker", 1}, {"eager-3workers", 3}} {
-		t.Run("serving-q2n7/"+mode.name, func(t *testing.T) {
-			check(t, serving, mode.procs, step)
+	for _, n := range []int{5, 7} {
+		m := pp93Mapper(t, 1, n)
+		// -short (the race lanes, where live CopyAddr is slow) strides n=7
+		// by 17, which is prime to every period, so the checked rows still
+		// fall at every offset within one.
+		step := uint64(1)
+		if testing.Short() && n == 7 {
+			step = 17
+		}
+		vars := append(strided(m.NumVars(), step), orbitEdges(t, m)...)
+		t.Run(fmt.Sprintf("orbits-q2n%d", n), func(t *testing.T) {
+			check(t, m, runtime.GOMAXPROCS(0), vars)
 		})
+	}
+}
+
+// strided lists every step-th variable below vars.
+func strided(vars, step uint64) []uint64 {
+	var out []uint64
+	for v := uint64(0); v < vars; v += step {
+		out = append(out, v)
+	}
+	return out
+}
+
+// orbitEdges lists both sides of every edge of m's table build: each torus
+// orbit's start, the end of its seed period and its end, and the S₂/S₃
+// edges.
+func orbitEdges(t *testing.T, m Mapper) []uint64 {
+	t.Helper()
+	ex, ok := m.(*coreMapper).idx.(*core.ExplicitIndexer)
+	if !ok {
+		t.Fatalf("%s: no explicit indexer", m.Name())
+	}
+	c1, c2, c3, _ := ex.SetSizes()
+	edges := []uint64{c1, c1 + c2, c1 + c2 + c3}
+	for _, o := range ex.Orbits() {
+		edges = append(edges, o.First, o.First+o.Period, o.First+o.Count)
+	}
+	var out []uint64
+	for _, e := range edges {
+		for _, v := range []uint64{e - 1, e, e + 1} {
+			if v < m.NumVars() {
+				out = append(out, v)
+			}
+		}
+	}
+	return out
+}
+
+// TestCompileRefusesBrokenTorus checks that the bijection check covers the
+// derived rows. It compiles q=2 n=5 with one orbit narrowed to a single
+// derived row, first under the true π_g — the table matches live
+// resolution — then with π_g corrupted at the module of that row's copy 0,
+// which moves exactly one derived entry onto an address another variable
+// holds. Compilation must fail naming that address.
+func TestCompileRefusesBrokenTorus(t *testing.T) {
+	m := pp93Mapper(t, 1, 5)
+	cm := m.(*coreMapper)
+	ex := cm.idx.(*core.ExplicitIndexer)
+	shift, err := tableShift(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := ex.Orbits()[5]
+	one := core.Orbit{First: o.First, Count: o.Period + 1, Period: o.Period}
+	perm := cm.s.TorusPerm(ex.Torus())
+	r, err := compile(m, shift, torus{orbits: []core.Orbit{one}, perm: perm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := o.First + o.Period
+	for c := 0; c < m.Copies(); c++ {
+		if wantMod, wantAddr := m.CopyAddr(v, c); r.row(v)[c] != uint32(wantAddr) || wantMod != uint64(r.row(v)[c]>>shift) {
+			t.Fatalf("derived copy %d of %d = %d, live (%d,%d)", c, v, r.row(v)[c], wantMod, wantAddr)
+		}
+	}
+	src, _ := m.CopyAddr(v-o.Period, 0)
+	bad := slices.Clone(perm)
+	bad[src] ^= 1
+	_, wrong := m.CopyAddr(v, 0)
+	wrong = uint64(bad[src])<<shift | wrong&(1<<shift-1)
+	_, err = compile(m, shift, torus{orbits: []core.Orbit{one}, perm: bad})
+	if err == nil {
+		t.Fatalf("compile accepted π_g corrupted at module %d", src)
+	}
+	if want := fmt.Sprintf("address %d ", wrong); !strings.Contains(err.Error(), want) {
+		t.Fatalf("compile error %q does not name the duplicated address %d", err, wrong)
 	}
 }
 
 // checkResolvesLive checks a mapper without a table: compileErr, what
 // CompileMapper returned for it, names the mapper, and a System over it
-// attaches no resolver and resolves every step-th variable exactly as
-// CopyAddr does.
-func checkResolvesLive(t *testing.T, m Mapper, compileErr error, step uint64) {
+// attaches no resolver and resolves vars exactly as CopyAddr does.
+func checkResolvesLive(t *testing.T, m Mapper, compileErr error, vars []uint64) {
 	t.Helper()
 	if compileErr == nil || !strings.Contains(compileErr.Error(), m.Name()) {
 		t.Fatalf("%s: CompileMapper error %v, want a refusal naming the mapper", m.Name(), compileErr)
@@ -101,10 +173,6 @@ func checkResolvesLive(t *testing.T, m Mapper, compileErr error, step uint64) {
 	}
 	if sys.resolver != nil {
 		t.Fatalf("%s: a System attached a resolver", m.Name())
-	}
-	var vars []uint64
-	for v := uint64(0); v < m.NumVars(); v += step {
-		vars = append(vars, v)
 	}
 	rows := sys.resolveVars(vars, nil)
 	for i, v := range vars {
@@ -121,7 +189,13 @@ func checkResolvesLive(t *testing.T, m Mapper, compileErr error, step uint64) {
 // servingMapper is the PP93 mapper at the serving scheme, q=2 n=7.
 func servingMapper(t testing.TB) Mapper {
 	t.Helper()
-	s, err := core.New(1, 7)
+	return pp93Mapper(t, 1, 7)
+}
+
+// pp93Mapper is the PP93 mapper at q = 2^m, extension degree n.
+func pp93Mapper(t testing.TB, m, n int) Mapper {
+	t.Helper()
+	s, err := core.New(m, n)
 	if err != nil {
 		t.Fatal(err)
 	}
