@@ -168,3 +168,83 @@ func FuzzTorusOrbit(f *testing.F) {
 		torusFuzzX.checkRow(t, v, p)
 	})
 }
+
+// TestTorusActionPowers checks the module map of g^k against the PGL product
+// it stands for, ModuleIndex(g^k·ModuleMat(j)) for every module, at powers
+// across [0, 2^n−1), and that TorusPerm is its k = 1 case.
+func TestTorusActionPowers(t *testing.T) {
+	for _, n := range []int{3, 5, 7} {
+		x := newTorusFixture(t, n)
+		s, f := x.s, x.s.F
+		mu := x.ex.Torus()
+		a := s.TorusAction(mu)
+		ord := uint64(f.Order) - 1
+		k1 := uint64(f.Order) + 1
+		for _, k := range []uint64{0, 1, 2, 3, ord / 2, ord - 2, ord - 1} {
+			gk := s.G.MustMake(1, 0, 0, f.Pow(mu, int(k)))
+			e := a.Exponent(k)
+			for j := uint64(0); j < s.NumModules; j++ {
+				cs, ct := a.Key(uint32(j/k1), int32(j%k1)-1, e)
+				got := uint64(cs)*k1 + uint64(ct+1)
+				if want := s.ModuleIndex(s.G.Mul(gk, s.ModuleMat(j))); got != want {
+					t.Fatalf("n=%d k=%d: module %d goes to %d, ModuleIndex(g^k·B_j) = %d", n, k, j, got, want)
+				}
+				if k == 1 && uint64(x.perm[j]) != got {
+					t.Fatalf("n=%d: π_g(%d) = %d, the k = 1 map gives %d", n, j, x.perm[j], got)
+				}
+			}
+		}
+	}
+}
+
+// TestTorusLift checks the lift of S₁–S₃ to the seeds: at n = 3, 5 and 7
+// every variable v of the three families is g^k times its seed's variable,
+// Index(g^k·Mat(seed)) = v; each seed lifts to itself with k = 0 and its far
+// end to its own slot; and S₄ does not lift. At n = 9 it checks the seeds,
+// their far ends and the family edges.
+func TestTorusLift(t *testing.T) {
+	for _, n := range []int{3, 5, 7, 9} {
+		x := newTorusFixture(t, n)
+		s, ex, f := x.s, x.ex, x.s.F
+		mu := ex.Torus()
+		c1, c2, _, _ := ex.SetSizes()
+		seeds := ex.TorusSeeds()
+		if len(seeds) != 1+6*int(ex.sMax) {
+			t.Fatalf("n=%d: %d seeds, want 1+6·%d", n, len(seeds), ex.sMax)
+		}
+		check := func(v uint64) {
+			t.Helper()
+			slot, k, ok := ex.TorusLift(v)
+			if !ok || slot >= len(seeds) || k >= c1 {
+				t.Fatalf("n=%d: TorusLift(%d) = %d, %d, %v", n, v, slot, k, ok)
+			}
+			gk := s.G.MustMake(1, 0, 0, f.Pow(mu, int(k)))
+			if got, ok := ex.Index(s.G.Mul(gk, ex.Mat(seeds[slot].Var))); !ok || got != v {
+				t.Fatalf("n=%d: Index(g^%d·Mat(%d)) = %d,%v, want %d", n, k, seeds[slot].Var, got, ok, v)
+			}
+		}
+		for slot, sd := range seeds {
+			if got, k, ok := ex.TorusLift(sd.Var); !ok || got != slot || k != 0 {
+				t.Fatalf("n=%d: seed %d (variable %d) lifts to %d, %d, %v", n, slot, sd.Var, got, k, ok)
+			}
+			if got, _, ok := ex.TorusLift(sd.End); !ok || got != slot {
+				t.Fatalf("n=%d: far end %d of seed %d lifts to slot %d, %v", n, sd.End, slot, got, ok)
+			}
+			check(sd.End)
+		}
+		for _, v := range []uint64{c1 + 2*c2, c1 + 2*c2 + 1, s.NumVariables - 1, s.NumVariables} {
+			if _, _, ok := ex.TorusLift(v); ok {
+				t.Fatalf("n=%d: variable %d of S₄ or beyond lifts", n, v)
+			}
+		}
+		if n == 9 {
+			for _, v := range []uint64{0, 1, c1 - 1, c1, c1 + 1, c1 + c2 - 1, c1 + c2, c1 + c2 + 1, c1 + 2*c2 - 1} {
+				check(v)
+			}
+			continue
+		}
+		for v := uint64(0); v < c1+2*c2; v++ {
+			check(v)
+		}
+	}
+}

@@ -222,3 +222,60 @@ func BenchmarkCompileMapper(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAppendCopyAddrs is the computed path at large-zipf's scheme, q=2
+// n=9: one AppendCopyAddrs call per block of 64 variables, all q+1 copies,
+// reported in ns/var family by family. s1, s2 and s3 draw uniformly from S₁,
+// S₂ and S₃, which the torus lift serves from its seed rows; s4 draws from
+// S₄, which the kernels resolve; zipf draws 64-op windows of Zipf 1.1 ids, as
+// large-zipf does, distinct within a window as a batch's are.
+func BenchmarkAppendCopyAddrs(b *testing.B) {
+	m := pp93Mapper(b, 1, 9)
+	bm := m.(BulkMapper)
+	c1, c2, c3, c4 := m.(*coreMapper).idx.(*core.ExplicitIndexer).SetSizes()
+	const nBlocks, block = 512, 64
+	rng := rand.New(rand.NewSource(1))
+	uniform := func(lo, n uint64) [][]uint64 {
+		out := make([][]uint64, nBlocks)
+		for i := range out {
+			for range block {
+				out[i] = append(out[i], lo+rng.Uint64()%n)
+			}
+		}
+		return out
+	}
+	zipf := rand.NewZipf(rng, 1.1, 1, m.NumVars()-1)
+	windows := make([][]uint64, nBlocks)
+	for i := range windows {
+		seen := make(map[uint64]bool, block)
+		for range block {
+			if v := zipf.Uint64(); !seen[v] {
+				seen[v] = true
+				windows[i] = append(windows[i], v)
+			}
+		}
+	}
+	copies := m.Copies()
+	for _, cell := range []struct {
+		name   string
+		blocks [][]uint64
+	}{
+		{"s1", uniform(0, c1)},
+		{"s2", uniform(c1, c2)},
+		{"s3", uniform(c1+c2, c3)},
+		{"s4", uniform(c1+c2+c3, c4)},
+		{"zipf", windows},
+	} {
+		b.Run(cell.name, func(b *testing.B) {
+			mods := make([]uint64, 0, block*copies)
+			addrs := make([]uint64, 0, block*copies)
+			vars := 0
+			for i := 0; i < b.N; i++ {
+				blk := cell.blocks[i%nBlocks]
+				mods, addrs = bm.AppendCopyAddrs(mods[:0], addrs[:0], blk, copies)
+				vars += len(blk)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(vars), "ns/var")
+		})
+	}
+}

@@ -42,65 +42,67 @@ func AppendCopyAddrs(m Mapper, mods, addrs []uint64, vars []uint64, copies int) 
 
 // Stack scratch bounds for the constructive scheme's bulk path: blocks of up
 // to bulkMaxVars variables, shrunk so a block's copies fit the bulkMaxOps
-// output scratch when the replication factor is large.
+// kernel scratch. A PP93 scheme has at most 257 copies (q ≤ 256, since
+// gf.MaxBits = 24 and core.New requires n ≥ 3), so a block holds at least 3
+// variables.
 const (
 	bulkMaxVars = 64
 	bulkMaxOps  = 1024
 )
 
-// AppendCopyAddrs resolves a variable vector through the batched Section 4
-// kernels: each block decodes the representatives once (per-op CopyAddr
-// re-decodes per copy) and hands them to core's vectorized resolution. All
-// scratch is stack arrays, so the call allocates only what append itself
-// grows.
+// AppendCopyAddrs resolves a variable vector in blocks. A variable the
+// indexer's torus lift covers (S₁–S₃) is served from its seed row: per copy,
+// the module key moved by g^k (core.TorusAction.Key) and the offset kept. The
+// others are decoded once per block (per-op CopyAddr re-decodes per copy),
+// handed to core's vectorized resolution, and their rows scattered back to
+// their places, vars-major. All scratch is stack arrays, so the call
+// allocates only what growing the outputs takes.
 func (m *coreMapper) AppendCopyAddrs(mods, addrs []uint64, vars []uint64, copies int) ([]uint64, []uint64) {
 	if copies < 1 {
 		return mods, addrs
 	}
-	if copies > bulkMaxOps {
-		// Replication beyond the scratch budget (no practical scheme: q+1 >
-		// 1024 needs q ≥ 1024, far past the table-bit budget). Decode once,
-		// resolve scalar per copy.
-		for _, v := range vars {
-			a := m.idx.Mat(v)
-			for c := 0; c < copies; c++ {
-				mod, off := m.s.CopyLocation(a, c)
-				mods = append(mods, mod)
-				addrs = append(addrs, mod*uint64(m.s.ModuleSize)+uint64(off))
-			}
-		}
-		return mods, addrs
-	}
-	blockVars := bulkMaxVars
-	if blockVars*copies > bulkMaxOps {
-		blockVars = bulkMaxOps / copies
-	}
+	blockVars := min(bulkMaxVars, bulkMaxOps/copies)
+	total := len(vars) * copies
+	mods, addrs = slices.Grow(mods, total), slices.Grow(addrs, total)
+	dm, da := mods[len(mods):][:total], addrs[len(addrs):][:total]
 	var mats [bulkMaxVars]pgl.Mat
+	var at [bulkMaxVars]int // where each kernel variable's row goes
 	var bm [bulkMaxOps]uint64
 	var bo [bulkMaxOps]uint32
-	var ba [bulkMaxOps]uint64
 	msz := uint64(m.s.ModuleSize)
-	idx := m.idx
+	k1 := uint64(m.s.F.Order) + 1
+	idx, tor, stride := m.idx, m.tor, m.s.Copies
 	for base := 0; base < len(vars); base += blockVars {
-		n := len(vars) - base
-		if n > blockVars {
-			n = blockVars
+		nk := 0
+		for i, v := range vars[base:min(base+blockVars, len(vars))] {
+			pos := (base + i) * copies
+			if tor != nil {
+				if slot, k, ok := tor.lift.TorusLift(v); ok {
+					e := tor.act.Exponent(k)
+					for c, sc := range tor.rows[slot*stride:][:copies] {
+						cs, ct := tor.act.Key(sc.s, sc.t, e)
+						mod := uint64(cs)*k1 + uint64(ct+1) // f(s,t) = s·(q^n+1) + t + 1
+						dm[pos+c], da[pos+c] = mod, mod*msz+uint64(sc.off)
+					}
+					continue
+				}
+			}
+			mats[nk], at[nk] = idx.Mat(v), pos
+			nk++
 		}
-		for i := 0; i < n; i++ {
-			mats[i] = idx.Mat(vars[base+i])
+		if nk == 0 {
+			continue
 		}
-		t := n * copies
-		m.s.ResolveCopies(mats[:n], copies, bm[:t], bo[:t])
-		// Assemble addresses in scratch and bulk-append both outputs: two
-		// memmoves per block instead of per-element appends, whose bounds
-		// bookkeeping would otherwise rival the resolution kernel itself.
-		for k := 0; k < t; k++ {
-			ba[k] = bm[k]*msz + uint64(bo[k])
+		t := nk * copies
+		m.s.ResolveCopies(mats[:nk], copies, bm[:t], bo[:t])
+		for i, pos := range at[:nk] {
+			for c := range copies {
+				mod := bm[i*copies+c]
+				dm[pos+c], da[pos+c] = mod, mod*msz+uint64(bo[i*copies+c])
+			}
 		}
-		mods = append(mods, bm[:t]...)
-		addrs = append(addrs, ba[:t]...)
 	}
-	return mods, addrs
+	return mods[:len(mods)+total], addrs[:len(addrs)+total]
 }
 
 // AppendCopyAddrs serves the bulk contract from the compiled table (row

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"detshmem/internal/core"
@@ -46,6 +48,79 @@ func TestAppendCopyAddrsMatchesCopyAddr(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTorusRowsMatchCopyAddr is the exhaustive pin of the torus path: at
+// q=2 and n = 3, 5, 7 and 9, AppendCopyAddrs equals per-op CopyAddr, whose
+// kernels stay the independent oracle, on every variable of S₁–S₃ (261 121
+// at n=9). Every fifth entry of the vector is an S₄ id, so each block mixes
+// derived rows with kernel rows that must be scattered back vars-major.
+func TestTorusRowsMatchCopyAddr(t *testing.T) {
+	for _, n := range []int{3, 5, 7, 9} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			m := pp93Mapper(t, 1, n)
+			cm := m.(*coreMapper)
+			if cm.tor == nil {
+				t.Fatal("the explicit indexer's mapper has no torus rows")
+			}
+			c1, c2, _, c4 := cm.idx.(*core.ExplicitIndexer).SetSizes()
+			lifted := c1 + 2*c2
+			vars := make([]uint64, 0, lifted+lifted/4+1)
+			for v := uint64(0); v < lifted; v++ {
+				if len(vars)%5 == 4 {
+					vars = append(vars, lifted+uint64(len(vars))*2654435761%c4)
+				}
+				vars = append(vars, v)
+			}
+			copiesList := []int{m.Copies(), m.ReadQuorum(), 1}
+			if n == 9 {
+				copiesList = copiesList[:1]
+			}
+			for _, copies := range copiesList {
+				mods, addrs := AppendCopyAddrs(m, []uint64{^uint64(0)}, []uint64{42}, vars, copies)
+				if mods[0] != ^uint64(0) || addrs[0] != 42 || len(mods) != 1+len(vars)*copies || len(addrs) != len(mods) {
+					t.Fatalf("copies=%d: bulk returned %d/%d entries or clobbered the prefix", copies, len(mods), len(addrs))
+				}
+				for i, v := range vars {
+					for c := 0; c < copies; c++ {
+						at := 1 + i*copies + c
+						if wm, wa := m.CopyAddr(v, c); mods[at] != wm || addrs[at] != wa {
+							t.Fatalf("copies=%d: copy %d of %d = (%d,%d), per-op (%d,%d)", copies, c, v, mods[at], addrs[at], wm, wa)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// wrongTorus is an explicit indexer whose torus scalar is μ² in place of μ:
+// its seeds (k = 0) resolve as before, every other lifted row moves wrongly.
+type wrongTorus struct {
+	*core.ExplicitIndexer
+	mu2 uint32
+}
+
+func (w wrongTorus) Torus() uint32 { return w.mu2 }
+
+// TestTorusGuardPanics checks NewCoreMapper's construction guard: a lift
+// whose far ends do not match their kernel rows panics.
+func TestTorusGuardPanics(t *testing.T) {
+	s, err := core.New(1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := core.NewExplicitIndexer(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "torus lift places copy") {
+			t.Fatalf("NewCoreMapper over a wrong torus: recovered %v, want the guard's panic", r)
+		}
+	}()
+	mu := ex.Torus()
+	NewCoreMapper(s, wrongTorus{ex, s.F.Mul(mu, mu)})
 }
 
 // TestAppendCopyAddrsZeroAlloc pins every native bulk implementation (core,

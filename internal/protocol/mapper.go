@@ -1,7 +1,10 @@
 package protocol
 
 import (
+	"fmt"
+
 	"detshmem/internal/core"
+	"detshmem/internal/pgl"
 )
 
 // Mapper abstracts a memory-organization scheme for the quorum access
@@ -43,11 +46,97 @@ type Mapper interface {
 type coreMapper struct {
 	s   *core.Scheme
 	idx core.Indexer
+	tor *torusRows // nil: every variable resolves through the kernels
 }
 
 // NewCoreMapper wraps the Pietracaprina–Preparata organization as a Mapper.
+// When the indexer has the torus lift (core.ExplicitIndexer) it resolves
+// the lift's seed rows once through the kernels, and checks the far end of
+// each seed's orbit against them (checkTorus); it panics, as CopyLocation
+// does, if one does not match.
 func NewCoreMapper(s *core.Scheme, idx core.Indexer) Mapper {
-	return &coreMapper{s: s, idx: idx}
+	m := &coreMapper{s: s, idx: idx}
+	if l, ok := idx.(lifter); ok {
+		seeds := l.TorusSeeds()
+		m.tor = m.resolveSeeds(l, seeds)
+		m.checkTorus(seeds)
+	}
+	return m
+}
+
+// lifter is the torus lift of an indexer that has one
+// (core.ExplicitIndexer): the scalar μ of g = diag(1, μ), the seeds, and
+// each lifted variable's seed slot and power of g.
+type lifter interface {
+	Torus() uint32
+	TorusSeeds() []core.TorusSeed
+	TorusLift(v uint64) (slot int, k uint64, ok bool)
+}
+
+// torusRows serves the variables the lift covers (S₁–S₃): copy c of
+// g^k·seed is copy c of the seed with its module moved by g^k's module map
+// and its offset kept (core.TorusAction).
+type torusRows struct {
+	lift lifter
+	act  *core.TorusAction
+	rows []seedCopy // copies per seed, slot-major
+}
+
+// seedCopy is one copy of a seed row: its module's coset key and its
+// in-module offset.
+type seedCopy struct {
+	s   uint32
+	t   int32
+	off uint32
+}
+
+// resolveSeeds resolves the seed rows of l.
+func (m *coreMapper) resolveSeeds(l lifter, seeds []core.TorusSeed) *torusRows {
+	vars := make([]uint64, len(seeds))
+	for i, sd := range seeds {
+		vars[i] = sd.Var
+	}
+	mods, offs := m.kernelRows(vars)
+	k1 := uint64(m.s.F.Order) + 1
+	rows := make([]seedCopy, len(mods))
+	for i, mod := range mods {
+		rows[i] = seedCopy{s: uint32(mod / k1), t: int32(mod%k1) - 1, off: offs[i]}
+	}
+	return &torusRows{lift: l, act: m.s.TorusAction(l.Torus()), rows: rows}
+}
+
+// checkTorus guards the derived copies, which skip the kernel's per-copy
+// Lemma 1 check: the far end of each seed's orbit (core.TorusSeed.End),
+// derived through AppendCopyAddrs, must equal its kernel row. It costs one
+// more kernel row per seed.
+func (m *coreMapper) checkTorus(seeds []core.TorusSeed) {
+	copies := m.s.Copies
+	ends := make([]uint64, len(seeds))
+	for i, sd := range seeds {
+		ends[i] = sd.End
+	}
+	kmods, koffs := m.kernelRows(ends)
+	mods, addrs := m.AppendCopyAddrs(nil, nil, ends, copies)
+	msz := uint64(m.s.ModuleSize)
+	for i, mod := range kmods {
+		if want := mod*msz + uint64(koffs[i]); mods[i] != mod || addrs[i] != want {
+			panic(fmt.Sprintf("protocol: torus lift places copy %d of variable %d at (%d, %d), the kernel at (%d, %d)",
+				i%copies, ends[i/copies], mods[i], addrs[i], mod, want))
+		}
+	}
+}
+
+// kernelRows resolves every copy of vars through the batched kernels, which
+// check each against Lemma 1: module and in-module offset, vars-major.
+func (m *coreMapper) kernelRows(vars []uint64) ([]uint64, []uint32) {
+	mats := make([]pgl.Mat, len(vars))
+	for i, v := range vars {
+		mats[i] = m.idx.Mat(v)
+	}
+	mods := make([]uint64, len(vars)*m.s.Copies)
+	offs := make([]uint32, len(mods))
+	m.s.ResolveCopies(mats, m.s.Copies, mods, offs)
+	return mods, offs
 }
 
 func (m *coreMapper) Name() string       { return "pp93" }

@@ -108,12 +108,13 @@ type CompiledResolver struct {
 }
 
 // CompileMapper compiles m's address map in three steps. It resolves the
-// seed rows through the batched Section 4 kernels (AppendCopyAddrs), which
-// decode each variable once, serve all q+1 copies from one determinant log
-// and panic, as CopyLocation does, on a copy Lemma 1 does not place. The
-// seed rows are the first period of each torus orbit (core.Orbit) and
-// every row outside one: S₂ and S₃, and every row of an indexer without
-// orbits. It fills every other row from the row one period earlier through
+// seed rows through AppendCopyAddrs: S₂ and S₃ from the torus lift's seed
+// rows, which NewCoreMapper checked, and the others through the batched
+// Section 4 kernels, which decode each variable once, serve all q+1 copies
+// from one determinant log and panic, as CopyLocation does, on a copy
+// Lemma 1 does not place. The seed rows are the first period of each torus
+// orbit (core.Orbit) and every row outside one: S₂ and S₃, and every row
+// of an indexer without orbits. It fills every other row from the row one period earlier through
 // the module permutation π_g, keeping each offset (core's torus action). It
 // then checks that the table is a bijection onto [0, AddrSpace), Lemma 2,
 // which any wrong entry breaks by using one address twice. It refuses a
